@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"fxdist"
+	"fxdist/internal/audit"
 )
 
 func main() {
@@ -171,7 +172,7 @@ func explainResult(file *fxdist.File, fs fxdist.FileSystem, pm fxdist.PartialMat
 	}
 	rq := q.NumQualified(fs)
 	m := len(res.DeviceBuckets)
-	bound := (rq + m - 1) / m
+	bound := audit.Bound(rq, m)
 	fmt.Printf("    |R(q)|=%d devices=%d strict-optimal bound=ceil(%d/%d)=%d\n", rq, m, rq, m, bound)
 	for d, b := range res.DeviceBuckets {
 		verdict := "ok"

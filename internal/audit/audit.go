@@ -11,10 +11,11 @@
 // burn-rate) so tail latency attributes to the shapes that cause it.
 //
 // One Auditor exists per backend ("memory", "durable", "replicated",
-// "netdist"); For is idempotent, like the obs registry. Every counter
-// the auditor keeps is mirrored into the obs metric registry (labels
-// backend + shape), and the whole state renders on /debug/optimality
-// (JSON or text) and through the facade's OptimalityReport.
+// "netdist"), held in the telemetry package's per-backend instrument
+// registry. Every counter the auditor keeps is mirrored into the obs
+// metric registry (labels backend + shape), and the whole state renders
+// on /debug/optimality (JSON or text) and through the facade's
+// OptimalityReport.
 package audit
 
 import (
@@ -23,17 +24,11 @@ import (
 	"time"
 
 	"fxdist/internal/obs"
-	"fxdist/internal/query"
 )
 
-// ShapeOf returns the audit key for a query: one byte per field, 's'
-// for specified and '*' for unspecified — e.g. "s**s". Two queries with
-// the same unspecified field set are the same shape (the paper's query
-// class), whatever values they specify.
-func ShapeOf(q query.Query) string { return q.Shape() }
-
 // Bound returns the paper's strict-optimality bound ceil(rq/m) for a
-// query with |R(q)| = rq qualified buckets on m devices.
+// query with |R(q)| = rq qualified buckets on m devices — the system's
+// one implementation of it; plans carry its result to every consumer.
 func Bound(rq, m int) int {
 	if m <= 0 {
 		return 0
@@ -88,8 +83,8 @@ type shapeState struct {
 }
 
 // Auditor audits every retrieval of one backend against the
-// strict-optimality bound, keyed by query shape. It implements the
-// engine's Auditor hook; construction is via For.
+// strict-optimality bound, keyed by query shape. It is one of the
+// query record's sinks.
 type Auditor struct {
 	backend string
 
@@ -143,25 +138,27 @@ func (a *Auditor) ShapeSLO(shape string) SLO {
 	return a.sloFor(shape)
 }
 
-// RetrievalDone audits one finished retrieval: rq is |R(q)| and
-// deviceBuckets the per-device qualified-bucket counts (nil for a
-// failed retrieval, which still counts against the shape's SLO). It is
-// the engine executor's audit hook.
-func (a *Auditor) RetrievalDone(q query.Query, rq int, deviceBuckets []int, elapsed time.Duration) {
-	shape := ShapeOf(q)
+// Observe audits one finished retrieval from its query record: the
+// merged per-device bucket counts against the record's bound. A failed
+// (or degraded) retrieval is counted and charged to the shape's SLO but
+// its buckets are not judged.
+func (a *Auditor) Observe(rec *obs.QueryRecord) {
+	if a == nil {
+		return
+	}
+	shape, elapsed := rec.Shape, rec.Elapsed
 	burn := 0.0
 	a.mu.Lock()
 	st := a.state(shape)
 	st.queries++
 	st.mQueries.Inc()
-	ok := deviceBuckets != nil
+	ok := !rec.Failed
 	if ok {
-		m := len(deviceBuckets)
-		bound := Bound(rq, m)
-		st.bound, st.rq, st.m = bound, rq, m
+		bound := rec.Bound
+		st.bound, st.rq, st.m = bound, rec.RQ, len(rec.DeviceBuckets)
 		st.mBound.Set(float64(bound))
 		worst, worstDev := 0, -1
-		for dev, b := range deviceBuckets {
+		for dev, b := range rec.DeviceBuckets {
 			if b > st.maxBuckets {
 				st.maxBuckets = b
 			}
@@ -212,9 +209,6 @@ func (a *Auditor) RetrievalDone(q query.Query, rq int, deviceBuckets []int, elap
 	// latency crosses a configured threshold (no-op when off).
 	obs.ConsiderProfile(a.backend, shape, elapsed, burn)
 }
-
-// Backend returns the backend label this auditor reports under.
-func (a *Auditor) Backend() string { return a.backend }
 
 // ShapeReport is one (backend, shape) row of an optimality report.
 type ShapeReport struct {
@@ -316,95 +310,27 @@ func (a *Auditor) Reset() {
 	a.mu.Unlock()
 }
 
-// Process-wide auditor registry, one Auditor per backend label.
-var (
-	regMu      sync.Mutex
-	auditors   = make(map[string]*Auditor)
-	defaultSLO SLO
-)
-
-// For returns the auditor for one backend ("memory", "durable",
-// "replicated", "netdist"), creating it on first use — idempotent, so
-// every cluster of a backend kind shares one accumulation point.
-func For(backend string) *Auditor {
-	regMu.Lock()
-	defer regMu.Unlock()
-	a := auditors[backend]
-	if a == nil {
-		a = &Auditor{
-			backend:   backend,
-			shapes:    make(map[string]*shapeState),
-			slo:       defaultSLO,
-			overrides: make(map[string]SLO),
-		}
-		auditors[backend] = a
-	}
-	return a
-}
-
-// Report snapshots every registered auditor, sorted by backend.
-func Report() []BackendReport {
-	regMu.Lock()
-	all := make([]*Auditor, 0, len(auditors))
-	for _, a := range auditors {
-		all = append(all, a)
-	}
-	regMu.Unlock()
-	out := make([]BackendReport, 0, len(all))
-	for _, a := range all {
-		out = append(out, a.Report())
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Backend < out[j].Backend })
-	return out
-}
-
-// Reset zeroes every auditor's accumulated state (configured SLOs are
-// kept). Mirrored Prometheus counters stay monotonic.
-func Reset() {
-	regMu.Lock()
-	all := make([]*Auditor, 0, len(auditors))
-	for _, a := range auditors {
-		all = append(all, a)
-	}
-	regMu.Unlock()
-	for _, a := range all {
-		a.Reset()
+// New returns an empty auditor for one backend label with slo as its
+// default latency objective.
+func New(backend string, slo SLO) *Auditor {
+	return &Auditor{
+		backend:   backend,
+		shapes:    make(map[string]*shapeState),
+		slo:       slo,
+		overrides: make(map[string]SLO),
 	}
 }
 
-// SetSLO sets the default latency objective for one backend's shapes
-// (overridable per shape with SetShapeSLO). backend "" applies to every
-// registered auditor and becomes the default for future ones.
-func SetSLO(backend string, slo SLO) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	if backend == "" {
-		defaultSLO = slo
-		for _, a := range auditors {
-			a.mu.Lock()
-			a.slo = slo
-			a.mu.Unlock()
-		}
-		return
-	}
-	a := auditors[backend]
-	if a == nil {
-		a = &Auditor{
-			backend:   backend,
-			shapes:    make(map[string]*shapeState),
-			overrides: make(map[string]SLO),
-		}
-		auditors[backend] = a
-	}
+// SetSLO replaces the auditor's default latency objective (per-shape
+// overrides are kept).
+func (a *Auditor) SetSLO(slo SLO) {
 	a.mu.Lock()
 	a.slo = slo
 	a.mu.Unlock()
 }
 
-// SetShapeSLO overrides the latency objective for one (backend, shape),
-// creating the backend's auditor if needed.
-func SetShapeSLO(backend, shape string, slo SLO) {
-	a := For(backend)
+// SetShapeSLO overrides the latency objective for one shape.
+func (a *Auditor) SetShapeSLO(shape string, slo SLO) {
 	a.mu.Lock()
 	a.overrides[shape] = slo
 	a.mu.Unlock()

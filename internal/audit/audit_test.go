@@ -4,27 +4,11 @@ import (
 	"testing"
 	"time"
 
+	"fxdist/internal/obs"
 	"fxdist/internal/query"
 )
 
 func q(spec ...int) query.Query { return query.New(spec) }
-
-func TestShapeOf(t *testing.T) {
-	u := query.Unspecified
-	cases := []struct {
-		q    query.Query
-		want string
-	}{
-		{q(3, u, 0), "s*s"},
-		{q(u, u, u), "***"},
-		{q(1, 2), "ss"},
-	}
-	for _, c := range cases {
-		if got := ShapeOf(c.q); got != c.want {
-			t.Errorf("ShapeOf(%v) = %q, want %q", c.q, got, c.want)
-		}
-	}
-}
 
 func TestBound(t *testing.T) {
 	cases := []struct{ rq, m, want int }{
@@ -37,18 +21,28 @@ func TestBound(t *testing.T) {
 	}
 }
 
+// done feeds the auditor one finished retrieval the way the executor
+// does: a query record carrying the shape, |R(q)|, the bound and the
+// merged bucket counts (nil for a failed retrieval).
+func done(a *Auditor, q query.Query, rq int, buckets []int, elapsed time.Duration) {
+	a.Observe(&obs.QueryRecord{
+		Shape: q.Shape(), RQ: rq, Bound: Bound(rq, len(buckets)),
+		DeviceBuckets: buckets, Failed: buckets == nil, Elapsed: elapsed,
+	})
+}
+
 func TestAuditorAggregatesPerShape(t *testing.T) {
-	a := For("test-agg")
+	a := New("test-agg", SLO{})
 	u := query.Unspecified
 
 	// Strict optimal retrieval: bound ceil(4/4)=1, all devices at 1.
-	a.RetrievalDone(q(u, 0, u), 4, []int{1, 1, 1, 1}, time.Millisecond)
+	done(a, q(u, 0, u), 4, []int{1, 1, 1, 1}, time.Millisecond)
 	// Violating retrieval of the same shape: device 2 serves 3 > 1.
-	a.RetrievalDone(q(u, 1, u), 4, []int{1, 0, 3, 0}, time.Millisecond)
+	done(a, q(u, 1, u), 4, []int{1, 0, 3, 0}, time.Millisecond)
 	// A different shape stays separate.
-	a.RetrievalDone(q(0, 0, u), 2, []int{1, 1, 0, 0}, time.Millisecond)
+	done(a, q(0, 0, u), 2, []int{1, 1, 0, 0}, time.Millisecond)
 	// Failed retrieval: counted, not audited.
-	a.RetrievalDone(q(u, 2, u), 4, nil, time.Millisecond)
+	done(a, q(u, 2, u), 4, nil, time.Millisecond)
 
 	rep := a.Report()
 	if len(rep.Shapes) != 2 {
@@ -83,14 +77,13 @@ func TestAuditorAggregatesPerShape(t *testing.T) {
 }
 
 func TestSLOCountsAndBurnRate(t *testing.T) {
-	SetSLO("test-slo", SLO{Target: 10 * time.Millisecond, Goal: 0.9})
-	a := For("test-slo")
+	a := New("test-slo", SLO{Target: 10 * time.Millisecond, Goal: 0.9})
 	u := query.Unspecified
 	for i := 0; i < 8; i++ {
-		a.RetrievalDone(q(u, 0), 2, []int{1, 1}, time.Millisecond) // good
+		done(a, q(u, 0), 2, []int{1, 1}, time.Millisecond) // good
 	}
-	a.RetrievalDone(q(u, 1), 2, []int{1, 1}, time.Second) // slow: bad
-	a.RetrievalDone(q(u, 2), 2, nil, time.Millisecond)    // failed: bad
+	done(a, q(u, 1), 2, []int{1, 1}, time.Second) // slow: bad
+	done(a, q(u, 2), 2, nil, time.Millisecond)    // failed: bad
 
 	rep := a.Report()
 	if len(rep.Shapes) != 1 {
@@ -110,12 +103,12 @@ func TestSLOCountsAndBurnRate(t *testing.T) {
 }
 
 func TestShapeSLOOverride(t *testing.T) {
-	SetSLO("test-override", SLO{Target: time.Hour, Goal: 0.99})
-	SetShapeSLO("test-override", "*s", SLO{Target: time.Nanosecond, Goal: 0.5})
-	a := For("test-override")
+	a := New("test-override", SLO{})
+	a.SetSLO(SLO{Target: time.Hour, Goal: 0.99})
+	a.SetShapeSLO("*s", SLO{Target: time.Nanosecond, Goal: 0.5})
 	u := query.Unspecified
-	a.RetrievalDone(q(u, 0), 2, []int{1, 1}, time.Millisecond) // misses the 1ns override
-	a.RetrievalDone(q(0, u), 2, []int{1, 1}, time.Millisecond) // meets the 1h default
+	done(a, q(u, 0), 2, []int{1, 1}, time.Millisecond) // misses the 1ns override
+	done(a, q(0, u), 2, []int{1, 1}, time.Millisecond) // meets the 1h default
 
 	var over, def ShapeReport
 	for _, s := range a.Report().Shapes {
@@ -134,22 +127,16 @@ func TestShapeSLOOverride(t *testing.T) {
 }
 
 func TestResetZeroesState(t *testing.T) {
-	a := For("test-reset")
+	a := New("test-reset", SLO{})
 	u := query.Unspecified
-	a.RetrievalDone(q(u, 0), 2, []int{2, 0}, time.Millisecond)
+	done(a, q(u, 0), 2, []int{2, 0}, time.Millisecond)
 	if rep := a.Report(); rep.Shapes[0].Violations != 1 {
 		t.Fatalf("setup: %+v", rep.Shapes)
 	}
-	Reset()
+	a.Reset()
 	rep := a.Report()
 	s := rep.Shapes[0]
 	if s.Queries != 0 || s.Violations != 0 || s.MaxDeviation != 0 || s.WorstDevice != -1 || s.MaxBuckets != 0 {
 		t.Errorf("after reset: %+v", s)
-	}
-}
-
-func TestForIsIdempotent(t *testing.T) {
-	if For("test-idem") != For("test-idem") {
-		t.Error("For returned distinct auditors for one backend")
 	}
 }

@@ -3,27 +3,12 @@ package audit
 import (
 	"fmt"
 	"io"
-	"net/http"
 	"time"
-
-	"fxdist/internal/obs"
 )
 
-func init() {
-	obs.RegisterDebugHandler("/debug/optimality", "strict-bound audit per (backend,shape): violations, deviation, SLO burn", Handler())
-}
-
-// Handler serves the optimality report of every registered auditor:
-// JSON by default, a human-readable per-shape table with ?format=text.
-// Mounted as /debug/optimality on every obs.Handler.
-func Handler() http.Handler {
-	return obs.DebugEndpoint(
-		func() (any, error) { return Report(), nil },
-		func(w io.Writer, doc any) { writeText(w, doc.([]BackendReport)) },
-	)
-}
-
-func writeText(w io.Writer, reps []BackendReport) {
+// WriteText renders an optimality report as a per-shape table (the
+// /debug/optimality?format=text rendering).
+func WriteText(w io.Writer, reps []BackendReport) {
 	if len(reps) == 0 {
 		fmt.Fprintln(w, "no retrievals audited yet")
 		return

@@ -11,6 +11,7 @@ import (
 	"fxdist/internal/engine"
 	"fxdist/internal/mkhash"
 	"fxdist/internal/query"
+	"fxdist/internal/telemetry"
 )
 
 // allocDevice answers with the exact qualified-bucket count the inverse
@@ -26,8 +27,8 @@ func (d allocDevice) Scan(_ context.Context, q query.Query, _ mkhash.PartialMatc
 }
 
 // auditExec builds an executor whose devices realise alloc's bucket
-// placement, reporting into the named audit backend.
-func auditExec(t *testing.T, f *mkhash.File, fs decluster.FileSystem, alloc decluster.GroupAllocator, backend string) *engine.Executor {
+// placement, reporting into a private auditor a.
+func auditExec(t *testing.T, f *mkhash.File, fs decluster.FileSystem, alloc decluster.GroupAllocator, a *audit.Auditor) *engine.Executor {
 	t.Helper()
 	im := query.NewInverseMapper(alloc)
 	devices := make([]engine.Device, fs.M)
@@ -38,7 +39,7 @@ func auditExec(t *testing.T, f *mkhash.File, fs decluster.FileSystem, alloc decl
 		Schema:  f,
 		FS:      fs,
 		Devices: devices,
-		Audit:   audit.For(backend),
+		Instr:   &telemetry.Instruments{Audit: a},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -69,8 +70,9 @@ func TestAuditorFlagsModuloSparesFX(t *testing.T) {
 	fxPM := mkhash.PartialMatch{nil, nil, &cval}  // shape "**s": unspecified {a,b}
 	modPM := mkhash.PartialMatch{nil, &cval, nil} // shape "*s*": unspecified {a,c}
 
-	run := func(backend string, alloc decluster.GroupAllocator, pm mkhash.PartialMatch) query.Query {
-		e := auditExec(t, f, fs, alloc, backend)
+	fxAudit, modAudit := audit.New("engine-test-fx", audit.SLO{}), audit.New("engine-test-modulo", audit.SLO{})
+	run := func(a *audit.Auditor, alloc decluster.GroupAllocator, pm mkhash.PartialMatch) query.Query {
+		e := auditExec(t, f, fs, alloc, a)
 		if _, err := e.Retrieve(context.Background(), pm); err != nil {
 			t.Fatal(err)
 		}
@@ -80,8 +82,8 @@ func TestAuditorFlagsModuloSparesFX(t *testing.T) {
 		}
 		return q
 	}
-	fxQ := run("engine-test-fx", fx, fxPM)
-	modQ := run("engine-test-modulo", mod, modPM)
+	fxQ := run(fxAudit, fx, fxPM)
+	modQ := run(modAudit, mod, modPM)
 
 	// Ground truth: the brute-force load vectors the auditor must agree with.
 	bound := audit.Bound(4, fs.M)
@@ -93,7 +95,7 @@ func TestAuditorFlagsModuloSparesFX(t *testing.T) {
 		t.Fatalf("premise: Modulo largest load %d not adversarial (bound %d)", modWorst, bound)
 	}
 
-	fxShape := shapeReport(t, "engine-test-fx", audit.ShapeOf(fxQ))
+	fxShape := shapeReport(t, fxAudit, fxQ.Shape())
 	if fxShape.Violations != 0 || fxShape.MaxDeviation != 0 {
 		t.Errorf("FX audited: %d violations, max deviation %d; want strict optimal", fxShape.Violations, fxShape.MaxDeviation)
 	}
@@ -101,7 +103,7 @@ func TestAuditorFlagsModuloSparesFX(t *testing.T) {
 		t.Errorf("FX shape row wrong: %+v", fxShape)
 	}
 
-	modShape := shapeReport(t, "engine-test-modulo", audit.ShapeOf(modQ))
+	modShape := shapeReport(t, modAudit, modQ.Shape())
 	if modShape.Violations != 1 {
 		t.Errorf("Modulo violations = %d, want 1", modShape.Violations)
 	}
@@ -119,10 +121,11 @@ func TestAuditorFlagsModuloSparesFX(t *testing.T) {
 // auditor with nil buckets — counted per shape, never a violation.
 func TestAuditorCountsFailedRetrievals(t *testing.T) {
 	f := testSchema(t)
+	a := audit.New("engine-test-fail", audit.SLO{})
 	e, err := engine.New(engine.Config{
 		Schema:  f,
 		Devices: []engine.Device{fixedDevice{err: errors.New("boom")}},
-		Audit:   audit.For("engine-test-fail"),
+		Instr:   &telemetry.Instruments{Audit: a},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -135,32 +138,32 @@ func TestAuditorCountsFailedRetrievals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := shapeReport(t, "engine-test-fail", audit.ShapeOf(q))
+	s := shapeReport(t, a, q.Shape())
 	if s.Queries != 1 || s.Violations != 0 {
 		t.Errorf("failed retrieval audited as %+v, want 1 query / 0 violations", s)
 	}
 }
 
-func shapeReport(t *testing.T, backend, shape string) audit.ShapeReport {
+func shapeReport(t *testing.T, a *audit.Auditor, shape string) audit.ShapeReport {
 	t.Helper()
-	for _, s := range audit.For(backend).Report().Shapes {
+	for _, s := range a.Report().Shapes {
 		if s.Shape == shape {
 			return s
 		}
 	}
-	t.Fatalf("backend %s has no shape %q", backend, shape)
+	t.Fatalf("auditor has no shape %q", shape)
 	return audit.ShapeReport{}
 }
 
 // TestSLOThroughExecutor wires a latency objective through the executor:
 // a slow device makes every query of its shape bad.
 func TestSLOThroughExecutor(t *testing.T) {
-	audit.SetSLO("engine-test-slo", audit.SLO{Target: time.Nanosecond, Goal: 0.99})
+	a := audit.New("engine-test-slo", audit.SLO{Target: time.Nanosecond, Goal: 0.99})
 	f := testSchema(t)
 	e, err := engine.New(engine.Config{
 		Schema:  f,
 		Devices: []engine.Device{fixedDevice{ans: engine.Answer{Buckets: 1}}},
-		Audit:   audit.For("engine-test-slo"),
+		Instr:   &telemetry.Instruments{Audit: a},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -173,7 +176,7 @@ func TestSLOThroughExecutor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := shapeReport(t, "engine-test-slo", audit.ShapeOf(q))
+	s := shapeReport(t, a, q.Shape())
 	if s.Bad != 1 || s.Good != 0 {
 		t.Errorf("1ns objective: good=%d bad=%d, want 0/1", s.Good, s.Bad)
 	}

@@ -115,8 +115,8 @@ type Result struct {
 	LargestResponseSize int
 	// Stages is the retrieval's cost-attribution breakdown (plan,
 	// fanout, merge, audit, plus an aggregated device.scan sample),
-	// populated when the executor has a cost profiler or flight
-	// recorder attached; nil otherwise.
+	// populated when the executor has a reporting bundle
+	// (Config.Instr); nil otherwise.
 	Stages []obs.StageSample
 
 	// lease releases the pooled memory backing Records when the result
@@ -226,23 +226,6 @@ func (e *TracedError) Error() string {
 }
 
 func (e *TracedError) Unwrap() error { return e.Err }
-
-// Auditor receives every finished retrieval for online optimality
-// auditing (implemented by internal/audit): rq is |R(q)|, deviceBuckets
-// the per-device qualified-bucket counts (nil for a failed retrieval),
-// elapsed the wall-clock time. Called synchronously on the retrieval
-// path — implementations must be cheap.
-type Auditor interface {
-	RetrievalDone(q query.Query, rq int, deviceBuckets []int, elapsed time.Duration)
-}
-
-// ExemplarObserver is an optional Observer extension. When the
-// telemetry plane retains a query's trace tree (tail sampling), the
-// executor calls RetrieveExemplar so the observer can attach an
-// exemplar linking its latency histogram bucket to the kept trace ID.
-type ExemplarObserver interface {
-	RetrieveExemplar(elapsed time.Duration, traceID uint64)
-}
 
 // Attempt describes one failed device scan for Policy.Failure. N counts
 // attempts on this logical device slot within one retrieval, starting at

@@ -17,17 +17,6 @@ import (
 	"fxdist/internal/telemetry"
 )
 
-// Observer receives the executor's per-retrieval instrumentation events.
-// RetrieveStarted fires before planning; exactly one RetrieveDone follows
-// (with the wall-clock elapsed time, and the per-device qualified-bucket
-// counts on success, nil on failure). RetrieveError fires once per failed
-// retrieval, before its RetrieveDone.
-type Observer interface {
-	RetrieveStarted()
-	RetrieveError()
-	RetrieveDone(elapsed time.Duration, deviceBuckets []int)
-}
-
 // RetryPolicy decides what to do when a device's scan fails: return a
 // replacement Device to re-ask (e.g. the ring successor holding the
 // failed device's backup partition), or nil to let the failure stand.
@@ -47,8 +36,6 @@ type Config struct {
 	Devices []Device
 	// Model prices each device's work; the zero model reports zero times.
 	Model CostModel
-	// Observer, if set, receives retrieval metrics events.
-	Observer Observer
 	// Tracer, if set, opens a span per retrieval.
 	Tracer *obs.Tracer
 	// Span names the tracer spans (e.g. "storage.retrieve").
@@ -62,9 +49,13 @@ type Config struct {
 	// Resilience is the composable failure-handling configuration:
 	// policy chain, hedger, graceful degradation. See Resilience.
 	Resilience Resilience
-	// Audit, if set, receives every finished retrieval for online
-	// strict-optimality auditing and per-shape SLO accounting.
-	Audit Auditor
+	// Instr, if set, is the backend's reporting bundle: every finished
+	// retrieval's query record goes to its sinks — cluster metrics,
+	// optimality auditor, cost profiler, flight recorder, wide-event log
+	// — and the log's keep decision also drives tail-based trace
+	// retention and histogram exemplars (see report). Nil turns all of it
+	// off; only the trace span remains.
+	Instr *telemetry.Instruments
 	// Alloc, when set, is the group allocator behind Devices; it lets the
 	// plan cache compile per-device qualified-bucket enumerations that
 	// devices use instead of re-walking the inverse mapper.
@@ -74,19 +65,6 @@ type Config struct {
 	// and (with Alloc set) the per-device enumeration. Nil or disabled
 	// runs the uncached path.
 	Plans *plancache.Cache
-	// Profile, if set, receives every retrieval's per-stage cost
-	// breakdown (wall time + alloc deltas), aggregated by query shape.
-	Profile *obs.CostProfiler
-	// Flight, if set, retains the slowest queries per shape with their
-	// full stage breakdown and per-device detail.
-	Flight *obs.FlightRecorder
-	// Events, if set, receives one wide event per retrieval (shape,
-	// plan-cache hit, stage costs, per-device buckets vs bound, trace
-	// ID, error manifest). The log's keep decision also drives
-	// tail-based trace retention and histogram exemplars: always-keep
-	// queries (error / SLO-slow / bound-violating) retain their full
-	// trace tree, the rest are uniform-sampled.
-	Events *telemetry.EventLog
 	// NoPool disables the hot-path buffer pools for this executor: all
 	// fan-out scratch, hit frames and merged record slices come fresh
 	// from the allocator, exactly the pre-pooling behaviour. The escape
@@ -107,17 +85,13 @@ type Executor struct {
 	fs     decluster.FileSystem
 	devs   []Device
 	model  CostModel
-	obs    Observer
+	in     *telemetry.Instruments
 	tracer *obs.Tracer
 	span   string
 	retry  RetryPolicy
 	res    Resilience
-	audit  Auditor
 	alloc  decluster.GroupAllocator
 	plans  *plancache.Cache
-	prof   *obs.CostProfiler
-	flight *obs.FlightRecorder
-	events *telemetry.EventLog
 	noPool bool
 	arena  bool
 	pool   *pool
@@ -143,17 +117,13 @@ func New(cfg Config) (*Executor, error) {
 		fs:     cfg.FS,
 		devs:   cfg.Devices,
 		model:  cfg.Model,
-		obs:    cfg.Observer,
+		in:     cfg.Instr,
 		tracer: cfg.Tracer,
 		span:   cfg.Span,
 		retry:  cfg.Retry,
 		res:    cfg.Resilience,
-		audit:  cfg.Audit,
 		alloc:  cfg.Alloc,
 		plans:  cfg.Plans,
-		prof:   cfg.Profile,
-		flight: cfg.Flight,
-		events: cfg.Events,
 		noPool: cfg.NoPool,
 		arena:  cfg.ArenaResults,
 		pool:   newPool(workers),
@@ -182,14 +152,11 @@ func (e *Executor) DeriveResilience(span string, r Resilience) *Executor {
 	return &d
 }
 
-// M returns the device count.
-func (e *Executor) M() int { return len(e.devs) }
-
 // Plans returns the executor's plan cache, nil when uncached.
 func (e *Executor) Plans() *plancache.Cache { return e.plans }
 
 // spanKey carries the retrieval's trace span through the context so that
-// devices (e.g. the remote gob device) can attach protocol events to it.
+// devices (e.g. the netdist remote device) can attach protocol events to it.
 type spanKey struct{}
 
 // ContextWithSpan returns ctx carrying span.
@@ -204,12 +171,6 @@ func ContextWithSpan(ctx context.Context, span *obs.Span) context.Context {
 func SpanFromContext(ctx context.Context) *obs.Span {
 	span, _ := ctx.Value(spanKey{}).(*obs.Span)
 	return span
-}
-
-// lower hashes the value-level query into bucket coordinates. Range
-// validation happens once per shape inside planFor, not per retrieval.
-func (e *Executor) lower(pm mkhash.PartialMatch) (query.Query, error) {
-	return e.schema.BucketQuery(pm)
 }
 
 // numQualified computes |R(q)|: the product of the unspecified field
@@ -234,21 +195,18 @@ func (e *Executor) numQualified(q query.Query) int {
 	return n
 }
 
-// compile builds the plan for q's shape: validate once, then (with an
-// allocator configured) compile the per-device tuple groups, otherwise
-// a summary plan carrying only |R(q)| and the bound.
-func (e *Executor) compile(q query.Query) (*plancache.Plan, error) {
+// compile builds the plan for q's shape: validate, then — when asked
+// for tuples and an allocator is configured — compile the per-device
+// tuple groups, otherwise a summary plan carrying only |R(q)| and the
+// bound.
+func (e *Executor) compile(q query.Query, tuples bool) (*plancache.Plan, error) {
 	if e.fs.M > 0 {
 		if err := q.Validate(e.fs); err != nil {
 			return nil, err
 		}
 	}
-	if e.alloc != nil {
-		maxTuples := plancache.DefaultMaxTuples
-		if e.plans != nil {
-			maxTuples = e.plans.MaxTuples()
-		}
-		return plancache.Compile(e.alloc, q, maxTuples), nil
+	if tuples && e.alloc != nil {
+		return plancache.Compile(e.alloc, q, e.plans.MaxTuples()), nil
 	}
 	return plancache.Summary(q, e.numQualified(q), len(e.devs)), nil
 }
@@ -265,17 +223,12 @@ func (e *Executor) planFor(q query.Query) (*plancache.Plan, bool, error) {
 			owner = e.alloc
 		}
 		key := plancache.Key{Owner: plancache.IdentityOf(owner), Shape: q.Shape()}
-		p, hit, err := e.plans.Get(key, func() (*plancache.Plan, error) { return e.compile(q) })
-		return p, hit, err
+		return e.plans.Get(key, func() (*plancache.Plan, error) { return e.compile(q, true) })
 	}
 	// Uncached path: per-retrieval validation and |R(q)|, exactly the
 	// pre-cache behaviour; the summary plan never reaches devices.
-	if e.fs.M > 0 {
-		if err := q.Validate(e.fs); err != nil {
-			return nil, false, err
-		}
-	}
-	return plancache.Summary(q, e.numQualified(q), len(e.devs)), false, nil
+	p, err := e.compile(q, false)
+	return p, false, err
 }
 
 // callerKey carries the retrieval's caller attribution (a gateway
@@ -344,36 +297,25 @@ func PlanFromContext(ctx context.Context) *plancache.Plan {
 // that give up early (context cancelled) simply abandon the call; the
 // remaining tasks write into the call's private slices and exit.
 type call struct {
-	t0      time.Time
+	started time.Time // retrieval entry: the plan stage starts here
 	span    *obs.Span
-	q       query.Query
+	plan    *plancache.Plan // shape, |R(q)| and bound for every report
+	planHit bool
 	caller  string // attribution for the wide-event query log
-	rq      int    // |R(q)| for the optimality audit
 	answers []Answer
 	errs    []error
 	pending atomic.Int64
 	done    chan struct{}
 
 	// Cost-attribution state, populated only when the executor has a
-	// profiler or flight recorder (instr true). started is the
-	// retrieval's entry time (plan stage included, unlike t0 which marks
-	// fan-out start); mark/lastStamp walk the alloc counter and clock
-	// from stage boundary to stage boundary.
+	// reporting bundle (instr true): mark/lastStamp walk the alloc
+	// counter and clock from stage boundary to stage boundary, and
+	// stages collects the breakdown as each stage closes.
 	instr     bool
-	started   time.Time
-	shape     string
-	planHit   bool
-	planWall  time.Duration
-	planAlloc obs.AllocStat
 	mark      obs.AllocStat
 	lastStamp time.Time
-
-	fanoutWall  time.Duration
-	fanoutAlloc obs.AllocStat
-	mergeWall   time.Duration
-	mergeAlloc  obs.AllocStat
-	devDur      []time.Duration
-	stages      []obs.StageSample
+	devDur    []time.Duration
+	stages    []obs.StageSample
 }
 
 // settled reports whether every device task has finished. Observing the
@@ -390,76 +332,61 @@ func (c *call) settled() bool {
 	}
 }
 
-// stampFanout closes the fanout stage (fan-out start → last device
-// answer); no-op on uninstrumented calls.
-func (c *call) stampFanout() {
+// closeStage ends the stage that has run since the previous stage
+// boundary (the retrieval's entry, for the first) and appends it to the
+// call's breakdown: its wall time, and the heap and pool-recycled
+// allocation traffic since that boundary. No-op on uninstrumented calls.
+func (c *call) closeStage(stage string) {
 	if !c.instr {
 		return
 	}
 	now := time.Now()
-	c.fanoutWall = now.Sub(c.t0)
 	a := obs.ReadAllocs()
-	c.fanoutAlloc = a.Sub(c.mark)
-	c.mark = a
-	c.lastStamp = now
+	d := a.Sub(c.mark)
+	c.stages = append(c.stages, obs.StageSample{
+		Stage: stage, Wall: now.Sub(c.lastStamp),
+		Bytes: d.Bytes, Objects: d.Objects,
+		RecycledBytes: d.RecycledBytes, RecycledSlabs: d.RecycledSlabs,
+	})
+	c.mark, c.lastStamp = a, now
 }
 
-// stampMerge closes the merge stage (answer consolidation, including
-// failure triage and degraded merges); no-op on uninstrumented calls.
-func (c *call) stampMerge() {
-	if !c.instr {
-		return
+// begin plans one query and launches its fan-out without waiting: every
+// device's scan is queued on the shared pool. The plan rides the call
+// (its shape, |R(q)| and bound feed every report) and, when it carries
+// compiled tuple groups, travels to the devices via the context. A
+// query that dies before fan-out has no plan, hence no record: it is
+// reported to the cluster metrics alone.
+func (e *Executor) begin(ctx context.Context, pm mkhash.PartialMatch, caller string) (*call, error) {
+	c := &call{started: time.Now(), caller: caller, instr: e.in != nil}
+	if c.instr {
+		e.in.Metrics.Started()
+		c.lastStamp, c.mark = c.started, obs.ReadAllocs()
+		c.stages = make([]obs.StageSample, 0, 5) // plan, fanout, merge, audit, device.scan
+		c.devDur = e.dursP().Get(len(e.devs))
 	}
-	now := time.Now()
-	c.mergeWall = now.Sub(c.lastStamp)
-	a := obs.ReadAllocs()
-	c.mergeAlloc = a.Sub(c.mark)
-	c.mark = a
-	c.lastStamp = now
-}
-
-// callInstr carries the plan-stage measurements from the retrieval
-// entry point into launch when cost attribution is on.
-type callInstr struct {
-	started   time.Time
-	planHit   bool
-	planWall  time.Duration
-	planAlloc obs.AllocStat
-	mark      obs.AllocStat
-}
-
-// launch starts the fan-out for one planned query and returns without
-// waiting: every device's scan is queued on the shared pool. The plan's
-// |R(q)| feeds the audit; its tuple groups (when compiled) travel to
-// the devices via the context. ci, when non-nil, turns on per-stage
-// cost attribution for this call.
-func (e *Executor) launch(ctx context.Context, q query.Query, plan *plancache.Plan, pm mkhash.PartialMatch, caller string, ci *callInstr) *call {
+	// Lowering hashes the values into bucket coordinates; range
+	// validation happens once per shape inside planFor, not per retrieval.
+	q, err := e.schema.BucketQuery(pm)
+	if err == nil {
+		c.plan, c.planHit, err = e.planFor(q)
+	}
+	if err != nil {
+		if c.instr {
+			e.in.Metrics.PlanFailed(time.Since(c.started))
+		}
+		return nil, err
+	}
+	c.closeStage(obs.StagePlan)
 	m := len(e.devs)
-	c := &call{
-		t0:      time.Now(),
-		q:       q,
-		caller:  caller,
-		rq:      plan.RQ,
-		answers: e.answersP().Get(m),
-		errs:    e.errsP().Get(m),
-		done:    make(chan struct{}),
-	}
-	if ci != nil {
-		c.instr = true
-		c.started = ci.started
-		c.shape = q.Shape()
-		c.planHit = ci.planHit
-		c.planWall = ci.planWall
-		c.planAlloc = ci.planAlloc
-		c.mark = ci.mark
-		c.devDur = e.dursP().Get(m)
-	}
+	c.answers, c.errs = e.answersP().Get(m), e.errsP().Get(m)
+	c.done = make(chan struct{})
 	if e.tracer != nil && e.span != "" {
 		c.span = e.tracer.Start(e.span)
 	}
 	c.pending.Store(int64(m))
 	ctx = ContextWithSpan(ctx, c.span)
-	ctx = ContextWithPlan(ctx, plan)
+	ctx = ContextWithPlan(ctx, c.plan)
 	for dev := 0; dev < m; dev++ {
 		dev := dev
 		e.pool.submit(func() {
@@ -472,32 +399,14 @@ func (e *Executor) launch(ctx context.Context, q query.Query, plan *plancache.Pl
 				c.errs[dev] = err
 				return
 			}
-			if c.instr {
-				start := time.Now()
-				c.answers[dev], c.errs[dev] = e.scanDevice(ctx, dev, q, pm)
-				c.devDur[dev] = time.Since(start)
-				return
-			}
+			start := time.Now()
 			c.answers[dev], c.errs[dev] = e.scanDevice(ctx, dev, q, pm)
+			if c.instr {
+				c.devDur[dev] = time.Since(start)
+			}
 		})
 	}
-	return c
-}
-
-// wait blocks until every device task finished or ctx is cancelled, then
-// merges. On cancellation it returns promptly with ctx's error; straggler
-// tasks keep draining in the background into the abandoned call and exit
-// on their next context check.
-func (e *Executor) wait(ctx context.Context, c *call) (Result, error) {
-	select {
-	case <-c.done:
-	case <-ctx.Done():
-		return Result{}, ctx.Err()
-	}
-	c.stampFanout()
-	res, err := e.consolidate(ctx, c)
-	c.stampMerge()
-	return res, err
+	return c, nil
 }
 
 // consolidate turns the call's per-device answers into one Result:
@@ -621,8 +530,8 @@ func (e *Executor) degrade(c *call) (Result, error) {
 		covered += b
 	}
 	coverage := 1.0
-	if c.rq > 0 {
-		coverage = float64(covered) / float64(c.rq)
+	if rq := c.plan.RQ; rq > 0 {
+		coverage = float64(covered) / float64(rq)
 		if coverage > 1 {
 			coverage = 1
 		}
@@ -637,204 +546,135 @@ func (e *Executor) degrade(c *call) (Result, error) {
 	return res, perr
 }
 
-// finish closes the call's span, audits the retrieval against the
-// strict-optimality bound, reports it to the observer, and — when cost
-// attribution is on — records the stage breakdown with the profiler and
-// flight recorder.
-func (e *Executor) finish(c *call, res Result, err error) {
+// report is the executor's one reporting path. It closes the call's
+// span, builds the retrieval's single QueryRecord — shape, |R(q)| and
+// the strict bound straight from the plan — and hands that one record
+// to the bundle's sinks in fixed order:
+//
+//  1. cluster metrics and 2. the optimality auditor, which read only
+//     scalars and the merged bucket counts and run inside the audit
+//     stage they are measured by (so they see the latency so far);
+//  3. the audit stage closes, fixing Elapsed and Stages, and the keep
+//     decision is made once, on scalars: the flight recorder's
+//     admission check and the event log's sampling rules. Only a query
+//     some sink will keep pays for per-device detail and error text
+//     (and only a flight-admitted one for the span's annotation log);
+//  4. cost profiler, 5. flight recorder, 6. wide-event log receive the
+//     sealed, from here on immutable record;
+//  7. trace retention mirrors the log's decision — an always-keep query
+//     (error / SLO-slow / bound-violating) retains its full trace tree,
+//     the rest go through the uniform sampler — and a retained trace
+//     gets a latency-histogram exemplar pointing at it, closing the
+//     loop bucket → trace ID → kept tree.
+func (e *Executor) report(c *call, res Result, err error) {
 	if c.span != nil {
 		if err != nil {
 			c.span.Event("error: " + err.Error())
 		}
 		c.span.End()
 	}
-	elapsed := time.Since(c.t0)
-	if c.instr && c.lastStamp.IsZero() {
-		// Cancelled before the fan-out completed: open the audit stage
-		// here so record still sees consistent marks.
-		c.lastStamp = time.Now()
+	in := e.in
+	if in == nil {
+		return
 	}
-	if e.audit != nil {
-		if err != nil {
-			e.audit.RetrievalDone(c.q, c.rq, nil, elapsed)
-		} else {
-			e.audit.RetrievalDone(c.q, c.rq, res.DeviceBuckets, elapsed)
-		}
+	bound := c.plan.Bound
+	rec := &obs.QueryRecord{
+		Backend:       in.Backend,
+		Shape:         c.plan.Shape,
+		Tenant:        c.caller,
+		TraceID:       c.span.Trace(),
+		Start:         c.started,
+		Elapsed:       time.Since(c.started),
+		PlanCacheHit:  c.planHit,
+		RQ:            c.plan.RQ,
+		Bound:         bound,
+		DeviceBuckets: res.DeviceBuckets,
+		// The audited bucket counts are the merged result's (a degraded
+		// merge zeroes failed devices); the violation check uses those.
+		BoundViolation: bound > 0 && res.LargestResponseSize > bound,
+		Failed:         err != nil,
 	}
-	if e.obs != nil {
-		if err != nil {
-			e.obs.RetrieveError()
-			e.obs.RetrieveDone(elapsed, nil)
-		} else {
-			e.obs.RetrieveDone(elapsed, res.DeviceBuckets)
-		}
-	}
-	// An abandoned call's stragglers may still be writing the per-device
-	// slices; record and emit only read them once the call settled.
-	settled := c.settled()
-	if c.instr {
-		e.record(c, err, settled)
-	}
-	if e.events != nil {
-		e.emit(c, res, err, settled)
-	}
-}
-
-// emit offers the retrieval's wide event to the query log and mirrors
-// the keep decision into tail-based trace retention: an always-keep
-// event (error / SLO-slow / bound-violating) retains the query's full
-// trace tree; everything else goes through the uniform sampler. When
-// the trace is retained, the latency histogram gets an exemplar
-// pointing at it (via the optional ExemplarObserver), closing the loop
-// bucket → trace ID → kept tree.
-func (e *Executor) emit(c *call, res Result, err error, settled bool) {
-	m := len(c.answers)
-	bound := 0
-	if m > 0 {
-		bound = (c.rq + m - 1) / m
-	}
-	elapsed := time.Since(c.t0)
-	start := c.t0
-	if c.instr {
-		elapsed = time.Since(c.started)
-		start = c.started
-	}
-	ev := telemetry.Event{
-		Time:         start,
-		Shape:        c.q.Shape(),
-		Tenant:       c.caller,
-		TraceID:      c.span.Trace(),
-		Elapsed:      elapsed,
-		PlanCacheHit: c.planHit,
-		RQ:           c.rq,
-		Bound:        bound,
-		Stages:       c.stages,
-	}
-	if settled {
-		ev.Devices = make([]telemetry.DeviceSample, m)
-		for dev := 0; dev < m; dev++ {
-			ds := telemetry.DeviceSample{Device: dev, Buckets: c.answers[dev].Buckets}
-			if c.devDur != nil {
-				ds.Scan = c.devDur[dev]
-			}
-			if c.errs[dev] != nil {
-				ds.Err = c.errs[dev].Error()
-			}
-			ev.Devices[dev] = ds
-			if ds.Buckets > ev.MaxDeviceBuckets {
-				ev.MaxDeviceBuckets = ds.Buckets
-			}
-		}
-	}
-	// The audited bucket counts are the merged result's (a degraded
-	// merge zeroes failed devices); the violation check uses those.
-	for _, b := range res.DeviceBuckets {
-		if bound > 0 && b > bound {
-			ev.BoundViolation = true
-		}
-	}
+	var failed map[int]error
 	if err != nil {
-		ev.Err = err.Error()
 		var pe *PartialError
 		if errors.As(err, &pe) {
-			ev.Partial = true
-			ev.Coverage = pe.Coverage
-			for dev := range pe.Failed {
-				ev.FailedDevices = append(ev.FailedDevices, dev)
-			}
-			sort.Ints(ev.FailedDevices)
+			rec.Partial, rec.Coverage, failed = true, pe.Coverage, pe.Failed
 		}
 	}
-	dec := e.events.Offer(ev)
-	tid := c.span.Trace()
-	if tid == 0 || e.tracer == nil {
+	in.Metrics.Observe(rec)
+	in.Audit.Observe(rec)
+
+	c.closeStage(obs.StageAudit)
+	rec.Elapsed = c.lastStamp.Sub(c.started)
+	admit := in.Flight.Admits(rec.Shape, rec.Elapsed)
+	dec := in.Events.Decide(rec)
+	keep := admit || dec.Kept
+	c.stages = append(c.stages, obs.StageSample{Stage: obs.StageDeviceScan, Wall: c.deviceDetail(rec, keep)})
+	rec.Stages = c.stages
+	if admit {
+		// The span's annotation log is slow-query evidence: the flight
+		// ring holds a handful per shape, the event ring up to a thousand.
+		rec.Events = c.span.Snapshot().Events
+	}
+	if keep {
+		if err != nil {
+			rec.Err = err.Error()
+		}
+		for dev := range failed {
+			rec.FailedDevices = append(rec.FailedDevices, dev)
+		}
+		sort.Ints(rec.FailedDevices)
+	}
+
+	in.Profile.Observe(rec)
+	if admit {
+		in.Flight.Observe(rec)
+	}
+	if dec.Kept {
+		in.Events.Observe(rec)
+	}
+	if rec.TraceID == 0 || e.tracer == nil {
 		return
 	}
-	retained := false
+	var retained bool
 	if dec.Always {
-		reason := obs.KeepError
-		for _, r := range dec.Reasons {
-			if r == obs.KeepError || r == obs.KeepSlow || r == obs.KeepBound {
-				reason = r
-				break
-			}
-		}
-		retained = e.tracer.Retain(tid, reason)
+		retained = e.tracer.Retain(rec.TraceID, rec.Keep[0]) // always-keep reasons lead Keep
 	} else {
-		retained = e.tracer.MaybeSample(tid)
+		retained = e.tracer.MaybeSample(rec.TraceID)
 	}
 	if retained {
-		if eo, ok := e.obs.(ExemplarObserver); ok {
-			eo.RetrieveExemplar(elapsed, tid)
-		}
+		in.Metrics.Exemplar(rec)
 	}
 }
 
-// stageSample folds one stage's wall time and alloc delta — heap and
-// pool-recycled traffic both — into a profiler sample.
-func stageSample(stage string, wall time.Duration, a obs.AllocStat) obs.StageSample {
-	return obs.StageSample{
-		Stage: stage, Wall: wall,
-		Bytes: a.Bytes, Objects: a.Objects,
-		RecycledBytes: a.RecycledBytes, RecycledSlabs: a.RecycledSlabs,
+// deviceDetail is the one reader of the call's per-device slices on the
+// reporting path. An abandoned call's stragglers may still be writing
+// them, so nothing is read unless the call settled: an unsettled call
+// reports no per-device detail to any sink. It returns the summed scan
+// time (the device.scan stage) and, when some sink keeps the query,
+// materialises rec.Devices and rec.MaxDeviceBuckets.
+func (c *call) deviceDetail(rec *obs.QueryRecord, keep bool) (scan time.Duration) {
+	if !c.settled() {
+		return 0
 	}
-}
-
-// record closes the audit stage, hands the completed stage breakdown to
-// the profiler, and offers the query to the flight recorder.
-func (e *Executor) record(c *call, err error, settled bool) {
-	now := time.Now()
-	auditWall := now.Sub(c.lastStamp)
-	a := obs.ReadAllocs()
-	auditAlloc := a.Sub(c.mark)
-	total := now.Sub(c.started)
-	var devSum time.Duration
-	if settled {
-		for _, d := range c.devDur {
-			devSum += d
+	for _, d := range c.devDur {
+		scan += d
+	}
+	if !keep {
+		return scan
+	}
+	rec.Devices = make([]obs.QueryDevice, len(c.answers))
+	for dev := range rec.Devices {
+		d := obs.QueryDevice{Device: dev, Buckets: c.answers[dev].Buckets, Scan: c.devDur[dev]}
+		if c.errs[dev] != nil {
+			d.Err = c.errs[dev].Error()
+		}
+		rec.Devices[dev] = d
+		if d.Buckets > rec.MaxDeviceBuckets {
+			rec.MaxDeviceBuckets = d.Buckets
 		}
 	}
-	c.stages = []obs.StageSample{
-		stageSample(obs.StagePlan, c.planWall, c.planAlloc),
-		stageSample(obs.StageFanout, c.fanoutWall, c.fanoutAlloc),
-		stageSample(obs.StageMerge, c.mergeWall, c.mergeAlloc),
-		stageSample(obs.StageAudit, auditWall, auditAlloc),
-		{Stage: obs.StageDeviceScan, Wall: devSum},
-	}
-	e.prof.ObserveQuery(c.shape, total, c.stages)
-	if !e.flight.Admits(c.shape, total) {
-		return
-	}
-	m := len(c.answers)
-	bound := 0
-	if m > 0 {
-		bound = (c.rq + m - 1) / m
-	}
-	rec := obs.FlightRecord{
-		Shape:        c.shape,
-		TraceID:      c.span.Trace(),
-		Start:        c.started,
-		Elapsed:      total,
-		PlanCacheHit: c.planHit,
-		RQ:           c.rq,
-		Bound:        bound,
-		Stages:       c.stages,
-		Events:       c.span.Snapshot().Events,
-	}
-	if err != nil {
-		rec.Err = err.Error()
-	}
-	if settled {
-		rec.Devices = make([]obs.FlightDevice, m)
-		for dev := 0; dev < m; dev++ {
-			fd := obs.FlightDevice{Device: dev, Buckets: c.answers[dev].Buckets, Scan: c.devDur[dev]}
-			if c.errs[dev] != nil {
-				fd.Err = c.errs[dev].Error()
-			}
-			rec.Devices[dev] = fd
-		}
-	}
-	e.flight.Note(rec)
+	return scan
 }
 
 // seal stamps the call's trace ID onto the result and, on failure, wraps
@@ -860,9 +700,7 @@ func (c *call) seal(res Result, err error) (Result, error) {
 // writing into answers/errs/devDur; its scratch is left to the garbage
 // collector, which is safe, just unrecycled.
 func (e *Executor) recycle(c *call) {
-	select {
-	case <-c.done:
-	default:
+	if !c.settled() {
 		return
 	}
 	e.answersP().Put(c.answers)
@@ -873,55 +711,45 @@ func (e *Executor) recycle(c *call) {
 	c.devDur = nil
 }
 
-// planFailed reports a retrieval that died before fan-out.
-func (e *Executor) planFailed(t0 time.Time) {
-	if e.obs == nil {
-		return
+// finish blocks until every device task of a launched call finished or
+// ctx is cancelled, then turns the call into the caller's result:
+// merge, report, seal, recycle. On cancellation it returns promptly
+// with ctx's error; straggler tasks keep draining in the background
+// into the abandoned call and exit on their next context check. Either
+// way the fanout stage is the time spent waiting here and the merge
+// stage what followed it.
+func (e *Executor) finish(ctx context.Context, c *call) (res Result, err error) {
+	select {
+	case <-c.done:
+	case <-ctx.Done():
+		err = ctx.Err()
 	}
-	e.obs.RetrieveError()
-	e.obs.RetrieveDone(time.Since(t0), nil)
+	c.closeStage(obs.StageFanout)
+	if err == nil {
+		res, err = e.consolidate(ctx, c)
+	}
+	c.closeStage(obs.StageMerge)
+	e.report(c, res, err)
+	res, err = c.seal(res, err)
+	e.recycle(c)
+	return res, err
 }
 
 // Retrieve answers one value-level partial match query: validate once,
 // fan out every device's inverse-mapped scan on the bounded pool, merge
 // under the cost model. Cancelling ctx returns promptly with its error.
 func (e *Executor) Retrieve(ctx context.Context, pm mkhash.PartialMatch) (Result, error) {
-	if e.obs != nil {
-		e.obs.RetrieveStarted()
-	}
-	instr := e.prof != nil || e.flight != nil || e.events != nil
-	t0 := time.Now()
-	var a0 obs.AllocStat
-	if instr {
-		a0 = obs.ReadAllocs()
-	}
-	q, err := e.lower(pm)
+	c, err := e.begin(ctx, pm, CallerFromContext(ctx))
 	if err != nil {
-		e.planFailed(t0)
 		return Result{}, err
 	}
-	plan, hit, err := e.planFor(q)
-	if err != nil {
-		e.planFailed(t0)
-		return Result{}, err
-	}
-	var ci *callInstr
-	if instr {
-		a1 := obs.ReadAllocs()
-		ci = &callInstr{started: t0, planHit: hit, planWall: time.Since(t0), planAlloc: a1.Sub(a0), mark: a1}
-	}
-	c := e.launch(ctx, q, plan, pm, CallerFromContext(ctx), ci)
-	res, err := e.wait(ctx, c)
-	e.finish(c, res, err)
-	res, err = c.seal(res, err)
-	e.recycle(c)
-	return res, err
+	return e.finish(ctx, c)
 }
 
 // RetrieveBatch answers a batch of queries over the shared worker pool:
 // every query's fan-out is launched up front, so devices pipeline across
 // queries instead of idling at per-query barriers. Each query gets its
-// own trace span and metrics events. Queries sharing a shape are
+// own trace span and query record. Queries sharing a shape are
 // deduped through the plan cache: the first occurrence compiles, the
 // rest reuse its plan. The returned slice always has one Result per
 // query; queries that failed have a zero Result and contribute a
@@ -933,49 +761,19 @@ func (e *Executor) RetrieveBatch(ctx context.Context, pms []mkhash.PartialMatch)
 	// query's fan-out scratch goes back before the next one completes.
 	errs := e.errsP().Get(len(pms))
 	calls := e.callsP().Get(len(pms))
-	instr := e.prof != nil || e.flight != nil || e.events != nil
 	callers := CallersFromContext(ctx)
 	defCaller := CallerFromContext(ctx)
 	for i, pm := range pms {
-		if e.obs != nil {
-			e.obs.RetrieveStarted()
-		}
-		t0 := time.Now()
-		var a0 obs.AllocStat
-		if instr {
-			a0 = obs.ReadAllocs()
-		}
-		q, err := e.lower(pm)
-		if err != nil {
-			errs[i] = err
-			e.planFailed(t0)
-			continue
-		}
-		plan, hit, err := e.planFor(q)
-		if err != nil {
-			errs[i] = err
-			e.planFailed(t0)
-			continue
-		}
-		var ci *callInstr
-		if instr {
-			a1 := obs.ReadAllocs()
-			ci = &callInstr{started: t0, planHit: hit, planWall: time.Since(t0), planAlloc: a1.Sub(a0), mark: a1}
-		}
 		caller := defCaller
 		if i < len(callers) {
 			caller = callers[i]
 		}
-		calls[i] = e.launch(ctx, q, plan, pm, caller, ci)
+		calls[i], errs[i] = e.begin(ctx, pm, caller)
 	}
 	for i, c := range calls {
-		if c == nil {
-			continue
+		if c != nil {
+			results[i], errs[i] = e.finish(ctx, c)
 		}
-		res, err := e.wait(ctx, c)
-		e.finish(c, res, err)
-		results[i], errs[i] = c.seal(res, err)
-		e.recycle(c)
 	}
 	var joined []error
 	for i, err := range errs {

@@ -7,14 +7,17 @@ import (
 	"fxdist/internal/engine"
 	"fxdist/internal/mkhash"
 	"fxdist/internal/obs"
+	"fxdist/internal/telemetry"
 )
 
-// BenchmarkRetrieveInstrumentation isolates the cost-attribution
-// overhead: the identical executor and workload, with and without a
-// profiler+flight recorder attached (instrumentation is skipped
-// entirely when both are nil). The devices answer instantly, so the
-// measured delta is the absolute per-query instrumentation cost — an
-// upper bound on its relative overhead for any real retrieval.
+// BenchmarkRetrieveInstrumentation isolates the reporting overhead: the
+// identical executor, tracer and workload, with the full production
+// bundle ("on": cluster metrics, auditor, cost profiler, flight
+// recorder, wide-event log, and the trace retention + exemplars the
+// log's keep decision drives) and with no bundle at all ("off": the
+// only way to turn reporting off). The devices answer instantly, so the
+// measured delta is the absolute per-query reporting cost — an upper
+// bound on its relative overhead for any real retrieval.
 func BenchmarkRetrieveInstrumentation(b *testing.B) {
 	for _, mode := range []struct {
 		name  string
@@ -24,12 +27,15 @@ func BenchmarkRetrieveInstrumentation(b *testing.B) {
 			f := mkhash.MustNew(mkhash.Schema{Fields: []string{"a", "b"}, Depths: []int{2, 2}})
 			devs := make([]engine.Device, 4)
 			for d := range devs {
-				devs[d] = fixedDevice{ans: engine.Answer{Buckets: 4, Records: 16, Hits: []mkhash.Record{rec("x", "y")}}}
+				// One of the shape's 4 qualified buckets per device: inside the
+				// strict bound, so no always-keep rule fires and the sinks see
+				// the ordinary head-then-sampled traffic.
+				devs[d] = fixedDevice{ans: engine.Answer{Buckets: 1, Records: 4, Hits: []mkhash.Record{rec("x", "y")}}}
 			}
-			cfg := engine.Config{Schema: f, Devices: devs, Model: engine.MainMemory}
+			cfg := engine.Config{Schema: f, Devices: devs, Model: engine.MainMemory,
+				Tracer: obs.DefaultTracer(), Span: "bench.retrieve"}
 			if mode.instr {
-				cfg.Profile = obs.NewCostProfiler("bench")
-				cfg.Flight = obs.NewFlightRecorder("bench", obs.DefaultFlightSlots)
+				cfg.Instr = telemetry.For("bench").WithMetrics(telemetry.NewClusterMetrics("bench", len(devs)))
 			}
 			e, err := engine.New(cfg)
 			if err != nil {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"sync/atomic"
 	"time"
 
 	"fxdist/internal/obs"
@@ -96,14 +97,27 @@ func (g *Gate) Report() Report {
 	return rep
 }
 
-// registerDebugTenants serves the gate's audit on /debug/tenants
+// debugGate is the gate /debug/tenants reports on: the most recently
+// opened one, until it closes. The handler in the process-wide registry
+// (and in every mux built from it) reads through this pointer instead
+// of closing over a *Gate, so a closed gate — and the cluster and file
+// behind it — stays collectable.
+var debugGate atomic.Pointer[Gate]
+
+// init serves the open gate's audit on /debug/tenants
 // (?format=json|text) through the process-wide debug handler registry,
-// next to /debug/optimality, /debug/events and friends.
-func registerDebugTenants(g *Gate) {
+// next to /debug/optimality, /debug/events and friends; with no gate
+// open the report is empty.
+func init() {
 	obs.RegisterDebugHandler("/debug/tenants",
 		"per-tenant gate audit: admission counters and shape slices",
 		obs.DebugEndpoint(
-			func() (any, error) { return g.Report(), nil },
+			func() (any, error) {
+				if g := debugGate.Load(); g != nil {
+					return g.Report(), nil
+				}
+				return Report{}, nil
+			},
 			func(w io.Writer, doc any) {
 				rep, ok := doc.(Report)
 				if !ok {

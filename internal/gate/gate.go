@@ -23,7 +23,6 @@ import (
 	"time"
 
 	"fxdist"
-	"fxdist/internal/audit"
 )
 
 // Config assembles a Gate.
@@ -136,13 +135,17 @@ func New(cfg Config) (*Gate, error) {
 	}
 	g.methods = newMethodRepository(g)
 	g.co = newCoalescer(g)
-	registerDebugTenants(g)
+	debugGate.Store(g)
 	return g, nil
 }
 
-// Close stops the coalescing dispatcher. In-flight dispatches finish;
+// Close stops the coalescing dispatcher and, if this is the gate
+// /debug/tenants reports on, detaches it. In-flight dispatches finish;
 // queued queries are failed with overloaded.
-func (g *Gate) Close() { g.co.stop() }
+func (g *Gate) Close() {
+	g.co.stop()
+	debugGate.CompareAndSwap(g, nil)
+}
 
 // SetShedding re-arms the front door's global in-flight shed at
 // runtime, symmetric with netdist.Server.SetShedding.
@@ -185,7 +188,7 @@ func (g *Gate) burnFor(shape string) float64 {
 	g.burnMu.Lock()
 	defer g.burnMu.Unlock()
 	if g.burnRate == nil || time.Since(g.burnAt) > burnCacheTTL {
-		rep := audit.For(g.cfg.Cluster.Kind()).Report()
+		rep := g.cfg.Cluster.OptimalityReport()
 		g.burnRate = make(map[string]float64, len(rep.Shapes))
 		for _, sr := range rep.Shapes {
 			g.burnRate[sr.Shape] = sr.BurnRate

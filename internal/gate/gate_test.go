@@ -1,10 +1,17 @@
 package gate
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"runtime"
 	"testing"
 	"time"
+
+	"fxdist"
+	"fxdist/internal/obs"
 )
 
 func TestShapeOf(t *testing.T) {
@@ -118,5 +125,75 @@ func TestTenantSetValidation(t *testing.T) {
 	}
 	if ts.authenticate("wrong") != nil || ts.authenticate("") != nil {
 		t.Fatal("invalid key admitted")
+	}
+}
+
+// TestClosedGateIsDetachedAndCollectable pins the Close contract for
+// the process-wide /debug/tenants handler: while a gate is open the
+// endpoint reports its tenants; after Close it reports nothing and
+// holds no reference, so the gate — and the cluster and file it wraps —
+// can be collected. The finalizer sits on the gate's tenant set, which
+// only the gate references (the gate itself is in a reference cycle
+// with its coalescer, where finalizers are not guaranteed to run).
+func TestClosedGateIsDetachedAndCollectable(t *testing.T) {
+	spec := fxdist.RecordSpec{Fields: []fxdist.FieldSpec{{Name: "a", Cardinality: 8}, {Name: "b", Cardinality: 8}}}
+	file, err := fxdist.NewFile(fxdist.GenerateSchema(spec, []int{2, 2}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs, err := file.FileSystem(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fx, err := fxdist.NewFX(fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cluster, err := fxdist.Open(fxdist.Config{File: file, Allocator: fx})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Close()
+	g, err := New(Config{Cluster: cluster, File: file, Tenants: []TenantConfig{{Name: "solo", APIKey: "k"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A mux built while the gate is open must not pin it either.
+	srv := httptest.NewServer(obs.Handler())
+	defer srv.Close()
+	tenants := func() int {
+		t.Helper()
+		resp, err := http.Get(srv.URL + "/debug/tenants")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var rep Report
+		if err := json.NewDecoder(resp.Body).Decode(&rep); err != nil {
+			t.Fatalf("/debug/tenants (status %d): %v", resp.StatusCode, err)
+		}
+		return len(rep.Tenants)
+	}
+	if n := tenants(); n != 1 {
+		t.Fatalf("open gate: /debug/tenants lists %d tenants, want 1", n)
+	}
+
+	collected := make(chan struct{})
+	runtime.SetFinalizer(g.tenants, func(*tenantSet) { close(collected) })
+	g.Close()
+	g = nil
+	if n := tenants(); n != 0 {
+		t.Fatalf("closed gate: /debug/tenants still lists %d tenants", n)
+	}
+	deadline := time.After(5 * time.Second)
+	for {
+		runtime.GC()
+		select {
+		case <-collected:
+			return
+		case <-deadline:
+			t.Fatal("closed gate was never collected: something still references it")
+		case <-time.After(10 * time.Millisecond):
+		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 
 	"fxdist"
 	"fxdist/client"
+	"fxdist/internal/audit"
 )
 
 // Handler serves one JSON-RPC method for an authenticated tenant. The
@@ -181,7 +182,7 @@ func (g *Gate) handleExplain(ctx context.Context, t *tenant, params json.RawMess
 		APIVersion: client.APIVersion,
 		Shape:      q.Shape(),
 		RQ:         rq,
-		Bound:      (rq + m - 1) / m,
+		Bound:      audit.Bound(rq, m),
 		M:          m,
 	}
 	if g.cfg.Allocator != nil {

@@ -2,20 +2,23 @@ package netdist
 
 import (
 	"encoding/binary"
-	"encoding/gob"
+	"errors"
 	"fmt"
 	"io"
 	"math/bits"
+	"time"
 
 	"fxdist/internal/engine"
 	"fxdist/internal/mempool"
 	"fxdist/internal/mkhash"
 )
 
-// Binary wire protocol. A connection that opens with the 4-byte magic
-// speaks length-prefixed binary frames; anything else is the legacy gob
-// stream, so old coordinators and old servers interoperate with new
-// ones in both directions (see handshake / Server.handle).
+// Binary wire protocol: the only one. A connection opens with the
+// 4-byte magic — "FXB" plus a version byte — which the server acks
+// before length-prefixed binary frames flow both ways; a peer that
+// leads with anything else, or an unsupported version, is rejected with
+// ErrProtocol inside the handshake window (see negotiateClient /
+// negotiateServer).
 //
 // Frame layout, both directions, after the handshake:
 //
@@ -53,8 +56,7 @@ import (
 // encoders append it only when non-empty, and decoders read it only
 // when payload bytes remain after the records, so frames from peers on
 // either side of the addition round-trip cleanly (old decoders never
-// reach the trailing bytes of a frame they've fully parsed; gob
-// tolerates added struct fields in both directions by design).
+// reach the trailing bytes of a frame they've fully parsed).
 //
 // Encoders size the payload exactly, fill one pooled frame, and write
 // it with a single Write; decoders read the whole frame into a pooled
@@ -62,6 +64,30 @@ import (
 // RecordBuilder arena so the frame recycles immediately.
 
 var wireMagic = [4]byte{'F', 'X', 'B', 1}
+
+// ErrProtocol marks a connection whose peer did not complete the FXB
+// handshake: no magic, an unsupported version byte, or no answer inside
+// the handshake window. Match with errors.Is.
+var ErrProtocol = errors.New("netdist: wire protocol mismatch")
+
+// handshakeWindow bounds how long either side waits for the other's
+// four handshake bytes.
+const handshakeWindow = 2 * time.Second
+
+// isFXB reports whether got is the wire magic of some protocol version.
+func isFXB(got [4]byte) bool { return [3]byte(got[:3]) == [3]byte(wireMagic[:3]) }
+
+// checkMagic classifies the four bytes a peer led (or answered) with.
+func checkMagic(got [4]byte) error {
+	switch {
+	case got == wireMagic:
+		return nil
+	case isFXB(got):
+		return fmt.Errorf("%w: peer speaks FXB version %d, this side version %d", ErrProtocol, got[3], wireMagic[3])
+	default:
+		return fmt.Errorf("%w: peer led with %q, want the FXB magic", ErrProtocol, got[:])
+	}
+}
 
 // maxFrame bounds one message; a length prefix beyond it is treated as
 // stream corruption, not an allocation request.
@@ -525,31 +551,12 @@ func readFrame(r io.Reader, frames *mempool.SlicePool[byte]) (payload []byte, do
 	return buf, func() { frames.Put(buf) }, nil
 }
 
-// wireCodec is the coordinator-side protocol seam: writeRequest runs
-// under the connection's write mutex against the counting writer,
-// readResponse runs on the read-loop goroutine against the timing
-// reader. release, when non-nil, returns the response's record arena
-// to its pool (binary codec in arena mode only).
-type wireCodec interface {
-	writeRequest(req *Request) error
-	readResponse(resp *Response) (release func(), err error)
-}
-
-// gobCodec is the legacy protocol, kept both as the fallback for old
-// peers and as the reference encoding for differential tests.
-type gobCodec struct {
-	enc *gob.Encoder
-	dec *gob.Decoder
-}
-
-func (g *gobCodec) writeRequest(req *Request) error { return g.enc.Encode(req) }
-func (g *gobCodec) readResponse(resp *Response) (func(), error) {
-	return nil, g.dec.Decode(resp)
-}
-
-// binCodec speaks the length-prefixed binary protocol. Writer state and
-// reader state are disjoint (writeMu vs read loop), matching gob's
-// Encoder/Decoder split.
+// binCodec is the coordinator side of the wire: writeRequest runs under
+// the connection's write mutex against the counting writer,
+// readResponse on the read-loop goroutine against the timing reader, so
+// writer and reader state are disjoint. The release func readResponse
+// returns, when non-nil, hands the response's record arena back to its
+// pool (arena mode only).
 type binCodec struct {
 	w      io.Writer
 	r      io.Reader
@@ -573,22 +580,7 @@ func (b *binCodec) readResponse(resp *Response) (func(), error) {
 	return decodeResponse(payload, resp, b.hits, b.arena)
 }
 
-// serverCodec is the device-server side of the same seam.
-type serverCodec interface {
-	readRequest(req *Request) error
-	writeResponse(resp *Response) error
-}
-
-type gobServerCodec struct {
-	enc *gob.Encoder
-	dec *gob.Decoder
-}
-
-func (g *gobServerCodec) readRequest(req *Request) error { return g.dec.Decode(req) }
-func (g *gobServerCodec) writeResponse(resp *Response) error {
-	return g.enc.Encode(resp)
-}
-
+// binServerCodec is the device-server side of the wire.
 type binServerCodec struct {
 	w      io.Writer
 	r      io.Reader

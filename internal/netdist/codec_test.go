@@ -2,11 +2,12 @@ package netdist
 
 import (
 	"bytes"
-	"context"
 	"encoding/binary"
-	"encoding/gob"
+	"errors"
+	"io"
 	"net"
 	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -155,11 +156,13 @@ func TestFrameRoundTripAndLimits(t *testing.T) {
 	}
 }
 
-// TestGobClientAgainstBinaryServer drives a Deploy'd (binary-capable)
-// server with a raw legacy gob stream: the server must peek, see no
-// magic, and fall back without eating the first gob message.
-func TestGobClientAgainstBinaryServer(t *testing.T) {
-	file := buildFile(t, 500)
+// TestServerRejectsNonFXBPeer leads a Deploy'd server with something
+// other than the wire magic — a legacy gob stream's first bytes, and an
+// FXB magic of an unsupported version. Neither is served or silently
+// downgraded: the connection is dropped inside the handshake window,
+// and the wrong-version peer is told the server's version first.
+func TestServerRejectsNonFXBPeer(t *testing.T) {
+	file := buildFile(t, 100)
 	fs, err := file.FileSystem(4)
 	if err != nil {
 		t.Fatal(err)
@@ -169,95 +172,147 @@ func TestGobClientAgainstBinaryServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer stop()
-	conn, err := net.Dial("tcp", addrs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	enc, dec := gob.NewEncoder(conn), gob.NewDecoder(conn)
-	req := NewRequest([]int{query.Unspecified, query.Unspecified, query.Unspecified}, make(mkhash.PartialMatch, 3))
-	req.ID = 11
-	if err := enc.Encode(&req); err != nil {
-		t.Fatal(err)
-	}
-	var resp Response
-	if err := dec.Decode(&resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.ID != 11 || resp.Err != "" {
-		t.Fatalf("gob fallback response: %+v", resp)
-	}
-	if resp.Scanned == 0 || len(resp.Records) == 0 {
-		t.Fatalf("gob fallback scanned nothing: %+v", resp)
-	}
-}
-
-// TestDialFallsBackToGobOnlyServer dials a legacy server that never
-// acks the magic: the client must give up on the handshake window,
-// redial, and speak gob.
-func TestDialFallsBackToGobOnlyServer(t *testing.T) {
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	go func() {
-		for {
-			conn, err := l.Accept()
+	for _, tc := range []struct {
+		name  string
+		lead  []byte
+		reply []byte // what the server says before dropping the peer
+	}{
+		{"gob stream", []byte{0x3b, 0xff, 0x81, 0x03, 0x01, 0x01, 0x07}, nil},
+		{"FXB version 9", []byte{'F', 'X', 'B', 9}, wireMagic[:]},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			conn, err := net.Dial("tcp", addrs[0])
 			if err != nil {
-				return
+				t.Fatal(err)
 			}
-			go func(conn net.Conn) {
-				defer conn.Close()
-				enc, dec := gob.NewEncoder(conn), gob.NewDecoder(conn)
-				for {
-					var req Request
-					// The magic bytes parse as a gob length prefix, so this
-					// blocks until the client closes — exactly how an old
-					// server behaves.
-					if err := dec.Decode(&req); err != nil {
-						return
-					}
-					if err := enc.Encode(&Response{ID: req.ID, Buckets: 1}); err != nil {
-						return
-					}
-				}
-			}(conn)
-		}
-	}()
-	c := &Coordinator{timeout: 200 * time.Millisecond}
-	dc, err := c.dialDevice(l.Addr().String())
-	if err != nil {
-		t.Fatal(err)
+			defer conn.Close()
+			if _, err := conn.Write(tc.lead); err != nil {
+				t.Fatal(err)
+			}
+			conn.SetReadDeadline(time.Now().Add(handshakeWindow)) //nolint:errcheck
+			got, err := io.ReadAll(conn)
+			if err != nil {
+				t.Fatalf("server kept the connection open past the handshake window: %v", err)
+			}
+			if !bytes.Equal(got, tc.reply) {
+				t.Fatalf("server answered %q before closing, want %q", got, tc.reply)
+			}
+		})
 	}
-	defer dc.conn.Close()
-	if dc.binary {
-		t.Fatal("gob-only server negotiated binary")
-	}
-	resp, _, _, release, err := dc.roundTrip(context.Background(), Request{Ping: true, AsDevice: -1}, time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if release != nil {
-		release()
-	}
-	if resp.Buckets != 1 {
-		t.Fatalf("gob fallback round trip: %+v", resp)
+	var lead [4]byte
+	copy(lead[:], "FXB\x09")
+	if err := checkMagic(lead); !errors.Is(err, ErrProtocol) {
+		t.Fatalf("checkMagic(version 9) = %v, want ErrProtocol", err)
 	}
 }
 
-// TestDialNegotiatesBinary checks the happy path: new client against
-// new server settles on the binary protocol and retrieval agrees with
-// a direct file search.
-func TestDialNegotiatesBinary(t *testing.T) {
-	file := buildFile(t, 800)
-	coord, cleanup := deploy(t, file, 4)
-	defer cleanup()
-	for i, dc := range coord.conns {
-		if !dc.binary {
-			t.Fatalf("conn %d did not negotiate binary", i)
-		}
+// TestDialRejectsNonFXBServer dials peers that never complete the
+// handshake — one that stays silent (how a gob-only server treats the
+// magic), one that acks another version. The dial fails with
+// ErrProtocol inside the handshake window, after exactly one
+// connection: there is no redial and no fallback protocol.
+func TestDialRejectsNonFXBServer(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		ack  []byte
+	}{
+		{"silent", nil},
+		{"FXB version 9", []byte{'F', 'X', 'B', 9}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			l, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer l.Close()
+			var accepted atomic.Int32
+			go func() {
+				for {
+					conn, err := l.Accept()
+					if err != nil {
+						return
+					}
+					accepted.Add(1)
+					go func(conn net.Conn) {
+						defer conn.Close()
+						conn.Write(tc.ack)        //nolint:errcheck
+						io.Copy(io.Discard, conn) //nolint:errcheck // hold until the client hangs up
+					}(conn)
+				}
+			}()
+			c := &Coordinator{timeout: 200 * time.Millisecond}
+			start := time.Now()
+			dc, err := c.dialDevice(l.Addr().String())
+			if err == nil {
+				dc.conn.Close()
+				t.Fatal("dial succeeded against a non-FXB server")
+			}
+			if !errors.Is(err, ErrProtocol) {
+				t.Fatalf("dial error = %v, want ErrProtocol", err)
+			}
+			if el := time.Since(start); el > handshakeWindow {
+				t.Fatalf("dial took %v, past the handshake window", el)
+			}
+			if n := accepted.Load(); n != 1 {
+				t.Fatalf("client opened %d connections, want exactly 1 (no redial)", n)
+			}
+		})
 	}
+}
+
+// countingListener counts the connections a server accepts.
+type countingListener struct {
+	net.Listener
+	accepted atomic.Int32
+}
+
+func (l *countingListener) Accept() (net.Conn, error) {
+	conn, err := l.Listener.Accept()
+	if err == nil {
+		l.accepted.Add(1)
+	}
+	return conn, err
+}
+
+// TestDialHandshakesInOneDial checks the happy path: every device's
+// handshake completes on the first and only connection the coordinator
+// opens to it, and retrieval agrees with a direct file search.
+func TestDialHandshakesInOneDial(t *testing.T) {
+	file := buildFile(t, 800)
+	fs, err := file.FileSystem(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fx := decluster.MustFX(fs)
+	spec, err := decluster.SpecOf(fx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parts, err := Partition(file, fx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addrs := make([]string, len(parts))
+	listeners := make([]*countingListener, len(parts))
+	for dev, part := range parts {
+		srv, err := NewServer(dev, spec, part)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		listeners[dev] = &countingListener{Listener: l}
+		addrs[dev] = l.Addr().String()
+		go srv.Serve(listeners[dev]) //nolint:errcheck // ends when srv.Close closes l
+		defer srv.Close()
+	}
+	coord, err := Dial(file, addrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
 	pm, err := file.Spec(map[string]string{"supplier": "sup3"})
 	if err != nil {
 		t.Fatal(err)
@@ -271,6 +326,11 @@ func TestDialNegotiatesBinary(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got, exp := recordKeys(res.Records), recordKeys(want); !reflect.DeepEqual(got, exp) {
-		t.Fatalf("binary retrieve disagrees with file.Search: got %d records, want %d", len(got), len(exp))
+		t.Fatalf("retrieve disagrees with file.Search: got %d records, want %d", len(got), len(exp))
+	}
+	for dev, l := range listeners {
+		if n := l.accepted.Load(); n != 1 {
+			t.Errorf("device %d accepted %d connections, want 1", dev, n)
+		}
 	}
 }

@@ -2,7 +2,6 @@ package netdist
 
 import (
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -11,7 +10,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"fxdist/internal/audit"
 	"fxdist/internal/engine"
 	"fxdist/internal/mempool"
 	"fxdist/internal/mkhash"
@@ -75,10 +73,9 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 
 // timingReader wraps the connection under the read loop's decoder,
 // stamping when the first byte of each armed message arrives and
-// counting bytes read. Only the read-loop goroutine touches it. Both
-// codecs buffer reads, so a message may decode without any underlying
-// Read (armed stays true) — the read loop then falls back to the arm
-// time.
+// counting bytes read. Only the read-loop goroutine touches it. A
+// message already buffered may decode without any underlying Read
+// (armed stays true) — the read loop then falls back to the arm time.
 type timingReader struct {
 	r         io.Reader
 	armed     bool
@@ -119,15 +116,13 @@ type wireDelivery struct {
 // deviceConn is one persistent connection with pipelined request/response
 // framing: many requests may be in flight concurrently, matched to
 // waiters by request ID. A single reader goroutine demultiplexes
-// responses; writers serialise on a mutex. The codec (binary or gob
-// fallback) is fixed at dial time by the handshake.
+// responses; writers serialise on a mutex.
 type deviceConn struct {
-	conn   net.Conn
-	addr   string
-	binary bool
+	conn net.Conn
+	addr string
 
 	writeMu sync.Mutex
-	codec   wireCodec
+	codec   *binCodec
 	cw      *countingWriter
 
 	// hits is the pool record slices were drawn from, for recycling
@@ -140,22 +135,17 @@ type deviceConn struct {
 	err     error // sticky transport error; set once the reader exits
 }
 
-func newDeviceConn(conn net.Conn, addr string, binary, noPool, arena bool) *deviceConn {
+func newDeviceConn(conn net.Conn, addr string, noPool, arena bool) *deviceConn {
 	cw := &countingWriter{w: conn}
 	tr := &timingReader{r: conn}
 	dc := &deviceConn{
 		conn:    conn,
 		addr:    addr,
-		binary:  binary,
 		cw:      cw,
 		hits:    clientHits(noPool),
 		pending: make(map[uint64]chan wireDelivery),
 	}
-	if binary {
-		dc.codec = &binCodec{w: cw, r: tr, frames: clientFrames(noPool), hits: dc.hits, arena: arena && !noPool}
-	} else {
-		dc.codec = &gobCodec{enc: gob.NewEncoder(cw), dec: gob.NewDecoder(tr)}
-	}
+	dc.codec = &binCodec{w: cw, r: tr, frames: clientFrames(noPool), hits: dc.hits, arena: arena && !noPool}
 	go dc.readLoop(tr)
 	return dc
 }
@@ -223,8 +213,8 @@ func (dc *deviceConn) dead() error {
 
 // WireStages breaks one round trip into the coordinator-side wire
 // stages: Dispatch (request encode + write; OutBytes on the wire),
-// Wait (write done → first response byte), Decode (first byte → gob
-// decode done; InBytes on the wire).
+// Wait (write done → first response byte), Decode (first byte → frame
+// decoded; InBytes on the wire).
 type WireStages struct {
 	Dispatch time.Duration
 	OutBytes uint64
@@ -435,7 +425,10 @@ func Dial(file *mkhash.File, addrs []string, opts ...DialOption) (*Coordinator, 
 	if c.fleetName == "" {
 		c.fleetName = c.backend
 	}
-	c.prof = obs.CostProfilerFor(c.backend)
+	in := telemetry.For(c.backend).WithMetrics(&telemetry.Metrics{
+		Retrieves: mCoordRetrieves, Errors: mCoordRetrieveErrors, Latency: mCoordRetrieveLatency,
+	})
+	c.prof = in.Profile
 	c.fed = telemetry.NewFederator(c.fleetName)
 	for i, addr := range addrs {
 		dc, err := c.dialDevice(addr)
@@ -457,14 +450,10 @@ func Dial(file *mkhash.File, addrs []string, opts ...DialOption) (*Coordinator, 
 	eng, err := engine.New(engine.Config{
 		Schema:       file,
 		Devices:      devices,
-		Observer:     coordObserver{},
+		Instr:        in,
 		Tracer:       c.tracer,
 		Span:         "netdist.retrieve",
-		Audit:        audit.For(c.backend),
 		Plans:        plancache.New(c.backend),
-		Profile:      c.prof,
-		Flight:       obs.FlightRecorderFor(c.backend),
-		Events:       telemetry.LogFor(c.backend),
 		NoPool:       c.noPool,
 		ArenaResults: c.arena,
 	})
@@ -489,42 +478,41 @@ func Dial(file *mkhash.File, addrs []string, opts ...DialOption) (*Coordinator, 
 	return c, nil
 }
 
-// dialDevice connects to one device server and negotiates the wire
-// protocol: the binary magic goes out first, and a server that acks it
-// speaks binary frames. No ack within the handshake window means an old
-// gob-only server (which reads the magic as a corrupt stream and hangs
-// or drops the connection) — redial and speak gob.
+// dialDevice connects to one device server and completes the FXB
+// handshake in that one dial: the magic goes out first and the server
+// must ack it inside the handshake window (the request timeout, when
+// shorter). Anything else — silence, a different magic, another version
+// — fails the dial with ErrProtocol; there is no fallback protocol.
 func (c *Coordinator) dialDevice(addr string) (*deviceConn, error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	window := 2 * time.Second
+	window := handshakeWindow
 	if c.timeout > 0 && c.timeout < window {
 		window = c.timeout
 	}
-	if negotiateClient(conn, window) {
-		return newDeviceConn(conn, addr, true, c.noPool, c.arena), nil
-	}
-	conn.Close()
-	conn, err = net.Dial("tcp", addr)
-	if err != nil {
+	if err := negotiateClient(conn, window); err != nil {
+		conn.Close()
 		return nil, err
 	}
-	return newDeviceConn(conn, addr, false, c.noPool, c.arena), nil
+	return newDeviceConn(conn, addr, c.noPool, c.arena), nil
 }
 
-// negotiateClient offers the binary protocol and reports whether the
-// server acked it before the deadline.
-func negotiateClient(conn net.Conn, window time.Duration) bool {
+// negotiateClient offers the wire magic and requires the server's ack
+// before the deadline.
+func negotiateClient(conn net.Conn, window time.Duration) error {
 	if _, err := conn.Write(wireMagic[:]); err != nil {
-		return false
+		return err
 	}
 	conn.SetReadDeadline(time.Now().Add(window)) //nolint:errcheck // best effort
 	var ack [len(wireMagic)]byte
 	_, err := io.ReadFull(conn, ack[:])
 	conn.SetReadDeadline(time.Time{}) //nolint:errcheck // best effort
-	return err == nil && ack == wireMagic
+	if err != nil {
+		return fmt.Errorf("%w: no handshake ack within %v: %v", ErrProtocol, window, err)
+	}
+	return checkMagic(ack)
 }
 
 // Controller returns the coordinator's retry controller, nil without
@@ -694,26 +682,11 @@ func (c *Coordinator) probeTimeout() time.Duration {
 	return 2 * time.Second
 }
 
-// coordObserver maps the engine's retrieval events onto the coordinator's
-// whole-query instruments.
-type coordObserver struct{}
-
-func (coordObserver) RetrieveStarted() { mCoordRetrieves.Inc() }
-func (coordObserver) RetrieveError()   { mCoordRetrieveErrors.Inc() }
-func (coordObserver) RetrieveDone(elapsed time.Duration, _ []int) {
-	mCoordRetrieveLatency.Observe(elapsed.Seconds())
-}
-
-// RetrieveExemplar implements engine.ExemplarObserver: a tail-sampled
-// retrieval links its latency bucket to the retained trace.
-func (coordObserver) RetrieveExemplar(elapsed time.Duration, traceID uint64) {
-	mCoordRetrieveLatency.SetExemplar(elapsed.Seconds(), traceID)
-}
-
 // remoteDevice adapts one device server connection to the engine's Device
-// contract: the bucket query travels as a gob Request and the server does
-// its own inverse mapping and value re-check. as >= 0 impersonates a dead
-// device against the server holding its backup partition (failover).
+// contract: the bucket query travels as a binary Request frame and the
+// server does its own inverse mapping and value re-check. as >= 0
+// impersonates a dead device against the server holding its backup
+// partition (failover).
 type remoteDevice struct {
 	c      *Coordinator
 	server int

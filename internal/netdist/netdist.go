@@ -6,19 +6,18 @@
 // package query — it enumerates only its own qualified buckets.
 //
 // The wire protocol is versioned, length-prefixed binary frames
-// (codec.go) negotiated on connect: a coordinator opens with a 4-byte
-// magic, a server that recognises it acks and both sides speak binary;
-// otherwise the stream is the legacy gob encoding, so old and new peers
-// interoperate in both directions. Allocator configuration travels as a
-// decluster.Spec so a device server can be started on a different
+// (codec.go): a coordinator opens with a 4-byte magic carrying the
+// version, the server acks it, and both sides speak binary; any other
+// opening is rejected with ErrProtocol. Allocator configuration travels
+// as a decluster.Spec so a device server can be started on a different
 // process or machine from the data loader.
 package netdist
 
 import (
 	"bufio"
-	"bytes"
-	"encoding/gob"
+	"errors"
 	"fmt"
+	"io"
 	"net"
 	"strconv"
 	"sync"
@@ -34,9 +33,8 @@ import (
 )
 
 // Request is one coordinator-to-device message. The value filters travel
-// as parallel Specified/Values slices so both codecs stay simple: the
-// binary protocol writes one presence byte per field, and the gob
-// fallback keeps the same struct shape old peers already decode.
+// as parallel Specified/Values slices so the codec stays simple: one
+// presence byte per field, then the value.
 type Request struct {
 	// ID matches the response to its request; requests pipeline over one
 	// connection. Assigned by the coordinator.
@@ -331,27 +329,31 @@ func (s *Server) Close() {
 	}
 }
 
-// negotiateServer decides the connection's protocol from its first
-// bytes: a new coordinator leads with wireMagic (acked, then binary
-// frames both ways), an old one leads with a gob message (no ack, gob
-// both ways). Peeking instead of reading keeps the gob bytes in the
-// stream for the fallback decoder.
-func negotiateServer(conn net.Conn) (serverCodec, error) {
+// negotiateServer completes the server half of the handshake: the peer
+// must lead with wireMagic inside the handshake window, which is acked
+// before binary frames flow both ways. A peer on another FXB version is
+// answered with this server's magic — so its dial fails naming both
+// versions — and any other opening gets no reply; both are ErrProtocol
+// and the connection is dropped.
+func negotiateServer(conn net.Conn) (*binServerCodec, error) {
 	br := bufio.NewReader(conn)
-	peek, err := br.Peek(len(wireMagic))
+	conn.SetReadDeadline(time.Now().Add(handshakeWindow)) //nolint:errcheck // best effort
+	var lead [len(wireMagic)]byte
+	_, err := io.ReadFull(br, lead[:])
+	conn.SetReadDeadline(time.Time{}) //nolint:errcheck // best effort
 	if err != nil {
 		return nil, err
 	}
-	if bytes.Equal(peek, wireMagic[:]) {
-		if _, err := br.Discard(len(wireMagic)); err != nil {
-			return nil, err
+	if err := checkMagic(lead); err != nil {
+		if isFXB(lead) {
+			conn.Write(wireMagic[:]) //nolint:errcheck // the connection is being dropped
 		}
-		if _, err := conn.Write(wireMagic[:]); err != nil {
-			return nil, err
-		}
-		return &binServerCodec{w: conn, r: br, frames: mempool.Frames}, nil
+		return nil, err
 	}
-	return &gobServerCodec{enc: gob.NewEncoder(conn), dec: gob.NewDecoder(br)}, nil
+	if _, err := conn.Write(wireMagic[:]); err != nil {
+		return nil, err
+	}
+	return &binServerCodec{w: conn, r: br, frames: mempool.Frames}, nil
 }
 
 // serverHits recycles the per-response record slices the answer paths
@@ -367,7 +369,10 @@ func (s *Server) handle(conn net.Conn) {
 	}()
 	codec, err := negotiateServer(conn)
 	if err != nil {
-		return // connection closed before the first message
+		if errors.Is(err, ErrProtocol) {
+			obs.Infof("netdist: device %d dropped %s: %v", s.deviceID, conn.RemoteAddr(), err)
+		}
+		return // closed before the handshake, or not an FXB peer
 	}
 	for {
 		var req Request

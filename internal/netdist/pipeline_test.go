@@ -122,11 +122,14 @@ func TestDialTimeoutOption(t *testing.T) {
 	}
 
 	// 1ns timeout: effectively always fires before the response arrives.
-	fast, err := Dial(file, addrs, WithTimeout(time.Nanosecond))
+	// Set after the dial — the handshake honours the timeout too, and no
+	// server acks in a nanosecond.
+	fast, err := Dial(file, addrs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer fast.Close()
+	fast.timeout = time.Nanosecond
 	if _, err := fast.Retrieve(pm); err == nil {
 		t.Error("nanosecond timeout did not fire")
 	} else if !strings.Contains(err.Error(), "timed out") {
@@ -145,11 +148,12 @@ func TestLateResponseAfterTimeoutIsDropped(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer stop()
-	coord, err := Dial(file, addrs, WithTimeout(time.Nanosecond))
+	coord, err := Dial(file, addrs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer coord.Close()
+	coord.timeout = time.Nanosecond // after the dial: the handshake honours the timeout too
 	pm, _ := file.Spec(map[string]string{"supplier": "sup2"})
 	if _, err := coord.Retrieve(pm); err == nil {
 		t.Fatal("timeout did not fire")

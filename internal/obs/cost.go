@@ -44,8 +44,8 @@ const (
 	StageNetDispatch = "net.dispatch"
 	// StageNetWait is dispatch-done → first response byte.
 	StageNetWait = "net.wait"
-	// StageNetDecode is gob decode of the response; Bytes counts wire
-	// bytes in.
+	// StageNetDecode is first response byte → frame decoded; Bytes
+	// counts wire bytes in.
 	StageNetDecode = "net.decode"
 )
 
@@ -136,18 +136,18 @@ func (sc *shapeCosts) add(samples []StageSample) {
 	}
 }
 
-// ObserveQuery records one whole retrieval: its total latency and its
-// stage breakdown. total should cover the same interval the top-level
-// stages partition.
-func (p *CostProfiler) ObserveQuery(shape string, total time.Duration, samples []StageSample) {
+// Observe records one whole retrieval: its total latency and its stage
+// breakdown (rec.Elapsed covers the interval the top-level stages
+// partition).
+func (p *CostProfiler) Observe(rec *QueryRecord) {
 	if p == nil {
 		return
 	}
 	p.mu.Lock()
-	sc := p.shapeLocked(shape)
+	sc := p.shapeLocked(rec.Shape)
 	sc.queries++
-	sc.totalNS += int64(total)
-	sc.add(samples)
+	sc.totalNS += int64(rec.Elapsed)
+	sc.add(rec.Stages)
 	p.mu.Unlock()
 }
 
@@ -270,67 +270,6 @@ func stageOrder(name string) string {
 		}
 	}
 	return "1" + name
-}
-
-// Process-wide profiler registry, one per backend (the audit.For idiom:
-// backends grab their profiler by name at construction, reports list
-// every backend that has recorded anything).
-var (
-	costMu        sync.Mutex
-	costProfilers = make(map[string]*CostProfiler)
-)
-
-// CostProfilerFor returns the process-wide profiler for backend,
-// creating it on first use.
-func CostProfilerFor(backend string) *CostProfiler {
-	costMu.Lock()
-	defer costMu.Unlock()
-	p := costProfilers[backend]
-	if p == nil {
-		p = NewCostProfiler(backend)
-		costProfilers[backend] = p
-	}
-	return p
-}
-
-// CostReport snapshots every backend's cost profile, sorted by backend.
-// Backends with no recorded queries are omitted.
-func CostReport() []BackendCost {
-	costMu.Lock()
-	profs := make([]*CostProfiler, 0, len(costProfilers))
-	for _, p := range costProfilers {
-		profs = append(profs, p)
-	}
-	costMu.Unlock()
-	var out []BackendCost
-	for _, p := range profs {
-		r := p.Report()
-		if len(r.Shapes) > 0 {
-			out = append(out, r)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Backend < out[j].Backend })
-	return out
-}
-
-// ResetCostProfilers zeroes every backend's accumulated cost profile.
-func ResetCostProfilers() {
-	costMu.Lock()
-	profs := make([]*CostProfiler, 0, len(costProfilers))
-	for _, p := range costProfilers {
-		profs = append(profs, p)
-	}
-	costMu.Unlock()
-	for _, p := range profs {
-		p.Reset()
-	}
-}
-
-func init() {
-	RegisterDebugHandler("/debug/hotpath", "per-(backend,shape) stage cost aggregates: plan/fanout/merge/audit wall, bytes, objects", DebugEndpoint(
-		func() (any, error) { return CostReport(), nil },
-		func(w io.Writer, doc any) { WriteCostReport(w, doc.([]BackendCost)) },
-	))
 }
 
 // WriteCostReport renders a cost report as an aligned text table.

@@ -17,13 +17,13 @@ import (
 func TestCostProfilerAggregates(t *testing.T) {
 	p := NewCostProfiler("test")
 	for i := 0; i < 4; i++ {
-		p.ObserveQuery("ss**", 100*time.Microsecond, []StageSample{
+		p.Observe(&QueryRecord{Shape: "ss**", Elapsed: 100 * time.Microsecond, Stages: []StageSample{
 			{Stage: StagePlan, Wall: 10 * time.Microsecond, Bytes: 100, Objects: 2},
 			{Stage: StageFanout, Wall: 80 * time.Microsecond, Bytes: 4000, Objects: 40},
 			{Stage: StageMerge, Wall: 5 * time.Microsecond},
 			{Stage: StageAudit, Wall: 5 * time.Microsecond},
 			{Stage: StageDeviceScan, Wall: 300 * time.Microsecond},
-		})
+		}})
 	}
 	p.ObserveSamples("ss**", []StageSample{{Stage: StageNetWait, Wall: 50 * time.Microsecond, Bytes: 900}})
 
@@ -73,7 +73,7 @@ func TestCostProfilerAggregates(t *testing.T) {
 
 func TestCostProfilerNil(t *testing.T) {
 	var p *CostProfiler
-	p.ObserveQuery("s", time.Second, nil) // must not panic
+	p.Observe(&QueryRecord{Shape: "s", Elapsed: time.Second}) // must not panic
 	p.ObserveSamples("s", []StageSample{{Stage: StagePlan}})
 	p.Reset()
 	if rep := p.Report(); rep.Backend != "" || len(rep.Shapes) != 0 {
@@ -84,7 +84,7 @@ func TestCostProfilerNil(t *testing.T) {
 func TestFlightRecorderKeepsSlowest(t *testing.T) {
 	f := NewFlightRecorder("test", 3)
 	for _, ms := range []int{5, 1, 9, 3, 7, 2, 8} {
-		f.Note(FlightRecord{Shape: "s*", Elapsed: time.Duration(ms) * time.Millisecond})
+		f.Observe(&QueryRecord{Backend: "test", Shape: "s*", Elapsed: time.Duration(ms) * time.Millisecond})
 	}
 	rep := f.Report()
 	if len(rep.Shapes) != 1 {
@@ -108,11 +108,11 @@ func TestFlightRecorderAdmits(t *testing.T) {
 	if !f.Admits("new-shape", time.Nanosecond) {
 		t.Fatal("unseen shape must admit everything")
 	}
-	f.Note(FlightRecord{Shape: "s", Elapsed: 10 * time.Millisecond})
+	f.Observe(&QueryRecord{Shape: "s", Elapsed: 10 * time.Millisecond})
 	if !f.Admits("s", time.Nanosecond) {
 		t.Fatal("ring not full yet: must still admit")
 	}
-	f.Note(FlightRecord{Shape: "s", Elapsed: 20 * time.Millisecond})
+	f.Observe(&QueryRecord{Shape: "s", Elapsed: 20 * time.Millisecond})
 	// Ring full: floor is the fastest retained record (10ms).
 	if f.Admits("s", 5*time.Millisecond) {
 		t.Error("admitted a query below the floor")
@@ -124,10 +124,10 @@ func TestFlightRecorderAdmits(t *testing.T) {
 	if !f.Admits("other", time.Nanosecond) {
 		t.Error("full ring on one shape starved a new shape")
 	}
-	// Note below the floor is a no-op even if forced past Admits.
-	f.Note(FlightRecord{Shape: "s", Elapsed: time.Millisecond})
+	// Observe below the floor is a no-op even if forced past Admits.
+	f.Observe(&QueryRecord{Shape: "s", Elapsed: time.Millisecond})
 	if got := f.Report().Shapes[0].Records; len(got) != 2 || got[1].Elapsed != 10*time.Millisecond {
-		t.Errorf("below-floor Note changed the ring: %+v", got)
+		t.Errorf("below-floor Observe changed the ring: %+v", got)
 	}
 }
 
@@ -142,7 +142,7 @@ func TestFlightRecorderConcurrent(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				el := time.Duration(i*(g+1)) * time.Microsecond
 				if f.Admits(shape, el) {
-					f.Note(FlightRecord{Shape: shape, Elapsed: el})
+					f.Observe(&QueryRecord{Shape: shape, Elapsed: el})
 				}
 				if i%50 == 0 {
 					f.Report()

@@ -20,42 +20,11 @@ import (
 // DefaultFlightSlots is how many worst queries each shape retains.
 const DefaultFlightSlots = 8
 
-// FlightDevice is one device's share of a recorded query.
-type FlightDevice struct {
-	Device  int           `json:"device"`
-	Buckets int           `json:"buckets"`
-	Scan    time.Duration `json:"scan_ns"`
-	Err     string        `json:"err,omitempty"`
-}
-
-// FlightRecord is one retained slow query.
+// FlightRecord is one retained slow query: the flight recorder's view
+// of the query record, ranked by Elapsed.
 type FlightRecord struct {
-	Backend string    `json:"backend"`
-	Shape   string    `json:"shape"`
-	TraceID uint64    `json:"trace_id,omitempty"`
-	Start   time.Time `json:"start"`
-	// Elapsed is the whole-query latency (the ranking key).
-	Elapsed time.Duration `json:"elapsed_ns"`
-	// PlanCacheHit reports whether the plan came from the cache.
-	PlanCacheHit bool `json:"plan_cache_hit"`
-	// RQ is |R(q)| (total buckets touched); Bound is ceil(|R(q)|/M).
-	RQ    int `json:"rq"`
-	Bound int `json:"bound"`
-	// Stages is the query's stage breakdown.
-	Stages []StageSample `json:"stages,omitempty"`
-	// Devices details each device's bucket count vs the bound and scan
-	// duration — the slowest entry is the query's critical path.
-	Devices []FlightDevice `json:"devices,omitempty"`
-	// Events is the root span's annotation log (cache hit/miss, retry,
-	// hedge and breaker decisions, degraded merges).
-	Events []SpanEvent `json:"events,omitempty"`
-	Err    string      `json:"err,omitempty"`
-}
-
-// flightShape is one shape's ring, sorted ascending by Elapsed so the
-// eviction candidate is always index 0.
-type flightShape struct {
-	records []FlightRecord
+	Start time.Time `json:"start"`
+	*QueryRecord
 }
 
 // FlightRecorder retains the K slowest queries per shape for one
@@ -64,11 +33,13 @@ type FlightRecorder struct {
 	backend string
 	slots   int
 
-	mu     sync.Mutex
-	shapes map[string]*flightShape
+	mu sync.Mutex
+	// shapes holds each shape's ring, sorted ascending by Elapsed so the
+	// eviction candidate is always index 0.
+	shapes map[string][]FlightRecord
 	// floors caches, per shape, the Elapsed a query must beat to enter
 	// that shape's full ring (shape → *atomic.Int64). It is only a
-	// fast-path hint; Note re-checks under the lock.
+	// fast-path hint; Observe re-checks under the lock.
 	floors sync.Map
 }
 
@@ -78,13 +49,13 @@ func NewFlightRecorder(backend string, slots int) *FlightRecorder {
 	if slots <= 0 {
 		slots = DefaultFlightSlots
 	}
-	return &FlightRecorder{backend: backend, slots: slots, shapes: make(map[string]*flightShape)}
+	return &FlightRecorder{backend: backend, slots: slots, shapes: make(map[string][]FlightRecord)}
 }
 
 // Admits reports whether a query of the given latency could enter the
 // shape's ring — a cheap, lock-free pre-check so the fast path skips
 // building FlightRecords that would be discarded. A true result is
-// advisory; Note re-checks under the lock.
+// advisory; Observe re-checks under the lock.
 func (f *FlightRecorder) Admits(shape string, elapsed time.Duration) bool {
 	if f == nil {
 		return false
@@ -96,36 +67,33 @@ func (f *FlightRecorder) Admits(shape string, elapsed time.Duration) bool {
 	return int64(elapsed) > v.(*atomic.Int64).Load()
 }
 
-// Note offers a record; it is kept iff it ranks among the shape's K
-// slowest.
-func (f *FlightRecorder) Note(rec FlightRecord) {
+// Observe offers a query record; it is kept iff it ranks among the
+// shape's K slowest.
+func (f *FlightRecorder) Observe(q *QueryRecord) {
 	if f == nil {
 		return
 	}
-	rec.Backend = f.backend
+	rec := FlightRecord{Start: q.Start, QueryRecord: q}
 	f.mu.Lock()
-	fs := f.shapes[rec.Shape]
-	if fs == nil {
-		fs = &flightShape{}
-		f.shapes[rec.Shape] = fs
-	}
-	if len(fs.records) >= f.slots {
-		if rec.Elapsed <= fs.records[0].Elapsed {
+	ring := f.shapes[rec.Shape]
+	if len(ring) >= f.slots {
+		if rec.Elapsed <= ring[0].Elapsed {
 			f.mu.Unlock()
 			return
 		}
-		fs.records = fs.records[1:]
+		ring = ring[1:]
 	}
 	// Insert keeping ascending Elapsed order.
-	i := sort.Search(len(fs.records), func(i int) bool { return fs.records[i].Elapsed > rec.Elapsed })
-	fs.records = append(fs.records, FlightRecord{})
-	copy(fs.records[i+1:], fs.records[i:])
-	fs.records[i] = rec
+	i := sort.Search(len(ring), func(i int) bool { return ring[i].Elapsed > rec.Elapsed })
+	ring = append(ring, FlightRecord{})
+	copy(ring[i+1:], ring[i:])
+	ring[i] = rec
+	f.shapes[rec.Shape] = ring
 	// Once the ring is full, a query must beat its fastest retained
 	// record; until then the shape admits everything (floor 0).
 	var floor int64
-	if len(fs.records) >= f.slots {
-		floor = int64(fs.records[0].Elapsed)
+	if len(ring) >= f.slots {
+		floor = int64(ring[0].Elapsed)
 	}
 	v, _ := f.floors.LoadOrStore(rec.Shape, new(atomic.Int64))
 	v.(*atomic.Int64).Store(floor)
@@ -138,7 +106,7 @@ func (f *FlightRecorder) Reset() {
 		return
 	}
 	f.mu.Lock()
-	f.shapes = make(map[string]*flightShape)
+	f.shapes = make(map[string][]FlightRecord)
 	f.floors.Range(func(k, _ any) bool { f.floors.Delete(k); return true })
 	f.mu.Unlock()
 }
@@ -164,74 +132,15 @@ func (f *FlightRecorder) Report() BackendFlights {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	out := BackendFlights{Backend: f.backend}
-	for shape, fs := range f.shapes {
-		row := ShapeFlights{Shape: shape, Records: make([]FlightRecord, 0, len(fs.records))}
-		for i := len(fs.records) - 1; i >= 0; i-- { // ascending ring → slowest first
-			row.Records = append(row.Records, fs.records[i])
+	for shape, ring := range f.shapes {
+		row := ShapeFlights{Shape: shape, Records: make([]FlightRecord, 0, len(ring))}
+		for i := len(ring) - 1; i >= 0; i-- { // ascending ring → slowest first
+			row.Records = append(row.Records, ring[i])
 		}
 		out.Shapes = append(out.Shapes, row)
 	}
 	sort.Slice(out.Shapes, func(i, j int) bool { return out.Shapes[i].Shape < out.Shapes[j].Shape })
 	return out
-}
-
-// Process-wide recorder registry, one per backend.
-var (
-	flightMu        sync.Mutex
-	flightRecorders = make(map[string]*FlightRecorder)
-)
-
-// FlightRecorderFor returns the process-wide flight recorder for
-// backend, creating it (with DefaultFlightSlots) on first use.
-func FlightRecorderFor(backend string) *FlightRecorder {
-	flightMu.Lock()
-	defer flightMu.Unlock()
-	f := flightRecorders[backend]
-	if f == nil {
-		f = NewFlightRecorder(backend, DefaultFlightSlots)
-		flightRecorders[backend] = f
-	}
-	return f
-}
-
-// FlightReport snapshots every backend's flight recorder, sorted by
-// backend; backends with no records are omitted.
-func FlightReport() []BackendFlights {
-	flightMu.Lock()
-	recs := make([]*FlightRecorder, 0, len(flightRecorders))
-	for _, f := range flightRecorders {
-		recs = append(recs, f)
-	}
-	flightMu.Unlock()
-	var out []BackendFlights
-	for _, f := range recs {
-		r := f.Report()
-		if len(r.Shapes) > 0 {
-			out = append(out, r)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Backend < out[j].Backend })
-	return out
-}
-
-// ResetFlightRecorders clears every backend's retained records.
-func ResetFlightRecorders() {
-	flightMu.Lock()
-	recs := make([]*FlightRecorder, 0, len(flightRecorders))
-	for _, f := range flightRecorders {
-		recs = append(recs, f)
-	}
-	flightMu.Unlock()
-	for _, f := range recs {
-		f.Reset()
-	}
-}
-
-func init() {
-	RegisterDebugHandler("/debug/flight", "slow-query flight recorder: K worst queries per (backend,shape) with full evidence", DebugEndpoint(
-		func() (any, error) { return FlightReport(), nil },
-		func(w io.Writer, doc any) { WriteFlightReport(w, doc.([]BackendFlights)) },
-	))
 }
 
 // WriteFlightReport renders a flight report as text, one block per

@@ -37,7 +37,7 @@ func TestFlightRecorderHammer(t *testing.T) {
 				// Unique per (worker, iteration): the top-K set is deterministic.
 				elapsed := time.Duration(w*perWorker + i + 1)
 				if f.Admits(shape, elapsed) {
-					f.Note(FlightRecord{Shape: shape, Elapsed: elapsed})
+					f.Observe(&QueryRecord{Shape: shape, Elapsed: elapsed})
 				}
 				if i%64 == 0 {
 					f.Report()
@@ -92,7 +92,7 @@ func TestFlightRecorderHammer(t *testing.T) {
 		go func(w int) {
 			defer wg2.Done()
 			for i := 0; i < 100; i++ {
-				f.Note(FlightRecord{Shape: "reset-race", Elapsed: time.Duration(i + 1)})
+				f.Observe(&QueryRecord{Shape: "reset-race", Elapsed: time.Duration(i + 1)})
 				if i%10 == 0 {
 					f.Reset()
 				}

@@ -1,0 +1,83 @@
+package obs
+
+import "time"
+
+// QueryDevice is one device's share of a query record: its qualified
+// buckets (compare against the record's Bound), scan duration and
+// error. Present only on records some sink decided to keep.
+type QueryDevice struct {
+	Device  int           `json:"device"`
+	Buckets int           `json:"buckets"`
+	Scan    time.Duration `json:"scan_ns"`
+	Err     string        `json:"err,omitempty"`
+}
+
+// QueryRecord is everything the system knows about one finished
+// retrieval. The engine executor builds exactly one per call — shape,
+// |R(q)| and the strict bound straight from the compiled plan — and
+// hands the same record to every reporting sink: cluster metrics, the
+// optimality auditor, the cost profiler, the flight recorder and the
+// wide-event log. FlightRecord and telemetry.Event are views of it.
+//
+// A record is immutable once the retaining sinks (flight recorder,
+// event log) see it. The detail fields — Devices, MaxDeviceBuckets, Err,
+// FailedDevices, Events — are materialised only when the keep decision
+// says a sink will retain the query.
+type QueryRecord struct {
+	Backend string `json:"backend"`
+	// Shape is the query-shape key ('s' specified, '*' unspecified).
+	Shape string `json:"shape"`
+	// Tenant is the caller attribution (a gateway tenant name), empty
+	// for unattributed retrievals. See engine.ContextWithCaller.
+	Tenant  string `json:"tenant,omitempty"`
+	TraceID uint64 `json:"trace_id,omitempty"`
+	// Start is the retrieval's entry time; the views serialise it under
+	// their own key ("start" on flights, "time" on events).
+	Start time.Time `json:"-"`
+	// Elapsed is the whole-query latency, plan stage through audit
+	// stage — the interval the four top-level Stages partition.
+	Elapsed time.Duration `json:"elapsed_ns"`
+
+	PlanCacheHit bool `json:"plan_cache_hit"`
+	// RQ is |R(q)|; Bound is the paper's strict bound ceil(|R(q)|/M);
+	// MaxDeviceBuckets the worst single device of this query.
+	RQ               int  `json:"rq"`
+	Bound            int  `json:"bound"`
+	MaxDeviceBuckets int  `json:"max_device_buckets"`
+	BoundViolation   bool `json:"bound_violation,omitempty"`
+	// DeviceBuckets are the merged result's per-device qualified-bucket
+	// counts — what the bound is audited against; nil when the
+	// retrieval failed outright, the surviving devices' when it
+	// degraded. The slice belongs to the caller's Result: sinks read it
+	// during the call and must not retain it.
+	DeviceBuckets []int `json:"-"`
+
+	// Slow is set when Elapsed exceeded the shape's SLO target
+	// (recorded in SLOTarget).
+	Slow      bool          `json:"slow,omitempty"`
+	SLOTarget time.Duration `json:"slo_target_ns,omitempty"`
+
+	// Error/partial manifest. Failed is true for any retrieval that
+	// returned an error, degraded ones included; Err is its text.
+	Failed        bool    `json:"-"`
+	Err           string  `json:"err,omitempty"`
+	Partial       bool    `json:"partial,omitempty"`
+	Coverage      float64 `json:"coverage,omitempty"`
+	FailedDevices []int   `json:"failed_devices,omitempty"`
+
+	// Devices details each device's bucket count vs the bound and scan
+	// duration — the slowest entry is the query's critical path.
+	Devices []QueryDevice `json:"devices,omitempty"`
+	// Stages is the cost breakdown: the four top-level stages plus an
+	// aggregated device.scan sample.
+	Stages []StageSample `json:"stages,omitempty"`
+	// Events is the root span's annotation log (cache hit/miss, retry,
+	// hedge and breaker decisions, degraded merges); materialised for
+	// flight-admitted queries only.
+	Events []SpanEvent `json:"events,omitempty"`
+
+	// Keep records why the event log kept this query (error/slow/bound =
+	// always-keep; head/sample = head sampling); empty when only the
+	// flight recorder wanted it.
+	Keep []string `json:"keep,omitempty"`
+}

@@ -25,6 +25,7 @@
 package plancache
 
 import (
+	"fxdist/internal/audit"
 	"fxdist/internal/decluster"
 	"fxdist/internal/query"
 )
@@ -62,14 +63,6 @@ type Plan struct {
 	bytes int
 }
 
-// bound returns ceil(rq/m), 0 for m <= 0.
-func bound(rq, m int) int {
-	if m <= 0 {
-		return 0
-	}
-	return (rq + m - 1) / m
-}
-
 // Summary builds a tuple-less plan carrying only the shape-pure numbers
 // (|R(q)| and the bound). The engine uses it for backends without an
 // allocator (the TCP coordinator) and as the uncached fallback; devices
@@ -80,7 +73,7 @@ func Summary(q query.Query, rq, m int) *Plan {
 		Unspec: q.UnspecifiedFields(),
 		RQ:     rq,
 		M:      m,
-		Bound:  bound(rq, m),
+		Bound:  audit.Bound(rq, m),
 		solved: -1,
 		bytes:  64,
 	}

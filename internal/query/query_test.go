@@ -258,3 +258,22 @@ func TestInverseCountsEqualLoadsRandomized(t *testing.T) {
 		}
 	}
 }
+
+// TestShape pins the query-shape key every report is filed under: one
+// byte per field, 's' specified and '*' unspecified, whatever the values.
+func TestShape(t *testing.T) {
+	u := Unspecified
+	cases := []struct {
+		q    Query
+		want string
+	}{
+		{New([]int{3, u, 0}), "s*s"},
+		{New([]int{u, u, u}), "***"},
+		{New([]int{1, 2}), "ss"},
+	}
+	for _, c := range cases {
+		if got := c.q.Shape(); got != c.want {
+			t.Errorf("Shape(%v) = %q, want %q", c.q, got, c.want)
+		}
+	}
+}

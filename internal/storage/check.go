@@ -48,6 +48,7 @@ func (c *DurableCluster) Check() (CheckReport, error) {
 		if store == nil {
 			continue
 		}
+		c.locks[dev].RLock()
 		err := store.EachBucket(func(bucket uint32) error {
 			coords = c.fs.Coords(int(bucket), coords[:0])
 			if want := c.alloc.Device(coords); want != dev {
@@ -73,6 +74,7 @@ func (c *DurableCluster) Check() (CheckReport, error) {
 				return nil
 			})
 		})
+		c.locks[dev].RUnlock()
 		if err != nil {
 			return CheckReport{}, fmt.Errorf("storage: check device %d: %w", dev, err)
 		}

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"fxdist/internal/audit"
 	"fxdist/internal/decluster"
 	"fxdist/internal/engine"
 	"fxdist/internal/mempool"
@@ -18,7 +17,6 @@ import (
 	"fxdist/internal/persist"
 	"fxdist/internal/plancache"
 	"fxdist/internal/query"
-	"fxdist/internal/telemetry"
 )
 
 // DurableCluster is the disk-backed counterpart of Cluster: every device
@@ -30,6 +28,13 @@ import (
 //
 //	meta.snap        schema + allocator spec (package persist format)
 //	device-NNNN.log  one pagestore log per device
+//
+// A DurableCluster is safe for concurrent use: retrievals may run beside
+// Insert, Delete, BulkInsert, Compact and Sync. Each device's log has
+// its own reader/writer lock — a scan holds it shared for the device's
+// whole share of the query, a mutation holds it exclusively — so a
+// retrieval sees, per device, either all or none of any single
+// mutation; it takes no snapshot across devices.
 type DurableCluster struct {
 	dir    string
 	fs     decluster.FileSystem
@@ -37,6 +42,7 @@ type DurableCluster struct {
 	im     *query.InverseMapper
 	schema *mkhash.File // schema-only file used to hash queries
 	stores []*pagestore.Store
+	locks  []sync.RWMutex // locks[dev] guards stores[dev]: scan = RLock, mutate = Lock
 	eng    *engine.Executor
 	hits   *mempool.SlicePool[mkhash.Record] // nil under WithoutMemPool
 	noPool bool
@@ -67,21 +73,12 @@ func (c *DurableCluster) engineFor(model CostModel, st *settings) (*engine.Execu
 		devices[dev] = durDevice{c: c, dev: dev}
 	}
 	devices = st.wrap(devices)
-	return engine.New(st.engineConfig(engine.Config{
-		Schema:     c.schema,
-		FS:         c.fs,
-		Devices:    devices,
-		Model:      model,
-		Observer:   engine.NewClusterMetrics("durable", c.fs.M),
-		Tracer:     obs.DefaultTracer(),
-		Span:       "storage.retrieve",
-		Audit:      audit.For("durable"),
-		Alloc:      c.alloc,
-		Plans:      plancache.New("durable"),
-		Profile:    obs.CostProfilerFor("durable"),
-		Flight:     obs.FlightRecorderFor("durable"),
-		Events:     telemetry.LogFor("durable"),
-		Resilience: st.resilienceFor("durable", devices),
+	return engine.New(st.engineConfig("durable", engine.Config{
+		Schema:  c.schema,
+		FS:      c.fs,
+		Devices: devices,
+		Model:   model,
+		Alloc:   c.alloc,
 	}))
 }
 
@@ -102,6 +99,8 @@ func (d durDevice) Scan(ctx context.Context, q query.Query, pm mkhash.PartialMat
 	// plain heap the results own outright.
 	b := mempool.NewRecordBuilder(c.arena)
 	var err error
+	c.locks[d.dev].RLock()
+	defer c.locks[d.dev].RUnlock()
 	eachOnDevice(ctx, c.im, q, d.dev, func(coords []int) {
 		if err != nil {
 			return
@@ -164,6 +163,7 @@ func CreateDurable(dir string, file *mkhash.File, alloc decluster.GroupAllocator
 		im:     query.NewInverseMapper(alloc),
 		schema: schemaOnly,
 		stores: make([]*pagestore.Store, fs.M),
+		locks:  make([]sync.RWMutex, fs.M),
 		hits:   engine.HitsPool(!st.noPool),
 		noPool: st.noPool,
 		arena:  st.arena && !st.noPool,
@@ -220,6 +220,7 @@ func OpenDurable(dir string, model CostModel, opts ...Option) (*DurableCluster, 
 		im:     query.NewInverseMapper(alloc),
 		schema: schemaOnly,
 		stores: make([]*pagestore.Store, fs.M),
+		locks:  make([]sync.RWMutex, fs.M),
 		hits:   engine.HitsPool(!st.noPool),
 		noPool: st.noPool,
 		arena:  st.arena && !st.noPool,
@@ -255,9 +256,11 @@ func (c *DurableCluster) M() int { return c.fs.M }
 // Len returns the total stored record count across devices.
 func (c *DurableCluster) Len() int {
 	n := 0
-	for _, s := range c.stores {
+	for dev, s := range c.stores {
 		if s != nil {
+			c.locks[dev].RLock()
 			n += s.Len()
+			c.locks[dev].RUnlock()
 		}
 	}
 	return n
@@ -271,6 +274,8 @@ func (c *DurableCluster) Insert(r mkhash.Record) error {
 		return err
 	}
 	dev := c.alloc.Device(coords)
+	c.locks[dev].Lock()
+	defer c.locks[dev].Unlock()
 	return c.stores[dev].Append(uint32(c.fs.Linear(coords)), r)
 }
 
@@ -283,6 +288,8 @@ func (c *DurableCluster) Delete(r mkhash.Record) (int, error) {
 		return 0, err
 	}
 	dev := c.alloc.Device(coords)
+	c.locks[dev].Lock()
+	defer c.locks[dev].Unlock()
 	return c.stores[dev].Delete(uint32(c.fs.Linear(coords)), r)
 }
 
@@ -294,7 +301,10 @@ func (c *DurableCluster) Compact() error {
 		if s == nil {
 			continue
 		}
-		if err := s.Compact(); err != nil {
+		c.locks[dev].Lock()
+		err := s.Compact()
+		c.locks[dev].Unlock()
+		if err != nil {
 			return fmt.Errorf("storage: compact device %d: %w", dev, err)
 		}
 	}
@@ -305,8 +315,8 @@ func (c *DurableCluster) Compact() error {
 
 // BulkInsert loads a batch of records concurrently: records are
 // partitioned by target device, then each device's partition is appended
-// by its own goroutine (one writer per store, so no locking), followed by
-// a single sync. Either every record is appended and synced, or an error
+// by its own goroutine under that device's write lock, followed by a
+// single sync. Either every record is appended and synced, or an error
 // is returned; on error the logs may contain a durable prefix of the
 // batch (appends are idempotent to re-run only if the caller dedupes).
 func (c *DurableCluster) BulkInsert(records []mkhash.Record) error {
@@ -334,6 +344,8 @@ func (c *DurableCluster) BulkInsert(records []mkhash.Record) error {
 		wg.Add(1)
 		go func(dev int, part []routed) {
 			defer wg.Done()
+			c.locks[dev].Lock()
+			defer c.locks[dev].Unlock()
 			for _, it := range part {
 				if err := c.stores[dev].Append(it.bucket, it.rec); err != nil {
 					errs[dev] = err
@@ -357,7 +369,10 @@ func (c *DurableCluster) Sync() error {
 		if s == nil {
 			continue
 		}
-		if err := s.Sync(); err != nil {
+		c.locks[dev].Lock()
+		err := s.Sync()
+		c.locks[dev].Unlock()
+		if err != nil {
 			return fmt.Errorf("storage: sync device %d: %w", dev, err)
 		}
 	}
@@ -370,11 +385,14 @@ func (c *DurableCluster) Close() error {
 		c.eng.Plans().Close()
 	}
 	var first error
-	for _, s := range c.stores {
+	for dev, s := range c.stores {
 		if s == nil {
 			continue
 		}
-		if err := s.Close(); err != nil && first == nil {
+		c.locks[dev].Lock()
+		err := s.Close()
+		c.locks[dev].Unlock()
+		if err != nil && first == nil {
 			first = err
 		}
 	}

@@ -1,10 +1,12 @@
 package storage
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
+	"sync"
 	"testing"
 
 	"fxdist/internal/decluster"
@@ -332,4 +334,77 @@ func TestDurableDeleteAndCompact(t *testing.T) {
 // persistSaveNoAlloc writes cluster metadata without an allocator.
 func persistSaveNoAlloc(dir string, schemaOnly *mkhash.File) error {
 	return persistSaveFile(filepath.Join(dir, metaName), schemaOnly)
+}
+
+// TestDurableInsertRacesRetrieve hammers one durable cluster with
+// concurrent Insert and RetrieveContext (plus the occasional Sync): the
+// per-device lock makes that safe, which -race checks, and every answer
+// must hold at least the records present before the hammering began and
+// nothing that was never inserted.
+func TestDurableInsertRacesRetrieve(t *testing.T) {
+	file, fx := durableFixture(t, 200, 4)
+	c, err := CreateDurable(t.TempDir(), file, fx, ParallelDisk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	pm, err := c.Spec(map[string]string{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const writers, perWriter, readers = 2, 150, 4
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				res, err := c.RetrieveContext(context.Background(), pm)
+				if err != nil {
+					t.Errorf("retrieve beside inserts: %v", err)
+					return
+				}
+				if n := len(res.Records); n < 200 || n > 200+writers*perWriter {
+					t.Errorf("retrieve saw %d records, want between 200 and %d", n, 200+writers*perWriter)
+					return
+				}
+			}
+		}()
+	}
+	var inserts sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		inserts.Add(1)
+		go func(w int) {
+			defer inserts.Done()
+			for i := 0; i < perWriter; i++ {
+				rec := mkhash.Record{fmt.Sprintf("race-%d-%d", w, i), "racer", fmt.Sprintf("%d", 2000+i)}
+				if err := c.Insert(rec); err != nil {
+					t.Errorf("insert: %v", err)
+					return
+				}
+				if i%50 == 0 {
+					if err := c.Sync(); err != nil {
+						t.Errorf("sync: %v", err)
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	inserts.Wait()
+	close(stop)
+	wg.Wait()
+	res, err := c.Retrieve(pm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := 200 + writers*perWriter; len(res.Records) != want {
+		t.Fatalf("after the hammer: %d records, want %d", len(res.Records), want)
+	}
 }

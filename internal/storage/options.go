@@ -3,8 +3,11 @@ package storage
 import (
 	"fxdist/internal/engine"
 	"fxdist/internal/mkhash"
+	"fxdist/internal/obs"
+	"fxdist/internal/plancache"
 	"fxdist/internal/resilience"
 	"fxdist/internal/retry"
+	"fxdist/internal/telemetry"
 )
 
 // Option configures a cluster constructor (NewCluster, NewReplicated,
@@ -63,8 +66,16 @@ func WithArenaResults() Option {
 	return func(s *settings) { s.arena = true }
 }
 
-// engineConfig stamps the pooling choices onto an engine config.
-func (s *settings) engineConfig(cfg engine.Config) engine.Config {
+// engineConfig stamps onto an engine config everything a storage backend
+// derives from its kind label alone — the reporting bundle (the kind's
+// shared sinks plus this cluster's metrics), tracer, plan cache and
+// resilience chain — and the pooling choices.
+func (s *settings) engineConfig(kind string, cfg engine.Config) engine.Config {
+	cfg.Instr = telemetry.For(kind).WithMetrics(telemetry.NewClusterMetrics(kind, len(cfg.Devices)))
+	cfg.Tracer = obs.DefaultTracer()
+	cfg.Span = "storage.retrieve"
+	cfg.Plans = plancache.New(kind)
+	cfg.Resilience = s.resilienceFor(kind, cfg.Devices)
 	cfg.NoPool = s.noPool
 	cfg.ArenaResults = s.arena
 	return cfg

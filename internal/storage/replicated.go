@@ -3,7 +3,6 @@ package storage
 import (
 	"context"
 
-	"fxdist/internal/audit"
 	"fxdist/internal/decluster"
 	"fxdist/internal/engine"
 	"fxdist/internal/mempool"
@@ -12,7 +11,6 @@ import (
 	"fxdist/internal/plancache"
 	"fxdist/internal/query"
 	"fxdist/internal/replica"
-	"fxdist/internal/telemetry"
 )
 
 // ReplicatedCluster is a simulated parallel cluster with chained
@@ -64,21 +62,12 @@ func NewReplicated(file *mkhash.File, alloc decluster.GroupAllocator, mode repli
 		devices[dev] = replDevice{c: c, dev: dev}
 	}
 	devices = st.wrap(devices)
-	eng, err := engine.New(st.engineConfig(engine.Config{
-		Schema:     file,
-		FS:         fs,
-		Devices:    devices,
-		Model:      model,
-		Observer:   engine.NewClusterMetrics("replicated", fs.M),
-		Tracer:     obs.DefaultTracer(),
-		Span:       "storage.retrieve",
-		Audit:      audit.For("replicated"),
-		Alloc:      alloc,
-		Plans:      plancache.New("replicated"),
-		Profile:    obs.CostProfilerFor("replicated"),
-		Flight:     obs.FlightRecorderFor("replicated"),
-		Events:     telemetry.LogFor("replicated"),
-		Resilience: st.resilienceFor("replicated", devices),
+	eng, err := engine.New(st.engineConfig("replicated", engine.Config{
+		Schema:  file,
+		FS:      fs,
+		Devices: devices,
+		Model:   model,
+		Alloc:   alloc,
 	}))
 	if err != nil {
 		return nil, err

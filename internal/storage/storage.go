@@ -20,15 +20,12 @@ import (
 	"fmt"
 	"time"
 
-	"fxdist/internal/audit"
 	"fxdist/internal/decluster"
 	"fxdist/internal/engine"
 	"fxdist/internal/mempool"
 	"fxdist/internal/mkhash"
-	"fxdist/internal/obs"
 	"fxdist/internal/plancache"
 	"fxdist/internal/query"
-	"fxdist/internal/telemetry"
 )
 
 // CostModel is the per-device service time model; see engine.CostModel.
@@ -105,21 +102,12 @@ func NewCluster(file *mkhash.File, alloc decluster.GroupAllocator, model CostMod
 		devices[dev] = memDevice{c: c, dev: dev}
 	}
 	devices = st.wrap(devices)
-	eng, err := engine.New(st.engineConfig(engine.Config{
-		Schema:     file,
-		FS:         fs,
-		Devices:    devices,
-		Model:      model,
-		Observer:   engine.NewClusterMetrics("memory", fs.M),
-		Tracer:     obs.DefaultTracer(),
-		Span:       "storage.retrieve",
-		Audit:      audit.For("memory"),
-		Alloc:      alloc,
-		Plans:      plancache.New("memory"),
-		Profile:    obs.CostProfilerFor("memory"),
-		Flight:     obs.FlightRecorderFor("memory"),
-		Events:     telemetry.LogFor("memory"),
-		Resilience: st.resilienceFor("memory", devices),
+	eng, err := engine.New(st.engineConfig("memory", engine.Config{
+		Schema:  file,
+		FS:      fs,
+		Devices: devices,
+		Model:   model,
+		Alloc:   alloc,
 	}))
 	if err != nil {
 		return nil, err

@@ -26,55 +26,15 @@ import (
 	"sync"
 	"time"
 
-	"fxdist/internal/audit"
 	"fxdist/internal/obs"
 )
 
-// DeviceSample is one device's share of a wide event.
-type DeviceSample struct {
-	Device  int           `json:"device"`
-	Buckets int           `json:"buckets"`
-	Scan    time.Duration `json:"scan_ns,omitempty"`
-	Err     string        `json:"err,omitempty"`
-}
-
-// Event is one wide event: the full story of one retrieval. The engine
-// executor emits one per query; the log decides whether it is kept.
+// Event is one wide event — the full story of one retrieval: the event
+// log's view of the query record. The engine executor builds one record
+// per query; the log decides whether it is kept.
 type Event struct {
-	Time    time.Time `json:"time"`
-	Backend string    `json:"backend"`
-	Shape   string    `json:"shape"`
-	// Tenant is the caller attribution (a gateway tenant name), empty
-	// for unattributed retrievals. See engine.ContextWithCaller.
-	Tenant  string        `json:"tenant,omitempty"`
-	TraceID uint64        `json:"trace_id,omitempty"`
-	Elapsed time.Duration `json:"elapsed_ns"`
-
-	PlanCacheHit bool `json:"plan_cache_hit"`
-	// RQ is |R(q)|; Bound is the paper's strict bound ceil(|R(q)|/M);
-	// MaxDeviceBuckets the worst single device of this query.
-	RQ               int  `json:"rq"`
-	Bound            int  `json:"bound"`
-	MaxDeviceBuckets int  `json:"max_device_buckets"`
-	BoundViolation   bool `json:"bound_violation,omitempty"`
-
-	// Slow is set by the log when Elapsed exceeded the shape's SLO
-	// target (recorded in SLOTarget).
-	Slow      bool          `json:"slow,omitempty"`
-	SLOTarget time.Duration `json:"slo_target_ns,omitempty"`
-
-	// Error/partial manifest.
-	Err           string  `json:"err,omitempty"`
-	Partial       bool    `json:"partial,omitempty"`
-	Coverage      float64 `json:"coverage,omitempty"`
-	FailedDevices []int   `json:"failed_devices,omitempty"`
-
-	Devices []DeviceSample    `json:"devices,omitempty"`
-	Stages  []obs.StageSample `json:"stages,omitempty"`
-
-	// Keep records why the log kept this event (error/slow/bound =
-	// always-keep; head/sample = head sampling).
-	Keep []string `json:"keep,omitempty"`
+	Time time.Time `json:"time"`
+	*obs.QueryRecord
 }
 
 // Head-sampling keep reasons (the always-keep reasons are shared with
@@ -83,14 +43,13 @@ const (
 	KeepHead = "head"
 )
 
-// Decision is the outcome of offering an event to the log. Always is
-// true when an always-keep rule fired — the engine mirrors the same
-// decision into trace retention (retain on Always, uniform-sample
-// otherwise) so kept events and kept traces stay consistent.
+// Decision is the log's verdict on one query. Always is true when an
+// always-keep rule fired — the engine mirrors the same decision into
+// trace retention (retain on Always, uniform-sample otherwise) so kept
+// events and kept traces stay consistent.
 type Decision struct {
-	Kept    bool
-	Always  bool
-	Reasons []string
+	Kept   bool
+	Always bool
 }
 
 // Config tunes one backend's event log.
@@ -116,7 +75,7 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// DefaultEventConfig is the sampling policy LogFor starts with.
+// DefaultEventConfig is the sampling policy a backend's log starts with.
 var DefaultEventConfig = Config{Capacity: 1024, HeadPerShape: 8, SampleEvery: 16}
 
 type shapeSampler struct {
@@ -189,40 +148,41 @@ func (l *EventLog) Configure(cfg Config) {
 	l.mu.Unlock()
 }
 
-// Offer submits one event and returns the keep decision. The event's
-// Slow/SLOTarget/Keep fields are filled in by the log.
-func (l *EventLog) Offer(ev Event) Decision {
+// Decide is the keep decision for one query, made on the record's
+// scalars alone (shape, latency, failure, bound violation) before any
+// per-device detail exists, so dropped queries never pay for it. It
+// counts the query as seen, fills rec.Slow, rec.SLOTarget and rec.Keep,
+// and charges the kept/dropped counters; a kept record must then be
+// handed to Observe.
+func (l *EventLog) Decide(rec *obs.QueryRecord) Decision {
 	if l == nil {
 		return Decision{}
 	}
-	if ev.Time.IsZero() {
-		ev.Time = time.Now()
-	}
-	ev.Backend = l.backend
 	l.mu.Lock()
+	defer l.mu.Unlock()
 	l.seen++
 	l.mSeen.Inc()
 
 	var reasons []string
-	if ev.Err != "" || ev.Partial {
+	if rec.Failed {
 		reasons = append(reasons, obs.KeepError)
 	}
 	if l.cfg.SlowFor != nil {
-		if target := l.cfg.SlowFor(ev.Shape); target > 0 && ev.Elapsed > target {
-			ev.Slow = true
-			ev.SLOTarget = target
+		if target := l.cfg.SlowFor(rec.Shape); target > 0 && rec.Elapsed > target {
+			rec.Slow = true
+			rec.SLOTarget = target
 			reasons = append(reasons, obs.KeepSlow)
 		}
 	}
-	if ev.BoundViolation {
+	if rec.BoundViolation {
 		reasons = append(reasons, obs.KeepBound)
 	}
 	always := len(reasons) > 0
 
-	ss := l.shapes[ev.Shape]
+	ss := l.shapes[rec.Shape]
 	if ss == nil {
 		ss = &shapeSampler{}
-		l.shapes[ev.Shape] = ss
+		l.shapes[rec.Shape] = ss
 	}
 	ss.seen++
 	if !always {
@@ -235,14 +195,23 @@ func (l *EventLog) Offer(ev Event) Decision {
 	}
 	if len(reasons) == 0 {
 		l.mDropped.Inc()
-		l.mu.Unlock()
 		return Decision{}
 	}
-
-	ev.Keep = reasons
+	rec.Keep = reasons
 	ss.kept++
 	l.kept++
 	l.mKept.Inc()
+	return Decision{Kept: true, Always: always}
+}
+
+// Observe stores a record Decide chose to keep and feeds it to live
+// subscribers. The record must not change afterwards.
+func (l *EventLog) Observe(rec *obs.QueryRecord) {
+	if l == nil {
+		return
+	}
+	ev := Event{Time: rec.Start, QueryRecord: rec}
+	l.mu.Lock()
 	l.ring[l.next] = ev
 	l.next++
 	if l.next == len(l.ring) {
@@ -255,7 +224,6 @@ func (l *EventLog) Offer(ev Event) Decision {
 		}
 	}
 	l.mu.Unlock()
-	return Decision{Kept: true, Always: always, Reasons: reasons}
 }
 
 // lockedRecent returns up to n kept events, most recent first. Caller
@@ -341,7 +309,7 @@ func (l *EventLog) Stats() LogStats {
 	for shape, ss := range l.shapes {
 		st.Shapes = append(st.Shapes, ShapeStats{Shape: shape, Seen: ss.seen, Kept: ss.kept})
 	}
-	sortShapeStats(st.Shapes)
+	sort.Slice(st.Shapes, func(i, j int) bool { return st.Shapes[i].Shape < st.Shapes[j].Shape })
 	return st
 }
 
@@ -356,55 +324,4 @@ func (l *EventLog) Reset() {
 	l.shapes = make(map[string]*shapeSampler)
 	l.seen, l.kept = 0, 0
 	l.mu.Unlock()
-}
-
-// Process-wide log registry, one per backend (mirrors
-// obs.FlightRecorderFor).
-var (
-	logMu sync.Mutex
-	logs  = make(map[string]*EventLog)
-)
-
-// LogFor returns the process-wide event log for backend, creating it on
-// first use with DefaultEventConfig and the backend's audit SLO target
-// as the slow threshold.
-func LogFor(backend string) *EventLog {
-	logMu.Lock()
-	defer logMu.Unlock()
-	l := logs[backend]
-	if l == nil {
-		cfg := DefaultEventConfig
-		a := audit.For(backend)
-		cfg.SlowFor = func(shape string) time.Duration { return a.ShapeSLO(shape).Target }
-		l = NewEventLog(backend, cfg)
-		logs[backend] = l
-	}
-	return l
-}
-
-// Logs snapshots every registered log, sorted by backend.
-func Logs() []*EventLog {
-	logMu.Lock()
-	defer logMu.Unlock()
-	out := make([]*EventLog, 0, len(logs))
-	for _, l := range logs {
-		out = append(out, l)
-	}
-	sortLogs(out)
-	return out
-}
-
-// ResetEventLogs clears every backend's kept events and sampling state.
-func ResetEventLogs() {
-	for _, l := range Logs() {
-		l.Reset()
-	}
-}
-
-func sortShapeStats(s []ShapeStats) {
-	sort.Slice(s, func(i, j int) bool { return s[i].Shape < s[j].Shape })
-}
-
-func sortLogs(ls []*EventLog) {
-	sort.Slice(ls, func(i, j int) bool { return ls[i].backend < ls[j].backend })
 }

@@ -20,12 +20,11 @@ type backendEvents struct {
 
 func eventsDoc(backend string, n int) map[string]backendEvents {
 	doc := make(map[string]backendEvents)
-	for _, l := range Logs() {
-		st := l.Stats()
-		if backend != "" && st.Backend != backend {
+	for _, in := range All() {
+		if backend != "" && in.Backend != backend {
 			continue
 		}
-		doc[st.Backend] = backendEvents{Stats: st, Events: l.Recent(n)}
+		doc[in.Backend] = backendEvents{Stats: in.Events.Stats(), Events: in.Events.Recent(n)}
 	}
 	return doc
 }
@@ -64,10 +63,6 @@ func writeEventsText(w io.Writer, doc map[string]backendEvents) {
 // live until the client disconnects). ?backend= filters, ?n= bounds
 // the dump (default 256).
 func eventsHandler() http.Handler {
-	base := obs.DebugEndpoint(
-		func() (any, error) { return eventsDoc("", 256), nil },
-		func(w io.Writer, doc any) { writeEventsText(w, doc.(map[string]backendEvents)) },
-	)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		q := r.URL.Query()
 		backend := q.Get("backend")
@@ -96,11 +91,11 @@ func eventsHandler() http.Handler {
 			}
 			var feeds []<-chan Event
 			var cancels []func()
-			for _, l := range Logs() {
-				if backend != "" && l.Stats().Backend != backend {
+			for _, in := range All() {
+				if backend != "" && in.Backend != backend {
 					continue
 				}
-				ch, cancel := l.Subscribe()
+				ch, cancel := in.Events.Subscribe()
 				feeds = append(feeds, ch)
 				cancels = append(cancels, cancel)
 			}
@@ -135,15 +130,11 @@ func eventsHandler() http.Handler {
 				}
 			}
 		}
-		if backend != "" || q.Get("n") != "" {
-			// Re-run the standard endpoint shape with filters applied.
-			obs.DebugEndpoint(
-				func() (any, error) { return eventsDoc(backend, n), nil },
-				func(w io.Writer, doc any) { writeEventsText(w, doc.(map[string]backendEvents)) },
-			).ServeHTTP(w, r)
-			return
-		}
-		base.ServeHTTP(w, r)
+		// The standard endpoint shape, with this request's filters applied.
+		obs.DebugEndpoint(
+			func() (any, error) { return eventsDoc(backend, n), nil },
+			func(w io.Writer, doc any) { writeEventsText(w, doc.(map[string]backendEvents)) },
+		).ServeHTTP(w, r)
 	})
 }
 

@@ -80,14 +80,18 @@ type BackendAudit = audit.BackendReport
 
 // OptimalityReport snapshots the optimality audit of every backend,
 // sorted by backend then shape.
-func OptimalityReport() []BackendAudit { return audit.Report() }
+func OptimalityReport() []BackendAudit { return telemetry.AuditReport() }
 
 // ResetAudit zeroes all accumulated audit state (counters exported to
 // Prometheus stay monotonic; configured SLOs are kept).
 //
 // Deprecated: use Cluster.ResetAudit to scope the reset to one
 // cluster's backend; this package-level form clears every backend.
-func ResetAudit() { audit.Reset() }
+func ResetAudit() {
+	for _, in := range telemetry.All() {
+		in.Audit.Reset()
+	}
+}
 
 // LatencySLO is a per-shape latency objective: at least Goal (e.g. 0.99)
 // of a shape's queries must complete within Target.
@@ -100,7 +104,7 @@ type LatencySLO = audit.SLO
 // Deprecated: use Cluster.SetLatencySLO (or WithLatencySLO at Open
 // time), which derives the backend name from the cluster itself.
 func SetLatencySLO(backend string, target time.Duration, goal float64) {
-	audit.SetSLO(backend, audit.SLO{Target: target, Goal: goal})
+	telemetry.SetSLO(backend, audit.SLO{Target: target, Goal: goal})
 }
 
 // SetShapeLatencySLO overrides the latency objective for one query shape
@@ -110,7 +114,7 @@ func SetLatencySLO(backend string, target time.Duration, goal float64) {
 // Deprecated: use Cluster.SetShapeLatencySLO (or WithShapeLatencySLO at
 // Open time), which derives the backend name from the cluster itself.
 func SetShapeLatencySLO(backend, shape string, target time.Duration, goal float64) {
-	audit.SetShapeSLO(backend, shape, audit.SLO{Target: target, Goal: goal})
+	telemetry.For(backend).Audit.SetShapeSLO(shape, audit.SLO{Target: target, Goal: goal})
 }
 
 // Wide-event query log: one structured event per retrieval, head+tail
@@ -151,18 +155,18 @@ func ContextWithCallers(ctx context.Context, callers []string) context.Context {
 // QueryEvents returns up to n recent kept events of one backend
 // ("memory", "durable", "replicated", "netdist"), most recent first.
 func QueryEvents(backend string, n int) []QueryEvent {
-	return telemetry.LogFor(backend).Recent(n)
+	return telemetry.For(backend).Events.Recent(n)
 }
 
 // QueryLogStatsFor returns one backend's event-log statistics.
 func QueryLogStatsFor(backend string) QueryLogStats {
-	return telemetry.LogFor(backend).Stats()
+	return telemetry.For(backend).Events.Stats()
 }
 
 // ConfigureQueryLog replaces one backend's event sampling configuration
 // (zero fields keep their defaults) and clears its ring.
 func ConfigureQueryLog(backend string, cfg QueryLogConfig) {
-	telemetry.LogFor(backend).Configure(cfg)
+	telemetry.For(backend).Events.Configure(cfg)
 }
 
 // Metrics federation: a netdist coordinator pulls every device server's

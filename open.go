@@ -12,6 +12,7 @@ import (
 	"fxdist/internal/plancache"
 	"fxdist/internal/retry"
 	"fxdist/internal/storage"
+	"fxdist/internal/telemetry"
 )
 
 // Config selects what Open builds. Exactly one backend kind is implied
@@ -560,26 +561,26 @@ func (c *Cluster) PlanCache() PlanCacheStats { return c.planCache().Stats() }
 // 0.99) of queries must complete within target. The objective is
 // backend-wide (all clusters of one kind share an auditor).
 func (c *Cluster) SetLatencySLO(target time.Duration, goal float64) {
-	audit.SetSLO(c.kind, audit.SLO{Target: target, Goal: goal})
+	telemetry.SetSLO(c.kind, audit.SLO{Target: target, Goal: goal})
 }
 
 // SetShapeLatencySLO overrides the latency objective for one query
 // shape of this cluster's backend kind.
 func (c *Cluster) SetShapeLatencySLO(shape string, target time.Duration, goal float64) {
-	audit.SetShapeSLO(c.kind, shape, audit.SLO{Target: target, Goal: goal})
+	telemetry.For(c.kind).Audit.SetShapeSLO(shape, audit.SLO{Target: target, Goal: goal})
 }
 
 // OptimalityReport snapshots the strict-optimality audit of this
 // cluster's backend kind: per-shape violation counts against the
 // paper's ceil(|R(q)|/M) bound and SLO state.
 func (c *Cluster) OptimalityReport() BackendAudit {
-	return audit.For(c.kind).Report()
+	return telemetry.For(c.kind).Audit.Report()
 }
 
 // ResetAudit zeroes the accumulated audit state of this cluster's
 // backend kind (mirrored Prometheus counters stay monotonic;
 // configured SLOs are kept).
-func (c *Cluster) ResetAudit() { audit.For(c.kind).Reset() }
+func (c *Cluster) ResetAudit() { telemetry.For(c.kind).Audit.Reset() }
 
 // PlanCacheReport snapshots every live plan cache in the process,
 // sorted by backend — the programmatic /debug/plancache.

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"fxdist/internal/obs"
+	"fxdist/internal/telemetry"
 )
 
 // Profiling: the per-query cost-attribution surface. Every retrieval on
@@ -48,22 +49,26 @@ type BackendCost = obs.BackendCost
 
 // CostReport snapshots every backend's per-shape cost profile, sorted
 // by backend — the programmatic /debug/hotpath.
-func CostReport() []BackendCost { return obs.CostReport() }
+func CostReport() []BackendCost { return telemetry.CostReport() }
 
 // WriteCostReport renders a cost report as an aligned text table (the
 // /debug/hotpath?format=text rendering).
 func WriteCostReport(w io.Writer, report []BackendCost) { obs.WriteCostReport(w, report) }
 
 // ResetCostProfilers zeroes every backend's accumulated cost profile.
-func ResetCostProfilers() { obs.ResetCostProfilers() }
+func ResetCostProfilers() {
+	for _, in := range telemetry.All() {
+		in.Profile.Reset()
+	}
+}
 
 // CostReport snapshots this cluster's backend-kind cost profile.
 func (c *Cluster) CostReport() BackendCost {
-	return obs.CostProfilerFor(c.kind).Report()
+	return telemetry.For(c.kind).Profile.Report()
 }
 
 // FlightDevice is one device's share of a recorded slow query.
-type FlightDevice = obs.FlightDevice
+type FlightDevice = obs.QueryDevice
 
 // FlightRecord is one retained slow query: stage breakdown, span
 // events (retry/hedge/breaker decisions), plan-cache hit/miss, and
@@ -78,18 +83,22 @@ type BackendFlights = obs.BackendFlights
 
 // FlightReport snapshots every backend's slow-query flight recorder,
 // sorted by backend — the programmatic /debug/flight.
-func FlightReport() []BackendFlights { return obs.FlightReport() }
+func FlightReport() []BackendFlights { return telemetry.FlightReport() }
 
 // WriteFlightReport renders a flight report as text, one block per
 // record, slowest first (the /debug/flight?format=text rendering).
 func WriteFlightReport(w io.Writer, report []BackendFlights) { obs.WriteFlightReport(w, report) }
 
 // ResetFlightRecorders clears every backend's retained flight records.
-func ResetFlightRecorders() { obs.ResetFlightRecorders() }
+func ResetFlightRecorders() {
+	for _, in := range telemetry.All() {
+		in.Flight.Reset()
+	}
+}
 
 // FlightReport snapshots this cluster's backend-kind flight recorder.
 func (c *Cluster) FlightReport() BackendFlights {
-	return obs.FlightRecorderFor(c.kind).Report()
+	return telemetry.For(c.kind).Flight.Report()
 }
 
 // TriggeredProfilingConfig bounds automatic pprof capture: when a query

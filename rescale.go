@@ -7,10 +7,10 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"fxdist/internal/audit"
 	"fxdist/internal/engine"
 	"fxdist/internal/netdist"
 	"fxdist/internal/rebalance"
+	"fxdist/internal/telemetry"
 )
 
 // Live elastic rescaling: grow a distributed cluster from M to 2M
@@ -71,9 +71,9 @@ type RescaleConfig struct {
 // Rescale phases beyond the driver's journalled ones are routing
 // states; see phase constants below.
 const (
-	rescRouteOld int32 = iota // copying: old epoch answers alone
-	rescRouteDual             // dual-read window
-	rescRouteNew              // drained: new epoch answers alone
+	rescRouteOld  int32 = iota // copying: old epoch answers alone
+	rescRouteDual              // dual-read window
+	rescRouteNew               // drained: new epoch answers alone
 )
 
 // RescaleStatus combines the migration driver's progress with the
@@ -163,7 +163,8 @@ func (c *Cluster) Rescale(ctx context.Context, cfg RescaleConfig) (*Rescale, err
 	if err != nil {
 		return nil, fmt.Errorf("fxdist: dial new-epoch coordinator: %w", err)
 	}
-	audit.For(rescaleBackend).Reset()
+	nextAudit := telemetry.For(rescaleBackend).Audit
+	nextAudit.Reset()
 
 	r := &Rescale{c: c, newCoord: newCoord, done: make(chan struct{})}
 	r.dual = &engine.DualReader{
@@ -191,7 +192,7 @@ func (c *Cluster) Rescale(ctx context.Context, cfg RescaleConfig) (*Rescale, err
 		BeforeRollback: r.leaveNewEpoch,
 	}
 	if !cfg.DisableGuard {
-		dcfg.Guard = rebalance.AuditGuard(audit.For(rescaleBackend).Report, cfg.NewM, cfg.GuardMinQueries)
+		dcfg.Guard = rebalance.AuditGuard(nextAudit.Report, cfg.NewM, cfg.GuardMinQueries)
 	}
 	driver, err := rebalance.NewDriver(dcfg)
 	if err != nil {

@@ -60,7 +60,7 @@ func buildTelemetryFile(t *testing.T) (*fxdist.File, *fxdist.Modulo) {
 func TestClusterTelemetryPlane(t *testing.T) {
 	// <10% sampling: no head-keep, 1-in-100 uniform. Always-keep rules
 	// are the only way an event survives in a short test.
-	ev := telemetry.LogFor("netdist")
+	ev := telemetry.For("netdist").Events
 	ev.Reset()
 	ev.Configure(telemetry.Config{Capacity: 256, HeadPerShape: 0, SampleEvery: 100})
 	t.Cleanup(func() {
