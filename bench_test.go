@@ -9,19 +9,25 @@
 package fxdist_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"fxdist"
+	"fxdist/client"
 	"fxdist/internal/analysis"
 	"fxdist/internal/bitsx"
 	"fxdist/internal/cost"
 	"fxdist/internal/decluster"
 	"fxdist/internal/field"
+	"fxdist/internal/gate"
 )
 
 // logOnce guards the one-time table/series logging inside benchmarks.
@@ -892,6 +898,104 @@ func BenchmarkRetrieveWithInjectedLatency(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := cluster.Retrieve(pm); err != nil {
 					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// benchGate builds the serving tier's two upper rungs over the memory
+// backend with the gate's shipped defaults (1 ms coalescing window
+// included: a lone caller waits it out on every request, and that is
+// the number an operator sees), and the two queries the rungs are
+// measured on: a point query naming every field of a stored record,
+// and a scan naming only the 20-valued field — about a thousand
+// records back.
+func benchGate(b *testing.B) (g *gate.Gate, point, scan map[string]string) {
+	b.Helper()
+	file, _ := benchRelationFile(b, 20000)
+	fs, err := file.FileSystem(8)
+	if err != nil {
+		b.Fatal(err)
+	}
+	fx, err := fxdist.NewFX(fs)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cluster, err := fxdist.Open(fxdist.Config{File: file, Allocator: fx})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { cluster.Close() })
+	g, err = gate.New(gate.Config{Cluster: cluster, File: file, Allocator: fx,
+		Tenants: []gate.TenantConfig{{Name: "bench", APIKey: "bench-key"}}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(g.Close)
+	all, err := file.Search(make(fxdist.PartialMatch, 3))
+	if err != nil {
+		b.Fatal(err)
+	}
+	rec := all[0]
+	return g, map[string]string{"a": rec[0], "b": rec[1], "c": rec[2]}, map[string]string{"c": rec[2]}
+}
+
+// BenchmarkGateRetrieve is the gate rung of the ledger: one fx.retrieve
+// frame through Gate.ServeHTTP — JSON-RPC decode, auth, admission, the
+// coalescing window, the engine, the response frame — with no socket.
+func BenchmarkGateRetrieve(b *testing.B) {
+	g, point, scan := benchGate(b)
+	for _, bc := range []struct {
+		name  string
+		query map[string]string
+	}{{"point", point}, {"scan", scan}} {
+		b.Run(bc.name, func(b *testing.B) {
+			params, err := json.Marshal(client.RetrieveParams{Query: bc.query})
+			if err != nil {
+				b.Fatal(err)
+			}
+			body, err := json.Marshal(client.Request{JSONRPC: "2.0", ID: json.RawMessage("1"), Method: client.MethodRetrieve, Params: params})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				req := httptest.NewRequest(http.MethodPost, "/rpc", bytes.NewReader(body))
+				req.Header.Set("Authorization", "Bearer bench-key")
+				rec := httptest.NewRecorder()
+				g.ServeHTTP(rec, req)
+				if rec.Code != http.StatusOK || !bytes.Contains(rec.Body.Bytes(), []byte(`"result":{`)) {
+					b.Fatalf("status %d: %.200s", rec.Code, rec.Body.Bytes())
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkClientRetrieve is the client rung: the same two queries from
+// client.Retrieve over loopback HTTP to the same gate, so what it adds
+// to BenchmarkGateRetrieve is the HTTP round trip and the client's
+// decode of the answer.
+func BenchmarkClientRetrieve(b *testing.B) {
+	g, point, scan := benchGate(b)
+	srv := httptest.NewServer(g)
+	defer srv.Close()
+	c := client.New(srv.URL, client.WithAPIKey("bench-key"))
+	defer c.Close()
+	for _, bc := range []struct {
+		name  string
+		query map[string]string
+	}{{"point", point}, {"scan", scan}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				res, err := c.Retrieve(context.Background(), bc.query)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(res.Records) == 0 {
+					b.Fatal("no records")
 				}
 			}
 		})

@@ -134,35 +134,57 @@ func (c *Client) callOnce(ctx context.Context, method string, params any, out an
 		return classifyTransport(ctx, err)
 	}
 	defer hres.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(hres.Body, 64<<20))
+	data, err := readBody(hres, maxResponseBytes)
 	if err != nil {
 		return classifyTransport(ctx, err)
 	}
-	var res Response
-	if err := json.Unmarshal(data, &res); err != nil {
-		// No JSON-RPC envelope at all: surface the HTTP status.
+	wireErr, err := decodeResponse(data, out)
+	if err != nil {
+		// No JSON-RPC frame (a proxy's error page, a cut-off body):
+		// surface the HTTP status.
 		e := fxdist.NewError(fxdist.ErrCodeInternal,
-			fmt.Sprintf("HTTP %d: %.200s", hres.StatusCode, data))
+			fmt.Sprintf("HTTP %d: %v: %.200s", hres.StatusCode, err, data))
 		if ra := retryAfterHeader(hres); ra > 0 {
 			e.Code = fxdist.ErrCodeOverloaded
 			e.RetryAfter = ra
 		}
 		return e
 	}
-	if res.Error != nil {
-		e := res.Error.Err()
+	if wireErr != nil {
+		e := wireErr.Err()
 		if e.RetryAfter == 0 {
 			e.RetryAfter = retryAfterHeader(hres)
 		}
 		return e
 	}
-	if out == nil {
-		return nil
-	}
-	if err := json.Unmarshal(res.Result, out); err != nil {
-		return fxdist.NewError(fxdist.ErrCodeInternal, "malformed result: "+err.Error())
-	}
 	return nil
+}
+
+// maxResponseBytes bounds one response body.
+const maxResponseBytes = 64 << 20
+
+// readBody reads a response body of at most limit bytes: into one
+// buffer of the declared size when the server sent a Content-Length,
+// by io.ReadAll when the reply is chunked. A longer body is an error,
+// not a prefix for the decoder to choke on.
+func readBody(res *http.Response, limit int64) ([]byte, error) {
+	if res.ContentLength > limit {
+		return nil, errTooLong(limit)
+	}
+	if res.ContentLength >= 0 {
+		data := make([]byte, res.ContentLength)
+		_, err := io.ReadFull(res.Body, data)
+		return data, err
+	}
+	data, err := io.ReadAll(io.LimitReader(res.Body, limit+1))
+	if err == nil && int64(len(data)) > limit {
+		return nil, errTooLong(limit)
+	}
+	return data, err
+}
+
+func errTooLong(limit int64) error {
+	return fxdist.NewError(fxdist.ErrCodeInternal, fmt.Sprintf("response exceeds %d MiB", limit>>20))
 }
 
 // classifyTransport folds transport-level failures onto the taxonomy.

@@ -4,8 +4,12 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -157,5 +161,105 @@ func TestRetryOn429ContextCancel(t *testing.T) {
 	var fe *fxdist.Error
 	if !errors.As(err, &fe) || fe.Code != fxdist.ErrCodeTimeout {
 		t.Fatalf("got %v, want timeout from the canceled wait", err)
+	}
+}
+
+// TestOversizeResponseIsNamed pins the response-size limit: a body over
+// it used to be cut at the limit and reported as a parse failure
+// quoting the start of a perfectly good frame.
+func TestOversizeResponseIsNamed(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		// Declaring the length is enough: the client refuses before it
+		// reads, and the server drops the connection it cannot fill.
+		w.Header().Set("Content-Length", strconv.Itoa(maxResponseBytes+1))
+	}))
+	defer srv.Close()
+	c := New(srv.URL)
+	defer c.Close()
+	_, err := c.Retrieve(context.Background(), map[string]string{"part": "p1"})
+	var fe *fxdist.Error
+	if !errors.As(err, &fe) || fe.Code != fxdist.ErrCodeInternal || fe.Message != "response exceeds 64 MiB" {
+		t.Fatalf("got %v, want internal: response exceeds 64 MiB", err)
+	}
+
+	// The same limit when the reply is chunked and the length is only
+	// known once it has been read; and at the limit, nothing is cut.
+	const limit = 1 << 10
+	body := func(n int, declared int64) *http.Response {
+		return &http.Response{ContentLength: declared, Body: io.NopCloser(strings.NewReader(strings.Repeat("x", n)))}
+	}
+	for _, declared := range []int64{-1, limit} {
+		data, err := readBody(body(limit, declared), limit)
+		if err != nil || len(data) != limit {
+			t.Errorf("declared %d: a body of the limit read as %d bytes, %v", declared, len(data), err)
+		}
+		if declared >= 0 && cap(data) != limit {
+			t.Errorf("a declared length of %d was read into a buffer of %d", declared, cap(data))
+		}
+	}
+	for _, declared := range []int64{-1, limit + 1} {
+		if _, err := readBody(body(limit+1, declared), limit); !errors.As(err, &fe) || fe.Code != fxdist.ErrCodeInternal {
+			t.Errorf("declared %d: a body over the limit gave %v", declared, err)
+		}
+	}
+	if _, err := readBody(body(limit-1, limit), limit); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Errorf("a body shorter than declared gave %v", err)
+	}
+}
+
+// TestDecodeResponse covers the frame walk that replaced
+// json.Unmarshal into a Response: members in any order, any result
+// type, error frames, and what is not a frame at all.
+func TestDecodeResponse(t *testing.T) {
+	answer := `{"api_version":"fx/v1","records":[["a","b"]],"device_buckets":[1,0],"largest_response_size":1}`
+	want := RetrieveResult{APIVersion: APIVersion, Records: [][]string{{"a", "b"}}, DeviceBuckets: []int{1, 0}, LargestResponseSize: 1}
+	for _, frame := range []string{
+		`{"jsonrpc":"2.0","id":1,"result":` + answer + `}`,
+		` { "result" : ` + answer + ` , "id" : [ "}" , {"result":1} ] , "jsonrpc" : "2.0" , "error" : null } `,
+		`{"RESULT":` + answer + `,"extension":{"error":{}}}`,
+	} {
+		var got RetrieveResult
+		if wireErr, err := decodeResponse([]byte(frame), &got); err != nil || wireErr != nil {
+			t.Fatalf("%s: %v, %+v", frame, err, wireErr)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s decoded as %#v", frame, got)
+		}
+	}
+
+	var batch BatchResult
+	frame := `{"jsonrpc":"2.0","id":2,"result":{"api_version":"fx/v1","items":[{"result":` + answer + `},{"error":{"code":-32602,"message":"m"}}]}}`
+	if wireErr, err := decodeResponse([]byte(frame), &batch); err != nil || wireErr != nil {
+		t.Fatalf("%v, %+v", err, wireErr)
+	}
+	if len(batch.Items) != 2 || !reflect.DeepEqual(*batch.Items[0].Result, want) || batch.Items[1].Error.Message != "m" {
+		t.Errorf("batch decoded as %+v", batch)
+	}
+
+	var untouched RetrieveResult
+	wireErr, err := decodeResponse([]byte(`{"jsonrpc":"2.0","id":3,"error":{"code":-32002,"message":"slow down","data":{"code":"rate_limited","retry_after_ms":20}}}`), &untouched)
+	if err != nil || wireErr == nil || wireErr.Err().Code != fxdist.ErrCodeRateLimited || wireErr.Err().RetryAfter != 20*time.Millisecond {
+		t.Errorf("error frame: %v, %+v", err, wireErr)
+	}
+	if wireErr, err := decodeResponse([]byte(`{"result":null,"id":null}`), &untouched); err != nil || wireErr != nil || !reflect.DeepEqual(untouched, RetrieveResult{}) {
+		t.Errorf("null result: %v, %+v, %+v", err, wireErr, untouched)
+	}
+	if _, err := decodeResponse([]byte(`{"result":{"status":"ok"},"id":4}`), nil); err != nil {
+		t.Errorf("result with nowhere to go: %v", err)
+	}
+
+	for _, bad := range []string{
+		``, `null`, `[]`, `<html>502 Bad Gateway</html>`, `{"result":` + answer, `{"result":` + answer + `}}`,
+		`{"result":{"records":[["a",]]}}`, `{"result":{},"result":{}}`, `{"id":01,"result":{}}`, `{"error":{"code":"x"}}`,
+		`{"result":[]}`, `{"result":{"status":1}}`,
+	} {
+		var health HealthResult
+		var out any = &untouched
+		if strings.Contains(bad, "status") {
+			out = &health
+		}
+		if _, err := decodeResponse([]byte(bad), out); err == nil {
+			t.Errorf("decodeResponse accepted %q", bad)
+		}
 	}
 }

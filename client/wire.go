@@ -2,8 +2,8 @@
 // tier: the JSON-RPC 2.0 envelope, the versioned request/response
 // types of every fx.* method, and a small HTTP client speaking them
 // over persistent connections. These types ARE the wire format — the
-// gateway (internal/gate, cmd/fxgate) marshals exactly these structs,
-// so embedding this package is all a Go caller needs to talk to a
+// gateway (internal/gate, cmd/fxgate) writes exactly their JSON, so
+// embedding this package is all a Go caller needs to talk to a
 // cluster's front door, and the JSON shapes double as the contract for
 // non-Go clients (see README "Serving tier" for curl examples).
 //
@@ -185,10 +185,16 @@ type BatchParams struct {
 	Queries []map[string]string `json:"queries"`
 }
 
-// RetrieveResult is the fx.retrieve result envelope.
+// RetrieveResult is the fx.retrieve result envelope. It is the one wire
+// type with a hand-written JSON codec (codec.go); the JSON is what
+// encoding/json would write for the struct as declared here.
 type RetrieveResult struct {
 	APIVersion string `json:"api_version"`
 	// Records are the matching records, field values in schema order.
+	// In a decoded result every value is a view of one buffer and every
+	// record a window of one array, so a single value kept alive keeps
+	// the whole answer alive: strings.Clone a value that is to outlive
+	// the result.
 	Records [][]string `json:"records"`
 	// DeviceBuckets[i] is the number of qualified buckets device i
 	// accessed — the paper's per-device response size.

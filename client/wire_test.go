@@ -3,6 +3,7 @@ package client
 import (
 	"encoding/json"
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
@@ -121,5 +122,88 @@ func TestDeviceZeroSurvivesWire(t *testing.T) {
 	}
 	if out := obj.Err(); out.Device != 0 {
 		t.Fatalf("device 0 became %d across the wire", out.Device)
+	}
+}
+
+// TestRetrieveResultGoldenShapes pins the nil/empty shapes and the key
+// order of the fx/v1 result as literal JSON: the hand-written codec has
+// to keep every one of them, and a non-Go client parses against them.
+func TestRetrieveResultGoldenShapes(t *testing.T) {
+	cases := []struct {
+		name string
+		in   RetrieveResult
+		want string
+	}{
+		{"zero value", RetrieveResult{},
+			`{"api_version":"","records":null,"device_buckets":null,"largest_response_size":0}`},
+		{"no matches", RetrieveResult{APIVersion: APIVersion, Records: [][]string{}, DeviceBuckets: []int{}},
+			`{"api_version":"fx/v1","records":[],"device_buckets":[],"largest_response_size":0}`},
+		{"empty and nil records", RetrieveResult{APIVersion: APIVersion, Records: [][]string{{}, nil, {""}}, DeviceBuckets: []int{0}},
+			`{"api_version":"fx/v1","records":[[],null,[""]],"device_buckets":[0],"largest_response_size":0}`},
+		{"every key, in order", RetrieveResult{APIVersion: APIVersion, Records: [][]string{{"a", "b"}, {"c", "d"}},
+			DeviceBuckets: []int{2, 0, -1}, LargestResponseSize: 2, TraceID: 1<<64 - 1, Coalesced: true, BatchSize: 3},
+			`{"api_version":"fx/v1","records":[["a","b"],["c","d"]],"device_buckets":[2,0,-1],"largest_response_size":2,` +
+				`"trace_id":18446744073709551615,"coalesced":true,"batch_size":3}`},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := string(tc.in.AppendJSON(nil)); got != tc.want {
+				t.Errorf("AppendJSON\n got %s\nwant %s", got, tc.want)
+			}
+			got, err := json.Marshal(&tc.in)
+			if err != nil || string(got) != tc.want {
+				t.Errorf("json.Marshal\n got %s (%v)\nwant %s", got, err, tc.want)
+			}
+			var back RetrieveResult
+			if err := json.Unmarshal([]byte(tc.want), &back); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(back, tc.in) {
+				t.Errorf("decoded %#v, want %#v", back, tc.in)
+			}
+		})
+	}
+
+	// String escaping as encoding/json has it: short escapes, a six
+	// byte escape for the other control bytes and the HTML three, DEL
+	// verbatim, the line and paragraph separators (E2 80 A8/A9)
+	// escaped, other UTF-8 verbatim, a byte of invalid UTF-8 as U+FFFD.
+	const bs = `\`
+	escapes := RetrieveResult{Records: [][]string{{
+		`q"b` + bs, "<&>", "\b\f\n\r\t\x00\x1f\x7f", "\xe2\x80\xa8\xe2\x80\xa9\xc3\xa9", "\xff"}}}
+	wantEscapes := `{"api_version":"","records":[["q\"b\\",` +
+		`"` + bs + `u003c` + bs + `u0026` + bs + `u003e",` +
+		`"\b\f\n\r\t` + bs + `u0000` + bs + "u001f\x7f" + `",` +
+		`"` + bs + `u2028` + bs + "u2029\xc3\xa9" + `",` +
+		`"` + bs + `ufffd"]],"device_buckets":null,"largest_response_size":0}`
+	if got := string(escapes.AppendJSON(nil)); got != wantEscapes {
+		t.Errorf("AppendJSON\n got %s\nwant %s", got, wantEscapes)
+	}
+
+	// The gate's entry point: an engine result with no matches is
+	// "records":[] — never null — and a dispatch of one is not coalesced.
+	engine := fxdist.RetrieveResult{DeviceBuckets: []int{0, 0}, TraceID: 7}
+	if got, want := string(AppendRetrieveResult(nil, engine, 1)),
+		`{"api_version":"fx/v1","records":[],"device_buckets":[0,0],"largest_response_size":0,"trace_id":7}`; got != want {
+		t.Errorf("AppendRetrieveResult\n got %s\nwant %s", got, want)
+	}
+	engine.Records = []fxdist.Record{{"a"}, nil}
+	if got, want := string(AppendRetrieveResult(nil, engine, 4)),
+		`{"api_version":"fx/v1","records":[["a"],null],"device_buckets":[0,0],"largest_response_size":0,"trace_id":7,"coalesced":true,"batch_size":4}`; got != want {
+		t.Errorf("AppendRetrieveResult\n got %s\nwant %s", got, want)
+	}
+
+	// Decoding: additive keys are skipped whatever they hold, white
+	// space is free, null leaves a scalar alone, keys match under case
+	// folding as they do in encoding/json.
+	in := ` { "added" : {"x":[1,"]",{}]} , "records" : [ [ "a" , null ] , null ] ,"later":null,
+		"Device_Buckets":[ 1 , null ],"trace_id":null,"largest_response_size" : 5 } `
+	got := RetrieveResult{TraceID: 9}
+	if err := json.Unmarshal([]byte(in), &got); err != nil {
+		t.Fatal(err)
+	}
+	want := RetrieveResult{Records: [][]string{{"a", ""}, nil}, DeviceBuckets: []int{1, 0}, LargestResponseSize: 5, TraceID: 9}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("decoded %#v, want %#v", got, want)
 	}
 }

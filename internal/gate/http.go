@@ -3,6 +3,7 @@ package gate
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
@@ -12,6 +13,7 @@ import (
 
 	"fxdist"
 	"fxdist/client"
+	"fxdist/internal/mempool"
 )
 
 // maxBodyBytes bounds one HTTP request body (a JSON-RPC frame or an
@@ -34,16 +36,21 @@ func (g *Gate) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "fxgate speaks JSON-RPC 2.0 over POST", http.StatusMethodNotAllowed)
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes))
+	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes+1))
 	if err != nil {
-		writeResponse(w, http.StatusBadRequest, errorResponse(nil, client.ParseError("read body: "+err.Error())))
+		writeFrame(w, http.StatusBadRequest, errorFrame(nil, client.ParseError("read body: "+err.Error())))
+		return
+	}
+	if len(body) > maxBodyBytes {
+		writeFrame(w, http.StatusRequestEntityTooLarge,
+			errorFrame(nil, client.InvalidRequestError(fmt.Sprintf("request body exceeds %d MiB", maxBodyBytes>>20))))
 		return
 	}
 	t := g.tenants.authenticate(bearerToken(r))
 	if t == nil {
 		g.metrics.rejected("", "unauthorized")
 		e := fxdist.NewError(fxdist.ErrCodeUnauthorized, "unknown or missing API key")
-		writeResponse(w, http.StatusUnauthorized, errorResponse(nil, client.FromError(e)))
+		writeFrame(w, http.StatusUnauthorized, errorFrame(nil, client.FromError(e)))
 		return
 	}
 
@@ -51,47 +58,47 @@ func (g *Gate) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if len(trimmed) > 0 && trimmed[0] == '[' {
 		var reqs []client.Request
 		if err := json.Unmarshal(body, &reqs); err != nil {
-			writeResponse(w, http.StatusOK, errorResponse(nil, client.ParseError(err.Error())))
+			writeFrame(w, http.StatusOK, errorFrame(nil, client.ParseError(err.Error())))
 			return
 		}
 		if len(reqs) == 0 {
-			writeResponse(w, http.StatusOK, errorResponse(nil, client.InvalidRequestError("empty batch envelope")))
+			writeFrame(w, http.StatusOK, errorFrame(nil, client.InvalidRequestError("empty batch envelope")))
 			return
 		}
-		responses := make([]client.Response, len(reqs))
+		frames := make([]frame, len(reqs))
 		for i := range reqs {
-			responses[i], _ = g.serveOne(r, t, &reqs[i])
+			frames[i], _ = g.serveOne(r, t, &reqs[i])
 		}
-		writeJSON(w, http.StatusOK, responses)
+		writeBatch(w, frames)
 		return
 	}
 
 	var req client.Request
 	if err := json.Unmarshal(body, &req); err != nil {
-		writeResponse(w, http.StatusOK, errorResponse(nil, client.ParseError(err.Error())))
+		writeFrame(w, http.StatusOK, errorFrame(nil, client.ParseError(err.Error())))
 		return
 	}
 	res, status := g.serveOne(r, t, &req)
-	if res.Error != nil && res.Error.Data != nil && res.Error.Data.RetryAfterMillis > 0 {
-		secs := int(math.Ceil(float64(res.Error.Data.RetryAfterMillis) / 1000))
+	if res.err != nil && res.err.Data != nil && res.err.Data.RetryAfterMillis > 0 {
+		secs := int(math.Ceil(float64(res.err.Data.RetryAfterMillis) / 1000))
 		if secs < 1 {
 			secs = 1
 		}
 		w.Header().Set("Retry-After", strconv.Itoa(secs))
 	}
-	writeResponse(w, status, res)
+	writeFrame(w, status, res)
 }
 
 // serveOne admits and runs one JSON-RPC frame, returning its response
 // and the HTTP status a single-frame envelope should carry.
-func (g *Gate) serveOne(r *http.Request, t *tenant, req *client.Request) (client.Response, int) {
+func (g *Gate) serveOne(r *http.Request, t *tenant, req *client.Request) (frame, int) {
 	if req.JSONRPC != "2.0" || req.Method == "" {
-		return errorResponse(req.ID, client.InvalidRequestError("not a JSON-RPC 2.0 request")), http.StatusOK
+		return errorFrame(req.ID, client.InvalidRequestError("not a JSON-RPC 2.0 request")), http.StatusOK
 	}
 	h := g.methods.Lookup(req.Method)
 	if h == nil {
 		e := fxdist.NewError(fxdist.ErrCodeUnknownMethod, "unknown method "+req.Method)
-		return errorResponse(req.ID, client.FromError(e)), http.StatusOK
+		return errorFrame(req.ID, client.FromError(e)), http.StatusOK
 	}
 
 	// Admission, outermost first: token bucket, per-tenant in-flight
@@ -105,7 +112,7 @@ func (g *Gate) serveOne(r *http.Request, t *tenant, req *client.Request) (client
 		g.metrics.rejected(t.cfg.Name, "rate_limited")
 		e := fxdist.NewError(fxdist.ErrCodeRateLimited, "tenant rate limit exceeded")
 		e.RetryAfter = maxDuration(retry, time.Second)
-		return errorResponse(req.ID, client.FromError(e)), http.StatusTooManyRequests
+		return errorFrame(req.ID, client.FromError(e)), http.StatusTooManyRequests
 	}
 	if !t.acquire() {
 		t.mu.Lock()
@@ -115,7 +122,7 @@ func (g *Gate) serveOne(r *http.Request, t *tenant, req *client.Request) (client
 		g.metrics.rejected(t.cfg.Name, "quota")
 		e := fxdist.NewError(fxdist.ErrCodeRateLimited, "tenant in-flight quota exceeded")
 		e.RetryAfter = g.cfg.ShedRetryAfter
-		return errorResponse(req.ID, client.FromError(e)), http.StatusTooManyRequests
+		return errorFrame(req.ID, client.FromError(e)), http.StatusTooManyRequests
 	}
 	defer t.release()
 	maxInFlight, shedRetry := g.shedConfig()
@@ -128,7 +135,7 @@ func (g *Gate) serveOne(r *http.Request, t *tenant, req *client.Request) (client
 		g.metrics.rejected(t.cfg.Name, "shed")
 		e := fxdist.NewError(fxdist.ErrCodeOverloaded, "gate at max in-flight requests")
 		e.RetryAfter = shedRetry
-		return errorResponse(req.ID, client.FromError(e)), http.StatusTooManyRequests
+		return errorFrame(req.ID, client.FromError(e)), http.StatusTooManyRequests
 	}
 	defer func() {
 		g.metrics.inflight.Set(float64(g.inFlight.Add(-1)))
@@ -154,14 +161,9 @@ func (g *Gate) serveOne(r *http.Request, t *tenant, req *client.Request) (client
 		case fxdist.ErrCodeUnauthorized:
 			status = http.StatusUnauthorized
 		}
-		return errorResponse(req.ID, client.FromError(herr)), status
+		return errorFrame(req.ID, client.FromError(herr)), status
 	}
-	raw, err := json.Marshal(result)
-	if err != nil {
-		e := fxdist.NewError(fxdist.ErrCodeInternal, "marshal result: "+err.Error())
-		return errorResponse(req.ID, client.FromError(e)), http.StatusOK
-	}
-	return client.Response{JSONRPC: "2.0", ID: req.ID, Result: raw}, http.StatusOK
+	return frame{id: req.ID, result: result}, http.StatusOK
 }
 
 // requestCost prices a frame in rate-limiter tokens: one per query.
@@ -193,21 +195,118 @@ func maxDuration(a, b time.Duration) time.Duration {
 	return b
 }
 
-func errorResponse(id json.RawMessage, e *client.ErrorObject) client.Response {
-	return client.Response{JSONRPC: "2.0", ID: id, Error: e}
+// frame is one JSON-RPC response on its way out: the request's id and
+// either a handler's result or an error.
+type frame struct {
+	id     json.RawMessage
+	result any
+	err    *client.ErrorObject
 }
 
-func writeResponse(w http.ResponseWriter, status int, res client.Response) {
-	writeJSON(w, status, res)
+func errorFrame(id json.RawMessage, e *client.ErrorObject) frame {
+	return frame{id: id, err: e}
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	buf, err := json.Marshal(v)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
+// wireResult is a handler result that encodes itself: the retrieval
+// answers, whose size grows with the data and which therefore go from
+// the engine's result to the response bytes without passing through
+// encoding/json. Every other result, and every error, is small and is
+// marshalled the ordinary way.
+type wireResult interface {
+	// sizeHint estimates the encoding's length, to pick the slab.
+	sizeHint() int
+	appendJSON(dst []byte) []byte
+}
+
+// sizeHint estimates f's encoding so that its slab rarely has to grow.
+func (f *frame) sizeHint() int {
+	const envelope = 128
+	if r, ok := f.result.(wireResult); ok {
+		return envelope + r.sizeHint()
 	}
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
+	return envelope + 512
+}
+
+// appendFrame appends f's encoding, byte for byte what json.Marshal
+// writes for the client.Response of the same content.
+func appendFrame(dst []byte, f *frame) []byte {
+	start := len(dst)
+	dst = append(dst, `{"jsonrpc":"2.0"`...)
+	if len(f.id) > 0 {
+		dst = append(dst, `,"id":`...)
+		dst = appendID(dst, f.id)
+	}
+	if f.err == nil {
+		dst = append(dst, `,"result":`...)
+		if r, ok := f.result.(wireResult); ok {
+			return append(r.appendJSON(dst), '}')
+		}
+		raw, err := json.Marshal(f.result)
+		if err == nil {
+			return append(append(dst, raw...), '}')
+		}
+		e := fxdist.NewError(fxdist.ErrCodeInternal, "marshal result: "+err.Error())
+		return appendFrame(dst[:start], &frame{id: f.id, err: client.FromError(e)})
+	}
+	dst = append(dst, `,"error":`...)
+	return append(appendError(dst, f.err), '}')
+}
+
+// appendError appends an error object's encoding.
+func appendError(dst []byte, e *client.ErrorObject) []byte {
+	raw, err := json.Marshal(e)
+	if err != nil {
+		// A coverage that is not a number is the one thing in an error
+		// object that has no JSON; report that instead, without one.
+		internal := fxdist.NewError(fxdist.ErrCodeInternal, "marshal error: "+err.Error())
+		raw, _ = json.Marshal(client.FromError(internal))
+	}
+	return append(dst, raw...)
+}
+
+// appendID appends a request id the way json.Marshal writes the
+// RawMessage holding it: compacted and HTML-escaped. A run of digits,
+// which is what most clients send, is already in that form.
+func appendID(dst []byte, id json.RawMessage) []byte {
+	for _, c := range id {
+		if c < '0' || c > '9' {
+			// Cannot fail: the id was cut out of a request that parsed.
+			raw, _ := json.Marshal(id)
+			return append(dst, raw...)
+		}
+	}
+	return append(dst, id...)
+}
+
+// writeFrame answers a single-frame request.
+func writeFrame(w http.ResponseWriter, status int, f frame) {
+	buf := mempool.Frames.Get(f.sizeHint())[:0]
+	send(w, status, appendFrame(buf, &f))
+}
+
+// writeBatch answers a batch envelope: the frames as one JSON array.
+func writeBatch(w http.ResponseWriter, frames []frame) {
+	size := 2
+	for i := range frames {
+		size += frames[i].sizeHint() + 1
+	}
+	buf := append(mempool.Frames.Get(size)[:0], '[')
+	for i := range frames {
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		buf = appendFrame(buf, &frames[i])
+	}
+	send(w, http.StatusOK, append(buf, ']'))
+}
+
+// send writes one encoded response with its length declared, so that
+// large answers are not chunked, and recycles the slab.
+func send(w http.ResponseWriter, status int, buf []byte) {
+	h := w.Header()
+	h.Set("Content-Type", "application/json; charset=utf-8")
+	h.Set("Content-Length", strconv.Itoa(len(buf)))
 	w.WriteHeader(status)
 	w.Write(buf)
+	mempool.Frames.Put(buf)
 }

@@ -14,7 +14,8 @@ import (
 )
 
 // Handler serves one JSON-RPC method for an authenticated tenant. The
-// returned value is marshalled as the JSON-RPC result; a non-nil
+// returned value becomes the JSON-RPC result — a wireResult encodes
+// itself, anything else goes through json.Marshal; a non-nil
 // *fxdist.Error becomes the JSON-RPC error object (and, for
 // rate/overload codes, the HTTP status).
 type Handler interface {
@@ -88,24 +89,65 @@ func newMethodRepository(g *Gate) *MethodRepository {
 	return mr
 }
 
-// toWireResult projects an engine result onto the versioned envelope.
-func toWireResult(res fxdist.RetrieveResult, batch int) *client.RetrieveResult {
-	records := make([][]string, len(res.Records))
-	for i, rec := range res.Records {
-		records[i] = rec
+// answer is an fx.retrieve result: the engine's result and the size
+// of the dispatch it rode in, encoded by the client package's codec.
+type answer struct {
+	res   fxdist.RetrieveResult
+	batch int
+}
+
+func (a *answer) appendJSON(dst []byte) []byte {
+	return client.AppendRetrieveResult(dst, a.res, a.batch)
+}
+
+// sizeHint is a close upper bound for an answer whose values need no
+// escaping; one that needs more grows its slab like any append.
+func (a *answer) sizeHint() int {
+	n := 160 + 21*len(a.res.DeviceBuckets)
+	for _, rec := range a.res.Records {
+		n += 3
+		for _, v := range rec {
+			n += len(v) + 3
+		}
 	}
-	out := &client.RetrieveResult{
-		APIVersion:          client.APIVersion,
-		Records:             records,
-		DeviceBuckets:       res.DeviceBuckets,
-		LargestResponseSize: res.LargestResponseSize,
-		TraceID:             res.TraceID,
+	return n
+}
+
+// batchAnswer is an fx.retrieveBatch result: per query an answer or an
+// error, in the shape of client.BatchResult.
+type batchAnswer []batchItem
+
+type batchItem struct {
+	answer
+	err *client.ErrorObject
+}
+
+func (b batchAnswer) appendJSON(dst []byte) []byte {
+	dst = append(dst, `{"api_version":"`+client.APIVersion+`","items":[`...)
+	for i := range b {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		if b[i].err == nil {
+			dst = append(dst, `{"result":`...)
+			dst = b[i].appendJSON(dst)
+		} else {
+			dst = appendError(append(dst, `{"error":`...), b[i].err)
+		}
+		dst = append(dst, '}')
 	}
-	if batch > 1 {
-		out.Coalesced = true
-		out.BatchSize = batch
+	return append(dst, "]}"...)
+}
+
+func (b batchAnswer) sizeHint() int {
+	n := 64
+	for i := range b {
+		n += 256
+		if b[i].err == nil {
+			n += b[i].sizeHint()
+		}
 	}
-	return out
+	return n
 }
 
 func (g *Gate) handleRetrieve(ctx context.Context, t *tenant, params json.RawMessage) (any, *fxdist.Error) {
@@ -121,7 +163,7 @@ func (g *Gate) handleRetrieve(ctx context.Context, t *tenant, params json.RawMes
 	if err != nil {
 		return nil, fxdist.Classify(err)
 	}
-	return toWireResult(res, batch), nil
+	return &answer{res, batch}, nil
 }
 
 func (g *Gate) handleRetrieveBatch(ctx context.Context, t *tenant, params json.RawMessage) (any, *fxdist.Error) {
@@ -132,13 +174,13 @@ func (g *Gate) handleRetrieveBatch(ctx context.Context, t *tenant, params json.R
 	if len(p.Queries) == 0 {
 		return nil, fxdist.NewError(fxdist.ErrCodeInvalidQuery, "empty batch")
 	}
-	items := make([]client.BatchItem, len(p.Queries))
+	items := make(batchAnswer, len(p.Queries))
 	pms := make([]fxdist.PartialMatch, 0, len(p.Queries))
 	idx := make([]int, 0, len(p.Queries))
 	for i, q := range p.Queries {
 		pm, e := g.spec(q)
 		if e != nil {
-			items[i].Error = client.FromError(e)
+			items[i].err = client.FromError(e)
 			continue
 		}
 		pms = append(pms, pm)
@@ -148,13 +190,13 @@ func (g *Gate) handleRetrieveBatch(ctx context.Context, t *tenant, params json.R
 		results, errs := g.retrieveBatch(ctx, t, pms)
 		for j, i := range idx {
 			if errs[j] != nil {
-				items[i].Error = client.FromError(fxdist.Classify(errs[j]))
+				items[i].err = client.FromError(fxdist.Classify(errs[j]))
 				continue
 			}
-			items[i].Result = toWireResult(results[j], 1)
+			items[i].answer = answer{results[j], 1}
 		}
 	}
-	return &client.BatchResult{APIVersion: client.APIVersion, Items: items}, nil
+	return items, nil
 }
 
 func (g *Gate) handleExplain(ctx context.Context, t *tenant, params json.RawMessage) (any, *fxdist.Error) {
