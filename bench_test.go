@@ -365,7 +365,7 @@ func BenchmarkPlanCacheRepeatedShape(b *testing.B) {
 		}
 	}
 	b.Run("cached", func(b *testing.B) { run(b) })
-	b.Run("uncached", func(b *testing.B) { run(b, fxdist.WithoutPlanCache()) })
+	b.Run("uncached", func(b *testing.B) { run(b, fxdist.WithPlanCacheSize(-1)) })
 }
 
 // --- Ablations -----------------------------------------------------------

@@ -33,9 +33,6 @@ type DeviceServer = netdist.Server
 // the results.
 type Coordinator = netdist.Coordinator
 
-// DistributedResult is a merged distributed retrieval.
-type DistributedResult = netdist.Result
-
 // DeviceError carries the failing device's id, server address and
 // pipelined wire request id when a distributed retrieval fails; match
 // with errors.As to correlate failures with the per-device failover and
@@ -67,15 +64,15 @@ func DeployLocal(file *File, alloc GroupAllocator) (addrs []string, stop func(),
 
 // NewReplicatedDeviceServer builds a device server that also holds the
 // backup partition of its ring predecessor (chained declustering over
-// TCP), enabling Coordinator.RetrieveWithFailover.
+// TCP), which is what lets a cluster opened WithFailover survive a
+// server's death.
 func NewReplicatedDeviceServer(deviceID int, spec AllocatorSpec, primary, backup map[int][]Record) (*DeviceServer, error) {
 	return netdist.NewReplicatedServer(deviceID, spec, primary, backup)
 }
 
 // DeployReplicatedLocal is DeployLocal with chained replication: each
 // server holds its primary partition plus its predecessor's backup, and
-// the coordinator's RetrieveWithFailover survives any single server
-// death.
+// a cluster opened WithFailover survives any single server death.
 func DeployReplicatedLocal(file *File, alloc GroupAllocator) (addrs []string, stop func(), err error) {
 	return netdist.DeployReplicated(file, alloc)
 }
@@ -85,7 +82,8 @@ func DeployReplicatedLocal(file *File, alloc GroupAllocator) (addrs []string, st
 type DialOption = netdist.DialOption
 
 // WithRequestTimeout bounds each per-device request; zero (the default)
-// waits indefinitely.
+// waits indefinitely. Library API for RescaleConfig.DialOptions; Open
+// lowers WithDialTimeout onto it (TestPublicReplicatedFailover).
 func WithRequestTimeout(d time.Duration) DialOption {
 	return netdist.WithTimeout(d)
 }
@@ -94,6 +92,7 @@ func WithRequestTimeout(d time.Duration) DialOption {
 // per-device requests — the DialOption form of WithFaultInjector, for
 // coordinators dialed outside Open (e.g. RescaleConfig.DialOptions, so
 // chaos schedules also hit the migration stream and dual reads).
+// Library API, exercised by TestRescaleGrowUnderFaults.
 func WithDialInjector(in *FaultInjector) DialOption {
 	return netdist.WithInjector(in)
 }

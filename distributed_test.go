@@ -2,10 +2,15 @@ package fxdist_test
 
 import (
 	"bytes"
+	"context"
+	"errors"
+	"net/http/httptest"
 	"testing"
 	"time"
 
 	"fxdist"
+	"fxdist/client"
+	"fxdist/internal/gate"
 )
 
 func buildTestFile(t *testing.T) *fxdist.File {
@@ -67,14 +72,16 @@ func TestPublicDistributedRetrieval(t *testing.T) {
 	}
 }
 
+// TestPublicReplicatedFailover: WithFailover is decided once, at Open,
+// and then holds on every road into the executor — single retrievals,
+// RetrieveBatch, and the gate's coalesced fx.retrieve — with one of the
+// four replicated servers dead. A cluster opened without it fails on
+// the same roads, naming the device.
 func TestPublicReplicatedFailover(t *testing.T) {
 	file := buildTestFile(t)
 	fs, _ := file.FileSystem(4)
 	fx, _ := fxdist.NewFX(fs)
-	addrs, stop, err := fxdist.DeployReplicatedLocal(file, fx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	servers, addrs, _, _, stop := chaosServers(t, file, fx)
 	defer stop()
 	coord, err := fxdist.Open(fxdist.Config{File: file, Addrs: addrs},
 		fxdist.WithDialTimeout(5e9), fxdist.WithFailover())
@@ -82,14 +89,83 @@ func TestPublicReplicatedFailover(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer coord.Close()
-	pm, _ := file.Spec(map[string]string{"b": "b-5"})
-	want, _ := file.Search(pm)
-	got, err := coord.Retrieve(pm)
+	plain, err := fxdist.Open(fxdist.Config{File: file, Addrs: addrs}, fxdist.WithDialTimeout(5e9))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Records) != len(want) {
-		t.Errorf("failover retrieve %d records, want %d", len(got.Records), len(want))
+	defer plain.Close()
+
+	queries := []map[string]string{{"b": "b-5"}, {"b": "b-3"}, {"a": "a-7"}, {}}
+	pms := make([]fxdist.PartialMatch, len(queries))
+	wants := make([][]string, len(queries))
+	for i, q := range queries {
+		pms[i], _ = file.Spec(q)
+		recs, _ := file.Search(pms[i])
+		wants[i] = sortedRecords(recs)
+	}
+	check := func(stage string) {
+		t.Helper()
+		got, err := coord.Retrieve(pms[0])
+		if err != nil {
+			t.Fatalf("%s: retrieve: %v", stage, err)
+		}
+		if g := sortedRecords(got.Records); !equalStrings(g, wants[0]) {
+			t.Errorf("%s: retrieve %d records, want %d", stage, len(g), len(wants[0]))
+		}
+		batch, err := coord.RetrieveBatch(context.Background(), pms)
+		if err != nil {
+			t.Errorf("%s: batch: %v", stage, err)
+			return
+		}
+		for i, res := range batch {
+			if g := sortedRecords(res.Records); !equalStrings(g, wants[i]) {
+				t.Errorf("%s: batch query %d (%v): %d records, want %d", stage, i, queries[i], len(g), len(wants[i]))
+			}
+		}
+	}
+	check("healthy")
+
+	// Kill device 2's server; the plain cluster notices first.
+	servers[2].Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		if _, err := plain.Retrieve(pms[0]); err != nil {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("plain retrieve kept succeeding after server death")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	check("one server dead")
+	var derr *fxdist.DeviceError
+	if _, err := plain.RetrieveBatch(context.Background(), pms); !errors.As(err, &derr) || derr.Device != 2 {
+		t.Errorf("batch without WithFailover: err = %v, want a DeviceError naming device 2", err)
+	}
+
+	// The serving tier sends every query through RetrieveBatch (default
+	// coalescing), so it rides the same policy chain.
+	g, err := gate.New(gate.Config{Cluster: coord, File: file, Allocator: fx,
+		Tenants: []gate.TenantConfig{{Name: "t", APIKey: "k"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	srv := httptest.NewServer(g)
+	defer srv.Close()
+	cl := client.New(srv.URL, client.WithAPIKey("k"))
+	defer cl.Close()
+	for i, q := range queries {
+		res, err := cl.Retrieve(context.Background(), q)
+		if err != nil {
+			t.Fatalf("fx.retrieve %v behind the gate with one server dead: %v", q, err)
+		}
+		if len(res.Records) != len(wants[i]) {
+			t.Errorf("fx.retrieve %v: %d records, want %d", q, len(res.Records), len(wants[i]))
+		}
+	}
+	if rep := g.Report(); rep.Batches == 0 {
+		t.Errorf("gate report %+v: fx.retrieve did not go through the coalescer's RetrieveBatch", rep)
 	}
 }
 

@@ -157,15 +157,6 @@ func (l *Lease) Release() {
 // invalid. Idempotent, including across copies of the Result.
 func (r *Result) Release() { r.lease.Release() }
 
-// Lease returns the result's release handle (nil for copy-out results),
-// letting wrappers project the result onto another type without losing
-// the lease.
-func (r Result) Lease() *Lease { return r.lease }
-
-// SetLease attaches a release handle to the result — the inverse of
-// Lease, for wrappers rebuilding a Result from a projected form.
-func (r *Result) SetLease(l *Lease) { r.lease = l }
-
 // AccumulateCost folds per-device service times and qualified-bucket
 // counts into the §5.2.1 summary: response time is the slowest device,
 // total work is the sum, and the largest response size is the biggest
@@ -250,8 +241,8 @@ type Decision struct {
 	Delay  time.Duration
 }
 
-// Policy is one link of the executor's composable retry chain — the
-// replacement for the bare RetryPolicy func. Allow runs before the
+// Policy is one link of the executor's composable retry chain, the
+// executor's only failure-handling mechanism. Allow runs before the
 // first attempt on a device slot and may veto it (circuit breaker); the
 // veto error then flows through Failure like a scan error, so a reroute
 // policy further down the chain can still offer a backup. Failure is
@@ -282,7 +273,7 @@ type Hedger interface {
 // value disables all three.
 type Resilience struct {
 	// Policies is the retry chain, consulted in order on every failed
-	// attempt. When non-empty it replaces the legacy RetryPolicy func.
+	// attempt. The hedger only runs under a non-empty chain.
 	Policies []Policy
 	// Hedger, if set, races slow primary scans against a backup device.
 	Hedger Hedger

@@ -17,13 +17,6 @@ import (
 	"fxdist/internal/telemetry"
 )
 
-// RetryPolicy decides what to do when a device's scan fails: return a
-// replacement Device to re-ask (e.g. the ring successor holding the
-// failed device's backup partition), or nil to let the failure stand.
-// The policy runs on the worker that observed the failure, so rerouting
-// happens immediately rather than in a second fan-out wave.
-type RetryPolicy func(ctx context.Context, dev int, err error) Device
-
 // Config assembles an Executor.
 type Config struct {
 	// Schema hashes value-level queries into bucket queries.
@@ -42,10 +35,6 @@ type Config struct {
 	Span string
 	// Workers bounds the worker pool; 0 means max(len(Devices), GOMAXPROCS).
 	Workers int
-	// Retry, if set, is consulted on every device failure. It is the
-	// legacy single-shot reroute hook; when Resilience.Policies is
-	// non-empty the policy chain takes over and Retry is ignored.
-	Retry RetryPolicy
 	// Resilience is the composable failure-handling configuration:
 	// policy chain, hedger, graceful degradation. See Resilience.
 	Resilience Resilience
@@ -65,15 +54,9 @@ type Config struct {
 	// and (with Alloc set) the per-device enumeration. Nil or disabled
 	// runs the uncached path.
 	Plans *plancache.Cache
-	// NoPool disables the hot-path buffer pools for this executor: all
-	// fan-out scratch, hit frames and merged record slices come fresh
-	// from the allocator, exactly the pre-pooling behaviour. The escape
-	// hatch behind WithoutMemPool.
-	NoPool bool
 	// ArenaResults leases Result.Records (and any device-held decode
 	// arenas) from the pools instead of copying out: zero-copy results
-	// the caller must hand back with Result.Release. Ignored when NoPool
-	// is set.
+	// the caller must hand back with Result.Release.
 	ArenaResults bool
 }
 
@@ -88,11 +71,9 @@ type Executor struct {
 	in     *telemetry.Instruments
 	tracer *obs.Tracer
 	span   string
-	retry  RetryPolicy
 	res    Resilience
 	alloc  decluster.GroupAllocator
 	plans  *plancache.Cache
-	noPool bool
 	arena  bool
 	pool   *pool
 }
@@ -120,57 +101,45 @@ func New(cfg Config) (*Executor, error) {
 		in:     cfg.Instr,
 		tracer: cfg.Tracer,
 		span:   cfg.Span,
-		retry:  cfg.Retry,
 		res:    cfg.Resilience,
 		alloc:  cfg.Alloc,
 		plans:  cfg.Plans,
-		noPool: cfg.NoPool,
 		arena:  cfg.ArenaResults,
 		pool:   newPool(workers),
 	}, nil
 }
 
-// Derive returns a copy of the executor with a different span name and
-// retry policy, sharing the devices and worker pool. Backends use it to
-// offer plain and failover retrieval over the same machinery.
-func (e *Executor) Derive(span string, retry RetryPolicy) *Executor {
-	d := *e
-	d.span = span
-	d.retry = retry
-	return &d
-}
-
-// DeriveResilience returns a copy of the executor running under the
-// given resilience configuration (policy chain, hedger, degraded mode),
-// sharing the devices and worker pool. The legacy RetryPolicy is
-// dropped from the copy — the chain subsumes it.
-func (e *Executor) DeriveResilience(span string, r Resilience) *Executor {
-	d := *e
-	d.span = span
-	d.retry = nil
-	d.res = r
-	return &d
-}
-
 // Plans returns the executor's plan cache, nil when uncached.
 func (e *Executor) Plans() *plancache.Cache { return e.plans }
 
-// spanKey carries the retrieval's trace span through the context so that
-// devices (e.g. the netdist remote device) can attach protocol events to it.
-type spanKey struct{}
+// callKey carries the in-flight call through the context to the device
+// adapters, which read two things off it: the trace span, to attach
+// protocol events (the netdist remote device), and the plan — its shape
+// for attribution and, when compiled, its per-device tuple groups, which
+// replace a re-walk of the inverse mapper.
+type callKey struct{}
 
-// ContextWithSpan returns ctx carrying span.
-func ContextWithSpan(ctx context.Context, span *obs.Span) context.Context {
-	if span == nil {
-		return ctx
-	}
-	return context.WithValue(ctx, spanKey{}, span)
+func callFromContext(ctx context.Context) *call {
+	c, _ := ctx.Value(callKey{}).(*call)
+	return c
 }
 
 // SpanFromContext returns the retrieval span carried by ctx, or nil.
 func SpanFromContext(ctx context.Context) *obs.Span {
-	span, _ := ctx.Value(spanKey{}).(*obs.Span)
-	return span
+	if c := callFromContext(ctx); c != nil {
+		return c.span
+	}
+	return nil
+}
+
+// PlanFromContext returns the retrieval's plan carried by ctx, or nil.
+// Only a plan that is Ready carries tuple groups; a summary plan has the
+// shape, |R(q)| and the bound alone.
+func PlanFromContext(ctx context.Context) *plancache.Plan {
+	if c := callFromContext(ctx); c != nil {
+		return c.plan
+	}
+	return nil
 }
 
 // numQualified computes |R(q)|: the product of the unspecified field
@@ -272,26 +241,6 @@ func CallersFromContext(ctx context.Context) []string {
 	return c
 }
 
-// planKey carries the retrieval's compiled plan through the context so
-// device adapters can enumerate their qualified buckets from the cached
-// tuple groups instead of re-walking the inverse mapper.
-type planKey struct{}
-
-// ContextWithPlan returns ctx carrying p (only tuple-carrying plans are
-// attached).
-func ContextWithPlan(ctx context.Context, p *plancache.Plan) context.Context {
-	if p == nil || !p.Ready() {
-		return ctx
-	}
-	return context.WithValue(ctx, planKey{}, p)
-}
-
-// PlanFromContext returns the compiled plan carried by ctx, or nil.
-func PlanFromContext(ctx context.Context) *plancache.Plan {
-	p, _ := ctx.Value(planKey{}).(*plancache.Plan)
-	return p
-}
-
 // call is one in-flight fan-out: per-device answer slots plus an atomic
 // countdown that closes done when the last device task finishes. Waiters
 // that give up early (context cancelled) simply abandon the call; the
@@ -353,17 +302,16 @@ func (c *call) closeStage(stage string) {
 
 // begin plans one query and launches its fan-out without waiting: every
 // device's scan is queued on the shared pool. The plan rides the call
-// (its shape, |R(q)| and bound feed every report) and, when it carries
-// compiled tuple groups, travels to the devices via the context. A
-// query that dies before fan-out has no plan, hence no record: it is
-// reported to the cluster metrics alone.
+// (its shape, |R(q)| and bound feed every report) and the call travels
+// to the devices via the context. A query that dies before fan-out has
+// no plan, hence no record: it is reported to the cluster metrics alone.
 func (e *Executor) begin(ctx context.Context, pm mkhash.PartialMatch, caller string) (*call, error) {
 	c := &call{started: time.Now(), caller: caller, instr: e.in != nil}
 	if c.instr {
 		e.in.Metrics.Started()
 		c.lastStamp, c.mark = c.started, obs.ReadAllocs()
 		c.stages = make([]obs.StageSample, 0, 5) // plan, fanout, merge, audit, device.scan
-		c.devDur = e.dursP().Get(len(e.devs))
+		c.devDur = dursPool.Get(len(e.devs))
 	}
 	// Lowering hashes the values into bucket coordinates; range
 	// validation happens once per shape inside planFor, not per retrieval.
@@ -379,14 +327,13 @@ func (e *Executor) begin(ctx context.Context, pm mkhash.PartialMatch, caller str
 	}
 	c.closeStage(obs.StagePlan)
 	m := len(e.devs)
-	c.answers, c.errs = e.answersP().Get(m), e.errsP().Get(m)
+	c.answers, c.errs = answersPool.Get(m), errsPool.Get(m)
 	c.done = make(chan struct{})
 	if e.tracer != nil && e.span != "" {
 		c.span = e.tracer.Start(e.span)
 	}
 	c.pending.Store(int64(m))
-	ctx = ContextWithSpan(ctx, c.span)
-	ctx = ContextWithPlan(ctx, c.plan)
+	ctx = context.WithValue(ctx, callKey{}, c)
 	for dev := 0; dev < m; dev++ {
 		dev := dev
 		e.pool.submit(func() {
@@ -422,7 +369,7 @@ func (e *Executor) consolidate(ctx context.Context, c *call) (Result, error) {
 		if e.res.Partial && len(failures) < len(c.errs) && ctx.Err() == nil {
 			return e.degrade(c)
 		}
-		e.discardAnswers(c.answers)
+		discardAnswers(c.answers)
 		return Result{}, errors.Join(failures...)
 	}
 	return e.merge(c.answers, nil), nil
@@ -432,14 +379,14 @@ func (e *Executor) consolidate(ctx context.Context, c *call) (Result, error) {
 // that will never be merged (a retrieval failed outright after some
 // devices had already answered). Only called once every device task has
 // finished — never on an abandoned call.
-func (e *Executor) discardAnswers(answers []Answer) {
+func discardAnswers(answers []Answer) {
 	for i := range answers {
 		a := &answers[i]
 		if a.Release != nil {
 			a.Release()
 			a.Release = nil
 		}
-		e.hitsP().Put(a.Hits)
+		hitsPool.Put(a.Hits)
 		a.Hits = nil
 	}
 }
@@ -472,7 +419,7 @@ func (e *Executor) merge(answers []Answer, failed map[int]error) Result {
 		res.DeviceTime[dev] = e.model.DeviceTime(a.Buckets, a.Records)
 		total += len(a.Hits)
 	}
-	arena := e.arenaOn()
+	arena := e.arena
 	if arena {
 		res.Records = recsPool.Get(total)[:0]
 	} else if total > 0 {
@@ -484,11 +431,11 @@ func (e *Executor) merge(answers []Answer, failed map[int]error) Result {
 		if a.Idle || failed[dev] != nil {
 			// A failed device's answer is zero by convention; discard
 			// defensively in case an adapter returned one anyway.
-			e.discardAnswers(answers[dev : dev+1])
+			discardAnswers(answers[dev : dev+1])
 			continue
 		}
 		res.Records = append(res.Records, a.Hits...)
-		e.hitsP().Put(a.Hits)
+		hitsPool.Put(a.Hits)
 		a.Hits = nil
 		if a.Release != nil {
 			rels = append(rels, a.Release)
@@ -703,11 +650,11 @@ func (e *Executor) recycle(c *call) {
 	if !c.settled() {
 		return
 	}
-	e.answersP().Put(c.answers)
+	answersPool.Put(c.answers)
 	c.answers = nil
-	e.errsP().Put(c.errs)
+	errsPool.Put(c.errs)
 	c.errs = nil
-	e.dursP().Put(c.devDur)
+	dursPool.Put(c.devDur)
 	c.devDur = nil
 }
 
@@ -759,8 +706,8 @@ func (e *Executor) RetrieveBatch(ctx context.Context, pms []mkhash.PartialMatch)
 	// Batch-internal scratch recycles across calls: the per-query error
 	// and call-handle slices come from the pools, and each finished
 	// query's fan-out scratch goes back before the next one completes.
-	errs := e.errsP().Get(len(pms))
-	calls := e.callsP().Get(len(pms))
+	errs := errsPool.Get(len(pms))
+	calls := callsPool.Get(len(pms))
 	callers := CallersFromContext(ctx)
 	defCaller := CallerFromContext(ctx)
 	for i, pm := range pms {
@@ -781,8 +728,8 @@ func (e *Executor) RetrieveBatch(ctx context.Context, pms []mkhash.PartialMatch)
 			joined = append(joined, fmt.Errorf("query %d: %w", i, err))
 		}
 	}
-	e.errsP().Put(errs)
-	e.callsP().Put(calls)
+	errsPool.Put(errs)
+	callsPool.Put(calls)
 	if len(joined) > 0 {
 		return results, errors.Join(joined...)
 	}

@@ -13,6 +13,7 @@ import (
 	"fxdist/internal/engine"
 	"fxdist/internal/mkhash"
 	"fxdist/internal/query"
+	"fxdist/internal/retry"
 )
 
 func testSchema(t *testing.T) *mkhash.File {
@@ -127,37 +128,81 @@ func TestRetrieveReportsAllFailingDevices(t *testing.T) {
 	}
 }
 
-func TestRetryPolicyReroutes(t *testing.T) {
+// rerouted builds an executor over devs whose whole policy chain is one
+// retry.Reroute — the form netdist's WithFailover dials.
+func rerouted(t *testing.T, f *mkhash.File, reroute retry.Reroute, devs ...engine.Device) *engine.Executor {
+	t.Helper()
+	return resilient(t, f, engine.Resilience{Policies: []engine.Policy{reroute}}, devs...)
+}
+
+func TestReroutePolicyReroutes(t *testing.T) {
 	f := testSchema(t)
 	var consulted atomic.Int32
-	e, err := engine.New(engine.Config{
-		Schema: f,
-		Model:  engine.MainMemory,
-		Devices: []engine.Device{
-			fixedDevice{ans: engine.Answer{Buckets: 1, Hits: []mkhash.Record{rec("a", "1")}}},
-			fixedDevice{err: errors.New("dead")},
-		},
-		Retry: func(ctx context.Context, dev int, scanErr error) engine.Device {
+	e := rerouted(t, f,
+		func(ctx context.Context, dev int, scanErr error) engine.Device {
 			consulted.Add(1)
 			if dev != 1 {
-				t.Errorf("retry consulted for healthy device %d", dev)
+				t.Errorf("reroute consulted for healthy device %d", dev)
 			}
 			return fixedDevice{ans: engine.Answer{Buckets: 3, Hits: []mkhash.Record{rec("b", "2")}}}
 		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+		fixedDevice{ans: engine.Answer{Buckets: 1, Hits: []mkhash.Record{rec("a", "1")}}},
+		fixedDevice{err: errors.New("dead")},
+	)
 	res, err := e.Retrieve(context.Background(), anyQuery(t, f))
 	if err != nil {
-		t.Fatalf("retry did not rescue the retrieval: %v", err)
+		t.Fatalf("reroute did not rescue the retrieval: %v", err)
 	}
 	if consulted.Load() != 1 {
-		t.Errorf("retry consulted %d times, want 1", consulted.Load())
+		t.Errorf("reroute consulted %d times, want 1", consulted.Load())
 	}
 	if res.DeviceBuckets[1] != 3 || len(res.Records) != 2 {
 		t.Errorf("replacement answer not used: buckets=%v records=%d", res.DeviceBuckets, len(res.Records))
 	}
+}
+
+// The reroute is single-shot: a replacement that fails too is not
+// rerouted again, a reroute func that declines (netdist does for remote
+// rejections) lets the failure stand, and a cancelled context is never
+// rerouted.
+func TestReroutePolicyLimits(t *testing.T) {
+	f := testSchema(t)
+	dead := fixedDevice{err: errors.New("dead")}
+
+	var consulted atomic.Int32
+	e := rerouted(t, f, func(context.Context, int, error) engine.Device {
+		consulted.Add(1)
+		return fixedDevice{err: errors.New("backup dead too")}
+	}, dead)
+	if _, err := e.Retrieve(context.Background(), anyQuery(t, f)); err == nil || !strings.Contains(err.Error(), "backup dead too") {
+		t.Errorf("err = %v, want the replacement's failure", err)
+	}
+	if consulted.Load() != 1 {
+		t.Errorf("reroute consulted %d times for one slot, want 1", consulted.Load())
+	}
+
+	e = rerouted(t, f, func(context.Context, int, error) engine.Device { return nil }, dead)
+	if _, err := e.Retrieve(context.Background(), anyQuery(t, f)); err == nil || !strings.Contains(err.Error(), "dead") {
+		t.Errorf("err = %v, want the declined failure to stand", err)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	e = rerouted(t, f, func(context.Context, int, error) engine.Device {
+		t.Error("reroute consulted on a cancelled context")
+		return nil
+	}, cancelThenFail{cancel})
+	if _, err := e.Retrieve(ctx, anyQuery(t, f)); err == nil {
+		t.Error("cancelled retrieval succeeded")
+	}
+}
+
+// cancelThenFail cancels the retrieval's context from inside the scan
+// and then fails, so the executor sees a failure on a dead context.
+type cancelThenFail struct{ cancel context.CancelFunc }
+
+func (d cancelThenFail) Scan(ctx context.Context, q query.Query, pm mkhash.PartialMatch) (engine.Answer, error) {
+	d.cancel()
+	return engine.Answer{}, errors.New("dead")
 }
 
 // Cancelling mid-retrieve must return promptly with the context's error
@@ -285,24 +330,19 @@ func TestRetrieveBatch(t *testing.T) {
 	}
 }
 
-func TestDeriveSharesDevicesChangesPolicy(t *testing.T) {
+// Two executors over the same devices differ only in the policy chain
+// their Config names: the bare one fails, the rerouting one is rescued.
+func TestPolicyChainIsTheOnlyDifference(t *testing.T) {
 	f := testSchema(t)
-	base, err := engine.New(engine.Config{
-		Schema:  f,
-		Model:   engine.MainMemory,
-		Devices: []engine.Device{fixedDevice{err: errors.New("dead")}},
-	})
-	if err != nil {
-		t.Fatal(err)
+	devs := []engine.Device{fixedDevice{err: errors.New("dead")}}
+	if _, err := newExec(t, f, devs...).Retrieve(context.Background(), anyQuery(t, f)); err == nil {
+		t.Fatal("bare executor should fail")
 	}
-	if _, err := base.Retrieve(context.Background(), anyQuery(t, f)); err == nil {
-		t.Fatal("base executor should fail")
-	}
-	rescued := base.Derive("", func(ctx context.Context, dev int, scanErr error) engine.Device {
+	rescued := rerouted(t, f, func(context.Context, int, error) engine.Device {
 		return fixedDevice{ans: engine.Answer{Buckets: 1}}
-	})
+	}, devs...)
 	if _, err := rescued.Retrieve(context.Background(), anyQuery(t, f)); err != nil {
-		t.Fatalf("derived executor with retry failed: %v", err)
+		t.Fatalf("executor with a reroute policy failed: %v", err)
 	}
 }
 

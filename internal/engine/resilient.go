@@ -10,20 +10,14 @@ import (
 )
 
 // scanDevice runs one device slot's scan to completion under the
-// executor's failure handling: the composable policy chain when one is
-// configured, the legacy single-shot RetryPolicy otherwise, a bare scan
-// when neither is set. It runs on a pool worker; every retry of the
+// executor's failure handling: the policy chain when one is configured,
+// a bare scan otherwise. It runs on a pool worker; every retry of the
 // slot stays on that worker (backoff sleeps are context-aware), so the
-// pool bound holds across retries.
+// pool bound holds across retries and a reroute happens at once rather
+// than in a second fan-out wave.
 func (e *Executor) scanDevice(ctx context.Context, dev int, q query.Query, pm mkhash.PartialMatch) (Answer, error) {
 	if len(e.res.Policies) == 0 {
-		ans, err := e.devs[dev].Scan(ctx, q, pm)
-		if err != nil && e.retry != nil && ctx.Err() == nil {
-			if alt := e.retry(ctx, dev, err); alt != nil {
-				ans, err = alt.Scan(ctx, q, pm)
-			}
-		}
-		return ans, err
+		return e.devs[dev].Scan(ctx, q, pm)
 	}
 
 	cur := e.devs[dev]

@@ -46,12 +46,21 @@ func (p *retryNPolicy) Failure(ctx context.Context, at engine.Attempt) engine.De
 
 func (p *retryNPolicy) Success(dev int, primary bool, elapsed time.Duration) {}
 
+// resilient builds an executor over devs running under r.
+func resilient(t *testing.T, f *mkhash.File, r engine.Resilience, devs ...engine.Device) *engine.Executor {
+	t.Helper()
+	e, err := engine.New(engine.Config{Schema: f, Devices: devs, Model: engine.MainMemory, Resilience: r})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
 // An empty Resilience (nil policy chain) must behave exactly like the
 // bare executor: the failure stands, no retry loop engages.
 func TestResilienceNilPoliciesFallsThrough(t *testing.T) {
 	f := testSchema(t)
-	e := newExec(t, f, fixedDevice{err: errors.New("dead")})
-	d := e.DeriveResilience("", engine.Resilience{})
+	d := resilient(t, f, engine.Resilience{}, fixedDevice{err: errors.New("dead")})
 	if _, err := d.Retrieve(context.Background(), anyQuery(t, f)); err == nil {
 		t.Fatal("empty resilience rescued a dead device")
 	}
@@ -62,8 +71,7 @@ func TestResilienceNilPoliciesFallsThrough(t *testing.T) {
 func TestPolicyRetriesSameDevice(t *testing.T) {
 	f := testSchema(t)
 	dev := &flakyDevice{failures: 2, ans: engine.Answer{Buckets: 1, Hits: []mkhash.Record{rec("a", "1")}}}
-	base := newExec(t, f, dev)
-	e := base.DeriveResilience("", engine.Resilience{Policies: []engine.Policy{&retryNPolicy{n: 5}}})
+	e := resilient(t, f, engine.Resilience{Policies: []engine.Policy{&retryNPolicy{n: 5}}}, dev)
 	res, err := e.Retrieve(context.Background(), anyQuery(t, f))
 	if err != nil {
 		t.Fatalf("retries did not rescue: %v", err)
@@ -77,7 +85,7 @@ func TestPolicyRetriesSameDevice(t *testing.T) {
 
 	// Same policy, device that never recovers: the budget must bound it.
 	dead := &flakyDevice{failures: 1 << 30}
-	e2 := newExec(t, f, dead).DeriveResilience("", engine.Resilience{Policies: []engine.Policy{&retryNPolicy{n: 4}}})
+	e2 := resilient(t, f, engine.Resilience{Policies: []engine.Policy{&retryNPolicy{n: 4}}}, dead)
 	if _, err := e2.Retrieve(context.Background(), anyQuery(t, f)); err == nil {
 		t.Fatal("dead device rescued")
 	}
@@ -91,8 +99,7 @@ func TestPolicyRetriesSameDevice(t *testing.T) {
 func TestPolicyReplacementDevice(t *testing.T) {
 	f := testSchema(t)
 	alt := fixedDevice{ans: engine.Answer{Buckets: 2, Hits: []mkhash.Record{rec("b", "2")}}}
-	e := newExec(t, f, fixedDevice{err: errors.New("dead")}).
-		DeriveResilience("", engine.Resilience{Policies: []engine.Policy{&retryNPolicy{n: 3, dev: alt}}})
+	e := resilient(t, f, engine.Resilience{Policies: []engine.Policy{&retryNPolicy{n: 3, dev: alt}}}, fixedDevice{err: errors.New("dead")})
 	res, err := e.Retrieve(context.Background(), anyQuery(t, f))
 	if err != nil {
 		t.Fatalf("replacement did not rescue: %v", err)
@@ -106,10 +113,9 @@ func TestPolicyReplacementDevice(t *testing.T) {
 // the context's error and leave no goroutines behind.
 func TestPolicyRetryCancelNoLeak(t *testing.T) {
 	f := testSchema(t)
-	e := newExec(t, f, fixedDevice{err: errors.New("dead")}).
-		DeriveResilience("", engine.Resilience{
-			Policies: []engine.Policy{&retryNPolicy{n: 1 << 30, delay: 30 * time.Second}},
-		})
+	e := resilient(t, f, engine.Resilience{
+		Policies: []engine.Policy{&retryNPolicy{n: 1 << 30, delay: 30 * time.Second}},
+	}, fixedDevice{err: errors.New("dead")})
 	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
@@ -142,16 +148,16 @@ func TestPartialResult(t *testing.T) {
 	f := testSchema(t)
 	var gotCoverage float64
 	var gotFailed []int
-	e := newExec(t, f,
-		fixedDevice{ans: engine.Answer{Buckets: 1, Hits: []mkhash.Record{rec("a", "1")}}},
-		fixedDevice{err: errors.New("dead")},
-		fixedDevice{ans: engine.Answer{Buckets: 2, Hits: []mkhash.Record{rec("b", "2")}}},
-	).DeriveResilience("", engine.Resilience{
+	e := resilient(t, f, engine.Resilience{
 		Partial: true,
 		OnPartial: func(c float64, failed []int) {
 			gotCoverage, gotFailed = c, append([]int(nil), failed...)
 		},
-	})
+	},
+		fixedDevice{ans: engine.Answer{Buckets: 1, Hits: []mkhash.Record{rec("a", "1")}}},
+		fixedDevice{err: errors.New("dead")},
+		fixedDevice{ans: engine.Answer{Buckets: 2, Hits: []mkhash.Record{rec("b", "2")}}},
+	)
 	res, err := e.Retrieve(context.Background(), anyQuery(t, f))
 	if err == nil {
 		t.Fatal("partial retrieval returned no error manifest")
@@ -183,10 +189,10 @@ func TestPartialResult(t *testing.T) {
 // All devices failing must never degrade — that is a total failure.
 func TestPartialNeedsSurvivors(t *testing.T) {
 	f := testSchema(t)
-	e := newExec(t, f,
+	e := resilient(t, f, engine.Resilience{Partial: true},
 		fixedDevice{err: errors.New("dead-0")},
 		fixedDevice{err: errors.New("dead-1")},
-	).DeriveResilience("", engine.Resilience{Partial: true})
+	)
 	_, err := e.Retrieve(context.Background(), anyQuery(t, f))
 	if err == nil {
 		t.Fatal("total failure returned nil error")
@@ -223,11 +229,10 @@ func TestHedgeBackupWins(t *testing.T) {
 		backup: fixedDevice{ans: engine.Answer{Buckets: 9, Hits: []mkhash.Record{rec("h", "1")}}},
 		after:  5 * time.Millisecond,
 	}
-	e := newExec(t, f, slowDevice{delay: 30 * time.Second}).
-		DeriveResilience("", engine.Resilience{
-			Policies: []engine.Policy{&retryNPolicy{n: 1}},
-			Hedger:   h,
-		})
+	e := resilient(t, f, engine.Resilience{
+		Policies: []engine.Policy{&retryNPolicy{n: 1}},
+		Hedger:   h,
+	}, slowDevice{delay: 30 * time.Second})
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	res, err := e.Retrieve(ctx, anyQuery(t, f))
@@ -249,11 +254,10 @@ func TestHedgePrimaryWins(t *testing.T) {
 		backup: fixedDevice{ans: engine.Answer{Buckets: 9}},
 		after:  10 * time.Second,
 	}
-	e := newExec(t, f, fixedDevice{ans: engine.Answer{Buckets: 1}}).
-		DeriveResilience("", engine.Resilience{
-			Policies: []engine.Policy{&retryNPolicy{n: 1}},
-			Hedger:   h,
-		})
+	e := resilient(t, f, engine.Resilience{
+		Policies: []engine.Policy{&retryNPolicy{n: 1}},
+		Hedger:   h,
+	}, fixedDevice{ans: engine.Answer{Buckets: 1}})
 	res, err := e.Retrieve(context.Background(), anyQuery(t, f))
 	if err != nil {
 		t.Fatal(err)

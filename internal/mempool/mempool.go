@@ -7,8 +7,9 @@
 // the cost profiler's recycled-vs-allocated attribution.
 //
 // All pool methods are nil-safe: a nil *SlicePool allocates fresh
-// slices on Get and drops them on Put, which is how WithoutMemPool
-// turns pooling off per cluster without branching at every call site.
+// slices on Get and drops them on Put. SetEnabled(false) makes every
+// pool in the process behave that way — the no-pool reference path the
+// differential tests compare the pooled one against.
 package mempool
 
 import (
@@ -55,6 +56,17 @@ func classOf(c int) int {
 	}
 	return s - minShift
 }
+
+// disabled turns every pool into the nil pass-through; see SetEnabled.
+var disabled atomic.Bool
+
+// SetEnabled switches pooling on or off for the whole process and
+// returns the previous setting. Off, every Get allocates and every Put
+// drops, exactly as on a nil pool, so retrievals run the pre-pooling
+// allocation pattern. It is a test seam — the differential suites flip
+// it around a reference run and restore it — not a tuning knob: nothing
+// outside tests calls it, and tests that do must not run in parallel.
+func SetEnabled(on bool) (was bool) { return !disabled.Swap(!on) }
 
 // Stats is a point-in-time snapshot of one pool's counters.
 type Stats struct {
@@ -111,9 +123,9 @@ func NewBytesPool(name string) *SlicePool[byte] {
 // Get returns a slice of length n. From a non-nil pool the capacity is
 // the class size and the contents of a recycled slab beyond what the
 // caller writes are stale — callers must write every element they
-// read. A nil pool returns make([]T, n).
+// read. A nil or disabled pool returns make([]T, n).
 func (p *SlicePool[T]) Get(n int) []T {
-	if p == nil {
+	if p == nil || disabled.Load() {
 		return make([]T, n)
 	}
 	c := classFor(n)
@@ -134,10 +146,10 @@ func (p *SlicePool[T]) Get(n int) []T {
 }
 
 // Put returns s to its class for reuse. Slices with foreign capacities
-// (not allocated by Get, or oversize) are dropped. Safe on a nil pool
-// and on nil slices.
+// (not allocated by Get, or oversize) are dropped. Safe on a nil or
+// disabled pool (the slab is dropped) and on nil slices.
 func (p *SlicePool[T]) Put(s []T) {
-	if p == nil || s == nil {
+	if p == nil || s == nil || disabled.Load() {
 		return
 	}
 	c := classOf(cap(s))
@@ -157,9 +169,9 @@ func (p *SlicePool[T]) Put(s []T) {
 // allocator: when s is full, a slab of at least double the capacity is
 // drawn from the pool, the elements are copied across, and the old slab
 // is returned for reuse. The fast path (spare capacity) is a plain
-// append. Safe on a nil pool, where it degrades to append(s, v).
+// append. On a nil or disabled pool it degrades to append(s, v).
 func (p *SlicePool[T]) AppendOne(s []T, v T) []T {
-	if len(s) < cap(s) || p == nil {
+	if len(s) < cap(s) || p == nil || disabled.Load() {
 		return append(s, v)
 	}
 	want := 2 * cap(s)

@@ -446,7 +446,7 @@ func decodeTrailingStats(f *frameReader, resp *Response) error {
 // engine's hits pool, so the merged result can recycle it. release is
 // non-nil only for pooled arenas; the caller owns folding it into the
 // result's lease.
-func decodeResponse(buf []byte, resp *Response, hits *mempool.SlicePool[mkhash.Record], arena bool) (release func(), err error) {
+func decodeResponse(buf []byte, resp *Response, arena bool) (release func(), err error) {
 	f := frameReader{buf: buf}
 	if resp.ID, err = f.uvarint(); err != nil {
 		return nil, err
@@ -483,9 +483,9 @@ func decodeResponse(buf []byte, resp *Response, hits *mempool.SlicePool[mkhash.R
 		return nil, decodeTrailingStats(&f, resp)
 	}
 	b := mempool.NewRecordBuilder(arena)
-	recs := hits.Get(int(nr))[:0]
+	recs := clientHits.Get(int(nr))[:0]
 	fail := func(err error) (func(), error) {
-		hits.Put(recs)
+		clientHits.Put(recs)
 		b.Release()
 		return nil, err
 	}
@@ -519,22 +519,22 @@ func decodeResponse(buf []byte, resp *Response, hits *mempool.SlicePool[mkhash.R
 
 // writeFrame sizes the payload with size, fills one pooled buffer via
 // fill (length prefix + payload), writes it with a single Write, and
-// recycles the buffer. frames may be nil (WithoutMemPool).
-func writeFrame(w io.Writer, frames *mempool.SlicePool[byte], size int, fill func([]byte) []byte) error {
+// recycles the buffer.
+func writeFrame(w io.Writer, size int, fill func([]byte) []byte) error {
 	if size > maxFrame {
 		return fmt.Errorf("netdist: frame of %d bytes exceeds limit %d", size, maxFrame)
 	}
-	buf := frames.Get(frameLenSize + size)[:0]
+	buf := mempool.Frames.Get(frameLenSize + size)[:0]
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(size))
 	buf = fill(buf)
 	_, err := w.Write(buf)
-	frames.Put(buf)
+	mempool.Frames.Put(buf)
 	return err
 }
 
 // readFrame reads one length-prefixed payload into a pooled slab; the
 // caller must Put it back via the returned done func once decoded.
-func readFrame(r io.Reader, frames *mempool.SlicePool[byte]) (payload []byte, done func(), err error) {
+func readFrame(r io.Reader) (payload []byte, done func(), err error) {
 	var hdr [frameLenSize]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, nil, err
@@ -543,12 +543,12 @@ func readFrame(r io.Reader, frames *mempool.SlicePool[byte]) (payload []byte, do
 	if n > maxFrame {
 		return nil, nil, fmt.Errorf("netdist: frame of %d bytes exceeds limit %d", n, maxFrame)
 	}
-	buf := frames.Get(int(n))
+	buf := mempool.Frames.Get(int(n))
 	if _, err := io.ReadFull(r, buf); err != nil {
-		frames.Put(buf)
+		mempool.Frames.Put(buf)
 		return nil, nil, err
 	}
-	return buf, func() { frames.Put(buf) }, nil
+	return buf, func() { mempool.Frames.Put(buf) }, nil
 }
 
 // binCodec is the coordinator side of the wire: writeRequest runs under
@@ -558,37 +558,34 @@ func readFrame(r io.Reader, frames *mempool.SlicePool[byte]) (payload []byte, do
 // returns, when non-nil, hands the response's record arena back to its
 // pool (arena mode only).
 type binCodec struct {
-	w      io.Writer
-	r      io.Reader
-	frames *mempool.SlicePool[byte]
-	hits   *mempool.SlicePool[mkhash.Record]
-	arena  bool
+	w     io.Writer
+	r     io.Reader
+	arena bool
 }
 
 func (b *binCodec) writeRequest(req *Request) error {
-	return writeFrame(b.w, b.frames, requestSize(req), func(buf []byte) []byte {
+	return writeFrame(b.w, requestSize(req), func(buf []byte) []byte {
 		return appendRequest(buf, req)
 	})
 }
 
 func (b *binCodec) readResponse(resp *Response) (func(), error) {
-	payload, done, err := readFrame(b.r, b.frames)
+	payload, done, err := readFrame(b.r)
 	if err != nil {
 		return nil, err
 	}
 	defer done()
-	return decodeResponse(payload, resp, b.hits, b.arena)
+	return decodeResponse(payload, resp, b.arena)
 }
 
 // binServerCodec is the device-server side of the wire.
 type binServerCodec struct {
-	w      io.Writer
-	r      io.Reader
-	frames *mempool.SlicePool[byte]
+	w io.Writer
+	r io.Reader
 }
 
 func (b *binServerCodec) readRequest(req *Request) error {
-	payload, done, err := readFrame(b.r, b.frames)
+	payload, done, err := readFrame(b.r)
 	if err != nil {
 		return err
 	}
@@ -597,21 +594,11 @@ func (b *binServerCodec) readRequest(req *Request) error {
 }
 
 func (b *binServerCodec) writeResponse(resp *Response) error {
-	return writeFrame(b.w, b.frames, responseSize(resp), func(buf []byte) []byte {
+	return writeFrame(b.w, responseSize(resp), func(buf []byte) []byte {
 		return appendResponse(buf, resp)
 	})
 }
 
-// clientHits returns the hit-frame pool binary decodes draw record
-// slices from; nil (pass-through) when pooling is off so WithoutMemPool
-// reaches the wire layer too.
-func clientHits(noPool bool) *mempool.SlicePool[mkhash.Record] {
-	return engine.HitsPool(!noPool)
-}
-
-func clientFrames(noPool bool) *mempool.SlicePool[byte] {
-	if noPool {
-		return nil
-	}
-	return mempool.Frames
-}
+// clientHits is the hit-frame pool binary decodes draw record-header
+// slices from: the executor's own, so its merge recycles them.
+var clientHits = engine.HitsPool()

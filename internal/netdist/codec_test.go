@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"fxdist/internal/decluster"
+	"fxdist/internal/mempool"
 	"fxdist/internal/mkhash"
 	"fxdist/internal/query"
 )
@@ -69,15 +70,17 @@ func sampleResponses() []Response {
 }
 
 func TestResponseBinaryRoundTrip(t *testing.T) {
+	t.Cleanup(func() { mempool.SetEnabled(true) })
 	for _, arena := range []bool{false, true} {
 		for _, pooled := range []bool{false, true} {
+			mempool.SetEnabled(pooled)
 			for i, resp := range sampleResponses() {
 				payload := appendResponse(nil, &resp)
 				if len(payload) != responseSize(&resp) {
 					t.Fatalf("case %d: encoded %d bytes, responseSize says %d", i, len(payload), responseSize(&resp))
 				}
 				var got Response
-				release, err := decodeResponse(payload, &got, clientHits(!pooled), arena && pooled)
+				release, err := decodeResponse(payload, &got, arena)
 				if err != nil {
 					t.Fatalf("case %d (arena=%v pooled=%v): decode: %v", i, arena, pooled, err)
 				}
@@ -86,7 +89,7 @@ func TestResponseBinaryRoundTrip(t *testing.T) {
 						t.Fatalf("case %d: empty response decoded with records/release", i)
 					}
 					got.Records = resp.Records
-				} else if arena && pooled && release == nil {
+				} else if arena && release == nil {
 					t.Fatalf("case %d: arena decode returned no release", i)
 				}
 				if !respEqual(resp, got) {
@@ -108,7 +111,7 @@ func TestDecodeRejectsTruncatedAndCorruptFrames(t *testing.T) {
 	// declared up front, so a cut-off frame can never half-decode.
 	for i := 0; i < len(payload); i++ {
 		var got Response
-		if _, err := decodeResponse(payload[:i], &got, nil, false); err == nil {
+		if _, err := decodeResponse(payload[:i], &got, false); err == nil {
 			t.Fatalf("truncated response frame of %d/%d bytes decoded", i, len(payload))
 		}
 	}
@@ -126,7 +129,7 @@ func TestDecodeRejectsTruncatedAndCorruptFrames(t *testing.T) {
 	base := appendResponse(nil, &Response{ID: 9})
 	huge := binary.AppendUvarint(base[:len(base)-1], 1<<40)
 	var got Response
-	if _, err := decodeResponse(huge, &got, nil, false); err == nil {
+	if _, err := decodeResponse(huge, &got, false); err == nil {
 		t.Fatal("giant record count decoded")
 	}
 }
@@ -134,11 +137,11 @@ func TestDecodeRejectsTruncatedAndCorruptFrames(t *testing.T) {
 func TestFrameRoundTripAndLimits(t *testing.T) {
 	var buf bytes.Buffer
 	payload := []byte("hello frames")
-	err := writeFrame(&buf, nil, len(payload), func(b []byte) []byte { return append(b, payload...) })
+	err := writeFrame(&buf, len(payload), func(b []byte) []byte { return append(b, payload...) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, done, err := readFrame(&buf, nil)
+	got, done, err := readFrame(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,12 +149,12 @@ func TestFrameRoundTripAndLimits(t *testing.T) {
 		t.Fatalf("frame round trip: got %q", got)
 	}
 	done()
-	if err := writeFrame(&buf, nil, maxFrame+1, nil); err == nil {
+	if err := writeFrame(&buf, maxFrame+1, nil); err == nil {
 		t.Fatal("oversized frame written")
 	}
 	var hdr [frameLenSize]byte
 	binary.LittleEndian.PutUint32(hdr[:], maxFrame+1)
-	if _, _, err := readFrame(bytes.NewReader(hdr[:]), nil); err == nil {
+	if _, _, err := readFrame(bytes.NewReader(hdr[:])); err == nil {
 		t.Fatal("oversized frame length accepted")
 	}
 }

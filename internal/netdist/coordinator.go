@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"fxdist/internal/engine"
-	"fxdist/internal/mempool"
 	"fxdist/internal/mkhash"
 	"fxdist/internal/obs"
 	"fxdist/internal/plancache"
@@ -125,38 +124,33 @@ type deviceConn struct {
 	codec   *binCodec
 	cw      *countingWriter
 
-	// hits is the pool record slices were drawn from, for recycling
-	// orphaned responses (nil pass-through when pooling is off).
-	hits *mempool.SlicePool[mkhash.Record]
-
 	mu      sync.Mutex
 	nextID  uint64
 	pending map[uint64]chan wireDelivery
 	err     error // sticky transport error; set once the reader exits
 }
 
-func newDeviceConn(conn net.Conn, addr string, noPool, arena bool) *deviceConn {
+func newDeviceConn(conn net.Conn, addr string, arena bool) *deviceConn {
 	cw := &countingWriter{w: conn}
 	tr := &timingReader{r: conn}
 	dc := &deviceConn{
 		conn:    conn,
 		addr:    addr,
 		cw:      cw,
-		hits:    clientHits(noPool),
 		pending: make(map[uint64]chan wireDelivery),
 	}
-	dc.codec = &binCodec{w: cw, r: tr, frames: clientFrames(noPool), hits: dc.hits, arena: arena && !noPool}
+	dc.codec = &binCodec{w: cw, r: tr, arena: arena}
 	go dc.readLoop(tr)
 	return dc
 }
 
 // discard recycles a delivery nobody will consume: the record arena (if
 // leased) and the record-header slab both go back to their pools.
-func (dc *deviceConn) discard(d wireDelivery) {
+func (d wireDelivery) discard() {
 	if d.release != nil {
 		d.release()
 	}
-	dc.hits.Put(d.resp.Records)
+	clientHits.Put(d.resp.Records)
 }
 
 // readLoop dispatches responses to their waiters until the connection
@@ -197,7 +191,7 @@ func (dc *deviceConn) readLoop(tr *timingReader) {
 		} else {
 			// The waiter gave up (cancel or timeout): recycle instead of
 			// leaking the slabs to the garbage collector.
-			dc.discard(d)
+			d.discard()
 		}
 	}
 }
@@ -291,7 +285,7 @@ func (dc *deviceConn) roundTrip(ctx context.Context, req Request, timeout time.D
 		select {
 		case d, ok := <-ch:
 			if ok {
-				dc.discard(d)
+				d.discard()
 			}
 		default:
 		}
@@ -304,21 +298,20 @@ func (dc *deviceConn) roundTrip(ctx context.Context, req Request, timeout time.D
 // Coordinator fans partial match queries out to the device servers and
 // merges their answers. It holds the file *schema* (for hashing query
 // values) but no data. Concurrent Retrieve calls pipeline over the same
-// device connections. Retrieval runs on the shared engine executor: eng
-// is the plain path, feng the same devices under the ring-successor
-// failover retry policy.
+// device connections. Retrieval — single, batched, gate-coalesced or
+// inside a rescale window — runs on one engine executor whose policy
+// chain is fixed at Dial (WithFailover, WithResilience).
 type Coordinator struct {
-	file    *mkhash.File
-	dm      []coordDevMetrics
-	tracer  *obs.Tracer
-	timeout time.Duration
-	noPool  bool
-	arena   bool
-	backend string
-	epoch   int
-	eng     *engine.Executor
-	feng    *engine.Executor
-	prof    *obs.CostProfiler
+	file     *mkhash.File
+	dm       []coordDevMetrics
+	tracer   *obs.Tracer
+	timeout  time.Duration
+	arena    bool
+	failover bool
+	backend  string
+	epoch    int
+	eng      *engine.Executor
+	prof     *obs.CostProfiler
 
 	// connMu guards conns so the health prober can replace a dead
 	// connection while retrievals are in flight.
@@ -394,19 +387,22 @@ func WithEpoch(epoch int) DialOption {
 	return func(c *Coordinator) { c.epoch = epoch }
 }
 
-// WithoutMemPool disables the coordinator's buffer pools: wire frames,
-// decoded record arenas, and fan-out scratch all fall back to plain
-// allocation. The A/B switch for the differential tests and for ruling
-// pooling out when chasing a corruption bug.
-func WithoutMemPool() DialOption {
-	return func(c *Coordinator) { c.noPool = true }
+// WithFailover puts the ring-successor reroute on every retrieval's
+// policy chain, for deployments whose servers hold their predecessor's
+// backup partition (NewReplicatedServer): a transport failure on a
+// device re-asks its successor to answer as that device, and under
+// WithResilience hedges race the same backup. It tolerates any set of
+// failures in which no two adjacent servers are both dead. Retrieval
+// spans are then named "netdist.retrieve-failover". Without it a dead
+// server fails the retrieval, naming the device.
+func WithFailover() DialOption {
+	return func(c *Coordinator) { c.failover = true }
 }
 
 // WithArenaResults makes retrievals lease their records from pooled
 // arenas: Result.Records and the strings they point at stay valid only
 // until Result.Release returns them for reuse. Callers that don't
-// Release simply fall back to the garbage collector. Ignored under
-// WithoutMemPool.
+// Release simply fall back to the garbage collector.
 func WithArenaResults() DialOption {
 	return func(c *Coordinator) { c.arena = true }
 }
@@ -443,6 +439,23 @@ func Dial(file *mkhash.File, addrs []string, opts ...DialOption) (*Coordinator, 
 	for i := range devices {
 		devices[i] = &remoteDevice{c: c, server: i, as: -1}
 	}
+	// The one policy chain every retrieval takes. Reroutes and hedge
+	// backups both impersonate a device against its ring successor's
+	// backup partition, so only a failover deployment gets them (a plain
+	// deployment's successor has no copy to answer from).
+	span := "netdist.retrieve"
+	var reroute retry.Reroute
+	var backup func(dev int) engine.Device
+	if c.failover {
+		span, reroute, backup = "netdist.retrieve-failover", c.reroute, c.successorAs
+	}
+	var res engine.Resilience
+	if c.rcfg != nil {
+		c.ctrl = retry.NewController(c.backend, *c.rcfg)
+		res = c.ctrl.Resilience(reroute, backup)
+	} else if c.failover {
+		res.Policies = []engine.Policy{reroute}
+	}
 	// The coordinator holds no allocator (servers do their own inverse
 	// mapping), so its plans are summaries: cached |R(q)| and bound per
 	// shape, computed once — keeping the audit's strict bound stable
@@ -452,9 +465,9 @@ func Dial(file *mkhash.File, addrs []string, opts ...DialOption) (*Coordinator, 
 		Devices:      devices,
 		Instr:        in,
 		Tracer:       c.tracer,
-		Span:         "netdist.retrieve",
+		Span:         span,
 		Plans:        plancache.New(c.backend),
-		NoPool:       c.noPool,
+		Resilience:   res,
 		ArenaResults: c.arena,
 	})
 	if err != nil {
@@ -462,19 +475,6 @@ func Dial(file *mkhash.File, addrs []string, opts ...DialOption) (*Coordinator, 
 		return nil, fmt.Errorf("netdist: %w", err)
 	}
 	c.eng = eng
-	c.feng = eng.Derive("netdist.retrieve-failover", c.failover)
-	if c.rcfg != nil {
-		c.ctrl = retry.NewController(c.backend, *c.rcfg)
-		// Hedge backups impersonate the slow device against its ring
-		// successor's backup partition — only the failover path may
-		// hedge (a plain deployment's successor has no copy to answer
-		// from).
-		backup := func(dev int) engine.Device {
-			return &remoteDevice{c: c, server: (dev + 1) % len(addrs), as: dev}
-		}
-		c.eng = eng.DeriveResilience("netdist.retrieve", c.ctrl.Resilience(nil, nil))
-		c.feng = eng.DeriveResilience("netdist.retrieve-failover", c.ctrl.Resilience(c.failover, backup))
-	}
 	return c, nil
 }
 
@@ -496,7 +496,7 @@ func (c *Coordinator) dialDevice(addr string) (*deviceConn, error) {
 		conn.Close()
 		return nil, err
 	}
-	return newDeviceConn(conn, addr, c.noPool, c.arena), nil
+	return newDeviceConn(conn, addr, c.arena), nil
 }
 
 // negotiateClient offers the wire magic and requires the server's ack
@@ -700,27 +700,38 @@ func (d *remoteDevice) Scan(ctx context.Context, q query.Query, pm mkhash.Partia
 	if span := engine.SpanFromContext(ctx); span != nil {
 		req.TraceID, req.ParentSpan = span.Trace(), span.SpanID()
 	}
-	resp, release, err := d.c.ask(ctx, d.server, req, q.Shape())
+	// The shape attributes the round trip in the cost profile; it rides
+	// the retrieval's plan, computed once per shape, not per device.
+	shape := ""
+	if p := engine.PlanFromContext(ctx); p != nil {
+		shape = p.Shape
+	}
+	resp, release, err := d.c.ask(ctx, d.server, req, shape)
 	if err != nil {
 		return engine.Answer{}, err
 	}
 	return engine.Answer{Buckets: resp.Buckets, Records: resp.Scanned, Hits: resp.Records, Release: release}, nil
 }
 
-// failover is the engine retry policy for replicated deployments: a
+// successorAs is device dev impersonated against its ring successor's
+// server, which answers from the backup partition it holds.
+func (c *Coordinator) successorAs(dev int) engine.Device {
+	return &remoteDevice{c: c, server: (dev + 1) % len(c.conns), as: dev}
+}
+
+// reroute is the failover link of the policy chain (retry.Reroute): a
 // transport failure on a device re-asks its ring successor to answer from
 // the backup copy. Remote rejections (the server answered and said no)
 // are not retried — the backup would reject the same request.
-func (c *Coordinator) failover(ctx context.Context, dev int, err error) engine.Device {
+func (c *Coordinator) reroute(ctx context.Context, dev int, err error) engine.Device {
 	var derr *DeviceError
 	if errors.As(err, &derr) && derr.Remote {
 		return nil
 	}
-	m := len(c.conns)
 	c.dm[dev].failovers.Inc()
 	engine.SpanFromContext(ctx).Event(
-		fmt.Sprintf("failover: re-asking ring successor %d for device %d", (dev+1)%m, dev))
-	return &remoteDevice{c: c, server: (dev + 1) % m, as: dev}
+		fmt.Sprintf("failover: re-asking ring successor %d for device %d", (dev+1)%len(c.conns), dev))
+	return c.successorAs(dev)
 }
 
 // Close stops the health prober and the stats puller, unregisters the
@@ -782,13 +793,6 @@ func (c *Coordinator) Addrs() []string {
 	return addrs
 }
 
-// EngineRetrieve runs one retrieval and returns the raw engine result —
-// the seam the dual-read combinator (engine.DualReader) races two
-// coordinators through during a rescale window.
-func (c *Coordinator) EngineRetrieve(ctx context.Context, pm mkhash.PartialMatch) (engine.Result, error) {
-	return c.eng.Retrieve(ctx, pm)
-}
-
 // ask runs one instrumented round trip against device dev's server,
 // classifying errors into the per-device counters and wrapping failures
 // with the device id, server address and wire request id. The retrieval
@@ -839,7 +843,7 @@ func (c *Coordinator) ask(ctx context.Context, dev int, req Request, shape strin
 		if release != nil {
 			release()
 		}
-		dc.hits.Put(resp.Records)
+		clientHits.Put(resp.Records)
 		dm.errors.Inc()
 		cause := error(errors.New(resp.Err))
 		if resp.RetryAfterMillis > 0 {
@@ -867,77 +871,26 @@ func (r Request) targetDevice(server int) int {
 	return server
 }
 
-// Result is a merged distributed retrieval.
-type Result struct {
-	// TraceID identifies the retrieval's stitched span tree in
-	// /debug/traces?tree=1 (coordinator root + one child per device).
-	TraceID uint64
-	// Records are the matching records, grouped by device in device order.
-	Records []mkhash.Record
-	// DeviceBuckets[i] / DeviceRecords[i] are device i's accessed bucket
-	// and scanned record counts.
-	DeviceBuckets []int
-	DeviceRecords []int
-	// LargestResponseSize is max(DeviceBuckets) — the paper's response
-	// time determinant.
-	LargestResponseSize int
-	// Stages is the retrieval's cost-attribution breakdown (see
-	// engine.Result.Stages).
-	Stages []obs.StageSample
-
-	// lease owns the pooled slabs behind Records under WithArenaResults;
-	// see Release.
-	lease *engine.Lease
-}
-
-// Release returns the result's pooled record slabs for reuse (under
-// WithArenaResults; a no-op otherwise). After Release the Records and
-// their field strings are invalid. Idempotent; never calling it leaves
-// the slabs to the garbage collector.
-func (r *Result) Release() { r.lease.Release() }
-
-// Lease exposes the result's arena lease so facades re-wrapping the
-// result can carry ownership along.
-func (r Result) Lease() *engine.Lease { return r.lease }
-
-// fromEngine projects the engine's merged result onto the wire-level
-// Result (the coordinator attaches no cost model, so time fields drop).
-func fromEngine(r engine.Result) Result {
-	return Result{
-		TraceID:             r.TraceID,
-		Records:             r.Records,
-		DeviceBuckets:       r.DeviceBuckets,
-		DeviceRecords:       r.DeviceRecords,
-		LargestResponseSize: r.LargestResponseSize,
-		Stages:              r.Stages,
-		lease:               r.Lease(),
-	}
-}
-
-// Retrieve lowers the value-level query, broadcasts it to every device in
-// parallel, and merges the responses. Any device error fails the whole
-// retrieval (partial answers would silently drop matches); the error
-// reports every failing device.
-func (c *Coordinator) Retrieve(pm mkhash.PartialMatch) (Result, error) {
+// Retrieve is RetrieveContext with context.Background().
+func (c *Coordinator) Retrieve(pm mkhash.PartialMatch) (engine.Result, error) {
 	return c.RetrieveContext(context.Background(), pm)
 }
 
-// RetrieveContext is Retrieve with cancellation and deadlines. Under
-// WithResilience(Partial: true), a partially degraded retrieval returns
-// the surviving devices' merged records alongside the *engine.PartialError
+// RetrieveContext lowers the value-level query, broadcasts it to every
+// device in parallel, and merges the responses. The coordinator attaches
+// no cost model, so the result's time fields stay zero. Any device error
+// fails the whole retrieval (partial answers would silently drop
+// matches) and the error reports every failing device — unless the
+// policy chain reroutes it (WithFailover) or, under
+// WithResilience(Partial: true), degrades it: then the surviving
+// devices' merged records come back alongside the *engine.PartialError
 // manifest (match with errors.As).
-func (c *Coordinator) RetrieveContext(ctx context.Context, pm mkhash.PartialMatch) (Result, error) {
-	res, err := c.eng.Retrieve(ctx, pm)
-	return fromEngine(res), err
+func (c *Coordinator) RetrieveContext(ctx context.Context, pm mkhash.PartialMatch) (engine.Result, error) {
+	return c.eng.Retrieve(ctx, pm)
 }
 
 // RetrieveBatch answers a batch of queries, pipelining all of them over
 // the device connections at once; see engine.Executor.RetrieveBatch.
-func (c *Coordinator) RetrieveBatch(ctx context.Context, pms []mkhash.PartialMatch) ([]Result, error) {
-	engRes, err := c.eng.RetrieveBatch(ctx, pms)
-	out := make([]Result, len(engRes))
-	for i, r := range engRes {
-		out[i] = fromEngine(r)
-	}
-	return out, err
+func (c *Coordinator) RetrieveBatch(ctx context.Context, pms []mkhash.PartialMatch) ([]engine.Result, error) {
+	return c.eng.RetrieveBatch(ctx, pms)
 }

@@ -1,7 +1,6 @@
 package netdist
 
 import (
-	"context"
 	"fmt"
 	"net"
 
@@ -12,9 +11,9 @@ import (
 
 // Replicated deployment: each device server also holds the backup copy of
 // its ring predecessor's partition (chained declustering over TCP). When
-// a device server dies, the coordinator re-asks its ring successor to
-// answer *as* the dead device, so retrievals survive any single server
-// failure with no data loss.
+// a device server dies, a coordinator dialed WithFailover re-asks its
+// ring successor to answer *as* the dead device, so retrievals survive
+// any single server failure with no data loss.
 
 // NewReplicatedServer builds a device server that holds its own primary
 // partition plus the backup of device (deviceID-1+M)%M. Both partitions
@@ -112,20 +111,4 @@ func DeployReplicated(file *mkhash.File, alloc decluster.GroupAllocator) (addrs 
 		go srv.Serve(l) //nolint:errcheck // ends when srv.Close closes l
 	}
 	return addrs, cleanup, nil
-}
-
-// RetrieveWithFailover answers a query like Retrieve, but when a device's
-// server is unreachable it re-asks that device's ring successor to serve
-// the dead device's partition from its backup copy — the Coordinator's
-// failover retry policy on the shared engine executor. It tolerates any
-// set of failures in which no two adjacent servers are both dead.
-func (c *Coordinator) RetrieveWithFailover(pm mkhash.PartialMatch) (Result, error) {
-	return c.RetrieveWithFailoverContext(context.Background(), pm)
-}
-
-// RetrieveWithFailoverContext is RetrieveWithFailover with cancellation
-// and deadlines.
-func (c *Coordinator) RetrieveWithFailoverContext(ctx context.Context, pm mkhash.PartialMatch) (Result, error) {
-	res, err := c.feng.Retrieve(ctx, pm)
-	return fromEngine(res), err
 }

@@ -2,11 +2,13 @@ package netdist
 
 import (
 	"context"
+	"errors"
 	"sort"
 	"testing"
 	"time"
 
 	"fxdist/internal/decluster"
+	"fxdist/internal/mkhash"
 )
 
 // Healthy replicated deployment answers exactly like the local search.
@@ -19,14 +21,14 @@ func TestReplicatedDeployHealthy(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer stop()
-	coord, err := Dial(file, addrs)
+	coord, err := Dial(file, addrs, WithFailover())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer coord.Close()
 	pm, _ := file.Spec(map[string]string{"supplier": "sup4"})
 	want, _ := file.Search(pm)
-	got, err := coord.RetrieveWithFailover(pm)
+	got, err := coord.Retrieve(pm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,9 +37,10 @@ func TestReplicatedDeployHealthy(t *testing.T) {
 	}
 }
 
-// Killing one server: RetrieveWithFailover still returns the complete
-// answer via the successor's backup partition, while plain Retrieve
-// fails.
+// Killing one server: a coordinator dialed WithFailover still returns
+// the complete answer via the successor's backup partition — one query
+// at a time and batched, the two share one policy chain — while a plain
+// coordinator over the same servers fails naming the device.
 func TestFailoverSurvivesOneServerDeath(t *testing.T) {
 	file := buildFile(t, 400)
 	fs, _ := file.FileSystem(4)
@@ -74,17 +77,28 @@ func TestFailoverSurvivesOneServerDeath(t *testing.T) {
 		}
 	}()
 
-	coord, err := Dial(file, addrs, WithTimeout(5*time.Second))
+	coord, err := Dial(file, addrs, WithTimeout(5*time.Second), WithFailover())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer coord.Close()
+	plain, err := Dial(file, addrs, WithTimeout(5*time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer plain.Close()
 
-	pm, _ := file.Spec(map[string]string{"warehouse": "wh3"})
-	want := recordKeys(mustSearch(t, file, pm))
+	var pms []mkhash.PartialMatch
+	var wants [][]string
+	for _, pairs := range []map[string]string{{"warehouse": "wh3"}, {"supplier": "sup4"}, {}} {
+		pm, _ := file.Spec(pairs)
+		pms = append(pms, pm)
+		wants = append(wants, recordKeys(mustSearch(t, file, pm)))
+	}
+	pm, want := pms[0], wants[0]
 
 	// Healthy failover path returns everything.
-	got, err := coord.RetrieveWithFailover(pm)
+	got, err := coord.Retrieve(pm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,10 +108,10 @@ func TestFailoverSurvivesOneServerDeath(t *testing.T) {
 
 	// Kill device 2's server.
 	servers[2].Close()
-	// Wait until the coordinator notices the dead connection.
+	// Wait until the coordinators notice the dead connection.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if _, err := coord.Retrieve(pm); err != nil {
+		if _, err := plain.Retrieve(pm); err != nil {
 			break // plain retrieve now fails
 		}
 		if time.Now().After(deadline) {
@@ -105,7 +119,7 @@ func TestFailoverSurvivesOneServerDeath(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	got, err = coord.RetrieveWithFailover(pm)
+	got, err = coord.Retrieve(pm)
 	if err != nil {
 		t.Fatalf("failover retrieve failed: %v", err)
 	}
@@ -115,6 +129,23 @@ func TestFailoverSurvivesOneServerDeath(t *testing.T) {
 	// The dead device's buckets are accounted to it (served by backup).
 	if got.DeviceBuckets[2] == 0 {
 		t.Log("note: device 2 had no qualified buckets for this query")
+	}
+
+	// The batch path fails over too: it is the same executor.
+	batch, err := coord.RetrieveBatch(context.Background(), pms)
+	if err != nil {
+		t.Fatalf("failover batch failed: %v", err)
+	}
+	for i, res := range batch {
+		if g := recordKeys(res.Records); !equalKeys(g, wants[i]) {
+			t.Errorf("failover batch query %d differs from reference", i)
+		}
+	}
+	// And a coordinator dialed without failover never does, on either
+	// path: the error names the dead device.
+	var derr *DeviceError
+	if _, err := plain.RetrieveBatch(context.Background(), pms); !errors.As(err, &derr) || derr.Device != 2 {
+		t.Errorf("plain batch after server death: err = %v, want a DeviceError for device 2", err)
 	}
 }
 

@@ -47,7 +47,7 @@ func FuzzDecodeResponse(f *testing.F) {
 	f.Add([]byte{0x00, 0x00, 0x00, 0x00, 0x00, 0x7f})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var resp Response
-		if _, err := decodeResponse(data, &resp, nil, false); err != nil {
+		if _, err := decodeResponse(data, &resp, false); err != nil {
 			return
 		}
 		again := appendResponse(nil, &resp)
@@ -55,7 +55,7 @@ func FuzzDecodeResponse(f *testing.F) {
 			t.Fatalf("responseSize says %d, encoder emitted %d", responseSize(&resp), len(again))
 		}
 		var resp2 Response
-		if _, err := decodeResponse(again, &resp2, nil, false); err != nil {
+		if _, err := decodeResponse(again, &resp2, false); err != nil {
 			t.Fatalf("re-encoded response did not decode: %v", err)
 		}
 		if !respEqual(resp, resp2) {

@@ -353,7 +353,7 @@ func negotiateServer(conn net.Conn) (*binServerCodec, error) {
 	if _, err := conn.Write(wireMagic[:]); err != nil {
 		return nil, err
 	}
-	return &binServerCodec{w: conn, r: br, frames: mempool.Frames}, nil
+	return &binServerCodec{w: conn, r: br}, nil
 }
 
 // serverHits recycles the per-response record slices the answer paths

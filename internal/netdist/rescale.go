@@ -268,7 +268,7 @@ func (c *Coordinator) controlOp(ctx context.Context, dev int, req Request) (Resp
 		if release != nil {
 			release()
 		}
-		dc.hits.Put(resp.Records)
+		clientHits.Put(resp.Records)
 		c.dm[dev].errors.Inc()
 		return Response{}, &DeviceError{Device: dev, Addr: dc.addr, RequestID: id, Remote: true, Err: errors.New(resp.Err)}
 	}
@@ -283,7 +283,7 @@ func (c *Coordinator) controlOp(ctx context.Context, dev int, req Request) (Resp
 			}
 			recs[i] = rec
 		}
-		dc.hits.Put(resp.Records)
+		clientHits.Put(resp.Records)
 		resp.Records = recs
 	}
 	if release != nil {

@@ -56,15 +56,7 @@ type Store struct {
 	size int64
 	// records counts stored records.
 	records int
-	// frames recycles the encode/read buffers (the shared wire/page
-	// slab pool by default; SetFramePool(nil) turns recycling off).
-	frames *mempool.SlicePool[byte]
 }
-
-// SetFramePool replaces the store's frame buffer pool; nil disables
-// pooling (every frame allocates). On-disk bytes are identical either
-// way — the pool only changes where the scratch comes from.
-func (s *Store) SetFramePool(p *mempool.SlicePool[byte]) { s.frames = p }
 
 // Open opens or creates the store at path, rebuilding the bucket index by
 // scanning the log. A torn final frame (crash during append) is detected
@@ -74,7 +66,7 @@ func Open(path string) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Store{f: f, path: path, index: make(map[uint32][]int64), frames: mempool.Frames}
+	s := &Store{f: f, path: path, index: make(map[uint32][]int64)}
 	if err := s.recover(); err != nil {
 		f.Close()
 		return nil, err
@@ -104,9 +96,9 @@ func (s *Store) recover() error {
 		if plen > maxPayload || off+frameHeaderSize+int64(plen) > fileSize {
 			break // torn or corrupt tail
 		}
-		payload := s.frames.Get(int(plen))
+		payload := mempool.Frames.Get(int(plen))
 		if _, err := s.f.ReadAt(payload, off+frameHeaderSize); err != nil {
-			s.frames.Put(payload)
+			mempool.Frames.Put(payload)
 			return err
 		}
 		// Incremental CRC over header then payload — same digest as the
@@ -116,7 +108,7 @@ func (s *Store) recover() error {
 		if sum != crc || plen == 0 {
 			// Corrupt frame, or one without its kind byte: end of the
 			// valid prefix.
-			s.frames.Put(payload)
+			mempool.Frames.Put(payload)
 			break
 		}
 		switch payload[0] {
@@ -126,19 +118,19 @@ func (s *Store) recover() error {
 		case kindTombstone:
 			rec, err := decodeRecord(payload[1:])
 			if err != nil {
-				s.frames.Put(payload)
+				mempool.Frames.Put(payload)
 				return fmt.Errorf("pagestore: corrupt tombstone at offset %d: %w", off, err)
 			}
 			if err := s.dropFromIndex(bucket, rec); err != nil {
-				s.frames.Put(payload)
+				mempool.Frames.Put(payload)
 				return err
 			}
 		default:
 			kind := payload[0]
-			s.frames.Put(payload)
+			mempool.Frames.Put(payload)
 			return fmt.Errorf("pagestore: unknown frame kind %d at offset %d", kind, off)
 		}
-		s.frames.Put(payload)
+		mempool.Frames.Put(payload)
 		off += frameHeaderSize + int64(plen)
 	}
 	if off < fileSize {
@@ -170,7 +162,7 @@ func (s *Store) appendFrame(kind byte, bucket uint32, rec mkhash.Record) (int64,
 	if plen > maxPayload {
 		return 0, fmt.Errorf("pagestore: record of %d bytes exceeds limit", plen)
 	}
-	frame := s.frames.Get(frameHeaderSize + plen)[:frameHeaderSize]
+	frame := mempool.Frames.Get(frameHeaderSize + plen)[:frameHeaderSize]
 	binary.LittleEndian.PutUint32(frame[4:8], bucket)
 	binary.LittleEndian.PutUint32(frame[8:12], uint32(plen))
 	frame = append(frame, kind)
@@ -178,7 +170,7 @@ func (s *Store) appendFrame(kind byte, bucket uint32, rec mkhash.Record) (int64,
 	binary.LittleEndian.PutUint32(frame[0:4], crc32.ChecksumIEEE(frame[4:]))
 	off := s.size
 	_, err := s.f.WriteAt(frame, off)
-	s.frames.Put(frame)
+	mempool.Frames.Put(frame)
 	if err != nil {
 		return 0, err
 	}
@@ -340,7 +332,7 @@ func (s *Store) readFrame(off int64) (mkhash.Record, int64, error) {
 	}
 	rec, err := decodeRecord(payload[1:]) // skip the kind byte
 	end := off + frameHeaderSize + int64(len(payload))
-	s.frames.Put(payload)
+	mempool.Frames.Put(payload)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -358,9 +350,9 @@ func (s *Store) readPayload(off int64) ([]byte, error) {
 	if plen == 0 {
 		return nil, fmt.Errorf("pagestore: empty frame at offset %d", off)
 	}
-	payload := s.frames.Get(int(plen))
+	payload := mempool.Frames.Get(int(plen))
 	if _, err := s.f.ReadAt(payload, off+frameHeaderSize); err != nil {
-		s.frames.Put(payload)
+		mempool.Frames.Put(payload)
 		return nil, err
 	}
 	return payload, nil
@@ -378,7 +370,7 @@ func (s *Store) ScanInto(bucket uint32, b *mempool.RecordBuilder, fn func(rec mk
 			return err
 		}
 		rec, err := decodeRecordInto(payload[1:], b)
-		s.frames.Put(payload)
+		mempool.Frames.Put(payload)
 		if err != nil {
 			return err
 		}

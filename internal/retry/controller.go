@@ -159,10 +159,10 @@ func (c *Controller) OnPartial(coverage float64, failed []int) {
 // (breaker → reroute → budget, so reroutes beat backoff), the hedger
 // (when enabled and backup is non-nil), and the degraded mode. reroute
 // and backup may be nil.
-func (c *Controller) Resilience(reroute func(ctx context.Context, dev int, err error) engine.Device, backup func(dev int) engine.Device) engine.Resilience {
+func (c *Controller) Resilience(reroute Reroute, backup func(dev int) engine.Device) engine.Resilience {
 	policies := []engine.Policy{&breakerPolicy{c: c}}
 	if reroute != nil {
-		policies = append(policies, &reroutePolicy{reroute: reroute})
+		policies = append(policies, reroute)
 	}
 	policies = append(policies, &budgetPolicy{c: c})
 	res := engine.Resilience{
@@ -214,27 +214,27 @@ func (p *breakerPolicy) Success(dev int, primary bool, elapsed time.Duration) {
 	}
 }
 
-// reroutePolicy adapts a backend's failover routing (e.g. the netdist
-// ring-successor answerAs impersonation) into the chain: the first
+// Reroute adapts a backend's failover routing (e.g. the netdist
+// ring-successor answerAs impersonation) into a policy: the first
 // failure of a slot's primary device — including a breaker veto — is
-// immediately re-asked on the backup, with no backoff.
-type reroutePolicy struct {
-	reroute func(ctx context.Context, dev int, err error) engine.Device
-}
+// immediately re-asked, once and with no backoff, on the device the
+// func returns; nil lets the failure stand. It is the chain's reroute
+// link under a Controller and a complete one-link chain without one.
+type Reroute func(ctx context.Context, dev int, err error) engine.Device
 
-func (p *reroutePolicy) Allow(ctx context.Context, dev int) error { return nil }
+func (r Reroute) Allow(ctx context.Context, dev int) error { return nil }
 
-func (p *reroutePolicy) Failure(ctx context.Context, at engine.Attempt) engine.Decision {
+func (r Reroute) Failure(ctx context.Context, at engine.Attempt) engine.Decision {
 	if !at.Primary {
 		return engine.Decision{}
 	}
-	if alt := p.reroute(ctx, at.Device, at.Err); alt != nil {
+	if alt := r(ctx, at.Device, at.Err); alt != nil {
 		return engine.Decision{Retry: true, Device: alt}
 	}
 	return engine.Decision{}
 }
 
-func (p *reroutePolicy) Success(dev int, primary bool, elapsed time.Duration) {}
+func (r Reroute) Success(dev int, primary bool, elapsed time.Duration) {}
 
 // budgetPolicy is the deadline-aware retry budget: same-device retries
 // with full-jitter exponential backoff, honoring server Cooldown hints,

@@ -44,21 +44,15 @@ type DurableCluster struct {
 	stores []*pagestore.Store
 	locks  []sync.RWMutex // locks[dev] guards stores[dev]: scan = RLock, mutate = Lock
 	eng    *engine.Executor
-	hits   *mempool.SlicePool[mkhash.Record] // nil under WithoutMemPool
-	noPool bool
 	arena  bool // lease decode arenas to results (WithArenaResults)
 }
 
-// openStores opens one pagestore log per device, disabling its frame
-// pool under WithoutMemPool.
+// openStores opens one pagestore log per device.
 func (c *DurableCluster) openStores() error {
 	for dev := range c.stores {
 		s, err := pagestore.Open(devicePath(c.dir, dev))
 		if err != nil {
 			return err
-		}
-		if c.noPool {
-			s.SetFramePool(nil)
 		}
 		c.stores[dev] = s
 	}
@@ -112,13 +106,13 @@ func (d durDevice) Scan(ctx context.Context, q query.Query, pm mkhash.PartialMat
 		err = c.stores[d.dev].ScanInto(uint32(c.fs.Linear(coords)), b, func(r mkhash.Record) error {
 			ans.Records++
 			if engine.Matches(pm, r) {
-				ans.Hits = c.hits.AppendOne(ans.Hits, r)
+				ans.Hits = hits.AppendOne(ans.Hits, r)
 			}
 			return nil
 		})
 	})
 	if err != nil {
-		c.hits.Put(ans.Hits)
+		hits.Put(ans.Hits)
 		b.Release()
 		return engine.Answer{}, err
 	}
@@ -164,9 +158,7 @@ func CreateDurable(dir string, file *mkhash.File, alloc decluster.GroupAllocator
 		schema: schemaOnly,
 		stores: make([]*pagestore.Store, fs.M),
 		locks:  make([]sync.RWMutex, fs.M),
-		hits:   engine.HitsPool(!st.noPool),
-		noPool: st.noPool,
-		arena:  st.arena && !st.noPool,
+		arena:  st.arena,
 	}
 	if c.eng, err = c.engineFor(model, st); err != nil {
 		return nil, err
@@ -221,9 +213,7 @@ func OpenDurable(dir string, model CostModel, opts ...Option) (*DurableCluster, 
 		schema: schemaOnly,
 		stores: make([]*pagestore.Store, fs.M),
 		locks:  make([]sync.RWMutex, fs.M),
-		hits:   engine.HitsPool(!st.noPool),
-		noPool: st.noPool,
-		arena:  st.arena && !st.noPool,
+		arena:  st.arena,
 	}
 	if c.eng, err = c.engineFor(model, st); err != nil {
 		return nil, err

@@ -18,7 +18,6 @@ type settings struct {
 	retry    *retry.Config
 	injector *resilience.Injector
 	fileOpts []mkhash.Option
-	noPool   bool
 	arena    bool
 }
 
@@ -49,19 +48,11 @@ func WithFileOptions(opts ...mkhash.Option) Option {
 	return func(s *settings) { s.fileOpts = append(s.fileOpts, opts...) }
 }
 
-// WithoutMemPool disables the cluster's buffer pools: hit frames,
-// fan-out scratch, page frames, and decode arenas all fall back to
-// plain allocation. The A/B switch for the differential tests and for
-// ruling pooling out when chasing a corruption bug.
-func WithoutMemPool() Option {
-	return func(s *settings) { s.noPool = true }
-}
-
 // WithArenaResults makes retrievals lease their result slabs from the
 // pools: Result.Records (and, on the durable backend, the field strings
 // they point at) stay valid only until Result.Release returns them for
 // reuse. Callers that never Release simply fall back to the garbage
-// collector. Ignored under WithoutMemPool.
+// collector.
 func WithArenaResults() Option {
 	return func(s *settings) { s.arena = true }
 }
@@ -69,14 +60,13 @@ func WithArenaResults() Option {
 // engineConfig stamps onto an engine config everything a storage backend
 // derives from its kind label alone — the reporting bundle (the kind's
 // shared sinks plus this cluster's metrics), tracer, plan cache and
-// resilience chain — and the pooling choices.
+// resilience chain — and the result-ownership mode.
 func (s *settings) engineConfig(kind string, cfg engine.Config) engine.Config {
 	cfg.Instr = telemetry.For(kind).WithMetrics(telemetry.NewClusterMetrics(kind, len(cfg.Devices)))
 	cfg.Tracer = obs.DefaultTracer()
 	cfg.Span = "storage.retrieve"
 	cfg.Plans = plancache.New(kind)
 	cfg.Resilience = s.resilienceFor(kind, cfg.Devices)
-	cfg.NoPool = s.noPool
 	cfg.ArenaResults = s.arena
 	return cfg
 }

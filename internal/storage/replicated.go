@@ -5,7 +5,6 @@ import (
 
 	"fxdist/internal/decluster"
 	"fxdist/internal/engine"
-	"fxdist/internal/mempool"
 	"fxdist/internal/mkhash"
 	"fxdist/internal/obs"
 	"fxdist/internal/plancache"
@@ -28,7 +27,6 @@ type ReplicatedCluster struct {
 	// copies (primaries of d-1).
 	devs []*device
 	eng  *engine.Executor
-	hits *mempool.SlicePool[mkhash.Record] // nil under WithoutMemPool
 }
 
 // NewReplicated distributes file's buckets over the allocator's devices
@@ -45,7 +43,6 @@ func NewReplicated(file *mkhash.File, alloc decluster.GroupAllocator, mode repli
 		placement: replica.New(alloc, mode),
 		im:        query.NewInverseMapper(alloc),
 		devs:      make([]*device, fs.M),
-		hits:      engine.HitsPool(!st.noPool),
 	}
 	for i := range c.devs {
 		c.devs[i] = &device{buckets: make(map[int][]mkhash.Record)}
@@ -109,7 +106,7 @@ func (d replDevice) Scan(ctx context.Context, q query.Query, pm mkhash.PartialMa
 		for _, r := range store.buckets[c.fs.Linear(coords)] {
 			ans.Records++
 			if engine.Matches(pm, r) {
-				ans.Hits = c.hits.AppendOne(ans.Hits, r)
+				ans.Hits = hits.AppendOne(ans.Hits, r)
 			}
 		}
 	}
@@ -117,7 +114,7 @@ func (d replDevice) Scan(ctx context.Context, q query.Query, pm mkhash.PartialMa
 	prev := (d.dev - 1 + c.fs.M) % c.fs.M
 	eachOnDevice(ctx, c.im, q, prev, serve)
 	if err != nil {
-		c.hits.Put(ans.Hits)
+		hits.Put(ans.Hits)
 		return engine.Answer{}, err
 	}
 	return ans, nil

@@ -22,7 +22,6 @@ import (
 
 	"fxdist/internal/decluster"
 	"fxdist/internal/engine"
-	"fxdist/internal/mempool"
 	"fxdist/internal/mkhash"
 	"fxdist/internal/plancache"
 	"fxdist/internal/query"
@@ -55,8 +54,12 @@ type Cluster struct {
 	model CostModel // used by Project; retrieval prices via eng
 	devs  []*device
 	eng   *engine.Executor
-	hits  *mempool.SlicePool[mkhash.Record] // nil under WithoutMemPool
 }
+
+// hits is the executor's hit-frame pool: every device adapter in this
+// package appends its matches through it, and the executor's merge
+// drains the frames back.
+var hits = engine.HitsPool()
 
 // checkAllocator verifies the allocator was built for the file's current
 // directory sizes — shared by every cluster constructor.
@@ -88,7 +91,6 @@ func NewCluster(file *mkhash.File, alloc decluster.GroupAllocator, model CostMod
 		im:    query.NewInverseMapper(alloc),
 		model: model,
 		devs:  make([]*device, fs.M),
-		hits:  engine.HitsPool(!st.noPool),
 	}
 	for i := range c.devs {
 		c.devs[i] = &device{buckets: make(map[int][]mkhash.Record)}
@@ -138,12 +140,12 @@ func (d memDevice) Scan(ctx context.Context, q query.Query, pm mkhash.PartialMat
 		for _, r := range store.buckets[d.c.fs.Linear(coords)] {
 			ans.Records++
 			if engine.Matches(pm, r) {
-				ans.Hits = d.c.hits.AppendOne(ans.Hits, r)
+				ans.Hits = hits.AppendOne(ans.Hits, r)
 			}
 		}
 	})
 	if err != nil {
-		d.c.hits.Put(ans.Hits)
+		hits.Put(ans.Hits)
 		return engine.Answer{}, err
 	}
 	return ans, nil
@@ -154,7 +156,7 @@ func (d memDevice) Scan(ctx context.Context, q query.Query, pm mkhash.PartialMat
 // the per-call inverse-mapper walk otherwise. Both produce buckets in
 // the same order, so cached and uncached retrievals are byte-identical.
 func eachOnDevice(ctx context.Context, im *query.InverseMapper, q query.Query, dev int, fn func(bucket []int)) {
-	if p := engine.PlanFromContext(ctx); p != nil {
+	if p := engine.PlanFromContext(ctx); p != nil && p.Ready() {
 		p.EachOnDevice(q, dev, fn)
 		return
 	}

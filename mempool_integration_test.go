@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"fxdist"
+	"fxdist/internal/mempool"
 )
 
 // poolDiffSetup builds a loaded file plus a query mix that exercises
@@ -56,8 +57,10 @@ func sortedCopy(keys []string) []string {
 }
 
 // TestPoolingDifferentialAcrossBackends runs the same query mix through
-// every backend in all three ownership modes — copy-out pooling
-// (default), WithoutMemPool, and WithArenaResults — and demands
+// every backend in all three memory modes — copy-out pooling (default),
+// the no-pool reference path (the process-wide mempool.SetEnabled seam,
+// so this test must not run in parallel with others), and
+// WithArenaResults — and demands
 // byte-identical answers: identical record order across modes within a
 // backend (pooling must not reorder a backend's merge), identical
 // record multisets across backends. This is the gate that pooled slab
@@ -111,13 +114,15 @@ func TestPoolingDifferentialAcrossBackends(t *testing.T) {
 		},
 	}
 	modes := []struct {
-		name string
-		opts []fxdist.Option
+		name   string
+		pooled bool
+		opts   []fxdist.Option
 	}{
-		{"pooled", nil},
-		{"nopool", []fxdist.Option{fxdist.WithoutMemPool()}},
-		{"arena", []fxdist.Option{fxdist.WithArenaResults()}},
+		{"pooled", true, nil},
+		{"nopool", false, nil},
+		{"arena", true, []fxdist.Option{fxdist.WithArenaResults()}},
 	}
+	t.Cleanup(func() { mempool.SetEnabled(true) })
 
 	// want[qi] is the reference answer from a direct single-device file
 	// search, sorted.
@@ -136,6 +141,7 @@ func TestPoolingDifferentialAcrossBackends(t *testing.T) {
 			// mode; later modes must reproduce it exactly.
 			var exact [][]string
 			for _, mode := range modes {
+				mempool.SetEnabled(mode.pooled)
 				c, cleanup := open(t, mode.opts...)
 				got := make([][]string, len(pms))
 				for qi, pm := range pms {

@@ -124,12 +124,19 @@ func TestMetricsScrapeDuringDistributedRetrieve(t *testing.T) {
 	}()
 
 	coord, err := fxdist.Open(fxdist.Config{File: file, Addrs: addrs},
-		fxdist.WithDialTimeout(5*time.Second))
+		fxdist.WithDialTimeout(5*time.Second), fxdist.WithFailover())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer coord.Close()
-	got, err := coord.Coordinator().RetrieveWithFailover(pm)
+	// A second handle without failover tells when the death is noticed.
+	plain, err := fxdist.Open(fxdist.Config{File: file, Addrs: addrs},
+		fxdist.WithDialTimeout(5*time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer plain.Close()
+	got, err := coord.Retrieve(pm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +195,7 @@ func TestMetricsScrapeDuringDistributedRetrieve(t *testing.T) {
 	servers[2].Close()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if _, err := coord.Retrieve(pm); err != nil {
+		if _, err := plain.Retrieve(pm); err != nil {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -196,7 +203,7 @@ func TestMetricsScrapeDuringDistributedRetrieve(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	got, err = coord.Coordinator().RetrieveWithFailover(pm)
+	got, err = coord.Retrieve(pm)
 	if err != nil {
 		t.Fatalf("failover retrieve: %v", err)
 	}

@@ -111,8 +111,8 @@ func SetLatencySLO(backend string, target time.Duration, goal float64) {
 // (e.g. "s**" — 's' per specified field, '*' per unspecified) of one
 // backend.
 //
-// Deprecated: use Cluster.SetShapeLatencySLO (or WithShapeLatencySLO at
-// Open time), which derives the backend name from the cluster itself.
+// Deprecated: use Cluster.SetShapeLatencySLO, which derives the backend
+// name from the cluster itself.
 func SetShapeLatencySLO(backend, shape string, target time.Duration, goal float64) {
 	telemetry.For(backend).Audit.SetShapeSLO(shape, audit.SLO{Target: target, Goal: goal})
 }

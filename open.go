@@ -51,10 +51,8 @@ type openSettings struct {
 	failover    bool
 	sloSet      bool
 	slo         LatencySLO
-	shapeSLOs   map[string]LatencySLO
 	cacheSize   int // 0 = default, < 0 = disabled
 	fileOpts    []FileOption
-	noPool      bool
 	arena       bool
 	rescaleJrnl string
 	dialEpoch   int
@@ -81,9 +79,6 @@ func (s *openSettings) storageOpts(kind string) []storage.Option {
 	if in := s.buildInjector(kind); in != nil {
 		opts = append(opts, storage.WithInjector(in))
 	}
-	if s.noPool {
-		opts = append(opts, storage.WithoutMemPool())
-	}
 	if s.arena {
 		opts = append(opts, storage.WithArenaResults())
 	}
@@ -105,20 +100,22 @@ type Option func(*openSettings)
 
 // WithCostModel prices each device's simulated work (default
 // MainMemory). The coordinator backend attaches no cost model; the
-// option is ignored there.
+// option is ignored there. Set by pmquery, fxcheck and fxstore.
 func WithCostModel(m CostModel) Option {
 	return func(s *openSettings) { s.model, s.modelSet = m, true }
 }
 
 // WithReplication selects the replicated in-memory backend: every
 // bucket is stored on its primary device and the ring successor, under
-// the given failover mode (e.g. ChainedFailover).
+// the given failover mode (e.g. ChainedFailover). Library API,
+// exercised by TestPoolingDifferentialAcrossBackends.
 func WithReplication(mode ReplicaMode) Option {
 	return func(s *openSettings) { s.replicated, s.replicaMode = true, mode }
 }
 
 // WithDialTimeout bounds each per-device request of the distributed
-// backend; zero (the default) waits indefinitely.
+// backend; zero (the default) waits indefinitely. Library API,
+// exercised by TestPublicReplicatedFailover.
 func WithDialTimeout(d time.Duration) Option {
 	return func(s *openSettings) { s.dialTimeout = d }
 }
@@ -126,39 +123,34 @@ func WithDialTimeout(d time.Duration) Option {
 // WithStatsPull makes the distributed backend's coordinator pull every
 // device server's metrics snapshot each interval, keeping the federated
 // fleet view on /debug/cluster fresh. Ignored on other backend kinds.
+// Set by fxnode query -stats-pull.
 func WithStatsPull(interval time.Duration) Option {
 	return func(s *openSettings) { s.statsEvery = interval }
 }
 
-// WithFailover routes the distributed backend's retrievals through the
-// ring-successor retry policy: when a device's server is unreachable,
-// its successor answers from the backup copy (requires servers deployed
-// with replication, e.g. DeployReplicatedLocal).
+// WithFailover puts the ring-successor reroute on the distributed
+// backend's retrieval policy chain: when a device's server is
+// unreachable, its successor answers from the backup copy (requires
+// servers deployed with replication, e.g. DeployReplicatedLocal). The
+// choice is made once, when Open dials, and holds for every retrieval
+// the cluster serves — single, batched, behind a gate, or inside a
+// rescale window. Set by examples/distributed.
 func WithFailover() Option {
 	return func(s *openSettings) { s.failover = true }
 }
 
 // WithLatencySLO sets the default latency objective for every query
 // shape of the cluster's backend: at least goal (e.g. 0.99) of queries
-// must complete within target.
+// must complete within target. Per-shape overrides go through
+// Cluster.SetShapeLatencySLO. Set by fxnode query -slo and fxgate -slo.
 func WithLatencySLO(target time.Duration, goal float64) Option {
 	return func(s *openSettings) { s.sloSet, s.slo = true, LatencySLO{Target: target, Goal: goal} }
-}
-
-// WithShapeLatencySLO overrides the latency objective for one query
-// shape ('s' per specified field, '*' per unspecified — e.g. "s**").
-func WithShapeLatencySLO(shape string, target time.Duration, goal float64) Option {
-	return func(s *openSettings) {
-		if s.shapeSLOs == nil {
-			s.shapeSLOs = make(map[string]LatencySLO)
-		}
-		s.shapeSLOs[shape] = LatencySLO{Target: target, Goal: goal}
-	}
 }
 
 // WithPlanCacheSize bounds the cluster's plan cache to n shapes
 // (LRU-evicted beyond it). n = 0 keeps the default (256); n < 0
 // disables the cache entirely, taking the uncached retrieval path.
+// Library API, exercised by TestPlanCacheDifferentialAcrossBackends.
 func WithPlanCacheSize(n int) Option {
 	return func(s *openSettings) {
 		if n < 0 {
@@ -169,24 +161,12 @@ func WithPlanCacheSize(n int) Option {
 	}
 }
 
-// WithoutPlanCache disables the cluster's plan cache; equivalent to
-// WithPlanCacheSize(-1).
-func WithoutPlanCache() Option { return WithPlanCacheSize(-1) }
-
 // WithFileOptions passes file options (e.g. WithFieldHash) through to
 // the schema reconstruction when reopening a durable cluster whose file
-// was built with custom field hashes.
+// was built with custom field hashes. Library API; its lowering,
+// storage.WithFileOptions, is exercised by TestCheckDetectsHashMismatch.
 func WithFileOptions(opts ...FileOption) Option {
 	return func(s *openSettings) { s.fileOpts = append(s.fileOpts, opts...) }
-}
-
-// WithoutMemPool disables the cluster's buffer pools on every backend
-// kind: hit frames, fan-out scratch, page frames, wire frames, and
-// decode arenas all fall back to plain allocation. Results are
-// byte-identical either way — this is the A/B switch for differential
-// testing and for ruling pooling out when chasing a corruption bug.
-func WithoutMemPool() Option {
-	return func(s *openSettings) { s.noPool = true }
 }
 
 // WithArenaResults opts into zero-copy result ownership: retrievals
@@ -194,9 +174,9 @@ func WithoutMemPool() Option {
 // with RetrieveResult.Release once done reading. After Release the
 // Records (and, on the durable and distributed backends, the field
 // strings they point at) are invalid. Callers that never Release simply
-// fall back to the garbage collector — correct, just slower. Ignored
-// under WithoutMemPool. Without this option results are plain
-// caller-owned allocations and Release is a no-op.
+// fall back to the garbage collector — correct, just slower. Without
+// this option results are plain caller-owned allocations and Release is
+// a no-op. Library API, exercised by TestArenaRetrieveReleaseHammer.
 func WithArenaResults() Option {
 	return func(s *openSettings) { s.arena = true }
 }
@@ -205,7 +185,7 @@ func WithArenaResults() Option {
 // with Cluster.Rescale: migration progress persists there, so a
 // coordinator killed mid-rescale resumes from the journal instead of
 // re-streaming every bucket. Only meaningful on the distributed
-// backend.
+// backend. Set by fxnode rescale -journal.
 func WithRescale(journalPath string) Option {
 	return func(s *openSettings) { s.rescaleJrnl = journalPath }
 }
@@ -217,38 +197,53 @@ func WithRescale(journalPath string) Option {
 // set would otherwise silently return partial answers). A coordinator
 // that lived through the rescale is re-pinned automatically; use this
 // to dial a fleet from a fresh process after n rescales. Zero, the
-// default, matches a fleet that has never rescaled.
+// default, matches a fleet that has never rescaled. Set by fxnode
+// query -epoch and scripts/rescale_chaos.go.
 func WithDialEpoch(epoch int) Option {
 	return func(s *openSettings) { s.dialEpoch = epoch }
 }
+
+// backend is what the facade needs of a cluster kind to serve queries.
+// All four kinds retrieve through their own engine.Executor, so their
+// method sets already agree; the typed accessors reach everything else.
+type backend interface {
+	RetrieveContext(ctx context.Context, pm PartialMatch) (RetrieveResult, error)
+	RetrieveBatch(ctx context.Context, pms []PartialMatch) ([]RetrieveResult, error)
+	M() int
+	PlanCache() *plancache.Cache
+}
+
+var (
+	_ backend = (*MemoryCluster)(nil)
+	_ backend = (*DurableCluster)(nil)
+	_ backend = (*ReplicatedCluster)(nil)
+	_ backend = (*Coordinator)(nil)
+)
 
 // Cluster is the unified handle over every backend kind — in-memory,
 // replicated, durable, distributed — built by Open. All kinds retrieve
 // through the same engine executor and plan cache, so the handle offers
 // one surface: RetrieveContext (canonical), Retrieve, RetrieveBatch,
 // SLO and audit knobs, and plan-cache introspection. Backend-specific
-// operations (durable inserts, replica failure injection, distributed
-// failover) are reachable through the typed accessors Memory, Durable,
+// operations (durable inserts, replica failure injection, coordinator
+// stats pulls) are reachable through the typed accessors Memory, Durable,
 // Replicated and Coordinator.
 type Cluster struct {
-	kind     string
-	file     *File // schema source; nil only for reopened durable clusters
-	mem      *MemoryCluster
-	dur      *DurableCluster
-	repl     *ReplicatedCluster
-	failover bool
+	kind string
+	file *File // schema source; nil only for reopened durable clusters
 
-	// coordMu guards coord, which Rescale swaps at cutover while
-	// retrievals are in flight.
+	// coordMu guards be, the one reference to the kind's cluster value.
+	// Only the distributed kind ever rewrites it: Rescale swaps in the
+	// new epoch's coordinator at cutover while retrievals are in flight.
 	coordMu sync.RWMutex
-	coord   *Coordinator
+	be      backend
 
 	// resc is the live rescale, nil outside a rescale window; its
 	// routing intercepts retrievals during dual-read. rescaleJournal is
 	// the default journal path (WithRescale); dialOpts are the options
 	// the coordinator was dialed with, reused for the new epoch's
-	// coordinator so timeouts, retry budgets, pooling and injectors
-	// survive a rescale.
+	// coordinator so timeouts, the policy chain (failover, retry
+	// budgets), result ownership and injectors survive a rescale.
 	resc           atomic.Pointer[Rescale]
 	rescaleJournal string
 	dialOpts       []DialOption
@@ -296,8 +291,8 @@ func Open(cfg Config, opts ...Option) (*Cluster, error) {
 		if in := s.buildInjector(KindNetdist); in != nil {
 			dialOpts = append(dialOpts, netdist.WithInjector(in))
 		}
-		if s.noPool {
-			dialOpts = append(dialOpts, netdist.WithoutMemPool())
+		if s.failover {
+			dialOpts = append(dialOpts, netdist.WithFailover())
 		}
 		if s.arena {
 			dialOpts = append(dialOpts, netdist.WithArenaResults())
@@ -315,7 +310,7 @@ func Open(cfg Config, opts ...Option) (*Cluster, error) {
 		if s.statsEvery > 0 {
 			coord.StartStatsPull(s.statsEvery)
 		}
-		c.kind, c.coord, c.failover = KindNetdist, coord, s.failover
+		c.kind, c.be = KindNetdist, coord
 		c.rescaleJournal = s.rescaleJrnl
 		c.dialOpts = dialOpts
 
@@ -331,14 +326,14 @@ func Open(cfg Config, opts ...Option) (*Cluster, error) {
 			if err != nil {
 				return nil, err
 			}
-			c.kind, c.dur = KindDurable, dur
+			c.kind, c.be = KindDurable, dur
 		} else {
 			sopts := append(s.storageOpts(KindDurable), storage.WithFileOptions(s.fileOpts...))
 			dur, err := storage.OpenDurable(cfg.Dir, model, sopts...)
 			if err != nil {
 				return nil, err
 			}
-			c.kind, c.dur = KindDurable, dur
+			c.kind, c.be = KindDurable, dur
 		}
 
 	case s.replicated:
@@ -349,7 +344,7 @@ func Open(cfg Config, opts ...Option) (*Cluster, error) {
 		if err != nil {
 			return nil, err
 		}
-		c.kind, c.repl = KindReplicated, repl
+		c.kind, c.be = KindReplicated, repl
 
 	default:
 		if cfg.File == nil || cfg.Allocator == nil {
@@ -359,10 +354,10 @@ func Open(cfg Config, opts ...Option) (*Cluster, error) {
 		if err != nil {
 			return nil, err
 		}
-		c.kind, c.mem = KindMemory, mem
+		c.kind, c.be = KindMemory, mem
 	}
 
-	if pc := c.planCache(); pc != nil {
+	if pc := c.be.PlanCache(); pc != nil {
 		switch {
 		case s.cacheSize < 0:
 			pc.SetEnabled(false)
@@ -373,9 +368,6 @@ func Open(cfg Config, opts ...Option) (*Cluster, error) {
 	if s.sloSet {
 		c.SetLatencySLO(s.slo.Target, s.slo.Goal)
 	}
-	for shape, slo := range s.shapeSLOs {
-		c.SetShapeLatencySLO(shape, slo.Target, slo.Goal)
-	}
 	return c, nil
 }
 
@@ -384,47 +376,42 @@ func Open(cfg Config, opts ...Option) (*Cluster, error) {
 func (c *Cluster) Kind() string { return c.kind }
 
 // Memory returns the underlying in-memory cluster, nil for other kinds.
-func (c *Cluster) Memory() *MemoryCluster { return c.mem }
+func (c *Cluster) Memory() *MemoryCluster { return as[*MemoryCluster](c) }
 
 // Durable returns the underlying durable cluster, nil for other kinds.
-func (c *Cluster) Durable() *DurableCluster { return c.dur }
+func (c *Cluster) Durable() *DurableCluster { return as[*DurableCluster](c) }
 
 // Replicated returns the underlying replicated cluster, nil for other
 // kinds.
-func (c *Cluster) Replicated() *ReplicatedCluster { return c.repl }
+func (c *Cluster) Replicated() *ReplicatedCluster { return as[*ReplicatedCluster](c) }
 
 // Coordinator returns the underlying distributed coordinator, nil for
 // other kinds. During a rescale the handle is swapped at cutover; see
 // Cluster.Rescale.
-func (c *Cluster) Coordinator() *Coordinator { return c.coordinator() }
+func (c *Cluster) Coordinator() *Coordinator { return as[*Coordinator](c) }
 
-// coordinator reads the current coordinator under the swap lock.
-func (c *Cluster) coordinator() *Coordinator {
+// backend reads the serving backend under the swap lock.
+func (c *Cluster) backend() backend {
 	c.coordMu.RLock()
 	defer c.coordMu.RUnlock()
-	return c.coord
+	return c.be
+}
+
+// as is the serving backend as its concrete kind T, nil for the others.
+func as[T backend](c *Cluster) T {
+	t, _ := c.backend().(T)
+	return t
 }
 
 // M returns the device count.
-func (c *Cluster) M() int {
-	switch c.kind {
-	case KindMemory:
-		return c.mem.M()
-	case KindDurable:
-		return c.dur.M()
-	case KindReplicated:
-		return c.repl.M()
-	default:
-		return c.coordinator().M()
-	}
-}
+func (c *Cluster) M() int { return c.backend().M() }
 
 // Spec builds a value-level partial match query against the cluster's
 // schema: pairs of (field name, value); unmentioned fields are
 // unspecified.
 func (c *Cluster) Spec(pairs map[string]string) (PartialMatch, error) {
-	if c.kind == KindDurable {
-		return c.dur.Spec(pairs)
+	if dur := c.Durable(); dur != nil {
+		return dur.Spec(pairs)
 	}
 	return c.file.Spec(pairs)
 }
@@ -433,35 +420,17 @@ func (c *Cluster) Spec(pairs map[string]string) (PartialMatch, error) {
 // the canonical retrieval entry point on every backend kind; Retrieve
 // is its context.Background() wrapper. The distributed backend carries
 // no cost model, so its results leave Response, TotalWork and
-// DeviceTime zero; with WithFailover set it routes through the
-// ring-successor retry policy.
+// DeviceTime zero. A degraded retrieval (WithPartialResults) carries the
+// surviving devices' answer alongside its PartialResult error.
 func (c *Cluster) RetrieveContext(ctx context.Context, pm PartialMatch) (RetrieveResult, error) {
-	switch c.kind {
-	case KindMemory:
-		return c.mem.RetrieveContext(ctx, pm)
-	case KindDurable:
-		return c.dur.RetrieveContext(ctx, pm)
-	case KindReplicated:
-		return c.repl.RetrieveContext(ctx, pm)
-	default:
-		// A live rescale window intercepts retrievals: dual reads while
-		// both epochs serve, new-epoch reads once the old one drains.
-		if r := c.resc.Load(); r != nil {
-			if res, err, handled := r.retrieve(ctx, pm); handled {
-				return res, err
-			}
+	// A live rescale window intercepts retrievals: dual reads while
+	// both epochs serve, new-epoch reads once the old one drains.
+	if r := c.resc.Load(); r != nil {
+		if res, err, handled := r.retrieve(ctx, pm); handled {
+			return res, err
 		}
-		var res DistributedResult
-		var err error
-		if c.failover {
-			res, err = c.coordinator().RetrieveWithFailoverContext(ctx, pm)
-		} else {
-			res, err = c.coordinator().RetrieveContext(ctx, pm)
-		}
-		// A degraded retrieval (WithPartialResults) carries the surviving
-		// devices' answer alongside its PartialResult error.
-		return fromDistributed(res), err
 	}
+	return c.backend().RetrieveContext(ctx, pm)
 }
 
 // Retrieve is RetrieveContext with context.Background().
@@ -473,80 +442,36 @@ func (c *Cluster) Retrieve(pm PartialMatch) (RetrieveResult, error) {
 // over the shared worker pool (see engine.Executor.RetrieveBatch).
 // Queries sharing a shape reuse one cached plan.
 func (c *Cluster) RetrieveBatch(ctx context.Context, pms []PartialMatch) ([]RetrieveResult, error) {
-	switch c.kind {
-	case KindMemory:
-		return c.mem.RetrieveBatch(ctx, pms)
-	case KindDurable:
-		return c.dur.RetrieveBatch(ctx, pms)
-	case KindReplicated:
-		return c.repl.RetrieveBatch(ctx, pms)
-	default:
-		// During a rescale window, run the batch query-by-query through
-		// the epoch-aware path (dual reads don't batch across epochs).
-		if r := c.resc.Load(); r != nil && r.intercepting() {
-			out := make([]RetrieveResult, len(pms))
-			for i, pm := range pms {
-				res, err := c.RetrieveContext(ctx, pm)
-				if err != nil {
-					return out, err
-				}
-				out[i] = res
+	// During a rescale window, run the batch query-by-query through
+	// the epoch-aware path (dual reads don't batch across epochs).
+	if r := c.resc.Load(); r != nil && r.intercepting() {
+		out := make([]RetrieveResult, len(pms))
+		for i, pm := range pms {
+			res, err := c.RetrieveContext(ctx, pm)
+			if err != nil {
+				return out, err
 			}
-			return out, nil
+			out[i] = res
 		}
-		dres, err := c.coordinator().RetrieveBatch(ctx, pms)
-		out := make([]RetrieveResult, len(dres))
-		for i, r := range dres {
-			out[i] = fromDistributed(r)
-		}
-		return out, err
+		return out, nil
 	}
-}
-
-// fromDistributed lifts a coordinator result onto the unified result
-// type (no cost model on the wire, so the time fields stay zero). The
-// arena lease rides along so Release keeps working through the facade.
-func fromDistributed(r DistributedResult) RetrieveResult {
-	res := RetrieveResult{
-		TraceID:             r.TraceID,
-		Records:             r.Records,
-		DeviceBuckets:       r.DeviceBuckets,
-		DeviceRecords:       r.DeviceRecords,
-		LargestResponseSize: r.LargestResponseSize,
-		Stages:              r.Stages,
-	}
-	res.SetLease(r.Lease())
-	return res
+	return c.backend().RetrieveBatch(ctx, pms)
 }
 
 // Close releases the backend's resources: device logs for durable
 // clusters, server connections for coordinators; a no-op for the
 // in-memory kinds.
 func (c *Cluster) Close() error {
-	switch c.kind {
-	case KindDurable:
-		return c.dur.Close()
-	case KindNetdist:
+	switch be := c.backend().(type) {
+	case *DurableCluster:
+		return be.Close()
+	case *Coordinator:
 		if r := c.resc.Load(); r != nil {
 			r.closeNew()
 		}
-		c.coordinator().Close()
+		be.Close()
 	}
 	return nil
-}
-
-// planCache returns the backend's plan cache handle.
-func (c *Cluster) planCache() *plancache.Cache {
-	switch c.kind {
-	case KindMemory:
-		return c.mem.PlanCache()
-	case KindDurable:
-		return c.dur.PlanCache()
-	case KindReplicated:
-		return c.repl.PlanCache()
-	default:
-		return c.coordinator().PlanCache()
-	}
 }
 
 // PlanCacheStats is a point-in-time snapshot of one cluster's plan
@@ -554,7 +479,7 @@ func (c *Cluster) planCache() *plancache.Cache {
 type PlanCacheStats = plancache.Snapshot
 
 // PlanCache snapshots the cluster's plan cache.
-func (c *Cluster) PlanCache() PlanCacheStats { return c.planCache().Stats() }
+func (c *Cluster) PlanCache() PlanCacheStats { return c.backend().PlanCache().Stats() }
 
 // SetLatencySLO sets the default latency objective for every query
 // shape served by this cluster's backend kind: at least goal (e.g.

@@ -66,7 +66,7 @@ func TestPlanCacheDifferentialAcrossBackends(t *testing.T) {
 	open := func(disable bool, cfg fxdist.Config, opts ...fxdist.Option) *fxdist.Cluster {
 		t.Helper()
 		if disable {
-			opts = append(opts, fxdist.WithoutPlanCache())
+			opts = append(opts, fxdist.WithPlanCacheSize(-1))
 		}
 		c, err := fxdist.Open(cfg, opts...)
 		if err != nil {
@@ -92,7 +92,7 @@ func TestPlanCacheDifferentialAcrossBackends(t *testing.T) {
 		cached := open(false, k.cfg(), k.opts...)
 		uncached := open(true, k.cfg(), k.opts...)
 		if got := uncached.PlanCache(); got.Enabled {
-			t.Fatalf("%s: WithoutPlanCache left the cache enabled", k.name)
+			t.Fatalf("%s: WithPlanCacheSize(-1) left the cache enabled", k.name)
 		}
 		for qi, pm := range pms {
 			a, err := cached.Retrieve(pm)

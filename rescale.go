@@ -121,7 +121,7 @@ func (c *Cluster) Rescale(ctx context.Context, cfg RescaleConfig) (*Rescale, err
 	if c.resc.Load() != nil {
 		return nil, errors.New("fxdist: a rescale is already in flight")
 	}
-	old := c.coordinator()
+	old := c.Coordinator()
 	oldM := old.M()
 	if cfg.NewM != 2*oldM && oldM != 2*cfg.NewM {
 		return nil, fmt.Errorf("fxdist: rescale %d -> %d devices: only doubling or halving is supported", oldM, cfg.NewM)
@@ -168,8 +168,8 @@ func (c *Cluster) Rescale(ctx context.Context, cfg RescaleConfig) (*Rescale, err
 
 	r := &Rescale{c: c, newCoord: newCoord, done: make(chan struct{})}
 	r.dual = &engine.DualReader{
-		Old: old.EngineRetrieve,
-		New: newCoord.EngineRetrieve,
+		Old: old.RetrieveContext,
+		New: newCoord.RetrieveContext,
 	}
 
 	// The transport must span the union of the two device sets: the
@@ -227,7 +227,7 @@ func (r *Rescale) retrieve(ctx context.Context, pm PartialMatch) (RetrieveResult
 		switch r.route.Load() {
 		case rescRouteNew:
 			// The drain won the race: the old epoch is released.
-			res, err := r.newCoord.EngineRetrieve(ctx, pm)
+			res, err := r.newCoord.RetrieveContext(ctx, pm)
 			return res, err, true
 		case rescRouteOld:
 			// A rollback won the race: the new epoch's prepared views
@@ -238,7 +238,7 @@ func (r *Rescale) retrieve(ctx context.Context, pm PartialMatch) (RetrieveResult
 		res, err := r.dual.Retrieve(ctx, pm)
 		return res, err, true
 	case rescRouteNew:
-		res, err := r.newCoord.EngineRetrieve(ctx, pm)
+		res, err := r.newCoord.RetrieveContext(ctx, pm)
 		return res, err, true
 	default:
 		return RetrieveResult{}, nil, false
@@ -294,8 +294,8 @@ func (r *Rescale) finish(err error) {
 			return
 		}
 		r.c.coordMu.Lock()
-		old := r.c.coord
-		r.c.coord = r.newCoord
+		old := r.c.be.(*Coordinator)
+		r.c.be = r.newCoord
 		r.c.coordMu.Unlock()
 		r.c.resc.CompareAndSwap(r, nil)
 		old.Close()

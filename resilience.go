@@ -76,7 +76,8 @@ func Resilience() ResilienceReport {
 // maxAttempts attempts per device slot with full-jitter exponential
 // backoff in [0, min(max, base<<n)], deadline-aware (a retry that would
 // outlive the caller's context deadline is declined). Zero arguments
-// keep the defaults (3 attempts, 2ms base, 250ms cap).
+// keep the defaults (3 attempts, 2ms base, 250ms cap). Library API,
+// exercised by TestChaosDistributedRetrieval.
 func WithRetryBudget(maxAttempts int, base, max time.Duration) Option {
 	return func(s *openSettings) {
 		s.resilSet = true
@@ -90,7 +91,8 @@ func WithRetryBudget(maxAttempts int, base, max time.Duration) Option {
 // consecutive primary failures open a device's breaker, which rejects
 // attempts for cooldown and then admits a single half-open probe whose
 // outcome closes or re-opens it. Breaker transitions surface in
-// fxdist_resilience_breaker_* metrics and /debug/resilience.
+// fxdist_resilience_breaker_* metrics and /debug/resilience. Library
+// API, exercised by TestChaosDistributedRetrieval.
 func WithCircuitBreaker(failures int, cooldown time.Duration) Option {
 	return func(s *openSettings) {
 		s.resilSet = true
@@ -103,8 +105,9 @@ func WithCircuitBreaker(failures int, cooldown time.Duration) Option {
 // latency breaches twice its peers', retrievals race a backup request
 // (the ring successor's backup partition on the distributed backend, a
 // second same-device scan locally) after a delay of the peers' p99,
-// floored at min. On the distributed backend hedging applies to the
-// WithFailover path.
+// floored at min. The distributed backend hedges only when opened
+// WithFailover: a plain deployment's successor holds no backup to race.
+// Library API, exercised by TestChaosDistributedRetrieval.
 func WithHedging(min time.Duration) Option {
 	return func(s *openSettings) {
 		s.resilSet = true
@@ -117,6 +120,7 @@ func WithHedging(min time.Duration) Option {
 // some (not all) devices exhausted their retries returns the surviving
 // devices' merged records plus a PartialResult error carrying the
 // failure manifest and coverage fraction, instead of failing outright.
+// Library API, exercised by TestChaosMemoryPartialResults.
 func WithPartialResults() Option {
 	return func(s *openSettings) {
 		s.resilSet = true
@@ -125,7 +129,8 @@ func WithPartialResults() Option {
 }
 
 // WithRetrySeed fixes the seed behind retry jitter, making backoff
-// schedules reproducible (default 1).
+// schedules reproducible (default 1). Library API, exercised by
+// TestChaosDistributedRetrieval.
 func WithRetrySeed(seed int64) Option {
 	return func(s *openSettings) {
 		s.resilSet = true
@@ -136,7 +141,8 @@ func WithRetrySeed(seed int64) Option {
 // WithFaultInjection fronts every device with a deterministic, seeded
 // fault injector running the given per-device schedules — chaos testing
 // through the public facade. The injector registers under the backend
-// kind on /debug/resilience.
+// kind on /debug/resilience. Library API, exercised by
+// TestFlightRecorderSlowDevice.
 func WithFaultInjection(seed int64, schedules map[int]FaultSchedule) Option {
 	return func(s *openSettings) {
 		s.faultSet = true
@@ -147,7 +153,8 @@ func WithFaultInjection(seed int64, schedules map[int]FaultSchedule) Option {
 
 // WithFaultInjector installs a caller-built injector (see
 // NewFaultInjector) instead of an internally constructed one, so tests
-// can mutate schedules at runtime via Set/Clear.
+// can mutate schedules at runtime via Set/Clear. Library API, exercised
+// by TestChaosDistributedRetrieval.
 func WithFaultInjector(in *FaultInjector) Option {
 	return func(s *openSettings) { s.injector = in }
 }
@@ -156,7 +163,7 @@ func WithFaultInjector(in *FaultInjector) Option {
 // every interval the coordinator pings each device server, redials dead
 // connections, and feeds the outcomes into the circuit breakers so a
 // restarted server rejoins without risking live traffic. Ignored on
-// local backends.
+// local backends. Library API, exercised by TestChaosHealthProbeRecovery.
 func WithHealthProbing(interval time.Duration) Option {
 	return func(s *openSettings) { s.probeEvery = interval }
 }
