@@ -17,6 +17,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -905,12 +906,10 @@ func BenchmarkRetrieveWithInjectedLatency(b *testing.B) {
 }
 
 // benchGate builds the serving tier's two upper rungs over the memory
-// backend with the gate's shipped defaults (1 ms coalescing window
-// included: a lone caller waits it out on every request, and that is
-// the number an operator sees), and the two queries the rungs are
-// measured on: a point query naming every field of a stored record,
-// and a scan naming only the 20-valued field — about a thousand
-// records back.
+// backend with the gate's shipped defaults, and the two queries the
+// rungs are measured on: a point query naming every field of a stored
+// record, and a scan naming only the 20-valued field — about a
+// thousand records back.
 func benchGate(b *testing.B) (g *gate.Gate, point, scan map[string]string) {
 	b.Helper()
 	file, _ := benchRelationFile(b, 20000)
@@ -941,9 +940,37 @@ func benchGate(b *testing.B) (g *gate.Gate, point, scan map[string]string) {
 	return g, map[string]string{"a": rec[0], "b": rec[1], "c": rec[2]}, map[string]string{"c": rec[2]}
 }
 
+// gateFrame is one fx.retrieve request body for query.
+func gateFrame(b *testing.B, query map[string]string) []byte {
+	b.Helper()
+	params, err := json.Marshal(client.RetrieveParams{Query: query})
+	if err != nil {
+		b.Fatal(err)
+	}
+	body, err := json.Marshal(client.Request{JSONRPC: "2.0", ID: json.RawMessage("1"), Method: client.MethodRetrieve, Params: params})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return body
+}
+
+// serveFrame drives one frame through Gate.ServeHTTP, with no socket,
+// and reports an answer that is not a result.
+func serveFrame(g *gate.Gate, body []byte) error {
+	req := httptest.NewRequest(http.MethodPost, "/rpc", bytes.NewReader(body))
+	req.Header.Set("Authorization", "Bearer bench-key")
+	rec := httptest.NewRecorder()
+	g.ServeHTTP(rec, req)
+	if rec.Code != http.StatusOK || !bytes.Contains(rec.Body.Bytes(), []byte(`"result":{`)) {
+		return fmt.Errorf("status %d: %.200s", rec.Code, rec.Body.Bytes())
+	}
+	return nil
+}
+
 // BenchmarkGateRetrieve is the gate rung of the ledger: one fx.retrieve
-// frame through Gate.ServeHTTP — JSON-RPC decode, auth, admission, the
-// coalescing window, the engine, the response frame — with no socket.
+// frame through Gate.ServeHTTP — JSON-RPC decode, auth, admission, a
+// dispatch of one (a lone caller never waits for company), the engine,
+// the response frame — with no socket.
 func BenchmarkGateRetrieve(b *testing.B) {
 	g, point, scan := benchGate(b)
 	for _, bc := range []struct {
@@ -951,24 +978,53 @@ func BenchmarkGateRetrieve(b *testing.B) {
 		query map[string]string
 	}{{"point", point}, {"scan", scan}} {
 		b.Run(bc.name, func(b *testing.B) {
-			params, err := json.Marshal(client.RetrieveParams{Query: bc.query})
-			if err != nil {
-				b.Fatal(err)
-			}
-			body, err := json.Marshal(client.Request{JSONRPC: "2.0", ID: json.RawMessage("1"), Method: client.MethodRetrieve, Params: params})
-			if err != nil {
-				b.Fatal(err)
-			}
+			body := gateFrame(b, bc.query)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				req := httptest.NewRequest(http.MethodPost, "/rpc", bytes.NewReader(body))
-				req.Header.Set("Authorization", "Bearer bench-key")
-				rec := httptest.NewRecorder()
-				g.ServeHTTP(rec, req)
-				if rec.Code != http.StatusOK || !bytes.Contains(rec.Body.Bytes(), []byte(`"result":{`)) {
-					b.Fatalf("status %d: %.200s", rec.Code, rec.Body.Bytes())
+				if err := serveFrame(g, body); err != nil {
+					b.Fatal(err)
 				}
 			}
+		})
+	}
+}
+
+// BenchmarkGateRetrieveParallel is what fxload's two clients cannot
+// show: 16 callers of one shape at once, the load under which the gate
+// is meant to batch. Besides the usual columns it reports, from
+// Gate.Report deltas, batches/op (cluster dispatches per query; 1 means
+// no batching) and coalesced/op (the fraction of queries that shared a
+// dispatch).
+func BenchmarkGateRetrieveParallel(b *testing.B) {
+	const callers = 16
+	g, point, scan := benchGate(b)
+	for _, bc := range []struct {
+		name  string
+		query map[string]string
+	}{{"point", point}, {"scan", scan}} {
+		b.Run(bc.name, func(b *testing.B) {
+			body := gateFrame(b, bc.query)
+			before := g.Report()
+			var issued atomic.Int64
+			var wg sync.WaitGroup
+			b.ReportAllocs()
+			b.ResetTimer()
+			for c := 0; c < callers; c++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for issued.Add(1) <= int64(b.N) {
+						if err := serveFrame(g, body); err != nil {
+							b.Error(err)
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			after := g.Report()
+			b.ReportMetric(float64(after.Batches-before.Batches)/float64(b.N), "batches/op")
+			b.ReportMetric(float64(after.CoalescedQueries-before.CoalescedQueries)/float64(b.N), "coalesced/op")
 		})
 	}
 }

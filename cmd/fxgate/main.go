@@ -54,7 +54,6 @@ func run(args []string) error {
 	snapshot := fs.String("snapshot", "", "snapshot file: schema, records and allocator spec")
 	addrsArg := fs.String("addrs", "", "comma-separated fxnode device addresses; empty serves the snapshot in process")
 	tenantsPath := fs.String("tenants", "", "tenants config: JSON array of {name, api_key, rate_per_sec, burst, max_in_flight}")
-	coalesce := fs.Duration("coalesce", time.Millisecond, "coalescing window: how long a retrieve waits for shape-mates (negative disables)")
 	maxBatch := fs.Int("max-batch", 64, "largest coalesced dispatch")
 	shedInflight := fs.Int("shed-inflight", 0, "shed requests beyond this many in flight gate-wide with 429/Retry-After (0 disables)")
 	shedRetryAfter := fs.Duration("shed-retry-after", 500*time.Millisecond, "Retry-After hint for front-door sheds")
@@ -105,7 +104,6 @@ func run(args []string) error {
 		File:              file,
 		Allocator:         alloc,
 		Tenants:           tenants,
-		CoalesceWindow:    *coalesce,
 		MaxBatch:          *maxBatch,
 		MaxInFlight:       *shedInflight,
 		ShedRetryAfter:    *shedRetryAfter,
@@ -141,8 +139,8 @@ func run(args []string) error {
 		return err
 	}
 	srv := &http.Server{Handler: mux}
-	fmt.Printf("fxgate: serving %d tenants on http://%s/rpc (backend %s, window %v, max batch %d)\n",
-		len(tenants), l.Addr(), cluster.Kind(), *coalesce, *maxBatch)
+	fmt.Printf("fxgate: serving %d tenants on http://%s/rpc (backend %s, max batch %d)\n",
+		len(tenants), l.Addr(), cluster.Kind(), *maxBatch)
 
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)

@@ -56,6 +56,12 @@ type DeviceFailure = engine.DeviceFailure
 // with errors.As; Unwrap exposes the underlying cause.
 type TracedError = engine.TracedError
 
+// QueryError is one failed query of a RetrieveBatch: its index in the
+// batch and the cause. RetrieveBatch's error joins one per failed
+// query; match with errors.As (or walk the join) to hand each caller of
+// a shared batch its own failure.
+type QueryError = engine.QueryError
+
 // CostModel is the simulated per-device service time model.
 type CostModel = storage.CostModel
 

@@ -21,7 +21,7 @@ import (
 // gateFixture builds a loaded file, an FX allocator, a fresh in-memory
 // cluster (empty plan cache) and a Gate over them, served via httptest
 // with the observability surface mounted like cmd/fxgate mounts it.
-func gateFixture(t *testing.T, tenants []gate.TenantConfig, window time.Duration, maxBatch int) (*fxdist.Cluster, *gate.Gate, *httptest.Server) {
+func gateFixture(t *testing.T, tenants []gate.TenantConfig, maxBatch int, opts ...fxdist.Option) (*fxdist.Cluster, *gate.Gate, *httptest.Server) {
 	t.Helper()
 	spec := fxdist.RecordSpec{Fields: []fxdist.FieldSpec{
 		{Name: "part", Cardinality: 200},
@@ -49,18 +49,17 @@ func gateFixture(t *testing.T, tenants []gate.TenantConfig, window time.Duration
 	if err != nil {
 		t.Fatal(err)
 	}
-	cluster, err := fxdist.Open(fxdist.Config{File: file, Allocator: fx})
+	cluster, err := fxdist.Open(fxdist.Config{File: file, Allocator: fx}, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { cluster.Close() })
 	g, err := gate.New(gate.Config{
-		Cluster:        cluster,
-		File:           file,
-		Allocator:      fx,
-		Tenants:        tenants,
-		CoalesceWindow: window,
-		MaxBatch:       maxBatch,
+		Cluster:   cluster,
+		File:      file,
+		Allocator: fx,
+		Tenants:   tenants,
+		MaxBatch:  maxBatch,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -74,25 +73,38 @@ func gateFixture(t *testing.T, tenants []gate.TenantConfig, window time.Duration
 	return cluster, g, srv
 }
 
-// TestGateMultiTenantCoalescing is the tentpole's acceptance test: two
-// tenants fire a concurrent burst of same-shape queries and the gate
-// must (a) compile the shape's plan exactly once, (b) drive at most
-// ceil(N/maxBatch) engine fan-outs, (c) return byte-identical records
-// to every caller of the same query, and (d) expose per-tenant audit
-// rows at /debug/tenants. Runs under -race in CI's whole-module pass.
+// until polls cond; nothing below reads a clock to decide an outcome.
+func until(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("never happened: %s", what)
+		}
+	}
+}
+
+// TestGateMultiTenantCoalescing is the coalescing acceptance test. One
+// query of tenant alpha is held inside the cluster (a fault injector
+// hangs its scan of device 0 until its context is cancelled), a burst
+// of 31 same-shape queries from two tenants queues behind it, and when
+// the held one is cancelled the gate must (a) have compiled the shape's
+// plan exactly once, (b) drive the 31 through at most ceil(31/maxBatch)
+// engine fan-outs, (c) return byte-identical records to every caller of
+// the same query — none touched by the leader's cancellation — and (d)
+// expose per-tenant audit rows at /debug/tenants. Runs under -race in
+// CI.
 func TestGateMultiTenantCoalescing(t *testing.T) {
 	const (
 		perTenant = 16
-		n         = 2 * perTenant
+		n         = 2*perTenant - 1 // the burst; alpha's 16th query is the held leader
 		maxBatch  = 8
 	)
 	tenants := []gate.TenantConfig{
 		{Name: "alpha", APIKey: "key-alpha"},
 		{Name: "beta", APIKey: "key-beta"},
 	}
-	// A generous window so one flush drains the whole burst: the bound
-	// in (b) is only guaranteed when all N land inside one window.
-	cluster, g, srv := gateFixture(t, tenants, 50*time.Millisecond, maxBatch)
+	inj := fxdist.NewFaultInjector("gate-coalescing", 1, nil)
+	cluster, g, srv := gateFixture(t, tenants, maxBatch, fxdist.WithFaultInjector(inj))
 
 	alpha := client.New(srv.URL+"/rpc", client.WithAPIKey("key-alpha"))
 	beta := client.New(srv.URL+"/rpc", client.WithAPIKey("key-beta"))
@@ -100,23 +112,47 @@ func TestGateMultiTenantCoalescing(t *testing.T) {
 	defer beta.Close()
 
 	query := map[string]string{"supplier": "supplier-3"}
+
+	// The leader: in flight, alone, hanging in device 0.
+	inj.Set(0, fxdist.FaultSchedule{Hang: true})
+	leaderCtx, cancelLeader := context.WithCancel(context.Background())
+	leaderErr := make(chan error, 1)
+	go func() {
+		_, err := alpha.Retrieve(leaderCtx, query)
+		leaderErr <- err
+	}()
+	until(t, "leader hanging in device 0", func() bool {
+		for _, d := range inj.Report().Devices {
+			if d.Device == 0 && d.Delayed == 1 {
+				return true
+			}
+		}
+		return false
+	})
+	inj.Clear(0) // the leader already took the schedule; the burst will run free
+
 	results := make([]*client.RetrieveResult, n)
 	errs := make([]error, n)
-	var start, done sync.WaitGroup
-	start.Add(1)
+	var done sync.WaitGroup
 	done.Add(n)
 	for i := 0; i < n; i++ {
 		go func(i int) {
 			defer done.Done()
 			c := alpha
-			if i >= perTenant {
+			if i >= perTenant-1 {
 				c = beta
 			}
-			start.Wait()
 			results[i], errs[i] = c.Retrieve(context.Background(), query)
 		}(i)
 	}
-	start.Done()
+	until(t, "the whole burst waiting behind the leader", func() bool { return g.Report().Waiting == n })
+	if rep := g.Report(); rep.Batches != 1 || rep.CoalescedQueries != 0 {
+		t.Fatalf("while the leader is held: batches %d coalesced %d, want 1 and 0", rep.Batches, rep.CoalescedQueries)
+	}
+	cancelLeader()
+	if err := <-leaderErr; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled leader: %v", err)
+	}
 	done.Wait()
 
 	for i, err := range errs {
@@ -124,6 +160,16 @@ func TestGateMultiTenantCoalescing(t *testing.T) {
 			t.Fatalf("request %d: %v", i, err)
 		}
 	}
+	// Every handler has returned (the leader's notices its cancellation
+	// on its own time), so every audit row is final.
+	until(t, "no request in flight", func() bool {
+		for _, row := range g.Report().Tenants {
+			if row.InFlight != 0 {
+				return false
+			}
+		}
+		return true
+	})
 
 	// (a) one plan-cache compilation across both tenants.
 	pc := cluster.PlanCache()
@@ -131,11 +177,11 @@ func TestGateMultiTenantCoalescing(t *testing.T) {
 		t.Fatalf("plan cache misses = %d, want exactly 1 (shape compiled once across tenants)", pc.Misses)
 	}
 
-	// (b) at most ceil(N/maxBatch) engine fan-outs.
+	// (b) the leader's fan-out plus at most ceil(N/maxBatch) for the burst.
 	rep := g.Report()
-	wantMax := uint64((n + maxBatch - 1) / maxBatch)
-	if rep.Batches == 0 || rep.Batches > wantMax {
-		t.Fatalf("batches = %d, want 1..%d", rep.Batches, wantMax)
+	wantMax := uint64(1 + (n+maxBatch-1)/maxBatch)
+	if rep.Batches < 2 || rep.Batches > wantMax {
+		t.Fatalf("batches = %d, want 2..%d", rep.Batches, wantMax)
 	}
 	if rep.CoalescedQueries != n {
 		t.Fatalf("coalesced queries = %d, want %d", rep.CoalescedQueries, n)
@@ -184,11 +230,16 @@ func TestGateMultiTenantCoalescing(t *testing.T) {
 		t.Fatalf("tenant rows = %d, want 2", len(doc.Tenants))
 	}
 	for _, row := range doc.Tenants {
+		// alpha's 16th is the leader: it ran alone and failed, as cancelled.
+		coalesced, failed := uint64(perTenant), uint64(0)
+		if row.Name == "alpha" {
+			coalesced, failed = perTenant-1, 1
+		}
 		if row.Requests != perTenant {
 			t.Fatalf("tenant %s requests = %d, want %d", row.Name, row.Requests, perTenant)
 		}
-		if row.Coalesced != perTenant {
-			t.Fatalf("tenant %s coalesced = %d, want %d", row.Name, row.Coalesced, perTenant)
+		if row.Coalesced != coalesced || row.Errors != failed {
+			t.Fatalf("tenant %s coalesced = %d errors = %d, want %d and %d", row.Name, row.Coalesced, row.Errors, coalesced, failed)
 		}
 		if len(row.Shapes) != 1 || row.Shapes[0].Shape != "*s*" {
 			t.Fatalf("tenant %s shape rows = %+v, want one *s* row", row.Name, row.Shapes)
@@ -218,7 +269,7 @@ func TestGateQuotaIsolation(t *testing.T) {
 		{Name: "small", APIKey: "key-small", RatePerSec: 0.01, Burst: 1},
 		{Name: "big", APIKey: "key-big"},
 	}
-	_, _, srv := gateFixture(t, tenants, -1, 8) // coalescing off: admission only
+	_, _, srv := gateFixture(t, tenants, 8)
 
 	small := client.New(srv.URL+"/rpc", client.WithAPIKey("key-small"))
 	big := client.New(srv.URL+"/rpc", client.WithAPIKey("key-big"))
@@ -279,7 +330,7 @@ func TestGateQuotaIsolation(t *testing.T) {
 // and fx.health, plus unknown-method classification.
 func TestGateMethodSurface(t *testing.T) {
 	tenants := []gate.TenantConfig{{Name: "solo", APIKey: "key-solo"}}
-	cluster, _, srv := gateFixture(t, tenants, time.Millisecond, 8)
+	cluster, _, srv := gateFixture(t, tenants, 8)
 
 	c := client.New(srv.URL+"/rpc", client.WithAPIKey("key-solo"))
 	defer c.Close()
@@ -343,10 +394,17 @@ func TestGateMethodSurface(t *testing.T) {
 		t.Fatalf("item 1 should fail invalid_query: %+v", batch.Items[1])
 	}
 
+	// Batch params that do not parse are refused as invalid_query (they
+	// are decoded once, ahead of admission, to price the frame).
+	var fe *fxdist.Error
+	err = rawCall(srv.URL+"/rpc", "key-solo", client.MethodRetrieveBatch, map[string]any{"queries": 5}, nil)
+	if !errors.As(err, &fe) || fe.Code != fxdist.ErrCodeInvalidQuery || !strings.Contains(fe.Message, "malformed params") {
+		t.Fatalf("malformed batch params: %v, want invalid_query", err)
+	}
+
 	// Unknown method comes back as the taxonomy's unknown_method.
 	var out json.RawMessage
 	err = rawCall(srv.URL+"/rpc", "key-solo", "fx.nope", nil, &out)
-	var fe *fxdist.Error
 	if !errors.As(err, &fe) || fe.Code != fxdist.ErrCodeUnknownMethod {
 		t.Fatalf("want unknown_method, got %v", err)
 	}

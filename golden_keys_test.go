@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"fxdist"
+	"fxdist/internal/gate"
 )
 
 // keySet pins the JSON keys of one kind of /debug record: required keys
@@ -90,6 +91,20 @@ var (
 			"bound", "r_q", "m", "max_device_buckets"},
 		optional: []string{"slo_target_ns", "slo_goal", "slo_good", "slo_bad", "slo_burn_rate"},
 	}
+	// /debug/tenants, pinned as of PR 17, which took coalesce_window_ms
+	// out with the window itself: the key must not come back.
+	tenantsReportKeys = keySet{
+		required: []string{"max_batch", "waiting", "batches", "coalesced_queries", "direct_batches",
+			"rate_limited", "quota_rejected", "burn_sheds", "front_sheds", "tenants"},
+	}
+	tenantRowKeys = keySet{
+		required: []string{"name", "in_flight", "requests", "rate_limited", "quota_rejected", "shed",
+			"errors", "coalesced_queries"},
+		optional: []string{"rate_per_sec", "max_in_flight", "shapes"},
+	}
+	tenantShapeKeys = keySet{
+		required: []string{"shape", "queries", "errors", "mean_ms", "max_ms"},
+	}
 )
 
 // backendShape digs the "**s" row of backend "memory" out of a
@@ -114,7 +129,8 @@ func backendShape(t *testing.T, path string, doc []map[string]any) map[string]an
 // records the reporting sinks serve — /debug/flight, /debug/events,
 // /debug/hotpath and /debug/optimality — for one tenant-attributed,
 // bound-violating (hence always-kept) Modulo query on the memory
-// backend. Dashboards and the CI telemetry job parse these documents;
+// backend, and of the gate's /debug/tenants after one fx.retrieve of
+// the same query. Dashboards and the CI telemetry job parse these documents;
 // a key may be added, never removed or renamed.
 func TestDebugJSONGoldenKeys(t *testing.T) {
 	fxdist.ResetFlightRecorders()
@@ -201,4 +217,24 @@ func TestDebugJSONGoldenKeys(t *testing.T) {
 	var optimality []map[string]any
 	get("/debug/optimality", &optimality)
 	optimalityShapeKeys.check(t, "optimality shape", backendShape(t, "/debug/optimality", optimality))
+
+	g, err := gate.New(gate.Config{Cluster: c, File: file,
+		Tenants: []gate.TenantConfig{{Name: "golden", APIKey: "golden-key", RatePerSec: 100, MaxInFlight: 4}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	req := httptest.NewRequest(http.MethodPost, "/rpc",
+		jsonBody(`{"jsonrpc":"2.0","id":1,"method":"fx.retrieve","params":{"query":{"z":"z-3"}}}`))
+	req.Header.Set("Authorization", "Bearer golden-key")
+	rec := httptest.NewRecorder()
+	g.ServeHTTP(rec, req)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("fx.retrieve through the gate: %d %s", rec.Code, rec.Body)
+	}
+	var tenants map[string]any
+	get("/debug/tenants", &tenants)
+	tenantsReportKeys.check(t, "/debug/tenants", tenants)
+	each(tenantRowKeys, "/debug/tenants row", tenants["tenants"])
+	each(tenantShapeKeys, "/debug/tenants shape row", tenants["tenants"].([]any)[0].(map[string]any)["shapes"])
 }

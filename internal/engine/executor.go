@@ -693,6 +693,18 @@ func (e *Executor) Retrieve(ctx context.Context, pm mkhash.PartialMatch) (Result
 	return e.finish(ctx, c)
 }
 
+// QueryError is one failed query of a batch retrieval: its index in the
+// batch and the cause. A batch's error is the errors.Join of one per
+// failed query, so a caller serving many waiters from one batch can
+// hand each its own failure (errors.As) and leave the rest untouched.
+type QueryError struct {
+	Index int
+	Err   error
+}
+
+func (e *QueryError) Error() string { return fmt.Sprintf("query %d: %v", e.Index, e.Err) }
+func (e *QueryError) Unwrap() error { return e.Err }
+
 // RetrieveBatch answers a batch of queries over the shared worker pool:
 // every query's fan-out is launched up front, so devices pipeline across
 // queries instead of idling at per-query barriers. Each query gets its
@@ -700,7 +712,7 @@ func (e *Executor) Retrieve(ctx context.Context, pm mkhash.PartialMatch) (Result
 // deduped through the plan cache: the first occurrence compiles, the
 // rest reuse its plan. The returned slice always has one Result per
 // query; queries that failed have a zero Result and contribute a
-// "query %d" error to the joined error.
+// *QueryError to the joined error.
 func (e *Executor) RetrieveBatch(ctx context.Context, pms []mkhash.PartialMatch) ([]Result, error) {
 	results := make([]Result, len(pms))
 	// Batch-internal scratch recycles across calls: the per-query error
@@ -725,7 +737,7 @@ func (e *Executor) RetrieveBatch(ctx context.Context, pms []mkhash.PartialMatch)
 	var joined []error
 	for i, err := range errs {
 		if err != nil {
-			joined = append(joined, fmt.Errorf("query %d: %w", i, err))
+			joined = append(joined, &QueryError{Index: i, Err: err})
 		}
 	}
 	errsPool.Put(errs)

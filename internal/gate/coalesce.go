@@ -2,200 +2,219 @@ package gate
 
 import (
 	"context"
-	"time"
+	"errors"
+	"sync"
 
 	"fxdist"
 )
 
-// The coalescer is the gate's cross-tenant batching dispatcher. Every
-// fx.retrieve enqueues a pending query and sleeps on its outcome
-// channel; a single dispatcher goroutine wakes on the first arrival,
-// waits out the coalescing window so shape-mates can pile up, then
-// drains the queue, groups it by query shape, chunks each group at
-// MaxBatch and drives every chunk through one Cluster.RetrieveBatch —
-// with fxdist.ContextWithCallers carrying each query's tenant so the
-// engine's wide events stay per-tenant. One chunk therefore costs one
-// plan-cache lookup per shape (one compilation ever, across tenants)
-// and one engine fan-out wave, however many tenants fed it.
+// Coalescing is group commit: batches form from backlog, not from
+// waiting. A query whose shape has no dispatch in flight is dispatched
+// at once, alone, on its caller's goroutine and under its caller's
+// context. Queries of that shape arriving meanwhile append to the
+// shape's bounded backlog and leave together when the dispatch
+// returns: the backlog is chunked at MaxBatch and every chunk is one
+// Cluster.RetrieveBatch — with fxdist.ContextWithCallers carrying each
+// query's tenant so the engine's wide events stay per-tenant — under a
+// background context, because no single waiter's cancellation may take
+// its batch-mates' answers away. What arrives during that round forms
+// the next one; a shape with an empty backlog forgets its state. A lone
+// caller therefore pays nothing for coalescing, and a busy shape costs
+// one plan-cache lookup and one engine fan-out wave per chunk, however
+// many tenants fed it.
+//
+// Invariants: per shape at most one round (the leader's dispatch, or
+// the chunks of one drained backlog) is in flight; the backlog never
+// exceeds 4×MaxBatch; outcome channels are buffered, so neither a
+// waiter that gave up nor Close can stall the demux.
 
-// pending is one enqueued query waiting for a coalesced dispatch.
+// pending is one query waiting in a shape's backlog.
 type pending struct {
 	tenant string
-	shape  string
 	pm     fxdist.PartialMatch
-	ctx    context.Context
-	done   chan outcome // buffered 1; dispatcher never blocks on it
+	done   chan outcome // buffered 1: the sender never blocks
 }
 
-// outcome is what the dispatcher hands back to a waiter.
+// outcome is what a round hands back to one of its waiters.
 type outcome struct {
 	res   fxdist.RetrieveResult
 	batch int // size of the dispatch this query rode in
 	err   error
 }
 
+// coalescer is the per-shape backlog state. A shape has an entry
+// exactly while one of its rounds is in flight.
 type coalescer struct {
-	g      *Gate
-	wake   chan struct{} // buffered 1: first enqueue arms the window
-	quit   chan struct{}
-	idle   chan struct{} // closed when the dispatcher exits
-	queueC chan *pending
+	mu      sync.Mutex
+	closed  bool
+	backlog map[string][]*pending
+	rounds  sync.WaitGroup // follower rounds: the goroutines Close waits for
 }
 
-func newCoalescer(g *Gate) *coalescer {
-	co := &coalescer{
-		g:      g,
-		wake:   make(chan struct{}, 1),
-		quit:   make(chan struct{}),
-		idle:   make(chan struct{}),
-		queueC: make(chan *pending, 4*g.cfg.MaxBatch),
+func errShuttingDown() error {
+	return fxdist.NewError(fxdist.ErrCodeOverloaded, "gate shutting down")
+}
+
+// do answers one query by the rule above, returning the size of the
+// dispatch it rode in. A follower's context cancels only its wait: the
+// query may still be served inside its round, and the outcome is then
+// dropped.
+func (g *Gate) do(ctx context.Context, t *tenant, shape string, pm fxdist.PartialMatch) (fxdist.RetrieveResult, int, error) {
+	co := &g.co
+	co.mu.Lock()
+	if co.closed {
+		co.mu.Unlock()
+		return fxdist.RetrieveResult{}, 0, errShuttingDown()
 	}
-	go co.run()
-	return co
-}
-
-func (co *coalescer) stop() {
-	close(co.quit)
-	<-co.idle
-}
-
-// do enqueues one query and waits for its coalesced outcome. The
-// caller's context cancels the wait (the query itself may still be
-// served inside the batch; its result is then discarded).
-func (co *coalescer) do(ctx context.Context, t *tenant, shape string, pm fxdist.PartialMatch) (fxdist.RetrieveResult, int, error) {
-	p := &pending{
-		tenant: t.cfg.Name,
-		shape:  shape,
-		pm:     pm,
-		ctx:    ctx,
-		done:   make(chan outcome, 1),
+	waiting, busy := co.backlog[shape]
+	if !busy {
+		co.backlog[shape] = nil
+		co.mu.Unlock()
+		res, errs := g.dispatch(fxdist.ContextWithCaller(ctx, t.cfg.Name), []fxdist.PartialMatch{pm})
+		g.next(shape)
+		return res[0], 1, errs[0]
 	}
-	select {
-	case co.queueC <- p:
-	default:
-		// Queue saturated: the dispatcher is running far behind arrivals.
-		e := fxdist.NewError(fxdist.ErrCodeOverloaded, "coalescing queue full")
-		e.RetryAfter = co.g.cfg.ShedRetryAfter
+	if len(waiting) >= 4*g.cfg.MaxBatch {
+		co.mu.Unlock()
+		// The shape's dispatches are running far behind its arrivals.
+		e := fxdist.NewError(fxdist.ErrCodeOverloaded, "coalescing backlog full")
+		e.RetryAfter = g.cfg.ShedRetryAfter
 		return fxdist.RetrieveResult{}, 0, e
 	}
-	select {
-	case co.wake <- struct{}{}:
-	default:
-	}
+	p := &pending{tenant: t.cfg.Name, pm: pm, done: make(chan outcome, 1)}
+	co.backlog[shape] = append(waiting, p)
+	co.mu.Unlock()
 	select {
 	case out := <-p.done:
 		return out.res, out.batch, out.err
 	case <-ctx.Done():
 		return fxdist.RetrieveResult{}, 0, fxdist.Classify(ctx.Err())
-	case <-co.quit:
-		return fxdist.RetrieveResult{}, 0, fxdist.NewError(fxdist.ErrCodeOverloaded, "gate shutting down")
 	}
 }
 
-// run is the dispatcher loop.
-func (co *coalescer) run() {
-	defer close(co.idle)
-	timer := time.NewTimer(0)
-	if !timer.Stop() {
-		<-timer.C
-	}
-	for {
-		select {
-		case <-co.quit:
-			co.failQueued()
-			return
-		case <-co.wake:
-		}
-		// Arm the window: whoever woke us is already queued; shape-mates
-		// arriving within the window join the same dispatch.
-		timer.Reset(co.g.cfg.CoalesceWindow)
-		select {
-		case <-co.quit:
-			timer.Stop()
-			co.failQueued()
-			return
-		case <-timer.C:
-		}
-		co.flush()
-	}
-}
-
-// failQueued drains the queue on shutdown.
-func (co *coalescer) failQueued() {
-	for {
-		select {
-		case p := <-co.queueC:
-			p.done <- outcome{err: fxdist.NewError(fxdist.ErrCodeOverloaded, "gate shutting down")}
-		default:
-			return
-		}
-	}
-}
-
-// flush drains everything queued right now, groups by shape, chunks at
-// MaxBatch and dispatches each chunk concurrently.
-func (co *coalescer) flush() {
-	var all []*pending
-drain:
-	for {
-		select {
-		case p := <-co.queueC:
-			all = append(all, p)
-		default:
-			break drain
-		}
-	}
-	if len(all) == 0 {
+// next ends a shape's round: with nothing waiting the shape forgets its
+// state, otherwise the backlog leaves as the next round.
+func (g *Gate) next(shape string) {
+	co := &g.co
+	co.mu.Lock()
+	round := co.backlog[shape]
+	if len(round) == 0 {
+		delete(co.backlog, shape)
+		co.mu.Unlock()
 		return
 	}
-	// Group by shape, preserving arrival order within a group.
-	groups := make(map[string][]*pending)
-	var order []string
-	for _, p := range all {
-		if _, seen := groups[p.shape]; !seen {
-			order = append(order, p.shape)
-		}
-		groups[p.shape] = append(groups[p.shape], p)
-	}
-	for _, shape := range order {
-		group := groups[shape]
-		for len(group) > 0 {
-			n := len(group)
-			if n > co.g.cfg.MaxBatch {
-				n = co.g.cfg.MaxBatch
-			}
-			chunk := group[:n]
-			group = group[n:]
-			go co.dispatch(chunk)
-		}
-	}
+	co.backlog[shape] = nil
+	co.rounds.Add(1) // under mu: Close either waits for this round or failed its waiters first
+	co.mu.Unlock()
+	go func() {
+		defer co.rounds.Done()
+		g.round(round)
+		g.next(shape)
+	}()
 }
 
-// dispatch drives one shape-homogeneous chunk through a single
-// Cluster.RetrieveBatch and demultiplexes results to each waiter.
-func (co *coalescer) dispatch(chunk []*pending) {
+// round serves one drained backlog: chunked at MaxBatch, the chunks
+// side by side.
+func (g *Gate) round(waiters []*pending) {
+	var rest sync.WaitGroup
+	for len(waiters) > g.cfg.MaxBatch {
+		chunk := waiters[:g.cfg.MaxBatch]
+		waiters = waiters[g.cfg.MaxBatch:]
+		rest.Add(1)
+		go func() {
+			defer rest.Done()
+			g.serve(chunk)
+		}()
+	}
+	g.serve(waiters)
+	rest.Wait()
+}
+
+// serve dispatches one chunk of waiters and hands each its outcome.
+func (g *Gate) serve(chunk []*pending) {
 	pms := make([]fxdist.PartialMatch, len(chunk))
 	callers := make([]string, len(chunk))
 	for i, p := range chunk {
-		pms[i] = p.pm
-		callers[i] = p.tenant
+		pms[i], callers[i] = p.pm, p.tenant
 	}
-	co.g.batches.Add(1)
 	if len(chunk) > 1 {
-		co.g.coalescedQ.Add(uint64(len(chunk)))
-		co.g.metrics.coalesced(uint64(len(chunk)))
+		g.coalescedQ.Add(uint64(len(chunk)))
+		g.metrics.coalesced(uint64(len(chunk)))
 	}
-	co.g.metrics.batches.Inc()
-	// The dispatch runs under its own context: individual waiters may
-	// have given up, but the batch serves whoever is still listening.
-	ctx := fxdist.ContextWithCallers(context.Background(), callers)
-	results, err := co.g.cfg.Cluster.RetrieveBatch(ctx, pms)
-	per := splitBatchError(err, len(chunk))
+	res, errs := g.dispatch(fxdist.ContextWithCallers(context.Background(), callers), pms)
 	for i, p := range chunk {
-		out := outcome{batch: len(chunk), err: per[i]}
-		if results != nil {
-			out.res = results[i]
-		}
-		p.done <- out
+		p.done <- outcome{res[i], len(chunk), errs[i]}
 	}
+}
+
+// dispatch is the gate's only road to the cluster: one
+// Cluster.RetrieveBatch, its joined error split back into one per
+// query, so a failure stays with the query — and the tenant — it
+// belongs to. Attribution rides ctx.
+func (g *Gate) dispatch(ctx context.Context, pms []fxdist.PartialMatch) ([]fxdist.RetrieveResult, []error) {
+	g.batches.Add(1)
+	g.metrics.batches.Inc()
+	res, err := g.cfg.Cluster.RetrieveBatch(ctx, pms)
+	return res, splitBatchError(err, len(pms))
+}
+
+// close refuses new arrivals, fails every waiting query and waits for
+// the follower rounds already dispatched.
+func (co *coalescer) close() {
+	co.mu.Lock()
+	co.closed = true
+	for shape, waiting := range co.backlog {
+		for _, p := range waiting {
+			p.done <- outcome{err: errShuttingDown()}
+		}
+		co.backlog[shape] = nil
+	}
+	co.mu.Unlock()
+	co.rounds.Wait()
+}
+
+// waiting counts the queries in a backlog right now.
+func (co *coalescer) waiting() (n int) {
+	co.mu.Lock()
+	defer co.mu.Unlock()
+	for _, w := range co.backlog {
+		n += len(w)
+	}
+	return n
+}
+
+// splitBatchError demultiplexes Cluster.RetrieveBatch's joined error
+// (one *fxdist.QueryError per failed query) into per-query errors. A
+// cause that names no query lands on every slot that has none.
+func splitBatchError(err error, n int) []error {
+	per := make([]error, n)
+	if err == nil {
+		return per
+	}
+	var rest []error
+	var walk func(error)
+	walk = func(e error) {
+		if joined, ok := e.(interface{ Unwrap() []error }); ok {
+			for _, sub := range joined.Unwrap() {
+				walk(sub)
+			}
+			return
+		}
+		var qe *fxdist.QueryError
+		if errors.As(e, &qe) && qe.Index >= 0 && qe.Index < n {
+			per[qe.Index] = qe.Err
+			return
+		}
+		rest = append(rest, e)
+	}
+	walk(err)
+	if len(rest) > 0 {
+		fallback := errors.Join(rest...)
+		for i := range per {
+			if per[i] == nil {
+				per[i] = fallback
+			}
+		}
+	}
+	return per
 }

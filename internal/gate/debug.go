@@ -36,10 +36,13 @@ type TenantRow struct {
 }
 
 // Report is the /debug/tenants document: the gate's dispatch counters
-// plus one row per tenant.
+// plus one row per tenant. Batches counts every Cluster.RetrieveBatch
+// the gate made, DirectBatches those that were one tenant's explicit
+// fx.retrieveBatch, CoalescedQueries the queries that left a backlog in
+// a dispatch of two or more, Waiting the queries in a backlog now.
 type Report struct {
-	WindowMillis     float64     `json:"coalesce_window_ms"`
 	MaxBatch         int         `json:"max_batch"`
+	Waiting          int         `json:"waiting"`
 	Batches          uint64      `json:"batches"`
 	CoalescedQueries uint64      `json:"coalesced_queries"`
 	DirectBatches    uint64      `json:"direct_batches"`
@@ -54,8 +57,8 @@ type Report struct {
 // /debug/tenants).
 func (g *Gate) Report() Report {
 	rep := Report{
-		WindowMillis:     float64(g.cfg.CoalesceWindow) / float64(time.Millisecond),
 		MaxBatch:         g.cfg.MaxBatch,
+		Waiting:          g.co.waiting(),
 		Batches:          g.batches.Load(),
 		CoalescedQueries: g.coalescedQ.Load(),
 		DirectBatches:    g.directBatch.Load(),
@@ -123,7 +126,7 @@ func init() {
 				if !ok {
 					return
 				}
-				fmt.Fprintf(w, "fxgate: window %.2fms max-batch %d\n", rep.WindowMillis, rep.MaxBatch)
+				fmt.Fprintf(w, "fxgate: max-batch %d  waiting %d\n", rep.MaxBatch, rep.Waiting)
 				fmt.Fprintf(w, "batches %d  coalesced %d  direct %d  rate-limited %d  quota %d  burn-sheds %d  front-sheds %d\n\n",
 					rep.Batches, rep.CoalescedQueries, rep.DirectBatches,
 					rep.RateLimited, rep.QuotaRejected, rep.BurnSheds, rep.FrontSheds)

@@ -5,12 +5,13 @@
 // The gate authenticates tenants by API key, enforces per-tenant token
 // buckets and in-flight quotas, sheds load when the cluster's SLO burn
 // rate says a query shape is over budget, and — its reason to exist —
-// coalesces concurrent requests across tenants: retrievals arriving
-// within one coalescing window are grouped by query shape and driven
-// through Cluster.RetrieveBatch as a single call, so the plan cache
-// compiles each shape once and the engine fans out once per batch.
-// Results are demultiplexed back to each tenant, and per-tenant wide
-// events are preserved via fxdist.ContextWithCallers. See DESIGN §S37.
+// coalesces concurrent requests across tenants: retrievals of a shape
+// that arrive while a dispatch of that shape is in flight leave
+// together through one Cluster.RetrieveBatch when it returns, so the
+// plan cache compiles each shape once and the engine fans out once per
+// batch (coalesce.go has the rule). Results are demultiplexed back to
+// each tenant, and per-tenant wide events are preserved via
+// fxdist.ContextWithCallers. See DESIGN §11.
 package gate
 
 import (
@@ -39,10 +40,6 @@ type Config struct {
 	Allocator fxdist.GroupAllocator
 	// Tenants declares the tenant set (at least one).
 	Tenants []TenantConfig
-	// CoalesceWindow is how long an fx.retrieve waits for shape-mates
-	// before dispatch. 0 means the 1ms default; negative disables
-	// coalescing (every retrieve dispatches alone, immediately).
-	CoalesceWindow time.Duration
 	// MaxBatch bounds one coalesced dispatch (default 64).
 	MaxBatch int
 	// MaxInFlight bounds requests in flight across all tenants; beyond
@@ -63,7 +60,6 @@ type Config struct {
 }
 
 const (
-	defaultCoalesceWindow = time.Millisecond
 	defaultMaxBatch       = 64
 	defaultShedRetryAfter = 500 * time.Millisecond
 	defaultBurnRetryAfter = time.Second
@@ -75,18 +71,18 @@ const (
 type Gate struct {
 	cfg     Config
 	tenants *tenantSet
-	methods *MethodRepository
-	co      *coalescer
+	co      coalescer
 	start   time.Time
 
 	inFlight atomic.Int64
 
-	// Dispatch accounting: batches counts coalesced dispatches (each one
-	// Cluster.RetrieveBatch call), coalesced counts queries that shared
-	// a dispatch with at least one other query.
+	// Dispatch accounting: batches counts dispatches (each one
+	// Cluster.RetrieveBatch call), coalescedQ the queries that shared a
+	// dispatch with at least one other request's query, directBatch the
+	// dispatches that were one tenant's explicit fx.retrieveBatch.
 	batches      atomic.Uint64
 	coalescedQ   atomic.Uint64
-	directBatch  atomic.Uint64 // fx.retrieveBatch pass-through dispatches
+	directBatch  atomic.Uint64
 	rateLimited  atomic.Uint64
 	quotaRejects atomic.Uint64
 	burnSheds    atomic.Uint64
@@ -99,8 +95,7 @@ type Gate struct {
 	metrics *gateMetrics
 }
 
-// New builds a Gate over an open cluster and starts its coalescing
-// dispatcher.
+// New builds a Gate over an open cluster.
 func New(cfg Config) (*Gate, error) {
 	if cfg.Cluster == nil {
 		return nil, errors.New("gate: Config.Cluster is required")
@@ -114,9 +109,6 @@ func New(cfg Config) (*Gate, error) {
 	ts, err := newTenantSet(cfg.Tenants)
 	if err != nil {
 		return nil, err
-	}
-	if cfg.CoalesceWindow == 0 {
-		cfg.CoalesceWindow = defaultCoalesceWindow
 	}
 	if cfg.MaxBatch <= 0 {
 		cfg.MaxBatch = defaultMaxBatch
@@ -133,17 +125,16 @@ func New(cfg Config) (*Gate, error) {
 		start:   time.Now(),
 		metrics: newGateMetrics(),
 	}
-	g.methods = newMethodRepository(g)
-	g.co = newCoalescer(g)
+	g.co.backlog = make(map[string][]*pending)
 	debugGate.Store(g)
 	return g, nil
 }
 
-// Close stops the coalescing dispatcher and, if this is the gate
+// Close refuses further retrievals and, if this is the gate
 // /debug/tenants reports on, detaches it. In-flight dispatches finish;
-// queued queries are failed with overloaded.
+// queries still waiting in a backlog are failed with overloaded.
 func (g *Gate) Close() {
-	g.co.stop()
+	g.co.close()
 	debugGate.CompareAndSwap(g, nil)
 }
 
@@ -223,35 +214,22 @@ func (g *Gate) spec(query map[string]string) (fxdist.PartialMatch, *fxdist.Error
 	return pm, nil
 }
 
-// retrieve serves one tenant query through the coalescer (or directly
-// when coalescing is disabled), returning the engine result plus the
-// dispatch's batch size (1 when it ran alone).
+// retrieve serves one tenant query, returning the engine result plus
+// the size of the dispatch it rode in (1 when it ran alone).
 func (g *Gate) retrieve(ctx context.Context, t *tenant, pm fxdist.PartialMatch) (fxdist.RetrieveResult, int, error) {
 	shape := shapeOf(pm)
 	if e := g.admitShape(shape); e != nil {
 		return fxdist.RetrieveResult{}, 0, e
 	}
 	start := time.Now()
-	var (
-		res   fxdist.RetrieveResult
-		batch int
-		err   error
-	)
-	if g.cfg.CoalesceWindow < 0 {
-		ctx = fxdist.ContextWithCaller(ctx, t.cfg.Name)
-		res, err = g.cfg.Cluster.RetrieveContext(ctx, pm)
-		batch = 1
-	} else {
-		res, batch, err = g.co.do(ctx, t, shape, pm)
-	}
+	res, batch, err := g.do(ctx, t, shape, pm)
 	t.observe(shape, time.Since(start), batch > 1, err)
 	return res, batch, err
 }
 
-// retrieveBatch serves an explicit tenant batch: one
-// Cluster.RetrieveBatch pass-through (the caller already batched; the
-// coalescing window would only add latency), with every query
-// attributed to the tenant.
+// retrieveBatch serves an explicit tenant batch as one dispatch of its
+// own (the caller already batched; queueing behind its shapes' backlogs
+// would only add latency), with every query attributed to the tenant.
 func (g *Gate) retrieveBatch(ctx context.Context, t *tenant, pms []fxdist.PartialMatch) ([]fxdist.RetrieveResult, []error) {
 	shapes := make([]string, len(pms))
 	errs := make([]error, len(pms))
@@ -270,9 +248,7 @@ func (g *Gate) retrieveBatch(ctx context.Context, t *tenant, pms []fxdist.Partia
 	start := time.Now()
 	if len(run) > 0 {
 		g.directBatch.Add(1)
-		ctx := fxdist.ContextWithCaller(ctx, t.cfg.Name)
-		rs, err := g.cfg.Cluster.RetrieveBatch(ctx, run)
-		per := splitBatchError(err, len(run))
+		rs, per := g.dispatch(fxdist.ContextWithCaller(ctx, t.cfg.Name), run)
 		for j, i := range runIdx {
 			results[i] = rs[j]
 			errs[i] = per[j]
@@ -283,44 +259,4 @@ func (g *Gate) retrieveBatch(ctx context.Context, t *tenant, pms []fxdist.Partia
 		t.observe(shapes[i], elapsed, false, errs[i])
 	}
 	return results, errs
-}
-
-// splitBatchError demultiplexes Cluster.RetrieveBatch's joined error
-// (errors.Join of "query %d: <cause>" wrappers) back into per-query
-// errors. Unattributable causes fall back onto every still-unset slot.
-func splitBatchError(err error, n int) []error {
-	per := make([]error, n)
-	if err == nil {
-		return per
-	}
-	var rest []error
-	var walk func(error)
-	walk = func(e error) {
-		if joined, ok := e.(interface{ Unwrap() []error }); ok {
-			for _, sub := range joined.Unwrap() {
-				walk(sub)
-			}
-			return
-		}
-		var idx int
-		if _, scanErr := fmt.Sscanf(e.Error(), "query %d:", &idx); scanErr == nil && idx >= 0 && idx < n {
-			cause := errors.Unwrap(e)
-			if cause == nil {
-				cause = e
-			}
-			per[idx] = cause
-			return
-		}
-		rest = append(rest, e)
-	}
-	walk(err)
-	if len(rest) > 0 {
-		fallback := errors.Join(rest...)
-		for i := range per {
-			if per[i] == nil {
-				per[i] = fallback
-			}
-		}
-	}
-	return per
 }

@@ -79,8 +79,8 @@ func TestSplitBatchError(t *testing.T) {
 	cause0 := errors.New("boom0")
 	cause2 := errors.New("boom2")
 	joined := errors.Join(
-		fmt.Errorf("query %d: %w", 0, cause0),
-		fmt.Errorf("query %d: %w", 2, cause2),
+		&fxdist.QueryError{Index: 0, Err: cause0},
+		fmt.Errorf("epoch 3: %w", &fxdist.QueryError{Index: 2, Err: cause2}),
 	)
 	per := splitBatchError(joined, 3)
 	if !errors.Is(per[0], cause0) {
@@ -95,8 +95,9 @@ func TestSplitBatchError(t *testing.T) {
 	if per := splitBatchError(nil, 2); per[0] != nil || per[1] != nil {
 		t.Fatal("nil error should split to nils")
 	}
-	// Unattributable errors land on every unresolved slot.
-	per = splitBatchError(errors.New("global failure"), 2)
+	// Unattributable errors land on every unresolved slot — and a cause
+	// that merely prints like an indexed one is unattributable.
+	per = splitBatchError(errors.New("query 0: global failure"), 2)
 	if per[0] == nil || per[1] == nil {
 		t.Fatalf("global failure not fanned out: %v", per)
 	}
@@ -133,8 +134,7 @@ func TestTenantSetValidation(t *testing.T) {
 // endpoint reports its tenants; after Close it reports nothing and
 // holds no reference, so the gate — and the cluster and file it wraps —
 // can be collected. The finalizer sits on the gate's tenant set, which
-// only the gate references (the gate itself is in a reference cycle
-// with its coalescer, where finalizers are not guaranteed to run).
+// only the gate references.
 func TestClosedGateIsDetachedAndCollectable(t *testing.T) {
 	spec := fxdist.RecordSpec{Fields: []fxdist.FieldSpec{{Name: "a", Cardinality: 8}, {Name: "b", Cardinality: 8}}}
 	file, err := fxdist.NewFile(fxdist.GenerateSchema(spec, []int{2, 2}))

@@ -95,15 +95,27 @@ func (g *Gate) serveOne(r *http.Request, t *tenant, req *client.Request) (frame,
 	if req.JSONRPC != "2.0" || req.Method == "" {
 		return errorFrame(req.ID, client.InvalidRequestError("not a JSON-RPC 2.0 request")), http.StatusOK
 	}
-	h := g.methods.Lookup(req.Method)
-	if h == nil {
+	// One token per query. An fx.retrieveBatch is decoded here, once:
+	// the limiter is charged for the queries the handler then runs, and
+	// params that do not parse are charged one and refused once admitted.
+	cost := 1.0
+	var batch client.BatchParams
+	var malformed *fxdist.Error
+	switch req.Method {
+	case client.MethodRetrieve, client.MethodExplain, client.MethodHealth:
+	case client.MethodRetrieveBatch:
+		if err := json.Unmarshal(req.Params, &batch); err != nil {
+			malformed = fxdist.NewError(fxdist.ErrCodeInvalidQuery, "malformed params: "+err.Error())
+		} else if n := len(batch.Queries); n > 0 {
+			cost = float64(n)
+		}
+	default:
 		e := fxdist.NewError(fxdist.ErrCodeUnknownMethod, "unknown method "+req.Method)
 		return errorFrame(req.ID, client.FromError(e)), http.StatusOK
 	}
 
 	// Admission, outermost first: token bucket, per-tenant in-flight
 	// quota, front-door shed. Each rejection carries a Retry-After.
-	cost := requestCost(req)
 	if ok, retry := t.take(time.Now(), cost); !ok {
 		t.mu.Lock()
 		t.rateLimited++
@@ -148,7 +160,11 @@ func (g *Gate) serveOne(r *http.Request, t *tenant, req *client.Request) (frame,
 	g.metrics.request(t.cfg.Name, req.Method)
 
 	start := time.Now()
-	result, herr := h.ServeJSONRPC(r.Context(), t, req.Params)
+	var result any
+	herr := malformed
+	if herr == nil {
+		result, herr = g.call(r.Context(), t, req, batch.Queries)
+	}
 	g.metrics.latency.ObserveSince(start)
 	if herr != nil {
 		if herr.Code == fxdist.ErrCodeOverloaded {
@@ -164,18 +180,6 @@ func (g *Gate) serveOne(r *http.Request, t *tenant, req *client.Request) (frame,
 		return errorFrame(req.ID, client.FromError(herr)), status
 	}
 	return frame{id: req.ID, result: result}, http.StatusOK
-}
-
-// requestCost prices a frame in rate-limiter tokens: one per query.
-func requestCost(req *client.Request) float64 {
-	if req.Method != client.MethodRetrieveBatch {
-		return 1
-	}
-	var p client.BatchParams
-	if err := json.Unmarshal(req.Params, &p); err != nil || len(p.Queries) == 0 {
-		return 1
-	}
-	return float64(len(p.Queries))
 }
 
 // bearerToken extracts the Authorization: Bearer credential.

@@ -13,8 +13,8 @@ import (
 	"fxdist/client"
 )
 
-// wireFixture is a gate over a small loaded memory cluster with
-// coalescing off, so every retrieve is a dispatch of one.
+// wireFixture is a gate over a small loaded memory cluster; the tests
+// call it serially, so every retrieve is a dispatch of one.
 func wireFixture(t testing.TB) *Gate {
 	t.Helper()
 	spec := fxdist.RecordSpec{Fields: []fxdist.FieldSpec{
@@ -45,7 +45,7 @@ func wireFixture(t testing.TB) *Gate {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { cluster.Close() })
-	g, err := New(Config{Cluster: cluster, File: file, Allocator: fx, CoalesceWindow: -1,
+	g, err := New(Config{Cluster: cluster, File: file, Allocator: fx,
 		Tenants: []TenantConfig{{Name: "solo", APIKey: "k"}}})
 	if err != nil {
 		t.Fatal(err)

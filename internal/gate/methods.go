@@ -3,9 +3,6 @@ package gate
 import (
 	"context"
 	"encoding/json"
-	"fmt"
-	"sort"
-	"sync"
 	"time"
 
 	"fxdist"
@@ -13,80 +10,23 @@ import (
 	"fxdist/internal/audit"
 )
 
-// Handler serves one JSON-RPC method for an authenticated tenant. The
-// returned value becomes the JSON-RPC result — a wireResult encodes
-// itself, anything else goes through json.Marshal; a non-nil
-// *fxdist.Error becomes the JSON-RPC error object (and, for
-// rate/overload codes, the HTTP status).
-type Handler interface {
-	ServeJSONRPC(ctx context.Context, t *tenant, params json.RawMessage) (any, *fxdist.Error)
-}
-
-// HandlerFunc adapts a function to Handler.
-type HandlerFunc func(ctx context.Context, t *tenant, params json.RawMessage) (any, *fxdist.Error)
-
-func (f HandlerFunc) ServeJSONRPC(ctx context.Context, t *tenant, params json.RawMessage) (any, *fxdist.Error) {
-	return f(ctx, t, params)
-}
-
-// MethodRepository is the gate's method registry: name → handler, in
-// the style of JSON-RPC method repositories (register at startup, look
-// up per request under a read lock).
-type MethodRepository struct {
-	mu      sync.RWMutex
-	methods map[string]Handler
-}
-
-// RegisterMethod adds a method; re-registering a name or registering a
-// nil handler is an error.
-func (mr *MethodRepository) RegisterMethod(name string, h Handler) error {
-	if name == "" || h == nil {
-		return fmt.Errorf("gate: method registration needs a name and a handler")
+// call runs one admitted frame of a known method. The returned value
+// becomes the JSON-RPC result — a wireResult encodes itself, anything
+// else goes through json.Marshal; a non-nil *fxdist.Error becomes the
+// JSON-RPC error object (and, for rate/overload codes, the HTTP
+// status). queries are the frame's params when the method is
+// fx.retrieveBatch, decoded once by serveOne to price the frame.
+func (g *Gate) call(ctx context.Context, t *tenant, req *client.Request, queries []map[string]string) (any, *fxdist.Error) {
+	switch req.Method {
+	case client.MethodRetrieve:
+		return g.handleRetrieve(ctx, t, req.Params)
+	case client.MethodRetrieveBatch:
+		return g.handleRetrieveBatch(ctx, t, queries)
+	case client.MethodExplain:
+		return g.handleExplain(req.Params)
+	default: // client.MethodHealth: serveOne let no other name through
+		return g.handleHealth(), nil
 	}
-	mr.mu.Lock()
-	defer mr.mu.Unlock()
-	if mr.methods == nil {
-		mr.methods = make(map[string]Handler)
-	}
-	if _, dup := mr.methods[name]; dup {
-		return fmt.Errorf("gate: method %q already registered", name)
-	}
-	mr.methods[name] = h
-	return nil
-}
-
-// Lookup resolves a method name (nil when unknown).
-func (mr *MethodRepository) Lookup(name string) Handler {
-	mr.mu.RLock()
-	defer mr.mu.RUnlock()
-	return mr.methods[name]
-}
-
-// Methods lists the registered method names, sorted.
-func (mr *MethodRepository) Methods() []string {
-	mr.mu.RLock()
-	defer mr.mu.RUnlock()
-	names := make([]string, 0, len(mr.methods))
-	for name := range mr.methods {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// newMethodRepository registers the fx.* method surface.
-func newMethodRepository(g *Gate) *MethodRepository {
-	mr := &MethodRepository{}
-	must := func(name string, h HandlerFunc) {
-		if err := mr.RegisterMethod(name, h); err != nil {
-			panic(err)
-		}
-	}
-	must(client.MethodRetrieve, g.handleRetrieve)
-	must(client.MethodRetrieveBatch, g.handleRetrieveBatch)
-	must(client.MethodExplain, g.handleExplain)
-	must(client.MethodHealth, g.handleHealth)
-	return mr
 }
 
 // answer is an fx.retrieve result: the engine's result and the size
@@ -166,18 +106,14 @@ func (g *Gate) handleRetrieve(ctx context.Context, t *tenant, params json.RawMes
 	return &answer{res, batch}, nil
 }
 
-func (g *Gate) handleRetrieveBatch(ctx context.Context, t *tenant, params json.RawMessage) (any, *fxdist.Error) {
-	var p client.BatchParams
-	if err := json.Unmarshal(params, &p); err != nil {
-		return nil, fxdist.NewError(fxdist.ErrCodeInvalidQuery, "malformed params: "+err.Error())
-	}
-	if len(p.Queries) == 0 {
+func (g *Gate) handleRetrieveBatch(ctx context.Context, t *tenant, queries []map[string]string) (any, *fxdist.Error) {
+	if len(queries) == 0 {
 		return nil, fxdist.NewError(fxdist.ErrCodeInvalidQuery, "empty batch")
 	}
-	items := make(batchAnswer, len(p.Queries))
-	pms := make([]fxdist.PartialMatch, 0, len(p.Queries))
-	idx := make([]int, 0, len(p.Queries))
-	for i, q := range p.Queries {
+	items := make(batchAnswer, len(queries))
+	pms := make([]fxdist.PartialMatch, 0, len(queries))
+	idx := make([]int, 0, len(queries))
+	for i, q := range queries {
 		pm, e := g.spec(q)
 		if e != nil {
 			items[i].err = client.FromError(e)
@@ -199,7 +135,7 @@ func (g *Gate) handleRetrieveBatch(ctx context.Context, t *tenant, params json.R
 	return items, nil
 }
 
-func (g *Gate) handleExplain(ctx context.Context, t *tenant, params json.RawMessage) (any, *fxdist.Error) {
+func (g *Gate) handleExplain(params json.RawMessage) (any, *fxdist.Error) {
 	var p client.RetrieveParams
 	if err := json.Unmarshal(params, &p); err != nil {
 		return nil, fxdist.NewError(fxdist.ErrCodeInvalidQuery, "malformed params: "+err.Error())
@@ -239,7 +175,7 @@ func (g *Gate) handleExplain(ctx context.Context, t *tenant, params json.RawMess
 	return out, nil
 }
 
-func (g *Gate) handleHealth(ctx context.Context, t *tenant, params json.RawMessage) (any, *fxdist.Error) {
+func (g *Gate) handleHealth() *client.HealthResult {
 	return &client.HealthResult{
 		APIVersion:    client.APIVersion,
 		Status:        "ok",
@@ -247,5 +183,5 @@ func (g *Gate) handleHealth(ctx context.Context, t *tenant, params json.RawMessa
 		M:             g.cfg.Cluster.M(),
 		Fields:        append([]string(nil), g.cfg.File.Schema().Fields...),
 		UptimeSeconds: time.Since(g.start).Seconds(),
-	}, nil
+	}
 }

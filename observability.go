@@ -4,7 +4,6 @@ import (
 	"context"
 	"io"
 	"net/http"
-	"time"
 
 	"fxdist/internal/audit"
 	"fxdist/internal/engine"
@@ -96,26 +95,6 @@ func ResetAudit() {
 // LatencySLO is a per-shape latency objective: at least Goal (e.g. 0.99)
 // of a shape's queries must complete within Target.
 type LatencySLO = audit.SLO
-
-// SetLatencySLO sets the default latency objective for every query shape
-// of one backend ("memory", "durable", "replicated", "netdist"); an
-// empty backend applies it everywhere.
-//
-// Deprecated: use Cluster.SetLatencySLO (or WithLatencySLO at Open
-// time), which derives the backend name from the cluster itself.
-func SetLatencySLO(backend string, target time.Duration, goal float64) {
-	telemetry.SetSLO(backend, audit.SLO{Target: target, Goal: goal})
-}
-
-// SetShapeLatencySLO overrides the latency objective for one query shape
-// (e.g. "s**" — 's' per specified field, '*' per unspecified) of one
-// backend.
-//
-// Deprecated: use Cluster.SetShapeLatencySLO, which derives the backend
-// name from the cluster itself.
-func SetShapeLatencySLO(backend, shape string, target time.Duration, goal float64) {
-	telemetry.For(backend).Audit.SetShapeSLO(shape, audit.SLO{Target: target, Goal: goal})
-}
 
 // Wide-event query log: one structured event per retrieval, head+tail
 // sampled per shape with always-keep rules for errors, SLO-slow and

@@ -440,20 +440,25 @@ func (c *Cluster) Retrieve(pm PartialMatch) (RetrieveResult, error) {
 
 // RetrieveBatch answers a batch of queries, pipelining their fan-outs
 // over the shared worker pool (see engine.Executor.RetrieveBatch).
-// Queries sharing a shape reuse one cached plan.
+// Queries sharing a shape reuse one cached plan. The slice always has
+// one result per query; a failed query's is zero and its failure is a
+// *QueryError in the joined error.
 func (c *Cluster) RetrieveBatch(ctx context.Context, pms []PartialMatch) ([]RetrieveResult, error) {
 	// During a rescale window, run the batch query-by-query through
-	// the epoch-aware path (dual reads don't batch across epochs).
+	// the epoch-aware path (dual reads don't batch across epochs). One
+	// query's failure is its own: the rest of the batch still runs.
 	if r := c.resc.Load(); r != nil && r.intercepting() {
 		out := make([]RetrieveResult, len(pms))
+		var failed []error
 		for i, pm := range pms {
 			res, err := c.RetrieveContext(ctx, pm)
 			if err != nil {
-				return out, err
+				failed = append(failed, &QueryError{Index: i, Err: err})
+				continue
 			}
 			out[i] = res
 		}
-		return out, nil
+		return out, errors.Join(failed...)
 	}
 	return c.backend().RetrieveBatch(ctx, pms)
 }

@@ -2,8 +2,10 @@ package fxdist_test
 
 import (
 	"context"
+	"errors"
 	"net"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -367,6 +369,26 @@ func TestRescaleAbortRollsBack(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+	// A batch inside the window runs query by query through the dual
+	// reads. One query's failure is that query's: the batch finishes,
+	// the error names the index, the neighbours keep their answers (a
+	// gate demultiplexes this batch to three different tenants).
+	good := rescaleQueries(t, file)
+	results, err := cl.RetrieveBatch(ctx, []fxdist.PartialMatch{good[0], {nil}, good[1]})
+	var qe *fxdist.QueryError
+	if !errors.As(err, &qe) || qe.Index != 1 {
+		t.Fatalf("batch with a malformed query 1 inside the window: error %v, want a QueryError for index 1", err)
+	}
+	for i, pm := range map[int]fxdist.PartialMatch{0: good[0], 2: good[1]} {
+		want, err := file.Search(pm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g, w := canonical(results[i].Records), canonical(want); !slices.Equal(g, w) {
+			t.Fatalf("batch query %d beside a failing one: %d records, want %d", i, len(g), len(w))
+		}
+	}
+
 	// Hammer retrievals across the abort: the rollback must never fail
 	// a query — a dual read racing the route flip has to fall back to
 	// the old epoch, not chase the new epoch's dropped views.

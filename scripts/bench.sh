@@ -31,7 +31,7 @@ if [ -z "$OUT" ]; then
 	done
 fi
 
-PATTERN='^(BenchmarkAddressFX|BenchmarkInverseMapping|BenchmarkClusterRetrieve|BenchmarkBatchRetrieve|BenchmarkDistributedRetrieve|BenchmarkDurableRetrieve|BenchmarkDurableBulkLoad|BenchmarkPlanCache|BenchmarkRetrieveWithInjectedLatency|BenchmarkRetrieveInstrumentation|BenchmarkGateRetrieve|BenchmarkClientRetrieve)'
+PATTERN='^(BenchmarkAddressFX|BenchmarkInverseMapping|BenchmarkClusterRetrieve|BenchmarkBatchRetrieve|BenchmarkDistributedRetrieve|BenchmarkDurableRetrieve|BenchmarkDurableBulkLoad|BenchmarkPlanCache|BenchmarkRetrieveWithInjectedLatency|BenchmarkRetrieveInstrumentation|BenchmarkGateRetrieve|BenchmarkGateRetrieveParallel|BenchmarkClientRetrieve)'
 RAW=$(mktemp)
 trap 'rm -f "$RAW"' EXIT
 
