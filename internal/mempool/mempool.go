@@ -98,6 +98,9 @@ type SlicePool[T any] struct {
 	clear    bool
 	elemSize uintptr
 	classes  [numClasses]sync.Pool
+	// boxes recycles the *[]T a class keeps a slab behind: Get parks the
+	// emptied box here and Put refills it, so a warm pair allocates nothing.
+	boxes sync.Pool
 
 	gets, misses, oversize, puts, drops, recycledB atomic.Uint64
 }
@@ -135,7 +138,10 @@ func (p *SlicePool[T]) Get(n int) []T {
 	}
 	if v := p.classes[c].Get(); v != nil {
 		p.gets.Add(1)
-		s := *(v.(*[]T))
+		box := v.(*[]T)
+		s := *box
+		*box = nil
+		p.boxes.Put(box)
 		nb := uint64(cap(s)) * uint64(p.elemSize)
 		p.recycledB.Add(nb)
 		recycled(nb)
@@ -162,7 +168,12 @@ func (p *SlicePool[T]) Put(s []T) {
 		clear(s)
 	}
 	p.puts.Add(1)
-	p.classes[c].Put(&s)
+	box, _ := p.boxes.Get().(*[]T)
+	if box == nil {
+		box = new([]T)
+	}
+	*box = s
+	p.classes[c].Put(box)
 }
 
 // AppendOne appends v to s, growing through the pool instead of the

@@ -2,8 +2,22 @@ package mempool
 
 import (
 	"fmt"
+	"runtime/debug"
 	"testing"
 )
+
+// raceEnabled reports whether the test binary was built with -race,
+// where sync.Pool drops a quarter of its Puts and allocation counts
+// stop being exact.
+func raceEnabled() bool {
+	bi, _ := debug.ReadBuildInfo()
+	for _, s := range bi.Settings {
+		if s.Key == "-race" {
+			return s.Value == "true"
+		}
+	}
+	return false
+}
 
 func TestClassFor(t *testing.T) {
 	cases := []struct{ n, class int }{
@@ -44,6 +58,38 @@ func TestGetPutRecycles(t *testing.T) {
 	}
 	if st.RecycledBytes != 128 {
 		t.Fatalf("recycled bytes = %d, want 128", st.RecycledBytes)
+	}
+}
+
+// A warm Get/Put pair allocates nothing: the slab recycles through its
+// class and the *[]T it sits behind recycles through the box pool. The
+// counters read exactly what they read when Put boxed afresh each time.
+func TestWarmGetPutAllocatesNothing(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("sync.Pool drops Puts under -race")
+	}
+	bytesPool := NewBytesPool("test.warm.bytes")
+	stringPool := NewSlicePool[string]("test.warm.strings")
+	bytesPool.Put(bytesPool.Get(300))
+	stringPool.Put(stringPool.Get(300))
+	const runs = 100
+	if n := testing.AllocsPerRun(runs, func() { bytesPool.Put(bytesPool.Get(300)) }); n != 0 {
+		t.Errorf("bytes pool: %v allocs per warm Get/Put, want 0", n)
+	}
+	if n := testing.AllocsPerRun(runs, func() { stringPool.Put(stringPool.Get(300)) }); n != 0 {
+		t.Errorf("string pool: %v allocs per warm Get/Put, want 0", n)
+	}
+	// The counters still account for every call (one cold pair, then
+	// AllocsPerRun's warm-up call plus its runs) and for the bytes each
+	// hit recycled. AllocsPerRun moves the goroutine to another P, which
+	// can cost one more miss, so the hit/miss split is not pinned.
+	for name, st := range map[string]struct {
+		Stats
+		elem uint64
+	}{"bytes": {bytesPool.Stats(), 1}, "strings": {stringPool.Stats(), 16}} {
+		if st.Gets+st.Misses != runs+2 || st.Puts != runs+2 || st.Gets < runs || st.RecycledBytes != st.Gets*512*st.elem {
+			t.Errorf("%s pool stats = %+v", name, st.Stats)
+		}
 	}
 }
 

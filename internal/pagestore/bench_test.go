@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"fxdist/internal/mempool"
 	"fxdist/internal/mkhash"
 )
 
@@ -39,7 +40,7 @@ func BenchmarkScan(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		n := 0
-		if err := s.Scan(uint32(i%16), func(mkhash.Record) error {
+		if err := s.ScanInto(uint32(i%16), mempool.NewRecordBuilder(false), func(mkhash.Record) error {
 			n++
 			return nil
 		}); err != nil {
@@ -49,6 +50,39 @@ func BenchmarkScan(b *testing.B) {
 			b.Fatalf("scanned %d", n)
 		}
 	}
+}
+
+// BenchmarkScanMatching is the durable retrieval's inner loop: a bucket
+// stored as one run, a query 1 record in 32 answers. Allocations must
+// follow the hits, not the records scanned.
+func BenchmarkScanMatching(b *testing.B) {
+	s := benchStore(b)
+	for bucket := uint32(0); bucket < 16; bucket++ {
+		var run []mkhash.Record
+		for i := 0; i < 256; i++ {
+			run = append(run, mkhash.Record{fmt.Sprintf("part-%d", i), fmt.Sprintf("supplier-%d", i%32), "warehouse-7"})
+		}
+		if err := s.AppendRun(bucket, run); err != nil {
+			b.Fatal(err)
+		}
+	}
+	supplier := "supplier-5"
+	pm := mkhash.PartialMatch{nil, &supplier, nil}
+	b.ReportAllocs()
+	b.ResetTimer()
+	scanned := 0
+	for i := 0; i < b.N; i++ {
+		hits := 0
+		n, err := s.ScanMatching(uint32(i%16), pm, mempool.NewRecordBuilder(false), func(mkhash.Record) error {
+			hits++
+			return nil
+		})
+		if err != nil || hits != 8 {
+			b.Fatalf("%d hits, %v", hits, err)
+		}
+		scanned += n
+	}
+	b.ReportMetric(float64(scanned)/float64(b.N), "scanned/op")
 }
 
 func BenchmarkOpenRecovery(b *testing.B) {

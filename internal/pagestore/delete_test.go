@@ -5,6 +5,7 @@ import (
 	"os"
 	"testing"
 
+	"fxdist/internal/mempool"
 	"fxdist/internal/mkhash"
 )
 
@@ -148,7 +149,7 @@ func TestOperationsAfterClose(t *testing.T) {
 	if err := s.Append(0, mkhash.Record{"y"}); err == nil {
 		t.Error("append after close succeeded")
 	}
-	if err := s.Scan(0, func(mkhash.Record) error { return nil }); err == nil {
+	if err := s.ScanInto(0, mempool.NewRecordBuilder(false), func(mkhash.Record) error { return nil }); err == nil {
 		t.Error("scan after close succeeded")
 	}
 }

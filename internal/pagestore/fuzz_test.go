@@ -2,10 +2,15 @@ package pagestore
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"fxdist/internal/engine"
+	"fxdist/internal/mempool"
 	"fxdist/internal/mkhash"
 )
 
@@ -79,7 +84,7 @@ func FuzzOpenRecovery(f *testing.F) {
 			t.Fatalf("append after recovery: %v", err)
 		}
 		found := false
-		if err := st.Scan(1, func(r mkhash.Record) error {
+		if err := st.ScanInto(1, mempool.NewRecordBuilder(false), func(r mkhash.Record) error {
 			if len(r) == 1 && r[0] == "post" {
 				found = true
 			}
@@ -89,6 +94,110 @@ func FuzzOpenRecovery(f *testing.F) {
 		}
 		if !found {
 			t.Fatal("appended record not found after recovery")
+		}
+	})
+}
+
+// referenceDecode is the decoder the store had before it matched on the
+// encoded bytes, kept as the oracle FuzzScanMatching compares against.
+func referenceDecode(payload []byte) (mkhash.Record, error) {
+	rd := payload
+	take := func() (uint64, error) {
+		v, n := binary.Uvarint(rd)
+		if n <= 0 {
+			return 0, io.ErrUnexpectedEOF
+		}
+		rd = rd[n:]
+		return v, nil
+	}
+	count, err := take()
+	if err != nil {
+		return nil, fmt.Errorf("pagestore: corrupt record header")
+	}
+	if count > 1<<20 {
+		return nil, fmt.Errorf("pagestore: implausible field count %d", count)
+	}
+	rec := make(mkhash.Record, 0, count)
+	for i := uint64(0); i < count; i++ {
+		l, err := take()
+		if err != nil || uint64(len(rd)) < l {
+			return nil, fmt.Errorf("pagestore: corrupt field length")
+		}
+		rec = append(rec, string(rd[:l]))
+		rd = rd[l:]
+	}
+	if len(rd) != 0 {
+		return nil, fmt.Errorf("pagestore: %d trailing bytes in record frame", len(rd))
+	}
+	return rec, nil
+}
+
+// FuzzScanMatching: for an arbitrary record body and an arbitrary query,
+// the scan — walk, match on the encoded bytes, build the hit — returns
+// exactly what decoding the body and asking engine.Matches returns. It
+// errors on every body the decoder rejects, and on a record with fewer
+// fields than the query (where engine.Matches indexes out of range).
+func FuzzScanMatching(f *testing.F) {
+	for _, body := range [][]byte{
+		{},
+		appendRecord(nil, mkhash.Record{"a", "b"}),
+		appendRecord(nil, mkhash.Record{""}),
+		{0x80, 0x00}, // non-minimal varint for 0
+		{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01},
+		{1, 200, 1},                  // field length past the end
+		{2, 1, 'a', 0x81, 0x00, 'b'}, // non-minimal field length
+		append(appendRecord(nil, mkhash.Record{"a"}), 0),
+	} {
+		f.Add(body, uint8(2), uint8(3), "a", "b", "")
+		f.Add(body, uint8(1), uint8(1), "", "", "")
+		f.Add(body, uint8(3), uint8(0), "a", "b", "c")
+	}
+	f.Fuzz(func(t *testing.T, body []byte, arity, mask uint8, v0, v1, v2 string) {
+		values := []string{v0, v1, v2}
+		pm := make(mkhash.PartialMatch, arity%4)
+		for i := range pm {
+			if mask&(1<<i) != 0 {
+				pm[i] = &values[i]
+			}
+		}
+		const bucket = 11
+		frame := make([]byte, frameHeaderSize, frameHeaderSize+1+len(body))
+		binary.LittleEndian.PutUint32(frame[4:], bucket)
+		binary.LittleEndian.PutUint32(frame[8:], uint32(1+len(body)))
+		frame = append(append(frame, kindPut), body...)
+		s := &Store{r: bytes.NewReader(frame), index: map[uint32][]extent{bucket: {{0, uint32(len(frame))}}}}
+
+		var hits []mkhash.Record
+		scanned, err := s.ScanMatching(bucket, pm, mempool.NewRecordBuilder(false), func(r mkhash.Record) error {
+			hits = append(hits, r)
+			return nil
+		})
+		want, decodeErr := referenceDecode(body)
+		switch {
+		case decodeErr != nil:
+			if err == nil {
+				t.Fatalf("scan accepted a body the decoder rejects (%v)", decodeErr)
+			}
+		case len(want) < len(pm):
+			if err == nil {
+				t.Fatalf("scan matched a %d-field record against a %d-field query", len(want), len(pm))
+			}
+		case err != nil:
+			t.Fatalf("scan rejected a valid body: %v", err)
+		case scanned != 1:
+			t.Fatalf("scanned = %d", scanned)
+		case !engine.Matches(pm, want):
+			if len(hits) != 0 {
+				t.Fatalf("scan returned %v, engine.Matches says no", hits)
+			}
+		case len(hits) != 1 || len(hits[0]) != len(want):
+			t.Fatalf("scan returned %v, want [%v]", hits, want)
+		default:
+			for i := range want {
+				if hits[0][i] != want[i] {
+					t.Fatalf("field %d = %q, want %q", i, hits[0][i], want[i])
+				}
+			}
 		}
 	})
 }

@@ -18,10 +18,19 @@
 // torn write from a crash — ends the valid prefix; Open truncates the
 // file there and continues. Frames are append-only; Sync makes them
 // durable; Compact rewrites the log with only live put frames.
+//
+// The paper prices a query in bucket accesses, so a bucket is one access:
+// the index maps it to its runs — extents of back-to-back put frames —
+// and the one read path (walk) reads a run with a single ReadAt. A scan
+// compares the query's specified fields on the encoded bytes and decodes
+// only the hits. AppendRun and Compact leave a bucket as one run (a few
+// if it exceeds chunk bytes); a single Append or Delete landing between
+// its frames adds a run until the next Compact.
 package pagestore
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -46,12 +55,36 @@ const (
 // gigabytes.
 const maxPayload = 16 << 20
 
+// chunk is the most the store reads at once: the cap on a run (a larger
+// single frame is a run of its own) and recover's read size.
+const chunk = 1 << 20
+
+// extent is one run: size bytes of back-to-back put frames of one bucket
+// from file offset off. 16 bytes, and every lone insert costs one.
+type extent struct {
+	off  int64
+	size uint32
+}
+
+// addFrame records a put frame of n bytes at off: the last run grows when
+// the frame starts where it ends and fits under chunk, else a run starts.
+func addFrame(runs []extent, off int64, n int) []extent {
+	if k := len(runs) - 1; k >= 0 && runs[k].off+int64(runs[k].size) == off && int(runs[k].size)+n <= chunk {
+		runs[k].size += uint32(n)
+		return runs
+	}
+	return append(runs, extent{off, uint32(n)})
+}
+
 // Store is one device's durable bucket store.
 type Store struct {
-	f    *os.File
+	f *os.File
+	// r is f; every read goes through it so a test can count them.
+	r    io.ReaderAt
 	path string
-	// index maps bucket id to the file offsets of its record frames.
-	index map[uint32][]int64
+	// index maps bucket id to the runs holding its live put frames, in
+	// append order.
+	index map[uint32][]extent
 	// size is the validated file length (append position).
 	size int64
 	// records counts stored records.
@@ -66,7 +99,7 @@ func Open(path string) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Store{f: f, path: path, index: make(map[uint32][]int64)}
+	s := &Store{f: f, r: f, path: path, index: make(map[uint32][]extent)}
 	if err := s.recover(); err != nil {
 		f.Close()
 		return nil, err
@@ -76,62 +109,70 @@ func Open(path string) (*Store, error) {
 	return s, nil
 }
 
-// recover scans the log, indexing valid frames and truncating at the
-// first invalid one.
+// recover reads the log the way it was written — sequentially, a chunk at
+// a time — indexing valid frames and truncating at the first invalid one.
 func (s *Store) recover() error {
 	info, err := s.f.Stat()
 	if err != nil {
 		return err
 	}
 	fileSize := info.Size()
+	// window holds file bytes [base, base+len(window)); at returns n of
+	// them from off, reading the next chunk from off when they are not all
+	// inside, so a frame straddling a chunk edge is read again with it.
+	var window []byte
+	defer func() { mempool.Frames.Put(window) }()
+	var base int64
+	at := func(off int64, n int) ([]byte, error) {
+		if off+int64(n) > base+int64(len(window)) {
+			mempool.Frames.Put(window)
+			window = mempool.Frames.Get(int(min(max(int64(n), chunk), fileSize-off)))
+			if _, err := s.r.ReadAt(window, off); err != nil {
+				return nil, err
+			}
+			base = off
+		}
+		return window[off-base:][:n], nil
+	}
 	var off int64
-	var header [frameHeaderSize]byte
 	for off+frameHeaderSize <= fileSize {
-		if _, err := s.f.ReadAt(header[:], off); err != nil {
+		header, err := at(off, frameHeaderSize)
+		if err != nil {
 			return err
 		}
 		crc := binary.LittleEndian.Uint32(header[0:4])
 		bucket := binary.LittleEndian.Uint32(header[4:8])
 		plen := binary.LittleEndian.Uint32(header[8:12])
-		if plen > maxPayload || off+frameHeaderSize+int64(plen) > fileSize {
+		n := frameHeaderSize + int(plen)
+		if plen > maxPayload || off+int64(n) > fileSize {
 			break // torn or corrupt tail
 		}
-		payload := mempool.Frames.Get(int(plen))
-		if _, err := s.f.ReadAt(payload, off+frameHeaderSize); err != nil {
-			mempool.Frames.Put(payload)
+		frame, err := at(off, n)
+		if err != nil {
 			return err
 		}
-		// Incremental CRC over header then payload — same digest as the
-		// writer's single pass, no concatenation scratch.
-		sum := crc32.ChecksumIEEE(header[4:12])
-		sum = crc32.Update(sum, crc32.IEEETable, payload)
-		if sum != crc || plen == 0 {
+		if plen == 0 || crc32.ChecksumIEEE(frame[4:]) != crc {
 			// Corrupt frame, or one without its kind byte: end of the
 			// valid prefix.
-			mempool.Frames.Put(payload)
 			break
 		}
-		switch payload[0] {
+		switch payload := frame[frameHeaderSize:]; payload[0] {
 		case kindPut:
-			s.index[bucket] = append(s.index[bucket], off)
+			s.index[bucket] = addFrame(s.index[bucket], off, n)
 			s.records++
 		case kindTombstone:
-			rec, err := decodeRecord(payload[1:])
+			_, fields, err := matchRecord(payload[1:], nil)
 			if err != nil {
-				mempool.Frames.Put(payload)
 				return fmt.Errorf("pagestore: corrupt tombstone at offset %d: %w", off, err)
 			}
-			if err := s.dropFromIndex(bucket, rec); err != nil {
-				mempool.Frames.Put(payload)
+			rec := buildRecord(payload[1:], fields, mempool.NewRecordBuilder(false))
+			if _, err := s.remove(bucket, rec, false); err != nil {
 				return err
 			}
 		default:
-			kind := payload[0]
-			mempool.Frames.Put(payload)
-			return fmt.Errorf("pagestore: unknown frame kind %d at offset %d", kind, off)
+			return fmt.Errorf("pagestore: unknown frame kind %d at offset %d", payload[0], off)
 		}
-		mempool.Frames.Put(payload)
-		off += frameHeaderSize + int64(plen)
+		off += int64(n)
 	}
 	if off < fileSize {
 		if err := s.f.Truncate(off); err != nil {
@@ -153,112 +194,116 @@ func (s *Store) Len() int { return s.records }
 // Buckets returns the number of non-empty buckets.
 func (s *Store) Buckets() int { return len(s.index) }
 
-// appendFrame writes one frame and returns its offset. The frame is
-// encoded directly into one exactly-sized pooled buffer (header, kind,
-// record body) and recycled after the write; the bytes on disk are
-// identical to what the two-copy encoder historically produced.
-func (s *Store) appendFrame(kind byte, bucket uint32, rec mkhash.Record) (int64, error) {
-	plen := 1 + recordSize(rec)
-	if plen > maxPayload {
-		return 0, fmt.Errorf("pagestore: record of %d bytes exceeds limit", plen)
+// appendFrames encodes one frame per record into one exactly-sized pooled
+// slab and appends it with a single WriteAt, so the frames are back to
+// back on disk. Put frames are indexed once the write has succeeded.
+func (s *Store) appendFrames(kind byte, bucket uint32, recs ...mkhash.Record) error {
+	if len(recs) == 0 {
+		return nil
 	}
-	frame := mempool.Frames.Get(frameHeaderSize + plen)[:frameHeaderSize]
-	binary.LittleEndian.PutUint32(frame[4:8], bucket)
-	binary.LittleEndian.PutUint32(frame[8:12], uint32(plen))
-	frame = append(frame, kind)
-	frame = appendRecord(frame, rec)
-	binary.LittleEndian.PutUint32(frame[0:4], crc32.ChecksumIEEE(frame[4:]))
-	off := s.size
-	_, err := s.f.WriteAt(frame, off)
-	mempool.Frames.Put(frame)
-	if err != nil {
-		return 0, err
+	total := 0
+	for _, rec := range recs {
+		plen := 1 + recordSize(rec)
+		if plen > maxPayload {
+			return fmt.Errorf("pagestore: record of %d bytes exceeds limit", plen)
+		}
+		total += frameHeaderSize + plen
 	}
-	s.size += int64(frameHeaderSize + plen)
-	return off, nil
+	slab := mempool.Frames.Get(total)[:0]
+	defer mempool.Frames.Put(slab)
+	for _, rec := range recs {
+		frame := len(slab)
+		slab = append(slab[:frame+frameHeaderSize], kind)
+		slab = appendRecord(slab, rec)
+		binary.LittleEndian.PutUint32(slab[frame+4:], bucket)
+		binary.LittleEndian.PutUint32(slab[frame+8:], uint32(len(slab)-frame-frameHeaderSize))
+		binary.LittleEndian.PutUint32(slab[frame:], crc32.ChecksumIEEE(slab[frame+4:]))
+	}
+	if _, err := s.f.WriteAt(slab, s.size); err != nil {
+		return err
+	}
+	if kind == kindPut {
+		runs := s.index[bucket]
+		for pos := 0; pos < len(slab); {
+			n := frameHeaderSize + int(binary.LittleEndian.Uint32(slab[pos+8:]))
+			runs = addFrame(runs, s.size+int64(pos), n)
+			pos += n
+		}
+		s.index[bucket] = runs
+		s.records += len(recs)
+	}
+	s.size += int64(len(slab))
+	return nil
 }
 
 // Append stores one record in the given bucket. The write is buffered by
 // the OS until Sync.
 func (s *Store) Append(bucket uint32, rec mkhash.Record) error {
 	t0 := time.Now()
-	off, err := s.appendFrame(kindPut, bucket, rec)
+	err := s.appendFrames(kindPut, bucket, rec)
 	mAppend.ObserveSince(t0)
-	if err != nil {
-		return err
-	}
-	s.index[bucket] = append(s.index[bucket], off)
-	s.records++
-	return nil
+	return err
 }
 
-// recordsEqual compares two records field-wise.
-func recordsEqual(a, b mkhash.Record) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// dropFromIndex removes every live offset in the bucket whose stored
-// record equals rec, decrementing the record count.
-func (s *Store) dropFromIndex(bucket uint32, rec mkhash.Record) error {
-	offs := s.index[bucket]
-	kept := offs[:0]
-	for _, off := range offs {
-		stored, _, err := s.readFrame(off)
-		if err != nil {
-			return err
-		}
-		if recordsEqual(stored, rec) {
-			s.records--
-			continue
-		}
-		kept = append(kept, off)
-	}
-	if len(kept) == 0 {
-		delete(s.index, bucket)
-	} else {
-		s.index[bucket] = kept
-	}
-	return nil
+// AppendRun stores records in the bucket as one run: a single write puts
+// their frames back to back, so a scan reads them with a single read.
+// The bytes are those of one Append per record. Buffered until Sync.
+func (s *Store) AppendRun(bucket uint32, recs []mkhash.Record) error {
+	return s.appendFrames(kindPut, bucket, recs...)
 }
 
 // Delete removes every record equal to rec from the bucket, returning the
 // number removed. A tombstone frame is appended so the deletion survives
 // restarts; deleting a record that is not present writes nothing.
 func (s *Store) Delete(bucket uint32, rec mkhash.Record) (int, error) {
-	matches := 0
-	for _, off := range s.index[bucket] {
-		stored, _, err := s.readFrame(off)
+	return s.remove(bucket, rec, true)
+}
+
+// remove rebuilds the bucket's runs without the frames whose record
+// equals rec (a run splits around them). With log set — a Delete, not
+// recovery replaying one — it first appends the tombstone, once a match
+// is known to exist.
+func (s *Store) remove(bucket uint32, rec mkhash.Record, log bool) (int, error) {
+	want := make(mkhash.PartialMatch, len(rec))
+	for i := range rec {
+		want[i] = &rec[i]
+	}
+	var kept []extent
+	dropped := 0
+	err := s.walk(bucket, func(off int64, frame []byte) error {
+		match, fields, err := matchRecord(frame[frameHeaderSize+1:], want)
 		if err != nil {
+			return err
+		}
+		if match && fields == len(rec) {
+			dropped++
+		} else {
+			kept = addFrame(kept, off, len(frame))
+		}
+		return nil
+	})
+	if err != nil || dropped == 0 {
+		return 0, err
+	}
+	if log {
+		if err := s.appendFrames(kindTombstone, bucket, rec); err != nil {
 			return 0, err
 		}
-		if recordsEqual(stored, rec) {
-			matches++
-		}
+		mTombstones.Inc()
 	}
-	if matches == 0 {
-		return 0, nil
+	if len(kept) == 0 {
+		delete(s.index, bucket)
+	} else {
+		s.index[bucket] = kept
 	}
-	if _, err := s.appendFrame(kindTombstone, bucket, rec); err != nil {
-		return 0, err
-	}
-	mTombstones.Inc()
-	if err := s.dropFromIndex(bucket, rec); err != nil {
-		return 0, err
-	}
-	return matches, nil
+	s.records -= dropped
+	return dropped, nil
 }
 
 // Compact rewrites the log with only live put frames (dropping tombstones
 // and deleted records), fsyncs it, and atomically replaces the old file.
-// Scan order within each bucket is preserved.
+// Scan order within each bucket is preserved, and every bucket comes out
+// as one run.
 func (s *Store) Compact() error {
 	t0 := time.Now()
 	oldSize := s.size
@@ -268,51 +313,37 @@ func (s *Store) Compact() error {
 		return err
 	}
 	defer os.Remove(tmpPath)
-	next := &Store{f: tmp, path: s.path, index: make(map[uint32][]int64)}
-	for bucket, offs := range s.index {
-		for _, off := range offs {
-			rec, _, err := s.readFrame(off)
-			if err != nil {
-				tmp.Close()
-				return err
-			}
-			if err := next.Append(bucket, rec); err != nil {
-				tmp.Close()
-				return err
-			}
+	next := &Store{f: tmp, r: tmp, path: s.path, index: make(map[uint32][]extent)}
+	var recs []mkhash.Record
+	for bucket := range s.index {
+		recs = recs[:0]
+		err = s.ScanInto(bucket, mempool.NewRecordBuilder(false), func(rec mkhash.Record) error {
+			recs = append(recs, rec)
+			return nil
+		})
+		if err == nil {
+			err = next.AppendRun(bucket, recs)
+		}
+		if err != nil {
+			break
 		}
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
+	if err == nil {
+		err = tmp.Sync()
 	}
-	if err := os.Rename(tmpPath, s.path); err != nil {
+	if err == nil {
+		err = os.Rename(tmpPath, s.path)
+	}
+	if err != nil {
 		tmp.Close()
 		return err
 	}
 	old := s.f
-	s.f = tmp
-	s.index = next.index
-	s.size = next.size
-	s.records = next.records
+	*s = *next
 	mCompactions.Inc()
 	obs.Infof("pagestore: %s: compacted %d -> %d bytes (%d live records) in %v",
 		s.path, oldSize, s.size, s.records, time.Since(t0))
 	return old.Close()
-}
-
-// Scan calls fn for every record in the bucket, in append order.
-func (s *Store) Scan(bucket uint32, fn func(rec mkhash.Record) error) error {
-	for _, off := range s.index[bucket] {
-		rec, _, err := s.readFrame(off)
-		if err != nil {
-			return err
-		}
-		if err := fn(rec); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // EachBucket calls fn for every non-empty bucket id.
@@ -325,60 +356,70 @@ func (s *Store) EachBucket(fn func(bucket uint32) error) error {
 	return nil
 }
 
-func (s *Store) readFrame(off int64) (mkhash.Record, int64, error) {
-	payload, err := s.readPayload(off)
-	if err != nil {
-		return nil, 0, err
-	}
-	rec, err := decodeRecord(payload[1:]) // skip the kind byte
-	end := off + frameHeaderSize + int64(len(payload))
-	mempool.Frames.Put(payload)
-	if err != nil {
-		return nil, 0, err
-	}
-	return rec, end, nil
-}
-
-// readPayload reads one frame's payload into a pooled slab the caller
-// must Put back once decoded.
-func (s *Store) readPayload(off int64) ([]byte, error) {
-	var header [frameHeaderSize]byte
-	if _, err := s.f.ReadAt(header[:], off); err != nil {
-		return nil, err
-	}
-	plen := binary.LittleEndian.Uint32(header[8:12])
-	if plen == 0 {
-		return nil, fmt.Errorf("pagestore: empty frame at offset %d", off)
-	}
-	payload := mempool.Frames.Get(int(plen))
-	if _, err := s.f.ReadAt(payload, off+frameHeaderSize); err != nil {
-		mempool.Frames.Put(payload)
-		return nil, err
-	}
-	return payload, nil
-}
-
-// ScanInto is Scan with the decoded records materialised through b's
-// arena: field-header slices and field bytes come from the builder's
-// chunks instead of two allocations per record, and in pooled mode the
-// whole scan's memory recycles on the builder's Release. Records are
-// only valid as long as b's arena is (see mempool.RecordBuilder).
-func (s *Store) ScanInto(bucket uint32, b *mempool.RecordBuilder, fn func(rec mkhash.Record) error) error {
-	for _, off := range s.index[bucket] {
-		payload, err := s.readPayload(off)
-		if err != nil {
-			return err
+// walk is the one read path. It reads each run of the bucket with a
+// single ReadAt into a pooled slab and calls visit for every frame in it,
+// in append order, with the frame's file offset and bytes (header, kind
+// byte, record body), having checked that the frame lies inside the run
+// and is a put of this bucket. The slab returns to the pool before the
+// next run is read, so visit must copy what it keeps.
+func (s *Store) walk(bucket uint32, visit func(off int64, frame []byte) error) error {
+	for _, run := range s.index[bucket] {
+		slab := mempool.Frames.Get(int(run.size))
+		_, err := s.r.ReadAt(slab, run.off)
+		for pos := 0; err == nil && pos < len(slab); {
+			rest := slab[pos:]
+			if len(rest) <= frameHeaderSize {
+				err = fmt.Errorf("pagestore: truncated frame at offset %d", run.off+int64(pos))
+				break
+			}
+			plen := binary.LittleEndian.Uint32(rest[8:12])
+			n := frameHeaderSize + int(plen)
+			if plen == 0 || plen > maxPayload || n > len(rest) || binary.LittleEndian.Uint32(rest[4:8]) != bucket || rest[frameHeaderSize] != kindPut {
+				err = fmt.Errorf("pagestore: frame at offset %d is not a put of bucket %d inside its run", run.off+int64(pos), bucket)
+				break
+			}
+			err = visit(run.off+int64(pos), rest[:n])
+			pos += n
 		}
-		rec, err := decodeRecordInto(payload[1:], b)
-		mempool.Frames.Put(payload)
+		mempool.Frames.Put(slab)
 		if err != nil {
-			return err
-		}
-		if err := fn(rec); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// ScanMatching calls fn for every record in the bucket that agrees with
+// pm on its specified fields, in append order, and returns how many
+// records the bucket holds. The comparison runs on the encoded bytes:
+// every record is validated and counted, only the matches are
+// materialised through b's arena and are valid only as long as it is
+// (see mempool.RecordBuilder). A stored record with fewer fields than pm
+// is an error.
+func (s *Store) ScanMatching(bucket uint32, pm mkhash.PartialMatch, b *mempool.RecordBuilder, fn func(rec mkhash.Record) error) (scanned int, err error) {
+	err = s.walk(bucket, func(_ int64, frame []byte) error {
+		scanned++
+		body := frame[frameHeaderSize+1:]
+		match, fields, err := matchRecord(body, pm)
+		if err != nil {
+			return err
+		}
+		if fields < len(pm) {
+			return fmt.Errorf("pagestore: stored record has %d fields, the query %d", fields, len(pm))
+		}
+		if !match {
+			return nil
+		}
+		return fn(buildRecord(body, fields, b))
+	})
+	return scanned, err
+}
+
+// ScanInto calls fn for every record in the bucket, in append order: it
+// is ScanMatching with nothing specified.
+func (s *Store) ScanInto(bucket uint32, b *mempool.RecordBuilder, fn func(rec mkhash.Record) error) error {
+	_, err := s.ScanMatching(bucket, nil, b, fn)
+	return err
 }
 
 // Sync flushes appended frames to stable storage.
@@ -424,69 +465,44 @@ func appendRecord(buf []byte, rec mkhash.Record) []byte {
 	return buf
 }
 
-func decodeRecord(payload []byte) (mkhash.Record, error) {
-	rd := payload
-	take := func() (uint64, error) {
-		v, n := binary.Uvarint(rd)
-		if n <= 0 {
-			return 0, io.ErrUnexpectedEOF
+// matchRecord is the one validator of an encoded record body: it checks
+// the field count, every field length and that nothing trails, and
+// reports the count and whether each field pm specifies — of those the
+// record has — equals the stored bytes. Nothing is materialised.
+func matchRecord(body []byte, pm mkhash.PartialMatch) (match bool, fields int, err error) {
+	count, n := binary.Uvarint(body)
+	if n <= 0 || count > 1<<20 {
+		return false, 0, fmt.Errorf("pagestore: corrupt record header (field count %d)", count)
+	}
+	body = body[n:]
+	match = true
+	for i := 0; i < int(count); i++ {
+		l, n := binary.Uvarint(body)
+		if n <= 0 || uint64(len(body)-n) < l {
+			return false, 0, errors.New("pagestore: corrupt field length")
 		}
-		rd = rd[n:]
-		return v, nil
-	}
-	count, err := take()
-	if err != nil {
-		return nil, fmt.Errorf("pagestore: corrupt record header")
-	}
-	if count > 1<<20 {
-		return nil, fmt.Errorf("pagestore: implausible field count %d", count)
-	}
-	rec := make(mkhash.Record, 0, count)
-	for i := uint64(0); i < count; i++ {
-		l, err := take()
-		if err != nil || uint64(len(rd)) < l {
-			return nil, fmt.Errorf("pagestore: corrupt field length")
+		if match && i < len(pm) && pm[i] != nil && string(body[n:n+int(l)]) != *pm[i] {
+			match = false
 		}
-		rec = append(rec, string(rd[:l]))
-		rd = rd[l:]
+		body = body[n+int(l):]
 	}
-	if len(rd) != 0 {
-		return nil, fmt.Errorf("pagestore: %d trailing bytes in record frame", len(rd))
+	if len(body) != 0 {
+		return false, 0, fmt.Errorf("pagestore: %d trailing bytes in record frame", len(body))
 	}
-	return rec, nil
+	return match, int(count), nil
 }
 
-// decodeRecordInto is decodeRecord drawing the field-header slice and
-// field bytes from b's arena instead of fresh allocations. payload may
-// be recycled as soon as the call returns — every byte is copied out.
-func decodeRecordInto(payload []byte, b *mempool.RecordBuilder) (mkhash.Record, error) {
-	rd := payload
-	take := func() (uint64, error) {
-		v, n := binary.Uvarint(rd)
-		if n <= 0 {
-			return 0, io.ErrUnexpectedEOF
-		}
-		rd = rd[n:]
-		return v, nil
+// buildRecord materialises a body matchRecord has accepted, drawing the
+// field-header slice and field bytes from b's arena. body may be recycled
+// as soon as the call returns — every byte is copied out.
+func buildRecord(body []byte, fields int, b *mempool.RecordBuilder) mkhash.Record {
+	_, n := binary.Uvarint(body)
+	body = body[n:]
+	rec := b.Fields(fields)
+	for i := range rec {
+		l, n := binary.Uvarint(body)
+		rec[i] = b.Bytes(body[n : n+int(l)])
+		body = body[n+int(l):]
 	}
-	count, err := take()
-	if err != nil {
-		return nil, fmt.Errorf("pagestore: corrupt record header")
-	}
-	if count > 1<<20 {
-		return nil, fmt.Errorf("pagestore: implausible field count %d", count)
-	}
-	fields := b.Fields(int(count))
-	for i := range fields {
-		l, err := take()
-		if err != nil || uint64(len(rd)) < l {
-			return nil, fmt.Errorf("pagestore: corrupt field length")
-		}
-		fields[i] = b.Bytes(rd[:l])
-		rd = rd[l:]
-	}
-	if len(rd) != 0 {
-		return nil, fmt.Errorf("pagestore: %d trailing bytes in record frame", len(rd))
-	}
-	return mkhash.Record(fields), nil
+	return rec
 }

@@ -9,8 +9,18 @@ import (
 	"testing"
 	"testing/quick"
 
+	"fxdist/internal/mempool"
 	"fxdist/internal/mkhash"
 )
+
+// decodeRecord decodes a record body into memory the caller owns.
+func decodeRecord(body []byte) (mkhash.Record, error) {
+	_, fields, err := matchRecord(body, nil)
+	if err != nil {
+		return nil, err
+	}
+	return buildRecord(body, fields, mempool.NewRecordBuilder(false)), nil
+}
 
 func tempStore(t *testing.T) (*Store, string) {
 	t.Helper()
@@ -25,7 +35,7 @@ func tempStore(t *testing.T) (*Store, string) {
 func collect(t *testing.T, s *Store, bucket uint32) []mkhash.Record {
 	t.Helper()
 	var out []mkhash.Record
-	if err := s.Scan(bucket, func(r mkhash.Record) error {
+	if err := s.ScanInto(bucket, mempool.NewRecordBuilder(false), func(r mkhash.Record) error {
 		out = append(out, r)
 		return nil
 	}); err != nil {
@@ -198,7 +208,7 @@ func TestScanPropagatesCallbackError(t *testing.T) {
 	defer s.Close()
 	s.Append(0, mkhash.Record{"a"})
 	wantErr := fmt.Errorf("stop")
-	if err := s.Scan(0, func(mkhash.Record) error { return wantErr }); err != wantErr {
+	if err := s.ScanInto(0, mempool.NewRecordBuilder(false), func(mkhash.Record) error { return wantErr }); err != wantErr {
 		t.Error("Scan did not propagate the callback error")
 	}
 }

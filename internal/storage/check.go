@@ -3,6 +3,7 @@ package storage
 import (
 	"fmt"
 
+	"fxdist/internal/mempool"
 	"fxdist/internal/mkhash"
 )
 
@@ -54,7 +55,7 @@ func (c *DurableCluster) Check() (CheckReport, error) {
 			if want := c.alloc.Device(coords); want != dev {
 				report.problem("bucket %v stored on device %d, allocator assigns %d", coords, dev, want)
 			}
-			return store.Scan(bucket, func(rec mkhash.Record) error {
+			return store.ScanInto(bucket, mempool.NewRecordBuilder(false), func(rec mkhash.Record) error {
 				report.DeviceRecords[dev]++
 				report.Records++
 				actual, err := c.schema.BucketOf(rec)

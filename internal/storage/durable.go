@@ -2,6 +2,7 @@ package storage
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -47,18 +48,6 @@ type DurableCluster struct {
 	arena  bool // lease decode arenas to results (WithArenaResults)
 }
 
-// openStores opens one pagestore log per device.
-func (c *DurableCluster) openStores() error {
-	for dev := range c.stores {
-		s, err := pagestore.Open(devicePath(c.dir, dev))
-		if err != nil {
-			return err
-		}
-		c.stores[dev] = s
-	}
-	return nil
-}
-
 // engineFor wires the cluster's per-device stores into the shared
 // retrieval executor.
 func (c *DurableCluster) engineFor(model CostModel, st *settings) (*engine.Executor, error) {
@@ -87,10 +76,11 @@ type durDevice struct {
 func (d durDevice) Scan(ctx context.Context, q query.Query, pm mkhash.PartialMatch) (engine.Answer, error) {
 	var ans engine.Answer
 	c := d.c
-	// One builder per scan: decoded records share its chunked arena
-	// instead of allocating two objects each. In arena mode the chunks
-	// are pooled and the lease travels on the answer; otherwise they are
-	// plain heap the results own outright.
+	// One builder per scan: the store compares pm on the encoded bytes
+	// and materialises only the hits, which share the builder's chunked
+	// arena instead of allocating two objects each. In arena mode the
+	// chunks are pooled and the lease travels on the answer; otherwise
+	// they are plain heap the results own outright.
 	b := mempool.NewRecordBuilder(c.arena)
 	var err error
 	c.locks[d.dev].RLock()
@@ -103,13 +93,12 @@ func (d durDevice) Scan(ctx context.Context, q query.Query, pm mkhash.PartialMat
 			return
 		}
 		ans.Buckets++
-		err = c.stores[d.dev].ScanInto(uint32(c.fs.Linear(coords)), b, func(r mkhash.Record) error {
-			ans.Records++
-			if engine.Matches(pm, r) {
-				ans.Hits = hits.AppendOne(ans.Hits, r)
-			}
+		var scanned int
+		scanned, err = c.stores[d.dev].ScanMatching(uint32(c.fs.Linear(coords)), pm, b, func(r mkhash.Record) error {
+			ans.Hits = hits.AppendOne(ans.Hits, r)
 			return nil
 		})
+		ans.Records += scanned
 	})
 	if err != nil {
 		hits.Put(ans.Hits)
@@ -150,21 +139,8 @@ func CreateDurable(dir string, file *mkhash.File, alloc decluster.GroupAllocator
 		return nil, err
 	}
 
-	c := &DurableCluster{
-		dir:    dir,
-		fs:     fs,
-		alloc:  alloc,
-		im:     query.NewInverseMapper(alloc),
-		schema: schemaOnly,
-		stores: make([]*pagestore.Store, fs.M),
-		locks:  make([]sync.RWMutex, fs.M),
-		arena:  st.arena,
-	}
-	if c.eng, err = c.engineFor(model, st); err != nil {
-		return nil, err
-	}
-	if err := c.openStores(); err != nil {
-		c.Close()
+	c, err := newDurable(dir, schemaOnly, alloc, model, st)
+	if err != nil {
 		return nil, err
 	}
 	var insertErr error
@@ -172,14 +148,7 @@ func CreateDurable(dir string, file *mkhash.File, alloc decluster.GroupAllocator
 		if insertErr != nil {
 			return
 		}
-		dev := alloc.Device(coords)
-		bucket := uint32(fs.Linear(coords))
-		for _, r := range records {
-			if err := c.stores[dev].Append(bucket, r); err != nil {
-				insertErr = err
-				return
-			}
-		}
+		insertErr = c.stores[alloc.Device(coords)].AppendRun(uint32(fs.Linear(coords)), records)
 	})
 	if insertErr != nil {
 		c.Close()
@@ -204,23 +173,32 @@ func OpenDurable(dir string, model CostModel, opts ...Option) (*DurableCluster, 
 	if alloc == nil {
 		return nil, fmt.Errorf("storage: %s metadata carries no allocator spec", dir)
 	}
+	return newDurable(dir, schemaOnly, alloc, model, st)
+}
+
+// newDurable wires a cluster over dir's device logs, opening (and so
+// recovering) every one.
+func newDurable(dir string, schema *mkhash.File, alloc decluster.GroupAllocator, model CostModel, st *settings) (*DurableCluster, error) {
 	fs := alloc.FileSystem()
 	c := &DurableCluster{
 		dir:    dir,
 		fs:     fs,
 		alloc:  alloc,
 		im:     query.NewInverseMapper(alloc),
-		schema: schemaOnly,
+		schema: schema,
 		stores: make([]*pagestore.Store, fs.M),
 		locks:  make([]sync.RWMutex, fs.M),
 		arena:  st.arena,
 	}
+	var err error
 	if c.eng, err = c.engineFor(model, st); err != nil {
 		return nil, err
 	}
-	if err := c.openStores(); err != nil {
-		c.Close()
-		return nil, err
+	for dev := range c.stores {
+		if c.stores[dev], err = pagestore.Open(devicePath(dir, dev)); err != nil {
+			c.Close()
+			return nil, err
+		}
 	}
 	return c, nil
 }
@@ -283,20 +261,31 @@ func (c *DurableCluster) Delete(r mkhash.Record) (int, error) {
 	return c.stores[dev].Delete(uint32(c.fs.Linear(coords)), r)
 }
 
-// Compact rewrites every device log with only live records.
-func (c *DurableCluster) Compact() error {
-	t0 := time.Now()
-	before := c.Len()
+// eachStore runs op on every open device log, each under its device's
+// write lock, and reports every device that failed.
+func (c *DurableCluster) eachStore(name string, op func(*pagestore.Store) error) error {
+	var errs []error
 	for dev, s := range c.stores {
 		if s == nil {
 			continue
 		}
 		c.locks[dev].Lock()
-		err := s.Compact()
+		err := op(s)
 		c.locks[dev].Unlock()
 		if err != nil {
-			return fmt.Errorf("storage: compact device %d: %w", dev, err)
+			errs = append(errs, fmt.Errorf("storage: %s device %d: %w", name, dev, err))
 		}
+	}
+	return errors.Join(errs...)
+}
+
+// Compact rewrites every device log with only live records, each bucket
+// as one run.
+func (c *DurableCluster) Compact() error {
+	t0 := time.Now()
+	before := c.Len()
+	if err := c.eachStore("compact", (*pagestore.Store).Compact); err != nil {
+		return err
 	}
 	obs.Infof("storage: compacted %d device logs under %s (%d live records) in %v",
 		len(c.stores), c.dir, before, time.Since(t0))
@@ -304,17 +293,14 @@ func (c *DurableCluster) Compact() error {
 }
 
 // BulkInsert loads a batch of records concurrently: records are
-// partitioned by target device, then each device's partition is appended
-// by its own goroutine under that device's write lock, followed by a
-// single sync. Either every record is appended and synced, or an error
+// partitioned by target device and grouped by bucket (batch order kept
+// within a bucket), then each device's partition is appended a run per
+// bucket by its own goroutine under that device's write lock, followed
+// by a single sync. Either every record is appended and synced, or an error
 // is returned; on error the logs may contain a durable prefix of the
 // batch (appends are idempotent to re-run only if the caller dedupes).
 func (c *DurableCluster) BulkInsert(records []mkhash.Record) error {
-	type routed struct {
-		bucket uint32
-		rec    mkhash.Record
-	}
-	parts := make([][]routed, c.fs.M)
+	parts := make([]map[uint32][]mkhash.Record, c.fs.M)
 	var coords []int // routing scratch, reused across the whole batch
 	for _, r := range records {
 		var err error
@@ -322,8 +308,11 @@ func (c *DurableCluster) BulkInsert(records []mkhash.Record) error {
 		if err != nil {
 			return err
 		}
-		dev := c.alloc.Device(coords)
-		parts[dev] = append(parts[dev], routed{uint32(c.fs.Linear(coords)), r})
+		dev, bucket := c.alloc.Device(coords), uint32(c.fs.Linear(coords))
+		if parts[dev] == nil {
+			parts[dev] = make(map[uint32][]mkhash.Record)
+		}
+		parts[dev][bucket] = append(parts[dev][bucket], r)
 	}
 	errs := make([]error, c.fs.M)
 	var wg sync.WaitGroup
@@ -332,13 +321,12 @@ func (c *DurableCluster) BulkInsert(records []mkhash.Record) error {
 			continue
 		}
 		wg.Add(1)
-		go func(dev int, part []routed) {
+		go func(dev int, part map[uint32][]mkhash.Record) {
 			defer wg.Done()
 			c.locks[dev].Lock()
 			defer c.locks[dev].Unlock()
-			for _, it := range part {
-				if err := c.stores[dev].Append(it.bucket, it.rec); err != nil {
-					errs[dev] = err
+			for bucket, run := range part {
+				if errs[dev] = c.stores[dev].AppendRun(bucket, run); errs[dev] != nil {
 					return
 				}
 			}
@@ -355,18 +343,7 @@ func (c *DurableCluster) BulkInsert(records []mkhash.Record) error {
 
 // Sync flushes every device log to stable storage.
 func (c *DurableCluster) Sync() error {
-	for dev, s := range c.stores {
-		if s == nil {
-			continue
-		}
-		c.locks[dev].Lock()
-		err := s.Sync()
-		c.locks[dev].Unlock()
-		if err != nil {
-			return fmt.Errorf("storage: sync device %d: %w", dev, err)
-		}
-	}
-	return nil
+	return c.eachStore("sync", (*pagestore.Store).Sync)
 }
 
 // Close closes every device log and releases the plan cache.
@@ -374,19 +351,7 @@ func (c *DurableCluster) Close() error {
 	if c.eng != nil && c.eng.Plans() != nil {
 		c.eng.Plans().Close()
 	}
-	var first error
-	for dev, s := range c.stores {
-		if s == nil {
-			continue
-		}
-		c.locks[dev].Lock()
-		err := s.Close()
-		c.locks[dev].Unlock()
-		if err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
+	return c.eachStore("close", (*pagestore.Store).Close)
 }
 
 // RetrieveContext answers a value-level partial match query through the

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime/debug"
 	"sort"
 	"sync"
 	"testing"
@@ -21,6 +22,17 @@ func durableFixture(t *testing.T, n, m int) (*mkhash.File, decluster.GroupAlloca
 		t.Fatal(err)
 	}
 	return file, decluster.MustFX(fs)
+}
+
+// raceEnabled reports whether the test binary was built with -race.
+func raceEnabled() bool {
+	bi, _ := debug.ReadBuildInfo()
+	for _, s := range bi.Settings {
+		if s.Key == "-race" {
+			return s.Value == "true"
+		}
+	}
+	return false
 }
 
 func sortedKeys(recs []mkhash.Record) []string {
@@ -406,5 +418,64 @@ func TestDurableInsertRacesRetrieve(t *testing.T) {
 	}
 	if want := 200 + writers*perWriter; len(res.Records) != want {
 		t.Fatalf("after the hammer: %d records, want %d", len(res.Records), want)
+	}
+}
+
+// The durable scan's reason to exist: allocations follow the hits, not
+// the records scanned. Two clusters answer the same query with the same
+// five hits; the qualified buckets of the second hold ten times the
+// non-matching records of the first.
+func TestDurableScanAllocsDoNotGrowWithScanned(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("sync.Pool drops Puts under -race, so allocation counts are not exact")
+	}
+	const m, hits = 4, 5
+	retrieveAllocs := func(fillers int) (allocs float64, scanned int) {
+		file := mkhash.MustNew(mkhash.Schema{Fields: []string{"make", "model", "year"}, Depths: []int{2, 3, 1}})
+		for i := 0; i < hits+fillers; i++ {
+			make := "target"
+			if i >= hits {
+				make = fmt.Sprintf("make%d", i%97)
+			}
+			if err := file.Insert(mkhash.Record{make, fmt.Sprintf("model%d", i%23), fmt.Sprintf("%d", 1980+i%10)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		fs, err := file.FileSystem(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := CreateDurable(t.TempDir(), file, decluster.MustFX(fs), MainMemory)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		pm, err := c.Spec(map[string]string{"make": "target"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs = testing.AllocsPerRun(100, func() {
+			res, err := c.Retrieve(pm)
+			if err != nil || len(res.Records) != hits {
+				t.Fatalf("%d records, %v", len(res.Records), err)
+			}
+			scanned = 0
+			for _, n := range res.DeviceRecords {
+				scanned += n
+			}
+		})
+		return allocs, scanned
+	}
+	few, fewScanned := retrieveAllocs(2000)
+	many, manyScanned := retrieveAllocs(20000)
+	t.Logf("%d scanned: %.0f allocs; %d scanned: %.0f allocs", fewScanned, few, manyScanned, many)
+	if manyScanned < 9*fewScanned || fewScanned < 100 {
+		t.Fatalf("fixture: scanned %d and %d records, want about 10x apart", fewScanned, manyScanned)
+	}
+	if many > few+3 {
+		t.Errorf("allocations grew with the records scanned: %.0f for %d, %.0f for %d", few, fewScanned, many, manyScanned)
+	}
+	if bound := float64(30 + 5*m + 2*hits); many > bound {
+		t.Errorf("%.0f allocations per retrieval, bound for %d devices and %d hits is %.0f", many, m, hits, bound)
 	}
 }

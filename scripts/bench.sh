@@ -31,14 +31,15 @@ if [ -z "$OUT" ]; then
 	done
 fi
 
-PATTERN='^(BenchmarkAddressFX|BenchmarkInverseMapping|BenchmarkClusterRetrieve|BenchmarkBatchRetrieve|BenchmarkDistributedRetrieve|BenchmarkDurableRetrieve|BenchmarkDurableBulkLoad|BenchmarkPlanCache|BenchmarkRetrieveWithInjectedLatency|BenchmarkRetrieveInstrumentation|BenchmarkGateRetrieve|BenchmarkGateRetrieveParallel|BenchmarkClientRetrieve)'
+PATTERN='^(BenchmarkAddressFX|BenchmarkInverseMapping|BenchmarkClusterRetrieve|BenchmarkBatchRetrieve|BenchmarkDistributedRetrieve|BenchmarkDurableRetrieve|BenchmarkDurableBulkLoad|BenchmarkScanMatching|BenchmarkPlanCache|BenchmarkRetrieveWithInjectedLatency|BenchmarkRetrieveInstrumentation|BenchmarkGateRetrieve|BenchmarkGateRetrieveParallel|BenchmarkClientRetrieve)'
 RAW=$(mktemp)
 trap 'rm -f "$RAW"' EXIT
 
 echo "running go test -bench '$PATTERN' -benchtime $BENCHTIME -count $COUNT ..." >&2
 # The root package holds the headline ladder; internal/engine holds the
-# reporting-overhead isolate (BenchmarkRetrieveInstrumentation/off|on).
-go test -run '^$' -bench "$PATTERN" -benchtime "$BENCHTIME" -count "$COUNT" -benchmem . ./internal/engine | tee "$RAW" >&2
+# reporting-overhead isolate (BenchmarkRetrieveInstrumentation/off|on),
+# internal/pagestore the durable scan's inner loop (BenchmarkScanMatching).
+go test -run '^$' -bench "$PATTERN" -benchtime "$BENCHTIME" -count "$COUNT" -benchmem . ./internal/engine ./internal/pagestore | tee "$RAW" >&2
 
 GOVERSION=$(go version | sed 's/^go version //')
 COMMIT=$(git rev-parse --short HEAD 2>/dev/null || echo unknown)
