@@ -10,17 +10,14 @@
 // tracks per-shape latency SLOs (good/bad counters plus a rolling
 // burn-rate) so tail latency attributes to the shapes that cause it.
 //
-// One Auditor exists per backend ("memory", "durable", "replicated",
-// "netdist"), held in the telemetry package's per-backend instrument
-// registry. Every counter the auditor keeps is mirrored into the obs
-// metric registry (labels backend + shape), and the whole state renders
-// on /debug/optimality (JSON or text) and through the facade's
-// OptimalityReport.
+// One Shape exists per (backend, query shape): the audit section of the
+// telemetry package's per-shape cell, which owns the lock. Every counter
+// it keeps is mirrored into the obs metric registry (labels backend +
+// shape), and the whole state renders on /debug/optimality (JSON or
+// text) and through the facade's OptimalityReport.
 package audit
 
 import (
-	"sort"
-	"sync"
 	"time"
 
 	"fxdist/internal/obs"
@@ -51,12 +48,13 @@ type SLO struct {
 // gauge is computed over.
 const sloWindow = 512
 
-// shapeState is one (backend, shape) accumulation cell. All fields are
-// guarded by the owning Auditor's mutex; the obs instruments are
+// Shape is one (backend, shape) audit accumulation. Its fields are
+// guarded by the owning telemetry cell's mutex; the obs instruments are
 // internally atomic and mirrored for scraping only — reports read the
-// fields, so ResetAudit can zero them without fighting the monotonic
+// fields, so Reset can zero them without fighting the monotonic
 // Prometheus counters.
-type shapeState struct {
+type Shape struct {
+	shape      string
 	queries    uint64
 	violations uint64
 	sumDev     uint64 // total excess over the bound, across all queries
@@ -82,74 +80,38 @@ type shapeState struct {
 	mBurn       *obs.Gauge
 }
 
-// Auditor audits every retrieval of one backend against the
-// strict-optimality bound, keyed by query shape. It is one of the
-// query record's sinks.
-type Auditor struct {
-	backend string
-
-	mu        sync.Mutex
-	shapes    map[string]*shapeState
-	slo       SLO
-	overrides map[string]SLO
-}
-
-func (a *Auditor) state(shape string) *shapeState {
-	st := a.shapes[shape]
-	if st == nil {
-		r := obs.Default()
-		bl, sl := obs.L("backend", a.backend), obs.L("shape", shape)
-		st = &shapeState{
-			worstDev: -1,
-			window:   make([]bool, sloWindow),
-			mQueries: r.Counter("fxdist_audit_queries_total",
-				"Retrievals audited against the strict-optimality bound, per backend and query shape.", bl, sl),
-			mViolations: r.Counter("fxdist_audit_violations_total",
-				"Retrievals where some device exceeded ceil(|R(q)|/M) qualified buckets.", bl, sl),
-			mMaxDev: r.Gauge("fxdist_audit_max_deviation_buckets",
-				"Largest observed per-device excess over the strict-optimality bound.", bl, sl),
-			mBound: r.Gauge("fxdist_audit_bound_buckets",
-				"Strict-optimality bound ceil(|R(q)|/M) of the most recent audited query.", bl, sl),
-			mGood: r.Counter("fxdist_slo_good_total",
-				"Queries that met the shape's latency objective.", bl, sl),
-			mBad: r.Counter("fxdist_slo_bad_total",
-				"Queries that missed the shape's latency objective (failures included).", bl, sl),
-			mBurn: r.Gauge("fxdist_slo_burn_rate",
-				"Rolling bad-fraction divided by the error budget (1-goal); >1 burns budget faster than allowed.", bl, sl),
-		}
-		a.shapes[shape] = st
+// NewShape returns the empty audit state of one backend's query shape,
+// registering (or reviving) its mirrored instruments.
+func NewShape(backend, shape string) *Shape {
+	r := obs.Default()
+	bl, sl := obs.L("backend", backend), obs.L("shape", shape)
+	return &Shape{
+		shape:    shape,
+		worstDev: -1,
+		window:   make([]bool, sloWindow),
+		mQueries: r.Counter("fxdist_audit_queries_total",
+			"Retrievals audited against the strict-optimality bound, per backend and query shape.", bl, sl),
+		mViolations: r.Counter("fxdist_audit_violations_total",
+			"Retrievals where some device exceeded ceil(|R(q)|/M) qualified buckets.", bl, sl),
+		mMaxDev: r.Gauge("fxdist_audit_max_deviation_buckets",
+			"Largest observed per-device excess over the strict-optimality bound.", bl, sl),
+		mBound: r.Gauge("fxdist_audit_bound_buckets",
+			"Strict-optimality bound ceil(|R(q)|/M) of the most recent audited query.", bl, sl),
+		mGood: r.Counter("fxdist_slo_good_total",
+			"Queries that met the shape's latency objective.", bl, sl),
+		mBad: r.Counter("fxdist_slo_bad_total",
+			"Queries that missed the shape's latency objective (failures included).", bl, sl),
+		mBurn: r.Gauge("fxdist_slo_burn_rate",
+			"Rolling bad-fraction divided by the error budget (1-goal); >1 burns budget faster than allowed.", bl, sl),
 	}
-	return st
 }
 
-func (a *Auditor) sloFor(shape string) SLO {
-	if s, ok := a.overrides[shape]; ok {
-		return s
-	}
-	return a.slo
-}
-
-// ShapeSLO returns the latency objective in force for one shape (the
-// backend default unless overridden; zero when none is configured).
-// The telemetry plane uses it as the wide-event "slow" threshold.
-func (a *Auditor) ShapeSLO(shape string) SLO {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.sloFor(shape)
-}
-
-// Observe audits one finished retrieval from its query record: the
-// merged per-device bucket counts against the record's bound. A failed
-// (or degraded) retrieval is counted and charged to the shape's SLO but
-// its buckets are not judged.
-func (a *Auditor) Observe(rec *obs.QueryRecord) {
-	if a == nil {
-		return
-	}
-	shape, elapsed := rec.Shape, rec.Elapsed
-	burn := 0.0
-	a.mu.Lock()
-	st := a.state(shape)
+// Observe audits one finished retrieval from its query record against
+// the shape's latency objective slo (zero = none): the merged per-device
+// bucket counts against the record's bound. A failed (or degraded)
+// retrieval is counted and charged to the SLO but its buckets are not
+// judged. It returns the shape's burn rate after this query.
+func (st *Shape) Observe(rec *obs.QueryRecord, slo SLO) float64 {
 	st.queries++
 	st.mQueries.Inc()
 	ok := !rec.Failed
@@ -177,37 +139,44 @@ func (a *Auditor) Observe(rec *obs.QueryRecord) {
 			}
 		}
 	}
-	if slo := a.sloFor(shape); slo.Target > 0 {
-		bad := !ok || elapsed > slo.Target
-		if bad {
-			st.bad++
-			st.mBad.Inc()
-		} else {
-			st.good++
-			st.mGood.Inc()
-		}
-		if st.wlen < len(st.window) {
-			st.wlen++
-		} else if st.window[st.wpos] {
-			st.wbad--
-		}
-		st.window[st.wpos] = bad
-		if bad {
-			st.wbad++
-		}
-		st.wpos = (st.wpos + 1) % len(st.window)
-		budget := 1 - slo.Goal
-		if budget <= 0 {
-			budget = 1e-9 // goal of 1.0: any miss burns "infinitely" fast
-		}
-		burn = (float64(st.wbad) / float64(st.wlen)) / budget
-		st.mBurn.Set(burn)
+	if slo.Target <= 0 {
+		return 0
 	}
-	a.mu.Unlock()
-	// Outside the lock: the triggered-profiling hook may kick off an
-	// async pprof capture when the shape's burn rate or this query's
-	// latency crosses a configured threshold (no-op when off).
-	obs.ConsiderProfile(a.backend, shape, elapsed, burn)
+	bad := !ok || rec.Elapsed > slo.Target
+	if bad {
+		st.bad++
+		st.mBad.Inc()
+	} else {
+		st.good++
+		st.mGood.Inc()
+	}
+	if st.wlen < len(st.window) {
+		st.wlen++
+	} else if st.window[st.wpos] {
+		st.wbad--
+	}
+	st.window[st.wpos] = bad
+	if bad {
+		st.wbad++
+	}
+	st.wpos = (st.wpos + 1) % len(st.window)
+	burn := st.BurnRate(slo)
+	st.mBurn.Set(burn)
+	return burn
+}
+
+// BurnRate is the rolling bad-fraction over slo's error budget; >1 means
+// the shape is burning budget faster than the goal allows. Zero with no
+// objective or no judged query.
+func (st *Shape) BurnRate(slo SLO) float64 {
+	if slo.Target <= 0 || st.wlen == 0 {
+		return 0
+	}
+	budget := 1 - slo.Goal
+	if budget <= 0 {
+		budget = 1e-9 // goal of 1.0: any miss burns "infinitely" fast
+	}
+	return (float64(st.wbad) / float64(st.wlen)) / budget
 }
 
 // ShapeReport is one (backend, shape) row of an optimality report.
@@ -251,87 +220,42 @@ type BackendReport struct {
 	Shapes  []ShapeReport `json:"shapes"`
 }
 
-// Report snapshots the auditor's per-shape state, sorted by shape.
-func (a *Auditor) Report() BackendReport {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	rep := BackendReport{Backend: a.backend}
-	for shape, st := range a.shapes {
-		sr := ShapeReport{
-			Shape:        shape,
-			Queries:      st.queries,
-			Violations:   st.violations,
-			MaxDeviation: st.maxDev,
-			WorstDevice:  st.worstDev,
-			Bound:        st.bound,
-			RQ:           st.rq,
-			M:            st.m,
-			MaxBuckets:   st.maxBuckets,
-			Good:         st.good,
-			Bad:          st.bad,
-		}
-		if st.queries > 0 {
-			sr.MeanDeviation = float64(st.sumDev) / float64(st.queries)
-		}
-		if slo := a.sloFor(shape); slo.Target > 0 {
-			sr.SLOTarget, sr.SLOGoal = slo.Target, slo.Goal
-			if st.wlen > 0 {
-				budget := 1 - slo.Goal
-				if budget <= 0 {
-					budget = 1e-9
-				}
-				sr.BurnRate = (float64(st.wbad) / float64(st.wlen)) / budget
-			}
-		}
-		rep.Shapes = append(rep.Shapes, sr)
+// Report snapshots the shape's row under the objective slo in force.
+func (st *Shape) Report(slo SLO) ShapeReport {
+	sr := ShapeReport{
+		Shape:        st.shape,
+		Queries:      st.queries,
+		Violations:   st.violations,
+		MaxDeviation: st.maxDev,
+		WorstDevice:  st.worstDev,
+		Bound:        st.bound,
+		RQ:           st.rq,
+		M:            st.m,
+		MaxBuckets:   st.maxBuckets,
+		Good:         st.good,
+		Bad:          st.bad,
 	}
-	sort.Slice(rep.Shapes, func(i, j int) bool { return rep.Shapes[i].Shape < rep.Shapes[j].Shape })
-	return rep
-}
-
-// Reset zeroes the auditor's accumulation (the mirrored Prometheus
-// counters stay monotonic; gauges drop to zero). Configured SLOs are
-// kept.
-func (a *Auditor) Reset() {
-	a.mu.Lock()
-	for _, st := range a.shapes {
-		st.queries, st.violations, st.sumDev = 0, 0, 0
-		st.maxDev, st.worstDev, st.maxBuckets = 0, -1, 0
-		st.bound, st.rq, st.m = 0, 0, 0
-		st.good, st.bad = 0, 0
-		st.wpos, st.wlen, st.wbad = 0, 0, 0
-		for i := range st.window {
-			st.window[i] = false
-		}
-		st.mMaxDev.Set(0)
-		st.mBound.Set(0)
-		st.mBurn.Set(0)
+	if st.queries > 0 {
+		sr.MeanDeviation = float64(st.sumDev) / float64(st.queries)
 	}
-	a.mu.Unlock()
-}
-
-// New returns an empty auditor for one backend label with slo as its
-// default latency objective.
-func New(backend string, slo SLO) *Auditor {
-	return &Auditor{
-		backend:   backend,
-		shapes:    make(map[string]*shapeState),
-		slo:       slo,
-		overrides: make(map[string]SLO),
+	if slo.Target > 0 {
+		sr.SLOTarget, sr.SLOGoal, sr.BurnRate = slo.Target, slo.Goal, st.BurnRate(slo)
 	}
+	return sr
 }
 
-// SetSLO replaces the auditor's default latency objective (per-shape
-// overrides are kept).
-func (a *Auditor) SetSLO(slo SLO) {
-	a.mu.Lock()
-	a.slo = slo
-	a.mu.Unlock()
-}
-
-// SetShapeSLO overrides the latency objective for one shape.
-func (a *Auditor) SetShapeSLO(shape string, slo SLO) {
-	a.mu.Lock()
-	a.overrides[shape] = slo
-	a.mu.Unlock()
+// Reset zeroes the accumulation (the mirrored Prometheus counters stay
+// monotonic; gauges drop to zero).
+func (st *Shape) Reset() {
+	st.queries, st.violations, st.sumDev = 0, 0, 0
+	st.maxDev, st.worstDev, st.maxBuckets = 0, -1, 0
+	st.bound, st.rq, st.m = 0, 0, 0
+	st.good, st.bad = 0, 0
+	st.wpos, st.wlen, st.wbad = 0, 0, 0
+	for i := range st.window {
+		st.window[i] = false
+	}
+	st.mMaxDev.Set(0)
+	st.mBound.Set(0)
+	st.mBurn.Set(0)
 }

@@ -21,43 +21,33 @@ func TestBound(t *testing.T) {
 	}
 }
 
-// done feeds the auditor one finished retrieval the way the executor
-// does: a query record carrying the shape, |R(q)|, the bound and the
-// merged bucket counts (nil for a failed retrieval).
-func done(a *Auditor, q query.Query, rq int, buckets []int, elapsed time.Duration) {
-	a.Observe(&obs.QueryRecord{
-		Shape: q.Shape(), RQ: rq, Bound: Bound(rq, len(buckets)),
+// done feeds one shape's audit a finished retrieval the way the store
+// does: a query record carrying |R(q)|, the bound and the merged bucket
+// counts (nil for a failed retrieval), under the objective in force.
+func done(st *Shape, slo SLO, rq int, buckets []int, elapsed time.Duration) float64 {
+	return st.Observe(&obs.QueryRecord{
+		Shape: st.shape, RQ: rq, Bound: Bound(rq, len(buckets)),
 		DeviceBuckets: buckets, Failed: buckets == nil, Elapsed: elapsed,
-	})
+	}, slo)
 }
 
 func TestAuditorAggregatesPerShape(t *testing.T) {
-	a := New("test-agg", SLO{})
 	u := query.Unspecified
+	starSt := NewShape("test-agg", q(u, 0, u).Shape())
+	specSt := NewShape("test-agg", q(0, 0, u).Shape())
 
 	// Strict optimal retrieval: bound ceil(4/4)=1, all devices at 1.
-	done(a, q(u, 0, u), 4, []int{1, 1, 1, 1}, time.Millisecond)
+	done(starSt, SLO{}, 4, []int{1, 1, 1, 1}, time.Millisecond)
 	// Violating retrieval of the same shape: device 2 serves 3 > 1.
-	done(a, q(u, 1, u), 4, []int{1, 0, 3, 0}, time.Millisecond)
+	done(starSt, SLO{}, 4, []int{1, 0, 3, 0}, time.Millisecond)
 	// A different shape stays separate.
-	done(a, q(0, 0, u), 2, []int{1, 1, 0, 0}, time.Millisecond)
+	done(specSt, SLO{}, 2, []int{1, 1, 0, 0}, time.Millisecond)
 	// Failed retrieval: counted, not audited.
-	done(a, q(u, 2, u), 4, nil, time.Millisecond)
+	done(starSt, SLO{}, 4, nil, time.Millisecond)
 
-	rep := a.Report()
-	if len(rep.Shapes) != 2 {
-		t.Fatalf("got %d shapes, want 2: %+v", len(rep.Shapes), rep.Shapes)
-	}
-	var star, spec ShapeReport
-	for _, s := range rep.Shapes {
-		switch s.Shape {
-		case "*s*":
-			star = s
-		case "ss*":
-			spec = s
-		default:
-			t.Fatalf("unexpected shape %q", s.Shape)
-		}
+	star, spec := starSt.Report(SLO{}), specSt.Report(SLO{})
+	if star.Shape != "*s*" || spec.Shape != "ss*" {
+		t.Fatalf("rows are for shapes %q and %q", star.Shape, spec.Shape)
 	}
 	if star.Queries != 3 || star.Violations != 1 {
 		t.Errorf("*s*: queries=%d violations=%d, want 3/1", star.Queries, star.Violations)
@@ -74,22 +64,21 @@ func TestAuditorAggregatesPerShape(t *testing.T) {
 	if spec.Queries != 1 || spec.Violations != 0 || spec.MaxDeviation != 0 || spec.WorstDevice != -1 {
 		t.Errorf("ss*: %+v, want one clean query", spec)
 	}
+	if star.SLOTarget != 0 || star.Good+star.Bad != 0 || star.BurnRate != 0 {
+		t.Errorf("*s*: SLO state without an objective: %+v", star)
+	}
 }
 
 func TestSLOCountsAndBurnRate(t *testing.T) {
-	a := New("test-slo", SLO{Target: 10 * time.Millisecond, Goal: 0.9})
-	u := query.Unspecified
+	slo := SLO{Target: 10 * time.Millisecond, Goal: 0.9}
+	st := NewShape("test-slo", "*s")
 	for i := 0; i < 8; i++ {
-		done(a, q(u, 0), 2, []int{1, 1}, time.Millisecond) // good
+		done(st, slo, 2, []int{1, 1}, time.Millisecond) // good
 	}
-	done(a, q(u, 1), 2, []int{1, 1}, time.Second) // slow: bad
-	done(a, q(u, 2), 2, nil, time.Millisecond)    // failed: bad
+	done(st, slo, 2, []int{1, 1}, time.Second)      // slow: bad
+	burn := done(st, slo, 2, nil, time.Millisecond) // failed: bad
 
-	rep := a.Report()
-	if len(rep.Shapes) != 1 {
-		t.Fatalf("got %d shapes, want 1", len(rep.Shapes))
-	}
-	s := rep.Shapes[0]
+	s := st.Report(slo)
 	if s.Good != 8 || s.Bad != 2 {
 		t.Errorf("good=%d bad=%d, want 8/2", s.Good, s.Bad)
 	}
@@ -97,46 +86,51 @@ func TestSLOCountsAndBurnRate(t *testing.T) {
 	if s.BurnRate < 1.99 || s.BurnRate > 2.01 {
 		t.Errorf("burn rate = %g, want 2", s.BurnRate)
 	}
+	if burn != s.BurnRate || st.BurnRate(slo) != burn {
+		t.Errorf("Observe returned burn %g, BurnRate %g, report %g: want one number", burn, st.BurnRate(slo), s.BurnRate)
+	}
 	if s.SLOTarget != 10*time.Millisecond || s.SLOGoal != 0.9 {
 		t.Errorf("slo echoed wrong: %+v", s)
 	}
+	// A goal of 1.0 leaves no budget: any miss burns without bound.
+	if got := st.BurnRate(SLO{Target: time.Millisecond, Goal: 1}); got < 1e6 {
+		t.Errorf("burn rate under a 100%% goal = %g, want huge", got)
+	}
 }
 
+// TestShapeSLOOverride: the objective is the caller's per query — the
+// store passes each shape its own — so the same latency is a miss under
+// one and a hit under another, and the row echoes what it was given.
 func TestShapeSLOOverride(t *testing.T) {
-	a := New("test-override", SLO{})
-	a.SetSLO(SLO{Target: time.Hour, Goal: 0.99})
-	a.SetShapeSLO("*s", SLO{Target: time.Nanosecond, Goal: 0.5})
-	u := query.Unspecified
-	done(a, q(u, 0), 2, []int{1, 1}, time.Millisecond) // misses the 1ns override
-	done(a, q(0, u), 2, []int{1, 1}, time.Millisecond) // meets the 1h default
+	def := SLO{Target: time.Hour, Goal: 0.99}
+	override := SLO{Target: time.Nanosecond, Goal: 0.5}
+	overSt, defSt := NewShape("test-override", "*s"), NewShape("test-override", "s*")
+	done(overSt, override, 2, []int{1, 1}, time.Millisecond) // misses the 1ns override
+	done(defSt, def, 2, []int{1, 1}, time.Millisecond)       // meets the 1h default
 
-	var over, def ShapeReport
-	for _, s := range a.Report().Shapes {
-		if s.Shape == "*s" {
-			over = s
-		} else {
-			def = s
-		}
+	over, dflt := overSt.Report(override), defSt.Report(def)
+	if over.Bad != 1 || over.Good != 0 || over.SLOTarget != time.Nanosecond {
+		t.Errorf("override shape good=%d bad=%d target=%v, want 0/1 under 1ns", over.Good, over.Bad, over.SLOTarget)
 	}
-	if over.Bad != 1 || over.Good != 0 {
-		t.Errorf("override shape good=%d bad=%d, want 0/1", over.Good, over.Bad)
-	}
-	if def.Good != 1 || def.Bad != 0 {
-		t.Errorf("default shape good=%d bad=%d, want 1/0", def.Good, def.Bad)
+	if dflt.Good != 1 || dflt.Bad != 0 || dflt.SLOTarget != time.Hour {
+		t.Errorf("default shape good=%d bad=%d target=%v, want 1/0 under 1h", dflt.Good, dflt.Bad, dflt.SLOTarget)
 	}
 }
 
 func TestResetZeroesState(t *testing.T) {
-	a := New("test-reset", SLO{})
-	u := query.Unspecified
-	done(a, q(u, 0), 2, []int{2, 0}, time.Millisecond)
-	if rep := a.Report(); rep.Shapes[0].Violations != 1 {
-		t.Fatalf("setup: %+v", rep.Shapes)
+	slo := SLO{Target: time.Nanosecond, Goal: 0.9}
+	st := NewShape("test-reset", "*s")
+	done(st, slo, 2, []int{2, 0}, time.Millisecond)
+	if s := st.Report(slo); s.Violations != 1 || s.Bad != 1 || s.BurnRate == 0 {
+		t.Fatalf("setup: %+v", s)
 	}
-	a.Reset()
-	rep := a.Report()
-	s := rep.Shapes[0]
-	if s.Queries != 0 || s.Violations != 0 || s.MaxDeviation != 0 || s.WorstDevice != -1 || s.MaxBuckets != 0 {
+	st.Reset()
+	s := st.Report(slo)
+	if s.Queries != 0 || s.Violations != 0 || s.MaxDeviation != 0 || s.WorstDevice != -1 || s.MaxBuckets != 0 ||
+		s.Good+s.Bad != 0 || s.BurnRate != 0 {
 		t.Errorf("after reset: %+v", s)
+	}
+	if s.Shape != "*s" || s.SLOTarget != slo.Target {
+		t.Errorf("reset lost the row's identity or objective: %+v", s)
 	}
 }

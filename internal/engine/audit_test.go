@@ -27,8 +27,8 @@ func (d allocDevice) Scan(_ context.Context, q query.Query, _ mkhash.PartialMatc
 }
 
 // auditExec builds an executor whose devices realise alloc's bucket
-// placement, reporting into a private auditor a.
-func auditExec(t *testing.T, f *mkhash.File, fs decluster.FileSystem, alloc decluster.GroupAllocator, a *audit.Auditor) *engine.Executor {
+// placement, reporting into a private bundle in.
+func auditExec(t *testing.T, f *mkhash.File, fs decluster.FileSystem, alloc decluster.GroupAllocator, in *telemetry.Instruments) *engine.Executor {
 	t.Helper()
 	im := query.NewInverseMapper(alloc)
 	devices := make([]engine.Device, fs.M)
@@ -39,7 +39,7 @@ func auditExec(t *testing.T, f *mkhash.File, fs decluster.FileSystem, alloc decl
 		Schema:  f,
 		FS:      fs,
 		Devices: devices,
-		Instr:   &telemetry.Instruments{Audit: a},
+		Instr:   in,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -70,8 +70,8 @@ func TestAuditorFlagsModuloSparesFX(t *testing.T) {
 	fxPM := mkhash.PartialMatch{nil, nil, &cval}  // shape "**s": unspecified {a,b}
 	modPM := mkhash.PartialMatch{nil, &cval, nil} // shape "*s*": unspecified {a,c}
 
-	fxAudit, modAudit := audit.New("engine-test-fx", audit.SLO{}), audit.New("engine-test-modulo", audit.SLO{})
-	run := func(a *audit.Auditor, alloc decluster.GroupAllocator, pm mkhash.PartialMatch) query.Query {
+	fxAudit, modAudit := telemetry.New("engine-test-fx", audit.SLO{}), telemetry.New("engine-test-modulo", audit.SLO{})
+	run := func(a *telemetry.Instruments, alloc decluster.GroupAllocator, pm mkhash.PartialMatch) query.Query {
 		e := auditExec(t, f, fs, alloc, a)
 		if _, err := e.Retrieve(context.Background(), pm); err != nil {
 			t.Fatal(err)
@@ -121,11 +121,11 @@ func TestAuditorFlagsModuloSparesFX(t *testing.T) {
 // auditor with nil buckets — counted per shape, never a violation.
 func TestAuditorCountsFailedRetrievals(t *testing.T) {
 	f := testSchema(t)
-	a := audit.New("engine-test-fail", audit.SLO{})
+	a := telemetry.New("engine-test-fail", audit.SLO{})
 	e, err := engine.New(engine.Config{
 		Schema:  f,
 		Devices: []engine.Device{fixedDevice{err: errors.New("boom")}},
-		Instr:   &telemetry.Instruments{Audit: a},
+		Instr:   a,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -144,26 +144,26 @@ func TestAuditorCountsFailedRetrievals(t *testing.T) {
 	}
 }
 
-func shapeReport(t *testing.T, a *audit.Auditor, shape string) audit.ShapeReport {
+func shapeReport(t *testing.T, in *telemetry.Instruments, shape string) audit.ShapeReport {
 	t.Helper()
-	for _, s := range a.Report().Shapes {
+	for _, s := range in.AuditReport().Shapes {
 		if s.Shape == shape {
 			return s
 		}
 	}
-	t.Fatalf("auditor has no shape %q", shape)
+	t.Fatalf("audit has no shape %q", shape)
 	return audit.ShapeReport{}
 }
 
 // TestSLOThroughExecutor wires a latency objective through the executor:
 // a slow device makes every query of its shape bad.
 func TestSLOThroughExecutor(t *testing.T) {
-	a := audit.New("engine-test-slo", audit.SLO{Target: time.Nanosecond, Goal: 0.99})
+	a := telemetry.New("engine-test-slo", audit.SLO{Target: time.Nanosecond, Goal: 0.99})
 	f := testSchema(t)
 	e, err := engine.New(engine.Config{
 		Schema:  f,
 		Devices: []engine.Device{fixedDevice{ans: engine.Answer{Buckets: 1}}},
-		Instr:   &telemetry.Instruments{Audit: a},
+		Instr:   a,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -39,11 +39,11 @@ type Config struct {
 	// policy chain, hedger, graceful degradation. See Resilience.
 	Resilience Resilience
 	// Instr, if set, is the backend's reporting bundle: every finished
-	// retrieval's query record goes to its sinks — cluster metrics,
-	// optimality auditor, cost profiler, flight recorder, wide-event log
-	// — and the log's keep decision also drives tail-based trace
-	// retention and histogram exemplars (see report). Nil turns all of it
-	// off; only the trace span remains.
+	// retrieval's query record goes to it — cluster metrics, bound/SLO
+	// audit, stage costs, slowest-8, wide-event ring — and its one keep
+	// decision also drives tail-based trace retention and histogram
+	// exemplars (see report). Nil turns all of it off; only the trace
+	// span remains.
 	Instr *telemetry.Instruments
 	// Alloc, when set, is the group allocator behind Devices; it lets the
 	// plan cache compile per-device qualified-bucket enumerations that
@@ -495,24 +495,24 @@ func (e *Executor) degrade(c *call) (Result, error) {
 
 // report is the executor's one reporting path. It closes the call's
 // span, builds the retrieval's single QueryRecord — shape, |R(q)| and
-// the strict bound straight from the plan — and hands that one record
-// to the bundle's sinks in fixed order:
+// the strict bound straight from the plan — and takes it through the
+// bundle's three steps:
 //
-//  1. cluster metrics and 2. the optimality auditor, which read only
+//  1. Audit — cluster metrics and the bound/SLO audit, which read only
 //     scalars and the merged bucket counts and run inside the audit
 //     stage they are measured by (so they see the latency so far);
-//  3. the audit stage closes, fixing Elapsed and Stages, and the keep
-//     decision is made once, on scalars: the flight recorder's
-//     admission check and the event log's sampling rules. Only a query
-//     some sink will keep pays for per-device detail and error text
-//     (and only a flight-admitted one for the span's annotation log);
-//  4. cost profiler, 5. flight recorder, 6. wide-event log receive the
-//     sealed, from here on immutable record;
-//  7. trace retention mirrors the log's decision — an always-keep query
-//     (error / SLO-slow / bound-violating) retains its full trace tree,
-//     the rest go through the uniform sampler — and a retained trace
-//     gets a latency-histogram exemplar pointing at it, closing the
-//     loop bucket → trace ID → kept tree.
+//  2. the audit stage closes, fixing Elapsed and Stages, and Decide
+//     rules once, on scalars, whether the record is kept. Only a kept
+//     query pays for per-device detail and error text (and only a
+//     flight for the span's annotation log), materialised here, between
+//     the two steps, from a settled call;
+//  3. Commit — the sealed, from here on immutable record goes to the
+//     store.
+//
+// The same decision retains the trace: a query kept for the event ring
+// keeps its full trace tree under the same reason, and a retained trace
+// gets a latency-histogram exemplar pointing at it, closing the loop
+// bucket → trace ID → kept tree → kept event.
 func (e *Executor) report(c *call, res Result, err error) {
 	if c.span != nil {
 		if err != nil {
@@ -548,19 +548,17 @@ func (e *Executor) report(c *call, res Result, err error) {
 			rec.Partial, rec.Coverage, failed = true, pe.Coverage, pe.Failed
 		}
 	}
-	in.Metrics.Observe(rec)
-	in.Audit.Observe(rec)
+	in.Audit(rec)
 
 	c.closeStage(obs.StageAudit)
 	rec.Elapsed = c.lastStamp.Sub(c.started)
-	admit := in.Flight.Admits(rec.Shape, rec.Elapsed)
-	dec := in.Events.Decide(rec)
-	keep := admit || dec.Kept
+	dec := in.Decide(rec)
+	keep := dec.Kept || dec.Flight
 	c.stages = append(c.stages, obs.StageSample{Stage: obs.StageDeviceScan, Wall: c.deviceDetail(rec, keep)})
 	rec.Stages = c.stages
-	if admit {
-		// The span's annotation log is slow-query evidence: the flight
-		// ring holds a handful per shape, the event ring up to a thousand.
+	if dec.Flight {
+		// The span's annotation log is slow-query evidence: a shape holds a
+		// handful of flights, the event ring up to a thousand records.
 		rec.Events = c.span.Snapshot().Events
 	}
 	if keep {
@@ -572,24 +570,11 @@ func (e *Executor) report(c *call, res Result, err error) {
 		}
 		sort.Ints(rec.FailedDevices)
 	}
+	in.Commit(rec, dec)
 
-	in.Profile.Observe(rec)
-	if admit {
-		in.Flight.Observe(rec)
-	}
-	if dec.Kept {
-		in.Events.Observe(rec)
-	}
-	if rec.TraceID == 0 || e.tracer == nil {
-		return
-	}
-	var retained bool
-	if dec.Always {
-		retained = e.tracer.Retain(rec.TraceID, rec.Keep[0]) // always-keep reasons lead Keep
-	} else {
-		retained = e.tracer.MaybeSample(rec.TraceID)
-	}
-	if retained {
+	// Always-keep reasons lead Keep, so the tree is filed under the
+	// strongest one.
+	if dec.Kept && e.tracer.Retain(rec.TraceID, rec.Keep[0]) {
 		in.Metrics.Exemplar(rec)
 	}
 }
@@ -597,9 +582,9 @@ func (e *Executor) report(c *call, res Result, err error) {
 // deviceDetail is the one reader of the call's per-device slices on the
 // reporting path. An abandoned call's stragglers may still be writing
 // them, so nothing is read unless the call settled: an unsettled call
-// reports no per-device detail to any sink. It returns the summed scan
-// time (the device.scan stage) and, when some sink keeps the query,
-// materialises rec.Devices and rec.MaxDeviceBuckets.
+// reports no per-device detail at all. It returns the summed scan time
+// (the device.scan stage) and, when the query is kept, materialises
+// rec.Devices and rec.MaxDeviceBuckets.
 func (c *call) deviceDetail(rec *obs.QueryRecord, keep bool) (scan time.Duration) {
 	if !c.settled() {
 		return 0

@@ -17,24 +17,16 @@ import (
 	"fxdist/internal/telemetry"
 )
 
-// privateBundle is the reporting seam's test double: a bundle of fresh,
-// unregistered sinks the test can inspect afterwards. The event log
-// keeps always-keep queries only (no head, no sample), so what it holds
-// is what the keep rules chose.
+// privateBundle is the reporting seam's test double: a fresh,
+// unregistered bundle the test can inspect afterwards, with the
+// whole-query metrics of an m-device cluster.
 func privateBundle(backend string, m int) *telemetry.Instruments {
-	return &telemetry.Instruments{
-		Backend: backend,
-		Metrics: telemetry.NewClusterMetrics(backend, m),
-		Audit:   audit.New(backend, audit.SLO{}),
-		Profile: obs.NewCostProfiler(backend),
-		Flight:  obs.NewFlightRecorder(backend, obs.DefaultFlightSlots),
-		Events:  telemetry.NewEventLog(backend, telemetry.Config{Capacity: 8}),
-	}
+	return telemetry.New(backend, audit.SLO{}).WithMetrics(telemetry.NewClusterMetrics(backend, m))
 }
 
 // TestOneRecordFeedsEverySink retrieves one bound-violating Modulo
 // query (the §4 adversarial shape of TestAuditorFlagsModuloSparesFX)
-// and checks that the flight recorder and the event log hold the very
+// and checks that the shape's slowest-8 and the event ring hold the very
 // same record, and that the audit row, the cost profile, the caller's
 // Result and the retained trace all agree with it on shape, |R(q)|,
 // bound, trace ID, stages and per-device buckets.
@@ -67,15 +59,15 @@ func TestOneRecordFeedsEverySink(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	flights := in.Flight.Report().Shapes
-	events := in.Events.Recent(8)
+	flights := in.FlightReport().Shapes
+	events := in.Events(8)
 	if len(flights) != 1 || len(flights[0].Records) != 1 || len(events) != 1 {
 		t.Fatalf("want one flight record and one event, got %+v / %+v", flights, events)
 	}
 	flight, event := flights[0].Records[0], events[0]
 	rec := event.QueryRecord
 	if flight.QueryRecord != rec {
-		t.Fatal("flight recorder and event log hold different records for one query")
+		t.Fatal("the flight view and the event ring hold different records for one query")
 	}
 	if !flight.Start.Equal(rec.Start) || !event.Time.Equal(rec.Start) {
 		t.Errorf("view timestamps disagree with the record: start %v time %v record %v", flight.Start, event.Time, rec.Start)
@@ -116,20 +108,20 @@ func TestOneRecordFeedsEverySink(t *testing.T) {
 	}
 
 	// The audit row.
-	row := shapeReport(t, in.Audit, rec.Shape)
+	row := shapeReport(t, in, rec.Shape)
 	if row.Queries != 1 || row.Violations != 1 || row.RQ != rec.RQ || row.Bound != rec.Bound || row.M != fs.M ||
 		row.MaxBuckets != rec.MaxDeviceBuckets || row.MaxDeviation != rec.MaxDeviceBuckets-rec.Bound {
 		t.Errorf("audit row %+v disagrees with record %+v", row, rec)
 	}
 
 	// The cost profile.
-	costs := in.Profile.Report().Shapes
+	costs := in.CostReport().Shapes
 	if len(costs) != 1 || costs[0].Shape != rec.Shape || costs[0].Queries != 1 || costs[0].MeanT != rec.Elapsed {
 		t.Errorf("cost profile %+v disagrees with record (elapsed %v)", costs, rec.Elapsed)
 	}
 
-	// Cluster metrics, and the always-keep decision mirrored into trace
-	// retention with its exemplar.
+	// Cluster metrics, and the one keep decision retaining the trace under
+	// the record's leading reason, with its exemplar.
 	if got := in.Metrics.Retrieves.Value() - retrieves0; got != 1 {
 		t.Errorf("retrieves counter moved by %d, want 1", got)
 	}
@@ -164,8 +156,8 @@ func (d lateDevice) Scan(context.Context, query.Query, mkhash.PartialMatch) (eng
 
 // TestAbandonedCallReportsNoDeviceDetail cancels a retrieval while
 // every device is still scanning. The failure is an always-keep event
-// and the first of its shape on the flight recorder, so every sink gets
-// the record — but with no per-device detail, no device.scan time and
+// and the first flight of its shape, so every view gets the record — but
+// with no per-device detail, no device.scan time and
 // no bucket counts, because the unsettled call's slices are never read.
 func TestAbandonedCallReportsNoDeviceDetail(t *testing.T) {
 	f := testSchema(t)
@@ -188,14 +180,14 @@ func TestAbandonedCallReportsNoDeviceDetail(t *testing.T) {
 		t.Fatalf("retrieve error = %v, want deadline exceeded", err)
 	}
 
-	events := in.Events.Recent(8)
-	flights := in.Flight.Report().Shapes
+	events := in.Events(8)
+	flights := in.FlightReport().Shapes
 	if len(events) != 1 || len(flights) != 1 || len(flights[0].Records) != 1 {
-		t.Fatalf("want the failure on both retaining sinks, got %d events, %+v", len(events), flights)
+		t.Fatalf("want the failure in the ring and the flights, got %d events, %+v", len(events), flights)
 	}
 	rec := events[0].QueryRecord
 	if flights[0].Records[0].QueryRecord != rec {
-		t.Fatal("flight recorder and event log hold different records")
+		t.Fatal("the flight view and the event ring hold different records")
 	}
 	if !rec.Failed || rec.Err == "" || !reflect.DeepEqual(rec.Keep, []string{obs.KeepError}) {
 		t.Errorf("record verdicts wrong: %+v", rec)
@@ -210,7 +202,7 @@ func TestAbandonedCallReportsNoDeviceDetail(t *testing.T) {
 	if !reflect.DeepEqual(res.Stages, rec.Stages) {
 		t.Errorf("result stages %+v differ from the record's %+v", res.Stages, rec.Stages)
 	}
-	row := shapeReport(t, in.Audit, rec.Shape)
+	row := shapeReport(t, in, rec.Shape)
 	if row.Queries != 1 || row.Violations != 0 || row.MaxBuckets != 0 {
 		t.Errorf("audit row for the abandoned call: %+v", row)
 	}

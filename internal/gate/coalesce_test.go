@@ -452,3 +452,47 @@ func TestGateDemuxProperty(t *testing.T) {
 		check(round, fs)
 	}
 }
+
+// TestGateBurnShed: SLO-burn admission control reads the shape's burn
+// rate as it is now, not as it was a cache lifetime ago. The query that
+// exhausts the budget is the last one admitted — the very next one of
+// its shape is shed with a Retry-After, another shape is untouched, and
+// the shape is admitted again the moment the burn is gone. No step
+// waits.
+func TestGateBurnShed(t *testing.T) {
+	h := newHeldGate(t, 8)
+	h.cfg.BurnShedThreshold = 1
+	cluster := h.cfg.Cluster
+	const shape = "*s*"
+	cluster.ResetAudit() // the memory backend's audit is shared with the tests before this one
+	cluster.SetShapeLatencySLO(shape, time.Nanosecond, 0.99)
+	t.Cleanup(func() {
+		cluster.SetShapeLatencySLO(shape, 0, 0)
+		cluster.ResetAudit()
+	})
+	solo := h.tenant("solo")
+	burning := h.query(t, map[string]string{"supplier": "supplier-2"})
+	other := h.query(t, map[string]string{"note": "note-1"})
+	ctx := context.Background()
+
+	if _, _, err := h.retrieve(ctx, solo, burning); err != nil {
+		t.Fatalf("first query of the shape, no burn yet: %v", err)
+	}
+	if burn := cluster.BurnRate(shape); burn < 1 {
+		t.Fatalf("a query over a 1ns objective left burn rate %g, want the budget blown", burn)
+	}
+	_, _, err := h.retrieve(ctx, solo, burning)
+	if !failedAs(err, fxdist.ErrCodeOverloaded, "burn") || fxdist.Classify(err).RetryAfter <= 0 {
+		t.Fatalf("query right behind the one that blew the budget: %v, want overloaded with a Retry-After", err)
+	}
+	if _, errs := h.retrieveBatch(ctx, solo, []fxdist.PartialMatch{burning, other}); !failedAs(errs[0], fxdist.ErrCodeOverloaded, "burn") || errs[1] != nil {
+		t.Fatalf("batch of a burning and a healthy shape: %v, want only the first shed", errs)
+	}
+	if rep := h.Report(); rep.BurnSheds != 2 {
+		t.Fatalf("burn sheds = %d, want 2", rep.BurnSheds)
+	}
+	cluster.ResetAudit()
+	if _, _, err := h.retrieve(ctx, solo, burning); err != nil {
+		t.Fatalf("first query after the burn was cleared: %v", err)
+	}
+}

@@ -50,7 +50,7 @@ type Config struct {
 	// (default 500ms).
 	ShedRetryAfter time.Duration
 	// BurnShedThreshold enables SLO-burn admission control: when a query
-	// shape's rolling burn rate (audit.ShapeReport.BurnRate) meets or
+	// shape's rolling burn rate (Cluster.BurnRate) meets or
 	// exceeds it, new queries of that shape are rejected with
 	// 429/Retry-After until the burn decays. 0 disables. 1.0 means "shed
 	// exactly when the shape is burning its whole error budget".
@@ -63,7 +63,6 @@ const (
 	defaultMaxBatch       = 64
 	defaultShedRetryAfter = 500 * time.Millisecond
 	defaultBurnRetryAfter = time.Second
-	burnCacheTTL          = 250 * time.Millisecond
 )
 
 // Gate is the serving tier. Create with New, serve its HTTP handler
@@ -88,9 +87,7 @@ type Gate struct {
 	burnSheds    atomic.Uint64
 	frontSheds   atomic.Uint64
 
-	burnMu   sync.Mutex
-	burnAt   time.Time
-	burnRate map[string]float64
+	shedMu sync.Mutex // guards cfg.MaxInFlight and cfg.ShedRetryAfter
 
 	metrics *gateMetrics
 }
@@ -141,18 +138,18 @@ func (g *Gate) Close() {
 // SetShedding re-arms the front door's global in-flight shed at
 // runtime, symmetric with netdist.Server.SetShedding.
 func (g *Gate) SetShedding(maxInFlight int, retryAfter time.Duration) {
-	g.burnMu.Lock()
+	g.shedMu.Lock()
 	g.cfg.MaxInFlight = maxInFlight
 	if retryAfter > 0 {
 		g.cfg.ShedRetryAfter = retryAfter
 	}
-	g.burnMu.Unlock()
+	g.shedMu.Unlock()
 }
 
 // shedConfig reads the (mutable) front-door shed settings.
 func (g *Gate) shedConfig() (int, time.Duration) {
-	g.burnMu.Lock()
-	defer g.burnMu.Unlock()
+	g.shedMu.Lock()
+	defer g.shedMu.Unlock()
 	return g.cfg.MaxInFlight, g.cfg.ShedRetryAfter
 }
 
@@ -171,30 +168,12 @@ func shapeOf(pm fxdist.PartialMatch) string {
 	return b.String()
 }
 
-// burnFor returns the cluster backend's current SLO burn rate for a
-// shape, from a briefly-cached audit report (the audit is rolled up on
-// every retrieval; re-snapshotting it per request would be pure
-// overhead).
-func (g *Gate) burnFor(shape string) float64 {
-	g.burnMu.Lock()
-	defer g.burnMu.Unlock()
-	if g.burnRate == nil || time.Since(g.burnAt) > burnCacheTTL {
-		rep := g.cfg.Cluster.OptimalityReport()
-		g.burnRate = make(map[string]float64, len(rep.Shapes))
-		for _, sr := range rep.Shapes {
-			g.burnRate[sr.Shape] = sr.BurnRate
-		}
-		g.burnAt = time.Now()
-	}
-	return g.burnRate[shape]
-}
-
 // admitShape applies SLO-burn admission control for one query shape.
 func (g *Gate) admitShape(shape string) *fxdist.Error {
 	if g.cfg.BurnShedThreshold <= 0 {
 		return nil
 	}
-	burn := g.burnFor(shape)
+	burn := g.cfg.Cluster.BurnRate(shape)
 	if burn < g.cfg.BurnShedThreshold {
 		return nil
 	}

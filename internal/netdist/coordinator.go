@@ -311,7 +311,7 @@ type Coordinator struct {
 	backend  string
 	epoch    int
 	eng      *engine.Executor
-	prof     *obs.CostProfiler
+	in       *telemetry.Instruments
 
 	// connMu guards conns so the health prober can replace a dead
 	// connection while retrievals are in flight.
@@ -421,10 +421,9 @@ func Dial(file *mkhash.File, addrs []string, opts ...DialOption) (*Coordinator, 
 	if c.fleetName == "" {
 		c.fleetName = c.backend
 	}
-	in := telemetry.For(c.backend).WithMetrics(&telemetry.Metrics{
+	c.in = telemetry.For(c.backend).WithMetrics(&telemetry.Metrics{
 		Retrieves: mCoordRetrieves, Errors: mCoordRetrieveErrors, Latency: mCoordRetrieveLatency,
 	})
-	c.prof = in.Profile
 	c.fed = telemetry.NewFederator(c.fleetName)
 	for i, addr := range addrs {
 		dc, err := c.dialDevice(addr)
@@ -463,7 +462,7 @@ func Dial(file *mkhash.File, addrs []string, opts ...DialOption) (*Coordinator, 
 	eng, err := engine.New(engine.Config{
 		Schema:       file,
 		Devices:      devices,
-		Instr:        in,
+		Instr:        c.in,
 		Tracer:       c.tracer,
 		Span:         span,
 		Plans:        plancache.New(c.backend),
@@ -821,8 +820,8 @@ func (c *Coordinator) ask(ctx context.Context, dev int, req Request, shape strin
 	resp, id, ws, release, err := dc.roundTrip(ctx, req, c.timeout)
 	dm.latency.ObserveSince(t0)
 	dm.inflight.Dec()
-	if shape != "" && c.prof != nil && err == nil {
-		c.prof.ObserveSamples(shape, []obs.StageSample{
+	if shape != "" && err == nil {
+		c.in.ObserveSamples(shape, []obs.StageSample{
 			{Stage: obs.StageNetDispatch, Wall: ws.Dispatch, Bytes: ws.OutBytes},
 			{Stage: obs.StageNetWait, Wall: ws.Wait},
 			{Stage: obs.StageNetDecode, Wall: ws.Decode, Bytes: ws.InBytes},

@@ -3,7 +3,6 @@ package netdist
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"strings"
 
@@ -243,34 +242,17 @@ func specEqual(a, b decluster.Spec) bool {
 }
 
 // Coordinator-side control methods. Each is one round trip against one
-// device's server, passing through the fault injector like every other
-// request, so chaos schedules exercise the migration stream too.
+// device's server through ask — the same fault injector, counters,
+// latency histogram, in-flight gauge and Retry-After handling as a
+// retrieval's, so chaos schedules and dashboards cover the migration
+// stream too.
 
-// control runs one rescale control round trip against device dev.
+// controlOp runs one rescale control round trip against device dev.
 func (c *Coordinator) controlOp(ctx context.Context, dev int, req Request) (Response, error) {
 	req.AsDevice = -1
-	dc := c.conn(dev)
-	if c.injector != nil {
-		if ierr := c.injector.Before(ctx, dev); ierr != nil {
-			c.dm[dev].errors.Inc()
-			return Response{}, &DeviceError{Device: dev, Addr: dc.addr, Err: ierr}
-		}
-	}
-	resp, id, _, release, err := dc.roundTrip(ctx, req, c.timeout)
+	resp, release, err := c.ask(ctx, dev, req, "")
 	if err != nil {
-		c.dm[dev].errors.Inc()
-		if errors.Is(err, ErrTimeout) {
-			c.dm[dev].timeouts.Inc()
-		}
-		return Response{}, &DeviceError{Device: dev, Addr: dc.addr, RequestID: id, Err: err}
-	}
-	if resp.Err != "" {
-		if release != nil {
-			release()
-		}
-		clientHits.Put(resp.Records)
-		c.dm[dev].errors.Inc()
-		return Response{}, &DeviceError{Device: dev, Addr: dc.addr, RequestID: id, Remote: true, Err: errors.New(resp.Err)}
+		return Response{}, err
 	}
 	if len(resp.Records) > 0 {
 		// Control responses outlive the wire buffers: deep-copy the

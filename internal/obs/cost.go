@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"sync"
 	"time"
 )
 
@@ -87,37 +86,21 @@ type stageAcc struct {
 	recSlabs  uint64
 }
 
-// shapeCosts accumulates every stage of one query shape.
-type shapeCosts struct {
+// ShapeCosts accumulates every stage of one query shape: the cost
+// section of a telemetry cell, whose mutex guards it. The zero value is
+// empty and ready; assigning it resets.
+type ShapeCosts struct {
 	queries uint64
 	totalNS int64
 	stages  map[string]*stageAcc
 }
 
-// CostProfiler aggregates stage samples per query shape for one
-// backend. All methods are safe for concurrent use and no-op on nil.
-type CostProfiler struct {
-	backend string
-
-	mu     sync.Mutex
-	shapes map[string]*shapeCosts
-}
-
-// NewCostProfiler returns an empty profiler labelled with backend.
-func NewCostProfiler(backend string) *CostProfiler {
-	return &CostProfiler{backend: backend, shapes: make(map[string]*shapeCosts)}
-}
-
-func (p *CostProfiler) shapeLocked(shape string) *shapeCosts {
-	sc := p.shapes[shape]
-	if sc == nil {
-		sc = &shapeCosts{stages: make(map[string]*stageAcc)}
-		p.shapes[shape] = sc
+// Add records stage samples without counting a query (e.g. the
+// per-request wire stages).
+func (sc *ShapeCosts) Add(samples []StageSample) {
+	if sc.stages == nil {
+		sc.stages = make(map[string]*stageAcc)
 	}
-	return sc
-}
-
-func (sc *shapeCosts) add(samples []StageSample) {
 	for _, s := range samples {
 		acc := sc.stages[s.Stage]
 		if acc == nil {
@@ -139,39 +122,14 @@ func (sc *shapeCosts) add(samples []StageSample) {
 // Observe records one whole retrieval: its total latency and its stage
 // breakdown (rec.Elapsed covers the interval the top-level stages
 // partition).
-func (p *CostProfiler) Observe(rec *QueryRecord) {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	sc := p.shapeLocked(rec.Shape)
+func (sc *ShapeCosts) Observe(rec *QueryRecord) {
 	sc.queries++
 	sc.totalNS += int64(rec.Elapsed)
-	sc.add(rec.Stages)
-	p.mu.Unlock()
+	sc.Add(rec.Stages)
 }
 
-// ObserveSamples records auxiliary stage samples (e.g. per-request wire
-// stages) without counting a query.
-func (p *CostProfiler) ObserveSamples(shape string, samples []StageSample) {
-	if p == nil || len(samples) == 0 {
-		return
-	}
-	p.mu.Lock()
-	sc := p.shapeLocked(shape)
-	sc.add(samples)
-	p.mu.Unlock()
-}
-
-// Reset discards all accumulated samples.
-func (p *CostProfiler) Reset() {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	p.shapes = make(map[string]*shapeCosts)
-	p.mu.Unlock()
-}
+// Empty reports whether nothing has been recorded since the last reset.
+func (sc *ShapeCosts) Empty() bool { return sc.queries == 0 && len(sc.stages) == 0 }
 
 // StageCost is one aggregated stage of one query shape.
 type StageCost struct {
@@ -214,51 +172,40 @@ type BackendCost struct {
 	Shapes  []ShapeCost `json:"shapes"`
 }
 
-// Report snapshots the profiler, shapes sorted by name, stages with
-// top-level stages first in execution order then auxiliary stages by
-// name.
-func (p *CostProfiler) Report() BackendCost {
-	if p == nil {
-		return BackendCost{}
+// Report snapshots the shape's row: top-level stages first in execution
+// order, then auxiliary stages by name.
+func (sc *ShapeCosts) Report(shape string) ShapeCost {
+	row := ShapeCost{Shape: shape, Queries: sc.queries}
+	if sc.queries > 0 {
+		row.MeanT = time.Duration(sc.totalNS / int64(sc.queries))
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := BackendCost{Backend: p.backend}
-	for shape, sc := range p.shapes {
-		row := ShapeCost{Shape: shape, Queries: sc.queries}
-		if sc.queries > 0 {
-			row.MeanT = time.Duration(sc.totalNS / int64(sc.queries))
+	var topNS int64
+	for name, acc := range sc.stages {
+		st := StageCost{
+			Stage:             name,
+			Count:             acc.count,
+			MaxWall:           time.Duration(acc.maxWallNS),
+			MeanBytes:         float64(acc.bytes) / float64(acc.count),
+			MeanObjects:       float64(acc.objects) / float64(acc.count),
+			MeanRecycledBytes: float64(acc.recBytes) / float64(acc.count),
+			MeanRecycledSlabs: float64(acc.recSlabs) / float64(acc.count),
 		}
-		var topNS int64
-		for name, acc := range sc.stages {
-			st := StageCost{
-				Stage:             name,
-				Count:             acc.count,
-				MaxWall:           time.Duration(acc.maxWallNS),
-				MeanBytes:         float64(acc.bytes) / float64(acc.count),
-				MeanObjects:       float64(acc.objects) / float64(acc.count),
-				MeanRecycledBytes: float64(acc.recBytes) / float64(acc.count),
-				MeanRecycledSlabs: float64(acc.recSlabs) / float64(acc.count),
+		st.MeanWall = time.Duration(acc.wallNS / int64(acc.count))
+		if isTopStage(name) {
+			topNS += acc.wallNS
+			if sc.totalNS > 0 {
+				st.WallFrac = float64(acc.wallNS) / float64(sc.totalNS)
 			}
-			st.MeanWall = time.Duration(acc.wallNS / int64(acc.count))
-			if isTopStage(name) {
-				topNS += acc.wallNS
-				if sc.totalNS > 0 {
-					st.WallFrac = float64(acc.wallNS) / float64(sc.totalNS)
-				}
-			}
-			row.Stages = append(row.Stages, st)
 		}
-		if sc.totalNS > 0 {
-			row.StageCoverage = float64(topNS) / float64(sc.totalNS)
-		}
-		sort.Slice(row.Stages, func(i, j int) bool {
-			return stageOrder(row.Stages[i].Stage) < stageOrder(row.Stages[j].Stage)
-		})
-		out.Shapes = append(out.Shapes, row)
+		row.Stages = append(row.Stages, st)
 	}
-	sort.Slice(out.Shapes, func(i, j int) bool { return out.Shapes[i].Shape < out.Shapes[j].Shape })
-	return out
+	if sc.totalNS > 0 {
+		row.StageCoverage = float64(topNS) / float64(sc.totalNS)
+	}
+	sort.Slice(row.Stages, func(i, j int) bool {
+		return stageOrder(row.Stages[i].Stage) < stageOrder(row.Stages[j].Stage)
+	})
+	return row
 }
 
 // stageOrder keys render order: top-level stages in execution order,

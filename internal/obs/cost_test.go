@@ -9,13 +9,15 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 )
 
 func TestCostProfilerAggregates(t *testing.T) {
-	p := NewCostProfiler("test")
+	var p ShapeCosts
+	if !p.Empty() {
+		t.Fatal("zero ShapeCosts is not empty")
+	}
 	for i := 0; i < 4; i++ {
 		p.Observe(&QueryRecord{Shape: "ss**", Elapsed: 100 * time.Microsecond, Stages: []StageSample{
 			{Stage: StagePlan, Wall: 10 * time.Microsecond, Bytes: 100, Objects: 2},
@@ -25,13 +27,9 @@ func TestCostProfilerAggregates(t *testing.T) {
 			{Stage: StageDeviceScan, Wall: 300 * time.Microsecond},
 		}})
 	}
-	p.ObserveSamples("ss**", []StageSample{{Stage: StageNetWait, Wall: 50 * time.Microsecond, Bytes: 900}})
+	p.Add([]StageSample{{Stage: StageNetWait, Wall: 50 * time.Microsecond, Bytes: 900}})
 
-	rep := p.Report()
-	if rep.Backend != "test" || len(rep.Shapes) != 1 {
-		t.Fatalf("report = %+v", rep)
-	}
-	s := rep.Shapes[0]
+	s := p.Report("ss**")
 	if s.Shape != "ss**" || s.Queries != 4 || s.MeanT != 100*time.Microsecond {
 		t.Fatalf("shape row = %+v", s)
 	}
@@ -60,110 +58,67 @@ func TestCostProfilerAggregates(t *testing.T) {
 	if scan := s.Stages[4]; scan.WallFrac != 0 {
 		t.Errorf("device.scan has wall frac %g", scan.WallFrac)
 	}
-	// ObserveSamples counts samples, not queries.
+	// Add counts samples, not queries.
 	if wait := s.Stages[5]; wait.Count != 1 || wait.MeanBytes != 900 {
 		t.Errorf("net.wait agg = %+v", wait)
 	}
-
-	p.Reset()
-	if rep := p.Report(); len(rep.Shapes) != 0 {
-		t.Fatalf("report after reset = %+v", rep)
+	// Samples alone (a round trip whose query has not finished) are not
+	// empty, and report without dividing by zero queries.
+	var aux ShapeCosts
+	aux.Add([]StageSample{{Stage: StageNetWait, Wall: time.Microsecond}})
+	if row := aux.Report("s"); aux.Empty() || row.Queries != 0 || row.MeanT != 0 || len(row.Stages) != 1 {
+		t.Errorf("samples-only costs: empty=%v row=%+v", aux.Empty(), row)
 	}
 }
 
-func TestCostProfilerNil(t *testing.T) {
-	var p *CostProfiler
-	p.Observe(&QueryRecord{Shape: "s", Elapsed: time.Second}) // must not panic
-	p.ObserveSamples("s", []StageSample{{Stage: StagePlan}})
-	p.Reset()
-	if rep := p.Report(); rep.Backend != "" || len(rep.Shapes) != 0 {
-		t.Fatalf("nil profiler report = %+v", rep)
-	}
-}
-
+// TestFlightRecorderKeepsSlowest: of more offers than slots, exactly
+// the FlightSlots slowest survive, reported slowest first.
 func TestFlightRecorderKeepsSlowest(t *testing.T) {
-	f := NewFlightRecorder("test", 3)
-	for _, ms := range []int{5, 1, 9, 3, 7, 2, 8} {
-		f.Observe(&QueryRecord{Backend: "test", Shape: "s*", Elapsed: time.Duration(ms) * time.Millisecond})
+	var f Slowest
+	for _, ms := range []int{5, 1, 9, 3, 12, 7, 2, 8, 11, 4, 10, 6} {
+		f.Offer(&QueryRecord{Backend: "test", Shape: "s*", Elapsed: time.Duration(ms) * time.Millisecond, Start: time.Unix(int64(ms), 0)})
 	}
-	rep := f.Report()
-	if len(rep.Shapes) != 1 {
+	rep := f.Report("s*")
+	if rep.Shape != "s*" || len(rep.Records) != FlightSlots {
 		t.Fatalf("report = %+v", rep)
 	}
-	var got []time.Duration
-	for _, r := range rep.Shapes[0].Records {
-		got = append(got, r.Elapsed)
-		if r.Backend != "test" {
-			t.Errorf("record backend = %q", r.Backend)
+	for i, r := range rep.Records {
+		want := time.Duration(12-i) * time.Millisecond
+		if r.Elapsed != want || r.Backend != "test" || !r.Start.Equal(time.Unix(int64(12-i), 0)) {
+			t.Errorf("record %d = elapsed %v backend %q start %v, want the %v query", i, r.Elapsed, r.Backend, r.Start, want)
 		}
-	}
-	want := []time.Duration{9 * time.Millisecond, 8 * time.Millisecond, 7 * time.Millisecond}
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("retained %v, want slowest-first %v", got, want)
 	}
 }
 
+// TestFlightRecorderAdmits: a shape admits everything until its slots
+// are full, then only what beats the fastest retained record.
 func TestFlightRecorderAdmits(t *testing.T) {
-	f := NewFlightRecorder("test", 2)
-	if !f.Admits("new-shape", time.Nanosecond) {
+	var f Slowest
+	if !f.Admits(time.Nanosecond) {
 		t.Fatal("unseen shape must admit everything")
 	}
-	f.Observe(&QueryRecord{Shape: "s", Elapsed: 10 * time.Millisecond})
-	if !f.Admits("s", time.Nanosecond) {
-		t.Fatal("ring not full yet: must still admit")
+	for i := 1; i <= FlightSlots; i++ {
+		if !f.Admits(time.Nanosecond) {
+			t.Fatalf("%d of %d slots used: must still admit", i-1, FlightSlots)
+		}
+		f.Offer(&QueryRecord{Shape: "s", Elapsed: time.Duration(10*i) * time.Millisecond})
 	}
-	f.Observe(&QueryRecord{Shape: "s", Elapsed: 20 * time.Millisecond})
-	// Ring full: floor is the fastest retained record (10ms).
-	if f.Admits("s", 5*time.Millisecond) {
-		t.Error("admitted a query below the floor")
+	// Full: the floor is the fastest retained record (10ms).
+	if f.Admits(10 * time.Millisecond) {
+		t.Error("admitted a query at the floor")
 	}
-	if !f.Admits("s", 15*time.Millisecond) {
+	if !f.Admits(15 * time.Millisecond) {
 		t.Error("rejected a query above the floor")
 	}
-	// A full ring on one shape must not starve another.
-	if !f.Admits("other", time.Nanosecond) {
-		t.Error("full ring on one shape starved a new shape")
+	// An offer below the floor is a no-op even if forced past Admits.
+	f.Offer(&QueryRecord{Shape: "s", Elapsed: time.Millisecond})
+	if got := f.Report("s").Records; len(got) != FlightSlots || got[FlightSlots-1].Elapsed != 10*time.Millisecond {
+		t.Errorf("below-floor Offer changed the slice: %+v", got)
 	}
-	// Observe below the floor is a no-op even if forced past Admits.
-	f.Observe(&QueryRecord{Shape: "s", Elapsed: time.Millisecond})
-	if got := f.Report().Shapes[0].Records; len(got) != 2 || got[1].Elapsed != 10*time.Millisecond {
-		t.Errorf("below-floor Observe changed the ring: %+v", got)
-	}
-}
-
-func TestFlightRecorderConcurrent(t *testing.T) {
-	f := NewFlightRecorder("race", 4)
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			shape := fmt.Sprintf("shape-%d", g%2)
-			for i := 0; i < 200; i++ {
-				el := time.Duration(i*(g+1)) * time.Microsecond
-				if f.Admits(shape, el) {
-					f.Observe(&QueryRecord{Shape: shape, Elapsed: el})
-				}
-				if i%50 == 0 {
-					f.Report()
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	rep := f.Report()
-	if len(rep.Shapes) != 2 {
-		t.Fatalf("got %d shapes, want 2", len(rep.Shapes))
-	}
-	for _, s := range rep.Shapes {
-		if len(s.Records) != 4 {
-			t.Errorf("shape %s retained %d records, want 4", s.Shape, len(s.Records))
-		}
-		for i := 1; i < len(s.Records); i++ {
-			if s.Records[i].Elapsed > s.Records[i-1].Elapsed {
-				t.Errorf("shape %s not slowest-first: %v", s.Shape, s.Records)
-			}
-		}
+	// One above it displaces the floor and raises it.
+	f.Offer(&QueryRecord{Shape: "s", Elapsed: 15 * time.Millisecond})
+	if got := f.Report("s").Records; len(got) != FlightSlots || got[FlightSlots-1].Elapsed != 15*time.Millisecond || f.Admits(15*time.Millisecond) {
+		t.Errorf("above-floor Offer: fastest retained %v, want 15ms as the new floor", got[len(got)-1].Elapsed)
 	}
 }
 

@@ -4,7 +4,7 @@ import "time"
 
 // QueryDevice is one device's share of a query record: its qualified
 // buckets (compare against the record's Bound), scan duration and
-// error. Present only on records some sink decided to keep.
+// error. Present only on records the keep decision kept.
 type QueryDevice struct {
 	Device  int           `json:"device"`
 	Buckets int           `json:"buckets"`
@@ -15,14 +15,13 @@ type QueryDevice struct {
 // QueryRecord is everything the system knows about one finished
 // retrieval. The engine executor builds exactly one per call — shape,
 // |R(q)| and the strict bound straight from the compiled plan — and
-// hands the same record to every reporting sink: cluster metrics, the
-// optimality auditor, the cost profiler, the flight recorder and the
-// wide-event log. FlightRecord and telemetry.Event are views of it.
+// takes it through the backend's one store (telemetry.Instruments:
+// Audit, Decide, Commit), whose per-shape cells and ring every /debug
+// view reads. FlightRecord and telemetry.Event are views of it.
 //
-// A record is immutable once the retaining sinks (flight recorder,
-// event log) see it. The detail fields — Devices, MaxDeviceBuckets, Err,
-// FailedDevices, Events — are materialised only when the keep decision
-// says a sink will retain the query.
+// A record is immutable once committed. The detail fields — Devices,
+// MaxDeviceBuckets, Err, FailedDevices, Events — are materialised only
+// when the keep decision says the query will be retained.
 type QueryRecord struct {
 	Backend string `json:"backend"`
 	// Shape is the query-shape key ('s' specified, '*' unspecified).
@@ -48,8 +47,8 @@ type QueryRecord struct {
 	// DeviceBuckets are the merged result's per-device qualified-bucket
 	// counts — what the bound is audited against; nil when the
 	// retrieval failed outright, the surviving devices' when it
-	// degraded. The slice belongs to the caller's Result: sinks read it
-	// during the call and must not retain it.
+	// degraded. The slice belongs to the caller's Result: the Audit step
+	// reads it during the call and nothing retains it.
 	DeviceBuckets []int `json:"-"`
 
 	// Slow is set when Elapsed exceeded the shape's SLO target
@@ -73,11 +72,11 @@ type QueryRecord struct {
 	Stages []StageSample `json:"stages,omitempty"`
 	// Events is the root span's annotation log (cache hit/miss, retry,
 	// hedge and breaker decisions, degraded merges); materialised for
-	// flight-admitted queries only.
+	// flights only.
 	Events []SpanEvent `json:"events,omitempty"`
 
-	// Keep records why the event log kept this query (error/slow/bound =
-	// always-keep; head/sample = head sampling); empty when only the
-	// flight recorder wanted it.
+	// Keep records why the query was kept (error/slow/bound =
+	// always-keep; head/sample = per-shape sampling); empty when it is
+	// only one of its shape's slowest.
 	Keep []string `json:"keep,omitempty"`
 }

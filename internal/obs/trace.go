@@ -25,25 +25,29 @@ type Tracer struct {
 	seq  uint64
 
 	// Tail-based retention: the ring above is only a staging window —
-	// whether a trace outlives it is decided at query end (error, SLO
-	// miss, bound violation → always keep; otherwise a uniform 1-in-N
-	// sample). Kept trees are immutable snapshots, so a retained trace
-	// stays recoverable by its exemplar trace ID long after its spans
-	// were evicted from the ring.
-	retainMu    sync.Mutex
-	retainCap   int
-	retained    []RetainedTrace // insertion order (oldest first)
-	sampleEvery uint64
-	sampleSeq   uint64
+	// whether a trace outlives it is decided at query end, by the one
+	// keep decision that also admits the query's record to the event ring
+	// (telemetry.Instruments.Decide). Kept trees are immutable snapshots,
+	// so a retained trace stays recoverable by its trace ID long after its
+	// spans were evicted from the ring.
+	retainMu sync.Mutex
+	retained []RetainedTrace // insertion order (oldest first)
 }
 
-// Keep reasons recorded on retained traces.
+// Keep reasons: why a query's record and trace tree were kept. The first
+// three are always-keep; head and sample are the per-shape sampling of
+// unremarkable traffic and are the first to be evicted.
 const (
 	KeepError  = "error"  // the query failed (or returned partial results)
 	KeepSlow   = "slow"   // latency exceeded the shape's SLO target
 	KeepBound  = "bound"  // a device exceeded the strict bound ceil(|R(q)|/M)
-	KeepSample = "sample" // uniform 1-in-N sample of unremarkable traffic
+	KeepHead   = "head"   // one of the first queries of its shape
+	KeepSample = "sample" // 1-in-N sample of a shape's later queries
 )
+
+func alwaysKeep(reason string) bool {
+	return reason == KeepError || reason == KeepSlow || reason == KeepBound
+}
 
 // RetainedTrace is one trace tree kept by the tail-sampling decision.
 type RetainedTrace struct {
@@ -53,13 +57,11 @@ type RetainedTrace struct {
 	Root    SpanTree  `json:"root"`
 }
 
-// DefaultRetainedTraces and DefaultSampleEvery size the retention
-// buffer: up to 64 kept trees, 1-in-16 uniform sampling of queries that
-// trip no always-keep rule.
-const (
-	DefaultRetainedTraces = 64
-	DefaultSampleEvery    = 16
-)
+// RetainedTraces is how many kept trees the retention buffer holds: the
+// newest 64 kept queries stay recoverable by trace ID. A tree per event
+// ring slot (1 024) would cost megabytes of live heap for evidence the
+// flight records and events already summarise (DESIGN §8).
+const RetainedTraces = 64
 
 // NewTracer returns a tracer retaining the last capacity spans. Span
 // ids count up from 1 — deterministic, which tests rely on; the
@@ -69,12 +71,7 @@ func NewTracer(capacity int) *Tracer {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &Tracer{
-		cap:         capacity,
-		ring:        make([]*Span, capacity),
-		retainCap:   DefaultRetainedTraces,
-		sampleEvery: DefaultSampleEvery,
-	}
+	return &Tracer{cap: capacity, ring: make([]*Span, capacity)}
 }
 
 // newProcessTracer seeds the span-id sequence with a per-process random
@@ -208,48 +205,32 @@ func stitchTrees(snaps []SpanSnapshot) []SpanTree {
 	return out
 }
 
-// SetRetention reconfigures the tail-sampling buffer: capacity bounds
-// how many trees are kept, sampleEvery sets the uniform keep rate for
-// unremarkable queries (1 in sampleEvery; 0 disables sampling). Kept
-// trees beyond the new capacity are dropped oldest-first.
-func (t *Tracer) SetRetention(capacity, sampleEvery int) {
-	if t == nil {
-		return
-	}
-	if capacity < 1 {
-		capacity = 1
-	}
-	if sampleEvery < 0 {
-		sampleEvery = 0
-	}
-	t.retainMu.Lock()
-	t.retainCap = capacity
-	t.sampleEvery = uint64(sampleEvery)
-	if over := len(t.retained) - capacity; over > 0 {
-		t.retained = append(t.retained[:0], t.retained[over:]...)
-	}
-	t.retainMu.Unlock()
-}
-
-// Retain snapshots every span of traceID still in the ring, stitches
-// them into a tree, and keeps it with the given reason. When the buffer
-// is full, the oldest uniform-sample entry is evicted first — an
-// always-keep tree (error/slow/bound) is only displaced by newer
-// always-keep trees, so memory stays bounded without losing the
-// interesting tail. Returns false when no span of the trace remains.
+// Retain snapshots the spans of traceID still in the ring — those alone,
+// not the ring — stitches them into a tree, and keeps it with the given
+// reason. When the buffer is full, the oldest head/sample entry is
+// evicted first — an always-keep tree (error/slow/bound) is only
+// displaced by newer always-keep trees, so memory stays bounded without
+// losing the interesting tail. Returns false when no span of the trace
+// remains.
 func (t *Tracer) Retain(traceID uint64, reason string) bool {
 	if t == nil || traceID == 0 {
 		return false
 	}
-	snaps := t.Recent(t.cap)
-	var mine []SpanSnapshot
-	for _, s := range snaps {
-		if s.TraceID == traceID {
-			mine = append(mine, s)
+	t.mu.Lock()
+	var spans []*Span
+	for i := 1; i <= t.cap; i++ { // most recent first, as Recent orders them
+		s := t.ring[(t.next-i+t.cap)%t.cap]
+		if s != nil && s.traceID == traceID { // traceID is immutable
+			spans = append(spans, s)
 		}
 	}
-	if len(mine) == 0 {
+	t.mu.Unlock()
+	if len(spans) == 0 {
 		return false
+	}
+	mine := make([]SpanSnapshot, len(spans))
+	for i, s := range spans {
+		mine[i] = s.snapshot()
 	}
 	trees := stitchTrees(mine)
 	root := trees[0]
@@ -261,52 +242,30 @@ func (t *Tracer) Retain(traceID uint64, reason string) bool {
 	}
 	rec := RetainedTrace{TraceID: traceID, Reason: reason, At: time.Now(), Root: root}
 	t.retainMu.Lock()
+	defer t.retainMu.Unlock()
 	// Replace an existing entry for the same trace (e.g. sampled first,
 	// then retained again with an always-keep reason).
 	for i := range t.retained {
 		if t.retained[i].TraceID == traceID {
-			if t.retained[i].Reason != KeepSample && reason == KeepSample {
+			if alwaysKeep(t.retained[i].Reason) && !alwaysKeep(reason) {
 				rec.Reason = t.retained[i].Reason
 			}
 			t.retained[i] = rec
-			t.retainMu.Unlock()
 			return true
 		}
 	}
-	if len(t.retained) >= t.retainCap {
-		evict := -1
+	if len(t.retained) >= RetainedTraces {
+		evict := 0 // all always-keep: drop the oldest to stay bounded
 		for i := range t.retained {
-			if t.retained[i].Reason == KeepSample {
+			if !alwaysKeep(t.retained[i].Reason) {
 				evict = i
 				break
 			}
 		}
-		if evict < 0 {
-			evict = 0 // all always-keep: drop the oldest to stay bounded
-		}
 		t.retained = append(t.retained[:evict], t.retained[evict+1:]...)
 	}
 	t.retained = append(t.retained, rec)
-	t.retainMu.Unlock()
 	return true
-}
-
-// MaybeSample applies the uniform 1-in-N tail-sampling policy to a
-// query that tripped no always-keep rule, retaining its tree when the
-// counter lands on a sampling point.
-func (t *Tracer) MaybeSample(traceID uint64) bool {
-	if t == nil || traceID == 0 {
-		return false
-	}
-	t.retainMu.Lock()
-	every := t.sampleEvery
-	t.sampleSeq++
-	hit := every > 0 && t.sampleSeq%every == 0
-	t.retainMu.Unlock()
-	if !hit {
-		return false
-	}
-	return t.Retain(traceID, KeepSample)
 }
 
 // Retained returns up to n kept trace trees, most recent first.

@@ -1,9 +1,23 @@
 package obs
 
 import (
+	"runtime"
+	"runtime/debug"
 	"testing"
 	"time"
 )
+
+// raceEnabled reports whether the test binary was built with -race,
+// where allocation counts stop being exact.
+func raceEnabled() bool {
+	bi, _ := debug.ReadBuildInfo()
+	for _, s := range bi.Settings {
+		if s.Key == "-race" {
+			return s.Value == "true"
+		}
+	}
+	return false
+}
 
 func TestTracerRecentOrderAndEvents(t *testing.T) {
 	tr := NewTracer(8)
@@ -199,5 +213,56 @@ func TestTreesOrphanPromotedToRoot(t *testing.T) {
 		if len(tree.Children) != 0 {
 			t.Errorf("orphan %s has children", tree.Name)
 		}
+	}
+}
+
+// TestRetainCostIsTheTraceNotTheRing is the allocation guard on the
+// retention path: keeping a 9-span trace costs the same out of a full
+// 256-span ring as out of a full 4096-span one — Retain snapshots its
+// own trace's spans, not the ring — and stays under a byte budget the
+// whole-ring snapshot it replaced (285 allocations, 50 KB at 256 spans)
+// blew sixfold.
+func TestRetainCostIsTheTraceNotTheRing(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("allocation counts are not exact under -race")
+	}
+	measure := func(ringSize int) (allocs, bytes float64) {
+		tr := NewTracer(ringSize)
+		for i := 0; i < ringSize; i++ { // fill the ring with other queries' spans
+			sp := tr.Start("other")
+			sp.Event("device 0 (addr) req 1: 4 buckets, 12 records in 80µs")
+			sp.End()
+		}
+		root := tr.Start("netdist.retrieve")
+		for dev := 0; dev < 8; dev++ {
+			sp := tr.StartChild("netdist.serve", root.Trace(), root.SpanID())
+			sp.Event("scan")
+			sp.End()
+		}
+		root.End()
+		const runs = 200
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		allocs = testing.AllocsPerRun(runs, func() {
+			if !tr.Retain(root.Trace(), KeepSample) {
+				t.Fatal("trace not retained")
+			}
+		})
+		runtime.ReadMemStats(&after)
+		rt, _ := tr.RetainedTrace(root.Trace())
+		if len(rt.Root.Children) != 8 {
+			t.Fatalf("ring of %d: retained tree has %d children, want 8", ringSize, len(rt.Root.Children))
+		}
+		return allocs, float64(after.TotalAlloc-before.TotalAlloc) / (runs + 1)
+	}
+	smallAllocs, smallBytes := measure(256)
+	bigAllocs, bigBytes := measure(4096)
+	t.Logf("Retain of a 9-span trace: %.0f allocs, %.0f B from a 256 ring; %.0f allocs, %.0f B from a 4096 ring",
+		smallAllocs, smallBytes, bigAllocs, bigBytes)
+	if smallAllocs != bigAllocs {
+		t.Errorf("Retain allocates %.0f times from a 256-span ring and %.0f from a 4096-span one: it scales with the ring", smallAllocs, bigAllocs)
+	}
+	if smallBytes > 8<<10 || bigBytes > 8<<10 {
+		t.Errorf("Retain of a 9-span trace allocates %.0f / %.0f B, budget 8 KiB", smallBytes, bigBytes)
 	}
 }

@@ -143,7 +143,7 @@ func VerifyDerivation(oldAlloc, newAlloc decluster.GroupAllocator) error {
 // Doerr–Hebbinghaus–Werth allowance for the new M, and at least
 // minQueries retrievals must have been audited at all (a guard that has
 // seen no traffic proves nothing). report is typically
-// telemetry.For("<backend>-next").Audit.Report.
+// telemetry.For("<backend>-next").AuditReport.
 func AuditGuard(report func() audit.BackendReport, newM int, minQueries uint64) func() error {
 	return func() error {
 		rep := report()

@@ -10,67 +10,66 @@ import (
 	"fxdist/internal/obs"
 )
 
-// TestKeepDecision is the table of the event log's keep rules and their
-// precedence: error/partial, SLO-slow and bound-violation are
-// always-keep (they stack, in that order, and set Always — which is
-// what makes the engine retain the query's trace tree); head sampling
-// and the 1-in-N sample only apply to queries no always-keep rule
-// claimed, and never set Always.
+// TestKeepDecision is the table of the store's keep rules and their
+// precedence, driven on the shipped policy (the first 8 of a shape, then
+// every 16th): error/partial, SLO-slow and bound-violation are
+// always-keep (they stack, in that order, and lead rec.Keep — which is
+// the reason the engine retains the query's trace tree under); the head
+// and the 1-in-16 sample only apply to queries no always-keep rule
+// claimed.
 func TestKeepDecision(t *testing.T) {
 	const slo = 10 * time.Millisecond
-	newLog := func() *EventLog {
-		return NewEventLog("keep-test", Config{
-			HeadPerShape: 2, SampleEvery: 4,
-			SlowFor: func(shape string) time.Duration {
-				if shape == "no-slo" {
-					return 0
-				}
-				return slo
-			},
-		})
+	newBundle := func() *Instruments {
+		in := New("keep-test", audit.SLO{Target: slo, Goal: 0.99})
+		in.SetShapeSLO("no-slo", audit.SLO{})
+		return in
 	}
 	// Each case offers warmup unremarkable queries of the shape first
-	// (moving it past the head), then the record under test.
+	// (moving it past the head, or onto the sample beat), then the record
+	// under test.
+	const pastHead, onBeat = headPerShape, sampleEvery - 1
 	cases := []struct {
 		name   string
 		warmup int
 		rec    obs.QueryRecord
-		want   Decision
+		kept   bool
 		keep   []string
 		slow   bool
 	}{
 		{name: "first of a shape is head-kept", rec: obs.QueryRecord{Shape: "s*"},
-			want: Decision{Kept: true}, keep: []string{KeepHead}},
-		{name: "past the head, off the sample beat: dropped", warmup: 2, rec: obs.QueryRecord{Shape: "s*"}},
-		{name: "every 4th of a shape is sampled", warmup: 3, rec: obs.QueryRecord{Shape: "s*"},
-			want: Decision{Kept: true}, keep: []string{obs.KeepSample}},
-		{name: "failed query is always kept", warmup: 2, rec: obs.QueryRecord{Shape: "s*", Failed: true},
-			want: Decision{Kept: true, Always: true}, keep: []string{obs.KeepError}},
-		{name: "partial result counts as failed", warmup: 2, rec: obs.QueryRecord{Shape: "s*", Failed: true, Partial: true, Coverage: 0.5},
-			want: Decision{Kept: true, Always: true}, keep: []string{obs.KeepError}},
-		{name: "over the SLO target is always kept and marked slow", warmup: 2, rec: obs.QueryRecord{Shape: "s*", Elapsed: slo + 1},
-			want: Decision{Kept: true, Always: true}, keep: []string{obs.KeepSlow}, slow: true},
-		{name: "exactly on the target is not slow", warmup: 2, rec: obs.QueryRecord{Shape: "s*", Elapsed: slo}},
-		{name: "a shape without an SLO is never slow", warmup: 2, rec: obs.QueryRecord{Shape: "no-slo", Elapsed: time.Hour}},
-		{name: "bound violation is always kept", warmup: 2, rec: obs.QueryRecord{Shape: "s*", BoundViolation: true},
-			want: Decision{Kept: true, Always: true}, keep: []string{obs.KeepBound}},
-		{name: "always-keep reasons stack in error, slow, bound order", warmup: 2,
+			kept: true, keep: []string{obs.KeepHead}},
+		{name: "last of the head is head-kept", warmup: pastHead - 1, rec: obs.QueryRecord{Shape: "s*"},
+			kept: true, keep: []string{obs.KeepHead}},
+		{name: "past the head, off the sample beat: dropped", warmup: pastHead, rec: obs.QueryRecord{Shape: "s*"}},
+		{name: "every 16th of a shape is sampled", warmup: onBeat, rec: obs.QueryRecord{Shape: "s*"},
+			kept: true, keep: []string{obs.KeepSample}},
+		{name: "failed query is always kept", warmup: pastHead, rec: obs.QueryRecord{Shape: "s*", Failed: true},
+			kept: true, keep: []string{obs.KeepError}},
+		{name: "partial result counts as failed", warmup: pastHead, rec: obs.QueryRecord{Shape: "s*", Failed: true, Partial: true, Coverage: 0.5},
+			kept: true, keep: []string{obs.KeepError}},
+		{name: "over the SLO target is always kept and marked slow", warmup: pastHead, rec: obs.QueryRecord{Shape: "s*", Elapsed: slo + 1},
+			kept: true, keep: []string{obs.KeepSlow}, slow: true},
+		{name: "exactly on the target is not slow", warmup: pastHead, rec: obs.QueryRecord{Shape: "s*", Elapsed: slo}},
+		{name: "a shape without an SLO is never slow", warmup: pastHead, rec: obs.QueryRecord{Shape: "no-slo", Elapsed: time.Hour}},
+		{name: "bound violation is always kept", warmup: pastHead, rec: obs.QueryRecord{Shape: "s*", BoundViolation: true},
+			kept: true, keep: []string{obs.KeepBound}},
+		{name: "always-keep reasons stack in error, slow, bound order", warmup: pastHead,
 			rec:  obs.QueryRecord{Shape: "s*", Failed: true, Elapsed: time.Second, BoundViolation: true},
-			want: Decision{Kept: true, Always: true}, keep: []string{obs.KeepError, obs.KeepSlow, obs.KeepBound}, slow: true},
+			kept: true, keep: []string{obs.KeepError, obs.KeepSlow, obs.KeepBound}, slow: true},
 		{name: "an always-keep rule outranks the head", rec: obs.QueryRecord{Shape: "s*", BoundViolation: true},
-			want: Decision{Kept: true, Always: true}, keep: []string{obs.KeepBound}},
-		{name: "an always-keep rule outranks the sample beat", warmup: 3, rec: obs.QueryRecord{Shape: "s*", Failed: true},
-			want: Decision{Kept: true, Always: true}, keep: []string{obs.KeepError}},
+			kept: true, keep: []string{obs.KeepBound}},
+		{name: "an always-keep rule outranks the sample beat", warmup: onBeat, rec: obs.QueryRecord{Shape: "s*", Failed: true},
+			kept: true, keep: []string{obs.KeepError}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			l := newLog()
+			in := newBundle()
 			for i := 0; i < tc.warmup; i++ {
-				l.Decide(&obs.QueryRecord{Shape: tc.rec.Shape})
+				in.Decide(&obs.QueryRecord{Shape: tc.rec.Shape})
 			}
 			rec := tc.rec
-			if got := l.Decide(&rec); got != tc.want {
-				t.Errorf("Decide = %+v, want %+v", got, tc.want)
+			if got := in.Decide(&rec); got.Kept != tc.kept {
+				t.Errorf("Decide = %+v, want kept %v", got, tc.kept)
 			}
 			if !reflect.DeepEqual(rec.Keep, tc.keep) {
 				t.Errorf("Keep = %v, want %v", rec.Keep, tc.keep)
@@ -78,41 +77,39 @@ func TestKeepDecision(t *testing.T) {
 			if rec.Slow != tc.slow || (rec.SLOTarget != 0) != tc.slow {
 				t.Errorf("Slow = %v, SLOTarget = %v; want slow %v", rec.Slow, rec.SLOTarget, tc.slow)
 			}
-			st := l.Stats()
-			wantKept := uint64(min(tc.warmup, 2)) // the warmup's head
-			if tc.warmup >= 4 {
-				wantKept++
-			}
-			if tc.want.Kept {
+			st := in.LogStats()
+			wantKept := uint64(min(tc.warmup, headPerShape)) // the warmup's head
+			if tc.kept {
 				wantKept++
 			}
 			if st.Seen != uint64(tc.warmup+1) || st.Kept != wantKept {
 				t.Errorf("stats seen=%d kept=%d, want %d/%d", st.Seen, st.Kept, tc.warmup+1, wantKept)
 			}
+			if len(st.Shapes) != 1 || st.Shapes[0] != (ShapeStats{Shape: tc.rec.Shape, Seen: st.Seen, Kept: st.Kept}) {
+				t.Errorf("per-shape stats = %+v, want the one shape carrying the totals", st.Shapes)
+			}
+			if st.Capacity != 1024 || st.HeadPerShape != 8 || st.SampleEvery != 16 {
+				t.Errorf("stats report policy %d/%d/%d, want the shipped 1024/8/16", st.Capacity, st.HeadPerShape, st.SampleEvery)
+			}
 		})
 	}
-	// A nil log keeps nothing and panics on nothing.
-	var nilLog *EventLog
-	if got := nilLog.Decide(&obs.QueryRecord{Failed: true}); got != (Decision{}) {
-		t.Errorf("nil log decided %+v", got)
-	}
-	nilLog.Observe(&obs.QueryRecord{})
 }
 
-// TestEventLogRingAndFeed covers what happens to a kept record: Recent
-// returns newest first through ring wrap-around, Configure resizes
-// without losing the newest, a subscriber sees kept records live, and
-// Reset empties ring and counters but keeps the policy.
+// TestEventLogRingAndFeed covers what happens to a kept record: Events
+// returns newest first through ring wrap-around and never more than the
+// ring holds, and a subscriber sees kept records live.
 func TestEventLogRingAndFeed(t *testing.T) {
-	l := NewEventLog("ring-test", Config{Capacity: 3, HeadPerShape: 1 << 20})
-	feed, cancel := l.Subscribe()
-	defer cancel()
-	for i := 0; i < 5; i++ {
-		rec := &obs.QueryRecord{Shape: "s", Tenant: fmt.Sprint(i), Start: time.Unix(int64(i), 0)}
-		if !l.Decide(rec).Kept {
-			t.Fatalf("record %d not head-kept", i)
+	in := New("ring-test", audit.SLO{})
+	feed, cancel := in.Subscribe()
+	const total = ringCapacity + 5
+	for i := 0; i < total; i++ {
+		// Bound-violating, so every record is kept whatever the beat.
+		rec := &obs.QueryRecord{Shape: "s", Tenant: fmt.Sprint(i), Start: time.Unix(int64(i), 0), BoundViolation: true}
+		dec := in.Decide(rec)
+		if !dec.Kept {
+			t.Fatalf("record %d not kept", i)
 		}
-		l.Observe(rec)
+		in.Commit(rec, dec)
 	}
 	tenants := func(evs []Event) (out []string) {
 		for _, ev := range evs {
@@ -120,30 +117,44 @@ func TestEventLogRingAndFeed(t *testing.T) {
 		}
 		return out
 	}
-	if got := tenants(l.Recent(10)); !reflect.DeepEqual(got, []string{"4", "3", "2"}) {
-		t.Errorf("Recent after wrap = %v, want [4 3 2]", got)
+	want := []string{fmt.Sprint(total - 1), fmt.Sprint(total - 2), fmt.Sprint(total - 3)}
+	if got := tenants(in.Events(3)); !reflect.DeepEqual(got, want) {
+		t.Errorf("Events(3) after wrap = %v, want %v", got, want)
 	}
-	if ev := l.Recent(1)[0]; !ev.Time.Equal(time.Unix(4, 0)) || ev.Keep[0] != KeepHead {
+	all := in.Events(2 * ringCapacity)
+	if len(all) != ringCapacity {
+		t.Fatalf("ring holds %d events, want exactly %d", len(all), ringCapacity)
+	}
+	if oldest := all[len(all)-1]; oldest.Tenant != "5" {
+		t.Errorf("oldest surviving event is %q, want 5 (0-4 overwritten)", oldest.Tenant)
+	}
+	if ev := all[0]; !ev.Time.Equal(time.Unix(total-1, 0)) || ev.Keep[0] != obs.KeepBound {
 		t.Errorf("newest event = time %v keep %v", ev.Time, ev.Keep)
+	}
+	if len(in.Events(0)) != 0 {
+		t.Error("Events(0) returned events")
 	}
 	if ev := <-feed; ev.Tenant != "0" {
 		t.Errorf("subscriber's first event is %q, want 0", ev.Tenant)
 	}
-	l.Configure(Config{Capacity: 2, HeadPerShape: 1 << 20})
-	if got := tenants(l.Recent(10)); !reflect.DeepEqual(got, []string{"4", "3"}) {
-		t.Errorf("Recent after shrinking to 2 = %v, want [4 3]", got)
+	// A cancelled subscriber is fed nothing more (and stalls nobody).
+	cancel()
+	for len(feed) > 0 {
+		<-feed
 	}
-	l.Reset()
-	if st := l.Stats(); st.Seen != 0 || st.Kept != 0 || len(l.Recent(10)) != 0 || st.Capacity != 2 {
-		t.Errorf("after Reset: %+v, %d events", st, len(l.Recent(10)))
+	rec := &obs.QueryRecord{Shape: "s", Failed: true}
+	in.Commit(rec, in.Decide(rec))
+	if len(feed) != 0 {
+		t.Error("cancelled subscriber still fed")
 	}
 }
 
 // TestInstrumentRegistry: For is idempotent per backend, All is sorted,
-// a per-cluster WithMetrics copy shares every sink with the registry's
-// bundle, a backend's event log takes its slow threshold from the same
-// backend's auditor, and SetSLO("") reaches existing and future
-// backends alike.
+// a per-cluster WithMetrics copy shares the store with the registry's
+// bundle, the keep decision takes its slow threshold from the same
+// cell's objective, SetSLO("") reaches existing and future backends
+// alike, and a per-shape override outlives a change of default whether
+// or not the shape has been served yet.
 func TestInstrumentRegistry(t *testing.T) {
 	a, b := For("reg-test-a"), For("reg-test-b")
 	if a != For("reg-test-a") || a == b {
@@ -158,27 +169,44 @@ func TestInstrumentRegistry(t *testing.T) {
 	}
 	m := &Metrics{}
 	c := a.WithMetrics(m)
-	if c.Metrics != m || a.Metrics != nil || c.Audit != a.Audit || c.Profile != a.Profile || c.Flight != a.Flight || c.Events != a.Events {
-		t.Error("WithMetrics must copy the bundle, set only Metrics, and share every other sink")
+	if c.Metrics != m || a.Metrics != nil || c.store != a.store || c.Backend != "reg-test-a" {
+		t.Error("WithMetrics must copy the bundle, set only Metrics, and share the store")
 	}
 
-	SetSLO("reg-test-a", audit.SLO{Target: time.Millisecond, Goal: 0.9})
-	rec := &obs.QueryRecord{Shape: "s", Elapsed: time.Second}
-	if a.Events.Decide(rec); !rec.Slow || rec.SLOTarget != time.Millisecond {
-		t.Errorf("event log ignores its auditor's SLO: slow=%v target=%v", rec.Slow, rec.SLOTarget)
+	// target is the objective in force for a shape, as the keep decision
+	// sees it.
+	target := func(in *Instruments, shape string) time.Duration {
+		rec := &obs.QueryRecord{Shape: shape, Elapsed: 24 * time.Hour}
+		in.Decide(rec)
+		return rec.SLOTarget
 	}
-	if got := b.Audit.ShapeSLO("s"); got != (audit.SLO{}) {
-		t.Errorf("SetSLO on one backend leaked to another: %+v", got)
+	SetSLO("reg-test-a", audit.SLO{Target: time.Millisecond, Goal: 0.9})
+	if got := target(c, "s"); got != time.Millisecond {
+		t.Errorf("keep decision ignores its backend's SLO: target=%v", got)
+	}
+	if got := target(b, "s"); got != 0 {
+		t.Errorf("SetSLO on one backend leaked to another: %v", got)
 	}
 
 	def := audit.SLO{Target: time.Minute, Goal: 0.5}
+	a.SetShapeSLO("s", audit.SLO{Target: time.Second, Goal: 0.9})  // served already
+	a.SetShapeSLO("ss", audit.SLO{Target: time.Second, Goal: 0.9}) // not yet
 	SetSLO("", def)
 	defer SetSLO("", audit.SLO{})
-	if got := b.Audit.ShapeSLO("s"); got != def {
-		t.Errorf("default SLO did not reach an existing backend: %+v", got)
+	if got := target(b, "s"); got != def.Target {
+		t.Errorf("default SLO did not reach an existing backend's existing cell: %v", got)
 	}
-	if got := For("reg-test-later").Audit.ShapeSLO("s"); got != def {
-		t.Errorf("default SLO did not reach a future backend: %+v", got)
+	if got := target(b, "new-shape"); got != def.Target {
+		t.Errorf("default SLO did not reach an existing backend's new cell: %v", got)
+	}
+	if got := target(For("reg-test-later"), "s"); got != def.Target {
+		t.Errorf("default SLO did not reach a future backend: %v", got)
+	}
+	if s, ss, other := target(a, "s"), target(a, "ss"), target(a, "sss"); s != time.Second || ss != time.Second || other != def.Target {
+		t.Errorf("after a new default: overridden shapes %v / %v (want 1s each), the rest %v (want %v)", s, ss, other, def.Target)
+	}
+	if got := a.AuditReport().Shapes; len(got) != 3 || got[0].Shape != "s" || got[0].SLOTarget != time.Second {
+		t.Errorf("audit rows = %+v, want s/ss/sss with s under its 1s override", got)
 	}
 }
 
@@ -191,9 +219,9 @@ func sortedStrings(s []string) bool {
 	return true
 }
 
-// TestMetricsSink drives the first sink of the record: latency always,
-// the error counter on failure, and on success the per-device bucket
-// counters behind the live imbalance gauge.
+// TestMetricsSink drives the first thing the Audit step feeds: latency
+// always, the error counter on failure, and on success the per-device
+// bucket counters behind the live imbalance gauge.
 func TestMetricsSink(t *testing.T) {
 	m := NewClusterMetrics("metrics-sink-test", 2)
 	m.Started()

@@ -24,7 +24,7 @@ func eventsDoc(backend string, n int) map[string]backendEvents {
 		if backend != "" && in.Backend != backend {
 			continue
 		}
-		doc[in.Backend] = backendEvents{Stats: in.Events.Stats(), Events: in.Events.Recent(n)}
+		doc[in.Backend] = backendEvents{Stats: in.LogStats(), Events: in.Events(n)}
 	}
 	return doc
 }
@@ -95,7 +95,7 @@ func eventsHandler() http.Handler {
 				if backend != "" && in.Backend != backend {
 					continue
 				}
-				ch, cancel := in.Events.Subscribe()
+				ch, cancel := in.Subscribe()
 				feeds = append(feeds, ch)
 				cancels = append(cancels, cancel)
 			}

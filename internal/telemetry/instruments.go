@@ -11,27 +11,33 @@ import (
 	"fxdist/internal/obs"
 )
 
-// Instruments is one backend's reporting bundle: every sink the engine
-// executor hands a finished retrieval's query record to, in the order
-// it does so — Metrics, Audit (both inside the audit stage they are
-// measured by), then Profile, Flight and Events once the record is
-// sealed. All sinks no-op when nil, so a test can assemble a bundle of
-// just the private sinks it wants to inspect; an executor with no
-// bundle at all reports nothing.
+// Instruments is one backend's reporting bundle, and the store behind
+// its /debug views: the engine executor hands every finished retrieval's
+// query record to it in three steps — Audit (inside the audit stage it
+// is measured by), Decide once the stage has closed, Commit once the
+// record is sealed — and names no sink. An executor with no bundle at
+// all reports nothing.
 type Instruments struct {
-	Backend string
 	// Metrics are the owning cluster's whole-query Prometheus
 	// instruments; nil in the registry's shared bundle, set per cluster
 	// by WithMetrics.
 	Metrics *Metrics
-	Audit   *audit.Auditor
-	Profile *obs.CostProfiler
-	Flight  *obs.FlightRecorder
-	Events  *EventLog
+	// The store is held by pointer: every per-cluster copy accumulates
+	// into, and every view reads, the backend's one set of cells. It
+	// promotes Backend, the bundle's label, and the methods of cell.go
+	// and events.go.
+	*store
+}
+
+// New returns a bundle for one backend label with slo as its default
+// latency objective — private and unregistered, which is what a test
+// inspecting its own traffic wants; For is the registered one.
+func New(backend string, slo audit.SLO) *Instruments {
+	return &Instruments{store: newStore(backend, slo)}
 }
 
 // WithMetrics returns a copy of the bundle reporting whole-query
-// metrics to m; the other sinks stay shared with the registry.
+// metrics to m; the store stays shared with the registry.
 func (in *Instruments) WithMetrics(m *Metrics) *Instruments {
 	c := *in
 	c.Metrics = m
@@ -48,25 +54,14 @@ var (
 	defaultSLO audit.SLO
 )
 
-// For returns backend's bundle, creating it on first use: an auditor
-// under the process default SLO, a cost profiler, a flight recorder
-// with DefaultFlightSlots, and an event log on DefaultEventConfig whose
-// slow threshold is the auditor's SLO target for the shape.
+// For returns backend's bundle, creating it on first use under the
+// process default SLO.
 func For(backend string) *Instruments {
 	regMu.Lock()
 	defer regMu.Unlock()
 	in := backends[backend]
 	if in == nil {
-		a := audit.New(backend, defaultSLO)
-		cfg := DefaultEventConfig
-		cfg.SlowFor = func(shape string) time.Duration { return a.ShapeSLO(shape).Target }
-		in = &Instruments{
-			Backend: backend,
-			Audit:   a,
-			Profile: obs.NewCostProfiler(backend),
-			Flight:  obs.NewFlightRecorder(backend, obs.DefaultFlightSlots),
-			Events:  NewEventLog(backend, cfg),
-		}
+		in = New(backend, defaultSLO)
 		backends[backend] = in
 	}
 	return in
@@ -85,18 +80,18 @@ func All() []*Instruments {
 }
 
 // SetSLO sets the default latency objective for one backend's shapes
-// (overridable per shape on its Auditor). backend "" applies to every
+// (overridable per shape with SetShapeSLO). backend "" applies to every
 // registered backend and becomes the default for future ones.
 func SetSLO(backend string, slo audit.SLO) {
 	if backend != "" {
-		For(backend).Audit.SetSLO(slo)
+		For(backend).SetSLO(slo)
 		return
 	}
 	regMu.Lock()
 	defaultSLO = slo
 	regMu.Unlock()
 	for _, in := range All() {
-		in.Audit.SetSLO(slo)
+		in.SetSLO(slo)
 	}
 }
 
@@ -106,7 +101,7 @@ func AuditReport() []audit.BackendReport {
 	all := All()
 	out := make([]audit.BackendReport, len(all))
 	for i, in := range all {
-		out[i] = in.Audit.Report()
+		out[i] = in.AuditReport()
 	}
 	return out
 }
@@ -116,19 +111,19 @@ func AuditReport() []audit.BackendReport {
 func CostReport() []obs.BackendCost {
 	var out []obs.BackendCost
 	for _, in := range All() {
-		if r := in.Profile.Report(); len(r.Shapes) > 0 {
+		if r := in.CostReport(); len(r.Shapes) > 0 {
 			out = append(out, r)
 		}
 	}
 	return out
 }
 
-// FlightReport snapshots every backend's flight recorder, sorted by
+// FlightReport snapshots every backend's slowest queries, sorted by
 // backend; backends with no records are omitted.
 func FlightReport() []obs.BackendFlights {
 	var out []obs.BackendFlights
 	for _, in := range All() {
-		if r := in.Flight.Report(); len(r.Shapes) > 0 {
+		if r := in.FlightReport(); len(r.Shapes) > 0 {
 			out = append(out, r)
 		}
 	}
@@ -150,8 +145,8 @@ func init() {
 	))
 }
 
-// Metrics are one cluster's whole-query instruments — the first sink of
-// the query record. Retrieves, Errors and Latency are required;
+// Metrics are one cluster's whole-query instruments — the first thing the
+// Audit step feeds. Retrieves, Errors and Latency are required;
 // DeviceBuckets and Imbalance are the storage clusters' load-balance
 // view and may be nil.
 //

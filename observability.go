@@ -88,7 +88,7 @@ func OptimalityReport() []BackendAudit { return telemetry.AuditReport() }
 // cluster's backend; this package-level form clears every backend.
 func ResetAudit() {
 	for _, in := range telemetry.All() {
-		in.Audit.Reset()
+		in.ResetAudit()
 	}
 }
 
@@ -107,12 +107,9 @@ type LatencySLO = audit.SLO
 type QueryEvent = telemetry.Event
 
 // QueryLogStats summarises one backend's event log: seen/kept counts
-// and the sampling configuration.
+// and the (fixed) sampling policy — ring of 1024, the first 8 of a
+// shape, then 1 in 16.
 type QueryLogStats = telemetry.LogStats
-
-// QueryLogConfig tunes a backend's event sampling (ring capacity, head
-// events per shape, 1-in-N tail sampling).
-type QueryLogConfig = telemetry.Config
 
 // ContextWithCaller attributes every retrieval under ctx to caller (a
 // tenant name, a job id, ...): the wide-event query log records it as
@@ -134,18 +131,12 @@ func ContextWithCallers(ctx context.Context, callers []string) context.Context {
 // QueryEvents returns up to n recent kept events of one backend
 // ("memory", "durable", "replicated", "netdist"), most recent first.
 func QueryEvents(backend string, n int) []QueryEvent {
-	return telemetry.For(backend).Events.Recent(n)
+	return telemetry.For(backend).Events(n)
 }
 
 // QueryLogStatsFor returns one backend's event-log statistics.
 func QueryLogStatsFor(backend string) QueryLogStats {
-	return telemetry.For(backend).Events.Stats()
-}
-
-// ConfigureQueryLog replaces one backend's event sampling configuration
-// (zero fields keep their defaults) and clears its ring.
-func ConfigureQueryLog(backend string, cfg QueryLogConfig) {
-	telemetry.For(backend).Events.Configure(cfg)
+	return telemetry.For(backend).LogStats()
 }
 
 // Metrics federation: a netdist coordinator pulls every device server's
@@ -166,13 +157,15 @@ type FleetNodeStats = telemetry.NodeStats
 func FleetReports() map[string]FleetReport { return telemetry.FleetReports() }
 
 // Tail-based trace retention: the trace ring is a short staging window;
-// queries that end up mattering (errors, SLO-slow, bound violations,
-// plus a uniform sample) have their complete span trees copied into a
-// decision buffer before the ring evicts them. Histogram exemplars link
-// latency buckets to the retained trace ids (see /metrics?exemplars=1).
+// a query whose wide event is kept (errors, SLO-slow, bound violations,
+// plus the per-shape head and 1-in-16 sample) has its complete span tree
+// copied into a buffer of the newest 64 before the ring evicts it — one
+// decision, so a kept event's trace_id resolves here while it is among
+// the newest 64 kept. Histogram exemplars link latency buckets to the
+// retained trace ids (see /metrics?exemplars=1).
 
 // RetainedTrace is one kept span tree plus why it was kept ("error",
-// "slow", "bound" or "sample").
+// "slow", "bound", "head" or "sample").
 type RetainedTrace = obs.RetainedTrace
 
 // RetainedTraces returns up to n retained traces, most recently kept
@@ -185,13 +178,6 @@ func RetainedTraces(n int) []RetainedTrace {
 // recovery path from a histogram exemplar's trace_id to the full tree.
 func RetainedTraceByID(traceID uint64) (RetainedTrace, bool) {
 	return obs.DefaultTracer().RetainedTrace(traceID)
-}
-
-// SetTraceRetention tunes the decision buffer: capacity bounds how many
-// traces stay recoverable, sampleEvery keeps 1 in N ordinary queries
-// alongside the always-keep rules (0 keeps either default).
-func SetTraceRetention(capacity, sampleEvery int) {
-	obs.DefaultTracer().SetRetention(capacity, sampleEvery)
 }
 
 // SetLogLevel tunes the runtime logger: "debug", "info", "warn",

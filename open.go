@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"fxdist/internal/audit"
+	"fxdist/internal/engine"
 	"fxdist/internal/netdist"
 	"fxdist/internal/plancache"
 	"fxdist/internal/retry"
@@ -446,12 +447,19 @@ func (c *Cluster) Retrieve(pm PartialMatch) (RetrieveResult, error) {
 func (c *Cluster) RetrieveBatch(ctx context.Context, pms []PartialMatch) ([]RetrieveResult, error) {
 	// During a rescale window, run the batch query-by-query through
 	// the epoch-aware path (dual reads don't batch across epochs). One
-	// query's failure is its own: the rest of the batch still runs.
+	// query's failure is its own: the rest of the batch still runs. Each
+	// query keeps its own caller (ContextWithCallers), so a gate round's
+	// wide events carry their tenants through the window too.
 	if r := c.resc.Load(); r != nil && r.intercepting() {
 		out := make([]RetrieveResult, len(pms))
 		var failed []error
+		callers := engine.CallersFromContext(ctx)
 		for i, pm := range pms {
-			res, err := c.RetrieveContext(ctx, pm)
+			qctx := ctx
+			if i < len(callers) {
+				qctx = ContextWithCaller(ctx, callers[i])
+			}
+			res, err := c.RetrieveContext(qctx, pm)
 			if err != nil {
 				failed = append(failed, &QueryError{Index: i, Err: err})
 				continue
@@ -489,7 +497,7 @@ func (c *Cluster) PlanCache() PlanCacheStats { return c.backend().PlanCache().St
 // SetLatencySLO sets the default latency objective for every query
 // shape served by this cluster's backend kind: at least goal (e.g.
 // 0.99) of queries must complete within target. The objective is
-// backend-wide (all clusters of one kind share an auditor).
+// backend-wide (all clusters of one kind share one audit).
 func (c *Cluster) SetLatencySLO(target time.Duration, goal float64) {
 	telemetry.SetSLO(c.kind, audit.SLO{Target: target, Goal: goal})
 }
@@ -497,20 +505,26 @@ func (c *Cluster) SetLatencySLO(target time.Duration, goal float64) {
 // SetShapeLatencySLO overrides the latency objective for one query
 // shape of this cluster's backend kind.
 func (c *Cluster) SetShapeLatencySLO(shape string, target time.Duration, goal float64) {
-	telemetry.For(c.kind).Audit.SetShapeSLO(shape, audit.SLO{Target: target, Goal: goal})
+	telemetry.For(c.kind).SetShapeSLO(shape, audit.SLO{Target: target, Goal: goal})
 }
 
 // OptimalityReport snapshots the strict-optimality audit of this
 // cluster's backend kind: per-shape violation counts against the
 // paper's ceil(|R(q)|/M) bound and SLO state.
 func (c *Cluster) OptimalityReport() BackendAudit {
-	return telemetry.For(c.kind).Audit.Report()
+	return telemetry.For(c.kind).AuditReport()
 }
+
+// BurnRate is one query shape's current SLO burn rate on this cluster's
+// backend kind (OptimalityReport's slo_burn_rate for the shape, without
+// the report): the number a front door's admission control reads per
+// request. 0 without an objective or before the shape was served.
+func (c *Cluster) BurnRate(shape string) float64 { return telemetry.For(c.kind).BurnRate(shape) }
 
 // ResetAudit zeroes the accumulated audit state of this cluster's
 // backend kind (mirrored Prometheus counters stay monotonic;
 // configured SLOs are kept).
-func (c *Cluster) ResetAudit() { telemetry.For(c.kind).Audit.Reset() }
+func (c *Cluster) ResetAudit() { telemetry.For(c.kind).ResetAudit() }
 
 // PlanCacheReport snapshots every live plan cache in the process,
 // sorted by backend — the programmatic /debug/plancache.

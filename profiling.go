@@ -58,13 +58,13 @@ func WriteCostReport(w io.Writer, report []BackendCost) { obs.WriteCostReport(w,
 // ResetCostProfilers zeroes every backend's accumulated cost profile.
 func ResetCostProfilers() {
 	for _, in := range telemetry.All() {
-		in.Profile.Reset()
+		in.ResetCosts()
 	}
 }
 
 // CostReport snapshots this cluster's backend-kind cost profile.
 func (c *Cluster) CostReport() BackendCost {
-	return telemetry.For(c.kind).Profile.Report()
+	return telemetry.For(c.kind).CostReport()
 }
 
 // FlightDevice is one device's share of a recorded slow query.
@@ -92,13 +92,13 @@ func WriteFlightReport(w io.Writer, report []BackendFlights) { obs.WriteFlightRe
 // ResetFlightRecorders clears every backend's retained flight records.
 func ResetFlightRecorders() {
 	for _, in := range telemetry.All() {
-		in.Flight.Reset()
+		in.ResetFlights()
 	}
 }
 
 // FlightReport snapshots this cluster's backend-kind flight recorder.
 func (c *Cluster) FlightReport() BackendFlights {
-	return telemetry.For(c.kind).Flight.Report()
+	return telemetry.For(c.kind).FlightReport()
 }
 
 // TriggeredProfilingConfig bounds automatic pprof capture: when a query

@@ -163,8 +163,8 @@ func (c *Cluster) Rescale(ctx context.Context, cfg RescaleConfig) (*Rescale, err
 	if err != nil {
 		return nil, fmt.Errorf("fxdist: dial new-epoch coordinator: %w", err)
 	}
-	nextAudit := telemetry.For(rescaleBackend).Audit
-	nextAudit.Reset()
+	next := telemetry.For(rescaleBackend)
+	next.ResetAudit()
 
 	r := &Rescale{c: c, newCoord: newCoord, done: make(chan struct{})}
 	r.dual = &engine.DualReader{
@@ -192,7 +192,7 @@ func (c *Cluster) Rescale(ctx context.Context, cfg RescaleConfig) (*Rescale, err
 		BeforeRollback: r.leaveNewEpoch,
 	}
 	if !cfg.DisableGuard {
-		dcfg.Guard = rebalance.AuditGuard(nextAudit.Report, cfg.NewM, cfg.GuardMinQueries)
+		dcfg.Guard = rebalance.AuditGuard(next.AuditReport, cfg.NewM, cfg.GuardMinQueries)
 	}
 	driver, err := rebalance.NewDriver(dcfg)
 	if err != nil {

@@ -265,6 +265,14 @@ func TestRescaleGrowUnderFaults(t *testing.T) {
 			}
 		}
 	}()
+	// Joined on every way out, t.Fatalf included: a pump that outlives
+	// the test turns one failure into a "Log in goroutine after test
+	// completed" panic that takes the whole package down.
+	stopPumping := sync.OnceFunc(func() {
+		close(stopPump)
+		wg.Wait()
+	})
+	defer stopPumping()
 
 	in := fxdist.NewFaultInjector("chaos-rescale", 7, map[int]fxdist.FaultSchedule{
 		5: {FlapEvery: 3},
@@ -285,8 +293,7 @@ func TestRescaleGrowUnderFaults(t *testing.T) {
 	if err := resc.Wait(); err != nil {
 		t.Fatalf("rescale under faults: %v (status %+v)", err, resc.Status())
 	}
-	close(stopPump)
-	wg.Wait()
+	stopPumping()
 	if n := failed.Load(); n != 0 {
 		t.Fatalf("%d queries failed during the faulted rescale", n)
 	}
@@ -373,11 +380,32 @@ func TestRescaleAbortRollsBack(t *testing.T) {
 	// reads. One query's failure is that query's: the batch finishes,
 	// the error names the index, the neighbours keep their answers (a
 	// gate demultiplexes this batch to three different tenants).
+	// Each query also keeps its own tenant: under a 1ns objective every
+	// query is slow, hence always kept, so the old-epoch leg of each dual
+	// read leaves a wide event — and every one of them names its caller.
 	good := rescaleQueries(t, file)
-	results, err := cl.RetrieveBatch(ctx, []fxdist.PartialMatch{good[0], {nil}, good[1]})
+	cl.SetLatencySLO(time.Nanosecond, 0.99)
+	batchStart := time.Now()
+	results, err := cl.RetrieveBatch(fxdist.ContextWithCallers(ctx, []string{"acme", "nobody", "globex"}),
+		[]fxdist.PartialMatch{good[0], {nil}, good[1]})
 	var qe *fxdist.QueryError
 	if !errors.As(err, &qe) || qe.Index != 1 {
 		t.Fatalf("batch with a malformed query 1 inside the window: error %v, want a QueryError for index 1", err)
+	}
+	// A dual read returns with its winner; the losing leg reports when it
+	// gets there, so wait for both old-epoch events before looking.
+	tenants := map[string]int{}
+	for deadline := time.Now().Add(10 * time.Second); tenants["acme"]+tenants["globex"] < 2 && time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		clear(tenants)
+		for _, ev := range fxdist.QueryEvents(cl.Kind(), 64) {
+			if !ev.Time.Before(batchStart) {
+				tenants[ev.Tenant]++
+			}
+		}
+	}
+	cl.SetLatencySLO(0, 0)
+	if len(tenants) != 2 || tenants["acme"] != 1 || tenants["globex"] != 1 {
+		t.Fatalf("wide events of a two-tenant batch inside the window carry tenants %v, want one of acme and one of globex", tenants)
 	}
 	for i, pm := range map[int]fxdist.PartialMatch{0: good[0], 2: good[1]} {
 		want, err := file.Search(pm)

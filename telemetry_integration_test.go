@@ -56,20 +56,10 @@ func buildTelemetryFile(t *testing.T) (*fxdist.File, *fxdist.Modulo) {
 // counts must equal the sum of the per-node counters, the faulted node
 // flagged, and a bound-violating Modulo query always kept in the wide-
 // event log — with its full trace tree recoverable through the latency
-// histogram's exemplar — even at 1% uniform sampling.
+// histogram's exemplar, and still recoverable after more unremarkable
+// kept queries than the retention buffer holds trees.
 func TestClusterTelemetryPlane(t *testing.T) {
-	// <10% sampling: no head-keep, 1-in-100 uniform. Always-keep rules
-	// are the only way an event survives in a short test.
-	ev := telemetry.For("netdist").Events
-	ev.Reset()
-	ev.Configure(telemetry.Config{Capacity: 256, HeadPerShape: 0, SampleEvery: 100})
-	t.Cleanup(func() {
-		ev.Configure(telemetry.DefaultEventConfig)
-		ev.Reset()
-	})
-	tracer := obs.DefaultTracer()
-	tracer.SetRetention(256, 0) // always-keep only: exemplars stay deterministic
-	t.Cleanup(func() { tracer.SetRetention(obs.DefaultRetainedTraces, obs.DefaultSampleEvery) })
+	ev := telemetry.For("netdist")
 
 	file, alloc := buildTelemetryFile(t)
 	allocSpec, err := fxdist.DescribeAllocator(alloc)
@@ -117,8 +107,7 @@ func TestClusterTelemetryPlane(t *testing.T) {
 		t.Fatalf("baseline stats pull: %v", err)
 	}
 
-	// Healthy traffic: 5 queries of shape s** — all below the sampling
-	// floor, so none should be kept.
+	// Healthy traffic: 5 queries of shape s**.
 	pmX, err := file.Spec(map[string]string{"x": "x-1"})
 	if err != nil {
 		t.Fatal(err)
@@ -247,16 +236,18 @@ func TestClusterTelemetryPlane(t *testing.T) {
 		t.Errorf("merged total %d, per-node sum %d", rep.Summary.Queries, perNodeTotal)
 	}
 
-	// The bound-violating query must be in the event log despite the 1%
-	// sampling floor, kept for the bound reason...
-	var bound *telemetry.Event
-	recent := ev.Recent(256)
-	for i := range recent {
-		if recent[i].BoundViolation {
-			bound = &recent[i]
-			break
+	// The bound-violating query must be in the event log, kept for the
+	// bound reason — whatever beat its shape's sampler was on...
+	findBound := func() *telemetry.Event {
+		recent := ev.Events(1024)
+		for i := range recent {
+			if recent[i].TraceID == res.TraceID {
+				return &recent[i]
+			}
 		}
+		return nil
 	}
+	bound := findBound()
 	if bound == nil {
 		t.Fatal("bound-violating query not kept in the event log")
 	}
@@ -270,13 +261,6 @@ func TestClusterTelemetryPlane(t *testing.T) {
 	if bound.TraceID == 0 || bound.TraceID != res.TraceID {
 		t.Errorf("bound event trace id %d, result trace id %d", bound.TraceID, res.TraceID)
 	}
-	// ...while the sub-floor healthy shape was sampled out entirely.
-	for _, e := range recent {
-		if e.Shape == "s**" {
-			t.Errorf("shape s** event kept (%v) below the sampling floor", e.Keep)
-		}
-	}
-
 	// Exemplar loop: latency bucket → trace ID → retained tree.
 	tid := bound.TraceID
 	var exemplarHit bool
@@ -293,15 +277,111 @@ func TestClusterTelemetryPlane(t *testing.T) {
 	if !exemplarHit {
 		t.Error("no latency histogram exemplar points at the bound-violating trace")
 	}
-	rt, ok := tracer.RetainedTrace(tid)
+
+	// ...and it survives sampling: push more unremarkable kept queries
+	// through than the retention buffer holds trees (each displaces a
+	// head/sample tree, never an always-keep one) and the event and its
+	// tree are both still there.
+	kept0 := ev.LogStats().Kept
+	for ev.LogStats().Kept-kept0 < 2*obs.RetainedTraces {
+		if _, err := coord.RetrieveContext(ctx, pmX); err != nil {
+			t.Fatalf("healthy query after the violation: %v", err)
+		}
+	}
+	if findBound() == nil {
+		t.Errorf("bound-violating event displaced by %d later kept events", 2*obs.RetainedTraces)
+	}
+	rt, ok := fxdist.RetainedTraceByID(tid)
 	if !ok {
-		t.Fatalf("trace %d not retained", tid)
+		t.Fatalf("trace %d not retained after %d later kept queries", tid, 2*obs.RetainedTraces)
 	}
 	if rt.Reason != obs.KeepBound {
 		t.Errorf("trace %d retained for %q, want %q", tid, rt.Reason, obs.KeepBound)
 	}
-	if rt.Root.TraceID != tid {
-		t.Errorf("retained tree root trace id %d, want %d", rt.Root.TraceID, tid)
+	if rt.Root.TraceID != tid || len(rt.Root.Children) != m {
+		t.Errorf("retained tree: root trace id %d with %d children, want %d with one per device (%d)", rt.Root.TraceID, len(rt.Root.Children), tid, m)
+	}
+}
+
+// TestKeptEventHasRetainedTrace is the joining property of the one keep
+// decision: over mixed-shape traffic on the shipped policy, every one of
+// the newest kept events resolves to its retained trace tree by trace ID,
+// and every tree retained meanwhile belongs to a kept event. Always-keep
+// trees left in the process-wide buffer by earlier tests are displaced
+// only by newer always-keep trees, so they are counted out of the buffer
+// first; this test's own traffic trips no always-keep rule.
+func TestKeptEventHasRetainedTrace(t *testing.T) {
+	file := buildTestFile(t)
+	fs, err := file.FileSystem(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	alloc, err := fxdist.NewFX(fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cluster, err := fxdist.Open(fxdist.Config{File: file, Allocator: alloc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Close()
+
+	pinned := 0
+	before := make(map[uint64]bool)
+	for _, rt := range fxdist.RetainedTraces(obs.RetainedTraces) {
+		before[rt.TraceID] = true
+		if rt.Reason != obs.KeepHead && rt.Reason != obs.KeepSample {
+			pinned++
+		}
+	}
+	room := obs.RetainedTraces - pinned
+	if room < obs.RetainedTraces/2 {
+		t.Fatalf("%d always-keep trees from earlier tests leave %d of %d slots", pinned, room, obs.RetainedTraces)
+	}
+
+	// 4 shapes (every subset of the 2 fields), 1 280 retrievals: 20
+	// sampled per shape even when an earlier test used up the heads.
+	const retrievals = 1280
+	stats0 := fxdist.QueryLogStatsFor(cluster.Kind())
+	for i := 0; i < retrievals; i++ {
+		q := map[string]string{}
+		for bit, name := range []string{"a", "b"} {
+			if i&(1<<bit) != 0 {
+				q[name] = fmt.Sprintf("%s-%d", name, (i>>2)%15)
+			}
+		}
+		pm, err := file.Spec(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cluster.Retrieve(pm); err != nil {
+			t.Fatalf("retrieval %d: %v", i, err)
+		}
+	}
+	stats := fxdist.QueryLogStatsFor(cluster.Kind())
+	kept := int(stats.Kept - stats0.Kept)
+	if stats.Seen-stats0.Seen != retrievals || kept < obs.RetainedTraces {
+		t.Fatalf("log saw %d of %d retrievals and kept %d, want at least %d kept", stats.Seen-stats0.Seen, retrievals, kept, obs.RetainedTraces)
+	}
+
+	events := fxdist.QueryEvents(cluster.Kind(), kept)
+	mine := make(map[uint64]bool, len(events))
+	for i, ev := range events {
+		mine[ev.TraceID] = true
+		if i >= room {
+			continue
+		}
+		rt, ok := fxdist.RetainedTraceByID(ev.TraceID)
+		if !ok {
+			t.Errorf("kept event %d of the newest %d (trace %d, keep %v) has no retained trace", i, room, ev.TraceID, ev.Keep)
+		} else if rt.Reason != ev.Keep[0] {
+			t.Errorf("trace %d retained for %q, its event kept for %v", ev.TraceID, rt.Reason, ev.Keep)
+		}
+	}
+	for _, rt := range fxdist.RetainedTraces(obs.RetainedTraces) {
+		if !mine[rt.TraceID] && !before[rt.TraceID] {
+			t.Errorf("retained trace %d (%s) belongs to no kept event", rt.TraceID, rt.Reason)
+		}
 	}
 }
 
