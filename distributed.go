@@ -7,6 +7,7 @@ import (
 	"fxdist/internal/decluster"
 	"fxdist/internal/netdist"
 	"fxdist/internal/persist"
+	"fxdist/internal/storage"
 )
 
 // AllocatorSpec is a serializable allocator description — everything a
@@ -43,6 +44,11 @@ type DeviceError = netdist.DeviceError
 // coordinator's timeout; match with errors.Is.
 var ErrRequestTimeout = netdist.ErrTimeout
 
+// Partition is the records one device holds, keyed by linear bucket
+// index — what PartitionFile returns per device and a device server is
+// built from. A plain map[int][]Record is assignable to it.
+type Partition = storage.Partition
+
 // NewDeviceServer builds a device server from an allocator spec and the
 // device's bucket partition (see PartitionFile).
 func NewDeviceServer(deviceID int, spec AllocatorSpec, buckets map[int][]Record) (*DeviceServer, error) {
@@ -51,8 +57,8 @@ func NewDeviceServer(deviceID int, spec AllocatorSpec, buckets map[int][]Record)
 
 // PartitionFile splits a file's non-empty buckets into per-device
 // partitions under the allocator, keyed by linear bucket index.
-func PartitionFile(file *File, alloc GroupAllocator) ([]map[int][]Record, error) {
-	return netdist.Partition(file, alloc)
+func PartitionFile(file *File, alloc GroupAllocator) ([]Partition, error) {
+	return storage.Split(file, alloc)
 }
 
 // DeployLocal partitions the file and starts one device server per device

@@ -234,11 +234,11 @@ func requestSize(req *Request) int {
 	for _, v := range req.Spec {
 		n += uvarintLen(zigzag(int64(v)))
 	}
-	n += uvarintLen(uint64(len(req.Specified)))
-	for i, sp := range req.Specified {
+	n += uvarintLen(uint64(len(req.Match)))
+	for _, v := range req.Match {
 		n++
-		if sp {
-			n += stringSize(req.Values[i])
+		if v != nil {
+			n += stringSize(*v)
 		}
 	}
 	if req.hasRescaleExt() {
@@ -270,11 +270,11 @@ func appendRequest(b []byte, req *Request) []byte {
 	for _, v := range req.Spec {
 		b = appendUvarint(b, zigzag(int64(v)))
 	}
-	b = appendUvarint(b, uint64(len(req.Specified)))
-	for i, sp := range req.Specified {
-		if sp {
+	b = appendUvarint(b, uint64(len(req.Match)))
+	for _, v := range req.Match {
+		if v != nil {
 			b = append(b, 1)
-			b = appendString(b, req.Values[i])
+			b = appendString(b, *v)
 		} else {
 			b = append(b, 0)
 		}
@@ -338,9 +338,11 @@ func decodeRequest(buf []byte, req *Request) error {
 	if nf > uint64(len(buf)) {
 		return errFrameCorrupt
 	}
-	req.Specified = make([]bool, nf)
-	req.Values = make([]string, nf)
-	for i := range req.Specified {
+	// The filters decode straight into the match the record loop takes:
+	// one slab of values, one of pointers into it.
+	values := make([]string, nf)
+	req.Match = make(mkhash.PartialMatch, nf)
+	for i := range values {
 		sp, err := f.byte()
 		if err != nil {
 			return err
@@ -349,12 +351,12 @@ func decodeRequest(buf []byte, req *Request) error {
 			return errFrameCorrupt
 		}
 		if sp == 1 {
-			req.Specified[i] = true
 			v, err := f.bytes()
 			if err != nil {
 				return err
 			}
-			req.Values[i] = string(v)
+			values[i] = string(v)
+			req.Match[i] = &values[i]
 		}
 	}
 	if flags&4 != 0 {

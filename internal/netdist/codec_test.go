@@ -15,6 +15,7 @@ import (
 	"fxdist/internal/mempool"
 	"fxdist/internal/mkhash"
 	"fxdist/internal/query"
+	"fxdist/internal/storage"
 )
 
 func str(s string) *string { return &s }
@@ -26,9 +27,8 @@ func sampleRequests() []Request {
 		NewRequest([]int{3, query.Unspecified, 0}, mkhash.PartialMatch{str("alpha"), nil, str("")}),
 		{
 			ID: 1<<63 + 5, TraceID: 42, ParentSpan: 99, AsDevice: 3,
-			Spec:      []int{0, 1, query.Unspecified, 7},
-			Specified: []bool{true, false, true, true},
-			Values:    []string{"héllo", "", "x\x00y", "long-" + string(make([]byte, 300))},
+			Spec:  []int{0, 1, query.Unspecified, 7},
+			Match: mkhash.PartialMatch{str("héllo"), nil, str("x\x00y"), str("long-" + string(make([]byte, 300)))},
 		},
 	}
 }
@@ -47,8 +47,8 @@ func TestRequestBinaryRoundTrip(t *testing.T) {
 		if req.Spec == nil {
 			req.Spec = []int{}
 		}
-		if req.Specified == nil {
-			req.Specified, req.Values = []bool{}, []string{}
+		if req.Match == nil {
+			req.Match = mkhash.PartialMatch{}
 		}
 		if !reflect.DeepEqual(req, got) {
 			t.Fatalf("case %d: round trip mismatch:\nsent %+v\ngot  %+v", i, req, got)
@@ -291,7 +291,7 @@ func TestDialHandshakesInOneDial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parts, err := Partition(file, fx)
+	parts, err := storage.Split(file, fx)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,12 +3,14 @@ package netdist
 import (
 	"context"
 	"errors"
+	"reflect"
 	"sort"
 	"testing"
 	"time"
 
 	"fxdist/internal/decluster"
 	"fxdist/internal/mkhash"
+	"fxdist/internal/storage"
 )
 
 // Healthy replicated deployment answers exactly like the local search.
@@ -35,6 +37,54 @@ func TestReplicatedDeployHealthy(t *testing.T) {
 	if len(got.Records) != len(want) {
 		t.Fatalf("got %d records, want %d", len(got.Records), len(want))
 	}
+
+	// The three holders of device d's partition — server d's serving view,
+	// server d+1's backup view, the in-memory cluster's device d — run one
+	// record loop: same buckets, same records scanned, same hits in the
+	// same order (the executor merges in device order, so the cluster's
+	// records are the devices' hit frames end to end).
+	mem, err := storage.NewCluster(file, fx, storage.MainMemory)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pairs := range []map[string]string{
+		{"supplier": "sup4"}, {"warehouse": "wh3"}, {"part": "part7", "warehouse": "wh2"},
+		{"part": "part0", "supplier": "sup0", "warehouse": "wh0"}, {"supplier": "no-such"}, {},
+	} {
+		pm, _ := file.Spec(pairs)
+		q, _ := file.BucketQuery(pm)
+		ref, err := mem.Retrieve(pm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		off := 0
+		for d := 0; d < fs.M; d++ {
+			own, _, _, _, err := coord.conns[d].roundTrip(context.Background(), NewRequest(q.Spec, pm), 0)
+			if err != nil || own.Err != "" {
+				t.Fatalf("%v: server %d as itself: %v %s", pairs, d, err, own.Err)
+			}
+			asReq := NewRequest(q.Spec, pm)
+			asReq.AsDevice = d
+			as, _, _, _, err := coord.conns[(d+1)%fs.M].roundTrip(context.Background(), asReq, 0)
+			if err != nil || as.Err != "" {
+				t.Fatalf("%v: server %d as device %d: %v %s", pairs, (d+1)%fs.M, d, err, as.Err)
+			}
+			if own.Buckets != ref.DeviceBuckets[d] || as.Buckets != own.Buckets ||
+				own.Scanned != ref.DeviceRecords[d] || as.Scanned != own.Scanned {
+				t.Errorf("%v device %d: buckets/scanned own %d/%d, backup %d/%d, cluster %d/%d", pairs, d,
+					own.Buckets, own.Scanned, as.Buckets, as.Scanned, ref.DeviceBuckets[d], ref.DeviceRecords[d])
+			}
+			if off+len(own.Records) > len(ref.Records) ||
+				!reflect.DeepEqual(own.Records, as.Records) ||
+				(len(own.Records) > 0 && !reflect.DeepEqual(own.Records, ref.Records[off:off+len(own.Records)])) {
+				t.Fatalf("%v device %d: the three views disagree on the records or their order", pairs, d)
+			}
+			off += len(own.Records)
+		}
+		if off != len(ref.Records) {
+			t.Errorf("%v: servers returned %d records, cluster %d", pairs, off, len(ref.Records))
+		}
+	}
 }
 
 // Killing one server: a coordinator dialed WithFailover still returns
@@ -51,7 +101,7 @@ func TestFailoverSurvivesOneServerDeath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parts, err := Partition(file, fx)
+	parts, err := storage.Split(file, fx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +206,7 @@ func TestNewReplicatedServerValidation(t *testing.T) {
 	fs, _ := file.FileSystem(4)
 	fx := decluster.MustFX(fs)
 	spec, _ := decluster.SpecOf(fx)
-	parts, _ := Partition(file, fx)
+	parts, _ := storage.Split(file, fx)
 	// Device 1's backup must be device 0's partition, not device 2's.
 	if len(parts[2]) == 0 {
 		t.Skip("device 2 holds no buckets")

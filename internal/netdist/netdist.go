@@ -25,16 +25,15 @@ import (
 	"time"
 
 	"fxdist/internal/decluster"
-	"fxdist/internal/mempool"
+	"fxdist/internal/engine"
 	"fxdist/internal/mkhash"
 	"fxdist/internal/obs"
 	"fxdist/internal/query"
+	"fxdist/internal/storage"
 	"fxdist/internal/telemetry"
 )
 
-// Request is one coordinator-to-device message. The value filters travel
-// as parallel Specified/Values slices so the codec stays simple: one
-// presence byte per field, then the value.
+// Request is one coordinator-to-device message.
 type Request struct {
 	// ID matches the response to its request; requests pipeline over one
 	// connection. Assigned by the coordinator.
@@ -42,10 +41,10 @@ type Request struct {
 	// Spec is the hashed bucket-level query (query.Unspecified for free
 	// fields).
 	Spec []int
-	// Specified[i] reports whether field i carries a value filter in
-	// Values[i]. Devices re-check record values because hashing collides.
-	Specified []bool
-	Values    []string
+	// Match carries the value filters (nil for a free field): devices
+	// re-check record values because hashing collides. On the wire each
+	// field is one presence byte, then the value.
+	Match mkhash.PartialMatch
 	// AsDevice, when >= 0 and not the server's own id, asks a replicated
 	// server to answer from the backup partition it holds for that device
 	// (coordinator failover). NewRequest sets it to -1.
@@ -117,19 +116,7 @@ const (
 // NewRequest builds the wire request for a hashed query and its
 // value-level filters.
 func NewRequest(spec []int, pm mkhash.PartialMatch) Request {
-	req := Request{
-		Spec:      spec,
-		Specified: make([]bool, len(pm)),
-		Values:    make([]string, len(pm)),
-		AsDevice:  -1,
-	}
-	for i, v := range pm {
-		if v != nil {
-			req.Specified[i] = true
-			req.Values[i] = *v
-		}
-	}
-	return req
+	return Request{Spec: spec, Match: pm, AsDevice: -1}
 }
 
 // Response is one device-to-coordinator message.
@@ -160,24 +147,20 @@ type Response struct {
 // Server is one device's network frontend.
 type Server struct {
 	deviceID int
-	// dataMu guards the epoch views (spec, fs, im, buckets, epoch,
-	// next): queries take the read side, rescale control ops the write
-	// side. Outside a rescale the lock is uncontended.
-	dataMu  sync.RWMutex
-	spec    decluster.Spec
-	fs      decluster.FileSystem
-	im      *query.InverseMapper
-	buckets map[int][]mkhash.Record
-	// epoch is the current declustering epoch; next, when non-nil, is
-	// the prepared next-epoch view of an in-flight rescale (see
-	// Request.Epoch and the Op* control operations).
-	epoch int
-	next  *nextView
-	// Replication (NewReplicatedServer): the backup partition held for
-	// the ring predecessor.
-	backup    map[int][]mkhash.Record
-	backupFor int
-	hasBackup bool
+	// dataMu guards the views and the partitions behind them: queries
+	// take the read side, rescale control ops the write side. Outside a
+	// rescale the lock is uncontended.
+	dataMu sync.RWMutex
+	// cur is the serving view at epoch; next, when non-nil, is the
+	// prepared next-epoch view of an in-flight rescale over the same
+	// partition (see Request.Epoch and the Op* control operations);
+	// backup, when non-nil, is the ring predecessor's partition under the
+	// serving allocator (NewReplicatedServer). viewFor picks among them.
+	cur, next, backup *view
+	epoch             int
+	// installed tracks buckets written during the prepared rescale so
+	// Abort can delete exactly them.
+	installed map[int]struct{}
 
 	sm     serverMetrics
 	reg    *obs.Registry
@@ -199,36 +182,53 @@ type Server struct {
 	closed    bool
 }
 
-// NewServer builds a device server from a serialized allocator spec and
-// the device's bucket partition (keyed by FileSystem.Linear index). The
-// server verifies that every bucket it is handed actually belongs to this
-// device under the allocator — a partitioning bug fails fast here rather
-// than as silently wrong query results.
-func NewServer(deviceID int, spec decluster.Spec, buckets map[int][]mkhash.Record) (*Server, error) {
+// view is one device-local half the server can answer: the partition of
+// device dev under the allocator spec describes. A server holds up to
+// three — serving, prepared next epoch, ring predecessor's backup.
+type view struct {
+	dev  int
+	spec decluster.Spec
+	fs   decluster.FileSystem
+	im   *query.InverseMapper
+	part storage.Partition
+}
+
+// newView builds the view of device dev's partition under spec.
+func newView(dev int, spec decluster.Spec, part storage.Partition) (*view, error) {
 	alloc, err := spec.Build()
 	if err != nil {
 		return nil, err
 	}
 	fs := alloc.FileSystem()
-	if deviceID < 0 || deviceID >= fs.M {
-		return nil, fmt.Errorf("netdist: device id %d outside [0,%d)", deviceID, fs.M)
+	if dev < 0 || dev >= fs.M {
+		return nil, fmt.Errorf("device id %d outside [0,%d)", dev, fs.M)
 	}
-	var coords []int
-	for idx := range buckets {
-		if idx < 0 || idx >= fs.NumBuckets() {
-			return nil, fmt.Errorf("netdist: bucket index %d outside grid", idx)
-		}
-		coords = fs.Coords(idx, coords[:0])
-		if dev := alloc.Device(coords); dev != deviceID {
-			return nil, fmt.Errorf("netdist: bucket %v belongs to device %d, not %d", coords, dev, deviceID)
-		}
+	return &view{dev: dev, spec: spec, fs: fs, im: query.NewInverseMapper(alloc), part: part}, nil
+}
+
+// admit checks buckets handed in from outside (storage.Partition.Admit)
+// against the view's allocator and device.
+func (v *view) admit(part storage.Partition) error {
+	return part.Admit(v.im.Allocator(), v.dev)
+}
+
+// NewServer builds a device server from a serialized allocator spec and
+// the device's bucket partition (keyed by FileSystem.Linear index). The
+// server verifies that every bucket it is handed actually belongs to this
+// device under the allocator and holds records of the file's arity — a
+// partitioning bug fails fast here rather than as silently wrong query
+// results.
+func NewServer(deviceID int, spec decluster.Spec, buckets storage.Partition) (*Server, error) {
+	cur, err := newView(deviceID, spec, buckets)
+	if err == nil {
+		err = cur.admit(buckets)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("netdist: %w", err)
 	}
 	return &Server{
 		deviceID:  deviceID,
-		spec:      spec,
-		fs:        fs,
-		im:        query.NewInverseMapper(alloc),
-		buckets:   buckets,
+		cur:       cur,
 		sm:        newServerMetrics(obs.Default(), deviceID),
 		reg:       obs.Default(),
 		tracer:    obs.DefaultTracer(),
@@ -251,9 +251,6 @@ func (s *Server) UseRegistry(r *obs.Registry) {
 	obs.RegisterBuildInfo(r)
 }
 
-// nodeName is the server's identity in stats snapshots.
-func (s *Server) nodeName() string { return fmt.Sprintf("device-%d", s.deviceID) }
-
 // shapeCounter returns (caching) the per-shape request counter.
 func (s *Server) shapeCounter(shape string) *obs.Counter {
 	if c, ok := s.shapeCounts.Load(shape); ok {
@@ -268,7 +265,7 @@ func (s *Server) shapeCounter(shape string) *obs.Counter {
 
 // stats snapshots the server's registry for a Stats request.
 func (s *Server) stats(id uint64) Response {
-	st := telemetry.LocalNodeStats(s.nodeName(), s.reg)
+	st := telemetry.LocalNodeStats(nodeName(s.deviceID), s.reg)
 	b, err := telemetry.EncodeNodeStats(st)
 	if err != nil {
 		return Response{ID: id, Err: fmt.Sprintf("netdist: encode stats: %v", err)}
@@ -356,9 +353,9 @@ func negotiateServer(conn net.Conn) (*binServerCodec, error) {
 	return &binServerCodec{w: conn, r: br}, nil
 }
 
-// serverHits recycles the per-response record slices the answer paths
-// assemble; each slab goes back once its response is on the wire.
-var serverHits = mempool.NewSlicePool[mkhash.Record]("netdist.server.hits")
+// serverHits is the pool storage.Partition.Scan draws hit frames from;
+// each response's frame goes back once the response is on the wire.
+var serverHits = engine.HitsPool()
 
 func (s *Server) handle(conn net.Conn) {
 	defer func() {
@@ -421,19 +418,15 @@ func (s *Server) handle(conn net.Conn) {
 		t0 := time.Now()
 		span := s.tracer.StartChild("netdist.serve", req.TraceID, req.ParentSpan)
 		span.SetRequestID(req.ID)
-		var resp Response
-		if req.AsDevice >= 0 && req.AsDevice != s.deviceID {
-			s.sm.backup.Inc()
-			resp = s.answerAs(req)
-		} else {
-			resp = s.answer(req)
-		}
+		resp := s.answer(&req)
 		s.sm.requests.Inc()
-		s.shapeCounter(query.New(req.Spec).Shape()).Inc()
 		if resp.Err != "" {
 			s.sm.errors.Inc()
 			span.Event("rejected: " + resp.Err)
 		} else {
+			// Only a request a view accepted names a shape: a label minted
+			// from an unvalidated Spec would let any peer grow the registry.
+			s.shapeCounter(query.New(req.Spec).Shape()).Inc()
 			span.Event(fmt.Sprintf("device %d req %d: %d buckets, %d records", s.deviceID, req.ID, resp.Buckets, resp.Scanned))
 		}
 		s.sm.latency.ObserveSince(t0)
@@ -448,71 +441,60 @@ func (s *Server) handle(conn net.Conn) {
 	}
 }
 
-// answer runs one query against the local partition of the epoch the
-// request names: the current view, or — during a rescale window — the
-// prepared next view. Holding the read lock across the scan keeps the
-// view (and its bucket map) stable against a concurrent cutover.
-func (s *Server) answer(req Request) Response {
+// viewFor picks the view a query is answered from — the one place
+// (AsDevice, Epoch) are interpreted:
+//
+//	AsDevice             Epoch                   view
+//	-1 or the server's   current                 cur
+//	-1 or the server's   current+1, if prepared  next
+//	ring predecessor     current                 backup
+//
+// Backup partitions are not re-declustered live; replicated deployments
+// sit out rescales (Prepare refuses them).
+func (s *Server) viewFor(req *Request) (*view, error) {
+	if req.AsDevice >= 0 && req.AsDevice != s.deviceID {
+		if s.backup == nil || req.AsDevice != s.backup.dev {
+			return nil, fmt.Errorf("netdist: device %d holds no backup for device %d", s.deviceID, req.AsDevice)
+		}
+		if req.Epoch != s.epoch {
+			return nil, fmt.Errorf("netdist: backup partition serves epoch %d only, not %d", s.epoch, req.Epoch)
+		}
+		return s.backup, nil
+	}
+	if req.Epoch == s.epoch {
+		return s.cur, nil
+	}
+	if s.next == nil || req.Epoch != s.epoch+1 {
+		return nil, fmt.Errorf("netdist: epoch %d not served (current %d)", req.Epoch, s.epoch)
+	}
+	return s.next, nil
+}
+
+// answer runs one query against the view the request names. Holding the
+// read lock across the scan keeps the view (and its partition) stable
+// against a concurrent cutover.
+func (s *Server) answer(req *Request) Response {
 	s.dataMu.RLock()
 	defer s.dataMu.RUnlock()
-	fs, im := s.fs, s.im
-	if req.Epoch != s.epoch {
-		if s.next == nil || req.Epoch != s.epoch+1 {
-			return Response{ID: req.ID, Err: fmt.Sprintf("netdist: epoch %d not served (current %d)", req.Epoch, s.epoch)}
-		}
-		fs, im = s.next.fs, s.next.im
-	}
-	q := query.New(req.Spec)
-	if err := q.Validate(fs); err != nil {
+	v, err := s.viewFor(req)
+	if err != nil {
 		return Response{ID: req.ID, Err: err.Error()}
 	}
-	if len(req.Values) != fs.NumFields() || len(req.Specified) != fs.NumFields() {
-		return Response{ID: req.ID, Err: fmt.Sprintf("netdist: %d value filters for %d fields", len(req.Values), fs.NumFields())}
+	q := query.New(req.Spec)
+	if err := q.Validate(v.fs); err != nil {
+		return Response{ID: req.ID, Err: err.Error()}
 	}
-	resp := Response{ID: req.ID}
-	im.EachOnDevice(q, s.deviceID, func(coords []int) {
-		resp.Buckets++
-		for _, r := range s.buckets[fs.Linear(coords)] {
-			resp.Scanned++
-			if valueMatch(req, r) {
-				resp.Records = serverHits.AppendOne(resp.Records, r)
-			}
-		}
+	if len(req.Match) != v.fs.NumFields() {
+		return Response{ID: req.ID, Err: fmt.Sprintf("netdist: %d value filters for %d fields", len(req.Match), v.fs.NumFields())}
+	}
+	if v == s.backup {
+		s.sm.backup.Inc()
+	}
+	var ans engine.Answer
+	v.im.EachOnDevice(q, v.dev, func(coords []int) {
+		v.part.Scan(v.fs.Linear(coords), req.Match, &ans)
 	})
-	return resp
-}
-
-func valueMatch(req Request, r mkhash.Record) bool {
-	for i, specified := range req.Specified {
-		if specified && r[i] != req.Values[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// Partition splits a file's non-empty buckets into per-device partitions
-// under the allocator, keyed by linear bucket index — the input NewServer
-// expects.
-func Partition(file *mkhash.File, alloc decluster.GroupAllocator) ([]map[int][]mkhash.Record, error) {
-	fs := alloc.FileSystem()
-	sizes := file.Sizes()
-	if len(sizes) != fs.NumFields() {
-		return nil, fmt.Errorf("netdist: allocator has %d fields, file has %d", fs.NumFields(), len(sizes))
-	}
-	for i, f := range sizes {
-		if fs.Sizes[i] != f {
-			return nil, fmt.Errorf("netdist: allocator field %d sized %d, file directory is %d", i, fs.Sizes[i], f)
-		}
-	}
-	parts := make([]map[int][]mkhash.Record, fs.M)
-	for i := range parts {
-		parts[i] = make(map[int][]mkhash.Record)
-	}
-	file.EachBucket(func(coords []int, records []mkhash.Record) {
-		parts[alloc.Device(coords)][fs.Linear(coords)] = records
-	})
-	return parts, nil
+	return Response{ID: req.ID, Records: ans.Hits, Buckets: ans.Buckets, Scanned: ans.Records}
 }
 
 // Deploy partitions the file, starts one Server per device on loopback
@@ -520,11 +502,21 @@ func Partition(file *mkhash.File, alloc decluster.GroupAllocator) ([]map[int][]m
 // function. It is the one-process path used by tests and the distributed
 // example; production deployments construct Servers individually.
 func Deploy(file *mkhash.File, alloc decluster.GroupAllocator) (addrs []string, stop func(), err error) {
+	return deployServers(file, alloc, false)
+}
+
+// DeployReplicated is Deploy with chained declustering over TCP: each
+// server also holds its ring predecessor's partition as backup.
+func DeployReplicated(file *mkhash.File, alloc decluster.GroupAllocator) (addrs []string, stop func(), err error) {
+	return deployServers(file, alloc, true)
+}
+
+func deployServers(file *mkhash.File, alloc decluster.GroupAllocator, replicated bool) (addrs []string, stop func(), err error) {
 	spec, err := decluster.SpecOf(alloc)
 	if err != nil {
 		return nil, nil, err
 	}
-	parts, err := Partition(file, alloc)
+	parts, err := storage.Split(file, alloc)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -535,7 +527,12 @@ func Deploy(file *mkhash.File, alloc decluster.GroupAllocator) (addrs []string, 
 		}
 	}
 	for dev, part := range parts {
-		srv, err := NewServer(dev, spec, part)
+		var srv *Server
+		if replicated {
+			srv, err = NewReplicatedServer(dev, spec, part, parts[(dev-1+len(parts))%len(parts)])
+		} else {
+			srv, err = NewServer(dev, spec, part)
+		}
 		if err != nil {
 			cleanup()
 			return nil, nil, err

@@ -10,7 +10,9 @@ import (
 
 	"fxdist/internal/decluster"
 	"fxdist/internal/mkhash"
+	"fxdist/internal/obs"
 	"fxdist/internal/query"
+	"fxdist/internal/storage"
 )
 
 func buildFile(t *testing.T, n int) *mkhash.File {
@@ -181,7 +183,7 @@ func TestNewServerRejectsForeignBuckets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parts, err := Partition(file, fx)
+	parts, err := storage.Split(file, fx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,6 +200,17 @@ func TestNewServerRejectsForeignBuckets(t *testing.T) {
 	if _, err := NewServer(0, spec, map[int][]mkhash.Record{1 << 20: nil}); err == nil {
 		t.Error("out-of-grid bucket index accepted")
 	}
+}
+
+// countSeries counts the registry's series of one metric family.
+func countSeries(r *obs.Registry, name string) int {
+	n := 0
+	for _, p := range r.Snapshot() {
+		if p.Name == name {
+			n++
+		}
+	}
+	return n
 }
 
 func TestServerRejectsMalformedRequests(t *testing.T) {
@@ -233,16 +246,37 @@ func TestServerRejectsMalformedRequests(t *testing.T) {
 	if resp.Err == "" {
 		t.Error("wrong filter arity accepted")
 	}
+
+	// A rejected request names no shape: 64 bucket queries of 64 distinct
+	// over-long arities must not mint 64 per-shape series in the server's
+	// registry (a peer could otherwise grow it without bound).
+	const shapeSeries = "fxdist_netdist_server_shape_requests_total"
+	before := countSeries(obs.Default(), shapeSeries)
+	for n := 0; n < 64; n++ {
+		resp, _, _, _, err := coord.conns[0].roundTrip(context.Background(), NewRequest(
+			make([]int, 4+n), make(mkhash.PartialMatch, 3)), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Err == "" {
+			t.Fatalf("%d-field bucket query accepted by a 3-field server", 4+n)
+		}
+	}
+	if after := countSeries(obs.Default(), shapeSeries); after != before {
+		t.Errorf("rejected requests minted %d %s series", after-before, shapeSeries)
+	}
 }
 
+// The allocator-vs-file check is storage.Split's (TestSplitValidation);
+// a deployment under a mismatched allocator must fail on it.
 func TestPartitionValidation(t *testing.T) {
 	file := buildFile(t, 10)
 	wrongArity := decluster.MustFileSystem([]int{8, 8}, 4)
-	if _, err := Partition(file, decluster.MustFX(wrongArity)); err == nil {
+	if _, _, err := Deploy(file, decluster.MustFX(wrongArity)); err == nil {
 		t.Error("arity mismatch accepted")
 	}
 	wrongSize := decluster.MustFileSystem([]int{4, 8, 4}, 4)
-	if _, err := Partition(file, decluster.MustFX(wrongSize)); err == nil {
+	if _, _, err := DeployReplicated(file, decluster.MustFX(wrongSize)); err == nil {
 		t.Error("size mismatch accepted")
 	}
 }
@@ -259,7 +293,7 @@ func TestServerCloseStopsServe(t *testing.T) {
 	fs, _ := file.FileSystem(2)
 	fx := decluster.MustFX(fs)
 	spec, _ := decluster.SpecOf(fx)
-	parts, _ := Partition(file, fx)
+	parts, _ := storage.Split(file, fx)
 	srv, err := NewServer(0, spec, parts[0])
 	if err != nil {
 		t.Fatal(err)

@@ -8,7 +8,7 @@ import (
 
 	"fxdist/internal/decluster"
 	"fxdist/internal/mkhash"
-	"fxdist/internal/query"
+	"fxdist/internal/storage"
 )
 
 // Server-side half of the elastic rescale protocol. A rescale runs as
@@ -21,17 +21,6 @@ import (
 // deletes the installed buckets and drops the prepared view, returning
 // the server byte-for-byte to its pre-rescale state (the migration only
 // ever copies; the old partition stays authoritative until cutover).
-
-// nextView is the prepared next-epoch state of an in-flight rescale.
-type nextView struct {
-	spec  decluster.Spec
-	alloc decluster.GroupAllocator
-	fs    decluster.FileSystem
-	im    *query.InverseMapper
-	// installed tracks buckets written during this rescale so Abort can
-	// delete exactly them.
-	installed map[int]struct{}
-}
 
 // SetEpoch declares the server's base epoch. Fresh servers joining a
 // cluster mid-rescale (the grow targets M..2M-1) start at the new epoch
@@ -83,10 +72,10 @@ func (s *Server) prepare(req *Request) Response {
 	}
 	s.dataMu.Lock()
 	defer s.dataMu.Unlock()
-	if s.hasBackup {
+	if s.backup != nil {
 		return Response{ID: req.ID, Err: "netdist: prepare: replicated deployments do not support live rescale"}
 	}
-	if specEqual(s.spec, spec) {
+	if specEqual(s.cur.spec, spec) {
 		return Response{ID: req.ID}
 	}
 	if s.next != nil {
@@ -95,29 +84,22 @@ func (s *Server) prepare(req *Request) Response {
 		}
 		return Response{ID: req.ID, Err: "netdist: prepare: a different rescale is already prepared (abort it first)"}
 	}
-	alloc, err := spec.Build()
+	// The next view serves the same partition: Install adds the buckets
+	// moving here, Cutover prunes the ones moving away. A device id
+	// outside the new M is a device that retires and serves no next epoch.
+	next, err := newView(s.deviceID, spec, s.cur.part)
 	if err != nil {
 		return Response{ID: req.ID, Err: fmt.Sprintf("netdist: prepare: %v", err)}
 	}
-	fs := alloc.FileSystem()
-	if fs.NumFields() != s.fs.NumFields() {
-		return Response{ID: req.ID, Err: fmt.Sprintf("netdist: prepare: %d fields, serving %d", fs.NumFields(), s.fs.NumFields())}
+	if next.fs.NumFields() != s.cur.fs.NumFields() {
+		return Response{ID: req.ID, Err: fmt.Sprintf("netdist: prepare: %d fields, serving %d", next.fs.NumFields(), s.cur.fs.NumFields())}
 	}
-	for i, size := range s.fs.Sizes {
-		if fs.Sizes[i] != size {
-			return Response{ID: req.ID, Err: fmt.Sprintf("netdist: prepare: field %d sized %d, serving %d", i, fs.Sizes[i], size)}
+	for i, size := range s.cur.fs.Sizes {
+		if next.fs.Sizes[i] != size {
+			return Response{ID: req.ID, Err: fmt.Sprintf("netdist: prepare: field %d sized %d, serving %d", i, next.fs.Sizes[i], size)}
 		}
 	}
-	if s.deviceID >= fs.M {
-		return Response{ID: req.ID, Err: fmt.Sprintf("netdist: prepare: device %d retires under M=%d and serves no next epoch", s.deviceID, fs.M)}
-	}
-	s.next = &nextView{
-		spec:      spec,
-		alloc:     alloc,
-		fs:        fs,
-		im:        query.NewInverseMapper(alloc),
-		installed: make(map[int]struct{}),
-	}
+	s.next, s.installed = next, make(map[int]struct{})
 	return Response{ID: req.ID}
 }
 
@@ -126,10 +108,10 @@ func (s *Server) prepare(req *Request) Response {
 func (s *Server) fetch(req *Request) Response {
 	s.dataMu.RLock()
 	defer s.dataMu.RUnlock()
-	if req.Bucket < 0 || req.Bucket >= s.fs.NumBuckets() {
+	if req.Bucket < 0 || req.Bucket >= s.cur.fs.NumBuckets() {
 		return Response{ID: req.ID, Err: fmt.Sprintf("netdist: fetch: bucket %d outside grid", req.Bucket)}
 	}
-	recs := s.buckets[req.Bucket]
+	recs := s.cur.part[req.Bucket]
 	resp := Response{ID: req.ID, Buckets: 1, Scanned: len(recs)}
 	for _, r := range recs {
 		resp.Records = serverHits.AppendOne(resp.Records, r)
@@ -138,28 +120,24 @@ func (s *Server) fetch(req *Request) Response {
 }
 
 // install stores one bucket into the next-epoch partition. The bucket
-// must belong to this device under the prepared spec (or under the
-// current spec on a fresh server already at the new epoch). Records are
-// copied out of the request, so wire buffers never alias the partition.
+// must pass admission for this device under the prepared spec (or under
+// the current spec on a fresh server already at the new epoch). Records
+// are copied out of the request, so wire buffers never alias the
+// partition.
 func (s *Server) install(req *Request) Response {
 	s.dataMu.Lock()
 	defer s.dataMu.Unlock()
-	owner := s.im.Allocator()
-	gridFS := s.fs
+	v := s.cur
 	if s.next != nil {
-		owner, gridFS = s.next.alloc, s.next.fs
+		v = s.next
 	}
-	if req.Bucket < 0 || req.Bucket >= gridFS.NumBuckets() {
-		return Response{ID: req.ID, Err: fmt.Sprintf("netdist: install: bucket %d outside grid", req.Bucket)}
-	}
-	coords := gridFS.Coords(req.Bucket, nil)
-	if dev := owner.Device(coords); dev != s.deviceID {
-		return Response{ID: req.ID, Err: fmt.Sprintf("netdist: install: bucket %v belongs to device %d, not %d", coords, dev, s.deviceID)}
+	if err := v.admit(storage.Partition{req.Bucket: req.Payload}); err != nil {
+		return Response{ID: req.ID, Err: fmt.Sprintf("netdist: install: %v", err)}
 	}
 	if len(req.Payload) == 0 {
 		// An empty move: make the install idempotent by clearing any
 		// previous (also empty-in-practice) content.
-		delete(s.buckets, req.Bucket)
+		delete(v.part, req.Bucket)
 	} else {
 		recs := make([]mkhash.Record, len(req.Payload))
 		for i, r := range req.Payload {
@@ -169,10 +147,10 @@ func (s *Server) install(req *Request) Response {
 			}
 			recs[i] = rec
 		}
-		s.buckets[req.Bucket] = recs
+		v.part[req.Bucket] = recs
 	}
 	if s.next != nil {
-		s.next.installed[req.Bucket] = struct{}{}
+		s.installed[req.Bucket] = struct{}{}
 	}
 	return Response{ID: req.ID, Buckets: 1, Scanned: len(req.Payload)}
 }
@@ -187,17 +165,16 @@ func (s *Server) cutover(req *Request) Response {
 	if s.next == nil {
 		return Response{ID: req.ID}
 	}
-	nv := s.next
+	alloc := s.next.im.Allocator()
 	var coords []int
-	for idx := range s.buckets {
-		coords = nv.fs.Coords(idx, coords[:0])
-		if nv.alloc.Device(coords) != s.deviceID {
-			delete(s.buckets, idx)
+	for idx := range s.next.part {
+		coords = s.next.fs.Coords(idx, coords[:0])
+		if alloc.Device(coords) != s.deviceID {
+			delete(s.next.part, idx)
 		}
 	}
-	s.spec, s.fs, s.im = nv.spec, nv.fs, nv.im
+	s.cur, s.next, s.installed = s.next, nil, nil
 	s.epoch++
-	s.next = nil
 	return Response{ID: req.ID}
 }
 
@@ -210,10 +187,10 @@ func (s *Server) abort(req *Request) Response {
 	if s.next == nil {
 		return Response{ID: req.ID}
 	}
-	for idx := range s.next.installed {
-		delete(s.buckets, idx)
+	for idx := range s.installed {
+		delete(s.cur.part, idx)
 	}
-	s.next = nil
+	s.next, s.installed = nil, nil
 	return Response{ID: req.ID}
 }
 

@@ -10,6 +10,7 @@ import (
 
 	"fxdist/internal/decluster"
 	"fxdist/internal/mkhash"
+	"fxdist/internal/storage"
 )
 
 func TestRequestRescaleExtRoundTrip(t *testing.T) {
@@ -37,8 +38,8 @@ func TestRequestRescaleExtRoundTrip(t *testing.T) {
 		if req.Spec == nil {
 			req.Spec = []int{}
 		}
-		if req.Specified == nil {
-			req.Specified, req.Values = []bool{}, []string{}
+		if req.Match == nil {
+			req.Match = mkhash.PartialMatch{}
 		}
 		if !reflect.DeepEqual(req, got) {
 			t.Fatalf("case %d: round trip mismatch:\nsent %+v\ngot  %+v", i, req, got)
@@ -369,6 +370,30 @@ func TestRescaleControlValidation(t *testing.T) {
 		t.Fatal("fetch accepted a negative bucket")
 	}
 
+	// A payload record of the wrong arity must be refused: the record loop
+	// indexes records by field, so serving one would crash the server on
+	// the next query that filters past the record's end. The query that
+	// follows — a filter on the last field, over the bucket's own
+	// coordinates — must be answered.
+	own := -1
+	fs.EachBucket(func(b []int) {
+		if own < 0 && newAlloc.Device(b) == 0 {
+			own = fs.Linear(b)
+		}
+	})
+	if own < 0 {
+		t.Fatal("no bucket owned by device 0")
+	}
+	if err := newCoord.InstallBucket(ctx, 0, own, []mkhash.Record{{"only-one-field"}}); err == nil {
+		t.Fatal("install accepted a 1-field record into a 3-field file")
+	}
+	probe := NewRequest(fs.Coords(own, nil), mkhash.PartialMatch{nil, nil, str("wh1")})
+	probe.Epoch = 1
+	resp, _, _, _, err := newCoord.conns[0].roundTrip(ctx, probe, 0)
+	if err != nil || resp.Err != "" || resp.Buckets != 1 {
+		t.Fatalf("query after the refused install: %d buckets, err %v %q", resp.Buckets, err, resp.Err)
+	}
+
 	// A conflicting prepared spec must be rejected until aborted.
 	other := newSpec
 	other.Method = decluster.MethodModulo
@@ -401,7 +426,7 @@ func TestRescalePrepareRejectsReplicated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parts, err := Partition(file, fx)
+	parts, err := storage.Split(file, fx)
 	if err != nil {
 		t.Fatal(err)
 	}

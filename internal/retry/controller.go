@@ -215,7 +215,7 @@ func (p *breakerPolicy) Success(dev int, primary bool, elapsed time.Duration) {
 }
 
 // Reroute adapts a backend's failover routing (e.g. the netdist
-// ring-successor answerAs impersonation) into a policy: the first
+// ring-successor AsDevice impersonation) into a policy: the first
 // failure of a slot's primary device — including a breaker veto — is
 // immediately re-asked, once and with no backoff, on the device the
 // func returns; nil lets the failure stand. It is the chain's reroute

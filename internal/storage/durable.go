@@ -16,7 +16,6 @@ import (
 	"fxdist/internal/obs"
 	"fxdist/internal/pagestore"
 	"fxdist/internal/persist"
-	"fxdist/internal/plancache"
 	"fxdist/internal/query"
 )
 
@@ -37,32 +36,12 @@ import (
 // retrieval sees, per device, either all or none of any single
 // mutation; it takes no snapshot across devices.
 type DurableCluster struct {
+	core
 	dir    string
-	fs     decluster.FileSystem
-	alloc  decluster.GroupAllocator
-	im     *query.InverseMapper
 	schema *mkhash.File // schema-only file used to hash queries
 	stores []*pagestore.Store
 	locks  []sync.RWMutex // locks[dev] guards stores[dev]: scan = RLock, mutate = Lock
-	eng    *engine.Executor
-	arena  bool // lease decode arenas to results (WithArenaResults)
-}
-
-// engineFor wires the cluster's per-device stores into the shared
-// retrieval executor.
-func (c *DurableCluster) engineFor(model CostModel, st *settings) (*engine.Executor, error) {
-	devices := make([]engine.Device, c.fs.M)
-	for dev := range devices {
-		devices[dev] = durDevice{c: c, dev: dev}
-	}
-	devices = st.wrap(devices)
-	return engine.New(st.engineConfig("durable", engine.Config{
-		Schema:  c.schema,
-		FS:      c.fs,
-		Devices: devices,
-		Model:   model,
-		Alloc:   c.alloc,
-	}))
+	arena  bool           // lease decode arenas to results (WithArenaResults)
 }
 
 // durDevice adapts one device's pagestore log to the engine's Device
@@ -179,21 +158,23 @@ func OpenDurable(dir string, model CostModel, opts ...Option) (*DurableCluster, 
 // newDurable wires a cluster over dir's device logs, opening (and so
 // recovering) every one.
 func newDurable(dir string, schema *mkhash.File, alloc decluster.GroupAllocator, model CostModel, st *settings) (*DurableCluster, error) {
-	fs := alloc.FileSystem()
+	m := alloc.FileSystem().M
 	c := &DurableCluster{
+		core:   newCore(alloc),
 		dir:    dir,
-		fs:     fs,
-		alloc:  alloc,
-		im:     query.NewInverseMapper(alloc),
 		schema: schema,
-		stores: make([]*pagestore.Store, fs.M),
-		locks:  make([]sync.RWMutex, fs.M),
+		stores: make([]*pagestore.Store, m),
+		locks:  make([]sync.RWMutex, m),
 		arena:  st.arena,
 	}
-	var err error
-	if c.eng, err = c.engineFor(model, st); err != nil {
+	devices := make([]engine.Device, m)
+	for dev := range devices {
+		devices[dev] = durDevice{c: c, dev: dev}
+	}
+	if err := c.wire("durable", schema, devices, model, st); err != nil {
 		return nil, err
 	}
+	var err error
 	for dev := range c.stores {
 		if c.stores[dev], err = pagestore.Open(devicePath(dir, dev)); err != nil {
 			c.Close()
@@ -202,9 +183,6 @@ func newDurable(dir string, schema *mkhash.File, alloc decluster.GroupAllocator,
 	}
 	return c, nil
 }
-
-// Allocator returns the declustering method in use.
-func (c *DurableCluster) Allocator() decluster.GroupAllocator { return c.alloc }
 
 // Spec builds a value-level partial match query against the cluster's
 // schema: pairs of (field name, value); unmentioned fields are
@@ -217,9 +195,6 @@ func (c *DurableCluster) Spec(pairs map[string]string) (mkhash.PartialMatch, err
 func (c *DurableCluster) Fields() []string {
 	return append([]string(nil), c.schema.Schema().Fields...)
 }
-
-// M returns the device count.
-func (c *DurableCluster) M() int { return c.fs.M }
 
 // Len returns the total stored record count across devices.
 func (c *DurableCluster) Len() int {
@@ -352,30 +327,4 @@ func (c *DurableCluster) Close() error {
 		c.eng.Plans().Close()
 	}
 	return c.eachStore("close", (*pagestore.Store).Close)
-}
-
-// RetrieveContext answers a value-level partial match query through the
-// shared engine executor: every device enumerates its qualified buckets
-// (from the cached plan when one is compiled) and scans them from disk.
-// The simulated cost accounting matches Cluster.RetrieveContext. When
-// devices fail, the returned error reports every failing device (match
-// individual ones with errors.As on *engine.DeviceFailure). This is the
-// canonical retrieval entry point; Retrieve is its context.Background()
-// wrapper.
-func (c *DurableCluster) RetrieveContext(ctx context.Context, pm mkhash.PartialMatch) (Result, error) {
-	return c.eng.Retrieve(ctx, pm)
-}
-
-// Retrieve is RetrieveContext with context.Background().
-func (c *DurableCluster) Retrieve(pm mkhash.PartialMatch) (Result, error) {
-	return c.RetrieveContext(context.Background(), pm)
-}
-
-// PlanCache returns the cluster's per-shape plan cache.
-func (c *DurableCluster) PlanCache() *plancache.Cache { return c.eng.Plans() }
-
-// RetrieveBatch answers a batch of queries over the shared device pool;
-// see engine.Executor.RetrieveBatch.
-func (c *DurableCluster) RetrieveBatch(ctx context.Context, pms []mkhash.PartialMatch) ([]Result, error) {
-	return c.eng.RetrieveBatch(ctx, pms)
 }

@@ -71,14 +71,6 @@ func (s *settings) engineConfig(kind string, cfg engine.Config) engine.Config {
 	return cfg
 }
 
-// wrap applies the injector (if any) in front of the device set.
-func (s *settings) wrap(devices []engine.Device) []engine.Device {
-	if s.injector == nil {
-		return devices
-	}
-	return s.injector.Wrap(devices)
-}
-
 // resilienceFor builds the engine's resilience bundle for one backend
 // label. Hedge backups re-dispatch the same device — a second
 // independent scan races the first; local backends hold no impersonable

@@ -65,7 +65,7 @@ func (c *Cluster) Project(fields []int, nw *butterfly.Network) (ProjectResult, e
 			defer wg.Done()
 			distinct := map[string]mkhash.Record{}
 			scanned := 0
-			for _, recs := range c.devs[dev].buckets {
+			for _, recs := range c.parts[dev] {
 				for _, r := range recs {
 					scanned++
 					row := make(mkhash.Record, len(fields))

@@ -7,7 +7,6 @@ import (
 	"fxdist/internal/engine"
 	"fxdist/internal/mkhash"
 	"fxdist/internal/obs"
-	"fxdist/internal/plancache"
 	"fxdist/internal/query"
 	"fxdist/internal/replica"
 )
@@ -19,57 +18,37 @@ import (
 // failover policy selects and keeps answering with no data loss through
 // any single failure (and any non-adjacent multiple failure).
 type ReplicatedCluster struct {
+	core
 	file      *mkhash.File
-	fs        decluster.FileSystem
 	placement *replica.Placement
-	im        *query.InverseMapper
-	// devs[d].buckets holds both d's primary buckets and its backup
-	// copies (primaries of d-1).
-	devs []*device
-	eng  *engine.Executor
+	// parts[d] holds both d's primary buckets and its backup copies
+	// (primaries of d-1).
+	parts []Partition
 }
 
 // NewReplicated distributes file's buckets over the allocator's devices
 // with primary and backup copies.
 func NewReplicated(file *mkhash.File, alloc decluster.GroupAllocator, mode replica.Mode, model CostModel, opts ...Option) (*ReplicatedCluster, error) {
-	fs := alloc.FileSystem()
-	if err := checkAllocator(file, fs); err != nil {
-		return nil, err
-	}
-	st := newSettings(opts)
-	c := &ReplicatedCluster{
-		file:      file,
-		fs:        fs,
-		placement: replica.New(alloc, mode),
-		im:        query.NewInverseMapper(alloc),
-		devs:      make([]*device, fs.M),
-	}
-	for i := range c.devs {
-		c.devs[i] = &device{buckets: make(map[int][]mkhash.Record)}
-	}
-	file.EachBucket(func(coords []int, records []mkhash.Record) {
-		idx := fs.Linear(coords)
-		prim := c.placement.Primary(coords)
-		back := c.placement.Backup(coords)
-		c.devs[prim].buckets[idx] = records
-		c.devs[back].buckets[idx] = records
-	})
-	devices := make([]engine.Device, fs.M)
-	for dev := range devices {
-		devices[dev] = replDevice{c: c, dev: dev}
-	}
-	devices = st.wrap(devices)
-	eng, err := engine.New(st.engineConfig("replicated", engine.Config{
-		Schema:  file,
-		FS:      fs,
-		Devices: devices,
-		Model:   model,
-		Alloc:   alloc,
-	}))
+	parts, err := Split(file, alloc) // every bucket on its primary
 	if err != nil {
 		return nil, err
 	}
-	c.eng = eng
+	c := &ReplicatedCluster{
+		core:      newCore(alloc),
+		file:      file,
+		placement: replica.New(alloc, mode),
+		parts:     parts,
+	}
+	file.EachBucket(func(coords []int, records []mkhash.Record) {
+		parts[c.placement.Backup(coords)][c.fs.Linear(coords)] = records
+	})
+	devices := make([]engine.Device, c.fs.M)
+	for dev := range devices {
+		devices[dev] = replDevice{c: c, dev: dev}
+	}
+	if err := c.wire("replicated", file, devices, model, newSettings(opts)); err != nil {
+		return nil, err
+	}
 	return c, nil
 }
 
@@ -90,7 +69,7 @@ func (d replDevice) Scan(ctx context.Context, q query.Query, pm mkhash.PartialMa
 		return engine.Answer{Idle: true}, nil
 	}
 	var ans engine.Answer
-	store := c.devs[d.dev]
+	part := c.parts[d.dev]
 	var err error
 	serve := func(coords []int) {
 		if err != nil {
@@ -102,13 +81,7 @@ func (d replDevice) Scan(ctx context.Context, q query.Query, pm mkhash.PartialMa
 		if c.placement.Server(coords) != d.dev {
 			return
 		}
-		ans.Buckets++
-		for _, r := range store.buckets[c.fs.Linear(coords)] {
-			ans.Records++
-			if engine.Matches(pm, r) {
-				ans.Hits = hits.AppendOne(ans.Hits, r)
-			}
-		}
+		part.Scan(c.fs.Linear(coords), pm, &ans)
 	}
 	eachOnDevice(ctx, c.im, q, d.dev, serve)
 	prev := (d.dev - 1 + c.fs.M) % c.fs.M
@@ -142,39 +115,12 @@ func (c *ReplicatedCluster) Restore(dev int) error {
 // Failed reports whether dev is failed.
 func (c *ReplicatedCluster) Failed(dev int) bool { return c.placement.Failed(dev) }
 
-// M returns the device count.
-func (c *ReplicatedCluster) M() int { return c.fs.M }
-
-// RetrieveContext answers a value-level partial match query under the
-// current failure set through the shared engine executor. Each healthy
-// device serves the qualified buckets the failover policy routes to it:
-// a subset of its own primaries plus a subset of the backups it holds.
-// This is the canonical retrieval entry point; Retrieve is its
-// context.Background() wrapper.
-func (c *ReplicatedCluster) RetrieveContext(ctx context.Context, pm mkhash.PartialMatch) (Result, error) {
-	return c.eng.Retrieve(ctx, pm)
-}
-
-// Retrieve is RetrieveContext with context.Background().
-func (c *ReplicatedCluster) Retrieve(pm mkhash.PartialMatch) (Result, error) {
-	return c.RetrieveContext(context.Background(), pm)
-}
-
-// PlanCache returns the cluster's per-shape plan cache.
-func (c *ReplicatedCluster) PlanCache() *plancache.Cache { return c.eng.Plans() }
-
-// RetrieveBatch answers a batch of queries over the shared device pool;
-// see engine.Executor.RetrieveBatch.
-func (c *ReplicatedCluster) RetrieveBatch(ctx context.Context, pms []mkhash.PartialMatch) ([]Result, error) {
-	return c.eng.RetrieveBatch(ctx, pms)
-}
-
 // StorageOverhead returns the total stored bucket copies divided by the
 // number of non-empty buckets (2.0 for full chained replication).
 func (c *ReplicatedCluster) StorageOverhead() float64 {
 	copies := 0
-	for _, d := range c.devs {
-		copies += len(d.buckets)
+	for _, p := range c.parts {
+		copies += len(p)
 	}
 	nonEmpty := 0
 	c.file.EachBucket(func([]int, []mkhash.Record) { nonEmpty++ })

@@ -17,7 +17,6 @@ package storage
 
 import (
 	"context"
-	"fmt"
 	"time"
 
 	"fxdist/internal/decluster"
@@ -39,86 +38,97 @@ var MainMemory = engine.MainMemory
 // Result reports one retrieval; see engine.Result.
 type Result = engine.Result
 
-// device is one parallel device's local bucket store.
-type device struct {
-	buckets map[int][]mkhash.Record
+// core is what every cluster of this package is above its devices: the
+// declustered grid, the allocator, the fallback enumerator for queries
+// without a compiled plan, and the one retrieval executor. The clusters
+// embed it and add only where their records live.
+type core struct {
+	fs    decluster.FileSystem
+	alloc decluster.GroupAllocator
+	im    *query.InverseMapper
+	eng   *engine.Executor
+}
+
+func newCore(alloc decluster.GroupAllocator) core {
+	return core{fs: alloc.FileSystem(), alloc: alloc, im: query.NewInverseMapper(alloc)}
+}
+
+// wire builds the executor over the cluster's device adapters — the one
+// place a storage backend meets package engine.
+func (c *core) wire(kind string, schema *mkhash.File, devices []engine.Device, model CostModel, st *settings) (err error) {
+	if st.injector != nil {
+		devices = st.injector.Wrap(devices)
+	}
+	c.eng, err = engine.New(st.engineConfig(kind, engine.Config{
+		Schema:  schema,
+		FS:      c.fs,
+		Devices: devices,
+		Model:   model,
+		Alloc:   c.alloc,
+	}))
+	return err
+}
+
+// M returns the device count.
+func (c *core) M() int { return c.fs.M }
+
+// Allocator returns the declustering method in use.
+func (c *core) Allocator() decluster.GroupAllocator { return c.alloc }
+
+// RetrieveContext answers a value-level partial match query in
+// parallel through the shared engine executor: every device concurrently
+// enumerates its qualified buckets (from the cached plan when one is
+// compiled) and scans them — from memory, from the copies the failover
+// policy routes to it, or from its log. Cancelling ctx returns promptly
+// with its error; when devices fail, the returned error reports every
+// failing device (match individual ones with errors.As on
+// *engine.DeviceFailure). This is the canonical retrieval entry point;
+// Retrieve is its context.Background() wrapper.
+func (c *core) RetrieveContext(ctx context.Context, pm mkhash.PartialMatch) (Result, error) {
+	return c.eng.Retrieve(ctx, pm)
+}
+
+// Retrieve is RetrieveContext with context.Background().
+func (c *core) Retrieve(pm mkhash.PartialMatch) (Result, error) {
+	return c.RetrieveContext(context.Background(), pm)
+}
+
+// PlanCache returns the cluster's per-shape plan cache.
+func (c *core) PlanCache() *plancache.Cache { return c.eng.Plans() }
+
+// RetrieveBatch answers a batch of queries over the shared device pool;
+// see engine.Executor.RetrieveBatch.
+func (c *core) RetrieveBatch(ctx context.Context, pms []mkhash.PartialMatch) ([]Result, error) {
+	return c.eng.RetrieveBatch(ctx, pms)
 }
 
 // Cluster distributes a multi-key hashed file over M simulated devices
 // according to a declustering allocator.
 type Cluster struct {
-	file  *mkhash.File
-	fs    decluster.FileSystem
-	alloc decluster.GroupAllocator
-	im    *query.InverseMapper
+	core
 	model CostModel // used by Project; retrieval prices via eng
-	devs  []*device
-	eng   *engine.Executor
-}
-
-// hits is the executor's hit-frame pool: every device adapter in this
-// package appends its matches through it, and the executor's merge
-// drains the frames back.
-var hits = engine.HitsPool()
-
-// checkAllocator verifies the allocator was built for the file's current
-// directory sizes — shared by every cluster constructor.
-func checkAllocator(file *mkhash.File, fs decluster.FileSystem) error {
-	sizes := file.Sizes()
-	if len(sizes) != fs.NumFields() {
-		return fmt.Errorf("storage: allocator has %d fields, file has %d", fs.NumFields(), len(sizes))
-	}
-	for i, f := range sizes {
-		if fs.Sizes[i] != f {
-			return fmt.Errorf("storage: allocator field %d sized %d, file directory is %d", i, fs.Sizes[i], f)
-		}
-	}
-	return nil
+	parts []Partition
 }
 
 // NewCluster distributes file's buckets over the allocator's devices. The
 // allocator must be built for the file's current directory sizes.
 func NewCluster(file *mkhash.File, alloc decluster.GroupAllocator, model CostModel, opts ...Option) (*Cluster, error) {
-	fs := alloc.FileSystem()
-	if err := checkAllocator(file, fs); err != nil {
-		return nil, err
-	}
-	st := newSettings(opts)
-	c := &Cluster{
-		file:  file,
-		fs:    fs,
-		alloc: alloc,
-		im:    query.NewInverseMapper(alloc),
-		model: model,
-		devs:  make([]*device, fs.M),
-	}
-	for i := range c.devs {
-		c.devs[i] = &device{buckets: make(map[int][]mkhash.Record)}
-	}
-	file.EachBucket(func(coords []int, records []mkhash.Record) {
-		d := alloc.Device(coords)
-		c.devs[d].buckets[fs.Linear(coords)] = records
-	})
-	devices := make([]engine.Device, fs.M)
-	for dev := range devices {
-		devices[dev] = memDevice{c: c, dev: dev}
-	}
-	devices = st.wrap(devices)
-	eng, err := engine.New(st.engineConfig("memory", engine.Config{
-		Schema:  file,
-		FS:      fs,
-		Devices: devices,
-		Model:   model,
-		Alloc:   alloc,
-	}))
+	parts, err := Split(file, alloc)
 	if err != nil {
 		return nil, err
 	}
-	c.eng = eng
+	c := &Cluster{core: newCore(alloc), model: model, parts: parts}
+	devices := make([]engine.Device, c.fs.M)
+	for dev := range devices {
+		devices[dev] = memDevice{c: c, dev: dev}
+	}
+	if err := c.wire("memory", file, devices, model, newSettings(opts)); err != nil {
+		return nil, err
+	}
 	return c, nil
 }
 
-// memDevice adapts one in-memory device's bucket map to the engine's
+// memDevice adapts one in-memory device's partition to the engine's
 // Device contract.
 type memDevice struct {
 	c   *Cluster
@@ -127,7 +137,7 @@ type memDevice struct {
 
 func (d memDevice) Scan(ctx context.Context, q query.Query, pm mkhash.PartialMatch) (engine.Answer, error) {
 	var ans engine.Answer
-	store := d.c.devs[d.dev]
+	part := d.c.parts[d.dev]
 	var err error
 	eachOnDevice(ctx, d.c.im, q, d.dev, func(coords []int) {
 		if err != nil {
@@ -136,13 +146,7 @@ func (d memDevice) Scan(ctx context.Context, q query.Query, pm mkhash.PartialMat
 		if err = ctx.Err(); err != nil {
 			return
 		}
-		ans.Buckets++
-		for _, r := range store.buckets[d.c.fs.Linear(coords)] {
-			ans.Records++
-			if engine.Matches(pm, r) {
-				ans.Hits = hits.AppendOne(ans.Hits, r)
-			}
-		}
+		part.Scan(d.c.fs.Linear(coords), pm, &ans)
 	})
 	if err != nil {
 		hits.Put(ans.Hits)
@@ -163,43 +167,14 @@ func eachOnDevice(ctx context.Context, im *query.InverseMapper, q query.Query, d
 	im.EachOnDevice(q, dev, fn)
 }
 
-// M returns the device count.
-func (c *Cluster) M() int { return c.fs.M }
-
-// Allocator returns the declustering method in use.
-func (c *Cluster) Allocator() decluster.GroupAllocator { return c.alloc }
-
 // DeviceBucketCounts returns how many non-empty buckets each device holds
 // (static storage balance).
 func (c *Cluster) DeviceBucketCounts() []int {
-	out := make([]int, len(c.devs))
-	for i, d := range c.devs {
-		out[i] = len(d.buckets)
+	out := make([]int, len(c.parts))
+	for i, p := range c.parts {
+		out[i] = len(p)
 	}
 	return out
-}
-
-// RetrieveContext answers a value-level partial match query in
-// parallel: every device concurrently enumerates its qualified buckets
-// (from the cached plan when one is compiled) and scans them.
-// Cancelling ctx returns promptly with its error. This is the canonical
-// retrieval entry point; Retrieve is its context.Background() wrapper.
-func (c *Cluster) RetrieveContext(ctx context.Context, pm mkhash.PartialMatch) (Result, error) {
-	return c.eng.Retrieve(ctx, pm)
-}
-
-// Retrieve is RetrieveContext with context.Background().
-func (c *Cluster) Retrieve(pm mkhash.PartialMatch) (Result, error) {
-	return c.RetrieveContext(context.Background(), pm)
-}
-
-// PlanCache returns the cluster's per-shape plan cache.
-func (c *Cluster) PlanCache() *plancache.Cache { return c.eng.Plans() }
-
-// RetrieveBatch answers a batch of queries over the shared device pool;
-// see engine.Executor.RetrieveBatch.
-func (c *Cluster) RetrieveBatch(ctx context.Context, pms []mkhash.PartialMatch) ([]Result, error) {
-	return c.eng.RetrieveBatch(ctx, pms)
 }
 
 // SimResult is a record-free simulated retrieval at bucket granularity,

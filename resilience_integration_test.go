@@ -18,7 +18,7 @@ import (
 // predecessor's backup), so individual servers can be killed and
 // restarted mid-test. Returns the servers, their addresses, the
 // partitions, the allocator spec, and a stop function.
-func chaosServers(t *testing.T, file *fxdist.File, fx fxdist.GroupAllocator) ([]*fxdist.DeviceServer, []string, []map[int][]fxdist.Record, fxdist.AllocatorSpec, func()) {
+func chaosServers(t *testing.T, file *fxdist.File, fx fxdist.GroupAllocator) ([]*fxdist.DeviceServer, []string, []fxdist.Partition, fxdist.AllocatorSpec, func()) {
 	t.Helper()
 	spec, err := fxdist.DescribeAllocator(fx)
 	if err != nil {

@@ -13,6 +13,8 @@
 //  3. after cutover a fresh coordinator pinned to the new epoch answers
 //     every query byte-identically to the single-device reference.
 //
+// Run it with:
+//
 //	go run scripts/rescale_chaos.go
 package main
 
