@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -69,6 +70,20 @@ func TestPublicDistributedRetrieval(t *testing.T) {
 	}
 	if len(got.Records) != len(want) {
 		t.Errorf("distributed %d records, local %d", len(got.Records), len(want))
+	}
+
+	// The servers describe the allocator; one given to Open is checked
+	// against theirs, not believed.
+	same, err := fxdist.Open(fxdist.Config{File: file, Allocator: fx, Addrs: addrs})
+	if err != nil {
+		t.Fatalf("open with the deployed allocator: %v", err)
+	}
+	same.Close()
+	if c, err := fxdist.Open(fxdist.Config{File: file, Allocator: fxdist.NewModulo(fs), Addrs: addrs}); err == nil {
+		c.Close()
+		t.Error("open with an allocator the servers do not serve under succeeded")
+	} else if !strings.Contains(err.Error(), "declusters under") {
+		t.Errorf("allocator mismatch: %v", err)
 	}
 }
 

@@ -91,36 +91,40 @@ func Fold(g decluster.Group, m int, vec, hist []int) []int {
 
 // Loads returns the per-device qualified-bucket counts for q under a —
 // the same vector as query.Loads, computed in
-// O(M * sum over unspecified fields of min(F_i, M)) instead of O(|R(q)|).
+// O(M * sum over unspecified fields of min(F_i, M)) instead of O(|R(q)|):
+// the shape's profile translated by the fold of q's specified
+// contributions.
 func Loads(a decluster.GroupAllocator, q query.Query) []int {
 	fs := a.FileSystem()
 	if err := q.Validate(fs); err != nil {
 		panic(err)
 	}
-	g := a.Op()
-	h := 0
-	for i, v := range q.Spec {
-		if v != query.Unspecified {
-			h = g.Combine(h, a.Contribution(i, v), fs.M)
-		}
-	}
+	g, h := a.Op(), q.Fold(a)
+	prof := Profile(a, q.UnspecifiedFields())
 	vec := make([]int, fs.M)
-	vec[h] = 1
-	for _, i := range q.UnspecifiedFields() {
-		vec = convolveInto(g, fs.M, vec, FieldHistogram(a, i))
+	for c, n := range prof {
+		vec[g.Combine(h, c, fs.M)] = n
 	}
 	return vec
 }
 
-// Profile returns the load vector for the canonical query that leaves
-// exactly the fields in unspec free and specifies 0 everywhere else. By
-// the translation argument above, the load vector of ANY query with the
-// same unspecified set is a permutation of this profile, so its maximum,
-// minimum and histogram are query-value-independent.
+// Profile returns counts[c] = the number of value tuples of the fields in
+// unspec whose contributions fold to c — the load vector of a query that
+// leaves exactly those fields free and whose specified contributions
+// fold to the identity (under every allocator here, the one specifying 0
+// everywhere else). By the translation argument above, the load vector
+// of ANY query with the same unspecified set is this profile permuted:
+// device h·c holds counts[c] of its buckets, so the maximum, minimum,
+// histogram and the set of devices that hold none are
+// query-value-independent up to that one translation.
 func Profile(a decluster.GroupAllocator, unspec []int) []int {
 	fs := a.FileSystem()
-	zero := make([]int, fs.NumFields())
-	return Loads(a, query.FromSubset(zero, unspec))
+	vec := make([]int, fs.M)
+	vec[0] = 1
+	for _, i := range unspec {
+		vec = convolveInto(a.Op(), fs.M, vec, FieldHistogram(a, i))
+	}
+	return vec
 }
 
 // LargestLoad returns the largest response size for any query whose

@@ -120,7 +120,7 @@ func (d *DualReader) Retrieve(ctx context.Context, pm mkhash.PartialMatch) (Resu
 	wsum := multisetDigest(winner.res.Records)
 	winnerSnap := winner.res
 	if d.OnMismatch != nil {
-		winnerSnap.Records = cloneRecords(winner.res.Records)
+		winnerSnap.Records = CloneRecords(winner.res.Records)
 	}
 	d.wg.Add(1)
 	go func() {
@@ -151,10 +151,10 @@ func (d *DualReader) recordWin(old bool) {
 	}
 }
 
-// cloneRecords deep-copies recs, including the field strings — arena
-// results build those with unsafe.String over pooled slabs, so a
-// shallow copy would still dangle after the lease is released.
-func cloneRecords(recs []mkhash.Record) []mkhash.Record {
+// CloneRecords deep-copies recs, including the field strings — arena
+// results and wire frames build those with unsafe.String over pooled
+// slabs, so a shallow copy would still dangle after the slab is reused.
+func CloneRecords(recs []mkhash.Record) []mkhash.Record {
 	out := make([]mkhash.Record, len(recs))
 	for i, r := range recs {
 		rec := make(mkhash.Record, len(r))

@@ -21,9 +21,9 @@ import (
 type Config struct {
 	// Schema hashes value-level queries into bucket queries.
 	Schema *mkhash.File
-	// FS, when non-zero, validates bucket queries against the declustered
-	// file system before fan-out. Backends that only know the schema (the
-	// TCP coordinator validates server-side) leave it zero.
+	// FS is the declustered file system bucket queries are validated and
+	// counted against; the zero value derives it from Schema's directory
+	// sizes and len(Devices) at New.
 	FS decluster.FileSystem
 	// Devices are the cluster's parallel devices, in device order.
 	Devices []Device
@@ -45,14 +45,15 @@ type Config struct {
 	// exemplars (see report). Nil turns all of it off; only the trace
 	// span remains.
 	Instr *telemetry.Instruments
-	// Alloc, when set, is the group allocator behind Devices; it lets the
-	// plan cache compile per-device qualified-bucket enumerations that
-	// devices use instead of re-walking the inverse mapper.
+	// Alloc, when set, is the group allocator behind Devices; plans are
+	// compiled under it: per-device qualified-bucket counts, which decide
+	// the devices a query is sent to, and enumerations devices use instead
+	// of re-walking the inverse mapper.
 	Alloc decluster.GroupAllocator
-	// Plans, when set, caches compiled plans per (allocator identity,
-	// query shape): a hit skips validation, |R(q)| and bound computation,
-	// and (with Alloc set) the per-device enumeration. Nil or disabled
-	// runs the uncached path.
+	// Plans, when set beside Alloc, caches compiled plans per (allocator
+	// identity, query shape): a hit skips validation, |R(q)|, the bound,
+	// the counts and the per-device enumeration. Nil or disabled runs the
+	// uncached path.
 	Plans *plancache.Cache
 	// ArenaResults leases Result.Records (and any device-held decode
 	// arenas) from the pools instead of copying out: zero-copy results
@@ -76,6 +77,18 @@ type Executor struct {
 	plans  *plancache.Cache
 	arena  bool
 	pool   *pool
+	// owned[dev]: Devices[dev] declares (Owner) that it serves device
+	// dev's buckets alone, so a plan's zero count may stand in for asking.
+	owned []bool
+}
+
+// Owner is implemented by a Device that serves the buckets of exactly one
+// device of the allocator: the executor does not ask it for a query whose
+// plan counts no qualified bucket there. A device that also answers for
+// another owner (the replicated cluster's: its ring predecessor's backups,
+// Idle when failed) does not implement it and is always asked.
+type Owner interface {
+	Owner() int
 }
 
 // New builds an Executor from cfg.
@@ -93,7 +106,16 @@ func New(cfg Config) (*Executor, error) {
 			workers = n
 		}
 	}
+	if cfg.FS.M == 0 {
+		cfg.FS = decluster.FileSystem{Sizes: cfg.Schema.Sizes(), M: len(cfg.Devices)}
+	}
+	owned := make([]bool, len(cfg.Devices))
+	for dev, d := range cfg.Devices {
+		o, ok := d.(Owner)
+		owned[dev] = ok && o.Owner() == dev
+	}
 	return &Executor{
+		owned:  owned,
 		schema: cfg.Schema,
 		fs:     cfg.FS,
 		devs:   cfg.Devices,
@@ -142,62 +164,30 @@ func PlanFromContext(ctx context.Context) *plancache.Plan {
 	return nil
 }
 
-// numQualified computes |R(q)|: the product of the unspecified field
-// domain sizes. The validated file system is used when configured;
-// backends that only know the schema (the TCP coordinator) fall back to
-// its current directory sizes. With the plan cache enabled this runs
-// once per shape and the result rides the cached plan, so the
-// coordinator path and the auditor always agree on the strict bound —
-// previously it was recomputed per retrieval and could drift as the
-// schema's directory grew mid-workload.
-func (e *Executor) numQualified(q query.Query) int {
-	if e.fs.M > 0 {
-		return q.NumQualified(e.fs)
-	}
-	sizes := e.schema.Sizes()
-	n := 1
-	for i, v := range q.Spec {
-		if v == query.Unspecified && i < len(sizes) {
-			n *= sizes[i]
-		}
-	}
-	return n
-}
-
-// compile builds the plan for q's shape: validate, then — when asked
-// for tuples and an allocator is configured — compile the per-device
-// tuple groups, otherwise a summary plan carrying only |R(q)| and the
-// bound.
-func (e *Executor) compile(q query.Query, tuples bool) (*plancache.Plan, error) {
-	if e.fs.M > 0 {
-		if err := q.Validate(e.fs); err != nil {
-			return nil, err
-		}
-	}
-	if tuples && e.alloc != nil {
-		return plancache.Compile(e.alloc, q, e.plans.MaxTuples()), nil
-	}
-	return plancache.Summary(q, e.numQualified(q), len(e.devs)), nil
-}
-
-// planFor returns q's retrieval plan, from the cache when enabled, and
-// whether it was a cache hit. A cache hit skips validation entirely —
-// sound because engine queries come from Schema.BucketQuery, which only
-// produces in-range values, and the cache key's allocator identity pins
-// the plan to this executor's allocator.
+// planFor returns q's retrieval plan and whether it was a cache hit.
+// Under an allocator with the cache enabled the plan is compiled once per
+// shape, so the fan-out and the auditor always agree on the strict bound,
+// and a hit skips validation entirely: sound because engine queries come
+// from Schema.BucketQuery, which only produces in-range values, and the
+// cache key's allocator identity pins the plan to this executor's
+// allocator.
 func (e *Executor) planFor(q query.Query) (*plancache.Plan, bool, error) {
-	if e.plans != nil && e.plans.Enabled() {
-		var owner any = e.schema
-		if e.alloc != nil {
-			owner = e.alloc
-		}
-		key := plancache.Key{Owner: plancache.IdentityOf(owner), Shape: q.Shape()}
-		return e.plans.Get(key, func() (*plancache.Plan, error) { return e.compile(q, true) })
+	if e.alloc != nil && e.plans != nil && e.plans.Enabled() {
+		key := plancache.Key{Owner: plancache.IdentityOf(e.alloc), Shape: q.Shape()}
+		return e.plans.Get(key, func() (*plancache.Plan, error) {
+			if err := q.Validate(e.fs); err != nil {
+				return nil, err
+			}
+			return plancache.Compile(e.alloc, q, e.plans.MaxTuples()), nil
+		})
 	}
 	// Uncached path: per-retrieval validation and |R(q)|, exactly the
-	// pre-cache behaviour; the summary plan never reaches devices.
-	p, err := e.compile(q, false)
-	return p, false, err
+	// pre-cache behaviour — a summary plan, under which every device is
+	// asked and enumerates with its own inverse mapper.
+	if err := q.Validate(e.fs); err != nil {
+		return nil, false, err
+	}
+	return plancache.Summary(q, q.NumQualified(e.fs), len(e.devs)), false, nil
 }
 
 // callerKey carries the retrieval's caller attribution (a gateway
@@ -246,6 +236,13 @@ func CallersFromContext(ctx context.Context) []string {
 // that give up early (context cancelled) simply abandon the call; the
 // remaining tasks write into the call's private slices and exit.
 type call struct {
+	// What a device task runs with; ctx is the caller's with the call
+	// itself attached (callKey).
+	e   *Executor
+	ctx context.Context
+	q   query.Query
+	pm  mkhash.PartialMatch
+
 	started time.Time // retrieval entry: the plan stage starts here
 	span    *obs.Span
 	plan    *plancache.Plan // shape, |R(q)| and bound for every report
@@ -300,13 +297,17 @@ func (c *call) closeStage(stage string) {
 	c.mark, c.lastStamp = a, now
 }
 
-// begin plans one query and launches its fan-out without waiting: every
-// device's scan is queued on the shared pool. The plan rides the call
-// (its shape, |R(q)| and bound feed every report) and the call travels
-// to the devices via the context. A query that dies before fan-out has
-// no plan, hence no record: it is reported to the cluster metrics alone.
+// begin plans one query and launches its fan-out without waiting: the
+// scans of the active devices — {h·g : counts[g] > 0}; every device under
+// a plan without counts, and any that does not declare its owner — are
+// queued on the shared pool. A device not asked keeps a zero answer: it
+// reports as the device with no qualified bucket it is. The plan rides
+// the call (its shape, |R(q)| and bound feed every report) and the call
+// travels to the devices via the context. A query that dies before
+// fan-out has no plan, hence no record: it is reported to the cluster
+// metrics alone.
 func (e *Executor) begin(ctx context.Context, pm mkhash.PartialMatch, caller string) (*call, error) {
-	c := &call{started: time.Now(), caller: caller, instr: e.in != nil}
+	c := &call{e: e, pm: pm, started: time.Now(), caller: caller, instr: e.in != nil}
 	if c.instr {
 		e.in.Metrics.Started()
 		c.lastStamp, c.mark = c.started, obs.ReadAllocs()
@@ -315,9 +316,9 @@ func (e *Executor) begin(ctx context.Context, pm mkhash.PartialMatch, caller str
 	}
 	// Lowering hashes the values into bucket coordinates; range
 	// validation happens once per shape inside planFor, not per retrieval.
-	q, err := e.schema.BucketQuery(pm)
-	if err == nil {
-		c.plan, c.planHit, err = e.planFor(q)
+	var err error
+	if c.q, err = e.schema.BucketQuery(pm); err == nil {
+		c.plan, c.planHit, err = e.planFor(c.q)
 	}
 	if err != nil {
 		if c.instr {
@@ -333,27 +334,38 @@ func (e *Executor) begin(ctx context.Context, pm mkhash.PartialMatch, caller str
 		c.span = e.tracer.Start(e.span)
 	}
 	c.pending.Store(int64(m))
-	ctx = context.WithValue(ctx, callKey{}, c)
+	c.ctx = context.WithValue(ctx, callKey{}, c)
+	h := c.plan.Fold(c.q)
 	for dev := 0; dev < m; dev++ {
-		dev := dev
-		e.pool.submit(func() {
-			defer func() {
-				if c.pending.Add(-1) == 0 {
-					close(c.done)
-				}
-			}()
-			if err := ctx.Err(); err != nil {
-				c.errs[dev] = err
-				return
-			}
-			start := time.Now()
-			c.answers[dev], c.errs[dev] = e.scanDevice(ctx, dev, q, pm)
-			if c.instr {
-				c.devDur[dev] = time.Since(start)
-			}
-		})
+		if e.owned[dev] && !c.plan.MayHold(h, dev) {
+			c.settle() // not asked: its answer stays zero
+			continue
+		}
+		e.pool.submit(task{c: c, dev: dev})
 	}
 	return c, nil
+}
+
+// settle marks one device of the call finished; the last one closes done.
+func (c *call) settle() {
+	if c.pending.Add(-1) == 0 {
+		close(c.done)
+	}
+}
+
+// scan is one device task: the device's scan under the executor's failure
+// handling, into the call's slot for it.
+func (c *call) scan(dev int) {
+	defer c.settle()
+	if err := c.ctx.Err(); err != nil {
+		c.errs[dev] = err
+		return
+	}
+	start := time.Now()
+	c.answers[dev], c.errs[dev] = c.e.scanDevice(c.ctx, dev, c.q, c.pm)
+	if c.instr {
+		c.devDur[dev] = time.Since(start)
+	}
 }
 
 // consolidate turns the call's per-device answers into one Result:
@@ -668,8 +680,9 @@ func (e *Executor) finish(ctx context.Context, c *call) (res Result, err error) 
 }
 
 // Retrieve answers one value-level partial match query: validate once,
-// fan out every device's inverse-mapped scan on the bounded pool, merge
-// under the cost model. Cancelling ctx returns promptly with its error.
+// fan out the active devices' inverse-mapped scans on the bounded pool,
+// merge under the cost model. Cancelling ctx returns promptly with its
+// error.
 func (e *Executor) Retrieve(ctx context.Context, pm mkhash.PartialMatch) (Result, error) {
 	c, err := e.begin(ctx, pm, CallerFromContext(ctx))
 	if err != nil {

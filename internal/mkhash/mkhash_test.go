@@ -116,6 +116,47 @@ func TestHashDeterminismAndRange(t *testing.T) {
 	}
 }
 
+// TestDefaultHashGolden pins DefaultHash to the values hash/fnv's
+// New64a produced at commit dabf288 (salt bytes, then the value): they
+// decide bucket addresses in every durable directory already written.
+func TestDefaultHashGolden(t *testing.T) {
+	for _, c := range []struct {
+		field int
+		value string
+		want  uint64
+	}{
+		{0, "", 0x8328807b4eb6fed},
+		{0, "a", 0xd94cb1186c0e8ae4},
+		{1, "a", 0xd0a378186726fc5f},
+		{2, "make3", 0xa101fa4c8ab3bafa},
+		{3, "supplier-17", 0xb8d4c046eb7d5fdd},
+		{7, "red", 0xe48e7a577f127d81},
+		{255, "x", 0xf920b11be415a916},
+		{256, "x", 0xd949b4186c0c5a26},
+		{257, "x", 0xd0a695186729637d},
+		{65535, "edge", 0xa45ebdc4e6e9aeee},
+		{4, "h\u00e9llo w\u00f6rld", 0xf8c90a0846943786},
+		{5, "\x00\xff", 0x2d405955eec1d02d},
+		{6, "the quick brown fox jumps over the lazy dog", 0xa449c0191c35a1b6},
+		{1, "0", 0xd0a3c7186727829c},
+		{0, "part-000123", 0x3ea7ae0d2622695f},
+		{3, "2026-10-03", 0x59de16f92d5b4bec},
+	} {
+		if got := DefaultHash(c.field)(c.value); got != c.want {
+			t.Errorf("DefaultHash(%d)(%q) = %#x, want %#x", c.field, c.value, got, c.want)
+		}
+	}
+}
+
+func TestDefaultHashAllocatesNothing(t *testing.T) {
+	h := DefaultHash(3)
+	var sink uint64
+	if got := testing.AllocsPerRun(100, func() { sink += h("supplier-17") }); got != 0 {
+		t.Errorf("DefaultHash: %.0f allocations per call, want 0", got)
+	}
+	_ = sink
+}
+
 func TestWithHashOverride(t *testing.T) {
 	constant := func(string) uint64 { return 3 }
 	f := MustNew(testSchema(), WithHash(0, constant))

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math/bits"
 	"time"
+	"unsafe"
 
 	"fxdist/internal/engine"
 	"fxdist/internal/mempool"
@@ -59,9 +60,10 @@ import (
 // reach the trailing bytes of a frame they've fully parsed).
 //
 // Encoders size the payload exactly, fill one pooled frame, and write
-// it with a single Write; decoders read the whole frame into a pooled
-// slab and slice records out of it, copying field bytes into a
-// RecordBuilder arena so the frame recycles immediately.
+// it with a single Write. The coordinator reads a response into a pooled
+// slab and copies field bytes into a RecordBuilder arena so the frame
+// recycles immediately; a server reads a request into a buffer its
+// connection owns and decodes the query in place (binServerCodec.decode).
 
 var wireMagic = [4]byte{'F', 'X', 'B', 1}
 
@@ -290,9 +292,29 @@ func appendRequest(b []byte, req *Request) []byte {
 	return b
 }
 
-// decodeRequest parses one request payload. Values are copied out of
-// the frame (requests are small; the server holds them past the frame).
+// resized returns s with length n, in s's backing array when it is large
+// enough (never nil, as a fresh make is not).
+func resized[T any](s []T, n uint64) []T {
+	if s == nil || uint64(cap(s)) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// decodeRequest parses one request payload with no scratch to reuse.
 func decodeRequest(buf []byte, req *Request) error {
+	return new(binServerCodec).decode(buf, req)
+}
+
+// decode parses one request payload into req, reusing the backing arrays
+// req and the codec already hold, so a connection's queries decode
+// without allocating. The query arm is decoded in place — Spec and Match
+// in req's slices, the filter values in the codec's, their strings
+// aliasing buf as mempool's builder aliases its arena — and is valid only
+// until buf, req or the codec is next written: for a server, until the
+// response is on the wire. What a control operation keeps (SpecJSON, an
+// Install's Payload) is copied out.
+func (b *binServerCodec) decode(buf []byte, req *Request) error {
 	f := frameReader{buf: buf}
 	flags, err := f.byte()
 	if err != nil {
@@ -323,7 +345,7 @@ func decodeRequest(buf []byte, req *Request) error {
 	if ns > uint64(len(buf)) {
 		return errFrameCorrupt
 	}
-	req.Spec = make([]int, ns)
+	req.Spec = resized(req.Spec, ns)
 	for i := range req.Spec {
 		v, err := f.zigzag()
 		if err != nil {
@@ -340,9 +362,9 @@ func decodeRequest(buf []byte, req *Request) error {
 	}
 	// The filters decode straight into the match the record loop takes:
 	// one slab of values, one of pointers into it.
-	values := make([]string, nf)
-	req.Match = make(mkhash.PartialMatch, nf)
-	for i := range values {
+	b.values = resized(b.values, nf)
+	req.Match = resized(req.Match, nf)
+	for i := range b.values {
 		sp, err := f.byte()
 		if err != nil {
 			return err
@@ -350,13 +372,14 @@ func decodeRequest(buf []byte, req *Request) error {
 		if sp > 1 {
 			return errFrameCorrupt
 		}
+		b.values[i], req.Match[i] = "", nil
 		if sp == 1 {
 			v, err := f.bytes()
 			if err != nil {
 				return err
 			}
-			values[i] = string(v)
-			req.Match[i] = &values[i]
+			b.values[i] = unsafe.String(unsafe.SliceData(v), len(v))
+			req.Match[i] = &b.values[i]
 		}
 	}
 	if flags&4 != 0 {
@@ -534,23 +557,32 @@ func writeFrame(w io.Writer, size int, fill func([]byte) []byte) error {
 	return err
 }
 
-// readFrame reads one length-prefixed payload into a pooled slab; the
-// caller must Put it back via the returned done func once decoded.
-func readFrame(r io.Reader) (payload []byte, done func(), err error) {
-	var hdr [frameLenSize]byte
+// readFrameLen reads one frame's length prefix through hdr, held by the
+// reading codec: a local array would escape through the io.Reader.
+func readFrameLen(r io.Reader, hdr *[frameLenSize]byte) (int, error) {
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, nil, err
+		return 0, err
 	}
 	n := binary.LittleEndian.Uint32(hdr[:])
 	if n > maxFrame {
-		return nil, nil, fmt.Errorf("netdist: frame of %d bytes exceeds limit %d", n, maxFrame)
+		return 0, fmt.Errorf("netdist: frame of %d bytes exceeds limit %d", n, maxFrame)
 	}
-	buf := mempool.Frames.Get(int(n))
+	return int(n), nil
+}
+
+// readFrame reads one length-prefixed payload into a pooled slab; the
+// caller Puts it back to mempool.Frames once decoded.
+func readFrame(r io.Reader, hdr *[frameLenSize]byte) ([]byte, error) {
+	n, err := readFrameLen(r, hdr)
+	if err != nil {
+		return nil, err
+	}
+	buf := mempool.Frames.Get(n)
 	if _, err := io.ReadFull(r, buf); err != nil {
 		mempool.Frames.Put(buf)
-		return nil, nil, err
+		return nil, err
 	}
-	return buf, func() { mempool.Frames.Put(buf) }, nil
+	return buf, nil
 }
 
 // binCodec is the coordinator side of the wire: writeRequest runs under
@@ -562,6 +594,7 @@ func readFrame(r io.Reader) (payload []byte, done func(), err error) {
 type binCodec struct {
 	w     io.Writer
 	r     io.Reader
+	hdr   [frameLenSize]byte // the read loop's
 	arena bool
 }
 
@@ -572,27 +605,47 @@ func (b *binCodec) writeRequest(req *Request) error {
 }
 
 func (b *binCodec) readResponse(resp *Response) (func(), error) {
-	payload, done, err := readFrame(b.r)
+	payload, err := readFrame(b.r, &b.hdr)
 	if err != nil {
 		return nil, err
 	}
-	defer done()
+	defer mempool.Frames.Put(payload)
 	return decodeResponse(payload, resp, b.arena)
 }
 
-// binServerCodec is the device-server side of the wire.
+// binServerCodec is the device-server side of the wire. It owns the
+// buffer requests are read into, which a decoded query aliases: the
+// connection's loop is serial — read, answer, write — so the buffer is
+// next written only after the response left.
 type binServerCodec struct {
-	w io.Writer
-	r io.Reader
+	w      io.Writer
+	r      io.Reader
+	hdr    [frameLenSize]byte
+	frame  []byte
+	values []string // the slab a decoded Match points into
 }
 
+// keptFrame bounds the buffer a connection holds between requests; a
+// larger frame (an Install of a big bucket) gets one of its own.
+const keptFrame = 64 << 10
+
 func (b *binServerCodec) readRequest(req *Request) error {
-	payload, done, err := readFrame(b.r)
+	n, err := readFrameLen(b.r, &b.hdr)
 	if err != nil {
 		return err
 	}
-	defer done()
-	return decodeRequest(payload, req)
+	buf := b.frame
+	if n > cap(buf) {
+		buf = make([]byte, n)
+		if n <= keptFrame {
+			b.frame = buf
+		}
+	}
+	buf = buf[:n]
+	if _, err := io.ReadFull(b.r, buf); err != nil {
+		return err
+	}
+	return b.decode(buf, req)
 }
 
 func (b *binServerCodec) writeResponse(resp *Response) error {

@@ -141,20 +141,21 @@ func TestFrameRoundTripAndLimits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, done, err := readFrame(&buf)
+	var scratch [frameLenSize]byte
+	got, err := readFrame(&buf, &scratch)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, payload) {
 		t.Fatalf("frame round trip: got %q", got)
 	}
-	done()
+	mempool.Frames.Put(got)
 	if err := writeFrame(&buf, maxFrame+1, nil); err == nil {
 		t.Fatal("oversized frame written")
 	}
 	var hdr [frameLenSize]byte
 	binary.LittleEndian.PutUint32(hdr[:], maxFrame+1)
-	if _, _, err := readFrame(bytes.NewReader(hdr[:])); err == nil {
+	if _, err := readFrame(bytes.NewReader(hdr[:]), &scratch); err == nil {
 		t.Fatal("oversized frame length accepted")
 	}
 }

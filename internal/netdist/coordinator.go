@@ -2,14 +2,17 @@ package netdist
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"fxdist/internal/decluster"
 	"fxdist/internal/engine"
 	"fxdist/internal/mkhash"
 	"fxdist/internal/obs"
@@ -128,6 +131,9 @@ type deviceConn struct {
 	nextID  uint64
 	pending map[uint64]chan wireDelivery
 	err     error // sticky transport error; set once the reader exits
+	// idle holds delivery channels between requests: one whose delivery
+	// was taken is empty and open, fit for the next.
+	idle []chan wireDelivery
 }
 
 func newDeviceConn(conn net.Conn, addr string, arena bool) *deviceConn {
@@ -243,7 +249,12 @@ func (dc *deviceConn) roundTrip(ctx context.Context, req Request, timeout time.D
 	}
 	dc.nextID++
 	req.ID = dc.nextID
-	ch := make(chan wireDelivery, 1)
+	var ch chan wireDelivery
+	if n := len(dc.idle); n > 0 {
+		ch, dc.idle = dc.idle[n-1], dc.idle[:n-1]
+	} else {
+		ch = make(chan wireDelivery, 1)
+	}
 	dc.pending[req.ID] = ch
 	dc.mu.Unlock()
 
@@ -264,10 +275,13 @@ func (dc *deviceConn) roundTrip(ctx context.Context, req Request, timeout time.D
 
 	select {
 	case d, ok := <-ch:
+		dc.mu.Lock()
+		err := dc.err
+		if ok {
+			dc.idle = append(dc.idle, ch)
+		}
+		dc.mu.Unlock()
 		if !ok {
-			dc.mu.Lock()
-			err := dc.err
-			dc.mu.Unlock()
 			return Response{}, req.ID, ws, nil, err
 		}
 		if w := d.firstByte.Sub(writeDone); w > 0 {
@@ -281,7 +295,8 @@ func (dc *deviceConn) roundTrip(ctx context.Context, req Request, timeout time.D
 		delete(dc.pending, req.ID)
 		dc.mu.Unlock()
 		// The delivery may have been buffered just before we gave up;
-		// drain it so its slabs recycle rather than leak to the GC.
+		// drain it so its slabs recycle rather than leak to the GC. The
+		// channel is not reused: the read loop may still hold it.
 		select {
 		case d, ok := <-ch:
 			if ok {
@@ -310,6 +325,7 @@ type Coordinator struct {
 	failover bool
 	backend  string
 	epoch    int
+	spec     *decluster.Spec // WithSpec; nil takes the servers' word
 	eng      *engine.Executor
 	in       *telemetry.Instruments
 
@@ -387,6 +403,15 @@ func WithEpoch(epoch int) DialOption {
 	return func(c *Coordinator) { c.epoch = epoch }
 }
 
+// WithSpec hands the coordinator the allocator spec its servers decluster
+// under. Without it the servers' own description (OpDescribe) is the
+// spec; with it that description is checked against the one handed over,
+// and a server that does not serve the coordinator's epoch yet is taken on
+// trust — the rescale's new-epoch dial comes before Prepare.
+func WithSpec(spec decluster.Spec) DialOption {
+	return func(c *Coordinator) { c.spec = &spec }
+}
+
 // WithFailover puts the ring-successor reroute on every retrieval's
 // policy chain, for deployments whose servers hold their predecessor's
 // backup partition (NewReplicatedServer): a transport failure on a
@@ -409,7 +434,10 @@ func WithArenaResults() DialOption {
 
 // Dial connects to one server per device; addrs[i] must serve device i.
 // The file provides the schema and hash functions used to lower value
-// queries to bucket coordinates — it can be empty of records.
+// queries to bucket coordinates — it can be empty of records. The
+// allocator is the one the servers describe: Dial fails unless server i
+// says it is device i, all under one spec (WithSpec's, when given) whose
+// M is len(addrs) and whose grid is the file's.
 func Dial(file *mkhash.File, addrs []string, opts ...DialOption) (*Coordinator, error) {
 	c := &Coordinator{file: file, tracer: obs.DefaultTracer()}
 	for _, opt := range opts {
@@ -434,6 +462,11 @@ func Dial(file *mkhash.File, addrs []string, opts ...DialOption) (*Coordinator, 
 		c.conns = append(c.conns, dc)
 		c.dm = append(c.dm, newCoordDevMetrics(i))
 	}
+	alloc, err := c.allocator()
+	if err != nil {
+		c.Close()
+		return nil, err
+	}
 	devices := make([]engine.Device, len(c.conns))
 	for i := range devices {
 		devices[i] = &remoteDevice{c: c, server: i, as: -1}
@@ -455,17 +488,18 @@ func Dial(file *mkhash.File, addrs []string, opts ...DialOption) (*Coordinator, 
 	} else if c.failover {
 		res.Policies = []engine.Policy{reroute}
 	}
-	// The coordinator holds no allocator (servers do their own inverse
-	// mapping), so its plans are summaries: cached |R(q)| and bound per
-	// shape, computed once — keeping the audit's strict bound stable
-	// across the workload instead of re-deriving it per retrieval.
+	// Nothing on this side of the wire reads a plan's tuples (servers
+	// enumerate their own buckets), so the cache keeps the per-shape
+	// numbers and counts only: O(M) per shape.
 	eng, err := engine.New(engine.Config{
 		Schema:       file,
+		FS:           alloc.FileSystem(),
+		Alloc:        alloc,
 		Devices:      devices,
 		Instr:        c.in,
 		Tracer:       c.tracer,
 		Span:         span,
-		Plans:        plancache.New(c.backend),
+		Plans:        plancache.New(c.backend, plancache.WithMaxTuples(1)),
 		Resilience:   res,
 		ArenaResults: c.arena,
 	})
@@ -475,6 +509,64 @@ func Dial(file *mkhash.File, addrs []string, opts ...DialOption) (*Coordinator, 
 	}
 	c.eng = eng
 	return c, nil
+}
+
+// allocator builds the spec the dialed servers decluster under, checked
+// against the address list and the file's grid. Every server is asked:
+// server i must say it is device i, and those that serve the
+// coordinator's epoch must agree on one spec — the one handed over
+// (WithSpec), when there is one. A server not serving the epoch yet is
+// taken on trust only under a handed spec.
+func (c *Coordinator) allocator() (decluster.GroupAllocator, error) {
+	spec, from := c.spec, "WithSpec"
+	for dev, dc := range c.conns {
+		d, err := c.describe(dc)
+		if err != nil {
+			return nil, fmt.Errorf("netdist: describe device %d (%s): %w", dev, dc.addr, err)
+		}
+		switch {
+		case d.Device != dev:
+			return nil, fmt.Errorf("netdist: address %d (%s) is served by device %d, not device %d", dev, dc.addr, d.Device, dev)
+		case d.Spec == nil && c.spec == nil:
+			return nil, fmt.Errorf("netdist: device %d (%s) does not serve epoch %d", dev, dc.addr, c.epoch)
+		case d.Spec == nil:
+		case spec == nil:
+			spec, from = d.Spec, fmt.Sprintf("device %d (%s)", dev, dc.addr)
+		case !specEqual(*spec, *d.Spec):
+			return nil, fmt.Errorf("netdist: device %d (%s) declusters under %+v, %s under %+v", dev, dc.addr, *d.Spec, from, *spec)
+		}
+	}
+	if spec == nil {
+		return nil, errors.New("netdist: no device addresses")
+	}
+	if spec.M != len(c.conns) {
+		return nil, fmt.Errorf("netdist: %d addresses for an allocator over %d devices", len(c.conns), spec.M)
+	}
+	if sizes := c.file.Sizes(); !slices.Equal(sizes, spec.Sizes) {
+		return nil, fmt.Errorf("netdist: file directory sizes %v, allocator declusters %v", sizes, spec.Sizes)
+	}
+	alloc, err := spec.Build()
+	if err != nil {
+		return nil, fmt.Errorf("netdist: %w", err)
+	}
+	return alloc, nil
+}
+
+// describe asks one server which device it is and under which spec it
+// serves the coordinator's epoch: a plain round trip, before any
+// retrieval, past the injector and the per-device counters.
+func (c *Coordinator) describe(dc *deviceConn) (description, error) {
+	ctx, cancel := context.WithTimeout(context.Background(), c.probeTimeout())
+	defer cancel()
+	var d description
+	resp, _, _, _, err := dc.roundTrip(ctx, Request{Control: OpDescribe, Epoch: c.epoch, AsDevice: -1}, c.timeout)
+	if err == nil && resp.Err != "" {
+		err = errors.New(resp.Err)
+	}
+	if err == nil {
+		err = json.Unmarshal(resp.StatsJSON, &d)
+	}
+	return d, err
 }
 
 // dialDevice connects to one device server and completes the FXB
@@ -692,6 +784,15 @@ type remoteDevice struct {
 	as     int
 }
 
+// Owner declares whose buckets the device answers for: its server's own,
+// or those of the device it impersonates.
+func (d *remoteDevice) Owner() int {
+	if d.as >= 0 {
+		return d.as
+	}
+	return d.server
+}
+
 func (d *remoteDevice) Scan(ctx context.Context, q query.Query, pm mkhash.PartialMatch) (engine.Answer, error) {
 	req := NewRequest(q.Spec, pm)
 	req.AsDevice = d.as
@@ -856,8 +957,8 @@ func (c *Coordinator) ask(ctx context.Context, dev int, req Request, shape strin
 		return Response{}, nil, derr
 	}
 	span.SetRequestID(id)
-	span.Event(fmt.Sprintf("device %d (%s) req %d: %d buckets, %d records in %v",
-		req.targetDevice(dev), dc.addr, id, resp.Buckets, resp.Scanned, time.Since(t0)))
+	span.Reply(obs.DeviceReply{Device: req.targetDevice(dev), Addr: dc.addr, Request: id,
+		Buckets: resp.Buckets, Records: resp.Scanned, Took: time.Since(t0)})
 	return resp, release, nil
 }
 
@@ -875,8 +976,9 @@ func (c *Coordinator) Retrieve(pm mkhash.PartialMatch) (engine.Result, error) {
 	return c.RetrieveContext(context.Background(), pm)
 }
 
-// RetrieveContext lowers the value-level query, broadcasts it to every
-// device in parallel, and merges the responses. The coordinator attaches
+// RetrieveContext lowers the value-level query, sends it in parallel to
+// every device that owns one of its qualified buckets, and merges the
+// responses. The coordinator attaches
 // no cost model, so the result's time fields stay zero. Any device error
 // fails the whole retrieval (partial answers would silently drop
 // matches) and the error reports every failing device — unless the

@@ -181,6 +181,47 @@ func TestFailoverSurvivesOneServerDeath(t *testing.T) {
 		t.Log("note: device 2 had no qualified buckets for this query")
 	}
 
+	// A fully specified query whose one bucket the dead device owns goes
+	// to that device alone: failover must reroute it (to server 3, as
+	// device 2), and without failover it fails naming device 2. One that
+	// device 1 owns never touches the dead server, failover or not.
+	exactOn := func(dev int) mkhash.PartialMatch {
+		var pm mkhash.PartialMatch
+		file.EachBucket(func(coords []int, records []mkhash.Record) {
+			if pm == nil && fx.Device(coords) == dev {
+				r := records[0]
+				pm = mkhash.PartialMatch{&r[0], &r[1], &r[2]}
+			}
+		})
+		if pm == nil {
+			t.Fatalf("no record on device %d", dev)
+		}
+		return pm
+	}
+	rerouted := coord.dm[2].failovers.Value()
+	onDead := exactOn(2)
+	got, err = coord.Retrieve(onDead)
+	if err != nil {
+		t.Fatalf("query owned by the dead device: %v", err)
+	}
+	if g := recordKeys(got.Records); len(g) == 0 || !equalKeys(g, recordKeys(mustSearch(t, file, onDead))) {
+		t.Fatal("rerouted answer differs from reference")
+	}
+	if b := got.DeviceBuckets; b[0]+b[1]+b[3] != 0 || b[2] != 1 {
+		t.Errorf("device buckets %v, want the one bucket on device 2", b)
+	}
+	if n := coord.dm[2].failovers.Value() - rerouted; n != 1 {
+		t.Errorf("%d failovers for device 2, want 1", n)
+	}
+	var derr *DeviceError
+	if _, err := plain.Retrieve(onDead); !errors.As(err, &derr) || derr.Device != 2 {
+		t.Errorf("plain query owned by the dead device: err = %v, want a DeviceError for device 2", err)
+	}
+	onLive := exactOn(1)
+	if res, err := plain.Retrieve(onLive); err != nil || len(res.Records) == 0 {
+		t.Errorf("plain query owned by device 1 alone: %d records, %v", len(res.Records), err)
+	}
+
 	// The batch path fails over too: it is the same executor.
 	batch, err := coord.RetrieveBatch(context.Background(), pms)
 	if err != nil {
@@ -193,7 +234,6 @@ func TestFailoverSurvivesOneServerDeath(t *testing.T) {
 	}
 	// And a coordinator dialed without failover never does, on either
 	// path: the error names the dead device.
-	var derr *DeviceError
 	if _, err := plain.RetrieveBatch(context.Background(), pms); !errors.As(err, &derr) || derr.Device != 2 {
 		t.Errorf("plain batch after server death: err = %v, want a DeviceError for device 2", err)
 	}

@@ -1,9 +1,10 @@
 // Package netdist turns the paper's parallel-device model into an actual
 // distributed system: one TCP server per device, each holding the bucket
 // partition a declustering allocator assigns to it, and a coordinator
-// that fans partial match queries out to all devices and merges the
-// results. Every device answers with the per-device inverse mapping of
-// package query — it enumerates only its own qualified buckets.
+// that fans a partial match query out to the devices that own one of its
+// qualified buckets and merges the results. Every device answers with
+// the per-device inverse mapping of package query — it enumerates only
+// its own qualified buckets.
 //
 // The wire protocol is versioned, length-prefixed binary frames
 // (codec.go): a coordinator opens with a 4-byte magic carrying the
@@ -111,6 +112,13 @@ const (
 	// OpAbort drops the prepared view and deletes every bucket installed
 	// during the rescale, returning the server to its pre-rescale state.
 	OpAbort
+	// OpDescribe answers which device the server is and under which
+	// allocator spec it serves the request's epoch (a JSON description in
+	// the response's trailing blob). Dial asks every server: a query goes
+	// only to the devices its plan says own a qualified bucket, so
+	// "addrs[i] serves device i under one allocator" is the correctness of
+	// every answer and is checked, not assumed.
+	OpDescribe
 )
 
 // NewRequest builds the wire request for a hashed query and its
@@ -165,10 +173,11 @@ type Server struct {
 	sm     serverMetrics
 	reg    *obs.Registry
 	tracer *obs.Tracer
-	// shapeCounts caches the per-shape request counters (sync.Map keyed
-	// by shape string) so the serve loop never re-resolves registry
-	// entries; the federated fleet view sums these across nodes.
-	shapeCounts sync.Map
+	// shapeCounts caches the per-shape request counters so the serve loop
+	// never re-resolves registry entries, nor forms a string to look one
+	// up; the federated fleet view sums these across nodes.
+	shapeMu     sync.RWMutex
+	shapeCounts map[string]*obs.Counter
 
 	// Load shedding (SetShedding): above shedLimit concurrent requests
 	// the server rejects with a Retry-After hint instead of queueing.
@@ -227,13 +236,14 @@ func NewServer(deviceID int, spec decluster.Spec, buckets storage.Partition) (*S
 		return nil, fmt.Errorf("netdist: %w", err)
 	}
 	return &Server{
-		deviceID:  deviceID,
-		cur:       cur,
-		sm:        newServerMetrics(obs.Default(), deviceID),
-		reg:       obs.Default(),
-		tracer:    obs.DefaultTracer(),
-		listeners: make(map[net.Listener]struct{}),
-		conns:     make(map[net.Conn]struct{}),
+		deviceID:    deviceID,
+		cur:         cur,
+		shapeCounts: make(map[string]*obs.Counter),
+		sm:          newServerMetrics(obs.Default(), deviceID),
+		reg:         obs.Default(),
+		tracer:      obs.DefaultTracer(),
+		listeners:   make(map[net.Listener]struct{}),
+		conns:       make(map[net.Conn]struct{}),
 	}, nil
 }
 
@@ -247,19 +257,25 @@ func (s *Server) DeviceID() int { return s.deviceID }
 func (s *Server) UseRegistry(r *obs.Registry) {
 	s.reg = r
 	s.sm = newServerMetrics(r, s.deviceID)
-	s.shapeCounts = sync.Map{}
+	s.shapeCounts = make(map[string]*obs.Counter)
 	obs.RegisterBuildInfo(r)
 }
 
-// shapeCounter returns (caching) the per-shape request counter.
-func (s *Server) shapeCounter(shape string) *obs.Counter {
-	if c, ok := s.shapeCounts.Load(shape); ok {
-		return c.(*obs.Counter)
+// shapeCounter returns (caching) the request counter of the shape whose
+// key is shape's bytes.
+func (s *Server) shapeCounter(shape []byte) *obs.Counter {
+	s.shapeMu.RLock()
+	c := s.shapeCounts[string(shape)]
+	s.shapeMu.RUnlock()
+	if c != nil {
+		return c
 	}
-	c := s.reg.Counter("fxdist_netdist_server_shape_requests_total",
+	s.shapeMu.Lock()
+	defer s.shapeMu.Unlock()
+	c = s.reg.Counter("fxdist_netdist_server_shape_requests_total",
 		"Requests answered by the device server, by query shape.",
-		obs.L("device", strconv.Itoa(s.deviceID)), obs.L("shape", shape))
-	s.shapeCounts.Store(shape, c)
+		obs.L("device", strconv.Itoa(s.deviceID)), obs.L("shape", string(shape)))
+	s.shapeCounts[string(shape)] = c
 	return c
 }
 
@@ -371,8 +387,15 @@ func (s *Server) handle(conn net.Conn) {
 		}
 		return // closed before the handshake, or not an FXB peer
 	}
+	// One request, one enumeration and one shape key per connection: the
+	// loop is serial, so each is reused by the next request once the
+	// response is written (see binServerCodec.decode).
+	var (
+		req   Request
+		walk  query.Walk
+		shape []byte
+	)
 	for {
-		var req Request
 		if err := codec.readRequest(&req); err != nil {
 			return // connection closed or corrupt stream
 		}
@@ -418,7 +441,8 @@ func (s *Server) handle(conn net.Conn) {
 		t0 := time.Now()
 		span := s.tracer.StartChild("netdist.serve", req.TraceID, req.ParentSpan)
 		span.SetRequestID(req.ID)
-		resp := s.answer(&req)
+		q := query.Query{Spec: req.Spec}
+		resp := s.answer(&req, q, &walk)
 		s.sm.requests.Inc()
 		if resp.Err != "" {
 			s.sm.errors.Inc()
@@ -426,8 +450,9 @@ func (s *Server) handle(conn net.Conn) {
 		} else {
 			// Only a request a view accepted names a shape: a label minted
 			// from an unvalidated Spec would let any peer grow the registry.
-			s.shapeCounter(query.New(req.Spec).Shape()).Inc()
-			span.Event(fmt.Sprintf("device %d req %d: %d buckets, %d records", s.deviceID, req.ID, resp.Buckets, resp.Scanned))
+			shape = q.AppendShape(shape[:0])
+			s.shapeCounter(shape).Inc()
+			span.Reply(obs.DeviceReply{Device: s.deviceID, Request: req.ID, Buckets: resp.Buckets, Records: resp.Scanned})
 		}
 		s.sm.latency.ObserveSince(t0)
 		span.End()
@@ -470,17 +495,17 @@ func (s *Server) viewFor(req *Request) (*view, error) {
 	return s.next, nil
 }
 
-// answer runs one query against the view the request names. Holding the
-// read lock across the scan keeps the view (and its partition) stable
-// against a concurrent cutover.
-func (s *Server) answer(req *Request) Response {
+// answer runs one query — q is the request's Spec — against the view the
+// request names, enumerating in the connection's walk. Holding the read
+// lock across the scan keeps the view (and its partition) stable against
+// a concurrent cutover.
+func (s *Server) answer(req *Request, q query.Query, walk *query.Walk) Response {
 	s.dataMu.RLock()
 	defer s.dataMu.RUnlock()
 	v, err := s.viewFor(req)
 	if err != nil {
 		return Response{ID: req.ID, Err: err.Error()}
 	}
-	q := query.New(req.Spec)
 	if err := q.Validate(v.fs); err != nil {
 		return Response{ID: req.ID, Err: err.Error()}
 	}
@@ -491,9 +516,10 @@ func (s *Server) answer(req *Request) Response {
 		s.sm.backup.Inc()
 	}
 	var ans engine.Answer
-	v.im.EachOnDevice(q, v.dev, func(coords []int) {
+	*walk = v.im.Walk(*walk, q, v.dev)
+	for coords := walk.Next(); coords != nil; coords = walk.Next() {
 		v.part.Scan(v.fs.Linear(coords), req.Match, &ans)
-	})
+	}
 	return Response{ID: req.ID, Records: ans.Hits, Buckets: ans.Buckets, Scanned: ans.Records}
 }
 

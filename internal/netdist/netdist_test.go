@@ -5,10 +5,12 @@ import (
 	"fmt"
 	"net"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
 	"fxdist/internal/decluster"
+	"fxdist/internal/field"
 	"fxdist/internal/mkhash"
 	"fxdist/internal/obs"
 	"fxdist/internal/query"
@@ -285,6 +287,104 @@ func TestDialFailure(t *testing.T) {
 	file := buildFile(t, 10)
 	if _, err := Dial(file, []string{"127.0.0.1:1"}); err == nil {
 		t.Error("dial to closed port succeeded")
+	}
+}
+
+// TestDialChecksTheAddressList: a coordinator sends a query only to the
+// devices its plan says own a qualified bucket, so an address list that
+// does not put device i at position i under one allocator would silently
+// lose answers (before pruning everyone was asked, and two swapped
+// addresses went unnoticed). Dial refuses each such list, naming the
+// device, the address and both values.
+func TestDialChecksTheAddressList(t *testing.T) {
+	file := buildFile(t, 200)
+	fs, err := file.FileSystem(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fx := decluster.MustFX(fs)
+	addrs, stop, err := Deploy(file, fx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stop()
+	spec, err := decluster.SpecOf(fx)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// A server of the same grid under another transform plan (the 4-wide
+	// field is narrower than M, so the plans differ), as device 7.
+	other, err := decluster.NewFX(fs, field.WithKinds([]field.Kind{field.I, field.I, field.U}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	otherSpec, err := decluster.SpecOf(other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if specEqual(spec, otherSpec) {
+		t.Fatal("fixture: the two transform plans agree")
+	}
+	odd, err := NewServer(7, otherSpec, storage.Partition{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go odd.Serve(l) //nolint:errcheck // ends when odd.Close closes l
+	defer odd.Close()
+
+	swapped := append([]string{addrs[0], addrs[2], addrs[1]}, addrs[3:]...)
+	otherM := spec
+	otherM.M = 4
+	for _, tc := range []struct {
+		name  string
+		addrs []string
+		opts  []DialOption
+		want  []string
+	}{
+		{"two swapped addresses", swapped, nil,
+			[]string{"address 1 (" + addrs[2] + ")", "device 2, not device 1"}},
+		{"a server under another transform plan", append(append([]string(nil), addrs[:7]...), l.Addr().String()), nil,
+			[]string{"device 7 (" + l.Addr().String() + ")", "device 0 (" + addrs[0] + ")", fmt.Sprintf("%+v", otherSpec), fmt.Sprintf("%+v", spec)}},
+		{"one address too few", addrs[:7], nil,
+			[]string{"7 addresses", "8 devices"}},
+		{"a handed spec the servers contradict", addrs, []DialOption{WithSpec(otherSpec)},
+			[]string{"device 0 (" + addrs[0] + ")", "WithSpec", fmt.Sprintf("%+v", otherSpec)}},
+		{"a handed spec over another device count", addrs, []DialOption{WithSpec(otherM)},
+			[]string{"device 0 (" + addrs[0] + ")", "WithSpec"}},
+	} {
+		c, err := Dial(file, tc.addrs, tc.opts...)
+		if err == nil {
+			c.Close()
+			t.Errorf("%s: dial succeeded", tc.name)
+			continue
+		}
+		for _, frag := range tc.want {
+			if !strings.Contains(err.Error(), frag) {
+				t.Errorf("%s: error %q does not name %q", tc.name, err, frag)
+			}
+		}
+	}
+	// The right list dials, with the spec handed over or not.
+	for _, opts := range [][]DialOption{nil, {WithSpec(spec)}} {
+		c, err := Dial(file, addrs, opts...)
+		if err != nil {
+			t.Fatalf("dial of the deployed list: %v", err)
+		}
+		c.Close()
+	}
+
+	// A file of another grid cannot lower queries for these servers.
+	small := mkhash.MustNew(mkhash.Schema{Fields: []string{"part", "supplier", "warehouse"}, Depths: []int{3, 3, 1}})
+	if c, err := Dial(small, addrs); err == nil {
+		c.Close()
+		t.Error("dial with a file of another grid succeeded")
+	} else if !strings.Contains(err.Error(), "directory sizes") {
+		t.Errorf("grid mismatch: %v", err)
 	}
 }
 

@@ -1,13 +1,29 @@
 package netdist
 
 import (
+	"encoding/binary"
+	"io"
+	"net"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"fxdist/internal/decluster"
+	"fxdist/internal/storage"
 )
+
+// raceEnabled reports whether the test binary was built with -race.
+func raceEnabled() bool {
+	bi, _ := debug.ReadBuildInfo()
+	for _, s := range bi.Settings {
+		if s.Key == "-race" {
+			return s.Value == "true"
+		}
+	}
+	return false
+}
 
 // Killing the servers mid-session must fail in-flight and subsequent
 // retrievals with a transport error, not hang or return partial data.
@@ -188,5 +204,83 @@ func TestLateResponseAfterTimeoutIsDropped(t *testing.T) {
 		if n != 0 {
 			t.Errorf("pending map leaked %d entries", n)
 		}
+	}
+}
+
+// TestServerQueryAllocs pins what one query request costs a device server
+// end to end — frame in, decode, serving span, validate, enumerate, scan,
+// shape counter, success event, frame out — over a net.Pipe whose client
+// side is allocation-free: at most 2 objects (the serving span is one),
+// where the copying decoder, the per-request inverse-mapper scratch, the
+// formatted event and the shape string made it about 15.
+func TestServerQueryAllocs(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("sync.Pool drops Puts under -race, so allocation counts are not exact")
+	}
+	file := buildFile(t, 400)
+	fs, err := file.FileSystem(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fx := decluster.MustFX(fs)
+	spec, err := decluster.SpecOf(fx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parts, err := storage.Split(file, fx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewServer(1, spec, parts[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	client, server := net.Pipe()
+	srv.mu.Lock()
+	srv.conns[server] = struct{}{}
+	srv.mu.Unlock()
+	go srv.handle(server)
+	defer srv.Close()
+	if err := negotiateClient(client, handshakeWindow); err != nil {
+		t.Fatal(err)
+	}
+
+	pm, err := file.Spec(map[string]string{"supplier": "sup3", "warehouse": "wh3"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := file.BucketQuery(pm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := NewRequest(q.Spec, pm)
+	req.ID, req.TraceID, req.ParentSpan = 9, 77, 78
+	frame := binary.LittleEndian.AppendUint32(nil, uint32(requestSize(&req)))
+	frame = appendRequest(frame, &req)
+	in := make([]byte, 1<<16)
+	var resp Response
+	var n uint32
+	roundTrip := func() {
+		if _, err := client.Write(frame); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.ReadFull(client, in[:frameLenSize]); err != nil {
+			t.Fatal(err)
+		}
+		n = binary.LittleEndian.Uint32(in)
+		if _, err := io.ReadFull(client, in[:n]); err != nil {
+			t.Fatal(err)
+		}
+		f := frameReader{buf: in[:n]}
+		if resp.ID, err = f.uvarint(); err != nil || resp.ID != req.ID {
+			t.Fatalf("response id %d, %v", resp.ID, err)
+		}
+	}
+	roundTrip() // warm the pools, the walk, the shape counter
+	if _, err := decodeResponse(in[:n], &resp, false); err != nil || resp.Err != "" || resp.Buckets == 0 || len(resp.Records) == 0 {
+		t.Fatalf("response: %d buckets, %d records, %q, %v", resp.Buckets, len(resp.Records), resp.Err, err)
+	}
+	if got := testing.AllocsPerRun(200, roundTrip); got > 2 {
+		t.Errorf("one query request costs the server %.1f allocations, want at most 2", got)
 	}
 }

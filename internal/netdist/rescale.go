@@ -4,9 +4,10 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"strings"
+	"slices"
 
 	"fxdist/internal/decluster"
+	"fxdist/internal/engine"
 	"fxdist/internal/mkhash"
 	"fxdist/internal/storage"
 )
@@ -52,6 +53,8 @@ func (s *Server) control(req *Request) Response {
 		return s.cutover(req)
 	case OpAbort:
 		return s.abort(req)
+	case OpDescribe:
+		return s.describe(req)
 	default:
 		return Response{ID: req.ID, Err: fmt.Sprintf("netdist: unknown control op %d", req.Control)}
 	}
@@ -139,15 +142,7 @@ func (s *Server) install(req *Request) Response {
 		// previous (also empty-in-practice) content.
 		delete(v.part, req.Bucket)
 	} else {
-		recs := make([]mkhash.Record, len(req.Payload))
-		for i, r := range req.Payload {
-			rec := make(mkhash.Record, len(r))
-			for j, f := range r {
-				rec[j] = strings.Clone(f)
-			}
-			recs[i] = rec
-		}
-		v.part[req.Bucket] = recs
+		v.part[req.Bucket] = engine.CloneRecords(req.Payload)
 	}
 	if s.next != nil {
 		s.installed[req.Bucket] = struct{}{}
@@ -194,28 +189,33 @@ func (s *Server) abort(req *Request) Response {
 	return Response{ID: req.ID}
 }
 
+// description is what a server says of itself to a dialing coordinator
+// (OpDescribe): its device id, and the allocator spec of the view that
+// serves the asked epoch — nil when it serves no such epoch (yet).
+type description struct {
+	Device int             `json:"device"`
+	Spec   *decluster.Spec `json:"spec,omitempty"`
+}
+
+// describe answers OpDescribe.
+func (s *Server) describe(req *Request) Response {
+	s.dataMu.RLock()
+	defer s.dataMu.RUnlock()
+	d := description{Device: s.deviceID}
+	if v, err := s.viewFor(req); err == nil {
+		d.Spec = &v.spec
+	}
+	b, err := json.Marshal(d)
+	if err != nil {
+		return Response{ID: req.ID, Err: fmt.Sprintf("netdist: describe: %v", err)}
+	}
+	return Response{ID: req.ID, StatsJSON: b}
+}
+
 // specEqual compares two allocator specs field by field.
 func specEqual(a, b decluster.Spec) bool {
-	if a.Method != b.Method || a.M != b.M ||
-		len(a.Sizes) != len(b.Sizes) || len(a.Kinds) != len(b.Kinds) || len(a.Multipliers) != len(b.Multipliers) {
-		return false
-	}
-	for i := range a.Sizes {
-		if a.Sizes[i] != b.Sizes[i] {
-			return false
-		}
-	}
-	for i := range a.Kinds {
-		if a.Kinds[i] != b.Kinds[i] {
-			return false
-		}
-	}
-	for i := range a.Multipliers {
-		if a.Multipliers[i] != b.Multipliers[i] {
-			return false
-		}
-	}
-	return true
+	return a.Method == b.Method && a.M == b.M && slices.Equal(a.Sizes, b.Sizes) &&
+		slices.Equal(a.Kinds, b.Kinds) && slices.Equal(a.Multipliers, b.Multipliers)
 }
 
 // Coordinator-side control methods. Each is one round trip against one
@@ -234,14 +234,7 @@ func (c *Coordinator) controlOp(ctx context.Context, dev int, req Request) (Resp
 	if len(resp.Records) > 0 {
 		// Control responses outlive the wire buffers: deep-copy the
 		// records and recycle the pooled slabs immediately.
-		recs := make([]mkhash.Record, len(resp.Records))
-		for i, r := range resp.Records {
-			rec := make(mkhash.Record, len(r))
-			for j, f := range r {
-				rec[j] = strings.Clone(f)
-			}
-			recs[i] = rec
-		}
+		recs := engine.CloneRecords(resp.Records)
 		clientHits.Put(resp.Records)
 		resp.Records = recs
 	}

@@ -113,7 +113,9 @@ func deployRescaleFixture(t *testing.T, file *mkhash.File, oldM, newM int) (
 		t.Fatal(err)
 	}
 	closers = append(closers, oldCoord.Close)
-	newCoord, err = Dial(file, allAddrs, WithBackendName("netdist-next-test"), WithEpoch(1))
+	// Dialed before Prepare, as the rescale does: no old server serves
+	// epoch 1 yet, so the spec is handed over, not described.
+	newCoord, err = Dial(file, allAddrs, WithBackendName("netdist-next-test"), WithEpoch(1), WithSpec(newSpec))
 	if err != nil {
 		cleanup()
 		t.Fatal(err)
@@ -402,8 +404,13 @@ func TestRescaleControlValidation(t *testing.T) {
 		t.Fatal("conflicting prepare accepted")
 	}
 
-	// Queries at an unserved epoch are rejected.
-	bogus, err := Dial(file, newCoord.Addrs(), WithBackendName("bogus-epoch"), WithEpoch(7))
+	// An unserved epoch is rejected: at Dial when the servers are asked
+	// to describe it, per query when the spec was handed over.
+	if c, err := Dial(file, newCoord.Addrs(), WithBackendName("bogus-epoch"), WithEpoch(7)); err == nil {
+		c.Close()
+		t.Fatal("dial described an epoch no server serves")
+	}
+	bogus, err := Dial(file, newCoord.Addrs(), WithBackendName("bogus-epoch"), WithEpoch(7), WithSpec(newSpec))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -82,13 +82,6 @@ func (l *Logger) SetLevel(level Level) { l.level.Store(int32(level)) }
 // Level returns the current threshold.
 func (l *Logger) Level() Level { return Level(l.level.Load()) }
 
-// SetOutput redirects the logger.
-func (l *Logger) SetOutput(w io.Writer) {
-	l.mu.Lock()
-	l.out = w
-	l.mu.Unlock()
-}
-
 // Logf writes one record when level passes the threshold.
 func (l *Logger) Logf(level Level, format string, args ...any) {
 	if level < Level(l.level.Load()) || Level(l.level.Load()) == LevelOff {

@@ -117,12 +117,6 @@ func (h *Histogram) SetExemplar(v float64, traceID uint64) {
 	h.exemplars[h.bucketIndex(v)].Store(&Exemplar{Value: v, TraceID: traceID, Time: time.Now()})
 }
 
-// ObserveWithExemplar records one value and links it to traceID.
-func (h *Histogram) ObserveWithExemplar(v float64, traceID uint64) {
-	h.Observe(v)
-	h.SetExemplar(v, traceID)
-}
-
 // ObserveSince records the elapsed time since t0, in seconds.
 func (h *Histogram) ObserveSince(t0 time.Time) { h.Observe(time.Since(t0).Seconds()) }
 

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"sort"
 	"sync"
@@ -308,6 +309,37 @@ type SpanEvent struct {
 	Msg string        `json:"msg"`
 }
 
+// DeviceReply is the success event of one device request: which device
+// answered which wire request with how many qualified buckets and scanned
+// records — and, on the coordinator's span, from which address and in
+// what time. A span keeps the operands and renders the text only when it
+// is snapshotted, so a request nobody inspects formats nothing.
+type DeviceReply struct {
+	Device  int
+	Addr    string // the server asked; "" on the server's own span
+	Request uint64
+	Buckets int
+	Records int
+	Took    time.Duration // the round trip, reported beside Addr
+}
+
+func (r DeviceReply) String() string {
+	if r.Addr == "" {
+		return fmt.Sprintf("device %d req %d: %d buckets, %d records", r.Device, r.Request, r.Buckets, r.Records)
+	}
+	return fmt.Sprintf("device %d (%s) req %d: %d buckets, %d records in %v",
+		r.Device, r.Addr, r.Request, r.Buckets, r.Records, r.Took)
+}
+
+// spanEvent is an annotation as the span holds it: rendered text, or the
+// operands of a reply still to render.
+type spanEvent struct {
+	at      time.Duration
+	msg     string
+	isReply bool
+	reply   DeviceReply // rendered in msg's place when isReply
+}
+
 // Span is one in-progress or completed traced operation. All methods
 // are safe for concurrent use and no-op on a nil span.
 type Span struct {
@@ -320,9 +352,14 @@ type Span struct {
 
 	mu        sync.Mutex
 	requestID uint64
-	events    []SpanEvent
-	duration  time.Duration
-	done      bool
+	// The first events live in the span itself: most spans annotate once
+	// or twice, so they cost no allocation beyond the span (the ring holds
+	// 256 spans, so the room is bounded). Later ones spill to more.
+	inline   [2]spanEvent
+	n        int // events recorded; the first len(inline) of them in inline
+	more     []spanEvent
+	duration time.Duration
+	done     bool
 }
 
 // SpanID returns the span's own ID, 0 on a nil span.
@@ -362,13 +399,27 @@ func (s *Span) SetRequestID(id uint64) {
 }
 
 // Event records a timestamped annotation.
-func (s *Span) Event(msg string) {
+func (s *Span) Event(msg string) { s.record(spanEvent{msg: msg}) }
+
+// Reply records a device request's success event; see DeviceReply.
+func (s *Span) Reply(r DeviceReply) { s.record(spanEvent{isReply: true, reply: r}) }
+
+func (s *Span) record(ev spanEvent) {
 	if s == nil {
 		return
 	}
-	at := time.Since(s.start)
+	ev.at = time.Since(s.start)
 	s.mu.Lock()
-	s.events = append(s.events, SpanEvent{At: at, Msg: msg})
+	if s.n < len(s.inline) {
+		s.inline[s.n] = ev
+	} else {
+		if s.more == nil {
+			// One reply per device of a fan-out is what spills.
+			s.more = make([]spanEvent, 0, 8)
+		}
+		s.more = append(s.more, ev)
+	}
+	s.n++
 	s.mu.Unlock()
 }
 
@@ -403,6 +454,20 @@ func (s *Span) snapshot() SpanSnapshot {
 	if !s.done {
 		d = time.Since(s.start)
 	}
+	var events []SpanEvent
+	if s.n > 0 {
+		events = make([]SpanEvent, s.n)
+		for i := range events {
+			ev := &s.inline[i%len(s.inline)]
+			if i >= len(s.inline) {
+				ev = &s.more[i-len(s.inline)]
+			}
+			events[i] = SpanEvent{At: ev.at, Msg: ev.msg}
+			if ev.isReply {
+				events[i].Msg = ev.reply.String()
+			}
+		}
+	}
 	return SpanSnapshot{
 		ID:        s.ID,
 		TraceID:   s.traceID,
@@ -412,7 +477,7 @@ func (s *Span) snapshot() SpanSnapshot {
 		Start:     s.start,
 		Duration:  d,
 		Done:      s.done,
-		Events:    append([]SpanEvent(nil), s.events...),
+		Events:    events,
 	}
 }
 

@@ -1,8 +1,11 @@
 package obs
 
 import (
+	"encoding/json"
+	"fmt"
 	"runtime"
 	"runtime/debug"
+	"strings"
 	"testing"
 	"time"
 )
@@ -45,6 +48,55 @@ func TestTracerRecentOrderAndEvents(t *testing.T) {
 	}
 	if !got[0].Done || got[0].Duration <= 0 {
 		t.Errorf("span not finalized: %+v", got[0])
+	}
+}
+
+// TestReplyEventsRenderTheFormattedText: the device-request success
+// events are kept as operands and rendered when the span is snapshotted;
+// the text — and so the "msg" of /debug/traces and of a flight's events —
+// is byte for byte what fmt.Sprintf wrote into the span at commit dabf288
+// (Server.handle, Coordinator.ask), whether the event sits inline in the
+// span or spilled past it.
+func TestReplyEventsRenderTheFormattedText(t *testing.T) {
+	tr := NewTracer(4)
+	s := tr.Start("netdist.retrieve")
+	var want []string
+	for dev := 0; dev < 5; dev++ {
+		took := time.Duration(dev+1) * 1500 * time.Microsecond
+		s.Reply(DeviceReply{Device: dev, Addr: "127.0.0.1:7000", Request: uint64(300 + dev), Buckets: 2 * dev, Records: 40, Took: took})
+		want = append(want, fmt.Sprintf("device %d (%s) req %d: %d buckets, %d records in %v",
+			dev, "127.0.0.1:7000", 300+dev, 2*dev, 40, took))
+	}
+	s.Event("failover: re-asking ring successor 3 for device 2")
+	want = append(want, "failover: re-asking ring successor 3 for device 2")
+	s.Reply(DeviceReply{Device: 1, Request: 9, Buckets: 3, Records: 40})
+	want = append(want, fmt.Sprintf("device %d req %d: %d buckets, %d records", 1, 9, 3, 40))
+	s.End()
+
+	snap := s.Snapshot()
+	if len(snap.Events) != len(want) {
+		t.Fatalf("%d events, want %d", len(snap.Events), len(want))
+	}
+	for i, ev := range snap.Events {
+		if ev.Msg != want[i] {
+			t.Errorf("event %d: %q, want %q", i, ev.Msg, want[i])
+		}
+		if i > 0 && ev.At < snap.Events[i-1].At {
+			t.Errorf("event %d recorded before event %d", i, i-1)
+		}
+	}
+	if want[0] != "device 0 (127.0.0.1:7000) req 300: 0 buckets, 40 records in 1.5ms" ||
+		want[6] != "device 1 req 9: 3 buckets, 40 records" {
+		t.Fatalf("the reference formats moved: %q, %q", want[0], want[6])
+	}
+	js, err := json.Marshal(tr.Recent(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, msg := range want {
+		if !strings.Contains(string(js), `"msg":"`+msg+`"`) {
+			t.Errorf("marshalled span lacks msg %q: %s", msg, js)
+		}
 	}
 }
 

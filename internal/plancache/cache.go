@@ -48,16 +48,6 @@ const (
 // Option configures New.
 type Option func(*Cache)
 
-// WithCapacity bounds the number of cached plans (LRU-evicted beyond
-// it). n <= 0 keeps the default.
-func WithCapacity(n int) Option {
-	return func(c *Cache) {
-		if n > 0 {
-			c.capacity = n
-		}
-	}
-}
-
 // WithMaxTuples caps the |R(q)| a single plan compiles tuple groups
 // for; larger shapes cache only their summary numbers. n <= 0 keeps
 // the default.
@@ -65,16 +55,6 @@ func WithMaxTuples(n int) Option {
 	return func(c *Cache) {
 		if n > 0 {
 			c.maxTuples = n
-		}
-	}
-}
-
-// WithMaxBytes bounds the cache's approximate total plan footprint
-// (LRU-evicted beyond it). n <= 0 keeps the default.
-func WithMaxBytes(n int) Option {
-	return func(c *Cache) {
-		if n > 0 {
-			c.maxBytes = n
 		}
 	}
 }

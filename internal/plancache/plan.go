@@ -26,6 +26,7 @@ package plancache
 
 import (
 	"fxdist/internal/audit"
+	"fxdist/internal/convolve"
 	"fxdist/internal/decluster"
 	"fxdist/internal/query"
 )
@@ -47,26 +48,25 @@ type Plan struct {
 	Bound int
 
 	alloc decluster.GroupAllocator
-	fs    decluster.FileSystem
-	// solved is the field the device equation is solved for (the largest
-	// unspecified field, matching InverseMapper), -1 when Unspec is empty.
-	solved int
-	// solvedSlot is solved's position within Unspec.
-	solvedSlot int
+	// counts[g] is the number of free-field value tuples whose folded
+	// contribution is g (convolve.Profile): what device h·g holds of any
+	// query of the shape, so the devices that hold nothing are known
+	// without tuples. nil only on plans built without an allocator.
+	counts []int
 	// tuples[g] flattens (len(Unspec)-wide) the free-field value tuples
 	// whose folded contribution is g, in the exact order InverseMapper
 	// enumerates them: rest fields row-major, solved-field preimages
-	// ascending. nil on summary-only plans (no allocator, or RQ past the
-	// compilation cap).
+	// ascending. nil on plans without an allocator or with RQ past the
+	// compilation cap.
 	tuples [][]int32
 	// bytes approximates the plan's heap footprint, for cache accounting.
 	bytes int
 }
 
-// Summary builds a tuple-less plan carrying only the shape-pure numbers
-// (|R(q)| and the bound). The engine uses it for backends without an
-// allocator (the TCP coordinator) and as the uncached fallback; devices
-// seeing a summary plan fall back to their InverseMapper.
+// Summary builds a plan carrying only the shape-pure numbers (|R(q)| and
+// the bound), with neither counts nor tuples. It is the engine's
+// uncached fallback: the executor asks every device under it, and the
+// devices enumerate with their InverseMapper.
 func Summary(q query.Query, rq, m int) *Plan {
 	return &Plan{
 		Shape:  q.Shape(),
@@ -74,24 +74,26 @@ func Summary(q query.Query, rq, m int) *Plan {
 		RQ:     rq,
 		M:      m,
 		Bound:  audit.Bound(rq, m),
-		solved: -1,
 		bytes:  64,
 	}
 }
 
-// Compile builds the full plan for q's shape under alloc. When the
-// shape's |R(q)| exceeds maxTuples (0 means no cap), the tuple groups
-// are skipped and a summary plan is returned instead, so one enormous
-// shape cannot blow up the cache.
+// Compile builds the plan for q's shape under alloc: the summary
+// numbers, the per-group counts, and the tuple groups. When the shape's
+// |R(q)| exceeds maxTuples (0 means no cap) the tuple groups are
+// skipped, so one enormous shape cannot blow up the cache — and a cache
+// whose reader wants only the counts (the TCP coordinator) holds O(M)
+// per shape.
 func Compile(alloc decluster.GroupAllocator, q query.Query, maxTuples int) *Plan {
 	fs := alloc.FileSystem()
 	rq := q.NumQualified(fs)
 	p := Summary(q, rq, fs.M)
+	p.alloc = alloc
+	p.counts = convolve.Profile(alloc, p.Unspec)
+	p.bytes += 8 * (len(p.Unspec) + len(p.counts))
 	if maxTuples > 0 && rq > maxTuples {
 		return p
 	}
-	p.alloc = alloc
-	p.fs = fs
 	k := len(p.Unspec)
 	if k == 0 {
 		p.tuples = make([][]int32, fs.M)
@@ -108,8 +110,7 @@ func Compile(alloc decluster.GroupAllocator, q query.Query, maxTuples int) *Plan
 			solvedSlot = j
 		}
 	}
-	p.solved = p.Unspec[solvedSlot]
-	p.solvedSlot = solvedSlot
+	solved := p.Unspec[solvedSlot]
 	rest := make([]int, 0, k-1)
 	restSlots := make([]int, 0, k-1)
 	for j, i := range p.Unspec {
@@ -125,9 +126,9 @@ func Compile(alloc decluster.GroupAllocator, q query.Query, maxTuples int) *Plan
 	var rec func(j, acc int)
 	rec = func(j, acc int) {
 		if j == len(rest) {
-			for v := 0; v < fs.Sizes[p.solved]; v++ {
+			for v := 0; v < fs.Sizes[solved]; v++ {
 				buf[solvedSlot] = int32(v)
-				c := g.Combine(acc, alloc.Contribution(p.solved, v), fs.M)
+				c := g.Combine(acc, alloc.Contribution(solved, v), fs.M)
 				tuples[c] = append(tuples[c], buf...)
 			}
 			return
@@ -140,7 +141,6 @@ func Compile(alloc decluster.GroupAllocator, q query.Query, maxTuples int) *Plan
 	}
 	rec(0, 0)
 	p.tuples = tuples
-	p.bytes = 64 + 8*len(p.Unspec)
 	for _, ts := range tuples {
 		p.bytes += 24 + 4*len(ts)
 	}
@@ -166,55 +166,47 @@ func (p *Plan) Tuples() int {
 	return n
 }
 
-// residual returns the tuple group device dev serves for query q: with
-// h the fold of q's specified contributions, dev = h · c_free, so
-// c_free = h⁻¹ · dev.
-func (p *Plan) residual(q query.Query, dev int) int {
-	g := p.alloc.Op()
-	h := 0
-	for i, v := range q.Spec {
-		if v != query.Unspecified {
-			h = g.Combine(h, p.alloc.Contribution(i, v), p.fs.M)
-		}
+// Fold returns h, the fold of q's specified contributions: device dev
+// serves the tuple group h⁻¹ · dev, since dev = h · c_free. 0 on a plan
+// without an allocator.
+func (p *Plan) Fold(q query.Query) int {
+	if p.alloc == nil {
+		return 0
 	}
-	return g.Combine(g.Invert(h, p.fs.M), dev, p.fs.M)
+	return q.Fold(p.alloc)
 }
 
-// EachOnDevice calls fn for every bucket of R(q) on device dev, in the
-// same order InverseMapper.EachOnDevice produces them. The slice passed
-// to fn is reused; copy to retain. q must have the plan's shape and be
-// in range (engine queries are, by construction from the schema).
-func (p *Plan) EachOnDevice(q query.Query, dev int, fn func(bucket []int)) {
-	c := p.residual(q, dev)
-	b := make([]int, len(q.Spec))
-	copy(b, q.Spec)
-	k := len(p.Unspec)
-	if k == 0 {
-		// Fully specified query: the single qualified bucket lives on
-		// device h, i.e. where the residual is the identity.
-		if c == 0 {
-			fn(b)
-		}
-		return
-	}
-	ts := p.tuples[c]
-	for off := 0; off < len(ts); off += k {
-		for j, i := range p.Unspec {
-			b[i] = int(ts[off+j])
-		}
-		fn(b)
-	}
+// residual returns the tuple group device dev serves under fold h.
+func (p *Plan) residual(h, dev int) int {
+	g := p.alloc.Op()
+	return g.Combine(g.Invert(h, p.M), dev, p.M)
+}
+
+// MayHold reports whether device dev can hold a qualified bucket of a
+// query of the shape whose specified contributions fold to h (Fold):
+// false only when the plan counts none there, true for every device on a
+// plan without counts.
+func (p *Plan) MayHold(h, dev int) bool {
+	return p.counts == nil || p.counts[p.residual(h, dev)] > 0
 }
 
 // CountOnDevice returns r_dev(q) — the device's qualified-bucket count —
-// without materialising buckets.
+// without materialising buckets. The plan must be compiled (Compile).
 func (p *Plan) CountOnDevice(q query.Query, dev int) int {
-	k := len(p.Unspec)
-	if k == 0 {
-		if p.residual(q, dev) == 0 {
-			return 1
-		}
-		return 0
+	return p.counts[p.residual(p.Fold(q), dev)]
+}
+
+// Walk starts the enumeration of the buckets of R(q) on device dev of a
+// Ready plan, in the order InverseMapper produces them, building the
+// current bucket in scratch (query.TupleWalk). q must have the plan's
+// shape and be in range (engine queries are, by construction from the
+// schema).
+func (p *Plan) Walk(q query.Query, dev int, scratch []int) query.Walk {
+	c := p.residual(p.Fold(q), dev)
+	if len(p.Unspec) == 0 {
+		// Fully specified query: the single qualified bucket lives on
+		// device h, i.e. where the residual is the identity.
+		return query.TupleWalk(q, nil, nil, c == 0, scratch)
 	}
-	return len(p.tuples[p.residual(q, dev)]) / k
+	return query.TupleWalk(q, p.Unspec, p.tuples[c], false, scratch)
 }

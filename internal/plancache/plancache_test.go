@@ -2,10 +2,12 @@ package plancache
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
 	"sync"
 	"testing"
 
+	"fxdist/internal/convolve"
 	"fxdist/internal/decluster"
 	"fxdist/internal/query"
 )
@@ -68,9 +70,10 @@ func TestPlanMatchesInverseMapper(t *testing.T) {
 			total := 0
 			for dev := 0; dev < fs.M; dev++ {
 				var got, want [][]int
-				p.EachOnDevice(q, dev, func(b []int) {
+				w := p.Walk(q, dev, nil)
+				for b := w.Next(); b != nil; b = w.Next() {
 					got = append(got, append([]int(nil), b...))
-				})
+				}
 				im.EachOnDevice(q, dev, func(b []int) {
 					want = append(want, append([]int(nil), b...))
 				})
@@ -86,6 +89,61 @@ func TestPlanMatchesInverseMapper(t *testing.T) {
 			if total != p.RQ {
 				t.Errorf("%s %s: devices enumerate %d buckets, |R(q)| = %d",
 					alloc.Name(), q, total, p.RQ)
+			}
+		})
+	}
+}
+
+// TestPlanCountsPinTheActiveDevices: for every allocator kind, every
+// shape and a spread of specified values, the shape-pure count vector is
+// convolve.Profile, equals the tuple-group sizes, and — translated by the
+// query's fold — is the brute-force load vector: so MayHold is false
+// exactly on the devices that hold no qualified bucket. A plan capped to
+// counts alone (the coordinator's) says the same; a summary plan knows
+// nothing and lets every device be asked.
+func TestPlanCountsPinTheActiveDevices(t *testing.T) {
+	fs := mustFS(t, []int{8, 4, 2}, 8)
+	allocs := append(allAllocators(t, fs), decluster.NewDHW(fs))
+	rng := rand.New(rand.NewSource(21))
+	for _, alloc := range allocs {
+		eachShapeQuery(fs, func(q query.Query) {
+			full, capped := Compile(alloc, q, 0), Compile(alloc, q, 1)
+			if !reflect.DeepEqual(full.counts, convolve.Profile(alloc, full.Unspec)) ||
+				!reflect.DeepEqual(full.counts, capped.counts) {
+				t.Fatalf("%s %s: counts %v / capped %v, profile %v", alloc.Name(), q,
+					full.counts, capped.counts, convolve.Profile(alloc, full.Unspec))
+			}
+			if capped.Ready() && capped.RQ > 1 {
+				t.Fatalf("%s %s: plan capped at 1 tuple carries %d", alloc.Name(), q, capped.Tuples())
+			}
+			if k := len(full.Unspec); k > 0 {
+				for g, ts := range full.tuples {
+					if len(ts)/k != full.counts[g] {
+						t.Fatalf("%s %s group %d: %d tuples, count %d", alloc.Name(), q, g, len(ts)/k, full.counts[g])
+					}
+				}
+			}
+			for trial := 0; trial < 8; trial++ {
+				for i, v := range q.Spec {
+					if v != query.Unspecified {
+						q.Spec[i] = rng.Intn(fs.Sizes[i])
+					}
+				}
+				loads, h := query.Loads(alloc, q), capped.Fold(q)
+				for dev, want := range loads {
+					if got := capped.CountOnDevice(q, dev); got != want {
+						t.Fatalf("%s %s dev %d: count %d, load %d", alloc.Name(), q, dev, got, want)
+					}
+					if capped.MayHold(h, dev) != (want > 0) || full.MayHold(full.Fold(q), dev) != (want > 0) {
+						t.Fatalf("%s %s dev %d: MayHold disagrees with load %d", alloc.Name(), q, dev, want)
+					}
+				}
+			}
+			sum := Summary(q, full.RQ, fs.M)
+			for dev := 0; dev < fs.M; dev++ {
+				if !sum.MayHold(sum.Fold(q), dev) {
+					t.Fatalf("%s: summary plan rules device %d out", q, dev)
+				}
 			}
 		})
 	}
@@ -135,7 +193,8 @@ func TestIdentityDistinguishesRebuiltAllocators(t *testing.T) {
 func TestCacheLRUAndStats(t *testing.T) {
 	fs := mustFS(t, []int{4, 4}, 4)
 	fx, _ := decluster.NewFX(fs)
-	c := New("memory", WithCapacity(2))
+	c := New("memory")
+	c.Resize(2)
 	defer c.Close()
 	owner := IdentityOf(fx)
 
@@ -238,7 +297,8 @@ func TestCacheCompileErrorNotCached(t *testing.T) {
 }
 
 func TestReportAndResize(t *testing.T) {
-	c := New("durable", WithCapacity(4))
+	c := New("durable")
+	c.Resize(4)
 	defer c.Close()
 	fs := mustFS(t, []int{4, 4}, 4)
 	fx, _ := decluster.NewFX(fs)

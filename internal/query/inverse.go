@@ -40,76 +40,152 @@ func NewInverseMapper(a decluster.GroupAllocator) *InverseMapper {
 // Allocator returns the allocator the mapper was built for.
 func (im *InverseMapper) Allocator() decluster.GroupAllocator { return im.a }
 
-// EachOnDevice calls fn for every bucket of R(q) that the allocator places
-// on device dev. The slice passed to fn is reused; copy to retain. Buckets
-// are produced in row-major order over all unspecified fields except the
-// solved one.
-func (im *InverseMapper) EachOnDevice(q Query, dev int, fn func(bucket []int)) {
-	fs := im.a.FileSystem()
-	if err := q.Validate(fs); err != nil {
-		panic(err)
-	}
-	g := im.a.Op()
+// Walk is one enumeration of the buckets of R(q) on one device, pulled
+// with Next until nil: the inverse mapper's odometer (InverseMapper.Walk)
+// or a compiled list of free-field value tuples (TupleWalk). A mapper
+// walk keeps its backing array between enumerations, so one handed back
+// to InverseMapper.Walk enumerates without allocating. Not safe for
+// concurrent use.
+type Walk struct {
+	b []int // the current bucket: q.Spec with the free fields substituted
 
-	// Fold the specified contributions into h.
-	h := 0
-	for i, v := range q.Spec {
-		if v != Unspecified {
-			h = g.Combine(h, im.a.Contribution(i, v), fs.M)
-		}
-	}
+	// Tuple walk: tuples flattens the value tuples of the fields free.
+	free   []int
+	tuples []int32
 
-	unspec := q.UnspecifiedFields()
-	if len(unspec) == 0 {
-		if h == dev {
-			fn(append([]int(nil), q.Spec...))
-		}
-		return
-	}
-
-	// Solve for the largest unspecified field: it has the biggest domain,
-	// so removing it from the enumeration saves the most work.
-	solveIdx := 0
-	for j, i := range unspec {
-		if fs.Sizes[i] > fs.Sizes[unspec[solveIdx]] {
-			solveIdx = j
-		}
-	}
-	solved := unspec[solveIdx]
-	rest := make([]int, 0, len(unspec)-1)
-	rest = append(rest, unspec[:solveIdx]...)
-	rest = append(rest, unspec[solveIdx+1:]...)
-
-	b := make([]int, len(q.Spec))
-	copy(b, q.Spec)
-
-	var rec func(j, acc int)
-	rec = func(j, acc int) {
-		if j == len(rest) {
-			// Need contribution c with acc · c = dev, i.e. c = acc⁻¹ · dev.
-			c := g.Combine(g.Invert(acc, fs.M), dev, fs.M)
-			for _, v := range im.reverse[solved][c] {
-				b[solved] = v
-				fn(b)
-			}
-			return
-		}
-		i := rest[j]
-		for v := 0; v < fs.Sizes[i]; v++ {
-			b[i] = v
-			rec(j+1, g.Combine(acc, im.a.Contribution(i, v), fs.M))
-		}
-	}
-	rec(0, h)
+	// Mapper walk.
+	im     *InverseMapper
+	dev    int
+	solved int   // the field the device equation is solved for, -1 when none is free
+	buf    []int // one backing array for b, rest and acc
+	rest   []int // the free fields other than solved, in field order
+	acc    []int // acc[j] folds the specified contributions and those of rest[:j]
+	pre    []int // solved-field values still to emit under the current rest values
+	more   bool  // rest has further value combinations after the current one
 }
 
-// OnDevice returns the buckets of R(q) on device dev as copied slices.
-func (im *InverseMapper) OnDevice(q Query, dev int) [][]int {
-	var out [][]int
-	im.EachOnDevice(q, dev, func(b []int) {
-		out = append(out, append([]int(nil), b...))
-	})
-	return out
+// TupleWalk enumerates the buckets that substitute each (len(free)-wide)
+// value tuple of tuples for q's free fields; with no field free, q's one
+// bucket when single is set. The current bucket is built in scratch's
+// backing array when it has room for len(q.Spec) ints, so a caller's
+// stack array keeps the enumeration allocation-free.
+func TupleWalk(q Query, free []int, tuples []int32, single bool, scratch []int) Walk {
+	w := Walk{b: append(scratch[:0], q.Spec...), free: free, tuples: tuples, solved: -1}
+	if single {
+		w.pre = one
+	}
+	return w
+}
+
+// one stands in for the preimages when no field is free: the one
+// qualified bucket is emitted once, as it is.
+var one = []int{0}
+
+// Walk starts the enumeration of the buckets of R(q) on device dev in
+// w's slices (the zero Walk, or a finished one to reuse). q must be valid
+// for the allocator's file system (Query.Validate).
+func (im *InverseMapper) Walk(w Walk, q Query, dev int) Walk {
+	fs := im.a.FileSystem()
+	w.im, w.dev, w.solved, w.more, w.pre, w.tuples = im, dev, -1, false, nil, nil
+	n := len(q.Spec)
+	if cap(w.buf) < 3*n+1 {
+		w.buf = make([]int, 3*n+1)
+	}
+	w.b, w.rest, w.acc = w.buf[:n], w.buf[n:n:2*n], w.buf[2*n:2*n:3*n+1]
+	copy(w.b, q.Spec)
+
+	// Solve for the largest unspecified field: removing the biggest domain
+	// from the enumeration saves the most work.
+	for i, v := range q.Spec {
+		if v == Unspecified && (w.solved < 0 || fs.Sizes[i] > fs.Sizes[w.solved]) {
+			w.solved = i
+		}
+	}
+	h := q.Fold(im.a)
+	w.acc = append(w.acc, h)
+	if w.solved < 0 {
+		if h == dev {
+			w.pre = one
+		}
+		return w
+	}
+	for i, v := range q.Spec {
+		if v == Unspecified && i != w.solved {
+			w.rest = append(w.rest, i)
+			w.b[i] = 0
+			w.acc = append(w.acc, 0)
+		}
+	}
+	w.more = true
+	w.refold(0)
+	return w
+}
+
+// refold recomputes the folds from rest[j] on and loads the solved-field
+// preimages that land the current rest values on the device: the
+// contribution c with acc · c = dev, i.e. c = acc⁻¹ · dev.
+func (w *Walk) refold(j int) {
+	a, m := w.im.a, w.im.a.FileSystem().M
+	g := a.Op()
+	for ; j < len(w.rest); j++ {
+		w.acc[j+1] = g.Combine(w.acc[j], a.Contribution(w.rest[j], w.b[w.rest[j]]), m)
+	}
+	c := g.Combine(g.Invert(w.acc[len(w.rest)], m), w.dev, m)
+	w.pre = w.im.reverse[w.solved][c]
+}
+
+// Next returns the next bucket, nil when the enumeration is over; the
+// slice is reused by the following Next. A mapper walk's buckets come in
+// row-major order over rest, the solved field's preimages ascending
+// within each — the order tuples are compiled in.
+func (w *Walk) Next() []int {
+	if len(w.tuples) > 0 {
+		for j, i := range w.free {
+			w.b[i] = int(w.tuples[j])
+		}
+		w.tuples = w.tuples[len(w.free):]
+		return w.b
+	}
+	for {
+		if len(w.pre) > 0 {
+			if w.solved >= 0 {
+				w.b[w.solved] = w.pre[0]
+			}
+			w.pre = w.pre[1:]
+			return w.b
+		}
+		if !w.more {
+			return nil
+		}
+		// Step the odometer over rest, last field fastest.
+		sizes := w.im.a.FileSystem().Sizes
+		j := len(w.rest) - 1
+		for ; j >= 0; j-- {
+			i := w.rest[j]
+			if w.b[i]++; w.b[i] < sizes[i] {
+				break
+			}
+			w.b[i] = 0
+		}
+		if j < 0 {
+			w.more = false
+			return nil
+		}
+		w.refold(j)
+	}
+}
+
+// EachOnDevice calls fn for every bucket of R(q) that the allocator places
+// on device dev, in Walk's order. The slice passed to fn is reused; copy
+// to retain.
+func (im *InverseMapper) EachOnDevice(q Query, dev int, fn func(bucket []int)) {
+	if err := q.Validate(im.a.FileSystem()); err != nil {
+		panic(err)
+	}
+	w := im.Walk(Walk{}, q, dev)
+	for b := w.Next(); b != nil; b = w.Next() {
+		fn(b)
+	}
 }
 
 // CountOnDevice returns r_dev(q) without materialising buckets.

@@ -40,17 +40,6 @@ func All(n int) Query {
 	return Query{Spec: spec}
 }
 
-// FromSubset builds a query whose unspecified fields are exactly those in
-// unspec (field indices); every other field is specified with the
-// corresponding entry of values (values[i] is ignored for unspecified i).
-func FromSubset(values []int, unspec []int) Query {
-	q := New(values)
-	for _, i := range unspec {
-		q.Spec[i] = Unspecified
-	}
-	return q
-}
-
 // Validate checks q against a file system.
 func (q Query) Validate(fs decluster.FileSystem) error {
 	if len(q.Spec) != fs.NumFields() {
@@ -101,6 +90,20 @@ func (q Query) NumQualified(fs decluster.FileSystem) int {
 	return n
 }
 
+// Fold returns h, the group fold of q's specified contributions under a:
+// the device of a qualified bucket is h · (the fold of its free-field
+// contributions).
+func (q Query) Fold(a decluster.GroupAllocator) int {
+	g, m := a.Op(), a.FileSystem().M
+	h := 0
+	for i, v := range q.Spec {
+		if v != Unspecified {
+			h = g.Combine(h, a.Contribution(i, v), m)
+		}
+	}
+	return h
+}
+
 // Matches reports whether bucket satisfies q.
 func (q Query) Matches(bucket []int) bool {
 	for i, v := range q.Spec {
@@ -138,15 +141,20 @@ func (q Query) EachQualified(fs decluster.FileSystem, fn func(bucket []int)) {
 // same unspecified field set are the same shape (the paper's query
 // class), whatever values they specify.
 func (q Query) Shape() string {
-	b := make([]byte, len(q.Spec))
-	for i, v := range q.Spec {
+	return string(q.AppendShape(make([]byte, 0, len(q.Spec))))
+}
+
+// AppendShape appends the shape key to b: the form for a caller that
+// looks a shape up (m[string(b)] does not allocate) rather than keeps it.
+func (q Query) AppendShape(b []byte) []byte {
+	for _, v := range q.Spec {
 		if v == Unspecified {
-			b[i] = '*'
+			b = append(b, '*')
 		} else {
-			b[i] = 's'
+			b = append(b, 's')
 		}
 	}
-	return string(b)
+	return b
 }
 
 // String renders the query with '*' for unspecified fields, e.g. "<3,*,0>".

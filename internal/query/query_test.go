@@ -30,14 +30,6 @@ func TestQueryConstruction(t *testing.T) {
 	}
 }
 
-func TestFromSubset(t *testing.T) {
-	q := FromSubset([]int{5, 6, 7, 8}, []int{1, 3})
-	want := []int{5, Unspecified, 7, Unspecified}
-	if !reflect.DeepEqual(q.Spec, want) {
-		t.Errorf("FromSubset spec = %v, want %v", q.Spec, want)
-	}
-}
-
 func TestValidate(t *testing.T) {
 	fs := decluster.MustFileSystem([]int{4, 8}, 4)
 	if err := New([]int{3, Unspecified}).Validate(fs); err != nil {
@@ -187,6 +179,15 @@ func TestInverseMappingMatchesForwardScan(t *testing.T) {
 	}
 }
 
+// onDevice collects the buckets of R(q) on device dev as copied slices.
+func onDevice(im *InverseMapper, q Query, dev int) [][]int {
+	var out [][]int
+	im.EachOnDevice(q, dev, func(b []int) {
+		out = append(out, append([]int(nil), b...))
+	})
+	return out
+}
+
 func TestInverseMapperCountAndCollect(t *testing.T) {
 	fs := decluster.MustFileSystem([]int{4, 8}, 4)
 	fx := decluster.MustFX(fs)
@@ -195,7 +196,7 @@ func TestInverseMapperCountAndCollect(t *testing.T) {
 	total := 0
 	for dev := 0; dev < fs.M; dev++ {
 		c := im.CountOnDevice(q, dev)
-		if got := len(im.OnDevice(q, dev)); got != c {
+		if got := len(onDevice(im, q, dev)); got != c {
 			t.Fatalf("OnDevice len %d != CountOnDevice %d", got, c)
 		}
 		total += c
@@ -216,7 +217,7 @@ func TestInverseMapperExactMatch(t *testing.T) {
 	dev := fx.Device(b)
 	q := Exact(b)
 	for d := 0; d < fs.M; d++ {
-		got := im.OnDevice(q, d)
+		got := onDevice(im, q, d)
 		if d == dev {
 			if len(got) != 1 || !reflect.DeepEqual(got[0], b) {
 				t.Fatalf("device %d: got %v, want [%v]", d, got, b)

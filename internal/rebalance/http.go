@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"sort"
 	"sync"
 
 	"fxdist/internal/obs"
@@ -109,16 +108,4 @@ func serveRescale(w http.ResponseWriter, r *http.Request) {
 	default:
 		http.Error(w, "GET or POST", http.StatusMethodNotAllowed)
 	}
-}
-
-// DriverNames lists the registered rescales, sorted.
-func DriverNames() []string {
-	driversMu.Lock()
-	defer driversMu.Unlock()
-	names := make([]string, 0, len(drivers))
-	for name := range drivers {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
 }

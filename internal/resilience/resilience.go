@@ -178,6 +178,16 @@ func (f faultDevice) Scan(ctx context.Context, q query.Query, pm mkhash.PartialM
 	return f.d.Scan(ctx, q, pm)
 }
 
+// Owner forwards the inner device's declaration (engine.Owner), -1 when
+// it makes none: fronting a device does not change whose buckets it
+// serves.
+func (f faultDevice) Owner() int {
+	if o, ok := f.d.(engine.Owner); ok {
+		return o.Owner()
+	}
+	return -1
+}
+
 // Wrap returns devs with each device fronted by the injector — the
 // engine-seam plug point for the storage backends.
 func (in *Injector) Wrap(devs []engine.Device) []engine.Device {

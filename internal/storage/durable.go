@@ -52,6 +52,9 @@ type durDevice struct {
 	dev int
 }
 
+// Owner declares that the device serves device dev's log alone.
+func (d durDevice) Owner() int { return d.dev }
+
 func (d durDevice) Scan(ctx context.Context, q query.Query, pm mkhash.PartialMatch) (engine.Answer, error) {
 	var ans engine.Answer
 	c := d.c
@@ -61,28 +64,26 @@ func (d durDevice) Scan(ctx context.Context, q query.Query, pm mkhash.PartialMat
 	// chunks are pooled and the lease travels on the answer; otherwise
 	// they are plain heap the results own outright.
 	b := mempool.NewRecordBuilder(c.arena)
-	var err error
 	c.locks[d.dev].RLock()
 	defer c.locks[d.dev].RUnlock()
-	eachOnDevice(ctx, c.im, q, d.dev, func(coords []int) {
+	var buf [walkFields]int
+	w := startWalk(ctx, c.im, q, d.dev, buf[:0])
+	for coords := w.Next(); coords != nil; coords = w.Next() {
+		err := ctx.Err()
+		if err == nil {
+			ans.Buckets++
+			var scanned int
+			scanned, err = c.stores[d.dev].ScanMatching(uint32(c.fs.Linear(coords)), pm, b, func(r mkhash.Record) error {
+				ans.Hits = hits.AppendOne(ans.Hits, r)
+				return nil
+			})
+			ans.Records += scanned
+		}
 		if err != nil {
-			return
+			hits.Put(ans.Hits)
+			b.Release()
+			return engine.Answer{}, err
 		}
-		if err = ctx.Err(); err != nil {
-			return
-		}
-		ans.Buckets++
-		var scanned int
-		scanned, err = c.stores[d.dev].ScanMatching(uint32(c.fs.Linear(coords)), pm, b, func(r mkhash.Record) error {
-			ans.Hits = hits.AppendOne(ans.Hits, r)
-			return nil
-		})
-		ans.Records += scanned
-	})
-	if err != nil {
-		hits.Put(ans.Hits)
-		b.Release()
-		return engine.Answer{}, err
 	}
 	if c.arena {
 		ans.Release = b.Release

@@ -124,6 +124,53 @@ func TestDurableReopen(t *testing.T) {
 	}
 }
 
+// TestDurableReopensParentHashDirectory opens a directory that commit
+// dabf288 wrote (carFile(120), 4 devices, hash/fnv's New64a): every
+// record must still be found by the exact-match query that hashes to
+// its bucket, so DefaultHash may not drift from the values on disk.
+func TestDurableReopensParentHashDirectory(t *testing.T) {
+	dir := t.TempDir()
+	src := filepath.Join("testdata", "durable-dabf288")
+	names, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range names {
+		b, err := os.ReadFile(filepath.Join(src, n.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, n.Name()), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c, err := OpenDurable(dir, MainMemory)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	file := carFile(t, 120)
+	if c.Len() != file.Len() {
+		t.Fatalf("reopened Len=%d, want %d", c.Len(), file.Len())
+	}
+	file.EachBucket(func(_ []int, records []mkhash.Record) {
+		for _, r := range records {
+			pm, err := c.Spec(map[string]string{"make": r[0], "model": r[1], "year": r[2]})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, _ := file.Search(pm)
+			got, err := c.Retrieve(pm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got.Records) == 0 || len(got.Records) != len(want) {
+				t.Fatalf("record %v: durable %d records, search %d", r, len(got.Records), len(want))
+			}
+		}
+	})
+}
+
 func TestDurableSurvivesTornDeviceLog(t *testing.T) {
 	file, fx := durableFixture(t, 300, 4)
 	dir := t.TempDir()

@@ -93,13 +93,16 @@ func TestPartitionAdmit(t *testing.T) {
 }
 
 // The shape of the shared device-local code was decided by allocation:
-// Partition.Scan takes the answer by pointer and the adapters' scan state
-// stays on their stacks, so a device scan costs only the enumerator's own
-// scratch (4 allocations per inverse-mapper walk: one for memDevice, two
-// for replDevice) and a whole retrieval what it cost before the record
-// loop was shared. A generalisation that makes the scan state escape — a
-// func-typed scanner, a store interface — adds one object per device per
-// query (+16 % on the memory_point workload) and fails here first.
+// Partition.Scan takes the answer by pointer, the adapters pull their
+// buckets from a walk, and both stay on the scan's stack. A bare Scan
+// (no plan in ctx) pays the inverse-mapper walk's one backing array —
+// replDevice walks twice, and its bucket scratch escapes through the
+// placement's allocator interface — and inside a retrieval, where the
+// compiled plan supplies the buckets, a device task allocates nothing:
+// Cluster.Retrieve is the executor's own 15 whatever M is. A
+// generalisation that makes the scan state escape — a func-typed scanner,
+// a store interface, a callback handed the scratch — adds objects per
+// device per query and fails here first.
 func TestScanStateStaysOnStack(t *testing.T) {
 	if raceEnabled() {
 		t.Skip("sync.Pool drops Puts under -race, so allocation counts are not exact")
@@ -139,14 +142,49 @@ func TestScanStateStaysOnStack(t *testing.T) {
 		run  func()
 		want float64
 	}{
-		{"memDevice.Scan", scan(memDevice{c: mem, dev: 1}), 4},
-		{"replDevice.Scan", scan(replDevice{c: repl, dev: 1}), 8},
-		{"Cluster.Retrieve", retrieve(mem), 30},
-		{"ReplicatedCluster.Retrieve", retrieve(repl), 34},
+		{"memDevice.Scan", scan(memDevice{c: mem, dev: 1}), 1},
+		{"replDevice.Scan", scan(replDevice{c: repl, dev: 1}), 3},
+		{"Cluster.Retrieve", retrieve(mem), 15},
+		{"ReplicatedCluster.Retrieve", retrieve(repl), 19},
 	} {
 		tc.run() // warm the hit pool and the plan cache
 		if got := testing.AllocsPerRun(200, tc.run); got > tc.want {
 			t.Errorf("%s: %.0f allocations per run, want at most %.0f", tc.name, got, tc.want)
 		}
+	}
+}
+
+// TestRetrieveAllocsDoNotGrowWithM: a device task — queued by value,
+// enumerating from the plan into stack scratch, appending to a pooled hit
+// frame — costs the executor nothing, so a retrieval allocates the same
+// at M = 4 and M = 8 (the query is active on every device of both).
+func TestRetrieveAllocsDoNotGrowWithM(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("sync.Pool drops Puts under -race, so allocation counts are not exact")
+	}
+	file := carFile(t, 400)
+	pm, err := file.Spec(map[string]string{"make": "make3"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var allocs [2]float64
+	for i, m := range []int{4, 8} {
+		c := newCluster(t, file, m)
+		run := func() {
+			res, err := c.Retrieve(pm)
+			if err != nil || len(res.Records) == 0 {
+				t.Fatalf("M=%d retrieve: %d records, %v", m, len(res.Records), err)
+			}
+			for dev, b := range res.DeviceBuckets {
+				if b == 0 {
+					t.Fatalf("M=%d: device %d holds no bucket of the query", m, dev)
+				}
+			}
+		}
+		run()
+		allocs[i] = testing.AllocsPerRun(200, run)
+	}
+	if d := allocs[1] - allocs[0]; d > 1 || d < -1 {
+		t.Errorf("retrieve allocates %.0f at M=4 and %.0f at M=8, want equal within 1", allocs[0], allocs[1])
 	}
 }

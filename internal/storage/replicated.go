@@ -70,25 +70,18 @@ func (d replDevice) Scan(ctx context.Context, q query.Query, pm mkhash.PartialMa
 	}
 	var ans engine.Answer
 	part := c.parts[d.dev]
-	var err error
-	serve := func(coords []int) {
-		if err != nil {
-			return
+	var buf [walkFields]int
+	for _, owner := range [2]int{d.dev, (d.dev - 1 + c.fs.M) % c.fs.M} {
+		w := startWalk(ctx, c.im, q, owner, buf[:0])
+		for coords := w.Next(); coords != nil; coords = w.Next() {
+			if err := ctx.Err(); err != nil {
+				hits.Put(ans.Hits)
+				return engine.Answer{}, err
+			}
+			if c.placement.Server(coords) == d.dev {
+				part.Scan(c.fs.Linear(coords), pm, &ans)
+			}
 		}
-		if err = ctx.Err(); err != nil {
-			return
-		}
-		if c.placement.Server(coords) != d.dev {
-			return
-		}
-		part.Scan(c.fs.Linear(coords), pm, &ans)
-	}
-	eachOnDevice(ctx, c.im, q, d.dev, serve)
-	prev := (d.dev - 1 + c.fs.M) % c.fs.M
-	eachOnDevice(ctx, c.im, q, prev, serve)
-	if err != nil {
-		hits.Put(ans.Hits)
-		return engine.Answer{}, err
 	}
 	return ans, nil
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"fxdist/internal/decluster"
+	"fxdist/internal/engine"
 	"fxdist/internal/mkhash"
 	"fxdist/internal/replica"
 )
@@ -118,6 +119,47 @@ func TestReplicatedFailedDeviceIdle(t *testing.T) {
 	if res.DeviceBuckets[4] != 0 || res.DeviceTime[4] != 0 {
 		t.Errorf("failed device did work: buckets=%d time=%v",
 			res.DeviceBuckets[4], res.DeviceTime[4])
+	}
+}
+
+// A replicated device answers for two owners and goes Idle when failed,
+// so it does not declare one (engine.Owner) and the executor asks all of
+// them: a fully specified query whose bucket the failed device owns is
+// counted on that device alone by the plan, and is answered by its ring
+// successor. Were replDevice pruned like the single-owner devices, the
+// successor would not be asked and the record would be lost.
+func TestReplicatedExactQueryOnFailedDevice(t *testing.T) {
+	file, c := newReplicated(t, 300, 8, replica.Chained)
+	if _, declares := engine.Device(replDevice{c: c}).(engine.Owner); declares {
+		t.Fatal("replDevice declares a single owner")
+	}
+	const failed = 4
+	var pm mkhash.PartialMatch
+	file.EachBucket(func(coords []int, records []mkhash.Record) {
+		if pm == nil && c.Allocator().Device(coords) == failed {
+			r := records[0]
+			pm = mkhash.PartialMatch{&r[0], &r[1], &r[2]}
+		}
+	})
+	if pm == nil {
+		t.Fatalf("no record on device %d", failed)
+	}
+	want, err := file.Search(pm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Fail(failed); err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.Retrieve(pm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := keysOf(res.Records); len(got) == 0 || len(got) != len(want) {
+		t.Fatalf("exact query on the failed device: %d records, search %d", len(got), len(want))
+	}
+	if res.DeviceBuckets[failed] != 0 || res.DeviceBuckets[(failed+1)%8] != 1 {
+		t.Errorf("device buckets %v, want the bucket served by device %d", res.DeviceBuckets, (failed+1)%8)
 	}
 }
 

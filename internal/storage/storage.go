@@ -135,36 +135,39 @@ type memDevice struct {
 	dev int
 }
 
+// Owner declares that the device serves device dev's buckets alone.
+func (d memDevice) Owner() int { return d.dev }
+
 func (d memDevice) Scan(ctx context.Context, q query.Query, pm mkhash.PartialMatch) (engine.Answer, error) {
 	var ans engine.Answer
 	part := d.c.parts[d.dev]
-	var err error
-	eachOnDevice(ctx, d.c.im, q, d.dev, func(coords []int) {
-		if err != nil {
-			return
-		}
-		if err = ctx.Err(); err != nil {
-			return
+	var buf [walkFields]int
+	w := startWalk(ctx, d.c.im, q, d.dev, buf[:0])
+	for coords := w.Next(); coords != nil; coords = w.Next() {
+		if err := ctx.Err(); err != nil {
+			hits.Put(ans.Hits)
+			return engine.Answer{}, err
 		}
 		part.Scan(d.c.fs.Linear(coords), pm, &ans)
-	})
-	if err != nil {
-		hits.Put(ans.Hits)
-		return engine.Answer{}, err
 	}
 	return ans, nil
 }
 
-// eachOnDevice enumerates q's qualified buckets on dev from the cached
-// plan the executor put in ctx when one is compiled, falling back to
-// the per-call inverse-mapper walk otherwise. Both produce buckets in
-// the same order, so cached and uncached retrievals are byte-identical.
-func eachOnDevice(ctx context.Context, im *query.InverseMapper, q query.Query, dev int, fn func(bucket []int)) {
+// walkFields ints of stack scratch cover any schema this narrow without
+// allocating.
+const walkFields = 8
+
+// startWalk enumerates q's qualified buckets on dev: from the cached
+// plan the executor put in ctx when one is compiled, with the per-call
+// inverse-mapper walk otherwise. Both produce buckets in the same order,
+// so cached and uncached retrievals are byte-identical. The walk is
+// returned by value so a device scan keeps it, and the bucket scratch it
+// is handed, on its own stack.
+func startWalk(ctx context.Context, im *query.InverseMapper, q query.Query, dev int, scratch []int) query.Walk {
 	if p := engine.PlanFromContext(ctx); p != nil && p.Ready() {
-		p.EachOnDevice(q, dev, fn)
-		return
+		return p.Walk(q, dev, scratch)
 	}
-	im.EachOnDevice(q, dev, fn)
+	return im.Walk(query.Walk{}, q, dev)
 }
 
 // DeviceBucketCounts returns how many non-empty buckets each device holds

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
@@ -175,6 +176,42 @@ func TestMetricsScrapeDuringDistributedRetrieve(t *testing.T) {
 		if c.TraceID != tree.ID || c.Parent != tree.ID {
 			t.Errorf("child %d trace=%d parent=%d, want both %d", c.ID, c.TraceID, c.Parent, tree.ID)
 		}
+	}
+
+	// Each device request's success is one event on either side of the
+	// wire, rendered from its operands when the span is snapshotted — in
+	// the text the spans have always carried, here and in a flight record.
+	coordMsg := regexp.MustCompile(`^device \d \(127\.0\.0\.1:\d+\) req \d+: \d+ buckets, \d+ records in [0-9.]+(ns|µs|ms|s)$`)
+	serveMsg := regexp.MustCompile(`^device \d req \d+: \d+ buckets, \d+ records$`)
+	if len(tree.Events) != m {
+		t.Errorf("root span has %d events, want one reply per device: %+v", len(tree.Events), tree.Events)
+	}
+	for _, ev := range tree.Events {
+		if !coordMsg.MatchString(ev.Msg) {
+			t.Errorf("coordinator event %q does not match %s", ev.Msg, coordMsg)
+		}
+	}
+	for _, c := range tree.Children {
+		if len(c.Events) != 1 || !serveMsg.MatchString(c.Events[0].Msg) {
+			t.Errorf("serve span events %+v, want one matching %s", c.Events, serveMsg)
+		}
+	}
+	flightEvents := 0
+	for _, sh := range coord.FlightReport().Shapes {
+		for _, r := range sh.Records {
+			for _, ev := range r.Events {
+				if !strings.HasPrefix(ev.Msg, "device ") {
+					continue // an earlier test's failover or error annotation
+				}
+				flightEvents++
+				if !coordMsg.MatchString(ev.Msg) {
+					t.Errorf("flight event %q does not match %s", ev.Msg, coordMsg)
+				}
+			}
+		}
+	}
+	if flightEvents == 0 {
+		t.Error("no flight record carries a retrieval span's reply events")
 	}
 
 	before := scrapeMetrics(t, srv.URL+"/metrics")

@@ -24,15 +24,17 @@ import (
 //	Dir + File + Allocator              durable cluster, created under Dir
 //	Dir                                 durable cluster, reopened from Dir
 //	Addrs + File                        distributed coordinator (File is
-//	                                    the schema; it may hold no records)
+//	                                    the schema; it may hold no records;
+//	                                    the servers describe the allocator)
 type Config struct {
 	// File is the multi-key hashed file: schema plus records for the
 	// in-memory kinds, schema only for the coordinator.
 	File *File
 	// Allocator is the declustering method, built for File's directory
 	// sizes. Required except when reopening a durable cluster (its
-	// allocator spec lives in the metadata snapshot) or dialing servers
-	// (they run their own inverse mapping).
+	// allocator spec lives in the metadata snapshot) or dialing servers:
+	// they describe the allocator they serve under, and one given here is
+	// checked against theirs.
 	Allocator GroupAllocator
 	// Dir, when set, selects the durable backend rooted at this
 	// directory.
@@ -300,6 +302,13 @@ func Open(cfg Config, opts ...Option) (*Cluster, error) {
 		}
 		if s.dialEpoch > 0 {
 			dialOpts = append(dialOpts, netdist.WithEpoch(s.dialEpoch))
+		}
+		if cfg.Allocator != nil {
+			spec, err := DescribeAllocator(cfg.Allocator)
+			if err != nil {
+				return nil, err
+			}
+			dialOpts = append(dialOpts, netdist.WithSpec(spec))
 		}
 		coord, err := netdist.Dial(cfg.File, cfg.Addrs, dialOpts...)
 		if err != nil {

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"reflect"
 	"testing"
 
 	"fxdist"
@@ -124,6 +125,93 @@ func TestPlanCacheDifferentialAcrossBackends(t *testing.T) {
 		}
 		if stats := cached.PlanCache(); stats.Hits == 0 {
 			t.Errorf("%s: cache saw no hits over a repeated workload: %+v", k.name, stats)
+		}
+	}
+}
+
+// TestPrunedFanOutMatchesBroadcastAcrossBackends is the pruning property
+// at the facade: over every shape of the differential fixture and 26
+// value bindings of each (208 queries, some naming values no record has),
+// each backend kind answers byte for byte what its twin with the plan
+// cache disabled answers — the twin's plans carry no counts, so it asks
+// every device, the old broadcast — down to the per-device buckets,
+// scanned records and simulated times, which also sum to |R(q)|. On the
+// backends whose devices declare their owner, that is the answer of fewer
+// requests; the replicated one asks everyone either way.
+func TestPrunedFanOutMatchesBroadcastAcrossBackends(t *testing.T) {
+	file, fx, spec := planCacheFile(t, 8)
+	records, err := fxdist.GenerateRecords(spec, 64, 77)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addrs, stop, err := fxdist.DeployLocal(file, fx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stop()
+	sizes := fx.FileSystem().Sizes
+
+	for _, k := range []struct {
+		name string
+		cfg  func() fxdist.Config
+		opts []fxdist.Option
+	}{
+		{"memory", func() fxdist.Config { return fxdist.Config{File: file, Allocator: fx} }, nil},
+		{"durable", func() fxdist.Config { return fxdist.Config{Dir: t.TempDir(), File: file, Allocator: fx} }, nil},
+		{"replicated", func() fxdist.Config { return fxdist.Config{File: file, Allocator: fx} },
+			[]fxdist.Option{fxdist.WithReplication(fxdist.ChainedFailover)}},
+		{"netdist", func() fxdist.Config { return fxdist.Config{File: file, Addrs: addrs} }, nil},
+	} {
+		pruned, err := fxdist.Open(k.cfg(), k.opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer pruned.Close()
+		broadcast, err := fxdist.Open(k.cfg(), append(k.opts, fxdist.WithPlanCacheSize(-1))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer broadcast.Close()
+		for mask := 0; mask < 1<<len(sizes); mask++ {
+			rq := 1
+			for i, f := range sizes {
+				if mask&(1<<i) != 0 {
+					rq *= f
+				}
+			}
+			for trial := 0; trial < 26; trial++ {
+				pm := make(fxdist.PartialMatch, len(sizes))
+				for i := range pm {
+					if mask&(1<<i) == 0 {
+						v := records[(trial*7+i)%len(records)][i]
+						if trial%13 == 12 {
+							v = "no-such-value"
+						}
+						pm[i] = &v
+					}
+				}
+				a, err := pruned.Retrieve(pm)
+				if err != nil {
+					t.Fatalf("%s shape %03b trial %d: %v", k.name, mask, trial, err)
+				}
+				b, err := broadcast.Retrieve(pm)
+				if err != nil {
+					t.Fatalf("%s shape %03b trial %d, all devices: %v", k.name, mask, trial, err)
+				}
+				a.TraceID, b.TraceID, a.Stages, b.Stages = 0, 0, nil, nil
+				if !reflect.DeepEqual(a.Records, b.Records) || !reflect.DeepEqual(a.DeviceBuckets, b.DeviceBuckets) ||
+					!reflect.DeepEqual(a.DeviceRecords, b.DeviceRecords) || !reflect.DeepEqual(a.DeviceTime, b.DeviceTime) ||
+					a.Response != b.Response || a.TotalWork != b.TotalWork || a.LargestResponseSize != b.LargestResponseSize {
+					t.Fatalf("%s shape %03b trial %d: pruned answer differs from the all-devices one:\n%+v\n%+v", k.name, mask, trial, a, b)
+				}
+				total := 0
+				for _, n := range a.DeviceBuckets {
+					total += n
+				}
+				if total != rq {
+					t.Fatalf("%s shape %03b trial %d: device buckets sum to %d, |R(q)| = %d", k.name, mask, trial, total, rq)
+				}
+			}
 		}
 	}
 }

@@ -154,11 +154,15 @@ func (c *Cluster) Rescale(ctx context.Context, cfg RescaleConfig) (*Rescale, err
 
 	// Dial the new epoch's coordinator over the post-rescale address
 	// list. It audits and logs under its own backend name, so the
-	// cutover guard reads the new layout's optimality in isolation.
+	// cutover guard reads the new layout's optimality in isolation. The
+	// dial comes before Prepare, when the old servers cannot describe the
+	// new epoch yet, so it is handed the spec they are about to get (last
+	// of the cluster's own options: Open may have handed the old one).
 	dialOpts := append(append([]DialOption{
 		netdist.WithBackendName(rescaleBackend),
 		netdist.WithEpoch(old.Epoch() + 1),
-	}, c.dialOpts...), cfg.DialOptions...)
+	}, c.dialOpts...), netdist.WithSpec(newSpec))
+	dialOpts = append(dialOpts, cfg.DialOptions...)
 	newCoord, err := netdist.Dial(c.file, cfg.Addrs, dialOpts...)
 	if err != nil {
 		return nil, fmt.Errorf("fxdist: dial new-epoch coordinator: %w", err)
