@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"fxdist"
+	"fxdist/internal/mempool"
 )
 
 // Client talks JSON-RPC 2.0 to an fxgate endpoint over persistent
@@ -135,6 +136,10 @@ func (c *Client) callOnce(ctx context.Context, method string, params any, out an
 	}
 	defer hres.Body.Close()
 	data, err := readBody(hres, maxResponseBytes)
+	// Nothing below keeps the bytes — the decoder copies every value out
+	// (the record blob, unquote, encoding/json), the error text is
+	// formatted before the return — so the slab goes back when it is done.
+	defer mempool.Frames.Put(data)
 	if err != nil {
 		return classifyTransport(ctx, err)
 	}
@@ -164,15 +169,16 @@ func (c *Client) callOnce(ctx context.Context, method string, params any, out an
 const maxResponseBytes = 64 << 20
 
 // readBody reads a response body of at most limit bytes: into one
-// buffer of the declared size when the server sent a Content-Length,
-// by io.ReadAll when the reply is chunked. A longer body is an error,
-// not a prefix for the decoder to choke on.
+// mempool.Frames slab of the declared size when the server sent a
+// Content-Length (the caller puts it back), by io.ReadAll when the reply
+// is chunked. A longer body is an error, not a prefix for the decoder to
+// choke on.
 func readBody(res *http.Response, limit int64) ([]byte, error) {
 	if res.ContentLength > limit {
 		return nil, errTooLong(limit)
 	}
 	if res.ContentLength >= 0 {
-		data := make([]byte, res.ContentLength)
+		data := mempool.Frames.Get(int(res.ContentLength))
 		_, err := io.ReadFull(res.Body, data)
 		return data, err
 	}

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"reflect"
 	"strconv"
 	"strings"
@@ -15,7 +16,16 @@ import (
 	"time"
 
 	"fxdist"
+	"fxdist/internal/mempool"
 )
+
+// TestMain runs every client test with released slabs poisoned: a value
+// the client hands out that still aliased its pooled response body would
+// read as 0xDB bytes after the call that returned it.
+func TestMain(m *testing.M) {
+	mempool.SetPoison(true)
+	os.Exit(m.Run())
+}
 
 // rateLimitingServer rejects the first reject calls with a JSON-RPC
 // 429-class error carrying a Retry-After hint, then answers.
@@ -261,5 +271,68 @@ func TestDecodeResponse(t *testing.T) {
 		if _, err := decodeResponse([]byte(bad), out); err == nil {
 			t.Errorf("decodeResponse accepted %q", bad)
 		}
+	}
+}
+
+// TestResultsOutliveTheResponseBody pins the client's side of the pooled
+// body: what a call returns is the caller's outright. A RetrieveResult, a
+// BatchResult and an error's message are read again after three more
+// calls on the same client have reused (and, poisoned, scribbled) the
+// slab their bodies arrived in.
+func TestResultsOutliveTheResponseBody(t *testing.T) {
+	one := RetrieveResult{APIVersion: APIVersion, Records: [][]string{{"part-1", "sup\"plier", "wh"}, {"part-2", "", "w\u00e9"}},
+		DeviceBuckets: []int{1, 0, 2, 0}, LargestResponseSize: 2, TraceID: 99}
+	two := BatchResult{APIVersion: APIVersion, Items: []BatchItem{{Result: &one},
+		{Error: FromError(fxdist.NewError(fxdist.ErrCodeInvalidQuery, "no such field \"colour\""))}}}
+	refused := fxdist.NewError(fxdist.ErrCodeInvalidQuery, "a message long enough to sit in the body and nowhere else")
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		var req Request
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+			t.Errorf("bad request: %v", err)
+		}
+		resp := Response{JSONRPC: "2.0", ID: req.ID}
+		switch req.Method {
+		case MethodRetrieve:
+			resp.Result, _ = json.Marshal(one)
+		case MethodRetrieveBatch:
+			resp.Result, _ = json.Marshal(two)
+		default:
+			resp.Error = FromError(refused)
+		}
+		body, _ := json.Marshal(resp)
+		w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+		w.Write(body)
+	}))
+	defer srv.Close()
+	c := New(srv.URL)
+	defer c.Close()
+	ctx := context.Background()
+
+	res, err := c.Retrieve(ctx, map[string]string{"part": "part-1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch, err := c.RetrieveBatch(ctx, []map[string]string{{"part": "part-1"}, {"colour": "red"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = c.Explain(ctx, map[string]string{"part": "part-1"})
+	var fe *fxdist.Error
+	if !errors.As(err, &fe) {
+		t.Fatalf("explain: %v, want the server's refusal", err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := c.Retrieve(ctx, map[string]string{"part": "part-2"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !reflect.DeepEqual(*res, one) {
+		t.Errorf("the result changed under later calls:\n%+v\nwant\n%+v", *res, one)
+	}
+	if !reflect.DeepEqual(*batch, two) {
+		t.Errorf("the batch result changed under later calls:\n%+v\nwant\n%+v", *batch, two)
+	}
+	if fe.Message != refused.Message || fe.Code != refused.Code {
+		t.Errorf("the error changed under later calls: %q (%s)", fe.Message, fe.Code)
 	}
 }

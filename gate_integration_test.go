@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -16,18 +17,22 @@ import (
 	"fxdist"
 	"fxdist/client"
 	"fxdist/internal/gate"
+	"fxdist/internal/mempool"
 )
 
-// gateFixture builds a loaded file, an FX allocator, a fresh in-memory
-// cluster (empty plan cache) and a Gate over them, served via httptest
-// with the observability surface mounted like cmd/fxgate mounts it.
-func gateFixture(t *testing.T, tenants []gate.TenantConfig, maxBatch int, opts ...fxdist.Option) (*fxdist.Cluster, *gate.Gate, *httptest.Server) {
+// gateFields is the gate tests' relation: generated values read
+// "<field>-<k>", k below the cardinality.
+var gateFields = []fxdist.FieldSpec{
+	{Name: "part", Cardinality: 200},
+	{Name: "supplier", Cardinality: 40},
+	{Name: "warehouse", Cardinality: 8},
+}
+
+// gateFile loads 1 200 records of gateFields and declusters them with FX
+// over 8 devices.
+func gateFile(t *testing.T) (*fxdist.File, fxdist.GroupAllocator) {
 	t.Helper()
-	spec := fxdist.RecordSpec{Fields: []fxdist.FieldSpec{
-		{Name: "part", Cardinality: 200},
-		{Name: "supplier", Cardinality: 40},
-		{Name: "warehouse", Cardinality: 8},
-	}}
+	spec := fxdist.RecordSpec{Fields: gateFields}
 	file, err := fxdist.NewFile(fxdist.GenerateSchema(spec, []int{4, 3, 2}))
 	if err != nil {
 		t.Fatal(err)
@@ -49,6 +54,19 @@ func gateFixture(t *testing.T, tenants []gate.TenantConfig, maxBatch int, opts .
 	if err != nil {
 		t.Fatal(err)
 	}
+	return file, fx
+}
+
+// gateFixture builds a loaded file, an FX allocator, a fresh in-memory
+// cluster (empty plan cache) and a Gate over them, served via httptest
+// with the observability surface mounted like cmd/fxgate mounts it.
+// Released slabs are poisoned for the test: request and response bodies
+// on both sides of the HTTP hop are pooled.
+func gateFixture(t *testing.T, tenants []gate.TenantConfig, maxBatch int, opts ...fxdist.Option) (*fxdist.Cluster, *gate.Gate, *httptest.Server) {
+	t.Helper()
+	was := mempool.SetPoison(true)
+	t.Cleanup(func() { mempool.SetPoison(was) })
+	file, fx := gateFile(t)
 	cluster, err := fxdist.Open(fxdist.Config{File: file, Allocator: fx}, opts...)
 	if err != nil {
 		t.Fatal(err)
@@ -249,7 +267,16 @@ func TestGateMultiTenantCoalescing(t *testing.T) {
 		}
 	}
 
-	// The engine's wide events carry the tenant dimension for both.
+	// The engine's wide events carry the tenant dimension for both. Which
+	// of the burst's were kept depends on the shape's process-wide sample
+	// counter, so the check does not: alpha's cancelled leader is kept as
+	// an error, and of any 16 consecutive queries of a shape (the sampler's
+	// 1-in-16) one is kept — beta sends 16, one after the other.
+	for i := 0; i < 16; i++ {
+		if _, err := beta.Retrieve(context.Background(), query); err != nil {
+			t.Fatal(err)
+		}
+	}
 	seen := map[string]bool{}
 	for _, ev := range fxdist.QueryEvents(cluster.Kind(), 512) {
 		if ev.Tenant != "" {
@@ -448,3 +475,144 @@ func rawCall(endpoint, key, method string, params any, out any) error {
 }
 
 func jsonBody(s string) io.Reader { return strings.NewReader(s) }
+
+// poolPuts reads one pool's accepted Puts off the /debug/mempool report.
+func poolPuts(name string) uint64 {
+	for _, p := range mempool.Report() {
+		if p.Name == name {
+			return p.Puts
+		}
+	}
+	return 0
+}
+
+// TestGateGivesBackWhatTheClusterLent drives a gate over the distributed
+// backend, where every record of an answer aliases a pooled wire frame
+// until the gate releases it, with released frames poisoned: a release
+// one statement early — before the encoded bytes are written — or a
+// record read after it turns an answer into 0xDB and fails the digest
+// against File.Search. The pool counters pin the other direction: every
+// frame and header slab a device lent is given back.
+func TestGateGivesBackWhatTheClusterLent(t *testing.T) {
+	defer mempool.SetPoison(mempool.SetPoison(true))
+	file, fx := gateFile(t)
+	addrs, stop, err := fxdist.DeployLocal(file, fx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stop()
+	cluster, err := fxdist.Open(fxdist.Config{File: file, Addrs: addrs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Close()
+	g, err := gate.New(gate.Config{Cluster: cluster, File: file, Allocator: fx,
+		Tenants: []gate.TenantConfig{{Name: "t", APIKey: "k"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	srv := httptest.NewServer(g)
+	defer srv.Close()
+	cl := client.New(srv.URL, client.WithAPIKey("k"))
+	defer cl.Close()
+
+	// 200 different scans, one field specified each, and what File.Search
+	// says of them: the digest, and how many devices hold a match.
+	queries := make([]map[string]string, 200)
+	wants := make([]uint64, len(queries))
+	lent := make([]uint64, len(queries))
+	for i := range queries {
+		f := gateFields[i%3]
+		queries[i] = map[string]string{f.Name: fmt.Sprintf("%s-%d", f.Name, i%f.Cardinality)}
+		pm, err := file.Spec(queries[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs, err := file.Search(pm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		devs := map[int]bool{}
+		for _, r := range recs {
+			coords, err := file.BucketOf(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			devs[fx.Device(coords)] = true
+		}
+		wants[i], lent[i] = recordsDigest(recs), uint64(len(devs))
+	}
+
+	frames, fields := poolPuts("frames"), poolPuts("netdist.fields")
+	var wantLent uint64
+	for i, q := range queries {
+		res, err := cl.Retrieve(context.Background(), q)
+		if err != nil {
+			t.Fatalf("fx.retrieve %v: %v", q, err)
+		}
+		if recordsDigest(res.Records) != wants[i] {
+			t.Fatalf("fx.retrieve %v: %d records that are not File.Search's", q, len(res.Records))
+		}
+		wantLent += lent[i]
+	}
+	if wantLent == 0 {
+		t.Fatal("no query matched a record")
+	}
+	// The handler gives back after the client has its answer: wait for it.
+	// Every device with a match lent one header slab and one frame; the
+	// frame pool also sees each hop's own buffers, so it only has a floor.
+	until(t, "every lent header slab given back", func() bool { return poolPuts("netdist.fields")-fields >= wantLent })
+	if got := poolPuts("netdist.fields") - fields; got != wantLent {
+		t.Fatalf("%d header slabs given back, the devices lent %d", got, wantLent)
+	}
+	if got := poolPuts("frames") - frames; got < wantLent {
+		t.Fatalf("%d frames put back over %d lent", got, wantLent)
+	}
+
+	batch, err := cl.RetrieveBatch(context.Background(), queries[:24])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, item := range batch.Items {
+		if item.Error != nil || recordsDigest(item.Result.Records) != wants[i] {
+			t.Fatalf("fx.retrieveBatch item %d (%v): error %v, or not File.Search's records", i, queries[i], item.Error)
+		}
+	}
+
+	var envelope []client.Request
+	for i, q := range queries[:24] {
+		params, err := json.Marshal(client.RetrieveParams{Query: q})
+		if err != nil {
+			t.Fatal(err)
+		}
+		envelope = append(envelope, client.Request{JSONRPC: "2.0", ID: json.RawMessage(fmt.Sprint(i)), Method: client.MethodRetrieve, Params: params})
+	}
+	body, err := json.Marshal(envelope)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req, err := http.NewRequest(http.MethodPost, srv.URL, jsonBody(string(body)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Authorization", "Bearer k")
+	hres, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hres.Body.Close()
+	var answers []client.Response
+	if err := json.NewDecoder(hres.Body).Decode(&answers); err != nil || len(answers) != len(envelope) {
+		t.Fatalf("batch envelope: %d answers, %v", len(answers), err)
+	}
+	for i, a := range answers {
+		var res client.RetrieveResult
+		if a.Error != nil {
+			t.Fatalf("envelope frame %d: %v", i, a.Error)
+		}
+		if err := json.Unmarshal(a.Result, &res); err != nil || recordsDigest(res.Records) != wants[i] {
+			t.Fatalf("envelope frame %d (%v): %v, or not File.Search's records", i, queries[i], err)
+		}
+	}
+}

@@ -73,12 +73,12 @@ type Answer struct {
 	// replica whose buckets are served elsewhere); idle devices are not
 	// charged the per-query dispatch cost.
 	Idle bool
-	// Release, when non-nil, frees device-held arena memory backing the
-	// records in Hits (netdist decode arenas, durable scan builders).
-	// Ownership passes to the executor with the Answer: the merge folds
-	// it into the Result's lease, so the memory stays valid until the
-	// caller calls Result.Release (or forever, if it never does — an
-	// unreleased arena is garbage-collected, not corrupted).
+	// Release, when non-nil, gives back memory the device lent under the
+	// records in Hits (netdist: the response frame they alias). Ownership
+	// passes to the executor with the Answer: the merge folds it into the
+	// Result's lease, so the memory stays valid until the caller calls
+	// Result.Release (or forever, if it never does — what was lent is
+	// then garbage-collected, not corrupted).
 	Release func()
 }
 
@@ -119,43 +119,33 @@ type Result struct {
 	// (Config.Instr); nil otherwise.
 	Stages []obs.StageSample
 
-	// lease releases the pooled memory backing Records when the result
-	// was built in arena mode (Config.ArenaResults); nil for copy-out
-	// results. Copies of the Result share the lease, and Release is
-	// idempotent across them.
-	lease *Lease
+	// lease holds what the devices lent under Records (Answer.Release);
+	// nil when nothing was lent. Copies of the Result share it.
+	lease *lease
 }
 
-// Lease is a shared, idempotent release handle for arena-backed results:
-// every copy of a Result holds the same *Lease, and the first Release
-// wins. A nil *Lease is a released (or never-leased) result.
-type Lease struct {
+// lease is the releases of one result's lent memory, run at most once
+// however many copies of the Result are released.
+type lease struct {
 	once sync.Once
-	f    func()
+	rels []func()
 }
 
-// NewLease wraps f; nil f yields a nil lease.
-func NewLease(f func()) *Lease {
-	if f == nil {
-		return nil
+// Release gives back the memory devices lent under the result's records
+// (today: the distributed backend's response frames). It is optional — an
+// unreleased result is garbage-collected like any other — and a no-op
+// where nothing was lent. After Release the field strings of Records, and
+// anything derived from them, are invalid: copy what must outlive it.
+// Idempotent, including across copies of the Result.
+func (r *Result) Release() {
+	if l := r.lease; l != nil {
+		l.once.Do(func() {
+			for _, f := range l.rels {
+				f()
+			}
+		})
 	}
-	return &Lease{f: f}
 }
-
-// Release runs the lease's release function exactly once across all
-// copies. Safe on nil.
-func (l *Lease) Release() {
-	if l != nil {
-		l.once.Do(l.f)
-	}
-}
-
-// Release returns the result's records to their pooled arenas. Only
-// arena-mode results (Config.ArenaResults / WithArenaResults) hold a
-// lease; for copy-out results this is a no-op. After Release the
-// result's Records — and every slice or string derived from them — are
-// invalid. Idempotent, including across copies of the Result.
-func (r *Result) Release() { r.lease.Release() }
 
 // AccumulateCost folds per-device service times and qualified-bucket
 // counts into the §5.2.1 summary: response time is the slowest device,

@@ -55,10 +55,6 @@ type Config struct {
 	// the counts and the per-device enumeration. Nil or disabled runs the
 	// uncached path.
 	Plans *plancache.Cache
-	// ArenaResults leases Result.Records (and any device-held decode
-	// arenas) from the pools instead of copying out: zero-copy results
-	// the caller must hand back with Result.Release.
-	ArenaResults bool
 }
 
 // Executor is the single retrieval code path shared by every backend:
@@ -75,7 +71,6 @@ type Executor struct {
 	res    Resilience
 	alloc  decluster.GroupAllocator
 	plans  *plancache.Cache
-	arena  bool
 	pool   *pool
 	// owned[dev]: Devices[dev] declares (Owner) that it serves device
 	// dev's buckets alone, so a plan's zero count may stand in for asking.
@@ -126,7 +121,6 @@ func New(cfg Config) (*Executor, error) {
 		res:    cfg.Resilience,
 		alloc:  cfg.Alloc,
 		plans:  cfg.Plans,
-		arena:  cfg.ArenaResults,
 		pool:   newPool(workers),
 	}, nil
 }
@@ -387,7 +381,7 @@ func (e *Executor) consolidate(ctx context.Context, c *call) (Result, error) {
 	return e.merge(c.answers, nil), nil
 }
 
-// discardAnswers recycles the hit frames and arena leases of answers
+// discardAnswers recycles the hit frames and lent memory of answers
 // that will never be merged (a retrieval failed outright after some
 // devices had already answered). Only called once every device task has
 // finished — never on an abandoned call.
@@ -406,13 +400,11 @@ func discardAnswers(answers []Answer) {
 // merge folds per-device answers into a Result under the cost model;
 // failed[dev], when non-nil, marks devices whose answers are skipped.
 //
-// Records consolidate in one pass into a single exactly-sized slice —
-// sized by summing the per-device hit counts first, so the old
-// append-and-regrow copying (the cost profiler's biggest byte line) is
-// gone. In arena mode the slice is a pooled slab and the result carries
-// a lease; otherwise it is a fresh caller-owned allocation. Either way
-// the per-device hit frames are drained back to the pool, and any
-// device-held arena releases fold into the lease.
+// Records consolidate in one pass into a single exactly-sized slice the
+// caller owns — sized by summing the per-device hit counts first — and
+// the per-device hit frames are drained back to the pool. What the
+// devices lent under those records (Answer.Release) folds into the
+// result's lease; a result nothing was lent to carries none.
 func (e *Executor) merge(answers []Answer, failed map[int]error) Result {
 	m := len(answers)
 	res := Result{
@@ -420,7 +412,7 @@ func (e *Executor) merge(answers []Answer, failed map[int]error) Result {
 		DeviceRecords: make([]int, m),
 		DeviceTime:    make([]time.Duration, m),
 	}
-	total := 0
+	total, lent := 0, 0
 	for dev := range answers {
 		a := &answers[dev]
 		if a.Idle || failed[dev] != nil {
@@ -430,14 +422,16 @@ func (e *Executor) merge(answers []Answer, failed map[int]error) Result {
 		res.DeviceRecords[dev] = a.Records
 		res.DeviceTime[dev] = e.model.DeviceTime(a.Buckets, a.Records)
 		total += len(a.Hits)
+		if a.Release != nil {
+			lent++
+		}
 	}
-	arena := e.arena
-	if arena {
-		res.Records = recsPool.Get(total)[:0]
-	} else if total > 0 {
+	if total > 0 {
 		res.Records = make([]mkhash.Record, 0, total)
 	}
-	var rels []func()
+	if lent > 0 {
+		res.lease = &lease{rels: make([]func(), 0, lent)}
+	}
 	for dev := range answers {
 		a := &answers[dev]
 		if a.Idle || failed[dev] != nil {
@@ -450,20 +444,9 @@ func (e *Executor) merge(answers []Answer, failed map[int]error) Result {
 		hitsPool.Put(a.Hits)
 		a.Hits = nil
 		if a.Release != nil {
-			rels = append(rels, a.Release)
+			res.lease.rels = append(res.lease.rels, a.Release)
 			a.Release = nil
 		}
-	}
-	if arena || len(rels) > 0 {
-		recs := res.Records
-		res.lease = NewLease(func() {
-			if arena {
-				recsPool.Put(recs)
-			}
-			for _, f := range rels {
-				f()
-			}
-		})
 	}
 	res.Response, res.TotalWork, res.LargestResponseSize = AccumulateCost(res.DeviceTime, res.DeviceBuckets)
 	return res

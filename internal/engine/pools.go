@@ -8,13 +8,12 @@ import (
 )
 
 // Hot-path slab pools shared by every executor in the process. Per-device
-// hit frames and the merged record slab are the big ones (they scale with
-// result size); the rest are the per-call fan-out scratch that used to be
-// allocated fresh on every retrieval. Whether they recycle at all is the
-// pools' own decision (mempool.SetEnabled), not the executor's.
+// hit frames are the big ones (they scale with result size); the rest are
+// the per-call fan-out scratch that used to be allocated fresh on every
+// retrieval. Whether they recycle at all is the pools' own decision
+// (mempool.SetEnabled), not the executor's.
 var (
 	hitsPool    = mempool.NewSlicePool[mkhash.Record]("engine.hits")
-	recsPool    = mempool.NewSlicePool[mkhash.Record]("engine.records")
 	answersPool = mempool.NewSlicePool[Answer]("engine.answers")
 	errsPool    = mempool.NewSlicePool[error]("engine.errs")
 	dursPool    = mempool.NewSlicePool[time.Duration]("engine.durs")

@@ -36,12 +36,25 @@ func (g *Gate) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "fxgate speaks JSON-RPC 2.0 over POST", http.StatusMethodNotAllowed)
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes+1))
+	// A declared-length body is read into a pooled slab: json.Unmarshal
+	// copies what it keeps (Params included), so nothing holds the bytes
+	// once the response is written. A chunked one is read to its end.
+	var body []byte
+	var err error
+	tooLarge := r.ContentLength > maxBodyBytes
+	if n := r.ContentLength; n < 0 {
+		body, err = io.ReadAll(io.LimitReader(r.Body, maxBodyBytes+1))
+		tooLarge = len(body) > maxBodyBytes
+	} else if !tooLarge {
+		body = mempool.Frames.Get(int(n))
+		defer mempool.Frames.Put(body)
+		_, err = io.ReadFull(r.Body, body)
+	}
 	if err != nil {
 		writeFrame(w, http.StatusBadRequest, errorFrame(nil, client.ParseError("read body: "+err.Error())))
 		return
 	}
-	if len(body) > maxBodyBytes {
+	if tooLarge {
 		writeFrame(w, http.StatusRequestEntityTooLarge,
 			errorFrame(nil, client.InvalidRequestError(fmt.Sprintf("request body exceeds %d MiB", maxBodyBytes>>20))))
 		return
@@ -207,6 +220,19 @@ type frame struct {
 	err    *client.ErrorObject
 }
 
+// release gives back what the cluster lent under the frame's retrieval
+// results. The gate knows when it is done with them — once the encoded
+// bytes are written — and must not read their records afterwards.
+func (f *frame) release() {
+	items, _ := f.result.(batchAnswer)
+	if a, ok := f.result.(*answer); ok {
+		items = batchAnswer{{answer: *a}}
+	}
+	for i := range items {
+		items[i].res.Release()
+	}
+}
+
 func errorFrame(id json.RawMessage, e *client.ErrorObject) frame {
 	return frame{id: id, err: e}
 }
@@ -286,6 +312,7 @@ func appendID(dst []byte, id json.RawMessage) []byte {
 func writeFrame(w http.ResponseWriter, status int, f frame) {
 	buf := mempool.Frames.Get(f.sizeHint())[:0]
 	send(w, status, appendFrame(buf, &f))
+	f.release()
 }
 
 // writeBatch answers a batch envelope: the frames as one JSON array.
@@ -302,6 +329,9 @@ func writeBatch(w http.ResponseWriter, frames []frame) {
 		buf = appendFrame(buf, &frames[i])
 	}
 	send(w, http.StatusOK, append(buf, ']'))
+	for i := range frames {
+		frames[i].release()
+	}
 }
 
 // send writes one encoded response with its length declared, so that

@@ -248,8 +248,12 @@ func TestOversizeRequestIs413(t *testing.T) {
 	g := wireFixture(t)
 	body := bytes.Repeat([]byte(" "), maxBodyBytes+1)
 	copy(body, `{"jsonrpc":"2.0","id":1,"method":"fx.health"}`)
+	declared := true
 	post := func(body []byte) (*httptest.ResponseRecorder, client.Response) {
 		req := httptest.NewRequest(http.MethodPost, "/rpc", bytes.NewReader(body))
+		if !declared {
+			req.ContentLength = -1 // as a chunked request arrives
+		}
 		req.Header.Set("Authorization", "Bearer k")
 		rec := httptest.NewRecorder()
 		g.ServeHTTP(rec, req)
@@ -259,15 +263,17 @@ func TestOversizeRequestIs413(t *testing.T) {
 		}
 		return rec, res
 	}
-	if rec, res := post(body[:maxBodyBytes]); rec.Code != http.StatusOK || res.Error != nil {
-		t.Errorf("a body of exactly the limit: status %d, error %+v", rec.Code, res.Error)
-	}
-	rec, res := post(body)
-	if rec.Code != http.StatusRequestEntityTooLarge {
-		t.Errorf("status %d, want 413", rec.Code)
-	}
-	if res.Error == nil || res.Error.Code != -32600 || !strings.Contains(res.Error.Message, "exceeds 8 MiB") {
-		t.Errorf("error = %+v, want invalid request (-32600) naming the limit", res.Error)
+	for _, declared = range []bool{true, false} {
+		if rec, res := post(body[:maxBodyBytes]); rec.Code != http.StatusOK || res.Error != nil {
+			t.Errorf("declared %v: a body of exactly the limit: status %d, error %+v", declared, rec.Code, res.Error)
+		}
+		rec, res := post(body)
+		if rec.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("declared %v: status %d, want 413", declared, rec.Code)
+		}
+		if res.Error == nil || res.Error.Code != -32600 || !strings.Contains(res.Error.Message, "exceeds 8 MiB") {
+			t.Errorf("declared %v: error = %+v, want invalid request (-32600) naming the limit", declared, res.Error)
+		}
 	}
 }
 

@@ -68,6 +68,15 @@ var disabled atomic.Bool
 // outside tests calls it, and tests that do must not run in parallel.
 func SetEnabled(on bool) (was bool) { return !disabled.Swap(!on) }
 
+// poison makes Put scribble byte slabs before pooling them; see SetPoison.
+var poison atomic.Bool
+
+// SetPoison is the second test seam: on, Put overwrites a byte slab with
+// 0xDB before pooling it, so a string still aliasing a released frame
+// reads as garbage instead of as the record it used to be. Same rules as
+// SetEnabled: tests only, restored in t.Cleanup, never in parallel.
+func SetPoison(on bool) (was bool) { return poison.Swap(on) }
+
 // Stats is a point-in-time snapshot of one pool's counters.
 type Stats struct {
 	// Gets counts Get calls served from the pool (recycled slabs).
@@ -166,6 +175,12 @@ func (p *SlicePool[T]) Put(s []T) {
 	s = s[:cap(s)]
 	if p.clear {
 		clear(s)
+	} else if poison.Load() {
+		if b, ok := any(s).([]byte); ok {
+			for i := range b {
+				b[i] = 0xDB
+			}
+		}
 	}
 	p.puts.Add(1)
 	box, _ := p.boxes.Get().(*[]T)

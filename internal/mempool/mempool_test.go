@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime/debug"
 	"testing"
+	"unsafe"
 )
 
 // raceEnabled reports whether the test binary was built with -race,
@@ -237,5 +238,40 @@ func TestReportIncludesRegisteredPools(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("pool %q missing from Report()", name)
+	}
+}
+
+// TestSetPoisonScribblesReleasedByteSlabs pins the test seam: poisoned, a
+// byte slab is overwritten end to end on Put, so a string that aliases it
+// stops reading as what it was; unpoisoned, and for pointerful pools,
+// Put behaves as before.
+func TestSetPoisonScribblesReleasedByteSlabs(t *testing.T) {
+	p := NewBytesPool("test.poison")
+	put := func() string {
+		s := p.Get(100)
+		copy(s, "record")
+		alias := unsafe.String(&s[0], 6)
+		p.Put(s)
+		return alias
+	}
+	if got := put(); got != "record" {
+		t.Fatalf("unpoisoned Put rewrote the slab: %q", got)
+	}
+	if was := SetPoison(true); was {
+		t.Fatal("poison was on before the test set it")
+	}
+	defer SetPoison(false)
+	if got := put(); got != "\xdb\xdb\xdb\xdb\xdb\xdb" {
+		t.Fatalf("poisoned Put left %q readable", got)
+	}
+	strs := NewSlicePool[string]("test.poison.strings")
+	s := strs.Get(4)
+	s[0] = "kept"
+	strs.Put(s)
+	if s[0] != "" {
+		t.Fatalf("a pointerful slab is cleared, not scribbled: %q", s[0])
+	}
+	if was := SetPoison(false); !was {
+		t.Fatal("SetPoison did not report the previous setting")
 	}
 }

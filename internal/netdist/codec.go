@@ -60,10 +60,10 @@ import (
 // reach the trailing bytes of a frame they've fully parsed).
 //
 // Encoders size the payload exactly, fill one pooled frame, and write
-// it with a single Write. The coordinator reads a response into a pooled
-// slab and copies field bytes into a RecordBuilder arena so the frame
-// recycles immediately; a server reads a request into a buffer its
-// connection owns and decodes the query in place (binServerCodec.decode).
+// it with a single Write. Both sides decode in place: the coordinator
+// reads a response into a pooled slab its records alias until the result
+// is released (decodeResponse); a server reads a request into a buffer its
+// connection owns (binServerCodec.decode).
 
 var wireMagic = [4]byte{'F', 'X', 'B', 1}
 
@@ -118,8 +118,7 @@ func appendString(b []byte, s string) []byte {
 func stringSize(s string) int { return uvarintLen(uint64(len(s))) + len(s) }
 
 // frameReader pulls uvarints, zigzags and byte views out of one decoded
-// frame. Views alias the frame slab and must be copied before the frame
-// is recycled.
+// frame. Views alias the frame slab and die with it.
 type frameReader struct {
 	buf []byte
 	off int
@@ -194,8 +193,7 @@ func appendRecords(b []byte, recs []mkhash.Record) []byte {
 }
 
 // decodeRecordsPlain reads a record list with plain (GC-owned) copies —
-// the control path; the query hot path uses the pooled decode in
-// decodeResponse instead.
+// the control path; the query hot path decodes in place (decodeResponse).
 func decodeRecordsPlain(f *frameReader) ([]mkhash.Record, error) {
 	nr, err := f.uvarint()
 	if err != nil {
@@ -416,13 +414,7 @@ func (b *binServerCodec) decode(buf []byte, req *Request) error {
 func responseSize(resp *Response) int {
 	n := uvarintLen(resp.ID) + stringSize(resp.Err) +
 		uvarintLen(zigzag(int64(resp.Buckets))) + uvarintLen(zigzag(int64(resp.Scanned))) +
-		uvarintLen(zigzag(resp.RetryAfterMillis)) + uvarintLen(uint64(len(resp.Records)))
-	for _, r := range resp.Records {
-		n += uvarintLen(uint64(len(r)))
-		for _, field := range r {
-			n += stringSize(field)
-		}
-	}
+		uvarintLen(zigzag(resp.RetryAfterMillis)) + recordsSize(resp.Records)
 	if len(resp.StatsJSON) > 0 {
 		n += uvarintLen(uint64(len(resp.StatsJSON))) + len(resp.StatsJSON)
 	}
@@ -435,13 +427,7 @@ func appendResponse(b []byte, resp *Response) []byte {
 	b = appendUvarint(b, zigzag(int64(resp.Buckets)))
 	b = appendUvarint(b, zigzag(int64(resp.Scanned)))
 	b = appendUvarint(b, zigzag(resp.RetryAfterMillis))
-	b = appendUvarint(b, uint64(len(resp.Records)))
-	for _, r := range resp.Records {
-		b = appendUvarint(b, uint64(len(r)))
-		for _, field := range r {
-			b = appendString(b, field)
-		}
-	}
+	b = appendRecords(b, resp.Records)
 	if len(resp.StatsJSON) > 0 {
 		b = appendUvarint(b, uint64(len(resp.StatsJSON)))
 		b = append(b, resp.StatsJSON...)
@@ -465,13 +451,18 @@ func decodeTrailingStats(f *frameReader, resp *Response) error {
 	return nil
 }
 
-// decodeResponse parses one response payload. Record field bytes are
-// copied into a RecordBuilder arena (pooled when arena is true, plain
-// GC'd chunks otherwise) and the record-header slice comes from the
-// engine's hits pool, so the merged result can recycle it. release is
-// non-nil only for pooled arenas; the caller owns folding it into the
-// result's lease.
-func decodeResponse(buf []byte, resp *Response, arena bool) (release func(), err error) {
+// decodeResponse parses one response payload in place: the field strings
+// of its records alias buf, and the records' []string headers are carved
+// from one respFields slab sized from the frame itself — record count ×
+// the first record's arity, capped by the payload left, since a field
+// costs a byte on the wire; a record that does not fit gets its own make.
+// The record-header slice comes from the engine's hits pool, so the merge
+// recycles it. A response with records takes buf over: release, non-nil
+// exactly then, puts the frame and the header slab back, after which the
+// records are garbage; never calling it leaves both to the collector.
+// Everything else (Err, StatsJSON) is copied out, and without a release
+// buf is still the caller's to recycle.
+func decodeResponse(buf []byte, resp *Response) (release func(), err error) {
 	f := frameReader{buf: buf}
 	if resp.ID, err = f.uvarint(); err != nil {
 		return nil, err
@@ -507,11 +498,11 @@ func decodeResponse(buf []byte, resp *Response, arena bool) (release func(), err
 		resp.Records = nil
 		return nil, decodeTrailingStats(&f, resp)
 	}
-	b := mempool.NewRecordBuilder(arena)
 	recs := clientHits.Get(int(nr))[:0]
+	var slab []string
 	fail := func(err error) (func(), error) {
 		clientHits.Put(recs)
-		b.Release()
+		respFields.Put(slab)
 		return nil, err
 	}
 	for i := uint64(0); i < nr; i++ {
@@ -519,16 +510,25 @@ func decodeResponse(buf []byte, resp *Response, arena bool) (release func(), err
 		if err != nil {
 			return fail(err)
 		}
-		if nf > uint64(len(buf)-f.off) {
+		left := uint64(len(buf) - f.off)
+		if nf > left {
 			return fail(errFrameCorrupt)
 		}
-		fields := b.Fields(int(nf))
+		if i == 0 {
+			slab = respFields.Get(int(min(nr*nf, left)))[:0]
+		}
+		var fields []string
+		if n := len(slab) + int(nf); n <= cap(slab) {
+			fields, slab = slab[len(slab):n:n], slab[:n]
+		} else {
+			fields = make([]string, nf)
+		}
 		for j := range fields {
 			v, err := f.bytes()
 			if err != nil {
 				return fail(err)
 			}
-			fields[j] = b.Bytes(v)
+			fields[j] = unsafe.String(unsafe.SliceData(v), len(v))
 		}
 		recs = append(recs, mkhash.Record(fields))
 	}
@@ -536,10 +536,11 @@ func decodeResponse(buf []byte, resp *Response, arena bool) (release func(), err
 		return fail(err)
 	}
 	resp.Records = recs
-	if arena {
-		return b.Release, nil
-	}
-	return nil, nil
+	headers := slab // by value: the closure is the one object a decode costs
+	return func() {
+		respFields.Put(headers)
+		mempool.Frames.Put(buf)
+	}, nil
 }
 
 // writeFrame sizes the payload with size, fills one pooled buffer via
@@ -588,14 +589,11 @@ func readFrame(r io.Reader, hdr *[frameLenSize]byte) ([]byte, error) {
 // binCodec is the coordinator side of the wire: writeRequest runs under
 // the connection's write mutex against the counting writer,
 // readResponse on the read-loop goroutine against the timing reader, so
-// writer and reader state are disjoint. The release func readResponse
-// returns, when non-nil, hands the response's record arena back to its
-// pool (arena mode only).
+// writer and reader state are disjoint.
 type binCodec struct {
-	w     io.Writer
-	r     io.Reader
-	hdr   [frameLenSize]byte // the read loop's
-	arena bool
+	w   io.Writer
+	r   io.Reader
+	hdr [frameLenSize]byte // the read loop's
 }
 
 func (b *binCodec) writeRequest(req *Request) error {
@@ -604,13 +602,19 @@ func (b *binCodec) writeRequest(req *Request) error {
 	})
 }
 
+// readResponse reads and decodes one response. The release it returns,
+// when non-nil, is decodeResponse's: the frame stays out of the pool for
+// as long as the records that alias it are in use.
 func (b *binCodec) readResponse(resp *Response) (func(), error) {
 	payload, err := readFrame(b.r, &b.hdr)
 	if err != nil {
 		return nil, err
 	}
-	defer mempool.Frames.Put(payload)
-	return decodeResponse(payload, resp, b.arena)
+	release, err := decodeResponse(payload, resp)
+	if release == nil {
+		mempool.Frames.Put(payload)
+	}
+	return release, err
 }
 
 // binServerCodec is the device-server side of the wire. It owns the
@@ -656,4 +660,8 @@ func (b *binServerCodec) writeResponse(resp *Response) error {
 
 // clientHits is the hit-frame pool binary decodes draw record-header
 // slices from: the executor's own, so its merge recycles them.
-var clientHits = engine.HitsPool()
+// respFields holds the []string slabs those headers point into.
+var (
+	clientHits = engine.HitsPool()
+	respFields = mempool.NewSlicePool[string]("netdist.fields")
+)

@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"fxdist/internal/decluster"
 	"fxdist/internal/mempool"
@@ -69,36 +70,67 @@ func sampleResponses() []Response {
 	}
 }
 
+// TestResponseBinaryRoundTrip decodes every sample response and pins the
+// lending contract: a response with records decodes in place — its field
+// strings lie inside the frame — and holds the frame and one header slab
+// until its release puts both back; a record-less response has no release,
+// and the read path recycles its frame at once.
 func TestResponseBinaryRoundTrip(t *testing.T) {
 	t.Cleanup(func() { mempool.SetEnabled(true) })
-	for _, arena := range []bool{false, true} {
-		for _, pooled := range []bool{false, true} {
-			mempool.SetEnabled(pooled)
-			for i, resp := range sampleResponses() {
-				payload := appendResponse(nil, &resp)
-				if len(payload) != responseSize(&resp) {
-					t.Fatalf("case %d: encoded %d bytes, responseSize says %d", i, len(payload), responseSize(&resp))
+	for _, pooled := range []bool{false, true} {
+		mempool.SetEnabled(pooled)
+		for i, resp := range sampleResponses() {
+			size := responseSize(&resp)
+			payload := appendResponse(mempool.Frames.Get(size)[:0], &resp)
+			if len(payload) != size {
+				t.Fatalf("case %d: encoded %d bytes, responseSize says %d", i, len(payload), size)
+			}
+			frames, fields := mempool.Frames.Stats().Puts, respFields.Stats().Puts
+			puts := func() [2]uint64 {
+				return [2]uint64{mempool.Frames.Stats().Puts - frames, respFields.Stats().Puts - fields}
+			}
+			var got Response
+			release, err := decodeResponse(payload, &got)
+			if err != nil {
+				t.Fatalf("case %d (pooled=%v): decode: %v", i, pooled, err)
+			}
+			if len(resp.Records) == 0 {
+				if got.Records != nil || release != nil {
+					t.Fatalf("case %d: empty response decoded with records/release", i)
 				}
-				var got Response
-				release, err := decodeResponse(payload, &got, arena)
-				if err != nil {
-					t.Fatalf("case %d (arena=%v pooled=%v): decode: %v", i, arena, pooled, err)
+				got.Records = resp.Records
+			} else if release == nil {
+				t.Fatalf("case %d: response with records decoded without a release", i)
+			}
+			if !respEqual(resp, got) {
+				t.Fatalf("case %d (pooled=%v): round trip mismatch:\nsent %+v\ngot  %+v", i, pooled, resp, got)
+			}
+			if release == nil {
+				// The same frame through the coordinator's read path.
+				wire := bytes.NewBuffer(binary.LittleEndian.AppendUint32(nil, uint32(size)))
+				wire.Write(payload)
+				if release, err := (&binCodec{r: wire}).readResponse(&got); err != nil || release != nil {
+					t.Fatalf("case %d: read: release %v, %v", i, release != nil, err)
 				}
-				if len(resp.Records) == 0 {
-					if got.Records != nil || release != nil {
-						t.Fatalf("case %d: empty response decoded with records/release", i)
+				if pooled && puts() != [2]uint64{1, 0} {
+					t.Fatalf("case %d: record-less response put back %v [frames fields], want [1 0]", i, puts())
+				}
+				continue
+			}
+			lo := uintptr(unsafe.Pointer(unsafe.SliceData(payload)))
+			for _, rec := range got.Records {
+				for _, v := range rec {
+					if p := uintptr(unsafe.Pointer(unsafe.StringData(v))); len(v) > 0 && (p < lo || p+uintptr(len(v)) > lo+uintptr(size)) {
+						t.Fatalf("case %d: field %q was copied out of the frame", i, v)
 					}
-					got.Records = resp.Records
-				} else if arena && release == nil {
-					t.Fatalf("case %d: arena decode returned no release", i)
 				}
-				if !respEqual(resp, got) {
-					t.Fatalf("case %d (arena=%v pooled=%v): round trip mismatch:\nsent %+v\ngot  %+v",
-						i, arena, pooled, resp, got)
-				}
-				if release != nil {
-					release()
-				}
+			}
+			if puts() != [2]uint64{0, 0} {
+				t.Fatalf("case %d: %v [frames fields] put back before the release", i, puts())
+			}
+			release()
+			if pooled && puts() != [2]uint64{1, 1} {
+				t.Fatalf("case %d: the release put back %v [frames fields], want [1 1]", i, puts())
 			}
 		}
 	}
@@ -111,7 +143,7 @@ func TestDecodeRejectsTruncatedAndCorruptFrames(t *testing.T) {
 	// declared up front, so a cut-off frame can never half-decode.
 	for i := 0; i < len(payload); i++ {
 		var got Response
-		if _, err := decodeResponse(payload[:i], &got, false); err == nil {
+		if _, err := decodeResponse(payload[:i], &got); err == nil {
 			t.Fatalf("truncated response frame of %d/%d bytes decoded", i, len(payload))
 		}
 	}
@@ -129,7 +161,7 @@ func TestDecodeRejectsTruncatedAndCorruptFrames(t *testing.T) {
 	base := appendResponse(nil, &Response{ID: 9})
 	huge := binary.AppendUvarint(base[:len(base)-1], 1<<40)
 	var got Response
-	if _, err := decodeResponse(huge, &got, false); err == nil {
+	if _, err := decodeResponse(huge, &got); err == nil {
 		t.Fatal("giant record count decoded")
 	}
 }

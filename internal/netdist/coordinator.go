@@ -105,8 +105,8 @@ func (t *timingReader) Read(p []byte) (int, error) {
 }
 
 // wireDelivery is one demultiplexed response plus the read loop's
-// timing evidence for it. release, when non-nil, returns the response's
-// record arena to its pool (binary codec in arena mode).
+// timing evidence for it. release, non-nil when the response has records,
+// returns the frame they alias to its pool (decodeResponse).
 type wireDelivery struct {
 	resp      Response
 	firstByte time.Time
@@ -136,7 +136,7 @@ type deviceConn struct {
 	idle []chan wireDelivery
 }
 
-func newDeviceConn(conn net.Conn, addr string, arena bool) *deviceConn {
+func newDeviceConn(conn net.Conn, addr string) *deviceConn {
 	cw := &countingWriter{w: conn}
 	tr := &timingReader{r: conn}
 	dc := &deviceConn{
@@ -145,13 +145,13 @@ func newDeviceConn(conn net.Conn, addr string, arena bool) *deviceConn {
 		cw:      cw,
 		pending: make(map[uint64]chan wireDelivery),
 	}
-	dc.codec = &binCodec{w: cw, r: tr, arena: arena}
+	dc.codec = &binCodec{w: cw, r: tr}
 	go dc.readLoop(tr)
 	return dc
 }
 
-// discard recycles a delivery nobody will consume: the record arena (if
-// leased) and the record-header slab both go back to their pools.
+// discard recycles a delivery nobody will consume: the frame its records
+// alias and the record-header slab both go back to their pools.
 func (d wireDelivery) discard() {
 	if d.release != nil {
 		d.release()
@@ -225,9 +225,8 @@ type WireStages struct {
 
 // roundTrip sends req and waits for its response, returning the wire
 // request id it assigned (0 when the connection was already dead), the
-// round trip's wire-stage timings, and — in arena mode — the release
-// func that returns the response's record arena to its pool (nil
-// otherwise; the caller folds it into the result's lease). The
+// round trip's wire-stage timings, and the response's release (nil when
+// it carries no records; the caller folds it into the result's lease). The
 // per-request timeout composes with the caller's context deadline —
 // whichever expires first wins — and a coordinator-side expiry surfaces
 // as ErrTimeout wrapping context.DeadlineExceeded, so both errors.Is
@@ -321,7 +320,6 @@ type Coordinator struct {
 	dm       []coordDevMetrics
 	tracer   *obs.Tracer
 	timeout  time.Duration
-	arena    bool
 	failover bool
 	backend  string
 	epoch    int
@@ -424,14 +422,6 @@ func WithFailover() DialOption {
 	return func(c *Coordinator) { c.failover = true }
 }
 
-// WithArenaResults makes retrievals lease their records from pooled
-// arenas: Result.Records and the strings they point at stay valid only
-// until Result.Release returns them for reuse. Callers that don't
-// Release simply fall back to the garbage collector.
-func WithArenaResults() DialOption {
-	return func(c *Coordinator) { c.arena = true }
-}
-
 // Dial connects to one server per device; addrs[i] must serve device i.
 // The file provides the schema and hash functions used to lower value
 // queries to bucket coordinates — it can be empty of records. The
@@ -492,16 +482,15 @@ func Dial(file *mkhash.File, addrs []string, opts ...DialOption) (*Coordinator, 
 	// enumerate their own buckets), so the cache keeps the per-shape
 	// numbers and counts only: O(M) per shape.
 	eng, err := engine.New(engine.Config{
-		Schema:       file,
-		FS:           alloc.FileSystem(),
-		Alloc:        alloc,
-		Devices:      devices,
-		Instr:        c.in,
-		Tracer:       c.tracer,
-		Span:         span,
-		Plans:        plancache.New(c.backend, plancache.WithMaxTuples(1)),
-		Resilience:   res,
-		ArenaResults: c.arena,
+		Schema:     file,
+		FS:         alloc.FileSystem(),
+		Alloc:      alloc,
+		Devices:    devices,
+		Instr:      c.in,
+		Tracer:     c.tracer,
+		Span:       span,
+		Plans:      plancache.New(c.backend, plancache.WithMaxTuples(1)),
+		Resilience: res,
 	})
 	if err != nil {
 		c.Close()
@@ -587,7 +576,7 @@ func (c *Coordinator) dialDevice(addr string) (*deviceConn, error) {
 		conn.Close()
 		return nil, err
 	}
-	return newDeviceConn(conn, addr, c.arena), nil
+	return newDeviceConn(conn, addr), nil
 }
 
 // negotiateClient offers the wire magic and requires the server's ack
@@ -899,8 +888,8 @@ func (c *Coordinator) Addrs() []string {
 // span travels in ctx (see engine.SpanFromContext); shape, when
 // non-empty, attributes the round trip's wire stages (dispatch → first
 // byte → decode) to the query shape in the netdist cost profile. The
-// returned release func (nil outside arena mode) owns the response's
-// record arena; the caller folds it into the result's lease.
+// returned release (nil for a response without records) owns the frame
+// the records alias; the caller folds it into the result's lease.
 func (c *Coordinator) ask(ctx context.Context, dev int, req Request, shape string) (Response, func(), error) {
 	dc := c.conn(dev)
 	span := engine.SpanFromContext(ctx)

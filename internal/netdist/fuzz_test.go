@@ -36,9 +36,8 @@ func FuzzDecodeRequest(f *testing.F) {
 	})
 }
 
-// FuzzDecodeResponse is the same property for the response decoder,
-// with the pass-through (nil) pools so fuzz garbage never lands in the
-// shared slab pools.
+// FuzzDecodeResponse is the same property for the response decoder. No
+// decode is released, so fuzz garbage never lands in the frame pool.
 func FuzzDecodeResponse(f *testing.F) {
 	for _, resp := range sampleResponses() {
 		f.Add(appendResponse(nil, &resp))
@@ -47,7 +46,7 @@ func FuzzDecodeResponse(f *testing.F) {
 	f.Add([]byte{0x00, 0x00, 0x00, 0x00, 0x00, 0x7f})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var resp Response
-		if _, err := decodeResponse(data, &resp, false); err != nil {
+		if _, err := decodeResponse(data, &resp); err != nil {
 			return
 		}
 		again := appendResponse(nil, &resp)
@@ -55,7 +54,7 @@ func FuzzDecodeResponse(f *testing.F) {
 			t.Fatalf("responseSize says %d, encoder emitted %d", responseSize(&resp), len(again))
 		}
 		var resp2 Response
-		if _, err := decodeResponse(again, &resp2, false); err != nil {
+		if _, err := decodeResponse(again, &resp2); err != nil {
 			t.Fatalf("re-encoded response did not decode: %v", err)
 		}
 		if !respEqual(resp, resp2) {

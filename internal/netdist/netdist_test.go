@@ -4,13 +4,16 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
 	"testing"
 
 	"fxdist/internal/decluster"
+	"fxdist/internal/engine"
 	"fxdist/internal/field"
+	"fxdist/internal/mempool"
 	"fxdist/internal/mkhash"
 	"fxdist/internal/obs"
 	"fxdist/internal/query"
@@ -411,5 +414,41 @@ func TestServerCloseStopsServe(t *testing.T) {
 	// Serve on a closed server returns immediately without error.
 	if err := srv.Serve(l); err != nil {
 		t.Errorf("Serve on closed server returned %v, want nil", err)
+	}
+}
+
+// TestUnreleasedResultIsLeftToTheCollector is the other half of the
+// lending contract: Release is optional. A result whose frames are never
+// given back is plain garbage-collected memory — a thousand further
+// queries over the same connections and two collections later it still
+// reads byte for byte what it read when it arrived.
+func TestUnreleasedResultIsLeftToTheCollector(t *testing.T) {
+	defer mempool.SetPoison(mempool.SetPoison(true))
+	file := buildFile(t, 400)
+	coord, cleanup := deploy(t, file, 8)
+	defer cleanup()
+	pm, err := file.Spec(map[string]string{"supplier": "sup3"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept, err := coord.RetrieveContext(context.Background(), pm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Join(recordKeys(engine.CloneRecords(kept.Records)), "\n")
+	if want == "" {
+		t.Fatal("the query matched nothing")
+	}
+	for i := 0; i < 1000; i++ {
+		res, err := coord.RetrieveContext(context.Background(), pm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.Release()
+	}
+	runtime.GC()
+	runtime.GC()
+	if got := strings.Join(recordKeys(kept.Records), "\n"); got != want {
+		t.Fatalf("an unreleased result changed under later traffic:\n%s\nwant\n%s", got, want)
 	}
 }

@@ -2,6 +2,7 @@ package netdist
 
 import (
 	"encoding/binary"
+	"fmt"
 	"io"
 	"net"
 	"runtime/debug"
@@ -11,6 +12,8 @@ import (
 	"time"
 
 	"fxdist/internal/decluster"
+	"fxdist/internal/mempool"
+	"fxdist/internal/mkhash"
 	"fxdist/internal/storage"
 )
 
@@ -277,10 +280,41 @@ func TestServerQueryAllocs(t *testing.T) {
 		}
 	}
 	roundTrip() // warm the pools, the walk, the shape counter
-	if _, err := decodeResponse(in[:n], &resp, false); err != nil || resp.Err != "" || resp.Buckets == 0 || len(resp.Records) == 0 {
+	if _, err := decodeResponse(in[:n], &resp); err != nil || resp.Err != "" || resp.Buckets == 0 || len(resp.Records) == 0 {
 		t.Fatalf("response: %d buckets, %d records, %q, %v", resp.Buckets, len(resp.Records), resp.Err, err)
 	}
 	if got := testing.AllocsPerRun(200, roundTrip); got > 2 {
 		t.Errorf("one query request costs the server %.1f allocations, want at most 2", got)
+	}
+}
+
+// TestDecodeResponseAllocsDoNotGrowWithRecords pins the in-place decode:
+// with warm pools a response costs its release closure and nothing per
+// record — the copying decoder paid a builder, its chunks and their
+// doublings.
+func TestDecodeResponseAllocsDoNotGrowWithRecords(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("sync.Pool drops Puts under -race, so allocation counts are not exact")
+	}
+	cost := func(n int) float64 {
+		resp := Response{ID: 1, Buckets: 4, Scanned: 4 * n}
+		for i := 0; i < n; i++ {
+			resp.Records = append(resp.Records, mkhash.Record{fmt.Sprintf("part%d", i), "sup3", "wh3"})
+		}
+		payload := appendResponse(nil, &resp)
+		var got Response
+		return testing.AllocsPerRun(200, func() {
+			frame := mempool.Frames.Get(len(payload))
+			copy(frame, payload)
+			release, err := decodeResponse(frame, &got)
+			if err != nil || len(got.Records) != n || got.Records[n-1][0] != resp.Records[n-1][0] {
+				t.Fatalf("decode of %d records: %d back, %v", n, len(got.Records), err)
+			}
+			clientHits.Put(got.Records)
+			release()
+		})
+	}
+	if small, large := cost(10), cost(1000); small != large || large > 2 {
+		t.Errorf("decoding 10 records costs %.0f allocations and 1000 cost %.0f, want the same and at most 2", small, large)
 	}
 }

@@ -41,7 +41,6 @@ type DurableCluster struct {
 	schema *mkhash.File // schema-only file used to hash queries
 	stores []*pagestore.Store
 	locks  []sync.RWMutex // locks[dev] guards stores[dev]: scan = RLock, mutate = Lock
-	arena  bool           // lease decode arenas to results (WithArenaResults)
 }
 
 // durDevice adapts one device's pagestore log to the engine's Device
@@ -60,10 +59,9 @@ func (d durDevice) Scan(ctx context.Context, q query.Query, pm mkhash.PartialMat
 	c := d.c
 	// One builder per scan: the store compares pm on the encoded bytes
 	// and materialises only the hits, which share the builder's chunked
-	// arena instead of allocating two objects each. In arena mode the
-	// chunks are pooled and the lease travels on the answer; otherwise
-	// they are plain heap the results own outright.
-	b := mempool.NewRecordBuilder(c.arena)
+	// arena instead of allocating two objects each. The chunks are plain
+	// heap the result owns outright: the device lends nothing.
+	b := mempool.NewRecordBuilder(false)
 	c.locks[d.dev].RLock()
 	defer c.locks[d.dev].RUnlock()
 	var buf [walkFields]int
@@ -81,12 +79,8 @@ func (d durDevice) Scan(ctx context.Context, q query.Query, pm mkhash.PartialMat
 		}
 		if err != nil {
 			hits.Put(ans.Hits)
-			b.Release()
 			return engine.Answer{}, err
 		}
-	}
-	if c.arena {
-		ans.Release = b.Release
 	}
 	return ans, nil
 }
@@ -166,7 +160,6 @@ func newDurable(dir string, schema *mkhash.File, alloc decluster.GroupAllocator,
 		schema: schema,
 		stores: make([]*pagestore.Store, m),
 		locks:  make([]sync.RWMutex, m),
-		arena:  st.arena,
 	}
 	devices := make([]engine.Device, m)
 	for dev := range devices {

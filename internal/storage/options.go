@@ -18,7 +18,6 @@ type settings struct {
 	retry    *retry.Config
 	injector *resilience.Injector
 	fileOpts []mkhash.Option
-	arena    bool
 }
 
 func newSettings(opts []Option) *settings {
@@ -48,26 +47,16 @@ func WithFileOptions(opts ...mkhash.Option) Option {
 	return func(s *settings) { s.fileOpts = append(s.fileOpts, opts...) }
 }
 
-// WithArenaResults makes retrievals lease their result slabs from the
-// pools: Result.Records (and, on the durable backend, the field strings
-// they point at) stay valid only until Result.Release returns them for
-// reuse. Callers that never Release simply fall back to the garbage
-// collector.
-func WithArenaResults() Option {
-	return func(s *settings) { s.arena = true }
-}
-
 // engineConfig stamps onto an engine config everything a storage backend
 // derives from its kind label alone — the reporting bundle (the kind's
 // shared sinks plus this cluster's metrics), tracer, plan cache and
-// resilience chain — and the result-ownership mode.
+// resilience chain.
 func (s *settings) engineConfig(kind string, cfg engine.Config) engine.Config {
 	cfg.Instr = telemetry.For(kind).WithMetrics(telemetry.NewClusterMetrics(kind, len(cfg.Devices)))
 	cfg.Tracer = obs.DefaultTracer()
 	cfg.Span = "storage.retrieve"
 	cfg.Plans = plancache.New(kind)
 	cfg.Resilience = s.resilienceFor(kind, cfg.Devices)
-	cfg.ArenaResults = s.arena
 	return cfg
 }
 

@@ -1,6 +1,7 @@
 package fxdist_test
 
 import (
+	"hash/fnv"
 	"sort"
 	"strings"
 	"sync"
@@ -41,13 +42,27 @@ func poolDiffSetup(t *testing.T) (*fxdist.File, []fxdist.PartialMatch) {
 }
 
 // copyKeys materializes a result's records as owned strings — safe to
-// keep after an arena result is released.
+// keep after the result is released.
 func copyKeys(recs []fxdist.Record) []string {
 	keys := make([]string, len(recs))
 	for i, r := range recs {
 		keys[i] = strings.Join(r, "\x00")
 	}
 	return keys
+}
+
+// recordsDigest is an order-free digest of a record set that reads every
+// field byte: what a test compares while a result's lease is held.
+func recordsDigest[R ~[]string](recs []R) (sum uint64) {
+	for _, r := range recs {
+		h := fnv.New64a()
+		for _, f := range r {
+			h.Write([]byte(f))
+			h.Write([]byte{0})
+		}
+		sum += h.Sum64()
+	}
+	return sum + uint64(len(recs))
 }
 
 func sortedCopy(keys []string) []string {
@@ -57,10 +72,11 @@ func sortedCopy(keys []string) []string {
 }
 
 // TestPoolingDifferentialAcrossBackends runs the same query mix through
-// every backend in all three memory modes — copy-out pooling (default),
-// the no-pool reference path (the process-wide mempool.SetEnabled seam,
-// so this test must not run in parallel with others), and
-// WithArenaResults — and demands
+// every backend as each kind of caller — one that never releases a result
+// (pooled, the default), the no-pool reference path (the process-wide
+// mempool.SetEnabled seam, so this test must not run in parallel with
+// others), and one that releases every result once it has copied it out,
+// with released frames poisoned (mempool.SetPoison) — and demands
 // byte-identical answers: identical record order across modes within a
 // backend (pooling must not reorder a backend's merge), identical
 // record multisets across backends. This is the gate that pooled slab
@@ -76,36 +92,35 @@ func TestPoolingDifferentialAcrossBackends(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	type opener func(t *testing.T, opts ...fxdist.Option) (*fxdist.Cluster, func())
+	type opener func(t *testing.T) (*fxdist.Cluster, func())
 	backends := map[string]opener{
-		"memory": func(t *testing.T, opts ...fxdist.Option) (*fxdist.Cluster, func()) {
-			c, err := fxdist.Open(fxdist.Config{File: file, Allocator: fx}, opts...)
+		"memory": func(t *testing.T) (*fxdist.Cluster, func()) {
+			c, err := fxdist.Open(fxdist.Config{File: file, Allocator: fx})
 			if err != nil {
 				t.Fatal(err)
 			}
 			return c, func() {}
 		},
-		"durable": func(t *testing.T, opts ...fxdist.Option) (*fxdist.Cluster, func()) {
-			c, err := fxdist.Open(fxdist.Config{Dir: t.TempDir(), File: file, Allocator: fx}, opts...)
+		"durable": func(t *testing.T) (*fxdist.Cluster, func()) {
+			c, err := fxdist.Open(fxdist.Config{Dir: t.TempDir(), File: file, Allocator: fx})
 			if err != nil {
 				t.Fatal(err)
 			}
 			return c, func() { c.Close() }
 		},
-		"replicated": func(t *testing.T, opts ...fxdist.Option) (*fxdist.Cluster, func()) {
-			c, err := fxdist.Open(fxdist.Config{File: file, Allocator: fx},
-				append([]fxdist.Option{fxdist.WithReplication(fxdist.ChainedFailover)}, opts...)...)
+		"replicated": func(t *testing.T) (*fxdist.Cluster, func()) {
+			c, err := fxdist.Open(fxdist.Config{File: file, Allocator: fx}, fxdist.WithReplication(fxdist.ChainedFailover))
 			if err != nil {
 				t.Fatal(err)
 			}
 			return c, func() {}
 		},
-		"netdist": func(t *testing.T, opts ...fxdist.Option) (*fxdist.Cluster, func()) {
+		"netdist": func(t *testing.T) (*fxdist.Cluster, func()) {
 			addrs, stop, err := fxdist.DeployLocal(file, fx)
 			if err != nil {
 				t.Fatal(err)
 			}
-			c, err := fxdist.Open(fxdist.Config{File: file, Addrs: addrs}, opts...)
+			c, err := fxdist.Open(fxdist.Config{File: file, Addrs: addrs})
 			if err != nil {
 				stop()
 				t.Fatal(err)
@@ -114,15 +129,15 @@ func TestPoolingDifferentialAcrossBackends(t *testing.T) {
 		},
 	}
 	modes := []struct {
-		name   string
-		pooled bool
-		opts   []fxdist.Option
+		name     string
+		pooled   bool
+		released bool
 	}{
-		{"pooled", true, nil},
-		{"nopool", false, nil},
-		{"arena", true, []fxdist.Option{fxdist.WithArenaResults()}},
+		{"pooled", true, false},
+		{"nopool", false, false},
+		{"released", true, true},
 	}
-	t.Cleanup(func() { mempool.SetEnabled(true) })
+	t.Cleanup(func() { mempool.SetEnabled(true); mempool.SetPoison(false) })
 
 	// want[qi] is the reference answer from a direct single-device file
 	// search, sorted.
@@ -142,7 +157,8 @@ func TestPoolingDifferentialAcrossBackends(t *testing.T) {
 			var exact [][]string
 			for _, mode := range modes {
 				mempool.SetEnabled(mode.pooled)
-				c, cleanup := open(t, mode.opts...)
+				mempool.SetPoison(mode.released)
+				c, cleanup := open(t)
 				got := make([][]string, len(pms))
 				for qi, pm := range pms {
 					res, err := c.Retrieve(pm)
@@ -150,8 +166,10 @@ func TestPoolingDifferentialAcrossBackends(t *testing.T) {
 						t.Fatalf("%s/%s query %d: %v", name, mode.name, qi, err)
 					}
 					got[qi] = copyKeys(res.Records)
-					res.Release()
-					res.Release() // idempotent, also on copy-out results
+					if mode.released {
+						res.Release()
+						res.Release() // idempotent, also where nothing was lent
+					}
 				}
 				cleanup()
 				for qi := range pms {
@@ -187,12 +205,14 @@ func equalStrings(a, b []string) bool {
 	return true
 }
 
-// TestArenaRetrieveReleaseHammer pounds an arena-mode cluster with
-// concurrent Retrieve → read → Release loops (plus double releases) —
-// the race-detector gate that slab recycling is properly fenced: a
-// recycled hit frame or record arena must never be visible to another
-// in-flight retrieval.
+// TestArenaRetrieveReleaseHammer pounds a memory and a distributed
+// cluster with concurrent Retrieve → read → Release loops (plus double
+// releases), released frames poisoned — the race-detector gate that slab
+// recycling is properly fenced: a recycled hit frame or wire frame must
+// never be visible to another in-flight retrieval.
 func TestArenaRetrieveReleaseHammer(t *testing.T) {
+	t.Cleanup(func() { mempool.SetPoison(false) })
+	mempool.SetPoison(true)
 	file, pms := poolDiffSetup(t)
 	fs, err := file.FileSystem(8)
 	if err != nil {
@@ -208,22 +228,22 @@ func TestArenaRetrieveReleaseHammer(t *testing.T) {
 	}
 	defer stop()
 
-	want := make(map[int]int, len(pms))
+	want := make(map[int]uint64, len(pms))
 	for qi, pm := range pms {
 		recs, err := file.Search(pm)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want[qi] = len(recs)
+		want[qi] = recordsDigest(recs)
 	}
 
 	clusters := map[string]*fxdist.Cluster{}
-	mem, err := fxdist.Open(fxdist.Config{File: file, Allocator: fx}, fxdist.WithArenaResults())
+	mem, err := fxdist.Open(fxdist.Config{File: file, Allocator: fx})
 	if err != nil {
 		t.Fatal(err)
 	}
 	clusters["memory"] = mem
-	net, err := fxdist.Open(fxdist.Config{File: file, Addrs: addrs}, fxdist.WithArenaResults())
+	net, err := fxdist.Open(fxdist.Config{File: file, Addrs: addrs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,20 +266,13 @@ func TestArenaRetrieveReleaseHammer(t *testing.T) {
 							errs <- err
 							return
 						}
-						// Touch every field byte while the lease is held,
-						// then verify the count against the reference.
-						total := 0
-						for _, r := range res.Records {
-							for _, f := range r {
-								total += len(f)
-							}
-						}
-						n := len(res.Records)
+						// Read every field byte while the lease is held, then
+						// verify the content against the reference.
+						n, got := len(res.Records), recordsDigest(res.Records)
 						res.Release()
 						go res.Release() // idempotent across goroutines too
-						if n != want[qi] {
-							t.Errorf("query %d returned %d records, want %d (total field bytes %d)",
-								qi, n, want[qi], total)
+						if got != want[qi] {
+							t.Errorf("query %d returned %d records that are not file.Search's", qi, n)
 							return
 						}
 					}

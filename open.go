@@ -56,7 +56,6 @@ type openSettings struct {
 	slo         LatencySLO
 	cacheSize   int // 0 = default, < 0 = disabled
 	fileOpts    []FileOption
-	arena       bool
 	rescaleJrnl string
 	dialEpoch   int
 
@@ -81,9 +80,6 @@ func (s *openSettings) storageOpts(kind string) []storage.Option {
 	}
 	if in := s.buildInjector(kind); in != nil {
 		opts = append(opts, storage.WithInjector(in))
-	}
-	if s.arena {
-		opts = append(opts, storage.WithArenaResults())
 	}
 	return opts
 }
@@ -170,18 +166,6 @@ func WithPlanCacheSize(n int) Option {
 // storage.WithFileOptions, is exercised by TestCheckDetectsHashMismatch.
 func WithFileOptions(opts ...FileOption) Option {
 	return func(s *openSettings) { s.fileOpts = append(s.fileOpts, opts...) }
-}
-
-// WithArenaResults opts into zero-copy result ownership: retrievals
-// lease their record slabs from the pools, and the caller returns them
-// with RetrieveResult.Release once done reading. After Release the
-// Records (and, on the durable and distributed backends, the field
-// strings they point at) are invalid. Callers that never Release simply
-// fall back to the garbage collector — correct, just slower. Without
-// this option results are plain caller-owned allocations and Release is
-// a no-op. Library API, exercised by TestArenaRetrieveReleaseHammer.
-func WithArenaResults() Option {
-	return func(s *openSettings) { s.arena = true }
 }
 
 // WithRescale sets the default journal path for live rescales started
@@ -296,9 +280,6 @@ func Open(cfg Config, opts ...Option) (*Cluster, error) {
 		}
 		if s.failover {
 			dialOpts = append(dialOpts, netdist.WithFailover())
-		}
-		if s.arena {
-			dialOpts = append(dialOpts, netdist.WithArenaResults())
 		}
 		if s.dialEpoch > 0 {
 			dialOpts = append(dialOpts, netdist.WithEpoch(s.dialEpoch))
