@@ -391,6 +391,42 @@ func TestGateMethodSurface(t *testing.T) {
 		t.Fatal("plan not reported cached after retrieval")
 	}
 
+	// Every shape of the fixture: fx.explain's |R(q)| and bound are the
+	// retrieval's own — the plan the cluster compiled for the shape — and
+	// its loads are the buckets the devices then report.
+	values := map[string]string{"part": "part-1", "supplier": "supplier-5", "warehouse": "warehouse-1"}
+	for mask := 0; mask < 1<<len(gateFields); mask++ {
+		shaped := map[string]string{}
+		for i, f := range gateFields {
+			if mask&(1<<i) == 0 {
+				shaped[f.Name] = values[f.Name]
+			}
+		}
+		ex, err := c.Explain(ctx, shaped)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := c.Retrieve(ctx, shaped)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(ex.DeviceLoads, res.DeviceBuckets) {
+			t.Fatalf("%s: explain loads %v, retrieval's device buckets %v", ex.Shape, ex.DeviceLoads, res.DeviceBuckets)
+		}
+		found := false
+		for _, plan := range cluster.PlanCache().Plans {
+			if plan.Shape == ex.Shape {
+				found = true
+				if ex.RQ != plan.RQ || ex.Bound != plan.Bound {
+					t.Fatalf("%s: explain r_q %d bound %d, the retrieval's plan %d / %d", ex.Shape, ex.RQ, ex.Bound, plan.RQ, plan.Bound)
+				}
+			}
+		}
+		if !found {
+			t.Fatalf("%s: no plan resident after a retrieval of the shape", ex.Shape)
+		}
+	}
+
 	h, err := c.Health(ctx)
 	if err != nil {
 		t.Fatal(err)

@@ -47,13 +47,11 @@ type Config struct {
 	Instr *telemetry.Instruments
 	// Alloc, when set, is the group allocator behind Devices; plans are
 	// compiled under it: per-device qualified-bucket counts, which decide
-	// the devices a query is sent to, and enumerations devices use instead
-	// of re-walking the inverse mapper.
+	// the devices a query is sent to.
 	Alloc decluster.GroupAllocator
 	// Plans, when set beside Alloc, caches compiled plans per (allocator
-	// identity, query shape): a hit skips validation, |R(q)|, the bound,
-	// the counts and the per-device enumeration. Nil or disabled runs the
-	// uncached path.
+	// identity, query shape): a hit skips validation, |R(q)|, the bound
+	// and the counts. Nil or disabled runs the uncached path.
 	Plans *plancache.Cache
 }
 
@@ -130,9 +128,8 @@ func (e *Executor) Plans() *plancache.Cache { return e.plans }
 
 // callKey carries the in-flight call through the context to the device
 // adapters, which read two things off it: the trace span, to attach
-// protocol events (the netdist remote device), and the plan — its shape
-// for attribution and, when compiled, its per-device tuple groups, which
-// replace a re-walk of the inverse mapper.
+// protocol events, and the plan's shape, to attribute the round trip
+// (both the netdist remote device).
 type callKey struct{}
 
 func callFromContext(ctx context.Context) *call {
@@ -149,8 +146,6 @@ func SpanFromContext(ctx context.Context) *obs.Span {
 }
 
 // PlanFromContext returns the retrieval's plan carried by ctx, or nil.
-// Only a plan that is Ready carries tuple groups; a summary plan has the
-// shape, |R(q)| and the bound alone.
 func PlanFromContext(ctx context.Context) *plancache.Plan {
 	if c := callFromContext(ctx); c != nil {
 		return c.plan
@@ -172,12 +167,14 @@ func (e *Executor) planFor(q query.Query) (*plancache.Plan, bool, error) {
 			if err := q.Validate(e.fs); err != nil {
 				return nil, err
 			}
-			return plancache.Compile(e.alloc, q, e.plans.MaxTuples()), nil
+			return plancache.Compile(e.alloc, q, 0), nil
 		})
 	}
-	// Uncached path: per-retrieval validation and |R(q)|, exactly the
-	// pre-cache behaviour — a summary plan, under which every device is
-	// asked and enumerates with its own inverse mapper.
+	// Uncached path, kept on purpose: per-retrieval validation and a
+	// summary plan without counts, under which every device is asked. It
+	// is the ask-everyone oracle the pruning tests compare against
+	// (fanout_test.go, TestPrunedFanOutMatchesBroadcastAcrossBackends),
+	// reached by WithPlanCacheSize(-1) / Cache.SetEnabled(false).
 	if err := q.Validate(e.fs); err != nil {
 		return nil, false, err
 	}

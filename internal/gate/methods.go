@@ -149,13 +149,7 @@ func (g *Gate) handleExplain(params json.RawMessage) (any, *fxdist.Error) {
 		return nil, fxdist.NewError(fxdist.ErrCodeInvalidQuery, err.Error())
 	}
 	m := g.cfg.Cluster.M()
-	rq := 1
-	sizes := g.cfg.File.Sizes()
-	for i, v := range pm {
-		if v == nil {
-			rq *= sizes[i]
-		}
-	}
+	rq := q.NumQualified(fxdist.FileSystem{Sizes: g.cfg.File.Sizes(), M: m})
 	out := &client.ExplainResult{
 		APIVersion: client.APIVersion,
 		Shape:      q.Shape(),

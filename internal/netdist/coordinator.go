@@ -337,9 +337,12 @@ type Coordinator struct {
 	ctrl     *retry.Controller
 	injector *resilience.Injector
 
-	probeMu   sync.Mutex
-	probeStop chan struct{}
-	probeWG   sync.WaitGroup
+	// The background loops (StartHealthProbes, StartStatsPull): every
+	// starts each at most once, Close stops them together.
+	loopMu           sync.Mutex
+	probing, pulling bool
+	loopStop         chan struct{}
+	loopWG           sync.WaitGroup
 
 	// Metrics federation (PullStats / StartStatsPull): fed accumulates
 	// per-server NodeStats snapshots into the /debug/cluster fleet view.
@@ -347,9 +350,6 @@ type Coordinator struct {
 	fed             *telemetry.Federator
 	fleetOnce       sync.Once
 	fleetRegistered atomic.Bool
-	statsMu         sync.Mutex
-	statsStop       chan struct{}
-	statsWG         sync.WaitGroup
 }
 
 // DialOption configures Dial.
@@ -478,9 +478,6 @@ func Dial(file *mkhash.File, addrs []string, opts ...DialOption) (*Coordinator, 
 	} else if c.failover {
 		res.Policies = []engine.Policy{reroute}
 	}
-	// Nothing on this side of the wire reads a plan's tuples (servers
-	// enumerate their own buckets), so the cache keeps the per-shape
-	// numbers and counts only: O(M) per shape.
 	eng, err := engine.New(engine.Config{
 		Schema:     file,
 		FS:         alloc.FileSystem(),
@@ -489,7 +486,7 @@ func Dial(file *mkhash.File, addrs []string, opts ...DialOption) (*Coordinator, 
 		Instr:      c.in,
 		Tracer:     c.tracer,
 		Span:       span,
-		Plans:      plancache.New(c.backend, plancache.WithMaxTuples(1)),
+		Plans:      plancache.New(c.backend),
 		Resilience: res,
 	})
 	if err != nil {
@@ -612,16 +609,26 @@ func (c *Coordinator) conn(dev int) *deviceConn {
 // restarted server rejoins without waiting for live traffic to risk
 // it). Idempotent; Close stops the prober.
 func (c *Coordinator) StartHealthProbes(interval time.Duration) {
-	c.probeMu.Lock()
-	defer c.probeMu.Unlock()
-	if c.probeStop != nil {
-		return
+	c.every(&c.probing, interval, c.probeAll)
+}
+
+// every runs fn each interval on its own goroutine until Close, and
+// reports whether it started one: a loop whose flag is already set is
+// left as it is.
+func (c *Coordinator) every(started *bool, interval time.Duration, fn func()) bool {
+	c.loopMu.Lock()
+	defer c.loopMu.Unlock()
+	if *started {
+		return false
 	}
-	stop := make(chan struct{})
-	c.probeStop = stop
-	c.probeWG.Add(1)
+	*started = true
+	if c.loopStop == nil {
+		c.loopStop = make(chan struct{})
+	}
+	stop := c.loopStop
+	c.loopWG.Add(1)
 	go func() {
-		defer c.probeWG.Done()
+		defer c.loopWG.Done()
 		t := time.NewTicker(interval)
 		defer t.Stop()
 		for {
@@ -629,10 +636,11 @@ func (c *Coordinator) StartHealthProbes(interval time.Duration) {
 			case <-stop:
 				return
 			case <-t.C:
-				c.probeAll()
+				fn()
 			}
 		}
 	}()
+	return true
 }
 
 func (c *Coordinator) probeAll() {
@@ -729,28 +737,10 @@ func (c *Coordinator) PullStats(ctx context.Context) error {
 // immediate first pull runs synchronously so the fleet view is populated
 // as soon as this returns.
 func (c *Coordinator) StartStatsPull(interval time.Duration) {
-	c.statsMu.Lock()
-	defer c.statsMu.Unlock()
-	if c.statsStop != nil {
-		return
+	pull := func() { c.PullStats(context.Background()) } //nolint:errcheck // failures land in the federator
+	if c.every(&c.pulling, interval, pull) {
+		pull()
 	}
-	c.PullStats(context.Background()) //nolint:errcheck // failures land in the federator
-	stop := make(chan struct{})
-	c.statsStop = stop
-	c.statsWG.Add(1)
-	go func() {
-		defer c.statsWG.Done()
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-t.C:
-				c.PullStats(context.Background()) //nolint:errcheck // failures land in the federator
-			}
-		}
-	}()
 }
 
 // probeTimeout bounds one health ping even when no request timeout is
@@ -826,20 +816,13 @@ func (c *Coordinator) reroute(ctx context.Context, dev int, err error) engine.De
 // Close stops the health prober and the stats puller, unregisters the
 // fleet view, drops all device connections, and releases the plan cache.
 func (c *Coordinator) Close() {
-	c.probeMu.Lock()
-	if c.probeStop != nil {
-		close(c.probeStop)
-		c.probeStop = nil
+	c.loopMu.Lock()
+	if c.loopStop != nil {
+		close(c.loopStop)
+		c.loopStop, c.probing, c.pulling = nil, false, false
 	}
-	c.probeMu.Unlock()
-	c.probeWG.Wait()
-	c.statsMu.Lock()
-	if c.statsStop != nil {
-		close(c.statsStop)
-		c.statsStop = nil
-	}
-	c.statsMu.Unlock()
-	c.statsWG.Wait()
+	c.loopMu.Unlock()
+	c.loopWG.Wait()
 	if c.fleetRegistered.Swap(false) {
 		telemetry.RegisterFleet(c.fleetName, nil)
 	}

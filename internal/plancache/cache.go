@@ -38,26 +38,14 @@ func IdentityOf(owner any) uint64 {
 	return nextID
 }
 
-// Defaults for New; see the corresponding Options.
-const (
-	DefaultCapacity  = 256
-	DefaultMaxTuples = 1 << 16
-	DefaultMaxBytes  = 64 << 20
-)
+// DefaultCapacity is the LRU capacity New starts with; a cluster's
+// WithPlanCacheSize / Resize changes it.
+const DefaultCapacity = 256
 
-// Option configures New.
-type Option func(*Cache)
-
-// WithMaxTuples caps the |R(q)| a single plan compiles tuple groups
-// for; larger shapes cache only their summary numbers. n <= 0 keeps
-// the default.
-func WithMaxTuples(n int) Option {
-	return func(c *Cache) {
-		if n > 0 {
-			c.maxTuples = n
-		}
-	}
-}
+// DefaultMaxTuples has no reader in this module: it is the value
+// bench/fxload/layers.go passes as Compile's ignored third argument, and
+// goes when a [benchmark] PR edits that call.
+const DefaultMaxTuples = 1 << 16
 
 // entry is one resident plan.
 type entry struct {
@@ -65,33 +53,22 @@ type entry struct {
 	plan *Plan
 }
 
-// flight is one in-progress compilation; latecomers wait on wg and read
-// plan/err, so concurrent misses of the same key compile exactly once.
-type flight struct {
-	wg   sync.WaitGroup
-	plan *Plan
-	err  error
-}
-
-// Cache is an LRU, singleflight-guarded plan cache for one cluster.
+// Cache is the LRU plan cache of one cluster.
 // Each cluster owns one (they are not shared across clusters), but all
 // caches of one backend report under the same metric labels and appear
 // individually on /debug/plancache.
 type Cache struct {
 	backend string
 
-	mu        sync.Mutex
-	enabled   bool
-	capacity  int
-	maxTuples int
-	maxBytes  int
-	lru       *list.List // of *entry, front = most recent
-	index     map[Key]*list.Element
-	flights   map[Key]*flight
-	bytes     int
-	hits      uint64
-	misses    uint64
-	evicted   uint64
+	mu       sync.Mutex
+	enabled  bool
+	capacity int
+	lru      *list.List // of *entry, front = most recent
+	index    map[Key]*list.Element
+	bytes    int
+	hits     uint64
+	misses   uint64
+	evicted  uint64
 
 	mHits, mMisses, mEvicted *obs.Counter
 	mEntries, mBytes         *obs.Gauge
@@ -100,31 +77,25 @@ type Cache struct {
 // New builds a plan cache reporting under the backend label ("memory",
 // "durable", "replicated", "netdist") and registers it for
 // /debug/plancache. Call Close when the owning cluster is discarded.
-func New(backend string, opts ...Option) *Cache {
+func New(backend string) *Cache {
 	r := obs.Default()
 	bl := obs.L("cache", backend)
 	c := &Cache{
-		backend:   backend,
-		enabled:   true,
-		capacity:  DefaultCapacity,
-		maxTuples: DefaultMaxTuples,
-		maxBytes:  DefaultMaxBytes,
-		lru:       list.New(),
-		index:     make(map[Key]*list.Element),
-		flights:   make(map[Key]*flight),
+		backend:  backend,
+		enabled:  true,
+		capacity: DefaultCapacity,
+		lru:      list.New(),
+		index:    make(map[Key]*list.Element),
 		mHits: r.Counter("fxdist_plancache_hit_total",
-			"Plan-cache lookups served from a resident or in-flight plan.", bl),
+			"Plan-cache lookups served from a resident plan.", bl),
 		mMisses: r.Counter("fxdist_plancache_miss_total",
 			"Plan-cache lookups that compiled a new plan.", bl),
 		mEvicted: r.Counter("fxdist_plancache_eviction_total",
-			"Plans evicted by the LRU capacity or byte bound.", bl),
+			"Plans evicted by the LRU capacity.", bl),
 		mEntries: r.Gauge("fxdist_plancache_size",
 			"Resident plans, totalled over every live cache of the backend.", bl),
 		mBytes: r.Gauge("fxdist_plancache_bytes",
 			"Approximate resident plan bytes, totalled over every live cache of the backend.", bl),
-	}
-	for _, opt := range opts {
-		opt(c)
 	}
 	register(c)
 	return c
@@ -149,13 +120,6 @@ func (c *Cache) SetEnabled(v bool) {
 	c.mu.Unlock()
 }
 
-// MaxTuples returns the per-plan |R(q)| compilation cap.
-func (c *Cache) MaxTuples() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.maxTuples
-}
-
 // Resize changes the LRU capacity, evicting immediately if shrinking.
 func (c *Cache) Resize(n int) {
 	if n <= 0 {
@@ -167,13 +131,10 @@ func (c *Cache) Resize(n int) {
 	c.mu.Unlock()
 }
 
-// evictLocked drops LRU tails until the capacity and byte bounds hold.
+// evictLocked drops LRU tails until the capacity holds.
 func (c *Cache) evictLocked() {
-	for c.lru.Len() > c.capacity || (c.bytes > c.maxBytes && c.lru.Len() > 1) {
+	for c.lru.Len() > c.capacity {
 		el := c.lru.Back()
-		if el == nil {
-			return
-		}
 		e := el.Value.(*entry)
 		c.lru.Remove(el)
 		delete(c.index, e.key)
@@ -185,11 +146,11 @@ func (c *Cache) evictLocked() {
 	}
 }
 
-// Get returns the plan for key, compiling it with compile on a miss.
-// Concurrent misses of one key share a single compilation (latecomers
-// count as hits: they did not pay for the compile). The second return
-// reports whether the lookup was a hit. Compilation errors are not
-// cached.
+// Get returns the plan for key, compiling it with compile on a miss; the
+// second return reports whether the lookup was a hit. Concurrent misses
+// of one key each compile (a plan is O(M) numbers, about a microsecond):
+// the first to finish inserts its plan and the rest return that one.
+// Compilation errors are not cached.
 func (c *Cache) Get(key Key, compile func() (*Plan, error)) (*Plan, bool, error) {
 	c.mu.Lock()
 	if el, ok := c.index[key]; ok {
@@ -200,35 +161,25 @@ func (c *Cache) Get(key Key, compile func() (*Plan, error)) (*Plan, bool, error)
 		c.mHits.Inc()
 		return p, true, nil
 	}
-	if f, ok := c.flights[key]; ok {
-		c.hits++
-		c.mu.Unlock()
-		c.mHits.Inc()
-		f.wg.Wait()
-		return f.plan, true, f.err
-	}
-	f := &flight{}
-	f.wg.Add(1)
-	c.flights[key] = f
 	c.misses++
 	c.mu.Unlock()
 	c.mMisses.Inc()
 
-	f.plan, f.err = compile()
-	f.wg.Done()
-
-	c.mu.Lock()
-	delete(c.flights, key)
-	if f.err == nil {
-		el := c.lru.PushFront(&entry{key: key, plan: f.plan})
-		c.index[key] = el
-		c.bytes += f.plan.Bytes()
-		c.mEntries.Add(1)
-		c.mBytes.Add(float64(f.plan.Bytes()))
-		c.evictLocked()
+	p, err := compile()
+	if err != nil {
+		return nil, false, err
 	}
-	c.mu.Unlock()
-	return f.plan, false, f.err
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.index[key]; ok {
+		return el.Value.(*entry).plan, false, nil
+	}
+	c.index[key] = c.lru.PushFront(&entry{key: key, plan: p})
+	c.bytes += p.Bytes()
+	c.mEntries.Add(1)
+	c.mBytes.Add(float64(p.Bytes()))
+	c.evictLocked()
+	return p, false, nil
 }
 
 // Close unregisters the cache from /debug/plancache and drops its
@@ -248,14 +199,12 @@ func (c *Cache) Close() {
 
 // PlanInfo describes one resident plan on /debug/plancache.
 type PlanInfo struct {
-	Owner  uint64 `json:"owner"`
-	Shape  string `json:"shape"`
-	RQ     int    `json:"r_q"`
-	M      int    `json:"m"`
-	Bound  int    `json:"bound"`
-	Ready  bool   `json:"ready"`
-	Tuples int    `json:"tuples"`
-	Bytes  int    `json:"bytes"`
+	Owner uint64 `json:"owner"`
+	Shape string `json:"shape"`
+	RQ    int    `json:"r_q"`
+	M     int    `json:"m"`
+	Bound int    `json:"bound"`
+	Bytes int    `json:"bytes"`
 }
 
 // Snapshot is one cache's point-in-time state.
@@ -292,14 +241,12 @@ func (c *Cache) Stats() Snapshot {
 	for el := c.lru.Front(); el != nil; el = el.Next() {
 		e := el.Value.(*entry)
 		s.Plans = append(s.Plans, PlanInfo{
-			Owner:  e.key.Owner,
-			Shape:  e.key.Shape,
-			RQ:     e.plan.RQ,
-			M:      e.plan.M,
-			Bound:  e.plan.Bound,
-			Ready:  e.plan.Ready(),
-			Tuples: e.plan.Tuples(),
-			Bytes:  e.plan.Bytes(),
+			Owner: e.key.Owner,
+			Shape: e.key.Shape,
+			RQ:    e.plan.RQ,
+			M:     e.plan.M,
+			Bound: e.plan.Bound,
+			Bytes: e.plan.Bytes(),
 		})
 	}
 	return s

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"fxdist/internal/convolve"
@@ -21,10 +23,15 @@ func mustFS(t *testing.T, sizes []int, m int) decluster.FileSystem {
 	return fs
 }
 
-// allAllocators builds one allocator of each group kind over fs.
+// allAllocators builds one allocator of each group kind over fs: FX,
+// Basic FX, Modulo, GDM and DHW.
 func allAllocators(t *testing.T, fs decluster.FileSystem) []decluster.GroupAllocator {
 	t.Helper()
 	fx, err := decluster.NewFX(fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	basic, err := decluster.NewBasicFX(fs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +39,7 @@ func allAllocators(t *testing.T, fs decluster.FileSystem) []decluster.GroupAlloc
 	if err != nil {
 		t.Fatal(err)
 	}
-	return []decluster.GroupAllocator{fx, decluster.NewModulo(fs), gdm}
+	return []decluster.GroupAllocator{fx, basic, decluster.NewModulo(fs), gdm, decluster.NewDHW(fs)}
 }
 
 // eachShapeQuery calls fn with one representative query per shape (the
@@ -52,76 +59,124 @@ func eachShapeQuery(fs decluster.FileSystem, fn func(q query.Query)) {
 	}
 }
 
-// TestPlanMatchesInverseMapper is the core soundness check: for every
-// allocator kind, shape and device, the compiled plan enumerates exactly
-// the buckets the InverseMapper does, in the same order.
+// TestPlanMatchesInverseMapper is the soundness check of the one
+// enumerator against the plan's numbers: for every allocator kind,
+// M in {2, 4, 8, 16}, every shape and several value bindings, the mapper
+// walk on each device yields counts[h⁻¹·dev] buckets, and they are R(q)'s
+// buckets on that device (Query.EachQualified filtered by Device) in the
+// walk's documented order — rest fields row-major, the solved (first
+// largest free) field ascending within. Each walk runs three ways: over
+// roomy scratch, over exactly 3n+1 ints, and over scratch too short to
+// use, which falls back to its own array.
 func TestPlanMatchesInverseMapper(t *testing.T) {
-	fs := mustFS(t, []int{8, 4, 2}, 8)
-	for _, alloc := range allAllocators(t, fs) {
-		im := query.NewInverseMapper(alloc)
-		eachShapeQuery(fs, func(q query.Query) {
-			p := Compile(alloc, q, 0)
-			if !p.Ready() {
-				t.Fatalf("%s %s: plan not ready", alloc.Name(), q)
-			}
-			if want := q.NumQualified(fs); p.RQ != want {
-				t.Errorf("%s %s: RQ = %d, want %d", alloc.Name(), q, p.RQ, want)
-			}
-			total := 0
-			for dev := 0; dev < fs.M; dev++ {
-				var got, want [][]int
-				w := p.Walk(q, dev, nil)
-				for b := w.Next(); b != nil; b = w.Next() {
-					got = append(got, append([]int(nil), b...))
-				}
-				im.EachOnDevice(q, dev, func(b []int) {
-					want = append(want, append([]int(nil), b...))
-				})
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s %s dev %d: plan buckets %v, inverse mapper %v",
-						alloc.Name(), q, dev, got, want)
-				}
-				if n := p.CountOnDevice(q, dev); n != len(want) {
-					t.Errorf("%s %s dev %d: count %d, want %d", alloc.Name(), q, dev, n, len(want))
-				}
-				total += len(got)
-			}
-			if total != p.RQ {
-				t.Errorf("%s %s: devices enumerate %d buckets, |R(q)| = %d",
-					alloc.Name(), q, total, p.RQ)
-			}
-		})
+	sizes := []int{8, 4, 2}
+	n := len(sizes)
+	scratches := map[string]func() []int{
+		"roomy": func() []int { return make([]int, 64) },
+		"exact": func() []int { return make([]int, 3*n+1) },
+		"short": func() []int { return make([]int, 3*n) },
 	}
+	rng := rand.New(rand.NewSource(23))
+	for _, m := range []int{2, 4, 8, 16} {
+		fs := mustFS(t, sizes, m)
+		for _, alloc := range allAllocators(t, fs) {
+			im := query.NewInverseMapper(alloc)
+			eachShapeQuery(fs, func(q query.Query) {
+				p := Compile(alloc, q, 0)
+				if want := q.NumQualified(fs); p.RQ != want || p.M != m {
+					t.Errorf("%s M=%d %s: RQ = %d, M = %d, want %d, %d", alloc.Name(), m, q, p.RQ, p.M, want, m)
+				}
+				for trial := 0; trial < 4; trial++ {
+					for i, v := range q.Spec {
+						if v != query.Unspecified {
+							q.Spec[i] = rng.Intn(fs.Sizes[i])
+						}
+					}
+					total := 0
+					for dev := 0; dev < m; dev++ {
+						want := bucketsOnDevice(alloc, q, dev)
+						if c := p.CountOnDevice(q, dev); c != len(want) {
+							t.Fatalf("%s M=%d %s dev %d: count %d, %d buckets there", alloc.Name(), m, q, dev, c, len(want))
+						}
+						for name, scratch := range scratches {
+							buf := scratch()
+							var got [][]int
+							w := im.Walk(query.WalkOver(buf), q, dev)
+							for b := w.Next(); b != nil; b = w.Next() {
+								if inBuf := &b[0] == &buf[0]; inBuf != (name != "short") {
+									t.Fatalf("%s scratch: bucket in the caller's array = %v", name, inBuf)
+								}
+								got = append(got, append([]int(nil), b...))
+							}
+							if !reflect.DeepEqual(got, want) {
+								t.Fatalf("%s M=%d %s dev %d (%s scratch): walk %v, want %v",
+									alloc.Name(), m, q, dev, name, got, want)
+							}
+						}
+						total += len(want)
+					}
+					if total != p.RQ {
+						t.Fatalf("%s M=%d %s: devices hold %d buckets, |R(q)| = %d", alloc.Name(), m, q, total, p.RQ)
+					}
+				}
+			})
+		}
+	}
+}
+
+// bucketsOnDevice is the brute-force reference for a device walk: R(q)
+// filtered by the allocator's Device, sorted into the walk's order.
+func bucketsOnDevice(alloc decluster.GroupAllocator, q query.Query, dev int) [][]int {
+	fs := alloc.FileSystem()
+	free := q.UnspecifiedFields()
+	var key []int // the rest fields in field order, then the solved one
+	if len(free) > 0 {
+		solved := free[0]
+		for _, i := range free {
+			if fs.Sizes[i] > fs.Sizes[solved] {
+				solved = i
+			}
+		}
+		for _, i := range free {
+			if i != solved {
+				key = append(key, i)
+			}
+		}
+		key = append(key, solved)
+	}
+	var out [][]int
+	q.EachQualified(fs, func(b []int) {
+		if alloc.Device(b) == dev {
+			out = append(out, append([]int(nil), b...))
+		}
+	})
+	sort.SliceStable(out, func(x, y int) bool {
+		for _, i := range key {
+			if out[x][i] != out[y][i] {
+				return out[x][i] < out[y][i]
+			}
+		}
+		return false
+	})
+	return out
 }
 
 // TestPlanCountsPinTheActiveDevices: for every allocator kind, every
 // shape and a spread of specified values, the shape-pure count vector is
-// convolve.Profile, equals the tuple-group sizes, and — translated by the
-// query's fold — is the brute-force load vector: so MayHold is false
-// exactly on the devices that hold no qualified bucket. A plan capped to
-// counts alone (the coordinator's) says the same; a summary plan knows
-// nothing and lets every device be asked.
+// convolve.Profile and — translated by the query's fold — is the
+// brute-force load vector: so MayHold is false exactly on the devices
+// that hold no qualified bucket. Compile's ignored third argument changes
+// nothing; a summary plan knows nothing and lets every device be asked.
 func TestPlanCountsPinTheActiveDevices(t *testing.T) {
 	fs := mustFS(t, []int{8, 4, 2}, 8)
-	allocs := append(allAllocators(t, fs), decluster.NewDHW(fs))
 	rng := rand.New(rand.NewSource(21))
-	for _, alloc := range allocs {
+	for _, alloc := range allAllocators(t, fs) {
 		eachShapeQuery(fs, func(q query.Query) {
-			full, capped := Compile(alloc, q, 0), Compile(alloc, q, 1)
-			if !reflect.DeepEqual(full.counts, convolve.Profile(alloc, full.Unspec)) ||
-				!reflect.DeepEqual(full.counts, capped.counts) {
-				t.Fatalf("%s %s: counts %v / capped %v, profile %v", alloc.Name(), q,
-					full.counts, capped.counts, convolve.Profile(alloc, full.Unspec))
-			}
-			if capped.Ready() && capped.RQ > 1 {
-				t.Fatalf("%s %s: plan capped at 1 tuple carries %d", alloc.Name(), q, capped.Tuples())
-			}
-			if k := len(full.Unspec); k > 0 {
-				for g, ts := range full.tuples {
-					if len(ts)/k != full.counts[g] {
-						t.Fatalf("%s %s group %d: %d tuples, count %d", alloc.Name(), q, g, len(ts)/k, full.counts[g])
-					}
-				}
+			p := Compile(alloc, q, 0)
+			if profile := convolve.Profile(alloc, q.UnspecifiedFields()); !reflect.DeepEqual(p.counts, profile) ||
+				!reflect.DeepEqual(p, Compile(alloc, q, 1)) {
+				t.Fatalf("%s %s: plan %+v, with a third argument %+v, profile %v", alloc.Name(), q,
+					p, Compile(alloc, q, 1), profile)
 			}
 			for trial := 0; trial < 8; trial++ {
 				for i, v := range q.Spec {
@@ -129,17 +184,17 @@ func TestPlanCountsPinTheActiveDevices(t *testing.T) {
 						q.Spec[i] = rng.Intn(fs.Sizes[i])
 					}
 				}
-				loads, h := query.Loads(alloc, q), capped.Fold(q)
-				for dev, want := range loads {
-					if got := capped.CountOnDevice(q, dev); got != want {
+				h := p.Fold(q)
+				for dev, want := range query.Loads(alloc, q) {
+					if got := p.CountOnDevice(q, dev); got != want {
 						t.Fatalf("%s %s dev %d: count %d, load %d", alloc.Name(), q, dev, got, want)
 					}
-					if capped.MayHold(h, dev) != (want > 0) || full.MayHold(full.Fold(q), dev) != (want > 0) {
+					if p.MayHold(h, dev) != (want > 0) {
 						t.Fatalf("%s %s dev %d: MayHold disagrees with load %d", alloc.Name(), q, dev, want)
 					}
 				}
 			}
-			sum := Summary(q, full.RQ, fs.M)
+			sum := Summary(q, p.RQ, fs.M)
 			for dev := 0; dev < fs.M; dev++ {
 				if !sum.MayHold(sum.Fold(q), dev) {
 					t.Fatalf("%s: summary plan rules device %d out", q, dev)
@@ -149,30 +204,9 @@ func TestPlanCountsPinTheActiveDevices(t *testing.T) {
 	}
 }
 
-// TestCompileMaxTuples: shapes past the cap compile to summary-only
-// plans that still carry the audit numbers.
-func TestCompileMaxTuples(t *testing.T) {
-	fs := mustFS(t, []int{8, 8}, 4)
-	fx, err := decluster.NewFX(fs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := query.New([]int{query.Unspecified, query.Unspecified})
-	p := Compile(fx, q, 16) // |R(q)| = 64 > 16
-	if p.Ready() {
-		t.Error("plan over the tuple cap should not carry tuples")
-	}
-	if p.RQ != 64 || p.Bound != 16 {
-		t.Errorf("summary plan RQ=%d bound=%d, want 64, 16", p.RQ, p.Bound)
-	}
-}
-
 func TestSummaryPlan(t *testing.T) {
 	q := query.New([]int{3, query.Unspecified})
 	p := Summary(q, 40, 16)
-	if p.Ready() {
-		t.Error("summary plan reports Ready")
-	}
 	if p.Shape != "s*" || p.RQ != 40 || p.Bound != 3 {
 		t.Errorf("summary = %+v", p)
 	}
@@ -233,47 +267,50 @@ func TestCacheLRUAndStats(t *testing.T) {
 	}
 }
 
-func TestCacheSingleflight(t *testing.T) {
+// TestCacheConcurrentMisses: goroutines that miss one key together each
+// compile (none returns before all 32 are inside compile), the first
+// insert wins, and every caller leaves with that one resident plan. Run
+// under -race.
+func TestCacheConcurrentMisses(t *testing.T) {
 	c := New("memory")
 	defer c.Close()
-	var compiles int
-	gate := make(chan struct{})
-	key := Key{Owner: 1, Shape: "s*"}
+	fs := mustFS(t, []int{4, 4}, 4)
+	fx, _ := decluster.NewFX(fs)
 	q := query.New([]int{0, query.Unspecified})
+	key := Key{Owner: IdentityOf(fx), Shape: q.Shape()}
 
+	const callers = 32
+	plans := make([]*Plan, callers)
+	var entered atomic.Int32
+	all := make(chan struct{})
 	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
+	for i := range plans {
 		wg.Add(1)
-		go func() {
+		go func(i int) {
 			defer wg.Done()
-			_, _, err := c.Get(key, func() (*Plan, error) {
-				compiles++ // guarded by singleflight: only one caller runs this
-				<-gate
-				return Summary(q, 4, 4), nil
+			p, hit, err := c.Get(key, func() (*Plan, error) {
+				if entered.Add(1) == callers {
+					close(all)
+				}
+				<-all
+				return Compile(fx, q, 0), nil
 			})
-			if err != nil {
-				t.Error(err)
+			if err != nil || hit {
+				t.Errorf("caller %d: hit = %v, err = %v", i, hit, err)
 			}
-		}()
+			plans[i] = p
+		}(i)
 	}
-	// Let the flight leader block in compile while the rest pile up, then
-	// release everyone.
-	for {
-		c.mu.Lock()
-		n := len(c.flights)
-		c.mu.Unlock()
-		if n == 1 {
-			break
-		}
-	}
-	close(gate)
 	wg.Wait()
-	if compiles != 1 {
-		t.Errorf("compile ran %d times, want 1", compiles)
-	}
 	s := c.Stats()
-	if s.Misses != 1 || s.Hits != 7 {
-		t.Errorf("hits=%d misses=%d, want 7, 1", s.Hits, s.Misses)
+	if s.Entries != 1 || s.Hits != 0 || s.Misses != callers || s.Bytes != plans[0].Bytes() {
+		t.Errorf("entries=%d hits=%d misses=%d bytes=%d, want 1 entry of %d bytes, 0 hits, %d misses",
+			s.Entries, s.Hits, s.Misses, s.Bytes, plans[0].Bytes(), callers)
+	}
+	for i, p := range plans {
+		if p != plans[0] {
+			t.Fatalf("caller %d got plan %p, caller 0 got %p: not the one resident plan", i, p, plans[0])
+		}
 	}
 }
 

@@ -40,53 +40,38 @@ func NewInverseMapper(a decluster.GroupAllocator) *InverseMapper {
 // Allocator returns the allocator the mapper was built for.
 func (im *InverseMapper) Allocator() decluster.GroupAllocator { return im.a }
 
-// Walk is one enumeration of the buckets of R(q) on one device, pulled
-// with Next until nil: the inverse mapper's odometer (InverseMapper.Walk)
-// or a compiled list of free-field value tuples (TupleWalk). A mapper
-// walk keeps its backing array between enumerations, so one handed back
-// to InverseMapper.Walk enumerates without allocating. Not safe for
-// concurrent use.
+// Walk is one enumeration of the buckets of R(q) on one device — the
+// inverse mapper's odometer — pulled with Next until nil. A walk keeps
+// its backing array between enumerations, so a finished one handed back
+// to InverseMapper.Walk, or one started over a caller's array (WalkOver),
+// enumerates without allocating. Not safe for concurrent use.
 type Walk struct {
-	b []int // the current bucket: q.Spec with the free fields substituted
-
-	// Tuple walk: tuples flattens the value tuples of the fields free.
-	free   []int
-	tuples []int32
-
-	// Mapper walk.
 	im     *InverseMapper
 	dev    int
 	solved int   // the field the device equation is solved for, -1 when none is free
 	buf    []int // one backing array for b, rest and acc
+	b      []int // the current bucket: q.Spec with the free fields substituted
 	rest   []int // the free fields other than solved, in field order
 	acc    []int // acc[j] folds the specified contributions and those of rest[:j]
 	pre    []int // solved-field values still to emit under the current rest values
 	more   bool  // rest has further value combinations after the current one
 }
 
-// TupleWalk enumerates the buckets that substitute each (len(free)-wide)
-// value tuple of tuples for q's free fields; with no field free, q's one
-// bucket when single is set. The current bucket is built in scratch's
-// backing array when it has room for len(q.Spec) ints, so a caller's
-// stack array keeps the enumeration allocation-free.
-func TupleWalk(q Query, free []int, tuples []int32, single bool, scratch []int) Walk {
-	w := Walk{b: append(scratch[:0], q.Spec...), free: free, tuples: tuples, solved: -1}
-	if single {
-		w.pre = one
-	}
-	return w
-}
+// WalkOver returns a walk that enumerates in scratch — a caller's stack
+// array, say — when it holds the 3n+1 ints a query of n fields needs;
+// InverseMapper.Walk allocates its own array when it does not.
+func WalkOver(scratch []int) Walk { return Walk{buf: scratch} }
 
 // one stands in for the preimages when no field is free: the one
 // qualified bucket is emitted once, as it is.
 var one = []int{0}
 
 // Walk starts the enumeration of the buckets of R(q) on device dev in
-// w's slices (the zero Walk, or a finished one to reuse). q must be valid
-// for the allocator's file system (Query.Validate).
+// w's slices (the zero Walk, WalkOver's, or a finished one to reuse). q
+// must be valid for the allocator's file system (Query.Validate).
 func (im *InverseMapper) Walk(w Walk, q Query, dev int) Walk {
 	fs := im.a.FileSystem()
-	w.im, w.dev, w.solved, w.more, w.pre, w.tuples = im, dev, -1, false, nil, nil
+	w.im, w.dev, w.solved, w.more, w.pre = im, dev, -1, false, nil
 	n := len(q.Spec)
 	if cap(w.buf) < 3*n+1 {
 		w.buf = make([]int, 3*n+1)
@@ -135,17 +120,10 @@ func (w *Walk) refold(j int) {
 }
 
 // Next returns the next bucket, nil when the enumeration is over; the
-// slice is reused by the following Next. A mapper walk's buckets come in
-// row-major order over rest, the solved field's preimages ascending
-// within each — the order tuples are compiled in.
+// slice is reused by the following Next. Buckets come in row-major order
+// over rest, the solved field's preimages ascending within each: the
+// record order of every backend.
 func (w *Walk) Next() []int {
-	if len(w.tuples) > 0 {
-		for j, i := range w.free {
-			w.b[i] = int(w.tuples[j])
-		}
-		w.tuples = w.tuples[len(w.free):]
-		return w.b
-	}
 	for {
 		if len(w.pre) > 0 {
 			if w.solved >= 0 {

@@ -64,8 +64,8 @@ func (d durDevice) Scan(ctx context.Context, q query.Query, pm mkhash.PartialMat
 	b := mempool.NewRecordBuilder(false)
 	c.locks[d.dev].RLock()
 	defer c.locks[d.dev].RUnlock()
-	var buf [walkFields]int
-	w := startWalk(ctx, c.im, q, d.dev, buf[:0])
+	var buf [walkScratch]int
+	w := c.im.Walk(query.WalkOver(buf[:]), q, d.dev)
 	for coords := w.Next(); coords != nil; coords = w.Next() {
 		err := ctx.Err()
 		if err == nil {

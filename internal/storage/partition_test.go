@@ -94,15 +94,17 @@ func TestPartitionAdmit(t *testing.T) {
 
 // The shape of the shared device-local code was decided by allocation:
 // Partition.Scan takes the answer by pointer, the adapters pull their
-// buckets from a walk, and both stay on the scan's stack. A bare Scan
-// (no plan in ctx) pays the inverse-mapper walk's one backing array —
-// replDevice walks twice, and its bucket scratch escapes through the
-// placement's allocator interface — and inside a retrieval, where the
-// compiled plan supplies the buckets, a device task allocates nothing:
+// buckets from the inverse-mapper walk, and the walk, its scratch array
+// and the answer all stay on the scan's stack — bare or inside a
+// retrieval, a memDevice scan allocates nothing. What is left on the
+// others is not the walk: replDevice's bucket scratch escapes through the
+// placement's allocator interface (1), and durDevice's record builder
+// makes one header and one byte chunk for the hits it materialises (2).
 // Cluster.Retrieve is the executor's own 15 whatever M is. A
 // generalisation that makes the scan state escape — a func-typed scanner,
 // a store interface, a callback handed the scratch — adds objects per
-// device per query and fails here first.
+// device per query and fails here first; memory_point reads it per device
+// per query.
 func TestScanStateStaysOnStack(t *testing.T) {
 	if raceEnabled() {
 		t.Skip("sync.Pool drops Puts under -race, so allocation counts are not exact")
@@ -110,6 +112,12 @@ func TestScanStateStaysOnStack(t *testing.T) {
 	file := carFile(t, 400)
 	mem := newCluster(t, file, 4)
 	_, repl := newReplicated(t, 400, 4, replica.Chained)
+	durFile, durFX := durableFixture(t, 400, 4)
+	dur, err := CreateDurable(t.TempDir(), durFile, durFX, MainMemory)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dur.Close()
 	pm, err := file.Spec(map[string]string{"make": "make3"})
 	if err != nil {
 		t.Fatal(err)
@@ -142,8 +150,9 @@ func TestScanStateStaysOnStack(t *testing.T) {
 		run  func()
 		want float64
 	}{
-		{"memDevice.Scan", scan(memDevice{c: mem, dev: 1}), 1},
-		{"replDevice.Scan", scan(replDevice{c: repl, dev: 1}), 3},
+		{"memDevice.Scan", scan(memDevice{c: mem, dev: 1}), 0},
+		{"replDevice.Scan", scan(replDevice{c: repl, dev: 1}), 1},
+		{"durDevice.Scan", scan(durDevice{c: dur, dev: 1}), 2},
 		{"Cluster.Retrieve", retrieve(mem), 15},
 		{"ReplicatedCluster.Retrieve", retrieve(repl), 19},
 	} {
@@ -155,7 +164,7 @@ func TestScanStateStaysOnStack(t *testing.T) {
 }
 
 // TestRetrieveAllocsDoNotGrowWithM: a device task — queued by value,
-// enumerating from the plan into stack scratch, appending to a pooled hit
+// walking the inverse mapper in stack scratch, appending to a pooled hit
 // frame — costs the executor nothing, so a retrieval allocates the same
 // at M = 4 and M = 8 (the query is active on every device of both).
 func TestRetrieveAllocsDoNotGrowWithM(t *testing.T) {

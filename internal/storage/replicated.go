@@ -70,9 +70,9 @@ func (d replDevice) Scan(ctx context.Context, q query.Query, pm mkhash.PartialMa
 	}
 	var ans engine.Answer
 	part := c.parts[d.dev]
-	var buf [walkFields]int
+	var buf [walkScratch]int
 	for _, owner := range [2]int{d.dev, (d.dev - 1 + c.fs.M) % c.fs.M} {
-		w := startWalk(ctx, c.im, q, owner, buf[:0])
+		w := c.im.Walk(query.WalkOver(buf[:]), q, owner)
 		for coords := w.Next(); coords != nil; coords = w.Next() {
 			if err := ctx.Err(); err != nil {
 				hits.Put(ans.Hits)

@@ -39,9 +39,9 @@ var MainMemory = engine.MainMemory
 type Result = engine.Result
 
 // core is what every cluster of this package is above its devices: the
-// declustered grid, the allocator, the fallback enumerator for queries
-// without a compiled plan, and the one retrieval executor. The clusters
-// embed it and add only where their records live.
+// declustered grid, the allocator, the §4.2 enumerator every device
+// walks, and the one retrieval executor. The clusters embed it and add
+// only where their records live.
 type core struct {
 	fs    decluster.FileSystem
 	alloc decluster.GroupAllocator
@@ -76,11 +76,11 @@ func (c *core) M() int { return c.fs.M }
 func (c *core) Allocator() decluster.GroupAllocator { return c.alloc }
 
 // RetrieveContext answers a value-level partial match query in
-// parallel through the shared engine executor: every device concurrently
-// enumerates its qualified buckets (from the cached plan when one is
-// compiled) and scans them — from memory, from the copies the failover
-// policy routes to it, or from its log. Cancelling ctx returns promptly
-// with its error; when devices fail, the returned error reports every
+// parallel through the shared engine executor: every device that holds
+// a qualified bucket concurrently enumerates its own (InverseMapper.Walk)
+// and scans them — from memory, from the copies the failover policy
+// routes to it, or from its log. Cancelling ctx returns promptly with its
+// error; when devices fail, the returned error reports every
 // failing device (match individual ones with errors.As on
 // *engine.DeviceFailure). This is the canonical retrieval entry point;
 // Retrieve is its context.Background() wrapper.
@@ -141,8 +141,8 @@ func (d memDevice) Owner() int { return d.dev }
 func (d memDevice) Scan(ctx context.Context, q query.Query, pm mkhash.PartialMatch) (engine.Answer, error) {
 	var ans engine.Answer
 	part := d.c.parts[d.dev]
-	var buf [walkFields]int
-	w := startWalk(ctx, d.c.im, q, d.dev, buf[:0])
+	var buf [walkScratch]int
+	w := d.c.im.Walk(query.WalkOver(buf[:]), q, d.dev)
 	for coords := w.Next(); coords != nil; coords = w.Next() {
 		if err := ctx.Err(); err != nil {
 			hits.Put(ans.Hits)
@@ -153,22 +153,10 @@ func (d memDevice) Scan(ctx context.Context, q query.Query, pm mkhash.PartialMat
 	return ans, nil
 }
 
-// walkFields ints of stack scratch cover any schema this narrow without
-// allocating.
-const walkFields = 8
-
-// startWalk enumerates q's qualified buckets on dev: from the cached
-// plan the executor put in ctx when one is compiled, with the per-call
-// inverse-mapper walk otherwise. Both produce buckets in the same order,
-// so cached and uncached retrievals are byte-identical. The walk is
-// returned by value so a device scan keeps it, and the bucket scratch it
-// is handed, on its own stack.
-func startWalk(ctx context.Context, im *query.InverseMapper, q query.Query, dev int, scratch []int) query.Walk {
-	if p := engine.PlanFromContext(ctx); p != nil && p.Ready() {
-		return p.Walk(q, dev, scratch)
-	}
-	return im.Walk(query.Walk{}, q, dev)
-}
+// walkScratch ints on a device scan's stack hold the walk of a query of
+// up to 8 fields (3n+1), so the enumeration allocates nothing; a wider
+// schema's walk makes its own array.
+const walkScratch = 3*8 + 1
 
 // DeviceBucketCounts returns how many non-empty buckets each device holds
 // (static storage balance).

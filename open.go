@@ -148,8 +148,11 @@ func WithLatencySLO(target time.Duration, goal float64) Option {
 
 // WithPlanCacheSize bounds the cluster's plan cache to n shapes
 // (LRU-evicted beyond it). n = 0 keeps the default (256); n < 0
-// disables the cache entirely, taking the uncached retrieval path.
-// Library API, exercised by TestPlanCacheDifferentialAcrossBackends.
+// disables the cache: every retrieval validates afresh and asks every
+// device, pruned or not. That path is kept on purpose as the reference
+// the pruning property tests compare against
+// (TestPrunedFanOutMatchesBroadcastAcrossBackends); it is not a tuning
+// knob.
 func WithPlanCacheSize(n int) Option {
 	return func(s *openSettings) {
 		if n < 0 {
