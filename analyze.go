@@ -4,11 +4,10 @@ import (
 	"time"
 
 	"fxdist/internal/analysis"
-	"fxdist/internal/cost"
+	"fxdist/internal/design"
 	"fxdist/internal/field"
 	"fxdist/internal/mkhash"
 	"fxdist/internal/optimal"
-	"fxdist/internal/stats"
 	"fxdist/internal/workload"
 )
 
@@ -96,24 +95,24 @@ var (
 
 // CPU holds per-instruction cycle counts for the §5.2.2 address
 // computation cost model.
-type CPU = cost.CPU
+type CPU = analysis.CPU
 
 // Cycle tables.
 var (
 	// MC68000 is the cycle table the paper quotes.
-	MC68000 = cost.MC68000
+	MC68000 = analysis.MC68000
 	// I80286 approximates the Intel 80286 the paper mentions.
-	I80286 = cost.I80286
+	I80286 = analysis.I80286
 )
 
 // CostComparison is one row of the §5.2.2 comparison.
-type CostComparison = cost.Comparison
+type CostComparison = analysis.CPUComparison
 
 // CompareCPUCost evaluates the FX (under x's plan), GDM and Modulo
 // address-computation instruction mixes on the CPU; the FX row's VsGDM
 // reproduces the paper's "about one third of GDM" claim.
 func CompareCPUCost(c CPU, x *FX) []CostComparison {
-	return cost.Compare(c, x.Plan())
+	return analysis.CompareCPU(c, x.Plan())
 }
 
 // Workload generation (§5's query model: fields specified independently
@@ -200,18 +199,18 @@ func WorkloadBalance(a GroupAllocator, queries []Query) (float64, error) {
 
 // WorkloadTracker accumulates per-field specification frequencies from an
 // observed query stream (safe for concurrent use).
-type WorkloadTracker = stats.Tracker
+type WorkloadTracker = design.Tracker
 
 // NewWorkloadTracker builds a tracker for an n-field file.
 func NewWorkloadTracker(nFields int) (*WorkloadTracker, error) {
-	return stats.NewTracker(nFields)
+	return design.NewTracker(nFields)
 }
 
 // FileStats summarises a file's per-field distinct-value counts.
-type FileStats = stats.FileStats
+type FileStats = design.FileStats
 
 // CollectStats scans a file and counts distinct values per field.
-func CollectStats(file *File) FileStats { return stats.Collect(file) }
+func CollectStats(file *File) FileStats { return design.Collect(file) }
 
 // ExpectedLargestResponse computes the workload-weighted expected largest
 // response size of an allocator, with field i specified independently

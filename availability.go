@@ -2,36 +2,36 @@ package fxdist
 
 import (
 	"fxdist/internal/design"
-	"fxdist/internal/replica"
+	"fxdist/internal/storage"
 )
 
 // Availability: chained declustering on top of any group allocator, and
 // the classic directory design problem that precedes declustering.
 
 // ReplicaMode selects the failover policy of a replicated placement.
-type ReplicaMode = replica.Mode
+type ReplicaMode = storage.ReplicaMode
 
 // Failover policies.
 const (
 	// ChainedFailover spreads a failed device's load around the ring
 	// (max per-device load M/(M-1) of normal).
-	ChainedFailover = replica.Chained
+	ChainedFailover = storage.Chained
 	// NaiveFailover serves all of a failed device's buckets from its one
 	// backup holder (max load 2x normal).
-	NaiveFailover = replica.Naive
+	NaiveFailover = storage.Naive
 )
 
 // ReplicaPlacement wraps an allocator with primary/backup placement
 // (backup on the ring successor) and failure-aware bucket service.
-type ReplicaPlacement = replica.Placement
+type ReplicaPlacement = storage.Placement
 
 // DegradationReport compares largest response sizes with and without the
 // current failures.
-type DegradationReport = replica.DegradationReport
+type DegradationReport = storage.DegradationReport
 
 // NewReplicaPlacement builds a healthy placement over the allocator.
 func NewReplicaPlacement(alloc GroupAllocator, mode ReplicaMode) *ReplicaPlacement {
-	return replica.New(alloc, mode)
+	return storage.NewPlacement(alloc, mode)
 }
 
 // DesignField is one field's directory-design input: how often queries

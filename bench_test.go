@@ -25,7 +25,6 @@ import (
 	"fxdist/client"
 	"fxdist/internal/analysis"
 	"fxdist/internal/bitsx"
-	"fxdist/internal/cost"
 	"fxdist/internal/decluster"
 	"fxdist/internal/field"
 	"fxdist/internal/gate"
@@ -158,8 +157,8 @@ func BenchmarkCPUCostModel(b *testing.B) {
 		field.WithStrategy(field.RoundRobin), field.WithFamily(field.FamilyIU1))
 	once(b, "CPUCost", func() {
 		var rows []string
-		for _, cpu := range []cost.CPU{cost.MC68000, cost.I80286} {
-			for _, row := range cost.Compare(cpu, plan) {
+		for _, cpu := range []analysis.CPU{analysis.MC68000, analysis.I80286} {
+			for _, row := range analysis.CompareCPU(cpu, plan) {
 				rows = append(rows, row.String())
 			}
 		}
@@ -167,7 +166,7 @@ func BenchmarkCPUCostModel(b *testing.B) {
 	})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = cost.Compare(cost.MC68000, plan)
+		_ = analysis.CompareCPU(analysis.MC68000, plan)
 	}
 }
 

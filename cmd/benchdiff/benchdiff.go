@@ -1,11 +1,9 @@
-// Package benchdiff compares two benchmark snapshots produced by
-// scripts/bench.sh (the BENCH_<date>.json files in the repo root) and
-// flags regressions: ns/op beyond a noise allowance, B/op growth, or
-// allocs/op creep beyond a tighter one (alloc counts are
-// near-deterministic, so they get a stricter gate than wall time).
-// It is the perf-regression gate run in CI against the newest
-// committed snapshot.
-package benchdiff
+// The comparison itself: two snapshots produced by scripts/bench.sh (the
+// BENCH_<date>.json files in the repo root) in, the deltas and whether
+// any regressed out. Alloc counts are near-deterministic, so they get a
+// stricter gate than wall time.
+
+package main
 
 import (
 	"encoding/json"

@@ -1,4 +1,4 @@
-package benchdiff
+package main
 
 import (
 	"encoding/json"

@@ -15,12 +15,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
-
-	"fxdist/internal/benchdiff"
 )
 
 func main() {
-	def := benchdiff.DefaultThresholds()
+	def := DefaultThresholds()
 	nsFrac := flag.Float64("ns-frac", def.NsFrac, "allowed fractional ns/op growth before failing")
 	bytesFrac := flag.Float64("bytes-frac", def.BytesFrac, "allowed fractional B/op growth before failing")
 	allocsFrac := flag.Float64("allocs-frac", def.AllocsFrac, "allowed fractional allocs/op growth before failing")
@@ -29,17 +27,17 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: benchdiff [-ns-frac F] [-bytes-frac F] [-allocs-frac F] base.json current.json")
 		os.Exit(2)
 	}
-	base, err := benchdiff.Load(flag.Arg(0))
+	base, err := Load(flag.Arg(0))
 	if err != nil {
 		fatal(err)
 	}
-	cur, err := benchdiff.Load(flag.Arg(1))
+	cur, err := Load(flag.Arg(1))
 	if err != nil {
 		fatal(err)
 	}
-	th := benchdiff.Thresholds{NsFrac: *nsFrac, BytesFrac: *bytesFrac, AllocsFrac: *allocsFrac}
-	deltas, regressed := benchdiff.Diff(base, cur, th)
-	benchdiff.WriteText(os.Stdout, base, cur, deltas, th)
+	th := Thresholds{NsFrac: *nsFrac, BytesFrac: *bytesFrac, AllocsFrac: *allocsFrac}
+	deltas, regressed := Diff(base, cur, th)
+	WriteText(os.Stdout, base, cur, deltas, th)
 	if regressed {
 		fmt.Fprintln(os.Stderr, "benchdiff: performance regression detected")
 		os.Exit(1)

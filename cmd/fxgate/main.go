@@ -38,6 +38,7 @@ import (
 	"time"
 
 	"fxdist"
+	"fxdist/internal/cliutil"
 	"fxdist/internal/gate"
 )
 
@@ -61,16 +62,12 @@ func run(args []string) error {
 	burnRetryAfter := fs.Duration("burn-retry-after", time.Second, "Retry-After hint for burn sheds")
 	slo := fs.Duration("slo", 0, "latency objective per query shape (0 disables SLO tracking)")
 	sloGoal := fs.Float64("slo-goal", 0.99, "fraction of queries that must meet -slo")
-	metricsAddr := fs.String("metrics-addr", "", "also serve the observability endpoints on this separate address")
-	logLevel := fs.String("log-level", "info", "log level: debug, info, warn, error, off")
+	obsFlags := cliutil.ObsFlags(fs, "also serve the observability endpoints on this separate address")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *snapshot == "" || *tenantsPath == "" {
 		return errors.New("missing -snapshot or -tenants")
-	}
-	if err := fxdist.SetLogLevel(*logLevel); err != nil {
-		return err
 	}
 	tenants, err := gate.LoadTenants(*tenantsPath)
 	if err != nil {
@@ -115,13 +112,13 @@ func run(args []string) error {
 	}
 	defer g.Close()
 
-	if *metricsAddr != "" {
-		addr, stop, err := fxdist.ServeMetrics(*metricsAddr)
-		if err != nil {
-			return err
-		}
-		defer stop()
-		fmt.Printf("fxgate: observability on http://%s/metrics — endpoint index at http://%s/debug/\n", addr, addr)
+	obsAddr, stopObs, err := obsFlags.Start()
+	if err != nil {
+		return err
+	}
+	defer stopObs()
+	if obsAddr != "" {
+		fmt.Printf("fxgate: observability on http://%s/metrics — endpoint index at http://%s/debug/\n", obsAddr, obsAddr)
 	}
 
 	// One port serves everything: the RPC endpoint plus the shared

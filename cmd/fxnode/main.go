@@ -78,13 +78,20 @@ func main() {
 	}
 }
 
+// announceObs tells where serve and query expose the observability
+// endpoints, when -metrics-addr asked for them.
+func announceObs(addr string) {
+	if addr != "" {
+		fmt.Printf("fxnode: observability on http://%s/metrics — endpoint index at http://%s/debug/\n", addr, addr)
+	}
+}
+
 func runServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
 	snapshot := fs.String("snapshot", "", "snapshot file (with allocator spec)")
 	device := fs.Int("device", 0, "device id this node serves")
 	listen := fs.String("listen", "127.0.0.1:0", "listen address")
-	metricsAddr := fs.String("metrics-addr", "", "serve /metrics, /debug/vars, /debug/traces and /debug/pprof/ on this address")
-	logLevel := fs.String("log-level", "info", "log level: debug, info, warn, error, off")
+	obsFlags := cliutil.ObsFlags(fs, "serve /metrics, /debug/vars, /debug/traces and /debug/pprof/ on this address")
 	shedInflight := fs.Int("shed-inflight", 0, "shed requests beyond this many in flight with a retryable busy response (0 disables)")
 	shedRetryAfter := fs.Duration("shed-retry-after", 250*time.Millisecond, "retry-after hint attached to shed responses")
 	rescaleTarget := fs.Int("rescale-target", 0, "serve an empty rescale-target device for a cluster growing to this many devices (0 serves the snapshot's own layout)")
@@ -95,17 +102,12 @@ func runServe(args []string) error {
 	if *snapshot == "" {
 		return fmt.Errorf("missing -snapshot")
 	}
-	if err := fxdist.SetLogLevel(*logLevel); err != nil {
+	obsAddr, stopObs, err := obsFlags.Start()
+	if err != nil {
 		return err
 	}
-	if *metricsAddr != "" {
-		addr, stop, err := fxdist.ServeMetrics(*metricsAddr)
-		if err != nil {
-			return err
-		}
-		defer stop()
-		fmt.Printf("fxnode: observability on http://%s/metrics — endpoint index at http://%s/debug/\n", addr, addr)
-	}
+	defer stopObs()
+	announceObs(obsAddr)
 	file, alloc, err := fxdist.LoadSnapshotFile(*snapshot)
 	if err != nil {
 		return err
@@ -184,25 +186,19 @@ func runQuery(args []string) error {
 	profileDir := fs.String("profile-dir", "", "spool triggered pprof captures into this directory (enables triggered profiling)")
 	profileBurn := fs.Float64("profile-burn", 0, "SLO burn rate that triggers a pprof capture (0 disables the burn trigger)")
 	profileLatency := fs.Duration("profile-latency", 0, "single-query latency that triggers a pprof capture (0 disables the latency trigger)")
-	metricsAddr := fs.String("metrics-addr", "", "serve /metrics, /debug/vars, /debug/traces, /debug/optimality, /debug/hotpath, /debug/flight, /debug/profiles and /debug/pprof/ on this address")
-	logLevel := fs.String("log-level", "info", "log level: debug, info, warn, error, off")
+	obsFlags := cliutil.ObsFlags(fs, "serve /metrics, /debug/vars, /debug/traces, /debug/optimality, /debug/hotpath, /debug/flight, /debug/profiles and /debug/pprof/ on this address")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *snapshot == "" || *addrsArg == "" {
 		return fmt.Errorf("missing -snapshot or -addrs")
 	}
-	if err := fxdist.SetLogLevel(*logLevel); err != nil {
+	obsAddr, stopObs, err := obsFlags.Start()
+	if err != nil {
 		return err
 	}
-	if *metricsAddr != "" {
-		addr, stop, err := fxdist.ServeMetrics(*metricsAddr)
-		if err != nil {
-			return err
-		}
-		defer stop()
-		fmt.Printf("fxnode: observability on http://%s/metrics — endpoint index at http://%s/debug/\n", addr, addr)
-	}
+	defer stopObs()
+	announceObs(obsAddr)
 	file, _, err := fxdist.LoadSnapshotFile(*snapshot)
 	if err != nil {
 		return err
@@ -307,8 +303,7 @@ func runRescale(args []string) error {
 	selfCheck := fs.Bool("self-check", true, "pump sampled queries through the dual-read window so an idle cluster still meets the cutover guard")
 	statusEvery := fs.Duration("status-every", time.Second, "progress print interval")
 	timeout := fs.Duration("timeout", 0, "overall rescale deadline (0 waits indefinitely)")
-	metricsAddr := fs.String("metrics-addr", "", "serve /metrics, /debug/vars and /debug/rescale on this address (the control address for status/pause/resume/abort)")
-	logLevel := fs.String("log-level", "info", "log level: debug, info, warn, error, off")
+	obsFlags := cliutil.ObsFlags(fs, "serve /metrics, /debug/vars and /debug/rescale on this address (the control address for status/pause/resume/abort)")
 	debugAddr := fs.String("debug", "", "the coordinating fxnode's -metrics-addr; status/pause/resume/abort only")
 	name := fs.String("name", "", "rescale name on /debug/rescale when several are registered")
 	if err := fs.Parse(args); err != nil {
@@ -316,12 +311,19 @@ func runRescale(args []string) error {
 	}
 	switch *action {
 	case "start":
+		obsAddr, stopObs, err := obsFlags.Start()
+		if err != nil {
+			return err
+		}
+		defer stopObs()
+		if obsAddr != "" {
+			fmt.Printf("fxnode: rescale control on http://%s/debug/rescale\n", obsAddr)
+		}
 		return startRescale(rescaleStartConfig{
 			snapshot: *snapshot, addrs: *addrsArg, newAddrs: *newAddrsArg,
 			newM: *newM, journal: *journal, concurrency: *concurrency,
 			guardQueries: *guardQueries, noGuard: *noGuard, selfCheck: *selfCheck,
 			statusEvery: *statusEvery, timeout: *timeout,
-			metricsAddr: *metricsAddr, logLevel: *logLevel,
 		})
 	case "status":
 		if *debugAddr == "" {
@@ -355,7 +357,6 @@ type rescaleStartConfig struct {
 	guardQueries              uint64
 	noGuard, selfCheck        bool
 	statusEvery, timeout      time.Duration
-	metricsAddr, logLevel     string
 }
 
 // startRescale drives a live rescale to completion from the shell: it
@@ -370,17 +371,6 @@ func startRescale(cfg rescaleStartConfig) error {
 	}
 	if cfg.newM <= 0 {
 		return fmt.Errorf("missing -new-m")
-	}
-	if err := fxdist.SetLogLevel(cfg.logLevel); err != nil {
-		return err
-	}
-	if cfg.metricsAddr != "" {
-		addr, stop, err := fxdist.ServeMetrics(cfg.metricsAddr)
-		if err != nil {
-			return err
-		}
-		defer stop()
-		fmt.Printf("fxnode: rescale control on http://%s/debug/rescale\n", addr)
 	}
 	file, alloc, err := fxdist.LoadSnapshotFile(cfg.snapshot)
 	if err != nil {

@@ -174,7 +174,6 @@ func TestStartRescaleEndToEnd(t *testing.T) {
 		selfCheck:    true,
 		statusEvery:  25 * time.Millisecond,
 		timeout:      60 * time.Second,
-		logLevel:     "off",
 	})
 	if err != nil {
 		t.Fatalf("startRescale: %v", err)

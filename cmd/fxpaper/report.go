@@ -1,17 +1,18 @@
-// Package report renders analysis results (response-size tables,
-// optimality curves, CPU cost comparisons) as plain text, CSV or JSON, so
-// the CLIs can feed plotting pipelines directly.
-package report
+package main
+
+// Renderers of the analysis results (response-size tables, optimality
+// curves, CPU cost comparisons) as plain text, CSV or JSON, so the
+// subcommands can feed plotting pipelines directly.
 
 import (
 	"encoding/csv"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"io"
 	"strconv"
 
 	"fxdist/internal/analysis"
-	"fxdist/internal/cost"
 )
 
 // Format selects an output encoding.
@@ -30,8 +31,27 @@ func ParseFormat(s string) (Format, error) {
 	case Text, CSV, JSON:
 		return Format(s), nil
 	default:
-		return "", fmt.Errorf("report: unknown format %q (want text, csv or json)", s)
+		return "", fmt.Errorf("unknown format %q (want text, csv or json)", s)
 	}
+}
+
+// Set and String make *Format a flag.Value, so a bad -format is the flag
+// package's error like any other.
+func (f *Format) Set(s string) error {
+	v, err := ParseFormat(s)
+	if err == nil {
+		*f = v
+	}
+	return err
+}
+
+func (f *Format) String() string { return string(*f) }
+
+// formatFlag registers the -format flag every rendering subcommand takes.
+func formatFlag(fs *flag.FlagSet) *Format {
+	format := Text
+	fs.Var(&format, "format", "output format: text, csv or json")
+	return &format
 }
 
 // Table renders a response-size table.
@@ -56,22 +76,15 @@ func Table(w io.Writer, spec analysis.TableSpec, format Format) error {
 		}
 		return nil
 	case CSV:
-		cw := csv.NewWriter(w)
-		if err := cw.Write(header); err != nil {
-			return err
-		}
+		recs := [][]string{header}
 		for _, r := range rows {
 			rec := []string{strconv.Itoa(r.K)}
 			for _, v := range r.Avg {
 				rec = append(rec, formatFloat(v))
 			}
-			rec = append(rec, formatFloat(r.Optimal))
-			if err := cw.Write(rec); err != nil {
-				return err
-			}
+			recs = append(recs, append(rec, formatFloat(r.Optimal)))
 		}
-		cw.Flush()
-		return cw.Error()
+		return csv.NewWriter(w).WriteAll(recs)
 	case JSON:
 		type jsonRow struct {
 			K       int                `json:"k"`
@@ -90,11 +103,9 @@ func Table(w io.Writer, spec analysis.TableSpec, format Format) error {
 			}
 			out.Rows = append(out.Rows, jr)
 		}
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		return enc.Encode(out)
+		return writeJSON(w, out)
 	default:
-		return fmt.Errorf("report: unknown format %q", format)
+		return fmt.Errorf("unknown format %q", format)
 	}
 }
 
@@ -119,25 +130,19 @@ func Figure(w io.Writer, spec analysis.FigureSpec, exact bool, format Format) er
 		}
 		return nil
 	case CSV:
-		cw := csv.NewWriter(w)
 		header := []string{"small_fields", "md_pct", "fd_pct"}
 		if exact {
 			header = append(header, "md_exact_pct", "fd_exact_pct")
 		}
-		if err := cw.Write(header); err != nil {
-			return err
-		}
+		recs := [][]string{header}
 		for _, p := range points {
 			rec := []string{strconv.Itoa(p.SmallFields), formatFloat(p.ModuloPct), formatFloat(p.FXPct)}
 			if exact {
 				rec = append(rec, formatFloat(p.ModuloExactPct), formatFloat(p.FXExactPct))
 			}
-			if err := cw.Write(rec); err != nil {
-				return err
-			}
+			recs = append(recs, rec)
 		}
-		cw.Flush()
-		return cw.Error()
+		return csv.NewWriter(w).WriteAll(recs)
 	case JSON:
 		out := struct {
 			Name    string                     `json:"name"`
@@ -145,16 +150,14 @@ func Figure(w io.Writer, spec analysis.FigureSpec, exact bool, format Format) er
 			Exact   bool                       `json:"exact"`
 			Points  []analysis.OptimalityPoint `json:"points"`
 		}{Name: spec.Name, Caption: spec.Caption, Exact: exact, Points: points}
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		return enc.Encode(out)
+		return writeJSON(w, out)
 	default:
-		return fmt.Errorf("report: unknown format %q", format)
+		return fmt.Errorf("unknown format %q", format)
 	}
 }
 
 // CPUCost renders the §5.2.2 comparison for the given CPUs and plan rows.
-func CPUCost(w io.Writer, rows []cost.Comparison, format Format) error {
+func CPUCost(w io.Writer, rows []analysis.CPUComparison, format Format) error {
 	switch format {
 	case Text:
 		for _, r := range rows {
@@ -162,24 +165,23 @@ func CPUCost(w io.Writer, rows []cost.Comparison, format Format) error {
 		}
 		return nil
 	case CSV:
-		cw := csv.NewWriter(w)
-		if err := cw.Write([]string{"cpu", "method", "cycles", "vs_gdm"}); err != nil {
-			return err
-		}
+		recs := [][]string{{"cpu", "method", "cycles", "vs_gdm"}}
 		for _, r := range rows {
-			if err := cw.Write([]string{r.CPU, r.Method, strconv.Itoa(r.Cycles), formatFloat(r.VsGDM)}); err != nil {
-				return err
-			}
+			recs = append(recs, []string{r.CPU, r.Method, strconv.Itoa(r.Cycles), formatFloat(r.VsGDM)})
 		}
-		cw.Flush()
-		return cw.Error()
+		return csv.NewWriter(w).WriteAll(recs)
 	case JSON:
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		return enc.Encode(rows)
+		return writeJSON(w, rows)
 	default:
-		return fmt.Errorf("report: unknown format %q", format)
+		return fmt.Errorf("unknown format %q", format)
 	}
+}
+
+// writeJSON is the one JSON layout of every artefact: two-space indent.
+func writeJSON(w io.Writer, v any) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(v)
 }
 
 func formatFloat(v float64) string {

@@ -1,4 +1,4 @@
-package report
+package main
 
 import (
 	"bytes"
@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"fxdist/internal/analysis"
-	"fxdist/internal/cost"
 	"fxdist/internal/decluster"
 	"fxdist/internal/field"
 )
@@ -132,7 +131,7 @@ func TestFigureFormats(t *testing.T) {
 
 func TestCPUCostFormats(t *testing.T) {
 	plan := field.MustPlan([]int{8, 8}, 32)
-	rows := cost.Compare(cost.MC68000, plan)
+	rows := analysis.CompareCPU(analysis.MC68000, plan)
 	for _, f := range []Format{Text, CSV, JSON} {
 		var buf bytes.Buffer
 		if err := CPUCost(&buf, rows, f); err != nil {

@@ -1,18 +1,9 @@
-// Command fxtables reprints the paper's worked examples (Tables 1-6):
-// the bucket-to-device mapping of Basic and Extended FX distribution on
-// small file systems, in the paper's format (binary field values, decimal
-// device numbers).
-//
-// Usage:
-//
-//	fxtables            # print all six tables
-//	fxtables -table 3   # print only Table 3
 package main
 
 import (
 	"flag"
 	"fmt"
-	"os"
+	"io"
 	"strings"
 
 	"fxdist/internal/bitsx"
@@ -20,6 +11,10 @@ import (
 	"fxdist/internal/field"
 )
 
+// tableDef is one of the paper's worked examples (Tables 1-6): the
+// bucket-to-device mapping of Basic and Extended FX distribution on a
+// small file system, in the paper's format (binary field values, decimal
+// device numbers).
 type tableDef struct {
 	num     int
 	caption string
@@ -30,7 +25,8 @@ type tableDef struct {
 	withModulo bool
 }
 
-var tables = []tableDef{
+// workedTables[i] is Table i+1.
+var workedTables = []tableDef{
 	{1, "Basic FX distribution", []int{2, 8}, 4, []field.Kind{field.I, field.I}, false},
 	{2, "FX distribution with I and U transformation (vs Modulo)", []int{4, 4}, 16, []field.Kind{field.I, field.U}, true},
 	{3, "FX distribution with I and IU1 transformation", []int{4, 4}, 16, []field.Kind{field.I, field.IU1}, false},
@@ -39,13 +35,13 @@ var tables = []tableDef{
 	{6, "FX distribution with I, U and IU2 transformation", []int{4, 2, 2}, 16, []field.Kind{field.I, field.U, field.IU2}, false},
 }
 
-func printTable(def tableDef) {
+func printTable(out io.Writer, def tableDef) {
 	fs := decluster.MustFileSystem(def.sizes, def.m)
 	fx := decluster.MustFX(fs, field.WithKinds(def.kinds))
 	md := decluster.NewModulo(fs)
 
-	fmt.Printf("Table %d. %s\n", def.num, def.caption)
-	fmt.Printf("  file system: F = %v, M = %d, plan = %v\n\n", def.sizes, def.m, fx.Plan())
+	fmt.Fprintf(out, "Table %d. %s\n", def.num, def.caption)
+	fmt.Fprintf(out, "  file system: F = %v, M = %d, plan = %v\n\n", def.sizes, def.m, fx.Plan())
 
 	// Column headers: transformed field values, then device number(s).
 	// Each column prints log2(M) bits (the paper's convention), widened
@@ -65,8 +61,8 @@ func printTable(def tableDef) {
 	if def.withModulo {
 		header += "  Device(Modulo)"
 	}
-	fmt.Println(header)
-	fmt.Println("  " + strings.Repeat("-", len(header)))
+	fmt.Fprintln(out, header)
+	fmt.Fprintln(out, "  "+strings.Repeat("-", len(header)))
 
 	fs.EachBucket(func(b []int) {
 		row := "  "
@@ -78,21 +74,23 @@ func printTable(def tableDef) {
 		if def.withModulo {
 			row += fmt.Sprintf("%16d", md.Device(b))
 		}
-		fmt.Println(row)
+		fmt.Fprintln(out, row)
 	})
-	fmt.Println()
+	fmt.Fprintln(out)
 }
 
-func main() {
-	tableNum := flag.Int("table", 0, "table number to print (1-6); 0 prints all")
-	flag.Parse()
-	if *tableNum < 0 || *tableNum > 6 {
-		fmt.Fprintln(os.Stderr, "fxtables: -table must be 0..6")
-		os.Exit(2)
+// runTables reprints Tables 1-6.
+func runTables(fs *flag.FlagSet, args []string, out io.Writer) error {
+	tableNum := fs.Int("table", 0, "table number to print (1-6); 0 prints all")
+	if err := parse(fs, args); err != nil {
+		return err
 	}
-	for _, def := range tables {
-		if *tableNum == 0 || def.num == *tableNum {
-			printTable(def)
-		}
+	defs, err := pick(workedTables, 1, *tableNum, "table")
+	if err != nil {
+		return err
 	}
+	for _, def := range defs {
+		printTable(out, def)
+	}
+	return nil
 }

@@ -1,6 +1,7 @@
 // Package analysis regenerates the paper's evaluation artifacts: the
-// average largest-response-size tables (Tables 7-9) and the
-// probability-of-strict-optimality figures (Figures 1-4).
+// average largest-response-size tables (Tables 7-9), the
+// probability-of-strict-optimality figures (Figures 1-4) and the §5.2.2
+// CPU address-computation cost comparison (cost.go).
 //
 // Both rest on the translation-invariance theorem (see package convolve):
 // for group allocators the load multiset of a query depends only on its

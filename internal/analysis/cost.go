@@ -1,4 +1,4 @@
-// Package cost reproduces the paper's §5.2.2 CPU computation time
+// This file reproduces the paper's §5.2.2 CPU computation time
 // comparison. The paper argues that in main-memory databases the address
 // computation (bucket distribution and inverse mapping) dominates, and
 // compares optimized instruction sequences on MC68000 cycle counts:
@@ -6,7 +6,8 @@
 // shifts (its multipliers are powers of two) and a final AND; GDM needs a
 // genuine multiply per field because its multipliers are primes or odd
 // numbers; Modulo needs only adds and an AND.
-package cost
+
+package analysis
 
 import (
 	"fmt"
@@ -96,30 +97,30 @@ func ModuloSequence(n int) Sequence {
 	return Sequence{Method: "Modulo", ADDs: n - 1, ANDs: 1}
 }
 
-// Comparison is one row of the §5.2.2 comparison for a CPU.
-type Comparison struct {
+// CPUComparison is one row of the §5.2.2 comparison for a CPU.
+type CPUComparison struct {
 	CPU    string
 	Method string
 	Cycles int
 	VsGDM  float64 // this method's cycles / GDM's cycles
 }
 
-// Compare evaluates FX (under plan), GDM and Modulo on the CPU and reports
+// CompareCPU evaluates FX (under plan), GDM and Modulo on the CPU and reports
 // cycle counts and ratios against GDM — the paper's "FX takes about one
 // third of GDM" claim is the FX row's VsGDM.
-func Compare(c CPU, plan field.Plan) []Comparison {
+func CompareCPU(c CPU, plan field.Plan) []CPUComparison {
 	n := len(plan.Funcs)
 	seqs := []Sequence{FXSequence(plan), GDMSequence(n), ModuloSequence(n)}
 	gdm := c.Cycles(seqs[1])
-	out := make([]Comparison, len(seqs))
+	out := make([]CPUComparison, len(seqs))
 	for i, s := range seqs {
 		cy := c.Cycles(s)
-		out[i] = Comparison{CPU: c.Name, Method: s.Method, Cycles: cy, VsGDM: float64(cy) / float64(gdm)}
+		out[i] = CPUComparison{CPU: c.Name, Method: s.Method, Cycles: cy, VsGDM: float64(cy) / float64(gdm)}
 	}
 	return out
 }
 
 // String renders a comparison row.
-func (cm Comparison) String() string {
+func (cm CPUComparison) String() string {
 	return fmt.Sprintf("%-8s %-7s %5d cycles  %.2fx GDM", cm.CPU, cm.Method, cm.Cycles, cm.VsGDM)
 }

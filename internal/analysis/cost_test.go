@@ -1,4 +1,4 @@
-package cost
+package analysis
 
 import (
 	"testing"
@@ -64,7 +64,7 @@ func TestFXSequenceDegenerateIU2(t *testing.T) {
 func TestPaperRatioClaim(t *testing.T) {
 	plan := field.MustPlan([]int{8, 8, 8, 8, 8, 8}, 32,
 		field.WithStrategy(field.RoundRobin), field.WithFamily(field.FamilyIU1))
-	rows := Compare(MC68000, plan)
+	rows := CompareCPU(MC68000, plan)
 	if len(rows) != 3 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -85,14 +85,14 @@ func TestPaperRatioClaim(t *testing.T) {
 		t.Errorf("Modulo (%d cycles) should be cheaper than FX (%d)", md.Cycles, fx.Cycles)
 	}
 	// Same ordering on the 80286.
-	rows286 := Compare(I80286, plan)
+	rows286 := CompareCPU(I80286, plan)
 	if !(rows286[2].Cycles < rows286[0].Cycles && rows286[0].Cycles < rows286[1].Cycles) {
 		t.Errorf("i80286 ordering violated: %v", rows286)
 	}
 }
 
 func TestComparisonString(t *testing.T) {
-	c := Comparison{CPU: "MC68000", Method: "FX", Cycles: 100, VsGDM: 0.25}
+	c := CPUComparison{CPU: "MC68000", Method: "FX", Cycles: 100, VsGDM: 0.25}
 	if got := c.String(); got != "MC68000  FX        100 cycles  0.25x GDM" {
 		t.Errorf("String = %q", got)
 	}

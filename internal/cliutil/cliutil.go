@@ -1,12 +1,41 @@
-// Package cliutil holds the small parsing helpers the command-line tools
-// share: comma-separated size vectors and field=value query terms.
+// Package cliutil holds what the command-line tools share: parsing of
+// comma-separated size vectors and field=value query terms, and the two
+// observability flags of the serving commands.
 package cliutil
 
 import (
+	"flag"
 	"fmt"
 	"strconv"
 	"strings"
+
+	"fxdist"
 )
+
+// Obs is the two observability flags of a serving command.
+type Obs struct{ metricsAddr, logLevel *string }
+
+// ObsFlags registers -metrics-addr (under the command's own help text)
+// and -log-level on fs.
+func ObsFlags(fs *flag.FlagSet, metricsHelp string) Obs {
+	return Obs{
+		fs.String("metrics-addr", "", metricsHelp),
+		fs.String("log-level", "info", "log level: debug, info, warn, error, off"),
+	}
+}
+
+// Start, called after fs.Parse, applies the log level and, when
+// -metrics-addr was given, serves the observability endpoints there.
+// Without it addr is empty and stop does nothing.
+func (o Obs) Start() (addr string, stop func(), err error) {
+	if err := fxdist.SetLogLevel(*o.logLevel); err != nil {
+		return "", nil, err
+	}
+	if *o.metricsAddr == "" {
+		return "", func() {}, nil
+	}
+	return fxdist.ServeMetrics(*o.metricsAddr)
+}
 
 // ParseSizes parses a comma-separated list of positive integers, e.g.
 // "8,8,16".

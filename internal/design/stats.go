@@ -1,14 +1,14 @@
-// Package stats collects the workload and data statistics that drive file
+// This file collects the workload and data statistics that drive file
 // design and method selection: per-field query specification frequencies
 // (the p_i of the paper's §5 model, observed rather than assumed) and
 // per-field distinct-value counts (which cap useful directory depths).
-package stats
+
+package design
 
 import (
 	"fmt"
 	"sync"
 
-	"fxdist/internal/design"
 	"fxdist/internal/mkhash"
 	"fxdist/internal/query"
 )
@@ -24,7 +24,7 @@ type Tracker struct {
 // NewTracker builds a tracker for an n-field file.
 func NewTracker(nFields int) (*Tracker, error) {
 	if nFields <= 0 {
-		return nil, fmt.Errorf("stats: need at least one field")
+		return nil, fmt.Errorf("design: need at least one field")
 	}
 	return &Tracker{specified: make([]int, nFields)}, nil
 }
@@ -34,7 +34,7 @@ func (t *Tracker) Observe(q query.Query) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if len(q.Spec) != len(t.specified) {
-		return fmt.Errorf("stats: query has %d fields, tracker %d", len(q.Spec), len(t.specified))
+		return fmt.Errorf("design: query has %d fields, tracker %d", len(q.Spec), len(t.specified))
 	}
 	for i, v := range q.Spec {
 		if v != query.Unspecified {
@@ -50,7 +50,7 @@ func (t *Tracker) ObservePartialMatch(pm mkhash.PartialMatch) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if len(pm) != len(t.specified) {
-		return fmt.Errorf("stats: query has %d fields, tracker %d", len(pm), len(t.specified))
+		return fmt.Errorf("design: query has %d fields, tracker %d", len(pm), len(t.specified))
 	}
 	for i, v := range pm {
 		if v != nil {
@@ -133,14 +133,14 @@ func (fs FileStats) MaxDepths() []int {
 
 // DesignFields combines data statistics with observed specification
 // probabilities into inputs for the directory design problem.
-func (fs FileStats) DesignFields(probs []float64) ([]design.Field, error) {
+func (fs FileStats) DesignFields(probs []float64) ([]Field, error) {
 	if len(probs) != len(fs.Distinct) {
-		return nil, fmt.Errorf("stats: %d probabilities for %d fields", len(probs), len(fs.Distinct))
+		return nil, fmt.Errorf("design: %d probabilities for %d fields", len(probs), len(fs.Distinct))
 	}
 	depths := fs.MaxDepths()
-	out := make([]design.Field, len(probs))
+	out := make([]Field, len(probs))
 	for i, p := range probs {
-		out[i] = design.Field{SpecProb: p, MaxDepth: depths[i]}
+		out[i] = Field{SpecProb: p, MaxDepth: depths[i]}
 	}
 	return out, nil
 }

@@ -383,7 +383,7 @@ func (s *Server) handle(conn net.Conn) {
 	codec, err := negotiateServer(conn)
 	if err != nil {
 		if errors.Is(err, ErrProtocol) {
-			obs.Infof("netdist: device %d dropped %s: %v", s.deviceID, conn.RemoteAddr(), err)
+			obs.Logger().Info("netdist: dropped connection", "device", s.deviceID, "peer", conn.RemoteAddr(), "err", err)
 		}
 		return // closed before the handshake, or not an FXB peer
 	}

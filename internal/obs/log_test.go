@@ -1,44 +1,46 @@
 package obs
 
 import (
+	"log/slog"
 	"strings"
 	"testing"
 )
 
 func TestLoggerLevelFiltering(t *testing.T) {
 	var sb strings.Builder
-	lg := NewLogger(LevelWarn, &sb)
-	lg.Debugf("d")
-	lg.Infof("i")
-	lg.Warnf("w%d", 1)
-	lg.Errorf("e")
+	level := newLevelVar(slog.LevelWarn)
+	lg := newLogger(&sb, level)
+	lg.Debug("d")
+	lg.Info("i")
+	lg.Warn("w", "n", 1)
+	lg.Error("e")
 	out := sb.String()
 	if strings.Contains(out, "DEBUG") || strings.Contains(out, "INFO") {
 		t.Errorf("below-threshold records written:\n%s", out)
 	}
-	if !strings.Contains(out, "WARN  w1") || !strings.Contains(out, "ERROR e") {
+	if !strings.Contains(out, "level=WARN msg=w n=1") || !strings.Contains(out, "level=ERROR msg=e") {
 		t.Errorf("missing records:\n%s", out)
 	}
 
-	lg.SetLevel(LevelOff)
+	level.Set(LevelOff)
 	sb.Reset()
-	lg.Errorf("silent")
+	lg.Error("silent")
 	if sb.Len() != 0 {
 		t.Errorf("LevelOff wrote %q", sb.String())
 	}
 
-	lg.SetLevel(LevelDebug)
+	level.Set(slog.LevelDebug)
 	sb.Reset()
-	lg.Debugf("loud")
-	if !strings.Contains(sb.String(), "DEBUG loud") {
+	lg.Debug("loud")
+	if !strings.Contains(sb.String(), "level=DEBUG msg=loud") {
 		t.Errorf("debug record missing: %q", sb.String())
 	}
 }
 
 func TestParseLevel(t *testing.T) {
-	for s, want := range map[string]Level{
-		"debug": LevelDebug, "info": LevelInfo, "warn": LevelWarn,
-		"error": LevelError, "off": LevelOff,
+	for s, want := range map[string]slog.Level{
+		"debug": slog.LevelDebug, "info": slog.LevelInfo, "warn": slog.LevelWarn,
+		"error": slog.LevelError, "off": LevelOff,
 	} {
 		got, err := ParseLevel(s)
 		if err != nil || got != want {
@@ -53,7 +55,7 @@ func TestParseLevel(t *testing.T) {
 // The default process logger must stay quiet below Warn so routine
 // recovery/compaction events do not spam test output.
 func TestDefaultLoggerQuiet(t *testing.T) {
-	if StdLogger().Level() != LevelWarn {
-		t.Errorf("default level = %v, want warn", StdLogger().Level())
+	if logLevel.Level() != slog.LevelWarn {
+		t.Errorf("default level = %v, want warn", logLevel.Level())
 	}
 }

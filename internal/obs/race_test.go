@@ -2,6 +2,7 @@ package obs
 
 import (
 	"io"
+	"log/slog"
 	"strconv"
 	"sync"
 	"testing"
@@ -14,7 +15,7 @@ func TestConcurrentPrimitives(t *testing.T) {
 	const workers, perWorker = 16, 1000
 	r := NewRegistry()
 	tr := NewTracer(32)
-	lg := NewLogger(LevelDebug, io.Discard)
+	lg := newLogger(io.Discard, slog.LevelDebug)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -35,7 +36,7 @@ func TestConcurrentPrimitives(t *testing.T) {
 					sp.SetRequestID(uint64(i))
 					sp.Event("tick")
 					sp.End()
-					lg.Infof("worker %d at %d", w, i)
+					lg.Info("tick", "worker", w, "at", i)
 				}
 			}
 			// Concurrent renders and snapshots against live writers.

@@ -179,7 +179,7 @@ func (s *Store) recover() error {
 			return err
 		}
 		mTornTails.Inc()
-		obs.Infof("pagestore: %s: truncated torn tail at offset %d (was %d bytes)", s.path, off, fileSize)
+		obs.Logger().Info("pagestore: truncated torn tail", "path", s.path, "offset", off, "was_bytes", fileSize)
 	}
 	s.size = off
 	return nil
@@ -341,8 +341,8 @@ func (s *Store) Compact() error {
 	old := s.f
 	*s = *next
 	mCompactions.Inc()
-	obs.Infof("pagestore: %s: compacted %d -> %d bytes (%d live records) in %v",
-		s.path, oldSize, s.size, s.records, time.Since(t0))
+	obs.Logger().Info("pagestore: compacted", "path", s.path, "from_bytes", oldSize, "to_bytes", s.size,
+		"live_records", s.records, "took", time.Since(t0))
 	return old.Close()
 }
 

@@ -256,8 +256,8 @@ func (c *DurableCluster) Compact() error {
 	if err := c.eachStore("compact", (*pagestore.Store).Compact); err != nil {
 		return err
 	}
-	obs.Infof("storage: compacted %d device logs under %s (%d live records) in %v",
-		len(c.stores), c.dir, before, time.Since(t0))
+	obs.Logger().Info("storage: compacted device logs", "logs", len(c.stores), "dir", c.dir,
+		"live_records", before, "took", time.Since(t0))
 	return nil
 }
 

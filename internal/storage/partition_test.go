@@ -8,7 +8,6 @@ import (
 	"fxdist/internal/decluster"
 	"fxdist/internal/engine"
 	"fxdist/internal/mkhash"
-	"fxdist/internal/replica"
 )
 
 // Split is the one allocator-vs-file check and the one partition builder:
@@ -111,7 +110,7 @@ func TestScanStateStaysOnStack(t *testing.T) {
 	}
 	file := carFile(t, 400)
 	mem := newCluster(t, file, 4)
-	_, repl := newReplicated(t, 400, 4, replica.Chained)
+	_, repl := newReplicated(t, 400, 4, Chained)
 	durFile, durFX := durableFixture(t, 400, 4)
 	dur, err := CreateDurable(t.TempDir(), durFile, durFX, MainMemory)
 	if err != nil {

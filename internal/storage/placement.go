@@ -1,4 +1,4 @@
-// Package replica adds availability to a declustered file with *chained
+// This file adds availability to a declustered file with *chained
 // declustering* (Hsiao & DeWitt): each bucket's primary copy lives on the
 // device the allocator chooses, and a backup copy lives on the next
 // device around the ring. When a device fails, its buckets are served
@@ -8,10 +8,11 @@
 // backup holder so the orphaned load spreads around the ring, bounding
 // the per-device load at M/(M-1) of normal.
 //
-// The paper's FX distribution decides *where primaries go*; this package
+// The paper's FX distribution decides *where primaries go*; this file
 // shows the same group-allocator machinery carrying a classic
 // availability scheme on top.
-package replica
+
+package storage
 
 import (
 	"fmt"
@@ -21,27 +22,27 @@ import (
 	"fxdist/internal/query"
 )
 
-// Mode selects the failover policy.
-type Mode int
+// ReplicaMode selects the failover policy.
+type ReplicaMode int
 
 const (
 	// Chained spreads a failed device's load around the ring via
 	// fractional offloading (max load M/(M-1) of normal).
-	Chained Mode = iota
+	Chained ReplicaMode = iota
 	// Naive serves all of a failed device's buckets from its single
 	// backup holder (max load 2x normal).
 	Naive
 )
 
 // String names the mode.
-func (m Mode) String() string {
+func (m ReplicaMode) String() string {
 	switch m {
 	case Chained:
 		return "chained"
 	case Naive:
 		return "naive"
 	default:
-		return fmt.Sprintf("Mode(%d)", int(m))
+		return fmt.Sprintf("ReplicaMode(%d)", int(m))
 	}
 }
 
@@ -51,13 +52,13 @@ func (m Mode) String() string {
 type Placement struct {
 	alloc  decluster.GroupAllocator
 	fs     decluster.FileSystem
-	mode   Mode
+	mode   ReplicaMode
 	failed []bool
 	nfail  int
 }
 
-// New builds a placement over the allocator with no failures.
-func New(alloc decluster.GroupAllocator, mode Mode) *Placement {
+// NewPlacement builds a placement over the allocator with no failures.
+func NewPlacement(alloc decluster.GroupAllocator, mode ReplicaMode) *Placement {
 	fs := alloc.FileSystem()
 	return &Placement{alloc: alloc, fs: fs, mode: mode, failed: make([]bool, fs.M)}
 }
@@ -77,7 +78,7 @@ func (p *Placement) Backup(bucket []int) int {
 // alive).
 func (p *Placement) Fail(dev int) error {
 	if dev < 0 || dev >= p.fs.M {
-		return fmt.Errorf("replica: device %d out of range", dev)
+		return fmt.Errorf("storage: device %d out of range", dev)
 	}
 	if p.failed[dev] {
 		return nil
@@ -85,7 +86,7 @@ func (p *Placement) Fail(dev int) error {
 	prev := (dev - 1 + p.fs.M) % p.fs.M
 	next := (dev + 1) % p.fs.M
 	if p.failed[prev] || p.failed[next] {
-		return fmt.Errorf("replica: failing device %d with a failed ring neighbour loses data", dev)
+		return fmt.Errorf("storage: failing device %d with a failed ring neighbour loses data", dev)
 	}
 	p.failed[dev] = true
 	p.nfail++
@@ -95,7 +96,7 @@ func (p *Placement) Fail(dev int) error {
 // Restore marks a device healthy again.
 func (p *Placement) Restore(dev int) error {
 	if dev < 0 || dev >= p.fs.M {
-		return fmt.Errorf("replica: device %d out of range", dev)
+		return fmt.Errorf("storage: device %d out of range", dev)
 	}
 	if p.failed[dev] {
 		p.failed[dev] = false

@@ -1,4 +1,4 @@
-package replica
+package storage
 
 import (
 	"testing"
@@ -17,14 +17,14 @@ func TestModeString(t *testing.T) {
 	if Chained.String() != "chained" || Naive.String() != "naive" {
 		t.Error("mode names wrong")
 	}
-	if Mode(9).String() != "Mode(9)" {
+	if ReplicaMode(9).String() != "ReplicaMode(9)" {
 		t.Error("unknown mode name wrong")
 	}
 }
 
 func TestPrimaryBackupRing(t *testing.T) {
 	fx, fs := fixture(t, 8)
-	p := New(fx, Chained)
+	p := NewPlacement(fx, Chained)
 	fs.EachBucket(func(b []int) {
 		prim, back := p.Primary(b), p.Backup(b)
 		if back != (prim+1)%fs.M {
@@ -36,8 +36,8 @@ func TestPrimaryBackupRing(t *testing.T) {
 // With no failures every bucket is served by its primary.
 func TestHealthyServesPrimary(t *testing.T) {
 	fx, fs := fixture(t, 8)
-	for _, mode := range []Mode{Chained, Naive} {
-		p := New(fx, mode)
+	for _, mode := range []ReplicaMode{Chained, Naive} {
+		p := NewPlacement(fx, mode)
 		fs.EachBucket(func(b []int) {
 			if p.Server(b) != p.Primary(b) {
 				t.Fatalf("mode %v: healthy bucket %v served by %d, primary %d",
@@ -49,7 +49,7 @@ func TestHealthyServesPrimary(t *testing.T) {
 
 func TestFailValidation(t *testing.T) {
 	fx, _ := fixture(t, 8)
-	p := New(fx, Chained)
+	p := NewPlacement(fx, Chained)
 	if err := p.Fail(-1); err == nil {
 		t.Error("negative device accepted")
 	}
@@ -91,8 +91,8 @@ func TestCompleteSingleService(t *testing.T) {
 		query.New([]int{3, query.Unspecified, query.Unspecified}),
 		query.New([]int{query.Unspecified, 7, 2}),
 	}
-	for _, mode := range []Mode{Chained, Naive} {
-		p := New(fx, mode)
+	for _, mode := range []ReplicaMode{Chained, Naive} {
+		p := NewPlacement(fx, mode)
 		if err := p.Fail(2); err != nil {
 			t.Fatal(err)
 		}
@@ -123,7 +123,7 @@ func TestChainedBeatsNaiveAfterFailure(t *testing.T) {
 	q := query.All(3)
 	perDevice := fs.NumBuckets() / fs.M
 
-	naive := New(fx, Naive)
+	naive := NewPlacement(fx, Naive)
 	if err := naive.Fail(3); err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestChainedBeatsNaiveAfterFailure(t *testing.T) {
 		t.Errorf("naive degraded max = %d, want %d", nd.DegradedMax, 2*perDevice)
 	}
 
-	chained := New(fx, Chained)
+	chained := NewPlacement(fx, Chained)
 	if err := chained.Fail(3); err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestChainedBeatsNaiveAfterFailure(t *testing.T) {
 // Restoring the failed device returns service to primaries.
 func TestRestoreReturnsToHealthy(t *testing.T) {
 	fx, _ := fixture(t, 8)
-	p := New(fx, Chained)
+	p := NewPlacement(fx, Chained)
 	q := query.All(3)
 	healthy := p.Loads(q)
 	if err := p.Fail(1); err != nil {
@@ -174,7 +174,7 @@ func TestRestoreReturnsToHealthy(t *testing.T) {
 // HealthyLoads must agree with the allocator's convolved loads.
 func TestHealthyLoadsMatchAllocator(t *testing.T) {
 	fx, _ := fixture(t, 4)
-	p := New(fx, Chained)
+	p := NewPlacement(fx, Chained)
 	q := query.New([]int{query.Unspecified, 3, query.Unspecified})
 	hl := p.HealthyLoads(q)
 	ll := p.Loads(q)
@@ -187,7 +187,7 @@ func TestHealthyLoadsMatchAllocator(t *testing.T) {
 
 func TestLoadsPanicsOnInvalidQuery(t *testing.T) {
 	fx, _ := fixture(t, 4)
-	p := New(fx, Chained)
+	p := NewPlacement(fx, Chained)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("invalid query accepted")

@@ -8,7 +8,6 @@ import (
 	"fxdist/internal/mkhash"
 	"fxdist/internal/obs"
 	"fxdist/internal/query"
-	"fxdist/internal/replica"
 )
 
 // ReplicatedCluster is a simulated parallel cluster with chained
@@ -20,7 +19,7 @@ import (
 type ReplicatedCluster struct {
 	core
 	file      *mkhash.File
-	placement *replica.Placement
+	placement *Placement
 	// parts[d] holds both d's primary buckets and its backup copies
 	// (primaries of d-1).
 	parts []Partition
@@ -28,7 +27,7 @@ type ReplicatedCluster struct {
 
 // NewReplicated distributes file's buckets over the allocator's devices
 // with primary and backup copies.
-func NewReplicated(file *mkhash.File, alloc decluster.GroupAllocator, mode replica.Mode, model CostModel, opts ...Option) (*ReplicatedCluster, error) {
+func NewReplicated(file *mkhash.File, alloc decluster.GroupAllocator, mode ReplicaMode, model CostModel, opts ...Option) (*ReplicatedCluster, error) {
 	parts, err := Split(file, alloc) // every bucket on its primary
 	if err != nil {
 		return nil, err
@@ -36,7 +35,7 @@ func NewReplicated(file *mkhash.File, alloc decluster.GroupAllocator, mode repli
 	c := &ReplicatedCluster{
 		core:      newCore(alloc),
 		file:      file,
-		placement: replica.New(alloc, mode),
+		placement: NewPlacement(alloc, mode),
 		parts:     parts,
 	}
 	file.EachBucket(func(coords []int, records []mkhash.Record) {
@@ -86,13 +85,13 @@ func (d replDevice) Scan(ctx context.Context, q query.Query, pm mkhash.PartialMa
 	return ans, nil
 }
 
-// Fail marks a device failed (see replica.Placement.Fail for the adjacency
+// Fail marks a device failed (see Placement.Fail for the adjacency
 // constraint).
 func (c *ReplicatedCluster) Fail(dev int) error {
 	if err := c.placement.Fail(dev); err != nil {
 		return err
 	}
-	obs.Infof("storage: replicated cluster device %d marked failed; ring successor now serves its primaries", dev)
+	obs.Logger().Info("storage: replicated cluster device marked failed; ring successor now serves its primaries", "device", dev)
 	return nil
 }
 
@@ -101,7 +100,7 @@ func (c *ReplicatedCluster) Restore(dev int) error {
 	if err := c.placement.Restore(dev); err != nil {
 		return err
 	}
-	obs.Infof("storage: replicated cluster device %d restored", dev)
+	obs.Logger().Info("storage: replicated cluster device restored", "device", dev)
 	return nil
 }
 

@@ -7,10 +7,9 @@ import (
 	"fxdist/internal/decluster"
 	"fxdist/internal/engine"
 	"fxdist/internal/mkhash"
-	"fxdist/internal/replica"
 )
 
-func newReplicated(t *testing.T, n, m int, mode replica.Mode) (*mkhash.File, *ReplicatedCluster) {
+func newReplicated(t *testing.T, n, m int, mode ReplicaMode) (*mkhash.File, *ReplicatedCluster) {
 	t.Helper()
 	file := carFile(t, n)
 	fs, err := file.FileSystem(m)
@@ -37,17 +36,17 @@ func keysOf(recs []mkhash.Record) []string {
 func TestReplicatedValidation(t *testing.T) {
 	file := carFile(t, 10)
 	wrong := decluster.MustFX(decluster.MustFileSystem([]int{4, 8}, 4))
-	if _, err := NewReplicated(file, wrong, replica.Chained, MainMemory); err == nil {
+	if _, err := NewReplicated(file, wrong, Chained, MainMemory); err == nil {
 		t.Error("arity mismatch accepted")
 	}
 	wrongSize := decluster.MustFX(decluster.MustFileSystem([]int{4, 4, 2}, 4))
-	if _, err := NewReplicated(file, wrongSize, replica.Chained, MainMemory); err == nil {
+	if _, err := NewReplicated(file, wrongSize, Chained, MainMemory); err == nil {
 		t.Error("size mismatch accepted")
 	}
 }
 
 func TestReplicatedStorageOverheadIsTwo(t *testing.T) {
-	_, c := newReplicated(t, 300, 8, replica.Chained)
+	_, c := newReplicated(t, 300, 8, Chained)
 	if got := c.StorageOverhead(); got != 2.0 {
 		t.Errorf("storage overhead %.2f, want 2.0", got)
 	}
@@ -56,7 +55,7 @@ func TestReplicatedStorageOverheadIsTwo(t *testing.T) {
 // Retrieval must match the reference search when healthy and under every
 // single-device failure, for both failover modes.
 func TestReplicatedRetrieveUnderFailures(t *testing.T) {
-	for _, mode := range []replica.Mode{replica.Chained, replica.Naive} {
+	for _, mode := range []ReplicaMode{Chained, Naive} {
 		file, c := newReplicated(t, 400, 8, mode)
 		specs := []map[string]string{
 			{"make": "make2"},
@@ -107,7 +106,7 @@ func TestReplicatedRetrieveUnderFailures(t *testing.T) {
 
 // A failed device must never appear in the service accounting.
 func TestReplicatedFailedDeviceIdle(t *testing.T) {
-	file, c := newReplicated(t, 300, 8, replica.Chained)
+	file, c := newReplicated(t, 300, 8, Chained)
 	if err := c.Fail(4); err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +128,7 @@ func TestReplicatedFailedDeviceIdle(t *testing.T) {
 // successor. Were replDevice pruned like the single-owner devices, the
 // successor would not be asked and the record would be lost.
 func TestReplicatedExactQueryOnFailedDevice(t *testing.T) {
-	file, c := newReplicated(t, 300, 8, replica.Chained)
+	file, c := newReplicated(t, 300, 8, Chained)
 	if _, declares := engine.Device(replDevice{c: c}).(engine.Owner); declares {
 		t.Fatal("replDevice declares a single owner")
 	}
@@ -167,8 +166,8 @@ func TestReplicatedExactQueryOnFailedDevice(t *testing.T) {
 // post-failure largest response size on the whole-file query must be
 // strictly smaller.
 func TestReplicatedChainedSpreadsLoad(t *testing.T) {
-	file, chained := newReplicated(t, 2000, 8, replica.Chained)
-	_, naive := newReplicated(t, 2000, 8, replica.Naive)
+	file, chained := newReplicated(t, 2000, 8, Chained)
+	_, naive := newReplicated(t, 2000, 8, Naive)
 	if err := chained.Fail(3); err != nil {
 		t.Fatal(err)
 	}

@@ -99,7 +99,7 @@ type Option func(*openSettings)
 
 // WithCostModel prices each device's simulated work (default
 // MainMemory). The coordinator backend attaches no cost model; the
-// option is ignored there. Set by pmquery, fxcheck and fxstore.
+// option is ignored there. Set by pmquery and fxpaper store|check.
 func WithCostModel(m CostModel) Option {
 	return func(s *openSettings) { s.model, s.modelSet = m, true }
 }
