@@ -862,10 +862,9 @@ func BenchmarkRetrieveWithInjectedLatency(b *testing.B) {
 		}
 		opts := []fxdist.Option{
 			fxdist.WithRetryBudget(2, time.Millisecond, 10*time.Millisecond),
-			fxdist.WithRetrySeed(1),
-			fxdist.WithFaultInjection(1, map[int]fxdist.FaultSchedule{
+			fxdist.WithFaultInjector(fxdist.NewFaultInjector(fxdist.KindMemory, 1, map[int]fxdist.FaultSchedule{
 				0: {Jitter: 4 * time.Millisecond},
-			}),
+			})),
 		}
 		if hedge {
 			opts = append(opts, fxdist.WithHedging(100*time.Microsecond))

@@ -258,9 +258,9 @@ func TestFlightRecorderSlowDevice(t *testing.T) {
 	}
 	const slow = 0
 	c, err := fxdist.Open(fxdist.Config{File: file, Allocator: fx},
-		fxdist.WithFaultInjection(1988, map[int]fxdist.FaultSchedule{
+		fxdist.WithFaultInjector(fxdist.NewFaultInjector(fxdist.KindMemory, 1988, map[int]fxdist.FaultSchedule{
 			slow: {Latency: 5 * time.Millisecond},
-		}))
+		})))
 	if err != nil {
 		t.Fatal(err)
 	}

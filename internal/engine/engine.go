@@ -208,74 +208,6 @@ func (e *TracedError) Error() string {
 
 func (e *TracedError) Unwrap() error { return e.Err }
 
-// Attempt describes one failed device scan for Policy.Failure. N counts
-// attempts on this logical device slot within one retrieval, starting at
-// 1. Primary reports whether the failure came from the slot's original
-// device (as opposed to a replacement a previous decision routed to) —
-// circuit breakers only charge primaries.
-type Attempt struct {
-	Device  int
-	N       int
-	Primary bool
-	Err     error
-}
-
-// Decision is a policy's answer to a failed attempt. The executor asks
-// every policy in chain order and acts on the first Retry=true decision
-// (later policies still observe the failure for their own bookkeeping).
-// A nil Device re-asks the device that just failed; Delay, when
-// positive, is slept (context-aware) before the next attempt.
-type Decision struct {
-	Retry  bool
-	Device Device
-	Delay  time.Duration
-}
-
-// Policy is one link of the executor's composable retry chain, the
-// executor's only failure-handling mechanism. Allow runs before the
-// first attempt on a device slot and may veto it (circuit breaker); the
-// veto error then flows through Failure like a scan error, so a reroute
-// policy further down the chain can still offer a backup. Failure is
-// consulted on every failed attempt; Success on every successful one.
-// All three run on executor workers and must be cheap and safe for
-// concurrent use.
-type Policy interface {
-	Allow(ctx context.Context, dev int) error
-	Failure(ctx context.Context, at Attempt) Decision
-	Success(dev int, primary bool, elapsed time.Duration)
-}
-
-// Hedger arms backup requests against tail latency: when Plan reports a
-// device is breaching its peers' p99, the executor races the primary
-// scan against backup, started after the returned delay, and cancels
-// the loser. Observe feeds completed primary scans back (only
-// successful ones carry a latency sample); Hedged fires when a hedge is
-// actually launched and HedgeWon when it beats the primary.
-type Hedger interface {
-	Plan(dev int) (backup Device, after time.Duration, ok bool)
-	Hedged(dev int)
-	HedgeWon(dev int)
-	Observe(dev int, elapsed time.Duration, err error)
-}
-
-// Resilience bundles the executor's composable failure-handling hooks:
-// the policy chain, the hedger, and graceful degradation. The zero
-// value disables all three.
-type Resilience struct {
-	// Policies is the retry chain, consulted in order on every failed
-	// attempt. The hedger only runs under a non-empty chain.
-	Policies []Policy
-	// Hedger, if set, races slow primary scans against a backup device.
-	Hedger Hedger
-	// Partial enables graceful degradation: when some devices fail and
-	// at least one succeeds, Retrieve returns the merged partial result
-	// alongside a *PartialError instead of discarding the answers.
-	Partial bool
-	// OnPartial, if set, observes every degraded retrieval (coverage is
-	// the fraction of |R(q)| served; failed lists the failing devices).
-	OnPartial func(coverage float64, failed []int)
-}
-
 // PartialError reports a degraded retrieval: retries, backups and
 // hedges were exhausted for the devices in Failed, but the remaining
 // devices answered. Res holds everything that was retrieved and

@@ -14,6 +14,7 @@ import (
 	"fxdist/internal/obs"
 	"fxdist/internal/plancache"
 	"fxdist/internal/query"
+	"fxdist/internal/retry"
 	"fxdist/internal/telemetry"
 )
 
@@ -35,9 +36,18 @@ type Config struct {
 	Span string
 	// Workers bounds the worker pool; 0 means max(len(Devices), GOMAXPROCS).
 	Workers int
-	// Resilience is the composable failure-handling configuration:
-	// policy chain, hedger, graceful degradation. See Resilience.
-	Resilience Resilience
+	// Retry, if set, is the backend's retry controller: circuit breakers,
+	// the backoff budget, hedging and partial results (scanDevice). Nil
+	// with no Reroute scans each device once, bare.
+	Retry *retry.Controller
+	// Reroute, if set, names the device that answers in place of device
+	// dev's failed primary (a breaker veto included): the slot moves
+	// there at once, before any backoff; a nil answer lets the failure
+	// stand. netdist's failover is the one user.
+	Reroute func(ctx context.Context, dev int, err error) Device
+	// Backup, if set and Retry hedges, is the device a slow primary of
+	// device dev is raced against.
+	Backup func(dev int) Device
 	// Instr, if set, is the backend's reporting bundle: every finished
 	// retrieval's query record goes to it — cluster metrics, bound/SLO
 	// audit, stage costs, slowest-8, wide-event ring — and its one keep
@@ -66,13 +76,17 @@ type Executor struct {
 	in     *telemetry.Instruments
 	tracer *obs.Tracer
 	span   string
-	res    Resilience
 	alloc  decluster.GroupAllocator
 	plans  *plancache.Cache
 	pool   *pool
 	// owned[dev]: Devices[dev] declares (Owner) that it serves device
 	// dev's buckets alone, so a plan's zero count may stand in for asking.
 	owned []bool
+
+	retry   *retry.Controller
+	reroute func(ctx context.Context, dev int, err error) Device
+	backup  func(dev int) Device // nil unless retry hedges
+	partial bool                 // retry serves partial results
 }
 
 // Owner is implemented by a Device that serves the buckets of exactly one
@@ -107,19 +121,29 @@ func New(cfg Config) (*Executor, error) {
 		o, ok := d.(Owner)
 		owned[dev] = ok && o.Owner() == dev
 	}
+	var rc retry.Config
+	if cfg.Retry != nil {
+		rc = cfg.Retry.Config()
+	}
+	if !rc.Hedge {
+		cfg.Backup = nil
+	}
 	return &Executor{
-		owned:  owned,
-		schema: cfg.Schema,
-		fs:     cfg.FS,
-		devs:   cfg.Devices,
-		model:  cfg.Model,
-		in:     cfg.Instr,
-		tracer: cfg.Tracer,
-		span:   cfg.Span,
-		res:    cfg.Resilience,
-		alloc:  cfg.Alloc,
-		plans:  cfg.Plans,
-		pool:   newPool(workers),
+		owned:   owned,
+		schema:  cfg.Schema,
+		fs:      cfg.FS,
+		devs:    cfg.Devices,
+		model:   cfg.Model,
+		in:      cfg.Instr,
+		tracer:  cfg.Tracer,
+		span:    cfg.Span,
+		alloc:   cfg.Alloc,
+		plans:   cfg.Plans,
+		pool:    newPool(workers),
+		retry:   cfg.Retry,
+		reroute: cfg.Reroute,
+		backup:  cfg.Backup,
+		partial: rc.Partial,
 	}, nil
 }
 
@@ -369,7 +393,7 @@ func (e *Executor) consolidate(ctx context.Context, c *call) (Result, error) {
 		}
 	}
 	if len(failures) > 0 {
-		if e.res.Partial && len(failures) < len(c.errs) && ctx.Err() == nil {
+		if e.partial && len(failures) < len(c.errs) && ctx.Err() == nil {
 			return e.degrade(c)
 		}
 		discardAnswers(c.answers)
@@ -455,14 +479,11 @@ func (e *Executor) merge(answers []Answer, failed map[int]error) Result {
 // of |R(q)| the surviving devices covered.
 func (e *Executor) degrade(c *call) (Result, error) {
 	failed := make(map[int]error)
-	failedDevs := make([]int, 0, len(c.errs))
 	for dev, err := range c.errs {
 		if err != nil {
 			failed[dev] = err
-			failedDevs = append(failedDevs, dev)
 		}
 	}
-	sort.Ints(failedDevs)
 	res := e.merge(c.answers, failed)
 	covered := 0
 	for _, b := range res.DeviceBuckets {
@@ -478,9 +499,7 @@ func (e *Executor) degrade(c *call) (Result, error) {
 	if c.span != nil {
 		c.span.Event(fmt.Sprintf("degraded: %d device(s) failed, coverage %.3f", len(failed), coverage))
 	}
-	if e.res.OnPartial != nil {
-		e.res.OnPartial(coverage, failedDevs)
-	}
+	e.retry.Degraded(coverage)
 	perr := &PartialError{Res: res, Failed: failed, Coverage: coverage}
 	return res, perr
 }

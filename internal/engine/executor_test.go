@@ -13,7 +13,6 @@ import (
 	"fxdist/internal/engine"
 	"fxdist/internal/mkhash"
 	"fxdist/internal/query"
-	"fxdist/internal/retry"
 )
 
 func testSchema(t *testing.T) *mkhash.File {
@@ -128,11 +127,12 @@ func TestRetrieveReportsAllFailingDevices(t *testing.T) {
 	}
 }
 
-// rerouted builds an executor over devs whose whole policy chain is one
-// retry.Reroute — the form netdist's WithFailover dials.
-func rerouted(t *testing.T, f *mkhash.File, reroute retry.Reroute, devs ...engine.Device) *engine.Executor {
+// rerouted builds an executor over devs with a Reroute and no retry
+// controller — the form netdist's WithFailover dials without
+// WithResilience.
+func rerouted(t *testing.T, f *mkhash.File, reroute func(context.Context, int, error) engine.Device, devs ...engine.Device) *engine.Executor {
 	t.Helper()
-	return resilient(t, f, engine.Resilience{Policies: []engine.Policy{reroute}}, devs...)
+	return resilient(t, f, engine.Config{Reroute: reroute}, devs...)
 }
 
 func TestReroutePolicyReroutes(t *testing.T) {
@@ -330,8 +330,8 @@ func TestRetrieveBatch(t *testing.T) {
 	}
 }
 
-// Two executors over the same devices differ only in the policy chain
-// their Config names: the bare one fails, the rerouting one is rescued.
+// Two executors over the same devices differ only in the Reroute their
+// Config names: the bare one fails, the rerouting one is rescued.
 func TestPolicyChainIsTheOnlyDifference(t *testing.T) {
 	f := testSchema(t)
 	devs := []engine.Device{fixedDevice{err: errors.New("dead")}}
@@ -342,7 +342,7 @@ func TestPolicyChainIsTheOnlyDifference(t *testing.T) {
 		return fixedDevice{ans: engine.Answer{Buckets: 1}}
 	}, devs...)
 	if _, err := rescued.Retrieve(context.Background(), anyQuery(t, f)); err != nil {
-		t.Fatalf("executor with a reroute policy failed: %v", err)
+		t.Fatalf("executor with a reroute failed: %v", err)
 	}
 }
 

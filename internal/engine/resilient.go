@@ -10,53 +10,58 @@ import (
 )
 
 // scanDevice runs one device slot's scan to completion under the
-// executor's failure handling: the policy chain when one is configured,
-// a bare scan otherwise. It runs on a pool worker; every retry of the
-// slot stays on that worker (backoff sleeps are context-aware), so the
-// pool bound holds across retries and a reroute happens at once rather
-// than in a second fan-out wave.
+// executor's failure handling, one decision sequence: the retry
+// controller's breaker gates the first attempt; a failure charges it
+// (primaries only), then a failed primary goes to the Reroute device at
+// once, and otherwise the controller's budget backs off and re-asks the
+// same device. With neither a controller nor a Reroute the scan is bare.
+// It runs on a pool worker; every retry of the slot stays on that worker
+// (backoff sleeps are context-aware), so the pool bound holds across
+// retries and a reroute happens at once rather than in a second fan-out
+// wave.
 func (e *Executor) scanDevice(ctx context.Context, dev int, q query.Query, pm mkhash.PartialMatch) (Answer, error) {
-	if len(e.res.Policies) == 0 {
+	if e.retry == nil && e.reroute == nil {
 		return e.devs[dev].Scan(ctx, q, pm)
 	}
 
 	cur := e.devs[dev]
 	primary := true
+	span := SpanFromContext(ctx)
 	for attempt := 1; ; attempt++ {
 		var ans Answer
 		var err error
 		if attempt == 1 {
-			err = e.allow(ctx, dev)
+			if err = e.retry.Allow(dev); err != nil && span != nil {
+				span.Event(fmt.Sprintf("breaker: device %d attempt vetoed: %v", dev, err))
+			}
 		}
 		if err == nil {
-			t0 := time.Now()
-			ans, err = e.scanMaybeHedged(ctx, dev, cur, primary, q, pm)
-			elapsed := time.Since(t0)
-			if err == nil {
-				for _, p := range e.res.Policies {
-					p.Success(dev, primary, elapsed)
-				}
+			if ans, err = e.scanMaybeHedged(ctx, dev, cur, primary, q, pm); err == nil {
+				e.retry.Success(dev, primary)
 				return ans, nil
 			}
 		}
 		if ctx.Err() != nil {
 			return Answer{}, err
 		}
-		at := Attempt{Device: dev, N: attempt, Primary: primary, Err: err}
-		var dec Decision
-		for _, p := range e.res.Policies {
-			if d := p.Failure(ctx, at); d.Retry && !dec.Retry {
-				dec = d
-			}
+		e.retry.Failure(dev, primary, err)
+		var delay time.Duration
+		var alt Device
+		if primary && e.reroute != nil {
+			alt = e.reroute(ctx, dev, err)
 		}
-		if !dec.Retry {
+		if alt != nil {
+			cur, primary = alt, false
+		} else if d, ok := e.retry.Backoff(ctx, attempt, err); ok {
+			delay = d
+		} else {
 			return Answer{}, err
 		}
-		if span := SpanFromContext(ctx); span != nil {
-			span.Event(fmt.Sprintf("retry: device %d attempt %d after %v (cause: %v)", dev, attempt+1, dec.Delay, err))
+		if span != nil {
+			span.Event(fmt.Sprintf("retry: device %d attempt %d after %v (cause: %v)", dev, attempt+1, delay, err))
 		}
-		if dec.Delay > 0 {
-			t := time.NewTimer(dec.Delay)
+		if delay > 0 {
+			t := time.NewTimer(delay)
 			select {
 			case <-t.C:
 			case <-ctx.Done():
@@ -64,27 +69,7 @@ func (e *Executor) scanDevice(ctx context.Context, dev int, q query.Query, pm mk
 				return Answer{}, ctx.Err()
 			}
 		}
-		if dec.Device != nil {
-			cur = dec.Device
-			primary = false
-		}
 	}
-}
-
-// allow asks every policy whether the first attempt on dev may proceed
-// (circuit breakers veto here). A veto becomes the attempt's error and
-// flows through the Failure chain, where a reroute policy can still
-// offer the device's backup.
-func (e *Executor) allow(ctx context.Context, dev int) error {
-	for _, p := range e.res.Policies {
-		if err := p.Allow(ctx, dev); err != nil {
-			if span := SpanFromContext(ctx); span != nil {
-				span.Event(fmt.Sprintf("breaker: device %d attempt vetoed: %v", dev, err))
-			}
-			return err
-		}
-	}
-	return nil
 }
 
 // hedgeResult is one arm of a hedged scan.
@@ -94,24 +79,24 @@ type hedgeResult struct {
 	hedge bool
 }
 
-// scanMaybeHedged scans d, racing it against the hedger's backup when
-// the slot's primary device is breaching its peers' tail latency. Only
-// primary attempts hedge — replacement devices are already the backup
-// path. Both arms share a cancellable child context; the first success
-// cancels the loser, and the buffered channel lets an abandoned arm
-// finish without leaking.
+// scanMaybeHedged scans d, racing it against the Backup device when the
+// retry controller finds the slot's primary breaching its peers' tail
+// latency. Only primary attempts hedge — replacement devices are already
+// the backup path. Both arms share a cancellable child context; the
+// first success cancels the loser, and the buffered channel lets an
+// abandoned arm finish without leaking.
 func (e *Executor) scanMaybeHedged(ctx context.Context, dev int, d Device, primary bool, q query.Query, pm mkhash.PartialMatch) (Answer, error) {
-	h := e.res.Hedger
-	if h == nil || !primary {
+	if e.backup == nil || !primary {
 		return d.Scan(ctx, q, pm)
 	}
-	backup, after, ok := h.Plan(dev)
-	if !ok || backup == nil {
+	after, ok := e.retry.HedgeAfter(dev)
+	if !ok {
 		t0 := time.Now()
 		ans, err := d.Scan(ctx, q, pm)
-		h.Observe(dev, time.Since(t0), err)
+		e.retry.Observe(dev, time.Since(t0), err)
 		return ans, err
 	}
+	backup := e.backup(dev)
 
 	hctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -135,11 +120,11 @@ func (e *Executor) scanMaybeHedged(ctx context.Context, dev int, d Device, prima
 		case r := <-ch:
 			outstanding--
 			if !r.hedge {
-				h.Observe(dev, time.Since(t0), r.err)
+				e.retry.Observe(dev, time.Since(t0), r.err)
 			}
 			if r.err == nil {
 				if r.hedge {
-					h.HedgeWon(dev)
+					e.retry.HedgeWon()
 					if span != nil {
 						span.Event(fmt.Sprintf("hedge: backup won for device %d after %v", dev, time.Since(t0)))
 					}
@@ -162,7 +147,7 @@ func (e *Executor) scanMaybeHedged(ctx context.Context, dev int, d Device, prima
 		case <-timer.C:
 			hedged = true
 			outstanding++
-			h.Hedged(dev)
+			e.retry.Hedged()
 			if span != nil {
 				span.Event(fmt.Sprintf("hedge: launching backup for device %d after %v", dev, after))
 			}

@@ -11,6 +11,7 @@ import (
 	"fxdist/internal/engine"
 	"fxdist/internal/mkhash"
 	"fxdist/internal/query"
+	"fxdist/internal/retry"
 )
 
 // flakyDevice fails its first failures scans, then succeeds.
@@ -27,51 +28,45 @@ func (d *flakyDevice) Scan(ctx context.Context, q query.Query, pm mkhash.Partial
 	return d.ans, nil
 }
 
-// retryNPolicy retries up to n attempts on the same device (Device nil
-// keeps the slot's current device and its primary flag).
-type retryNPolicy struct {
-	n     int
-	dev   engine.Device // when non-nil, Failure offers this replacement
-	delay time.Duration
-}
-
-func (p *retryNPolicy) Allow(ctx context.Context, dev int) error { return nil }
-
-func (p *retryNPolicy) Failure(ctx context.Context, at engine.Attempt) engine.Decision {
-	if at.N >= p.n {
-		return engine.Decision{}
-	}
-	return engine.Decision{Retry: true, Device: p.dev, Delay: p.delay}
-}
-
-func (p *retryNPolicy) Success(dev int, primary bool, elapsed time.Duration) {}
-
-// resilient builds an executor over devs running under r.
-func resilient(t *testing.T, f *mkhash.File, r engine.Resilience, devs ...engine.Device) *engine.Executor {
+// resilient builds an executor over devs whose failure handling is the
+// Retry, Reroute and Backup of cfg.
+func resilient(t *testing.T, f *mkhash.File, cfg engine.Config, devs ...engine.Device) *engine.Executor {
 	t.Helper()
-	e, err := engine.New(engine.Config{Schema: f, Devices: devs, Model: engine.MainMemory, Resilience: r})
+	cfg.Schema, cfg.Devices, cfg.Model = f, devs, engine.MainMemory
+	e, err := engine.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return e
 }
 
-// An empty Resilience (nil policy chain) must behave exactly like the
-// bare executor: the failure stands, no retry loop engages.
+// controller is a retry controller registered under the test's name,
+// its backoff too short to slow the test unless cfg sets one.
+func controller(t *testing.T, cfg retry.Config) *retry.Controller {
+	t.Helper()
+	if cfg.BackoffBase == 0 {
+		cfg.BackoffBase, cfg.BackoffMax = time.Microsecond, time.Microsecond
+	}
+	return retry.NewController(t.Name(), cfg)
+}
+
+// No controller and no Reroute must behave exactly like the bare
+// executor: the failure stands, no retry loop engages.
 func TestResilienceNilPoliciesFallsThrough(t *testing.T) {
 	f := testSchema(t)
-	d := resilient(t, f, engine.Resilience{}, fixedDevice{err: errors.New("dead")})
+	d := resilient(t, f, engine.Config{}, fixedDevice{err: errors.New("dead")})
 	if _, err := d.Retrieve(context.Background(), anyQuery(t, f)); err == nil {
 		t.Fatal("empty resilience rescued a dead device")
 	}
 }
 
-// A policy that re-asks the same failed device (Decision.Device nil)
-// must re-run the same device and stop when the policy declines.
+// The retry budget re-asks the same failed device and stops at
+// MaxAttempts.
 func TestPolicyRetriesSameDevice(t *testing.T) {
 	f := testSchema(t)
 	dev := &flakyDevice{failures: 2, ans: engine.Answer{Buckets: 1, Hits: []mkhash.Record{rec("a", "1")}}}
-	e := resilient(t, f, engine.Resilience{Policies: []engine.Policy{&retryNPolicy{n: 5}}}, dev)
+	rc := controller(t, retry.Config{MaxAttempts: 5})
+	e := resilient(t, f, engine.Config{Retry: rc}, dev)
 	res, err := e.Retrieve(context.Background(), anyQuery(t, f))
 	if err != nil {
 		t.Fatalf("retries did not rescue: %v", err)
@@ -82,10 +77,13 @@ func TestPolicyRetriesSameDevice(t *testing.T) {
 	if len(res.Records) != 1 {
 		t.Errorf("records = %v", res.Records)
 	}
+	if got := rc.Report().Retries; got != 2 {
+		t.Errorf("retries = %d, want 2", got)
+	}
 
-	// Same policy, device that never recovers: the budget must bound it.
+	// A device that never recovers: the budget must bound it.
 	dead := &flakyDevice{failures: 1 << 30}
-	e2 := resilient(t, f, engine.Resilience{Policies: []engine.Policy{&retryNPolicy{n: 4}}}, dead)
+	e2 := resilient(t, f, engine.Config{Retry: controller(t, retry.Config{MaxAttempts: 4})}, dead)
 	if _, err := e2.Retrieve(context.Background(), anyQuery(t, f)); err == nil {
 		t.Fatal("dead device rescued")
 	}
@@ -94,28 +92,63 @@ func TestPolicyRetriesSameDevice(t *testing.T) {
 	}
 }
 
-// A policy offering a replacement device must see the replacement's
-// answer merged, and later attempts are non-primary.
+// A rerouted slot's later attempts are non-primary: the replacement's
+// failure goes to the budget, which re-asks the replacement, and neither
+// its failure nor its success touches the primary's breaker.
 func TestPolicyReplacementDevice(t *testing.T) {
 	f := testSchema(t)
-	alt := fixedDevice{ans: engine.Answer{Buckets: 2, Hits: []mkhash.Record{rec("b", "2")}}}
-	e := resilient(t, f, engine.Resilience{Policies: []engine.Policy{&retryNPolicy{n: 3, dev: alt}}}, fixedDevice{err: errors.New("dead")})
+	alt := &flakyDevice{failures: 1, ans: engine.Answer{Buckets: 2, Hits: []mkhash.Record{rec("b", "2")}}}
+	rc := controller(t, retry.Config{MaxAttempts: 3, BreakerFailures: 2, BreakerCooldown: time.Hour})
+	e := resilient(t, f, engine.Config{
+		Retry:   rc,
+		Reroute: func(context.Context, int, error) engine.Device { return alt },
+	}, fixedDevice{err: errors.New("dead")})
 	res, err := e.Retrieve(context.Background(), anyQuery(t, f))
 	if err != nil {
 		t.Fatalf("replacement did not rescue: %v", err)
 	}
-	if res.DeviceBuckets[0] != 2 || len(res.Records) != 1 {
-		t.Errorf("replacement answer not used: %+v", res)
+	if res.DeviceBuckets[0] != 2 || len(res.Records) != 1 || alt.calls.Load() != 2 {
+		t.Errorf("replacement answer not used: %+v after %d calls", res, alt.calls.Load())
+	}
+	rep := rc.Report()
+	if len(rep.Breakers) != 1 || rep.Breakers[0].Consecutive != 1 || rep.Breakers[0].State != "closed" {
+		t.Errorf("breaker = %+v, want only the primary's failure charged", rep.Breakers)
+	}
+	if rep.Retries != 1 {
+		t.Errorf("retries = %d, want the replacement's 1", rep.Retries)
 	}
 }
 
-// Cancelling during a policy backoff sleep must return promptly with
-// the context's error and leave no goroutines behind.
+// A failed primary goes to the Reroute device at once: the budget, whose
+// Cooldown here would sleep an hour, is not consulted for it.
+func TestRerouteComesBeforeBackoff(t *testing.T) {
+	f := testSchema(t)
+	rc := controller(t, retry.Config{MaxAttempts: 3})
+	e := resilient(t, f, engine.Config{
+		Retry: rc,
+		Reroute: func(context.Context, int, error) engine.Device {
+			return fixedDevice{ans: engine.Answer{Buckets: 4}}
+		},
+	}, fixedDevice{err: &retry.Cooldown{After: time.Hour, Err: errors.New("shedding")}})
+	t0 := time.Now()
+	res, err := e.Retrieve(context.Background(), anyQuery(t, f))
+	if err != nil || res.DeviceBuckets[0] != 4 {
+		t.Fatalf("reroute did not answer: %v %+v", err, res)
+	}
+	if d := time.Since(t0); d > time.Second {
+		t.Errorf("rerouted after %v, want no backoff", d)
+	}
+	if got := rc.Report().Retries; got != 0 {
+		t.Errorf("budget granted %d retries before the reroute", got)
+	}
+}
+
+// Cancelling during a backoff sleep must return promptly with the
+// context's error and leave no goroutines behind.
 func TestPolicyRetryCancelNoLeak(t *testing.T) {
 	f := testSchema(t)
-	e := resilient(t, f, engine.Resilience{
-		Policies: []engine.Policy{&retryNPolicy{n: 1 << 30, delay: 30 * time.Second}},
-	}, fixedDevice{err: errors.New("dead")})
+	e := resilient(t, f, engine.Config{Retry: controller(t, retry.Config{MaxAttempts: 1 << 30})},
+		fixedDevice{err: &retry.Cooldown{After: 30 * time.Second, Err: errors.New("dead")}})
 	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
@@ -146,14 +179,8 @@ func TestPolicyRetryCancelNoLeak(t *testing.T) {
 // survivors' merged answer plus a PartialError manifest with coverage.
 func TestPartialResult(t *testing.T) {
 	f := testSchema(t)
-	var gotCoverage float64
-	var gotFailed []int
-	e := resilient(t, f, engine.Resilience{
-		Partial: true,
-		OnPartial: func(c float64, failed []int) {
-			gotCoverage, gotFailed = c, append([]int(nil), failed...)
-		},
-	},
+	rc := controller(t, retry.Config{Partial: true})
+	e := resilient(t, f, engine.Config{Retry: rc},
 		fixedDevice{ans: engine.Answer{Buckets: 1, Hits: []mkhash.Record{rec("a", "1")}}},
 		fixedDevice{err: errors.New("dead")},
 		fixedDevice{ans: engine.Answer{Buckets: 2, Hits: []mkhash.Record{rec("b", "2")}}},
@@ -176,8 +203,8 @@ func TestPartialResult(t *testing.T) {
 	if want := 3.0 / 16.0; pe.Coverage != want {
 		t.Errorf("coverage = %v, want %v", pe.Coverage, want)
 	}
-	if gotCoverage != pe.Coverage || len(gotFailed) != 1 || gotFailed[0] != 1 {
-		t.Errorf("OnPartial saw coverage=%v failed=%v", gotCoverage, gotFailed)
+	if rep := rc.Report(); rep.Partials != 1 || rep.LastCoverage != pe.Coverage {
+		t.Errorf("controller saw %d partials at coverage %v", rep.Partials, rep.LastCoverage)
 	}
 	// DeviceFailure for the dead device must still unwrap.
 	var df *engine.DeviceFailure
@@ -189,7 +216,7 @@ func TestPartialResult(t *testing.T) {
 // All devices failing must never degrade — that is a total failure.
 func TestPartialNeedsSurvivors(t *testing.T) {
 	f := testSchema(t)
-	e := resilient(t, f, engine.Resilience{Partial: true},
+	e := resilient(t, f, engine.Config{Retry: controller(t, retry.Config{Partial: true})},
 		fixedDevice{err: errors.New("dead-0")},
 		fixedDevice{err: errors.New("dead-1")},
 	)
@@ -206,33 +233,30 @@ func TestPartialNeedsSurvivors(t *testing.T) {
 	}
 }
 
-// stubHedger always plans the given backup after a fixed delay.
-type stubHedger struct {
-	backup engine.Device
-	after  time.Duration
-	hedged atomic.Int32
-	won    atomic.Int32
+// hedging builds a hedging executor over a slow-looking device 0 and a
+// fast device 1: the controller has seen 8 one-second scans of device 0
+// and 8 one-microsecond scans of device 1, so device 0's next primary is
+// raced against backup after hedgeMin.
+func hedging(t *testing.T, f *mkhash.File, hedgeMin time.Duration, primary, backup engine.Device) (*engine.Executor, *retry.Controller) {
+	t.Helper()
+	rc := controller(t, retry.Config{MaxAttempts: 1, Hedge: true, HedgeMin: hedgeMin})
+	for i := 0; i < 8; i++ {
+		rc.Observe(0, time.Second, nil)
+		rc.Observe(1, time.Microsecond, nil)
+	}
+	e := resilient(t, f, engine.Config{
+		Retry:  rc,
+		Backup: func(int) engine.Device { return backup },
+	}, primary, fixedDevice{ans: engine.Answer{Buckets: 1}})
+	return e, rc
 }
 
-func (h *stubHedger) Plan(dev int) (engine.Device, time.Duration, bool) {
-	return h.backup, h.after, true
-}
-func (h *stubHedger) Hedged(dev int)                                    { h.hedged.Add(1) }
-func (h *stubHedger) HedgeWon(dev int)                                  { h.won.Add(1) }
-func (h *stubHedger) Observe(dev int, elapsed time.Duration, err error) {}
-
-// A slow primary must lose to its hedged backup, and the hedger hooks
-// must fire.
+// A slow primary must lose to its hedged backup, and the controller must
+// count the hedge and the win.
 func TestHedgeBackupWins(t *testing.T) {
 	f := testSchema(t)
-	h := &stubHedger{
-		backup: fixedDevice{ans: engine.Answer{Buckets: 9, Hits: []mkhash.Record{rec("h", "1")}}},
-		after:  5 * time.Millisecond,
-	}
-	e := resilient(t, f, engine.Resilience{
-		Policies: []engine.Policy{&retryNPolicy{n: 1}},
-		Hedger:   h,
-	}, slowDevice{delay: 30 * time.Second})
+	e, rc := hedging(t, f, 5*time.Millisecond, slowDevice{delay: 30 * time.Second},
+		fixedDevice{ans: engine.Answer{Buckets: 9, Hits: []mkhash.Record{rec("h", "1")}}})
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	res, err := e.Retrieve(ctx, anyQuery(t, f))
@@ -242,22 +266,16 @@ func TestHedgeBackupWins(t *testing.T) {
 	if res.DeviceBuckets[0] != 9 {
 		t.Errorf("backup answer not used: %v", res.DeviceBuckets)
 	}
-	if h.hedged.Load() != 1 || h.won.Load() != 1 {
-		t.Errorf("hedged=%d won=%d, want 1/1", h.hedged.Load(), h.won.Load())
+	if rep := rc.Report(); rep.Hedges != 1 || rep.HedgeWins != 1 {
+		t.Errorf("hedged=%d won=%d, want 1/1", rep.Hedges, rep.HedgeWins)
 	}
 }
 
 // A fast primary must win before the hedge timer fires.
 func TestHedgePrimaryWins(t *testing.T) {
 	f := testSchema(t)
-	h := &stubHedger{
-		backup: fixedDevice{ans: engine.Answer{Buckets: 9}},
-		after:  10 * time.Second,
-	}
-	e := resilient(t, f, engine.Resilience{
-		Policies: []engine.Policy{&retryNPolicy{n: 1}},
-		Hedger:   h,
-	}, fixedDevice{ans: engine.Answer{Buckets: 1}})
+	e, rc := hedging(t, f, 10*time.Second, fixedDevice{ans: engine.Answer{Buckets: 1}},
+		fixedDevice{ans: engine.Answer{Buckets: 9}})
 	res, err := e.Retrieve(context.Background(), anyQuery(t, f))
 	if err != nil {
 		t.Fatal(err)
@@ -265,7 +283,7 @@ func TestHedgePrimaryWins(t *testing.T) {
 	if res.DeviceBuckets[0] != 1 {
 		t.Errorf("primary answer not used: %v", res.DeviceBuckets)
 	}
-	if h.hedged.Load() != 0 {
+	if rep := rc.Report(); rep.Hedges != 0 {
 		t.Errorf("hedge launched for a fast primary")
 	}
 }

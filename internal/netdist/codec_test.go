@@ -2,6 +2,7 @@ package netdist
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"io"
@@ -278,7 +279,7 @@ func TestDialRejectsNonFXBServer(t *testing.T) {
 			}()
 			c := &Coordinator{timeout: 200 * time.Millisecond}
 			start := time.Now()
-			dc, err := c.dialDevice(l.Addr().String())
+			dc, err := c.dialDevice(context.Background(), l.Addr().String())
 			if err == nil {
 				dc.conn.Close()
 				t.Fatal("dial succeeded against a non-FXB server")

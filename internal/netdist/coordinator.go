@@ -313,8 +313,8 @@ func (dc *deviceConn) roundTrip(ctx context.Context, req Request, timeout time.D
 // merges their answers. It holds the file *schema* (for hashing query
 // values) but no data. Concurrent Retrieve calls pipeline over the same
 // device connections. Retrieval — single, batched, gate-coalesced or
-// inside a rescale window — runs on one engine executor whose policy
-// chain is fixed at Dial (WithFailover, WithResilience).
+// inside a rescale window — runs on one engine executor whose failure
+// handling is fixed at Dial (WithFailover, WithResilience).
 type Coordinator struct {
 	file     *mkhash.File
 	dm       []coordDevMetrics
@@ -410,11 +410,11 @@ func WithSpec(spec decluster.Spec) DialOption {
 	return func(c *Coordinator) { c.spec = &spec }
 }
 
-// WithFailover puts the ring-successor reroute on every retrieval's
-// policy chain, for deployments whose servers hold their predecessor's
-// backup partition (NewReplicatedServer): a transport failure on a
-// device re-asks its successor to answer as that device, and under
-// WithResilience hedges race the same backup. It tolerates any set of
+// WithFailover puts the ring-successor reroute on every retrieval, for
+// deployments whose servers hold their predecessor's backup partition
+// (NewReplicatedServer): a transport failure on a device re-asks its
+// successor to answer as that device, and under WithResilience hedges
+// race the same backup. It tolerates any set of
 // failures in which no two adjacent servers are both dead. Retrieval
 // spans are then named "netdist.retrieve-failover". Without it a dead
 // server fails the retrieval, naming the device.
@@ -444,7 +444,7 @@ func Dial(file *mkhash.File, addrs []string, opts ...DialOption) (*Coordinator, 
 	})
 	c.fed = telemetry.NewFederator(c.fleetName)
 	for i, addr := range addrs {
-		dc, err := c.dialDevice(addr)
+		dc, err := c.dialDevice(context.Background(), addr)
 		if err != nil {
 			c.Close()
 			return nil, fmt.Errorf("netdist: dial %s: %w", addr, err)
@@ -461,33 +461,31 @@ func Dial(file *mkhash.File, addrs []string, opts ...DialOption) (*Coordinator, 
 	for i := range devices {
 		devices[i] = &remoteDevice{c: c, server: i, as: -1}
 	}
-	// The one policy chain every retrieval takes. Reroutes and hedge
-	// backups both impersonate a device against its ring successor's
-	// backup partition, so only a failover deployment gets them (a plain
-	// deployment's successor has no copy to answer from).
+	// Reroutes and hedge backups both impersonate a device against its
+	// ring successor's backup partition, so only a failover deployment
+	// gets them (a plain deployment's successor has no copy to answer
+	// from).
 	span := "netdist.retrieve"
-	var reroute retry.Reroute
+	var reroute func(ctx context.Context, dev int, err error) engine.Device
 	var backup func(dev int) engine.Device
 	if c.failover {
 		span, reroute, backup = "netdist.retrieve-failover", c.reroute, c.successorAs
 	}
-	var res engine.Resilience
 	if c.rcfg != nil {
 		c.ctrl = retry.NewController(c.backend, *c.rcfg)
-		res = c.ctrl.Resilience(reroute, backup)
-	} else if c.failover {
-		res.Policies = []engine.Policy{reroute}
 	}
 	eng, err := engine.New(engine.Config{
-		Schema:     file,
-		FS:         alloc.FileSystem(),
-		Alloc:      alloc,
-		Devices:    devices,
-		Instr:      c.in,
-		Tracer:     c.tracer,
-		Span:       span,
-		Plans:      plancache.New(c.backend),
-		Resilience: res,
+		Schema:  file,
+		FS:      alloc.FileSystem(),
+		Alloc:   alloc,
+		Devices: devices,
+		Instr:   c.in,
+		Tracer:  c.tracer,
+		Span:    span,
+		Plans:   plancache.New(c.backend),
+		Retry:   c.ctrl,
+		Reroute: reroute,
+		Backup:  backup,
 	})
 	if err != nil {
 		c.Close()
@@ -555,13 +553,15 @@ func (c *Coordinator) describe(dc *deviceConn) (description, error) {
 	return d, err
 }
 
-// dialDevice connects to one device server and completes the FXB
-// handshake in that one dial: the magic goes out first and the server
-// must ack it inside the handshake window (the request timeout, when
-// shorter). Anything else — silence, a different magic, another version
-// — fails the dial with ErrProtocol; there is no fallback protocol.
-func (c *Coordinator) dialDevice(addr string) (*deviceConn, error) {
-	conn, err := net.Dial("tcp", addr)
+// dialDevice connects to one device server within probeTimeout (or
+// ctx's end) and completes the FXB handshake in that one dial: the magic
+// goes out first and the server must ack it inside the handshake window
+// (the request timeout, when shorter). Anything else — silence, a
+// different magic, another version — fails the dial with ErrProtocol;
+// there is no fallback protocol.
+func (c *Coordinator) dialDevice(ctx context.Context, addr string) (*deviceConn, error) {
+	d := net.Dialer{Timeout: c.probeTimeout()}
+	conn, err := d.DialContext(ctx, "tcp", addr)
 	if err != nil {
 		return nil, err
 	}
@@ -574,6 +574,25 @@ func (c *Coordinator) dialDevice(addr string) (*deviceConn, error) {
 		return nil, err
 	}
 	return newDeviceConn(conn, addr), nil
+}
+
+// redial replaces device dev's dead connection dc with a fresh one. Of
+// two callers replacing the same dc, the first swap wins: the loser
+// closes its fresh connection and returns the winner's.
+func (c *Coordinator) redial(ctx context.Context, dev int, dc *deviceConn) (*deviceConn, error) {
+	fresh, err := c.dialDevice(ctx, dc.addr)
+	if err != nil {
+		return nil, err
+	}
+	c.connMu.Lock()
+	defer c.connMu.Unlock()
+	if cur := c.conns[dev]; cur != dc {
+		fresh.conn.Close()
+		return cur, nil
+	}
+	c.conns[dev] = fresh
+	dc.conn.Close()
+	return fresh, nil
 }
 
 // negotiateClient offers the wire magic and requires the server's ack
@@ -591,10 +610,6 @@ func negotiateClient(conn net.Conn, window time.Duration) error {
 	}
 	return checkMagic(ack)
 }
-
-// Controller returns the coordinator's retry controller, nil without
-// WithResilience.
-func (c *Coordinator) Controller() *retry.Controller { return c.ctrl }
 
 // conn returns device dev's current connection.
 func (c *Coordinator) conn(dev int) *deviceConn {
@@ -650,31 +665,19 @@ func (c *Coordinator) probeAll() {
 	for dev := 0; dev < m; dev++ {
 		dc := c.conn(dev)
 		if dc.dead() != nil {
-			fresh, err := c.dialDevice(dc.addr)
-			if err != nil {
+			var err error
+			if dc, err = c.redial(context.Background(), dev, dc); err != nil {
 				// Still down; charge the breaker so it keeps cooling.
-				if c.ctrl != nil {
-					c.ctrl.Probe(dev, func() error { return err })
-				}
+				c.ctrl.Probe(dev, func() error { return err })
 				continue
 			}
-			c.connMu.Lock()
-			c.conns[dev] = fresh
-			c.connMu.Unlock()
-			dc.conn.Close()
-			dc = fresh
 		}
-		ping := func() error {
+		c.ctrl.Probe(dev, func() error {
 			ctx, cancel := context.WithTimeout(context.Background(), c.probeTimeout())
 			defer cancel()
 			_, _, _, _, err := dc.roundTrip(ctx, Request{Ping: true, AsDevice: -1}, c.timeout)
 			return err
-		}
-		if c.ctrl != nil {
-			c.ctrl.Probe(dev, ping)
-		} else {
-			ping() //nolint:errcheck // next tick retries
-		}
+		})
 	}
 }
 
@@ -798,9 +801,9 @@ func (c *Coordinator) successorAs(dev int) engine.Device {
 	return &remoteDevice{c: c, server: (dev + 1) % len(c.conns), as: dev}
 }
 
-// reroute is the failover link of the policy chain (retry.Reroute): a
-// transport failure on a device re-asks its ring successor to answer from
-// the backup copy. Remote rejections (the server answered and said no)
+// reroute is the executor's Reroute under WithFailover: a transport
+// failure on a device re-asks its ring successor to answer from the
+// backup copy. Remote rejections (the server answered and said no)
 // are not retried — the backup would reject the same request.
 func (c *Coordinator) reroute(ctx context.Context, dev int, err error) engine.Device {
 	var derr *DeviceError
@@ -891,6 +894,16 @@ func (c *Coordinator) ask(ctx context.Context, dev int, req Request, shape strin
 	dm.inflight.Inc()
 	t0 := time.Now()
 	resp, id, ws, release, err := dc.roundTrip(ctx, req, c.timeout)
+	if err != nil && id == 0 {
+		// The connection died before this request was written (a server
+		// restart, a reset): redial it and send the request for the first
+		// time. A dial that fails is this request's error.
+		var fresh *deviceConn
+		if fresh, err = c.redial(ctx, dev, dc); err == nil {
+			dc = fresh
+			resp, id, ws, release, err = dc.roundTrip(ctx, req, c.timeout)
+		}
+	}
 	dm.latency.ObserveSince(t0)
 	dm.inflight.Dec()
 	if shape != "" && err == nil {
@@ -920,7 +933,7 @@ func (c *Coordinator) ask(ctx context.Context, dev int, req Request, shape strin
 		cause := error(errors.New(resp.Err))
 		if resp.RetryAfterMillis > 0 {
 			// The server is shedding load: carry its Retry-After hint so
-			// the budget policy backs off at least that long before
+			// the retry budget backs off at least that long before
 			// re-asking the same server.
 			cause = &retry.Cooldown{After: time.Duration(resp.RetryAfterMillis) * time.Millisecond, Err: cause}
 		}
@@ -954,7 +967,7 @@ func (c *Coordinator) Retrieve(pm mkhash.PartialMatch) (engine.Result, error) {
 // no cost model, so the result's time fields stay zero. Any device error
 // fails the whole retrieval (partial answers would silently drop
 // matches) and the error reports every failing device — unless the
-// policy chain reroutes it (WithFailover) or, under
+// executor reroutes it (WithFailover) or, under
 // WithResilience(Partial: true), degrades it: then the surviving
 // devices' merged records come back alongside the *engine.PartialError
 // manifest (match with errors.As).

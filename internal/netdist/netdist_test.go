@@ -293,6 +293,37 @@ func TestDialFailure(t *testing.T) {
 	}
 }
 
+// Two redials of one dead connection — two requests that both found it
+// dead: the first swaps in its fresh connection, the second finds it
+// already replaced and hands back the winner's, so the device keeps one
+// connection and retrievals keep answering.
+func TestRedialKeepsTheFirstSwap(t *testing.T) {
+	file := buildFile(t, 200)
+	coord, stop := deploy(t, file, 4)
+	defer stop()
+	old := coord.conn(1)
+	first, err := coord.redial(context.Background(), 1, old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := coord.redial(context.Background(), 1, old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first == old || second != first || coord.conn(1) != first {
+		t.Fatalf("conns[1] = %p after redials returned %p and %p (old %p)", coord.conn(1), first, second, old)
+	}
+	pm := make(mkhash.PartialMatch, 3)
+	want, _ := file.Search(pm)
+	res, err := coord.Retrieve(pm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := recordKeys(res.Records); strings.Join(got, ",") != strings.Join(recordKeys(want), ",") {
+		t.Errorf("retrieve after redials: %d records, want %d", len(got), len(want))
+	}
+}
+
 // TestDialChecksTheAddressList: a coordinator sends a query only to the
 // devices its plan says own a qualified bucket, so an address list that
 // does not put device i at position i under one allocator would silently

@@ -1,5 +1,5 @@
 // Package resilience is the deterministic, seedable fault injector
-// behind the chaos tests and the WithFaultInjection facade option:
+// behind the chaos tests and the WithFaultInjector facade option:
 // per-device schedules of injected errors, latency, hangs, flapping
 // and partitions, applied at the engine Device seam (Wrap) or at the
 // netdist coordinator's connection seam (Before, called before each

@@ -8,14 +8,16 @@ import (
 	"sync"
 	"time"
 
-	"fxdist/internal/engine"
 	"fxdist/internal/obs"
 )
 
 // Controller is one backend's resilience brain: it owns the per-device
-// circuit breakers, the seeded backoff, the fxdist_resilience_*
-// instruments, and builds the engine policy chain and hedger. One
-// controller exists per backend label at a time (NewController
+// circuit breakers, the seeded backoff, the hedge latency windows and
+// the fxdist_resilience_* instruments. The engine executor calls it on
+// every device attempt, in one order: Allow gates the first attempt,
+// Failure charges the breaker, the engine's reroute takes a failed
+// primary at once, and only then Backoff decides a same-device retry.
+// One controller exists per backend label at a time (NewController
 // replaces); every cluster handle of that backend shares it.
 type Controller struct {
 	backend string
@@ -25,7 +27,7 @@ type Controller struct {
 
 	mu       sync.Mutex
 	breakers map[int]*Breaker
-	stateG   map[int]*obs.Gauge
+	samples  map[int]*hedgeSamples
 	// accumulated report state (counters are mirrored into obs)
 	retries, rejected uint64
 	hedges, hedgeWins uint64
@@ -54,9 +56,9 @@ func NewController(backend string, cfg Config) *Controller {
 		backend:     backend,
 		cfg:         cfg,
 		now:         time.Now,
-		bo:          newBackoff(cfg.BackoffBase, cfg.BackoffMax, cfg.Seed),
+		bo:          newBackoff(cfg.BackoffBase, cfg.BackoffMax),
 		breakers:    make(map[int]*Breaker),
-		stateG:      make(map[int]*obs.Gauge),
+		samples:     make(map[int]*hedgeSamples),
 		transitions: make(map[string]uint64),
 		mRetries: r.Counter("fxdist_resilience_retries_total",
 			"Device attempts re-run by the retry budget after a failure.", bl),
@@ -87,16 +89,14 @@ func NewController(backend string, cfg Config) *Controller {
 // (tests); it must be called before any breaker exists.
 func (c *Controller) SetClock(now func() time.Time) { c.now = now }
 
-// Backend returns the backend label.
-func (c *Controller) Backend() string { return c.backend }
-
 // Config returns the normalized configuration.
 func (c *Controller) Config() Config { return c.cfg }
 
 // breaker returns dev's circuit breaker, creating it on first use;
-// nil when breakers are disabled.
+// nil when breakers are disabled or c is nil (no controller: the
+// engine's calls through here are no-ops).
 func (c *Controller) breaker(dev int) *Breaker {
-	if c.cfg.BreakerFailures <= 0 {
+	if c == nil || c.cfg.BreakerFailures <= 0 {
 		return nil
 	}
 	c.mu.Lock()
@@ -106,7 +106,6 @@ func (c *Controller) breaker(dev int) *Breaker {
 		g := obs.Default().Gauge("fxdist_resilience_breaker_state",
 			"Circuit breaker state per device: 0 closed, 1 half-open, 2 open.",
 			obs.L("backend", c.backend), obs.L("device", strconv.Itoa(dev)))
-		c.stateG[dev] = g
 		b = NewBreaker(c.cfg.BreakerFailures, c.cfg.BreakerCooldown, c.now, func(from, to State) {
 			g.Set(float64(int(to)))
 			c.mTransTo[to].Inc()
@@ -127,7 +126,8 @@ func (c *Controller) breaker(dev int) *Breaker {
 // Probe runs fn as a health probe for dev's breaker: vetoed while the
 // breaker is cooling down, otherwise the outcome feeds the breaker like
 // a primary attempt (a successful probe closes a half-open breaker —
-// the coordinator's health prober drives recovery through here).
+// the coordinator's health prober drives recovery through here). With
+// no breaker (or no controller) fn just runs.
 func (c *Controller) Probe(dev int, fn func() error) {
 	b := c.breaker(dev)
 	if b == nil {
@@ -144,9 +144,78 @@ func (c *Controller) Probe(dev int, fn func() error) {
 	}
 }
 
-// OnPartial records one degraded retrieval (the engine's OnPartial
-// hook).
-func (c *Controller) OnPartial(coverage float64, failed []int) {
+// count bumps one report counter and its obs mirror.
+func (c *Controller) count(n *uint64, m *obs.Counter) {
+	m.Inc()
+	c.mu.Lock()
+	*n++
+	c.mu.Unlock()
+}
+
+// Allow gates the first attempt on dev's slot: nil when its breaker
+// passes (or there is none), ErrOpen — counted as a rejection — while
+// it cools down. Nil-safe.
+func (c *Controller) Allow(dev int) error {
+	b := c.breaker(dev)
+	if b == nil {
+		return nil
+	}
+	err := b.Allow()
+	if err != nil {
+		c.count(&c.rejected, c.mRejected)
+	}
+	return err
+}
+
+// Failure records a failed attempt on dev's slot. Only a primary
+// failure charges the breaker, and a breaker veto never does.
+// Nil-safe.
+func (c *Controller) Failure(dev int, primary bool, err error) {
+	if !primary || errors.Is(err, ErrOpen) {
+		return
+	}
+	if b := c.breaker(dev); b != nil {
+		b.Failure()
+	}
+}
+
+// Success records a successful attempt on dev's slot; only a primary's
+// closes the breaker. Nil-safe.
+func (c *Controller) Success(dev int, primary bool) {
+	if !primary {
+		return
+	}
+	if b := c.breaker(dev); b != nil {
+		b.Success()
+	}
+}
+
+// Backoff is the deadline-aware retry budget's answer to the slot's
+// n-th failed attempt (1-based): a full-jitter exponential delay,
+// raised to a server's Cooldown hint, before the same device is asked
+// again. ok is false at MaxAttempts, for a breaker veto, a cancelled
+// or expired context, when the delay would outlive ctx's deadline, and
+// on a nil controller.
+func (c *Controller) Backoff(ctx context.Context, n int, err error) (delay time.Duration, ok bool) {
+	if c == nil || n >= c.cfg.MaxAttempts ||
+		errors.Is(err, ErrOpen) || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		return 0, false
+	}
+	delay = c.bo.delay(n)
+	var cd *Cooldown
+	if errors.As(err, &cd) && cd.After > delay {
+		delay = cd.After
+	}
+	if dl, ok := ctx.Deadline(); ok && c.now().Add(delay).After(dl) {
+		return 0, false
+	}
+	c.count(&c.retries, c.mRetries)
+	return delay, true
+}
+
+// Degraded records one retrieval served as a partial result covering
+// the given fraction of |R(q)|.
+func (c *Controller) Degraded(coverage float64) {
 	c.mPartials.Inc()
 	c.mCoverage.Set(coverage)
 	c.mu.Lock()
@@ -154,119 +223,6 @@ func (c *Controller) OnPartial(coverage float64, failed []int) {
 	c.lastCoverage = coverage
 	c.mu.Unlock()
 }
-
-// Resilience assembles the engine-facing bundle: the policy chain
-// (breaker → reroute → budget, so reroutes beat backoff), the hedger
-// (when enabled and backup is non-nil), and the degraded mode. reroute
-// and backup may be nil.
-func (c *Controller) Resilience(reroute Reroute, backup func(dev int) engine.Device) engine.Resilience {
-	policies := []engine.Policy{&breakerPolicy{c: c}}
-	if reroute != nil {
-		policies = append(policies, reroute)
-	}
-	policies = append(policies, &budgetPolicy{c: c})
-	res := engine.Resilience{
-		Policies:  policies,
-		Partial:   c.cfg.Partial,
-		OnPartial: c.OnPartial,
-	}
-	if c.cfg.Hedge && backup != nil {
-		res.Hedger = c.newHedger(backup)
-	}
-	return res
-}
-
-// breakerPolicy gates first attempts on the device's circuit breaker
-// and feeds primary outcomes back into it. It never asks for a retry
-// itself.
-type breakerPolicy struct{ c *Controller }
-
-func (p *breakerPolicy) Allow(ctx context.Context, dev int) error {
-	b := p.c.breaker(dev)
-	if b == nil {
-		return nil
-	}
-	if err := b.Allow(); err != nil {
-		p.c.mRejected.Inc()
-		p.c.mu.Lock()
-		p.c.rejected++
-		p.c.mu.Unlock()
-		return err
-	}
-	return nil
-}
-
-func (p *breakerPolicy) Failure(ctx context.Context, at engine.Attempt) engine.Decision {
-	if at.Primary && !errors.Is(at.Err, ErrOpen) {
-		if b := p.c.breaker(at.Device); b != nil {
-			b.Failure()
-		}
-	}
-	return engine.Decision{}
-}
-
-func (p *breakerPolicy) Success(dev int, primary bool, elapsed time.Duration) {
-	if !primary {
-		return
-	}
-	if b := p.c.breaker(dev); b != nil {
-		b.Success()
-	}
-}
-
-// Reroute adapts a backend's failover routing (e.g. the netdist
-// ring-successor AsDevice impersonation) into a policy: the first
-// failure of a slot's primary device — including a breaker veto — is
-// immediately re-asked, once and with no backoff, on the device the
-// func returns; nil lets the failure stand. It is the chain's reroute
-// link under a Controller and a complete one-link chain without one.
-type Reroute func(ctx context.Context, dev int, err error) engine.Device
-
-func (r Reroute) Allow(ctx context.Context, dev int) error { return nil }
-
-func (r Reroute) Failure(ctx context.Context, at engine.Attempt) engine.Decision {
-	if !at.Primary {
-		return engine.Decision{}
-	}
-	if alt := r(ctx, at.Device, at.Err); alt != nil {
-		return engine.Decision{Retry: true, Device: alt}
-	}
-	return engine.Decision{}
-}
-
-func (r Reroute) Success(dev int, primary bool, elapsed time.Duration) {}
-
-// budgetPolicy is the deadline-aware retry budget: same-device retries
-// with full-jitter exponential backoff, honoring server Cooldown hints,
-// stopping at MaxAttempts, on context errors, on breaker vetoes, and
-// when the backoff would outlive the caller's deadline.
-type budgetPolicy struct{ c *Controller }
-
-func (p *budgetPolicy) Allow(ctx context.Context, dev int) error { return nil }
-
-func (p *budgetPolicy) Failure(ctx context.Context, at engine.Attempt) engine.Decision {
-	if at.N >= p.c.cfg.MaxAttempts {
-		return engine.Decision{}
-	}
-	if errors.Is(at.Err, ErrOpen) || errors.Is(at.Err, context.Canceled) || errors.Is(at.Err, context.DeadlineExceeded) {
-		return engine.Decision{}
-	}
-	delay := p.c.bo.delay(at.N)
-	var cd *Cooldown
-	if errors.As(at.Err, &cd) && cd.After > delay {
-		delay = cd.After
-	}
-	if dl, ok := ctx.Deadline(); ok && p.c.now().Add(delay).After(dl) {
-		return engine.Decision{}
-	}
-	p.c.mRetries.Inc()
-	p.c.mu.Lock()
-	p.c.retries++
-	p.c.mu.Unlock()
-	return engine.Decision{Retry: true, Delay: delay}
-}
-
-func (p *budgetPolicy) Success(dev int, primary bool, elapsed time.Duration) {}
 
 // BreakerReport is one device's breaker state in a Report.
 type BreakerReport struct {

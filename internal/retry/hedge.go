@@ -2,42 +2,32 @@ package retry
 
 import (
 	"sort"
-	"sync"
 	"time"
-
-	"fxdist/internal/engine"
 )
 
-// sampleRing is the per-device latency window the hedger computes p99s
-// over.
+// sampleRing is the per-device latency window the hedge plan computes
+// p99s over.
 const sampleRing = 64
 
 // recomputeEvery bounds how often a device's cached p99 is re-sorted.
 const recomputeEvery = 16
 
-// hedger implements engine.Hedger with outlier detection: a device is
-// hedged only when its own p99 breaches twice its peers', and the
-// hedge fires after the peers' p99 (floored at HedgeMin) — so on a
-// healthy cluster no hedge ever arms, and a genuinely slow device is
-// raced against its backup almost immediately.
-type hedger struct {
-	c      *Controller
-	backup func(dev int) engine.Device
+// hedgeObservations is the per-device latency samples required before
+// hedging can arm, for the device and for each peer it is compared with.
+const hedgeObservations = 8
 
-	mu   sync.Mutex
-	devs map[int]*hedgeSamples
-}
-
+// hedgeSamples is one device's latency window. Hedging is outlier
+// detection over these windows: a device is hedged only when its own p99
+// breaches twice the worst peer's p99, and the hedge fires after that
+// peer p99 (floored at HedgeMin) — so on a healthy cluster no hedge ever
+// arms, and a genuinely slow device is raced against its backup almost
+// immediately.
 type hedgeSamples struct {
 	ring  [sampleRing]time.Duration
 	pos   int
 	n     int
 	since int // observations since the cached p99 was computed
 	p99   time.Duration
-}
-
-func (c *Controller) newHedger(backup func(dev int) engine.Device) engine.Hedger {
-	return &hedger{c: c, backup: backup, devs: make(map[int]*hedgeSamples)}
 }
 
 // p99Of returns the 99th percentile of the ring's live window.
@@ -55,23 +45,18 @@ func (s *hedgeSamples) p99Of() time.Duration {
 	return buf[idx-1]
 }
 
-func (h *hedger) samples(dev int) *hedgeSamples {
-	s := h.devs[dev]
-	if s == nil {
-		s = &hedgeSamples{}
-		h.devs[dev] = s
-	}
-	return s
-}
-
-// Observe records one completed primary scan; failures carry no
+// Observe records one completed primary scan of dev; failures carry no
 // latency signal and are skipped.
-func (h *hedger) Observe(dev int, elapsed time.Duration, err error) {
+func (c *Controller) Observe(dev int, elapsed time.Duration, err error) {
 	if err != nil {
 		return
 	}
-	h.mu.Lock()
-	s := h.samples(dev)
+	c.mu.Lock()
+	s := c.samples[dev]
+	if s == nil {
+		s = &hedgeSamples{}
+		c.samples[dev] = s
+	}
 	s.ring[s.pos] = elapsed
 	s.pos = (s.pos + 1) % sampleRing
 	if s.n < sampleRing {
@@ -82,26 +67,26 @@ func (h *hedger) Observe(dev int, elapsed time.Duration, err error) {
 		s.p99 = s.p99Of()
 		s.since = 0
 	}
-	h.mu.Unlock()
+	c.mu.Unlock()
 }
 
-// Plan decides whether dev's next primary scan should be hedged: only
-// once dev has enough samples, at least one peer has samples, and dev's
-// p99 breaches twice the peers' merged p99. The hedge delay is the
-// peers' p99 floored at HedgeMin — the backup starts as soon as a
+// HedgeAfter decides whether dev's next primary scan should be hedged:
+// only once dev has enough samples, at least one peer has samples, and
+// dev's p99 breaches twice the worst peer's p99. The returned delay is
+// that peer p99 floored at HedgeMin — the backup starts as soon as every
 // healthy device would have answered.
-func (h *hedger) Plan(dev int) (engine.Device, time.Duration, bool) {
-	h.mu.Lock()
-	s := h.devs[dev]
-	if s == nil || s.n < h.c.cfg.HedgeObservations {
-		h.mu.Unlock()
-		return nil, 0, false
+func (c *Controller) HedgeAfter(dev int) (time.Duration, bool) {
+	c.mu.Lock()
+	s := c.samples[dev]
+	if s == nil || s.n < hedgeObservations {
+		c.mu.Unlock()
+		return 0, false
 	}
 	own := s.p99
 	var peers time.Duration
 	seen := false
-	for d, ps := range h.devs {
-		if d == dev || ps.n < h.c.cfg.HedgeObservations {
+	for d, ps := range c.samples {
+		if d == dev || ps.n < hedgeObservations {
 			continue
 		}
 		seen = true
@@ -109,29 +94,15 @@ func (h *hedger) Plan(dev int) (engine.Device, time.Duration, bool) {
 			peers = ps.p99
 		}
 	}
-	h.mu.Unlock()
+	c.mu.Unlock()
 	if !seen || own <= 2*peers {
-		return nil, 0, false
+		return 0, false
 	}
-	after := peers
-	if after < h.c.cfg.HedgeMin {
-		after = h.c.cfg.HedgeMin
-	}
-	return h.backup(dev), after, true
+	return max(peers, c.cfg.HedgeMin), true
 }
 
 // Hedged records that a backup request was actually launched.
-func (h *hedger) Hedged(dev int) {
-	h.c.mHedges.Inc()
-	h.c.mu.Lock()
-	h.c.hedges++
-	h.c.mu.Unlock()
-}
+func (c *Controller) Hedged() { c.count(&c.hedges, c.mHedges) }
 
 // HedgeWon records a backup that beat its primary.
-func (h *hedger) HedgeWon(dev int) {
-	h.c.mHedgeWins.Inc()
-	h.c.mu.Lock()
-	h.c.hedgeWins++
-	h.c.mu.Unlock()
-}
+func (c *Controller) HedgeWon() { c.count(&c.hedgeWins, c.mHedgeWins) }

@@ -1,11 +1,12 @@
-// Package retry is the adaptive retry layer behind the engine's
-// composable policy chain: exponential backoff with full jitter,
+// Package retry is the adaptive retry layer the engine executor calls
+// on every device attempt: exponential backoff with full jitter,
 // per-device circuit breakers with half-open probing, deadline-aware
 // retry budgets, and hedged requests against a backup device once a
-// device's p99 breaches its peers'. One Controller exists per backend;
-// it owns the breakers and the fxdist_resilience_* metrics, renders on
-// /debug/resilience (via internal/resilience), and hands the engine a
-// ready-made policy chain through Resilience.
+// device's p99 breaches its peers'. It decides over device indices,
+// attempt numbers, errors and durations and imports nothing of the
+// engine, which owns the scan loop. One Controller exists per backend; it
+// owns the breakers and the fxdist_resilience_* metrics and renders on
+// /debug/resilience (via internal/resilience).
 //
 // The FX distribution makes every device load-bearing for every query —
 // the paper's evenness guarantee means a single slow or dead device
@@ -33,9 +34,6 @@ type Config struct {
 	BackoffBase time.Duration
 	// BackoffMax caps the backoff interval (default 250ms).
 	BackoffMax time.Duration
-	// Seed seeds the jitter and any other randomness; a fixed seed makes
-	// retry schedules reproducible (default 1).
-	Seed int64
 	// BreakerFailures is the consecutive primary-failure count that
 	// opens a device's circuit breaker; <= 0 disables breakers.
 	BreakerFailures int
@@ -47,9 +45,6 @@ type Config struct {
 	// HedgeMin floors the hedge delay so healthy jitter never triggers
 	// an immediate double-send (default 1ms).
 	HedgeMin time.Duration
-	// HedgeObservations is the per-device latency samples required
-	// before hedging can arm (default 8).
-	HedgeObservations int
 	// Partial enables graceful degradation: partial results with an
 	// error manifest instead of all-or-nothing failures.
 	Partial bool
@@ -66,24 +61,18 @@ func (c Config) Normalize() Config {
 	if c.BackoffMax <= 0 {
 		c.BackoffMax = 250 * time.Millisecond
 	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
 	if c.BreakerCooldown <= 0 {
 		c.BreakerCooldown = 2 * time.Second
 	}
 	if c.HedgeMin <= 0 {
 		c.HedgeMin = time.Millisecond
 	}
-	if c.HedgeObservations <= 0 {
-		c.HedgeObservations = 8
-	}
 	return c
 }
 
 // Cooldown is an error carrying a server's load-shedding hint: the
 // sender is overloaded and asks not to be re-contacted for After (the
-// wire protocol's Retry-After). The budget policy honors After as the
+// wire protocol's Retry-After). The retry budget honors After as the
 // minimum backoff before the next attempt. Match with errors.As.
 type Cooldown struct {
 	After time.Duration
@@ -97,21 +86,22 @@ func (e *Cooldown) Error() string {
 func (e *Cooldown) Unwrap() error { return e.Err }
 
 // ErrOpen marks an attempt vetoed by an open circuit breaker; match
-// with errors.Is. The budget policy never retries it (the breaker would
-// veto again), but a reroute policy still offers the device's backup.
+// with errors.Is. The retry budget never retries it (the breaker would
+// veto again), but the engine's reroute still offers the device's backup.
 var ErrOpen = errors.New("retry: circuit breaker open")
 
 // backoff computes the full-jitter exponential backoff for attempt n
-// (1-based): uniform in [0, min(max, base<<(n-1))]. Seeded and guarded
-// by the controller's mutex for reproducibility.
+// (1-based): uniform in [0, min(max, base<<(n-1))]. Seeded with the
+// constant 1 and guarded by its own mutex, so schedules are
+// reproducible.
 type backoff struct {
 	base, max time.Duration
 	mu        sync.Mutex
 	rng       *rand.Rand
 }
 
-func newBackoff(base, max time.Duration, seed int64) *backoff {
-	return &backoff{base: base, max: max, rng: rand.New(rand.NewSource(seed))}
+func newBackoff(base, max time.Duration) *backoff {
+	return &backoff{base: base, max: max, rng: rand.New(rand.NewSource(1))}
 }
 
 func (b *backoff) delay(attempt int) time.Duration {

@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"testing"
 	"time"
-
-	"fxdist/internal/engine"
 )
 
 // fakeClock is a manually advanced time source for breaker cooldowns.
@@ -88,8 +86,8 @@ func TestBreakerFullCycle(t *testing.T) {
 
 func TestBackoffBoundsAndDeterminism(t *testing.T) {
 	base, max := 2*time.Millisecond, 16*time.Millisecond
-	a := newBackoff(base, max, 42)
-	b := newBackoff(base, max, 42)
+	a := newBackoff(base, max)
+	b := newBackoff(base, max)
 	for attempt := 1; attempt <= 10; attempt++ {
 		cap := base << (attempt - 1)
 		if cap > max || cap <= 0 {
@@ -97,7 +95,7 @@ func TestBackoffBoundsAndDeterminism(t *testing.T) {
 		}
 		da, db := a.delay(attempt), b.delay(attempt)
 		if da != db {
-			t.Fatalf("attempt %d: same seed diverged (%v vs %v)", attempt, da, db)
+			t.Fatalf("attempt %d: two schedules diverged (%v vs %v)", attempt, da, db)
 		}
 		if da < 0 || da > cap {
 			t.Fatalf("attempt %d: delay %v outside [0, %v]", attempt, da, cap)
@@ -107,59 +105,73 @@ func TestBackoffBoundsAndDeterminism(t *testing.T) {
 
 func TestBudgetPolicy(t *testing.T) {
 	c := NewController("test-budget", Config{MaxAttempts: 3, BackoffBase: time.Millisecond, BackoffMax: 4 * time.Millisecond})
-	p := &budgetPolicy{c: c}
 	ctx := context.Background()
 	failed := errors.New("scan failed")
 
-	if dec := p.Failure(ctx, engine.Attempt{Device: 0, N: 1, Primary: true, Err: failed}); !dec.Retry {
+	if _, ok := c.Backoff(ctx, 1, failed); !ok {
 		t.Fatal("budget declined a retryable first failure")
 	}
-	if dec := p.Failure(ctx, engine.Attempt{Device: 0, N: 3, Primary: true, Err: failed}); dec.Retry {
+	if _, ok := c.Backoff(ctx, 3, failed); ok {
 		t.Fatal("budget retried past MaxAttempts")
 	}
-	if dec := p.Failure(ctx, engine.Attempt{Device: 0, N: 1, Primary: true, Err: ErrOpen}); dec.Retry {
+	if _, ok := c.Backoff(ctx, 1, ErrOpen); ok {
 		t.Fatal("budget retried a breaker veto")
 	}
-	if dec := p.Failure(ctx, engine.Attempt{Device: 0, N: 1, Primary: true, Err: context.Canceled}); dec.Retry {
+	if _, ok := c.Backoff(ctx, 1, context.Canceled); ok {
 		t.Fatal("budget retried after cancellation")
+	}
+	if _, ok := (*Controller)(nil).Backoff(ctx, 1, failed); ok {
+		t.Fatal("a nil controller retried")
 	}
 
 	// A server Cooldown hint raises the backoff floor.
 	cd := &Cooldown{After: 50 * time.Millisecond, Err: failed}
-	if dec := p.Failure(ctx, engine.Attempt{Device: 0, N: 1, Primary: true, Err: cd}); !dec.Retry || dec.Delay < cd.After {
-		t.Fatalf("cooldown hint not honored: retry=%v delay=%v", dec.Retry, dec.Delay)
+	if delay, ok := c.Backoff(ctx, 1, cd); !ok || delay < cd.After {
+		t.Fatalf("cooldown hint not honored: retry=%v delay=%v", ok, delay)
 	}
 
 	// A retry that cannot finish before the deadline is declined.
 	dctx, cancel := context.WithDeadline(ctx, c.now().Add(time.Millisecond))
 	defer cancel()
-	if dec := p.Failure(dctx, engine.Attempt{Device: 0, N: 1, Primary: true, Err: cd}); dec.Retry {
+	if _, ok := c.Backoff(dctx, 1, cd); ok {
 		t.Fatal("budget scheduled a retry past the caller's deadline")
+	}
+	if rep := c.Report(); rep.Retries != 2 {
+		t.Errorf("retries = %d, want the 2 the budget granted", rep.Retries)
 	}
 }
 
 func TestBreakerPolicyChargesOnlyPrimary(t *testing.T) {
 	c := NewController("test-charge", Config{BreakerFailures: 1, BreakerCooldown: time.Hour})
-	p := &breakerPolicy{c: c}
-	ctx := context.Background()
 
 	// Backup failures and breaker vetoes never charge the breaker.
-	p.Failure(ctx, engine.Attempt{Device: 0, N: 2, Primary: false, Err: errors.New("backup failed")})
-	p.Failure(ctx, engine.Attempt{Device: 0, N: 1, Primary: true, Err: ErrOpen})
-	if err := p.Allow(ctx, 0); err != nil {
+	c.Failure(0, false, errors.New("backup failed"))
+	c.Failure(0, true, ErrOpen)
+	if err := c.Allow(0); err != nil {
 		t.Fatalf("breaker charged by non-primary/veto failures: %v", err)
 	}
 
 	// One primary failure (threshold 1) opens it.
-	p.Failure(ctx, engine.Attempt{Device: 0, N: 1, Primary: true, Err: errors.New("real")})
-	if err := p.Allow(ctx, 0); !errors.Is(err, ErrOpen) {
+	c.Failure(0, true, errors.New("real"))
+	if err := c.Allow(0); !errors.Is(err, ErrOpen) {
 		t.Fatalf("breaker did not open: %v", err)
+	}
+	if rep := c.Report(); rep.Rejected != 1 {
+		t.Errorf("rejected = %d, want 1", rep.Rejected)
 	}
 
 	// Only primary successes reset.
-	p.Success(0, false, time.Millisecond)
+	c.Success(0, false)
 	if c.breaker(0).State() != Open {
 		t.Fatal("backup success closed the breaker")
+	}
+
+	// A nil controller gates nothing and charges nothing.
+	var none *Controller
+	none.Failure(0, true, errors.New("real"))
+	none.Success(0, true)
+	if err := none.Allow(0); err != nil {
+		t.Fatalf("nil controller vetoed: %v", err)
 	}
 }
 
@@ -194,25 +206,24 @@ func TestProbeDrivesRecovery(t *testing.T) {
 }
 
 func TestHedgerOutlierGate(t *testing.T) {
-	c := NewController("test-hedge", Config{Hedge: true, HedgeMin: 2 * time.Millisecond, HedgeObservations: 4})
-	var backupAsked []int
-	h := c.newHedger(func(dev int) engine.Device {
-		backupAsked = append(backupAsked, dev)
-		return nil
-	})
+	c := NewController("test-hedge", Config{Hedge: true, HedgeMin: 2 * time.Millisecond})
 
 	// Too few samples: never hedge.
-	if _, _, ok := h.Plan(0); ok {
+	if _, ok := c.HedgeAfter(0); ok {
 		t.Fatal("hedged with no samples")
 	}
 
-	// Healthy peers at ~1ms, device 0 at 10ms.
+	// Healthy peers at ~1ms, device 0 at 10ms; the gate opens at the
+	// eighth sample of each, not before.
 	for i := 0; i < 8; i++ {
-		h.Observe(0, 10*time.Millisecond, nil)
-		h.Observe(1, time.Millisecond, nil)
-		h.Observe(2, time.Millisecond, nil)
+		if _, ok := c.HedgeAfter(0); ok {
+			t.Fatalf("hedged after %d samples, below the gate of 8", i)
+		}
+		c.Observe(0, 10*time.Millisecond, nil)
+		c.Observe(1, time.Millisecond, nil)
+		c.Observe(2, time.Millisecond, nil)
 	}
-	_, after, ok := h.Plan(0)
+	after, ok := c.HedgeAfter(0)
 	if !ok {
 		t.Fatal("outlier device not hedged")
 	}
@@ -220,22 +231,25 @@ func TestHedgerOutlierGate(t *testing.T) {
 	if after != 2*time.Millisecond {
 		t.Errorf("hedge delay = %v, want HedgeMin floor 2ms", after)
 	}
-	if len(backupAsked) != 1 || backupAsked[0] != 0 {
-		t.Errorf("backup source asked for %v, want [0]", backupAsked)
-	}
 
 	// A healthy device among healthy peers never hedges.
-	if _, _, ok := h.Plan(1); ok {
+	if _, ok := c.HedgeAfter(1); ok {
 		t.Fatal("healthy device hedged")
 	}
 
 	// Failures carry no latency sample: a failing-only device stays
 	// below the observation gate.
 	for i := 0; i < 8; i++ {
-		h.Observe(3, 50*time.Millisecond, errors.New("failed"))
+		c.Observe(3, 50*time.Millisecond, errors.New("failed"))
 	}
-	if _, _, ok := h.Plan(3); ok {
+	if _, ok := c.HedgeAfter(3); ok {
 		t.Fatal("failure observations armed a hedge")
+	}
+
+	c.Hedged()
+	c.HedgeWon()
+	if rep := c.Report(); rep.Hedges != 1 || rep.HedgeWins != 1 {
+		t.Errorf("hedges=%d wins=%d, want 1/1", rep.Hedges, rep.HedgeWins)
 	}
 }
 
@@ -252,7 +266,7 @@ func TestControllerRegistryAndReport(t *testing.T) {
 
 	c3 := NewController("test-report-2", Config{BreakerFailures: 1, BreakerCooldown: time.Hour})
 	c3.breaker(1).Failure()
-	c3.OnPartial(0.75, []int{1})
+	c3.Degraded(0.75)
 	rep := c3.Report()
 	if rep.Backend != "test-report-2" || rep.Partials != 1 || rep.LastCoverage != 0.75 {
 		t.Errorf("report = %+v", rep)

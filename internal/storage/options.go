@@ -50,27 +50,20 @@ func WithFileOptions(opts ...mkhash.Option) Option {
 // engineConfig stamps onto an engine config everything a storage backend
 // derives from its kind label alone — the reporting bundle (the kind's
 // shared sinks plus this cluster's metrics), tracer, plan cache and
-// resilience chain.
+// retry controller. Hedge backups re-dispatch the same device — a second
+// independent scan races the first; local backends hold no impersonable
+// backup copy (the replicated cluster's successor routes buckets by the
+// placement's Server decision, so asking it directly would answer the
+// wrong subset).
 func (s *settings) engineConfig(kind string, cfg engine.Config) engine.Config {
 	cfg.Instr = telemetry.For(kind).WithMetrics(telemetry.NewClusterMetrics(kind, len(cfg.Devices)))
 	cfg.Tracer = obs.DefaultTracer()
 	cfg.Span = "storage.retrieve"
 	cfg.Plans = plancache.New(kind)
-	cfg.Resilience = s.resilienceFor(kind, cfg.Devices)
-	return cfg
-}
-
-// resilienceFor builds the engine's resilience bundle for one backend
-// label. Hedge backups re-dispatch the same device — a second
-// independent scan races the first; local backends hold no impersonable
-// backup copy (the replicated cluster's successor routes buckets by the
-// placement's Server decision, so asking it directly would answer the
-// wrong subset).
-func (s *settings) resilienceFor(backend string, devices []engine.Device) engine.Resilience {
-	if s.retry == nil {
-		return engine.Resilience{}
+	if s.retry != nil {
+		devices := cfg.Devices
+		cfg.Retry = retry.NewController(kind, *s.retry)
+		cfg.Backup = func(dev int) engine.Device { return devices[dev] }
 	}
-	ctrl := retry.NewController(backend, *s.retry)
-	backup := func(dev int) engine.Device { return devices[dev] }
-	return ctrl.Resilience(nil, backup)
+	return cfg
 }

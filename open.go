@@ -60,38 +60,24 @@ type openSettings struct {
 	dialEpoch   int
 
 	// Resilience (see resilience.go for the options).
-	resilSet    bool
-	retryCfg    retry.Config
-	faultSet    bool
-	faultSeed   int64
-	faultScheds map[int]FaultSchedule
-	injector    *FaultInjector
-	probeEvery  time.Duration
-	statsEvery  time.Duration
+	resilSet   bool
+	retryCfg   retry.Config
+	injector   *FaultInjector
+	probeEvery time.Duration
+	statsEvery time.Duration
 }
 
-// storageOpts lowers the resilience settings onto one local backend
-// kind (the kind names the controller and injector on
-// /debug/resilience).
-func (s *openSettings) storageOpts(kind string) []storage.Option {
+// storageOpts lowers the resilience settings onto a local backend (its
+// kind names the controller on /debug/resilience).
+func (s *openSettings) storageOpts() []storage.Option {
 	var opts []storage.Option
 	if s.resilSet {
 		opts = append(opts, storage.WithRetry(s.retryCfg))
 	}
-	if in := s.buildInjector(kind); in != nil {
-		opts = append(opts, storage.WithInjector(in))
+	if s.injector != nil {
+		opts = append(opts, storage.WithInjector(s.injector))
 	}
 	return opts
-}
-
-func (s *openSettings) buildInjector(kind string) *FaultInjector {
-	if s.injector != nil {
-		return s.injector
-	}
-	if s.faultSet {
-		return NewFaultInjector(kind, s.faultSeed, s.faultScheds)
-	}
-	return nil
 }
 
 // Option configures Open.
@@ -127,10 +113,10 @@ func WithStatsPull(interval time.Duration) Option {
 	return func(s *openSettings) { s.statsEvery = interval }
 }
 
-// WithFailover puts the ring-successor reroute on the distributed
-// backend's retrieval policy chain: when a device's server is
-// unreachable, its successor answers from the backup copy (requires
-// servers deployed with replication, e.g. DeployReplicatedLocal). The
+// WithFailover puts the ring-successor reroute on every retrieval of
+// the distributed backend: when a device's server is unreachable, its
+// successor answers from the backup copy (requires servers deployed
+// with replication, e.g. DeployReplicatedLocal). The
 // choice is made once, when Open dials, and holds for every retrieval
 // the cluster serves — single, batched, behind a gate, or inside a
 // rescale window. Set by examples/distributed.
@@ -232,7 +218,7 @@ type Cluster struct {
 	// routing intercepts retrievals during dual-read. rescaleJournal is
 	// the default journal path (WithRescale); dialOpts are the options
 	// the coordinator was dialed with, reused for the new epoch's
-	// coordinator so timeouts, the policy chain (failover, retry
+	// coordinator so timeouts, the failure handling (failover, retry
 	// budgets), result ownership and injectors survive a rescale.
 	resc           atomic.Pointer[Rescale]
 	rescaleJournal string
@@ -278,8 +264,8 @@ func Open(cfg Config, opts ...Option) (*Cluster, error) {
 		if s.resilSet {
 			dialOpts = append(dialOpts, netdist.WithResilience(s.retryCfg))
 		}
-		if in := s.buildInjector(KindNetdist); in != nil {
-			dialOpts = append(dialOpts, netdist.WithInjector(in))
+		if s.injector != nil {
+			dialOpts = append(dialOpts, netdist.WithInjector(s.injector))
 		}
 		if s.failover {
 			dialOpts = append(dialOpts, netdist.WithFailover())
@@ -316,13 +302,13 @@ func Open(cfg Config, opts ...Option) (*Cluster, error) {
 			if cfg.Allocator == nil {
 				return nil, errors.New("fxdist: creating a durable cluster needs Config.Allocator")
 			}
-			dur, err := storage.CreateDurable(cfg.Dir, cfg.File, cfg.Allocator, model, s.storageOpts(KindDurable)...)
+			dur, err := storage.CreateDurable(cfg.Dir, cfg.File, cfg.Allocator, model, s.storageOpts()...)
 			if err != nil {
 				return nil, err
 			}
 			c.kind, c.be = KindDurable, dur
 		} else {
-			sopts := append(s.storageOpts(KindDurable), storage.WithFileOptions(s.fileOpts...))
+			sopts := append(s.storageOpts(), storage.WithFileOptions(s.fileOpts...))
 			dur, err := storage.OpenDurable(cfg.Dir, model, sopts...)
 			if err != nil {
 				return nil, err
@@ -334,7 +320,7 @@ func Open(cfg Config, opts ...Option) (*Cluster, error) {
 		if cfg.File == nil || cfg.Allocator == nil {
 			return nil, errors.New("fxdist: the replicated backend needs Config.File and Config.Allocator")
 		}
-		repl, err := storage.NewReplicated(cfg.File, cfg.Allocator, s.replicaMode, model, s.storageOpts(KindReplicated)...)
+		repl, err := storage.NewReplicated(cfg.File, cfg.Allocator, s.replicaMode, model, s.storageOpts()...)
 		if err != nil {
 			return nil, err
 		}
@@ -344,7 +330,7 @@ func Open(cfg Config, opts ...Option) (*Cluster, error) {
 		if cfg.File == nil || cfg.Allocator == nil {
 			return nil, errors.New("fxdist: the in-memory backend needs Config.File and Config.Allocator")
 		}
-		mem, err := storage.NewCluster(cfg.File, cfg.Allocator, model, s.storageOpts(KindMemory)...)
+		mem, err := storage.NewCluster(cfg.File, cfg.Allocator, model, s.storageOpts()...)
 		if err != nil {
 			return nil, err
 		}

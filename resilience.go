@@ -9,14 +9,14 @@ import (
 	"fxdist/internal/retry"
 )
 
-// FaultSchedule is one device's deterministic fault plan for
-// WithFaultInjection: injected errors, latency, hangs, flapping and
+// FaultSchedule is one device's deterministic fault plan for a
+// FaultInjector: injected errors, latency, hangs, flapping and
 // partitions. See internal/resilience.Schedule for the decision order.
 type FaultSchedule = resilience.Schedule
 
 // FaultInjector applies per-device FaultSchedules at a backend's device
-// seam. Build one with NewFaultInjector to mutate schedules at runtime
-// (Set/Clear); Open's WithFaultInjection builds one internally.
+// seam. Build one with NewFaultInjector and install it with
+// WithFaultInjector; Set/Clear mutate its schedules at runtime.
 type FaultInjector = resilience.Injector
 
 // NewFaultInjector builds a named, seeded fault injector; the name keys
@@ -128,32 +128,9 @@ func WithPartialResults() Option {
 	}
 }
 
-// WithRetrySeed fixes the seed behind retry jitter, making backoff
-// schedules reproducible (default 1). Library API, exercised by
-// TestChaosDistributedRetrieval.
-func WithRetrySeed(seed int64) Option {
-	return func(s *openSettings) {
-		s.resilSet = true
-		s.retryCfg.Seed = seed
-	}
-}
-
-// WithFaultInjection fronts every device with a deterministic, seeded
-// fault injector running the given per-device schedules — chaos testing
-// through the public facade. The injector registers under the backend
-// kind on /debug/resilience. Library API, exercised by
-// TestFlightRecorderSlowDevice.
-func WithFaultInjection(seed int64, schedules map[int]FaultSchedule) Option {
-	return func(s *openSettings) {
-		s.faultSet = true
-		s.faultSeed = seed
-		s.faultScheds = schedules
-	}
-}
-
-// WithFaultInjector installs a caller-built injector (see
-// NewFaultInjector) instead of an internally constructed one, so tests
-// can mutate schedules at runtime via Set/Clear. Library API, exercised
+// WithFaultInjector fronts every device with a fault injector (see
+// NewFaultInjector) — chaos testing through the public facade; tests can
+// mutate its schedules at runtime via Set/Clear. Library API, exercised
 // by TestChaosDistributedRetrieval.
 func WithFaultInjector(in *FaultInjector) Option {
 	return func(s *openSettings) { s.injector = in }

@@ -1,12 +1,14 @@
 package fxdist_test
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
 	"os"
 	"sort"
+	"sync"
 	"testing"
 	"time"
 
@@ -108,7 +110,6 @@ func TestChaosDistributedRetrieval(t *testing.T) {
 		fxdist.WithRetryBudget(4, time.Millisecond, 10*time.Millisecond),
 		fxdist.WithCircuitBreaker(3, time.Hour),
 		fxdist.WithHedging(time.Millisecond),
-		fxdist.WithRetrySeed(42),
 		fxdist.WithFaultInjector(in),
 	)
 	if err != nil {
@@ -226,16 +227,7 @@ func TestChaosHealthProbeRecovery(t *testing.T) {
 
 	// Restart the server on the same address; the prober must redial,
 	// ping, and close the breaker on its own.
-	srv, err := fxdist.NewReplicatedDeviceServer(2, spec, parts[2], parts[1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	l, err := net.Listen("tcp", addrs[2])
-	if err != nil {
-		t.Fatal(err)
-	}
-	servers[2] = srv // stop() closes the restarted server
-	go srv.Serve(l)  //nolint:errcheck
+	restartServer(t, servers, addrs, parts, spec, 2)
 
 	deadline := time.Now().Add(10 * time.Second)
 	for {
@@ -261,6 +253,66 @@ func TestChaosHealthProbeRecovery(t *testing.T) {
 	if fmt.Sprint(sortedRecords(got.Records)) != fmt.Sprint(sortedRecords(want)) {
 		t.Errorf("post-recovery retrieve differs from reference")
 	}
+}
+
+// restartServer brings device dev's replicated server back on its old
+// address; the stop function of chaosServers closes it.
+func restartServer(t *testing.T, servers []*fxdist.DeviceServer, addrs []string, parts []fxdist.Partition, spec fxdist.AllocatorSpec, dev int) {
+	t.Helper()
+	m := len(parts)
+	srv, err := fxdist.NewReplicatedDeviceServer(dev, spec, parts[dev], parts[(dev-1+m)%m])
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := net.Listen("tcp", addrs[dev])
+	if err != nil {
+		t.Fatal(err)
+	}
+	servers[dev] = srv
+	go srv.Serve(l) //nolint:errcheck // ends when srv.Close closes l
+}
+
+// TestRedialAfterServerRestart: a cluster opened with Addrs alone — no
+// health prober, no failover, as fxgate and fxnode dial — loses device
+// 2's connection when its server restarts. The next request redials it,
+// so the first retrievals after the restart answer in full; they race,
+// so all but one redial lose the swap and close their own connection.
+func TestRedialAfterServerRestart(t *testing.T) {
+	file := buildTestFile(t)
+	fs, _ := file.FileSystem(4)
+	fx, _ := fxdist.NewFX(fs)
+	servers, addrs, parts, spec, stop := chaosServers(t, file, fx)
+	defer stop()
+
+	c, err := fxdist.Open(fxdist.Config{File: file, Addrs: addrs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	pm, _ := file.Spec(nil) // all-free: every device is asked
+	want, _ := file.Search(pm)
+
+	servers[2].Close()
+	// A stats pull fails once the coordinator has seen the connection
+	// drop; unlike a failed retrieval it pins no error trace.
+	if err := c.Coordinator().PullStats(context.Background()); err == nil {
+		t.Fatal("stats pull with server 2 down succeeded")
+	}
+	restartServer(t, servers, addrs, parts, spec, 2)
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got, err := c.Retrieve(pm)
+			if err != nil {
+				t.Errorf("retrieve after the restart: %v", err)
+			} else if fmt.Sprint(sortedRecords(got.Records)) != fmt.Sprint(sortedRecords(want)) {
+				t.Errorf("retrieve after the restart: %d records, want %d", len(got.Records), len(want))
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestChaosMemoryPartialResults partitions one device of the in-memory
