@@ -35,12 +35,7 @@ func auditExec(t *testing.T, f *mkhash.File, fs decluster.FileSystem, alloc decl
 	for dev := range devices {
 		devices[dev] = allocDevice{im: im, dev: dev}
 	}
-	e, err := engine.New(engine.Config{
-		Schema:  f,
-		FS:      fs,
-		Devices: devices,
-		Instr:   in,
-	})
+	e, err := engine.New(planned(t, f, engine.Config{Alloc: alloc, Devices: devices, Instr: in}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,11 +117,10 @@ func TestAuditorFlagsModuloSparesFX(t *testing.T) {
 func TestAuditorCountsFailedRetrievals(t *testing.T) {
 	f := testSchema(t)
 	a := telemetry.New("engine-test-fail", audit.SLO{})
-	e, err := engine.New(engine.Config{
-		Schema:  f,
+	e, err := engine.New(planned(t, f, engine.Config{
 		Devices: []engine.Device{fixedDevice{err: errors.New("boom")}},
 		Instr:   a,
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,11 +154,10 @@ func shapeReport(t *testing.T, in *telemetry.Instruments, shape string) audit.Sh
 func TestSLOThroughExecutor(t *testing.T) {
 	a := telemetry.New("engine-test-slo", audit.SLO{Target: time.Nanosecond, Goal: 0.99})
 	f := testSchema(t)
-	e, err := engine.New(engine.Config{
-		Schema:  f,
+	e, err := engine.New(planned(t, f, engine.Config{
 		Devices: []engine.Device{fixedDevice{ans: engine.Answer{Buckets: 1}}},
 		Instr:   a,
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,11 +22,8 @@ import (
 type Config struct {
 	// Schema hashes value-level queries into bucket queries.
 	Schema *mkhash.File
-	// FS is the declustered file system bucket queries are validated and
-	// counted against; the zero value derives it from Schema's directory
-	// sizes and len(Devices) at New.
-	FS decluster.FileSystem
-	// Devices are the cluster's parallel devices, in device order.
+	// Devices are the cluster's parallel devices, in device order: one
+	// per device of Alloc's grid.
 	Devices []Device
 	// Model prices each device's work; the zero model reports zero times.
 	Model CostModel
@@ -55,13 +52,14 @@ type Config struct {
 	// exemplars (see report). Nil turns all of it off; only the trace
 	// span remains.
 	Instr *telemetry.Instruments
-	// Alloc, when set, is the group allocator behind Devices; plans are
-	// compiled under it: per-device qualified-bucket counts, which decide
-	// the devices a query is sent to.
+	// Alloc is the group allocator behind Devices (required). Its grid is
+	// what bucket queries are validated and counted against, and every
+	// plan is compiled under it: per-device qualified-bucket counts, which
+	// decide the devices a query is sent to.
 	Alloc decluster.GroupAllocator
-	// Plans, when set beside Alloc, caches compiled plans per (allocator
-	// identity, query shape): a hit skips validation, |R(q)|, the bound
-	// and the counts. Nil or disabled runs the uncached path.
+	// Plans caches the compiled plans per query shape (required): a hit
+	// skips validation, |R(q)|, the bound and the counts. It belongs to
+	// this executor alone.
 	Plans *plancache.Cache
 }
 
@@ -100,11 +98,17 @@ type Owner interface {
 
 // New builds an Executor from cfg.
 func New(cfg Config) (*Executor, error) {
-	if cfg.Schema == nil {
+	switch {
+	case cfg.Schema == nil:
 		return nil, errors.New("engine: config needs a schema")
+	case cfg.Alloc == nil:
+		return nil, errors.New("engine: config needs an allocator")
+	case cfg.Plans == nil:
+		return nil, errors.New("engine: config needs a plan cache")
 	}
-	if len(cfg.Devices) == 0 {
-		return nil, errors.New("engine: config needs at least one device")
+	fs := cfg.Alloc.FileSystem()
+	if len(cfg.Devices) != fs.M {
+		return nil, fmt.Errorf("engine: %d devices for an allocator over %d", len(cfg.Devices), fs.M)
 	}
 	workers := cfg.Workers
 	if workers <= 0 {
@@ -112,9 +116,6 @@ func New(cfg Config) (*Executor, error) {
 		if n := runtime.GOMAXPROCS(0); n > workers {
 			workers = n
 		}
-	}
-	if cfg.FS.M == 0 {
-		cfg.FS = decluster.FileSystem{Sizes: cfg.Schema.Sizes(), M: len(cfg.Devices)}
 	}
 	owned := make([]bool, len(cfg.Devices))
 	for dev, d := range cfg.Devices {
@@ -131,7 +132,7 @@ func New(cfg Config) (*Executor, error) {
 	return &Executor{
 		owned:   owned,
 		schema:  cfg.Schema,
-		fs:      cfg.FS,
+		fs:      fs,
 		devs:    cfg.Devices,
 		model:   cfg.Model,
 		in:      cfg.Instr,
@@ -147,7 +148,7 @@ func New(cfg Config) (*Executor, error) {
 	}, nil
 }
 
-// Plans returns the executor's plan cache, nil when uncached.
+// Plans returns the executor's plan cache.
 func (e *Executor) Plans() *plancache.Cache { return e.plans }
 
 // callKey carries the in-flight call through the context to the device
@@ -177,32 +178,19 @@ func PlanFromContext(ctx context.Context) *plancache.Plan {
 	return nil
 }
 
-// planFor returns q's retrieval plan and whether it was a cache hit.
-// Under an allocator with the cache enabled the plan is compiled once per
-// shape, so the fan-out and the auditor always agree on the strict bound,
-// and a hit skips validation entirely: sound because engine queries come
-// from Schema.BucketQuery, which only produces in-range values, and the
-// cache key's allocator identity pins the plan to this executor's
-// allocator.
+// planFor returns q's retrieval plan and whether it was a cache hit. The
+// plan is compiled once per shape, so the fan-out and the auditor always
+// agree on the strict bound, and a hit skips validation entirely: sound
+// because engine queries come from Schema.BucketQuery, which only
+// produces in-range values, and the cache belongs to this executor and
+// its one allocator.
 func (e *Executor) planFor(q query.Query) (*plancache.Plan, bool, error) {
-	if e.alloc != nil && e.plans != nil && e.plans.Enabled() {
-		key := plancache.Key{Owner: plancache.IdentityOf(e.alloc), Shape: q.Shape()}
-		return e.plans.Get(key, func() (*plancache.Plan, error) {
-			if err := q.Validate(e.fs); err != nil {
-				return nil, err
-			}
-			return plancache.Compile(e.alloc, q, 0), nil
-		})
-	}
-	// Uncached path, kept on purpose: per-retrieval validation and a
-	// summary plan without counts, under which every device is asked. It
-	// is the ask-everyone oracle the pruning tests compare against
-	// (fanout_test.go, TestPrunedFanOutMatchesBroadcastAcrossBackends),
-	// reached by WithPlanCacheSize(-1) / Cache.SetEnabled(false).
-	if err := q.Validate(e.fs); err != nil {
-		return nil, false, err
-	}
-	return plancache.Summary(q, q.NumQualified(e.fs), len(e.devs)), false, nil
+	return e.plans.Get(q.Shape(), func() (*plancache.Plan, error) {
+		if err := q.Validate(e.fs); err != nil {
+			return nil, err
+		}
+		return plancache.Compile(e.alloc, q, 0), nil
+	})
 }
 
 // callerKey carries the retrieval's caller attribution (a gateway
@@ -313,10 +301,10 @@ func (c *call) closeStage(stage string) {
 }
 
 // begin plans one query and launches its fan-out without waiting: the
-// scans of the active devices — {h·g : counts[g] > 0}; every device under
-// a plan without counts, and any that does not declare its owner — are
-// queued on the shared pool. A device not asked keeps a zero answer: it
-// reports as the device with no qualified bucket it is. The plan rides
+// scans of the active devices — {h·g : counts[g] > 0}, and any that does
+// not declare its owner — are queued on the shared pool. A device not
+// asked keeps a zero answer: it reports as the device with no qualified
+// bucket it is. The plan rides
 // the call (its shape, |R(q)| and bound feed every report) and the call
 // travels to the devices via the context. A query that dies before
 // fan-out has no plan, hence no record: it is reported to the cluster

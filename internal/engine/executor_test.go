@@ -10,8 +10,10 @@ import (
 	"testing"
 	"time"
 
+	"fxdist/internal/decluster"
 	"fxdist/internal/engine"
 	"fxdist/internal/mkhash"
+	"fxdist/internal/plancache"
 	"fxdist/internal/query"
 )
 
@@ -60,13 +62,29 @@ func (d slowDevice) Scan(ctx context.Context, q query.Query, pm mkhash.PartialMa
 
 func rec(vals ...string) mkhash.Record { return mkhash.Record(vals) }
 
+// planned completes cfg with what every executor needs beside its
+// devices: the schema f, a Modulo allocator on f's grid over
+// len(cfg.Devices) devices (a power of two) unless cfg names one, and a
+// plan cache closed when the test ends. The fake devices of these tests
+// declare no owner (engine.Owner), so the executor asks every one of
+// them, whatever the plan counts.
+func planned(tb testing.TB, f *mkhash.File, cfg engine.Config) engine.Config {
+	tb.Helper()
+	if cfg.Alloc == nil {
+		fs, err := f.FileSystem(len(cfg.Devices))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		cfg.Alloc = decluster.NewModulo(fs)
+	}
+	cfg.Schema, cfg.Plans = f, plancache.New("engine-test")
+	tb.Cleanup(cfg.Plans.Close)
+	return cfg
+}
+
 func newExec(t *testing.T, f *mkhash.File, devs ...engine.Device) *engine.Executor {
 	t.Helper()
-	e, err := engine.New(engine.Config{Schema: f, Devices: devs, Model: engine.MainMemory})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return e
+	return resilient(t, f, engine.Config{}, devs...)
 }
 
 func TestRetrieveMergesUnderCostModel(t *testing.T) {
@@ -74,6 +92,7 @@ func TestRetrieveMergesUnderCostModel(t *testing.T) {
 	e := newExec(t, f,
 		fixedDevice{ans: engine.Answer{Buckets: 2, Records: 5, Hits: []mkhash.Record{rec("x", "1")}}},
 		fixedDevice{ans: engine.Answer{Buckets: 7, Records: 9, Hits: []mkhash.Record{rec("y", "2"), rec("z", "3")}}},
+		fixedDevice{ans: engine.Answer{Idle: true}},
 		fixedDevice{ans: engine.Answer{Idle: true}},
 	)
 	res, err := e.Retrieve(context.Background(), anyQuery(t, f))
@@ -88,6 +107,7 @@ func TestRetrieveMergesUnderCostModel(t *testing.T) {
 		m.DeviceTime(2, 5),
 		m.DeviceTime(7, 9),
 		0, // idle devices are not charged PerQuery
+		0,
 	} {
 		if res.DeviceTime[dev] != want {
 			t.Errorf("device %d time %v, want %v", dev, res.DeviceTime[dev], want)
@@ -111,6 +131,7 @@ func TestRetrieveReportsAllFailingDevices(t *testing.T) {
 		fixedDevice{err: errors.New("boom-0")},
 		fixedDevice{ans: engine.Answer{Buckets: 1}},
 		fixedDevice{err: errors.New("boom-2")},
+		fixedDevice{},
 	)
 	_, err := e.Retrieve(context.Background(), anyQuery(t, f))
 	if err == nil {
@@ -276,10 +297,7 @@ func TestWorkerPoolBounded(t *testing.T) {
 	for i := range devs {
 		devs[i] = probe()
 	}
-	e, err := engine.New(engine.Config{Schema: f, Devices: devs, Model: engine.MainMemory, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := resilient(t, f, engine.Config{Workers: 2}, devs...)
 	if _, err := e.Retrieve(context.Background(), anyQuery(t, f)); err != nil {
 		t.Fatal(err)
 	}
@@ -346,13 +364,28 @@ func TestPolicyChainIsTheOnlyDifference(t *testing.T) {
 	}
 }
 
+// TestConfigValidation: the schema, the allocator and the plan cache are
+// required, and there is one device per device of the allocator's grid.
 func TestConfigValidation(t *testing.T) {
 	f := testSchema(t)
-	if _, err := engine.New(engine.Config{Devices: []engine.Device{fixedDevice{}}}); err == nil {
-		t.Error("nil schema accepted")
+	four := []engine.Device{fixedDevice{}, fixedDevice{}, fixedDevice{}, fixedDevice{}}
+	good := planned(t, f, engine.Config{Devices: four})
+	if _, err := engine.New(good); err != nil {
+		t.Fatalf("complete config refused: %v", err)
 	}
-	if _, err := engine.New(engine.Config{Schema: f}); err == nil {
-		t.Error("zero devices accepted")
+	for name, broken := range map[string]func(*engine.Config){
+		"nil schema":      func(c *engine.Config) { c.Schema = nil },
+		"nil allocator":   func(c *engine.Config) { c.Alloc = nil },
+		"nil plan cache":  func(c *engine.Config) { c.Plans = nil },
+		"3 devices for 4": func(c *engine.Config) { c.Devices = four[:3] },
+		"no devices":      func(c *engine.Config) { c.Devices = nil },
+		"8 devices for 4": func(c *engine.Config) { c.Devices = append(four, four...) },
+	} {
+		cfg := good
+		broken(&cfg)
+		if _, err := engine.New(cfg); err == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
 }
 
@@ -374,10 +407,14 @@ func TestAccumulateCost(t *testing.T) {
 
 func ExampleExecutor_RetrieveBatch() {
 	f := mkhash.MustNew(mkhash.Schema{Fields: []string{"k"}, Depths: []int{1}})
+	plans := plancache.New("engine-example")
+	defer plans.Close()
 	e, _ := engine.New(engine.Config{
 		Schema:  f,
 		Model:   engine.MainMemory,
 		Devices: []engine.Device{fixedDevice{ans: engine.Answer{Buckets: 1}}},
+		Alloc:   decluster.NewModulo(decluster.MustFileSystem(f.Sizes(), 1)),
+		Plans:   plans,
 	})
 	pm, _ := f.Spec(map[string]string{})
 	results, _ := e.RetrieveBatch(context.Background(), []mkhash.PartialMatch{pm, pm})

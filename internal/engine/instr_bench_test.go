@@ -32,8 +32,8 @@ func BenchmarkRetrieveInstrumentation(b *testing.B) {
 				// the ordinary head-then-sampled traffic.
 				devs[d] = fixedDevice{ans: engine.Answer{Buckets: 1, Records: 4, Hits: []mkhash.Record{rec("x", "y")}}}
 			}
-			cfg := engine.Config{Schema: f, Devices: devs, Model: engine.MainMemory,
-				Tracer: obs.DefaultTracer(), Span: "bench.retrieve"}
+			cfg := planned(b, f, engine.Config{Devices: devs, Model: engine.MainMemory,
+				Tracer: obs.DefaultTracer(), Span: "bench.retrieve"})
 			if mode.instr {
 				cfg.Instr = telemetry.For("bench").WithMetrics(telemetry.NewClusterMetrics("bench", len(devs)))
 			}

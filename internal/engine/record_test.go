@@ -44,10 +44,10 @@ func TestOneRecordFeedsEverySink(t *testing.T) {
 	}
 	in := privateBundle("one-record", fs.M)
 	tracer := obs.NewTracer(64)
-	e, err := engine.New(engine.Config{
-		Schema: f, FS: fs, Devices: devices, Instr: in,
+	e, err := engine.New(planned(t, f, engine.Config{
+		Alloc: mod, Devices: devices, Instr: in,
 		Tracer: tracer, Span: "test.retrieve",
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,13 +162,13 @@ func (d lateDevice) Scan(context.Context, query.Query, mkhash.PartialMatch) (eng
 func TestAbandonedCallReportsNoDeviceDetail(t *testing.T) {
 	f := testSchema(t)
 	var stragglers sync.WaitGroup
-	devices := make([]engine.Device, 3)
+	devices := make([]engine.Device, 4)
 	for dev := range devices {
 		stragglers.Add(1)
 		devices[dev] = lateDevice{delay: 50 * time.Millisecond, done: &stragglers}
 	}
 	in := privateBundle("abandoned", len(devices))
-	e, err := engine.New(engine.Config{Schema: f, Devices: devices, Instr: in})
+	e, err := engine.New(planned(t, f, engine.Config{Devices: devices, Instr: in}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,8 +32,8 @@ func (d *flakyDevice) Scan(ctx context.Context, q query.Query, pm mkhash.Partial
 // Retry, Reroute and Backup of cfg.
 func resilient(t *testing.T, f *mkhash.File, cfg engine.Config, devs ...engine.Device) *engine.Executor {
 	t.Helper()
-	cfg.Schema, cfg.Devices, cfg.Model = f, devs, engine.MainMemory
-	e, err := engine.New(cfg)
+	cfg.Devices, cfg.Model = devs, engine.MainMemory
+	e, err := engine.New(planned(t, f, cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,6 +184,7 @@ func TestPartialResult(t *testing.T) {
 		fixedDevice{ans: engine.Answer{Buckets: 1, Hits: []mkhash.Record{rec("a", "1")}}},
 		fixedDevice{err: errors.New("dead")},
 		fixedDevice{ans: engine.Answer{Buckets: 2, Hits: []mkhash.Record{rec("b", "2")}}},
+		fixedDevice{},
 	)
 	res, err := e.Retrieve(context.Background(), anyQuery(t, f))
 	if err == nil {

@@ -474,20 +474,21 @@ func Dial(file *mkhash.File, addrs []string, opts ...DialOption) (*Coordinator, 
 	if c.rcfg != nil {
 		c.ctrl = retry.NewController(c.backend, *c.rcfg)
 	}
+	plans := plancache.New(c.backend)
 	eng, err := engine.New(engine.Config{
 		Schema:  file,
-		FS:      alloc.FileSystem(),
 		Alloc:   alloc,
 		Devices: devices,
 		Instr:   c.in,
 		Tracer:  c.tracer,
 		Span:    span,
-		Plans:   plancache.New(c.backend),
+		Plans:   plans,
 		Retry:   c.ctrl,
 		Reroute: reroute,
 		Backup:  backup,
 	})
 	if err != nil {
+		plans.Close()
 		c.Close()
 		return nil, fmt.Errorf("netdist: %w", err)
 	}
@@ -829,7 +830,7 @@ func (c *Coordinator) Close() {
 	if c.fleetRegistered.Swap(false) {
 		telemetry.RegisterFleet(c.fleetName, nil)
 	}
-	if c.eng != nil && c.eng.Plans() != nil {
+	if c.eng != nil {
 		c.eng.Plans().Close()
 	}
 	c.connMu.Lock()

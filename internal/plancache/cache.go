@@ -7,39 +7,10 @@ import (
 	"fxdist/internal/obs"
 )
 
-// Key identifies one cached plan: the owning allocator's identity (so a
-// rebuilt allocator — e.g. after a snapshot reload — never reuses stale
-// plans) and the query shape.
-type Key struct {
-	Owner uint64
-	Shape string
-}
-
-// Process-wide owner identity assignment. Identities are per pointer
-// value: two allocators built from the same spec are still distinct
-// owners, which is exactly the invalidation rule the cache needs.
-var (
-	idMu   sync.Mutex
-	ids    = make(map[any]uint64)
-	nextID uint64
-)
-
-// IdentityOf returns a process-unique identity for owner (an allocator,
-// or the schema file for allocator-less backends), assigning one on
-// first use.
-func IdentityOf(owner any) uint64 {
-	idMu.Lock()
-	defer idMu.Unlock()
-	if id, ok := ids[owner]; ok {
-		return id
-	}
-	nextID++
-	ids[owner] = nextID
-	return nextID
-}
-
-// DefaultCapacity is the LRU capacity New starts with; a cluster's
-// WithPlanCacheSize / Resize changes it.
+// DefaultCapacity is every cache's LRU capacity, in shapes. An n-field
+// schema has 2^n shapes and a cluster behind a gate serves whichever its
+// callers send, so the cache is bounded; 256 holds every shape of an
+// 8-field schema.
 const DefaultCapacity = 256
 
 // DefaultMaxTuples has no reader in this module: it is the value
@@ -47,24 +18,17 @@ const DefaultCapacity = 256
 // goes when a [benchmark] PR edits that call.
 const DefaultMaxTuples = 1 << 16
 
-// entry is one resident plan.
-type entry struct {
-	key  Key
-	plan *Plan
-}
-
-// Cache is the LRU plan cache of one cluster.
-// Each cluster owns one (they are not shared across clusters), but all
-// caches of one backend report under the same metric labels and appear
-// individually on /debug/plancache.
+// Cache is the LRU plan cache of one executor, keyed by shape: the
+// executor has one allocator, so a shape names one plan. Caches are not
+// shared across clusters, but all caches of one backend report under the
+// same metric labels and appear individually on /debug/plancache.
 type Cache struct {
 	backend string
 
 	mu       sync.Mutex
-	enabled  bool
-	capacity int
-	lru      *list.List // of *entry, front = most recent
-	index    map[Key]*list.Element
+	capacity int        // DefaultCapacity; this package's tests lower it
+	lru      *list.List // of *Plan, front = most recent
+	index    map[string]*list.Element
 	bytes    int
 	hits     uint64
 	misses   uint64
@@ -82,10 +46,9 @@ func New(backend string) *Cache {
 	bl := obs.L("cache", backend)
 	c := &Cache{
 		backend:  backend,
-		enabled:  true,
 		capacity: DefaultCapacity,
 		lru:      list.New(),
-		index:    make(map[Key]*list.Element),
+		index:    make(map[string]*list.Element),
 		mHits: r.Counter("fxdist_plancache_hit_total",
 			"Plan-cache lookups served from a resident plan.", bl),
 		mMisses: r.Counter("fxdist_plancache_miss_total",
@@ -104,58 +67,30 @@ func New(backend string) *Cache {
 // Backend returns the backend label the cache reports under.
 func (c *Cache) Backend() string { return c.backend }
 
-// Enabled reports whether lookups hit the cache; a disabled cache makes
-// the engine take the uncached (pre-cache) retrieval path.
-func (c *Cache) Enabled() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.enabled
-}
-
-// SetEnabled toggles the cache. Disabling keeps resident plans (they
-// become reachable again on re-enable).
-func (c *Cache) SetEnabled(v bool) {
-	c.mu.Lock()
-	c.enabled = v
-	c.mu.Unlock()
-}
-
-// Resize changes the LRU capacity, evicting immediately if shrinking.
-func (c *Cache) Resize(n int) {
-	if n <= 0 {
-		return
-	}
-	c.mu.Lock()
-	c.capacity = n
-	c.evictLocked()
-	c.mu.Unlock()
-}
-
 // evictLocked drops LRU tails until the capacity holds.
 func (c *Cache) evictLocked() {
 	for c.lru.Len() > c.capacity {
-		el := c.lru.Back()
-		e := el.Value.(*entry)
-		c.lru.Remove(el)
-		delete(c.index, e.key)
-		c.bytes -= e.plan.Bytes()
+		p := c.lru.Remove(c.lru.Back()).(*Plan)
+		delete(c.index, p.Shape)
+		c.bytes -= p.Bytes()
 		c.evicted++
 		c.mEvicted.Inc()
 		c.mEntries.Add(-1)
-		c.mBytes.Add(-float64(e.plan.Bytes()))
+		c.mBytes.Add(-float64(p.Bytes()))
 	}
 }
 
-// Get returns the plan for key, compiling it with compile on a miss; the
-// second return reports whether the lookup was a hit. Concurrent misses
-// of one key each compile (a plan is O(M) numbers, about a microsecond):
-// the first to finish inserts its plan and the rest return that one.
-// Compilation errors are not cached.
-func (c *Cache) Get(key Key, compile func() (*Plan, error)) (*Plan, bool, error) {
+// Get returns the plan for shape, compiling it with compile on a miss
+// (compile must return a plan of that shape); the second return reports
+// whether the lookup was a hit. Concurrent misses of one shape each
+// compile (a plan is O(M) numbers, about a microsecond): the first to
+// finish inserts its plan and the rest return that one. Compilation
+// errors are not cached.
+func (c *Cache) Get(shape string, compile func() (*Plan, error)) (*Plan, bool, error) {
 	c.mu.Lock()
-	if el, ok := c.index[key]; ok {
+	if el, ok := c.index[shape]; ok {
 		c.lru.MoveToFront(el)
-		p := el.Value.(*entry).plan
+		p := el.Value.(*Plan)
 		c.hits++
 		c.mu.Unlock()
 		c.mHits.Inc()
@@ -171,10 +106,10 @@ func (c *Cache) Get(key Key, compile func() (*Plan, error)) (*Plan, bool, error)
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.index[key]; ok {
-		return el.Value.(*entry).plan, false, nil
+	if el, ok := c.index[shape]; ok {
+		return el.Value.(*Plan), false, nil
 	}
-	c.index[key] = c.lru.PushFront(&entry{key: key, plan: p})
+	c.index[shape] = c.lru.PushFront(p)
 	c.bytes += p.Bytes()
 	c.mEntries.Add(1)
 	c.mBytes.Add(float64(p.Bytes()))
@@ -189,7 +124,7 @@ func (c *Cache) Close() {
 	n := c.lru.Len()
 	b := c.bytes
 	c.lru.Init()
-	c.index = make(map[Key]*list.Element)
+	c.index = make(map[string]*list.Element)
 	c.bytes = 0
 	c.mu.Unlock()
 	c.mEntries.Add(-float64(n))
@@ -199,7 +134,6 @@ func (c *Cache) Close() {
 
 // PlanInfo describes one resident plan on /debug/plancache.
 type PlanInfo struct {
-	Owner uint64 `json:"owner"`
 	Shape string `json:"shape"`
 	RQ    int    `json:"r_q"`
 	M     int    `json:"m"`
@@ -210,7 +144,6 @@ type PlanInfo struct {
 // Snapshot is one cache's point-in-time state.
 type Snapshot struct {
 	Backend   string     `json:"backend"`
-	Enabled   bool       `json:"enabled"`
 	Capacity  int        `json:"capacity"`
 	Entries   int        `json:"entries"`
 	Bytes     int        `json:"bytes"`
@@ -227,7 +160,6 @@ func (c *Cache) Stats() Snapshot {
 	defer c.mu.Unlock()
 	s := Snapshot{
 		Backend:   c.backend,
-		Enabled:   c.enabled,
 		Capacity:  c.capacity,
 		Entries:   c.lru.Len(),
 		Bytes:     c.bytes,
@@ -239,15 +171,8 @@ func (c *Cache) Stats() Snapshot {
 		s.HitRate = float64(c.hits) / float64(total)
 	}
 	for el := c.lru.Front(); el != nil; el = el.Next() {
-		e := el.Value.(*entry)
-		s.Plans = append(s.Plans, PlanInfo{
-			Owner: e.key.Owner,
-			Shape: e.key.Shape,
-			RQ:    e.plan.RQ,
-			M:     e.plan.M,
-			Bound: e.plan.Bound,
-			Bytes: e.plan.Bytes(),
-		})
+		p := el.Value.(*Plan)
+		s.Plans = append(s.Plans, PlanInfo{Shape: p.Shape, RQ: p.RQ, M: p.M, Bound: p.Bound, Bytes: p.Bytes()})
 	}
 	return s
 }

@@ -61,12 +61,8 @@ func writeText(w io.Writer, snaps []Snapshot) {
 		return
 	}
 	for _, s := range snaps {
-		state := "enabled"
-		if !s.Enabled {
-			state = "disabled"
-		}
-		fmt.Fprintf(w, "cache %s (%s) entries=%d/%d bytes=%d hits=%d misses=%d evictions=%d hit-rate=%.3f\n",
-			s.Backend, state, s.Entries, s.Capacity, s.Bytes, s.Hits, s.Misses, s.Evictions, s.HitRate)
+		fmt.Fprintf(w, "cache %s entries=%d/%d bytes=%d hits=%d misses=%d evictions=%d hit-rate=%.3f\n",
+			s.Backend, s.Entries, s.Capacity, s.Bytes, s.Hits, s.Misses, s.Evictions, s.HitRate)
 		for _, p := range s.Plans {
 			fmt.Fprintf(w, "  %+v\n", p)
 		}

@@ -17,11 +17,11 @@
 // else; enumerating the buckets is each device's own job, by the paper's
 // §4.2 inverse mapping (query.InverseMapper.Walk).
 //
-// Plans are held in per-cluster LRU Caches, keyed by (allocator
-// identity, shape) so a rebuilt allocator — e.g. after a snapshot
-// reload — can never serve another allocator's plan. Cache traffic is
-// mirrored into the obs metric registry and the /debug/plancache
-// endpoint.
+// Every retrieval runs under such a plan. Plans are held in one LRU
+// Cache per executor, keyed by shape: an executor has one allocator, and
+// a rebuilt allocator — e.g. after a snapshot reload — always comes with
+// a new cluster and so a new cache. Cache traffic is mirrored into the
+// obs metric registry and the /debug/plancache endpoint.
 package plancache
 
 import (
@@ -48,44 +48,34 @@ type Plan struct {
 	alloc decluster.GroupAllocator
 	// counts[g] is the number of free-field value combinations whose
 	// folded contribution is g (convolve.Profile): what device h·g holds
-	// of any query of the shape. nil only on plans built without an
-	// allocator.
+	// of any query of the shape.
 	counts []int
 }
 
-// Summary builds a plan carrying only |R(q)| and the bound, without
-// counts: the executor asks every device under it. It is the engine's
-// uncached path, kept as the ask-everyone oracle the pruning tests
-// compare against.
-func Summary(q query.Query, rq, m int) *Plan {
-	return &Plan{Shape: q.Shape(), RQ: rq, M: m, Bound: audit.Bound(rq, m)}
-}
-
-// Compile builds the plan for q's shape under alloc: the summary numbers
+// Compile builds the plan for q's shape under alloc: |R(q)|, the bound
 // and the per-group counts. The third parameter is ignored — it capped
 // a per-device bucket list plans no longer carry — and stays only
 // because bench/fxload/layers.go passes one and only a [benchmark] PR may
 // edit bench/.
 func Compile(alloc decluster.GroupAllocator, q query.Query, _ int) *Plan {
 	fs := alloc.FileSystem()
-	p := Summary(q, q.NumQualified(fs), fs.M)
-	p.alloc = alloc
-	p.counts = convolve.Profile(alloc, q.UnspecifiedFields())
-	return p
+	rq := q.NumQualified(fs)
+	return &Plan{
+		Shape:  q.Shape(),
+		RQ:     rq,
+		M:      fs.M,
+		Bound:  audit.Bound(rq, fs.M),
+		alloc:  alloc,
+		counts: convolve.Profile(alloc, q.UnspecifiedFields()),
+	}
 }
 
 // Bytes approximates the plan's heap footprint, for cache accounting.
 func (p *Plan) Bytes() int { return 64 + 8*len(p.counts) }
 
 // Fold returns h, the fold of q's specified contributions: device dev
-// holds the count of group h⁻¹ · dev, since dev = h · c_free. 0 on a plan
-// without an allocator.
-func (p *Plan) Fold(q query.Query) int {
-	if p.alloc == nil {
-		return 0
-	}
-	return q.Fold(p.alloc)
-}
+// holds the count of group h⁻¹ · dev, since dev = h · c_free.
+func (p *Plan) Fold(q query.Query) int { return q.Fold(p.alloc) }
 
 // residual returns the group device dev holds under fold h.
 func (p *Plan) residual(h, dev int) int {
@@ -95,14 +85,11 @@ func (p *Plan) residual(h, dev int) int {
 
 // MayHold reports whether device dev can hold a qualified bucket of a
 // query of the shape whose specified contributions fold to h (Fold):
-// false only when the plan counts none there, true for every device on a
-// plan without counts.
-func (p *Plan) MayHold(h, dev int) bool {
-	return p.counts == nil || p.counts[p.residual(h, dev)] > 0
-}
+// false exactly when the plan counts none there.
+func (p *Plan) MayHold(h, dev int) bool { return p.counts[p.residual(h, dev)] > 0 }
 
 // CountOnDevice returns r_dev(q) — the device's qualified-bucket count —
-// without materialising buckets. The plan must be compiled (Compile).
+// without materialising buckets.
 func (p *Plan) CountOnDevice(q query.Query, dev int) int {
 	return p.counts[p.residual(p.Fold(q), dev)]
 }

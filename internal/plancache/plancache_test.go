@@ -166,7 +166,7 @@ func bucketsOnDevice(alloc decluster.GroupAllocator, q query.Query, dev int) [][
 // convolve.Profile and — translated by the query's fold — is the
 // brute-force load vector: so MayHold is false exactly on the devices
 // that hold no qualified bucket. Compile's ignored third argument changes
-// nothing; a summary plan knows nothing and lets every device be asked.
+// nothing.
 func TestPlanCountsPinTheActiveDevices(t *testing.T) {
 	fs := mustFS(t, []int{8, 4, 2}, 8)
 	rng := rand.New(rand.NewSource(21))
@@ -194,48 +194,21 @@ func TestPlanCountsPinTheActiveDevices(t *testing.T) {
 					}
 				}
 			}
-			sum := Summary(q, p.RQ, fs.M)
-			for dev := 0; dev < fs.M; dev++ {
-				if !sum.MayHold(sum.Fold(q), dev) {
-					t.Fatalf("%s: summary plan rules device %d out", q, dev)
-				}
-			}
 		})
 	}
 }
 
-func TestSummaryPlan(t *testing.T) {
-	q := query.New([]int{3, query.Unspecified})
-	p := Summary(q, 40, 16)
-	if p.Shape != "s*" || p.RQ != 40 || p.Bound != 3 {
-		t.Errorf("summary = %+v", p)
-	}
-}
-
-func TestIdentityDistinguishesRebuiltAllocators(t *testing.T) {
-	fs := mustFS(t, []int{4, 4}, 4)
-	a1, _ := decluster.NewFX(fs)
-	a2, _ := decluster.NewFX(fs)
-	if IdentityOf(a1) == IdentityOf(a2) {
-		t.Error("two allocator instances share an identity")
-	}
-	if IdentityOf(a1) != IdentityOf(a1) {
-		t.Error("identity not stable")
-	}
-}
-
+// TestCacheLRUAndStats: at a capacity of 2 the least recently used plan
+// is the one evicted, and the snapshot counts it.
 func TestCacheLRUAndStats(t *testing.T) {
 	fs := mustFS(t, []int{4, 4}, 4)
 	fx, _ := decluster.NewFX(fs)
 	c := New("memory")
-	c.Resize(2)
+	c.capacity = 2
 	defer c.Close()
-	owner := IdentityOf(fx)
 
-	compileShape := func(shape string, q query.Query) *Plan {
-		p, _, err := c.Get(Key{Owner: owner, Shape: shape}, func() (*Plan, error) {
-			return Compile(fx, q, 0), nil
-		})
+	lookup := func(q query.Query) *Plan {
+		p, _, err := c.Get(q.Shape(), func() (*Plan, error) { return Compile(fx, q, 0), nil })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -245,16 +218,16 @@ func TestCacheLRUAndStats(t *testing.T) {
 	qB := query.New([]int{1, query.Unspecified})
 	qC := query.New([]int{query.Unspecified, query.Unspecified})
 
-	pA := compileShape("*s", qA)
-	if p2 := compileShape("*s", qA); p2 != pA {
+	pA := lookup(qA)
+	if p2 := lookup(qA); p2 != pA {
 		t.Error("second lookup did not return the cached plan")
 	}
-	compileShape("s*", qB)
-	compileShape("**", qC) // evicts "*s" (LRU: "*s" was touched last at lookup 2... )
+	lookup(qB)
+	lookup(qC) // "*s" is now the least recently used: evicted
 
 	s := c.Stats()
-	if s.Entries != 2 {
-		t.Errorf("entries = %d, want 2", s.Entries)
+	if s.Entries != 2 || len(s.Plans) != 2 || s.Plans[0].Shape != "**" || s.Plans[1].Shape != "s*" {
+		t.Errorf("entries = %d, plans %+v, want \"**\" then \"s*\"", s.Entries, s.Plans)
 	}
 	if s.Hits != 1 || s.Misses != 3 {
 		t.Errorf("hits=%d misses=%d, want 1, 3", s.Hits, s.Misses)
@@ -267,7 +240,7 @@ func TestCacheLRUAndStats(t *testing.T) {
 	}
 }
 
-// TestCacheConcurrentMisses: goroutines that miss one key together each
+// TestCacheConcurrentMisses: goroutines that miss one shape together each
 // compile (none returns before all 32 are inside compile), the first
 // insert wins, and every caller leaves with that one resident plan. Run
 // under -race.
@@ -277,7 +250,6 @@ func TestCacheConcurrentMisses(t *testing.T) {
 	fs := mustFS(t, []int{4, 4}, 4)
 	fx, _ := decluster.NewFX(fs)
 	q := query.New([]int{0, query.Unspecified})
-	key := Key{Owner: IdentityOf(fx), Shape: q.Shape()}
 
 	const callers = 32
 	plans := make([]*Plan, callers)
@@ -288,7 +260,7 @@ func TestCacheConcurrentMisses(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			p, hit, err := c.Get(key, func() (*Plan, error) {
+			p, hit, err := c.Get(q.Shape(), func() (*Plan, error) {
 				if entered.Add(1) == callers {
 					close(all)
 				}
@@ -317,10 +289,9 @@ func TestCacheConcurrentMisses(t *testing.T) {
 func TestCacheCompileErrorNotCached(t *testing.T) {
 	c := New("memory")
 	defer c.Close()
-	key := Key{Owner: 9, Shape: "ss"}
 	fails := 0
 	for i := 0; i < 2; i++ {
-		_, _, err := c.Get(key, func() (*Plan, error) {
+		_, _, err := c.Get("ss", func() (*Plan, error) {
 			fails++
 			return nil, fmt.Errorf("boom %d", fails)
 		})
@@ -333,38 +304,42 @@ func TestCacheCompileErrorNotCached(t *testing.T) {
 	}
 }
 
-func TestReportAndResize(t *testing.T) {
+// TestReportFollowsEviction: Report lists a live cache with its resident
+// plans, and after a fourth shape meets a capacity of 3 it lists the
+// eviction and no longer the evicted plan. A closed cache leaves the
+// report.
+func TestReportFollowsEviction(t *testing.T) {
 	c := New("durable")
-	c.Resize(4)
-	defer c.Close()
+	c.capacity = 3
 	fs := mustFS(t, []int{4, 4}, 4)
 	fx, _ := decluster.NewFX(fs)
-	owner := IdentityOf(fx)
-	shapes := []query.Query{
-		query.New([]int{query.Unspecified, 0}),
-		query.New([]int{0, query.Unspecified}),
-		query.New([]int{query.Unspecified, query.Unspecified}),
-	}
-	for _, q := range shapes {
-		q := q
-		c.Get(Key{Owner: owner, Shape: q.Shape()}, func() (*Plan, error) { //nolint:errcheck
-			return Compile(fx, q, 0), nil
-		})
-	}
-	found := false
-	for _, s := range Report() {
-		if s.Backend == "durable" && s.Entries == 3 {
-			found = true
-			if len(s.Plans) != 3 {
-				t.Errorf("snapshot lists %d plans, want 3", len(s.Plans))
-			}
+	get := func(spec ...int) {
+		q := query.New(spec)
+		if _, _, err := c.Get(q.Shape(), func() (*Plan, error) { return Compile(fx, q, 0), nil }); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if !found {
-		t.Error("Report does not include the durable cache with 3 entries")
+	mine := func() (Snapshot, bool) {
+		for _, s := range Report() {
+			if s.Backend == "durable" && s.Capacity == 3 {
+				return s, true
+			}
+		}
+		return Snapshot{}, false
 	}
-	c.Resize(1)
-	if s := c.Stats(); s.Entries != 1 || s.Evictions != 2 {
-		t.Errorf("after Resize(1): entries=%d evictions=%d, want 1, 2", s.Entries, s.Evictions)
+	get(query.Unspecified, 0)
+	get(0, query.Unspecified)
+	get(query.Unspecified, query.Unspecified)
+	if s, ok := mine(); !ok || s.Entries != 3 || len(s.Plans) != 3 || s.Evictions != 0 {
+		t.Fatalf("Report lists the durable cache as %+v (found %v), want 3 entries, 0 evictions", s, ok)
+	}
+	get(0, 0)
+	s, _ := mine()
+	if s.Entries != 3 || s.Evictions != 1 || s.Plans[0].Shape != "ss" || s.Plans[2].Shape != "s*" {
+		t.Errorf("after a fourth shape: %+v, want 3 entries, 1 eviction, \"*s\" gone", s)
+	}
+	c.Close()
+	if _, ok := mine(); ok {
+		t.Error("a closed cache is still on the report")
 	}
 }

@@ -317,8 +317,6 @@ func (c *DurableCluster) Sync() error {
 
 // Close closes every device log and releases the plan cache.
 func (c *DurableCluster) Close() error {
-	if c.eng != nil && c.eng.Plans() != nil {
-		c.eng.Plans().Close()
-	}
+	c.core.Close()
 	return c.eachStore("close", (*pagestore.Store).Close)
 }

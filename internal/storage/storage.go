@@ -59,14 +59,19 @@ func (c *core) wire(kind string, schema *mkhash.File, devices []engine.Device, m
 	if st.injector != nil {
 		devices = st.injector.Wrap(devices)
 	}
-	c.eng, err = engine.New(st.engineConfig(kind, engine.Config{
-		Schema:  schema,
-		FS:      c.fs,
-		Devices: devices,
-		Model:   model,
-		Alloc:   c.alloc,
-	}))
+	cfg := st.engineConfig(kind, engine.Config{Schema: schema, Devices: devices, Model: model, Alloc: c.alloc})
+	if c.eng, err = engine.New(cfg); err != nil {
+		cfg.Plans.Close()
+	}
 	return err
+}
+
+// Close releases the cluster's plan cache: its /debug/plancache entry and
+// its share of the fxdist_plancache gauges. The in-memory clusters hold
+// nothing else to release; the durable one also closes its device logs.
+func (c *core) Close() error {
+	c.eng.Plans().Close()
+	return nil
 }
 
 // M returns the device count.

@@ -54,7 +54,6 @@ type openSettings struct {
 	failover    bool
 	sloSet      bool
 	slo         LatencySLO
-	cacheSize   int // 0 = default, < 0 = disabled
 	fileOpts    []FileOption
 	rescaleJrnl string
 	dialEpoch   int
@@ -130,23 +129,6 @@ func WithFailover() Option {
 // Cluster.SetShapeLatencySLO. Set by fxnode query -slo and fxgate -slo.
 func WithLatencySLO(target time.Duration, goal float64) Option {
 	return func(s *openSettings) { s.sloSet, s.slo = true, LatencySLO{Target: target, Goal: goal} }
-}
-
-// WithPlanCacheSize bounds the cluster's plan cache to n shapes
-// (LRU-evicted beyond it). n = 0 keeps the default (256); n < 0
-// disables the cache: every retrieval validates afresh and asks every
-// device, pruned or not. That path is kept on purpose as the reference
-// the pruning property tests compare against
-// (TestPrunedFanOutMatchesBroadcastAcrossBackends); it is not a tuning
-// knob.
-func WithPlanCacheSize(n int) Option {
-	return func(s *openSettings) {
-		if n < 0 {
-			s.cacheSize = -1
-		} else {
-			s.cacheSize = n
-		}
-	}
 }
 
 // WithFileOptions passes file options (e.g. WithFieldHash) through to
@@ -337,14 +319,6 @@ func Open(cfg Config, opts ...Option) (*Cluster, error) {
 		c.kind, c.be = KindMemory, mem
 	}
 
-	if pc := c.be.PlanCache(); pc != nil {
-		switch {
-		case s.cacheSize < 0:
-			pc.SetEnabled(false)
-		case s.cacheSize > 0:
-			pc.Resize(s.cacheSize)
-		}
-	}
 	if s.sloSet {
 		c.SetLatencySLO(s.slo.Target, s.slo.Goal)
 	}
@@ -450,18 +424,18 @@ func (c *Cluster) RetrieveBatch(ctx context.Context, pms []PartialMatch) ([]Retr
 	return c.backend().RetrieveBatch(ctx, pms)
 }
 
-// Close releases the backend's resources: device logs for durable
-// clusters, server connections for coordinators; a no-op for the
-// in-memory kinds.
+// Close releases the backend's resources: its plan cache on every kind,
+// plus device logs for durable clusters and server connections for
+// coordinators.
 func (c *Cluster) Close() error {
 	switch be := c.backend().(type) {
-	case *DurableCluster:
-		return be.Close()
 	case *Coordinator:
 		if r := c.resc.Load(); r != nil {
 			r.closeNew()
 		}
 		be.Close()
+	case interface{ Close() error }: // memory, replicated, durable
+		return be.Close()
 	}
 	return nil
 }

@@ -2,10 +2,10 @@ package fxdist_test
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"reflect"
 	"testing"
 
@@ -45,16 +45,16 @@ func planCacheFile(t *testing.T, m int) (*fxdist.File, fxdist.GroupAllocator, fx
 	return file, fx, spec
 }
 
-// TestPrunedFanOutMatchesBroadcastAcrossBackends is the pruning property
-// at the facade: over every shape of the differential fixture and 26
-// value bindings of each (208 queries, some naming values no record has),
-// each backend kind answers byte for byte what its twin with the plan
-// cache disabled answers — the twin's plans carry no counts, so it asks
-// every device, the old broadcast — down to the per-device buckets,
-// scanned records and simulated times, which also sum to |R(q)|. On the
-// backends whose devices declare their owner, that is the answer of fewer
-// requests; the replicated one asks everyone either way.
-func TestPrunedFanOutMatchesBroadcastAcrossBackends(t *testing.T) {
+// TestPrunedFanOutMatchesSearchAcrossBackends is the pruning property at
+// the facade: over every shape of the fixture and 26 value bindings of
+// each (208 queries, some naming values no record has), each backend
+// kind answers what references computed without the engine say: the
+// records of File.Search (as a multiset), the per-device buckets of the
+// allocator's load vector (Loads), which sum to |R(q)|, and the largest
+// of them as LargestResponseSize. On the backends whose devices declare
+// their owner that is the answer of only the devices holding a
+// qualified bucket; the replicated one asks everyone.
+func TestPrunedFanOutMatchesSearchAcrossBackends(t *testing.T) {
 	file, fx, spec := planCacheFile(t, 8)
 	records, err := fxdist.GenerateRecords(spec, 64, 77)
 	if err != nil {
@@ -69,28 +69,20 @@ func TestPrunedFanOutMatchesBroadcastAcrossBackends(t *testing.T) {
 
 	for _, k := range []struct {
 		name string
-		cfg  func() fxdist.Config
+		cfg  fxdist.Config
 		opts []fxdist.Option
 	}{
-		{"memory", func() fxdist.Config { return fxdist.Config{File: file, Allocator: fx} }, nil},
-		{"durable", func() fxdist.Config { return fxdist.Config{Dir: t.TempDir(), File: file, Allocator: fx} }, nil},
-		{"replicated", func() fxdist.Config { return fxdist.Config{File: file, Allocator: fx} },
+		{"memory", fxdist.Config{File: file, Allocator: fx}, nil},
+		{"durable", fxdist.Config{Dir: t.TempDir(), File: file, Allocator: fx}, nil},
+		{"replicated", fxdist.Config{File: file, Allocator: fx},
 			[]fxdist.Option{fxdist.WithReplication(fxdist.ChainedFailover)}},
-		{"netdist", func() fxdist.Config { return fxdist.Config{File: file, Addrs: addrs} }, nil},
+		{"netdist", fxdist.Config{File: file, Addrs: addrs}, nil},
 	} {
-		pruned, err := fxdist.Open(k.cfg(), k.opts...)
+		c, err := fxdist.Open(k.cfg, k.opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer pruned.Close()
-		broadcast, err := fxdist.Open(k.cfg(), append(k.opts, fxdist.WithPlanCacheSize(-1))...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer broadcast.Close()
-		if broadcast.PlanCache().Enabled {
-			t.Fatalf("%s: WithPlanCacheSize(-1) left the cache enabled: the twin is no oracle", k.name)
-		}
+		defer c.Close()
 		for mask := 0; mask < 1<<len(sizes); mask++ {
 			rq := 1
 			for i, f := range sizes {
@@ -109,26 +101,30 @@ func TestPrunedFanOutMatchesBroadcastAcrossBackends(t *testing.T) {
 						pm[i] = &v
 					}
 				}
-				a, err := pruned.Retrieve(pm)
+				res, err := c.Retrieve(pm)
 				if err != nil {
 					t.Fatalf("%s shape %03b trial %d: %v", k.name, mask, trial, err)
 				}
-				b, err := broadcast.Retrieve(pm)
+				want, err := file.Search(pm)
 				if err != nil {
-					t.Fatalf("%s shape %03b trial %d, all devices: %v", k.name, mask, trial, err)
+					t.Fatal(err)
 				}
-				a.TraceID, b.TraceID, a.Stages, b.Stages = 0, 0, nil, nil
-				if !reflect.DeepEqual(a.Records, b.Records) || !reflect.DeepEqual(a.DeviceBuckets, b.DeviceBuckets) ||
-					!reflect.DeepEqual(a.DeviceRecords, b.DeviceRecords) || !reflect.DeepEqual(a.DeviceTime, b.DeviceTime) ||
-					a.Response != b.Response || a.TotalWork != b.TotalWork || a.LargestResponseSize != b.LargestResponseSize {
-					t.Fatalf("%s shape %03b trial %d: pruned answer differs from the all-devices one:\n%+v\n%+v", k.name, mask, trial, a, b)
+				q, err := file.BucketQuery(pm)
+				if err != nil {
+					t.Fatal(err)
 				}
-				total := 0
-				for _, n := range a.DeviceBuckets {
+				loads := fxdist.Loads(fx, q)
+				if got, want := sortedRecords(res.Records), sortedRecords(want); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s shape %03b trial %d: records %v, File.Search %v", k.name, mask, trial, got, want)
+				}
+				total, largest := 0, 0
+				for _, n := range loads {
 					total += n
+					largest = max(largest, n)
 				}
-				if total != rq {
-					t.Fatalf("%s shape %03b trial %d: device buckets sum to %d, |R(q)| = %d", k.name, mask, trial, total, rq)
+				if !reflect.DeepEqual(res.DeviceBuckets, loads) || total != rq || res.LargestResponseSize != largest {
+					t.Fatalf("%s shape %03b trial %d: device buckets %v (largest %d), loads %v sum to %d, |R(q)| = %d",
+						k.name, mask, trial, res.DeviceBuckets, res.LargestResponseSize, loads, total, rq)
 				}
 			}
 		}
@@ -137,8 +133,8 @@ func TestPrunedFanOutMatchesBroadcastAcrossBackends(t *testing.T) {
 
 // TestPlanCacheInvalidationOnAllocatorRebuild proves a rebuilt allocator
 // never reuses stale plans: after a snapshot round trip the restored
-// allocator has a new cache identity, so the same shape compiles fresh
-// and still answers correctly.
+// allocator comes with a new cluster and so a new cache, the same shape
+// compiles fresh and still answers correctly.
 func TestPlanCacheInvalidationOnAllocatorRebuild(t *testing.T) {
 	file, fx, _ := planCacheFile(t, 4)
 	pm, err := file.Spec(map[string]string{"supplier": "supplier-3"})
@@ -154,6 +150,7 @@ func TestPlanCacheInvalidationOnAllocatorRebuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer c1.Close()
 	for i := 0; i < 3; i++ {
 		if _, err := c1.Retrieve(pm); err != nil {
 			t.Fatal(err)
@@ -176,6 +173,7 @@ func TestPlanCacheInvalidationOnAllocatorRebuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer c2.Close()
 	got, err := c2.Retrieve(pm)
 	if err != nil {
 		t.Fatal(err)
@@ -187,17 +185,12 @@ func TestPlanCacheInvalidationOnAllocatorRebuild(t *testing.T) {
 	if s2.Misses != 1 || s2.Hits != 0 || len(s2.Plans) != 1 {
 		t.Fatalf("rebuilt cluster cache: %+v, want a fresh compile (1 miss / 0 hits)", s2)
 	}
-	if s1.Plans[0].Owner == s2.Plans[0].Owner {
-		t.Errorf("rebuilt allocator kept cache identity %d; plans could alias across rebuilds",
-			s2.Plans[0].Owner)
-	}
 }
 
 // TestPlanCacheHitRateIntegration drives a repeated-shape workload and
 // asserts the cache absorbs it: >90%% hit rate on the cluster's own
 // snapshot, matching counters on the /metrics scrape, and a well-formed
-// /debug/plancache report. CI uploads that JSON as a build artifact when
-// PLANCACHE_JSON names a destination.
+// /debug/plancache report.
 func TestPlanCacheHitRateIntegration(t *testing.T) {
 	srv := httptest.NewServer(fxdist.MetricsHandler())
 	defer srv.Close()
@@ -267,10 +260,111 @@ func TestPlanCacheHitRateIntegration(t *testing.T) {
 		t.Errorf("/debug/plancache lists no memory cache matching hits=%d misses=%d:\n%s",
 			stats.Hits, stats.Misses, raw)
 	}
-	if path := os.Getenv("PLANCACHE_JSON"); path != "" {
-		if err := os.WriteFile(path, raw, 0o644); err != nil {
-			t.Fatalf("write PLANCACHE_JSON: %v", err)
+}
+
+// TestPlanCacheEvictsAtItsCapacity drives all 512 shapes of a 9-field
+// schema through one memory cluster: the cache compiles each once, holds
+// its capacity of 256 and evicts the other 256, and every answer is
+// File.Search's.
+func TestPlanCacheEvictsAtItsCapacity(t *testing.T) {
+	const n = 9
+	spec := fxdist.RecordSpec{Fields: make([]fxdist.FieldSpec, n)}
+	depths := make([]int, n)
+	for i := range spec.Fields {
+		spec.Fields[i] = fxdist.FieldSpec{Name: fmt.Sprintf("f%d", i), Cardinality: 4}
+		depths[i] = 1
+	}
+	file, err := fxdist.NewFile(fxdist.GenerateSchema(spec, depths))
+	if err != nil {
+		t.Fatal(err)
+	}
+	records, err := fxdist.GenerateRecords(spec, 400, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range records {
+		if err := file.Insert(r); err != nil {
+			t.Fatal(err)
 		}
-		t.Logf("plan cache report written to %s", path)
+	}
+	// Over two devices FX is strict optimal on every shape of this grid,
+	// so no query is kept for a bound violation.
+	fs, err := file.FileSystem(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fx, err := fxdist.NewFX(fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := fxdist.Open(fxdist.Config{File: file, Allocator: fx})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for mask := 0; mask < 1<<n; mask++ {
+		r := records[mask%len(records)]
+		pm := make(fxdist.PartialMatch, n)
+		for i := range pm {
+			if mask&(1<<i) == 0 {
+				v := r[i]
+				pm[i] = &v
+			}
+		}
+		res, err := c.Retrieve(pm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := file.Search(pm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := sortedRecords(res.Records), sortedRecords(want); !reflect.DeepEqual(got, want) {
+			t.Fatalf("shape %09b: records %v, File.Search %v", mask, got, want)
+		}
+	}
+	s := c.PlanCache()
+	if s.Capacity != 256 || s.Entries != 256 || s.Evictions != 256 || s.Misses != 512 || s.Hits != 0 {
+		t.Errorf("after 512 shapes: capacity %d, entries %d, evictions %d, misses %d, hits %d; want 256, 256, 256, 512, 0",
+			s.Capacity, s.Entries, s.Evictions, s.Misses, s.Hits)
+	}
+}
+
+// TestCloseReleasesThePlanCache opens, queries and closes memory and
+// replicated clusters over and over: afterwards PlanCacheReport lists as
+// many caches as before and the fxdist_plancache_size gauges read what
+// they read before.
+func TestCloseReleasesThePlanCache(t *testing.T) {
+	srv := httptest.NewServer(fxdist.MetricsHandler())
+	defer srv.Close()
+	file, fx, _ := planCacheFile(t, 4)
+	pm, err := file.Spec(map[string]string{"supplier": "supplier-3"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sizes := func() [2]float64 {
+		m := scrapeMetrics(t, srv.URL+"/metrics")
+		return [2]float64{m[`fxdist_plancache_size{cache="memory"}`], m[`fxdist_plancache_size{cache="replicated"}`]}
+	}
+	caches0, sizes0 := len(fxdist.PlanCacheReport()), sizes()
+	for i := 0; i < 25; i++ {
+		for _, opts := range [][]fxdist.Option{nil, {fxdist.WithReplication(fxdist.ChainedFailover)}} {
+			c, err := fxdist.Open(fxdist.Config{File: file, Allocator: fx}, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.Retrieve(pm); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if got := len(fxdist.PlanCacheReport()); got != caches0 {
+		t.Errorf("PlanCacheReport lists %d caches after 50 closed clusters, %d before", got, caches0)
+	}
+	if got := sizes(); got != sizes0 {
+		t.Errorf("fxdist_plancache_size{memory, replicated} = %v after 50 closed clusters, %v before", got, sizes0)
 	}
 }
