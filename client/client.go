@@ -3,11 +3,11 @@ package client
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -21,8 +21,10 @@ import (
 // single Client multiplexes any number of in-flight calls over the
 // transport's connection pool.
 type Client struct {
-	endpoint      string
-	apiKey        string
+	endpoint string
+	// authorization is the Authorization header's value, built once and
+	// shared by every request like jsonContentType.
+	authorization []string
 	httpc         *http.Client
 	nextID        atomic.Uint64
 	retryAttempts int
@@ -35,12 +37,18 @@ type Option func(*Client)
 // WithAPIKey authenticates every request as the tenant owning key
 // (sent as a Bearer token).
 func WithAPIKey(key string) Option {
-	return func(c *Client) { c.apiKey = key }
+	return func(c *Client) {
+		c.authorization = nil
+		if key != "" {
+			c.authorization = []string{"Bearer " + key}
+		}
+	}
 }
 
 // WithHTTPClient substitutes the underlying HTTP client (custom
-// transport, TLS, proxies). The default keeps connections alive and
-// applies no overall timeout — use context deadlines per call.
+// transport, TLS, proxies). The default keeps connections alive — as
+// many idle ones as calls were in flight — and applies no overall
+// timeout: use context deadlines per call.
 func WithHTTPClient(h *http.Client) Option {
 	return func(c *Client) { c.httpc = h }
 }
@@ -65,11 +73,24 @@ func WithRetryOn429(maxAttempts int, maxWait time.Duration) Option {
 // "http://127.0.0.1:8080/rpc".
 func New(endpoint string, opts ...Option) *Client {
 	c := &Client{endpoint: endpoint, httpc: &http.Client{}}
+	// http.DefaultTransport keeps two idle connections per host, so past
+	// two calls in flight most dialled one of their own; a Client's clone
+	// keeps them all. A DefaultTransport a program wrapped is used as is.
+	if def, ok := http.DefaultTransport.(*http.Transport); ok {
+		tr := def.Clone()
+		tr.MaxIdleConnsPerHost = max(tr.MaxIdleConns, 100)
+		c.httpc.Transport = tr
+	}
 	for _, opt := range opts {
 		opt(c)
 	}
 	return c
 }
+
+// jsonContentType is every request's Content-Type value, one slice for
+// all of them. Its len is its cap, so an Add to a request's header
+// copies it instead of writing into it.
+var jsonContentType = []string{"application/json"}
 
 // call runs one JSON-RPC request, retrying 429-class rejections per the
 // client's WithRetryOn429 policy, and unmarshals the result into out.
@@ -103,32 +124,18 @@ func (c *Client) call(ctx context.Context, method string, params any, out any) e
 
 // callOnce runs one JSON-RPC round trip.
 func (c *Client) callOnce(ctx context.Context, method string, params any, out any) error {
-	var raw json.RawMessage
-	if params != nil {
-		b, err := json.Marshal(params)
-		if err != nil {
-			return fmt.Errorf("client: marshal params: %w", err)
-		}
-		raw = b
-	}
-	id := c.nextID.Add(1)
-	req := Request{
-		JSONRPC: "2.0",
-		ID:      json.RawMessage(strconv.FormatUint(id, 10)),
-		Method:  method,
-		Params:  raw,
-	}
-	body, err := json.Marshal(req)
-	if err != nil {
-		return fmt.Errorf("client: marshal request: %w", err)
-	}
+	// The frame is written on the stack and copied out once: the
+	// transport may still be sending the body when Do returns, so it
+	// cannot be a slab that goes back to a pool there.
+	var frame [512]byte
+	body := slices.Clone(appendRequest(frame[:0], c.nextID.Add(1), method, params))
 	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.endpoint, bytes.NewReader(body))
 	if err != nil {
 		return fmt.Errorf("client: build request: %w", err)
 	}
-	hreq.Header.Set("Content-Type", "application/json")
-	if c.apiKey != "" {
-		hreq.Header.Set("Authorization", "Bearer "+c.apiKey)
+	hreq.Header["Content-Type"] = jsonContentType
+	if c.authorization != nil {
+		hreq.Header["Authorization"] = c.authorization
 	}
 	hres, err := c.httpc.Do(hreq)
 	if err != nil {
@@ -257,7 +264,7 @@ func (c *Client) Health(ctx context.Context) (*HealthResult, error) {
 	return &out, nil
 }
 
-// Close releases idle connections held by the default transport.
+// Close releases the idle connections the client's transport holds.
 func (c *Client) Close() {
 	c.httpc.CloseIdleConnections()
 }

@@ -139,7 +139,8 @@ func (g *Gate) serve(chunk []*pending) {
 	}
 	if len(chunk) > 1 {
 		g.coalescedQ.Add(uint64(len(chunk)))
-		g.metrics.coalesced(uint64(len(chunk)))
+		g.metrics.coalesced.add(uint64(len(chunk)), "fxgate_coalesced_queries_total",
+			"Queries served inside a multi-query coalesced dispatch.")
 	}
 	res, errs := g.dispatch(fxdist.ContextWithCallers(context.Background(), callers), pms)
 	for i, p := range chunk {

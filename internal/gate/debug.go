@@ -62,10 +62,10 @@ func (g *Gate) Report() Report {
 		Batches:          g.batches.Load(),
 		CoalescedQueries: g.coalescedQ.Load(),
 		DirectBatches:    g.directBatch.Load(),
-		RateLimited:      g.rateLimited.Load(),
-		QuotaRejected:    g.quotaRejects.Load(),
-		BurnSheds:        g.burnSheds.Load(),
-		FrontSheds:       g.frontSheds.Load(),
+		RateLimited:      g.rejects[rateLimited].Load(),
+		QuotaRejected:    g.rejects[quota].Load(),
+		BurnSheds:        g.rejects[burn].Load(),
+		FrontSheds:       g.rejects[shed].Load(),
 	}
 	for _, t := range g.tenants.all() {
 		t.mu.Lock()
@@ -73,9 +73,9 @@ func (g *Gate) Report() Report {
 			Name:          t.cfg.Name,
 			InFlight:      t.inFlight,
 			Requests:      t.requests,
-			RateLimited:   t.rateLimited,
-			QuotaRejected: t.quotaRejected,
-			Shed:          t.shed,
+			RateLimited:   t.rejects[rateLimited],
+			QuotaRejected: t.rejects[quota],
+			Shed:          t.rejects[shed],
 			Errors:        t.errors,
 			Coalesced:     t.coalesced,
 			RatePerSec:    t.cfg.RatePerSec,

@@ -78,14 +78,12 @@ type Gate struct {
 	// Dispatch accounting: batches counts dispatches (each one
 	// Cluster.RetrieveBatch call), coalescedQ the queries that shared a
 	// dispatch with at least one other request's query, directBatch the
-	// dispatches that were one tenant's explicit fx.retrieveBatch.
-	batches      atomic.Uint64
-	coalescedQ   atomic.Uint64
-	directBatch  atomic.Uint64
-	rateLimited  atomic.Uint64
-	quotaRejects atomic.Uint64
-	burnSheds    atomic.Uint64
-	frontSheds   atomic.Uint64
+	// dispatches that were one tenant's explicit fx.retrieveBatch,
+	// rejects the requests turned away, by reason.
+	batches     atomic.Uint64
+	coalescedQ  atomic.Uint64
+	directBatch atomic.Uint64
+	rejects     [len(reasons)]atomic.Uint64
 
 	shedMu sync.Mutex // guards cfg.MaxInFlight and cfg.ShedRetryAfter
 
@@ -173,20 +171,20 @@ func (g *Gate) admitShape(shape string) *fxdist.Error {
 	if g.cfg.BurnShedThreshold <= 0 {
 		return nil
 	}
-	burn := g.cfg.Cluster.BurnRate(shape)
-	if burn < g.cfg.BurnShedThreshold {
+	rate := g.cfg.Cluster.BurnRate(shape)
+	if rate < g.cfg.BurnShedThreshold {
 		return nil
 	}
-	g.burnSheds.Add(1)
+	g.rejects[burn].Add(1)
 	e := fxdist.NewError(fxdist.ErrCodeOverloaded,
-		fmt.Sprintf("shape %s over SLO burn budget (burn rate %.2f)", shape, burn))
+		fmt.Sprintf("shape %s over SLO burn budget (burn rate %.2f)", shape, rate))
 	e.RetryAfter = g.cfg.BurnRetryAfter
 	return e
 }
 
-// spec compiles a map-form query into the cluster's PartialMatch.
-func (g *Gate) spec(query map[string]string) (fxdist.PartialMatch, *fxdist.Error) {
-	pm, err := g.cfg.File.Spec(query)
+// spec compiles a decoded query into the cluster's PartialMatch.
+func (g *Gate) spec(query [][2]string) (fxdist.PartialMatch, *fxdist.Error) {
+	pm, err := g.cfg.File.SpecPairs(query)
 	if err != nil {
 		return nil, fxdist.NewError(fxdist.ErrCodeInvalidQuery, err.Error())
 	}

@@ -1,12 +1,11 @@
 package gate
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -14,6 +13,7 @@ import (
 	"fxdist"
 	"fxdist/client"
 	"fxdist/internal/mempool"
+	"fxdist/internal/obs"
 )
 
 // maxBodyBytes bounds one HTTP request body (a JSON-RPC frame or an
@@ -36,9 +36,10 @@ func (g *Gate) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "fxgate speaks JSON-RPC 2.0 over POST", http.StatusMethodNotAllowed)
 		return
 	}
-	// A declared-length body is read into a pooled slab: json.Unmarshal
-	// copies what it keeps (Params included), so nothing holds the bytes
-	// once the response is written. A chunked one is read to its end.
+	// A declared-length body is read into a pooled slab. The request
+	// codec copies every query out of it; only a frame's params (until
+	// serveOne decodes them) and its id (until the answer is written)
+	// point into it. A chunked body is read to its end.
 	var body []byte
 	var err error
 	tooLarge := r.ContentLength > maxBodyBytes
@@ -61,19 +62,19 @@ func (g *Gate) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	t := g.tenants.authenticate(bearerToken(r))
 	if t == nil {
-		g.metrics.rejected("", "unauthorized")
+		rejected(&g.metrics.unauthorized, "", "unauthorized")
 		e := fxdist.NewError(fxdist.ErrCodeUnauthorized, "unknown or missing API key")
 		writeFrame(w, http.StatusUnauthorized, errorFrame(nil, client.FromError(e)))
 		return
 	}
 
-	trimmed := bytes.TrimLeft(body, " \t\r\n")
-	if len(trimmed) > 0 && trimmed[0] == '[' {
-		var reqs []client.Request
-		if err := json.Unmarshal(body, &reqs); err != nil {
-			writeFrame(w, http.StatusOK, errorFrame(nil, client.ParseError(err.Error())))
-			return
-		}
+	var one [1]client.Request
+	reqs, batch, err := client.DecodeRequests(body, one[:0])
+	if err != nil {
+		writeFrame(w, http.StatusOK, errorFrame(nil, client.ParseError(err.Error())))
+		return
+	}
+	if batch {
 		if len(reqs) == 0 {
 			writeFrame(w, http.StatusOK, errorFrame(nil, client.InvalidRequestError("empty batch envelope")))
 			return
@@ -85,19 +86,9 @@ func (g *Gate) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		writeBatch(w, frames)
 		return
 	}
-
-	var req client.Request
-	if err := json.Unmarshal(body, &req); err != nil {
-		writeFrame(w, http.StatusOK, errorFrame(nil, client.ParseError(err.Error())))
-		return
-	}
-	res, status := g.serveOne(r, t, &req)
+	res, status := g.serveOne(r, t, &reqs[0])
 	if res.err != nil && res.err.Data != nil && res.err.Data.RetryAfterMillis > 0 {
-		secs := int(math.Ceil(float64(res.err.Data.RetryAfterMillis) / 1000))
-		if secs < 1 {
-			secs = 1
-		}
-		w.Header().Set("Retry-After", strconv.Itoa(secs))
+		w.Header().Set("Retry-After", strconv.FormatInt((res.err.Data.RetryAfterMillis+999)/1000, 10))
 	}
 	writeFrame(w, status, res)
 }
@@ -108,59 +99,34 @@ func (g *Gate) serveOne(r *http.Request, t *tenant, req *client.Request) (frame,
 	if req.JSONRPC != "2.0" || req.Method == "" {
 		return errorFrame(req.ID, client.InvalidRequestError("not a JSON-RPC 2.0 request")), http.StatusOK
 	}
-	// One token per query. An fx.retrieveBatch is decoded here, once:
-	// the limiter is charged for the queries the handler then runs, and
-	// params that do not parse are charged one and refused once admitted.
-	cost := 1.0
-	var batch client.BatchParams
-	var malformed *fxdist.Error
-	switch req.Method {
-	case client.MethodRetrieve, client.MethodExplain, client.MethodHealth:
-	case client.MethodRetrieveBatch:
-		if err := json.Unmarshal(req.Params, &batch); err != nil {
-			malformed = fxdist.NewError(fxdist.ErrCodeInvalidQuery, "malformed params: "+err.Error())
-		} else if n := len(batch.Queries); n > 0 {
-			cost = float64(n)
-		}
-	default:
+	method := slices.Index(methods[:], req.Method)
+	if method < 0 {
 		e := fxdist.NewError(fxdist.ErrCodeUnknownMethod, "unknown method "+req.Method)
 		return errorFrame(req.ID, client.FromError(e)), http.StatusOK
 	}
+	// The params are decoded here, once, by method. One token per query:
+	// the limiter is charged for the queries of an fx.retrieveBatch, and
+	// params that do not decode are charged one and refused once admitted.
+	p, err := client.DecodeParams(req.Method, req.Params)
+	var malformed *fxdist.Error
+	if err != nil {
+		malformed = fxdist.NewError(fxdist.ErrCodeInvalidQuery, "malformed params: "+err.Error())
+	}
+	cost := max(1, float64(len(p.Queries)))
 
 	// Admission, outermost first: token bucket, per-tenant in-flight
 	// quota, front-door shed. Each rejection carries a Retry-After.
 	if ok, retry := t.take(time.Now(), cost); !ok {
-		t.mu.Lock()
-		t.rateLimited++
-		t.mu.Unlock()
-		g.rateLimited.Add(1)
-		g.metrics.rejected(t.cfg.Name, "rate_limited")
-		e := fxdist.NewError(fxdist.ErrCodeRateLimited, "tenant rate limit exceeded")
-		e.RetryAfter = maxDuration(retry, time.Second)
-		return errorFrame(req.ID, client.FromError(e)), http.StatusTooManyRequests
+		return g.refuse(t, rateLimited, req.ID, fxdist.ErrCodeRateLimited, "tenant rate limit exceeded", max(retry, time.Second))
 	}
 	if !t.acquire() {
-		t.mu.Lock()
-		t.quotaRejected++
-		t.mu.Unlock()
-		g.quotaRejects.Add(1)
-		g.metrics.rejected(t.cfg.Name, "quota")
-		e := fxdist.NewError(fxdist.ErrCodeRateLimited, "tenant in-flight quota exceeded")
-		e.RetryAfter = g.cfg.ShedRetryAfter
-		return errorFrame(req.ID, client.FromError(e)), http.StatusTooManyRequests
+		return g.refuse(t, quota, req.ID, fxdist.ErrCodeRateLimited, "tenant in-flight quota exceeded", g.cfg.ShedRetryAfter)
 	}
 	defer t.release()
 	maxInFlight, shedRetry := g.shedConfig()
 	if n := g.inFlight.Add(1); maxInFlight > 0 && n > int64(maxInFlight) {
 		g.inFlight.Add(-1)
-		t.mu.Lock()
-		t.shed++
-		t.mu.Unlock()
-		g.frontSheds.Add(1)
-		g.metrics.rejected(t.cfg.Name, "shed")
-		e := fxdist.NewError(fxdist.ErrCodeOverloaded, "gate at max in-flight requests")
-		e.RetryAfter = shedRetry
-		return errorFrame(req.ID, client.FromError(e)), http.StatusTooManyRequests
+		return g.refuse(t, shed, req.ID, fxdist.ErrCodeOverloaded, "gate at max in-flight requests", shedRetry)
 	}
 	defer func() {
 		g.metrics.inflight.Set(float64(g.inFlight.Add(-1)))
@@ -170,18 +136,19 @@ func (g *Gate) serveOne(r *http.Request, t *tenant, req *client.Request) (frame,
 	t.mu.Lock()
 	t.requests++
 	t.mu.Unlock()
-	g.metrics.request(t.cfg.Name, req.Method)
+	t.series.requests[method].add(1, "fxgate_requests_total", "JSON-RPC requests admitted, by tenant and method.",
+		obs.L("tenant", t.cfg.Name), obs.L("method", req.Method))
 
 	start := time.Now()
 	var result any
 	herr := malformed
 	if herr == nil {
-		result, herr = g.call(r.Context(), t, req, batch.Queries)
+		result, herr = g.call(r.Context(), t, req.Method, &p)
 	}
 	g.metrics.latency.ObserveSince(start)
 	if herr != nil {
 		if herr.Code == fxdist.ErrCodeOverloaded {
-			g.metrics.rejected(t.cfg.Name, "burn")
+			t.reject(burn)
 		}
 		status := http.StatusOK
 		switch herr.Code {
@@ -205,11 +172,15 @@ func bearerToken(r *http.Request) string {
 	return ""
 }
 
-func maxDuration(a, b time.Duration) time.Duration {
-	if a > b {
-		return a
-	}
-	return b
+// refuse counts a request turned away at the front door for the reason,
+// on the gate and the tenant, and answers it 429 with a Retry-After.
+func (g *Gate) refuse(t *tenant, reason int, id json.RawMessage, code fxdist.ErrorCode, msg string,
+	retry time.Duration) (frame, int) {
+	g.rejects[reason].Add(1)
+	t.reject(reason)
+	e := fxdist.NewError(code, msg)
+	e.RetryAfter = retry
+	return errorFrame(id, client.FromError(e)), http.StatusTooManyRequests
 }
 
 // frame is one JSON-RPC response on its way out: the request's id and
@@ -334,11 +305,16 @@ func writeBatch(w http.ResponseWriter, frames []frame) {
 	}
 }
 
+// jsonContentType is every response's Content-Type value, one slice for
+// all of them. Its len is its cap, so an Add to a response's header
+// copies it instead of writing into it.
+var jsonContentType = []string{"application/json; charset=utf-8"}
+
 // send writes one encoded response with its length declared, so that
 // large answers are not chunked, and recycles the slab.
 func send(w http.ResponseWriter, status int, buf []byte) {
 	h := w.Header()
-	h.Set("Content-Type", "application/json; charset=utf-8")
+	h["Content-Type"] = jsonContentType
 	h.Set("Content-Length", strconv.Itoa(len(buf)))
 	w.WriteHeader(status)
 	w.Write(buf)

@@ -2,7 +2,6 @@ package gate
 
 import (
 	"context"
-	"encoding/json"
 	"time"
 
 	"fxdist"
@@ -10,20 +9,23 @@ import (
 	"fxdist/internal/audit"
 )
 
-// call runs one admitted frame of a known method. The returned value
-// becomes the JSON-RPC result — a wireResult encodes itself, anything
-// else goes through json.Marshal; a non-nil *fxdist.Error becomes the
-// JSON-RPC error object (and, for rate/overload codes, the HTTP
-// status). queries are the frame's params when the method is
-// fx.retrieveBatch, decoded once by serveOne to price the frame.
-func (g *Gate) call(ctx context.Context, t *tenant, req *client.Request, queries []map[string]string) (any, *fxdist.Error) {
-	switch req.Method {
+// methods is the method registry, in the order of a tenant's request
+// counters.
+var methods = [...]string{client.MethodRetrieve, client.MethodRetrieveBatch, client.MethodExplain, client.MethodHealth}
+
+// call runs one admitted frame of a known method on its decoded params.
+// The returned value becomes the JSON-RPC result — a wireResult encodes
+// itself, anything else goes through json.Marshal; a non-nil
+// *fxdist.Error becomes the JSON-RPC error object (and, for
+// rate/overload codes, the HTTP status).
+func (g *Gate) call(ctx context.Context, t *tenant, method string, p *client.Params) (any, *fxdist.Error) {
+	switch method {
 	case client.MethodRetrieve:
-		return g.handleRetrieve(ctx, t, req.Params)
+		return g.handleRetrieve(ctx, t, p.Query)
 	case client.MethodRetrieveBatch:
-		return g.handleRetrieveBatch(ctx, t, queries)
+		return g.handleRetrieveBatch(ctx, t, p.Queries)
 	case client.MethodExplain:
-		return g.handleExplain(req.Params)
+		return g.handleExplain(p.Query)
 	default: // client.MethodHealth: serveOne let no other name through
 		return g.handleHealth(), nil
 	}
@@ -90,12 +92,8 @@ func (b batchAnswer) sizeHint() int {
 	return n
 }
 
-func (g *Gate) handleRetrieve(ctx context.Context, t *tenant, params json.RawMessage) (any, *fxdist.Error) {
-	var p client.RetrieveParams
-	if err := json.Unmarshal(params, &p); err != nil {
-		return nil, fxdist.NewError(fxdist.ErrCodeInvalidQuery, "malformed params: "+err.Error())
-	}
-	pm, e := g.spec(p.Query)
+func (g *Gate) handleRetrieve(ctx context.Context, t *tenant, query [][2]string) (any, *fxdist.Error) {
+	pm, e := g.spec(query)
 	if e != nil {
 		return nil, e
 	}
@@ -106,7 +104,7 @@ func (g *Gate) handleRetrieve(ctx context.Context, t *tenant, params json.RawMes
 	return &answer{res, batch}, nil
 }
 
-func (g *Gate) handleRetrieveBatch(ctx context.Context, t *tenant, queries []map[string]string) (any, *fxdist.Error) {
+func (g *Gate) handleRetrieveBatch(ctx context.Context, t *tenant, queries [][][2]string) (any, *fxdist.Error) {
 	if len(queries) == 0 {
 		return nil, fxdist.NewError(fxdist.ErrCodeInvalidQuery, "empty batch")
 	}
@@ -135,12 +133,8 @@ func (g *Gate) handleRetrieveBatch(ctx context.Context, t *tenant, queries []map
 	return items, nil
 }
 
-func (g *Gate) handleExplain(params json.RawMessage) (any, *fxdist.Error) {
-	var p client.RetrieveParams
-	if err := json.Unmarshal(params, &p); err != nil {
-		return nil, fxdist.NewError(fxdist.ErrCodeInvalidQuery, "malformed params: "+err.Error())
-	}
-	pm, e := g.spec(p.Query)
+func (g *Gate) handleExplain(query [][2]string) (any, *fxdist.Error) {
+	pm, e := g.spec(query)
 	if e != nil {
 		return nil, e
 	}

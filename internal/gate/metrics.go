@@ -1,6 +1,10 @@
 package gate
 
-import "fxdist/internal/obs"
+import (
+	"sync/atomic"
+
+	"fxdist/internal/obs"
+)
 
 // gateMetrics exposes the gate on the process-wide metric registry
 // (scraped at /metrics alongside the cluster's own metrics).
@@ -8,6 +12,9 @@ type gateMetrics struct {
 	batches  *obs.Counter
 	inflight *obs.Gauge
 	latency  *obs.Histogram
+	// coalesced counts queries that shared a dispatch with shape-mates,
+	// unauthorized the requests no tenant's key admitted.
+	coalesced, unauthorized counter
 }
 
 func newGateMetrics() *gateMetrics {
@@ -22,23 +29,43 @@ func newGateMetrics() *gateMetrics {
 	}
 }
 
-// request counts one admitted request.
-func (m *gateMetrics) request(tenant, method string) {
-	obs.Default().Counter("fxgate_requests_total",
-		"JSON-RPC requests admitted, by tenant and method.",
-		obs.L("tenant", tenant), obs.L("method", method)).Inc()
+// The reasons a tenant's request is rejected, in the order of its
+// rejection counters.
+const (
+	rateLimited = iota
+	quota
+	shed
+	burn
+)
+
+var reasons = [...]string{rateLimited: "rate_limited", quota: "quota", shed: "shed", burn: "burn"}
+
+// tenantSeries are one tenant's counters, by method (in the order of
+// methods) and by rejection reason.
+type tenantSeries struct {
+	requests [len(methods)]counter
+	rejected [len(reasons)]counter
 }
 
-// rejected counts one rejected request by reason: unauthorized,
-// rate_limited, quota, shed, burn.
-func (m *gateMetrics) rejected(tenant, reason string) {
-	obs.Default().Counter("fxgate_rejected_total",
-		"Requests rejected at the front door, by tenant and reason.",
-		obs.L("tenant", tenant), obs.L("reason", reason)).Inc()
+// rejected counts one request rejected at the front door; a request no
+// key admits is "unauthorized", under the empty tenant.
+func rejected(c *counter, tenant, reason string) {
+	c.add(1, "fxgate_rejected_total", "Requests rejected at the front door, by tenant and reason.",
+		obs.L("tenant", tenant), obs.L("reason", reason))
 }
 
-// coalesced counts queries that shared a dispatch with shape-mates.
-func (m *gateMetrics) coalesced(n uint64) {
-	obs.Default().Counter("fxgate_coalesced_queries_total",
-		"Queries served inside a multi-query coalesced dispatch.").Add(n)
+// counter is one series of the registry, looked up on its first use —
+// so /metrics shows only series something has counted in — and held
+// from then on: counting costs an atomic load and an add.
+type counter struct{ c atomic.Pointer[obs.Counter] }
+
+// add adds n to the series. The name, help and labels are read on the
+// first call only; racing first calls resolve the same series.
+func (c *counter) add(n uint64, name, help string, labels ...obs.Label) {
+	ctr := c.c.Load()
+	if ctr == nil {
+		ctr = obs.Default().Counter(name, help, labels...)
+		c.c.Store(ctr)
+	}
+	ctr.Add(n)
 }

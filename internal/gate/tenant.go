@@ -62,13 +62,13 @@ type tenant struct {
 
 	inFlight int
 
-	requests      uint64
-	rateLimited   uint64
-	quotaRejected uint64
-	shed          uint64 // admission-control (SLO burn / front-door) rejections
-	errors        uint64
-	coalesced     uint64 // queries served through a coalesced batch
-	shapes        map[string]*shapeStats
+	requests  uint64
+	rejects   [len(reasons)]uint64 // requests turned away at the front door, by reason
+	errors    uint64
+	coalesced uint64 // queries served through a coalesced batch
+	shapes    map[string]*shapeStats
+
+	series tenantSeries
 }
 
 func newTenant(cfg TenantConfig) *tenant {
@@ -145,6 +145,14 @@ func (t *tenant) observe(shape string, elapsed time.Duration, coalesced bool, er
 	if coalesced {
 		t.coalesced++
 	}
+}
+
+// reject counts one of the tenant's requests rejected for the reason.
+func (t *tenant) reject(reason int) {
+	t.mu.Lock()
+	t.rejects[reason]++
+	t.mu.Unlock()
+	rejected(&t.series.rejected[reason], t.cfg.Name, reasons[reason])
 }
 
 // tenantSet is the gate's tenant registry, keyed by API key.

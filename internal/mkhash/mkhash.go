@@ -356,17 +356,34 @@ func (f *File) GrowAdvice() (fieldIdx int, ok bool) {
 // are unspecified fields.
 type PartialMatch []*string
 
-// Spec builds a value-level query: pairs of (field name, value). Fields
-// not mentioned are unspecified.
+// Spec builds a value-level query from field name → value. Fields not
+// mentioned are unspecified.
 func (f *File) Spec(pairs map[string]string) (PartialMatch, error) {
-	pm := make(PartialMatch, len(f.depths))
+	var stack [8][2]string
+	list := stack[:0]
 	for name, value := range pairs {
-		i, err := f.FieldIndex(name)
+		list = append(list, [2]string{name, value})
+	}
+	return f.SpecPairs(list)
+}
+
+// SpecPairs is Spec over (field name, value) pairs, a later pair
+// overriding an earlier one of the same name. However many fields are
+// specified, it allocates the PartialMatch and one array of the values
+// it points into.
+func (f *File) SpecPairs(pairs [][2]string) (PartialMatch, error) {
+	pm := make(PartialMatch, len(f.depths))
+	if len(pairs) == 0 {
+		return pm, nil
+	}
+	values := make([]string, len(f.depths))
+	for _, p := range pairs {
+		i, err := f.FieldIndex(p[0])
 		if err != nil {
 			return nil, err
 		}
-		v := value
-		pm[i] = &v
+		values[i] = p[1]
+		pm[i] = &values[i]
 	}
 	return pm, nil
 }

@@ -113,8 +113,8 @@ func sortLabels(labels []Label) []Label {
 }
 
 func (r *Registry) entryFor(name, help string, kind Kind, bounds []float64, labels []Label) *entry {
-	labels = sortLabels(labels)
-	key := labelKey(labels)
+	sorted := sortLabels(labels) // a copy: the caller's slice can stay on its stack
+	key := labelKey(sorted)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	f := r.families[name]
@@ -127,7 +127,7 @@ func (r *Registry) entryFor(name, help string, kind Kind, bounds []float64, labe
 	}
 	e := f.index[key]
 	if e == nil {
-		e = &entry{labels: labels, key: key}
+		e = &entry{labels: sorted, key: key}
 		switch kind {
 		case KindCounter:
 			e.counter = &Counter{}
