@@ -90,6 +90,7 @@ var (
 		required: []string{"shape", "queries", "violations", "max_deviation", "mean_deviation", "worst_device",
 			"bound", "r_q", "m", "max_device_buckets"},
 		optional: []string{"slo_target_ns", "slo_goal", "slo_good", "slo_bad", "slo_burn_rate"},
+		added:    []string{"mismatches"},
 	}
 	// /debug/tenants, pinned as of PR 17, which took coalesce_window_ms
 	// out with the window itself: the key must not come back.

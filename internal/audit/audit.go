@@ -1,14 +1,15 @@
 // Package audit turns the paper's optimality theorems into a live
 // production invariant. The paper proves that FX is strict optimal for
 // a characterised class of query shapes: no device serves more than
-// ceil(|R(q)|/M) qualified buckets. The engine executor already
-// computes per-device qualified-bucket counts for every retrieval, so
-// this package compares them against that bound online, for every
-// served query, and aggregates the deviation — violation counts, max
-// and mean excess, worst offender device — keyed by *query shape*: the
-// set of unspecified fields, i.e. the paper's k classes. A second layer
-// tracks per-shape latency SLOs (good/bad counters plus a rolling
-// burn-rate) so tail latency attributes to the shapes that cause it.
+// ceil(|R(q)|/M) qualified buckets. That verdict is a fact of the
+// allocation and the *query shape* (the set of unspecified fields, the
+// paper's k classes), so the engine's plan decides it and every query
+// record carries it. This package counts, per shape, the queries, the
+// violations with their excess and worst device, and the placement
+// mismatches: some device answered for other buckets than the plan
+// gives it (a misplaced bucket, a short answer, a stale epoch — never
+// the allocator). A second layer tracks per-shape latency SLOs
+// (good/bad counters plus a rolling burn-rate).
 //
 // One Shape exists per (backend, query shape): the audit section of the
 // telemetry package's per-shape cell, which owns the lock. Every counter
@@ -54,25 +55,13 @@ const sloWindow = 512
 // fields, so Reset can zero them without fighting the monotonic
 // Prometheus counters.
 type Shape struct {
-	shape      string
-	queries    uint64
-	violations uint64
-	sumDev     uint64 // total excess over the bound, across all queries
-	maxDev     int
-	worstDev   int // device that produced maxDev; -1 before any violation
-	bound      int // bound of the most recent audited query
-	rq         int
-	m          int
-	maxBuckets int // largest single-device count ever observed
-
-	good, bad uint64
-	window    []bool // ring of recent outcomes; true = bad
-	wpos      int
-	wlen      int
-	wbad      int
+	shape  string
+	window []bool // ring of recent SLO outcomes; true = bad
+	tally
 
 	mQueries    *obs.Counter
 	mViolations *obs.Counter
+	mMismatches *obs.Counter
 	mMaxDev     *obs.Gauge
 	mBound      *obs.Gauge
 	mGood       *obs.Counter
@@ -80,19 +69,32 @@ type Shape struct {
 	mBurn       *obs.Gauge
 }
 
+// tally is the state Reset returns to empty.
+type tally struct {
+	queries, violations, mismatches uint64
+	bound, rq, m, maxLoad           int // the latest judged query's plan's numbers
+	worstDev, mismatchDev           int // of the latest violation and mismatch; -1 before any
+	good, bad                       uint64
+	wpos, wlen, wbad                int // window cursor, fill and bad outcomes
+}
+
+var empty = tally{worstDev: -1, mismatchDev: -1}
+
 // NewShape returns the empty audit state of one backend's query shape,
 // registering (or reviving) its mirrored instruments.
 func NewShape(backend, shape string) *Shape {
 	r := obs.Default()
 	bl, sl := obs.L("backend", backend), obs.L("shape", shape)
 	return &Shape{
-		shape:    shape,
-		worstDev: -1,
-		window:   make([]bool, sloWindow),
+		shape:  shape,
+		window: make([]bool, sloWindow),
+		tally:  empty,
 		mQueries: r.Counter("fxdist_audit_queries_total",
 			"Retrievals audited against the strict-optimality bound, per backend and query shape.", bl, sl),
 		mViolations: r.Counter("fxdist_audit_violations_total",
 			"Retrievals where some device exceeded ceil(|R(q)|/M) qualified buckets.", bl, sl),
+		mMismatches: r.Counter("fxdist_audit_mismatches_total",
+			"Retrievals where some device answered for other qualified buckets than the plan gives it.", bl, sl),
 		mMaxDev: r.Gauge("fxdist_audit_max_deviation_buckets",
 			"Largest observed per-device excess over the strict-optimality bound.", bl, sl),
 		mBound: r.Gauge("fxdist_audit_bound_buckets",
@@ -106,43 +108,33 @@ func NewShape(backend, shape string) *Shape {
 	}
 }
 
-// Observe audits one finished retrieval from its query record against
-// the shape's latency objective slo (zero = none): the merged per-device
-// bucket counts against the record's bound. A failed (or degraded)
-// retrieval is counted and charged to the SLO but its buckets are not
-// judged. It returns the shape's burn rate after this query.
+// Observe counts one finished retrieval from its query record, which
+// carries its plan's verdict, under the shape's latency objective slo
+// (zero = none). A failed (or degraded) retrieval is counted with its
+// mismatches and charged to the SLO, but not judged against the bound.
+// It returns the shape's burn rate after this query.
 func (st *Shape) Observe(rec *obs.QueryRecord, slo SLO) float64 {
 	st.queries++
 	st.mQueries.Inc()
-	ok := !rec.Failed
-	if ok {
-		bound := rec.Bound
-		st.bound, st.rq, st.m = bound, rec.RQ, len(rec.DeviceBuckets)
-		st.mBound.Set(float64(bound))
-		worst, worstDev := 0, -1
-		for dev, b := range rec.DeviceBuckets {
-			if b > st.maxBuckets {
-				st.maxBuckets = b
-			}
-			if d := b - bound; d > worst {
-				worst, worstDev = d, dev
-			}
-		}
-		if worst > 0 {
+	if len(rec.MismatchedDevices) > 0 {
+		st.mismatches++
+		st.mismatchDev = rec.MismatchedDevices[0]
+		st.mMismatches.Inc()
+	}
+	if !rec.Failed {
+		st.bound, st.rq, st.m, st.maxLoad = rec.Bound, rec.RQ, len(rec.DeviceBuckets), rec.MaxDeviceBuckets
+		st.mBound.Set(float64(rec.Bound))
+		if rec.BoundViolation {
 			st.violations++
+			st.worstDev = rec.WorstDevice
 			st.mViolations.Inc()
-			st.sumDev += uint64(worst)
-			if worst >= st.maxDev {
-				st.maxDev = worst
-				st.worstDev = worstDev
-				st.mMaxDev.Set(float64(worst))
-			}
+			st.mMaxDev.Set(float64(rec.MaxDeviceBuckets - rec.Bound))
 		}
 	}
 	if slo.Target <= 0 {
 		return 0
 	}
-	bad := !ok || rec.Elapsed > slo.Target
+	bad := rec.Failed || rec.Elapsed > slo.Target
 	if bad {
 		st.bad++
 		st.mBad.Inc()
@@ -188,22 +180,27 @@ type ShapeReport struct {
 	Queries uint64 `json:"queries"`
 	// Violations counts retrievals where some device exceeded the bound.
 	Violations uint64 `json:"violations"`
-	// MaxDeviation is the largest observed per-device excess over the
-	// bound; 0 means every retrieval of this shape was strict optimal.
+	// MaxDeviation is the busiest device's excess over the bound; 0
+	// means every retrieval of this shape was strict optimal.
 	MaxDeviation int `json:"max_deviation"`
 	// MeanDeviation is the mean excess per audited query (0 deviations
 	// included).
 	MeanDeviation float64 `json:"mean_deviation"`
-	// WorstDevice is the device that produced MaxDeviation, -1 if none.
+	// WorstDevice is the busiest device of the latest violation, -1 if
+	// none.
 	WorstDevice int `json:"worst_device"`
 	// Bound, RQ and M describe the most recent audited query: the
 	// strict-optimality bound ceil(RQ/M), |R(q)| and the device count.
 	Bound int `json:"bound"`
 	RQ    int `json:"r_q"`
 	M     int `json:"m"`
-	// MaxBuckets is the largest single-device qualified-bucket count
-	// observed for this shape.
-	MaxBuckets int `json:"max_device_buckets"`
+	// MaxBuckets is the busiest device's share of every query of the
+	// shape. Mismatches counts retrievals where some device answered for
+	// other buckets than the plan gives it; MismatchDevice is the first
+	// such device of the latest, -1 if none.
+	MaxBuckets     int    `json:"max_device_buckets"`
+	Mismatches     uint64 `json:"mismatches"`
+	MismatchDevice int    `json:"-"`
 	// SLO state; zero SLOTarget means no objective is configured.
 	SLOTarget time.Duration `json:"slo_target_ns,omitempty"`
 	SLOGoal   float64       `json:"slo_goal,omitempty"`
@@ -223,20 +220,22 @@ type BackendReport struct {
 // Report snapshots the shape's row under the objective slo in force.
 func (st *Shape) Report(slo SLO) ShapeReport {
 	sr := ShapeReport{
-		Shape:        st.shape,
-		Queries:      st.queries,
-		Violations:   st.violations,
-		MaxDeviation: st.maxDev,
-		WorstDevice:  st.worstDev,
-		Bound:        st.bound,
-		RQ:           st.rq,
-		M:            st.m,
-		MaxBuckets:   st.maxBuckets,
-		Good:         st.good,
-		Bad:          st.bad,
+		Shape:          st.shape,
+		Queries:        st.queries,
+		Violations:     st.violations,
+		WorstDevice:    st.worstDev,
+		Bound:          st.bound,
+		RQ:             st.rq,
+		M:              st.m,
+		MaxBuckets:     st.maxLoad,
+		Mismatches:     st.mismatches,
+		MismatchDevice: st.mismatchDev,
+		Good:           st.good,
+		Bad:            st.bad,
 	}
-	if st.queries > 0 {
-		sr.MeanDeviation = float64(st.sumDev) / float64(st.queries)
+	if st.violations > 0 {
+		sr.MaxDeviation = st.maxLoad - st.bound
+		sr.MeanDeviation = float64(st.violations) * float64(sr.MaxDeviation) / float64(st.queries)
 	}
 	if slo.Target > 0 {
 		sr.SLOTarget, sr.SLOGoal, sr.BurnRate = slo.Target, slo.Goal, st.BurnRate(slo)
@@ -247,14 +246,8 @@ func (st *Shape) Report(slo SLO) ShapeReport {
 // Reset zeroes the accumulation (the mirrored Prometheus counters stay
 // monotonic; gauges drop to zero).
 func (st *Shape) Reset() {
-	st.queries, st.violations, st.sumDev = 0, 0, 0
-	st.maxDev, st.worstDev, st.maxBuckets = 0, -1, 0
-	st.bound, st.rq, st.m = 0, 0, 0
-	st.good, st.bad = 0, 0
-	st.wpos, st.wlen, st.wbad = 0, 0, 0
-	for i := range st.window {
-		st.window[i] = false
-	}
+	st.tally = empty
+	clear(st.window)
 	st.mMaxDev.Set(0)
 	st.mBound.Set(0)
 	st.mBurn.Set(0)

@@ -22,13 +22,22 @@ func TestBound(t *testing.T) {
 }
 
 // done feeds one shape's audit a finished retrieval the way the store
-// does: a query record carrying |R(q)|, the bound and the merged bucket
-// counts (nil for a failed retrieval), under the objective in force.
+// does: a query record carrying |R(q)|, the bound, the merged bucket
+// counts (nil for a failed retrieval) and — standing in for the plan —
+// the busiest device and the verdict those counts give, under the
+// objective in force.
 func done(st *Shape, slo SLO, rq int, buckets []int, elapsed time.Duration) float64 {
-	return st.Observe(&obs.QueryRecord{
+	rec := &obs.QueryRecord{
 		Shape: st.shape, RQ: rq, Bound: Bound(rq, len(buckets)),
 		DeviceBuckets: buckets, Failed: buckets == nil, Elapsed: elapsed,
-	}, slo)
+	}
+	for dev, b := range buckets {
+		if b > rec.MaxDeviceBuckets {
+			rec.MaxDeviceBuckets, rec.WorstDevice = b, dev
+		}
+	}
+	rec.BoundViolation = rec.MaxDeviceBuckets > rec.Bound
+	return st.Observe(rec, slo)
 }
 
 func TestAuditorAggregatesPerShape(t *testing.T) {
@@ -36,33 +45,39 @@ func TestAuditorAggregatesPerShape(t *testing.T) {
 	starSt := NewShape("test-agg", q(u, 0, u).Shape())
 	specSt := NewShape("test-agg", q(0, 0, u).Shape())
 
-	// Strict optimal retrieval: bound ceil(4/4)=1, all devices at 1.
-	done(starSt, SLO{}, 4, []int{1, 1, 1, 1}, time.Millisecond)
-	// Violating retrieval of the same shape: device 2 serves 3 > 1.
+	// Two retrievals of a violating shape, bound ceil(4/4)=1: its busiest
+	// device holds 3, which device depends on the specified values.
 	done(starSt, SLO{}, 4, []int{1, 0, 3, 0}, time.Millisecond)
-	// A different shape stays separate.
-	done(specSt, SLO{}, 2, []int{1, 1, 0, 0}, time.Millisecond)
-	// Failed retrieval: counted, not audited.
+	done(starSt, SLO{}, 4, []int{0, 3, 1, 0}, time.Millisecond)
+	// Failed retrieval: counted, not judged.
 	done(starSt, SLO{}, 4, nil, time.Millisecond)
+	// A different, strict optimal shape stays separate.
+	done(specSt, SLO{}, 2, []int{1, 1, 0, 0}, time.Millisecond)
+	// One of its retrievals had device 3 answer off its plan count.
+	specSt.Observe(&obs.QueryRecord{Shape: specSt.shape, RQ: 2, Bound: 1, MaxDeviceBuckets: 1,
+		DeviceBuckets: []int{1, 1, 0, 1}, MismatchedDevices: []int{3}}, SLO{})
 
 	star, spec := starSt.Report(SLO{}), specSt.Report(SLO{})
 	if star.Shape != "*s*" || spec.Shape != "ss*" {
 		t.Fatalf("rows are for shapes %q and %q", star.Shape, spec.Shape)
 	}
-	if star.Queries != 3 || star.Violations != 1 {
-		t.Errorf("*s*: queries=%d violations=%d, want 3/1", star.Queries, star.Violations)
+	if star.Queries != 3 || star.Violations != 2 || star.Mismatches != 0 {
+		t.Errorf("*s*: queries=%d violations=%d mismatches=%d, want 3/2/0", star.Queries, star.Violations, star.Mismatches)
 	}
-	if star.MaxDeviation != 2 || star.WorstDevice != 2 {
-		t.Errorf("*s*: maxdev=%d worst=%d, want 2/device 2", star.MaxDeviation, star.WorstDevice)
+	if star.MaxDeviation != 2 || star.WorstDevice != 1 {
+		t.Errorf("*s*: maxdev=%d worst=%d, want 2/device 1", star.MaxDeviation, star.WorstDevice)
 	}
-	if want := 2.0 / 3.0; star.MeanDeviation != want {
+	if want := 4.0 / 3.0; star.MeanDeviation != want {
 		t.Errorf("*s*: meandev=%g, want %g", star.MeanDeviation, want)
 	}
 	if star.Bound != 1 || star.RQ != 4 || star.M != 4 || star.MaxBuckets != 3 {
 		t.Errorf("*s*: bound=%d rq=%d m=%d maxbuckets=%d", star.Bound, star.RQ, star.M, star.MaxBuckets)
 	}
-	if spec.Queries != 1 || spec.Violations != 0 || spec.MaxDeviation != 0 || spec.WorstDevice != -1 {
-		t.Errorf("ss*: %+v, want one clean query", spec)
+	if spec.Queries != 2 || spec.Violations != 0 || spec.MaxDeviation != 0 || spec.WorstDevice != -1 {
+		t.Errorf("ss*: %+v, want two strict optimal queries", spec)
+	}
+	if spec.Mismatches != 1 || spec.MismatchDevice != 3 || star.MismatchDevice != -1 {
+		t.Errorf("ss*: mismatches=%d on device %d, want 1 on device 3", spec.Mismatches, spec.MismatchDevice)
 	}
 	if star.SLOTarget != 0 || star.Good+star.Bad != 0 || star.BurnRate != 0 {
 		t.Errorf("*s*: SLO state without an objective: %+v", star)
@@ -127,7 +142,7 @@ func TestResetZeroesState(t *testing.T) {
 	st.Reset()
 	s := st.Report(slo)
 	if s.Queries != 0 || s.Violations != 0 || s.MaxDeviation != 0 || s.WorstDevice != -1 || s.MaxBuckets != 0 ||
-		s.Good+s.Bad != 0 || s.BurnRate != 0 {
+		s.Mismatches != 0 || s.MismatchDevice != -1 || s.Good+s.Bad != 0 || s.BurnRate != 0 {
 		t.Errorf("after reset: %+v", s)
 	}
 	if s.Shape != "*s" || s.SLOTarget != slo.Target {

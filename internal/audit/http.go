@@ -23,6 +23,9 @@ func WriteText(w io.Writer, reps []BackendReport) {
 				verdict = fmt.Sprintf("VIOLATED (device %d: bound %d exceeded by %d)",
 					s.WorstDevice, s.Bound, s.MaxDeviation)
 			}
+			if s.Mismatches > 0 {
+				verdict += fmt.Sprintf("; MISPLACED (%d queries, latest on device %d)", s.Mismatches, s.MismatchDevice)
+			}
 			burn := "-"
 			if s.SLOTarget > 0 {
 				burn = fmt.Sprintf("%.2f", s.BurnRate)

@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"hash/fnv"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -17,9 +16,9 @@ import (
 // migration — while the loser finishes in the background so the two
 // answers can be cross-checked record-for-record. Any divergence is a
 // migration bug (a bucket installed on the wrong owner, a stale view
-// answering past cutover) and is counted, sampled, and surfaced to the
-// rescale driver, which refuses to release the old epoch while
-// mismatches exist.
+// answering past cutover) and is counted and surfaced to the rescale
+// driver, which refuses to release the old epoch while mismatches
+// exist.
 //
 // The cross-check is order-insensitive: retrieval results are grouped
 // by device, and the two epochs assign buckets to different devices by
@@ -32,12 +31,6 @@ type DualReader struct {
 	// cluster respectively.
 	Old func(ctx context.Context, pm mkhash.PartialMatch) (Result, error)
 	New func(ctx context.Context, pm mkhash.PartialMatch) (Result, error)
-	// OnMismatch, when set, is called once per diverging query with the
-	// query and both answers. Called from the background checker; the
-	// winner's Records are a private deep copy taken before Retrieve
-	// returned (the caller may have Released the real result's pooled
-	// lease by then), so the handler may hold them indefinitely.
-	OnMismatch func(pm mkhash.PartialMatch, winner, loser Result)
 
 	started    atomic.Uint64
 	completed  atomic.Uint64
@@ -113,15 +106,9 @@ func (d *DualReader) Retrieve(ctx context.Context, pm mkhash.PartialMatch) (Resu
 	d.recordWin(winner.old)
 
 	// Cross-check against the loser off the caller's path. The winner's
-	// digest — and, when a mismatch handler wants the records, a deep
-	// copy of them — is taken synchronously: the caller owns winner.res
-	// after we return and may Release its lease, after which the pooled
-	// record memory is rewritten under us.
+	// digest is taken now: once we return, the caller may Release its
+	// lease and the pooled record memory is rewritten under us.
 	wsum := multisetDigest(winner.res.Records)
-	winnerSnap := winner.res
-	if d.OnMismatch != nil {
-		winnerSnap.Records = CloneRecords(winner.res.Records)
-	}
 	d.wg.Add(1)
 	go func() {
 		defer d.wg.Done()
@@ -135,9 +122,6 @@ func (d *DualReader) Retrieve(ctx context.Context, pm mkhash.PartialMatch) (Resu
 		defer second.res.Release()
 		if multisetDigest(second.res.Records) != wsum {
 			d.mismatches.Add(1)
-			if d.OnMismatch != nil {
-				d.OnMismatch(pm, winnerSnap, second.res)
-			}
 		}
 	}()
 	return winner.res, nil
@@ -193,20 +177,4 @@ func putUvarint(b []byte, v uint64) int {
 	}
 	b[i] = byte(v)
 	return i + 1
-}
-
-// SortedRecords returns a copy of recs in a canonical order — the
-// diff-friendly view OnMismatch handlers log.
-func SortedRecords(recs []mkhash.Record) []mkhash.Record {
-	out := append([]mkhash.Record(nil), recs...)
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		for k := 0; k < len(a) && k < len(b); k++ {
-			if a[k] != b[k] {
-				return a[k] < b[k]
-			}
-		}
-		return len(a) < len(b)
-	})
-	return out
 }

@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"errors"
-	"reflect"
 	"testing"
 	"time"
 
@@ -117,62 +116,41 @@ func TestDualReaderMismatchDetectedAcrossOrder(t *testing.T) {
 	}
 
 	// ...while an actually divergent answer must.
-	var gotMismatch mkhash.PartialMatch
-	called := false
 	d2 := &DualReader{
 		Old: leg(a, nil, 0),
 		New: leg(dualResult(mkhash.Record{"a", "b"}), nil, 5*time.Millisecond),
-		OnMismatch: func(pm mkhash.PartialMatch, winner, loser Result) {
-			called = true
-			gotMismatch = pm
-			if len(winner.Records) != 2 || len(loser.Records) != 1 {
-				t.Errorf("handler got winner %d / loser %d records", len(winner.Records), len(loser.Records))
-			}
-		},
 	}
-	v := "k"
-	pm := mkhash.PartialMatch{&v, nil}
-	if _, err := d2.Retrieve(context.Background(), pm); err != nil {
+	if _, err := d2.Retrieve(context.Background(), nil); err != nil {
 		t.Fatal(err)
 	}
 	d2.Drain()
 	if st := d2.Stats(); st.Mismatches != 1 {
 		t.Errorf("divergent answers not counted: %+v", st)
 	}
-	if !called || len(gotMismatch) != 2 || gotMismatch[0] == nil || *gotMismatch[0] != "k" {
-		t.Errorf("OnMismatch not invoked with the query: called=%v pm=%v", called, gotMismatch)
-	}
 }
 
-// TestDualReaderMismatchWinnerIsStableCopy pins the OnMismatch
-// contract: the winner handed to the handler is a deep copy taken
-// before Retrieve returned, so a caller releasing the real result's
-// pooled lease (and the pool rewriting its memory) after Retrieve
-// cannot corrupt what the handler sees.
+// TestDualReaderMismatchWinnerIsStableCopy pins what the cross-check
+// compares: the winner as it was when Retrieve returned. The caller owns
+// the result from then on and may Release it (the pool rewriting its
+// memory) before the loser arrives; an identical loser must still match.
 func TestDualReaderMismatchWinnerIsStableCopy(t *testing.T) {
-	winnerRecs := []mkhash.Record{{"a", "1"}}
-	got := make(chan Result, 1)
 	gate := make(chan struct{})
 	d := &DualReader{
-		Old: leg(Result{Records: winnerRecs}, nil, 0),
+		Old: leg(Result{Records: []mkhash.Record{{"a", "1"}}}, nil, 0),
 		New: func(ctx context.Context, _ mkhash.PartialMatch) (Result, error) {
 			<-gate
-			return dualResult(mkhash.Record{"divergent"}), nil
+			return dualResult(mkhash.Record{"a", "1"}), nil
 		},
-		OnMismatch: func(_ mkhash.PartialMatch, winner, _ Result) { got <- winner },
 	}
 	res, err := d.Retrieve(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The caller owns res now and may Release it — model the pool
-	// rewriting the backing memory before the cross-check runs.
 	res.Records[0][0] = "scribbled"
 	close(gate)
 	d.Drain()
-	w := <-got
-	if len(w.Records) != 1 || w.Records[0][0] != "a" || w.Records[0][1] != "1" {
-		t.Fatalf("OnMismatch winner aliases released memory: %v", w.Records)
+	if st := d.Stats(); st.Mismatches != 0 {
+		t.Fatalf("the cross-check read the winner after Retrieve returned: %+v", st)
 	}
 }
 
@@ -189,18 +167,5 @@ func TestMultisetDigestProperties(t *testing.T) {
 	}
 	if multisetDigest(nil) != 0 {
 		t.Error("empty digest not zero")
-	}
-}
-
-func TestSortedRecordsCanonical(t *testing.T) {
-	in := []mkhash.Record{{"b"}, {"a", "z"}, {"a"}}
-	got := SortedRecords(in)
-	want := []mkhash.Record{{"a"}, {"a", "z"}, {"b"}}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("got %v, want %v", got, want)
-	}
-	// The input is untouched.
-	if !reflect.DeepEqual(in, []mkhash.Record{{"b"}, {"a", "z"}, {"a"}}) {
-		t.Fatal("SortedRecords mutated its input")
 	}
 }

@@ -248,8 +248,9 @@ type call struct {
 
 	started time.Time // retrieval entry: the plan stage starts here
 	span    *obs.Span
-	plan    *plancache.Plan // shape, |R(q)| and bound for every report
+	plan    *plancache.Plan // shape, |R(q)|, bound and verdict for every report
 	planHit bool
+	h       int    // the plan's fold of q: device dev holds plan.Count(h, dev)
 	caller  string // attribution for the wide-event query log
 	answers []Answer
 	errs    []error
@@ -304,11 +305,10 @@ func (c *call) closeStage(stage string) {
 // scans of the active devices — {h·g : counts[g] > 0}, and any that does
 // not declare its owner — are queued on the shared pool. A device not
 // asked keeps a zero answer: it reports as the device with no qualified
-// bucket it is. The plan rides
-// the call (its shape, |R(q)| and bound feed every report) and the call
-// travels to the devices via the context. A query that dies before
-// fan-out has no plan, hence no record: it is reported to the cluster
-// metrics alone.
+// bucket it is. The plan rides the call (its shape, |R(q)|, bound and
+// verdict feed every report) and the call travels to the devices via the
+// context. A query that dies before fan-out has no plan, hence no record:
+// it is reported to the cluster metrics alone.
 func (e *Executor) begin(ctx context.Context, pm mkhash.PartialMatch, caller string) (*call, error) {
 	c := &call{e: e, pm: pm, started: time.Now(), caller: caller, instr: e.in != nil}
 	if c.instr {
@@ -338,9 +338,9 @@ func (e *Executor) begin(ctx context.Context, pm mkhash.PartialMatch, caller str
 	}
 	c.pending.Store(int64(m))
 	c.ctx = context.WithValue(ctx, callKey{}, c)
-	h := c.plan.Fold(c.q)
+	c.h = c.plan.Fold(c.q)
 	for dev := 0; dev < m; dev++ {
-		if e.owned[dev] && !c.plan.MayHold(h, dev) {
+		if e.owned[dev] && c.plan.Count(c.h, dev) == 0 {
 			c.settle() // not asked: its answer stays zero
 			continue
 		}
@@ -493,13 +493,13 @@ func (e *Executor) degrade(c *call) (Result, error) {
 }
 
 // report is the executor's one reporting path. It closes the call's
-// span, builds the retrieval's single QueryRecord — shape, |R(q)| and
-// the strict bound straight from the plan — and takes it through the
-// bundle's three steps:
+// span, builds the retrieval's single QueryRecord — shape, |R(q)|, bound
+// and verdict from the plan, plus the devices whose answers disagree
+// with it — and takes it through the bundle's three steps:
 //
-//  1. Audit — cluster metrics and the bound/SLO audit, which read only
-//     scalars and the merged bucket counts and run inside the audit
-//     stage they are measured by (so they see the latency so far);
+//  1. Audit — cluster metrics and the bound/placement/SLO audit, which
+//     read only scalars and the merged bucket counts and run inside the
+//     audit stage they are measured by (so they see the latency so far);
 //  2. the audit stage closes, fixing Elapsed and Stages, and Decide
 //     rules once, on scalars, whether the record is kept. Only a kept
 //     query pays for per-device detail and error text (and only a
@@ -523,22 +523,23 @@ func (e *Executor) report(c *call, res Result, err error) {
 	if in == nil {
 		return
 	}
-	bound := c.plan.Bound
+	p := c.plan
 	rec := &obs.QueryRecord{
-		Backend:       in.Backend,
-		Shape:         c.plan.Shape,
-		Tenant:        c.caller,
-		TraceID:       c.span.Trace(),
-		Start:         c.started,
-		Elapsed:       time.Since(c.started),
-		PlanCacheHit:  c.planHit,
-		RQ:            c.plan.RQ,
-		Bound:         bound,
-		DeviceBuckets: res.DeviceBuckets,
-		// The audited bucket counts are the merged result's (a degraded
-		// merge zeroes failed devices); the violation check uses those.
-		BoundViolation: bound > 0 && res.LargestResponseSize > bound,
-		Failed:         err != nil,
+		Backend:           in.Backend,
+		Shape:             p.Shape,
+		Tenant:            c.caller,
+		TraceID:           c.span.Trace(),
+		Start:             c.started,
+		Elapsed:           time.Since(c.started),
+		PlanCacheHit:      c.planHit,
+		RQ:                p.RQ,
+		Bound:             p.Bound,
+		MaxDeviceBuckets:  p.MaxLoad,
+		BoundViolation:    p.Violates(),
+		WorstDevice:       p.WorstDevice(c.h),
+		MismatchedDevices: c.mismatched(),
+		DeviceBuckets:     res.DeviceBuckets,
+		Failed:            err != nil,
 	}
 	var failed map[int]error
 	if err != nil {
@@ -578,12 +579,27 @@ func (e *Executor) report(c *call, res Result, err error) {
 	}
 }
 
-// deviceDetail is the one reader of the call's per-device slices on the
-// reporting path. An abandoned call's stragglers may still be writing
-// them, so nothing is read unless the call settled: an unsettled call
-// reports no per-device detail at all. It returns the summed scan time
-// (the device.scan stage) and, when the query is kept, materialises
-// rec.Devices and rec.MaxDeviceBuckets.
+// mismatched returns the devices that declare their owner (a replicated
+// one does not), did not fail, and answered for other buckets than the
+// plan gives them; it allocates only for those, reads no unsettled call.
+func (c *call) mismatched() (devs []int) {
+	if !c.settled() {
+		return nil
+	}
+	for dev, owned := range c.e.owned {
+		if owned && c.errs[dev] == nil && c.answers[dev].Buckets != c.plan.Count(c.h, dev) {
+			devs = append(devs, dev)
+		}
+	}
+	return devs
+}
+
+// deviceDetail is the reporting path's reader of the call's per-device
+// slices besides mismatched. An abandoned call's stragglers may still be
+// writing them, so nothing is read unless the call settled: an unsettled
+// call reports no per-device detail at all. It returns the summed scan
+// time (the device.scan stage) and, when the query is kept, materialises
+// rec.Devices.
 func (c *call) deviceDetail(rec *obs.QueryRecord, keep bool) (scan time.Duration) {
 	if !c.settled() {
 		return 0
@@ -601,9 +617,6 @@ func (c *call) deviceDetail(rec *obs.QueryRecord, keep bool) (scan time.Duration
 			d.Err = c.errs[dev].Error()
 		}
 		rec.Devices[dev] = d
-		if d.Buckets > rec.MaxDeviceBuckets {
-			rec.MaxDeviceBuckets = d.Buckets
-		}
 	}
 	return scan
 }

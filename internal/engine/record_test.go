@@ -157,8 +157,9 @@ func (d lateDevice) Scan(context.Context, query.Query, mkhash.PartialMatch) (eng
 // TestAbandonedCallReportsNoDeviceDetail cancels a retrieval while
 // every device is still scanning. The failure is an always-keep event
 // and the first flight of its shape, so every view gets the record — but
-// with no per-device detail, no device.scan time and
-// no bucket counts, because the unsettled call's slices are never read.
+// with no per-device detail, no device.scan time, no bucket counts and
+// no placement mismatch, because the unsettled call's slices are never
+// read.
 func TestAbandonedCallReportsNoDeviceDetail(t *testing.T) {
 	f := testSchema(t)
 	var stragglers sync.WaitGroup
@@ -192,9 +193,9 @@ func TestAbandonedCallReportsNoDeviceDetail(t *testing.T) {
 	if !rec.Failed || rec.Err == "" || !reflect.DeepEqual(rec.Keep, []string{obs.KeepError}) {
 		t.Errorf("record verdicts wrong: %+v", rec)
 	}
-	if rec.Devices != nil || rec.MaxDeviceBuckets != 0 || rec.DeviceBuckets != nil {
-		t.Errorf("abandoned call reported per-device detail: devices=%v max=%d buckets=%v",
-			rec.Devices, rec.MaxDeviceBuckets, rec.DeviceBuckets)
+	if rec.Devices != nil || rec.MismatchedDevices != nil || rec.DeviceBuckets != nil {
+		t.Errorf("abandoned call reported per-device detail: devices=%v mismatched=%v buckets=%v",
+			rec.Devices, rec.MismatchedDevices, rec.DeviceBuckets)
 	}
 	if len(rec.Stages) != 5 || rec.Stages[4].Stage != obs.StageDeviceScan || rec.Stages[4].Wall != 0 {
 		t.Errorf("abandoned call reported device scan time: %+v", rec.Stages)

@@ -20,8 +20,8 @@ type QueryDevice struct {
 // view reads. FlightRecord and telemetry.Event are views of it.
 //
 // A record is immutable once committed. The detail fields — Devices,
-// MaxDeviceBuckets, Err, FailedDevices, Events — are materialised only
-// when the keep decision says the query will be retained.
+// Err, FailedDevices, Events — are materialised only when the keep
+// decision says the query will be retained.
 type QueryRecord struct {
 	Backend string `json:"backend"`
 	// Shape is the query-shape key ('s' specified, '*' unspecified).
@@ -39,13 +39,18 @@ type QueryRecord struct {
 
 	PlanCacheHit bool `json:"plan_cache_hit"`
 	// RQ is |R(q)|; Bound is the paper's strict bound ceil(|R(q)|/M);
-	// MaxDeviceBuckets the worst single device of this query.
+	// MaxDeviceBuckets the load of the busiest device, WorstDevice. All
+	// four, and BoundViolation, are the plan's, not the answers'.
 	RQ               int  `json:"rq"`
 	Bound            int  `json:"bound"`
 	MaxDeviceBuckets int  `json:"max_device_buckets"`
 	BoundViolation   bool `json:"bound_violation,omitempty"`
+	WorstDevice      int  `json:"-"`
+	// MismatchedDevices answered for other buckets than the plan gives
+	// them: a misplaced bucket, a short answer or a stale epoch.
+	MismatchedDevices []int `json:"mismatched_devices,omitempty"`
 	// DeviceBuckets are the merged result's per-device qualified-bucket
-	// counts — what the bound is audited against; nil when the
+	// counts — what the per-device load counters add up; nil when the
 	// retrieval failed outright, the surviving devices' when it
 	// degraded. The slice belongs to the caller's Result: the Audit step
 	// reads it during the call and nothing retains it.
@@ -58,8 +63,8 @@ type QueryRecord struct {
 
 	// Error/partial manifest. Failed is true for any retrieval that
 	// returned an error, degraded ones included; Err is its text.
-	Failed        bool    `json:"-"`
 	Err           string  `json:"err,omitempty"`
+	Failed        bool    `json:"-"`
 	Partial       bool    `json:"partial,omitempty"`
 	Coverage      float64 `json:"coverage,omitempty"`
 	FailedDevices []int   `json:"failed_devices,omitempty"`

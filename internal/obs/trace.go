@@ -36,18 +36,19 @@ type Tracer struct {
 }
 
 // Keep reasons: why a query's record and trace tree were kept. The first
-// three are always-keep; head and sample are the per-shape sampling of
+// four are always-keep; head and sample are the per-shape sampling of
 // unremarkable traffic and are the first to be evicted.
 const (
-	KeepError  = "error"  // the query failed (or returned partial results)
-	KeepSlow   = "slow"   // latency exceeded the shape's SLO target
-	KeepBound  = "bound"  // a device exceeded the strict bound ceil(|R(q)|/M)
-	KeepHead   = "head"   // one of the first queries of its shape
-	KeepSample = "sample" // 1-in-N sample of a shape's later queries
+	KeepError  = "error"     // the query failed (or returned partial results)
+	KeepSlow   = "slow"      // latency exceeded the shape's SLO target
+	KeepBound  = "bound"     // a device exceeded the strict bound ceil(|R(q)|/M)
+	KeepPlace  = "placement" // a device answered off its plan count
+	KeepHead   = "head"      // one of the first queries of its shape
+	KeepSample = "sample"    // 1-in-N sample of a shape's later queries
 )
 
 func alwaysKeep(reason string) bool {
-	return reason == KeepError || reason == KeepSlow || reason == KeepBound
+	return reason == KeepError || reason == KeepSlow || reason == KeepBound || reason == KeepPlace
 }
 
 // RetainedTrace is one trace tree kept by the tail-sampling decision.

@@ -13,9 +13,9 @@
 // so counting the free-field value combinations by their folded
 // contribution once per shape says what every device holds of any query
 // of the shape: device dev holds counts[h⁻¹ · dev] buckets, whatever
-// values the query specifies. A Plan is those O(M) numbers and nothing
-// else; enumerating the buckets is each device's own job, by the paper's
-// §4.2 inverse mapping (query.InverseMapper.Walk).
+// values the query specifies; the busiest is h·g*, g* a group of
+// max(counts). A Plan is those O(M) numbers and nothing else; devices
+// enumerate buckets themselves (§4.2, query.InverseMapper.Walk).
 //
 // Every retrieval runs under such a plan. Plans are held in one LRU
 // Cache per executor, keyed by shape: an executor has one allocator, and
@@ -44,12 +44,15 @@ type Plan struct {
 	M int
 	// Bound is the paper's strict-optimality bound ceil(RQ/M).
 	Bound int
+	// MaxLoad is max(counts), the busiest device's share of every query.
+	MaxLoad int
 
 	alloc decluster.GroupAllocator
 	// counts[g] is the number of free-field value combinations whose
 	// folded contribution is g (convolve.Profile): what device h·g holds
 	// of any query of the shape.
 	counts []int
+	worst  int // a group g* with counts[g*] = MaxLoad
 }
 
 // Compile builds the plan for q's shape under alloc: |R(q)|, the bound
@@ -60,7 +63,7 @@ type Plan struct {
 func Compile(alloc decluster.GroupAllocator, q query.Query, _ int) *Plan {
 	fs := alloc.FileSystem()
 	rq := q.NumQualified(fs)
-	return &Plan{
+	p := &Plan{
 		Shape:  q.Shape(),
 		RQ:     rq,
 		M:      fs.M,
@@ -68,7 +71,19 @@ func Compile(alloc decluster.GroupAllocator, q query.Query, _ int) *Plan {
 		alloc:  alloc,
 		counts: convolve.Profile(alloc, q.UnspecifiedFields()),
 	}
+	for g, n := range p.counts {
+		if n > p.MaxLoad {
+			p.MaxLoad, p.worst = n, g
+		}
+	}
+	return p
 }
+
+// Violates reports whether every query of the shape breaks the bound.
+func (p *Plan) Violates() bool { return p.MaxLoad > p.Bound }
+
+// WorstDevice returns h·g*, the busiest device of the query of fold h.
+func (p *Plan) WorstDevice(h int) int { return p.alloc.Op().Combine(h, p.worst, p.M) }
 
 // Bytes approximates the plan's heap footprint, for cache accounting.
 func (p *Plan) Bytes() int { return 64 + 8*len(p.counts) }
@@ -83,13 +98,6 @@ func (p *Plan) residual(h, dev int) int {
 	return g.Combine(g.Invert(h, p.M), dev, p.M)
 }
 
-// MayHold reports whether device dev can hold a qualified bucket of a
-// query of the shape whose specified contributions fold to h (Fold):
-// false exactly when the plan counts none there.
-func (p *Plan) MayHold(h, dev int) bool { return p.counts[p.residual(h, dev)] > 0 }
-
-// CountOnDevice returns r_dev(q) — the device's qualified-bucket count —
-// without materialising buckets.
-func (p *Plan) CountOnDevice(q query.Query, dev int) int {
-	return p.counts[p.residual(p.Fold(q), dev)]
-}
+// Count returns r_dev(q), what device dev holds of the query of the
+// shape whose specified contributions fold to h (Fold).
+func (p *Plan) Count(h, dev int) int { return p.counts[p.residual(h, dev)] }

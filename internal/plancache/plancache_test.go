@@ -95,7 +95,7 @@ func TestPlanMatchesInverseMapper(t *testing.T) {
 					total := 0
 					for dev := 0; dev < m; dev++ {
 						want := bucketsOnDevice(alloc, q, dev)
-						if c := p.CountOnDevice(q, dev); c != len(want) {
+						if c := p.Count(p.Fold(q), dev); c != len(want) {
 							t.Fatalf("%s M=%d %s dev %d: count %d, %d buckets there", alloc.Name(), m, q, dev, c, len(want))
 						}
 						for name, scratch := range scratches {
@@ -164,9 +164,8 @@ func bucketsOnDevice(alloc decluster.GroupAllocator, q query.Query, dev int) [][
 // TestPlanCountsPinTheActiveDevices: for every allocator kind, every
 // shape and a spread of specified values, the shape-pure count vector is
 // convolve.Profile and — translated by the query's fold — is the
-// brute-force load vector: so MayHold is false exactly on the devices
-// that hold no qualified bucket. Compile's ignored third argument changes
-// nothing.
+// brute-force load vector, whose maximum is MaxLoad on WorstDevice.
+// Compile's ignored third argument changes nothing.
 func TestPlanCountsPinTheActiveDevices(t *testing.T) {
 	fs := mustFS(t, []int{8, 4, 2}, 8)
 	rng := rand.New(rand.NewSource(21))
@@ -185,13 +184,15 @@ func TestPlanCountsPinTheActiveDevices(t *testing.T) {
 					}
 				}
 				h := p.Fold(q)
-				for dev, want := range query.Loads(alloc, q) {
-					if got := p.CountOnDevice(q, dev); got != want {
+				loads := query.Loads(alloc, q)
+				for dev, want := range loads {
+					if got := p.Count(h, dev); got != want {
 						t.Fatalf("%s %s dev %d: count %d, load %d", alloc.Name(), q, dev, got, want)
 					}
-					if p.MayHold(h, dev) != (want > 0) {
-						t.Fatalf("%s %s dev %d: MayHold disagrees with load %d", alloc.Name(), q, dev, want)
-					}
+				}
+				if worst := p.WorstDevice(h); loads[worst] != p.MaxLoad || query.LargestLoad(alloc, q) != p.MaxLoad ||
+					p.Violates() != (p.MaxLoad > p.Bound) {
+					t.Fatalf("%s %s: max load %d on device %d, loads %v, bound %d", alloc.Name(), q, p.MaxLoad, worst, loads, p.Bound)
 				}
 			}
 		})

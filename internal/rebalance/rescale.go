@@ -140,9 +140,10 @@ func VerifyDerivation(oldAlloc, newAlloc decluster.GroupAllocator) error {
 // AuditGuard builds the cutover guard the migration driver evaluates
 // before releasing the old owners: every audited query shape of the
 // new-epoch backend must show a max per-device deviation within the
-// Doerr–Hebbinghaus–Werth allowance for the new M, and at least
-// minQueries retrievals must have been audited at all (a guard that has
-// seen no traffic proves nothing). report is typically
+// Doerr–Hebbinghaus–Werth allowance for the new M and no placement
+// mismatch (a bucket copied to the wrong owner, a stale view), and at
+// least minQueries retrievals must have been audited at all (a guard
+// that has seen no traffic proves nothing). report is typically
 // telemetry.For("<backend>-next").AuditReport.
 func AuditGuard(report func() audit.BackendReport, newM int, minQueries uint64) func() error {
 	return func() error {
@@ -154,6 +155,10 @@ func AuditGuard(report func() audit.BackendReport, newM int, minQueries uint64) 
 			if s.MaxDeviation > bound {
 				return fmt.Errorf("rebalance: shape %s max deviation %d exceeds the Doerr bound %d for M=%d",
 					s.Shape, s.MaxDeviation, bound, newM)
+			}
+			if s.Mismatches > 0 {
+				return fmt.Errorf("rebalance: shape %s counted %d placement mismatches on the new epoch (latest on device %d)",
+					s.Shape, s.Mismatches, s.MismatchDevice)
 			}
 		}
 		if total < minQueries {

@@ -240,4 +240,12 @@ func TestAuditGuard(t *testing.T) {
 	if err := over(); err == nil || !strings.Contains(err.Error(), "Doerr") {
 		t.Errorf("guard passed an out-of-bound deviation: %v", err)
 	}
+	// A within-bound shape some new-epoch device answered off-plan for.
+	misplaced := audit.BackendReport{Shapes: []audit.ShapeReport{
+		{Shape: "s**", Queries: 10, Mismatches: 1, MismatchDevice: 5},
+	}}
+	moved := AuditGuard(func() audit.BackendReport { return misplaced }, 8, 1)
+	if err := moved(); err == nil || !strings.Contains(err.Error(), "mismatch") || !strings.Contains(err.Error(), "device 5") {
+		t.Errorf("guard passed a placement mismatch: %v", err)
+	}
 }

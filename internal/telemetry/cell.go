@@ -30,7 +30,7 @@ type cell struct {
 
 	mu    sync.Mutex
 	slo   audit.SLO      // objective in force: the backend's default unless overridden
-	audit *audit.Shape   // bound + SLO audit and its mirrored instruments (/debug/optimality)
+	audit *audit.Shape   // bound, placement + SLO audit and its mirrored instruments (/debug/optimality)
 	costs obs.ShapeCosts // stage cost aggregates (/debug/hotpath)
 	slow  obs.Slowest    // the slowest obs.FlightSlots queries (/debug/flight)
 	seen  uint64         // the event sampler's counters (/debug/events stats);
@@ -123,9 +123,8 @@ func (s *store) each(f func(c *cell)) {
 
 // Audit is the first reporting step, run inside the audit stage it is
 // measured by (so it sees the latency so far): the cluster's whole-query
-// metrics, then the record's merged bucket counts against its bound and
-// its latency against the shape's objective. It reads only scalars and
-// rec.DeviceBuckets.
+// metrics, then the record's verdict, mismatches and latency against
+// the shape's objective; per-device detail (rec.Devices) is not built yet.
 func (in *Instruments) Audit(rec *obs.QueryRecord) {
 	in.Metrics.Observe(rec)
 	c := in.cell(rec.Shape)
@@ -148,15 +147,15 @@ type Decision struct {
 }
 
 // Decide is the one keep decision, made once the audit stage has closed
-// and on the record's scalars alone (shape, latency, failure, bound
-// violation), before any per-device detail exists, so dropped queries
-// never pay for it. The rules, in order:
+// and on the record's verdicts alone (shape, latency, failure, bound
+// violation, placement mismatch), before any per-device detail exists,
+// so dropped queries never pay for it. The rules, in order:
 //
-//	error, slow, bound   always kept; the reasons stack in that order
-//	head                 else the shape's first headPerShape queries
-//	sample               else every sampleEvery-th query of the shape
-//	(flight)             independently: faster than none of the shape's
-//	                     slowest obs.FlightSlots → not a flight
+//	error, slow, bound, placement   always kept; the reasons stack in that order
+//	head                            else the shape's first headPerShape queries
+//	sample                          else every sampleEvery-th query of the shape
+//	(flight)                        independently: faster than none of the shape's
+//	                                slowest obs.FlightSlots → not a flight
 //
 // It counts the query as seen and fills rec.Slow, rec.SLOTarget and
 // rec.Keep; the record must then be handed to Commit.
@@ -178,6 +177,9 @@ func (s *store) Decide(rec *obs.QueryRecord) Decision {
 	}
 	if rec.BoundViolation {
 		reasons = append(reasons, obs.KeepBound)
+	}
+	if len(rec.MismatchedDevices) > 0 {
+		reasons = append(reasons, obs.KeepPlace)
 	}
 	if len(reasons) == 0 {
 		switch {

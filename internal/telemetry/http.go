@@ -41,7 +41,7 @@ func writeEventsText(w io.Writer, doc map[string]backendEvents) {
 	}
 	for _, b := range backends {
 		be := doc[b]
-		fmt.Fprintf(w, "%s: seen=%d kept=%d (head=%d per shape, then 1 in %d; errors/slow/bound always)\n",
+		fmt.Fprintf(w, "%s: seen=%d kept=%d (head=%d per shape, then 1 in %d; errors/slow/bound/placement always)\n",
 			b, be.Stats.Seen, be.Stats.Kept, be.Stats.HeadPerShape, be.Stats.SampleEvery)
 		for _, ev := range be.Events {
 			fmt.Fprintf(w, "  %s shape=%s elapsed=%v trace=%d rq=%d bound=%d max=%d keep=%v",
