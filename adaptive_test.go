@@ -4,15 +4,18 @@ import (
 	"testing"
 
 	"fxdist"
+	"fxdist/internal/analysis"
+	"fxdist/internal/design"
+	"fxdist/internal/rebalance"
 )
 
-// The adaptive loop's public pieces: tracker, stats, recommendation,
-// migration, growth advice, sweeps, and the durable integrity check.
+// The adaptive loop's pieces: tracker, recommendation, migration, growth
+// advice, sweeps, and the durable integrity check.
 func TestPublicAdaptiveLoop(t *testing.T) {
 	file := buildTestFile(t)
 	fs, _ := file.FileSystem(8)
 
-	tracker, err := fxdist.NewWorkloadTracker(2)
+	tracker, err := design.NewTracker(2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,18 +32,13 @@ func TestPublicAdaptiveLoop(t *testing.T) {
 		t.Fatalf("probs = %v", probs)
 	}
 
-	st := fxdist.CollectStats(file)
-	if st.Records != file.Len() || len(st.Distinct) != 2 {
-		t.Errorf("stats = %+v", st)
-	}
-
 	md := fxdist.NewModulo(fs)
 	fx, _ := fxdist.NewFX(fs)
-	rec, err := fxdist.RecommendMethod([]fxdist.GroupAllocator{md, fx}, probs)
+	rec, err := analysis.Recommend([]fxdist.GroupAllocator{md, fx}, probs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := fxdist.PlanMigration(md, fx)
+	plan, err := rebalance.PlanMigration(md, fx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,14 +57,14 @@ func TestPublicAdaptiveLoop(t *testing.T) {
 }
 
 func TestPublicSweeps(t *testing.T) {
-	pts, err := fxdist.PSweep(mustFS(t, []int{4, 4, 4}, 16), fxdist.FamilyIU2, []float64{0.2, 0.8})
+	pts, err := analysis.PSweep(mustFS(t, []int{4, 4, 4}, 16), fxdist.FamilyIU2, []float64{0.2, 0.8})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(pts) != 2 {
 		t.Fatalf("psweep = %v", pts)
 	}
-	ms, err := fxdist.MSweep([]int{4, 4, 4}, []int{4, 16}, fxdist.FamilyIU2)
+	ms, err := analysis.MSweep([]int{4, 4, 4}, []int{4, 16}, fxdist.FamilyIU2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"fxdist"
+	"fxdist/internal/telemetry"
 )
 
 // auditSetup builds the paper's §4 adversarial setting at the facade: a
@@ -59,7 +60,6 @@ func shapeAudit(t *testing.T, backend, shape string) fxdist.ShapeAudit {
 // FX's shape audits clean everywhere, Modulo's shape reports a nonzero
 // deviation that never exceeds |R(q)| - bound.
 func TestOptimalityReportAcrossBackends(t *testing.T) {
-	fxdist.ResetAudit()
 	file, fx, mod, fxPM, modPM := auditSetup(t)
 
 	backends := map[string]func(alloc fxdist.GroupAllocator, pm fxdist.PartialMatch) error{
@@ -104,6 +104,9 @@ func TestOptimalityReportAcrossBackends(t *testing.T) {
 			_, err = coord.Retrieve(pm)
 			return err
 		},
+	}
+	for backend := range backends {
+		telemetry.For(backend).ResetAudit()
 	}
 	for backend, retrieve := range backends {
 		if err := retrieve(fx, fxPM); err != nil {

@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"fxdist"
+	"fxdist/internal/design"
+	"fxdist/internal/storage"
 )
 
 func TestPublicReplicaPlacement(t *testing.T) {
@@ -11,13 +13,13 @@ func TestPublicReplicaPlacement(t *testing.T) {
 	fx, _ := fxdist.NewFX(fs)
 	q := fxdist.AllQuery(2)
 
-	naive := fxdist.NewReplicaPlacement(fx, fxdist.NaiveFailover)
+	naive := storage.NewPlacement(fx, storage.Naive)
 	if err := naive.Fail(2); err != nil {
 		t.Fatal(err)
 	}
 	nd := naive.Degradation(q)
 
-	chained := fxdist.NewReplicaPlacement(fx, fxdist.ChainedFailover)
+	chained := storage.NewPlacement(fx, storage.Chained)
 	if err := chained.Fail(2); err != nil {
 		t.Fatal(err)
 	}
@@ -41,14 +43,14 @@ func TestPublicReplicaPlacement(t *testing.T) {
 }
 
 func TestPublicDesign(t *testing.T) {
-	bits, err := fxdist.DirectoryBitsFor(10000, 10)
+	bits, err := design.BitsFor(10000, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if bits != 10 {
 		t.Errorf("bits = %d, want 10", bits)
 	}
-	res, err := fxdist.DesignDepths(bits, []fxdist.DesignField{
+	res, err := design.Depths(bits, []design.Field{
 		{SpecProb: 0.9}, {SpecProb: 0.2},
 	})
 	if err != nil {
@@ -58,7 +60,7 @@ func TestPublicDesign(t *testing.T) {
 		t.Errorf("depths %v: hot field should be deeper", res.Depths)
 	}
 	probs := []float64{0.9, 0.2}
-	if got := fxdist.ExpectedQualifiedBuckets(res.Depths, probs); got != res.ExpectedQualified {
+	if got := design.ExpectedQualified(res.Depths, probs); got != res.ExpectedQualified {
 		t.Errorf("objective mismatch: %v vs %v", got, res.ExpectedQualified)
 	}
 	// The designed sizes feed straight into a file system.

@@ -28,6 +28,10 @@ import (
 	"fxdist/internal/decluster"
 	"fxdist/internal/field"
 	"fxdist/internal/gate"
+	"fxdist/internal/queuesim"
+	"fxdist/internal/rebalance"
+	"fxdist/internal/storage"
+	"fxdist/internal/workload"
 )
 
 // logOnce guards the one-time table/series logging inside benchmarks.
@@ -206,7 +210,7 @@ func BenchmarkAddressFX(b *testing.B) {
 }
 
 func BenchmarkAddressGDM(b *testing.B) {
-	g, err := fxdist.NewGDM(table7FS(), fxdist.GDM1Multipliers)
+	g, err := fxdist.NewGDM(table7FS(), decluster.GDM1Multipliers)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -381,7 +385,7 @@ func BenchmarkAblationPlanner(b *testing.B) {
 	}
 	methods := []fxdist.GroupAllocator{basic, planned}
 	once(b, "AblationPlanner", func() {
-		rows := fxdist.ResponseTable(fs, methods, []int{2, 3})
+		rows := analysis.ResponseTable(fs, methods, []int{2, 3})
 		for _, r := range rows {
 			b.Logf("k=%d basicFX=%.1f plannedFX=%.1f optimal=%.1f",
 				r.K, r.Avg[0], r.Avg[1], r.Optimal)
@@ -389,7 +393,7 @@ func BenchmarkAblationPlanner(b *testing.B) {
 	})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = fxdist.ResponseTable(fs, methods, []int{2})
+		_ = analysis.ResponseTable(fs, methods, []int{2})
 	}
 }
 
@@ -399,7 +403,7 @@ func BenchmarkAblationMSweep(b *testing.B) {
 	sizes := []int{8, 8, 8, 8}
 	ms := []int{8, 32, 128, 512}
 	once(b, "MSweep", func() {
-		pts, err := fxdist.MSweep(sizes, ms, fxdist.FamilyIU2)
+		pts, err := analysis.MSweep(sizes, ms, fxdist.FamilyIU2)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -410,7 +414,7 @@ func BenchmarkAblationMSweep(b *testing.B) {
 	})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := fxdist.MSweep(sizes, ms, fxdist.FamilyIU2); err != nil {
+		if _, err := analysis.MSweep(sizes, ms, fxdist.FamilyIU2); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -425,18 +429,18 @@ func BenchmarkQueueingThroughput(b *testing.B) {
 		b.Fatal(err)
 	}
 	md := fxdist.NewModulo(fs)
-	queries, err := fxdist.GenerateBucketQueries(fs.Sizes, 200, 0.5, 7)
+	queries, err := workload.BucketQueries(fs.Sizes, 200, 0.5, 7)
 	if err != nil {
 		b.Fatal(err)
 	}
-	arrivals := fxdist.PoissonArrivals(200, 40*time.Millisecond, 7)
+	arrivals := queuesim.PoissonArrivals(200, 40*time.Millisecond, 7)
 	once(b, "Queueing", func() {
 		for _, alloc := range []fxdist.GroupAllocator{fx, md} {
-			jobs, err := fxdist.JobsFromQueries(alloc, queries, arrivals)
+			jobs, err := queuesim.FromQueries(alloc, queries, arrivals)
 			if err != nil {
 				b.Fatal(err)
 			}
-			stats, err := fxdist.RunQueue(jobs, fxdist.ParallelDisk)
+			stats, err := queuesim.Run(jobs, fxdist.ParallelDisk)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -446,11 +450,11 @@ func BenchmarkQueueingThroughput(b *testing.B) {
 	})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		jobs, err := fxdist.JobsFromQueries(fx, queries, arrivals)
+		jobs, err := queuesim.FromQueries(fx, queries, arrivals)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := fxdist.RunQueue(jobs, fxdist.ParallelDisk); err != nil {
+		if _, err := queuesim.Run(jobs, fxdist.ParallelDisk); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -599,7 +603,7 @@ func BenchmarkReplicaFailover(b *testing.B) {
 	q := fxdist.AllQuery(6)
 	once(b, "ReplicaFailover", func() {
 		for _, mode := range []fxdist.ReplicaMode{fxdist.NaiveFailover, fxdist.ChainedFailover} {
-			p := fxdist.NewReplicaPlacement(fx, mode)
+			p := storage.NewPlacement(fx, mode)
 			if err := p.Fail(3); err != nil {
 				b.Fatal(err)
 			}
@@ -608,7 +612,7 @@ func BenchmarkReplicaFailover(b *testing.B) {
 				mode, d.HealthyMax, d.DegradedMax, d.Ratio, float64(32)/31)
 		}
 	})
-	p := fxdist.NewReplicaPlacement(fx, fxdist.ChainedFailover)
+	p := storage.NewPlacement(fx, fxdist.ChainedFailover)
 	if err := p.Fail(3); err != nil {
 		b.Fatal(err)
 	}
@@ -673,7 +677,7 @@ func BenchmarkAblationPSweep(b *testing.B) {
 	}
 	ps := []float64{0.1, 0.3, 0.5, 0.7, 0.9}
 	once(b, "PSweep", func() {
-		pts, err := fxdist.PSweep(fs, fxdist.FamilyIU2, ps)
+		pts, err := analysis.PSweep(fs, fxdist.FamilyIU2, ps)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -683,7 +687,7 @@ func BenchmarkAblationPSweep(b *testing.B) {
 	})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := fxdist.PSweep(fs, fxdist.FamilyIU2, ps); err != nil {
+		if _, err := analysis.PSweep(fs, fxdist.FamilyIU2, ps); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -701,18 +705,18 @@ func BenchmarkClosedLoopThroughput(b *testing.B) {
 	// Selective queries (most fields specified) touch few devices, so a
 	// single client cannot keep the machine busy — the regime where the
 	// multiprogramming level matters.
-	queries, err := fxdist.GenerateBucketQueries(fs.Sizes, 100, 0.85, 23)
+	queries, err := workload.BucketQueries(fs.Sizes, 100, 0.85, 23)
 	if err != nil {
 		b.Fatal(err)
 	}
 	once(b, "ClosedLoop", func() {
 		for _, mpl := range []int{1, 4, 16} {
 			for _, alloc := range []fxdist.GroupAllocator{fx, md} {
-				pool, err := fxdist.QueryLoadPool(alloc, queries)
+				pool, err := queuesim.LoadPool(alloc, queries)
 				if err != nil {
 					b.Fatal(err)
 				}
-				stats, err := fxdist.RunClosedQueue(pool, mpl, 400, fxdist.ParallelDisk)
+				stats, err := queuesim.RunClosed(pool, mpl, 400, fxdist.ParallelDisk)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -722,13 +726,13 @@ func BenchmarkClosedLoopThroughput(b *testing.B) {
 			}
 		}
 	})
-	pool, err := fxdist.QueryLoadPool(fx, queries)
+	pool, err := queuesim.LoadPool(fx, queries)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := fxdist.RunClosedQueue(pool, 8, 400, fxdist.ParallelDisk); err != nil {
+		if _, err := queuesim.RunClosed(pool, 8, 400, fxdist.ParallelDisk); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -749,7 +753,7 @@ func BenchmarkMSPBaseline(b *testing.B) {
 	}
 	md := fxdist.NewModulo(fs)
 	once(b, "MSP", func() {
-		rows := fxdist.ResponseTableExhaustive(fs,
+		rows := analysis.ResponseTableExhaustive(fs,
 			[]fxdist.Allocator{msp, fx, md}, []int{1, 2, 3})
 		for _, r := range rows {
 			b.Logf("k=%d MSP=%.2f FX=%.2f Modulo=%.2f optimal=%.2f",
@@ -774,7 +778,7 @@ func BenchmarkGrowthPlanning(b *testing.B) {
 			{"FX", func(fs fxdist.FileSystem) (fxdist.GroupAllocator, error) { return fxdist.NewFX(fs) }},
 			{"Modulo", func(fs fxdist.FileSystem) (fxdist.GroupAllocator, error) { return fxdist.NewModulo(fs), nil }},
 		} {
-			plans, err := fxdist.GrowthSeries([]int{2, 4, 8}, 16, 0, 3, build.fn)
+			plans, err := rebalance.GrowthSeries([]int{2, 4, 8}, 16, 0, 3, build.fn)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -785,7 +789,7 @@ func BenchmarkGrowthPlanning(b *testing.B) {
 	})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := fxdist.GrowthSeries([]int{2, 4, 8}, 16, 0, 3,
+		if _, err := rebalance.GrowthSeries([]int{2, 4, 8}, 16, 0, 3,
 			func(fs fxdist.FileSystem) (fxdist.GroupAllocator, error) { return fxdist.NewFX(fs) }); err != nil {
 			b.Fatal(err)
 		}
@@ -810,7 +814,7 @@ func BenchmarkAblationIU1vsIU2(b *testing.B) {
 	}
 	methods := []fxdist.GroupAllocator{iu1, iu2}
 	once(b, "AblationIU", func() {
-		rows := fxdist.ResponseTable(fs, methods, []int{2, 3, 4})
+		rows := analysis.ResponseTable(fs, methods, []int{2, 3, 4})
 		for _, r := range rows {
 			b.Logf("k=%d IU1-family=%.1f IU2-family=%.1f optimal=%.1f",
 				r.K, r.Avg[0], r.Avg[1], r.Optimal)
@@ -818,7 +822,7 @@ func BenchmarkAblationIU1vsIU2(b *testing.B) {
 	})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = fxdist.ResponseTable(fs, methods, []int{3})
+		_ = analysis.ResponseTable(fs, methods, []int{3})
 	}
 }
 

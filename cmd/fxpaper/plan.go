@@ -6,6 +6,7 @@ import (
 	"io"
 
 	"fxdist"
+	"fxdist/internal/analysis"
 	"fxdist/internal/cliutil"
 )
 
@@ -38,7 +39,7 @@ func runPlan(flags *flag.FlagSet, args []string, out io.Writer) error {
 
 	fmt.Fprintf(out, "file system: F = %v, M = %d (%d fields smaller than M)\n",
 		sizes, *m, fs.SmallFieldCount())
-	fmt.Fprintf(out, "recommended plan: %v\n\n", fxdist.Kinds(fx))
+	fmt.Fprintf(out, "recommended plan: %v\n\n", fx.Plan().Kinds())
 
 	n := fs.NumFields()
 	scores := []struct {
@@ -51,7 +52,7 @@ func runPlan(flags *flag.FlagSet, args []string, out io.Writer) error {
 	}
 	lines := fmt.Sprintf("strict-optimal probability at specification probability p = %.2f:\n", *p)
 	for _, sc := range scores {
-		w, err := fxdist.WeightedOptimality(n, *p, func(s []int) bool { return sc.holds(subsetQuery(n, s)) })
+		w, err := analysis.WeightedOptimality(n, *p, func(s []int) bool { return sc.holds(subsetQuery(n, s)) })
 		if err != nil {
 			return err
 		}
@@ -67,13 +68,13 @@ func runPlan(flags *flag.FlagSet, args []string, out io.Writer) error {
 	}
 
 	if *search {
-		res, err := fxdist.SearchBestPlan(fs)
+		res, err := analysis.SearchBestPlan(fs)
 		if err != nil {
 			return err
 		}
 		fmt.Fprintf(out, "\nexhaustive search over %d assignments:\n", res.Evaluated)
 		fmt.Fprintf(out, "  best:    %v at %.2f%% of query classes\n", res.Kinds, res.OptimalPct)
-		fmt.Fprintf(out, "  planner: %v at %.2f%%\n", fxdist.Kinds(fx), res.PlannerPct)
+		fmt.Fprintf(out, "  planner: %v at %.2f%%\n", fx.Plan().Kinds(), res.PlannerPct)
 	}
 
 	// Workload-weighted method recommendation.
@@ -86,7 +87,7 @@ func runPlan(flags *flag.FlagSet, args []string, out io.Writer) error {
 		return err
 	}
 	candidates := []fxdist.GroupAllocator{fx, basic, fxdist.NewModulo(fs)}
-	rec, err := fxdist.RecommendMethod(candidates, probs)
+	rec, err := analysis.Recommend(candidates, probs)
 	if err != nil {
 		return err
 	}

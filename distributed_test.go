@@ -11,7 +11,10 @@ import (
 
 	"fxdist"
 	"fxdist/client"
+	"fxdist/internal/analysis"
 	"fxdist/internal/gate"
+	"fxdist/internal/queuesim"
+	"fxdist/internal/rebalance"
 )
 
 func buildTestFile(t *testing.T) *fxdist.File {
@@ -221,24 +224,24 @@ func TestPublicQueueSimulation(t *testing.T) {
 	fs, _ := fxdist.NewFileSystem([]int{4, 4}, 16)
 	fx, _ := fxdist.NewFX(fs)
 	queries := []fxdist.Query{fxdist.AllQuery(2), fxdist.AllQuery(2)}
-	jobs, err := fxdist.JobsFromQueries(fx, queries, fxdist.UniformArrivals(2, time.Millisecond))
+	jobs, err := queuesim.FromQueries(fx, queries, queuesim.UniformArrivals(2, time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats, err := fxdist.RunQueue(jobs, fxdist.ParallelDisk)
+	stats, err := queuesim.Run(jobs, fxdist.ParallelDisk)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stats.MeanResponse <= 0 || stats.Makespan <= 0 {
 		t.Errorf("stats = %+v", stats)
 	}
-	if len(fxdist.PoissonArrivals(5, time.Second, 1)) != 5 {
+	if len(queuesim.PoissonArrivals(5, time.Second, 1)) != 5 {
 		t.Error("PoissonArrivals length wrong")
 	}
 }
 
 func TestPublicGrowthPlanning(t *testing.T) {
-	plans, err := fxdist.GrowthSeries([]int{4, 8}, 8, 0, 2,
+	plans, err := rebalance.GrowthSeries([]int{4, 8}, 8, 0, 2,
 		func(fs fxdist.FileSystem) (fxdist.GroupAllocator, error) {
 			return fxdist.NewBasicFX(fs)
 		})
@@ -257,7 +260,7 @@ func TestPublicGrowthPlanning(t *testing.T) {
 
 func TestPublicSearchAndWitness(t *testing.T) {
 	fs, _ := fxdist.NewFileSystem([]int{2, 2, 2, 2}, 16)
-	res, err := fxdist.SearchBestPlan(fs)
+	res, err := analysis.SearchBestPlan(fs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,14 +271,14 @@ func TestPublicSearchAndWitness(t *testing.T) {
 	if _, ok := fxdist.FindWitness(bfx); !ok {
 		t.Error("no witness for Basic FX on all-small system")
 	}
-	gres, err := fxdist.SearchGDM(fs, 2, 10, 32)
+	gres, err := analysis.SearchGDM(fs, 2, 10, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if gres.Evaluated != 10 {
 		t.Errorf("evaluated %d", gres.Evaluated)
 	}
-	p, err := fxdist.WeightedOptimality(4, 0.5, func(s []int) bool { return len(s) <= 1 })
+	p, err := analysis.WeightedOptimality(4, 0.5, func(s []int) bool { return len(s) <= 1 })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -71,20 +71,6 @@ func ExampleFXGuaranteed() {
 	// certified: true
 }
 
-// ExampleResponseTable regenerates two rows of the paper's Table 7.
-func ExampleResponseTable() {
-	fs, _ := fxdist.NewFileSystem([]int{8, 8, 8, 8, 8, 8}, 32)
-	fx, _ := fxdist.NewFX(fs, fxdist.WithRoundRobinPlan(), fxdist.WithFamily(fxdist.FamilyIU1))
-	md := fxdist.NewModulo(fs)
-	rows := fxdist.ResponseTable(fs, []fxdist.GroupAllocator{md, fx}, []int{2, 3})
-	for _, r := range rows {
-		fmt.Printf("k=%d Modulo=%.1f FX=%.1f Optimal=%.1f\n", r.K, r.Avg[0], r.Avg[1], r.Optimal)
-	}
-	// Output:
-	// k=2 Modulo=8.0 FX=3.2 Optimal=2.0
-	// k=3 Modulo=48.0 FX=16.0 Optimal=16.0
-}
-
 // ExampleFindWitness extracts the smallest failing query class of a
 // non-optimal distribution.
 func ExampleFindWitness() {
@@ -94,4 +80,14 @@ func ExampleFindWitness() {
 	fmt.Println(ok, w.Unspec, w.MaxLoad, w.Bound)
 	// Output:
 	// true [0 1] 2 1
+}
+
+// ExampleNewButterfly routes one message through the simulated Butterfly
+// interconnect.
+func ExampleNewButterfly() {
+	nw, _ := fxdist.NewButterfly(8)
+	stats, _ := nw.Run([]fxdist.NetworkMessage{{Src: 5, Dst: 2}})
+	fmt.Printf("%d stages, delivered in %d cycles\n", nw.Stages(), stats.Cycles)
+	// Output:
+	// 3 stages, delivered in 4 cycles
 }

@@ -14,6 +14,9 @@ import (
 	"fmt"
 
 	"fxdist"
+	"fxdist/internal/analysis"
+	"fxdist/internal/design"
+	"fxdist/internal/rebalance"
 )
 
 func main() {
@@ -38,7 +41,7 @@ func main() {
 	fmt.Printf("running on %s, %d records, %d devices\n\n", current.Name(), file.Len(), m)
 
 	// 1. Observe: a scan-heavy stream (few fields specified).
-	tracker, err := fxdist.NewWorkloadTracker(file.NumFields())
+	tracker, err := design.NewTracker(file.NumFields())
 	check(err)
 	queries, err := fxdist.GeneratePartialMatches(spec, 500, 0.3, 9)
 	check(err)
@@ -53,14 +56,14 @@ func main() {
 	fx, err := fxdist.NewFX(fs)
 	check(err)
 	candidates := []fxdist.GroupAllocator{current, fx}
-	rec, err := fxdist.RecommendMethod(candidates, probs)
+	rec, err := analysis.Recommend(candidates, probs)
 	check(err)
 	fmt.Printf("expected largest response: %s=%.2f, %s=%.2f -> recommend %s\n",
 		current.Name(), rec.Expected[0], fx.Name(), rec.Expected[1], rec.Name)
 
 	// 3. Migrate if it pays.
 	if rec.Best != 0 {
-		plan, err := fxdist.PlanMigration(current, candidates[rec.Best])
+		plan, err := rebalance.PlanMigration(current, candidates[rec.Best])
 		check(err)
 		fmt.Printf("migration: %d of %d buckets move (%.0f%%)\n",
 			plan.Moved, plan.Total, 100*plan.MoveFraction())

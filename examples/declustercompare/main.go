@@ -8,9 +8,10 @@ package main
 
 import (
 	"fmt"
-	"math/rand"
 
 	"fxdist"
+	"fxdist/internal/analysis"
+	"fxdist/internal/decluster"
 )
 
 func main() {
@@ -22,7 +23,7 @@ func main() {
 	fx, err := fxdist.NewFX(fs, fxdist.WithRoundRobinPlan(), fxdist.WithFamily(fxdist.FamilyIU1))
 	check(err)
 	md := fxdist.NewModulo(fs)
-	gdm1, err := fxdist.NewGDM(fs, fxdist.GDM1Multipliers)
+	gdm1, err := fxdist.NewGDM(fs, decluster.GDM1Multipliers)
 	check(err)
 	dhw := fxdist.NewDHW(fs)
 
@@ -30,32 +31,19 @@ func main() {
 	fmt.Printf("file system: F = %v, M = %d\n\n", sizes, m)
 	fmt.Println("average largest response size over all queries with k unspecified fields:")
 	fmt.Printf("%-3s %10s %10s %10s %10s %10s\n", "k", "Modulo", "GDM1", "DHW", "FX", "Optimal")
-	for _, row := range fxdist.ResponseTable(fs, methods, []int{2, 3, 4, 5, 6}) {
+	for _, row := range analysis.ResponseTable(fs, methods, []int{2, 3, 4, 5, 6}) {
 		fmt.Printf("%-3d %10.1f %10.1f %10.1f %10.1f %10.1f\n",
 			row.K, row.Avg[0], row.Avg[1], row.Avg[2], row.Avg[3], row.Optimal)
 	}
 
-	// The GDM trial-and-error search the paper alludes to: sample random
-	// odd multiplier sets and keep the best k=2 average. FX hits the value
-	// its theorems promise with zero search.
+	// The GDM trial-and-error search the paper alludes to: score odd
+	// multiplier sets up to 63 and keep the best k=2 average. FX hits the
+	// value its theorems promise with zero search.
 	fmt.Println("\nGDM multiplier search (k=2 average largest response size):")
-	r := rand.New(rand.NewSource(1))
-	best, bestSet := 1e18, []int(nil)
-	const trials = 60
-	for t := 0; t < trials; t++ {
-		mult := make([]int, len(sizes))
-		for i := range mult {
-			mult[i] = 2*r.Intn(32) + 1 // odd multipliers
-		}
-		g, err := fxdist.NewGDM(fs, mult)
-		check(err)
-		rows := fxdist.ResponseTable(fs, []fxdist.GroupAllocator{g}, []int{2})
-		if avg := rows[0].Avg[0]; avg < best {
-			best, bestSet = avg, mult
-		}
-	}
-	fxRows := fxdist.ResponseTable(fs, []fxdist.GroupAllocator{fx}, []int{2})
-	fmt.Printf("  best of %d random GDM sets: %.2f with %v\n", trials, best, bestSet)
+	search, err := analysis.SearchGDM(fs, 2, 60, 63)
+	check(err)
+	fxRows := analysis.ResponseTable(fs, []fxdist.GroupAllocator{fx}, []int{2})
+	fmt.Printf("  best of %d random GDM sets: %.2f with %v\n", search.Evaluated, search.AvgLargest, search.Multipliers)
 	fmt.Printf("  FX, no search:             %.2f\n", fxRows[0].Avg[0])
 
 	// Why FX wins: the transform images interlock. Show the device of the

@@ -15,6 +15,9 @@ import (
 	"fmt"
 
 	"fxdist"
+	"fxdist/internal/analysis"
+	"fxdist/internal/storage"
+	"fxdist/internal/workload"
 )
 
 func main() {
@@ -25,11 +28,11 @@ func main() {
 
 	fx, err := fxdist.NewFX(fs, fxdist.WithRoundRobinPlan(), fxdist.WithFamily(fxdist.FamilyIU2))
 	check(err)
-	fmt.Printf("machine: %d nodes; directory %v; plan %v\n\n", m, sizes, fxdist.Kinds(fx))
+	fmt.Printf("machine: %d nodes; directory %v; plan %v\n\n", m, sizes, fx.Plan().Kinds())
 
 	// Every field is smaller than M: the regime where Modulo's guarantee
 	// never applies but FX still certifies a large class of queries.
-	queries, err := fxdist.GenerateBucketQueries(sizes, 12, 0.5, 1988)
+	queries, err := workload.BucketQueries(sizes, 12, 0.5, 1988)
 	check(err)
 	fmt.Println("query           unspec  |R(q)|  FX-certified  FX-optimal  maxload  opt-bound")
 	for _, q := range queries {
@@ -49,7 +52,7 @@ func main() {
 
 	// Main-memory response simulation: the whole-file query on 512 nodes.
 	all := fxdist.AllQuery(len(sizes))
-	res := fxdist.Simulate(fxdist.Loads(fx, all), fxdist.MainMemory)
+	res := storage.Simulate(fxdist.Loads(fx, all), fxdist.MainMemory)
 	fmt.Printf("\nwhole-file retrieval: %d buckets/node max, simulated response %v\n",
 		res.LargestResponseSize, res.Response)
 
@@ -57,7 +60,7 @@ func main() {
 	// dominates; FX needs no multiplies because its multipliers are powers
 	// of two.
 	fmt.Println("\naddress computation (MC68000 cycle model):")
-	for _, row := range fxdist.CompareCPUCost(fxdist.MC68000, fx) {
+	for _, row := range analysis.CompareCPU(analysis.MC68000, fx.Plan()) {
 		fmt.Println("  " + row.String())
 	}
 

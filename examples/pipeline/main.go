@@ -15,6 +15,9 @@ import (
 	"fmt"
 
 	"fxdist"
+	"fxdist/internal/design"
+	"fxdist/internal/rebalance"
+	"fxdist/internal/storage"
 )
 
 func main() {
@@ -22,9 +25,9 @@ func main() {
 
 	// 1. Design: ~40k records at ~10 records/bucket => 12 directory bits.
 	// "part" is specified by 80% of queries, "status" by 10%.
-	bits, err := fxdist.DirectoryBitsFor(40000, 10)
+	bits, err := design.BitsFor(40000, 10)
 	check(err)
-	res, err := fxdist.DesignDepths(bits, []fxdist.DesignField{
+	res, err := design.Depths(bits, []design.Field{
 		{SpecProb: 0.8},              // part
 		{SpecProb: 0.5},              // supplier
 		{SpecProb: 0.3, MaxDepth: 4}, // warehouse (only ~16 distinct values)
@@ -45,7 +48,7 @@ func main() {
 	// 3. + 4. Replicate and fail a device.
 	q := fxdist.NewQuery([]int{3, fxdist.Unspecified, fxdist.Unspecified, fxdist.Unspecified})
 	for _, mode := range []fxdist.ReplicaMode{fxdist.NaiveFailover, fxdist.ChainedFailover} {
-		p := fxdist.NewReplicaPlacement(fx, mode)
+		p := storage.NewPlacement(fx, mode)
 		check(p.Fail(5))
 		d := p.Degradation(q)
 		fmt.Printf("failover %-8v device 5 down: max load %d -> %d (%.2fx)\n",
@@ -53,7 +56,7 @@ func main() {
 	}
 
 	// 5. Grow the hottest field (part) one doubling and plan the move.
-	plans, err := fxdist.GrowthSeries(res.Sizes(), m, 0, 1,
+	plans, err := rebalance.GrowthSeries(res.Sizes(), m, 0, 1,
 		func(fs fxdist.FileSystem) (fxdist.GroupAllocator, error) {
 			return fxdist.NewFX(fs)
 		})

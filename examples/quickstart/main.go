@@ -25,7 +25,7 @@ func main() {
 		panic(err)
 	}
 	fmt.Println("allocator:", fx.Name())
-	fmt.Println("transforms:", fxdist.Kinds(fx))
+	fmt.Println("transforms:", fx.Plan().Kinds())
 
 	// Where does a bucket live?
 	bucket := []int{3, 5, 1}

@@ -6,61 +6,19 @@ import (
 	"fxdist"
 )
 
-// Sweep the thin facade wrappers that the deeper tests reach only through
-// internal packages, so the public surface is exercised end to end.
+// The facade options that the deeper tests reach only through internal
+// packages: explicit transform kinds and a custom field hash.
 func TestFacadeCoverage(t *testing.T) {
-	// Paper spec constructors.
-	for _, ts := range []fxdist.TableSpec{
-		fxdist.PaperTable7(), fxdist.PaperTable8(), fxdist.PaperTable9(),
-	} {
-		if len(ts.Methods) != 5 {
-			t.Errorf("%s: %d methods", ts.Name, len(ts.Methods))
-		}
-	}
-	for _, fig := range []fxdist.FigureSpec{
-		fxdist.PaperFigure1(), fxdist.PaperFigure2(),
-		fxdist.PaperFigure3(), fxdist.PaperFigure4(),
-	} {
-		if fig.N != 6 && fig.N != 10 {
-			t.Errorf("%s: n = %d", fig.Name, fig.N)
-		}
-	}
-
-	fs := mustFS(t, []int{4, 4}, 16)
-	fx, err := fxdist.NewFX(fs, fxdist.WithKinds([]fxdist.Kind{fxdist.I, fxdist.U}))
+	fx, err := fxdist.NewFX(mustFS(t, []int{4, 4}, 16), fxdist.WithKinds([]fxdist.Kind{fxdist.I, fxdist.U}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e, err := fxdist.ExpectedLargestResponse(fx, []float64{0.5, 0.5}); err != nil || e < 1 {
-		t.Errorf("ExpectedLargestResponse = %v, %v", e, err)
-	}
-
-	// Growth planning through the facade.
-	oldFX, _ := fxdist.NewBasicFX(mustFS(t, []int{4, 4}, 16))
-	newFX, _ := fxdist.NewBasicFX(mustFS(t, []int{8, 4}, 16))
-	plan, err := fxdist.PlanGrowth(oldFX, newFX, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.Total != 32 {
-		t.Errorf("growth total = %d", plan.Total)
-	}
-
-	// Closed-loop queueing through the facade.
-	pool, err := fxdist.QueryLoadPool(fx, []fxdist.Query{fxdist.AllQuery(2)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	stats, err := fxdist.RunClosedQueue(pool, 2, 10, fxdist.MainMemory)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Makespan <= 0 {
-		t.Error("closed queue makespan not positive")
+	if got := fx.Plan().Kinds(); got[0] != fxdist.I || got[1] != fxdist.U {
+		t.Errorf("kinds = %v, want [I U]", got)
 	}
 
 	// Custom field hash through the facade.
-	constant := fxdist.FieldHash(func(string) uint64 { return 1 })
+	constant := func(string) uint64 { return 1 }
 	file, err := fxdist.NewFile(fxdist.Schema{
 		Fields: []string{"k"}, Depths: []int{2},
 	}, fxdist.WithFieldHash(0, constant))
@@ -133,20 +91,5 @@ func TestFacadeReplicationSurface(t *testing.T) {
 	defer re.Close()
 	if re.Durable().Len() != file.Len() {
 		t.Errorf("reopened %d records, want %d", re.Durable().Len(), file.Len())
-	}
-}
-
-// ResponseTimeTable through the facade: the §5.2.1 composite on disks.
-func TestFacadeResponseTimeTable(t *testing.T) {
-	fs := mustFS(t, []int{4, 4}, 16)
-	fx, _ := fxdist.NewFX(fs)
-	md := fxdist.NewModulo(fs)
-	rows := fxdist.ResponseTimeTable(fs, []fxdist.GroupAllocator{md, fx}, []int{2},
-		fxdist.ParallelDisk.PerQuery, fxdist.ParallelDisk.PerBucket)
-	if len(rows) != 1 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	if rows[0].Avg[1] >= rows[0].Avg[0] {
-		t.Errorf("FX response %v not below Modulo %v", rows[0].Avg[1], rows[0].Avg[0])
 	}
 }

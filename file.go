@@ -4,6 +4,7 @@ import (
 	"fxdist/internal/engine"
 	"fxdist/internal/mkhash"
 	"fxdist/internal/storage"
+	"fxdist/internal/workload"
 )
 
 // Record is one tuple of a multi-key hashed file.
@@ -32,6 +33,33 @@ func WithFieldHash(fieldIdx int, h mkhash.FieldHash) FileOption {
 // NewFile builds an empty multi-key hashed file.
 func NewFile(schema Schema, opts ...FileOption) (*File, error) {
 	return mkhash.New(schema, opts...)
+}
+
+// Synthetic relations (§5's query model: fields specified independently
+// with equal probability).
+
+// FieldSpec describes one synthetic field's value universe.
+type FieldSpec = workload.FieldSpec
+
+// RecordSpec describes a synthetic relation.
+type RecordSpec = workload.RecordSpec
+
+// GenerateRecords generates n records under the spec, deterministically
+// for a seed.
+func GenerateRecords(spec RecordSpec, n int, seed int64) ([]Record, error) {
+	return workload.Records(spec, n, seed)
+}
+
+// GenerateSchema derives a file schema from a record spec and per-field
+// directory depths.
+func GenerateSchema(spec RecordSpec, depths []int) Schema {
+	return workload.Schema(spec, depths)
+}
+
+// GeneratePartialMatches generates value-level queries, each field
+// specified independently with probability p.
+func GeneratePartialMatches(spec RecordSpec, count int, p float64, seed int64) ([]PartialMatch, error) {
+	return workload.PartialMatches(spec, count, p, seed)
 }
 
 // MemoryCluster distributes a File's buckets over M simulated parallel
@@ -76,16 +104,6 @@ var (
 // RetrieveResult reports a parallel retrieval: matching records and the
 // simulated cost breakdown.
 type RetrieveResult = storage.Result
-
-// SimResult is a record-free simulated retrieval at bucket granularity.
-type SimResult = storage.SimResult
-
-// Simulate computes the simulated parallel response time of a query from
-// its per-device load vector (see Loads): response time is the slowest
-// device's service time (§5.2.1's symmetric-device model).
-func Simulate(loads []int, model CostModel) SimResult {
-	return storage.Simulate(loads, model)
-}
 
 // ProjectResult reports a parallel projection with duplicate elimination
 // (Cluster.Project) — the relational operator the paper's Butterfly

@@ -108,6 +108,11 @@ func WithKinds(kinds []Kind) PlanOption { return field.WithKinds(kinds) }
 // WithFamily selects the xor-folded transform family (default FamilyIU2).
 func WithFamily(fam TransformFamily) PlanOption { return field.WithFamily(fam) }
 
+// WithRoundRobinPlan forces the paper's Tables 7-9 transform assignment:
+// cycling I, U, then the family transform (see WithFamily) over fields
+// smaller than M, in field order.
+func WithRoundRobinPlan() PlanOption { return field.WithStrategy(field.RoundRobin) }
+
 // NewFX builds an Extended FX allocator, planning field transformations
 // per the paper's §4.2 guidance (options override the plan).
 func NewFX(fs FileSystem, opts ...PlanOption) (*FX, error) {
@@ -203,6 +208,16 @@ func KOptimal(a GroupAllocator, k int) bool { return optimal.KOptimal(a, k) }
 
 // PerfectOptimal reports whether a is k-optimal for all k = 0..n. Exact.
 func PerfectOptimal(a GroupAllocator) bool { return optimal.PerfectOptimal(a) }
+
+// OptimalityWitness describes a query class on which an allocator misses
+// strict optimality.
+type OptimalityWitness = optimal.Witness
+
+// FindWitness returns a minimal-k query class for which a is not strict
+// optimal, or ok=false when a is perfect optimal.
+func FindWitness(a GroupAllocator) (w OptimalityWitness, ok bool) {
+	return optimal.FindWitness(a)
+}
 
 // FXGuaranteed evaluates the paper's §4.2 sufficient conditions: true
 // means the theory guarantees x is strict optimal for every query with

@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"fxdist"
+	"fxdist/internal/analysis"
+	"fxdist/internal/storage"
 )
 
 // The public facade must support the full quickstart flow.
@@ -57,7 +59,7 @@ func TestPublicAPIBaselines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, k := range fxdist.Kinds(bfx) {
+	for _, k := range bfx.Plan().Kinds() {
 		if k != fxdist.I {
 			t.Error("Basic FX should be all identity")
 		}
@@ -127,15 +129,15 @@ func TestPublicAPIFileAndCluster(t *testing.T) {
 }
 
 func TestPublicAPIAnalysis(t *testing.T) {
-	rows := fxdist.PaperTable7().Rows()
+	rows := analysis.Table7().Rows()
 	if len(rows) != 5 || rows[0].K != 2 {
 		t.Fatalf("table rows = %+v", rows)
 	}
-	pts := fxdist.PaperFigure1().Points(false)
+	pts := analysis.Figure1().Points(false)
 	if len(pts) != 7 {
 		t.Fatalf("figure points = %d", len(pts))
 	}
-	curve := fxdist.OptimalityCurve(4, 16, 4, 16, fxdist.FamilyIU1, false)
+	curve := analysis.OptimalityCurve(4, 16, 4, 16, fxdist.FamilyIU1, false)
 	if len(curve) != 5 {
 		t.Fatalf("curve points = %d", len(curve))
 	}
@@ -144,7 +146,7 @@ func TestPublicAPIAnalysis(t *testing.T) {
 func TestPublicAPICPUCost(t *testing.T) {
 	fs, _ := fxdist.NewFileSystem([]int{8, 8, 8, 8, 8, 8}, 32)
 	fx, _ := fxdist.NewFX(fs, fxdist.WithRoundRobinPlan(), fxdist.WithFamily(fxdist.FamilyIU1))
-	rows := fxdist.CompareCPUCost(fxdist.MC68000, fx)
+	rows := analysis.CompareCPU(analysis.MC68000, fx.Plan())
 	if len(rows) != 3 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -170,7 +172,7 @@ func TestPublicAPIInverseMapper(t *testing.T) {
 func TestPublicAPISimulate(t *testing.T) {
 	fs, _ := fxdist.NewFileSystem([]int{4, 4}, 16)
 	fx, _ := fxdist.NewFX(fs)
-	res := fxdist.Simulate(fxdist.Loads(fx, fxdist.AllQuery(2)), fxdist.ParallelDisk)
+	res := storage.Simulate(fxdist.Loads(fx, fxdist.AllQuery(2)), fxdist.ParallelDisk)
 	if res.LargestResponseSize != 1 {
 		t.Errorf("LargestResponseSize = %d", res.LargestResponseSize)
 	}

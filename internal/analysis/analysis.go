@@ -14,7 +14,6 @@ package analysis
 
 import (
 	"fmt"
-	"time"
 
 	"fxdist/internal/bitsx"
 	"fxdist/internal/convolve"
@@ -65,37 +64,6 @@ func ResponseTable(fs decluster.FileSystem, methods []decluster.GroupAllocator, 
 		rows = append(rows, row)
 	}
 	return rows
-}
-
-// ResponseTimeRow is a ResponseRow expressed in simulated time under a
-// device service model: the §5.2.1 composite of Tables 7-9 ("response
-// time is determined by the device which has the largest number of
-// qualified buckets") with the disk or main-memory cost model applied.
-type ResponseTimeRow struct {
-	K int
-	// Avg[i] is method i's average response time; Optimal the bound.
-	Avg     []time.Duration
-	Optimal time.Duration
-}
-
-// ResponseTimeTable converts ResponseTable rows to simulated response
-// times: perQuery + largestResponseSize * perBucket.
-func ResponseTimeTable(fs decluster.FileSystem, methods []decluster.GroupAllocator, ks []int,
-	perQuery, perBucket time.Duration) []ResponseTimeRow {
-	rows := ResponseTable(fs, methods, ks)
-	out := make([]ResponseTimeRow, len(rows))
-	toTime := func(buckets float64) time.Duration {
-		return perQuery + time.Duration(buckets*float64(perBucket))
-	}
-	for r, row := range rows {
-		tr := ResponseTimeRow{K: row.K, Avg: make([]time.Duration, len(row.Avg))}
-		for i, v := range row.Avg {
-			tr.Avg[i] = toTime(v)
-		}
-		tr.Optimal = toTime(row.Optimal)
-		out[r] = tr
-	}
-	return out
 }
 
 // OptimalityPoint is one x-position of a Figure 1-4 series: the percentage

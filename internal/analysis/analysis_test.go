@@ -3,7 +3,6 @@ package analysis
 import (
 	"math"
 	"testing"
-	"time"
 
 	"fxdist/internal/decluster"
 	"fxdist/internal/field"
@@ -98,29 +97,6 @@ func TestNoMethodBeatsOptimal(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// ResponseTimeTable is the §5.2.1 composite: bucket counts times the
-// device model, ordering preserved.
-func TestResponseTimeTable(t *testing.T) {
-	fs := decluster.MustFileSystem([]int{4, 4}, 16)
-	fx := decluster.MustFX(fs, field.WithKinds([]field.Kind{field.I, field.U}))
-	md := decluster.NewModulo(fs)
-	rows := ResponseTimeTable(fs, []decluster.GroupAllocator{md, fx}, []int{2},
-		time.Millisecond, 28*time.Millisecond)
-	if len(rows) != 1 || rows[0].K != 2 {
-		t.Fatalf("rows = %+v", rows)
-	}
-	// Modulo avg 4 buckets -> 1ms + 112ms; FX avg 1 -> 1ms + 28ms.
-	if rows[0].Avg[0] != 113*time.Millisecond {
-		t.Errorf("Modulo time = %v", rows[0].Avg[0])
-	}
-	if rows[0].Avg[1] != 29*time.Millisecond {
-		t.Errorf("FX time = %v", rows[0].Avg[1])
-	}
-	if rows[0].Optimal != 29*time.Millisecond {
-		t.Errorf("Optimal time = %v", rows[0].Optimal)
 	}
 }
 

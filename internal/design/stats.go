@@ -1,7 +1,6 @@
-// This file collects the workload and data statistics that drive file
-// design and method selection: per-field query specification frequencies
-// (the p_i of the paper's §5 model, observed rather than assumed) and
-// per-field distinct-value counts (which cap useful directory depths).
+// This file collects the workload statistic that drives file design and
+// method selection: per-field query specification frequencies (the p_i
+// of the paper's §5 model, observed rather than assumed).
 
 package design
 
@@ -84,63 +83,4 @@ func (t *Tracker) SpecProbs() []float64 {
 		out[i] = float64(s) / float64(t.queries)
 	}
 	return out
-}
-
-// FileStats summarises a file's data distribution.
-type FileStats struct {
-	// Records is the record count.
-	Records int
-	// Distinct[i] is the exact number of distinct values in field i.
-	Distinct []int
-}
-
-// Collect scans a file and counts distinct values per field.
-func Collect(file *mkhash.File) FileStats {
-	n := file.NumFields()
-	sets := make([]map[string]struct{}, n)
-	for i := range sets {
-		sets[i] = make(map[string]struct{})
-	}
-	records := 0
-	file.EachBucket(func(_ []int, recs []mkhash.Record) {
-		for _, r := range recs {
-			records++
-			for i, v := range r {
-				sets[i][v] = struct{}{}
-			}
-		}
-	})
-	fs := FileStats{Records: records, Distinct: make([]int, n)}
-	for i, s := range sets {
-		fs.Distinct[i] = len(s)
-	}
-	return fs
-}
-
-// MaxDepths returns the deepest useful directory per field: beyond
-// ceil(log2(distinct)) extra bits leave cells empty.
-func (fs FileStats) MaxDepths() []int {
-	out := make([]int, len(fs.Distinct))
-	for i, d := range fs.Distinct {
-		depth := 0
-		for 1<<depth < d {
-			depth++
-		}
-		out[i] = depth
-	}
-	return out
-}
-
-// DesignFields combines data statistics with observed specification
-// probabilities into inputs for the directory design problem.
-func (fs FileStats) DesignFields(probs []float64) ([]Field, error) {
-	if len(probs) != len(fs.Distinct) {
-		return nil, fmt.Errorf("design: %d probabilities for %d fields", len(probs), len(fs.Distinct))
-	}
-	depths := fs.MaxDepths()
-	out := make([]Field, len(probs))
-	for i, p := range probs {
-		out[i] = Field{SpecProb: p, MaxDepth: depths[i]}
-	}
-	return out, nil
 }

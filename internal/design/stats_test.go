@@ -1,9 +1,7 @@
 package design
 
 import (
-	"fmt"
 	"math"
-	"reflect"
 	"sync"
 	"testing"
 
@@ -73,39 +71,5 @@ func TestTrackerConcurrent(t *testing.T) {
 	p := tr.SpecProbs()
 	if p[0] != 1 || p[1] != 0 {
 		t.Errorf("probs = %v", p)
-	}
-}
-
-func TestCollectAndMaxDepths(t *testing.T) {
-	f := mkhash.MustNew(mkhash.Schema{Fields: []string{"a", "b"}, Depths: []int{3, 3}})
-	for i := 0; i < 40; i++ {
-		f.Insert(mkhash.Record{fmt.Sprintf("a%d", i%5), fmt.Sprintf("b%d", i%17)}) //nolint:errcheck
-	}
-	fs := Collect(f)
-	if fs.Records != 40 {
-		t.Errorf("Records = %d", fs.Records)
-	}
-	if !reflect.DeepEqual(fs.Distinct, []int{5, 17}) {
-		t.Errorf("Distinct = %v", fs.Distinct)
-	}
-	if !reflect.DeepEqual(fs.MaxDepths(), []int{3, 5}) {
-		t.Errorf("MaxDepths = %v", fs.MaxDepths())
-	}
-}
-
-func TestDesignFields(t *testing.T) {
-	fs := FileStats{Records: 10, Distinct: []int{4, 100}}
-	fields, err := fs.DesignFields([]float64{0.8, 0.2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fields[0].SpecProb != 0.8 || fields[0].MaxDepth != 2 {
-		t.Errorf("field 0 = %+v", fields[0])
-	}
-	if fields[1].MaxDepth != 7 { // 2^7 = 128 >= 100
-		t.Errorf("field 1 = %+v", fields[1])
-	}
-	if _, err := fs.DesignFields([]float64{0.5}); err == nil {
-		t.Error("prob count mismatch accepted")
 	}
 }

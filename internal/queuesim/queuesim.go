@@ -14,12 +14,10 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"strconv"
 	"time"
 
 	"fxdist/internal/convolve"
 	"fxdist/internal/decluster"
-	"fxdist/internal/obs"
 	"fxdist/internal/query"
 	"fxdist/internal/storage"
 )
@@ -57,19 +55,6 @@ type Stats struct {
 	DeviceWait []time.Duration
 }
 
-// waitHists returns the per-device simulated queue-wait histograms
-// (fxdist_queuesim_device_wait_seconds{device=...}) so simulated skew
-// lands on the same dashboard as the live per-device latencies.
-func waitHists(m int) []*obs.Histogram {
-	hs := make([]*obs.Histogram, m)
-	for d := range hs {
-		hs[d] = obs.Default().Histogram("fxdist_queuesim_device_wait_seconds",
-			"Simulated per-device queue wait (task start minus job arrival) in Run/RunClosed.",
-			nil, obs.L("device", strconv.Itoa(d)))
-	}
-	return hs
-}
-
 // Run simulates the job stream under the device cost model. Jobs are
 // processed in arrival order (ties broken by input order); each device
 // serves its queue FIFO. Every job must carry the same number of device
@@ -95,7 +80,6 @@ func Run(jobs []Job, model storage.CostModel) (Stats, error) {
 	deviceFree := make([]time.Duration, m)
 	busy := make([]time.Duration, m)
 	wait := make([]time.Duration, m)
-	hists := waitHists(m)
 	stats := Stats{PerQuery: make([]QueryStats, len(jobs))}
 	var totalResp time.Duration
 	for _, idx := range order {
@@ -111,7 +95,6 @@ func Run(jobs []Job, model storage.CostModel) (Stats, error) {
 				start = deviceFree[d]
 			}
 			wait[d] += start - j.Arrival
-			hists[d].Observe((start - j.Arrival).Seconds())
 			end := start + service
 			deviceFree[d] = end
 			busy[d] += service
@@ -166,7 +149,6 @@ func RunClosed(pool [][]int, clients, completions int, model storage.CostModel) 
 	deviceFree := make([]time.Duration, m)
 	busy := make([]time.Duration, m)
 	wait := make([]time.Duration, m)
-	hists := waitHists(m)
 	clientFree := make([]time.Duration, clients)
 	clientNext := make([]int, clients)
 	for c := range clientNext {
@@ -199,7 +181,6 @@ func RunClosed(pool [][]int, clients, completions int, model storage.CostModel) 
 				start = deviceFree[d]
 			}
 			wait[d] += start - arrival
-			hists[d].Observe((start - arrival).Seconds())
 			end := start + service
 			deviceFree[d] = end
 			busy[d] += service

@@ -81,17 +81,6 @@ type BackendAudit = audit.BackendReport
 // sorted by backend then shape.
 func OptimalityReport() []BackendAudit { return telemetry.AuditReport() }
 
-// ResetAudit zeroes all accumulated audit state (counters exported to
-// Prometheus stay monotonic; configured SLOs are kept).
-//
-// Deprecated: use Cluster.ResetAudit to scope the reset to one
-// cluster's backend; this package-level form clears every backend.
-func ResetAudit() {
-	for _, in := range telemetry.All() {
-		in.ResetAudit()
-	}
-}
-
 // LatencySLO is a per-shape latency objective: at least Goal (e.g. 0.99)
 // of a shape's queries must complete within Target.
 type LatencySLO = audit.SLO

@@ -89,6 +89,19 @@ func WithCostModel(m CostModel) Option {
 	return func(s *openSettings) { s.model, s.modelSet = m, true }
 }
 
+// ReplicaMode selects the failover policy of a replicated cluster.
+type ReplicaMode = storage.ReplicaMode
+
+// Failover policies.
+const (
+	// ChainedFailover spreads a failed device's load around the ring
+	// (max per-device load M/(M-1) of normal).
+	ChainedFailover = storage.Chained
+	// NaiveFailover serves all of a failed device's buckets from its one
+	// backup holder (max load 2x normal).
+	NaiveFailover = storage.Naive
+)
+
 // WithReplication selects the replicated in-memory backend: every
 // bucket is stored on its primary device and the ring successor, under
 // the given failover mode (e.g. ChainedFailover). Library API,

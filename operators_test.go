@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"fxdist"
+	"fxdist/internal/analysis"
 )
 
 func TestPublicProjection(t *testing.T) {
@@ -35,7 +36,7 @@ func TestPublicMSP(t *testing.T) {
 	fs, _ := fxdist.NewFileSystem([]int{4, 4}, 8)
 	msp := fxdist.NewMSP(fs)
 	fx, _ := fxdist.NewFX(fs)
-	rows := fxdist.ResponseTableExhaustive(fs,
+	rows := analysis.ResponseTableExhaustive(fs,
 		[]fxdist.Allocator{msp, fx}, []int{2})
 	if rows[0].Avg[1] > rows[0].Avg[0]+1e-9 {
 		t.Errorf("FX (%.2f) worse than MSP (%.2f)", rows[0].Avg[1], rows[0].Avg[0])
@@ -83,24 +84,5 @@ func TestPublicDurableDeleteCompact(t *testing.T) {
 	}
 	if n, err := file.Delete(rec); err != nil || n < 1 {
 		t.Errorf("file delete = %d, %v", n, err)
-	}
-}
-
-func TestPublicLoadStats(t *testing.T) {
-	fs, _ := fxdist.NewFileSystem([]int{4, 4}, 16)
-	fx, _ := fxdist.NewFX(fs)
-	md := fxdist.NewModulo(fs)
-	st, err := fxdist.LoadStatsOf(fxdist.Loads(fx, fxdist.AllQuery(2)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Balance != 1 {
-		t.Errorf("FX whole-file balance %.2f, want 1", st.Balance)
-	}
-	queries, _ := fxdist.GenerateBucketQueries(fs.Sizes, 50, 0.5, 3)
-	fxBal, _ := fxdist.WorkloadBalance(fx, queries)
-	mdBal, _ := fxdist.WorkloadBalance(md, queries)
-	if fxBal <= mdBal {
-		t.Errorf("FX balance %.3f not above Modulo %.3f", fxBal, mdBal)
 	}
 }

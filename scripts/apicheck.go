@@ -13,6 +13,9 @@
 //     or say in their doc comment what default they disable.
 //  3. Context-first signatures: when an exported function or method
 //     takes a context.Context, it is the first parameter.
+//  4. The root package is the serving API: its non-test files import
+//     none of the paper-evaluation packages (offlineOnly), so no forward
+//     to them can return; callers import those packages directly.
 package main
 
 import (
@@ -21,10 +24,16 @@ import (
 	"go/parser"
 	"go/token"
 	"os"
+	"slices"
+	"strconv"
 	"strings"
 )
 
 var dirs = []string{".", "client"}
+
+// offlineOnly lists the packages of the paper's evaluation that the root
+// package must not import (rule 4).
+var offlineOnly = []string{"fxdist/internal/analysis", "fxdist/internal/design", "fxdist/internal/queuesim"}
 
 func main() {
 	var problems []string
@@ -62,7 +71,13 @@ func checkDir(dir string) ([]string, error) {
 	var withouts []withoutFn
 
 	for _, pkg := range pkgs {
-		for _, file := range pkg.Files {
+		for name, file := range pkg.Files {
+			for _, imp := range file.Imports {
+				if path, _ := strconv.Unquote(imp.Path.Value); dir == "." && slices.Contains(offlineOnly, path) {
+					problems = append(problems,
+						fmt.Sprintf("%s imports %s; the root package is the serving API, evaluation callers import it directly", name, path))
+				}
+			}
 			for _, decl := range file.Decls {
 				fn, ok := decl.(*ast.FuncDecl)
 				if !ok || !fn.Name.IsExported() {

@@ -9,7 +9,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-LINES_CEILING=24984
+LINES_CEILING=24415
 BINARIES_CEILING=6
 PACKAGES_CEILING=27
 CI_STEPS_CEILING=24
