@@ -102,7 +102,9 @@ type Result struct {
 	Records []mkhash.Record
 	// DeviceBuckets[i] is the number of qualified buckets device i accessed.
 	DeviceBuckets []int
-	// DeviceRecords[i] is the number of records device i scanned.
+	// DeviceRecords[i] is the number of records device i scanned. The
+	// merge carves both count slices from one allocation, each capped at
+	// its length; nothing appends to either.
 	DeviceRecords []int
 	// DeviceTime[i] is device i's simulated service time.
 	DeviceTime []time.Duration

@@ -185,7 +185,8 @@ func PlanFromContext(ctx context.Context) *plancache.Plan {
 // produces in-range values, and the cache belongs to this executor and
 // its one allocator.
 func (e *Executor) planFor(q query.Query) (*plancache.Plan, bool, error) {
-	return e.plans.Get(q.Shape(), func() (*plancache.Plan, error) {
+	var key [16]byte // the shape of up to 16 fields stays on the stack
+	return e.plans.Get(q.AppendShape(key[:0]), func() (*plancache.Plan, error) {
 		if err := q.Validate(e.fs); err != nil {
 			return nil, err
 		}
@@ -416,9 +417,12 @@ func discardAnswers(answers []Answer) {
 // result's lease; a result nothing was lent to carries none.
 func (e *Executor) merge(answers []Answer, failed map[int]error) Result {
 	m := len(answers)
+	counts := make([]int, 2*m)
 	res := Result{
-		DeviceBuckets: make([]int, m),
-		DeviceRecords: make([]int, m),
+		// One allocation, capped halves: an append on one cannot reach
+		// the other.
+		DeviceBuckets: counts[:m:m],
+		DeviceRecords: counts[m:],
 		DeviceTime:    make([]time.Duration, m),
 	}
 	total, lent := 0, 0

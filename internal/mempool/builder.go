@@ -2,155 +2,65 @@ package mempool
 
 import "unsafe"
 
-// Chunk sizing for RecordBuilder arenas. Byte chunks hold copied field
-// strings; field chunks hold the []string backing arrays records slice
-// into. Strings larger than an eighth of a chunk get their own
-// allocation so one outlier cannot waste most of a chunk.
-const (
-	byteChunk  = 64 << 10
-	fieldChunk = 8 << 10
-
-	// Owned-mode chunks start small and double per chunk up to the
-	// maxima above, so a scan that yields few matches does not pay a
-	// full-size arena up front. Pooled chunks stay full-size: they
-	// recycle, so their footprint amortises across queries.
-	byteChunkMin  = 1 << 10
-	fieldChunkMin = 128
-)
-
-// Shared arena-chunk pools for pooled builders. Separate from Frames
-// so /debug/mempool attributes arena traffic on its own row.
-var (
-	arenaBytes  = NewBytesPool("arena.bytes")
-	arenaFields = NewSlicePool[string]("arena.fields")
-)
-
-// RecordBuilder carves records and their field strings out of chunked
-// arenas, replacing the per-record + per-field allocations of a naive
-// decode with one allocation per ~64KB of string data and one per ~8k
-// fields. A builder is single-goroutine.
-//
-// In owned mode (pooled=false) chunks come from the heap and their
-// lifetime is the garbage collector's problem: records built by the
-// builder stay valid forever and Release is a no-op. In pooled mode
-// chunks are drawn from the arena pools and Release returns every
-// chunk — after Release, all records built by the builder are invalid.
+// RecordBuilder carves records and their field strings out of two chunks
+// sized in advance: Reserve says how many field slots and string bytes
+// the records about to be built take and allocates exactly that, so a
+// scan's whole answer costs two allocations instead of two per record.
+// Past the reservation each record and string is an allocation of its
+// own. The chunks are plain heap the records own outright: they stay
+// valid forever. A builder is single-goroutine.
 type RecordBuilder struct {
-	pooled bool
-
 	bytes  []byte   // current byte chunk, append-only
 	fields []string // current field chunk, carve-only
-
-	// Next owned-mode chunk sizes; double per chunk up to the maxima.
-	nextBytes  int
-	nextFields int
-
-	// Chunks handed out to records, returned to the pools on Release.
-	// Only tracked in pooled mode.
-	usedBytes  [][]byte
-	usedFields [][]string
 }
 
-// NewRecordBuilder returns a builder. pooled selects leased arena
-// chunks (caller must Release) over garbage-collected ones.
-func NewRecordBuilder(pooled bool) *RecordBuilder {
-	return &RecordBuilder{pooled: pooled}
-}
+// NewRecordBuilder returns an empty builder. The parameter is ignored —
+// it selected a pooled arena mode nothing uses — and stays only because
+// bench/fxload/ladder.go passes one and only a [benchmark] PR may edit
+// bench/.
+func NewRecordBuilder(bool) *RecordBuilder { return &RecordBuilder{} }
 
-// Fields returns a zeroed []string of length n carved from the field
-// arena, to be filled as one record's backing.
-func (b *RecordBuilder) Fields(n int) []string {
-	if n > fieldChunk {
-		// Degenerate record wider than a chunk: own allocation,
-		// dropped to the GC on Release.
-		return make([]string, n)
+// Reserve sizes the builder for what it is about to build: fields field
+// slots and bytes string bytes. Where the current chunks lack the room it
+// allocates chunks of exactly that size.
+func (b *RecordBuilder) Reserve(fields, bytes int) {
+	if fields > cap(b.fields)-len(b.fields) {
+		b.fields = make([]string, 0, fields)
 	}
+	if bytes > cap(b.bytes)-len(b.bytes) {
+		b.bytes = make([]byte, 0, bytes)
+	}
+}
+
+// Fields returns a zeroed []string of length n, to be filled as one
+// record's backing, carved from the field chunk while the reservation
+// lasts.
+func (b *RecordBuilder) Fields(n int) []string {
 	if len(b.fields)+n > cap(b.fields) {
-		if b.pooled {
-			if b.fields != nil {
-				b.usedFields = append(b.usedFields, b.fields)
-			}
-			b.fields = arenaFields.Get(fieldChunk)[:0]
-		} else {
-			sz := b.nextFields
-			if sz == 0 {
-				sz = fieldChunkMin
-			}
-			if sz < n {
-				sz = n
-			}
-			b.fields = make([]string, 0, sz)
-			if sz*2 <= fieldChunk {
-				b.nextFields = sz * 2
-			} else {
-				b.nextFields = fieldChunk
-			}
-		}
+		return make([]string, n)
 	}
 	off := len(b.fields)
 	b.fields = b.fields[:off+n]
 	// Restrict capacity so an append on the record cannot clobber the
-	// next record's fields. Pooled chunks were cleared on Put, so the
-	// slots are zero either way.
+	// next record's fields.
 	return b.fields[off : off+n : off+n]
 }
 
-// Bytes copies src into the byte arena and returns it as a string
-// view. The view stays valid until Release (pooled mode) or forever
-// (owned mode).
+// Bytes copies src into the byte chunk, while the reservation lasts, and
+// returns it as a string view.
 func (b *RecordBuilder) Bytes(src []byte) string {
 	n := len(src)
 	if n == 0 {
 		return ""
 	}
-	if n > byteChunk/8 {
-		return string(src)
-	}
 	if len(b.bytes)+n > cap(b.bytes) {
-		if b.pooled {
-			if b.bytes != nil {
-				b.usedBytes = append(b.usedBytes, b.bytes)
-			}
-			b.bytes = arenaBytes.Get(byteChunk)[:0]
-		} else {
-			sz := b.nextBytes
-			if sz == 0 {
-				sz = byteChunkMin
-			}
-			if sz < n {
-				sz = n
-			}
-			b.bytes = make([]byte, 0, sz)
-			if sz*2 <= byteChunk {
-				b.nextBytes = sz * 2
-			} else {
-				b.nextBytes = byteChunk
-			}
-		}
+		return string(src)
 	}
 	off := len(b.bytes)
 	b.bytes = append(b.bytes, src...)
-	v := b.bytes[off : off+n : off+n]
-	return unsafe.String(&v[0], n)
+	return unsafe.String(&b.bytes[off], n)
 }
 
-// Release returns pooled chunks to the arenas. After Release every
-// record built by this builder is invalid. No-op in owned mode.
-func (b *RecordBuilder) Release() {
-	if b == nil || !b.pooled {
-		return
-	}
-	for _, c := range b.usedBytes {
-		arenaBytes.Put(c)
-	}
-	if b.bytes != nil {
-		arenaBytes.Put(b.bytes)
-	}
-	for _, c := range b.usedFields {
-		arenaFields.Put(c)
-	}
-	if b.fields != nil {
-		arenaFields.Put(b.fields)
-	}
-	b.usedBytes, b.usedFields, b.bytes, b.fields = nil, nil, nil, nil
-}
+// Release does nothing — the records own the chunks — and stays because
+// bench/fxload/ladder.go calls it.
+func (b *RecordBuilder) Release() {}

@@ -191,23 +191,28 @@ func (p *SlicePool[T]) Put(s []T) {
 	p.classes[c].Put(box)
 }
 
-// AppendOne appends v to s, growing through the pool instead of the
-// allocator: when s is full, a slab of at least double the capacity is
-// drawn from the pool, the elements are copied across, and the old slab
-// is returned for reuse. The fast path (spare capacity) is a plain
-// append. On a nil or disabled pool it degrades to append(s, v).
-func (p *SlicePool[T]) AppendOne(s []T, v T) []T {
-	if len(s) < cap(s) || p == nil || disabled.Load() {
-		return append(s, v)
+// Grow returns s with room for n more elements, growing through the pool
+// instead of the allocator: when s lacks the room, a slab of at least
+// double the capacity is drawn from the pool, the elements are copied
+// across, and the old slab is returned for reuse. On a nil or disabled
+// pool it returns s, and append grows it as usual.
+func (p *SlicePool[T]) Grow(s []T, n int) []T {
+	if cap(s)-len(s) >= n || p == nil || disabled.Load() {
+		return s
 	}
-	want := 2 * cap(s)
-	if want <= len(s) {
-		want = len(s) + 1
-	}
-	grown := p.Get(want)[:len(s)]
+	grown := p.Get(max(2*cap(s), len(s)+n))[:len(s)]
 	copy(grown, s)
 	p.Put(s)
-	return append(grown, v)
+	return grown
+}
+
+// AppendOne appends v to s, growing it through the pool (Grow). The fast
+// path (spare capacity) is a plain append.
+func (p *SlicePool[T]) AppendOne(s []T, v T) []T {
+	if len(s) < cap(s) {
+		return append(s, v)
+	}
+	return append(p.Grow(s, 1), v)
 }
 
 // Stats snapshots the pool's counters. Safe on a nil pool.

@@ -172,7 +172,7 @@ func TestRecordBuilderOwned(t *testing.T) {
 		}
 		recs = append(recs, r)
 	}
-	b.Release() // no-op in owned mode; records stay valid
+	b.Release() // a no-op: records stay valid
 	for i, r := range recs {
 		for j := range r {
 			want := fmt.Sprintf("val-%d-%d", i, j)
@@ -183,37 +183,48 @@ func TestRecordBuilderOwned(t *testing.T) {
 	}
 }
 
-func TestRecordBuilderPooledReleaseReturnsChunks(t *testing.T) {
-	b := NewRecordBuilder(true)
-	before := arenaBytes.Stats()
-	r := b.Fields(2)
-	r[0] = b.Bytes([]byte("alpha"))
-	r[1] = b.Bytes([]byte("beta"))
-	if r[0] != "alpha" || r[1] != "beta" {
-		t.Fatalf("record = %v", r)
+// buildReserved fills recs with three-field records of value through a
+// builder reserved for exactly them, then builds extra one-field
+// records past the reservation.
+func buildReserved(recs [][]string, value []byte, extra int) {
+	b := NewRecordBuilder(false)
+	b.Reserve(3*len(recs), 3*len(recs)*len(value))
+	for i := range recs {
+		r := b.Fields(3)
+		for j := range r {
+			r[j] = b.Bytes(value)
+		}
+		recs[i] = r
 	}
-	b.Release()
-	after := arenaBytes.Stats()
-	if after.Puts <= before.Puts {
-		t.Fatalf("Release returned no byte chunks: before %+v after %+v", before, after)
+	for i := 0; i < extra; i++ {
+		b.Fields(1)[0] = b.Bytes(value)
 	}
-	// A second builder reuses the chunk. sync.Pool deliberately drops
-	// a fraction of Puts under the race detector, so retry until a
-	// recycled chunk is observed.
-	recycled := false
-	for i := 0; i < 50 && !recycled; i++ {
-		b2 := NewRecordBuilder(true)
-		_ = b2.Bytes([]byte("gamma"))
-		recycled = arenaBytes.Stats().Gets > before.Gets
-		b2.Release()
-	}
-	if !recycled {
-		t.Fatalf("no builder recycled a chunk: %+v", arenaBytes.Stats())
+}
+
+// A builder reserved for what it builds makes exactly two chunks,
+// one of field slots and one of bytes, for one record or a thousand; past
+// the reservation each record and string is an allocation of its own.
+func TestReservedBuilderMakesTwoChunks(t *testing.T) {
+	value := []byte("value-0123")
+	for _, n := range []int{1, 6, 1000} {
+		recs := make([][]string, n)
+		if got := testing.AllocsPerRun(20, func() { buildReserved(recs, value, 0) }); got != 2 {
+			t.Errorf("%d records: %.0f allocations, want 2", n, got)
+		}
+		if got := testing.AllocsPerRun(20, func() { buildReserved(recs, value, 1) }); got != 4 {
+			t.Errorf("%d records and one past the reservation: %.0f allocations, want 4", n, got)
+		}
+		for i, r := range recs {
+			if len(r) != 3 || cap(r) != 3 || r[0] != string(value) || r[2] != string(value) {
+				t.Fatalf("%d records: record %d = %q (cap %d)", n, i, r, cap(r))
+			}
+		}
 	}
 }
 
 func TestBuilderFieldsCapRestricted(t *testing.T) {
 	b := NewRecordBuilder(false)
+	b.Reserve(4, 0) // both records in one chunk
 	r1 := b.Fields(2)
 	r2 := b.Fields(2)
 	r1 = append(r1, "overflow") // must not clobber r2

@@ -53,8 +53,9 @@ func BenchmarkScan(b *testing.B) {
 }
 
 // BenchmarkScanMatching is the durable retrieval's inner loop: a bucket
-// stored as one run, a query 1 record in 32 answers. Allocations must
-// follow the hits, not the records scanned.
+// stored as one run, a query 1 record in 32 answers, its hits collected
+// and built. Allocations must follow the hits, not the records scanned:
+// the two exactly-sized chunks of the answer.
 func BenchmarkScanMatching(b *testing.B) {
 	s := benchStore(b)
 	for bucket := uint32(0); bucket < 16; bucket++ {
@@ -73,10 +74,15 @@ func BenchmarkScanMatching(b *testing.B) {
 	scanned := 0
 	for i := 0; i < b.N; i++ {
 		hits := 0
-		n, err := s.ScanMatching(uint32(i%16), pm, mempool.NewRecordBuilder(false), func(mkhash.Record) error {
-			hits++
-			return nil
-		})
+		var found Matches
+		n, err := s.AppendMatching(uint32(i%16), pm, &found)
+		if err == nil {
+			err = found.Build(mempool.NewRecordBuilder(false), func(mkhash.Record) error {
+				hits++
+				return nil
+			})
+		}
+		found.Release()
 		if err != nil || hits != 8 {
 			b.Fatalf("%d hits, %v", hits, err)
 		}

@@ -2,6 +2,7 @@ package pagestore
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"math/rand"
@@ -27,6 +28,20 @@ func (c *countingReaderAt) ReadAt(p []byte, off int64) (int, error) {
 }
 
 func frameSize(rec mkhash.Record) int { return frameHeaderSize + 1 + recordSize(rec) }
+
+// storeOf is a store over an in-memory log: one run of bucket holding a
+// put frame per body, bodies unchecked.
+func storeOf(bucket uint32, bodies ...[]byte) *Store {
+	var log []byte
+	for _, body := range bodies {
+		frame := len(log)
+		log = append(append(log, make([]byte, frameHeaderSize)...), kindPut)
+		log = append(log, body...)
+		binary.LittleEndian.PutUint32(log[frame+4:], bucket)
+		binary.LittleEndian.PutUint32(log[frame+8:], uint32(1+len(body)))
+	}
+	return &Store{r: bytes.NewReader(log), index: map[uint32][]extent{bucket: {{0, uint32(len(log))}}}}
+}
 
 // A scan issues exactly one read per run: one for a bucket written as a
 // run, however many records it holds, and one more for every single
@@ -58,23 +73,29 @@ func TestScanReadsOncePerRun(t *testing.T) {
 			t.Fatalf("bucket %d holds %d runs, want %d", bucket, got, want.runs)
 		}
 		counter.reads = 0
-		hits := 0
-		scanned, err := s.ScanMatching(bucket, mkhash.PartialMatch{&late, nil}, mempool.NewRecordBuilder(false), func(mkhash.Record) error {
-			hits++
-			return nil
-		})
+		hits, scanned, err := matching(s, bucket, mkhash.PartialMatch{&late, nil})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if counter.reads != want.runs || scanned != want.scanned || hits != want.hits {
-			t.Errorf("bucket %d: %d reads, %d scanned, %d hits, want %+v", bucket, counter.reads, scanned, hits, want)
+		if counter.reads != want.runs || scanned != want.scanned || len(hits) != want.hits {
+			t.Errorf("bucket %d: %d reads, %d scanned, %d hits, want %+v", bucket, counter.reads, scanned, len(hits), want)
 		}
 	}
 }
 
+// framesTaken counts the Frames slabs handed out and given back since
+// before.
+func framesTaken(before mempool.Stats) (gets, puts uint64) {
+	after := mempool.Frames.Stats()
+	return after.Gets + after.Misses + after.Oversize - before.Gets - before.Misses - before.Oversize,
+		after.Puts + after.Drops - before.Puts - before.Drops
+}
+
 // A stored record with fewer fields than the query is a scan error (it
 // was an index-out-of-range panic in engine.Matches); one with more is
-// compared on the fields the query has.
+// compared on the fields the query has. A scan that fails — on the short
+// record after a hit was collected, or on a corrupt body — gives every
+// Frames slab it took back and hands out no hit.
 func TestScanMatchingArity(t *testing.T) {
 	s, _ := tempStore(t)
 	defer s.Close()
@@ -82,17 +103,30 @@ func TestScanMatchingArity(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := "a"
-	b := mempool.NewRecordBuilder(false)
-	if _, err := s.ScanMatching(1, mkhash.PartialMatch{&a, nil, nil}, b, func(mkhash.Record) error { return nil }); err == nil {
+	before := mempool.Frames.Stats()
+	var found Matches
+	if _, err := s.AppendMatching(1, mkhash.PartialMatch{&a, nil, nil}, &found); err == nil {
 		t.Error("a two-field record answered a three-field query")
+	}
+	found.Release()
+	// The run's slab and the slab holding the first record's body.
+	if gets, puts := framesTaken(before); gets != 2 || puts != gets || found.enc != nil {
+		t.Errorf("short record: %d slabs taken, %d given back, %d bytes still held", gets, puts, len(found.enc))
 	}
 	if got := collect(t, s, 1); len(got) != 2 {
 		t.Errorf("unfiltered scan returned %v", got)
 	}
-	hits := 0
-	scanned, err := s.ScanMatching(1, mkhash.PartialMatch{&a}, b, func(mkhash.Record) error { hits++; return nil })
-	if err != nil || scanned != 2 || hits != 2 {
-		t.Errorf("one-field query: scanned %d, %d hits, %v", scanned, hits, err)
+	hits, scanned, err := matching(s, 1, mkhash.PartialMatch{&a})
+	if err != nil || scanned != 2 || len(hits) != 2 {
+		t.Errorf("one-field query: scanned %d, %d hits, %v", scanned, len(hits), err)
+	}
+
+	corrupt := storeOf(1, appendRecord(nil, mkhash.Record{"a"}), []byte{1, 200, 1})
+	before = mempool.Frames.Stats()
+	called := 0
+	err = corrupt.ScanInto(1, mempool.NewRecordBuilder(false), func(mkhash.Record) error { called++; return nil })
+	if gets, puts := framesTaken(before); err == nil || called != 0 || gets != 2 || puts != gets {
+		t.Errorf("corrupt body: %v, %d records handed out, %d slabs taken, %d given back", err, called, gets, puts)
 	}
 }
 

@@ -133,11 +133,14 @@ func referenceDecode(payload []byte) (mkhash.Record, error) {
 }
 
 // FuzzScanMatching: for an arbitrary record body and an arbitrary query,
-// the scan — walk, match on the encoded bytes, build the hit — returns
-// exactly what decoding the body and asking engine.Matches returns. It
-// errors on every body the decoder rejects, and on a record with fewer
-// fields than the query (where engine.Matches indexes out of range).
+// the scan — walk, match on the encoded bytes, collect the hit with
+// AppendMatching, Build it — returns exactly what decoding the body and
+// asking engine.Matches returns. It errors on every body the decoder
+// rejects, and on a record with fewer fields than the query (where
+// engine.Matches indexes out of range). Released slabs are poisoned, so a
+// hit still aliasing the collected bytes fails the comparison.
 func FuzzScanMatching(f *testing.F) {
+	defer mempool.SetPoison(mempool.SetPoison(true))
 	for _, body := range [][]byte{
 		{},
 		appendRecord(nil, mkhash.Record{"a", "b"}),
@@ -160,18 +163,7 @@ func FuzzScanMatching(f *testing.F) {
 				pm[i] = &values[i]
 			}
 		}
-		const bucket = 11
-		frame := make([]byte, frameHeaderSize, frameHeaderSize+1+len(body))
-		binary.LittleEndian.PutUint32(frame[4:], bucket)
-		binary.LittleEndian.PutUint32(frame[8:], uint32(1+len(body)))
-		frame = append(append(frame, kindPut), body...)
-		s := &Store{r: bytes.NewReader(frame), index: map[uint32][]extent{bucket: {{0, uint32(len(frame))}}}}
-
-		var hits []mkhash.Record
-		scanned, err := s.ScanMatching(bucket, pm, mempool.NewRecordBuilder(false), func(r mkhash.Record) error {
-			hits = append(hits, r)
-			return nil
-		})
+		hits, scanned, err := matching(storeOf(11, body), 11, pm)
 		want, decodeErr := referenceDecode(body)
 		switch {
 		case decodeErr != nil:

@@ -22,10 +22,12 @@
 // The paper prices a query in bucket accesses, so a bucket is one access:
 // the index maps it to its runs — extents of back-to-back put frames —
 // and the one read path (walk) reads a run with a single ReadAt. A scan
-// compares the query's specified fields on the encoded bytes and decodes
-// only the hits. AppendRun and Compact leave a bucket as one run (a few
-// if it exceeds chunk bytes); a single Append or Delete landing between
-// its frames adds a run until the next Compact.
+// compares the query's specified fields on the encoded bytes and copies
+// out only the hits' bodies; they are decoded once, into exactly-sized
+// memory, when the caller has collected them all. AppendRun and Compact
+// leave a bucket as one run (a few if it exceeds chunk bytes); a single
+// Append or Delete landing between its frames adds a run until the next
+// Compact.
 package pagestore
 
 import (
@@ -161,11 +163,10 @@ func (s *Store) recover() error {
 			s.index[bucket] = addFrame(s.index[bucket], off, n)
 			s.records++
 		case kindTombstone:
-			_, fields, err := matchRecord(payload[1:], nil)
+			rec, err := decodeRecord(payload[1:])
 			if err != nil {
 				return fmt.Errorf("pagestore: corrupt tombstone at offset %d: %w", off, err)
 			}
-			rec := buildRecord(payload[1:], fields, mempool.NewRecordBuilder(false))
 			if _, err := s.remove(bucket, rec, false); err != nil {
 				return err
 			}
@@ -271,7 +272,7 @@ func (s *Store) remove(bucket uint32, rec mkhash.Record, log bool) (int, error) 
 	var kept []extent
 	dropped := 0
 	err := s.walk(bucket, func(off int64, frame []byte) error {
-		match, fields, err := matchRecord(frame[frameHeaderSize+1:], want)
+		match, fields, _, err := matchRecord(frame[frameHeaderSize+1:], want)
 		if err != nil {
 			return err
 		}
@@ -389,37 +390,74 @@ func (s *Store) walk(bucket uint32, visit func(off int64, frame []byte) error) e
 	return nil
 }
 
-// ScanMatching calls fn for every record in the bucket that agrees with
-// pm on its specified fields, in append order, and returns how many
+// Matches collects hits for AppendMatching: their encoded bodies back to
+// back in one slab grown through mempool.Frames, and the field slots and
+// string bytes building them takes. The zero value is empty; Release
+// returns the slab, on every path.
+type Matches struct {
+	enc           []byte
+	fields, bytes int
+}
+
+// AppendMatching appends to dst every record in the bucket that agrees
+// with pm on its specified fields, in append order, and returns how many
 // records the bucket holds. The comparison runs on the encoded bytes:
-// every record is validated and counted, only the matches are
-// materialised through b's arena and are valid only as long as it is
-// (see mempool.RecordBuilder). A stored record with fewer fields than pm
-// is an error.
-func (s *Store) ScanMatching(bucket uint32, pm mkhash.PartialMatch, b *mempool.RecordBuilder, fn func(rec mkhash.Record) error) (scanned int, err error) {
+// every record is validated and counted, only the matches are copied, and
+// nothing is materialised — dst.Build does that once, after the caller
+// has collected all its buckets. A stored record with fewer fields than
+// pm is an error; what was appended before it stays in dst.
+func (s *Store) AppendMatching(bucket uint32, pm mkhash.PartialMatch, dst *Matches) (scanned int, err error) {
 	err = s.walk(bucket, func(_ int64, frame []byte) error {
 		scanned++
 		body := frame[frameHeaderSize+1:]
-		match, fields, err := matchRecord(body, pm)
+		match, fields, bytes, err := matchRecord(body, pm)
 		if err != nil {
 			return err
 		}
 		if fields < len(pm) {
 			return fmt.Errorf("pagestore: stored record has %d fields, the query %d", fields, len(pm))
 		}
-		if !match {
-			return nil
+		if match {
+			dst.enc = append(mempool.Frames.Grow(dst.enc, len(body)), body...)
+			dst.fields += fields
+			dst.bytes += bytes
 		}
-		return fn(buildRecord(body, fields, b))
+		return nil
 	})
 	return scanned, err
 }
 
+// Build reserves exactly the collected hits' sizes on b and materialises
+// them through it, calling fn for each in the order they were appended.
+// Every byte is copied out, so the records outlive Release, and they cost
+// the builder two allocations however many there are.
+func (m *Matches) Build(b *mempool.RecordBuilder, fn func(rec mkhash.Record) error) error {
+	b.Reserve(m.fields, m.bytes)
+	for enc := m.enc; len(enc) > 0; {
+		var rec mkhash.Record
+		rec, enc = buildRecord(enc, b)
+		if err := fn(rec); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Release returns the slab to mempool.Frames and empties m.
+func (m *Matches) Release() {
+	mempool.Frames.Put(m.enc)
+	*m = Matches{}
+}
+
 // ScanInto calls fn for every record in the bucket, in append order: it
-// is ScanMatching with nothing specified.
+// is AppendMatching with nothing specified, then Build through b.
 func (s *Store) ScanInto(bucket uint32, b *mempool.RecordBuilder, fn func(rec mkhash.Record) error) error {
-	_, err := s.ScanMatching(bucket, nil, b, fn)
-	return err
+	var all Matches
+	defer all.Release()
+	if _, err := s.AppendMatching(bucket, nil, &all); err != nil {
+		return err
+	}
+	return all.Build(b, fn)
 }
 
 // Sync flushes appended frames to stable storage.
@@ -467,42 +505,58 @@ func appendRecord(buf []byte, rec mkhash.Record) []byte {
 
 // matchRecord is the one validator of an encoded record body: it checks
 // the field count, every field length and that nothing trails, and
-// reports the count and whether each field pm specifies — of those the
-// record has — equals the stored bytes. Nothing is materialised.
-func matchRecord(body []byte, pm mkhash.PartialMatch) (match bool, fields int, err error) {
+// reports the count, the field values' total bytes and whether each
+// field pm specifies — of those the record has — equals the stored
+// bytes. Nothing is materialised.
+func matchRecord(body []byte, pm mkhash.PartialMatch) (match bool, fields, bytes int, err error) {
 	count, n := binary.Uvarint(body)
 	if n <= 0 || count > 1<<20 {
-		return false, 0, fmt.Errorf("pagestore: corrupt record header (field count %d)", count)
+		return false, 0, 0, fmt.Errorf("pagestore: corrupt record header (field count %d)", count)
 	}
 	body = body[n:]
 	match = true
 	for i := 0; i < int(count); i++ {
 		l, n := binary.Uvarint(body)
 		if n <= 0 || uint64(len(body)-n) < l {
-			return false, 0, errors.New("pagestore: corrupt field length")
+			return false, 0, 0, errors.New("pagestore: corrupt field length")
 		}
 		if match && i < len(pm) && pm[i] != nil && string(body[n:n+int(l)]) != *pm[i] {
 			match = false
 		}
+		bytes += int(l)
 		body = body[n+int(l):]
 	}
 	if len(body) != 0 {
-		return false, 0, fmt.Errorf("pagestore: %d trailing bytes in record frame", len(body))
+		return false, 0, 0, fmt.Errorf("pagestore: %d trailing bytes in record frame", len(body))
 	}
-	return match, int(count), nil
+	return match, int(count), bytes, nil
 }
 
-// buildRecord materialises a body matchRecord has accepted, drawing the
-// field-header slice and field bytes from b's arena. body may be recycled
-// as soon as the call returns — every byte is copied out.
-func buildRecord(body []byte, fields int, b *mempool.RecordBuilder) mkhash.Record {
-	_, n := binary.Uvarint(body)
-	body = body[n:]
-	rec := b.Fields(fields)
-	for i := range rec {
-		l, n := binary.Uvarint(body)
-		rec[i] = b.Bytes(body[n : n+int(l)])
-		body = body[n+int(l):]
+// decodeRecord validates one record body and materialises it into memory
+// of its own: matchRecord, an exact reservation, buildRecord.
+func decodeRecord(body []byte) (mkhash.Record, error) {
+	_, fields, bytes, err := matchRecord(body, nil)
+	if err != nil {
+		return nil, err
 	}
-	return rec
+	b := mempool.NewRecordBuilder(false)
+	b.Reserve(fields, bytes)
+	rec, _ := buildRecord(body, b)
+	return rec, nil
+}
+
+// buildRecord materialises the first of the bodies at the head of enc,
+// which matchRecord has accepted, drawing the field-header slice and
+// field bytes from b's chunks, and returns the bodies after it. enc may be
+// recycled as soon as the call returns — every byte is copied out.
+func buildRecord(enc []byte, b *mempool.RecordBuilder) (mkhash.Record, []byte) {
+	fields, n := binary.Uvarint(enc)
+	enc = enc[n:]
+	rec := b.Fields(int(fields))
+	for i := range rec {
+		l, n := binary.Uvarint(enc)
+		rec[i] = b.Bytes(enc[n : n+int(l)])
+		enc = enc[n+int(l):]
+	}
+	return rec, enc
 }

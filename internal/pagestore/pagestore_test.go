@@ -13,15 +13,6 @@ import (
 	"fxdist/internal/mkhash"
 )
 
-// decodeRecord decodes a record body into memory the caller owns.
-func decodeRecord(body []byte) (mkhash.Record, error) {
-	_, fields, err := matchRecord(body, nil)
-	if err != nil {
-		return nil, err
-	}
-	return buildRecord(body, fields, mempool.NewRecordBuilder(false)), nil
-}
-
 func tempStore(t *testing.T) (*Store, string) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "dev0.log")
@@ -42,6 +33,21 @@ func collect(t *testing.T, s *Store, bucket uint32) []mkhash.Record {
 		t.Fatal(err)
 	}
 	return out
+}
+
+// matching is a durable device's scan of one bucket: collect the hits,
+// build them into owned memory, give the slab back.
+func matching(s *Store, bucket uint32, pm mkhash.PartialMatch) (hits []mkhash.Record, scanned int, err error) {
+	var found Matches
+	defer found.Release()
+	if scanned, err = s.AppendMatching(bucket, pm, &found); err != nil {
+		return nil, scanned, err
+	}
+	err = found.Build(mempool.NewRecordBuilder(false), func(r mkhash.Record) error {
+		hits = append(hits, r)
+		return nil
+	})
+	return hits, scanned, err
 }
 
 func TestAppendScanRoundTrip(t *testing.T) {

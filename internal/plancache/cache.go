@@ -80,15 +80,17 @@ func (c *Cache) evictLocked() {
 	}
 }
 
-// Get returns the plan for shape, compiling it with compile on a miss
-// (compile must return a plan of that shape); the second return reports
-// whether the lookup was a hit. Concurrent misses of one shape each
-// compile (a plan is O(M) numbers, about a microsecond): the first to
-// finish inserts its plan and the rest return that one. Compilation
-// errors are not cached.
-func (c *Cache) Get(shape string, compile func() (*Plan, error)) (*Plan, bool, error) {
+// Get returns the plan for shape (query.AppendShape's bytes), compiling it
+// with compile on a miss (compile must return a plan of that shape); the
+// second return reports whether the lookup was a hit. A hit allocates
+// nothing: the key is looked up as the bytes, and a miss files the plan
+// under its own Shape. Concurrent misses of one shape each compile (a
+// plan is O(M) numbers, about a microsecond): the first to finish inserts
+// its plan and the rest return that one. Compilation errors are not
+// cached.
+func (c *Cache) Get(shape []byte, compile func() (*Plan, error)) (*Plan, bool, error) {
 	c.mu.Lock()
-	if el, ok := c.index[shape]; ok {
+	if el, ok := c.index[string(shape)]; ok {
 		c.lru.MoveToFront(el)
 		p := el.Value.(*Plan)
 		c.hits++
@@ -106,10 +108,10 @@ func (c *Cache) Get(shape string, compile func() (*Plan, error)) (*Plan, bool, e
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.index[shape]; ok {
+	if el, ok := c.index[p.Shape]; ok {
 		return el.Value.(*Plan), false, nil
 	}
-	c.index[shape] = c.lru.PushFront(p)
+	c.index[p.Shape] = c.lru.PushFront(p)
 	c.bytes += p.Bytes()
 	c.mEntries.Add(1)
 	c.mBytes.Add(float64(p.Bytes()))

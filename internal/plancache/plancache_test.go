@@ -209,7 +209,7 @@ func TestCacheLRUAndStats(t *testing.T) {
 	defer c.Close()
 
 	lookup := func(q query.Query) *Plan {
-		p, _, err := c.Get(q.Shape(), func() (*Plan, error) { return Compile(fx, q, 0), nil })
+		p, _, err := c.Get(q.AppendShape(nil), func() (*Plan, error) { return Compile(fx, q, 0), nil })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -241,6 +241,30 @@ func TestCacheLRUAndStats(t *testing.T) {
 	}
 }
 
+// TestWarmGetAllocatesNothing: every retrieval looks its plan up, so a hit
+// — the shape appended into stack scratch, looked up as bytes — costs no
+// allocation at all.
+func TestWarmGetAllocatesNothing(t *testing.T) {
+	fs := mustFS(t, []int{4, 4}, 4)
+	fx, _ := decluster.NewFX(fs)
+	c := New("memory")
+	defer c.Close()
+	q := query.New([]int{1, query.Unspecified})
+	get := func() {
+		var key [16]byte
+		if _, _, err := c.Get(q.AppendShape(key[:0]), func() (*Plan, error) { return Compile(fx, q, 0), nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	get()
+	if n := testing.AllocsPerRun(100, get); n != 0 {
+		t.Errorf("a warm Get costs %.0f allocations, want 0", n)
+	}
+	if s := c.Stats(); s.Misses != 1 || s.Plans[0].Shape != "s*" {
+		t.Errorf("misses = %d, plans %+v: want one miss filed under \"s*\"", s.Misses, s.Plans)
+	}
+}
+
 // TestCacheConcurrentMisses: goroutines that miss one shape together each
 // compile (none returns before all 32 are inside compile), the first
 // insert wins, and every caller leaves with that one resident plan. Run
@@ -261,7 +285,7 @@ func TestCacheConcurrentMisses(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			p, hit, err := c.Get(q.Shape(), func() (*Plan, error) {
+			p, hit, err := c.Get(q.AppendShape(nil), func() (*Plan, error) {
 				if entered.Add(1) == callers {
 					close(all)
 				}
@@ -292,7 +316,7 @@ func TestCacheCompileErrorNotCached(t *testing.T) {
 	defer c.Close()
 	fails := 0
 	for i := 0; i < 2; i++ {
-		_, _, err := c.Get("ss", func() (*Plan, error) {
+		_, _, err := c.Get([]byte("ss"), func() (*Plan, error) {
 			fails++
 			return nil, fmt.Errorf("boom %d", fails)
 		})
@@ -316,7 +340,7 @@ func TestReportFollowsEviction(t *testing.T) {
 	fx, _ := decluster.NewFX(fs)
 	get := func(spec ...int) {
 		q := query.New(spec)
-		if _, _, err := c.Get(q.Shape(), func() (*Plan, error) { return Compile(fx, q, 0), nil }); err != nil {
+		if _, _, err := c.Get(q.AppendShape(nil), func() (*Plan, error) { return Compile(fx, q, 0), nil }); err != nil {
 			t.Fatal(err)
 		}
 	}

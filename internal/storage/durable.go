@@ -54,35 +54,46 @@ type durDevice struct {
 // Owner declares that the device serves device dev's log alone.
 func (d durDevice) Owner() int { return d.dev }
 
+// Scan collects, then builds. Under the read lock the store compares pm
+// on the encoded bytes and appends only the hits' bodies, from every
+// qualified bucket, to one pooled slab that also counts their fields and
+// bytes. After the lock, one builder reserves exactly that and
+// materialises the hits: two allocations for the device's whole answer,
+// plain heap the result owns outright — the device lends nothing.
 func (d durDevice) Scan(ctx context.Context, q query.Query, pm mkhash.PartialMatch) (engine.Answer, error) {
 	var ans engine.Answer
+	var found pagestore.Matches
+	defer found.Release()
+	if err := d.collect(ctx, q, pm, &ans, &found); err != nil {
+		return engine.Answer{}, err
+	}
+	_ = found.Build(mempool.NewRecordBuilder(false), func(r mkhash.Record) error { // fails only if fn does
+		ans.Hits = hits.AppendOne(ans.Hits, r)
+		return nil
+	})
+	return ans, nil
+}
+
+// collect appends the hits of the device's qualified buckets to found,
+// counting buckets and records scanned into ans, under the read lock.
+func (d durDevice) collect(ctx context.Context, q query.Query, pm mkhash.PartialMatch, ans *engine.Answer, found *pagestore.Matches) error {
 	c := d.c
-	// One builder per scan: the store compares pm on the encoded bytes
-	// and materialises only the hits, which share the builder's chunked
-	// arena instead of allocating two objects each. The chunks are plain
-	// heap the result owns outright: the device lends nothing.
-	b := mempool.NewRecordBuilder(false)
 	c.locks[d.dev].RLock()
 	defer c.locks[d.dev].RUnlock()
 	var buf [walkScratch]int
 	w := c.im.Walk(query.WalkOver(buf[:]), q, d.dev)
 	for coords := w.Next(); coords != nil; coords = w.Next() {
-		err := ctx.Err()
-		if err == nil {
-			ans.Buckets++
-			var scanned int
-			scanned, err = c.stores[d.dev].ScanMatching(uint32(c.fs.Linear(coords)), pm, b, func(r mkhash.Record) error {
-				ans.Hits = hits.AppendOne(ans.Hits, r)
-				return nil
-			})
-			ans.Records += scanned
+		if err := ctx.Err(); err != nil {
+			return err
 		}
+		ans.Buckets++
+		scanned, err := c.stores[d.dev].AppendMatching(uint32(c.fs.Linear(coords)), pm, found)
+		ans.Records += scanned
 		if err != nil {
-			hits.Put(ans.Hits)
-			return engine.Answer{}, err
+			return err
 		}
 	}
-	return ans, nil
+	return nil
 }
 
 const metaName = "meta.snap"

@@ -5,12 +5,14 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"runtime/debug"
 	"sort"
 	"sync"
 	"testing"
 
 	"fxdist/internal/decluster"
+	"fxdist/internal/mempool"
 	"fxdist/internal/mkhash"
 )
 
@@ -522,7 +524,125 @@ func TestDurableScanAllocsDoNotGrowWithScanned(t *testing.T) {
 	if many > few+3 {
 		t.Errorf("allocations grew with the records scanned: %.0f for %d, %.0f for %d", few, fewScanned, many, manyScanned)
 	}
-	if bound := float64(30 + 5*m + 2*hits); many > bound {
+	// The executor's own 11 (TestScanStateStaysOnStack) and, per device,
+	// the two exactly-sized chunks of its answer, however many hits.
+	if bound := float64(11 + 2*m); many > bound {
 		t.Errorf("%.0f allocations per retrieval, bound for %d devices and %d hits is %.0f", many, m, hits, bound)
+	}
+}
+
+// bytesPerRun is testing.AllocsPerRun for bytes: the average heap bytes
+// one run of f allocates, after a warm-up run.
+func bytesPerRun(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+// A durable answer is sized before it is built: one durDevice.Scan
+// allocates its hits' field headers (16 bytes a field) and value bytes,
+// plus what rounding each of the two chunks up to a Go size class costs
+// (at most a quarter, and a page past 32 KiB) — not a guessed first
+// chunk of 1 KiB and 128 fields, nor a doubling ladder past it.
+func TestDurableAnswerIsExactlySized(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("sync.Pool drops Puts under -race, so allocation counts are not exact")
+	}
+	target := mkhash.Record{"target", "model-0123456789", "19990101"}
+	valueBytes := len(target[0]) + len(target[1]) + len(target[2])
+	class := func(n int) int { return n + min(n/4+16, 8<<10) }
+	for _, n := range []int{1, 6, 600} {
+		file := mkhash.MustNew(mkhash.Schema{Fields: []string{"make", "model", "year"}, Depths: []int{2, 3, 1}})
+		for i := 0; i < n; i++ {
+			if err := file.Insert(target); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 400; i++ {
+			if err := file.Insert(mkhash.Record{fmt.Sprintf("make%d", i%7), fmt.Sprintf("model%d", i%23), fmt.Sprintf("%d", 1980+i%10)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		fs, err := file.FileSystem(4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fx := decluster.MustFX(fs)
+		c, err := CreateDurable(t.TempDir(), file, fx, MainMemory)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		pm, err := c.Spec(map[string]string{"make": "target"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		q, err := file.BucketQuery(pm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		coords, err := file.BucketOf(target)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := durDevice{c: c, dev: fx.Device(coords)}
+		got := bytesPerRun(50, func() {
+			ans, err := d.Scan(context.Background(), q, pm)
+			if err != nil || len(ans.Hits) != n {
+				t.Fatalf("%d hits, %v", len(ans.Hits), err)
+			}
+			hits.Put(ans.Hits)
+		})
+		fields, values := 16*len(target)*n, valueBytes*n
+		if bound := class(fields) + class(values); got > float64(bound) {
+			t.Errorf("%d hits: a scan allocates %.0f bytes, the answer is %d + %d, bound %d", n, got, fields, values, bound)
+		}
+	}
+}
+
+// A durable scan that fails — on a stored record shorter than the query,
+// after it has collected hits of the same bucket — answers nothing and
+// gives back every Frames slab it took.
+func TestDurableScanErrorGivesTheSlabBack(t *testing.T) {
+	file, fx := durableFixture(t, 400, 4)
+	c, err := CreateDurable(t.TempDir(), file, fx, MainMemory)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	pm, err := c.Spec(map[string]string{"make": "make3"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := file.BucketQuery(pm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hit := mkhash.Record{"make3", "model3", "1983"} // carFile's record 3
+	coords, err := file.BucketOf(hit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev := fx.Device(coords)
+	if err := c.stores[dev].Append(uint32(c.fs.Linear(coords)), hit[:2]); err != nil {
+		t.Fatal(err)
+	}
+	before := mempool.Frames.Stats()
+	ans, err := durDevice{c: c, dev: dev}.Scan(context.Background(), q, pm)
+	after := mempool.Frames.Stats()
+	gets := after.Gets + after.Misses + after.Oversize - before.Gets - before.Misses - before.Oversize
+	puts := after.Puts + after.Drops - before.Puts - before.Drops
+	if err == nil || ans.Hits != nil || ans.Buckets != 0 {
+		t.Errorf("scan over a short record: %d hits, %d buckets, %v; want an error and nothing else", len(ans.Hits), ans.Buckets, err)
+	}
+	// At least the bucket's run and the slab its hit was collected into.
+	if gets < 2 || puts != gets {
+		t.Errorf("the failed scan took %d Frames slabs and gave %d back", gets, puts)
 	}
 }

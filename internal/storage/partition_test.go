@@ -98,8 +98,10 @@ func TestPartitionAdmit(t *testing.T) {
 // retrieval, a memDevice scan allocates nothing. What is left on the
 // others is not the walk: replDevice's bucket scratch escapes through the
 // placement's allocator interface (1), and durDevice's record builder
-// makes one header and one byte chunk for the hits it materialises (2).
-// Cluster.Retrieve is the executor's own 15 whatever M is. A
+// makes one exactly-sized header chunk and one byte chunk for all the
+// hits it materialises (2). Cluster.Retrieve is the executor's own 11
+// whatever M is (14 before the plan lookup kept its key on the stack and
+// the merge made one slice of the per-device counts). A
 // generalisation that makes the scan state escape — a func-typed scanner,
 // a store interface, a callback handed the scratch — adds objects per
 // device per query and fails here first; memory_point reads it per device
@@ -152,8 +154,8 @@ func TestScanStateStaysOnStack(t *testing.T) {
 		{"memDevice.Scan", scan(memDevice{c: mem, dev: 1}), 0},
 		{"replDevice.Scan", scan(replDevice{c: repl, dev: 1}), 1},
 		{"durDevice.Scan", scan(durDevice{c: dur, dev: 1}), 2},
-		{"Cluster.Retrieve", retrieve(mem), 15},
-		{"ReplicatedCluster.Retrieve", retrieve(repl), 19},
+		{"Cluster.Retrieve", retrieve(mem), 11},
+		{"ReplicatedCluster.Retrieve", retrieve(repl), 15},
 	} {
 		tc.run() // warm the hit pool and the plan cache
 		if got := testing.AllocsPerRun(200, tc.run); got > tc.want {
