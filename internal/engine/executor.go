@@ -151,11 +151,18 @@ func New(cfg Config) (*Executor, error) {
 // Plans returns the executor's plan cache.
 func (e *Executor) Plans() *plancache.Cache { return e.plans }
 
-// callKey carries the in-flight call through the context to the device
-// adapters, which read two things off it: the trace span, to attach
-// protocol events, and the plan's shape, to attribute the round trip
-// (both the netdist remote device).
+// callKey carries the in-flight call to the device adapters — the call is
+// their context, and Value answers callKey with it — which read the trace
+// span off it, to attach protocol events, and the plan's shape, to
+// attribute the round trip (both the netdist remote device).
 type callKey struct{}
+
+func (c *call) Value(key any) any {
+	if key == (callKey{}) {
+		return c
+	}
+	return c.Context.Value(key)
+}
 
 func callFromContext(ctx context.Context) *call {
 	c, _ := ctx.Value(callKey{}).(*call)
@@ -240,15 +247,15 @@ func CallersFromContext(ctx context.Context) []string {
 // that give up early (context cancelled) simply abandon the call; the
 // remaining tasks write into the call's private slices and exit.
 type call struct {
-	// What a device task runs with; ctx is the caller's with the call
-	// itself attached (callKey).
-	e   *Executor
-	ctx context.Context
-	q   query.Query
-	pm  mkhash.PartialMatch
+	// What a device task runs with, the caller's context first (Value).
+	context.Context
+	e  *Executor
+	q  query.Query
+	pm mkhash.PartialMatch
 
 	started time.Time // retrieval entry: the plan stage starts here
-	span    *obs.Span
+	span    *obs.Span // &traced when the executor traces, else nil
+	traced  obs.Span
 	plan    *plancache.Plan // shape, |R(q)|, bound and verdict for every report
 	planHit bool
 	h       int    // the plan's fold of q: device dev holds plan.Count(h, dev)
@@ -261,12 +268,15 @@ type call struct {
 	// Cost-attribution state, populated only when the executor has a
 	// reporting bundle (instr true): mark/lastStamp walk the alloc
 	// counter and clock from stage boundary to stage boundary, and
-	// stages collects the breakdown as each stage closes.
+	// stages collects the breakdown in stageBuf as each stage closes; rec
+	// is the query record while only the call reads it (see report).
 	instr     bool
 	mark      obs.AllocStat
 	lastStamp time.Time
 	devDur    []time.Duration
 	stages    []obs.StageSample
+	stageBuf  [5]obs.StageSample
+	rec       obs.QueryRecord
 }
 
 // settled reports whether every device task has finished. Observing the
@@ -311,11 +321,15 @@ func (c *call) closeStage(stage string) {
 // context. A query that dies before fan-out has no plan, hence no record:
 // it is reported to the cluster metrics alone.
 func (e *Executor) begin(ctx context.Context, pm mkhash.PartialMatch, caller string) (*call, error) {
-	c := &call{e: e, pm: pm, started: time.Now(), caller: caller, instr: e.in != nil}
-	if c.instr {
+	var mark obs.AllocStat
+	if e.in != nil {
 		e.in.Metrics.Started()
-		c.lastStamp, c.mark = c.started, obs.ReadAllocs()
-		c.stages = make([]obs.StageSample, 0, 5) // plan, fanout, merge, audit, device.scan
+		mark = obs.ReadAllocs() // the plan stage pays for the call itself
+	}
+	now := time.Now()
+	c := &call{Context: ctx, e: e, pm: pm, started: now, lastStamp: now, caller: caller, instr: e.in != nil, mark: mark}
+	if c.instr {
+		c.stages = c.stageBuf[:0]
 		c.devDur = dursPool.Get(len(e.devs))
 	}
 	// Lowering hashes the values into bucket coordinates; range
@@ -335,10 +349,10 @@ func (e *Executor) begin(ctx context.Context, pm mkhash.PartialMatch, caller str
 	c.answers, c.errs = answersPool.Get(m), errsPool.Get(m)
 	c.done = make(chan struct{})
 	if e.tracer != nil && e.span != "" {
-		c.span = e.tracer.Start(e.span)
+		c.span = &c.traced
+		e.tracer.Begin(c.span, e.span, 0, 0)
 	}
 	c.pending.Store(int64(m))
-	c.ctx = context.WithValue(ctx, callKey{}, c)
 	c.h = c.plan.Fold(c.q)
 	for dev := 0; dev < m; dev++ {
 		if e.owned[dev] && c.plan.Count(c.h, dev) == 0 {
@@ -361,12 +375,12 @@ func (c *call) settle() {
 // handling, into the call's slot for it.
 func (c *call) scan(dev int) {
 	defer c.settle()
-	if err := c.ctx.Err(); err != nil {
+	if err := c.Err(); err != nil {
 		c.errs[dev] = err
 		return
 	}
 	start := time.Now()
-	c.answers[dev], c.errs[dev] = c.e.scanDevice(c.ctx, dev, c.q, c.pm)
+	c.answers[dev], c.errs[dev] = c.e.scanDevice(c, dev, c.q, c.pm)
 	if c.instr {
 		c.devDur[dev] = time.Since(start)
 	}
@@ -506,9 +520,9 @@ func (e *Executor) degrade(c *call) (Result, error) {
 //     audit stage they are measured by (so they see the latency so far);
 //  2. the audit stage closes, fixing Elapsed and Stages, and Decide
 //     rules once, on scalars, whether the record is kept. Only a kept
-//     query pays for per-device detail and error text (and only a
-//     flight for the span's annotation log), materialised here, between
-//     the two steps, from a settled call;
+//     query (or a flight) copies the call's record to the heap and pays
+//     for per-device detail and error text (and only a flight for the
+//     span's annotation log), materialised here, from a settled call;
 //  3. Commit — the sealed, from here on immutable record goes to the
 //     store.
 //
@@ -517,18 +531,17 @@ func (e *Executor) degrade(c *call) (Result, error) {
 // gets a latency-histogram exemplar pointing at it, closing the loop
 // bucket → trace ID → kept tree → kept event.
 func (e *Executor) report(c *call, res Result, err error) {
-	if c.span != nil {
-		if err != nil {
-			c.span.Event("error: " + err.Error())
-		}
-		c.span.End()
+	if err != nil {
+		c.span.Event("error: " + err.Error())
 	}
+	c.span.End()
 	in := e.in
 	if in == nil {
 		return
 	}
 	p := c.plan
-	rec := &obs.QueryRecord{
+	rec := &c.rec
+	*rec = obs.QueryRecord{
 		Backend:           in.Backend,
 		Shape:             p.Shape,
 		Tenant:            c.caller,
@@ -558,6 +571,10 @@ func (e *Executor) report(c *call, res Result, err error) {
 	rec.Elapsed = c.lastStamp.Sub(c.started)
 	dec := in.Decide(rec)
 	keep := dec.Kept || dec.Flight
+	if keep {
+		kept := *rec
+		rec = &kept
+	}
 	c.stages = append(c.stages, obs.StageSample{Stage: obs.StageDeviceScan, Wall: c.deviceDetail(rec, keep)})
 	rec.Stages = c.stages
 	if dec.Flight {
@@ -566,6 +583,7 @@ func (e *Executor) report(c *call, res Result, err error) {
 		rec.Events = c.span.Snapshot().Events
 	}
 	if keep {
+		rec.Stages = append([]obs.StageSample(nil), c.stages...)
 		if err != nil {
 			rec.Err = err.Error()
 		}
@@ -642,15 +660,16 @@ func (c *call) seal(res Result, err error) (Result, error) {
 	return res, err
 }
 
-// recycle returns the call's fan-out scratch to the pools — but only
-// when every device task has finished. An abandoned call (the waiter
+// recycle returns the call's fan-out scratch and span to the pools — but
+// only when every device task has finished. An abandoned call (the waiter
 // gave up on context cancellation) may still have straggler tasks
-// writing into answers/errs/devDur; its scratch is left to the garbage
-// collector, which is safe, just unrecycled.
+// writing into them; its scratch is left to the garbage collector, which
+// is safe, just unrecycled.
 func (e *Executor) recycle(c *call) {
 	if !c.settled() {
 		return
 	}
+	c.span.Release()
 	answersPool.Put(c.answers)
 	c.answers = nil
 	errsPool.Put(c.errs)

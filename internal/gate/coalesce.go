@@ -72,7 +72,7 @@ func (g *Gate) do(ctx context.Context, t *tenant, shape string, pm fxdist.Partia
 		co.mu.Unlock()
 		res, errs := g.dispatch(fxdist.ContextWithCaller(ctx, t.cfg.Name), []fxdist.PartialMatch{pm})
 		g.next(shape)
-		return res[0], 1, errs[0]
+		return res[0], 1, errAt(errs, 0)
 	}
 	if len(waiting) >= 4*g.cfg.MaxBatch {
 		co.mu.Unlock()
@@ -144,7 +144,7 @@ func (g *Gate) serve(chunk []*pending) {
 	}
 	res, errs := g.dispatch(fxdist.ContextWithCallers(context.Background(), callers), pms)
 	for i, p := range chunk {
-		p.done <- outcome{res[i], len(chunk), errs[i]}
+		p.done <- outcome{res[i], len(chunk), errAt(errs, i)}
 	}
 }
 
@@ -185,13 +185,14 @@ func (co *coalescer) waiting() (n int) {
 }
 
 // splitBatchError demultiplexes Cluster.RetrieveBatch's joined error
-// (one *fxdist.QueryError per failed query) into per-query errors. A
-// cause that names no query lands on every slot that has none.
+// (one *fxdist.QueryError per failed query) into per-query errors, nil
+// when no query failed. A cause that names no query lands on every slot
+// that has none.
 func splitBatchError(err error, n int) []error {
-	per := make([]error, n)
 	if err == nil {
-		return per
+		return nil
 	}
+	per := make([]error, n)
 	var rest []error
 	var walk func(error)
 	walk = func(e error) {
@@ -218,4 +219,12 @@ func splitBatchError(err error, n int) []error {
 		}
 	}
 	return per
+}
+
+// errAt is query i's error in a splitBatchError result.
+func errAt(errs []error, i int) error {
+	if errs == nil {
+		return nil
+	}
+	return errs[i]
 }

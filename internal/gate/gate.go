@@ -228,7 +228,7 @@ func (g *Gate) retrieveBatch(ctx context.Context, t *tenant, pms []fxdist.Partia
 		rs, per := g.dispatch(fxdist.ContextWithCaller(ctx, t.cfg.Name), run)
 		for j, i := range runIdx {
 			results[i] = rs[j]
-			errs[i] = per[j]
+			errs[i] = errAt(per, j)
 		}
 	}
 	elapsed := time.Since(start)

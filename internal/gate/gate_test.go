@@ -92,8 +92,8 @@ func TestSplitBatchError(t *testing.T) {
 	if !errors.Is(per[2], cause2) {
 		t.Fatalf("per[2] = %v", per[2])
 	}
-	if per := splitBatchError(nil, 2); per[0] != nil || per[1] != nil {
-		t.Fatal("nil error should split to nils")
+	if per := splitBatchError(nil, 2); per != nil {
+		t.Fatalf("nil error split to %v, want a nil slice", per)
 	}
 	// Unattributable errors land on every unresolved slot — and a cause
 	// that merely prints like an indexed one is unattributable.

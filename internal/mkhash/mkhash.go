@@ -402,7 +402,7 @@ func (f *File) BucketQuery(pm PartialMatch) (query.Query, error) {
 			spec[i] = f.hashValue(i, *v)
 		}
 	}
-	return query.New(spec), nil
+	return query.Query{Spec: spec}, nil
 }
 
 // matches reports whether the record's actual values satisfy the

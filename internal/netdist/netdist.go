@@ -387,13 +387,14 @@ func (s *Server) handle(conn net.Conn) {
 		}
 		return // closed before the handshake, or not an FXB peer
 	}
-	// One request, one enumeration and one shape key per connection: the
-	// loop is serial, so each is reused by the next request once the
-	// response is written (see binServerCodec.decode).
+	// One request, one enumeration, one shape key and one span per
+	// connection: the loop is serial, so each is reused by the next
+	// request once the response is written (see binServerCodec.decode).
 	var (
 		req   Request
 		walk  query.Walk
 		shape []byte
+		span  obs.Span
 	)
 	for {
 		if err := codec.readRequest(&req); err != nil {
@@ -439,7 +440,7 @@ func (s *Server) handle(conn net.Conn) {
 		}
 		s.sm.inflight.Inc()
 		t0 := time.Now()
-		span := s.tracer.StartChild("netdist.serve", req.TraceID, req.ParentSpan)
+		s.tracer.Begin(&span, "netdist.serve", req.TraceID, req.ParentSpan)
 		span.SetRequestID(req.ID)
 		q := query.Query{Spec: req.Spec}
 		resp := s.answer(&req, q, &walk)

@@ -27,7 +27,7 @@ func TestTraceRetentionHammer(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				sp := tr.Start("query")
+				sp := begin(tr, "query", 0, 0)
 				sp.Event("scan")
 				sp.End()
 				tid := sp.Trace()
@@ -89,7 +89,7 @@ func TestTraceRetentionHammer(t *testing.T) {
 	// A buffer of nothing but always-keep trees stays bounded: the oldest
 	// goes.
 	for i := 0; i < 2*RetainedTraces; i++ {
-		sp := tr.Start("churn")
+		sp := begin(tr, "churn", 0, 0)
 		sp.End()
 		tr.Retain(sp.Trace(), KeepError)
 	}

@@ -13,7 +13,7 @@ func TestHandlerEndpoints(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("h_total", "Test counter.", L("device", "0")).Add(5)
 	tr := NewTracer(8)
-	sp := tr.Start("q")
+	sp := begin(tr, "q", 0, 0)
 	sp.SetRequestID(42)
 	sp.End()
 

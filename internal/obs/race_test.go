@@ -1,10 +1,13 @@
 package obs
 
 import (
+	"fmt"
 	"io"
 	"log/slog"
 	"strconv"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -32,7 +35,7 @@ func TestConcurrentPrimitives(t *testing.T) {
 				h.Observe(float64(i % 200))
 				own.Inc()
 				if i%100 == 0 {
-					sp := tr.Start("race")
+					sp := begin(tr, "race", 0, 0)
 					sp.SetRequestID(uint64(i))
 					sp.Event("tick")
 					sp.End()
@@ -92,13 +95,13 @@ func TestConcurrentParentedSpans(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < traces; i++ {
-				root := tr.Start("root")
+				root := begin(tr, "root", 0, 0)
 				var cwg sync.WaitGroup
 				for c := 0; c < children; c++ {
 					cwg.Add(1)
 					go func(c int) {
 						defer cwg.Done()
-						sp := tr.StartChild("child", root.Trace(), root.SpanID())
+						sp := begin(tr, "child", root.Trace(), root.SpanID())
 						sp.SetRequestID(uint64(c))
 						sp.Event("work")
 						sp.End()
@@ -134,4 +137,72 @@ func TestConcurrentParentedSpans(t *testing.T) {
 	if roots != workers*traces {
 		t.Errorf("stitched %d roots, want %d", roots, workers*traces)
 	}
+}
+
+// TestReusedSpanReadsAsItsOwnRequest runs a device server's loop — one
+// span begun, answered and ended again for every request — while readers
+// take Recent, Trees and Retain. Each reply names its span's ID, so a
+// snapshot whose events belong to another ID, or one span ID in two
+// slots, read a span after its owner had begun it again; run with -race
+// in CI.
+func TestReusedSpanReadsAsItsOwnRequest(t *testing.T) {
+	tr := NewTracer(16)
+	var last atomic.Uint64 // the newest request's trace ID
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		var span Span
+		for i := 0; i < 3000; i++ {
+			tr.Begin(&span, "netdist.serve", 0, 0)
+			span.SetRequestID(span.SpanID())
+			span.Reply(DeviceReply{Device: 1, Request: span.SpanID(), Buckets: i % 7, Records: i})
+			last.Store(span.Trace())
+			span.End()
+		}
+	}()
+	check := func(snaps ...SpanSnapshot) {
+		seen := make(map[uint64]bool, len(snaps))
+		for _, s := range snaps {
+			if seen[s.ID] {
+				t.Errorf("span %d read from two slots", s.ID)
+			}
+			seen[s.ID] = true
+			if s.Duration < 0 {
+				t.Errorf("span %d reads a negative duration %v", s.ID, s.Duration)
+			}
+			want := fmt.Sprintf("device 1 req %d: ", s.ID)
+			if s.RequestID != 0 && s.RequestID != s.ID || len(s.Events) > 1 ||
+				len(s.Events) == 1 && !strings.HasPrefix(s.Events[0].Msg, want) {
+				t.Errorf("span %d reads request %d, events %+v", s.ID, s.RequestID, s.Events)
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				switch r {
+				case 0:
+					check(tr.Recent(16)...)
+				case 1:
+					for _, tree := range tr.Trees(16) {
+						check(tree.SpanSnapshot)
+					}
+				case 2:
+					if tid := last.Load(); tr.Retain(tid, KeepSample) {
+						rt, _ := tr.RetainedTrace(tid)
+						check(rt.Root.SpanSnapshot)
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -17,22 +17,26 @@ import (
 // device-server spans it fans out to are its children — the netdist
 // protocol propagates both IDs on the wire, so one query stitches into
 // a single parent→child tree even across processes (see Trees).
+//
+// Spans live in their owners and the ring holds span values (DESIGN §8),
+// so watching allocates nothing. Lock order: retainMu, mu, a span's mu.
 type Tracer struct {
 	mu   sync.Mutex
-	cap  int
-	ring []*Span // oldest-first once full; insertion point is next
+	ring []slot // claimed in start order; next is the insertion point
 	next int
-	full bool
 	seq  uint64
+	// spare holds the spill buffers (spanData.more) of reclaimed slots;
+	// End copies a span's spilled events into one.
+	spare [][]spanEvent
 
 	// Tail-based retention: the ring above is only a staging window —
 	// whether a trace outlives it is decided at query end, by the one
 	// keep decision that also admits the query's record to the event ring
-	// (telemetry.Instruments.Decide). Kept trees are immutable snapshots,
-	// so a retained trace stays recoverable by its trace ID long after its
-	// spans were evicted from the ring.
+	// (telemetry.Instruments.Decide). A kept trace is a copy of its spans,
+	// so it stays recoverable by its trace ID after they left the ring.
 	retainMu sync.Mutex
-	retained []RetainedTrace // insertion order (oldest first)
+	retained []retained // insertion order (oldest first)
+	scratch  retained   // the next Retain copies here, then swaps it in
 }
 
 // Keep reasons: why a query's record and trace tree were kept. The first
@@ -65,15 +69,36 @@ type RetainedTrace struct {
 // flight records and events already summarise (DESIGN §8).
 const RetainedTraces = 64
 
+// retained is one kept trace: its spans' values, most recent first, and
+// their spill events (see render).
+type retained struct {
+	traceID uint64
+	reason  string
+	at      time.Time
+	spans   []spanData
+	events  []spanEvent
+}
+
+// tree renders the kept trace, preferring the true root (its ID is the
+// trace ID) when the spans stitch into more than one tree.
+func (r *retained) tree() RetainedTrace {
+	trees := stitchTrees(render(r.spans, r.events))
+	root := trees[0]
+	for _, tr := range trees {
+		if tr.ID == r.traceID {
+			root = tr
+			break
+		}
+	}
+	return RetainedTrace{TraceID: r.traceID, Reason: r.reason, At: r.at, Root: root}
+}
+
 // NewTracer returns a tracer retaining the last capacity spans. Span
 // ids count up from 1 — deterministic, which tests rely on; the
 // process-wide DefaultTracer instead starts from a random epoch so ids
 // crossing the wire don't collide between processes.
 func NewTracer(capacity int) *Tracer {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Tracer{cap: capacity, ring: make([]*Span, capacity)}
+	return &Tracer{ring: make([]slot, max(capacity, 1))}
 }
 
 // newProcessTracer seeds the span-id sequence with a per-process random
@@ -93,35 +118,78 @@ var defaultTracer = newProcessTracer(256)
 // packages record against.
 func DefaultTracer() *Tracer { return defaultTracer }
 
-// Start opens a root span and records it in the ring (in-flight spans
-// are visible in Recent, marked not Done). A root span's trace ID is
-// its own span ID. Safe on a nil tracer, which returns a nil span whose
-// methods no-op.
-func (t *Tracer) Start(name string) *Span { return t.StartChild(name, 0, 0) }
-
-// StartChild opens a span inside an existing trace: traceID is the
-// root's trace ID and parent the span ID of the caller's span — both
-// may come off the wire from another process. traceID 0 starts a new
-// root (the span's own ID becomes the trace ID). Safe on a nil tracer.
-func (t *Tracer) StartChild(name string, traceID, parent uint64) *Span {
+// Begin starts s — new, or reused once it ended — as a span named name
+// and links it from the next ring slot (in-flight spans are visible in
+// Recent, marked not Done). traceID and parent place it inside an existing
+// trace — both may come off the wire from another process; traceID 0
+// starts a new root, whose trace ID is its own span ID. A nil tracer
+// leaves s alone.
+func (t *Tracer) Begin(s *Span, name string, traceID, parent uint64) {
 	if t == nil {
-		return nil
+		return
 	}
 	t.mu.Lock()
-	t.seq++
-	if traceID == 0 {
-		traceID = t.seq
-		parent = 0
+	defer t.mu.Unlock()
+	if t.seq++; traceID == 0 {
+		traceID, parent = t.seq, 0
 	}
-	s := &Span{ID: t.seq, Name: name, traceID: traceID, parent: parent, start: time.Now()}
-	t.ring[t.next] = s
-	t.next++
-	if t.next == t.cap {
-		t.next = 0
-		t.full = true
+	s.mu.Lock()
+	s.spanData = spanData{ID: t.seq, traceID: traceID, parent: parent, Name: name, start: time.Now(), more: s.more[:0]}
+	s.t, s.slot = t, t.next
+	s.mu.Unlock()
+	sl := &t.ring[t.next]
+	if sl.more != nil {
+		t.spare = append(t.spare, sl.more[:0])
 	}
-	t.mu.Unlock()
-	return s
+	*sl = slot{live: s}
+	t.next = (t.next + 1) % len(t.ring)
+}
+
+// unlink copies s into its slot, its spilled events into a buffer off the
+// spare list, and ends the link, if the slot still links s (one reclaimed
+// while s ran has evicted it); t.mu held.
+func (t *Tracer) unlink(s *Span) {
+	if s.t != t || t.ring[s.slot].live != s {
+		return
+	}
+	sl := &t.ring[s.slot]
+	s.mu.Lock()
+	sl.spanData, sl.live, sl.more = s.spanData, nil, nil
+	if n := len(t.spare); n > 0 && len(s.more) > 0 {
+		sl.more, t.spare = t.spare[n-1], t.spare[:n-1]
+	}
+	sl.more = append(sl.more, s.more...) // still nil when nothing spilled
+	s.mu.Unlock()
+}
+
+// slot is one ring position: the owner's span while it runs (live), its
+// values once it ended. A slot never claimed has ID 0.
+type slot struct {
+	live *Span
+	spanData
+}
+
+// render snapshots copied spans, formatting their events; each span's
+// spill events follow the previous span's in evs.
+func render(spans []spanData, evs []spanEvent) []SpanSnapshot {
+	out := make([]SpanSnapshot, len(spans))
+	for i := range spans {
+		d := &spans[i]
+		events := make([]SpanEvent, d.n)
+		for j := range events {
+			ev := &d.inline[j%len(d.inline)]
+			if j >= len(d.inline) {
+				ev, evs = &evs[0], evs[1:]
+			}
+			events[j] = SpanEvent{At: ev.at, Msg: ev.msg}
+			if ev.isReply {
+				events[j].Msg = ev.reply.String()
+			}
+		}
+		out[i] = SpanSnapshot{ID: d.ID, TraceID: d.traceID, Parent: d.parent, RequestID: d.requestID,
+			Name: d.Name, Start: d.start, Duration: d.duration, Done: d.done, Events: events}
+	}
+	return out
 }
 
 // Recent returns up to n span snapshots, most recent first.
@@ -129,27 +197,38 @@ func (t *Tracer) Recent(n int) []SpanSnapshot {
 	if t == nil || n <= 0 {
 		return nil
 	}
+	return render(t.collect(n, 0, nil, nil))
+}
+
+// collect copies up to n spans, most recent first — those of traceID
+// only, unless it is 0 — onto spans, their spill events onto evs.
+func (t *Tracer) collect(n int, traceID uint64, spans []spanData, evs []spanEvent) ([]spanData, []spanEvent) {
 	t.mu.Lock()
-	var spans []*Span
-	for i := t.next - 1; i >= 0; i-- {
-		spans = append(spans, t.ring[i])
-	}
-	if t.full {
-		for i := t.cap - 1; i >= t.next; i-- {
-			spans = append(spans, t.ring[i])
+	defer t.mu.Unlock()
+	now := time.Now() // after the lock: no span in the ring starts later
+	for i := 1; i <= len(t.ring) && len(spans) < n; i++ {
+		sl := &t.ring[(t.next-i+len(t.ring))%len(t.ring)]
+		d, live := &sl.spanData, sl.live
+		if live != nil {
+			d = &live.spanData // its identity needs only t.mu, the rest its mu
 		}
-	}
-	t.mu.Unlock()
-	if len(spans) > n {
-		spans = spans[:n]
-	}
-	out := make([]SpanSnapshot, 0, len(spans))
-	for _, s := range spans {
-		if s != nil {
-			out = append(out, s.snapshot())
+		if d.ID == 0 || traceID != 0 && d.traceID != traceID {
+			continue
 		}
+		if live != nil {
+			live.mu.Lock()
+		}
+		c := *d
+		evs = append(evs, c.more...)
+		if live != nil {
+			live.mu.Unlock()
+		}
+		if c.more = nil; !c.done {
+			c.duration = now.Sub(c.start)
+		}
+		spans = append(spans, c)
 	}
-	return out
+	return spans, evs
 }
 
 // SpanTree is one span and the spans that ran under it — a stitched
@@ -207,66 +286,50 @@ func stitchTrees(snaps []SpanSnapshot) []SpanTree {
 	return out
 }
 
-// Retain snapshots the spans of traceID still in the ring — those alone,
-// not the ring — stitches them into a tree, and keeps it with the given
-// reason. When the buffer is full, the oldest head/sample entry is
-// evicted first — an always-keep tree (error/slow/bound) is only
-// displaced by newer always-keep trees, so memory stays bounded without
-// losing the interesting tail. Returns false when no span of the trace
-// remains.
+// Retain copies the spans of traceID still in the ring — those alone,
+// not the ring — into the buffers of the entry it replaces, and keeps
+// them with the given reason; reading renders the tree. When the buffer
+// is full, the oldest head/sample entry is evicted first — an always-keep
+// tree (error/slow/bound) is only displaced by newer always-keep trees,
+// so memory stays bounded without losing the interesting tail. Returns
+// false when no span of the trace remains.
 func (t *Tracer) Retain(traceID uint64, reason string) bool {
 	if t == nil || traceID == 0 {
 		return false
 	}
-	t.mu.Lock()
-	var spans []*Span
-	for i := 1; i <= t.cap; i++ { // most recent first, as Recent orders them
-		s := t.ring[(t.next-i+t.cap)%t.cap]
-		if s != nil && s.traceID == traceID { // traceID is immutable
-			spans = append(spans, s)
-		}
-	}
-	t.mu.Unlock()
-	if len(spans) == 0 {
-		return false
-	}
-	mine := make([]SpanSnapshot, len(spans))
-	for i, s := range spans {
-		mine[i] = s.snapshot()
-	}
-	trees := stitchTrees(mine)
-	root := trees[0]
-	for _, tr := range trees {
-		if tr.ID == traceID { // prefer the true root (its ID is the trace ID)
-			root = tr
-			break
-		}
-	}
-	rec := RetainedTrace{TraceID: traceID, Reason: reason, At: time.Now(), Root: root}
 	t.retainMu.Lock()
 	defer t.retainMu.Unlock()
+	rec := &t.scratch
+	rec.spans, rec.events = t.collect(len(t.ring), traceID, rec.spans[:0], rec.events[:0])
+	if len(rec.spans) == 0 {
+		return false
+	}
+	rec.traceID, rec.reason, rec.at = traceID, reason, time.Now()
 	// Replace an existing entry for the same trace (e.g. sampled first,
 	// then retained again with an always-keep reason).
 	for i := range t.retained {
-		if t.retained[i].TraceID == traceID {
-			if alwaysKeep(t.retained[i].Reason) && !alwaysKeep(reason) {
-				rec.Reason = t.retained[i].Reason
+		if t.retained[i].traceID == traceID {
+			if alwaysKeep(t.retained[i].reason) && !alwaysKeep(reason) {
+				rec.reason = t.retained[i].reason
 			}
-			t.retained[i] = rec
+			t.retained[i], *rec = *rec, t.retained[i]
 			return true
 		}
 	}
+	var evicted retained
 	if len(t.retained) >= RetainedTraces {
 		evict := 0 // all always-keep: drop the oldest to stay bounded
 		for i := range t.retained {
-			if !alwaysKeep(t.retained[i].Reason) {
+			if !alwaysKeep(t.retained[i].reason) {
 				evict = i
 				break
 			}
 		}
+		evicted = t.retained[evict]
 		t.retained = append(t.retained[:evict], t.retained[evict+1:]...)
 	}
-	t.retained = append(t.retained, rec)
+	t.retained = append(t.retained, *rec)
+	*rec = evicted
 	return true
 }
 
@@ -277,12 +340,10 @@ func (t *Tracer) Retained(n int) []RetainedTrace {
 	}
 	t.retainMu.Lock()
 	defer t.retainMu.Unlock()
-	if n > len(t.retained) {
-		n = len(t.retained)
-	}
+	n = min(n, len(t.retained))
 	out := make([]RetainedTrace, 0, n)
 	for i := len(t.retained) - 1; i >= len(t.retained)-n; i-- {
-		out = append(out, t.retained[i])
+		out = append(out, t.retained[i].tree())
 	}
 	return out
 }
@@ -296,8 +357,8 @@ func (t *Tracer) RetainedTrace(traceID uint64) (RetainedTrace, bool) {
 	t.retainMu.Lock()
 	defer t.retainMu.Unlock()
 	for i := len(t.retained) - 1; i >= 0; i-- {
-		if t.retained[i].TraceID == traceID {
-			return t.retained[i], true
+		if t.retained[i].traceID == traceID {
+			return t.retained[i].tree(), true
 		}
 	}
 	return RetainedTrace{}, false
@@ -341,26 +402,30 @@ type spanEvent struct {
 	reply   DeviceReply // rendered in msg's place when isReply
 }
 
-// Span is one in-progress or completed traced operation. All methods
-// are safe for concurrent use and no-op on a nil span.
-type Span struct {
-	ID   uint64
-	Name string
-
-	traceID uint64
-	parent  uint64
-	start   time.Time
-
-	mu        sync.Mutex
-	requestID uint64
+// spanData is a span's values: what its owner writes, what a ring slot
+// keeps once the span ended, and what readers copy.
+type spanData struct {
+	ID, traceID, parent, requestID uint64
+	Name                           string
+	start                          time.Time
+	duration                       time.Duration
+	done                           bool
 	// The first events live in the span itself: most spans annotate once
-	// or twice, so they cost no allocation beyond the span (the ring holds
-	// 256 spans, so the room is bounded). Later ones spill to more.
-	inline   [2]spanEvent
-	n        int // events recorded; the first len(inline) of them in inline
-	more     []spanEvent
-	duration time.Duration
-	done     bool
+	// or twice. Later ones (a coordinator's reply per device) spill to
+	// more, a buffer taken from spills on the first of them.
+	inline [2]spanEvent
+	n      int // events recorded; the first len(inline) of them in inline
+	more   []spanEvent
+}
+
+// Span is one traced operation, owned by whoever runs it (an executor's
+// call, a server connection) and linked from the tracer's ring while it
+// runs. All methods are safe for concurrent use and no-op on a nil span.
+type Span struct {
+	mu   sync.Mutex
+	t    *Tracer // Begin's tracer, nil if none
+	slot int     // the ring slot Begin linked
+	spanData
 }
 
 // SpanID returns the span's own ID, 0 on a nil span.
@@ -378,14 +443,6 @@ func (s *Span) Trace() uint64 {
 		return 0
 	}
 	return s.traceID
-}
-
-// ParentID returns the span ID of this span's parent, 0 for roots.
-func (s *Span) ParentID() uint64 {
-	if s == nil {
-		return 0
-	}
-	return s.parent
 }
 
 // SetRequestID attaches the pipelined wire request ID, correlating this
@@ -415,8 +472,7 @@ func (s *Span) record(ev spanEvent) {
 		s.inline[s.n] = ev
 	} else {
 		if s.more == nil {
-			// One reply per device of a fan-out is what spills.
-			s.more = make([]spanEvent, 0, 8)
+			s.more = spills.Get().(*[spillCap]spanEvent)[:0]
 		}
 		s.more = append(s.more, ev)
 	}
@@ -424,7 +480,8 @@ func (s *Span) record(ev spanEvent) {
 	s.mu.Unlock()
 }
 
-// End closes the span, fixing its duration. Repeated End is a no-op.
+// End closes the span, fixing its duration, and copies it into its ring
+// slot. Repeated End is a no-op; the owner may still read the span.
 func (s *Span) End() {
 	if s == nil {
 		return
@@ -432,54 +489,46 @@ func (s *Span) End() {
 	d := time.Since(s.start)
 	s.mu.Lock()
 	if !s.done {
-		s.done = true
-		s.duration = d
+		s.done, s.duration = true, d
 	}
 	s.mu.Unlock()
+	if t := s.t; t != nil {
+		t.mu.Lock()
+		t.unlink(s)
+		t.mu.Unlock()
+	}
+}
+
+// spills recycles released spans' spill buffers, without the tracer lock.
+var spills = sync.Pool{New: func() any { return new([spillCap]spanEvent) }}
+
+const spillCap = 8 // with inline, room for an 8-device fan-out's replies
+
+// Release gives the span's spill buffer back, if it took one. The owner
+// calls it on an ended span it will neither read nor begin again — the
+// executor once its call settled.
+func (s *Span) Release() {
+	if s == nil || cap(s.more) != spillCap {
+		return
+	}
+	spills.Put((*[spillCap]spanEvent)(s.more[:spillCap]))
+	s.more = nil
 }
 
 // Snapshot returns a point-in-time copy of the span (zero value on a
 // nil span) — used by the flight recorder to retain a slow query's
-// event log after the span itself is evicted from the ring.
+// event log after the span itself left the ring.
 func (s *Span) Snapshot() SpanSnapshot {
 	if s == nil {
 		return SpanSnapshot{}
 	}
-	return s.snapshot()
-}
-
-func (s *Span) snapshot() SpanSnapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	d := s.duration
-	if !s.done {
-		d = time.Since(s.start)
+	c := s.spanData
+	if !c.done {
+		c.duration = time.Since(c.start)
 	}
-	var events []SpanEvent
-	if s.n > 0 {
-		events = make([]SpanEvent, s.n)
-		for i := range events {
-			ev := &s.inline[i%len(s.inline)]
-			if i >= len(s.inline) {
-				ev = &s.more[i-len(s.inline)]
-			}
-			events[i] = SpanEvent{At: ev.at, Msg: ev.msg}
-			if ev.isReply {
-				events[i].Msg = ev.reply.String()
-			}
-		}
-	}
-	return SpanSnapshot{
-		ID:        s.ID,
-		TraceID:   s.traceID,
-		Parent:    s.parent,
-		RequestID: s.requestID,
-		Name:      s.Name,
-		Start:     s.start,
-		Duration:  d,
-		Done:      s.done,
-		Events:    events,
-	}
+	return render([]spanData{c}, c.more)[0]
 }
 
 // SpanSnapshot is a point-in-time copy of a span, safe to retain.

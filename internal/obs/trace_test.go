@@ -3,7 +3,6 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
-	"runtime"
 	"runtime/debug"
 	"strings"
 	"testing"
@@ -22,13 +21,20 @@ func raceEnabled() bool {
 	return false
 }
 
+// begin starts a fresh span on tr, as the tests' owner.
+func begin(tr *Tracer, name string, traceID, parent uint64) *Span {
+	s := new(Span)
+	tr.Begin(s, name, traceID, parent)
+	return s
+}
+
 func TestTracerRecentOrderAndEvents(t *testing.T) {
 	tr := NewTracer(8)
-	s1 := tr.Start("first")
+	s1 := begin(tr, "first", 0, 0)
 	s1.SetRequestID(11)
 	s1.Event("hello")
 	s1.End()
-	s2 := tr.Start("second")
+	s2 := begin(tr, "second", 0, 0)
 	s2.Event("a")
 	s2.Event("b")
 	s2.End()
@@ -59,7 +65,7 @@ func TestTracerRecentOrderAndEvents(t *testing.T) {
 // span or spilled past it.
 func TestReplyEventsRenderTheFormattedText(t *testing.T) {
 	tr := NewTracer(4)
-	s := tr.Start("netdist.retrieve")
+	s := begin(tr, "netdist.retrieve", 0, 0)
 	var want []string
 	for dev := 0; dev < 5; dev++ {
 		took := time.Duration(dev+1) * 1500 * time.Microsecond
@@ -100,10 +106,39 @@ func TestReplyEventsRenderTheFormattedText(t *testing.T) {
 	}
 }
 
+// TestSpilledRepliesReuseTheirBuffers: a coordinator-style span whose
+// replies spill past inline, ended and released, allocates nothing once
+// the ring has wrapped — its spill buffer comes back from the last
+// released span, the slot's copy from the slot it reclaims.
+func TestSpilledRepliesReuseTheirBuffers(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("allocation counts are not exact under -race")
+	}
+	tr := NewTracer(16)
+	s := new(Span)
+	query := func() {
+		tr.Begin(s, "netdist.retrieve", 0, 0)
+		for dev := 0; dev < 8; dev++ {
+			s.Reply(DeviceReply{Device: dev, Addr: "addr", Request: 1, Buckets: 4, Records: 12})
+		}
+		s.End()
+		s.Release()
+	}
+	for i := 0; i < 16; i++ {
+		query()
+	}
+	if allocs := testing.AllocsPerRun(100, query); allocs != 0 {
+		t.Errorf("a released 8-reply span costs %.1f allocations, want 0", allocs)
+	}
+	if got := tr.Recent(1); len(got) != 1 || len(got[0].Events) != 8 {
+		t.Fatalf("the newest span reads %+v, want 8 reply events", got)
+	}
+}
+
 func TestTracerRingWraps(t *testing.T) {
 	tr := NewTracer(4)
 	for i := 0; i < 10; i++ {
-		tr.Start("s").End()
+		begin(tr, "s", 0, 0).End()
 	}
 	got := tr.Recent(100)
 	if len(got) != 4 {
@@ -119,7 +154,7 @@ func TestTracerRingWraps(t *testing.T) {
 
 func TestTracerInFlightSpanVisible(t *testing.T) {
 	tr := NewTracer(4)
-	s := tr.Start("open")
+	s := begin(tr, "open", 0, 0)
 	time.Sleep(time.Millisecond)
 	got := tr.Recent(1)
 	if len(got) != 1 || got[0].Done {
@@ -133,38 +168,47 @@ func TestTracerInFlightSpanVisible(t *testing.T) {
 
 func TestNilTracerAndSpanNoOp(t *testing.T) {
 	var tr *Tracer
-	s := tr.Start("x") // must not panic
-	s.SetRequestID(1)
-	s.Event("y")
-	s.End()
+	if s := begin(tr, "x", 0, 0); s.SpanID() != 0 { // must not panic
+		t.Errorf("a nil tracer began span %d", s.SpanID())
+	}
 	if tr.Recent(5) != nil {
 		t.Error("nil tracer returned spans")
 	}
-	if s.SpanID() != 0 || s.Trace() != 0 || s.ParentID() != 0 {
-		t.Error("nil span reported nonzero ids")
-	}
 	if tr.Trees(5) != nil {
 		t.Error("nil tracer returned trees")
+	}
+	// An executor without a tracer holds a nil span and calls all of these.
+	var s *Span
+	s.SetRequestID(1)
+	s.Event("y")
+	s.Reply(DeviceReply{Device: 1, Request: 2})
+	s.End()
+	s.Release()
+	if snap := s.Snapshot(); snap.ID != 0 || snap.Events != nil {
+		t.Errorf("nil span snapshot = %+v, want zero", snap)
+	}
+	if s.SpanID() != 0 || s.Trace() != 0 {
+		t.Error("nil span reported nonzero ids")
 	}
 }
 
 func TestStartChildParenting(t *testing.T) {
 	tr := NewTracer(8)
-	root := tr.Start("root")
-	if root.Trace() != root.SpanID() || root.ParentID() != 0 {
+	root := begin(tr, "root", 0, 0)
+	if root.Trace() != root.SpanID() || root.parent != 0 {
 		t.Fatalf("root trace=%d parent=%d span=%d; want trace==span, parent 0",
-			root.Trace(), root.ParentID(), root.SpanID())
+			root.Trace(), root.parent, root.SpanID())
 	}
-	child := tr.StartChild("child", root.Trace(), root.SpanID())
-	if child.Trace() != root.Trace() || child.ParentID() != root.SpanID() {
+	child := begin(tr, "child", root.Trace(), root.SpanID())
+	if child.Trace() != root.Trace() || child.parent != root.SpanID() {
 		t.Errorf("child trace=%d parent=%d; want trace %d parent %d",
-			child.Trace(), child.ParentID(), root.Trace(), root.SpanID())
+			child.Trace(), child.parent, root.Trace(), root.SpanID())
 	}
 	// traceID 0 forces a new root even with a nonzero parent hint.
-	fresh := tr.StartChild("fresh", 0, 999)
-	if fresh.Trace() != fresh.SpanID() || fresh.ParentID() != 0 {
+	fresh := begin(tr, "fresh", 0, 999)
+	if fresh.Trace() != fresh.SpanID() || fresh.parent != 0 {
 		t.Errorf("zero traceID did not start a new root: trace=%d parent=%d span=%d",
-			fresh.Trace(), fresh.ParentID(), fresh.SpanID())
+			fresh.Trace(), fresh.parent, fresh.SpanID())
 	}
 	child.End()
 	root.End()
@@ -173,15 +217,15 @@ func TestStartChildParenting(t *testing.T) {
 
 func TestTreesStitchParentChild(t *testing.T) {
 	tr := NewTracer(16)
-	root := tr.Start("coordinator")
-	c1 := tr.StartChild("serve-0", root.Trace(), root.SpanID())
+	root := begin(tr, "coordinator", 0, 0)
+	c1 := begin(tr, "serve-0", root.Trace(), root.SpanID())
 	c1.End()
-	grand := tr.StartChild("scan", root.Trace(), c1.SpanID())
+	grand := begin(tr, "scan", root.Trace(), c1.SpanID())
 	grand.End()
-	c2 := tr.StartChild("serve-1", root.Trace(), root.SpanID())
+	c2 := begin(tr, "serve-1", root.Trace(), root.SpanID())
 	c2.End()
 	root.End()
-	other := tr.Start("loner")
+	other := begin(tr, "loner", 0, 0)
 	other.End()
 
 	trees := tr.Trees(16)
@@ -219,11 +263,11 @@ func TestTreesForeignParentIDCollision(t *testing.T) {
 	tr := NewTracer(8)
 	// Local span id 1 whose wire parent is also id 1 (the remote
 	// coordinator's root): self-id parent, must be promoted.
-	self := tr.StartChild("serve-a", 1, 1)
+	self := begin(tr, "serve-a", 1, 1)
 	self.End()
 	// Local span id 2 referencing remote trace 7, parent id 1: span 1
 	// exists locally but belongs to trace 1, not 7 — no adoption.
-	foreign := tr.StartChild("serve-b", 7, 1)
+	foreign := begin(tr, "serve-b", 7, 1)
 	foreign.End()
 	trees := tr.Trees(8)
 	if len(trees) != 2 {
@@ -239,7 +283,7 @@ func TestTreesForeignParentIDCollision(t *testing.T) {
 // TestDefaultTracerRandomEpoch: the process tracer's span ids start at
 // a random epoch so two processes' ids (and trace ids) don't collide.
 func TestDefaultTracerRandomEpoch(t *testing.T) {
-	sp := DefaultTracer().Start("epoch-probe")
+	sp := begin(DefaultTracer(), "epoch-probe", 0, 0)
 	sp.End()
 	if sp.SpanID() < 1<<32 {
 		t.Errorf("default tracer span id %d looks sequential, want random epoch", sp.SpanID())
@@ -248,9 +292,9 @@ func TestDefaultTracerRandomEpoch(t *testing.T) {
 
 func TestTreesOrphanPromotedToRoot(t *testing.T) {
 	tr := NewTracer(2) // tiny ring: the root gets evicted
-	root := tr.Start("root")
-	a := tr.StartChild("a", root.Trace(), root.SpanID())
-	b := tr.StartChild("b", root.Trace(), root.SpanID())
+	root := begin(tr, "root", 0, 0)
+	a := begin(tr, "a", root.Trace(), root.SpanID())
+	b := begin(tr, "b", root.Trace(), root.SpanID())
 	a.End()
 	b.End()
 	root.End()
@@ -269,52 +313,54 @@ func TestTreesOrphanPromotedToRoot(t *testing.T) {
 }
 
 // TestRetainCostIsTheTraceNotTheRing is the allocation guard on the
-// retention path: keeping a 9-span trace costs the same out of a full
-// 256-span ring as out of a full 4096-span one — Retain snapshots its
-// own trace's spans, not the ring — and stays under a byte budget the
-// whole-ring snapshot it replaced (285 allocations, 50 KB at 256 spans)
-// blew sixfold.
+// retention path: Retain copies its own trace's span values — not the
+// ring — into the buffers of the entry it replaces, and leaves stitching
+// and text to the readers. Once the retained buffer is full, keeping a
+// 9-span trace allocates nothing, out of a full 256-span ring as out of a
+// full 4096-span one (the whole-ring snapshot it once replaced cost 285
+// allocations, 50 KB; the per-trace snapshot after it about 30, 6 KB).
 func TestRetainCostIsTheTraceNotTheRing(t *testing.T) {
 	if raceEnabled() {
 		t.Skip("allocation counts are not exact under -race")
 	}
-	measure := func(ringSize int) (allocs, bytes float64) {
+	query := func(tr *Tracer) uint64 { // a coordinator span and 8 servers
+		root := begin(tr, "netdist.retrieve", 0, 0)
+		for dev := 0; dev < 8; dev++ {
+			sp := begin(tr, "netdist.serve", root.Trace(), root.SpanID())
+			sp.Reply(DeviceReply{Device: dev, Request: 1, Buckets: 4, Records: 12})
+			sp.End()
+			root.Reply(DeviceReply{Device: dev, Addr: "addr", Request: 1, Buckets: 4, Records: 12, Took: time.Millisecond})
+		}
+		root.End()
+		return root.Trace()
+	}
+	measure := func(ringSize int) float64 {
 		tr := NewTracer(ringSize)
+		for i := 0; i < RetainedTraces; i++ { // fill the retained buffer
+			tr.Retain(query(tr), KeepSample)
+		}
 		for i := 0; i < ringSize; i++ { // fill the ring with other queries' spans
-			sp := tr.Start("other")
+			sp := begin(tr, "other", 0, 0)
 			sp.Event("device 0 (addr) req 1: 4 buckets, 12 records in 80µs")
 			sp.End()
 		}
-		root := tr.Start("netdist.retrieve")
-		for dev := 0; dev < 8; dev++ {
-			sp := tr.StartChild("netdist.serve", root.Trace(), root.SpanID())
-			sp.Event("scan")
-			sp.End()
-		}
-		root.End()
-		const runs = 200
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		allocs = testing.AllocsPerRun(runs, func() {
-			if !tr.Retain(root.Trace(), KeepSample) {
+		traces := []uint64{query(tr), query(tr), query(tr), query(tr)}
+		i := 0
+		allocs := testing.AllocsPerRun(200, func() { // evicts 4 entries, then replaces them
+			if !tr.Retain(traces[i%len(traces)], KeepSample) {
 				t.Fatal("trace not retained")
 			}
+			i++
 		})
-		runtime.ReadMemStats(&after)
-		rt, _ := tr.RetainedTrace(root.Trace())
-		if len(rt.Root.Children) != 8 {
-			t.Fatalf("ring of %d: retained tree has %d children, want 8", ringSize, len(rt.Root.Children))
+		rt, _ := tr.RetainedTrace(traces[0])
+		if len(rt.Root.Children) != 8 || len(rt.Root.Events) != 8 {
+			t.Fatalf("ring of %d: retained tree has %d children and %d root events, want 8 and 8",
+				ringSize, len(rt.Root.Children), len(rt.Root.Events))
 		}
-		return allocs, float64(after.TotalAlloc-before.TotalAlloc) / (runs + 1)
+		return allocs
 	}
-	smallAllocs, smallBytes := measure(256)
-	bigAllocs, bigBytes := measure(4096)
-	t.Logf("Retain of a 9-span trace: %.0f allocs, %.0f B from a 256 ring; %.0f allocs, %.0f B from a 4096 ring",
-		smallAllocs, smallBytes, bigAllocs, bigBytes)
-	if smallAllocs != bigAllocs {
-		t.Errorf("Retain allocates %.0f times from a 256-span ring and %.0f from a 4096-span one: it scales with the ring", smallAllocs, bigAllocs)
-	}
-	if smallBytes > 8<<10 || bigBytes > 8<<10 {
-		t.Errorf("Retain of a 9-span trace allocates %.0f / %.0f B, budget 8 KiB", smallBytes, bigBytes)
+	small, big := measure(256), measure(4096)
+	if small != 0 || big != 0 {
+		t.Errorf("Retain of a 9-span trace into a full buffer allocates %.0f times from a 256-span ring and %.0f from a 4096-span one, want 0", small, big)
 	}
 }

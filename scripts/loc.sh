@@ -9,7 +9,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-LINES_CEILING=24403
+LINES_CEILING=24481
 BINARIES_CEILING=6
 PACKAGES_CEILING=27
 CI_STEPS_CEILING=24
