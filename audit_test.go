@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"fxdist"
-	"fxdist/internal/telemetry"
 )
 
 // auditSetup builds the paper's §4 adversarial setting at the facade: a
@@ -37,17 +36,15 @@ func auditSetup(t *testing.T) (file *fxdist.File, fx *fxdist.FX, mod *fxdist.Mod
 	return file, fx, mod, fxPM, modPM
 }
 
-// shapeAudit finds one (backend, shape) row of the optimality report.
-func shapeAudit(t *testing.T, backend, shape string) fxdist.ShapeAudit {
+// shapeAudit finds one shape's row of a cluster's optimality report.
+func shapeAudit(t *testing.T, rep fxdist.BackendAudit, backend, shape string) fxdist.ShapeAudit {
 	t.Helper()
-	for _, rep := range fxdist.OptimalityReport() {
-		if rep.Backend != backend {
-			continue
-		}
-		for _, s := range rep.Shapes {
-			if s.Shape == shape {
-				return s
-			}
+	if rep.Backend != backend {
+		t.Fatalf("report of backend %q, want %q", rep.Backend, backend)
+	}
+	for _, s := range rep.Shapes {
+		if s.Shape == shape {
+			return s
 		}
 	}
 	t.Fatalf("no audit row for backend %q shape %q", backend, shape)
@@ -56,69 +53,49 @@ func shapeAudit(t *testing.T, backend, shape string) fxdist.ShapeAudit {
 
 // TestOptimalityReportAcrossBackends drives the strict-optimal FX shape
 // and the adversarial Modulo shape through all four retrieval backends
-// and asserts OptimalityReport keeps them apart per (backend, shape):
-// FX's shape audits clean everywhere, Modulo's shape reports a nonzero
+// and asserts each cluster's OptimalityReport holds its own shape: FX's
+// shape audits clean everywhere, Modulo's shape reports a nonzero
 // deviation that never exceeds |R(q)| - bound.
 func TestOptimalityReportAcrossBackends(t *testing.T) {
 	file, fx, mod, fxPM, modPM := auditSetup(t)
 
-	backends := map[string]func(alloc fxdist.GroupAllocator, pm fxdist.PartialMatch) error{
-		"memory": func(alloc fxdist.GroupAllocator, pm fxdist.PartialMatch) error {
-			c, err := fxdist.Open(fxdist.Config{File: file, Allocator: alloc})
-			if err != nil {
-				return err
-			}
-			_, err = c.Retrieve(pm)
-			return err
+	// Each opens a cluster of its kind, retrieves pm once and returns the
+	// cluster's own report.
+	backends := map[string]func(alloc fxdist.GroupAllocator, pm fxdist.PartialMatch) (fxdist.BackendAudit, error){
+		"memory": func(alloc fxdist.GroupAllocator, pm fxdist.PartialMatch) (fxdist.BackendAudit, error) {
+			return retrieveAndAudit(fxdist.Open(fxdist.Config{File: file, Allocator: alloc}))(pm)
 		},
-		"durable": func(alloc fxdist.GroupAllocator, pm fxdist.PartialMatch) error {
-			c, err := fxdist.Open(fxdist.Config{Dir: t.TempDir(), File: file, Allocator: alloc},
-				fxdist.WithCostModel(fxdist.ParallelDisk))
-			if err != nil {
-				return err
-			}
-			defer c.Close()
-			_, err = c.Retrieve(pm)
-			return err
+		"durable": func(alloc fxdist.GroupAllocator, pm fxdist.PartialMatch) (fxdist.BackendAudit, error) {
+			return retrieveAndAudit(fxdist.Open(fxdist.Config{Dir: t.TempDir(), File: file, Allocator: alloc},
+				fxdist.WithCostModel(fxdist.ParallelDisk)))(pm)
 		},
-		"replicated": func(alloc fxdist.GroupAllocator, pm fxdist.PartialMatch) error {
-			c, err := fxdist.Open(fxdist.Config{File: file, Allocator: alloc},
-				fxdist.WithReplication(fxdist.ChainedFailover))
-			if err != nil {
-				return err
-			}
-			_, err = c.Retrieve(pm)
-			return err
+		"replicated": func(alloc fxdist.GroupAllocator, pm fxdist.PartialMatch) (fxdist.BackendAudit, error) {
+			return retrieveAndAudit(fxdist.Open(fxdist.Config{File: file, Allocator: alloc},
+				fxdist.WithReplication(fxdist.ChainedFailover)))(pm)
 		},
-		"netdist": func(alloc fxdist.GroupAllocator, pm fxdist.PartialMatch) error {
+		"netdist": func(alloc fxdist.GroupAllocator, pm fxdist.PartialMatch) (fxdist.BackendAudit, error) {
 			addrs, stop, err := fxdist.DeployLocal(file, alloc)
 			if err != nil {
-				return err
+				return fxdist.BackendAudit{}, err
 			}
 			defer stop()
-			coord, err := fxdist.Open(fxdist.Config{File: file, Addrs: addrs})
-			if err != nil {
-				return err
-			}
-			defer coord.Close()
-			_, err = coord.Retrieve(pm)
-			return err
+			return retrieveAndAudit(fxdist.Open(fxdist.Config{File: file, Addrs: addrs}))(pm)
 		},
 	}
-	for backend := range backends {
-		telemetry.For(backend).ResetAudit()
-	}
 	for backend, retrieve := range backends {
-		if err := retrieve(fx, fxPM); err != nil {
+		fxRep, err := retrieve(fx, fxPM)
+		if err != nil {
 			t.Fatalf("%s retrieve with FX: %v", backend, err)
 		}
-		if err := retrieve(mod, modPM); err != nil {
+		modRep, err := retrieve(mod, modPM)
+		if err != nil {
 			t.Fatalf("%s retrieve with Modulo: %v", backend, err)
 		}
-	}
+		if len(fxRep.Shapes) != 1 || len(modRep.Shapes) != 1 {
+			t.Errorf("%s: the FX cluster reports %d shapes, the Modulo one %d; each served one", backend, len(fxRep.Shapes), len(modRep.Shapes))
+		}
 
-	for backend := range backends {
-		opt := shapeAudit(t, backend, "**s")
+		opt := shapeAudit(t, fxRep, backend, "**s")
 		if opt.Violations != 0 || opt.MaxDeviation != 0 {
 			t.Errorf("%s/**s (FX): %d violations, max deviation %d; want strict optimal",
 				backend, opt.Violations, opt.MaxDeviation)
@@ -127,7 +104,7 @@ func TestOptimalityReportAcrossBackends(t *testing.T) {
 			t.Errorf("%s/**s row wrong: %+v (want 1 query, |R(q)|=4, M=4, bound 1)", backend, opt)
 		}
 
-		bad := shapeAudit(t, backend, "*s*")
+		bad := shapeAudit(t, modRep, backend, "*s*")
 		if bad.Violations == 0 {
 			t.Errorf("%s/*s* (Modulo): no violations reported on the adversarial shape", backend)
 		}
@@ -142,5 +119,20 @@ func TestOptimalityReportAcrossBackends(t *testing.T) {
 			t.Errorf("%s/*s*: max device buckets %d != bound %d + deviation %d",
 				backend, bad.MaxBuckets, bad.Bound, bad.MaxDeviation)
 		}
+	}
+}
+
+// retrieveAndAudit retrieves one query on a just-opened cluster and
+// returns the cluster's optimality report, closing it.
+func retrieveAndAudit(c *fxdist.Cluster, err error) func(fxdist.PartialMatch) (fxdist.BackendAudit, error) {
+	return func(pm fxdist.PartialMatch) (fxdist.BackendAudit, error) {
+		if err != nil {
+			return fxdist.BackendAudit{}, err
+		}
+		defer c.Close()
+		if _, err := c.Retrieve(pm); err != nil {
+			return fxdist.BackendAudit{}, err
+		}
+		return c.OptimalityReport(), nil
 	}
 }

@@ -19,9 +19,10 @@
 //
 //	[{"name":"demo","api_key":"demo-key","rate_per_sec":100,"burst":200,"max_in_flight":32}]
 //
-// The gate's own telemetry lives beside the cluster's: /debug/tenants
-// (per-tenant admission counters and shape slices), fxgate_* series on
-// /metrics, and the tenant dimension on /debug/events wide events.
+// The gate's own telemetry lives beside its cluster's, on the gate's
+// debug handler: /debug/tenants (per-tenant admission counters and shape
+// slices), fxgate_* series on /metrics, and the tenant dimension on
+// /debug/events wide events.
 package main
 
 import (
@@ -73,6 +74,9 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
+	if err := obsFlags.Level(); err != nil {
+		return err
+	}
 	file, alloc, err := fxdist.LoadSnapshotFile(*snapshot)
 	if err != nil {
 		return err
@@ -112,7 +116,8 @@ func run(args []string) error {
 	}
 	defer g.Close()
 
-	obsAddr, stopObs, err := obsFlags.Start()
+	debug := g.DebugHandler()
+	obsAddr, stopObs, err := obsFlags.Start(debug)
 	if err != nil {
 		return err
 	}
@@ -121,12 +126,12 @@ func run(args []string) error {
 		fmt.Printf("fxgate: observability on http://%s/metrics — endpoint index at http://%s/debug/\n", obsAddr, obsAddr)
 	}
 
-	// One port serves everything: the RPC endpoint plus the shared
-	// observability surface (which now includes /debug/tenants).
+	// One port serves everything: the RPC endpoint plus the gate's debug
+	// handler (its cluster's views and /debug/tenants).
 	mux := http.NewServeMux()
 	mux.Handle("/rpc", g)
-	mux.Handle("/metrics", fxdist.MetricsHandler())
-	mux.Handle("/debug/", fxdist.MetricsHandler())
+	mux.Handle("/metrics", debug)
+	mux.Handle("/debug/", debug)
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintln(w, "ok")
 	})

@@ -29,9 +29,10 @@
 //	fxnode rescale -action status -debug 127.0.0.1:9100
 //	fxnode rescale -action pause  -debug 127.0.0.1:9100
 //
-// Both subcommands accept -metrics-addr to expose the observability
+// Every subcommand accepts -metrics-addr to expose the observability
 // endpoints (/metrics Prometheus text, /debug/vars JSON, /debug/traces
-// recent query spans, /debug/pprof/ runtime profiles):
+// recent query spans, /debug/pprof/ runtime profiles; query and rescale
+// add the views of the cluster they open, /debug/optimality and the rest):
 //
 //	fxnode serve -snapshot cars.snap -device 0 -listen 127.0.0.1:9000 -metrics-addr 127.0.0.1:9100
 //	curl -s 127.0.0.1:9100/metrics | grep fxdist_netdist_server
@@ -91,7 +92,7 @@ func runServe(args []string) error {
 	snapshot := fs.String("snapshot", "", "snapshot file (with allocator spec)")
 	device := fs.Int("device", 0, "device id this node serves")
 	listen := fs.String("listen", "127.0.0.1:0", "listen address")
-	obsFlags := cliutil.ObsFlags(fs, "serve /metrics, /debug/vars, /debug/traces and /debug/pprof/ on this address")
+	obsFlags := cliutil.ObsFlags(fs, "serve /metrics, /debug/vars, /debug/traces, /debug/pprof/, /debug/mempool and /debug/profiles on this address")
 	shedInflight := fs.Int("shed-inflight", 0, "shed requests beyond this many in flight with a retryable busy response (0 disables)")
 	shedRetryAfter := fs.Duration("shed-retry-after", 250*time.Millisecond, "retry-after hint attached to shed responses")
 	rescaleTarget := fs.Int("rescale-target", 0, "serve an empty rescale-target device for a cluster growing to this many devices (0 serves the snapshot's own layout)")
@@ -102,7 +103,10 @@ func runServe(args []string) error {
 	if *snapshot == "" {
 		return fmt.Errorf("missing -snapshot")
 	}
-	obsAddr, stopObs, err := obsFlags.Start()
+	if err := obsFlags.Level(); err != nil {
+		return err
+	}
+	obsAddr, stopObs, err := obsFlags.Start(fxdist.MetricsHandler())
 	if err != nil {
 		return err
 	}
@@ -186,19 +190,16 @@ func runQuery(args []string) error {
 	profileDir := fs.String("profile-dir", "", "spool triggered pprof captures into this directory (enables triggered profiling)")
 	profileBurn := fs.Float64("profile-burn", 0, "SLO burn rate that triggers a pprof capture (0 disables the burn trigger)")
 	profileLatency := fs.Duration("profile-latency", 0, "single-query latency that triggers a pprof capture (0 disables the latency trigger)")
-	obsFlags := cliutil.ObsFlags(fs, "serve /metrics, /debug/vars, /debug/traces, /debug/optimality, /debug/hotpath, /debug/flight, /debug/profiles and /debug/pprof/ on this address")
+	obsFlags := cliutil.ObsFlags(fs, "serve the coordinator's cluster handler (/metrics, /debug/optimality, /debug/hotpath, /debug/flight, /debug/cluster, ...; see /debug/) on this address")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *snapshot == "" || *addrsArg == "" {
 		return fmt.Errorf("missing -snapshot or -addrs")
 	}
-	obsAddr, stopObs, err := obsFlags.Start()
-	if err != nil {
+	if err := obsFlags.Level(); err != nil {
 		return err
 	}
-	defer stopObs()
-	announceObs(obsAddr)
 	file, _, err := fxdist.LoadSnapshotFile(*snapshot)
 	if err != nil {
 		return err
@@ -243,6 +244,12 @@ func runQuery(args []string) error {
 		return err
 	}
 	defer coord.Close()
+	obsAddr, stopObs, err := obsFlags.Start(coord.DebugHandler())
+	if err != nil {
+		return err
+	}
+	defer stopObs()
+	announceObs(obsAddr)
 	// A signal cancels the retrieval instead of killing the process, so
 	// the deferred metrics and coordinator shutdowns run.
 	sigCtx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -278,7 +285,7 @@ func runQuery(args []string) error {
 		}
 		fmt.Println(" ", strings.Join(r, ", "))
 	}
-	printAudit()
+	printAudit(coord.OptimalityReport())
 	if *statsPull > 0 {
 		// The refresh loop makes this process the fleet view: keep it
 		// (and its /debug/cluster endpoint) alive for fxtop until a
@@ -303,27 +310,21 @@ func runRescale(args []string) error {
 	selfCheck := fs.Bool("self-check", true, "pump sampled queries through the dual-read window so an idle cluster still meets the cutover guard")
 	statusEvery := fs.Duration("status-every", time.Second, "progress print interval")
 	timeout := fs.Duration("timeout", 0, "overall rescale deadline (0 waits indefinitely)")
-	obsFlags := cliutil.ObsFlags(fs, "serve /metrics, /debug/vars and /debug/rescale on this address (the control address for status/pause/resume/abort)")
+	obsFlags := cliutil.ObsFlags(fs, "serve the cluster's handler, /debug/rescale included, on this address (the control address for status/pause/resume/abort)")
 	debugAddr := fs.String("debug", "", "the coordinating fxnode's -metrics-addr; status/pause/resume/abort only")
-	name := fs.String("name", "", "rescale name on /debug/rescale when several are registered")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	switch *action {
 	case "start":
-		obsAddr, stopObs, err := obsFlags.Start()
-		if err != nil {
+		if err := obsFlags.Level(); err != nil {
 			return err
-		}
-		defer stopObs()
-		if obsAddr != "" {
-			fmt.Printf("fxnode: rescale control on http://%s/debug/rescale\n", obsAddr)
 		}
 		return startRescale(rescaleStartConfig{
 			snapshot: *snapshot, addrs: *addrsArg, newAddrs: *newAddrsArg,
 			newM: *newM, journal: *journal, concurrency: *concurrency,
 			guardQueries: *guardQueries, noGuard: *noGuard, selfCheck: *selfCheck,
-			statusEvery: *statusEvery, timeout: *timeout,
+			statusEvery: *statusEvery, timeout: *timeout, serve: obsFlags.Start,
 		})
 	case "status":
 		if *debugAddr == "" {
@@ -339,7 +340,7 @@ func runRescale(args []string) error {
 		if *debugAddr == "" {
 			return fmt.Errorf("-action %s needs -debug <coordinator's -metrics-addr>", *action)
 		}
-		body, err := rescaleDebugPost(debugBase(*debugAddr), *action, *name)
+		body, err := rescaleDebugPost(debugBase(*debugAddr), *action)
 		if err != nil {
 			return err
 		}
@@ -357,14 +358,16 @@ type rescaleStartConfig struct {
 	guardQueries              uint64
 	noGuard, selfCheck        bool
 	statusEvery, timeout      time.Duration
+	// serve, when set, serves the opened cluster's handler (-metrics-addr).
+	serve func(http.Handler) (addr string, stop func(), err error)
 }
 
 // startRescale drives a live rescale to completion from the shell: it
 // opens the cluster over the current addresses, starts the migration,
 // prints progress until cutover (or failure after rollback), and exits
 // with the cluster answering from the new layout. While it runs, its
-// -metrics-addr serves /debug/rescale for the status/pause/resume/abort
-// verbs of other fxnode processes.
+// -metrics-addr serves the cluster's handler, whose /debug/rescale takes
+// the status/pause/resume/abort verbs of other fxnode processes.
 func startRescale(cfg rescaleStartConfig) error {
 	if cfg.snapshot == "" || cfg.addrs == "" {
 		return fmt.Errorf("missing -snapshot or -addrs")
@@ -415,6 +418,16 @@ func startRescale(cfg rescaleStartConfig) error {
 		return err
 	}
 	defer cl.Close()
+	if cfg.serve != nil {
+		addr, stop, err := cfg.serve(cl.DebugHandler())
+		if err != nil {
+			return err
+		}
+		defer stop()
+		if addr != "" {
+			fmt.Printf("fxnode: rescale control on http://%s/debug/rescale\n", addr)
+		}
+	}
 	resc, err := cl.Rescale(ctx, fxdist.RescaleConfig{
 		Addrs:           newAddrs,
 		NewM:            cfg.newM,
@@ -524,13 +537,10 @@ func rescaleDebugGet(base string) (string, error) {
 	return string(body), nil
 }
 
-// rescaleDebugPost steers a running rescale through /debug/rescale.
-func rescaleDebugPost(base, action, name string) (string, error) {
-	form := url.Values{"action": {action}}
-	if name != "" {
-		form.Set("name", name)
-	}
-	res, err := http.PostForm(base+"/debug/rescale", form)
+// rescaleDebugPost steers the cluster's running rescale through
+// /debug/rescale.
+func rescaleDebugPost(base, action string) (string, error) {
+	res, err := http.PostForm(base+"/debug/rescale", url.Values{"action": {action}})
 	if err != nil {
 		return "", err
 	}
@@ -545,21 +555,16 @@ func rescaleDebugPost(base, action, name string) (string, error) {
 	return string(body), nil
 }
 
-// printAudit summarises the per-shape optimality audit and SLO state of
-// the coordinator's backend after the query.
-func printAudit() {
-	for _, rep := range fxdist.OptimalityReport() {
-		if rep.Backend != "netdist" {
-			continue
+// printAudit summarises the coordinator's per-shape optimality audit and
+// SLO state after the query.
+func printAudit(rep fxdist.BackendAudit) {
+	for _, s := range rep.Shapes {
+		line := fmt.Sprintf("audit shape %s: %d queries, %d violations, max deviation %d (bound %d)",
+			s.Shape, s.Queries, s.Violations, s.MaxDeviation, s.Bound)
+		if s.SLOTarget > 0 {
+			line += fmt.Sprintf("; slo %v/%.2f%%: %d good %d bad, burn %.2f",
+				s.SLOTarget, s.SLOGoal*100, s.Good, s.Bad, s.BurnRate)
 		}
-		for _, s := range rep.Shapes {
-			line := fmt.Sprintf("audit shape %s: %d queries, %d violations, max deviation %d (bound %d)",
-				s.Shape, s.Queries, s.Violations, s.MaxDeviation, s.Bound)
-			if s.SLOTarget > 0 {
-				line += fmt.Sprintf("; slo %v/%.2f%%: %d good %d bad, burn %.2f",
-					s.SLOTarget, s.SLOGoal*100, s.Good, s.Bad, s.BurnRate)
-			}
-			fmt.Println(line)
-		}
+		fmt.Println(line)
 	}
 }

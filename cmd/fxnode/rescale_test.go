@@ -36,7 +36,7 @@ func TestRescaleDebugHelpers(t *testing.T) {
 		}
 		switch r.Method {
 		case http.MethodGet:
-			w.Write([]byte(`{"rescales":{"netdist-next":{"phase":"dual-read"}}}`))
+			w.Write([]byte(`{"rescales":{"netdist":{"phase":"dual-read"}}}`))
 		case http.MethodPost:
 			if err := r.ParseForm(); err != nil {
 				t.Error(err)
@@ -60,18 +60,18 @@ func TestRescaleDebugHelpers(t *testing.T) {
 		t.Fatalf("status body %q missing phase", body)
 	}
 
-	body, err = rescaleDebugPost(base, "pause", "netdist-next")
+	body, err = rescaleDebugPost(base, "pause")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if body != "pause: ok\n" {
 		t.Fatalf("pause response %q", body)
 	}
-	if gotForm.Get("action") != "pause" || gotForm.Get("name") != "netdist-next" {
+	if gotForm.Get("action") != "pause" || len(gotForm) != 1 {
 		t.Fatalf("server saw form %v", gotForm)
 	}
 
-	if _, err := rescaleDebugPost(base, "explode", ""); err == nil {
+	if _, err := rescaleDebugPost(base, "explode"); err == nil {
 		t.Fatal("bad action did not surface the HTTP error")
 	}
 }

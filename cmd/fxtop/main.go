@@ -61,8 +61,8 @@ func poll(addr string) (*snapshot, error) {
 	if err := fetchJSON(addr, "/debug/resilience?format=json", &cur.resil); err != nil {
 		return nil, err
 	}
-	// The rescale endpoint only mounts while a migration driver is (or
-	// was) registered; a node that never rescaled 404s, so this poll is
+	// Every cluster's handler mounts the rescale endpoint; a device
+	// server's (fxnode serve) does not and 404s, so this poll is
 	// best-effort.
 	fetchJSON(addr, "/debug/rescale", &cur.rescale) //nolint:errcheck // endpoint is optional
 	return cur, nil

@@ -20,8 +20,8 @@ type snapshot struct {
 	rescale rescaleDoc
 }
 
-// rescaleDoc mirrors the /debug/rescale GET document (the migration
-// drivers registered on the target, by name).
+// rescaleDoc mirrors the /debug/rescale GET document (the target
+// cluster's rescale, under its kind, once it has started one).
 type rescaleDoc struct {
 	Rescales map[string]rescaleRow `json:"rescales"`
 }

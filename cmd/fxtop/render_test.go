@@ -97,11 +97,11 @@ func TestRenderRescaleRow(t *testing.T) {
 	t0 := time.Unix(1700000000, 0)
 	prev := testSnapshot(t0, 20)
 	prev.rescale = rescaleDoc{Rescales: map[string]rescaleRow{
-		"netdist-next": {Phase: "copying", OldM: 4, NewM: 8, TotalMoves: 64, Copied: 16, MoveFraction: 0.25},
+		"netdist": {Phase: "copying", OldM: 4, NewM: 8, TotalMoves: 64, Copied: 16, MoveFraction: 0.25},
 	}}
 	cur := testSnapshot(t0.Add(2*time.Second), 30)
 	cur.rescale = rescaleDoc{Rescales: map[string]rescaleRow{
-		"netdist-next": {Phase: "dual-read", OldM: 4, NewM: 8, TotalMoves: 64, Copied: 64,
+		"netdist": {Phase: "dual-read", OldM: 4, NewM: 8, TotalMoves: 64, Copied: 64,
 			MoveFraction: 1, Paused: true,
 			LastGuardErr: "rebalance: only 1 audited queries on the new epoch, need 4 before cutover"},
 	}}
@@ -110,7 +110,7 @@ func TestRenderRescaleRow(t *testing.T) {
 	render(&b, prev, cur)
 	out := b.String()
 	for _, want := range []string{
-		"rescale netdist-next",
+		"rescale netdist",
 		"4 -> 8 devices",
 		"phase dual-read",
 		"64/64 buckets (100.0%)",

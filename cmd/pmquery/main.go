@@ -24,6 +24,7 @@ import (
 
 	"fxdist"
 	"fxdist/internal/audit"
+	"fxdist/internal/obs"
 )
 
 func main() {
@@ -52,17 +53,8 @@ func run() error {
 	batch := flag.Bool("batch", false, "submit the whole workload as one RetrieveBatch instead of one query at a time")
 	explain := flag.Bool("explain", false, "print the span tree, stage cost breakdown and per-device optimality verdict for each query")
 	flight := flag.Bool("flight", false, "after the workload, dump the slow-query flight recorder (slowest retained queries per shape)")
-	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /debug/vars, /debug/traces, /debug/optimality, /debug/hotpath, /debug/flight and /debug/pprof/ on this address while the workload runs")
+	metricsAddr := flag.String("metrics-addr", "", "serve the cluster's handler (/metrics, /debug/optimality, /debug/hotpath, /debug/flight, ...; see /debug/) on this address while the workload runs")
 	flag.Parse()
-
-	if *metricsAddr != "" {
-		addr, stopMetrics, err := fxdist.ServeMetrics(*metricsAddr)
-		if err != nil {
-			return err
-		}
-		defer stopMetrics()
-		fmt.Printf("pmquery: observability on http://%s/metrics — endpoint index at http://%s/debug/\n\n", addr, addr)
-	}
 
 	spec := fxdist.RecordSpec{Fields: []fxdist.FieldSpec{
 		{Name: "part", Cardinality: 2000},
@@ -116,6 +108,15 @@ func run() error {
 	if err != nil {
 		return err
 	}
+	defer cluster.Close()
+	if *metricsAddr != "" {
+		addr, stopMetrics, err := obs.ListenAndServe(*metricsAddr, cluster.DebugHandler())
+		if err != nil {
+			return err
+		}
+		defer stopMetrics()
+		fmt.Printf("pmquery: observability on http://%s/metrics — endpoint index at http://%s/debug/\n\n", addr, addr)
+	}
 
 	fmt.Printf("file: %d records, directory %v, %d devices, method %s, model %s\n\n",
 		file.Len(), file.Sizes(), *devices, alloc.Name(), cm.Name)
@@ -156,7 +157,7 @@ func run() error {
 
 	if *flight {
 		fmt.Println()
-		fxdist.WriteFlightReport(os.Stdout, fxdist.FlightReport())
+		fxdist.WriteFlightReport(os.Stdout, []fxdist.BackendFlights{cluster.FlightReport()})
 	}
 	return nil
 }

@@ -85,7 +85,7 @@ func gateFixture(t *testing.T, tenants []gate.TenantConfig, maxBatch int, opts .
 	t.Cleanup(g.Close)
 	mux := http.NewServeMux()
 	mux.Handle("/rpc", g)
-	mux.Handle("/debug/", fxdist.MetricsHandler())
+	mux.Handle("/debug/", g.DebugHandler())
 	srv := httptest.NewServer(mux)
 	t.Cleanup(srv.Close)
 	return cluster, g, srv
@@ -278,7 +278,7 @@ func TestGateMultiTenantCoalescing(t *testing.T) {
 		}
 	}
 	seen := map[string]bool{}
-	for _, ev := range fxdist.QueryEvents(cluster.Kind(), 512) {
+	for _, ev := range cluster.QueryEvents(512) {
 		if ev.Tenant != "" {
 			seen[ev.Tenant] = true
 		}

@@ -134,7 +134,6 @@ func backendShape(t *testing.T, path string, doc []map[string]any) map[string]an
 // the same query. Dashboards and the CI telemetry job parse these documents;
 // a key may be added, never removed or renamed.
 func TestDebugJSONGoldenKeys(t *testing.T) {
-	fxdist.ResetFlightRecorders()
 	file, alloc := buildTelemetryFile(t)
 	c, err := fxdist.Open(fxdist.Config{File: file, Allocator: alloc})
 	if err != nil {
@@ -153,16 +152,14 @@ func TestDebugJSONGoldenKeys(t *testing.T) {
 		t.Fatal("retrieval carries no trace id")
 	}
 
-	srv := httptest.NewServer(fxdist.MetricsHandler())
-	defer srv.Close()
+	// The cluster's handler serves the per-query views, the gate's (below)
+	// the same plus /debug/tenants.
+	debug := c.DebugHandler()
 	get := func(path string, doc any) {
 		t.Helper()
-		resp, err := http.Get(srv.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		dec := json.NewDecoder(resp.Body)
+		w := httptest.NewRecorder()
+		debug.ServeHTTP(w, httptest.NewRequest(http.MethodGet, path, nil))
+		dec := json.NewDecoder(w.Body)
 		dec.UseNumber() // trace ids exceed float64's integer range
 		if err := dec.Decode(doc); err != nil {
 			t.Fatalf("GET %s: %v", path, err)
@@ -234,6 +231,7 @@ func TestDebugJSONGoldenKeys(t *testing.T) {
 		t.Fatalf("fx.retrieve through the gate: %d %s", rec.Code, rec.Body)
 	}
 	var tenants map[string]any
+	debug = g.DebugHandler()
 	get("/debug/tenants", &tenants)
 	tenantsReportKeys.check(t, "/debug/tenants", tenants)
 	each(tenantRowKeys, "/debug/tenants row", tenants["tenants"])

@@ -3,20 +3,30 @@ package fxdist_test
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"sort"
 	"testing"
 	"time"
 
 	"fxdist"
 )
 
+// hotpathRun is what one backend's workload leaves: its results, and its
+// cluster's cost and flight reports, programmatic and as the rows of the
+// /debug/hotpath and /debug/flight documents its DebugHandler serves.
+type hotpathRun struct {
+	results []fxdist.RetrieveResult
+	cost    fxdist.BackendCost
+	flights fxdist.BackendFlights
+	rows    map[string][]json.RawMessage // by path
+}
+
 // hotpathWorkload drives the same query mix through one backend: every
 // value of field b specified (shape "*s"), cycling so each backend
 // profiles ~2 queries per value.
-func hotpathWorkload(t *testing.T, file *fxdist.File, c *fxdist.Cluster, queries int) []fxdist.RetrieveResult {
+func hotpathWorkload(t *testing.T, file *fxdist.File, c *fxdist.Cluster, queries int) hotpathRun {
 	t.Helper()
 	out := make([]fxdist.RetrieveResult, 0, queries)
 	for i := 0; i < queries; i++ {
@@ -30,7 +40,18 @@ func hotpathWorkload(t *testing.T, file *fxdist.File, c *fxdist.Cluster, queries
 		}
 		out = append(out, res)
 	}
-	return out
+	run := hotpathRun{results: out, cost: c.CostReport(), flights: c.FlightReport(), rows: map[string][]json.RawMessage{}}
+	debug := c.DebugHandler()
+	for _, path := range []string{"/debug/hotpath", "/debug/flight"} {
+		w := httptest.NewRecorder()
+		debug.ServeHTTP(w, httptest.NewRequest(http.MethodGet, path, nil))
+		var rows []json.RawMessage
+		if err := json.Unmarshal(w.Body.Bytes(), &rows); w.Code != 200 || err != nil || len(rows) != 1 {
+			t.Fatalf("GET %s: status %d, %d rows (%v), want the cluster's one", path, w.Code, len(rows), err)
+		}
+		run.rows[path] = rows
+	}
+	return run
 }
 
 // TestHotpathStageSums drives the same workload through all four
@@ -43,8 +64,6 @@ func hotpathWorkload(t *testing.T, file *fxdist.File, c *fxdist.Cluster, queries
 // documents as build artifacts when HOTPATH_JSON / FLIGHT_JSON name
 // destinations.
 func TestHotpathStageSums(t *testing.T) {
-	fxdist.ResetCostProfilers()
-	fxdist.ResetFlightRecorders()
 	file := buildTestFile(t)
 	fs, err := file.FileSystem(4)
 	if err != nil {
@@ -56,15 +75,15 @@ func TestHotpathStageSums(t *testing.T) {
 	}
 
 	const queries = 30
-	backends := map[string]func(t *testing.T) []fxdist.RetrieveResult{
-		"memory": func(t *testing.T) []fxdist.RetrieveResult {
+	backends := map[string]func(t *testing.T) hotpathRun{
+		"memory": func(t *testing.T) hotpathRun {
 			c, err := fxdist.Open(fxdist.Config{File: file, Allocator: fx})
 			if err != nil {
 				t.Fatal(err)
 			}
 			return hotpathWorkload(t, file, c, queries)
 		},
-		"durable": func(t *testing.T) []fxdist.RetrieveResult {
+		"durable": func(t *testing.T) hotpathRun {
 			c, err := fxdist.Open(fxdist.Config{Dir: t.TempDir(), File: file, Allocator: fx},
 				fxdist.WithCostModel(fxdist.ParallelDisk))
 			if err != nil {
@@ -73,7 +92,7 @@ func TestHotpathStageSums(t *testing.T) {
 			defer c.Close()
 			return hotpathWorkload(t, file, c, queries)
 		},
-		"replicated": func(t *testing.T) []fxdist.RetrieveResult {
+		"replicated": func(t *testing.T) hotpathRun {
 			c, err := fxdist.Open(fxdist.Config{File: file, Allocator: fx},
 				fxdist.WithReplication(fxdist.ChainedFailover))
 			if err != nil {
@@ -81,7 +100,7 @@ func TestHotpathStageSums(t *testing.T) {
 			}
 			return hotpathWorkload(t, file, c, queries)
 		},
-		"netdist": func(t *testing.T) []fxdist.RetrieveResult {
+		"netdist": func(t *testing.T) hotpathRun {
 			addrs, stop, err := fxdist.DeployLocal(file, fx)
 			if err != nil {
 				t.Fatal(err)
@@ -95,19 +114,19 @@ func TestHotpathStageSums(t *testing.T) {
 			return hotpathWorkload(t, file, c, queries)
 		},
 	}
+	runs := make(map[string]hotpathRun, len(backends))
 	for backend, run := range backends {
-		results := run(t)
-		for i, res := range results {
+		runs[backend] = run(t)
+		for i, res := range runs[backend].results {
 			if len(res.Stages) == 0 {
 				t.Fatalf("%s query %d returned no stage breakdown", backend, i)
 			}
 		}
 	}
 
-	report := fxdist.CostReport()
-	byBackend := make(map[string]fxdist.BackendCost, len(report))
-	for _, b := range report {
-		byBackend[b.Backend] = b
+	byBackend := make(map[string]fxdist.BackendCost, len(runs))
+	for _, run := range runs {
+		byBackend[run.cost.Backend] = run.cost
 	}
 	for backend := range backends {
 		b, ok := byBackend[backend]
@@ -188,9 +207,9 @@ func TestHotpathStageSums(t *testing.T) {
 	}
 
 	// The flight recorder retained the slowest queries of the workload.
-	flights := fxdist.FlightReport()
-	flightBackends := make(map[string]bool, len(flights))
-	for _, b := range flights {
+	flightBackends := make(map[string]bool, len(runs))
+	for _, run := range runs {
+		b := run.flights
 		flightBackends[b.Backend] = true
 		for _, s := range b.Shapes {
 			if len(s.Records) == 0 || len(s.Records) > 8 {
@@ -212,25 +231,24 @@ func TestHotpathStageSums(t *testing.T) {
 		}
 	}
 
-	// Both documents are served over the shared debug handler; CI
-	// uploads them as artifacts.
-	srv := httptest.NewServer(fxdist.MetricsHandler())
-	defer srv.Close()
+	// Each cluster served its own rows of both documents; CI uploads them
+	// gathered into one, a row per backend, as artifacts.
+	names := make([]string, 0, len(runs))
+	for backend := range runs {
+		names = append(names, backend)
+	}
+	sort.Strings(names)
 	for _, ep := range []struct{ path, env string }{
 		{"/debug/hotpath", "HOTPATH_JSON"},
 		{"/debug/flight", "FLIGHT_JSON"},
 	} {
-		resp, err := http.Get(srv.URL + ep.path)
+		var rows []json.RawMessage
+		for _, backend := range names {
+			rows = append(rows, runs[backend].rows[ep.path]...)
+		}
+		raw, err := json.MarshalIndent(rows, "", "  ")
 		if err != nil {
-			t.Fatalf("GET %s: %v", ep.path, err)
-		}
-		raw, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil || resp.StatusCode != 200 {
-			t.Fatalf("GET %s: status %d err %v", ep.path, resp.StatusCode, err)
-		}
-		if !json.Valid(raw) {
-			t.Fatalf("%s is not JSON:\n%s", ep.path, raw)
+			t.Fatal(err)
 		}
 		if path := os.Getenv(ep.env); path != "" {
 			if err := os.WriteFile(path, raw, 0o644); err != nil {
@@ -246,7 +264,6 @@ func TestHotpathStageSums(t *testing.T) {
 // records' per-device timings show the chaos-injected device dominating
 // the critical path.
 func TestFlightRecorderSlowDevice(t *testing.T) {
-	fxdist.ResetFlightRecorders()
 	file := buildTestFile(t)
 	fs, err := file.FileSystem(4)
 	if err != nil {

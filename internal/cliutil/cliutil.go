@@ -6,10 +6,12 @@ package cliutil
 import (
 	"flag"
 	"fmt"
+	"net/http"
 	"strconv"
 	"strings"
 
 	"fxdist"
+	"fxdist/internal/obs"
 )
 
 // Obs is the two observability flags of a serving command.
@@ -24,17 +26,17 @@ func ObsFlags(fs *flag.FlagSet, metricsHelp string) Obs {
 	}
 }
 
-// Start, called after fs.Parse, applies the log level and, when
-// -metrics-addr was given, serves the observability endpoints there.
-// Without it addr is empty and stop does nothing.
-func (o Obs) Start() (addr string, stop func(), err error) {
-	if err := fxdist.SetLogLevel(*o.logLevel); err != nil {
-		return "", nil, err
-	}
+// Level, called after fs.Parse, applies -log-level.
+func (o Obs) Level() error { return fxdist.SetLogLevel(*o.logLevel) }
+
+// Start serves h, the handler of what the command opened, on
+// -metrics-addr when one was given. Without it addr is empty and stop
+// does nothing.
+func (o Obs) Start(h http.Handler) (addr string, stop func(), err error) {
 	if *o.metricsAddr == "" {
 		return "", func() {}, nil
 	}
-	return fxdist.ServeMetrics(*o.metricsAddr)
+	return obs.ListenAndServe(*o.metricsAddr, h)
 }
 
 // ParseSizes parses a comma-separated list of positive integers, e.g.

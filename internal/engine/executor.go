@@ -151,6 +151,12 @@ func New(cfg Config) (*Executor, error) {
 // Plans returns the executor's plan cache.
 func (e *Executor) Plans() *plancache.Cache { return e.plans }
 
+// Instruments returns the executor's reporting bundle (nil without one).
+func (e *Executor) Instruments() *telemetry.Instruments { return e.in }
+
+// Retry returns the executor's retry controller (nil without one).
+func (e *Executor) Retry() *retry.Controller { return e.retry }
+
 // callKey carries the in-flight call to the device adapters — the call is
 // their context, and Value answers callKey with it — which read the trace
 // span off it, to attach protocol events, and the plan's shape, to

@@ -7,7 +7,6 @@ import (
 	"fxdist/internal/engine"
 	"fxdist/internal/mkhash"
 	"fxdist/internal/obs"
-	"fxdist/internal/telemetry"
 )
 
 // BenchmarkRetrieveInstrumentation isolates the reporting overhead: the
@@ -35,7 +34,7 @@ func BenchmarkRetrieveInstrumentation(b *testing.B) {
 			cfg := planned(b, f, engine.Config{Devices: devs, Model: engine.MainMemory,
 				Tracer: obs.DefaultTracer(), Span: "bench.retrieve"})
 			if mode.instr {
-				cfg.Instr = telemetry.For("bench").WithMetrics(telemetry.NewClusterMetrics("bench", len(devs)))
+				cfg.Instr = privateBundle("bench", len(devs))
 			}
 			e, err := engine.New(cfg)
 			if err != nil {

@@ -17,11 +17,13 @@ import (
 	"fxdist/internal/telemetry"
 )
 
-// privateBundle is the reporting seam's test double: a fresh,
-// unregistered bundle the test can inspect afterwards, with the
-// whole-query metrics of an m-device cluster.
+// privateBundle is the reporting seam's test double: a fresh bundle the
+// test can inspect afterwards, with the whole-query metrics of an
+// m-device cluster, as a storage cluster builds its own.
 func privateBundle(backend string, m int) *telemetry.Instruments {
-	return telemetry.New(backend, audit.SLO{}).WithMetrics(telemetry.NewClusterMetrics(backend, m))
+	in := telemetry.New(backend, audit.SLO{})
+	in.Metrics = telemetry.NewClusterMetrics(backend, m)
+	return in
 }
 
 // TestOneRecordFeedsEverySink retrieves one bound-violating Modulo

@@ -83,8 +83,9 @@ type hedgeResult struct {
 // retry controller finds the slot's primary breaching its peers' tail
 // latency. Only primary attempts hedge — replacement devices are already
 // the backup path. Both arms share a cancellable child context; the
-// first success cancels the loser, and the buffered channel lets an
-// abandoned arm finish without leaking.
+// first success cancels the loser, which is waited out before the scan
+// returns: an arm still running would annotate the call's span after
+// the call settled and released it.
 func (e *Executor) scanMaybeHedged(ctx context.Context, dev int, d Device, primary bool, q query.Query, pm mkhash.PartialMatch) (Answer, error) {
 	if e.backup == nil || !primary {
 		return d.Scan(ctx, q, pm)
@@ -99,7 +100,6 @@ func (e *Executor) scanMaybeHedged(ctx context.Context, dev int, d Device, prima
 	backup := e.backup(dev)
 
 	hctx, cancel := context.WithCancel(ctx)
-	defer cancel()
 	// The arms run as raw goroutines, not pool tasks: a hedge queued
 	// behind a full pool could deadlock the very retrieval it serves.
 	ch := make(chan hedgeResult, 2)
@@ -115,6 +115,12 @@ func (e *Executor) scanMaybeHedged(ctx context.Context, dev int, d Device, prima
 	hedged := false
 	var primErr error
 	outstanding := 1
+	defer func() {
+		cancel()
+		for ; outstanding > 0; outstanding-- {
+			<-ch
+		}
+	}()
 	for {
 		select {
 		case r := <-ch:

@@ -457,19 +457,14 @@ func TestGateDemuxProperty(t *testing.T) {
 // rate as it is now, not as it was a cache lifetime ago. The query that
 // exhausts the budget is the last one admitted — the very next one of
 // its shape is shed with a Retry-After, another shape is untouched, and
-// the shape is admitted again the moment the burn is gone. No step
-// waits.
+// the shape is admitted again the moment the objective is lifted. No
+// step waits.
 func TestGateBurnShed(t *testing.T) {
 	h := newHeldGate(t, 8)
 	h.cfg.BurnShedThreshold = 1
 	cluster := h.cfg.Cluster
 	const shape = "*s*"
-	cluster.ResetAudit() // the memory backend's audit is shared with the tests before this one
 	cluster.SetShapeLatencySLO(shape, time.Nanosecond, 0.99)
-	t.Cleanup(func() {
-		cluster.SetShapeLatencySLO(shape, 0, 0)
-		cluster.ResetAudit()
-	})
 	solo := h.tenant("solo")
 	burning := h.query(t, map[string]string{"supplier": "supplier-2"})
 	other := h.query(t, map[string]string{"note": "note-1"})
@@ -491,8 +486,8 @@ func TestGateBurnShed(t *testing.T) {
 	if rep := h.Report(); rep.BurnSheds != 2 {
 		t.Fatalf("burn sheds = %d, want 2", rep.BurnSheds)
 	}
-	cluster.ResetAudit()
+	cluster.SetShapeLatencySLO(shape, 0, 0) // no objective, no burn
 	if _, _, err := h.retrieve(ctx, solo, burning); err != nil {
-		t.Fatalf("first query after the burn was cleared: %v", err)
+		t.Fatalf("first query after the objective was lifted: %v", err)
 	}
 }

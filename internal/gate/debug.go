@@ -3,8 +3,8 @@ package gate
 import (
 	"fmt"
 	"io"
+	"net/http"
 	"sort"
-	"sync/atomic"
 	"time"
 
 	"fxdist/internal/obs"
@@ -100,32 +100,15 @@ func (g *Gate) Report() Report {
 	return rep
 }
 
-// debugGate is the gate /debug/tenants reports on: the most recently
-// opened one, until it closes. The handler in the process-wide registry
-// (and in every mux built from it) reads through this pointer instead
-// of closing over a *Gate, so a closed gate — and the cluster and file
-// behind it — stays collectable.
-var debugGate atomic.Pointer[Gate]
-
-// init serves the open gate's audit on /debug/tenants
-// (?format=json|text) through the process-wide debug handler registry,
-// next to /debug/optimality, /debug/events and friends; with no gate
-// open the report is empty.
-func init() {
-	obs.RegisterDebugHandler("/debug/tenants",
-		"per-tenant gate audit: admission counters and shape slices",
-		obs.DebugEndpoint(
-			func() (any, error) {
-				if g := debugGate.Load(); g != nil {
-					return g.Report(), nil
-				}
-				return Report{}, nil
-			},
+// DebugHandler serves the gate's cluster's observability handler
+// (Cluster.DebugEndpoints) plus /debug/tenants, the gate's per-tenant
+// audit (?format=json|text).
+func (g *Gate) DebugHandler() http.Handler {
+	tenants := obs.Endpoint{Path: "/debug/tenants", Desc: "per-tenant gate audit: admission counters and shape slices",
+		Handler: obs.DebugEndpoint(
+			func() (any, error) { return g.Report(), nil },
 			func(w io.Writer, doc any) {
-				rep, ok := doc.(Report)
-				if !ok {
-					return
-				}
+				rep := doc.(Report)
 				fmt.Fprintf(w, "fxgate: max-batch %d  waiting %d\n", rep.MaxBatch, rep.Waiting)
 				fmt.Fprintf(w, "batches %d  coalesced %d  direct %d  rate-limited %d  quota %d  burn-sheds %d  front-sheds %d\n\n",
 					rep.Batches, rep.CoalescedQueries, rep.DirectBatches,
@@ -139,5 +122,6 @@ func init() {
 					}
 				}
 			},
-		))
+		)}
+	return obs.HandlerFor(obs.Default(), obs.DefaultTracer(), append(g.cfg.Cluster.DebugEndpoints(), tenants)...)
 }

@@ -121,17 +121,12 @@ func New(cfg Config) (*Gate, error) {
 		metrics: newGateMetrics(),
 	}
 	g.co.backlog = make(map[string][]*pending)
-	debugGate.Store(g)
 	return g, nil
 }
 
-// Close refuses further retrievals and, if this is the gate
-// /debug/tenants reports on, detaches it. In-flight dispatches finish;
+// Close refuses further retrievals. In-flight dispatches finish;
 // queries still waiting in a backlog are failed with overloaded.
-func (g *Gate) Close() {
-	g.co.close()
-	debugGate.CompareAndSwap(g, nil)
-}
+func (g *Gate) Close() { g.co.close() }
 
 // SetShedding re-arms the front door's global in-flight shed at
 // runtime, symmetric with netdist.Server.SetShedding.

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"fxdist"
-	"fxdist/internal/obs"
 )
 
 func TestShapeOf(t *testing.T) {
@@ -129,12 +128,13 @@ func TestTenantSetValidation(t *testing.T) {
 	}
 }
 
-// TestClosedGateIsDetachedAndCollectable pins the Close contract for
-// the process-wide /debug/tenants handler: while a gate is open the
-// endpoint reports its tenants; after Close it reports nothing and
-// holds no reference, so the gate — and the cluster and file it wraps —
-// can be collected. The finalizer sits on the gate's tenant set, which
-// only the gate references.
+// TestClosedGateIsDetachedAndCollectable pins the Close contract now
+// that /debug/tenants is the gate's own: the gate's handler reports its
+// tenants, no process-wide handler mounts the path, and once the gate
+// is closed and dropped with its handler nothing else references it, so
+// the gate — and the cluster and file it wraps — can be collected. The
+// finalizer sits on the gate's tenant set, which only the gate
+// references.
 func TestClosedGateIsDetachedAndCollectable(t *testing.T) {
 	spec := fxdist.RecordSpec{Fields: []fxdist.FieldSpec{{Name: "a", Cardinality: 8}, {Name: "b", Cardinality: 8}}}
 	file, err := fxdist.NewFile(fxdist.GenerateSchema(spec, []int{2, 2}))
@@ -158,33 +158,23 @@ func TestClosedGateIsDetachedAndCollectable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A mux built while the gate is open must not pin it either.
-	srv := httptest.NewServer(obs.Handler())
-	defer srv.Close()
-	tenants := func() int {
-		t.Helper()
-		resp, err := http.Get(srv.URL + "/debug/tenants")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var rep Report
-		if err := json.NewDecoder(resp.Body).Decode(&rep); err != nil {
-			t.Fatalf("/debug/tenants (status %d): %v", resp.StatusCode, err)
-		}
-		return len(rep.Tenants)
+	get := func(h http.Handler) *httptest.ResponseRecorder {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest("GET", "/debug/tenants", nil))
+		return w
 	}
-	if n := tenants(); n != 1 {
-		t.Fatalf("open gate: /debug/tenants lists %d tenants, want 1", n)
+	var rep Report
+	if err := json.NewDecoder(get(g.DebugHandler()).Body).Decode(&rep); err != nil || len(rep.Tenants) != 1 {
+		t.Fatalf("the gate's /debug/tenants lists %d tenants (%v), want 1", len(rep.Tenants), err)
+	}
+	if w := get(fxdist.MetricsHandler()); w.Code != http.StatusNotFound {
+		t.Fatalf("the process handler serves /debug/tenants: %d", w.Code)
 	}
 
 	collected := make(chan struct{})
 	runtime.SetFinalizer(g.tenants, func(*tenantSet) { close(collected) })
 	g.Close()
 	g = nil
-	if n := tenants(); n != 0 {
-		t.Fatalf("closed gate: /debug/tenants still lists %d tenants", n)
-	}
 	deadline := time.After(5 * time.Second)
 	for {
 		runtime.GC()

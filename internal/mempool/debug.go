@@ -7,8 +7,7 @@ import (
 	"fxdist/internal/obs"
 )
 
-// /debug/mempool serves every registered pool's counters, and the
-// package feeds its recycle totals to obs so the cost profiler's
+// The package feeds its recycle totals to obs so the cost profiler's
 // per-stage alloc deltas can be read next to how much demand the pools
 // absorbed (see /debug/hotpath).
 
@@ -38,7 +37,11 @@ func init() {
 			}
 			return float64(gets)
 		})
-	obs.RegisterDebugHandler("/debug/mempool", "slab pool stats: per-size-class gets/puts/misses and recycled bytes/slabs", obs.DebugEndpoint(
+}
+
+// Endpoint serves /debug/mempool: every registered pool's counters.
+func Endpoint() obs.Endpoint {
+	return obs.Endpoint{Path: "/debug/mempool", Desc: "slab pool stats: per-size-class gets/puts/misses and recycled bytes/slabs", Handler: obs.DebugEndpoint(
 		func() (any, error) {
 			b, o := RecycledTotals()
 			return mempoolDoc{RecycledBytes: b, RecycledSlabs: o, Pools: Report()}, nil
@@ -53,5 +56,5 @@ func init() {
 					p.Name, p.Gets, p.Misses, p.Oversize, p.Puts, p.Drops, p.RecycledBytes)
 			}
 		},
-	))
+	)}
 }

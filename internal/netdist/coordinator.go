@@ -9,9 +9,9 @@ import (
 	"net"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
+	"fxdist/internal/audit"
 	"fxdist/internal/decluster"
 	"fxdist/internal/engine"
 	"fxdist/internal/mkhash"
@@ -321,7 +321,6 @@ type Coordinator struct {
 	tracer   *obs.Tracer
 	timeout  time.Duration
 	failover bool
-	backend  string
 	epoch    int
 	spec     *decluster.Spec // WithSpec; nil takes the servers' word
 	eng      *engine.Executor
@@ -346,11 +345,12 @@ type Coordinator struct {
 
 	// Metrics federation (PullStats / StartStatsPull): fed accumulates
 	// per-server NodeStats snapshots into the /debug/cluster fleet view.
-	fleetName       string
-	fed             *telemetry.Federator
-	fleetOnce       sync.Once
-	fleetRegistered atomic.Bool
+	fed *telemetry.Federator
 }
+
+// backend is the label of every coordinator's reporting: its audit,
+// plan cache, retry controller and fleet view.
+const backend = "netdist"
 
 // DialOption configures Dial.
 type DialOption func(*Coordinator)
@@ -373,24 +373,6 @@ func WithResilience(cfg retry.Config) DialOption {
 // device (chaos testing without touching the servers).
 func WithInjector(in *resilience.Injector) DialOption {
 	return func(c *Coordinator) { c.injector = in }
-}
-
-// WithFleetName sets the name this coordinator's federated fleet view
-// registers under on /debug/cluster (default: the backend name). Give
-// each coordinator in a multi-fleet process its own name so their
-// reports don't shadow each other.
-func WithFleetName(name string) DialOption {
-	return func(c *Coordinator) { c.fleetName = name }
-}
-
-// WithBackendName sets the label this coordinator's telemetry registers
-// under — the optimality auditor, plan cache, cost profiler, flight
-// recorder, event log and (unless WithFleetName overrides it) fleet
-// view. Default "netdist". The elastic rescale dials its new-epoch
-// coordinator as "netdist-next" so the cutover guard can read the new
-// epoch's per-shape discrepancy separately from the serving backend's.
-func WithBackendName(name string) DialOption {
-	return func(c *Coordinator) { c.backend = name }
 }
 
 // WithEpoch stamps every query this coordinator sends with the given
@@ -433,16 +415,11 @@ func Dial(file *mkhash.File, addrs []string, opts ...DialOption) (*Coordinator, 
 	for _, opt := range opts {
 		opt(c)
 	}
-	if c.backend == "" {
-		c.backend = "netdist"
-	}
-	if c.fleetName == "" {
-		c.fleetName = c.backend
-	}
-	c.in = telemetry.For(c.backend).WithMetrics(&telemetry.Metrics{
-		Retrieves: mCoordRetrieves, Errors: mCoordRetrieveErrors, Latency: mCoordRetrieveLatency,
-	})
-	c.fed = telemetry.NewFederator(c.fleetName)
+	// Every instrument is the coordinator's own: a rescale's new-epoch
+	// coordinator audits its layout apart from the serving one's.
+	c.in = telemetry.New(backend, audit.SLO{})
+	c.in.Metrics = &telemetry.Metrics{Retrieves: mCoordRetrieves, Errors: mCoordRetrieveErrors, Latency: mCoordRetrieveLatency}
+	c.fed = telemetry.NewFederator(backend)
 	for i, addr := range addrs {
 		dc, err := c.dialDevice(context.Background(), addr)
 		if err != nil {
@@ -472,9 +449,9 @@ func Dial(file *mkhash.File, addrs []string, opts ...DialOption) (*Coordinator, 
 		span, reroute, backup = "netdist.retrieve-failover", c.reroute, c.successorAs
 	}
 	if c.rcfg != nil {
-		c.ctrl = retry.NewController(c.backend, *c.rcfg)
+		c.ctrl = retry.NewController(backend, *c.rcfg)
 	}
-	plans := plancache.New(c.backend)
+	plans := plancache.New(backend)
 	eng, err := engine.New(engine.Config{
 		Schema:  file,
 		Alloc:   alloc,
@@ -682,8 +659,8 @@ func (c *Coordinator) probeAll() {
 	}
 }
 
-// Federator exposes the coordinator's fleet accumulator (for rendering
-// a report without going through /debug/cluster).
+// Federator exposes the coordinator's fleet accumulator, the source of
+// its cluster's /debug/cluster.
 func (c *Coordinator) Federator() *telemetry.Federator { return c.fed }
 
 // nodeName is the federator's key for device dev — fixed by the
@@ -697,13 +674,9 @@ func nodeName(dev int) string { return fmt.Sprintf("device-%d", dev) }
 // coordinator's cumulative transport-error count for that device, so a
 // node whose requests are failing at the coordinator seam (injected
 // faults, flaky network) gets flagged even when its stats pull — a
-// fresh, uninjected round trip — succeeds. The first pull registers the
-// fleet on /debug/cluster. Returns the first pull error, if any.
+// fresh, uninjected round trip — succeeds. The first pull puts the fleet
+// on the cluster's /debug/cluster. Returns the first pull error, if any.
 func (c *Coordinator) PullStats(ctx context.Context) error {
-	c.fleetOnce.Do(func() {
-		telemetry.RegisterFleet(c.fleetName, c.fed.Report)
-		c.fleetRegistered.Store(true)
-	})
 	c.connMu.RLock()
 	m := len(c.conns)
 	c.connMu.RUnlock()
@@ -817,8 +790,8 @@ func (c *Coordinator) reroute(ctx context.Context, dev int, err error) engine.De
 	return c.successorAs(dev)
 }
 
-// Close stops the health prober and the stats puller, unregisters the
-// fleet view, drops all device connections, and releases the plan cache.
+// Close stops the health prober and the stats puller, drops all device
+// connections, and releases the plan cache.
 func (c *Coordinator) Close() {
 	c.loopMu.Lock()
 	if c.loopStop != nil {
@@ -827,9 +800,6 @@ func (c *Coordinator) Close() {
 	}
 	c.loopMu.Unlock()
 	c.loopWG.Wait()
-	if c.fleetRegistered.Swap(false) {
-		telemetry.RegisterFleet(c.fleetName, nil)
-	}
 	if c.eng != nil {
 		c.eng.Plans().Close()
 	}
@@ -848,9 +818,15 @@ func (c *Coordinator) PlanCache() *plancache.Cache { return c.eng.Plans() }
 // M returns the device count.
 func (c *Coordinator) M() int { return len(c.conns) }
 
-// Backend returns the telemetry label the coordinator registers under
-// (see WithBackendName).
-func (c *Coordinator) Backend() string { return c.backend }
+// Instruments returns the coordinator's reporting bundle, the store
+// behind its cluster's per-query /debug views.
+func (c *Coordinator) Instruments() *telemetry.Instruments { return c.in }
+
+// Resilience snapshots the coordinator's retry controller and fault
+// injector (/debug/resilience).
+func (c *Coordinator) Resilience() resilience.Snapshot {
+	return resilience.SnapshotOf(c.ctrl, c.injector)
+}
 
 // Epoch returns the declustering epoch stamped on this coordinator's
 // queries (see WithEpoch).

@@ -115,7 +115,7 @@ func deployRescaleFixture(t *testing.T, file *mkhash.File, oldM, newM int) (
 	closers = append(closers, oldCoord.Close)
 	// Dialed before Prepare, as the rescale does: no old server serves
 	// epoch 1 yet, so the spec is handed over, not described.
-	newCoord, err = Dial(file, allAddrs, WithBackendName("netdist-next-test"), WithEpoch(1), WithSpec(newSpec))
+	newCoord, err = Dial(file, allAddrs, WithEpoch(1), WithSpec(newSpec))
 	if err != nil {
 		cleanup()
 		t.Fatal(err)
@@ -406,11 +406,11 @@ func TestRescaleControlValidation(t *testing.T) {
 
 	// An unserved epoch is rejected: at Dial when the servers are asked
 	// to describe it, per query when the spec was handed over.
-	if c, err := Dial(file, newCoord.Addrs(), WithBackendName("bogus-epoch"), WithEpoch(7)); err == nil {
+	if c, err := Dial(file, newCoord.Addrs(), WithEpoch(7)); err == nil {
 		c.Close()
 		t.Fatal("dial described an epoch no server serves")
 	}
-	bogus, err := Dial(file, newCoord.Addrs(), WithBackendName("bogus-epoch"), WithEpoch(7), WithSpec(newSpec))
+	bogus, err := Dial(file, newCoord.Addrs(), WithEpoch(7), WithSpec(newSpec))
 	if err != nil {
 		t.Fatal(err)
 	}

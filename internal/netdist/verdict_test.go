@@ -50,13 +50,15 @@ func TestPlanVerdictMatchesMergedLoads(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for backend, retrieve := range map[string]func(mkhash.PartialMatch) (engine.Result, error){
-				"memory": mem.Retrieve, "durable": dur.Retrieve, "netdist": coord.Retrieve,
+			// Each cluster audits into its own bundle, empty at open.
+			for backend, be := range map[string]struct {
+				retrieve func(mkhash.PartialMatch) (engine.Result, error)
+				in       *telemetry.Instruments
+			}{
+				"memory": {mem.Retrieve, mem.Instruments()}, "durable": {dur.Retrieve, dur.Instruments()}, "netdist": {coord.Retrieve, coord.Instruments()},
 			} {
-				in := telemetry.For(backend)
-				in.ResetAudit()
 				what := fmt.Sprintf("%s/%s/M=%d", backend, alloc.Name(), m)
-				violating += planVerdictOnEveryShape(t, what, retrieve, in.AuditReport, file, alloc)
+				violating += planVerdictOnEveryShape(t, what, be.retrieve, be.in.AuditReport, file, alloc)
 			}
 			coord.Close()
 			stop()

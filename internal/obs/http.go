@@ -9,138 +9,103 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"sort"
-	"sync"
 )
 
-// Debug handler registry: packages that layer on obs (e.g. the
-// optimality auditor) mount their own endpoints on every Handler
-// without obs importing them.
-var (
-	debugMu       sync.Mutex
-	debugHandlers = make(map[string]registeredDebugHandler)
-)
-
-type registeredDebugHandler struct {
-	desc string
-	h    http.Handler
+// Endpoint is one debug path a handler mounts: the pattern, the
+// one-line description its /debug/ index shows, and what serves it.
+// Each owner of a view exports its own (the telemetry bundle, the plan
+// cache, the gate, ...) and the handler of whoever owns them mounts
+// exactly those.
+type Endpoint struct {
+	Path    string       `json:"path"`
+	Desc    string       `json:"desc"`
+	Handler http.Handler `json:"-"`
 }
 
-// RegisterDebugHandler mounts h at path (e.g. "/debug/optimality") on
-// every handler built by Handler/HandlerFor, with a one-line
-// description shown on the /debug/ index. Registering the same path
-// again replaces the handler. Typically called from an init function.
-func RegisterDebugHandler(path, desc string, h http.Handler) {
-	debugMu.Lock()
-	debugHandlers[path] = registeredDebugHandler{desc: desc, h: h}
-	debugMu.Unlock()
-}
-
-// EndpointInfo describes one debug endpoint on the /debug/ index.
-type EndpointInfo struct {
-	Path string `json:"path"`
-	Desc string `json:"desc"`
-}
-
-// builtinEndpoints are the surfaces HandlerFor mounts itself.
-var builtinEndpoints = []EndpointInfo{
-	{Path: "/metrics", Desc: "Prometheus text exposition of every metric (?exemplars=1 appends trace-linked exemplars)"},
-	{Path: "/debug/", Desc: "this index: every debug endpoint with a one-line description"},
-	{Path: "/debug/vars", Desc: "expvar-style JSON of every metric, with histogram quantiles and exemplars"},
-	{Path: "/debug/traces", Desc: "recent query spans (?n=K; ?tree=1 stitches parent→child; ?retained=1 lists tail-sampled kept trees)"},
-	{Path: "/debug/pprof/", Desc: "net/http/pprof runtime profiles (cpu, heap, goroutine, ...)"},
-}
-
-// DebugEndpoints lists every debug endpoint a Handler would serve —
-// built-ins plus everything registered — sorted by path. fxnode logs
-// this set at startup.
-func DebugEndpoints() []EndpointInfo {
-	out := append([]EndpointInfo(nil), builtinEndpoints...)
-	debugMu.Lock()
-	for path, reg := range debugHandlers {
-		out = append(out, EndpointInfo{Path: path, Desc: reg.desc})
-	}
-	debugMu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Path < out[j].Path })
-	return out
-}
-
-// Handler serves the default registry and tracer:
+// HandlerFor builds an observability handler over registry r and tracer
+// t (either may be nil to omit its surfaces) plus exactly the endpoints
+// given:
 //
-//	/metrics            Prometheus text exposition (?exemplars=1)
-//	/debug/             index of every debug endpoint
-//	/debug/vars         expvar-style JSON of every metric
-//	/debug/traces       recent query spans as JSON (?n=K, default 32;
+//	/metrics            Prometheus text exposition of r (?exemplars=1)
+//	/debug/vars         expvar-style JSON of r
+//	/debug/traces       t's recent query spans as JSON (?n=K, default 32;
 //	                    ?tree=1 stitches parent→child span trees;
 //	                    ?retained=1 lists tail-sampled kept trees)
 //	/debug/pprof/       net/http/pprof runtime profiles
-//
-// plus every endpoint mounted via RegisterDebugHandler (the optimality
-// auditor's /debug/optimality, the telemetry plane's /debug/events and
-// /debug/cluster, ... — see /debug/ for the full list).
-func Handler() http.Handler { return HandlerFor(Default(), DefaultTracer()) }
-
-// HandlerFor builds the observability handler for a specific registry
-// and tracer (either may be nil to omit that surface).
-func HandlerFor(r *Registry, t *Tracer) http.Handler {
+//	/debug/             index of every path the handler mounts
+func HandlerFor(r *Registry, t *Tracer, endpoints ...Endpoint) http.Handler {
 	mux := http.NewServeMux()
+	var index []Endpoint
+	mount := func(ep Endpoint) {
+		mux.Handle(ep.Path, ep.Handler)
+		index = append(index, ep)
+	}
 	if r != nil {
-		mux.HandleFunc("/metrics", func(w http.ResponseWriter, req *http.Request) {
-			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-			if req.URL.Query().Get("exemplars") == "1" {
-				r.WritePrometheusExemplars(w) //nolint:errcheck // client gone
-				return
-			}
-			r.WritePrometheus(w) //nolint:errcheck // client gone
-		})
-		mux.HandleFunc("/debug/vars", func(w http.ResponseWriter, _ *http.Request) {
-			var buf bytes.Buffer
-			if err := r.WriteJSON(&buf); err != nil {
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-				return
-			}
-			w.Header().Set("Content-Type", "application/json; charset=utf-8")
-			w.Write(buf.Bytes()) //nolint:errcheck // client gone
-		})
+		mount(Endpoint{"/metrics", "Prometheus text exposition of every metric (?exemplars=1 appends trace-linked exemplars)",
+			http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+				w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+				if req.URL.Query().Get("exemplars") == "1" {
+					r.WritePrometheusExemplars(w) //nolint:errcheck // client gone
+					return
+				}
+				r.WritePrometheus(w) //nolint:errcheck // client gone
+			})})
+		mount(Endpoint{"/debug/vars", "expvar-style JSON of every metric, with histogram quantiles and exemplars",
+			http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+				var buf bytes.Buffer
+				if err := r.WriteJSON(&buf); err != nil {
+					http.Error(w, err.Error(), http.StatusInternalServerError)
+					return
+				}
+				w.Header().Set("Content-Type", "application/json; charset=utf-8")
+				w.Write(buf.Bytes()) //nolint:errcheck // client gone
+			})})
 	}
 	if t != nil {
-		mux.HandleFunc("/debug/traces", func(w http.ResponseWriter, req *http.Request) {
-			n := 32
-			if q := req.URL.Query().Get("n"); q != "" {
-				if v, err := parsePositive(q); err == nil {
-					n = v
+		mount(Endpoint{"/debug/traces", "recent query spans (?n=K; ?tree=1 stitches parent→child; ?retained=1 lists tail-sampled kept trees)",
+			http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+				n := 32
+				if q := req.URL.Query().Get("n"); q != "" {
+					if v, err := parsePositive(q); err == nil {
+						n = v
+					}
 				}
-			}
-			var doc any
-			switch {
-			case req.URL.Query().Get("retained") == "1":
-				doc = t.Retained(n)
-			case req.URL.Query().Get("tree") == "1":
-				doc = t.Trees(n)
-			default:
-				doc = t.Recent(n)
-			}
-			var buf bytes.Buffer
-			enc := json.NewEncoder(&buf)
-			enc.SetIndent("", "  ")
-			if err := enc.Encode(doc); err != nil {
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-				return
-			}
-			w.Header().Set("Content-Type", "application/json; charset=utf-8")
-			w.Write(buf.Bytes()) //nolint:errcheck // client gone
-		})
+				var doc any
+				switch {
+				case req.URL.Query().Get("retained") == "1":
+					doc = t.Retained(n)
+				case req.URL.Query().Get("tree") == "1":
+					doc = t.Trees(n)
+				default:
+					doc = t.Recent(n)
+				}
+				var buf bytes.Buffer
+				enc := json.NewEncoder(&buf)
+				enc.SetIndent("", "  ")
+				if err := enc.Encode(doc); err != nil {
+					http.Error(w, err.Error(), http.StatusInternalServerError)
+					return
+				}
+				w.Header().Set("Content-Type", "application/json; charset=utf-8")
+				w.Write(buf.Bytes()) //nolint:errcheck // client gone
+			})})
 	}
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mount(Endpoint{"/debug/pprof/", "net/http/pprof runtime profiles (cpu, heap, goroutine, ...)", http.HandlerFunc(pprof.Index)})
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	for _, ep := range endpoints {
+		mount(ep)
+	}
+	index = append(index, Endpoint{Path: "/debug/", Desc: "this index: every debug endpoint with a one-line description"})
+	sort.Slice(index, func(i, j int) bool { return index[i].Path < index[j].Path })
 	// Index: exact /debug (and /debug/) only; this pattern also catches
-	// unregistered /debug/* paths, which 404 with a pointer to the index.
-	index := DebugEndpoint(
-		func() (any, error) { return DebugEndpoints(), nil },
+	// unmounted /debug/* paths, which 404 with a pointer to the index.
+	doc := DebugEndpoint(
+		func() (any, error) { return index, nil },
 		func(w io.Writer, doc any) {
-			for _, e := range doc.([]EndpointInfo) {
+			for _, e := range doc.([]Endpoint) {
 				fmt.Fprintf(w, "%-22s %s\n", e.Path, e.Desc)
 			}
 		},
@@ -150,13 +115,8 @@ func HandlerFor(r *Registry, t *Tracer) http.Handler {
 			http.Error(w, "unknown debug endpoint (see /debug/ for the index)", http.StatusNotFound)
 			return
 		}
-		index.ServeHTTP(w, req)
+		doc.ServeHTTP(w, req)
 	})
-	debugMu.Lock()
-	for path, reg := range debugHandlers {
-		mux.Handle(path, reg.h)
-	}
-	debugMu.Unlock()
 	return mux
 }
 
@@ -176,15 +136,14 @@ func parsePositive(s string) (int, error) {
 
 var errNotANumber = &net.ParseError{Type: "number", Text: "not a number"}
 
-// ListenAndServe starts the observability handler on addr (e.g.
-// "127.0.0.1:9100"; ":0" picks a free port) and returns the bound
-// address and a shutdown function.
-func ListenAndServe(addr string) (string, func(), error) {
+// ListenAndServe serves h on addr (e.g. "127.0.0.1:9100"; ":0" picks a
+// free port) and returns the bound address and a shutdown function.
+func ListenAndServe(addr string, h http.Handler) (string, func(), error) {
 	l, err := net.Listen("tcp", addr)
 	if err != nil {
 		return "", nil, err
 	}
-	srv := &http.Server{Handler: Handler()}
+	srv := &http.Server{Handler: h}
 	go srv.Serve(l) //nolint:errcheck // ends on Close
 	return l.Addr().String(), func() { srv.Close() }, nil
 }

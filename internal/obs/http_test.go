@@ -17,7 +17,9 @@ func TestHandlerEndpoints(t *testing.T) {
 	sp.SetRequestID(42)
 	sp.End()
 
-	srv := httptest.NewServer(HandlerFor(r, tr))
+	extra := Endpoint{Path: "/debug/extra", Desc: "one extra view", Handler: DebugEndpoint(
+		func() (any, error) { return map[string]int{"n": 1}, nil }, nil)}
+	srv := httptest.NewServer(HandlerFor(r, tr, extra))
 	defer srv.Close()
 
 	get := func(path string) (int, string) {
@@ -68,10 +70,32 @@ func TestHandlerEndpoints(t *testing.T) {
 	if code, _ = get("/debug/pprof/cmdline"); code != 200 {
 		t.Errorf("/debug/pprof/cmdline = %d", code)
 	}
+
+	// The index lists exactly what the handler mounts: the extra endpoint
+	// it was given, nothing it was not.
+	if code, body = get("/debug/extra"); code != 200 || !strings.Contains(body, `"n": 1`) {
+		t.Errorf("/debug/extra = %d: %s", code, body)
+	}
+	if code, _ = get("/debug/optimality"); code != http.StatusNotFound {
+		t.Errorf("/debug/optimality on a handler not given it = %d, want 404", code)
+	}
+	_, body = get("/debug/?format=json")
+	var index []Endpoint
+	if err := json.Unmarshal([]byte(body), &index); err != nil {
+		t.Fatalf("/debug/ index not JSON: %v", err)
+	}
+	var paths []string
+	for _, ep := range index {
+		paths = append(paths, ep.Path)
+	}
+	want := []string{"/debug/", "/debug/extra", "/debug/pprof/", "/debug/traces", "/debug/vars", "/metrics"}
+	if strings.Join(paths, " ") != strings.Join(want, " ") {
+		t.Errorf("/debug/ index lists %v, want %v", paths, want)
+	}
 }
 
 func TestListenAndServe(t *testing.T) {
-	addr, stop, err := ListenAndServe("127.0.0.1:0")
+	addr, stop, err := ListenAndServe("127.0.0.1:0", HandlerFor(NewRegistry(), nil))
 	if err != nil {
 		t.Fatal(err)
 	}

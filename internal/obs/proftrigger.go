@@ -221,8 +221,10 @@ type profilesDoc struct {
 	Captures []ProfileCapture `json:"captures"`
 }
 
-func init() {
-	RegisterDebugHandler("/debug/profiles", "threshold-triggered pprof captures (SLO burn / latency): status and spooled files", DebugEndpoint(
+// ProfileEndpoints serve the process-wide trigger: /debug/profiles (its
+// status and captures) and /debug/profiles/<file> (one spooled capture).
+func ProfileEndpoints() []Endpoint {
+	return []Endpoint{{"/debug/profiles", "threshold-triggered pprof captures (SLO burn / latency): status and spooled files", DebugEndpoint(
 		func() (any, error) {
 			t := ActiveProfileTrigger()
 			d := profilesDoc{Enabled: t != nil}
@@ -247,8 +249,7 @@ func init() {
 				fmt.Fprintln(w)
 			}
 		},
-	))
-	RegisterDebugHandler("/debug/profiles/", "download one spooled pprof capture by name", http.HandlerFunc(serveProfileFile))
+	)}, {"/debug/profiles/", "download one spooled pprof capture by name", http.HandlerFunc(serveProfileFile)}}
 }
 
 // serveProfileFile serves a single spooled profile by base name

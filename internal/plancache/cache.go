@@ -39,8 +39,8 @@ type Cache struct {
 }
 
 // New builds a plan cache reporting under the backend label ("memory",
-// "durable", "replicated", "netdist") and registers it for
-// /debug/plancache. Call Close when the owning cluster is discarded.
+// "durable", "replicated", "netdist"). Call Close when the owning
+// cluster is discarded.
 func New(backend string) *Cache {
 	r := obs.Default()
 	bl := obs.L("cache", backend)
@@ -60,7 +60,6 @@ func New(backend string) *Cache {
 		mBytes: r.Gauge("fxdist_plancache_bytes",
 			"Approximate resident plan bytes, totalled over every live cache of the backend.", bl),
 	}
-	register(c)
 	return c
 }
 
@@ -119,8 +118,8 @@ func (c *Cache) Get(shape []byte, compile func() (*Plan, error)) (*Plan, bool, e
 	return p, false, nil
 }
 
-// Close unregisters the cache from /debug/plancache and drops its
-// resident plans. Subsequent Gets behave like a fresh (empty) cache.
+// Close drops the cache's resident plans and takes them out of the
+// fxdist_plancache gauges. Subsequent Gets behave like a fresh cache.
 func (c *Cache) Close() {
 	c.mu.Lock()
 	n := c.lru.Len()
@@ -131,7 +130,6 @@ func (c *Cache) Close() {
 	c.mu.Unlock()
 	c.mEntries.Add(-float64(n))
 	c.mBytes.Add(-float64(b))
-	unregister(c)
 }
 
 // PlanInfo describes one resident plan on /debug/plancache.

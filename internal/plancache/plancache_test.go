@@ -1,8 +1,10 @@
 package plancache
 
 import (
+	"encoding/json"
 	"fmt"
 	"math/rand"
+	"net/http/httptest"
 	"reflect"
 	"sort"
 	"sync"
@@ -344,13 +346,16 @@ func TestReportFollowsEviction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// mine reads the cache's one row off its /debug/plancache view.
+	ep := Endpoint(func() *Cache { return c })
 	mine := func() (Snapshot, bool) {
-		for _, s := range Report() {
-			if s.Backend == "durable" && s.Capacity == 3 {
-				return s, true
-			}
+		w := httptest.NewRecorder()
+		ep.Handler.ServeHTTP(w, httptest.NewRequest("GET", ep.Path, nil))
+		var doc []Snapshot
+		if err := json.Unmarshal(w.Body.Bytes(), &doc); err != nil || len(doc) != 1 {
+			t.Fatalf("%s: %d rows (%v): %s", ep.Path, len(doc), err, w.Body)
 		}
-		return Snapshot{}, false
+		return doc[0], doc[0].Backend == "durable" && doc[0].Capacity == 3
 	}
 	get(query.Unspecified, 0)
 	get(0, query.Unspecified)
@@ -364,7 +369,7 @@ func TestReportFollowsEviction(t *testing.T) {
 		t.Errorf("after a fourth shape: %+v, want 3 entries, 1 eviction, \"*s\" gone", s)
 	}
 	c.Close()
-	if _, ok := mine(); ok {
-		t.Error("a closed cache is still on the report")
+	if s, _ := mine(); s.Entries != 0 || len(s.Plans) != 0 {
+		t.Errorf("a closed cache still reports %+v", s)
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"fxdist/internal/decluster"
 	"fxdist/internal/mkhash"
 	"fxdist/internal/persist"
-	"fxdist/internal/telemetry"
 )
 
 // Transport is the migration-stream surface the rescale driver speaks —
@@ -113,6 +112,54 @@ type Driver struct {
 
 	cancelMu sync.Mutex
 	cancel   context.CancelFunc
+
+	// events holds the run's newest eventRing events (/debug/rescale);
+	// once it is full, next is the slot of the oldest.
+	evMu   sync.Mutex
+	events []Event
+	next   int
+}
+
+// Event is one wide event of a rescale run: a phase transition, a
+// bucket copied, a pause, the cutover guard's verdicts. The driver keeps
+// the newest eventRing for /debug/rescale; everything is also a line in
+// its status, so losing old entries loses no state.
+type Event struct {
+	Time  time.Time `json:"time"`
+	Phase string    `json:"phase"`
+	Msg   string    `json:"msg"`
+	// Copied/Total snapshot migration progress at the time of the
+	// event; Bucket/From/To identify the bucket a "bucket copied" event
+	// moved.
+	Copied int `json:"copied"`
+	Total  int `json:"total"`
+	Bucket int `json:"bucket"`
+	From   int `json:"from"`
+	To     int `json:"to"`
+}
+
+const eventRing = 256
+
+// log appends one event to the run's ring.
+func (d *Driver) log(ev Event) {
+	ev.Time = time.Now()
+	d.evMu.Lock()
+	defer d.evMu.Unlock()
+	if len(d.events) < eventRing {
+		d.events = append(d.events, ev)
+		return
+	}
+	d.events[d.next] = ev
+	d.next = (d.next + 1) % eventRing
+}
+
+// Events returns the retained events of the run, oldest first.
+func (d *Driver) Events() []Event {
+	d.evMu.Lock()
+	defer d.evMu.Unlock()
+	out := make([]Event, 0, len(d.events))
+	out = append(out, d.events[d.next:]...)
+	return append(out, d.events[:d.next]...)
 }
 
 // NewDriver plans the rescale and, when JournalPath holds a compatible
@@ -181,7 +228,7 @@ func (d *Driver) adoptJournal(st *persist.RescaleState) error {
 		d.doneCount[b] = struct{}{}
 	}
 	d.copied = len(d.doneCount)
-	telemetry.LogRescale(telemetry.RescaleEvent{
+	d.log(Event{
 		Phase: st.Phase, Msg: "resumed from journal",
 		Copied: d.copied, Total: len(d.plan.Moves),
 	})
@@ -233,7 +280,7 @@ func (d *Driver) Pause() {
 	if !d.paused {
 		d.paused = true
 		d.resumeCh = make(chan struct{})
-		telemetry.LogRescale(telemetry.RescaleEvent{Phase: d.phase, Msg: "paused", Copied: d.copied, Total: len(d.plan.Moves)})
+		d.log(Event{Phase: d.phase, Msg: "paused", Copied: d.copied, Total: len(d.plan.Moves)})
 	}
 }
 
@@ -245,7 +292,7 @@ func (d *Driver) Resume() {
 		d.paused = false
 		close(d.resumeCh)
 		d.resumeCh = nil
-		telemetry.LogRescale(telemetry.RescaleEvent{Phase: d.phase, Msg: "resumed", Copied: d.copied, Total: len(d.plan.Moves)})
+		d.log(Event{Phase: d.phase, Msg: "resumed", Copied: d.copied, Total: len(d.plan.Moves)})
 	}
 }
 
@@ -294,7 +341,7 @@ func (d *Driver) setPhase(phase, msg string) {
 	d.phase = phase
 	copied := d.copied
 	d.mu.Unlock()
-	telemetry.LogRescale(telemetry.RescaleEvent{Phase: phase, Msg: msg, Copied: copied, Total: len(d.plan.Moves)})
+	d.log(Event{Phase: phase, Msg: msg, Copied: copied, Total: len(d.plan.Moves)})
 }
 
 // retry runs op with the configured attempt budget and backoff.
@@ -341,7 +388,7 @@ func (d *Driver) Run(ctx context.Context) error {
 		d.phase = PhaseFailed
 		d.runErr = err
 		d.mu.Unlock()
-		telemetry.LogRescale(telemetry.RescaleEvent{Phase: PhaseFailed, Msg: err.Error(), Copied: d.copied, Total: len(d.plan.Moves)})
+		d.log(Event{Phase: PhaseFailed, Msg: err.Error(), Copied: d.copied, Total: len(d.plan.Moves)})
 		return err
 	}
 	// Roll back with a fresh context: the run context is likely the
@@ -359,7 +406,7 @@ func (d *Driver) Run(ctx context.Context) error {
 	d.runErr = err
 	d.mu.Unlock()
 	d.journal(persist.RescaleAborted)
-	telemetry.LogRescale(telemetry.RescaleEvent{Phase: d.phase, Msg: err.Error(), Copied: d.copied, Total: len(d.plan.Moves)})
+	d.log(Event{Phase: d.phase, Msg: err.Error(), Copied: d.copied, Total: len(d.plan.Moves)})
 	return err
 }
 
@@ -481,7 +528,7 @@ func (d *Driver) copyBuckets(ctx context.Context) error {
 			d.copied = len(d.doneCount)
 			copied := d.copied
 			d.mu.Unlock()
-			telemetry.LogRescale(telemetry.RescaleEvent{
+			d.log(Event{
 				Phase: persist.RescaleCopying, Msg: "bucket copied",
 				Bucket: mv.Bucket, From: mv.From, To: mv.To,
 				Copied: copied, Total: len(d.plan.Moves),

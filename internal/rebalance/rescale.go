@@ -143,8 +143,8 @@ func VerifyDerivation(oldAlloc, newAlloc decluster.GroupAllocator) error {
 // Doerr–Hebbinghaus–Werth allowance for the new M and no placement
 // mismatch (a bucket copied to the wrong owner, a stale view), and at
 // least minQueries retrievals must have been audited at all (a guard
-// that has seen no traffic proves nothing). report is typically
-// telemetry.For("<backend>-next").AuditReport.
+// that has seen no traffic proves nothing). report is typically the
+// AuditReport of the new epoch's own telemetry bundle.
 func AuditGuard(report func() audit.BackendReport, newM int, minQueries uint64) func() error {
 	return func() error {
 		rep := report()

@@ -75,8 +75,8 @@ type Injector struct {
 }
 
 // NewInjector builds an injector named for its backend seam (the name
-// keys the /debug/resilience report) with one schedule per device, and
-// registers it for reporting. Each device draws from its own rand
+// labels its /debug/resilience row) with one schedule per device. Each
+// device draws from its own rand
 // seeded with seed+device, so devices fault independently but
 // reproducibly.
 func NewInjector(name string, seed int64, schedules map[int]Schedule) *Injector {
@@ -84,7 +84,6 @@ func NewInjector(name string, seed int64, schedules map[int]Schedule) *Injector 
 	for dev, s := range schedules {
 		in.devs[dev] = &devState{sched: s, rng: rand.New(rand.NewSource(seed + int64(dev)))}
 	}
-	register(in)
 	return in
 }
 
@@ -235,33 +234,4 @@ func (in *Injector) Report() Report {
 		})
 	}
 	return rep
-}
-
-// Process-wide injector registry for /debug/resilience; latest
-// injector under one name wins.
-var (
-	regMu     sync.Mutex
-	injectors = make(map[string]*Injector)
-)
-
-func register(in *Injector) {
-	regMu.Lock()
-	injectors[in.name] = in
-	regMu.Unlock()
-}
-
-// ReportAll snapshots every registered injector, sorted by name.
-func ReportAll() []Report {
-	regMu.Lock()
-	all := make([]*Injector, 0, len(injectors))
-	for _, in := range injectors {
-		all = append(all, in)
-	}
-	regMu.Unlock()
-	out := make([]Report, 0, len(all))
-	for _, in := range all {
-		out = append(out, in.Report())
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
 }

@@ -163,14 +163,10 @@ func TestReportCounters(t *testing.T) {
 		t.Errorf("device 2 counters: %+v", rep.Devices[1])
 	}
 
-	// The registry exposes the injector by name, latest wins.
-	found := false
-	for _, r := range ReportAll() {
-		if r.Name == "rep" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("ReportAll missing registered injector")
+	// A cluster's snapshot lists its injector, and empty lists (not
+	// null) for what it lacks.
+	snap := SnapshotOf(nil, in)
+	if len(snap.Injectors) != 1 || snap.Injectors[0].Name != "rep" || snap.Retry == nil || len(snap.Retry) != 0 {
+		t.Fatalf("SnapshotOf(nil, in) = %+v", snap)
 	}
 }

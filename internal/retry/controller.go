@@ -11,14 +11,13 @@ import (
 	"fxdist/internal/obs"
 )
 
-// Controller is one backend's resilience brain: it owns the per-device
+// Controller is one cluster's resilience brain: it owns the per-device
 // circuit breakers, the seeded backoff, the hedge latency windows and
 // the fxdist_resilience_* instruments. The engine executor calls it on
 // every device attempt, in one order: Allow gates the first attempt,
 // Failure charges the breaker, the engine's reroute takes a failed
 // primary at once, and only then Backoff decides a same-device retry.
-// One controller exists per backend label at a time (NewController
-// replaces); every cluster handle of that backend shares it.
+// Each cluster builds its own; nothing else holds it.
 type Controller struct {
 	backend string
 	cfg     Config
@@ -44,10 +43,10 @@ type Controller struct {
 	mTransTo   map[State]*obs.Counter
 }
 
-// NewController builds (and registers) the controller for one backend
-// label. The config is normalized; the obs instruments are idempotent
-// by name+label, so rebuilding a backend's controller keeps its metric
-// continuity.
+// NewController builds a cluster's controller, reporting under its
+// backend label. The config is normalized; the obs instruments are
+// idempotent by name+label, so every controller of a backend kind
+// counts into the same series.
 func NewController(backend string, cfg Config) *Controller {
 	cfg = cfg.Normalize()
 	r := obs.Default()
@@ -81,7 +80,6 @@ func NewController(backend string, cfg Config) *Controller {
 				"Circuit breaker state transitions, by destination state.", bl, obs.L("to", "open")),
 		},
 	}
-	register(c)
 	return c
 }
 
@@ -285,41 +283,4 @@ func (c *Controller) Report() Report {
 		})
 	}
 	return rep
-}
-
-// Process-wide controller registry, one per backend label, latest wins
-// (a re-Open with new options replaces the old controller; the obs
-// instruments persist across replacements).
-var (
-	regMu       sync.Mutex
-	controllers = make(map[string]*Controller)
-)
-
-func register(c *Controller) {
-	regMu.Lock()
-	controllers[c.backend] = c
-	regMu.Unlock()
-}
-
-// ReportAll snapshots every registered controller, sorted by backend.
-func ReportAll() []Report {
-	regMu.Lock()
-	all := make([]*Controller, 0, len(controllers))
-	for _, c := range controllers {
-		all = append(all, c)
-	}
-	regMu.Unlock()
-	out := make([]Report, 0, len(all))
-	for _, c := range all {
-		out = append(out, c.Report())
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Backend < out[j].Backend })
-	return out
-}
-
-// For returns the registered controller for a backend, nil if none.
-func For(backend string) *Controller {
-	regMu.Lock()
-	defer regMu.Unlock()
-	return controllers[backend]
 }

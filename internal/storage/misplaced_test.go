@@ -3,6 +3,7 @@ package storage
 import (
 	"context"
 	"encoding/json"
+	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"strings"
@@ -55,8 +56,8 @@ func TestMisplacedBucketIsCaught(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	in := telemetry.For(backend)
-	in.ResetAudit()
+	in := c.Instruments()
+	views := obs.HandlerFor(nil, nil, telemetry.Endpoints(func() *telemetry.Instruments { return in })...)
 
 	pm := mkhash.PartialMatch{nil, nil, nil} // shape "***": every device holds 16 of 64
 	if _, err := c.Retrieve(pm); err != nil {
@@ -64,7 +65,7 @@ func TestMisplacedBucketIsCaught(t *testing.T) {
 	}
 
 	var rows []audit.BackendReport
-	body := debugGet(t, "/debug/optimality")
+	body := debugGet(t, views, "/debug/optimality")
 	if err := json.Unmarshal([]byte(body), &rows); err != nil {
 		t.Fatalf("/debug/optimality: %v\n%s", err, body)
 	}
@@ -82,7 +83,7 @@ func TestMisplacedBucketIsCaught(t *testing.T) {
 	if row.Queries != 1 || row.Mismatches != 1 || row.Violations != 0 || row.MaxDeviation != 0 {
 		t.Errorf("row %+v, want 1 query, 1 mismatch, no violation", *row)
 	}
-	text := debugGet(t, "/debug/optimality?format=text")
+	text := debugGet(t, views, "/debug/optimality?format=text")
 	if !strings.Contains(text, "***") || !strings.Contains(text, "MISPLACED (1 queries, latest on device 2)") {
 		t.Errorf("text row does not name the shape and the device:\n%s", text)
 	}
@@ -102,11 +103,11 @@ func TestMisplacedBucketIsCaught(t *testing.T) {
 	}
 }
 
-// debugGet serves one request from the process's /debug mux.
-func debugGet(t *testing.T, path string) string {
+// debugGet serves one request from a cluster's /debug views.
+func debugGet(t *testing.T, views http.Handler, path string) string {
 	t.Helper()
 	w := httptest.NewRecorder()
-	obs.Handler().ServeHTTP(w, httptest.NewRequest("GET", path, nil))
+	views.ServeHTTP(w, httptest.NewRequest("GET", path, nil))
 	if w.Code != 200 {
 		t.Fatalf("GET %s: %d %s", path, w.Code, w.Body)
 	}

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"fxdist/internal/audit"
 	"fxdist/internal/engine"
 	"fxdist/internal/mkhash"
 	"fxdist/internal/obs"
@@ -48,15 +49,15 @@ func WithFileOptions(opts ...mkhash.Option) Option {
 }
 
 // engineConfig stamps onto an engine config everything a storage backend
-// derives from its kind label alone — the reporting bundle (the kind's
-// shared sinks plus this cluster's metrics), tracer, plan cache and
-// retry controller. Hedge backups re-dispatch the same device — a second
+// builds for itself from its kind label — its own reporting bundle (with
+// the kind's cluster metrics), tracer, plan cache and retry controller. Hedge backups re-dispatch the same device — a second
 // independent scan races the first; local backends hold no impersonable
 // backup copy (the replicated cluster's successor routes buckets by the
 // placement's Server decision, so asking it directly would answer the
 // wrong subset).
 func (s *settings) engineConfig(kind string, cfg engine.Config) engine.Config {
-	cfg.Instr = telemetry.For(kind).WithMetrics(telemetry.NewClusterMetrics(kind, len(cfg.Devices)))
+	cfg.Instr = telemetry.New(kind, audit.SLO{})
+	cfg.Instr.Metrics = telemetry.NewClusterMetrics(kind, len(cfg.Devices))
 	cfg.Tracer = obs.DefaultTracer()
 	cfg.Span = "storage.retrieve"
 	cfg.Plans = plancache.New(kind)

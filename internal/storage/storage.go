@@ -24,6 +24,8 @@ import (
 	"fxdist/internal/mkhash"
 	"fxdist/internal/plancache"
 	"fxdist/internal/query"
+	"fxdist/internal/resilience"
+	"fxdist/internal/telemetry"
 )
 
 // CostModel is the per-device service time model; see engine.CostModel.
@@ -43,10 +45,11 @@ type Result = engine.Result
 // walks, and the one retrieval executor. The clusters embed it and add
 // only where their records live.
 type core struct {
-	fs    decluster.FileSystem
-	alloc decluster.GroupAllocator
-	im    *query.InverseMapper
-	eng   *engine.Executor
+	fs       decluster.FileSystem
+	alloc    decluster.GroupAllocator
+	im       *query.InverseMapper
+	eng      *engine.Executor
+	injector *resilience.Injector // WithInjector's, nil without one
 }
 
 func newCore(alloc decluster.GroupAllocator) core {
@@ -56,8 +59,8 @@ func newCore(alloc decluster.GroupAllocator) core {
 // wire builds the executor over the cluster's device adapters — the one
 // place a storage backend meets package engine.
 func (c *core) wire(kind string, schema *mkhash.File, devices []engine.Device, model CostModel, st *settings) (err error) {
-	if st.injector != nil {
-		devices = st.injector.Wrap(devices)
+	if c.injector = st.injector; c.injector != nil {
+		devices = c.injector.Wrap(devices)
 	}
 	cfg := st.engineConfig(kind, engine.Config{Schema: schema, Devices: devices, Model: model, Alloc: c.alloc})
 	if c.eng, err = engine.New(cfg); err != nil {
@@ -66,8 +69,8 @@ func (c *core) wire(kind string, schema *mkhash.File, devices []engine.Device, m
 	return err
 }
 
-// Close releases the cluster's plan cache: its /debug/plancache entry and
-// its share of the fxdist_plancache gauges. The in-memory clusters hold
+// Close releases the cluster's plan cache: its share of the
+// fxdist_plancache gauges. The in-memory clusters hold
 // nothing else to release; the durable one also closes its device logs.
 func (c *core) Close() error {
 	c.eng.Plans().Close()
@@ -100,6 +103,16 @@ func (c *core) Retrieve(pm mkhash.PartialMatch) (Result, error) {
 
 // PlanCache returns the cluster's per-shape plan cache.
 func (c *core) PlanCache() *plancache.Cache { return c.eng.Plans() }
+
+// Instruments returns the cluster's reporting bundle, the store behind
+// its per-query /debug views.
+func (c *core) Instruments() *telemetry.Instruments { return c.eng.Instruments() }
+
+// Resilience snapshots the cluster's retry controller and fault
+// injector (/debug/resilience).
+func (c *core) Resilience() resilience.Snapshot {
+	return resilience.SnapshotOf(c.eng.Retry(), c.injector)
+}
 
 // RetrieveBatch answers a batch of queries over the shared device pool;
 // see engine.Executor.RetrieveBatch.

@@ -21,10 +21,9 @@ const (
 	sampleEvery  = 16   // then 1 in N of the shape
 )
 
-// cell is everything a backend remembers about one query shape — the
+// cell is everything a cluster remembers about one query shape — the
 // paper's query class, the key of every instrument — under one mutex.
-// Each /debug view reads its own section; each facade Reset zeroes its
-// own.
+// Each /debug view reads its own section.
 type cell struct {
 	shape string
 
@@ -37,7 +36,7 @@ type cell struct {
 	kept  uint64         // seen also paces the head and the 1-in-N sample
 }
 
-// store is one backend's accumulation point behind every /debug view:
+// store is one cluster's accumulation point behind every /debug view:
 // the per-shape cells and the one ring of kept records. Lock order:
 // store.mu before a cell's mutex; the ring's mutex is taken alone. A
 // finished query takes neither store.mu nor more than one lock at a
@@ -275,6 +274,19 @@ func (s *store) SetShapeSLO(shape string, slo audit.SLO) {
 	}
 }
 
+// AdoptSLOs takes from's objectives, its default and every per-shape
+// override, as this store's own: a rescale's new epoch keeps the SLOs
+// its cluster was configured with.
+func (s *store) AdoptSLOs(from *Instruments) {
+	from.mu.Lock()
+	slo, overrides := from.slo, maps.Clone(from.overrides)
+	from.mu.Unlock()
+	s.SetSLO(slo)
+	for shape, o := range overrides {
+		s.SetShapeSLO(shape, o)
+	}
+}
+
 // AuditReport snapshots the optimality audit of every shape served,
 // sorted by shape.
 func (s *store) AuditReport() audit.BackendReport {
@@ -307,12 +319,5 @@ func (s *store) FlightReport() obs.BackendFlights {
 	return rep
 }
 
-// ResetAudit zeroes every cell's audit section (the mirrored Prometheus
-// counters stay monotonic; gauges drop to zero; SLOs are kept).
-func (s *store) ResetAudit() { s.each(func(c *cell) { c.audit.Reset() }) }
-
 // ResetCosts discards every cell's accumulated stage costs.
 func (s *store) ResetCosts() { s.each(func(c *cell) { c.costs = obs.ShapeCosts{} }) }
-
-// ResetFlights discards every cell's retained slow queries.
-func (s *store) ResetFlights() { s.each(func(c *cell) { c.slow = nil }) }

@@ -20,7 +20,7 @@ func finish(in *Instruments, rec *obs.QueryRecord) Decision {
 }
 
 // TestStoreViewsAndResets: one record shows up in all four views of its
-// shape's cell, each facade reset zeroes its own section and no other,
+// shape's cell, the cost reset zeroes its own section and no other,
 // a shape whose slowest-8 is full does not starve another shape, and
 // BurnRate is the audit row's number without the report.
 func TestStoreViewsAndResets(t *testing.T) {
@@ -68,21 +68,12 @@ func TestStoreViewsAndResets(t *testing.T) {
 	if len(in.FlightReport().Shapes) != 2 || in.AuditReport().Shapes[1].Queries != 10 {
 		t.Error("ResetCosts reached beyond the cost section")
 	}
-	in.ResetFlights()
-	if got := in.FlightReport(); len(got.Shapes) != 0 {
-		t.Errorf("flight report after ResetFlights = %+v", got)
-	}
-	in.ResetAudit()
-	aud = in.AuditReport()
-	if len(aud.Shapes) != 2 || aud.Shapes[1].Queries != 0 || aud.Shapes[1].Bad != 0 || aud.Shapes[1].SLOTarget != time.Millisecond || in.BurnRate("s*") != 0 {
-		t.Errorf("audit after ResetAudit = %+v, want both rows zeroed with the objective kept", aud.Shapes)
-	}
 	if st := in.LogStats(); st.Seen != 11 || len(in.Events(100)) != 11 {
-		t.Errorf("the resets reached the event ring or its counters: %+v", st)
+		t.Errorf("the reset reached the event ring or its counters: %+v", st)
 	}
-	// The sections fill again from the next query, the head does not replay.
-	if dec := finish(in, &obs.QueryRecord{Shape: "s*", Elapsed: time.Microsecond, Stages: stages}); !dec.Flight || dec.Kept {
-		t.Errorf("11th s* query after the resets decided %+v, want a flight (slots emptied) and not kept (past the head, off the beat)", dec)
+	// The section fills again from the next query, the head does not replay.
+	if dec := finish(in, &obs.QueryRecord{Shape: "s*", Elapsed: time.Microsecond, Stages: stages}); dec.Flight || dec.Kept {
+		t.Errorf("11th s* query after the reset decided %+v, want no flight (slower ones hold the slots) and not kept (past the head, off the beat)", dec)
 	}
 	if got := in.CostReport().Shapes; len(got) != 1 || got[0].Shape != "s*" || got[0].Queries != 1 {
 		t.Errorf("cost rows after one more query = %+v", got)
@@ -91,7 +82,7 @@ func TestStoreViewsAndResets(t *testing.T) {
 
 // TestCellHammer drives every entry point of the store from many
 // goroutines on a handful of shapes — the three reporting steps, the
-// wire-stage samples, the three resets, the SLO setters, BurnRate and all
+// wire-stage samples, the cost reset, the SLO setters, BurnRate and all
 // four views — and checks the bounds that must hold under any
 // interleaving: slowest-8 sorted and bounded, seen = kept + dropped, the
 // ring never past its capacity. Run with -race -count=10 in CI.
@@ -143,12 +134,8 @@ func TestCellHammer(t *testing.T) {
 				in.ObserveSamples(shape, []obs.StageSample{{Stage: obs.StageNetWait, Wall: time.Microsecond}})
 				in.BurnRate(shape)
 				switch i % 100 {
-				case 10:
-					in.ResetAudit()
 				case 30:
 					in.ResetCosts()
-				case 50:
-					in.ResetFlights()
 				case 70:
 					in.SetSLO(audit.SLO{Target: time.Duration(300+i) * time.Microsecond, Goal: 0.9})
 					in.SetShapeSLO(shape, audit.SLO{Target: time.Millisecond, Goal: 0.99})
@@ -176,10 +163,10 @@ func TestCellHammer(t *testing.T) {
 		t.Error("subscriber saw none of the kept events")
 	}
 	// Keeping the K slowest is order-independent for distinct latencies:
-	// with the resets out of the way, concurrent offers of globally
-	// unique latencies must leave exactly the top 8 of each shape, however
-	// the commits interleaved.
-	in.ResetFlights()
+	// on a fresh bundle, concurrent offers of globally unique latencies
+	// must leave exactly the top 8 of each shape, however the commits
+	// interleaved.
+	in = New("cell-hammer", audit.SLO{})
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -198,12 +185,6 @@ func TestCellHammer(t *testing.T) {
 			if w%3 == shape {
 				top = w
 			}
-		}
-		if shape > 2 {
-			if len(sf.Records) != 0 {
-				t.Errorf("%s: %d flights survived ResetFlights", sf.Shape, len(sf.Records))
-			}
-			continue
 		}
 		if len(sf.Records) != obs.FlightSlots {
 			t.Fatalf("%s: retained %d flights, want %d", sf.Shape, len(sf.Records), obs.FlightSlots)

@@ -54,6 +54,7 @@ func (s *store) Events(n int) []Event {
 
 // Subscribe registers a live feed of kept events (the NDJSON ?follow=1
 // path). Slow subscribers miss events instead of stalling retrievals.
+// The returned cancel unregisters the feed and closes its channel.
 func (s *store) Subscribe() (<-chan Event, func()) {
 	// Buffered so a burst of kept events survives one slow write of the
 	// follower's HTTP response; beyond that, events are dropped.
@@ -63,7 +64,10 @@ func (s *store) Subscribe() (<-chan Event, func()) {
 	s.ringMu.Unlock()
 	return ch, func() {
 		s.ringMu.Lock()
-		delete(s.subs, ch)
+		if _, ok := s.subs[ch]; ok {
+			delete(s.subs, ch)
+			close(ch)
+		}
 		s.ringMu.Unlock()
 	}
 }

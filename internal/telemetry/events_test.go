@@ -144,35 +144,21 @@ func TestEventLogRingAndFeed(t *testing.T) {
 	}
 	rec := &obs.QueryRecord{Shape: "s", Failed: true}
 	in.Commit(rec, in.Decide(rec))
-	if len(feed) != 0 {
-		t.Error("cancelled subscriber still fed")
+	if _, open := <-feed; open {
+		t.Error("cancelled subscriber still fed, or its feed left open")
 	}
 }
 
-// TestInstrumentRegistry: For is idempotent per backend, All is sorted,
-// a per-cluster WithMetrics copy shares the store with the registry's
-// bundle, the keep decision takes its slow threshold from the same
-// cell's objective, SetSLO("") reaches existing and future backends
-// alike, and a per-shape override outlives a change of default whether
-// or not the shape has been served yet.
-func TestInstrumentRegistry(t *testing.T) {
-	a, b := For("reg-test-a"), For("reg-test-b")
-	if a != For("reg-test-a") || a == b {
-		t.Fatal("For is not one bundle per backend")
+// TestInstrumentSLOs: two bundles of one backend label share nothing,
+// the keep decision takes its slow threshold from the cell's objective,
+// a new default reaches existing and future cells alike, a per-shape
+// override outlives a change of default whether or not the shape has
+// been served yet, and AdoptSLOs hands a fresh bundle both.
+func TestInstrumentSLOs(t *testing.T) {
+	a, b := New("slo-test", audit.SLO{}), New("slo-test", audit.SLO{})
+	if a.store == b.store {
+		t.Fatal("two bundles of one label share a store")
 	}
-	var names []string
-	for _, in := range All() {
-		names = append(names, in.Backend)
-	}
-	if !sortedStrings(names) {
-		t.Errorf("All() not sorted by backend: %v", names)
-	}
-	m := &Metrics{}
-	c := a.WithMetrics(m)
-	if c.Metrics != m || a.Metrics != nil || c.store != a.store || c.Backend != "reg-test-a" {
-		t.Error("WithMetrics must copy the bundle, set only Metrics, and share the store")
-	}
-
 	// target is the objective in force for a shape, as the keep decision
 	// sees it.
 	target := func(in *Instruments, shape string) time.Duration {
@@ -180,43 +166,33 @@ func TestInstrumentRegistry(t *testing.T) {
 		in.Decide(rec)
 		return rec.SLOTarget
 	}
-	SetSLO("reg-test-a", audit.SLO{Target: time.Millisecond, Goal: 0.9})
-	if got := target(c, "s"); got != time.Millisecond {
-		t.Errorf("keep decision ignores its backend's SLO: target=%v", got)
+	a.SetSLO(audit.SLO{Target: time.Millisecond, Goal: 0.9})
+	if got := target(a, "s"); got != time.Millisecond {
+		t.Errorf("keep decision ignores its bundle's SLO: target=%v", got)
 	}
 	if got := target(b, "s"); got != 0 {
-		t.Errorf("SetSLO on one backend leaked to another: %v", got)
+		t.Errorf("SetSLO on one bundle leaked to another of the same label: %v", got)
 	}
 
 	def := audit.SLO{Target: time.Minute, Goal: 0.5}
 	a.SetShapeSLO("s", audit.SLO{Target: time.Second, Goal: 0.9})  // served already
 	a.SetShapeSLO("ss", audit.SLO{Target: time.Second, Goal: 0.9}) // not yet
-	SetSLO("", def)
-	defer SetSLO("", audit.SLO{})
-	if got := target(b, "s"); got != def.Target {
-		t.Errorf("default SLO did not reach an existing backend's existing cell: %v", got)
-	}
-	if got := target(b, "new-shape"); got != def.Target {
-		t.Errorf("default SLO did not reach an existing backend's new cell: %v", got)
-	}
-	if got := target(For("reg-test-later"), "s"); got != def.Target {
-		t.Errorf("default SLO did not reach a future backend: %v", got)
-	}
+	a.SetSLO(def)
 	if s, ss, other := target(a, "s"), target(a, "ss"), target(a, "sss"); s != time.Second || ss != time.Second || other != def.Target {
 		t.Errorf("after a new default: overridden shapes %v / %v (want 1s each), the rest %v (want %v)", s, ss, other, def.Target)
 	}
 	if got := a.AuditReport().Shapes; len(got) != 3 || got[0].Shape != "s" || got[0].SLOTarget != time.Second {
 		t.Errorf("audit rows = %+v, want s/ss/sss with s under its 1s override", got)
 	}
-}
 
-func sortedStrings(s []string) bool {
-	for i := 1; i < len(s); i++ {
-		if s[i-1] > s[i] {
-			return false
-		}
+	next := New("slo-test", audit.SLO{})
+	next.AdoptSLOs(a)
+	if s, ss, other := target(next, "s"), target(next, "ss"), target(next, "x"); s != time.Second || ss != time.Second || other != def.Target {
+		t.Errorf("adopted objectives: overrides %v / %v (want 1s each), default %v (want %v)", s, ss, other, def.Target)
 	}
-	return true
+	if got := next.AuditReport().Shapes; len(got) != 3 || got[2].Shape != "x" {
+		t.Errorf("AdoptSLOs copied cells, not just objectives: %+v, want s, ss and x only", got)
+	}
 }
 
 // TestMetricsSink drives the first thing the Audit step feeds: latency

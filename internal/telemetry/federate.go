@@ -92,8 +92,9 @@ type nodeState struct {
 	flagReason      string
 }
 
-// Federator accumulates node snapshots into one fleet view. The
-// coordinator's stats-pull loop feeds it; /debug/cluster renders it.
+// Federator accumulates node snapshots into one fleet view. Its
+// coordinator's stats-pull loop feeds it; the coordinator's cluster
+// serves it on /debug/cluster.
 type Federator struct {
 	cluster string
 	mu      sync.Mutex
@@ -356,36 +357,19 @@ func (f *Federator) Report() ClusterReport {
 	return rep
 }
 
-// Fleet registry: coordinators register their federator so
-// /debug/cluster can render every fleet this process coordinates.
-var (
-	fleetMu sync.Mutex
-	fleets  = make(map[string]func() ClusterReport)
-)
-
-// RegisterFleet installs (or replaces) a fleet report source under
-// name. A nil fn unregisters it.
-func RegisterFleet(name string, fn func() ClusterReport) {
-	fleetMu.Lock()
-	if fn == nil {
-		delete(fleets, name)
-	} else {
-		fleets[name] = fn
+// Fleets is the /debug/cluster document: the fleet view under its
+// cluster label, or no fleet at all before the first pull (and on a nil
+// federator, a cluster that pulls no stats).
+func (f *Federator) Fleets() map[string]ClusterReport {
+	out := make(map[string]ClusterReport, 1)
+	if f == nil {
+		return out
 	}
-	fleetMu.Unlock()
-}
-
-// FleetReports snapshots every registered fleet, sorted by name.
-func FleetReports() map[string]ClusterReport {
-	fleetMu.Lock()
-	fns := make(map[string]func() ClusterReport, len(fleets))
-	for name, fn := range fleets {
-		fns[name] = fn
-	}
-	fleetMu.Unlock()
-	out := make(map[string]ClusterReport, len(fns))
-	for name, fn := range fns {
-		out[name] = fn()
+	f.mu.Lock()
+	pulled := len(f.nodes) > 0
+	f.mu.Unlock()
+	if pulled {
+		out[f.cluster] = f.Report()
 	}
 	return out
 }

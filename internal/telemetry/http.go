@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"time"
 
+	"fxdist/internal/audit"
 	"fxdist/internal/obs"
 )
 
@@ -18,15 +19,62 @@ type backendEvents struct {
 	Events []Event  `json:"events"`
 }
 
-func eventsDoc(backend string, n int) map[string]backendEvents {
-	doc := make(map[string]backendEvents)
-	for _, in := range All() {
-		if backend != "" && in.Backend != backend {
-			continue
-		}
+// eventsDoc is the /debug/events document, keyed by backend: in's events,
+// or none when backend names another.
+func eventsDoc(in *Instruments, backend string, n int) map[string]backendEvents {
+	doc := make(map[string]backendEvents, 1)
+	if backend == "" || backend == in.Backend {
 		doc[in.Backend] = backendEvents{Stats: in.LogStats(), Events: in.Events(n)}
 	}
 	return doc
+}
+
+// Endpoints are a cluster's per-query views: /debug/optimality,
+// /debug/hotpath, /debug/flight and /debug/events, each read from the
+// bundle in returns at request time (a cluster's bundle changes at a
+// rescale's cutover). Each document is a list (or a map keyed by
+// backend) holding this one bundle, so that readers of its JSON shape
+// stay as they are.
+func Endpoints(in func() *Instruments) []obs.Endpoint {
+	return []obs.Endpoint{
+		{Path: "/debug/optimality", Desc: "strict-bound audit per shape: violations, deviation, SLO burn", Handler: obs.DebugEndpoint(
+			func() (any, error) { return []audit.BackendReport{in().AuditReport()}, nil },
+			func(w io.Writer, doc any) { audit.WriteText(w, doc.([]audit.BackendReport)) },
+		)},
+		{Path: "/debug/hotpath", Desc: "per-shape stage cost aggregates: plan/fanout/merge/audit wall, bytes, objects", Handler: obs.DebugEndpoint(
+			func() (any, error) {
+				var doc []obs.BackendCost
+				if r := in().CostReport(); len(r.Shapes) > 0 {
+					doc = append(doc, r)
+				}
+				return doc, nil
+			},
+			func(w io.Writer, doc any) { obs.WriteCostReport(w, doc.([]obs.BackendCost)) },
+		)},
+		{Path: "/debug/flight", Desc: "slow-query flight recorder: K worst queries per shape with full evidence", Handler: obs.DebugEndpoint(
+			func() (any, error) {
+				var doc []obs.BackendFlights
+				if r := in().FlightReport(); len(r.Shapes) > 0 {
+					doc = append(doc, r)
+				}
+				return doc, nil
+			},
+			func(w io.Writer, doc any) { obs.WriteFlightReport(w, doc.([]obs.BackendFlights)) },
+		)},
+		{Path: "/debug/events", Desc: "wide-event query log: one sampled event per retrieval (?backend=, ?n=, ?format=ndjson, &follow=1)",
+			Handler: eventsHandler(in)},
+	}
+}
+
+// FleetEndpoint serves /debug/cluster: the federated fleet view of the
+// federator fed returns (nil for a cluster that pulls no stats).
+func FleetEndpoint(fed func() *Federator) obs.Endpoint {
+	return obs.Endpoint{Path: "/debug/cluster",
+		Desc: "federated fleet view: per-node liveness/lag, merged counters+histograms, worst discrepancy and SLO burn",
+		Handler: obs.DebugEndpoint(
+			func() (any, error) { return fed().Fleets(), nil },
+			func(w io.Writer, doc any) { writeClusterText(w, doc.(map[string]ClusterReport)) },
+		)}
 }
 
 func writeEventsText(w io.Writer, doc map[string]backendEvents) {
@@ -62,8 +110,9 @@ func writeEventsText(w io.Writer, doc map[string]backendEvents) {
 // line, oldest first) and ?follow=1 with ndjson (stream kept events
 // live until the client disconnects). ?backend= filters, ?n= bounds
 // the dump (default 256).
-func eventsHandler() http.Handler {
+func eventsHandler(bundle func() *Instruments) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		in := bundle()
 		q := r.URL.Query()
 		backend := q.Get("backend")
 		n := 256
@@ -72,69 +121,50 @@ func eventsHandler() http.Handler {
 				n = v
 			}
 		}
-		if q.Get("format") == "ndjson" {
-			w.Header().Set("Content-Type", "application/x-ndjson; charset=utf-8")
-			enc := json.NewEncoder(w)
-			for _, be := range eventsDoc(backend, n) {
-				for i := len(be.Events) - 1; i >= 0; i-- { // oldest first
-					if enc.Encode(be.Events[i]) != nil {
-						return // client gone
-					}
-				}
-			}
-			if q.Get("follow") != "1" {
-				return
-			}
-			flusher, _ := w.(http.Flusher)
-			if flusher != nil {
-				flusher.Flush()
-			}
-			var feeds []<-chan Event
-			var cancels []func()
-			for _, in := range All() {
-				if backend != "" && in.Backend != backend {
-					continue
-				}
-				ch, cancel := in.Subscribe()
-				feeds = append(feeds, ch)
-				cancels = append(cancels, cancel)
-			}
-			defer func() {
-				for _, c := range cancels {
-					c()
-				}
-			}()
-			merged := make(chan Event, 64)
-			for _, ch := range feeds {
-				go func(ch <-chan Event) {
-					for ev := range ch {
-						select {
-						case merged <- ev:
-						case <-r.Context().Done():
-							return
-						}
-					}
-				}(ch)
-			}
-			for {
-				select {
-				case ev := <-merged:
-					if enc.Encode(ev) != nil {
-						return
-					}
-					if flusher != nil {
-						flusher.Flush()
-					}
-				case <-r.Context().Done():
-					return
+		if q.Get("format") != "ndjson" {
+			// The standard endpoint shape, with this request's filters applied.
+			obs.DebugEndpoint(
+				func() (any, error) { return eventsDoc(in, backend, n), nil },
+				func(w io.Writer, doc any) { writeEventsText(w, doc.(map[string]backendEvents)) },
+			).ServeHTTP(w, r)
+			return
+		}
+		w.Header().Set("Content-Type", "application/x-ndjson; charset=utf-8")
+		enc := json.NewEncoder(w)
+		for _, be := range eventsDoc(in, backend, n) {
+			for i := len(be.Events) - 1; i >= 0; i-- { // oldest first
+				if enc.Encode(be.Events[i]) != nil {
+					return // client gone
 				}
 			}
 		}
-		// The standard endpoint shape, with this request's filters applied.
-		obs.DebugEndpoint(
-			func() (any, error) { return eventsDoc(backend, n), nil },
-			func(w io.Writer, doc any) { writeEventsText(w, doc.(map[string]backendEvents)) },
-		).ServeHTTP(w, r)
+		if q.Get("follow") != "1" {
+			return
+		}
+		flusher, _ := w.(http.Flusher)
+		if flusher != nil {
+			flusher.Flush()
+		}
+		// One store, one feed, read here: nothing outlives the request.
+		var feed <-chan Event
+		if backend == "" || backend == in.Backend {
+			ch, cancel := in.Subscribe()
+			defer cancel()
+			feed = ch
+		}
+		for {
+			select {
+			case ev := <-feed:
+				if enc.Encode(ev) != nil {
+					return
+				}
+				if flusher != nil {
+					flusher.Flush()
+				}
+			case <-r.Context().Done():
+				return
+			}
+		}
 	})
 }
 
@@ -145,7 +175,7 @@ func writeClusterText(w io.Writer, reports map[string]ClusterReport) {
 	}
 	sort.Strings(names)
 	if len(names) == 0 {
-		fmt.Fprintln(w, "no fleets registered (start a netdist coordinator with stats pulling)")
+		fmt.Fprintln(w, "no fleet view (a netdist cluster shows one after its first stats pull)")
 		return
 	}
 	for _, name := range names {
@@ -168,16 +198,4 @@ func writeClusterText(w io.Writer, reports map[string]ClusterReport) {
 				n.Node, status, n.LagSeconds, n.UptimeSeconds, n.Pulls, n.Failures, n.CoordErrors, n.Version, n.GoVersion, flag)
 		}
 	}
-}
-
-func init() {
-	obs.RegisterDebugHandler("/debug/events",
-		"wide-event query log: one sampled event per retrieval (?backend=, ?n=, ?format=ndjson, &follow=1)",
-		eventsHandler())
-	obs.RegisterDebugHandler("/debug/cluster",
-		"federated fleet view: per-node liveness/lag, merged counters+histograms, worst discrepancy and SLO burn",
-		obs.DebugEndpoint(
-			func() (any, error) { return FleetReports(), nil },
-			func(w io.Writer, doc any) { writeClusterText(w, doc.(map[string]ClusterReport)) },
-		))
 }

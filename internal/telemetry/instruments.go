@@ -1,148 +1,33 @@
 package telemetry
 
 import (
-	"io"
-	"sort"
 	"strconv"
-	"sync"
 	"time"
 
 	"fxdist/internal/audit"
 	"fxdist/internal/obs"
 )
 
-// Instruments is one backend's reporting bundle, and the store behind
-// its /debug views: the engine executor hands every finished retrieval's
+// Instruments is one cluster's reporting bundle, and the store behind
+// its /debug views (Endpoints): the engine executor hands every finished retrieval's
 // query record to it in three steps — Audit (inside the audit stage it
 // is measured by), Decide once the stage has closed, Commit once the
 // record is sealed — and names no sink. An executor with no bundle at
 // all reports nothing.
 type Instruments struct {
 	// Metrics are the owning cluster's whole-query Prometheus
-	// instruments; nil in the registry's shared bundle, set per cluster
-	// by WithMetrics.
+	// instruments (nil reports none), set by the cluster's constructor.
 	Metrics *Metrics
-	// The store is held by pointer: every per-cluster copy accumulates
-	// into, and every view reads, the backend's one set of cells. It
-	// promotes Backend, the bundle's label, and the methods of cell.go
-	// and events.go.
+	// The store promotes Backend, the bundle's label, and the methods of
+	// cell.go and events.go.
 	*store
 }
 
-// New returns a bundle for one backend label with slo as its default
-// latency objective — private and unregistered, which is what a test
-// inspecting its own traffic wants; For is the registered one.
+// New returns an empty bundle for one cluster of the backend kind label
+// with slo as its default latency objective. Each cluster builds its own:
+// nothing is shared between two clusters, of one kind or not.
 func New(backend string, slo audit.SLO) *Instruments {
 	return &Instruments{store: newStore(backend, slo)}
-}
-
-// WithMetrics returns a copy of the bundle reporting whole-query
-// metrics to m; the store stays shared with the registry.
-func (in *Instruments) WithMetrics(m *Metrics) *Instruments {
-	c := *in
-	c.Metrics = m
-	return &c
-}
-
-// Process-wide registry, one bundle per backend label ("memory",
-// "durable", "replicated", "netdist", ...): every cluster of a backend
-// kind shares one accumulation point, and the /debug endpoints and
-// facade reports enumerate it.
-var (
-	regMu      sync.Mutex
-	backends   = make(map[string]*Instruments)
-	defaultSLO audit.SLO
-)
-
-// For returns backend's bundle, creating it on first use under the
-// process default SLO.
-func For(backend string) *Instruments {
-	regMu.Lock()
-	defer regMu.Unlock()
-	in := backends[backend]
-	if in == nil {
-		in = New(backend, defaultSLO)
-		backends[backend] = in
-	}
-	return in
-}
-
-// All snapshots every registered bundle, sorted by backend.
-func All() []*Instruments {
-	regMu.Lock()
-	out := make([]*Instruments, 0, len(backends))
-	for _, in := range backends {
-		out = append(out, in)
-	}
-	regMu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Backend < out[j].Backend })
-	return out
-}
-
-// SetSLO sets the default latency objective for one backend's shapes
-// (overridable per shape with SetShapeSLO). backend "" applies to every
-// registered backend and becomes the default for future ones.
-func SetSLO(backend string, slo audit.SLO) {
-	if backend != "" {
-		For(backend).SetSLO(slo)
-		return
-	}
-	regMu.Lock()
-	defaultSLO = slo
-	regMu.Unlock()
-	for _, in := range All() {
-		in.SetSLO(slo)
-	}
-}
-
-// AuditReport snapshots every backend's optimality audit, sorted by
-// backend.
-func AuditReport() []audit.BackendReport {
-	all := All()
-	out := make([]audit.BackendReport, len(all))
-	for i, in := range all {
-		out[i] = in.AuditReport()
-	}
-	return out
-}
-
-// CostReport snapshots every backend's cost profile, sorted by backend.
-// Backends with no recorded queries are omitted.
-func CostReport() []obs.BackendCost {
-	var out []obs.BackendCost
-	for _, in := range All() {
-		if r := in.CostReport(); len(r.Shapes) > 0 {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// FlightReport snapshots every backend's slowest queries, sorted by
-// backend; backends with no records are omitted.
-func FlightReport() []obs.BackendFlights {
-	var out []obs.BackendFlights
-	for _, in := range All() {
-		if r := in.FlightReport(); len(r.Shapes) > 0 {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-func init() {
-	obs.RegisterDebugHandler("/debug/optimality", "strict-bound audit per (backend,shape): violations, deviation, SLO burn", obs.DebugEndpoint(
-		func() (any, error) { return AuditReport(), nil },
-		func(w io.Writer, doc any) { audit.WriteText(w, doc.([]audit.BackendReport)) },
-	))
-	obs.RegisterDebugHandler("/debug/hotpath", "per-(backend,shape) stage cost aggregates: plan/fanout/merge/audit wall, bytes, objects", obs.DebugEndpoint(
-		func() (any, error) { return CostReport(), nil },
-		func(w io.Writer, doc any) { obs.WriteCostReport(w, doc.([]obs.BackendCost)) },
-	))
-	obs.RegisterDebugHandler("/debug/flight", "slow-query flight recorder: K worst queries per (backend,shape) with full evidence", obs.DebugEndpoint(
-		func() (any, error) { return FlightReport(), nil },
-		func(w io.Writer, doc any) { obs.WriteFlightReport(w, doc.([]obs.BackendFlights)) },
-	))
 }
 
 // Metrics are one cluster's whole-query instruments — the first thing the

@@ -272,9 +272,12 @@ func TestMetricsScrapeDuringDistributedRetrieve(t *testing.T) {
 		t.Error("no netdist.retrieve-failover span in recent traces")
 	}
 
-	// The optimality audit is served over the same handler. CI uploads
-	// this JSON as a build artifact when AUDIT_JSON names a destination.
-	resp, err := http.Get(srv.URL + "/debug/optimality")
+	// The failover cluster's optimality audit is served on its handler.
+	// CI uploads this JSON as a build artifact when AUDIT_JSON names a
+	// destination.
+	coordSrv := httptest.NewServer(coord.DebugHandler())
+	defer coordSrv.Close()
+	resp, err := http.Get(coordSrv.URL + "/debug/optimality")
 	if err != nil {
 		t.Fatalf("GET /debug/optimality: %v", err)
 	}

@@ -7,16 +7,22 @@ import (
 
 	"fxdist/internal/audit"
 	"fxdist/internal/engine"
+	"fxdist/internal/mempool"
 	"fxdist/internal/obs"
+	"fxdist/internal/plancache"
+	"fxdist/internal/rebalance"
+	"fxdist/internal/resilience"
 	"fxdist/internal/telemetry"
 )
 
 // Observability: the runtime introspection surface. Every hot path in
 // the distributed stack (netdist coordinator and device servers, the
 // durable and replicated clusters, the pagestore logs) reports into a
-// process-wide metric registry and trace ring; this file is the
-// embedder's API to it. cmd/fxnode and cmd/pmquery expose the same data
-// over HTTP via -metrics-addr.
+// process-wide metric registry and trace ring, labelled by backend kind;
+// everything a cluster knows about its own queries (audit, costs,
+// flights, events, plan cache, resilience, rescale, fleet) it holds
+// itself and serves on its DebugHandler. The commands expose the handler
+// of what they opened via -metrics-addr.
 
 // MetricPoint is one metric sample: name, kind, labels and either a
 // scalar value (counters, gauges) or a histogram snapshot.
@@ -38,13 +44,56 @@ func WriteMetricsPrometheus(w io.Writer) error { return obs.Default().WriteProme
 // WriteMetricsJSON renders all metrics as an expvar-style JSON object.
 func WriteMetricsJSON(w io.Writer) error { return obs.Default().WriteJSON(w) }
 
-// MetricsHandler serves /metrics (Prometheus text), /debug/vars
-// (JSON), /debug/traces (recent query spans) and /debug/pprof/.
-func MetricsHandler() http.Handler { return obs.Handler() }
+// MetricsHandler serves the process-wide surfaces: /metrics (Prometheus
+// text), /debug/vars (JSON), /debug/traces (recent query spans),
+// /debug/pprof/, /debug/mempool and /debug/profiles. A device server
+// mounts it; a process that opened a cluster mounts that cluster's
+// DebugHandler, which includes it.
+func MetricsHandler() http.Handler {
+	return obs.HandlerFor(obs.Default(), obs.DefaultTracer(), processEndpoints()...)
+}
 
-// ServeMetrics starts MetricsHandler on addr (":0" picks a free port),
-// returning the bound address and a shutdown function.
-func ServeMetrics(addr string) (string, func(), error) { return obs.ListenAndServe(addr) }
+// processEndpoints are the /debug views of process-wide state every
+// handler mounts beside /metrics and the trace ring: the slab pools and
+// the profile trigger.
+func processEndpoints() []DebugEndpoint {
+	return append(obs.ProfileEndpoints(), mempool.Endpoint())
+}
+
+// DebugEndpoint is one path of a debug handler: its pattern, the line
+// the /debug/ index shows for it, and its handler.
+type DebugEndpoint = obs.Endpoint
+
+// DebugEndpoints are the paths DebugHandler mounts beside /metrics,
+// /debug/vars, /debug/traces and /debug/pprof/: the process-wide
+// /debug/mempool and /debug/profiles, then this cluster's own views —
+// /debug/optimality, /debug/hotpath, /debug/flight, /debug/events,
+// /debug/plancache, /debug/resilience, /debug/rescale and /debug/cluster
+// (an empty map on every kind but a stats-pulling netdist cluster). A
+// front door that adds its own views (the gate's /debug/tenants) mounts
+// these with them. Each reads the serving backend at request time, so
+// after a rescale's cutover they show the new epoch.
+func (c *Cluster) DebugEndpoints() []DebugEndpoint {
+	eps := append(processEndpoints(), telemetry.Endpoints(func() *telemetry.Instruments { return c.backend().Instruments() })...)
+	return append(eps,
+		plancache.Endpoint(func() *plancache.Cache { return c.backend().PlanCache() }),
+		resilience.Endpoint(c.Resilience),
+		rebalance.Endpoint(c.kind, c.driver.Load),
+		telemetry.FleetEndpoint(func() *telemetry.Federator {
+			if co := c.Coordinator(); co != nil {
+				return co.Federator()
+			}
+			return nil
+		}),
+	)
+}
+
+// DebugHandler serves this cluster's observability: the process-wide
+// surfaces of MetricsHandler plus DebugEndpoints. Every document holds
+// this cluster alone.
+func (c *Cluster) DebugHandler() http.Handler {
+	return obs.HandlerFor(obs.Default(), obs.DefaultTracer(), c.DebugEndpoints()...)
+}
 
 // TraceSpan is a completed or in-flight query trace: coordinator fan-out
 // and device-server spans correlate via RequestID, and parent→child
@@ -66,20 +115,16 @@ func RecentTraceTrees(n int) []TraceTree { return obs.DefaultTracer().Trees(n) }
 
 // Online optimality auditing: every retrieval on every backend is
 // compared against the paper's strict-optimality bound ceil(|R(q)|/M),
-// aggregated by query shape (the set of unspecified fields). The same
-// data is served on /debug/optimality by MetricsHandler.
+// aggregated by query shape (the set of unspecified fields). A cluster
+// serves its own on /debug/optimality (Cluster.DebugHandler).
 
 // ShapeAudit is one (backend, query shape) row of the audit: violation
 // counts, max/mean deviation from the bound, worst offender device, and
 // the shape's latency-SLO counters.
 type ShapeAudit = audit.ShapeReport
 
-// BackendAudit is every query shape one backend has served.
+// BackendAudit is every query shape one cluster has served.
 type BackendAudit = audit.BackendReport
-
-// OptimalityReport snapshots the optimality audit of every backend,
-// sorted by backend then shape.
-func OptimalityReport() []BackendAudit { return telemetry.AuditReport() }
 
 // LatencySLO is a per-shape latency objective: at least Goal (e.g. 0.99)
 // of a shape's queries must complete within Target.
@@ -117,20 +162,32 @@ func ContextWithCallers(ctx context.Context, callers []string) context.Context {
 	return engine.ContextWithCallers(ctx, callers)
 }
 
-// QueryEvents returns up to n recent kept events of one backend
-// ("memory", "durable", "replicated", "netdist"), most recent first.
-func QueryEvents(backend string, n int) []QueryEvent {
-	return telemetry.For(backend).Events(n)
-}
+// QueryEvents returns up to n recent kept events of this cluster, most
+// recent first.
+func (c *Cluster) QueryEvents(n int) []QueryEvent { return c.backend().Instruments().Events(n) }
 
-// QueryLogStatsFor returns one backend's event-log statistics.
-func QueryLogStatsFor(backend string) QueryLogStats {
-	return telemetry.For(backend).LogStats()
+// QueryLogStatsFor sums the event-log statistics of every open cluster
+// of one backend kind ("memory", "durable", "replicated", "netdist").
+// It reads the process's set of open clusters, which exists for it and
+// ResetCostProfilers alone (bench/fxload calls both).
+func QueryLogStatsFor(kind string) QueryLogStats {
+	st := QueryLogStats{Backend: kind}
+	eachOpen(func(c *Cluster) {
+		if c.kind != kind {
+			return
+		}
+		s := c.backend().Instruments().LogStats()
+		st.Seen, st.Kept = st.Seen+s.Seen, st.Kept+s.Kept
+		st.Capacity, st.HeadPerShape, st.SampleEvery = s.Capacity, s.HeadPerShape, s.SampleEvery
+		st.Shapes = append(st.Shapes, s.Shapes...)
+	})
+	return st
 }
 
 // Metrics federation: a netdist coordinator pulls every device server's
 // metrics snapshot over the wire (Coordinator.StartStatsPull or
-// WithStatsPull) and merges them into a fleet view on /debug/cluster.
+// WithStatsPull) and merges them into a fleet view on its cluster's
+// /debug/cluster.
 
 // FleetReport is one fleet's merged view: per-node liveness/lag rows,
 // summed counters and merged histograms, and the worst-of digests
@@ -140,10 +197,6 @@ type FleetReport = telemetry.ClusterReport
 // FleetNodeStats is one node's self-description and metric snapshot as
 // pulled over the wire.
 type FleetNodeStats = telemetry.NodeStats
-
-// FleetReports snapshots every registered fleet by name — the
-// programmatic /debug/cluster.
-func FleetReports() map[string]FleetReport { return telemetry.FleetReports() }
 
 // Tail-based trace retention: the trace ring is a short staging window;
 // a query whose wide event is kept (errors, SLO-slow, bound violations,

@@ -11,6 +11,8 @@ import (
 	"fxdist/internal/engine"
 	"fxdist/internal/netdist"
 	"fxdist/internal/plancache"
+	"fxdist/internal/rebalance"
+	"fxdist/internal/resilience"
 	"fxdist/internal/retry"
 	"fxdist/internal/storage"
 	"fxdist/internal/telemetry"
@@ -174,14 +176,17 @@ func WithDialEpoch(epoch int) Option {
 	return func(s *openSettings) { s.dialEpoch = epoch }
 }
 
-// backend is what the facade needs of a cluster kind to serve queries.
-// All four kinds retrieve through their own engine.Executor, so their
-// method sets already agree; the typed accessors reach everything else.
+// backend is what the facade needs of a cluster kind to serve queries
+// and report on them. All four kinds retrieve through their own
+// engine.Executor and build their own instruments, so their method sets
+// already agree; the typed accessors reach everything else.
 type backend interface {
 	RetrieveContext(ctx context.Context, pm PartialMatch) (RetrieveResult, error)
 	RetrieveBatch(ctx context.Context, pms []PartialMatch) ([]RetrieveResult, error)
 	M() int
 	PlanCache() *plancache.Cache
+	Instruments() *telemetry.Instruments
+	Resilience() resilience.Snapshot
 }
 
 var (
@@ -218,6 +223,9 @@ type Cluster struct {
 	resc           atomic.Pointer[Rescale]
 	rescaleJournal string
 	dialOpts       []DialOption
+	// driver is the cluster's latest rescale's migration driver, which
+	// /debug/rescale reports and steers; nil before the first.
+	driver atomic.Pointer[rebalance.Driver]
 }
 
 // Backend kinds reported by Cluster.Kind.
@@ -335,7 +343,32 @@ func Open(cfg Config, opts ...Option) (*Cluster, error) {
 	if s.sloSet {
 		c.SetLatencySLO(s.slo.Target, s.slo.Goal)
 	}
+	openClusters.Lock()
+	openClusters.set[c] = struct{}{}
+	openClusters.Unlock()
 	return c, nil
+}
+
+// openClusters is the set of clusters Open built and Close has not
+// closed yet. It backs ResetCostProfilers and QueryLogStatsFor, the two
+// process-wide calls bench/fxload makes, and nothing else: every other
+// report is one cluster's own.
+var openClusters = struct {
+	sync.Mutex
+	set map[*Cluster]struct{}
+}{set: make(map[*Cluster]struct{})}
+
+// eachOpen runs f on every open cluster.
+func eachOpen(f func(c *Cluster)) {
+	openClusters.Lock()
+	all := make([]*Cluster, 0, len(openClusters.set))
+	for c := range openClusters.set {
+		all = append(all, c)
+	}
+	openClusters.Unlock()
+	for _, c := range all {
+		f(c)
+	}
 }
 
 // Kind returns the backend kind: "memory", "durable", "replicated" or
@@ -441,6 +474,9 @@ func (c *Cluster) RetrieveBatch(ctx context.Context, pms []PartialMatch) ([]Retr
 // plus device logs for durable clusters and server connections for
 // coordinators.
 func (c *Cluster) Close() error {
+	openClusters.Lock()
+	delete(openClusters.set, c)
+	openClusters.Unlock()
 	switch be := c.backend().(type) {
 	case *Coordinator:
 		if r := c.resc.Load(); r != nil {
@@ -461,37 +497,43 @@ type PlanCacheStats = plancache.Snapshot
 func (c *Cluster) PlanCache() PlanCacheStats { return c.backend().PlanCache().Stats() }
 
 // SetLatencySLO sets the default latency objective for every query
-// shape served by this cluster's backend kind: at least goal (e.g.
-// 0.99) of queries must complete within target. The objective is
-// backend-wide (all clusters of one kind share one audit).
+// shape this cluster serves: at least goal (e.g. 0.99) of queries must
+// complete within target. It is this cluster's alone; during a rescale
+// it reaches the new epoch too, whose bundle becomes the cluster's at
+// cutover.
 func (c *Cluster) SetLatencySLO(target time.Duration, goal float64) {
-	telemetry.SetSLO(c.kind, audit.SLO{Target: target, Goal: goal})
+	for _, in := range c.bundles() {
+		in.SetSLO(audit.SLO{Target: target, Goal: goal})
+	}
 }
 
 // SetShapeLatencySLO overrides the latency objective for one query
-// shape of this cluster's backend kind.
+// shape of this cluster.
 func (c *Cluster) SetShapeLatencySLO(shape string, target time.Duration, goal float64) {
-	telemetry.For(c.kind).SetShapeSLO(shape, audit.SLO{Target: target, Goal: goal})
+	for _, in := range c.bundles() {
+		in.SetShapeSLO(shape, audit.SLO{Target: target, Goal: goal})
+	}
 }
 
-// OptimalityReport snapshots the strict-optimality audit of this
-// cluster's backend kind: per-shape violation counts against the
-// paper's ceil(|R(q)|/M) bound and SLO state.
+// bundles are the reporting bundles an objective set now must reach:
+// the serving backend's, and a live rescale's new epoch's.
+func (c *Cluster) bundles() []*telemetry.Instruments {
+	ins := []*telemetry.Instruments{c.backend().Instruments()}
+	if r := c.resc.Load(); r != nil {
+		ins = append(ins, r.newCoord.Instruments())
+	}
+	return ins
+}
+
+// OptimalityReport snapshots this cluster's strict-optimality audit:
+// per-shape violation counts against the paper's ceil(|R(q)|/M) bound
+// and SLO state.
 func (c *Cluster) OptimalityReport() BackendAudit {
-	return telemetry.For(c.kind).AuditReport()
+	return c.backend().Instruments().AuditReport()
 }
 
-// BurnRate is one query shape's current SLO burn rate on this cluster's
-// backend kind (OptimalityReport's slo_burn_rate for the shape, without
-// the report): the number a front door's admission control reads per
-// request. 0 without an objective or before the shape was served.
-func (c *Cluster) BurnRate(shape string) float64 { return telemetry.For(c.kind).BurnRate(shape) }
-
-// ResetAudit zeroes the accumulated audit state of this cluster's
-// backend kind (mirrored Prometheus counters stay monotonic;
-// configured SLOs are kept).
-func (c *Cluster) ResetAudit() { telemetry.For(c.kind).ResetAudit() }
-
-// PlanCacheReport snapshots every live plan cache in the process,
-// sorted by backend — the programmatic /debug/plancache.
-func PlanCacheReport() []PlanCacheStats { return plancache.Report() }
+// BurnRate is one query shape's current SLO burn rate on this cluster
+// (OptimalityReport's slo_burn_rate for the shape, without the report):
+// the number a front door's admission control reads per request. 0
+// without an objective or before the shape was served.
+func (c *Cluster) BurnRate(shape string) float64 { return c.backend().Instruments().BurnRate(shape) }

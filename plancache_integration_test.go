@@ -192,14 +192,14 @@ func TestPlanCacheInvalidationOnAllocatorRebuild(t *testing.T) {
 // snapshot, matching counters on the /metrics scrape, and a well-formed
 // /debug/plancache report.
 func TestPlanCacheHitRateIntegration(t *testing.T) {
-	srv := httptest.NewServer(fxdist.MetricsHandler())
-	defer srv.Close()
-
 	file, fx, spec := planCacheFile(t, 8)
 	c, err := fxdist.Open(fxdist.Config{File: file, Allocator: fx})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer c.Close()
+	srv := httptest.NewServer(c.DebugHandler())
+	defer srv.Close()
 	before := scrapeMetrics(t, srv.URL+"/metrics")
 
 	// 8 distinct queries cycled 25 rounds: every shape compiles once and
@@ -331,9 +331,10 @@ func TestPlanCacheEvictsAtItsCapacity(t *testing.T) {
 }
 
 // TestCloseReleasesThePlanCache opens, queries and closes memory and
-// replicated clusters over and over: afterwards PlanCacheReport lists as
-// many caches as before and the fxdist_plancache_size gauges read what
-// they read before.
+// replicated clusters over and over: afterwards the fxdist_plancache_size
+// gauges read what they read before, and the closed clusters are gone
+// from the process's set of open ones (their queries leave
+// QueryLogStatsFor).
 func TestCloseReleasesThePlanCache(t *testing.T) {
 	srv := httptest.NewServer(fxdist.MetricsHandler())
 	defer srv.Close()
@@ -346,7 +347,10 @@ func TestCloseReleasesThePlanCache(t *testing.T) {
 		m := scrapeMetrics(t, srv.URL+"/metrics")
 		return [2]float64{m[`fxdist_plancache_size{cache="memory"}`], m[`fxdist_plancache_size{cache="replicated"}`]}
 	}
-	caches0, sizes0 := len(fxdist.PlanCacheReport()), sizes()
+	seen := func() [2]uint64 {
+		return [2]uint64{fxdist.QueryLogStatsFor(fxdist.KindMemory).Seen, fxdist.QueryLogStatsFor(fxdist.KindReplicated).Seen}
+	}
+	seen0, sizes0 := seen(), sizes()
 	for i := 0; i < 25; i++ {
 		for _, opts := range [][]fxdist.Option{nil, {fxdist.WithReplication(fxdist.ChainedFailover)}} {
 			c, err := fxdist.Open(fxdist.Config{File: file, Allocator: fx}, opts...)
@@ -361,8 +365,8 @@ func TestCloseReleasesThePlanCache(t *testing.T) {
 			}
 		}
 	}
-	if got := len(fxdist.PlanCacheReport()); got != caches0 {
-		t.Errorf("PlanCacheReport lists %d caches after 50 closed clusters, %d before", got, caches0)
+	if got := seen(); got != seen0 {
+		t.Errorf("open memory and replicated clusters saw %v queries after 50 closed ones, %v before", got, seen0)
 	}
 	if got := sizes(); got != sizes0 {
 		t.Errorf("fxdist_plancache_size{memory, replicated} = %v after 50 closed clusters, %v before", got, sizes0)

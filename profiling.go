@@ -5,16 +5,15 @@ import (
 	"time"
 
 	"fxdist/internal/obs"
-	"fxdist/internal/telemetry"
 )
 
 // Profiling: the per-query cost-attribution surface. Every retrieval on
 // every backend records a stage breakdown — plan (cache hit or
 // compile), fanout (the paper's max-over-devices term), merge, audit —
-// with wall time and heap-allocation deltas, aggregated per (backend,
-// query shape). The distributed coordinator additionally attributes the
+// with wall time and heap-allocation deltas, aggregated per query shape
+// in each cluster's own store. The distributed coordinator additionally attributes the
 // wire path (dispatch → first byte → decode, with wire byte counts).
-// The same data is served on /debug/hotpath; the slowest queries per
+// A cluster serves its own on /debug/hotpath; the slowest queries per
 // shape are retained with full evidence on /debug/flight; and an
 // optional trigger captures pprof profiles when an SLO burn rate or
 // latency threshold trips (/debug/profiles).
@@ -44,27 +43,23 @@ type StageCost = obs.StageCost
 // ShapeCost is one query shape's aggregated cost profile.
 type ShapeCost = obs.ShapeCost
 
-// BackendCost is every profiled query shape of one backend.
+// BackendCost is every profiled query shape of one cluster.
 type BackendCost = obs.BackendCost
-
-// CostReport snapshots every backend's per-shape cost profile, sorted
-// by backend — the programmatic /debug/hotpath.
-func CostReport() []BackendCost { return telemetry.CostReport() }
 
 // WriteCostReport renders a cost report as an aligned text table (the
 // /debug/hotpath?format=text rendering).
 func WriteCostReport(w io.Writer, report []BackendCost) { obs.WriteCostReport(w, report) }
 
-// ResetCostProfilers zeroes every backend's accumulated cost profile.
+// ResetCostProfilers zeroes the accumulated cost profile of every open
+// cluster. It reads the process's set of open clusters, which exists
+// for it and QueryLogStatsFor alone (bench/fxload calls both).
 func ResetCostProfilers() {
-	for _, in := range telemetry.All() {
-		in.ResetCosts()
-	}
+	eachOpen(func(c *Cluster) { c.backend().Instruments().ResetCosts() })
 }
 
-// CostReport snapshots this cluster's backend-kind cost profile.
+// CostReport snapshots this cluster's cost profile (its /debug/hotpath).
 func (c *Cluster) CostReport() BackendCost {
-	return telemetry.For(c.kind).CostReport()
+	return c.backend().Instruments().CostReport()
 }
 
 // FlightDevice is one device's share of a recorded slow query.
@@ -78,27 +73,17 @@ type FlightRecord = obs.FlightRecord
 // ShapeFlights is one query shape's retained records, slowest first.
 type ShapeFlights = obs.ShapeFlights
 
-// BackendFlights is every shape one backend's flight recorder holds.
+// BackendFlights is every shape one cluster's flight recorder holds.
 type BackendFlights = obs.BackendFlights
-
-// FlightReport snapshots every backend's slow-query flight recorder,
-// sorted by backend — the programmatic /debug/flight.
-func FlightReport() []BackendFlights { return telemetry.FlightReport() }
 
 // WriteFlightReport renders a flight report as text, one block per
 // record, slowest first (the /debug/flight?format=text rendering).
 func WriteFlightReport(w io.Writer, report []BackendFlights) { obs.WriteFlightReport(w, report) }
 
-// ResetFlightRecorders clears every backend's retained flight records.
-func ResetFlightRecorders() {
-	for _, in := range telemetry.All() {
-		in.ResetFlights()
-	}
-}
-
-// FlightReport snapshots this cluster's backend-kind flight recorder.
+// FlightReport snapshots this cluster's slow-query flight recorder (its
+// /debug/flight).
 func (c *Cluster) FlightReport() BackendFlights {
-	return telemetry.For(c.kind).FlightReport()
+	return c.backend().Instruments().FlightReport()
 }
 
 // TriggeredProfilingConfig bounds automatic pprof capture: when a query

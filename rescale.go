@@ -10,7 +10,6 @@ import (
 	"fxdist/internal/engine"
 	"fxdist/internal/netdist"
 	"fxdist/internal/rebalance"
-	"fxdist/internal/telemetry"
 )
 
 // Live elastic rescaling: grow a distributed cluster from M to 2M
@@ -23,13 +22,14 @@ import (
 //     from the old epoch, untouched.
 //  2. dual-read — with every bucket copied, retrievals race both epochs
 //     (engine.DualReader): the first complete answer wins, the loser is
-//     cross-checked in the background. The optimality auditor watches
-//     the new layout and cutover waits until its per-shape deviation is
-//     within the Doerr bound.
+//     cross-checked in the background. The new epoch's coordinator
+//     audits into its own bundle, and cutover waits until its per-shape
+//     deviation is within the Doerr bound.
 //  3. cutover — old-epoch reads drain, every server promotes its
 //     prepared view, and the cluster handle swaps to the new
-//     coordinator. The old epoch is only released here; Abort at any
-//     earlier point rolls every server back byte-for-byte.
+//     coordinator, whose bundle (seeded with the cluster's SLOs) is the
+//     cluster's from then on. The old epoch is only released here; Abort
+//     at any earlier point rolls every server back byte-for-byte.
 //
 // Progress journals through WithRescale / RescaleConfig.Journal, so a
 // coordinator killed mid-migration resumes instead of restarting.
@@ -104,16 +104,11 @@ type Rescale struct {
 	closeOnce    sync.Once
 }
 
-// rescaleBackend is the telemetry/audit label of the new epoch's
-// coordinator during the window ("netdist" itself after cutover would
-// double-count).
-const rescaleBackend = "netdist-next"
-
 // Rescale starts a live rescale to cfg.NewM devices and returns a
 // handle immediately; the migration runs in the background. Watch it
-// with Status/Wait, steer it with Pause/Resume/Abort, and pump
-// self-check traffic with Verify. Only the distributed backend
-// rescales, one rescale at a time.
+// with Status/Wait (or the cluster's /debug/rescale), steer it with
+// Pause/Resume/Abort, and pump self-check traffic with Verify. Only the
+// distributed backend rescales, one rescale at a time.
 func (c *Cluster) Rescale(ctx context.Context, cfg RescaleConfig) (*Rescale, error) {
 	if c.kind != KindNetdist {
 		return nil, fmt.Errorf("fxdist: only the distributed backend rescales (this cluster is %q)", c.kind)
@@ -153,22 +148,20 @@ func (c *Cluster) Rescale(ctx context.Context, cfg RescaleConfig) (*Rescale, err
 	}
 
 	// Dial the new epoch's coordinator over the post-rescale address
-	// list. It audits and logs under its own backend name, so the
-	// cutover guard reads the new layout's optimality in isolation. The
+	// list. It audits into its own bundle, so the cutover guard reads the
+	// new layout's optimality in isolation; the bundle takes the
+	// cluster's objectives now and becomes the cluster's at cutover. The
 	// dial comes before Prepare, when the old servers cannot describe the
 	// new epoch yet, so it is handed the spec they are about to get (last
 	// of the cluster's own options: Open may have handed the old one).
-	dialOpts := append(append([]DialOption{
-		netdist.WithBackendName(rescaleBackend),
-		netdist.WithEpoch(old.Epoch() + 1),
-	}, c.dialOpts...), netdist.WithSpec(newSpec))
+	dialOpts := append(append([]DialOption{netdist.WithEpoch(old.Epoch() + 1)}, c.dialOpts...), netdist.WithSpec(newSpec))
 	dialOpts = append(dialOpts, cfg.DialOptions...)
 	newCoord, err := netdist.Dial(c.file, cfg.Addrs, dialOpts...)
 	if err != nil {
 		return nil, fmt.Errorf("fxdist: dial new-epoch coordinator: %w", err)
 	}
-	next := telemetry.For(rescaleBackend)
-	next.ResetAudit()
+	next := newCoord.Instruments()
+	next.AdoptSLOs(old.Instruments())
 
 	r := &Rescale{c: c, newCoord: newCoord, done: make(chan struct{})}
 	r.dual = &engine.DualReader{
@@ -205,7 +198,7 @@ func (c *Cluster) Rescale(ctx context.Context, cfg RescaleConfig) (*Rescale, err
 	}
 	r.driver = driver
 	c.resc.Store(r)
-	rebalance.RegisterDriver(rescaleBackend, driver)
+	c.driver.Store(driver)
 
 	go func() {
 		err := driver.Run(ctx)
@@ -293,7 +286,6 @@ func (r *Rescale) finish(err error) {
 			r.err = err
 			r.c.resc.CompareAndSwap(r, nil)
 			r.closeNew()
-			rebalance.UnregisterDriver(rescaleBackend)
 			close(r.done)
 			return
 		}

@@ -2,8 +2,13 @@ package fxdist_test
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"io/fs"
 	"net"
+	"net/http"
+	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"slices"
 	"sort"
@@ -397,7 +402,7 @@ func TestRescaleAbortRollsBack(t *testing.T) {
 	tenants := map[string]int{}
 	for deadline := time.Now().Add(10 * time.Second); tenants["acme"]+tenants["globex"] < 2 && time.Now().Before(deadline); time.Sleep(time.Millisecond) {
 		clear(tenants)
-		for _, ev := range fxdist.QueryEvents(cl.Kind(), 64) {
+		for _, ev := range cl.QueryEvents(64) {
 			if !ev.Time.Before(batchStart) {
 				tenants[ev.Tenant]++
 			}
@@ -472,5 +477,136 @@ func TestRescaleAbortRollsBack(t *testing.T) {
 		if len(got.Records) != len(want) {
 			t.Fatalf("query %d: %d records after abort, want %d", i, len(got.Records), len(want))
 		}
+	}
+}
+
+// TestRescaleKeepsItsObjectivesAndAuditsTheNewEpoch: the new epoch's
+// coordinator audits into its own bundle, which takes the cluster's
+// objectives when the rescale starts and is the cluster's after cutover.
+// The old epoch has served more queries than the guard asks for, yet the
+// guard holds — on /debug/rescale — until the new epoch itself has
+// audited them; after cutover the cluster's report is the new epoch's,
+// under the objectives set before the rescale, and no label but
+// "netdist" ever appears.
+func TestRescaleKeepsItsObjectivesAndAuditsTheNewEpoch(t *testing.T) {
+	file := buildTestFile(t)
+	grid, err := file.FileSystem(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fx, err := fxdist.NewFX(grid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addrs, stopOld, err := fxdist.DeployLocal(file, fx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stopOld()
+	spec, err := fxdist.DescribeAllocator(fx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	newSpec, err := spec.Rescaled(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	taddrs, stopTargets := deployRescaleTargets(t, newSpec, 4, 1)
+	defer stopTargets()
+
+	cl, err := fxdist.Open(fxdist.Config{File: file, Addrs: addrs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	cl.SetLatencySLO(2*time.Hour, 0.9)
+	cl.SetShapeLatencySLO("*s", time.Hour, 0.99)
+	pms := rescaleQueries(t, file)
+	for i := 0; i < 20; i++ {
+		if _, err := cl.Retrieve(pms[i%len(pms)]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	debug := cl.DebugHandler()
+	rescaleDoc := func() (doc struct {
+		Rescales map[string]fxdist.RescaleStatus `json:"rescales"`
+	}) {
+		t.Helper()
+		w := httptest.NewRecorder()
+		debug.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/debug/rescale", nil))
+		if err := json.Unmarshal(w.Body.Bytes(), &doc); err != nil {
+			t.Fatalf("/debug/rescale: %v\n%s", err, w.Body)
+		}
+		return doc
+	}
+	if doc := rescaleDoc(); len(doc.Rescales) != 0 {
+		t.Fatalf("/debug/rescale before any rescale: %+v", doc.Rescales)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	const guard = 8
+	resc, err := cl.Rescale(ctx, fxdist.RescaleConfig{
+		Addrs: append(append([]string(nil), addrs...), taddrs...), NewM: 8, Allocator: fx, GuardMinQueries: guard,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := "only 0 audited queries on the new epoch"
+	until(t, "the guard holds the idle window on /debug/rescale", func() bool {
+		st, ok := rescaleDoc().Rescales[fxdist.KindNetdist]
+		return ok && st.Phase == "dual-read" && strings.Contains(st.LastGuardErr, held)
+	})
+	if old := cl.OptimalityReport(); old.Shapes[0].Queries+old.Shapes[1].Queries < guard {
+		t.Fatalf("the old epoch audited %+v, fewer than the guard's %d", old.Shapes, guard)
+	}
+	for i := 0; i < guard; i++ {
+		if err := resc.Verify(ctx, pms[i%len(pms):i%len(pms)+1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := resc.Wait(); err != nil {
+		t.Fatalf("rescale: %v", err)
+	}
+
+	rep := cl.OptimalityReport()
+	var queries uint64
+	for _, s := range rep.Shapes {
+		queries += s.Queries
+		want := 2 * time.Hour
+		if s.Shape == "*s" {
+			want = time.Hour
+		}
+		if s.SLOTarget != want {
+			t.Errorf("shape %s after cutover: objective %v, want %v as set before the rescale", s.Shape, s.SLOTarget, want)
+		}
+	}
+	if rep.Backend != fxdist.KindNetdist || queries != guard {
+		t.Errorf("report after cutover: backend %q over %d queries, want the new epoch's %d under %q", rep.Backend, queries, guard, fxdist.KindNetdist)
+	}
+	w := httptest.NewRecorder()
+	debug.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/debug/optimality", nil))
+	var rows []fxdist.BackendAudit
+	if err := json.Unmarshal(w.Body.Bytes(), &rows); err != nil || len(rows) != 1 || rows[0].Backend != fxdist.KindNetdist {
+		t.Errorf("/debug/optimality after cutover: %d rows (%v), want the cluster's one: %s", len(rows), err, w.Body)
+	}
+	if st := rescaleDoc().Rescales[fxdist.KindNetdist]; st.Phase != "done" {
+		t.Errorf("/debug/rescale after cutover: %+v", st)
+	}
+
+	// No label but the kind: the "<backend>-next" label is gone from the
+	// program.
+	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		src, err := os.ReadFile(path)
+		if err == nil && strings.Contains(string(src), `-next"`) {
+			t.Errorf("%s still names a -next label", path)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

@@ -19,9 +19,9 @@ type FaultSchedule = resilience.Schedule
 // WithFaultInjector; Set/Clear mutate its schedules at runtime.
 type FaultInjector = resilience.Injector
 
-// NewFaultInjector builds a named, seeded fault injector; the name keys
-// its /debug/resilience report. Pass it to a cluster via
-// WithFaultInjector.
+// NewFaultInjector builds a named, seeded fault injector; the name
+// labels its row on the /debug/resilience of the cluster it is passed to
+// (WithFaultInjector).
 func NewFaultInjector(name string, seed int64, schedules map[int]FaultSchedule) *FaultInjector {
 	return resilience.NewInjector(name, seed, schedules)
 }
@@ -60,17 +60,13 @@ type BackendResilience = retry.Report
 // and injection counters.
 type InjectorReport = resilience.Report
 
-// ResilienceReport is the programmatic /debug/resilience: every retry
-// controller and fault injector in the process.
-type ResilienceReport struct {
-	Retry     []BackendResilience `json:"retry"`
-	Injectors []InjectorReport    `json:"injectors"`
-}
+// ResilienceReport is the programmatic /debug/resilience of one
+// cluster: its retry controller and its fault injector, each listed when
+// the cluster has one.
+type ResilienceReport = resilience.Snapshot
 
-// Resilience snapshots the process's resilience state.
-func Resilience() ResilienceReport {
-	return ResilienceReport{Retry: retry.ReportAll(), Injectors: resilience.ReportAll()}
-}
+// Resilience snapshots this cluster's resilience state.
+func (c *Cluster) Resilience() ResilienceReport { return c.backend().Resilience() }
 
 // WithRetryBudget enables adaptive retries on the cluster: up to
 // maxAttempts attempts per device slot with full-jitter exponential

@@ -65,15 +65,14 @@ func sortedRecords(recs []fxdist.Record) []string {
 	return out
 }
 
-func netdistReport(t *testing.T) fxdist.BackendResilience {
+// netdistReport is a distributed cluster's retry controller report.
+func netdistReport(t *testing.T, c *fxdist.Cluster) fxdist.BackendResilience {
 	t.Helper()
-	for _, r := range fxdist.Resilience().Retry {
-		if r.Backend == "netdist" {
-			return r
-		}
+	rep := c.Resilience()
+	if len(rep.Retry) != 1 || rep.Retry[0].Backend != "netdist" {
+		t.Fatalf("cluster resilience %+v, want its one netdist retry controller", rep)
 	}
-	t.Fatal("no netdist resilience report registered")
-	return fxdist.BackendResilience{}
+	return rep.Retry[0]
 }
 
 // TestChaosDistributedRetrieval runs the seeded chaos schedule from the
@@ -145,7 +144,7 @@ func TestChaosDistributedRetrieval(t *testing.T) {
 		}
 	}
 
-	rep := netdistReport(t)
+	rep := netdistReport(t, coord)
 	if rep.Retries == 0 {
 		t.Error("flapping server triggered no retries")
 	}
@@ -167,7 +166,7 @@ func TestChaosDistributedRetrieval(t *testing.T) {
 
 	// CI artifact: the full /debug/resilience payload.
 	if path := os.Getenv("RESILIENCE_JSON"); path != "" {
-		blob, err := json.MarshalIndent(fxdist.Resilience(), "", "  ")
+		blob, err := json.MarshalIndent(coord.Resilience(), "", "  ")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -214,7 +213,7 @@ func TestChaosHealthProbeRecovery(t *testing.T) {
 			t.Fatalf("degraded retrieve %d records, want %d", len(got.Records), len(want))
 		}
 	}
-	rep := netdistReport(t)
+	rep := netdistReport(t, coord)
 	opened := false
 	for _, b := range rep.Breakers {
 		if b.Device == 2 && b.State != "closed" {
@@ -232,7 +231,7 @@ func TestChaosHealthProbeRecovery(t *testing.T) {
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		closed := false
-		for _, b := range netdistReport(t).Breakers {
+		for _, b := range netdistReport(t, coord).Breakers {
 			if b.Device == 2 && b.State == "closed" {
 				closed = true
 			}
@@ -241,7 +240,7 @@ func TestChaosHealthProbeRecovery(t *testing.T) {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("prober never closed device 2's breaker: %+v", netdistReport(t).Breakers)
+			t.Fatalf("prober never closed device 2's breaker: %+v", netdistReport(t, coord).Breakers)
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
@@ -379,7 +378,7 @@ func TestChaosMemoryPartialResults(t *testing.T) {
 	// A couple more failures open device 0's breaker.
 	c.Retrieve(pm) //nolint:errcheck
 	memOpen := func() string {
-		for _, r := range fxdist.Resilience().Retry {
+		for _, r := range c.Resilience().Retry {
 			if r.Backend == "memory" {
 				for _, b := range r.Breakers {
 					if b.Device == 0 {

@@ -5,9 +5,10 @@
 // front of them as real processes, then drives the public JSON-RPC
 // surface the way an external client would — single retrieve, batch,
 // explain, health, an unauthenticated probe — and scrapes
-// /debug/tenants. It fails on any unexpected HTTP status or on schema
-// drift in the response envelopes (missing jsonrpc/api_version fields,
-// wrong tenant rows).
+// /debug/tenants, /debug/optimality and /debug/plancache. It fails on
+// any unexpected HTTP status or on schema drift in the response
+// envelopes (missing jsonrpc/api_version fields, wrong tenant rows, a
+// debug view listing more than the gate's one cluster).
 //
 //	go run scripts/fxgate_smoke.go
 package main
@@ -151,6 +152,31 @@ func run() error {
 		return fmt.Errorf("fx.retrieve envelope drifted: %+v", ret)
 	}
 
+	// The gate's one port serves the handler of the cluster it opened:
+	// one backend row each, the cluster's kind, which has seen the query.
+	var audit []struct {
+		Backend string `json:"backend"`
+		Shapes  []struct {
+			Queries uint64 `json:"queries"`
+		} `json:"shapes"`
+	}
+	if err := getJSON(base+"/debug/optimality", &audit); err != nil {
+		return err
+	}
+	if len(audit) != 1 || audit[0].Backend != "netdist" || len(audit[0].Shapes) == 0 || audit[0].Shapes[0].Queries == 0 {
+		return fmt.Errorf("/debug/optimality holds %+v, want the netdist cluster's one row with queries", audit)
+	}
+	var plans []struct {
+		Backend      string `json:"backend"`
+		Hits, Misses uint64
+	}
+	if err := getJSON(base+"/debug/plancache", &plans); err != nil {
+		return err
+	}
+	if len(plans) != 1 || plans[0].Backend != "netdist" || plans[0].Hits+plans[0].Misses == 0 {
+		return fmt.Errorf("/debug/plancache holds %+v, want the netdist cluster's one cache with lookups", plans)
+	}
+
 	// Batch retrieve: two queries, both must come back with results.
 	var batch struct {
 		APIVersion string `json:"api_version"`
@@ -286,6 +312,22 @@ func call(base, key, method string, params any, out any) error {
 		return fmt.Errorf("rpc error: %s", res.Error)
 	}
 	return json.Unmarshal(res.Result, out)
+}
+
+// getJSON decodes the JSON document a 200 GET of url answers into out.
+func getJSON(url string, out any) error {
+	res, err := http.Get(url)
+	if err != nil {
+		return err
+	}
+	defer res.Body.Close()
+	if res.StatusCode != http.StatusOK {
+		return fmt.Errorf("GET %s: status %d", url, res.StatusCode)
+	}
+	if err := json.NewDecoder(res.Body).Decode(out); err != nil {
+		return fmt.Errorf("GET %s: %w", url, err)
+	}
+	return nil
 }
 
 func post(url, key, body string) (int, []byte, error) {

@@ -8,13 +8,15 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/http/httptest"
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 
 	"fxdist"
-	"fxdist/internal/netdist"
+	"fxdist/internal/gate"
 	"fxdist/internal/obs"
-	"fxdist/internal/resilience"
 	"fxdist/internal/telemetry"
 )
 
@@ -59,8 +61,6 @@ func buildTelemetryFile(t *testing.T) (*fxdist.File, *fxdist.Modulo) {
 // histogram's exemplar, and still recoverable after more unremarkable
 // kept queries than the retention buffer holds trees.
 func TestClusterTelemetryPlane(t *testing.T) {
-	ev := telemetry.For("netdist")
-
 	file, alloc := buildTelemetryFile(t)
 	allocSpec, err := fxdist.DescribeAllocator(alloc)
 	if err != nil {
@@ -93,13 +93,13 @@ func TestClusterTelemetryPlane(t *testing.T) {
 		defer srv.Close()
 	}
 
-	inj := resilience.NewInjector("telemetry-itest", 1, map[int]resilience.Schedule{})
-	coord, err := netdist.Dial(file, addrs,
-		netdist.WithInjector(inj), netdist.WithFleetName("telemetry-itest"))
+	inj := fxdist.NewFaultInjector("telemetry-itest", 1, map[int]fxdist.FaultSchedule{})
+	cl, err := fxdist.Open(fxdist.Config{File: file, Addrs: addrs}, fxdist.WithFaultInjector(inj))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer coord.Close()
+	defer cl.Close()
+	coord, ev := cl.Coordinator(), cl.Coordinator().Instruments()
 	ctx := context.Background()
 
 	// Baseline pull so the fault below shows up as error *growth*.
@@ -121,7 +121,7 @@ func TestClusterTelemetryPlane(t *testing.T) {
 	// Chaos: partition device 2 at the coordinator seam and keep
 	// querying. The retrievals fail (no retry/failover configured), the
 	// coordinator's per-device error counters grow.
-	inj.Set(2, resilience.Schedule{Partition: true})
+	inj.Set(2, fxdist.FaultSchedule{Partition: true})
 	pmY, err := file.Spec(map[string]string{"y": "y-2"})
 	if err != nil {
 		t.Fatal(err)
@@ -153,14 +153,12 @@ func TestClusterTelemetryPlane(t *testing.T) {
 		}
 	}
 
-	// The fleet view is served on /debug/cluster exactly as fxtop
-	// consumes it: fetch it over HTTP and decode through the facade type.
-	httpAddr, stopMetrics, err := fxdist.ServeMetrics("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stopMetrics()
-	resp, err := http.Get("http://" + httpAddr + "/debug/cluster?format=json")
+	// The fleet view is served on the cluster's /debug/cluster exactly as
+	// fxtop consumes it: fetch it over HTTP and decode through the facade
+	// type.
+	srv := httptest.NewServer(cl.DebugHandler())
+	defer srv.Close()
+	resp, err := http.Get(srv.URL + "/debug/cluster?format=json")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,9 +168,9 @@ func TestClusterTelemetryPlane(t *testing.T) {
 	if err != nil {
 		t.Fatalf("decode /debug/cluster: %v", err)
 	}
-	cluster, ok := fleets["telemetry-itest"]
-	if !ok {
-		t.Fatalf("/debug/cluster missing fleet telemetry-itest (have %d fleets)", len(fleets))
+	cluster, ok := fleets[fxdist.KindNetdist]
+	if !ok || len(fleets) != 1 {
+		t.Fatalf("/debug/cluster holds %d fleets, want the cluster's one under %q", len(fleets), fxdist.KindNetdist)
 	}
 	flagged := false
 	for _, n := range cluster.Nodes {
@@ -376,7 +374,7 @@ func TestKeptEventHasRetainedTrace(t *testing.T) {
 		t.Fatalf("log saw %d of %d retrievals and kept %d, want at least %d kept", stats.Seen-stats0.Seen, retrievals, kept, obs.RetainedTraces)
 	}
 
-	events := fxdist.QueryEvents(cluster.Kind(), kept)
+	events := cluster.QueryEvents(kept)
 	mine := make(map[uint64]bool, len(events))
 	for i, ev := range events {
 		mine[ev.TraceID] = true
@@ -406,55 +404,274 @@ func containsString(ss []string, want string) bool {
 	return false
 }
 
-// TestDebugEndpointsServeBothFormats walks the /debug/ index and
-// scrapes every endpoint in both renderings: ?format=json must return
-// 200 with a valid JSON document, ?format=text must return 200. This is
-// the CI telemetry job's in-process half.
+// TestDebugEndpointsServeBothFormats walks the /debug/ index a memory
+// cluster's handler serves, and a gate's, and scrapes every endpoint
+// listed in both renderings: ?format=json must return 200 with a valid
+// JSON document, ?format=text must return 200. Every kind mounts the
+// same paths from the start: /debug/rescale and /debug/cluster are
+// listed before any rescale or stats pull. This is the CI telemetry
+// job's in-process half.
 func TestDebugEndpointsServeBothFormats(t *testing.T) {
-	addr, stop, err := fxdist.ServeMetrics("127.0.0.1:0")
+	file, alloc := buildTelemetryFile(t)
+	c, err := fxdist.Open(fxdist.Config{File: file, Allocator: alloc})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer stop()
+	defer c.Close()
+	g, err := gate.New(gate.Config{Cluster: c, File: file, Tenants: []gate.TenantConfig{{Name: "t", APIKey: "k"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
 	client := http.Client{Timeout: 10 * time.Second}
-	for _, ep := range obs.DebugEndpoints() {
-		if ep.Path == "/debug/pprof/" {
-			// The pprof mux ignores format params; reachability is enough.
-			resp, err := client.Get("http://" + addr + ep.Path)
-			if err != nil {
-				t.Fatalf("GET %s: %v", ep.Path, err)
-			}
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				t.Errorf("GET %s: %s", ep.Path, resp.Status)
-			}
-			continue
+	for name, h := range map[string]http.Handler{"cluster": c.DebugHandler(), "gate": g.DebugHandler()} {
+		srv := httptest.NewServer(h)
+		var index []struct{ Path string }
+		resp, err := client.Get(srv.URL + "/debug/?format=json")
+		if err != nil {
+			t.Fatal(err)
 		}
-		if ep.Path == "/metrics" {
-			continue // Prometheus text only; linted separately below
+		err = json.NewDecoder(resp.Body).Decode(&index)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("%s: /debug/ index: %v", name, err)
 		}
-		if ep.Path == "/debug/profiles/" {
-			continue // parameterized download route: 404 without a capture name
+		listed := map[string]bool{}
+		for _, ep := range index {
+			listed[ep.Path] = true
 		}
-		for _, format := range []string{"json", "text"} {
-			url := "http://" + addr + ep.Path + "?format=" + format
-			resp, err := client.Get(url)
-			if err != nil {
-				t.Fatalf("GET %s: %v", url, err)
+		for _, want := range []string{"/debug/optimality", "/debug/plancache", "/debug/rescale", "/debug/cluster", "/debug/mempool"} {
+			if !listed[want] {
+				t.Errorf("%s: index does not list %s", name, want)
 			}
-			if resp.StatusCode != http.StatusOK {
+		}
+		if listed["/debug/tenants"] != (name == "gate") {
+			t.Errorf("%s: index lists /debug/tenants: %v", name, listed["/debug/tenants"])
+		}
+		for _, ep := range index {
+			switch ep.Path {
+			case "/debug/pprof/":
+				// The pprof mux ignores format params; reachability is enough.
+				resp, err := client.Get(srv.URL + ep.Path)
+				if err != nil {
+					t.Fatalf("GET %s: %v", ep.Path, err)
+				}
 				resp.Body.Close()
-				t.Errorf("GET %s: %s", url, resp.Status)
+				if resp.StatusCode != http.StatusOK {
+					t.Errorf("%s: GET %s: %s", name, ep.Path, resp.Status)
+				}
 				continue
+			case "/metrics":
+				continue // Prometheus text only; linted separately below
+			case "/debug/profiles/":
+				continue // parameterized download route: 404 without a capture name
 			}
-			if format == "json" {
-				var doc any
-				if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
-					t.Errorf("GET %s: invalid JSON: %v", url, err)
+			for _, format := range []string{"json", "text"} {
+				url := srv.URL + ep.Path + "?format=" + format
+				resp, err := client.Get(url)
+				if err != nil {
+					t.Fatalf("GET %s: %v", url, err)
+				}
+				if resp.StatusCode != http.StatusOK {
+					resp.Body.Close()
+					t.Errorf("%s: GET %s: %s", name, url, resp.Status)
+					continue
+				}
+				if format == "json" {
+					var doc any
+					if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
+						t.Errorf("%s: GET %s: invalid JSON: %v", name, url, err)
+					}
+				}
+				resp.Body.Close()
+			}
+		}
+		srv.Close()
+	}
+}
+
+// TestEventsFollowLeavesNoGoroutine follows /debug/events as an NDJSON
+// stream, hangs up, and requires the process's goroutine count back at
+// its baseline: a follower must leave nothing behind it.
+func TestEventsFollowLeavesNoGoroutine(t *testing.T) {
+	file, alloc := buildTelemetryFile(t)
+	c, err := fxdist.Open(fxdist.Config{File: file, Allocator: alloc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	srv := httptest.NewServer(c.DebugHandler())
+	defer srv.Close()
+	transport := &http.Transport{}
+	defer transport.CloseIdleConnections()
+	client := http.Client{Transport: transport}
+
+	baseline := runtime.NumGoroutine()
+	for i := 0; i < 4; i++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		req, err := http.NewRequestWithContext(ctx, http.MethodGet, srv.URL+"/debug/events?format=ndjson&follow=1", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := client.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cancel()
+		resp.Body.Close()
+	}
+	transport.CloseIdleConnections()
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(5 * time.Second); n > baseline && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n > baseline {
+		t.Errorf("%d goroutines after four followers hung up, %d before", n, baseline)
+	}
+}
+
+// TestTwoClustersKeepTheirInstrumentsApart opens two memory clusters in
+// one process, A over a bound-violating Modulo allocation under a 1ns
+// objective and B over FX, drives both while their handlers are scraped,
+// and requires each cluster's reports to hold its own traffic alone. CI
+// runs it under -race ten times over.
+func TestTwoClustersKeepTheirInstrumentsApart(t *testing.T) {
+	file, modulo := buildTelemetryFile(t)
+	grid, err := file.FileSystem(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fx, err := fxdist.NewFX(grid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := fxdist.Open(fxdist.Config{File: file, Allocator: modulo}, fxdist.WithLatencySLO(time.Nanosecond, 0.99))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	b, err := fxdist.Open(fxdist.Config{File: file, Allocator: fx})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	pm, err := file.Spec(map[string]string{"z": "z-3"}) // shape **s: Modulo breaks its bound
+	if err != nil {
+		t.Fatal(err)
+	}
+	const shape, perCluster = "**s", 40
+
+	handlers := map[*fxdist.Cluster]http.Handler{a: a.DebugHandler(), b: b.DebugHandler()}
+	scrape := func(h http.Handler, path string) []byte {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, path, nil))
+		if w.Code != http.StatusOK {
+			t.Errorf("GET %s: %d %s", path, w.Code, w.Body)
+		}
+		return w.Body.Bytes()
+	}
+	paths := []string{"/debug/optimality", "/debug/hotpath", "/debug/flight", "/debug/events",
+		"/debug/plancache", "/debug/resilience", "/debug/rescale", "/debug/cluster"}
+	var wg sync.WaitGroup
+	done := make(chan struct{})
+	for _, c := range []*fxdist.Cluster{a, b} {
+		wg.Add(2)
+		go func(c *fxdist.Cluster) {
+			defer wg.Done()
+			for i := 0; i < perCluster; i++ {
+				if _, err := c.Retrieve(pm); err != nil {
+					t.Error(err)
 				}
 			}
-			resp.Body.Close()
+		}(c)
+		go func(h http.Handler) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-done:
+					return
+				default:
+					scrape(h, paths[i%len(paths)])
+				}
+			}
+		}(handlers[c])
+	}
+	until(t, "both clusters served their queries", func() bool {
+		return b.OptimalityReport().Shapes != nil && a.OptimalityReport().Shapes != nil &&
+			b.OptimalityReport().Shapes[0].Queries == perCluster && a.OptimalityReport().Shapes[0].Queries == perCluster
+	})
+	close(done)
+	wg.Wait()
+
+	// B's reports hold B's traffic: one shape, its queries, no bound
+	// violation and no objective.
+	opt := b.OptimalityReport()
+	if len(opt.Shapes) != 1 || opt.Shapes[0].Queries != perCluster || opt.Shapes[0].Violations != 0 || opt.Shapes[0].SLOTarget != 0 {
+		t.Errorf("B's audit %+v, want its %d strict-optimal queries and no objective", opt.Shapes, perCluster)
+	}
+	if cost := b.CostReport(); len(cost.Shapes) != 1 || cost.Shapes[0].Queries != perCluster {
+		t.Errorf("B's cost report %+v, want its %d queries", cost.Shapes, perCluster)
+	}
+	for _, sf := range b.FlightReport().Shapes {
+		for _, r := range sf.Records {
+			if r.BoundViolation || r.Slow {
+				t.Errorf("B's flight recorder holds A's query: %+v", r)
+			}
 		}
+	}
+	for _, ev := range b.QueryEvents(1024) {
+		if ev.BoundViolation || ev.Slow {
+			t.Errorf("B's events hold A's query (trace %d)", ev.TraceID)
+		}
+	}
+	if pc := b.PlanCache(); pc.Hits+pc.Misses != perCluster {
+		t.Errorf("B's plan cache saw %d lookups, want %d", pc.Hits+pc.Misses, perCluster)
+	}
+	if r := b.Resilience(); len(r.Retry) != 0 || len(r.Injectors) != 0 {
+		t.Errorf("B's resilience %+v, want none", r)
+	}
+	if burn := b.BurnRate(shape); burn != 0 {
+		t.Errorf("B's burn rate %g, want 0", burn)
+	}
+	if burn := a.BurnRate(shape); burn < 1 {
+		t.Errorf("A's burn rate %g under a 1ns objective, want the budget blown", burn)
+	}
+	a.SetLatencySLO(time.Hour, 0.5)
+	if got := b.OptimalityReport().Shapes[0].SLOTarget; got != 0 {
+		t.Errorf("SetLatencySLO on A set B's objective to %v", got)
+	}
+	a.SetLatencySLO(time.Nanosecond, 0.99)
+
+	// Each handler's /debug/optimality lists its one cluster.
+	for c, h := range handlers {
+		var rows []fxdist.BackendAudit
+		if err := json.Unmarshal(scrape(h, "/debug/optimality"), &rows); err != nil {
+			t.Fatal(err)
+		}
+		if len(rows) != 1 || len(rows[0].Shapes) != 1 || rows[0].Shapes[0].Queries != c.OptimalityReport().Shapes[0].Queries {
+			t.Errorf("/debug/optimality lists %+v, want the cluster's one row", rows)
+		}
+	}
+
+	// A gate over B sheds on B's burn alone: A's blown budget is not B's.
+	g, err := gate.New(gate.Config{Cluster: b, File: file, BurnShedThreshold: 1,
+		Tenants: []gate.TenantConfig{{Name: "b", APIKey: "k"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	for i := 0; i < 3; i++ {
+		req := httptest.NewRequest(http.MethodPost, "/rpc",
+			jsonBody(`{"jsonrpc":"2.0","id":1,"method":"fx.retrieve","params":{"query":{"z":"z-3"}}}`))
+		req.Header.Set("Authorization", "Bearer k")
+		w := httptest.NewRecorder()
+		g.ServeHTTP(w, req)
+		if w.Code != http.StatusOK {
+			t.Fatalf("gate over B answered %d: %s", w.Code, w.Body)
+		}
+	}
+	if sheds := g.Report().BurnSheds; sheds != 0 {
+		t.Errorf("gate over B shed %d queries on A's burn", sheds)
 	}
 }
 
@@ -464,12 +681,9 @@ func TestDebugEndpointsServeBothFormats(t *testing.T) {
 func TestPrometheusHelpTypeLint(t *testing.T) {
 	// Touch a few instruments so the exposition is non-trivial.
 	obs.Default().Counter("fxdist_lint_probe_total", "Lint probe.").Inc()
-	addr, stop, err := fxdist.ServeMetrics("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stop()
-	resp, err := http.Get("http://" + addr + "/metrics")
+	srv := httptest.NewServer(fxdist.MetricsHandler())
+	defer srv.Close()
+	resp, err := http.Get(srv.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
