@@ -24,8 +24,7 @@ type hotpathRun struct {
 }
 
 // hotpathWorkload drives the same query mix through one backend: every
-// value of field b specified (shape "*s"), cycling so each backend
-// profiles ~2 queries per value.
+// value of field b specified (shape "*s"), cycling through the values.
 func hotpathWorkload(t *testing.T, file *fxdist.File, c *fxdist.Cluster, queries int) hotpathRun {
 	t.Helper()
 	out := make([]fxdist.RetrieveResult, 0, queries)
@@ -74,7 +73,12 @@ func TestHotpathStageSums(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	const queries = 30
+	// runtime/metrics counts a small object when its span leaves the P's
+	// cache, so a stage's object count moves only once a size class's span
+	// fills inside it. A memory retrieval's merge allocates three small
+	// objects: 300 queries fill the 64 B class's 128-object span more than
+	// twice over; a few dozen may fill none and read zero objects.
+	const queries = 300
 	backends := map[string]func(t *testing.T) hotpathRun{
 		"memory": func(t *testing.T) hotpathRun {
 			c, err := fxdist.Open(fxdist.Config{File: file, Allocator: fx})

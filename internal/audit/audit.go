@@ -52,12 +52,16 @@ const sloWindow = 512
 // Shape is one (backend, shape) audit accumulation. Its fields are
 // guarded by the owning telemetry cell's mutex; the obs instruments are
 // internally atomic and mirrored for scraping only — reports read the
-// fields, so Reset can zero them without fighting the monotonic
-// Prometheus counters.
+// fields.
 type Shape struct {
 	shape  string
 	window []bool // ring of recent SLO outcomes; true = bad
-	tally
+
+	queries, violations, mismatches uint64
+	bound, rq, m, maxLoad           int // the latest judged query's plan's numbers
+	worstDev, mismatchDev           int // of the latest violation and mismatch; -1 before any
+	good, bad                       uint64
+	wpos, wlen, wbad                int // window cursor, fill and bad outcomes
 
 	mQueries    *obs.Counter
 	mViolations *obs.Counter
@@ -69,26 +73,16 @@ type Shape struct {
 	mBurn       *obs.Gauge
 }
 
-// tally is the state Reset returns to empty.
-type tally struct {
-	queries, violations, mismatches uint64
-	bound, rq, m, maxLoad           int // the latest judged query's plan's numbers
-	worstDev, mismatchDev           int // of the latest violation and mismatch; -1 before any
-	good, bad                       uint64
-	wpos, wlen, wbad                int // window cursor, fill and bad outcomes
-}
-
-var empty = tally{worstDev: -1, mismatchDev: -1}
-
 // NewShape returns the empty audit state of one backend's query shape,
 // registering (or reviving) its mirrored instruments.
 func NewShape(backend, shape string) *Shape {
 	r := obs.Default()
 	bl, sl := obs.L("backend", backend), obs.L("shape", shape)
 	return &Shape{
-		shape:  shape,
-		window: make([]bool, sloWindow),
-		tally:  empty,
+		shape:       shape,
+		window:      make([]bool, sloWindow),
+		worstDev:    -1,
+		mismatchDev: -1,
 		mQueries: r.Counter("fxdist_audit_queries_total",
 			"Retrievals audited against the strict-optimality bound, per backend and query shape.", bl, sl),
 		mViolations: r.Counter("fxdist_audit_violations_total",
@@ -241,14 +235,4 @@ func (st *Shape) Report(slo SLO) ShapeReport {
 		sr.SLOTarget, sr.SLOGoal, sr.BurnRate = slo.Target, slo.Goal, st.BurnRate(slo)
 	}
 	return sr
-}
-
-// Reset zeroes the accumulation (the mirrored Prometheus counters stay
-// monotonic; gauges drop to zero).
-func (st *Shape) Reset() {
-	st.tally = empty
-	clear(st.window)
-	st.mMaxDev.Set(0)
-	st.mBound.Set(0)
-	st.mBurn.Set(0)
 }

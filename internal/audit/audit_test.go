@@ -131,21 +131,3 @@ func TestShapeSLOOverride(t *testing.T) {
 		t.Errorf("default shape good=%d bad=%d target=%v, want 1/0 under 1h", dflt.Good, dflt.Bad, dflt.SLOTarget)
 	}
 }
-
-func TestResetZeroesState(t *testing.T) {
-	slo := SLO{Target: time.Nanosecond, Goal: 0.9}
-	st := NewShape("test-reset", "*s")
-	done(st, slo, 2, []int{2, 0}, time.Millisecond)
-	if s := st.Report(slo); s.Violations != 1 || s.Bad != 1 || s.BurnRate == 0 {
-		t.Fatalf("setup: %+v", s)
-	}
-	st.Reset()
-	s := st.Report(slo)
-	if s.Queries != 0 || s.Violations != 0 || s.MaxDeviation != 0 || s.WorstDevice != -1 || s.MaxBuckets != 0 ||
-		s.Mismatches != 0 || s.MismatchDevice != -1 || s.Good+s.Bad != 0 || s.BurnRate != 0 {
-		t.Errorf("after reset: %+v", s)
-	}
-	if s.Shape != "*s" || s.SLOTarget != slo.Target {
-		t.Errorf("reset lost the row's identity or objective: %+v", s)
-	}
-}

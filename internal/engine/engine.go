@@ -86,7 +86,11 @@ type Answer struct {
 // qualified buckets the inverse mapper assigns to it for bucket query q,
 // re-checking the value-level filters pm (hashing collides). A Device
 // must honor ctx and return promptly — with ctx.Err() — once the context
-// is cancelled; that is what makes executor deadlines leak-free.
+// is cancelled; that is what makes executor deadlines leak-free. ctx is
+// the executor's pooled call, and q.Spec lives in it: once Scan
+// returns, a Device keeps neither ctx, nor a context derived from it (it
+// cancels what it derived), nor q.Spec — the call serves another query
+// next (DESIGN §9).
 type Device interface {
 	Scan(ctx context.Context, q query.Query, pm mkhash.PartialMatch) (Answer, error)
 }

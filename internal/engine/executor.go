@@ -5,11 +5,14 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
+	"sync"
 	"sync/atomic"
 	"time"
 
 	"fxdist/internal/decluster"
+	"fxdist/internal/mempool"
 	"fxdist/internal/mkhash"
 	"fxdist/internal/obs"
 	"fxdist/internal/plancache"
@@ -77,6 +80,7 @@ type Executor struct {
 	alloc  decluster.GroupAllocator
 	plans  *plancache.Cache
 	pool   *pool
+	calls  sync.Pool // recycled *call (begin, recycle)
 	// owned[dev]: Devices[dev] declares (Owner) that it serves device
 	// dev's buckets alone, so a plan's zero count may stand in for asking.
 	owned []bool
@@ -163,11 +167,37 @@ func (e *Executor) Retry() *retry.Controller { return e.retry }
 // attribute the round trip (both the netdist remote device).
 type callKey struct{}
 
+// parent is the caller's context, read under ctxMu: a deadline timer of a
+// child derived from the call may look it up after the call recycled.
+func (c *call) parent() context.Context {
+	c.ctxMu.RLock()
+	defer c.ctxMu.RUnlock()
+	return c.ctx
+}
+
+func (c *call) setParent(ctx context.Context) {
+	c.ctxMu.Lock()
+	c.ctx = ctx
+	c.ctxMu.Unlock()
+}
+
+func (c *call) Deadline() (time.Time, bool) { return c.parent().Deadline() }
+func (c *call) Done() <-chan struct{}       { return c.parent().Done() }
+func (c *call) Err() error                  { return c.parent().Err() }
+
 func (c *call) Value(key any) any {
 	if key == (callKey{}) {
 		return c
 	}
-	return c.Context.Value(key)
+	return c.parent().Value(key)
+}
+
+// AfterFunc is what the context package calls, instead of starting a
+// watcher goroutine, for a child of a call under a context type it does not
+// know. f may read Err after the call recycled, so the call is pinned.
+func (c *call) AfterFunc(f func()) (stop func() bool) {
+	c.pinned.Store(true)
+	return context.AfterFunc(c.parent(), f)
 }
 
 func callFromContext(ctx context.Context) *call {
@@ -194,7 +224,7 @@ func PlanFromContext(ctx context.Context) *plancache.Plan {
 // planFor returns q's retrieval plan and whether it was a cache hit. The
 // plan is compiled once per shape, so the fan-out and the auditor always
 // agree on the strict bound, and a hit skips validation entirely: sound
-// because engine queries come from Schema.BucketQuery, which only
+// because engine queries come from Schema.BucketQueryInto, which only
 // produces in-range values, and the cache belongs to this executor and
 // its one allocator.
 func (e *Executor) planFor(q query.Query) (*plancache.Plan, bool, error) {
@@ -249,27 +279,39 @@ func CallersFromContext(ctx context.Context) []string {
 }
 
 // call is one in-flight fan-out: per-device answer slots plus an atomic
-// countdown that closes done when the last device task finishes. Waiters
-// that give up early (context cancelled) simply abandon the call; the
-// remaining tasks write into the call's private slices and exit.
+// countdown whose last settle sends the done token (buffer 1). A waiter
+// that gives up early abandons its call to the remaining tasks. Pooled
+// (recycle), a call keeps its own fields across queries: the slots, the
+// spec's array, the span with its spill buffer; callState is zeroed.
 type call struct {
-	// What a device task runs with, the caller's context first (Value).
-	context.Context
-	e  *Executor
+	callState
+	e *Executor
+
+	done    chan struct{}
+	answers []Answer
+	errs    []error
+	devDur  []time.Duration
+	spec    [16]int
+	traced  obs.Span
+
+	ctxMu sync.RWMutex // the call is a context.Context over ctx (parent)
+	ctx   context.Context
+}
+
+// callState is a call's per-query state, zeroed when the call recycles.
+type callState struct {
 	q  query.Query
 	pm mkhash.PartialMatch
 
-	started time.Time // retrieval entry: the plan stage starts here
-	span    *obs.Span // &traced when the executor traces, else nil
-	traced  obs.Span
-	plan    *plancache.Plan // shape, |R(q)|, bound and verdict for every report
-	planHit bool
-	h       int    // the plan's fold of q: device dev holds plan.Count(h, dev)
-	caller  string // attribution for the wide-event query log
-	answers []Answer
-	errs    []error
-	pending atomic.Int64
-	done    chan struct{}
+	started  time.Time       // retrieval entry: the plan stage starts here
+	span     *obs.Span       // &traced when the executor traces, else nil
+	plan     *plancache.Plan // shape, |R(q)|, bound and verdict for every report
+	planHit  bool
+	finished bool   // finish took the done token
+	h        int    // the plan's fold of q: device dev holds plan.Count(h, dev)
+	caller   string // attribution for the wide-event query log
+	pending  atomic.Int64
+	pinned   atomic.Bool // a child of the call is watched past its scan (AfterFunc)
 
 	// Cost-attribution state, populated only when the executor has a
 	// reporting bundle (instr true): mark/lastStamp walk the alloc
@@ -279,25 +321,15 @@ type call struct {
 	instr     bool
 	mark      obs.AllocStat
 	lastStamp time.Time
-	devDur    []time.Duration
 	stages    []obs.StageSample
 	stageBuf  [5]obs.StageSample
 	rec       obs.QueryRecord
 }
 
-// settled reports whether every device task has finished. Observing the
-// closed done channel is the happens-before edge that makes the
-// per-device slices (answers, errs, devDur) safe to read; an abandoned
-// call (waiter cancelled, stragglers still writing) is not settled and
-// its per-device state must not be touched.
-func (c *call) settled() bool {
-	select {
-	case <-c.done:
-		return true
-	default:
-		return false
-	}
-}
+// settled reports whether every device task has finished — finish took
+// the done token, or the countdown reads zero: the happens-before edge
+// that makes the per-device slices safe to read. An abandoned call is not.
+func (c *call) settled() bool { return c.finished || c.pending.Load() == 0 }
 
 // closeStage ends the stage that has run since the previous stage
 // boundary (the retrieval's entry, for the first) and appends it to the
@@ -322,26 +354,30 @@ func (c *call) closeStage(stage string) {
 // scans of the active devices — {h·g : counts[g] > 0}, and any that does
 // not declare its owner — are queued on the shared pool. A device not
 // asked keeps a zero answer: it reports as the device with no qualified
-// bucket it is. The plan rides the call (its shape, |R(q)|, bound and
-// verdict feed every report) and the call travels to the devices via the
-// context. A query that dies before fan-out has no plan, hence no record:
-// it is reported to the cluster metrics alone.
+// bucket it is. The plan rides the call, the devices' context. A query
+// that dies before fan-out has no plan, hence no record: it is reported to
+// the cluster metrics alone.
 func (e *Executor) begin(ctx context.Context, pm mkhash.PartialMatch, caller string) (*call, error) {
 	var mark obs.AllocStat
 	if e.in != nil {
 		e.in.Metrics.Started()
 		mark = obs.ReadAllocs() // the plan stage pays for the call itself
 	}
+	m := len(e.devs)
+	c, _ := e.calls.Get().(*call) // with pooling off (mempool.SetEnabled) every call is new
+	if c == nil || !mempool.Enabled() {
+		c = &call{e: e, done: make(chan struct{}, 1), answers: make([]Answer, m), errs: make([]error, m), devDur: make([]time.Duration, m)}
+	}
+	c.setParent(ctx)
 	now := time.Now()
-	c := &call{Context: ctx, e: e, pm: pm, started: now, lastStamp: now, caller: caller, instr: e.in != nil, mark: mark}
+	c.pm, c.started, c.lastStamp, c.caller, c.instr, c.mark = pm, now, now, caller, e.in != nil, mark
 	if c.instr {
 		c.stages = c.stageBuf[:0]
-		c.devDur = dursPool.Get(len(e.devs))
 	}
 	// Lowering hashes the values into bucket coordinates; range
 	// validation happens once per shape inside planFor, not per retrieval.
 	var err error
-	if c.q, err = e.schema.BucketQuery(pm); err == nil {
+	if c.q, err = e.schema.BucketQueryInto(pm, c.spec[:]); err == nil {
 		c.plan, c.planHit, err = e.planFor(c.q)
 	}
 	if err != nil {
@@ -351,9 +387,6 @@ func (e *Executor) begin(ctx context.Context, pm mkhash.PartialMatch, caller str
 		return nil, err
 	}
 	c.closeStage(obs.StagePlan)
-	m := len(e.devs)
-	c.answers, c.errs = answersPool.Get(m), errsPool.Get(m)
-	c.done = make(chan struct{})
 	if e.tracer != nil && e.span != "" {
 		c.span = &c.traced
 		e.tracer.Begin(c.span, e.span, 0, 0)
@@ -370,10 +403,10 @@ func (e *Executor) begin(ctx context.Context, pm mkhash.PartialMatch, caller str
 	return c, nil
 }
 
-// settle marks one device of the call finished; the last one closes done.
+// settle marks one device finished; the last one sends the done token.
 func (c *call) settle() {
 	if c.pending.Add(-1) == 0 {
-		close(c.done)
+		c.done <- struct{}{}
 	}
 }
 
@@ -387,9 +420,7 @@ func (c *call) scan(dev int) {
 	}
 	start := time.Now()
 	c.answers[dev], c.errs[dev] = c.e.scanDevice(c, dev, c.q, c.pm)
-	if c.instr {
-		c.devDur[dev] = time.Since(start)
-	}
+	c.devDur[dev] = time.Since(start)
 }
 
 // consolidate turns the call's per-device answers into one Result:
@@ -414,16 +445,14 @@ func (e *Executor) consolidate(ctx context.Context, c *call) (Result, error) {
 // discardAnswers recycles the hit frames and lent memory of answers
 // that will never be merged (a retrieval failed outright after some
 // devices had already answered). Only called once every device task has
-// finished — never on an abandoned call.
+// finished — never on an abandoned call — and once per answer: the call
+// zeroes its slots when it recycles.
 func discardAnswers(answers []Answer) {
-	for i := range answers {
-		a := &answers[i]
+	for _, a := range answers {
 		if a.Release != nil {
 			a.Release()
-			a.Release = nil
 		}
 		hitsPool.Put(a.Hits)
-		a.Hits = nil
 	}
 }
 
@@ -475,10 +504,8 @@ func (e *Executor) merge(answers []Answer, failed map[int]error) Result {
 		}
 		res.Records = append(res.Records, a.Hits...)
 		hitsPool.Put(a.Hits)
-		a.Hits = nil
 		if a.Release != nil {
 			res.lease.rels = append(res.lease.rels, a.Release)
-			a.Release = nil
 		}
 	}
 	res.Response, res.TotalWork, res.LargestResponseSize = AccumulateCost(res.DeviceTime, res.DeviceBuckets)
@@ -521,21 +548,17 @@ func (e *Executor) degrade(c *call) (Result, error) {
 // and verdict from the plan, plus the devices whose answers disagree
 // with it — and takes it through the bundle's three steps:
 //
-//  1. Audit — cluster metrics and the bound/placement/SLO audit, which
-//     read only scalars and the merged bucket counts and run inside the
-//     audit stage they are measured by (so they see the latency so far);
-//  2. the audit stage closes, fixing Elapsed and Stages, and Decide
-//     rules once, on scalars, whether the record is kept. Only a kept
-//     query (or a flight) copies the call's record to the heap and pays
-//     for per-device detail and error text (and only a flight for the
-//     span's annotation log), materialised here, from a settled call;
-//  3. Commit — the sealed, from here on immutable record goes to the
-//     store.
+//  1. Audit — cluster metrics and the bound/placement/SLO audit, on
+//     scalars and the merged bucket counts, inside the audit stage;
+//  2. the audit stage closes, and Decide rules once, on scalars, whether
+//     the record is kept. Only a kept query (or a flight) copies the
+//     call's record to the heap and pays for per-device detail, error
+//     text (and, a flight, the span's annotation log);
+//  3. Commit — the sealed, immutable record goes to the store, which
+//     keeps only a kept copy: the call's own record goes back with it.
 //
-// The same decision retains the trace: a query kept for the event ring
-// keeps its full trace tree under the same reason, and a retained trace
-// gets a latency-histogram exemplar pointing at it, closing the loop
-// bucket → trace ID → kept tree → kept event.
+// The same decision retains the trace and, for a retained one, gives the
+// latency histogram an exemplar: bucket → trace ID → kept tree → event.
 func (e *Executor) report(c *call, res Result, err error) {
 	if err != nil {
 		c.span.Event("error: " + err.Error())
@@ -654,7 +677,7 @@ func (c *call) deviceDetail(rec *obs.QueryRecord, keep bool) (scan time.Duration
 func (c *call) seal(res Result, err error) (Result, error) {
 	tid := c.span.Trace()
 	res.TraceID = tid
-	res.Stages = c.stages
+	res.Stages = slices.Clone(c.stages) // the call's buffer goes back with it
 	if err != nil {
 		if pe, ok := err.(*PartialError); ok {
 			pe.Res.TraceID = tid
@@ -666,34 +689,33 @@ func (c *call) seal(res Result, err error) (Result, error) {
 	return res, err
 }
 
-// recycle returns the call's fan-out scratch and span to the pools — but
-// only when every device task has finished. An abandoned call (the waiter
-// gave up on context cancellation) may still have straggler tasks
-// writing into them; its scratch is left to the garbage collector, which
-// is safe, just unrecycled.
+// recycle zeroes the call and pools it once every device task finished.
+// An abandoned call (stragglers may still write it) or a pinned one (a
+// watcher may read it) is left to the collector: safe, just unrecycled.
 func (e *Executor) recycle(c *call) {
-	if !c.settled() {
+	if !c.settled() || c.pinned.Load() || !mempool.Enabled() {
 		return
 	}
-	c.span.Release()
-	answersPool.Put(c.answers)
-	c.answers = nil
-	errsPool.Put(c.errs)
-	c.errs = nil
-	dursPool.Put(c.devDur)
-	c.devDur = nil
+	if !c.finished {
+		<-c.done // the last settle's token, sent after finish stopped waiting
+	}
+	clear(c.answers)
+	clear(c.errs)
+	clear(c.devDur)
+	c.setParent(context.Background())
+	c.callState = callState{}
+	e.calls.Put(c)
 }
 
 // finish blocks until every device task of a launched call finished or
-// ctx is cancelled, then turns the call into the caller's result:
-// merge, report, seal, recycle. On cancellation it returns promptly
-// with ctx's error; straggler tasks keep draining in the background
-// into the abandoned call and exit on their next context check. Either
-// way the fanout stage is the time spent waiting here and the merge
-// stage what followed it.
+// ctx is cancelled, then turns the call into the caller's result: merge,
+// report, seal, recycle. On cancellation it returns promptly with ctx's
+// error; stragglers drain into the abandoned call and exit on their next
+// context check. The fanout stage is the wait here, merge what follows.
 func (e *Executor) finish(ctx context.Context, c *call) (res Result, err error) {
 	select {
 	case <-c.done:
+		c.finished = true
 	case <-ctx.Done():
 		err = ctx.Err()
 	}
@@ -742,9 +764,8 @@ func (e *QueryError) Unwrap() error { return e.Err }
 // *QueryError to the joined error.
 func (e *Executor) RetrieveBatch(ctx context.Context, pms []mkhash.PartialMatch) ([]Result, error) {
 	results := make([]Result, len(pms))
-	// Batch-internal scratch recycles across calls: the per-query error
-	// and call-handle slices come from the pools, and each finished
-	// query's fan-out scratch goes back before the next one completes.
+	// The per-query error and call slices come from the pools, and each
+	// finished query's call goes back before the next one completes.
 	errs := errsPool.Get(len(pms))
 	calls := callsPool.Get(len(pms))
 	callers := CallersFromContext(ctx)

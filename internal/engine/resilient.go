@@ -84,8 +84,8 @@ type hedgeResult struct {
 // latency. Only primary attempts hedge — replacement devices are already
 // the backup path. Both arms share a cancellable child context; the
 // first success cancels the loser, which is waited out before the scan
-// returns: an arm still running would annotate the call's span after
-// the call settled and released it.
+// returns: an arm still running would read the call, and annotate its
+// span, after the call went back to the pool for another query.
 func (e *Executor) scanMaybeHedged(ctx context.Context, dev int, d Device, primary bool, q query.Query, pm mkhash.PartialMatch) (Answer, error) {
 	if e.backup == nil || !primary {
 		return d.Scan(ctx, q, pm)

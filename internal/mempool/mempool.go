@@ -68,6 +68,9 @@ var disabled atomic.Bool
 // outside tests calls it, and tests that do must not run in parallel.
 func SetEnabled(on bool) (was bool) { return !disabled.Swap(!on) }
 
+// Enabled reports the SetEnabled setting, for pools kept elsewhere.
+func Enabled() bool { return !disabled.Load() }
+
 // poison makes Put scribble byte slabs before pooling them; see SetPoison.
 var poison atomic.Bool
 

@@ -14,6 +14,7 @@ package mkhash
 
 import (
 	"fmt"
+	"slices"
 
 	"fxdist/internal/decluster"
 	"fxdist/internal/query"
@@ -390,11 +391,15 @@ func (f *File) SpecPairs(pairs [][2]string) (PartialMatch, error) {
 
 // BucketQuery lowers a value-level partial match to a bucket-level query
 // by hashing the specified values.
-func (f *File) BucketQuery(pm PartialMatch) (query.Query, error) {
+func (f *File) BucketQuery(pm PartialMatch) (query.Query, error) { return f.BucketQueryInto(pm, nil) }
+
+// BucketQueryInto is BucketQuery writing the spec into spec's array, or a
+// new one if spec has no room for every field: the query aliases it.
+func (f *File) BucketQueryInto(pm PartialMatch, spec []int) (query.Query, error) {
 	if len(pm) != len(f.depths) {
 		return query.Query{}, fmt.Errorf("mkhash: query has %d fields, schema has %d", len(pm), len(f.depths))
 	}
-	spec := make([]int, len(pm))
+	spec = slices.Grow(spec[:0], len(pm))[:len(pm)]
 	for i, v := range pm {
 		if v == nil {
 			spec[i] = query.Unspecified

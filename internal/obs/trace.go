@@ -412,7 +412,8 @@ type spanData struct {
 	done                           bool
 	// The first events live in the span itself: most spans annotate once
 	// or twice. Later ones (a coordinator's reply per device) spill to
-	// more, a buffer taken from spills on the first of them.
+	// more, a buffer the span makes on the first of them and keeps when
+	// its owner begins it again.
 	inline [2]spanEvent
 	n      int // events recorded; the first len(inline) of them in inline
 	more   []spanEvent
@@ -471,8 +472,8 @@ func (s *Span) record(ev spanEvent) {
 	if s.n < len(s.inline) {
 		s.inline[s.n] = ev
 	} else {
-		if s.more == nil {
-			s.more = spills.Get().(*[spillCap]spanEvent)[:0]
+		if s.more == nil { // with inline, room for an 8-device fan-out's replies
+			s.more = make([]spanEvent, 0, 8)
 		}
 		s.more = append(s.more, ev)
 	}
@@ -497,22 +498,6 @@ func (s *Span) End() {
 		t.unlink(s)
 		t.mu.Unlock()
 	}
-}
-
-// spills recycles released spans' spill buffers, without the tracer lock.
-var spills = sync.Pool{New: func() any { return new([spillCap]spanEvent) }}
-
-const spillCap = 8 // with inline, room for an 8-device fan-out's replies
-
-// Release gives the span's spill buffer back, if it took one. The owner
-// calls it on an ended span it will neither read nor begin again — the
-// executor once its call settled.
-func (s *Span) Release() {
-	if s == nil || cap(s.more) != spillCap {
-		return
-	}
-	spills.Put((*[spillCap]spanEvent)(s.more[:spillCap]))
-	s.more = nil
 }
 
 // Snapshot returns a point-in-time copy of the span (zero value on a

@@ -107,9 +107,9 @@ func TestReplyEventsRenderTheFormattedText(t *testing.T) {
 }
 
 // TestSpilledRepliesReuseTheirBuffers: a coordinator-style span whose
-// replies spill past inline, ended and released, allocates nothing once
-// the ring has wrapped — its spill buffer comes back from the last
-// released span, the slot's copy from the slot it reclaims.
+// replies spill past inline, ended and begun again, allocates nothing once
+// the ring has wrapped — Begin keeps its spill buffer, the slot's copy
+// comes from the slot it reclaims.
 func TestSpilledRepliesReuseTheirBuffers(t *testing.T) {
 	if raceEnabled() {
 		t.Skip("allocation counts are not exact under -race")
@@ -122,13 +122,12 @@ func TestSpilledRepliesReuseTheirBuffers(t *testing.T) {
 			s.Reply(DeviceReply{Device: dev, Addr: "addr", Request: 1, Buckets: 4, Records: 12})
 		}
 		s.End()
-		s.Release()
 	}
 	for i := 0; i < 16; i++ {
 		query()
 	}
 	if allocs := testing.AllocsPerRun(100, query); allocs != 0 {
-		t.Errorf("a released 8-reply span costs %.1f allocations, want 0", allocs)
+		t.Errorf("a reused 8-reply span costs %.1f allocations, want 0", allocs)
 	}
 	if got := tr.Recent(1); len(got) != 1 || len(got[0].Events) != 8 {
 		t.Fatalf("the newest span reads %+v, want 8 reply events", got)
@@ -183,7 +182,6 @@ func TestNilTracerAndSpanNoOp(t *testing.T) {
 	s.Event("y")
 	s.Reply(DeviceReply{Device: 1, Request: 2})
 	s.End()
-	s.Release()
 	if snap := s.Snapshot(); snap.ID != 0 || snap.Events != nil {
 		t.Errorf("nil span snapshot = %+v, want zero", snap)
 	}

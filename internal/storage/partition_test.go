@@ -99,9 +99,10 @@ func TestPartitionAdmit(t *testing.T) {
 // others is not the walk: replDevice's bucket scratch escapes through the
 // placement's allocator interface (1), and durDevice's record builder
 // makes one exactly-sized header chunk and one byte chunk for all the
-// hits it materialises (2). Cluster.Retrieve is the executor's own 6
-// whatever M is (11 before the call carried its span, record, stages and
-// context, and the bucket query stopped copying its spec). A
+// hits it materialises (2). Cluster.Retrieve is the executor's own 4
+// whatever M is — the result's records, counts, device times and stages —
+// since the call, its done token and its spec are pooled (6 before; 11
+// before the call carried its span, record, stages and context). A
 // generalisation that makes the scan state escape — a func-typed scanner,
 // a store interface, a callback handed the scratch — adds objects per
 // device per query and fails here first; memory_point reads it per device
@@ -154,8 +155,8 @@ func TestScanStateStaysOnStack(t *testing.T) {
 		{"memDevice.Scan", scan(memDevice{c: mem, dev: 1}), 0},
 		{"replDevice.Scan", scan(replDevice{c: repl, dev: 1}), 1},
 		{"durDevice.Scan", scan(durDevice{c: dur, dev: 1}), 2},
-		{"Cluster.Retrieve", retrieve(mem), 6},
-		{"ReplicatedCluster.Retrieve", retrieve(repl), 10},
+		{"Cluster.Retrieve", retrieve(mem), 4},
+		{"ReplicatedCluster.Retrieve", retrieve(repl), 8},
 	} {
 		// Warm the hit pool and the plan cache, and pass the shape's 8
 		// head-kept queries: each copies its record, so counting them

@@ -226,6 +226,8 @@ type Cluster struct {
 	// driver is the cluster's latest rescale's migration driver, which
 	// /debug/rescale reports and steers; nil before the first.
 	driver atomic.Pointer[rebalance.Driver]
+	// sloMu orders objective setters and a rescale's adoption of them.
+	sloMu sync.Mutex
 }
 
 // Backend kinds reported by Cluster.Kind.
@@ -502,27 +504,24 @@ func (c *Cluster) PlanCache() PlanCacheStats { return c.backend().PlanCache().St
 // it reaches the new epoch too, whose bundle becomes the cluster's at
 // cutover.
 func (c *Cluster) SetLatencySLO(target time.Duration, goal float64) {
-	for _, in := range c.bundles() {
-		in.SetSLO(audit.SLO{Target: target, Goal: goal})
-	}
+	c.eachBundle(func(in *telemetry.Instruments) { in.SetSLO(audit.SLO{Target: target, Goal: goal}) })
 }
 
 // SetShapeLatencySLO overrides the latency objective for one query
 // shape of this cluster.
 func (c *Cluster) SetShapeLatencySLO(shape string, target time.Duration, goal float64) {
-	for _, in := range c.bundles() {
-		in.SetShapeSLO(shape, audit.SLO{Target: target, Goal: goal})
-	}
+	c.eachBundle(func(in *telemetry.Instruments) { in.SetShapeSLO(shape, audit.SLO{Target: target, Goal: goal}) })
 }
 
-// bundles are the reporting bundles an objective set now must reach:
-// the serving backend's, and a live rescale's new epoch's.
-func (c *Cluster) bundles() []*telemetry.Instruments {
-	ins := []*telemetry.Instruments{c.backend().Instruments()}
+// eachBundle runs set, under sloMu, on the bundles an objective set now
+// must reach: the serving backend's, and a live rescale's new epoch's.
+func (c *Cluster) eachBundle(set func(*telemetry.Instruments)) {
+	c.sloMu.Lock()
+	defer c.sloMu.Unlock()
+	set(c.backend().Instruments())
 	if r := c.resc.Load(); r != nil {
-		ins = append(ins, r.newCoord.Instruments())
+		set(r.newCoord.Instruments())
 	}
-	return ins
 }
 
 // OptimalityReport snapshots this cluster's strict-optimality audit:

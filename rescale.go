@@ -113,9 +113,6 @@ func (c *Cluster) Rescale(ctx context.Context, cfg RescaleConfig) (*Rescale, err
 	if c.kind != KindNetdist {
 		return nil, fmt.Errorf("fxdist: only the distributed backend rescales (this cluster is %q)", c.kind)
 	}
-	if c.resc.Load() != nil {
-		return nil, errors.New("fxdist: a rescale is already in flight")
-	}
 	old := c.Coordinator()
 	oldM := old.M()
 	if cfg.NewM != 2*oldM && oldM != 2*cfg.NewM {
@@ -160,14 +157,21 @@ func (c *Cluster) Rescale(ctx context.Context, cfg RescaleConfig) (*Rescale, err
 	if err != nil {
 		return nil, fmt.Errorf("fxdist: dial new-epoch coordinator: %w", err)
 	}
-	next := newCoord.Instruments()
-	next.AdoptSLOs(old.Instruments())
-
 	r := &Rescale{c: c, newCoord: newCoord, done: make(chan struct{})}
 	r.dual = &engine.DualReader{
 		Old: old.RetrieveContext,
 		New: newCoord.RetrieveContext,
 	}
+	// Published before its bundle adopts the objectives, under the
+	// setters' lock, the rescale loses none set meanwhile (eachBundle).
+	if !c.resc.CompareAndSwap(nil, r) {
+		newCoord.Close()
+		return nil, errors.New("fxdist: a rescale is already in flight")
+	}
+	next := newCoord.Instruments()
+	c.sloMu.Lock()
+	next.AdoptSLOs(old.Instruments())
+	c.sloMu.Unlock()
 
 	// The transport must span the union of the two device sets: the
 	// larger coordinator's conn table does.
@@ -193,11 +197,11 @@ func (c *Cluster) Rescale(ctx context.Context, cfg RescaleConfig) (*Rescale, err
 	}
 	driver, err := rebalance.NewDriver(dcfg)
 	if err != nil {
-		newCoord.Close()
+		c.resc.CompareAndSwap(r, nil)
+		r.closeNew() // a Close racing the publish may have closed it too
 		return nil, err
 	}
 	r.driver = driver
-	c.resc.Store(r)
 	c.driver.Store(driver)
 
 	go func() {

@@ -610,3 +610,90 @@ func TestRescaleKeepsItsObjectivesAndAuditsTheNewEpoch(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestObjectiveSetWhileARescaleStartsHolds sets the cluster's latency
+// objective in a loop while Rescale dials the new epoch, publishes the
+// rescale and hands the new epoch's bundle the cluster's objectives; after
+// cutover the cluster's objective is the last one set, including one set
+// after the new bundle adopted the objectives but before the setters could
+// see the rescale.
+func TestObjectiveSetWhileARescaleStartsHolds(t *testing.T) {
+	file := buildTestFile(t)
+	grid, err := file.FileSystem(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fx, err := fxdist.NewFX(grid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addrs, stopOld, err := fxdist.DeployLocal(file, fx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stopOld()
+	spec, err := fxdist.DescribeAllocator(fx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	newSpec, err := spec.Rescaled(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	taddrs, stopTargets := deployRescaleTargets(t, newSpec, 4, 1)
+	defer stopTargets()
+	cl, err := fxdist.Open(fxdist.Config{File: file, Addrs: addrs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	// Targets of an hour and a few nanoseconds: no query is slow, and each
+	// set is told apart by its nanoseconds.
+	var last atomic.Int64
+	stop, stopped := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(stopped)
+		for i := int64(1); ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			target := time.Hour + time.Duration(i)
+			cl.SetLatencySLO(target, 0.99)
+			last.Store(int64(target))
+		}
+	}()
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	const guard = 8
+	resc, err := cl.Rescale(ctx, fxdist.RescaleConfig{
+		Addrs: append(append([]string(nil), addrs...), taddrs...), NewM: 8, Allocator: fx, GuardMinQueries: guard,
+	})
+	close(stop)
+	<-stopped
+	if err != nil {
+		t.Fatal(err)
+	}
+	until(t, "the rescale reaches dual-read", func() bool { return resc.Status().Phase == "dual-read" })
+	pms := rescaleQueries(t, file)
+	for i := 0; i < guard; i++ {
+		if err := resc.Verify(ctx, pms[i%len(pms):i%len(pms)+1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := resc.Wait(); err != nil {
+		t.Fatalf("rescale: %v", err)
+	}
+	want := time.Duration(last.Load())
+	rep := cl.OptimalityReport()
+	if len(rep.Shapes) == 0 {
+		t.Fatal("the new epoch audited no shape")
+	}
+	for _, s := range rep.Shapes {
+		if s.SLOTarget != want {
+			t.Errorf("shape %s after cutover: objective %v, want the last one set, %v", s.Shape, s.SLOTarget, want)
+		}
+	}
+}
