@@ -23,6 +23,7 @@ import (
 
 	"fxdist/internal/mkhash"
 	"fxdist/internal/obs"
+	"fxdist/internal/pagestore"
 	"fxdist/internal/query"
 )
 
@@ -69,6 +70,10 @@ type Answer struct {
 	// it and returns the slab to the pool, so a device must not retain
 	// Hits after returning the Answer.
 	Hits []mkhash.Record
+	// Found are hits still encoded, as a durable device collected them;
+	// the merge builds every device's through one reservation, after its
+	// Hits, and releases the slab. A device that fails releases its own.
+	Found pagestore.Matches
 	// Idle marks a device that did not participate at all (e.g. a failed
 	// replica whose buckets are served elsewhere); idle devices are not
 	// charged the per-query dispatch cost.

@@ -436,23 +436,24 @@ func (e *Executor) consolidate(ctx context.Context, c *call) (Result, error) {
 		if e.partial && len(failures) < len(c.errs) && ctx.Err() == nil {
 			return e.degrade(c)
 		}
-		discardAnswers(c.answers)
+		discardAnswers(c.answers...)
 		return Result{}, errors.Join(failures...)
 	}
 	return e.merge(c.answers, nil), nil
 }
 
-// discardAnswers recycles the hit frames and lent memory of answers
-// that will never be merged (a retrieval failed outright after some
-// devices had already answered). Only called once every device task has
-// finished — never on an abandoned call — and once per answer: the call
-// zeroes its slots when it recycles.
-func discardAnswers(answers []Answer) {
+// discardAnswers recycles the hit frames, slabs and lent memory of
+// answers never merged (a retrieval failed outright, a hedge's loser).
+// Only called once every device task has finished — never on an
+// abandoned call — and once per answer: the call zeroes its slots when
+// it recycles.
+func discardAnswers(answers ...Answer) {
 	for _, a := range answers {
 		if a.Release != nil {
 			a.Release()
 		}
 		hitsPool.Put(a.Hits)
+		a.Found.Release()
 	}
 }
 
@@ -461,9 +462,10 @@ func discardAnswers(answers []Answer) {
 //
 // Records consolidate in one pass into a single exactly-sized slice the
 // caller owns — sized by summing the per-device hit counts first — and
-// the per-device hit frames are drained back to the pool. What the
-// devices lent under those records (Answer.Release) folds into the
-// result's lease; a result nothing was lent to carries none.
+// the per-device hit frames are drained back to the pool; encoded hits
+// (Answer.Found) build through one builder reserved for them all. What
+// the devices lent (Answer.Release) folds into the result's lease; a
+// result nothing was lent to carries none.
 func (e *Executor) merge(answers []Answer, failed map[int]error) Result {
 	m := len(answers)
 	counts := make([]int, 2*m)
@@ -474,7 +476,7 @@ func (e *Executor) merge(answers []Answer, failed map[int]error) Result {
 		DeviceRecords: counts[m:],
 		DeviceTime:    make([]time.Duration, m),
 	}
-	total, lent := 0, 0
+	total, fields, bytes, lent := 0, 0, 0, 0
 	for dev := range answers {
 		a := &answers[dev]
 		if a.Idle || failed[dev] != nil {
@@ -483,7 +485,8 @@ func (e *Executor) merge(answers []Answer, failed map[int]error) Result {
 		res.DeviceBuckets[dev] = a.Buckets
 		res.DeviceRecords[dev] = a.Records
 		res.DeviceTime[dev] = e.model.DeviceTime(a.Buckets, a.Records)
-		total += len(a.Hits)
+		n, f, b := a.Found.Size()
+		total, fields, bytes = total+len(a.Hits)+n, fields+f, bytes+b
 		if a.Release != nil {
 			lent++
 		}
@@ -494,16 +497,23 @@ func (e *Executor) merge(answers []Answer, failed map[int]error) Result {
 	if lent > 0 {
 		res.lease = &lease{rels: make([]func(), 0, lent)}
 	}
+	var build mempool.RecordBuilder
+	build.Reserve(fields, bytes)
 	for dev := range answers {
 		a := &answers[dev]
 		if a.Idle || failed[dev] != nil {
 			// A failed device's answer is zero by convention; discard
 			// defensively in case an adapter returned one anyway.
-			discardAnswers(answers[dev : dev+1])
+			discardAnswers(*a)
 			continue
 		}
 		res.Records = append(res.Records, a.Hits...)
 		hitsPool.Put(a.Hits)
+		_ = a.Found.Build(&build, func(r mkhash.Record) error { // fails only if fn does
+			res.Records = append(res.Records, r)
+			return nil
+		})
+		a.Found.Release()
 		if a.Release != nil {
 			res.lease.rels = append(res.lease.rels, a.Release)
 		}
@@ -535,9 +545,7 @@ func (e *Executor) degrade(c *call) (Result, error) {
 			coverage = 1
 		}
 	}
-	if c.span != nil {
-		c.span.Event(fmt.Sprintf("degraded: %d device(s) failed, coverage %.3f", len(failed), coverage))
-	}
+	c.span.Event(fmt.Sprintf("degraded: %d device(s) failed, coverage %.3f", len(failed), coverage))
 	e.retry.Degraded(coverage)
 	perr := &PartialError{Res: res, Failed: failed, Coverage: coverage}
 	return res, perr

@@ -31,7 +31,7 @@ func (e *Executor) scanDevice(ctx context.Context, dev int, q query.Query, pm mk
 		var ans Answer
 		var err error
 		if attempt == 1 {
-			if err = e.retry.Allow(dev); err != nil && span != nil {
+			if err = e.retry.Allow(dev); err != nil {
 				span.Event(fmt.Sprintf("breaker: device %d attempt vetoed: %v", dev, err))
 			}
 		}
@@ -57,9 +57,7 @@ func (e *Executor) scanDevice(ctx context.Context, dev int, q query.Query, pm mk
 		} else {
 			return Answer{}, err
 		}
-		if span != nil {
-			span.Event(fmt.Sprintf("retry: device %d attempt %d after %v (cause: %v)", dev, attempt+1, delay, err))
-		}
+		span.Event(fmt.Sprintf("retry: device %d attempt %d after %v (cause: %v)", dev, attempt+1, delay, err))
 		if delay > 0 {
 			t := time.NewTimer(delay)
 			select {
@@ -83,9 +81,9 @@ type hedgeResult struct {
 // retry controller finds the slot's primary breaching its peers' tail
 // latency. Only primary attempts hedge — replacement devices are already
 // the backup path. Both arms share a cancellable child context; the
-// first success cancels the loser, which is waited out before the scan
-// returns: an arm still running would read the call, and annotate its
-// span, after the call went back to the pool for another query.
+// first success cancels the loser, which is waited out, its answer
+// discarded, before the scan returns: an arm still running would read
+// the call, and annotate its span, after the call went back to the pool.
 func (e *Executor) scanMaybeHedged(ctx context.Context, dev int, d Device, primary bool, q query.Query, pm mkhash.PartialMatch) (Answer, error) {
 	if e.backup == nil || !primary {
 		return d.Scan(ctx, q, pm)
@@ -118,7 +116,7 @@ func (e *Executor) scanMaybeHedged(ctx context.Context, dev int, d Device, prima
 	defer func() {
 		cancel()
 		for ; outstanding > 0; outstanding-- {
-			<-ch
+			discardAnswers((<-ch).ans) // the loser's, or a cancelled arm's
 		}
 	}()
 	for {
@@ -131,9 +129,7 @@ func (e *Executor) scanMaybeHedged(ctx context.Context, dev int, d Device, prima
 			if r.err == nil {
 				if r.hedge {
 					e.retry.HedgeWon()
-					if span != nil {
-						span.Event(fmt.Sprintf("hedge: backup won for device %d after %v", dev, time.Since(t0)))
-					}
+					span.Event(fmt.Sprintf("hedge: backup won for device %d after %v", dev, time.Since(t0)))
 				}
 				return r.ans, nil
 			}
@@ -154,9 +150,7 @@ func (e *Executor) scanMaybeHedged(ctx context.Context, dev int, d Device, prima
 			hedged = true
 			outstanding++
 			e.retry.Hedged()
-			if span != nil {
-				span.Event(fmt.Sprintf("hedge: launching backup for device %d after %v", dev, after))
-			}
+			span.Event(fmt.Sprintf("hedge: launching backup for device %d after %v", dev, after))
 			go func() {
 				ans, err := backup.Scan(hctx, q, pm)
 				ch <- hedgeResult{ans: ans, err: err, hedge: true}

@@ -3,13 +3,16 @@ package engine_test
 import (
 	"context"
 	"errors"
+	"path/filepath"
 	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"fxdist/internal/engine"
+	"fxdist/internal/mempool"
 	"fxdist/internal/mkhash"
+	"fxdist/internal/pagestore"
 	"fxdist/internal/query"
 	"fxdist/internal/retry"
 )
@@ -269,6 +272,59 @@ func TestHedgeBackupWins(t *testing.T) {
 	}
 	if rep := rc.Report(); rep.Hedges != 1 || rep.HedgeWins != 1 {
 		t.Errorf("hedged=%d won=%d, want 1/1", rep.Hedges, rep.HedgeWins)
+	}
+}
+
+// logDevice answers with the hits of one pagestore bucket, collected
+// still encoded into Answer.Found. Its sleep passes before the scan
+// whatever ctx says: a primary already past its last context check,
+// which finishes its scan after its hedge has won.
+type logDevice struct {
+	s     *pagestore.Store
+	sleep time.Duration
+}
+
+func (d logDevice) Scan(ctx context.Context, q query.Query, pm mkhash.PartialMatch) (engine.Answer, error) {
+	time.Sleep(d.sleep)
+	ans := engine.Answer{Buckets: 1}
+	if _, err := d.s.AppendMatching(1, pm, &ans.Found); err != nil {
+		ans.Found.Release()
+		return engine.Answer{}, err
+	}
+	return ans, nil
+}
+
+// A hedge's loser is discarded, not dropped: the slow primary answers
+// after its backup won, and the slab it collected into goes back to
+// mempool.Frames with the winner's — every retrieval gives back every
+// slab it took.
+func TestHedgeLoserGivesItsSlabBack(t *testing.T) {
+	f := testSchema(t)
+	s, err := pagestore.Open(filepath.Join(t.TempDir(), "device.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.AppendRun(1, []mkhash.Record{rec("h", "1"), rec("h", "2")}); err != nil {
+		t.Fatal(err)
+	}
+	const n = 5
+	e, rc := hedging(t, f, 2*time.Millisecond, logDevice{s: s, sleep: 20 * time.Millisecond}, logDevice{s: s})
+	before := mempool.Frames.Stats()
+	for i := 0; i < n; i++ {
+		if res, err := e.Retrieve(context.Background(), anyQuery(t, f)); err != nil || len(res.Records) != 2 {
+			t.Fatalf("hedged retrieval: %d records, %v", len(res.Records), err)
+		}
+	}
+	after := mempool.Frames.Stats()
+	gets := after.Gets + after.Misses + after.Oversize - before.Gets - before.Misses - before.Oversize
+	puts := after.Puts + after.Drops - before.Puts - before.Drops
+	if rep := rc.Report(); rep.Hedges != n {
+		t.Fatalf("%d hedges in %d retrievals", rep.Hedges, n)
+	}
+	// Per retrieval, each arm's run read and the slab it collected into.
+	if gets < 4*n || puts != gets {
+		t.Errorf("%d hedged retrievals took %d Frames slabs and gave %d back", n, gets, puts)
 	}
 }
 

@@ -391,13 +391,16 @@ func (s *Store) walk(bucket uint32, visit func(off int64, frame []byte) error) e
 }
 
 // Matches collects hits for AppendMatching: their encoded bodies back to
-// back in one slab grown through mempool.Frames, and the field slots and
-// string bytes building them takes. The zero value is empty; Release
-// returns the slab, on every path.
+// back in one slab grown through mempool.Frames, and how many records,
+// field slots and string bytes building them takes. The zero value is
+// empty; Release returns the slab, on every path.
 type Matches struct {
-	enc           []byte
-	fields, bytes int
+	enc                    []byte
+	records, fields, bytes int
 }
+
+// Size returns the collected hits' record, field and byte counts.
+func (m *Matches) Size() (records, fields, bytes int) { return m.records, m.fields, m.bytes }
 
 // AppendMatching appends to dst every record in the bucket that agrees
 // with pm on its specified fields, in append order, and returns how many
@@ -419,6 +422,7 @@ func (s *Store) AppendMatching(bucket uint32, pm mkhash.PartialMatch, dst *Match
 		}
 		if match {
 			dst.enc = append(mempool.Frames.Grow(dst.enc, len(body)), body...)
+			dst.records++
 			dst.fields += fields
 			dst.bytes += bytes
 		}

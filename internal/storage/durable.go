@@ -11,7 +11,6 @@ import (
 
 	"fxdist/internal/decluster"
 	"fxdist/internal/engine"
-	"fxdist/internal/mempool"
 	"fxdist/internal/mkhash"
 	"fxdist/internal/obs"
 	"fxdist/internal/pagestore"
@@ -54,29 +53,12 @@ type durDevice struct {
 // Owner declares that the device serves device dev's log alone.
 func (d durDevice) Owner() int { return d.dev }
 
-// Scan collects, then builds. Under the read lock the store compares pm
-// on the encoded bytes and appends only the hits' bodies, from every
-// qualified bucket, to one pooled slab that also counts their fields and
-// bytes. After the lock, one builder reserves exactly that and
-// materialises the hits: two allocations for the device's whole answer,
-// plain heap the result owns outright — the device lends nothing.
+// Scan only collects: under the read lock the store compares pm on the
+// encoded bytes and appends the hits' bodies, from every qualified
+// bucket, to ans.Found, which the merge builds with every other device's
+// (engine.Answer). On error the slab goes back and the answer is zero.
 func (d durDevice) Scan(ctx context.Context, q query.Query, pm mkhash.PartialMatch) (engine.Answer, error) {
 	var ans engine.Answer
-	var found pagestore.Matches
-	defer found.Release()
-	if err := d.collect(ctx, q, pm, &ans, &found); err != nil {
-		return engine.Answer{}, err
-	}
-	_ = found.Build(mempool.NewRecordBuilder(false), func(r mkhash.Record) error { // fails only if fn does
-		ans.Hits = hits.AppendOne(ans.Hits, r)
-		return nil
-	})
-	return ans, nil
-}
-
-// collect appends the hits of the device's qualified buckets to found,
-// counting buckets and records scanned into ans, under the read lock.
-func (d durDevice) collect(ctx context.Context, q query.Query, pm mkhash.PartialMatch, ans *engine.Answer, found *pagestore.Matches) error {
 	c := d.c
 	c.locks[d.dev].RLock()
 	defer c.locks[d.dev].RUnlock()
@@ -84,16 +66,18 @@ func (d durDevice) collect(ctx context.Context, q query.Query, pm mkhash.Partial
 	w := c.im.Walk(query.WalkOver(buf[:]), q, d.dev)
 	for coords := w.Next(); coords != nil; coords = w.Next() {
 		if err := ctx.Err(); err != nil {
-			return err
+			ans.Found.Release()
+			return engine.Answer{}, err
 		}
 		ans.Buckets++
-		scanned, err := c.stores[d.dev].AppendMatching(uint32(c.fs.Linear(coords)), pm, found)
+		scanned, err := c.stores[d.dev].AppendMatching(uint32(c.fs.Linear(coords)), pm, &ans.Found)
 		ans.Records += scanned
 		if err != nil {
-			return err
+			ans.Found.Release()
+			return engine.Answer{}, err
 		}
 	}
-	return nil
+	return ans, nil
 }
 
 const metaName = "meta.snap"

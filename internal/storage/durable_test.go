@@ -2,6 +2,7 @@ package storage
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -10,10 +11,16 @@ import (
 	"sort"
 	"sync"
 	"testing"
+	"time"
+	"unsafe"
 
 	"fxdist/internal/decluster"
+	"fxdist/internal/engine"
 	"fxdist/internal/mempool"
 	"fxdist/internal/mkhash"
+	"fxdist/internal/obs"
+	"fxdist/internal/query"
+	"fxdist/internal/retry"
 )
 
 func durableFixture(t *testing.T, n, m int) (*mkhash.File, decluster.GroupAllocator) {
@@ -503,7 +510,7 @@ func TestDurableScanAllocsDoNotGrowWithScanned(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		allocs = testing.AllocsPerRun(100, func() {
+		run := func() {
 			res, err := c.Retrieve(pm)
 			if err != nil || len(res.Records) != hits {
 				t.Fatalf("%d records, %v", len(res.Records), err)
@@ -512,8 +519,9 @@ func TestDurableScanAllocsDoNotGrowWithScanned(t *testing.T) {
 			for _, n := range res.DeviceRecords {
 				scanned += n
 			}
-		})
-		return allocs, scanned
+		}
+		warmPastKept(c, run)
+		return testing.AllocsPerRun(100, run), scanned
 	}
 	few, fewScanned := retrieveAllocs(2000)
 	many, manyScanned := retrieveAllocs(20000)
@@ -524,56 +532,95 @@ func TestDurableScanAllocsDoNotGrowWithScanned(t *testing.T) {
 	if many > few+3 {
 		t.Errorf("allocations grew with the records scanned: %.0f for %d, %.0f for %d", few, fewScanned, many, manyScanned)
 	}
-	// The executor's own 11 (TestScanStateStaysOnStack) and, per device,
-	// the two exactly-sized chunks of its answer, however many hits.
-	if bound := float64(11 + 2*m); many > bound {
+	// The executor's own 4 (TestScanStateStaysOnStack) and the merge's
+	// two exactly-sized chunks of the whole answer, however many hits and
+	// whatever M.
+	if bound := float64(4 + 2); many > bound {
 		t.Errorf("%.0f allocations per retrieval, bound for %d devices and %d hits is %.0f", many, m, hits, bound)
 	}
 }
 
+// warmPastKept runs a retrieval's shape past what the query log keeps
+// besides its 1-in-16 sample. A kept run copies its record and its
+// per-device detail, which an allocation count must not read as the
+// retrieval's. The shape's first 8 runs are kept as its head; they run
+// with every device locked for 20 ms, so they are also its 8 slowest and
+// fill its flight slots (obs.FlightSlots): a later run is a flight only if
+// it is slower than that, which a scan of these fixtures never is.
+func warmPastKept(c *DurableCluster, run func()) {
+	for i := 0; i < obs.FlightSlots; i++ {
+		for dev := range c.locks {
+			c.locks[dev].Lock()
+		}
+		time.AfterFunc(20*time.Millisecond, func() {
+			for dev := range c.locks {
+				c.locks[dev].Unlock()
+			}
+		})
+		run()
+	}
+}
+
 // bytesPerRun is testing.AllocsPerRun for bytes: the average heap bytes
-// one run of f allocates, after a warm-up run.
-func bytesPerRun(runs int, f func()) float64 {
+// one run of f, a retrieval from c, allocates after a warm-up run —
+// averaged over the runs c's query log did not keep. A kept run (1 in 16
+// once warmPastKept has run) also copies its record and per-device
+// detail, and the process's trace retention may grow to hold its tree:
+// the log's cost, not the answer's.
+func bytesPerRun(c *DurableCluster, runs int, f func()) float64 {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	f()
 	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
+	var bytes, counted uint64
 	for i := 0; i < runs; i++ {
+		kept := c.eng.Instruments().LogStats().Kept
+		runtime.ReadMemStats(&before)
 		f()
+		runtime.ReadMemStats(&after)
+		if c.eng.Instruments().LogStats().Kept == kept {
+			bytes, counted = bytes+after.TotalAlloc-before.TotalAlloc, counted+1
+		}
 	}
-	runtime.ReadMemStats(&after)
-	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+	return float64(bytes) / float64(counted)
 }
 
-// A durable answer is sized before it is built: one durDevice.Scan
-// allocates its hits' field headers (16 bytes a field) and value bytes,
-// plus what rounding each of the two chunks up to a Go size class costs
-// (at most a quarter, and a page past 32 KiB) — not a guessed first
-// chunk of 1 KiB and 128 fields, nor a doubling ladder past it.
+// A durable answer is sized before it is built, once per query: a
+// DurableCluster.Retrieve allocates what its Result holds — records,
+// per-device counts and times, stages — and its hits' field headers (16
+// bytes a field) and value bytes, each rounded once to a Go size class
+// (at most a quarter, and a page past 32 KiB), however many devices the
+// hits are spread over: not a pair of chunks per device, nor a guessed
+// first chunk of 1 KiB and 128 fields, nor a doubling ladder past it.
 func TestDurableAnswerIsExactlySized(t *testing.T) {
 	if raceEnabled() {
 		t.Skip("sync.Pool drops Puts under -race, so allocation counts are not exact")
 	}
-	target := mkhash.Record{"target", "model-0123456789", "19990101"}
-	valueBytes := len(target[0]) + len(target[1]) + len(target[2])
+	const m = 4
 	class := func(n int) int { return n + min(n/4+16, 8<<10) }
 	for _, n := range []int{1, 6, 600} {
 		file := mkhash.MustNew(mkhash.Schema{Fields: []string{"make", "model", "year"}, Depths: []int{2, 3, 1}})
-		for i := 0; i < n; i++ {
+		fs, err := file.FileSystem(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fx := decluster.MustFX(fs)
+		// The i-th target lands on device i mod M: hits on every device
+		// once there are M of them.
+		for i, j := 0, 0; i < n; j++ {
+			target := mkhash.Record{"target", fmt.Sprintf("model-%010d", j), "19990101"}
+			if coords, err := file.BucketOf(target); err != nil || fx.Device(coords) != i%m {
+				continue
+			}
 			if err := file.Insert(target); err != nil {
 				t.Fatal(err)
 			}
+			i++
 		}
 		for i := 0; i < 400; i++ {
 			if err := file.Insert(mkhash.Record{fmt.Sprintf("make%d", i%7), fmt.Sprintf("model%d", i%23), fmt.Sprintf("%d", 1980+i%10)}); err != nil {
 				t.Fatal(err)
 			}
 		}
-		fs, err := file.FileSystem(4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fx := decluster.MustFX(fs)
 		c, err := CreateDurable(t.TempDir(), file, fx, MainMemory)
 		if err != nil {
 			t.Fatal(err)
@@ -583,39 +630,36 @@ func TestDurableAnswerIsExactlySized(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		q, err := file.BucketQuery(pm)
-		if err != nil {
-			t.Fatal(err)
-		}
-		coords, err := file.BucketOf(target)
-		if err != nil {
-			t.Fatal(err)
-		}
-		d := durDevice{c: c, dev: fx.Device(coords)}
-		got := bytesPerRun(50, func() {
-			ans, err := d.Scan(context.Background(), q, pm)
-			if err != nil || len(ans.Hits) != n {
-				t.Fatalf("%d hits, %v", len(ans.Hits), err)
+		var res Result
+		run := func() {
+			if res, err = c.Retrieve(pm); err != nil || len(res.Records) != n {
+				t.Fatalf("%d records, %v", len(res.Records), err)
 			}
-			hits.Put(ans.Hits)
-		})
-		fields, values := 16*len(target)*n, valueBytes*n
-		if bound := class(fields) + class(values); got > float64(bound) {
-			t.Errorf("%d hits: a scan allocates %.0f bytes, the answer is %d + %d, bound %d", n, got, fields, values, bound)
+		}
+		warmPastKept(c, run)
+		got := bytesPerRun(c, 50, run)
+		const valueBytes = len("target") + len("model-0123456789") + len("19990101")
+		fields, values := 16*3*n, valueBytes*n
+		stages := len(res.Stages) * int(unsafe.Sizeof(res.Stages[0]))
+		held := class(24*n) + class(16*m) + class(8*m) + class(stages)
+		if bound := held + class(fields) + class(values); got > float64(bound) {
+			t.Errorf("%d hits: a retrieval allocates %.0f bytes; its result holds %d beside %d header and %d value bytes, bound %d", n, got, held, fields, values, bound)
 		}
 	}
 }
 
-// A durable scan that fails — on a stored record shorter than the query,
-// after it has collected hits of the same bucket — answers nothing and
-// gives back every Frames slab it took.
-func TestDurableScanErrorGivesTheSlabBack(t *testing.T) {
+// shortRecordCluster is a durable cluster over 400 cars where the device
+// of make3's first hit holds, after the hits of that bucket, a record too
+// short for a make query: its scan collects hits, then fails. It returns
+// the cluster, the query, its bucket query and the failing device.
+func shortRecordCluster(t *testing.T, opts ...Option) (*DurableCluster, mkhash.PartialMatch, query.Query, int) {
+	t.Helper()
 	file, fx := durableFixture(t, 400, 4)
-	c, err := CreateDurable(t.TempDir(), file, fx, MainMemory)
+	c, err := CreateDurable(t.TempDir(), file, fx, MainMemory, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
+	t.Cleanup(func() { c.Close() })
 	pm, err := c.Spec(map[string]string{"make": "make3"})
 	if err != nil {
 		t.Fatal(err)
@@ -633,16 +677,108 @@ func TestDurableScanErrorGivesTheSlabBack(t *testing.T) {
 	if err := c.stores[dev].Append(uint32(c.fs.Linear(coords)), hit[:2]); err != nil {
 		t.Fatal(err)
 	}
+	return c, pm, q, dev
+}
+
+// framesTaken counts the Frames slabs handed out and given back since
+// before.
+func framesTaken(before mempool.Stats) (gets, puts uint64) {
+	after := mempool.Frames.Stats()
+	return after.Gets + after.Misses + after.Oversize - before.Gets - before.Misses - before.Oversize,
+		after.Puts + after.Drops - before.Puts - before.Drops
+}
+
+// A durable scan that fails — on a stored record shorter than the query,
+// after it has collected hits of the same bucket — answers nothing and
+// gives back every Frames slab it took.
+func TestDurableScanErrorGivesTheSlabBack(t *testing.T) {
+	c, pm, q, dev := shortRecordCluster(t)
 	before := mempool.Frames.Stats()
 	ans, err := durDevice{c: c, dev: dev}.Scan(context.Background(), q, pm)
-	after := mempool.Frames.Stats()
-	gets := after.Gets + after.Misses + after.Oversize - before.Gets - before.Misses - before.Oversize
-	puts := after.Puts + after.Drops - before.Puts - before.Drops
-	if err == nil || ans.Hits != nil || ans.Buckets != 0 {
-		t.Errorf("scan over a short record: %d hits, %d buckets, %v; want an error and nothing else", len(ans.Hits), ans.Buckets, err)
+	gets, puts := framesTaken(before)
+	if found, _, _ := ans.Found.Size(); err == nil || found != 0 || ans.Buckets != 0 {
+		t.Errorf("scan over a short record: %d hits, %d buckets, %v; want an error and nothing else", found, ans.Buckets, err)
 	}
 	// At least the bucket's run and the slab its hit was collected into.
 	if gets < 2 || puts != gets {
 		t.Errorf("the failed scan took %d Frames slabs and gave %d back", gets, puts)
+	}
+}
+
+// A retrieval one device of which fails gives back every Frames slab the
+// other devices collected their hits into: failing outright, the executor
+// discards their answers; degraded (retry.Config.Partial, what the root's
+// WithPartialResults sets), it merges them without the failed device's.
+func TestFailedRetrievalGivesEverySlabBack(t *testing.T) {
+	for _, partial := range []bool{false, true} {
+		var opts []Option
+		if partial {
+			opts = append(opts, WithRetry(retry.Config{MaxAttempts: 1, Partial: true}))
+		}
+		c, pm, _, dev := shortRecordCluster(t, opts...)
+		before := mempool.Frames.Stats()
+		res, err := c.Retrieve(pm)
+		gets, puts := framesTaken(before)
+		var pe *engine.PartialError
+		if degraded := errors.As(err, &pe); err == nil || degraded != partial {
+			t.Fatalf("partial=%t: %v, want a failure that degrades only under Partial", partial, err)
+		}
+		if partial && (len(res.Records) == 0 || pe.Failed[dev] == nil) {
+			t.Fatalf("degraded result: %d records, failed %v; want the others' hits without device %d", len(res.Records), pe.Failed, dev)
+		}
+		// Every device's run reads, and the slabs the others collected into.
+		if gets < 4 || puts != gets {
+			t.Errorf("partial=%t: the failed retrieval took %d Frames slabs and gave %d back", partial, gets, puts)
+		}
+	}
+}
+
+// BenchmarkDurableWideRetrieve times one durable query whose hits are
+// spread over all 8 devices, beside 4 000 non-matching records, and
+// reports its stages per query: fanout (the wait for the slowest device),
+// device.scan (the devices' scan times summed) and merge, where every
+// device's encoded hits are materialised, one after another.
+func BenchmarkDurableWideRetrieve(b *testing.B) {
+	for _, hits := range []int{60, 600} {
+		b.Run(fmt.Sprintf("hits=%d", hits), func(b *testing.B) {
+			file := mkhash.MustNew(mkhash.Schema{Fields: []string{"make", "model", "year"}, Depths: []int{2, 3, 1}})
+			for i := 0; i < hits+4000; i++ {
+				r := mkhash.Record{"target", fmt.Sprintf("model-%06d", i), fmt.Sprintf("%d", 1980+i%10)}
+				if i >= hits {
+					r = mkhash.Record{fmt.Sprintf("make%d", i%7), fmt.Sprintf("model%d", i%23), r[2]}
+				}
+				if err := file.Insert(r); err != nil {
+					b.Fatal(err)
+				}
+			}
+			fs, err := file.FileSystem(8)
+			if err != nil {
+				b.Fatal(err)
+			}
+			c, err := CreateDurable(b.TempDir(), file, decluster.MustFX(fs), MainMemory)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer c.Close()
+			pm, err := c.Spec(map[string]string{"make": "target"})
+			if err != nil {
+				b.Fatal(err)
+			}
+			stages := map[string]time.Duration{}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, err := c.Retrieve(pm)
+				if err != nil || len(res.Records) != hits {
+					b.Fatalf("%d records, %v", len(res.Records), err)
+				}
+				for _, s := range res.Stages {
+					stages[s.Stage] += s.Wall
+				}
+			}
+			for _, stage := range []string{obs.StageFanout, obs.StageDeviceScan, obs.StageMerge} {
+				b.ReportMetric(float64(stages[stage].Microseconds())/float64(b.N), stage+"_us/op")
+			}
+		})
 	}
 }

@@ -95,14 +95,16 @@ func TestPartitionAdmit(t *testing.T) {
 // Partition.Scan takes the answer by pointer, the adapters pull their
 // buckets from the inverse-mapper walk, and the walk, its scratch array
 // and the answer all stay on the scan's stack — bare or inside a
-// retrieval, a memDevice scan allocates nothing. What is left on the
-// others is not the walk: replDevice's bucket scratch escapes through the
-// placement's allocator interface (1), and durDevice's record builder
-// makes one exactly-sized header chunk and one byte chunk for all the
-// hits it materialises (2). Cluster.Retrieve is the executor's own 4
-// whatever M is — the result's records, counts, device times and stages —
-// since the call, its done token and its spec are pooled (6 before; 11
-// before the call carried its span, record, stages and context). A
+// retrieval, a memDevice scan allocates nothing, and nor does a durDevice
+// scan, which only collects its hits still encoded (2 before the merge
+// built them). What is left on replDevice is not the walk: its bucket
+// scratch escapes through the placement's allocator interface (1).
+// Cluster.Retrieve is the executor's own 4 whatever M is — the result's
+// records, counts, device times and stages — since the call, its done
+// token and its spec are pooled (6 before; 11 before the call carried its
+// span, record, stages and context). DurableCluster.Retrieve adds the
+// one exactly-sized header chunk and one byte chunk the merge builds
+// every device's hits into (4 + 2 per active device before). A
 // generalisation that makes the scan state escape — a func-typed scanner,
 // a store interface, a callback handed the scratch — adds objects per
 // device per query and fails here first; memory_point reads it per device
@@ -132,10 +134,12 @@ func TestScanStateStaysOnStack(t *testing.T) {
 	scan := func(d engine.Device) func() {
 		return func() {
 			ans, err := d.Scan(ctx, q, pm)
-			if err != nil || ans.Buckets == 0 || len(ans.Hits) == 0 {
-				t.Fatalf("scan: %d buckets, %d hits, %v", ans.Buckets, len(ans.Hits), err)
+			found, _, _ := ans.Found.Size()
+			if err != nil || ans.Buckets == 0 || len(ans.Hits)+found == 0 {
+				t.Fatalf("scan: %d buckets, %d hits, %v", ans.Buckets, len(ans.Hits)+found, err)
 			}
 			hits.Put(ans.Hits)
+			ans.Found.Release()
 		}
 	}
 	retrieve := func(c interface {
@@ -154,9 +158,10 @@ func TestScanStateStaysOnStack(t *testing.T) {
 	}{
 		{"memDevice.Scan", scan(memDevice{c: mem, dev: 1}), 0},
 		{"replDevice.Scan", scan(replDevice{c: repl, dev: 1}), 1},
-		{"durDevice.Scan", scan(durDevice{c: dur, dev: 1}), 2},
+		{"durDevice.Scan", scan(durDevice{c: dur, dev: 1}), 0},
 		{"Cluster.Retrieve", retrieve(mem), 4},
 		{"ReplicatedCluster.Retrieve", retrieve(repl), 8},
+		{"DurableCluster.Retrieve", retrieve(dur), 4 + 2},
 	} {
 		// Warm the hit pool and the plan cache, and pass the shape's 8
 		// head-kept queries: each copies its record, so counting them
@@ -172,35 +177,58 @@ func TestScanStateStaysOnStack(t *testing.T) {
 
 // TestRetrieveAllocsDoNotGrowWithM: a device task — queued by value,
 // walking the inverse mapper in stack scratch, appending to a pooled hit
-// frame — costs the executor nothing, so a retrieval allocates the same
-// at M = 4 and M = 8 (the query is active on every device of both).
+// frame or collecting into a pooled slab — costs the executor nothing,
+// and the merge builds every durable device's hits through one
+// reservation, so a retrieval allocates the same at M = 4 and M = 8 on
+// the memory and the durable backend (the query has hits on every device
+// of each; a durable retrieval cost 2 more per device when each device
+// built its own).
 func TestRetrieveAllocsDoNotGrowWithM(t *testing.T) {
 	if raceEnabled() {
 		t.Skip("sync.Pool drops Puts under -race, so allocation counts are not exact")
 	}
-	file := carFile(t, 400)
-	pm, err := file.Spec(map[string]string{"make": "make3"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var allocs [2]float64
-	for i, m := range []int{4, 8} {
-		c := newCluster(t, file, m)
-		run := func() {
-			res, err := c.Retrieve(pm)
-			if err != nil || len(res.Records) == 0 {
-				t.Fatalf("M=%d retrieve: %d records, %v", m, len(res.Records), err)
+	for _, durable := range []bool{false, true} {
+		var allocs [2]float64
+		for i, m := range []int{4, 8} {
+			file, fx := durableFixture(t, 400, m)
+			pm, err := file.Spec(map[string]string{"make": "make3"})
+			if err != nil {
+				t.Fatal(err)
 			}
-			for dev, b := range res.DeviceBuckets {
-				if b == 0 {
-					t.Fatalf("M=%d: device %d holds no bucket of the query", m, dev)
+			var c interface {
+				Retrieve(mkhash.PartialMatch) (Result, error)
+			} = newCluster(t, file, m)
+			if durable {
+				dur, err := CreateDurable(t.TempDir(), file, fx, MainMemory)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer dur.Close()
+				c = dur
+			}
+			run := func() {
+				if res, err := c.Retrieve(pm); err != nil || len(res.Records) == 0 {
+					t.Fatalf("durable=%t M=%d retrieve: %d records, %v", durable, m, len(res.Records), err)
 				}
 			}
+			res, _ := c.Retrieve(pm)
+			held := make([]bool, m)
+			for _, r := range res.Records {
+				coords, err := file.BucketOf(r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				held[fx.Device(coords)] = true
+			}
+			for dev, h := range held {
+				if !h {
+					t.Fatalf("durable=%t M=%d: device %d holds no hit of the query", durable, m, dev)
+				}
+			}
+			allocs[i] = testing.AllocsPerRun(200, run)
 		}
-		run()
-		allocs[i] = testing.AllocsPerRun(200, run)
-	}
-	if d := allocs[1] - allocs[0]; d > 1 || d < -1 {
-		t.Errorf("retrieve allocates %.0f at M=4 and %.0f at M=8, want equal within 1", allocs[0], allocs[1])
+		if d := allocs[1] - allocs[0]; d > 1 || d < -1 {
+			t.Errorf("durable=%t: retrieve allocates %.0f at M=4 and %.0f at M=8, want equal within 1", durable, allocs[0], allocs[1])
+		}
 	}
 }
