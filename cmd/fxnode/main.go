@@ -30,9 +30,10 @@
 //	fxnode rescale -action pause  -debug 127.0.0.1:9100
 //
 // Every subcommand accepts -metrics-addr to expose the observability
-// endpoints (/metrics Prometheus text, /debug/vars JSON, /debug/traces
-// recent query spans, /debug/pprof/ runtime profiles; query and rescale
-// add the views of the cluster they open, /debug/optimality and the rest):
+// endpoints of what it runs (/metrics Prometheus text of the server's or
+// the cluster's own registry, /debug/traces recent query spans,
+// /debug/pprof/ runtime profiles; query and rescale add the views of the
+// cluster they open, /debug/optimality and the rest):
 //
 //	fxnode serve -snapshot cars.snap -device 0 -listen 127.0.0.1:9000 -metrics-addr 127.0.0.1:9100
 //	curl -s 127.0.0.1:9100/metrics | grep fxdist_netdist_server
@@ -92,7 +93,7 @@ func runServe(args []string) error {
 	snapshot := fs.String("snapshot", "", "snapshot file (with allocator spec)")
 	device := fs.Int("device", 0, "device id this node serves")
 	listen := fs.String("listen", "127.0.0.1:0", "listen address")
-	obsFlags := cliutil.ObsFlags(fs, "serve /metrics, /debug/vars, /debug/traces, /debug/pprof/, /debug/mempool and /debug/profiles on this address")
+	obsFlags := cliutil.ObsFlags(fs, "serve the device server's /metrics, /debug/traces, /debug/pprof/, /debug/mempool and /debug/profiles on this address")
 	shedInflight := fs.Int("shed-inflight", 0, "shed requests beyond this many in flight with a retryable busy response (0 disables)")
 	shedRetryAfter := fs.Duration("shed-retry-after", 250*time.Millisecond, "retry-after hint attached to shed responses")
 	rescaleTarget := fs.Int("rescale-target", 0, "serve an empty rescale-target device for a cluster growing to this many devices (0 serves the snapshot's own layout)")
@@ -106,12 +107,6 @@ func runServe(args []string) error {
 	if err := obsFlags.Level(); err != nil {
 		return err
 	}
-	obsAddr, stopObs, err := obsFlags.Start(fxdist.MetricsHandler())
-	if err != nil {
-		return err
-	}
-	defer stopObs()
-	announceObs(obsAddr)
 	file, alloc, err := fxdist.LoadSnapshotFile(*snapshot)
 	if err != nil {
 		return err
@@ -158,6 +153,12 @@ func runServe(args []string) error {
 	if *shedInflight > 0 {
 		srv.SetShedding(*shedInflight, *shedRetryAfter)
 	}
+	obsAddr, stopObs, err := obsFlags.Start(srv.DebugHandler())
+	if err != nil {
+		return err
+	}
+	defer stopObs()
+	announceObs(obsAddr)
 	l, err := net.Listen("tcp", *listen)
 	if err != nil {
 		return err

@@ -12,13 +12,15 @@
 // (good/bad counters plus a rolling burn-rate).
 //
 // One Shape exists per (backend, query shape): the audit section of the
-// telemetry package's per-shape cell, which owns the lock. Every counter
-// it keeps is mirrored into the obs metric registry (labels backend +
-// shape), and the whole state renders on /debug/optimality (JSON or
-// text) and through the facade's OptimalityReport.
+// telemetry package's per-shape cell, which owns the lock. Its counters
+// are instruments of the cell's metric registry (labels backend +
+// shape) and its gauges read its fields when /metrics is scraped; the
+// whole state renders on /debug/optimality (JSON or text) and through
+// the facade's OptimalityReport.
 package audit
 
 import (
+	"sync"
 	"time"
 
 	"fxdist/internal/obs"
@@ -50,56 +52,58 @@ type SLO struct {
 const sloWindow = 512
 
 // Shape is one (backend, shape) audit accumulation. Its fields are
-// guarded by the owning telemetry cell's mutex; the obs instruments are
-// internally atomic and mirrored for scraping only — reports read the
-// fields.
+// guarded by the owning telemetry cell's mutex; its counters are the
+// registry's own (atomic), which reports read.
 type Shape struct {
 	shape  string
 	window []bool // ring of recent SLO outcomes; true = bad
 
-	queries, violations, mismatches uint64
+	queries, violations, mismatches *obs.Counter
+	good, bad                       *obs.Counter
 	bound, rq, m, maxLoad           int // the latest judged query's plan's numbers
 	worstDev, mismatchDev           int // of the latest violation and mismatch; -1 before any
-	good, bad                       uint64
 	wpos, wlen, wbad                int // window cursor, fill and bad outcomes
-
-	mQueries    *obs.Counter
-	mViolations *obs.Counter
-	mMismatches *obs.Counter
-	mMaxDev     *obs.Gauge
-	mBound      *obs.Gauge
-	mGood       *obs.Counter
-	mBad        *obs.Counter
-	mBurn       *obs.Gauge
 }
 
 // NewShape returns the empty audit state of one backend's query shape,
-// registering (or reviving) its mirrored instruments.
-func NewShape(backend, shape string) *Shape {
-	r := obs.Default()
+// registering its instruments in r. mu is the owning cell's mutex and
+// slo the objective in force there: the gauges take mu to read the
+// shape when /metrics is scraped.
+func NewShape(r *obs.Registry, backend, shape string, mu sync.Locker, slo *SLO) *Shape {
 	bl, sl := obs.L("backend", backend), obs.L("shape", shape)
-	return &Shape{
+	st := &Shape{
 		shape:       shape,
 		window:      make([]bool, sloWindow),
 		worstDev:    -1,
 		mismatchDev: -1,
-		mQueries: r.Counter("fxdist_audit_queries_total",
+		queries: r.Counter("fxdist_audit_queries_total",
 			"Retrievals audited against the strict-optimality bound, per backend and query shape.", bl, sl),
-		mViolations: r.Counter("fxdist_audit_violations_total",
+		violations: r.Counter("fxdist_audit_violations_total",
 			"Retrievals where some device exceeded ceil(|R(q)|/M) qualified buckets.", bl, sl),
-		mMismatches: r.Counter("fxdist_audit_mismatches_total",
+		mismatches: r.Counter("fxdist_audit_mismatches_total",
 			"Retrievals where some device answered for other qualified buckets than the plan gives it.", bl, sl),
-		mMaxDev: r.Gauge("fxdist_audit_max_deviation_buckets",
-			"Largest observed per-device excess over the strict-optimality bound.", bl, sl),
-		mBound: r.Gauge("fxdist_audit_bound_buckets",
-			"Strict-optimality bound ceil(|R(q)|/M) of the most recent audited query.", bl, sl),
-		mGood: r.Counter("fxdist_slo_good_total",
+		good: r.Counter("fxdist_slo_good_total",
 			"Queries that met the shape's latency objective.", bl, sl),
-		mBad: r.Counter("fxdist_slo_bad_total",
+		bad: r.Counter("fxdist_slo_bad_total",
 			"Queries that missed the shape's latency objective (failures included).", bl, sl),
-		mBurn: r.Gauge("fxdist_slo_burn_rate",
-			"Rolling bad-fraction divided by the error budget (1-goal); >1 burns budget faster than allowed.", bl, sl),
 	}
+	read := func(f func() float64) func() float64 {
+		return func() float64 {
+			mu.Lock()
+			defer mu.Unlock()
+			return f()
+		}
+	}
+	r.GaugeFunc("fxdist_audit_max_deviation_buckets",
+		"Largest observed per-device excess over the strict-optimality bound.",
+		read(func() float64 { return float64(st.Report(SLO{}).MaxDeviation) }), bl, sl)
+	r.GaugeFunc("fxdist_audit_bound_buckets",
+		"Strict-optimality bound ceil(|R(q)|/M) of the most recent audited query.",
+		read(func() float64 { return float64(st.bound) }), bl, sl)
+	r.GaugeFunc("fxdist_slo_burn_rate",
+		"Rolling bad-fraction divided by the error budget (1-goal); >1 burns budget faster than allowed.",
+		read(func() float64 { return st.BurnRate(*slo) }), bl, sl)
+	return st
 }
 
 // Observe counts one finished retrieval from its query record, which
@@ -108,21 +112,16 @@ func NewShape(backend, shape string) *Shape {
 // mismatches and charged to the SLO, but not judged against the bound.
 // It returns the shape's burn rate after this query.
 func (st *Shape) Observe(rec *obs.QueryRecord, slo SLO) float64 {
-	st.queries++
-	st.mQueries.Inc()
+	st.queries.Inc()
 	if len(rec.MismatchedDevices) > 0 {
-		st.mismatches++
+		st.mismatches.Inc()
 		st.mismatchDev = rec.MismatchedDevices[0]
-		st.mMismatches.Inc()
 	}
 	if !rec.Failed {
 		st.bound, st.rq, st.m, st.maxLoad = rec.Bound, rec.RQ, len(rec.DeviceBuckets), rec.MaxDeviceBuckets
-		st.mBound.Set(float64(rec.Bound))
 		if rec.BoundViolation {
-			st.violations++
+			st.violations.Inc()
 			st.worstDev = rec.WorstDevice
-			st.mViolations.Inc()
-			st.mMaxDev.Set(float64(rec.MaxDeviceBuckets - rec.Bound))
 		}
 	}
 	if slo.Target <= 0 {
@@ -130,11 +129,9 @@ func (st *Shape) Observe(rec *obs.QueryRecord, slo SLO) float64 {
 	}
 	bad := rec.Failed || rec.Elapsed > slo.Target
 	if bad {
-		st.bad++
-		st.mBad.Inc()
+		st.bad.Inc()
 	} else {
-		st.good++
-		st.mGood.Inc()
+		st.good.Inc()
 	}
 	if st.wlen < len(st.window) {
 		st.wlen++
@@ -146,9 +143,7 @@ func (st *Shape) Observe(rec *obs.QueryRecord, slo SLO) float64 {
 		st.wbad++
 	}
 	st.wpos = (st.wpos + 1) % len(st.window)
-	burn := st.BurnRate(slo)
-	st.mBurn.Set(burn)
-	return burn
+	return st.BurnRate(slo)
 }
 
 // BurnRate is the rolling bad-fraction over slo's error budget; >1 means
@@ -215,21 +210,21 @@ type BackendReport struct {
 func (st *Shape) Report(slo SLO) ShapeReport {
 	sr := ShapeReport{
 		Shape:          st.shape,
-		Queries:        st.queries,
-		Violations:     st.violations,
+		Queries:        st.queries.Value(),
+		Violations:     st.violations.Value(),
 		WorstDevice:    st.worstDev,
 		Bound:          st.bound,
 		RQ:             st.rq,
 		M:              st.m,
 		MaxBuckets:     st.maxLoad,
-		Mismatches:     st.mismatches,
+		Mismatches:     st.mismatches.Value(),
 		MismatchDevice: st.mismatchDev,
-		Good:           st.good,
-		Bad:            st.bad,
+		Good:           st.good.Value(),
+		Bad:            st.bad.Value(),
 	}
-	if st.violations > 0 {
+	if sr.Violations > 0 {
 		sr.MaxDeviation = st.maxLoad - st.bound
-		sr.MeanDeviation = float64(st.violations) * float64(sr.MaxDeviation) / float64(st.queries)
+		sr.MeanDeviation = float64(sr.Violations) * float64(sr.MaxDeviation) / float64(sr.Queries)
 	}
 	if slo.Target > 0 {
 		sr.SLOTarget, sr.SLOGoal, sr.BurnRate = slo.Target, slo.Goal, st.BurnRate(slo)

@@ -1,6 +1,7 @@
 package audit
 
 import (
+	"sync"
 	"testing"
 	"time"
 
@@ -9,6 +10,11 @@ import (
 )
 
 func q(spec ...int) query.Query { return query.New(spec) }
+
+// newShape is a shape on its own registry, outside any cell.
+func newShape(backend, shape string) *Shape {
+	return NewShape(obs.NewRegistry(), backend, shape, &sync.Mutex{}, &SLO{})
+}
 
 func TestBound(t *testing.T) {
 	cases := []struct{ rq, m, want int }{
@@ -42,8 +48,8 @@ func done(st *Shape, slo SLO, rq int, buckets []int, elapsed time.Duration) floa
 
 func TestAuditorAggregatesPerShape(t *testing.T) {
 	u := query.Unspecified
-	starSt := NewShape("test-agg", q(u, 0, u).Shape())
-	specSt := NewShape("test-agg", q(0, 0, u).Shape())
+	starSt := newShape("test-agg", q(u, 0, u).Shape())
+	specSt := newShape("test-agg", q(0, 0, u).Shape())
 
 	// Two retrievals of a violating shape, bound ceil(4/4)=1: its busiest
 	// device holds 3, which device depends on the specified values.
@@ -86,7 +92,7 @@ func TestAuditorAggregatesPerShape(t *testing.T) {
 
 func TestSLOCountsAndBurnRate(t *testing.T) {
 	slo := SLO{Target: 10 * time.Millisecond, Goal: 0.9}
-	st := NewShape("test-slo", "*s")
+	st := newShape("test-slo", "*s")
 	for i := 0; i < 8; i++ {
 		done(st, slo, 2, []int{1, 1}, time.Millisecond) // good
 	}
@@ -119,7 +125,7 @@ func TestSLOCountsAndBurnRate(t *testing.T) {
 func TestShapeSLOOverride(t *testing.T) {
 	def := SLO{Target: time.Hour, Goal: 0.99}
 	override := SLO{Target: time.Nanosecond, Goal: 0.5}
-	overSt, defSt := NewShape("test-override", "*s"), NewShape("test-override", "s*")
+	overSt, defSt := newShape("test-override", "*s"), newShape("test-override", "s*")
 	done(overSt, override, 2, []int{1, 1}, time.Millisecond) // misses the 1ns override
 	done(defSt, def, 2, []int{1, 1}, time.Millisecond)       // meets the 1h default
 

@@ -13,6 +13,7 @@ import (
 	"fxdist/internal/decluster"
 	"fxdist/internal/engine"
 	"fxdist/internal/mkhash"
+	"fxdist/internal/obs"
 	"fxdist/internal/plancache"
 	"fxdist/internal/query"
 )
@@ -77,7 +78,7 @@ func planned(tb testing.TB, f *mkhash.File, cfg engine.Config) engine.Config {
 		}
 		cfg.Alloc = decluster.NewModulo(fs)
 	}
-	cfg.Schema, cfg.Plans = f, plancache.New("engine-test")
+	cfg.Schema, cfg.Plans = f, plancache.New(obs.NewRegistry(), "engine-test")
 	tb.Cleanup(cfg.Plans.Close)
 	return cfg
 }
@@ -407,7 +408,7 @@ func TestAccumulateCost(t *testing.T) {
 
 func ExampleExecutor_RetrieveBatch() {
 	f := mkhash.MustNew(mkhash.Schema{Fields: []string{"k"}, Depths: []int{1}})
-	plans := plancache.New("engine-example")
+	plans := plancache.New(obs.NewRegistry(), "engine-example")
 	defer plans.Close()
 	e, _ := engine.New(engine.Config{
 		Schema:  f,

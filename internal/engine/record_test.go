@@ -22,7 +22,7 @@ import (
 // m-device cluster, as a storage cluster builds its own.
 func privateBundle(backend string, m int) *telemetry.Instruments {
 	in := telemetry.New(backend, audit.SLO{})
-	in.Metrics = telemetry.NewClusterMetrics(backend, m)
+	in.Metrics = telemetry.NewClusterMetrics(in.Registry, backend, m)
 	return in
 }
 

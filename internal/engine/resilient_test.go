@@ -12,6 +12,7 @@ import (
 	"fxdist/internal/engine"
 	"fxdist/internal/mempool"
 	"fxdist/internal/mkhash"
+	"fxdist/internal/obs"
 	"fxdist/internal/pagestore"
 	"fxdist/internal/query"
 	"fxdist/internal/retry"
@@ -50,7 +51,7 @@ func controller(t *testing.T, cfg retry.Config) *retry.Controller {
 	if cfg.BackoffBase == 0 {
 		cfg.BackoffBase, cfg.BackoffMax = time.Microsecond, time.Microsecond
 	}
-	return retry.NewController(t.Name(), cfg)
+	return retry.NewController(obs.NewRegistry(), t.Name(), cfg)
 }
 
 // No controller and no Reroute must behave exactly like the bare

@@ -138,8 +138,7 @@ func (g *Gate) serve(chunk []*pending) {
 		pms[i], callers[i] = p.pm, p.tenant
 	}
 	if len(chunk) > 1 {
-		g.coalescedQ.Add(uint64(len(chunk)))
-		g.metrics.coalesced.add(uint64(len(chunk)), "fxgate_coalesced_queries_total",
+		g.metrics.coalesced.add(g.metrics.reg, uint64(len(chunk)), "fxgate_coalesced_queries_total",
 			"Queries served inside a multi-query coalesced dispatch.")
 	}
 	res, errs := g.dispatch(fxdist.ContextWithCallers(context.Background(), callers), pms)
@@ -153,7 +152,6 @@ func (g *Gate) serve(chunk []*pending) {
 // query, so a failure stays with the query — and the tenant — it
 // belongs to. Attribution rides ctx.
 func (g *Gate) dispatch(ctx context.Context, pms []fxdist.PartialMatch) ([]fxdist.RetrieveResult, []error) {
-	g.batches.Add(1)
 	g.metrics.batches.Inc()
 	res, err := g.cfg.Cluster.RetrieveBatch(ctx, pms)
 	return res, splitBatchError(err, len(pms))

@@ -59,27 +59,26 @@ func (g *Gate) Report() Report {
 	rep := Report{
 		MaxBatch:         g.cfg.MaxBatch,
 		Waiting:          g.co.waiting(),
-		Batches:          g.batches.Load(),
-		CoalescedQueries: g.coalescedQ.Load(),
+		Batches:          g.metrics.batches.Value(),
+		CoalescedQueries: g.metrics.coalesced.value(),
 		DirectBatches:    g.directBatch.Load(),
-		RateLimited:      g.rejects[rateLimited].Load(),
-		QuotaRejected:    g.rejects[quota].Load(),
-		BurnSheds:        g.rejects[burn].Load(),
-		FrontSheds:       g.rejects[shed].Load(),
+		BurnSheds:        g.burnSheds.Load(),
 	}
 	for _, t := range g.tenants.all() {
 		t.mu.Lock()
 		row := TenantRow{
 			Name:          t.cfg.Name,
 			InFlight:      t.inFlight,
-			Requests:      t.requests,
-			RateLimited:   t.rejects[rateLimited],
-			QuotaRejected: t.rejects[quota],
-			Shed:          t.rejects[shed],
+			RateLimited:   t.series.rejected[rateLimited].value(),
+			QuotaRejected: t.series.rejected[quota].value(),
+			Shed:          t.series.rejected[shed].value(),
 			Errors:        t.errors,
 			Coalesced:     t.coalesced,
 			RatePerSec:    t.cfg.RatePerSec,
 			MaxInFlight:   t.cfg.MaxInFlight,
+		}
+		for i := range t.series.requests {
+			row.Requests += t.series.requests[i].value()
 		}
 		for shape, ss := range t.shapes {
 			sr := TenantShapeRow{
@@ -96,13 +95,20 @@ func (g *Gate) Report() Report {
 		t.mu.Unlock()
 		sort.Slice(row.Shapes, func(i, j int) bool { return row.Shapes[i].Shape < row.Shapes[j].Shape })
 		rep.Tenants = append(rep.Tenants, row)
+		rep.RateLimited += row.RateLimited
+		rep.QuotaRejected += row.QuotaRejected
+		rep.FrontSheds += row.Shed
 	}
 	return rep
 }
 
+// Metrics returns the gate's own metric registry: the fxgate_* series.
+func (g *Gate) Metrics() *obs.Registry { return g.metrics.reg }
+
 // DebugHandler serves the gate's cluster's observability handler
 // (Cluster.DebugEndpoints) plus /debug/tenants, the gate's per-tenant
-// audit (?format=json|text).
+// audit (?format=json|text); its /metrics renders the cluster's registry
+// and then the gate's own.
 func (g *Gate) DebugHandler() http.Handler {
 	tenants := obs.Endpoint{Path: "/debug/tenants", Desc: "per-tenant gate audit: admission counters and shape slices",
 		Handler: obs.DebugEndpoint(
@@ -123,5 +129,6 @@ func (g *Gate) DebugHandler() http.Handler {
 				}
 			},
 		)}
-	return obs.HandlerFor(obs.Default(), obs.DefaultTracer(), append(g.cfg.Cluster.DebugEndpoints(), tenants)...)
+	metrics := obs.MetricsEndpoint(g.cfg.Cluster.Metrics, g.Metrics)
+	return obs.HandlerFor(obs.DefaultTracer(), append(g.cfg.Cluster.DebugEndpoints(), tenants, metrics)...)
 }

@@ -75,15 +75,11 @@ type Gate struct {
 
 	inFlight atomic.Int64
 
-	// Dispatch accounting: batches counts dispatches (each one
-	// Cluster.RetrieveBatch call), coalescedQ the queries that shared a
-	// dispatch with at least one other request's query, directBatch the
-	// dispatches that were one tenant's explicit fx.retrieveBatch,
-	// rejects the requests turned away, by reason.
-	batches     atomic.Uint64
-	coalescedQ  atomic.Uint64
+	// directBatch counts the dispatches that were one tenant's explicit
+	// fx.retrieveBatch, burnSheds the queries shed on their shape's SLO
+	// burn; the other dispatch and rejection counts are the metrics'.
 	directBatch atomic.Uint64
-	rejects     [len(reasons)]atomic.Uint64
+	burnSheds   atomic.Uint64
 
 	shedMu sync.Mutex // guards cfg.MaxInFlight and cfg.ShedRetryAfter
 
@@ -118,8 +114,8 @@ func New(cfg Config) (*Gate, error) {
 		cfg:     cfg,
 		tenants: ts,
 		start:   time.Now(),
-		metrics: newGateMetrics(),
 	}
+	g.metrics = newGateMetrics(func() float64 { return float64(g.inFlight.Load()) })
 	g.co.backlog = make(map[string][]*pending)
 	return g, nil
 }
@@ -170,7 +166,7 @@ func (g *Gate) admitShape(shape string) *fxdist.Error {
 	if rate < g.cfg.BurnShedThreshold {
 		return nil
 	}
-	g.rejects[burn].Add(1)
+	g.burnSheds.Add(1)
 	e := fxdist.NewError(fxdist.ErrCodeOverloaded,
 		fmt.Sprintf("shape %s over SLO burn budget (burn rate %.2f)", shape, rate))
 	e.RetryAfter = g.cfg.BurnRetryAfter

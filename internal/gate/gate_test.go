@@ -167,8 +167,8 @@ func TestClosedGateIsDetachedAndCollectable(t *testing.T) {
 	if err := json.NewDecoder(get(g.DebugHandler()).Body).Decode(&rep); err != nil || len(rep.Tenants) != 1 {
 		t.Fatalf("the gate's /debug/tenants lists %d tenants (%v), want 1", len(rep.Tenants), err)
 	}
-	if w := get(fxdist.MetricsHandler()); w.Code != http.StatusNotFound {
-		t.Fatalf("the process handler serves /debug/tenants: %d", w.Code)
+	if w := get(cluster.DebugHandler()); w.Code != http.StatusNotFound {
+		t.Fatalf("the cluster's handler serves /debug/tenants: %d", w.Code)
 	}
 
 	collected := make(chan struct{})

@@ -62,7 +62,7 @@ func (g *Gate) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	t := g.tenants.authenticate(bearerToken(r))
 	if t == nil {
-		rejected(&g.metrics.unauthorized, "", "unauthorized")
+		rejected(g.metrics.reg, &g.metrics.unauthorized, "", "unauthorized")
 		e := fxdist.NewError(fxdist.ErrCodeUnauthorized, "unknown or missing API key")
 		writeFrame(w, http.StatusUnauthorized, errorFrame(nil, client.FromError(e)))
 		return
@@ -128,15 +128,9 @@ func (g *Gate) serveOne(r *http.Request, t *tenant, req *client.Request) (frame,
 		g.inFlight.Add(-1)
 		return g.refuse(t, shed, req.ID, fxdist.ErrCodeOverloaded, "gate at max in-flight requests", shedRetry)
 	}
-	defer func() {
-		g.metrics.inflight.Set(float64(g.inFlight.Add(-1)))
-	}()
-	g.metrics.inflight.Set(float64(g.inFlight.Load()))
+	defer g.inFlight.Add(-1)
 
-	t.mu.Lock()
-	t.requests++
-	t.mu.Unlock()
-	t.series.requests[method].add(1, "fxgate_requests_total", "JSON-RPC requests admitted, by tenant and method.",
+	t.series.requests[method].add(g.metrics.reg, 1, "fxgate_requests_total", "JSON-RPC requests admitted, by tenant and method.",
 		obs.L("tenant", t.cfg.Name), obs.L("method", req.Method))
 
 	start := time.Now()
@@ -148,7 +142,7 @@ func (g *Gate) serveOne(r *http.Request, t *tenant, req *client.Request) (frame,
 	g.metrics.latency.ObserveSince(start)
 	if herr != nil {
 		if herr.Code == fxdist.ErrCodeOverloaded {
-			t.reject(burn)
+			t.reject(g.metrics.reg, burn)
 		}
 		status := http.StatusOK
 		switch herr.Code {
@@ -176,8 +170,7 @@ func bearerToken(r *http.Request) string {
 // on the gate and the tenant, and answers it 429 with a Retry-After.
 func (g *Gate) refuse(t *tenant, reason int, id json.RawMessage, code fxdist.ErrorCode, msg string,
 	retry time.Duration) (frame, int) {
-	g.rejects[reason].Add(1)
-	t.reject(reason)
+	t.reject(g.metrics.reg, reason)
 	e := fxdist.NewError(code, msg)
 	e.RetryAfter = retry
 	return errorFrame(id, client.FromError(e)), http.StatusTooManyRequests

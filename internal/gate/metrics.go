@@ -6,24 +6,27 @@ import (
 	"fxdist/internal/obs"
 )
 
-// gateMetrics exposes the gate on the process-wide metric registry
-// (scraped at /metrics alongside the cluster's own metrics).
+// gateMetrics are the gate's instruments, in the gate's own registry
+// (its /metrics renders them after its cluster's). Each count is kept
+// here once: the gate's and the tenants' reports read these series.
 type gateMetrics struct {
-	batches  *obs.Counter
-	inflight *obs.Gauge
-	latency  *obs.Histogram
+	reg     *obs.Registry
+	batches *obs.Counter
+	latency *obs.Histogram
 	// coalesced counts queries that shared a dispatch with shape-mates,
 	// unauthorized the requests no tenant's key admitted.
 	coalesced, unauthorized counter
 }
 
-func newGateMetrics() *gateMetrics {
-	r := obs.Default()
+// newGateMetrics builds the gate's registry; inFlight is read when
+// /metrics is scraped.
+func newGateMetrics(inFlight func() float64) *gateMetrics {
+	r := obs.NewRegistry()
+	r.GaugeFunc("fxgate_inflight", "Requests currently in flight through the gate.", inFlight)
 	return &gateMetrics{
+		reg: r,
 		batches: r.Counter("fxgate_batches_total",
 			"Coalesced batch dispatches driven through RetrieveBatch."),
-		inflight: r.Gauge("fxgate_inflight",
-			"Requests currently in flight through the gate."),
 		latency: r.Histogram("fxgate_request_seconds",
 			"End-to-end gate request latency.", nil),
 	}
@@ -49,8 +52,8 @@ type tenantSeries struct {
 
 // rejected counts one request rejected at the front door; a request no
 // key admits is "unauthorized", under the empty tenant.
-func rejected(c *counter, tenant, reason string) {
-	c.add(1, "fxgate_rejected_total", "Requests rejected at the front door, by tenant and reason.",
+func rejected(r *obs.Registry, c *counter, tenant, reason string) {
+	c.add(r, 1, "fxgate_rejected_total", "Requests rejected at the front door, by tenant and reason.",
 		obs.L("tenant", tenant), obs.L("reason", reason))
 }
 
@@ -59,13 +62,22 @@ func rejected(c *counter, tenant, reason string) {
 // from then on: counting costs an atomic load and an add.
 type counter struct{ c atomic.Pointer[obs.Counter] }
 
-// add adds n to the series. The name, help and labels are read on the
-// first call only; racing first calls resolve the same series.
-func (c *counter) add(n uint64, name, help string, labels ...obs.Label) {
+// add adds n to the series of r. The registry, name, help and labels
+// are read on the first call only; racing first calls resolve the same
+// series.
+func (c *counter) add(r *obs.Registry, n uint64, name, help string, labels ...obs.Label) {
 	ctr := c.c.Load()
 	if ctr == nil {
-		ctr = obs.Default().Counter(name, help, labels...)
+		ctr = r.Counter(name, help, labels...)
 		c.c.Store(ctr)
 	}
 	ctr.Add(n)
+}
+
+// value is the series' count: 0 before its first use.
+func (c *counter) value() uint64 {
+	if ctr := c.c.Load(); ctr != nil {
+		return ctr.Value()
+	}
+	return 0
 }

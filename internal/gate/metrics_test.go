@@ -3,35 +3,26 @@ package gate
 import (
 	"bufio"
 	"bytes"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"slices"
 	"strings"
-	"sync/atomic"
 	"testing"
-
-	"fxdist/internal/obs"
 )
-
-// seriesRuns names each run's tenants apart: the registry is the
-// process's, and -count runs the test again in the same process.
-var seriesRuns atomic.Int32
 
 // TestMetricsSeriesAfterFixedTraffic drives a fixed mix of requests —
 // every method, a malformed frame, an unknown method, a rate-limited
 // tenant, an unauthenticated caller — and pins the fxgate_* series the
-// process registry then holds for the test's tenants, values included.
+// gate's own registry then holds for its tenants, values included.
 // The list is what the gate emitted when it looked its counters up on
 // every request: resolving them once per tenant must not add a series
 // (no zero-valued row for a reason that never happened) or lose one.
 func TestMetricsSeriesAfterFixedTraffic(t *testing.T) {
 	w := wireFixture(t)
-	prefix := fmt.Sprintf("series%d-", seriesRuns.Add(1))
 	g, err := New(Config{Cluster: w.cfg.Cluster, File: w.cfg.File, Allocator: w.cfg.Allocator,
 		Tenants: []TenantConfig{
-			{Name: prefix + "a", APIKey: "ka"},
-			{Name: prefix + "b", APIKey: "kb", RatePerSec: 1e-6, Burst: 1},
+			{Name: "a", APIKey: "ka"},
+			{Name: "b", APIKey: "kb", RatePerSec: 1e-6, Burst: 1},
 		}})
 	if err != nil {
 		t.Fatal(err)
@@ -60,7 +51,7 @@ func TestMetricsSeriesAfterFixedTraffic(t *testing.T) {
 	post("no-such-key", `{"jsonrpc":"2.0","id":1,"method":"fx.health"}`)
 
 	var buf bytes.Buffer
-	if err := obs.Default().WritePrometheus(&buf); err != nil {
+	if err := g.Metrics().WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
 	var got []string
@@ -69,25 +60,31 @@ func TestMetricsSeriesAfterFixedTraffic(t *testing.T) {
 		line := sc.Text()
 		switch {
 		case !strings.HasPrefix(line, "fxgate_"):
-		case strings.Contains(line, `tenant="`+prefix):
-			got = append(got, line)
 		case strings.HasPrefix(line, `fxgate_rejected_total{reason="unauthorized",tenant=""} `):
-			unauthorized = true
+			unauthorized = line == `fxgate_rejected_total{reason="unauthorized",tenant=""} 1`
+		case strings.Contains(line, `tenant="`):
+			got = append(got, line)
 		}
 	}
 	slices.Sort(got)
 	want := []string{
-		`fxgate_rejected_total{reason="rate_limited",tenant="` + prefix + `b"} 2`,
-		`fxgate_requests_total{method="fx.explain",tenant="` + prefix + `a"} 1`,
-		`fxgate_requests_total{method="fx.health",tenant="` + prefix + `a"} 2`,
-		`fxgate_requests_total{method="fx.retrieve",tenant="` + prefix + `a"} 3`,
-		`fxgate_requests_total{method="fx.retrieve",tenant="` + prefix + `b"} 1`,
-		`fxgate_requests_total{method="fx.retrieveBatch",tenant="` + prefix + `a"} 1`,
+		`fxgate_rejected_total{reason="rate_limited",tenant="b"} 2`,
+		`fxgate_requests_total{method="fx.explain",tenant="a"} 1`,
+		`fxgate_requests_total{method="fx.health",tenant="a"} 2`,
+		`fxgate_requests_total{method="fx.retrieve",tenant="a"} 3`,
+		`fxgate_requests_total{method="fx.retrieve",tenant="b"} 1`,
+		`fxgate_requests_total{method="fx.retrieveBatch",tenant="a"} 1`,
 	}
 	if !slices.Equal(got, want) {
-		t.Errorf("fxgate_* series of the test's tenants\n got %q\nwant %q", got, want)
+		t.Errorf("fxgate_* series of the gate's tenants\n got %q\nwant %q", got, want)
 	}
 	if !unauthorized {
-		t.Error(`no fxgate_rejected_total{reason="unauthorized",tenant=""} series after an unauthenticated request`)
+		t.Error(`fxgate_rejected_total{reason="unauthorized",tenant=""} is not 1 after one unauthenticated request`)
+	}
+	// The reports read the same series: nothing is counted twice.
+	rep := g.Report()
+	if rep.RateLimited != 2 || rep.Batches == 0 || len(rep.Tenants) != 2 ||
+		rep.Tenants[0].Requests != 7 || rep.Tenants[1].Requests != 1 || rep.Tenants[1].RateLimited != 2 {
+		t.Errorf("report %+v, want 2 rate-limited, 7 and 1 requests", rep)
 	}
 }

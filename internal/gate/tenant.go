@@ -8,6 +8,8 @@ import (
 	"os"
 	"sync"
 	"time"
+
+	"fxdist/internal/obs"
 )
 
 // TenantConfig declares one tenant of the gateway: its API key and the
@@ -62,8 +64,6 @@ type tenant struct {
 
 	inFlight int
 
-	requests  uint64
-	rejects   [len(reasons)]uint64 // requests turned away at the front door, by reason
 	errors    uint64
 	coalesced uint64 // queries served through a coalesced batch
 	shapes    map[string]*shapeStats
@@ -147,12 +147,10 @@ func (t *tenant) observe(shape string, elapsed time.Duration, coalesced bool, er
 	}
 }
 
-// reject counts one of the tenant's requests rejected for the reason.
-func (t *tenant) reject(reason int) {
-	t.mu.Lock()
-	t.rejects[reason]++
-	t.mu.Unlock()
-	rejected(&t.series.rejected[reason], t.cfg.Name, reasons[reason])
+// reject counts one of the tenant's requests rejected for the reason,
+// in the gate's registry r.
+func (t *tenant) reject(r *obs.Registry, reason int) {
+	rejected(r, &t.series.rejected[reason], t.cfg.Name, reasons[reason])
 }
 
 // tenantSet is the gate's tenant registry, keyed by API key.

@@ -17,11 +17,13 @@ type mempoolDoc struct {
 	Pools         []PoolReport `json:"pools"`
 }
 
-func init() {
-	obs.SetRecycleCounter(RecycledTotals)
-	// Callback gauges so the pool's absorption shows up in /metrics and
-	// federates across nodes (fxtop's "recycle rate" = slabs/gets).
-	r := obs.Default()
+func init() { obs.SetRecycleCounter(RecycledTotals) }
+
+// RegisterMetrics installs the pools' callback gauges into r, so their
+// absorption shows up on a node's /metrics and federates across nodes
+// (fxtop's "recycle rate" = slabs/gets). The pools are the process's;
+// every node registry of the process reads the same totals.
+func RegisterMetrics(r *obs.Registry) {
 	r.GaugeFunc("fxdist_mempool_recycled_bytes",
 		"Bytes served from pooled slabs instead of fresh allocations, process lifetime.",
 		func() float64 { b, _ := RecycledTotals(); return float64(b) })

@@ -418,7 +418,7 @@ func Dial(file *mkhash.File, addrs []string, opts ...DialOption) (*Coordinator, 
 	// Every instrument is the coordinator's own: a rescale's new-epoch
 	// coordinator audits its layout apart from the serving one's.
 	c.in = telemetry.New(backend, audit.SLO{})
-	c.in.Metrics = &telemetry.Metrics{Retrieves: mCoordRetrieves, Errors: mCoordRetrieveErrors, Latency: mCoordRetrieveLatency}
+	c.in.Metrics = newCoordMetrics(c.in.Registry)
 	c.fed = telemetry.NewFederator(backend)
 	for i, addr := range addrs {
 		dc, err := c.dialDevice(context.Background(), addr)
@@ -427,7 +427,7 @@ func Dial(file *mkhash.File, addrs []string, opts ...DialOption) (*Coordinator, 
 			return nil, fmt.Errorf("netdist: dial %s: %w", addr, err)
 		}
 		c.conns = append(c.conns, dc)
-		c.dm = append(c.dm, newCoordDevMetrics(i))
+		c.dm = append(c.dm, newCoordDevMetrics(c.in.Registry, i))
 	}
 	alloc, err := c.allocator()
 	if err != nil {
@@ -449,9 +449,9 @@ func Dial(file *mkhash.File, addrs []string, opts ...DialOption) (*Coordinator, 
 		span, reroute, backup = "netdist.retrieve-failover", c.reroute, c.successorAs
 	}
 	if c.rcfg != nil {
-		c.ctrl = retry.NewController(backend, *c.rcfg)
+		c.ctrl = retry.NewController(c.in.Registry, backend, *c.rcfg)
 	}
-	plans := plancache.New(backend)
+	plans := plancache.New(c.in.Registry, backend)
 	eng, err := engine.New(engine.Config{
 		Schema:  file,
 		Alloc:   alloc,
@@ -668,15 +668,22 @@ func (c *Coordinator) Federator() *telemetry.Federator { return c.fed }
 // on the same row.
 func nodeName(dev int) string { return fmt.Sprintf("device-%d", dev) }
 
+// coordinatorNode is the federator's key for the coordinator itself.
+const coordinatorNode = "coordinator"
+
 // PullStats fetches every device server's telemetry snapshot over the
 // wire protocol and folds the results into the coordinator's federator.
 // Alongside each node's own snapshot it hands the federator the
 // coordinator's cumulative transport-error count for that device, so a
 // node whose requests are failing at the coordinator seam (injected
 // faults, flaky network) gets flagged even when its stats pull — a
-// fresh, uninjected round trip — succeeds. The first pull puts the fleet
-// on the cluster's /debug/cluster. Returns the first pull error, if any.
+// fresh, uninjected round trip — succeeds. The coordinator's own
+// registry (its retrievals, audit, plan cache and resilience, which no
+// server carries) is folded in once, as one more node. The first pull
+// puts the fleet on the cluster's /debug/cluster. Returns the first pull
+// error, if any.
 func (c *Coordinator) PullStats(ctx context.Context) error {
+	c.fed.ObserveNode(coordinatorNode, telemetry.LocalNodeStats(coordinatorNode, c.in.Registry), 0)
 	c.connMu.RLock()
 	m := len(c.conns)
 	c.connMu.RUnlock()

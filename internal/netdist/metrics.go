@@ -4,17 +4,21 @@ import (
 	"strconv"
 
 	"fxdist/internal/obs"
+	"fxdist/internal/telemetry"
 )
 
-// Whole-query instruments (registered once at import).
-var (
-	mCoordRetrieves = obs.Default().Counter("fxdist_netdist_coordinator_retrieves_total",
-		"Distributed retrievals started by coordinators in this process.")
-	mCoordRetrieveErrors = obs.Default().Counter("fxdist_netdist_coordinator_retrieve_errors_total",
-		"Distributed retrievals that failed after any failover attempts.")
-	mCoordRetrieveLatency = obs.Default().Histogram("fxdist_netdist_coordinator_retrieve_seconds",
-		"End-to-end distributed retrieval latency (fan-out, merge included).", nil)
-)
+// newCoordMetrics registers the coordinator's whole-query instruments in
+// r, its bundle's registry.
+func newCoordMetrics(r *obs.Registry) *telemetry.Metrics {
+	return &telemetry.Metrics{
+		Retrieves: r.Counter("fxdist_netdist_coordinator_retrieves_total",
+			"Distributed retrievals started by coordinators in this process."),
+		Errors: r.Counter("fxdist_netdist_coordinator_retrieve_errors_total",
+			"Distributed retrievals that failed after any failover attempts."),
+		Latency: r.Histogram("fxdist_netdist_coordinator_retrieve_seconds",
+			"End-to-end distributed retrieval latency (fan-out, merge included).", nil),
+	}
+}
 
 // coordDevMetrics are the coordinator's per-device instruments, cached
 // at Dial so the retrieval hot path never touches the registry.
@@ -26,8 +30,7 @@ type coordDevMetrics struct {
 	failovers *obs.Counter
 }
 
-func newCoordDevMetrics(dev int) coordDevMetrics {
-	r := obs.Default()
+func newCoordDevMetrics(r *obs.Registry, dev int) coordDevMetrics {
 	d := obs.L("device", strconv.Itoa(dev))
 	return coordDevMetrics{
 		latency: r.Histogram("fxdist_netdist_coordinator_device_request_seconds",
@@ -43,24 +46,23 @@ func newCoordDevMetrics(dev int) coordDevMetrics {
 	}
 }
 
-// serverMetrics are one device server's instruments, cached at
-// NewServer (re-cached by Server.UseRegistry for per-node isolation).
+// serverMetrics are one device server's instruments in its own
+// registry, cached at NewServer.
 type serverMetrics struct {
 	latency  *obs.Histogram
-	inflight *obs.Gauge
 	requests *obs.Counter
 	errors   *obs.Counter
 	backup   *obs.Counter
 	shed     *obs.Counter
 }
 
-func newServerMetrics(r *obs.Registry, dev int) serverMetrics {
+func newServerMetrics(r *obs.Registry, dev int, inflight func() float64) serverMetrics {
 	d := obs.L("device", strconv.Itoa(dev))
+	r.GaugeFunc("fxdist_netdist_server_inflight_requests",
+		"Requests the device server is currently answering.", inflight, d)
 	return serverMetrics{
 		latency: r.Histogram("fxdist_netdist_server_request_seconds",
 			"Per-request service latency on the device server.", nil, d),
-		inflight: r.Gauge("fxdist_netdist_server_inflight_requests",
-			"Requests the device server is currently answering.", d),
 		requests: r.Counter("fxdist_netdist_server_requests_total",
 			"Requests answered by the device server.", d),
 		errors: r.Counter("fxdist_netdist_server_request_errors_total",

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"net/http"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -27,6 +28,7 @@ import (
 
 	"fxdist/internal/decluster"
 	"fxdist/internal/engine"
+	"fxdist/internal/mempool"
 	"fxdist/internal/mkhash"
 	"fxdist/internal/obs"
 	"fxdist/internal/query"
@@ -235,30 +237,32 @@ func NewServer(deviceID int, spec decluster.Spec, buckets storage.Partition) (*S
 	if err != nil {
 		return nil, fmt.Errorf("netdist: %w", err)
 	}
-	return &Server{
+	s := &Server{
 		deviceID:    deviceID,
 		cur:         cur,
 		shapeCounts: make(map[string]*obs.Counter),
-		sm:          newServerMetrics(obs.Default(), deviceID),
-		reg:         obs.Default(),
+		reg:         telemetry.NewRegistry(),
 		tracer:      obs.DefaultTracer(),
 		listeners:   make(map[net.Listener]struct{}),
 		conns:       make(map[net.Conn]struct{}),
-	}, nil
+	}
+	s.sm = newServerMetrics(s.reg, deviceID, func() float64 { return float64(s.inflightN.Load()) })
+	return s, nil
 }
 
 // DeviceID returns the device this server fronts.
 func (s *Server) DeviceID() int { return s.deviceID }
 
-// UseRegistry points the server's instruments (and its Stats snapshots)
-// at r instead of the process default — the isolation seam that lets a
-// single test process run N servers with N distinct registries, each
-// answering stats pulls as if it were its own node. Call before Serve.
-func (s *Server) UseRegistry(r *obs.Registry) {
-	s.reg = r
-	s.sm = newServerMetrics(r, s.deviceID)
-	s.shapeCounts = make(map[string]*obs.Counter)
-	obs.RegisterBuildInfo(r)
+// Metrics returns the server's own metric registry: what its /metrics
+// renders and what it answers a stats pull with. Each server has its
+// own, so N servers in one process are N nodes.
+func (s *Server) Metrics() *obs.Registry { return s.reg }
+
+// DebugHandler serves the server's observability: its /metrics, the
+// trace ring, /debug/pprof/, and the process's /debug/mempool and
+// /debug/profiles.
+func (s *Server) DebugHandler() http.Handler {
+	return obs.HandlerFor(s.tracer, append(obs.ProfileEndpoints(), mempool.Endpoint(), obs.MetricsEndpoint(s.Metrics))...)
 }
 
 // shapeCounter returns (caching) the request counter of the shape whose
@@ -438,7 +442,6 @@ func (s *Server) handle(conn net.Conn) {
 			}
 			continue
 		}
-		s.sm.inflight.Inc()
 		t0 := time.Now()
 		s.tracer.Begin(&span, "netdist.serve", req.TraceID, req.ParentSpan)
 		span.SetRequestID(req.ID)
@@ -457,7 +460,6 @@ func (s *Server) handle(conn net.Conn) {
 		}
 		s.sm.latency.ObserveSince(t0)
 		span.End()
-		s.sm.inflight.Dec()
 		s.inflightN.Add(-1)
 		err := codec.writeResponse(&resp)
 		serverHits.Put(resp.Records)

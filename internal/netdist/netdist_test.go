@@ -15,9 +15,9 @@ import (
 	"fxdist/internal/field"
 	"fxdist/internal/mempool"
 	"fxdist/internal/mkhash"
-	"fxdist/internal/obs"
 	"fxdist/internal/query"
 	"fxdist/internal/storage"
+	"fxdist/internal/telemetry"
 )
 
 func buildFile(t *testing.T, n int) *mkhash.File {
@@ -207,17 +207,6 @@ func TestNewServerRejectsForeignBuckets(t *testing.T) {
 	}
 }
 
-// countSeries counts the registry's series of one metric family.
-func countSeries(r *obs.Registry, name string) int {
-	n := 0
-	for _, p := range r.Snapshot() {
-		if p.Name == name {
-			n++
-		}
-	}
-	return n
-}
-
 func TestServerRejectsMalformedRequests(t *testing.T) {
 	file := buildFile(t, 50)
 	fs, _ := file.FileSystem(4)
@@ -254,9 +243,10 @@ func TestServerRejectsMalformedRequests(t *testing.T) {
 
 	// A rejected request names no shape: 64 bucket queries of 64 distinct
 	// over-long arities must not mint 64 per-shape series in the server's
-	// registry (a peer could otherwise grow it without bound).
+	// registry (a peer could otherwise grow it without bound). The
+	// server's registry is its own, read here through a stats pull: only
+	// rejected requests reached it, so it holds no per-shape series.
 	const shapeSeries = "fxdist_netdist_server_shape_requests_total"
-	before := countSeries(obs.Default(), shapeSeries)
 	for n := 0; n < 64; n++ {
 		resp, _, _, _, err := coord.conns[0].roundTrip(context.Background(), NewRequest(
 			make([]int, 4+n), make(mkhash.PartialMatch, 3)), 0)
@@ -267,8 +257,22 @@ func TestServerRejectsMalformedRequests(t *testing.T) {
 			t.Fatalf("%d-field bucket query accepted by a 3-field server", 4+n)
 		}
 	}
-	if after := countSeries(obs.Default(), shapeSeries); after != before {
-		t.Errorf("rejected requests minted %d %s series", after-before, shapeSeries)
+	resp, _, _, _, err = coord.conns[0].roundTrip(context.Background(), Request{Stats: true, AsDevice: -1}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := telemetry.DecodeNodeStats(resp.StatsJSON)
+	if err != nil {
+		t.Fatal(err)
+	}
+	series := 0
+	for _, ms := range st.Metrics {
+		if ms.Name == shapeSeries {
+			series++
+		}
+	}
+	if series != 0 {
+		t.Errorf("rejected requests minted %d %s series", series, shapeSeries)
 	}
 }
 

@@ -26,9 +26,8 @@ func BuildVersion() string {
 func Uptime() time.Duration { return time.Since(processStart) }
 
 // RegisterBuildInfo installs fxdist_build_info and
-// fxdist_uptime_seconds into r. The default registry gets them at init;
-// per-node registries (netdist server isolation in tests) call this
-// explicitly.
+// fxdist_uptime_seconds into r: every node's registry (a cluster's, a
+// device server's) carries them.
 func RegisterBuildInfo(r *Registry) {
 	r.Gauge("fxdist_build_info",
 		"Build identity; constant 1 with version and goversion labels.",
@@ -39,5 +38,3 @@ func RegisterBuildInfo(r *Registry) {
 		func() float64 { return Uptime().Seconds() },
 	)
 }
-
-func init() { RegisterBuildInfo(Default()) }

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"sort"
+	"strconv"
 )
 
 // Endpoint is one debug path a handler mounts: the pattern, the
@@ -22,53 +23,45 @@ type Endpoint struct {
 	Handler http.Handler `json:"-"`
 }
 
-// HandlerFor builds an observability handler over registry r and tracer
-// t (either may be nil to omit its surfaces) plus exactly the endpoints
-// given:
+// MetricsEndpoint serves /metrics: the Prometheus text exposition of
+// each registry regs returns, read at request time and rendered in
+// order (?exemplars=1 appends trace-linked exemplars). Registries
+// rendered together must not share a family.
+func MetricsEndpoint(regs ...func() *Registry) Endpoint {
+	return Endpoint{"/metrics", "Prometheus text exposition of every metric (?exemplars=1 appends trace-linked exemplars)",
+		http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+			exemplars := req.URL.Query().Get("exemplars") == "1"
+			for _, reg := range regs {
+				if reg().writeProm(w, exemplars) != nil {
+					return // client gone
+				}
+			}
+		})}
+}
+
+// HandlerFor builds an observability handler over tracer t (nil omits
+// its surface) plus exactly the endpoints given — /metrics among them
+// when the owner passes its MetricsEndpoint:
 //
-//	/metrics            Prometheus text exposition of r (?exemplars=1)
-//	/debug/vars         expvar-style JSON of r
 //	/debug/traces       t's recent query spans as JSON (?n=K, default 32;
 //	                    ?tree=1 stitches parent→child span trees;
 //	                    ?retained=1 lists tail-sampled kept trees)
 //	/debug/pprof/       net/http/pprof runtime profiles
 //	/debug/             index of every path the handler mounts
-func HandlerFor(r *Registry, t *Tracer, endpoints ...Endpoint) http.Handler {
+func HandlerFor(t *Tracer, endpoints ...Endpoint) http.Handler {
 	mux := http.NewServeMux()
 	var index []Endpoint
 	mount := func(ep Endpoint) {
 		mux.Handle(ep.Path, ep.Handler)
 		index = append(index, ep)
 	}
-	if r != nil {
-		mount(Endpoint{"/metrics", "Prometheus text exposition of every metric (?exemplars=1 appends trace-linked exemplars)",
-			http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-				w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-				if req.URL.Query().Get("exemplars") == "1" {
-					r.WritePrometheusExemplars(w) //nolint:errcheck // client gone
-					return
-				}
-				r.WritePrometheus(w) //nolint:errcheck // client gone
-			})})
-		mount(Endpoint{"/debug/vars", "expvar-style JSON of every metric, with histogram quantiles and exemplars",
-			http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-				var buf bytes.Buffer
-				if err := r.WriteJSON(&buf); err != nil {
-					http.Error(w, err.Error(), http.StatusInternalServerError)
-					return
-				}
-				w.Header().Set("Content-Type", "application/json; charset=utf-8")
-				w.Write(buf.Bytes()) //nolint:errcheck // client gone
-			})})
-	}
 	if t != nil {
 		mount(Endpoint{"/debug/traces", "recent query spans (?n=K; ?tree=1 stitches parent→child; ?retained=1 lists tail-sampled kept trees)",
 			http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 				n := 32
-				if q := req.URL.Query().Get("n"); q != "" {
-					if v, err := parsePositive(q); err == nil {
-						n = v
-					}
+				if v, err := strconv.Atoi(req.URL.Query().Get("n")); err == nil {
+					n = v
 				}
 				var doc any
 				switch {
@@ -119,22 +112,6 @@ func HandlerFor(r *Registry, t *Tracer, endpoints ...Endpoint) http.Handler {
 	})
 	return mux
 }
-
-func parsePositive(s string) (int, error) {
-	n := 0
-	for _, c := range s {
-		if c < '0' || c > '9' {
-			return 0, errNotANumber
-		}
-		n = n*10 + int(c-'0')
-		if n > 1<<20 {
-			break
-		}
-	}
-	return n, nil
-}
-
-var errNotANumber = &net.ParseError{Type: "number", Text: "not a number"}
 
 // ListenAndServe serves h on addr (e.g. "127.0.0.1:9100"; ":0" picks a
 // free port) and returns the bound address and a shutdown function.

@@ -19,7 +19,7 @@ func TestHandlerEndpoints(t *testing.T) {
 
 	extra := Endpoint{Path: "/debug/extra", Desc: "one extra view", Handler: DebugEndpoint(
 		func() (any, error) { return map[string]int{"n": 1}, nil }, nil)}
-	srv := httptest.NewServer(HandlerFor(r, tr, extra))
+	srv := httptest.NewServer(HandlerFor(tr, MetricsEndpoint(func() *Registry { return r }), extra))
 	defer srv.Close()
 
 	get := func(path string) (int, string) {
@@ -38,18 +38,6 @@ func TestHandlerEndpoints(t *testing.T) {
 	}
 	if !strings.Contains(body, "# TYPE h_total counter") {
 		t.Error("/metrics missing TYPE line")
-	}
-
-	code, body = get("/debug/vars")
-	if code != 200 {
-		t.Fatalf("/debug/vars = %d", code)
-	}
-	var vars map[string]any
-	if err := json.Unmarshal([]byte(body), &vars); err != nil {
-		t.Errorf("/debug/vars not JSON: %v", err)
-	}
-	if _, ok := vars["h_total"]; !ok {
-		t.Error("/debug/vars missing h_total")
 	}
 
 	code, body = get("/debug/traces?n=5")
@@ -88,14 +76,14 @@ func TestHandlerEndpoints(t *testing.T) {
 	for _, ep := range index {
 		paths = append(paths, ep.Path)
 	}
-	want := []string{"/debug/", "/debug/extra", "/debug/pprof/", "/debug/traces", "/debug/vars", "/metrics"}
+	want := []string{"/debug/", "/debug/extra", "/debug/pprof/", "/debug/traces", "/metrics"}
 	if strings.Join(paths, " ") != strings.Join(want, " ") {
 		t.Errorf("/debug/ index lists %v, want %v", paths, want)
 	}
 }
 
 func TestListenAndServe(t *testing.T) {
-	addr, stop, err := ListenAndServe("127.0.0.1:0", HandlerFor(NewRegistry(), nil))
+	addr, stop, err := ListenAndServe("127.0.0.1:0", HandlerFor(nil, MetricsEndpoint(NewRegistry)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,7 +46,7 @@ func TestConcurrentPrimitives(t *testing.T) {
 			if i := w % 3; i == 0 {
 				r.WritePrometheus(io.Discard) //nolint:errcheck
 			} else if i == 1 {
-				r.WriteJSON(io.Discard) //nolint:errcheck
+				r.writeProm(io.Discard, true) //nolint:errcheck
 			} else {
 				r.Snapshot()
 				tr.Recent(10)

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -47,16 +46,20 @@ type entry struct {
 	counter *Counter
 	gauge   *Gauge
 	hist    *Histogram
-	// gaugeFn, when set, is read instead of gauge at render time
-	// (callback gauges such as fxdist_uptime_seconds).
-	gaugeFn atomic.Pointer[func() float64]
+	// fn, when set, is read instead of the counter or gauge at render
+	// time: a callback instrument (fxdist_uptime_seconds, or a value
+	// its owner already keeps).
+	fn atomic.Pointer[func() float64]
 }
 
-// gaugeValue reads the entry's gauge, preferring a callback when one is
-// registered.
-func (e *entry) gaugeValue() float64 {
-	if fn := e.gaugeFn.Load(); fn != nil {
+// value reads the entry's counter or gauge, preferring a callback when
+// one is registered.
+func (e *entry) value() float64 {
+	if fn := e.fn.Load(); fn != nil {
 		return (*fn)()
+	}
+	if e.counter != nil {
+		return float64(e.counter.Value())
 	}
 	return e.gauge.Value()
 }
@@ -72,7 +75,8 @@ type family struct {
 
 // Registry holds named metric families. Lookups (Counter, Gauge,
 // Histogram) are idempotent: the same name+labels returns the same
-// instrument, so independent subsystems can share accumulation points.
+// instrument. Each owner of what is measured (a cluster's instruments,
+// a device server, a gate) builds its own; there is no process-wide one.
 type Registry struct {
 	mu       sync.Mutex
 	families map[string]*family
@@ -82,12 +86,6 @@ type Registry struct {
 func NewRegistry() *Registry {
 	return &Registry{families: make(map[string]*family)}
 }
-
-var defaultRegistry = NewRegistry()
-
-// Default returns the process-wide registry the instrumented packages
-// register against.
-func Default() *Registry { return defaultRegistry }
 
 func labelKey(labels []Label) string {
 	if len(labels) == 0 {
@@ -155,7 +153,16 @@ func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 // stored value. Re-registering the same name+labels replaces the
 // callback. fn must be safe for concurrent use.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Label) {
-	r.entryFor(name, help, KindGauge, nil, labels).gaugeFn.Store(&fn)
+	r.entryFor(name, help, KindGauge, nil, labels).fn.Store(&fn)
+}
+
+// CounterFunc registers a callback counter over a count its owner keeps
+// anyway: renders read fn(), which must never decrease. Re-registering
+// the same name+labels replaces the callback. fn must be safe for
+// concurrent use.
+func (r *Registry) CounterFunc(name, help string, fn func() uint64, labels ...Label) {
+	f := func() float64 { return float64(fn()) }
+	r.entryFor(name, help, KindCounter, nil, labels).fn.Store(&f)
 }
 
 // Histogram returns the histogram for name+labels, creating it on first
@@ -234,13 +241,10 @@ func promLabels(labels []Label, extra ...Label) string {
 // exposition format (version 0.0.4).
 func (r *Registry) WritePrometheus(w io.Writer) error { return r.writeProm(w, false) }
 
-// WritePrometheusExemplars renders the registry like WritePrometheus
-// but appends OpenMetrics-style exemplars (` # {trace_id="…"} v ts`)
-// to histogram bucket lines that have one. Served by /metrics under
-// ?exemplars=1 — kept off the default path because strict 0.0.4
-// parsers reject exemplar syntax.
-func (r *Registry) WritePrometheusExemplars(w io.Writer) error { return r.writeProm(w, true) }
-
+// writeProm renders like WritePrometheus; with exemplars it appends
+// OpenMetrics-style exemplars (` # {trace_id="…"} v ts`) to histogram
+// bucket lines that have one — served by /metrics under ?exemplars=1,
+// off the default path because strict 0.0.4 parsers reject the syntax.
 func (r *Registry) writeProm(w io.Writer, exemplars bool) error {
 	for _, f := range r.sortedFamilies() {
 		if f.help != "" {
@@ -255,9 +259,9 @@ func (r *Registry) writeProm(w io.Writer, exemplars bool) error {
 			var err error
 			switch f.kind {
 			case KindCounter:
-				_, err = fmt.Fprintf(w, "%s%s %d\n", f.name, promLabels(e.labels), e.counter.Value())
+				_, err = fmt.Fprintf(w, "%s%s %d\n", f.name, promLabels(e.labels), uint64(e.value()))
 			case KindGauge:
-				_, err = fmt.Fprintf(w, "%s%s %s\n", f.name, promLabels(e.labels), formatFloat(e.gaugeValue()))
+				_, err = fmt.Fprintf(w, "%s%s %s\n", f.name, promLabels(e.labels), formatFloat(e.value()))
 			case KindHistogram:
 				err = writePromHistogram(w, f.name, e, exemplars)
 			}
@@ -302,89 +306,6 @@ func writePromHistogram(w io.Writer, name string, e *entry, exemplars bool) erro
 	return err
 }
 
-// JSON rendering (expvar-style: one top-level key per metric family).
-
-type jsonBucket struct {
-	LE    float64 `json:"le"`
-	Count uint64  `json:"count"`
-}
-
-type jsonExemplar struct {
-	LE      string  `json:"le"` // bucket bound, "+Inf" for the overflow bucket
-	Value   float64 `json:"value"`
-	TraceID uint64  `json:"trace_id"`
-}
-
-type jsonMetric struct {
-	Labels    map[string]string `json:"labels,omitempty"`
-	Value     *float64          `json:"value,omitempty"`
-	Count     *uint64           `json:"count,omitempty"`
-	Sum       *float64          `json:"sum,omitempty"`
-	P50       *float64          `json:"p50,omitempty"`
-	P99       *float64          `json:"p99,omitempty"`
-	Buckets   []jsonBucket      `json:"buckets,omitempty"`
-	Exemplars []jsonExemplar    `json:"exemplars,omitempty"`
-}
-
-type jsonFamily struct {
-	Kind    string       `json:"kind"`
-	Help    string       `json:"help,omitempty"`
-	Metrics []jsonMetric `json:"metrics"`
-}
-
-// WriteJSON renders the registry as a JSON object keyed by metric name
-// (served on /debug/vars).
-func (r *Registry) WriteJSON(w io.Writer) error {
-	top := make(map[string]jsonFamily)
-	for _, f := range r.sortedFamilies() {
-		jf := jsonFamily{Kind: f.kind.String(), Help: f.help}
-		for _, e := range f.entries {
-			m := jsonMetric{}
-			if len(e.labels) > 0 {
-				m.Labels = make(map[string]string, len(e.labels))
-				for _, l := range e.labels {
-					m.Labels[l.Key] = l.Value
-				}
-			}
-			switch f.kind {
-			case KindCounter:
-				v := float64(e.counter.Value())
-				m.Value = &v
-			case KindGauge:
-				v := e.gaugeValue()
-				m.Value = &v
-			case KindHistogram:
-				s := e.hist.Snapshot()
-				count, sum := s.Count, s.Sum
-				p50, p99 := s.Quantile(0.5), s.Quantile(0.99)
-				m.Count, m.Sum, m.P50, m.P99 = &count, &sum, &p50, &p99
-				var cum uint64
-				for b, bound := range s.Bounds {
-					cum += s.Counts[b]
-					m.Buckets = append(m.Buckets, jsonBucket{LE: bound, Count: cum})
-				}
-				if s.Exemplars != nil {
-					for b, ex := range s.Exemplars {
-						if ex == nil {
-							continue
-						}
-						le := "+Inf"
-						if b < len(s.Bounds) {
-							le = formatFloat(s.Bounds[b])
-						}
-						m.Exemplars = append(m.Exemplars, jsonExemplar{LE: le, Value: ex.Value, TraceID: ex.TraceID})
-					}
-				}
-			}
-			jf.Metrics = append(jf.Metrics, m)
-		}
-		top[f.name] = jf
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(top)
-}
-
 // Point is one metric sample in a programmatic snapshot.
 type Point struct {
 	Name   string
@@ -403,14 +324,11 @@ func (r *Registry) Snapshot() []Point {
 	for _, f := range r.sortedFamilies() {
 		for _, e := range f.entries {
 			p := Point{Name: f.name, Kind: f.kind, Labels: append([]Label(nil), e.labels...)}
-			switch f.kind {
-			case KindCounter:
-				p.Value = float64(e.counter.Value())
-			case KindGauge:
-				p.Value = e.gaugeValue()
-			case KindHistogram:
+			if f.kind == KindHistogram {
 				s := e.hist.Snapshot()
 				p.Histogram = &s
+			} else {
+				p.Value = e.value()
 			}
 			out = append(out, p)
 		}

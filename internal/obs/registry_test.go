@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -47,54 +46,30 @@ test_requests_total{device="1"} 3
 	}
 }
 
-// TestWriteJSONGolden pins the /debug/vars JSON structure.
-func TestWriteJSONGolden(t *testing.T) {
+// TestCallbackInstruments: a CounterFunc renders as a counter and a
+// GaugeFunc as a gauge, each reading its callback at render time.
+func TestCallbackInstruments(t *testing.T) {
+	r := NewRegistry()
+	n := uint64(3)
+	r.CounterFunc("cb_total", "Kept elsewhere.", func() uint64 { return n }, L("k", "v"))
+	r.GaugeFunc("cb_ratio", "Derived.", func() float64 { return float64(n) / 2 })
+	n = 5
 	var sb strings.Builder
-	if err := buildTestRegistry().WriteJSON(&sb); err != nil {
+	if err := r.WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
 	}
-	var got map[string]struct {
-		Kind    string `json:"kind"`
-		Help    string `json:"help"`
-		Metrics []struct {
-			Labels  map[string]string `json:"labels"`
-			Value   *float64          `json:"value"`
-			Count   *uint64           `json:"count"`
-			Sum     *float64          `json:"sum"`
-			P50     *float64          `json:"p50"`
-			P99     *float64          `json:"p99"`
-			Buckets []struct {
-				LE    float64 `json:"le"`
-				Count uint64  `json:"count"`
-			} `json:"buckets"`
-		} `json:"metrics"`
+	want := `# HELP cb_ratio Derived.
+# TYPE cb_ratio gauge
+cb_ratio 2.5
+# HELP cb_total Kept elsewhere.
+# TYPE cb_total counter
+cb_total{k="v"} 5
+`
+	if got := sb.String(); got != want {
+		t.Errorf("callback render:\n%s--- want ---\n%s", got, want)
 	}
-	if err := json.Unmarshal([]byte(sb.String()), &got); err != nil {
-		t.Fatalf("invalid JSON: %v\n%s", err, sb.String())
-	}
-	if len(got) != 3 {
-		t.Fatalf("got %d families, want 3", len(got))
-	}
-	reqs := got["test_requests_total"]
-	if reqs.Kind != "counter" || len(reqs.Metrics) != 2 {
-		t.Fatalf("test_requests_total = %+v", reqs)
-	}
-	if reqs.Metrics[0].Labels["device"] != "0" || *reqs.Metrics[0].Value != 7 {
-		t.Errorf("device 0 counter = %+v", reqs.Metrics[0])
-	}
-	gauge := got["test_imbalance_ratio"]
-	if gauge.Kind != "gauge" || *gauge.Metrics[0].Value != 1.25 {
-		t.Errorf("gauge = %+v", gauge)
-	}
-	hist := got["test_latency_seconds"]
-	if hist.Kind != "histogram" || *hist.Metrics[0].Count != 4 || *hist.Metrics[0].Sum != 5.0105 {
-		t.Errorf("histogram = %+v", hist.Metrics[0])
-	}
-	if hist.Metrics[0].P50 == nil || hist.Metrics[0].P99 == nil {
-		t.Error("histogram JSON missing quantile estimates")
-	}
-	if n := len(hist.Metrics[0].Buckets); n != 3 {
-		t.Errorf("got %d finite buckets, want 3", n)
+	if p := r.Snapshot(); len(p) != 2 || p[1].Kind != KindCounter || p[1].Value != 5 {
+		t.Errorf("snapshot %+v", p)
 	}
 }
 

@@ -38,11 +38,9 @@ import (
 	"io"
 	"math/bits"
 	"os"
-	"time"
 
 	"fxdist/internal/mempool"
 	"fxdist/internal/mkhash"
-	"fxdist/internal/obs"
 )
 
 const frameHeaderSize = 12 // crc + bucket id + payload length
@@ -91,6 +89,9 @@ type Store struct {
 	size int64
 	// records counts stored records.
 	records int
+	// tornAt and tornFrom are where Open truncated a torn tail and the
+	// file's size before; tornFrom is 0 when it cut none.
+	tornAt, tornFrom int64
 }
 
 // Open opens or creates the store at path, rebuilding the bucket index by
@@ -106,9 +107,13 @@ func Open(path string) (*Store, error) {
 		f.Close()
 		return nil, err
 	}
-	mOpens.Inc()
-	mRecoveredRecords.Add(uint64(s.records))
 	return s, nil
+}
+
+// TornTail reports whether Open cut a torn or corrupt tail off the log,
+// with the offset it truncated at and the file's size before.
+func (s *Store) TornTail() (torn bool, offset, wasBytes int64) {
+	return s.tornFrom > 0, s.tornAt, s.tornFrom
 }
 
 // recover reads the log the way it was written — sequentially, a chunk at
@@ -179,8 +184,7 @@ func (s *Store) recover() error {
 		if err := s.f.Truncate(off); err != nil {
 			return err
 		}
-		mTornTails.Inc()
-		obs.Logger().Info("pagestore: truncated torn tail", "path", s.path, "offset", off, "was_bytes", fileSize)
+		s.tornAt, s.tornFrom = off, fileSize
 	}
 	s.size = off
 	return nil
@@ -240,10 +244,7 @@ func (s *Store) appendFrames(kind byte, bucket uint32, recs ...mkhash.Record) er
 // Append stores one record in the given bucket. The write is buffered by
 // the OS until Sync.
 func (s *Store) Append(bucket uint32, rec mkhash.Record) error {
-	t0 := time.Now()
-	err := s.appendFrames(kindPut, bucket, rec)
-	mAppend.ObserveSince(t0)
-	return err
+	return s.appendFrames(kindPut, bucket, rec)
 }
 
 // AppendRun stores records in the bucket as one run: a single write puts
@@ -290,7 +291,6 @@ func (s *Store) remove(bucket uint32, rec mkhash.Record, log bool) (int, error) 
 		if err := s.appendFrames(kindTombstone, bucket, rec); err != nil {
 			return 0, err
 		}
-		mTombstones.Inc()
 	}
 	if len(kept) == 0 {
 		delete(s.index, bucket)
@@ -306,8 +306,6 @@ func (s *Store) remove(bucket uint32, rec mkhash.Record, log bool) (int, error) 
 // Scan order within each bucket is preserved, and every bucket comes out
 // as one run.
 func (s *Store) Compact() error {
-	t0 := time.Now()
-	oldSize := s.size
 	tmpPath := s.path + ".compact"
 	tmp, err := os.OpenFile(tmpPath, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
@@ -341,9 +339,6 @@ func (s *Store) Compact() error {
 	}
 	old := s.f
 	*s = *next
-	mCompactions.Inc()
-	obs.Logger().Info("pagestore: compacted", "path", s.path, "from_bytes", oldSize, "to_bytes", s.size,
-		"live_records", s.records, "took", time.Since(t0))
 	return old.Close()
 }
 
@@ -465,12 +460,7 @@ func (s *Store) ScanInto(bucket uint32, b *mempool.RecordBuilder, fn func(rec mk
 }
 
 // Sync flushes appended frames to stable storage.
-func (s *Store) Sync() error {
-	t0 := time.Now()
-	err := s.f.Sync()
-	mSync.ObserveSince(t0)
-	return err
-}
+func (s *Store) Sync() error { return s.f.Sync() }
 
 // Close syncs and closes the store.
 func (s *Store) Close() error {

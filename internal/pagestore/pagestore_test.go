@@ -128,6 +128,12 @@ func TestTornTailRecovery(t *testing.T) {
 	if s2.Len() != 19 {
 		t.Fatalf("after torn-tail recovery Len=%d, want 19", s2.Len())
 	}
+	if torn, off, was := s2.TornTail(); !torn || was != info.Size()-3 || off >= was {
+		t.Errorf("TornTail() = %v, %d, %d; want a cut below the chopped size %d", torn, off, was, info.Size()-3)
+	}
+	if torn, _, _ := s.TornTail(); torn {
+		t.Error("a freshly created store reports a torn tail")
+	}
 	// The file must have been truncated to the valid prefix so appends
 	// continue cleanly.
 	if err := s2.Append(1, mkhash.Record{"post-crash"}); err != nil {

@@ -19,9 +19,9 @@ const DefaultCapacity = 256
 const DefaultMaxTuples = 1 << 16
 
 // Cache is the LRU plan cache of one executor, keyed by shape: the
-// executor has one allocator, so a shape names one plan. Caches are not
-// shared across clusters, but all caches of one backend report under the
-// same metric labels and appear individually on /debug/plancache.
+// executor has one allocator, so a shape names one plan. Each cluster
+// has its own, registered in its own metric registry and shown on its
+// /debug/plancache.
 type Cache struct {
 	backend string
 
@@ -30,41 +30,43 @@ type Cache struct {
 	lru      *list.List // of *Plan, front = most recent
 	index    map[string]*list.Element
 	bytes    int
-	hits     uint64
-	misses   uint64
-	evicted  uint64
 
-	mHits, mMisses, mEvicted *obs.Counter
-	mEntries, mBytes         *obs.Gauge
+	hits, misses, evicted *obs.Counter
 }
 
 // New builds a plan cache reporting under the backend label ("memory",
-// "durable", "replicated", "netdist"). Call Close when the owning
-// cluster is discarded.
-func New(backend string) *Cache {
-	r := obs.Default()
+// "durable", "replicated", "netdist") in r, its cluster's registry; the
+// size and bytes gauges read the cache when /metrics is scraped. Call
+// Close when the owning cluster is discarded.
+func New(r *obs.Registry, backend string) *Cache {
 	bl := obs.L("cache", backend)
 	c := &Cache{
 		backend:  backend,
 		capacity: DefaultCapacity,
 		lru:      list.New(),
 		index:    make(map[string]*list.Element),
-		mHits: r.Counter("fxdist_plancache_hit_total",
+		hits: r.Counter("fxdist_plancache_hit_total",
 			"Plan-cache lookups served from a resident plan.", bl),
-		mMisses: r.Counter("fxdist_plancache_miss_total",
+		misses: r.Counter("fxdist_plancache_miss_total",
 			"Plan-cache lookups that compiled a new plan.", bl),
-		mEvicted: r.Counter("fxdist_plancache_eviction_total",
+		evicted: r.Counter("fxdist_plancache_eviction_total",
 			"Plans evicted by the LRU capacity.", bl),
-		mEntries: r.Gauge("fxdist_plancache_size",
-			"Resident plans, totalled over every live cache of the backend.", bl),
-		mBytes: r.Gauge("fxdist_plancache_bytes",
-			"Approximate resident plan bytes, totalled over every live cache of the backend.", bl),
 	}
+	r.GaugeFunc("fxdist_plancache_size",
+		"Resident plans, totalled over every live cache of the backend.",
+		func() float64 { n, _ := c.resident(); return float64(n) }, bl)
+	r.GaugeFunc("fxdist_plancache_bytes",
+		"Approximate resident plan bytes, totalled over every live cache of the backend.",
+		func() float64 { _, b := c.resident(); return float64(b) }, bl)
 	return c
 }
 
-// Backend returns the backend label the cache reports under.
-func (c *Cache) Backend() string { return c.backend }
+// resident is the number and approximate bytes of the resident plans.
+func (c *Cache) resident() (plans, bytes int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.lru.Len(), c.bytes
+}
 
 // evictLocked drops LRU tails until the capacity holds.
 func (c *Cache) evictLocked() {
@@ -72,10 +74,7 @@ func (c *Cache) evictLocked() {
 		p := c.lru.Remove(c.lru.Back()).(*Plan)
 		delete(c.index, p.Shape)
 		c.bytes -= p.Bytes()
-		c.evicted++
-		c.mEvicted.Inc()
-		c.mEntries.Add(-1)
-		c.mBytes.Add(-float64(p.Bytes()))
+		c.evicted.Inc()
 	}
 }
 
@@ -92,14 +91,12 @@ func (c *Cache) Get(shape []byte, compile func() (*Plan, error)) (*Plan, bool, e
 	if el, ok := c.index[string(shape)]; ok {
 		c.lru.MoveToFront(el)
 		p := el.Value.(*Plan)
-		c.hits++
+		c.hits.Inc()
 		c.mu.Unlock()
-		c.mHits.Inc()
 		return p, true, nil
 	}
-	c.misses++
+	c.misses.Inc()
 	c.mu.Unlock()
-	c.mMisses.Inc()
 
 	p, err := compile()
 	if err != nil {
@@ -112,24 +109,18 @@ func (c *Cache) Get(shape []byte, compile func() (*Plan, error)) (*Plan, bool, e
 	}
 	c.index[p.Shape] = c.lru.PushFront(p)
 	c.bytes += p.Bytes()
-	c.mEntries.Add(1)
-	c.mBytes.Add(float64(p.Bytes()))
 	c.evictLocked()
 	return p, false, nil
 }
 
-// Close drops the cache's resident plans and takes them out of the
-// fxdist_plancache gauges. Subsequent Gets behave like a fresh cache.
+// Close drops the cache's resident plans. Subsequent Gets behave like a
+// fresh cache.
 func (c *Cache) Close() {
 	c.mu.Lock()
-	n := c.lru.Len()
-	b := c.bytes
 	c.lru.Init()
 	c.index = make(map[string]*list.Element)
 	c.bytes = 0
 	c.mu.Unlock()
-	c.mEntries.Add(-float64(n))
-	c.mBytes.Add(-float64(b))
 }
 
 // PlanInfo describes one resident plan on /debug/plancache.
@@ -163,12 +154,12 @@ func (c *Cache) Stats() Snapshot {
 		Capacity:  c.capacity,
 		Entries:   c.lru.Len(),
 		Bytes:     c.bytes,
-		Hits:      c.hits,
-		Misses:    c.misses,
-		Evictions: c.evicted,
+		Hits:      c.hits.Value(),
+		Misses:    c.misses.Value(),
+		Evictions: c.evicted.Value(),
 	}
-	if total := c.hits + c.misses; total > 0 {
-		s.HitRate = float64(c.hits) / float64(total)
+	if total := s.Hits + s.Misses; total > 0 {
+		s.HitRate = float64(s.Hits) / float64(total)
 	}
 	for el := c.lru.Front(); el != nil; el = el.Next() {
 		p := el.Value.(*Plan)

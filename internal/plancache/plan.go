@@ -20,8 +20,8 @@
 // Every retrieval runs under such a plan. Plans are held in one LRU
 // Cache per executor, keyed by shape: an executor has one allocator, and
 // a rebuilt allocator — e.g. after a snapshot reload — always comes with
-// a new cluster and so a new cache. Cache traffic is mirrored into the
-// obs metric registry and the /debug/plancache endpoint.
+// a new cluster and so a new cache. Cache traffic is counted once, in the
+// cluster's metric registry, which /debug/plancache reads too.
 package plancache
 
 import (

@@ -13,6 +13,7 @@ import (
 
 	"fxdist/internal/convolve"
 	"fxdist/internal/decluster"
+	"fxdist/internal/obs"
 	"fxdist/internal/query"
 )
 
@@ -206,7 +207,7 @@ func TestPlanCountsPinTheActiveDevices(t *testing.T) {
 func TestCacheLRUAndStats(t *testing.T) {
 	fs := mustFS(t, []int{4, 4}, 4)
 	fx, _ := decluster.NewFX(fs)
-	c := New("memory")
+	c := New(obs.NewRegistry(), "memory")
 	c.capacity = 2
 	defer c.Close()
 
@@ -249,7 +250,7 @@ func TestCacheLRUAndStats(t *testing.T) {
 func TestWarmGetAllocatesNothing(t *testing.T) {
 	fs := mustFS(t, []int{4, 4}, 4)
 	fx, _ := decluster.NewFX(fs)
-	c := New("memory")
+	c := New(obs.NewRegistry(), "memory")
 	defer c.Close()
 	q := query.New([]int{1, query.Unspecified})
 	get := func() {
@@ -272,7 +273,7 @@ func TestWarmGetAllocatesNothing(t *testing.T) {
 // insert wins, and every caller leaves with that one resident plan. Run
 // under -race.
 func TestCacheConcurrentMisses(t *testing.T) {
-	c := New("memory")
+	c := New(obs.NewRegistry(), "memory")
 	defer c.Close()
 	fs := mustFS(t, []int{4, 4}, 4)
 	fx, _ := decluster.NewFX(fs)
@@ -314,7 +315,7 @@ func TestCacheConcurrentMisses(t *testing.T) {
 }
 
 func TestCacheCompileErrorNotCached(t *testing.T) {
-	c := New("memory")
+	c := New(obs.NewRegistry(), "memory")
 	defer c.Close()
 	fails := 0
 	for i := 0; i < 2; i++ {
@@ -336,7 +337,7 @@ func TestCacheCompileErrorNotCached(t *testing.T) {
 // eviction and no longer the evicted plan. A closed cache leaves the
 // report.
 func TestReportFollowsEviction(t *testing.T) {
-	c := New("durable")
+	c := New(obs.NewRegistry(), "durable")
 	c.capacity = 3
 	fs := mustFS(t, []int{4, 4}, 4)
 	fx, _ := decluster.NewFX(fs)

@@ -24,62 +24,55 @@ type Controller struct {
 	now     func() time.Time
 	bo      *backoff
 
+	reg      *obs.Registry
 	mu       sync.Mutex
 	breakers map[int]*Breaker
 	samples  map[int]*hedgeSamples
-	// accumulated report state (counters are mirrored into obs)
-	retries, rejected uint64
-	hedges, hedgeWins uint64
-	partials          uint64
-	lastCoverage      float64
-	transitions       map[string]uint64
+	// lastCoverage is the report's and the coverage gauge's; the counts
+	// are the registry's own instruments, which the report reads.
+	lastCoverage float64
 
-	mRetries   *obs.Counter
-	mRejected  *obs.Counter
-	mHedges    *obs.Counter
-	mHedgeWins *obs.Counter
-	mPartials  *obs.Counter
-	mCoverage  *obs.Gauge
-	mTransTo   map[State]*obs.Counter
+	retries, rejected *obs.Counter
+	hedges, hedgeWins *obs.Counter
+	partials          *obs.Counter
+	transitions       [Open + 1]*obs.Counter // by destination state
 }
 
 // NewController builds a cluster's controller, reporting under its
-// backend label. The config is normalized; the obs instruments are
-// idempotent by name+label, so every controller of a backend kind
-// counts into the same series.
-func NewController(backend string, cfg Config) *Controller {
+// backend label in r, its cluster's registry. The config is normalized.
+func NewController(r *obs.Registry, backend string, cfg Config) *Controller {
 	cfg = cfg.Normalize()
-	r := obs.Default()
 	bl := obs.L("backend", backend)
 	c := &Controller{
-		backend:     backend,
-		cfg:         cfg,
-		now:         time.Now,
-		bo:          newBackoff(cfg.BackoffBase, cfg.BackoffMax),
-		breakers:    make(map[int]*Breaker),
-		samples:     make(map[int]*hedgeSamples),
-		transitions: make(map[string]uint64),
-		mRetries: r.Counter("fxdist_resilience_retries_total",
+		backend:  backend,
+		cfg:      cfg,
+		now:      time.Now,
+		bo:       newBackoff(cfg.BackoffBase, cfg.BackoffMax),
+		reg:      r,
+		breakers: make(map[int]*Breaker),
+		samples:  make(map[int]*hedgeSamples),
+		retries: r.Counter("fxdist_resilience_retries_total",
 			"Device attempts re-run by the retry budget after a failure.", bl),
-		mRejected: r.Counter("fxdist_resilience_rejected_total",
+		rejected: r.Counter("fxdist_resilience_rejected_total",
 			"Device attempts vetoed by an open circuit breaker.", bl),
-		mHedges: r.Counter("fxdist_resilience_hedges_total",
+		hedges: r.Counter("fxdist_resilience_hedges_total",
 			"Backup requests launched against slow primary devices.", bl),
-		mHedgeWins: r.Counter("fxdist_resilience_hedge_wins_total",
+		hedgeWins: r.Counter("fxdist_resilience_hedge_wins_total",
 			"Hedged backup requests that beat their primary.", bl),
-		mPartials: r.Counter("fxdist_resilience_partial_results_total",
+		partials: r.Counter("fxdist_resilience_partial_results_total",
 			"Retrievals served degraded: some devices failed, the rest answered.", bl),
-		mCoverage: r.Gauge("fxdist_resilience_coverage_fraction",
-			"Fraction of |R(q)| covered by the most recent degraded retrieval.", bl),
-		mTransTo: map[State]*obs.Counter{
-			Closed: r.Counter("fxdist_resilience_breaker_transitions_total",
-				"Circuit breaker state transitions, by destination state.", bl, obs.L("to", "closed")),
-			HalfOpen: r.Counter("fxdist_resilience_breaker_transitions_total",
-				"Circuit breaker state transitions, by destination state.", bl, obs.L("to", "half-open")),
-			Open: r.Counter("fxdist_resilience_breaker_transitions_total",
-				"Circuit breaker state transitions, by destination state.", bl, obs.L("to", "open")),
-		},
 	}
+	for to := range c.transitions {
+		c.transitions[to] = r.Counter("fxdist_resilience_breaker_transitions_total",
+			"Circuit breaker state transitions, by destination state.", bl, obs.L("to", State(to).String()))
+	}
+	r.GaugeFunc("fxdist_resilience_coverage_fraction",
+		"Fraction of |R(q)| covered by the most recent degraded retrieval.",
+		func() float64 {
+			c.mu.Lock()
+			defer c.mu.Unlock()
+			return c.lastCoverage
+		}, bl)
 	return c
 }
 
@@ -101,25 +94,22 @@ func (c *Controller) breaker(dev int) *Breaker {
 	defer c.mu.Unlock()
 	b := c.breakers[dev]
 	if b == nil {
-		g := obs.Default().Gauge("fxdist_resilience_breaker_state",
-			"Circuit breaker state per device: 0 closed, 1 half-open, 2 open.",
-			obs.L("backend", c.backend), obs.L("device", strconv.Itoa(dev)))
-		b = NewBreaker(c.cfg.BreakerFailures, c.cfg.BreakerCooldown, c.now, func(from, to State) {
-			g.Set(float64(int(to)))
-			c.mTransTo[to].Inc()
-			c.mu.Lock()
-			c.transitions[to.String()]++
-			c.mu.Unlock()
+		b = NewBreaker(c.cfg.BreakerFailures, c.cfg.BreakerCooldown, c.now, func(_, to State) {
+			c.transitions[to].Inc()
 		})
 		c.breakers[dev] = b
+		c.reg.GaugeFunc("fxdist_resilience_breaker_state",
+			"Circuit breaker state per device: 0 closed, 1 half-open, 2 open.",
+			func() float64 { return float64(b.State()) },
+			obs.L("backend", c.backend), obs.L("device", strconv.Itoa(dev)))
 	}
 	return b
 }
 
-// Lock order: breaker mutex → controller mutex (the transition
-// callback). The controller never calls into a breaker while holding
+// Lock order: the controller never calls into a breaker while holding
 // its own mutex — Report snapshots the breaker list under the lock and
-// reads states after releasing it.
+// reads states after releasing it — and the transition callback, run
+// under the breaker's, only counts.
 
 // Probe runs fn as a health probe for dev's breaker: vetoed while the
 // breaker is cooling down, otherwise the outcome feeds the breaker like
@@ -142,14 +132,6 @@ func (c *Controller) Probe(dev int, fn func() error) {
 	}
 }
 
-// count bumps one report counter and its obs mirror.
-func (c *Controller) count(n *uint64, m *obs.Counter) {
-	m.Inc()
-	c.mu.Lock()
-	*n++
-	c.mu.Unlock()
-}
-
 // Allow gates the first attempt on dev's slot: nil when its breaker
 // passes (or there is none), ErrOpen — counted as a rejection — while
 // it cools down. Nil-safe.
@@ -160,7 +142,7 @@ func (c *Controller) Allow(dev int) error {
 	}
 	err := b.Allow()
 	if err != nil {
-		c.count(&c.rejected, c.mRejected)
+		c.rejected.Inc()
 	}
 	return err
 }
@@ -207,17 +189,15 @@ func (c *Controller) Backoff(ctx context.Context, n int, err error) (delay time.
 	if dl, ok := ctx.Deadline(); ok && c.now().Add(delay).After(dl) {
 		return 0, false
 	}
-	c.count(&c.retries, c.mRetries)
+	c.retries.Inc()
 	return delay, true
 }
 
 // Degraded records one retrieval served as a partial result covering
 // the given fraction of |R(q)|.
 func (c *Controller) Degraded(coverage float64) {
-	c.mPartials.Inc()
-	c.mCoverage.Set(coverage)
+	c.partials.Inc()
 	c.mu.Lock()
-	c.partials++
 	c.lastCoverage = coverage
 	c.mu.Unlock()
 }
@@ -250,17 +230,19 @@ func (c *Controller) Report() Report {
 	rep := Report{
 		Backend:      c.backend,
 		MaxAttempts:  c.cfg.MaxAttempts,
-		Retries:      c.retries,
-		Rejected:     c.rejected,
-		Hedges:       c.hedges,
-		HedgeWins:    c.hedgeWins,
-		Partials:     c.partials,
+		Retries:      c.retries.Value(),
+		Rejected:     c.rejected.Value(),
+		Hedges:       c.hedges.Value(),
+		HedgeWins:    c.hedgeWins.Value(),
+		Partials:     c.partials.Value(),
 		LastCoverage: c.lastCoverage,
 	}
-	if len(c.transitions) > 0 {
-		rep.Transitions = make(map[string]uint64, len(c.transitions))
-		for k, v := range c.transitions {
-			rep.Transitions[k] = v
+	for to, n := range c.transitions {
+		if v := n.Value(); v > 0 {
+			if rep.Transitions == nil {
+				rep.Transitions = make(map[string]uint64, len(c.transitions))
+			}
+			rep.Transitions[State(to).String()] = v
 		}
 	}
 	devs := make([]int, 0, len(c.breakers))
@@ -274,7 +256,7 @@ func (c *Controller) Report() Report {
 	}
 	c.mu.Unlock()
 	// Breaker state reads take each breaker's own lock; done outside
-	// the controller lock to keep the order breaker→controller only.
+	// the controller lock (see the lock order above).
 	for i, b := range breakers {
 		rep.Breakers = append(rep.Breakers, BreakerReport{
 			Device:      devs[i],

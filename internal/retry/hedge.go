@@ -102,7 +102,7 @@ func (c *Controller) HedgeAfter(dev int) (time.Duration, bool) {
 }
 
 // Hedged records that a backup request was actually launched.
-func (c *Controller) Hedged() { c.count(&c.hedges, c.mHedges) }
+func (c *Controller) Hedged() { c.hedges.Inc() }
 
 // HedgeWon records a backup that beat its primary.
-func (c *Controller) HedgeWon() { c.count(&c.hedgeWins, c.mHedgeWins) }
+func (c *Controller) HedgeWon() { c.hedgeWins.Inc() }

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"fxdist/internal/obs"
 )
 
 // fakeClock is a manually advanced time source for breaker cooldowns.
@@ -104,7 +106,7 @@ func TestBackoffBoundsAndDeterminism(t *testing.T) {
 }
 
 func TestBudgetPolicy(t *testing.T) {
-	c := NewController("test-budget", Config{MaxAttempts: 3, BackoffBase: time.Millisecond, BackoffMax: 4 * time.Millisecond})
+	c := NewController(obs.NewRegistry(), "test-budget", Config{MaxAttempts: 3, BackoffBase: time.Millisecond, BackoffMax: 4 * time.Millisecond})
 	ctx := context.Background()
 	failed := errors.New("scan failed")
 
@@ -142,7 +144,7 @@ func TestBudgetPolicy(t *testing.T) {
 }
 
 func TestBreakerPolicyChargesOnlyPrimary(t *testing.T) {
-	c := NewController("test-charge", Config{BreakerFailures: 1, BreakerCooldown: time.Hour})
+	c := NewController(obs.NewRegistry(), "test-charge", Config{BreakerFailures: 1, BreakerCooldown: time.Hour})
 
 	// Backup failures and breaker vetoes never charge the breaker.
 	c.Failure(0, false, errors.New("backup failed"))
@@ -177,7 +179,7 @@ func TestBreakerPolicyChargesOnlyPrimary(t *testing.T) {
 
 func TestProbeDrivesRecovery(t *testing.T) {
 	clk := &fakeClock{t: time.Unix(0, 0)}
-	c := NewController("test-probe", Config{BreakerFailures: 1, BreakerCooldown: time.Second})
+	c := NewController(obs.NewRegistry(), "test-probe", Config{BreakerFailures: 1, BreakerCooldown: time.Second})
 	c.SetClock(clk.now)
 
 	c.breaker(0).Failure()
@@ -206,7 +208,7 @@ func TestProbeDrivesRecovery(t *testing.T) {
 }
 
 func TestHedgerOutlierGate(t *testing.T) {
-	c := NewController("test-hedge", Config{Hedge: true, HedgeMin: 2 * time.Millisecond})
+	c := NewController(obs.NewRegistry(), "test-hedge", Config{Hedge: true, HedgeMin: 2 * time.Millisecond})
 
 	// Too few samples: never hedge.
 	if _, ok := c.HedgeAfter(0); ok {
@@ -254,7 +256,7 @@ func TestHedgerOutlierGate(t *testing.T) {
 }
 
 func TestControllerReport(t *testing.T) {
-	c := NewController("test-report-2", Config{BreakerFailures: 1, BreakerCooldown: time.Hour})
+	c := NewController(obs.NewRegistry(), "test-report-2", Config{BreakerFailures: 1, BreakerCooldown: time.Hour})
 	c.breaker(1).Failure()
 	c.Degraded(0.75)
 	rep := c.Report()

@@ -40,6 +40,35 @@ type DurableCluster struct {
 	schema *mkhash.File // schema-only file used to hash queries
 	stores []*pagestore.Store
 	locks  []sync.RWMutex // locks[dev] guards stores[dev]: scan = RLock, mutate = Lock
+	logs   logMetrics
+}
+
+// logMetrics are the fxdist_pagestore_* series of one durable cluster's
+// device logs, in its registry: the cluster times the appends and syncs
+// it makes, counts its compactions and tombstones, and reads what
+// recovery did from each log it opens.
+type logMetrics struct {
+	append, sync                                         *obs.Histogram
+	opens, tornTails, recovered, compactions, tombstones *obs.Counter
+}
+
+func newLogMetrics(r *obs.Registry) logMetrics {
+	return logMetrics{
+		append: r.Histogram("fxdist_pagestore_append_seconds",
+			"Latency of one record append (frame encode + buffered write).", nil),
+		sync: r.Histogram("fxdist_pagestore_sync_seconds",
+			"Latency of one fsync making appended frames durable.", nil),
+		opens: r.Counter("fxdist_pagestore_opens_total",
+			"Store opens (including creations), each replaying the log to rebuild the index."),
+		tornTails: r.Counter("fxdist_pagestore_torn_tails_total",
+			"Recoveries that truncated a torn or corrupt log tail."),
+		recovered: r.Counter("fxdist_pagestore_recovered_records_total",
+			"Live records recovered from logs during open."),
+		compactions: r.Counter("fxdist_pagestore_compactions_total",
+			"Log compactions (tombstone and dead-frame garbage collection)."),
+		tombstones: r.Counter("fxdist_pagestore_tombstones_total",
+			"Tombstone frames appended by deletes."),
+	}
 }
 
 // durDevice adapts one device's pagestore log to the engine's Device
@@ -163,11 +192,19 @@ func newDurable(dir string, schema *mkhash.File, alloc decluster.GroupAllocator,
 	if err := c.wire("durable", schema, devices, model, st); err != nil {
 		return nil, err
 	}
-	var err error
+	c.logs = newLogMetrics(c.Instruments().Registry)
 	for dev := range c.stores {
-		if c.stores[dev], err = pagestore.Open(devicePath(dir, dev)); err != nil {
+		s, err := pagestore.Open(devicePath(dir, dev))
+		if err != nil {
 			c.Close()
 			return nil, err
+		}
+		c.stores[dev] = s
+		c.logs.opens.Inc()
+		c.logs.recovered.Add(uint64(s.Len()))
+		if torn, off, was := s.TornTail(); torn {
+			c.logs.tornTails.Inc()
+			obs.Logger().Info("pagestore: truncated torn tail", "path", s.Path(), "offset", off, "was_bytes", was)
 		}
 	}
 	return c, nil
@@ -208,7 +245,10 @@ func (c *DurableCluster) Insert(r mkhash.Record) error {
 	dev := c.alloc.Device(coords)
 	c.locks[dev].Lock()
 	defer c.locks[dev].Unlock()
-	return c.stores[dev].Append(uint32(c.fs.Linear(coords)), r)
+	t0 := time.Now()
+	err = c.stores[dev].Append(uint32(c.fs.Linear(coords)), r)
+	c.logs.append.ObserveSince(t0)
+	return err
 }
 
 // Delete removes every stored record equal to r from its device log
@@ -222,7 +262,11 @@ func (c *DurableCluster) Delete(r mkhash.Record) (int, error) {
 	dev := c.alloc.Device(coords)
 	c.locks[dev].Lock()
 	defer c.locks[dev].Unlock()
-	return c.stores[dev].Delete(uint32(c.fs.Linear(coords)), r)
+	n, err := c.stores[dev].Delete(uint32(c.fs.Linear(coords)), r)
+	if n > 0 {
+		c.logs.tombstones.Inc()
+	}
+	return n, err
 }
 
 // eachStore runs op on every open device log, each under its device's
@@ -248,7 +292,14 @@ func (c *DurableCluster) eachStore(name string, op func(*pagestore.Store) error)
 func (c *DurableCluster) Compact() error {
 	t0 := time.Now()
 	before := c.Len()
-	if err := c.eachStore("compact", (*pagestore.Store).Compact); err != nil {
+	err := c.eachStore("compact", func(s *pagestore.Store) error {
+		err := s.Compact()
+		if err == nil {
+			c.logs.compactions.Inc()
+		}
+		return err
+	})
+	if err != nil {
 		return err
 	}
 	obs.Logger().Info("storage: compacted device logs", "logs", len(c.stores), "dir", c.dir,
@@ -307,10 +358,15 @@ func (c *DurableCluster) BulkInsert(records []mkhash.Record) error {
 
 // Sync flushes every device log to stable storage.
 func (c *DurableCluster) Sync() error {
-	return c.eachStore("sync", (*pagestore.Store).Sync)
+	return c.eachStore("sync", func(s *pagestore.Store) error {
+		t0 := time.Now()
+		err := s.Sync()
+		c.logs.sync.ObserveSince(t0)
+		return err
+	})
 }
 
-// Close closes every device log and releases the plan cache.
+// Close closes every device log and drops the resident plans.
 func (c *DurableCluster) Close() error {
 	c.core.Close()
 	return c.eachStore("close", (*pagestore.Store).Close)

@@ -57,13 +57,14 @@ func WithFileOptions(opts ...mkhash.Option) Option {
 // wrong subset).
 func (s *settings) engineConfig(kind string, cfg engine.Config) engine.Config {
 	cfg.Instr = telemetry.New(kind, audit.SLO{})
-	cfg.Instr.Metrics = telemetry.NewClusterMetrics(kind, len(cfg.Devices))
+	reg := cfg.Instr.Registry
+	cfg.Instr.Metrics = telemetry.NewClusterMetrics(reg, kind, len(cfg.Devices))
 	cfg.Tracer = obs.DefaultTracer()
 	cfg.Span = "storage.retrieve"
-	cfg.Plans = plancache.New(kind)
+	cfg.Plans = plancache.New(reg, kind)
 	if s.retry != nil {
 		devices := cfg.Devices
-		cfg.Retry = retry.NewController(kind, *s.retry)
+		cfg.Retry = retry.NewController(reg, kind, *s.retry)
 		cfg.Backup = func(dev int) engine.Device { return devices[dev] }
 	}
 	return cfg

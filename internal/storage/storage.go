@@ -69,8 +69,7 @@ func (c *core) wire(kind string, schema *mkhash.File, devices []engine.Device, m
 	return err
 }
 
-// Close releases the cluster's plan cache: its share of the
-// fxdist_plancache gauges. The in-memory clusters hold
+// Close drops the cluster's resident plans. The in-memory clusters hold
 // nothing else to release; the durable one also closes its device logs.
 func (c *core) Close() error {
 	c.eng.Plans().Close()

@@ -29,7 +29,7 @@ type cell struct {
 
 	mu    sync.Mutex
 	slo   audit.SLO      // objective in force: the backend's default unless overridden
-	audit *audit.Shape   // bound, placement + SLO audit and its mirrored instruments (/debug/optimality)
+	audit *audit.Shape   // bound, placement + SLO audit, its instruments in the registry (/debug/optimality)
 	costs obs.ShapeCosts // stage cost aggregates (/debug/hotpath)
 	slow  obs.Slowest    // the slowest obs.FlightSlots queries (/debug/flight)
 	seen  uint64         // the event sampler's counters (/debug/events stats);
@@ -43,8 +43,11 @@ type cell struct {
 // time.
 type store struct {
 	// Backend is the label ("memory", "netdist", ...) on every record,
-	// report and mirrored instrument.
+	// report and instrument.
 	Backend string
+	// Registry is the cluster's metric registry, its /metrics: the
+	// cells' audit instruments and the event counters register here.
+	Registry *obs.Registry
 
 	mu        sync.Mutex // guards slo, overrides and cell creation
 	slo       audit.SLO
@@ -57,29 +60,31 @@ type store struct {
 	ring   []Event // a slot is empty until its record is set
 	next   int
 	subs   map[chan Event]struct{}
-
-	mSeen    *obs.Counter
-	mKept    *obs.Counter
-	mDropped *obs.Counter
 }
 
-func newStore(backend string, slo audit.SLO) *store {
-	r := obs.Default()
+// newStore builds the store of backend's cluster over registry r. The
+// event counters are the cells' seen and kept (LogStats), summed when
+// /metrics is scraped.
+func newStore(r *obs.Registry, backend string, slo audit.SLO) *store {
 	bl := obs.L("backend", backend)
 	s := &store{
 		Backend:   backend,
+		Registry:  r,
 		slo:       slo,
 		overrides: make(map[string]audit.SLO),
 		ring:      make([]Event, ringCapacity),
 		subs:      make(map[chan Event]struct{}),
-		mSeen: r.Counter("fxdist_events_seen_total",
-			"Wide events offered to the query log, per backend.", bl),
-		mKept: r.Counter("fxdist_events_kept_total",
-			"Wide events kept by head sampling or an always-keep rule.", bl),
-		mDropped: r.Counter("fxdist_events_dropped_total",
-			"Wide events dropped by head sampling.", bl),
 	}
 	s.cells.Store(&map[string]*cell{})
+	r.CounterFunc("fxdist_events_seen_total",
+		"Wide events offered to the query log, per backend.",
+		func() uint64 { return s.LogStats().Seen }, bl)
+	r.CounterFunc("fxdist_events_kept_total",
+		"Wide events kept by head sampling or an always-keep rule.",
+		func() uint64 { return s.LogStats().Kept }, bl)
+	r.CounterFunc("fxdist_events_dropped_total",
+		"Wide events dropped by head sampling.",
+		func() uint64 { st := s.LogStats(); return st.Seen - st.Kept }, bl)
 	return s
 }
 
@@ -98,7 +103,8 @@ func (s *store) cell(shape string) *cell {
 	if !pinned {
 		slo = s.slo
 	}
-	c := &cell{shape: shape, slo: slo, audit: audit.NewShape(s.Backend, shape)}
+	c := &cell{shape: shape, slo: slo}
+	c.audit = audit.NewShape(s.Registry, s.Backend, shape, &c.mu, &c.slo)
 	cells := maps.Clone(old)
 	cells[shape] = c
 	s.cells.Store(&cells)
@@ -163,7 +169,6 @@ func (s *store) Decide(rec *obs.QueryRecord) Decision {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.seen++
-	s.mSeen.Inc()
 	dec := Decision{Flight: c.slow.Admits(rec.Elapsed)}
 
 	var reasons []string
@@ -187,13 +192,11 @@ func (s *store) Decide(rec *obs.QueryRecord) Decision {
 		case c.seen%sampleEvery == 0:
 			reasons = []string{obs.KeepSample}
 		default:
-			s.mDropped.Inc()
 			return dec
 		}
 	}
 	rec.Keep = reasons
 	c.kept++
-	s.mKept.Inc()
 	dec.Kept = true
 	return dec
 }

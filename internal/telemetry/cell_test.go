@@ -93,7 +93,6 @@ func TestCellHammer(t *testing.T) {
 		shapes    = 5
 	)
 	in := New("cell-hammer", audit.SLO{Target: 400 * time.Microsecond, Goal: 0.9})
-	seen0, kept0, dropped0 := in.mSeen.Value(), in.mKept.Value(), in.mDropped.Value() // revived counters keep earlier -count runs
 	checkViews := func() {
 		for _, sf := range in.FlightReport().Shapes {
 			if len(sf.Records) > obs.FlightSlots {
@@ -152,7 +151,13 @@ func TestCellHammer(t *testing.T) {
 	if st.Seen != workers*perWorker {
 		t.Errorf("seen %d queries, offered %d", st.Seen, workers*perWorker)
 	}
-	seen, kept, dropped := in.mSeen.Value()-seen0, in.mKept.Value()-kept0, in.mDropped.Value()-dropped0
+	counters := map[string]uint64{}
+	for _, p := range in.Registry.Snapshot() {
+		if p.Kind == obs.KindCounter {
+			counters[p.Name] += uint64(p.Value)
+		}
+	}
+	seen, kept, dropped := counters["fxdist_events_seen_total"], counters["fxdist_events_kept_total"], counters["fxdist_events_dropped_total"]
 	if seen != st.Seen || kept != st.Kept || seen != kept+dropped {
 		t.Errorf("counters seen=%d kept=%d dropped=%d against stats %d/%d: want seen = kept + dropped, both agreeing", seen, kept, dropped, st.Seen, st.Kept)
 	}

@@ -199,10 +199,13 @@ func TestInstrumentSLOs(t *testing.T) {
 // always, the error counter on failure, and on success the per-device
 // bucket counters behind the live imbalance gauge.
 func TestMetricsSink(t *testing.T) {
-	m := NewClusterMetrics("metrics-sink-test", 2)
+	m := NewClusterMetrics(obs.NewRegistry(), "metrics-sink-test", 2)
+	if got := m.Imbalance(); got != 0 {
+		t.Errorf("imbalance before any bucket = %g, want 0", got)
+	}
 	m.Started()
 	m.Observe(&obs.QueryRecord{Elapsed: time.Millisecond, DeviceBuckets: []int{3, 1}})
-	if got := m.Imbalance.Value(); got != 1.5 {
+	if got := m.Imbalance(); got != 1.5 {
 		t.Errorf("imbalance after {3,1} = %g, want 1.5 (max 3 / mean 2)", got)
 	}
 	m.Started()

@@ -14,7 +14,8 @@ import (
 
 // Metrics federation: every node can serialise its registry into a
 // NodeStats snapshot; the netdist coordinator pulls one per server over
-// the wire protocol (Request.Stats) and folds them into a Federator,
+// the wire protocol (Request.Stats), adds its own once, and folds them
+// into a Federator,
 // which merges counters/gauges/histograms across nodes and renders the
 // fleet view on /debug/cluster.
 

@@ -55,13 +55,10 @@ func scrapeMetrics(t *testing.T, url string) map[string]float64 {
 
 // TestMetricsScrapeDuringDistributedRetrieve drives the full stack —
 // durable cluster retrieve, replicated distributed retrieve, one server
-// death — and asserts the /metrics scrape reflects each of them: per-
-// device latency histograms, the live load-imbalance gauge, and the
-// failover counter for the killed device.
+// death — and asserts each cluster's own /metrics scrape reflects each
+// of them, in absolute counts: per-device latency histograms, the live
+// load-imbalance gauge, and the failover counter for the killed device.
 func TestMetricsScrapeDuringDistributedRetrieve(t *testing.T) {
-	srv := httptest.NewServer(fxdist.MetricsHandler())
-	defer srv.Close()
-
 	file := buildTestFile(t)
 	fs, err := file.FileSystem(4)
 	if err != nil {
@@ -90,6 +87,18 @@ func TestMetricsScrapeDuringDistributedRetrieve(t *testing.T) {
 	defer dc.Close()
 	if _, err := dc.Retrieve(pm); err != nil {
 		t.Fatal(err)
+	}
+	durableSrv := httptest.NewServer(dc.DebugHandler())
+	defer durableSrv.Close()
+	durable := scrapeMetrics(t, durableSrv.URL+"/metrics")
+	if v := durable[`fxdist_storage_load_imbalance_ratio{cluster="durable"}`]; v < 1 {
+		t.Errorf("load-imbalance gauge = %g, want >= 1", v)
+	}
+	if n := durable[`fxdist_storage_retrieve_seconds_count{cluster="durable"}`]; n != 1 {
+		t.Errorf("durable retrieve latency histogram counted %g retrievals, want 1", n)
+	}
+	if n := durable[`fxdist_pagestore_opens_total`]; n != 4 {
+		t.Errorf("fxdist_pagestore_opens_total = %g, want one per device log (4)", n)
 	}
 
 	// Deploy replicated servers individually so one can be killed.
@@ -214,18 +223,18 @@ func TestMetricsScrapeDuringDistributedRetrieve(t *testing.T) {
 		t.Error("no flight record carries a retrieval span's reply events")
 	}
 
-	before := scrapeMetrics(t, srv.URL+"/metrics")
+	coordSrv := httptest.NewServer(coord.DebugHandler())
+	defer coordSrv.Close()
+	before := scrapeMetrics(t, coordSrv.URL+"/metrics")
 	for dev := 0; dev < m; dev++ {
 		key := `fxdist_netdist_coordinator_device_request_seconds_count{device="` + strconv.Itoa(dev) + `"}`
 		if before[key] == 0 {
 			t.Errorf("per-device latency histogram empty: %s", key)
 		}
 	}
-	if v := before[`fxdist_storage_load_imbalance_ratio{cluster="durable"}`]; v < 1 {
-		t.Errorf("load-imbalance gauge = %g, want >= 1", v)
-	}
-	if before[`fxdist_storage_retrieve_seconds_count{cluster="durable"}`] == 0 {
-		t.Error("durable retrieve latency histogram empty")
+	failKey := `fxdist_netdist_coordinator_failovers_total{device="2"}`
+	if n := before[failKey]; n != 0 {
+		t.Errorf("%s = %g before any server died", failKey, n)
 	}
 
 	// Kill device 2's server and wait for the coordinator to notice.
@@ -248,14 +257,12 @@ func TestMetricsScrapeDuringDistributedRetrieve(t *testing.T) {
 		t.Fatalf("failover retrieve %d records, want %d", len(got.Records), len(want))
 	}
 
-	after := scrapeMetrics(t, srv.URL+"/metrics")
-	failKey := `fxdist_netdist_coordinator_failovers_total{device="2"}`
-	if after[failKey] <= before[failKey] {
-		t.Errorf("failover counter did not increment: before=%g after=%g",
-			before[failKey], after[failKey])
+	after := scrapeMetrics(t, coordSrv.URL+"/metrics")
+	if after[failKey] < 1 {
+		t.Errorf("failover counter %s = %g after device 2 died, want >= 1", failKey, after[failKey])
 	}
-	if after[`fxdist_netdist_coordinator_retrieves_total`] <= before[`fxdist_netdist_coordinator_retrieves_total`] {
-		t.Error("coordinator retrieve counter did not advance")
+	if n := after[`fxdist_netdist_coordinator_retrieves_total`]; n != 2 {
+		t.Errorf("coordinator retrieve counter = %g, want this cluster's 2 retrievals", n)
 	}
 
 	// The failover fan-out also leaves a trace span correlating the
@@ -275,8 +282,6 @@ func TestMetricsScrapeDuringDistributedRetrieve(t *testing.T) {
 	// The failover cluster's optimality audit is served on its handler.
 	// CI uploads this JSON as a build artifact when AUDIT_JSON names a
 	// destination.
-	coordSrv := httptest.NewServer(coord.DebugHandler())
-	defer coordSrv.Close()
 	resp, err := http.Get(coordSrv.URL + "/debug/optimality")
 	if err != nil {
 		t.Fatalf("GET /debug/optimality: %v", err)

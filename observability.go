@@ -2,7 +2,6 @@ package fxdist
 
 import (
 	"context"
-	"io"
 	"net/http"
 
 	"fxdist/internal/audit"
@@ -17,12 +16,13 @@ import (
 
 // Observability: the runtime introspection surface. Every hot path in
 // the distributed stack (netdist coordinator and device servers, the
-// durable and replicated clusters, the pagestore logs) reports into a
-// process-wide metric registry and trace ring, labelled by backend kind;
-// everything a cluster knows about its own queries (audit, costs,
-// flights, events, plan cache, resilience, rescale, fleet) it holds
-// itself and serves on its DebugHandler. The commands expose the handler
-// of what they opened via -metrics-addr.
+// durable and replicated clusters, the pagestore logs) reports into the
+// metric registry of what it measures — a cluster's, a device server's,
+// a gate's — and a process-wide trace ring; everything a cluster knows
+// about its own queries (metrics, audit, costs, flights, events, plan
+// cache, resilience, rescale, fleet) it holds itself and serves on its
+// DebugHandler. The commands expose the handler of what they opened via
+// -metrics-addr.
 
 // MetricPoint is one metric sample: name, kind, labels and either a
 // scalar value (counters, gauges) or a histogram snapshot.
@@ -32,49 +32,28 @@ type MetricPoint = obs.Point
 // estimation (Quantile(0.99) etc.).
 type MetricHistogram = obs.HistogramSnapshot
 
-// MetricsSnapshot returns the current value of every registered metric,
-// sorted by name then labels — the programmatic equivalent of scraping
-// /metrics.
-func MetricsSnapshot() []MetricPoint { return obs.Default().Snapshot() }
-
-// WriteMetricsPrometheus renders all metrics in the Prometheus text
-// exposition format.
-func WriteMetricsPrometheus(w io.Writer) error { return obs.Default().WritePrometheus(w) }
-
-// WriteMetricsJSON renders all metrics as an expvar-style JSON object.
-func WriteMetricsJSON(w io.Writer) error { return obs.Default().WriteJSON(w) }
-
-// MetricsHandler serves the process-wide surfaces: /metrics (Prometheus
-// text), /debug/vars (JSON), /debug/traces (recent query spans),
-// /debug/pprof/, /debug/mempool and /debug/profiles. A device server
-// mounts it; a process that opened a cluster mounts that cluster's
-// DebugHandler, which includes it.
-func MetricsHandler() http.Handler {
-	return obs.HandlerFor(obs.Default(), obs.DefaultTracer(), processEndpoints()...)
-}
-
-// processEndpoints are the /debug views of process-wide state every
-// handler mounts beside /metrics and the trace ring: the slab pools and
-// the profile trigger.
-func processEndpoints() []DebugEndpoint {
-	return append(obs.ProfileEndpoints(), mempool.Endpoint())
-}
+// Metrics returns the registry behind this cluster's /metrics: the
+// serving backend's, read at each call (a rescale's cutover swaps it).
+// Snapshot lists its points; WritePrometheus renders them.
+func (c *Cluster) Metrics() *obs.Registry { return c.backend().Instruments().Registry }
 
 // DebugEndpoint is one path of a debug handler: its pattern, the line
 // the /debug/ index shows for it, and its handler.
 type DebugEndpoint = obs.Endpoint
 
 // DebugEndpoints are the paths DebugHandler mounts beside /metrics,
-// /debug/vars, /debug/traces and /debug/pprof/: the process-wide
-// /debug/mempool and /debug/profiles, then this cluster's own views —
+// /debug/traces and /debug/pprof/: the process-wide /debug/mempool and
+// /debug/profiles, then this cluster's own views —
 // /debug/optimality, /debug/hotpath, /debug/flight, /debug/events,
 // /debug/plancache, /debug/resilience, /debug/rescale and /debug/cluster
 // (an empty map on every kind but a stats-pulling netdist cluster). A
 // front door that adds its own views (the gate's /debug/tenants) mounts
-// these with them. Each reads the serving backend at request time, so
-// after a rescale's cutover they show the new epoch.
+// these with them, and its /metrics renders Metrics before its own
+// registry. Each reads the serving backend at request time, so after a
+// rescale's cutover they show the new epoch.
 func (c *Cluster) DebugEndpoints() []DebugEndpoint {
-	eps := append(processEndpoints(), telemetry.Endpoints(func() *telemetry.Instruments { return c.backend().Instruments() })...)
+	eps := append(obs.ProfileEndpoints(), mempool.Endpoint())
+	eps = append(eps, telemetry.Endpoints(func() *telemetry.Instruments { return c.backend().Instruments() })...)
 	return append(eps,
 		plancache.Endpoint(func() *plancache.Cache { return c.backend().PlanCache() }),
 		resilience.Endpoint(c.Resilience),
@@ -88,11 +67,11 @@ func (c *Cluster) DebugEndpoints() []DebugEndpoint {
 	)
 }
 
-// DebugHandler serves this cluster's observability: the process-wide
-// surfaces of MetricsHandler plus DebugEndpoints. Every document holds
-// this cluster alone.
+// DebugHandler serves this cluster's observability: its /metrics
+// (Metrics), the trace ring, /debug/pprof/ and DebugEndpoints. Every
+// document holds this cluster alone.
 func (c *Cluster) DebugHandler() http.Handler {
-	return obs.HandlerFor(obs.Default(), obs.DefaultTracer(), c.DebugEndpoints()...)
+	return obs.HandlerFor(obs.DefaultTracer(), append(c.DebugEndpoints(), obs.MetricsEndpoint(c.Metrics))...)
 }
 
 // TraceSpan is a completed or in-flight query trace: coordinator fan-out

@@ -331,26 +331,20 @@ func TestPlanCacheEvictsAtItsCapacity(t *testing.T) {
 }
 
 // TestCloseReleasesThePlanCache opens, queries and closes memory and
-// replicated clusters over and over: afterwards the fxdist_plancache_size
-// gauges read what they read before, and the closed clusters are gone
+// replicated clusters over and over: each closed cluster's own plan
+// cache holds no plan and no bytes, and the closed clusters are gone
 // from the process's set of open ones (their queries leave
 // QueryLogStatsFor).
 func TestCloseReleasesThePlanCache(t *testing.T) {
-	srv := httptest.NewServer(fxdist.MetricsHandler())
-	defer srv.Close()
 	file, fx, _ := planCacheFile(t, 4)
 	pm, err := file.Spec(map[string]string{"supplier": "supplier-3"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sizes := func() [2]float64 {
-		m := scrapeMetrics(t, srv.URL+"/metrics")
-		return [2]float64{m[`fxdist_plancache_size{cache="memory"}`], m[`fxdist_plancache_size{cache="replicated"}`]}
-	}
 	seen := func() [2]uint64 {
 		return [2]uint64{fxdist.QueryLogStatsFor(fxdist.KindMemory).Seen, fxdist.QueryLogStatsFor(fxdist.KindReplicated).Seen}
 	}
-	seen0, sizes0 := seen(), sizes()
+	seen0 := seen()
 	for i := 0; i < 25; i++ {
 		for _, opts := range [][]fxdist.Option{nil, {fxdist.WithReplication(fxdist.ChainedFailover)}} {
 			c, err := fxdist.Open(fxdist.Config{File: file, Allocator: fx}, opts...)
@@ -360,15 +354,18 @@ func TestCloseReleasesThePlanCache(t *testing.T) {
 			if _, err := c.Retrieve(pm); err != nil {
 				t.Fatal(err)
 			}
+			if pc := c.PlanCache(); pc.Entries != 1 || pc.Bytes == 0 {
+				t.Fatalf("%s cluster's plan cache after one query: %d plans, %d bytes; want 1 plan", c.Kind(), pc.Entries, pc.Bytes)
+			}
 			if err := c.Close(); err != nil {
 				t.Fatal(err)
+			}
+			if pc := c.PlanCache(); pc.Entries != 0 || pc.Bytes != 0 {
+				t.Errorf("closed %s cluster's plan cache holds %d plans, %d bytes", c.Kind(), pc.Entries, pc.Bytes)
 			}
 		}
 	}
 	if got := seen(); got != seen0 {
 		t.Errorf("open memory and replicated clusters saw %v queries after 50 closed ones, %v before", got, seen0)
-	}
-	if got := sizes(); got != sizes0 {
-		t.Errorf("fxdist_plancache_size{memory, replicated} = %v after 50 closed clusters, %v before", got, sizes0)
 	}
 }

@@ -2,6 +2,7 @@ package fxdist_test
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -10,6 +11,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -52,6 +55,64 @@ func buildTelemetryFile(t *testing.T) (*fxdist.File, *fxdist.Modulo) {
 	return file, fxdist.NewModulo(fs)
 }
 
+// TestFleetViewCountsEachNodeOnce: a DeployLocal fleet, M = 4 servers
+// in one process, serves 5 retrievals and one stats pull. Each server
+// ships its own registry and the coordinator folds its own in once, as
+// one more node, so the fleet view counts every retrieval once: the
+// coordinator's 5, the servers' own request counters for Summary.Queries,
+// and the cluster's plan cache for the hit rate.
+func TestFleetViewCountsEachNodeOnce(t *testing.T) {
+	file := buildTestFile(t)
+	fs, err := file.FileSystem(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fx, err := fxdist.NewFX(fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addrs, stop, err := fxdist.DeployLocal(file, fx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stop()
+	c, err := fxdist.Open(fxdist.Config{File: file, Addrs: addrs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	const m, retrievals = 4, 5
+	everything := make(fxdist.PartialMatch, 2) // every device answers every retrieval
+	for i := 0; i < retrievals; i++ {
+		if _, err := c.Retrieve(everything); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Coordinator().PullStats(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	rep := c.Coordinator().Federator().Report()
+	merged := map[string]float64{}
+	for _, ms := range rep.Merged {
+		if len(ms.Labels) == 0 && ms.Histogram == nil {
+			merged[ms.Name] = ms.Value
+		}
+	}
+	if n := merged["fxdist_netdist_coordinator_retrieves_total"]; n != retrievals {
+		t.Errorf("merged coordinator retrieves = %g, want %d", n, retrievals)
+	}
+	if n := merged["fxdist_netdist_server_requests_total"]; n != m*retrievals || rep.Summary.Queries != m*retrievals {
+		t.Errorf("Summary.Queries = %d and the servers' request counters sum to %g, want %d each",
+			rep.Summary.Queries, n, m*retrievals)
+	}
+	if got, want := rep.Summary.PlanCacheHitRate, c.PlanCache().HitRate; got != want {
+		t.Errorf("Summary.PlanCacheHitRate = %g, the cluster's plan cache %g", got, want)
+	}
+	if len(rep.Nodes) != m+1 || rep.Nodes[0].Node != "coordinator" || !rep.Nodes[0].Alive || rep.Nodes[0].Flagged {
+		t.Errorf("fleet nodes %+v, want the coordinator alive and unflagged beside %d devices", rep.Nodes, m)
+	}
+}
+
 // TestClusterTelemetryPlane runs the telemetry plane end to end on a
 // real multi-node cluster with an injected fault: per-node registries
 // federated over the wire into one /debug/cluster view whose per-shape
@@ -71,19 +132,18 @@ func TestClusterTelemetryPlane(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// One server per device, each with its own private registry — the
-	// only route its counters have into the test's assertions is the
-	// stats pull over the wire.
+	// One server per device, each with its own registry — its counters
+	// reach the fleet view only by the stats pull over the wire, and the
+	// test reads them through the server's own handler.
 	const m = 4
 	addrs := make([]string, m)
-	regs := make([]*obs.Registry, m)
+	servers := make([]*fxdist.DeviceServer, m)
 	for dev := 0; dev < m; dev++ {
 		srv, err := fxdist.NewDeviceServer(dev, allocSpec, parts[dev])
 		if err != nil {
 			t.Fatal(err)
 		}
-		regs[dev] = obs.NewRegistry()
-		srv.UseRegistry(regs[dev])
+		servers[dev] = srv
 		l, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
@@ -193,30 +253,26 @@ func TestClusterTelemetryPlane(t *testing.T) {
 	}
 
 	// Final pull, then the federation invariant: the merged per-shape
-	// counts must equal the sum of the per-node counters, read straight
-	// out of each server's private registry.
+	// counts must equal the sum of the per-node counters, scraped from
+	// each server's own /metrics.
 	if err := coord.PullStats(ctx); err != nil {
 		t.Fatalf("final stats pull: %v", err)
 	}
 	rep = coord.Federator().Report()
 	perNode := make(map[string]uint64)
 	var perNodeTotal uint64
-	for dev, reg := range regs {
-		for _, p := range reg.Snapshot() {
-			if p.Name != "fxdist_netdist_server_shape_requests_total" {
+	for dev, srv := range servers {
+		h := httptest.NewServer(srv.DebugHandler())
+		scraped := scrapeMetrics(t, h.URL+"/metrics")
+		h.Close()
+		prefix := fmt.Sprintf(`fxdist_netdist_server_shape_requests_total{device="%d",shape="`, dev)
+		for series, v := range scraped {
+			shape, ok := strings.CutPrefix(series, prefix)
+			if !ok {
 				continue
 			}
-			var shape string
-			for _, l := range p.Labels {
-				if l.Key == "shape" {
-					shape = l.Value
-				}
-			}
-			if shape == "" {
-				t.Fatalf("device %d: shape counter without shape label", dev)
-			}
-			perNode[shape] += uint64(p.Value)
-			perNodeTotal += uint64(p.Value)
+			perNode[strings.TrimSuffix(shape, `"}`)] += uint64(v)
+			perNodeTotal += uint64(v)
 		}
 	}
 	if len(perNode) == 0 {
@@ -262,7 +318,7 @@ func TestClusterTelemetryPlane(t *testing.T) {
 	// Exemplar loop: latency bucket → trace ID → retained tree.
 	tid := bound.TraceID
 	var exemplarHit bool
-	for _, p := range obs.Default().Snapshot() {
+	for _, p := range cl.Metrics().Snapshot() {
 		if p.Name != "fxdist_netdist_coordinator_retrieve_seconds" || p.Histogram == nil {
 			continue
 		}
@@ -274,6 +330,18 @@ func TestClusterTelemetryPlane(t *testing.T) {
 	}
 	if !exemplarHit {
 		t.Error("no latency histogram exemplar points at the bound-violating trace")
+	}
+	resp, err = http.Get(srv.URL + "/metrics?exemplars=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	exposition, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(exposition), fmt.Sprintf(`# {trace_id="%d"}`, tid)) {
+		t.Error("the cluster's /metrics?exemplars=1 does not link a bucket to the bound-violating trace")
 	}
 
 	// ...and it survives sampling: push more unremarkable kept queries
@@ -570,7 +638,7 @@ func TestTwoClustersKeepTheirInstrumentsApart(t *testing.T) {
 		}
 		return w.Body.Bytes()
 	}
-	paths := []string{"/debug/optimality", "/debug/hotpath", "/debug/flight", "/debug/events",
+	paths := []string{"/metrics", "/debug/optimality", "/debug/hotpath", "/debug/flight", "/debug/events",
 		"/debug/plancache", "/debug/resilience", "/debug/rescale", "/debug/cluster"}
 	var wg sync.WaitGroup
 	done := make(chan struct{})
@@ -602,6 +670,25 @@ func TestTwoClustersKeepTheirInstrumentsApart(t *testing.T) {
 	})
 	close(done)
 	wg.Wait()
+
+	// Each cluster's /metrics is its own: A's violations and A's
+	// retrievals only, and B's retrievals only.
+	name := map[*fxdist.Cluster]string{a: "A", b: "B"}
+	for c, h := range handlers {
+		series := map[string]float64{}
+		for sc := bufio.NewScanner(bytes.NewReader(scrape(h, "/metrics"))); sc.Scan(); {
+			if name, v, ok := strings.Cut(sc.Text(), " "); ok && !strings.HasPrefix(name, "#") {
+				series[name], _ = strconv.ParseFloat(v, 64)
+			}
+		}
+		violations := series[`fxdist_audit_violations_total{backend="memory",shape="**s"}`]
+		if want := map[*fxdist.Cluster]float64{a: perCluster, b: 0}[c]; violations != want {
+			t.Errorf("%s's /metrics: %g bound violations of **s, want %g", name[c], violations, want)
+		}
+		if n := series[`fxdist_storage_retrieves_total{cluster="memory"}`]; n != perCluster {
+			t.Errorf("%s's /metrics: %g retrievals, want its own %d", name[c], n, perCluster)
+		}
+	}
 
 	// B's reports hold B's traffic: one shape, its queries, no bound
 	// violation and no objective.
@@ -676,24 +763,43 @@ func TestTwoClustersKeepTheirInstrumentsApart(t *testing.T) {
 }
 
 // TestPrometheusHelpTypeLint asserts every sample family in the
-// /metrics exposition is preceded by its # HELP and # TYPE headers —
-// the lint half of the CI telemetry job.
+// /metrics exposition of a cluster, a gate (its cluster's registry and
+// then its own) and a device server is preceded by its # HELP and
+// # TYPE headers, each once — the lint half of the CI telemetry job.
 func TestPrometheusHelpTypeLint(t *testing.T) {
-	// Touch a few instruments so the exposition is non-trivial.
-	obs.Default().Counter("fxdist_lint_probe_total", "Lint probe.").Inc()
-	srv := httptest.NewServer(fxdist.MetricsHandler())
-	defer srv.Close()
-	resp, err := http.Get(srv.URL + "/metrics")
+	file, modulo := buildTelemetryFile(t)
+	c, err := fxdist.Open(fxdist.Config{File: file, Allocator: modulo}, fxdist.WithLatencySLO(time.Millisecond, 0.99))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /metrics: %s", resp.Status)
+	defer c.Close()
+	g, err := gate.New(gate.Config{Cluster: c, File: file, Tenants: []gate.TenantConfig{{Name: "lint", APIKey: "k"}}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	problems := lintPrometheus(t, resp.Body)
-	for _, p := range problems {
-		t.Error(p)
+	defer g.Close()
+	// Traffic through the gate, so every family has a series.
+	req := httptest.NewRequest(http.MethodPost, "/rpc",
+		jsonBody(`{"jsonrpc":"2.0","id":1,"method":"fx.retrieve","params":{"query":{"z":"z-3"}}}`))
+	req.Header.Set("Authorization", "Bearer k")
+	g.ServeHTTP(httptest.NewRecorder(), req)
+	spec, err := fxdist.DescribeAllocator(modulo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := fxdist.NewDeviceServer(0, spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, h := range map[string]http.Handler{"cluster": c.DebugHandler(), "gate": g.DebugHandler(), "server": srv.DebugHandler()} {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+		if w.Code != http.StatusOK {
+			t.Fatalf("%s: GET /metrics: %d", name, w.Code)
+		}
+		for _, p := range lintPrometheus(t, w.Body) {
+			t.Errorf("%s: %s", name, p)
+		}
 	}
 }
 
@@ -716,6 +822,9 @@ func lintPrometheus(t *testing.T, r io.Reader) []string {
 			continue
 		}
 		if name, ok := cutPrefixWord(line, "# TYPE "); ok {
+			if typed[name] {
+				problems = append(problems, "metric "+name+" has two # TYPE lines")
+			}
 			typed[name] = true
 			continue
 		}
