@@ -23,7 +23,6 @@ import (
 
 	"fxdist/internal/mkhash"
 	"fxdist/internal/obs"
-	"fxdist/internal/pagestore"
 	"fxdist/internal/query"
 )
 
@@ -73,7 +72,7 @@ type Answer struct {
 	// Found are hits still encoded, as a durable device collected them;
 	// the merge builds every device's through one reservation, after its
 	// Hits, and releases the slab. A device that fails releases its own.
-	Found pagestore.Matches
+	Found mkhash.Encoded
 	// Idle marks a device that did not participate at all (e.g. a failed
 	// replica whose buckets are served elsewhere); idle devices are not
 	// charged the per-query dispatch cost.

@@ -74,7 +74,7 @@ func BenchmarkScanMatching(b *testing.B) {
 	scanned := 0
 	for i := 0; i < b.N; i++ {
 		hits := 0
-		var found Matches
+		var found mkhash.Encoded
 		n, err := s.AppendMatching(uint32(i%16), pm, &found)
 		if err == nil {
 			err = found.Build(mempool.NewRecordBuilder(false), func(mkhash.Record) error {

@@ -27,7 +27,7 @@ func (c *countingReaderAt) ReadAt(p []byte, off int64) (int, error) {
 	return c.r.ReadAt(p, off)
 }
 
-func frameSize(rec mkhash.Record) int { return frameHeaderSize + 1 + recordSize(rec) }
+func frameSize(rec mkhash.Record) int { return frameHeaderSize + 1 + mkhash.EncodedSize(rec) }
 
 // storeOf is a store over an in-memory log: one run of bucket holding a
 // put frame per body, bodies unchecked.
@@ -104,14 +104,14 @@ func TestScanMatchingArity(t *testing.T) {
 	}
 	a := "a"
 	before := mempool.Frames.Stats()
-	var found Matches
+	var found mkhash.Encoded
 	if _, err := s.AppendMatching(1, mkhash.PartialMatch{&a, nil, nil}, &found); err == nil {
 		t.Error("a two-field record answered a three-field query")
 	}
 	found.Release()
 	// The run's slab and the slab holding the first record's body.
-	if gets, puts := framesTaken(before); gets != 2 || puts != gets || found.enc != nil {
-		t.Errorf("short record: %d slabs taken, %d given back, %d bytes still held", gets, puts, len(found.enc))
+	if gets, puts := framesTaken(before); gets != 2 || puts != gets || !reflect.ValueOf(found).IsZero() {
+		t.Errorf("short record: %d slabs taken, %d given back, %+v still held", gets, puts, found)
 	}
 	if got := collect(t, s, 1); len(got) != 2 {
 		t.Errorf("unfiltered scan returned %v", got)
@@ -121,7 +121,7 @@ func TestScanMatchingArity(t *testing.T) {
 		t.Errorf("one-field query: scanned %d, %d hits, %v", scanned, len(hits), err)
 	}
 
-	corrupt := storeOf(1, appendRecord(nil, mkhash.Record{"a"}), []byte{1, 200, 1})
+	corrupt := storeOf(1, mkhash.AppendEncoded(nil, mkhash.Record{"a"}), []byte{1, 200, 1})
 	before = mempool.Frames.Stats()
 	called := 0
 	err = corrupt.ScanInto(1, mempool.NewRecordBuilder(false), func(mkhash.Record) error { called++; return nil })

@@ -11,7 +11,7 @@
 //	[4] bucket id
 //	[4] payload length
 //	[n] payload: one kind byte (put or tombstone), then the record's
-//	    fields as length-prefixed strings
+//	    encoded body (mkhash.AppendEncoded)
 //
 // A put frame stores a record; a tombstone deletes every equal record
 // previously stored in the bucket. A frame whose CRC does not match — a
@@ -32,11 +32,9 @@ package pagestore
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math/bits"
 	"os"
 
 	"fxdist/internal/mempool"
@@ -168,11 +166,11 @@ func (s *Store) recover() error {
 			s.index[bucket] = addFrame(s.index[bucket], off, n)
 			s.records++
 		case kindTombstone:
-			rec, err := decodeRecord(payload[1:])
-			if err != nil {
+			recs, size, err := mkhash.DecodeEncoded(payload[1:], 1)
+			if err = whole(payload[1:], size, err); err != nil {
 				return fmt.Errorf("pagestore: corrupt tombstone at offset %d: %w", off, err)
 			}
-			if _, err := s.remove(bucket, rec, false); err != nil {
+			if _, err := s.remove(bucket, recs[0], false); err != nil {
 				return err
 			}
 		default:
@@ -208,7 +206,7 @@ func (s *Store) appendFrames(kind byte, bucket uint32, recs ...mkhash.Record) er
 	}
 	total := 0
 	for _, rec := range recs {
-		plen := 1 + recordSize(rec)
+		plen := 1 + mkhash.EncodedSize(rec)
 		if plen > maxPayload {
 			return fmt.Errorf("pagestore: record of %d bytes exceeds limit", plen)
 		}
@@ -219,7 +217,7 @@ func (s *Store) appendFrames(kind byte, bucket uint32, recs ...mkhash.Record) er
 	for _, rec := range recs {
 		frame := len(slab)
 		slab = append(slab[:frame+frameHeaderSize], kind)
-		slab = appendRecord(slab, rec)
+		slab = mkhash.AppendEncoded(slab, rec)
 		binary.LittleEndian.PutUint32(slab[frame+4:], bucket)
 		binary.LittleEndian.PutUint32(slab[frame+8:], uint32(len(slab)-frame-frameHeaderSize))
 		binary.LittleEndian.PutUint32(slab[frame:], crc32.ChecksumIEEE(slab[frame+4:]))
@@ -273,8 +271,9 @@ func (s *Store) remove(bucket uint32, rec mkhash.Record, log bool) (int, error) 
 	var kept []extent
 	dropped := 0
 	err := s.walk(bucket, func(off int64, frame []byte) error {
-		match, fields, _, err := matchRecord(frame[frameHeaderSize+1:], want)
-		if err != nil {
+		body := frame[frameHeaderSize+1:]
+		size, fields, _, match, err := mkhash.MatchEncoded(body, want)
+		if err = whole(body, size, err); err != nil {
 			return err
 		}
 		if match && fields == len(rec) {
@@ -385,18 +384,6 @@ func (s *Store) walk(bucket uint32, visit func(off int64, frame []byte) error) e
 	return nil
 }
 
-// Matches collects hits for AppendMatching: their encoded bodies back to
-// back in one slab grown through mempool.Frames, and how many records,
-// field slots and string bytes building them takes. The zero value is
-// empty; Release returns the slab, on every path.
-type Matches struct {
-	enc                    []byte
-	records, fields, bytes int
-}
-
-// Size returns the collected hits' record, field and byte counts.
-func (m *Matches) Size() (records, fields, bytes int) { return m.records, m.fields, m.bytes }
-
 // AppendMatching appends to dst every record in the bucket that agrees
 // with pm on its specified fields, in append order, and returns how many
 // records the bucket holds. The comparison runs on the encoded bytes:
@@ -404,54 +391,29 @@ func (m *Matches) Size() (records, fields, bytes int) { return m.records, m.fiel
 // nothing is materialised — dst.Build does that once, after the caller
 // has collected all its buckets. A stored record with fewer fields than
 // pm is an error; what was appended before it stays in dst.
-func (s *Store) AppendMatching(bucket uint32, pm mkhash.PartialMatch, dst *Matches) (scanned int, err error) {
+func (s *Store) AppendMatching(bucket uint32, pm mkhash.PartialMatch, dst *mkhash.Encoded) (scanned int, err error) {
 	err = s.walk(bucket, func(_ int64, frame []byte) error {
 		scanned++
 		body := frame[frameHeaderSize+1:]
-		match, fields, bytes, err := matchRecord(body, pm)
-		if err != nil {
+		size, fields, bytes, match, err := mkhash.MatchEncoded(body, pm)
+		if err = whole(body, size, err); err != nil {
 			return err
 		}
 		if fields < len(pm) {
 			return fmt.Errorf("pagestore: stored record has %d fields, the query %d", fields, len(pm))
 		}
 		if match {
-			dst.enc = append(mempool.Frames.Grow(dst.enc, len(body)), body...)
-			dst.records++
-			dst.fields += fields
-			dst.bytes += bytes
+			dst.Add(body, fields, bytes)
 		}
 		return nil
 	})
 	return scanned, err
 }
 
-// Build reserves exactly the collected hits' sizes on b and materialises
-// them through it, calling fn for each in the order they were appended.
-// Every byte is copied out, so the records outlive Release, and they cost
-// the builder two allocations however many there are.
-func (m *Matches) Build(b *mempool.RecordBuilder, fn func(rec mkhash.Record) error) error {
-	b.Reserve(m.fields, m.bytes)
-	for enc := m.enc; len(enc) > 0; {
-		var rec mkhash.Record
-		rec, enc = buildRecord(enc, b)
-		if err := fn(rec); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Release returns the slab to mempool.Frames and empties m.
-func (m *Matches) Release() {
-	mempool.Frames.Put(m.enc)
-	*m = Matches{}
-}
-
 // ScanInto calls fn for every record in the bucket, in append order: it
 // is AppendMatching with nothing specified, then Build through b.
 func (s *Store) ScanInto(bucket uint32, b *mempool.RecordBuilder, fn func(rec mkhash.Record) error) error {
-	var all Matches
+	var all mkhash.Encoded
 	defer all.Release()
 	if _, err := s.AppendMatching(bucket, nil, &all); err != nil {
 		return err
@@ -471,86 +433,12 @@ func (s *Store) Close() error {
 	return s.f.Close()
 }
 
-// uvarintLen returns the encoded size of v without encoding it.
-func uvarintLen(v uint64) int {
-	return (bits.Len64(v|1) + 6) / 7
-}
-
-// recordSize returns the exact encoded size of rec's body (field count
-// followed by length-prefixed field values).
-func recordSize(rec mkhash.Record) int {
-	n := uvarintLen(uint64(len(rec)))
-	for _, v := range rec {
-		n += uvarintLen(uint64(len(v))) + len(v)
+// whole is the frame's half of checking a record body: a frame holds
+// exactly one, so the size bytes the body's decode accepted must be all of
+// body.
+func whole(body []byte, size int, err error) error {
+	if err == nil && size != len(body) {
+		err = fmt.Errorf("pagestore: %d trailing bytes in record frame", len(body)-size)
 	}
-	return n
-}
-
-// appendRecord serialises a record as a field count followed by
-// length-prefixed field values.
-func appendRecord(buf []byte, rec mkhash.Record) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(rec)))
-	for _, v := range rec {
-		buf = binary.AppendUvarint(buf, uint64(len(v)))
-		buf = append(buf, v...)
-	}
-	return buf
-}
-
-// matchRecord is the one validator of an encoded record body: it checks
-// the field count, every field length and that nothing trails, and
-// reports the count, the field values' total bytes and whether each
-// field pm specifies — of those the record has — equals the stored
-// bytes. Nothing is materialised.
-func matchRecord(body []byte, pm mkhash.PartialMatch) (match bool, fields, bytes int, err error) {
-	count, n := binary.Uvarint(body)
-	if n <= 0 || count > 1<<20 {
-		return false, 0, 0, fmt.Errorf("pagestore: corrupt record header (field count %d)", count)
-	}
-	body = body[n:]
-	match = true
-	for i := 0; i < int(count); i++ {
-		l, n := binary.Uvarint(body)
-		if n <= 0 || uint64(len(body)-n) < l {
-			return false, 0, 0, errors.New("pagestore: corrupt field length")
-		}
-		if match && i < len(pm) && pm[i] != nil && string(body[n:n+int(l)]) != *pm[i] {
-			match = false
-		}
-		bytes += int(l)
-		body = body[n+int(l):]
-	}
-	if len(body) != 0 {
-		return false, 0, 0, fmt.Errorf("pagestore: %d trailing bytes in record frame", len(body))
-	}
-	return match, int(count), bytes, nil
-}
-
-// decodeRecord validates one record body and materialises it into memory
-// of its own: matchRecord, an exact reservation, buildRecord.
-func decodeRecord(body []byte) (mkhash.Record, error) {
-	_, fields, bytes, err := matchRecord(body, nil)
-	if err != nil {
-		return nil, err
-	}
-	b := mempool.NewRecordBuilder(false)
-	b.Reserve(fields, bytes)
-	rec, _ := buildRecord(body, b)
-	return rec, nil
-}
-
-// buildRecord materialises the first of the bodies at the head of enc,
-// which matchRecord has accepted, drawing the field-header slice and
-// field bytes from b's chunks, and returns the bodies after it. enc may be
-// recycled as soon as the call returns — every byte is copied out.
-func buildRecord(enc []byte, b *mempool.RecordBuilder) (mkhash.Record, []byte) {
-	fields, n := binary.Uvarint(enc)
-	enc = enc[n:]
-	rec := b.Fields(int(fields))
-	for i := range rec {
-		l, n := binary.Uvarint(enc)
-		rec[i] = b.Bytes(enc[n : n+int(l)])
-		enc = enc[n+int(l):]
-	}
-	return rec, enc
+	return err
 }

@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
-	"testing/quick"
 
 	"fxdist/internal/mempool"
 	"fxdist/internal/mkhash"
@@ -38,7 +37,7 @@ func collect(t *testing.T, s *Store, bucket uint32) []mkhash.Record {
 // matching is a durable device's scan of one bucket: collect the hits,
 // build them into owned memory, give the slab back.
 func matching(s *Store, bucket uint32, pm mkhash.PartialMatch) (hits []mkhash.Record, scanned int, err error) {
-	var found Matches
+	var found mkhash.Encoded
 	defer found.Release()
 	if scanned, err = s.AppendMatching(bucket, pm, &found); err != nil {
 		return nil, scanned, err
@@ -225,48 +224,47 @@ func TestScanPropagatesCallbackError(t *testing.T) {
 	}
 }
 
-// Record codec round-trips arbitrary field values, including empty and
-// binary-looking strings.
-func TestRecordCodecProperty(t *testing.T) {
-	f := func(fields []string) bool {
-		rec := mkhash.Record(fields)
-		decoded, err := decodeRecord(appendRecord(nil, rec))
-		if err != nil {
-			return false
-		}
-		if len(decoded) != len(rec) {
-			return false
-		}
-		for i := range rec {
-			if decoded[i] != rec[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestDecodeRejectsGarbage(t *testing.T) {
-	if _, err := decodeRecord([]byte{}); err == nil {
-		t.Error("empty payload accepted")
-	}
-	// Field length exceeding payload.
-	bad := []byte{1, 200, 1}
-	if _, err := decodeRecord(bad); err == nil {
-		t.Error("overlong field accepted")
-	}
-	// Trailing bytes.
-	good := appendRecord(nil, mkhash.Record{"a"})
-	if _, err := decodeRecord(append(good, 0)); err == nil {
-		t.Error("trailing bytes accepted")
-	}
-}
-
 func TestOpenFailsOnDirectory(t *testing.T) {
 	if _, err := Open(t.TempDir()); err == nil {
 		t.Error("Open on a directory succeeded")
+	}
+}
+
+// TestWideRecordReadsBack: a record Append accepts must read back through
+// every path — scan, Compact, Delete and the tombstone's replay on Open —
+// however many fields it has. A field costs at least its length byte, so
+// the payload bound is the only bound on the field count.
+func TestWideRecordReadsBack(t *testing.T) {
+	s, path := tempStore(t)
+	wide := make(mkhash.Record, 1<<20+1)
+	if err := s.Append(7, wide); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Append(3, mkhash.Record{"a"}); err != nil {
+		t.Fatal(err)
+	}
+	hits, scanned, err := matching(s, 7, nil)
+	if err != nil || scanned != 1 || len(hits) != 1 || len(hits[0]) != len(wide) {
+		t.Fatalf("scan: %d hits of %d scanned, %v", len(hits), scanned, err)
+	}
+	if err := s.Compact(); err != nil {
+		t.Fatalf("compact: %v", err)
+	}
+	if got := collect(t, s, 3); !reflect.DeepEqual(got, []mkhash.Record{{"a"}}) {
+		t.Fatalf("bucket 3 after compact = %v", got)
+	}
+	if n, err := s.Delete(7, wide); n != 1 || err != nil {
+		t.Fatalf("delete = %d, %v", n, err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s, err = Open(path)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer s.Close()
+	if s.Len() != 1 || len(collect(t, s, 7)) != 0 {
+		t.Fatalf("after reopen: %d records, bucket 7 holds %d", s.Len(), len(collect(t, s, 7)))
 	}
 }
