@@ -100,7 +100,9 @@ type Device interface {
 }
 
 // Result reports one retrieval: the matching records plus the simulated
-// parallel cost breakdown.
+// parallel cost breakdown. Its slices are windows capped at their length,
+// which may share a chunk (at most 4 KB per kind) with earlier results of
+// the same executor, never an element: keeping a result keeps its chunks.
 type Result struct {
 	// TraceID identifies the retrieval's trace (0 when the executor has
 	// no tracer); join it against obs.Tracer.Recent/Trees to see the
@@ -110,9 +112,7 @@ type Result struct {
 	Records []mkhash.Record
 	// DeviceBuckets[i] is the number of qualified buckets device i accessed.
 	DeviceBuckets []int
-	// DeviceRecords[i] is the number of records device i scanned. The
-	// merge carves both count slices from one allocation, each capped at
-	// its length; nothing appends to either.
+	// DeviceRecords[i] is the number of records device i scanned.
 	DeviceRecords []int
 	// DeviceTime[i] is device i's simulated service time.
 	DeviceTime []time.Duration

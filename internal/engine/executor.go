@@ -5,11 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"fxdist/internal/decluster"
 	"fxdist/internal/mempool"
@@ -281,8 +281,8 @@ func CallersFromContext(ctx context.Context) []string {
 // call is one in-flight fan-out: per-device answer slots plus an atomic
 // countdown whose last settle sends the done token (buffer 1). A waiter
 // that gives up early abandons its call to the remaining tasks. Pooled
-// (recycle), a call keeps its own fields across queries: the slots, the
-// spec's array, the span with its spill buffer; callState is zeroed.
+// (recycle), a call keeps its fields across queries (slots, spec array,
+// span and spill buffer, result chunks); only callState is zeroed.
 type call struct {
 	callState
 	e *Executor
@@ -293,6 +293,10 @@ type call struct {
 	devDur  []time.Duration
 	spec    [16]int
 	traced  obs.Span
+	counts  chunk[int] // each Result's DeviceBuckets and DeviceRecords
+	times   chunk[time.Duration]
+	samples chunk[obs.StageSample]
+	records chunk[mkhash.Record]
 
 	ctxMu sync.RWMutex // the call is a context.Context over ctx (parent)
 	ctx   context.Context
@@ -316,14 +320,31 @@ type callState struct {
 	// Cost-attribution state, populated only when the executor has a
 	// reporting bundle (instr true): mark/lastStamp walk the alloc
 	// counter and clock from stage boundary to stage boundary, and
-	// stages collects the breakdown in stageBuf as each stage closes; rec
-	// is the query record while only the call reads it (see report).
+	// stages collects the breakdown (Result.Stages) as each stage closes;
+	// rec is the query record while only the call reads it (see report).
 	instr     bool
 	mark      obs.AllocStat
 	lastStamp time.Time
 	stages    []obs.StageSample
-	stageBuf  [5]obs.StageSample
 	rec       obs.QueryRecord
+}
+
+// chunk is the chunk (cap) a call carves one kind of Result slice from
+// and what it has carved (len): the first is exactly the first window,
+// each later one double the last up to 4 KB, and a larger window is its
+// own make. A window is capped and never handed out twice.
+type chunk[T any] []T
+
+func (k *chunk[T]) carve(n int) []T {
+	c, limit := *k, 4<<10/int(unsafe.Sizeof(*new(T)))
+	if n > limit {
+		return make([]T, n)
+	}
+	if n > cap(c)-len(c) {
+		c = make([]T, 0, min(max(2*cap(c), n), limit))
+	}
+	*k = c[:len(c)+n]
+	return c[len(c) : len(c)+n : len(c)+n]
 }
 
 // settled reports whether every device task has finished — finish took
@@ -371,9 +392,6 @@ func (e *Executor) begin(ctx context.Context, pm mkhash.PartialMatch, caller str
 	c.setParent(ctx)
 	now := time.Now()
 	c.pm, c.started, c.lastStamp, c.caller, c.instr, c.mark = pm, now, now, caller, e.in != nil, mark
-	if c.instr {
-		c.stages = c.stageBuf[:0]
-	}
 	// Lowering hashes the values into bucket coordinates; range
 	// validation happens once per shape inside planFor, not per retrieval.
 	var err error
@@ -385,6 +403,9 @@ func (e *Executor) begin(ctx context.Context, pm mkhash.PartialMatch, caller str
 			e.in.Metrics.PlanFailed(time.Since(c.started))
 		}
 		return nil, err
+	}
+	if c.instr {
+		c.stages = c.samples.carve(5)[:0] // plan, fanout, merge, audit, device.scan
 	}
 	c.closeStage(obs.StagePlan)
 	if e.tracer != nil && e.span != "" {
@@ -439,7 +460,7 @@ func (e *Executor) consolidate(ctx context.Context, c *call) (Result, error) {
 		discardAnswers(c.answers...)
 		return Result{}, errors.Join(failures...)
 	}
-	return e.merge(c.answers, nil), nil
+	return c.merge(nil), nil
 }
 
 // discardAnswers recycles the hit frames, slabs and lent memory of
@@ -457,34 +478,32 @@ func discardAnswers(answers ...Answer) {
 	}
 }
 
-// merge folds per-device answers into a Result under the cost model;
+// merge folds the call's answers into a Result under the cost model;
 // failed[dev], when non-nil, marks devices whose answers are skipped.
 //
-// Records consolidate in one pass into a single exactly-sized slice the
+// Records consolidate in one pass into a single exactly-sized window the
 // caller owns — sized by summing the per-device hit counts first — and
 // the per-device hit frames are drained back to the pool; encoded hits
 // (Answer.Found) build through one builder reserved for them all. What
 // the devices lent (Answer.Release) folds into the result's lease; a
 // result nothing was lent to carries none.
-func (e *Executor) merge(answers []Answer, failed map[int]error) Result {
-	m := len(answers)
-	counts := make([]int, 2*m)
+func (c *call) merge(failed map[int]error) Result {
+	m := len(c.answers)
+	counts := c.counts.carve(2 * m)
 	res := Result{
-		// One allocation, capped halves: an append on one cannot reach
-		// the other.
-		DeviceBuckets: counts[:m:m],
+		DeviceBuckets: counts[:m:m], // capped: an append cannot reach DeviceRecords
 		DeviceRecords: counts[m:],
-		DeviceTime:    make([]time.Duration, m),
+		DeviceTime:    c.times.carve(m),
 	}
 	total, fields, bytes, lent := 0, 0, 0, 0
-	for dev := range answers {
-		a := &answers[dev]
+	for dev := range c.answers {
+		a := &c.answers[dev]
 		if a.Idle || failed[dev] != nil {
 			continue
 		}
 		res.DeviceBuckets[dev] = a.Buckets
 		res.DeviceRecords[dev] = a.Records
-		res.DeviceTime[dev] = e.model.DeviceTime(a.Buckets, a.Records)
+		res.DeviceTime[dev] = c.e.model.DeviceTime(a.Buckets, a.Records)
 		n, f, b := a.Found.Size()
 		total, fields, bytes = total+len(a.Hits)+n, fields+f, bytes+b
 		if a.Release != nil {
@@ -492,15 +511,15 @@ func (e *Executor) merge(answers []Answer, failed map[int]error) Result {
 		}
 	}
 	if total > 0 {
-		res.Records = make([]mkhash.Record, 0, total)
+		res.Records = c.records.carve(total)[:0]
 	}
 	if lent > 0 {
 		res.lease = &lease{rels: make([]func(), 0, lent)}
 	}
 	var build mempool.RecordBuilder
 	build.Reserve(fields, bytes)
-	for dev := range answers {
-		a := &answers[dev]
+	for dev := range c.answers {
+		a := &c.answers[dev]
 		if a.Idle || failed[dev] != nil {
 			// A failed device's answer is zero by convention; discard
 			// defensively in case an adapter returned one anyway.
@@ -533,7 +552,7 @@ func (e *Executor) degrade(c *call) (Result, error) {
 			failed[dev] = err
 		}
 	}
-	res := e.merge(c.answers, failed)
+	res := c.merge(failed)
 	covered := 0
 	for _, b := range res.DeviceBuckets {
 		covered += b
@@ -592,7 +611,7 @@ func (e *Executor) report(c *call, res Result, err error) {
 		BoundViolation:    p.Violates(),
 		WorstDevice:       p.WorstDevice(c.h),
 		MismatchedDevices: c.mismatched(),
-		DeviceBuckets:     res.DeviceBuckets,
+		DeviceBuckets:     res.DeviceBuckets, // the Audit step's; a kept copy drops it
 		Failed:            err != nil,
 	}
 	var failed map[int]error
@@ -610,6 +629,7 @@ func (e *Executor) report(c *call, res Result, err error) {
 	keep := dec.Kept || dec.Flight
 	if keep {
 		kept := *rec
+		kept.DeviceBuckets = nil // the caller's: rec.Devices is the kept detail
 		rec = &kept
 	}
 	c.stages = append(c.stages, obs.StageSample{Stage: obs.StageDeviceScan, Wall: c.deviceDetail(rec, keep)})
@@ -685,7 +705,7 @@ func (c *call) deviceDetail(rec *obs.QueryRecord, keep bool) (scan time.Duration
 func (c *call) seal(res Result, err error) (Result, error) {
 	tid := c.span.Trace()
 	res.TraceID = tid
-	res.Stages = slices.Clone(c.stages) // the call's buffer goes back with it
+	res.Stages = c.stages
 	if err != nil {
 		if pe, ok := err.(*PartialError); ok {
 			pe.Res.TraceID = tid

@@ -53,7 +53,7 @@ type QueryRecord struct {
 	// counts — what the per-device load counters add up; nil when the
 	// retrieval failed outright, the surviving devices' when it
 	// degraded. The slice belongs to the caller's Result: the Audit step
-	// reads it during the call and nothing retains it.
+	// reads it during the call, and a kept record drops it (Devices).
 	DeviceBuckets []int `json:"-"`
 
 	// Slow is set when Elapsed exceeded the shape's SLO target

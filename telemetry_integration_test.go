@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -595,6 +596,55 @@ func TestEventsFollowLeavesNoGoroutine(t *testing.T) {
 	}
 	if n > baseline {
 		t.Errorf("%d goroutines after four followers hung up, %d before", n, baseline)
+	}
+}
+
+// TestKeptEventOutlivesTheCallersResult: a kept event is immutable once
+// committed, so writing the Result of a retrieval the head rule kept must
+// not reach the event. The parent's kept copy still aliased the caller's
+// DeviceBuckets and read [777 777 777 777] here; a kept event's
+// per-device detail is its Devices.
+func TestKeptEventOutlivesTheCallersResult(t *testing.T) {
+	file, _ := buildTelemetryFile(t)
+	grid, err := file.FileSystem(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fx, err := fxdist.NewFX(grid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cluster, err := fxdist.Open(fxdist.Config{File: file, Allocator: fx})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Close()
+	pm, err := file.Spec(map[string]string{"z": "z-3"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := cluster.Retrieve(pm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := slices.Clone(res.DeviceBuckets)
+	for dev := range res.DeviceBuckets {
+		res.DeviceBuckets[dev] = 777
+	}
+	events := cluster.QueryEvents(1)
+	if len(events) != 1 || events[0].TraceID != res.TraceID {
+		t.Fatalf("want the retrieval's kept event (trace %d), got %d events", res.TraceID, len(events))
+	}
+	ev := events[0]
+	if slices.Contains(ev.DeviceBuckets, 777) {
+		t.Errorf("the kept event reads the caller's writes: DeviceBuckets %v", ev.DeviceBuckets)
+	}
+	got := make([]int, len(ev.Devices))
+	for dev, d := range ev.Devices {
+		got[dev] = d.Buckets
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("kept event's per-device buckets %v, the retrieval's %v", got, want)
 	}
 }
 
