@@ -93,7 +93,7 @@ func runServe(args []string) error {
 	snapshot := fs.String("snapshot", "", "snapshot file (with allocator spec)")
 	device := fs.Int("device", 0, "device id this node serves")
 	listen := fs.String("listen", "127.0.0.1:0", "listen address")
-	obsFlags := cliutil.ObsFlags(fs, "serve the device server's /metrics, /debug/traces, /debug/pprof/, /debug/mempool and /debug/profiles on this address")
+	obsFlags := cliutil.ObsFlags(fs, "serve the device server's /metrics, /debug/traces, /debug/pprof/ and /debug/mempool on this address")
 	shedInflight := fs.Int("shed-inflight", 0, "shed requests beyond this many in flight with a retryable busy response (0 disables)")
 	shedRetryAfter := fs.Duration("shed-retry-after", 250*time.Millisecond, "retry-after hint attached to shed responses")
 	rescaleTarget := fs.Int("rescale-target", 0, "serve an empty rescale-target device for a cluster growing to this many devices (0 serves the snapshot's own layout)")
@@ -188,9 +188,6 @@ func runQuery(args []string) error {
 	statsPull := fs.Duration("stats-pull", 0, "pull every device server's metrics snapshot at this interval into the /debug/cluster fleet view (0 pulls once)")
 	slo := fs.Duration("slo", 0, "latency objective per query shape (0 disables SLO tracking)")
 	sloGoal := fs.Float64("slo-goal", 0.99, "fraction of queries that must meet -slo")
-	profileDir := fs.String("profile-dir", "", "spool triggered pprof captures into this directory (enables triggered profiling)")
-	profileBurn := fs.Float64("profile-burn", 0, "SLO burn rate that triggers a pprof capture (0 disables the burn trigger)")
-	profileLatency := fs.Duration("profile-latency", 0, "single-query latency that triggers a pprof capture (0 disables the latency trigger)")
 	obsFlags := cliutil.ObsFlags(fs, "serve the coordinator's cluster handler (/metrics, /debug/optimality, /debug/hotpath, /debug/flight, /debug/cluster, ...; see /debug/) on this address")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -219,23 +216,6 @@ func runQuery(args []string) error {
 	}
 	if *slo > 0 {
 		opts = append(opts, fxdist.WithLatencySLO(*slo, *sloGoal))
-	}
-	if *profileDir != "" || *profileBurn > 0 || *profileLatency > 0 {
-		fxdist.EnableTriggeredProfiling(fxdist.TriggeredProfilingConfig{
-			Dir:              *profileDir,
-			BurnThreshold:    *profileBurn,
-			LatencyThreshold: *profileLatency,
-		})
-		defer func() {
-			for _, cap := range fxdist.DisableTriggeredProfiling() {
-				if cap.Err != "" {
-					fmt.Printf("profile capture %s/%s (%s): %s\n", cap.Backend, cap.Shape, cap.Reason, cap.Err)
-					continue
-				}
-				fmt.Printf("profile capture %s/%s (%s): %s %s\n",
-					cap.Backend, cap.Shape, cap.Reason, cap.CPUFile, cap.HeapFile)
-			}
-		}()
 	}
 	if *statsPull > 0 {
 		opts = append(opts, fxdist.WithStatsPull(*statsPull))

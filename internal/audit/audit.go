@@ -110,8 +110,7 @@ func NewShape(r *obs.Registry, backend, shape string, mu sync.Locker, slo *SLO) 
 // carries its plan's verdict, under the shape's latency objective slo
 // (zero = none). A failed (or degraded) retrieval is counted with its
 // mismatches and charged to the SLO, but not judged against the bound.
-// It returns the shape's burn rate after this query.
-func (st *Shape) Observe(rec *obs.QueryRecord, slo SLO) float64 {
+func (st *Shape) Observe(rec *obs.QueryRecord, slo SLO) {
 	st.queries.Inc()
 	if len(rec.MismatchedDevices) > 0 {
 		st.mismatches.Inc()
@@ -125,7 +124,7 @@ func (st *Shape) Observe(rec *obs.QueryRecord, slo SLO) float64 {
 		}
 	}
 	if slo.Target <= 0 {
-		return 0
+		return
 	}
 	bad := rec.Failed || rec.Elapsed > slo.Target
 	if bad {
@@ -143,7 +142,6 @@ func (st *Shape) Observe(rec *obs.QueryRecord, slo SLO) float64 {
 		st.wbad++
 	}
 	st.wpos = (st.wpos + 1) % len(st.window)
-	return st.BurnRate(slo)
 }
 
 // BurnRate is the rolling bad-fraction over slo's error budget; >1 means

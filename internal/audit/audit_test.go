@@ -43,7 +43,8 @@ func done(st *Shape, slo SLO, rq int, buckets []int, elapsed time.Duration) floa
 		}
 	}
 	rec.BoundViolation = rec.MaxDeviceBuckets > rec.Bound
-	return st.Observe(rec, slo)
+	st.Observe(rec, slo)
+	return st.BurnRate(slo)
 }
 
 func TestAuditorAggregatesPerShape(t *testing.T) {

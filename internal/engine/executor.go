@@ -362,6 +362,7 @@ func (c *call) closeStage(stage string) {
 	}
 	now := time.Now()
 	a := obs.ReadAllocs()
+	a.RecycledBytes, a.RecycledSlabs = mempool.RecycledTotals()
 	d := a.Sub(c.mark)
 	c.stages = append(c.stages, obs.StageSample{
 		Stage: stage, Wall: now.Sub(c.lastStamp),
@@ -383,6 +384,7 @@ func (e *Executor) begin(ctx context.Context, pm mkhash.PartialMatch, caller str
 	if e.in != nil {
 		e.in.Metrics.Started()
 		mark = obs.ReadAllocs() // the plan stage pays for the call itself
+		mark.RecycledBytes, mark.RecycledSlabs = mempool.RecycledTotals()
 	}
 	m := len(e.devs)
 	c, _ := e.calls.Get().(*call) // with pooling off (mempool.SetEnabled) every call is new

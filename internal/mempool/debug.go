@@ -7,17 +7,11 @@ import (
 	"fxdist/internal/obs"
 )
 
-// The package feeds its recycle totals to obs so the cost profiler's
-// per-stage alloc deltas can be read next to how much demand the pools
-// absorbed (see /debug/hotpath).
-
 type mempoolDoc struct {
 	RecycledBytes uint64       `json:"recycled_bytes"`
 	RecycledSlabs uint64       `json:"recycled_slabs"`
 	Pools         []PoolReport `json:"pools"`
 }
-
-func init() { obs.SetRecycleCounter(RecycledTotals) }
 
 // RegisterMetrics installs the pools' callback gauges into r, so their
 // absorption shows up on a node's /metrics and federates across nodes

@@ -259,10 +259,9 @@ func (s *Server) DeviceID() int { return s.deviceID }
 func (s *Server) Metrics() *obs.Registry { return s.reg }
 
 // DebugHandler serves the server's observability: its /metrics, the
-// trace ring, /debug/pprof/, and the process's /debug/mempool and
-// /debug/profiles.
+// trace ring, /debug/pprof/ and the process's /debug/mempool.
 func (s *Server) DebugHandler() http.Handler {
-	return obs.HandlerFor(s.tracer, append(obs.ProfileEndpoints(), mempool.Endpoint(), obs.MetricsEndpoint(s.Metrics))...)
+	return obs.HandlerFor(s.tracer, mempool.Endpoint(), obs.MetricsEndpoint(s.Metrics))
 }
 
 // shapeCounter returns (caching) the request counter of the shape whose

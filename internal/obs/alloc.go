@@ -3,7 +3,6 @@ package obs
 import (
 	"runtime/metrics"
 	"sync"
-	"sync/atomic"
 )
 
 // Allocation sampling for the cost profiler. Stage boundaries read the
@@ -15,20 +14,20 @@ import (
 // aggregate profile (the per-shape means converge on the true split).
 
 // AllocStat is a point-in-time reading of cumulative heap allocation,
-// plus — when a buffer-pool layer has registered its counters via
-// SetRecycleCounter — the cumulative demand those pools served without
-// touching the heap. The pair keeps the profiler honest once pooling
-// lands: a stage whose alloc delta collapses but whose recycled delta
-// grows moved its traffic into the pools; a stage where both collapse
-// genuinely stopped asking for memory.
+// plus — filled by the caller from the buffer-pool layer's totals — the
+// cumulative demand those pools served without touching the heap. The
+// pair keeps the profiler honest under pooling: a stage whose alloc
+// delta collapses but whose recycled delta grows moved its traffic into
+// the pools; a stage where both collapse genuinely stopped asking for
+// memory.
 type AllocStat struct {
 	// Bytes is the cumulative count of heap bytes allocated.
 	Bytes uint64
 	// Objects is the cumulative count of heap objects allocated.
 	Objects uint64
 	// RecycledBytes is the cumulative count of bytes served from
-	// recycled pool slabs instead of the heap (zero when no pool layer
-	// is registered).
+	// recycled pool slabs instead of the heap (zero unless the caller
+	// read the pools).
 	RecycledBytes uint64
 	// RecycledSlabs is the cumulative count of slabs served from pools.
 	RecycledSlabs uint64
@@ -54,17 +53,6 @@ func (s AllocStat) Sub(earlier AllocStat) AllocStat {
 	return d
 }
 
-// recycleCounter, when set, reports cumulative (bytes, slabs) served
-// from buffer pools. The mempool package registers itself here from an
-// init function; obs cannot import it directly without a cycle.
-var recycleCounter atomic.Pointer[func() (uint64, uint64)]
-
-// SetRecycleCounter registers the pool layer's cumulative recycle
-// counters so ReadAllocs can sample them alongside the heap counters.
-func SetRecycleCounter(f func() (bytes, slabs uint64)) {
-	recycleCounter.Store(&f)
-}
-
 var allocSamplePool = sync.Pool{
 	New: func() any {
 		s := make([]metrics.Sample, 2)
@@ -74,7 +62,9 @@ var allocSamplePool = sync.Pool{
 	},
 }
 
-// ReadAllocs samples the cumulative heap-allocation counters.
+// ReadAllocs samples the cumulative heap-allocation counters; the
+// recycled fields stay zero (obs cannot import the pool layer without a
+// cycle, so the engine fills them).
 func ReadAllocs() AllocStat {
 	sp := allocSamplePool.Get().(*[]metrics.Sample)
 	metrics.Read(*sp)
@@ -86,8 +76,5 @@ func ReadAllocs() AllocStat {
 		st.Objects = (*sp)[1].Value.Uint64()
 	}
 	allocSamplePool.Put(sp)
-	if f := recycleCounter.Load(); f != nil {
-		st.RecycledBytes, st.RecycledSlabs = (*f)()
-	}
 	return st
 }

@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -178,79 +176,4 @@ func TestDebugEndpointErrorsAreNon200(t *testing.T) {
 	if rec.Code != 500 {
 		t.Fatalf("marshal error: code=%d, want 500", rec.Code)
 	}
-}
-
-func TestProfileTriggerCapturesAndRateLimits(t *testing.T) {
-	dir := t.TempDir()
-	tr := NewProfileTrigger(ProfileTriggerConfig{
-		Dir:              dir,
-		CPUDuration:      10 * time.Millisecond,
-		MinInterval:      time.Hour, // only the first capture may run
-		MaxCaptures:      4,
-		LatencyThreshold: 100 * time.Millisecond,
-	})
-
-	tr.Consider("test", "ss**", 50*time.Millisecond, 0) // below threshold
-	tr.Consider("test", "ss**", 200*time.Millisecond, 0)
-	tr.Consider("test", "s***", 300*time.Millisecond, 0) // rate-limited away
-	tr.Wait()
-
-	caps := tr.Captures()
-	if len(caps) != 1 {
-		t.Fatalf("got %d captures, want 1 (rate limited): %+v", len(caps), caps)
-	}
-	c := caps[0]
-	if c.Backend != "test" || c.Shape != "ss**" || !strings.Contains(c.Reason, "latency") {
-		t.Errorf("capture = %+v", c)
-	}
-	if c.Err != "" {
-		t.Fatalf("capture failed: %s", c.Err)
-	}
-	for _, name := range []string{c.CPUFile, c.HeapFile} {
-		if name == "" {
-			t.Fatalf("capture missing a profile file: %+v", c)
-		}
-		fi, err := os.Stat(filepath.Join(dir, name))
-		if err != nil || fi.Size() == 0 {
-			t.Errorf("profile %s: err=%v size=%v", name, err, fi)
-		}
-	}
-}
-
-func TestProfileTriggerBurnThreshold(t *testing.T) {
-	tr := NewProfileTrigger(ProfileTriggerConfig{
-		Dir:           t.TempDir(),
-		CPUDuration:   time.Millisecond,
-		BurnThreshold: 2.0,
-	})
-	tr.Consider("test", "s", time.Millisecond, 1.5) // below
-	tr.Wait()
-	if got := tr.Captures(); len(got) != 0 {
-		t.Fatalf("burn 1.5 < 2.0 captured: %+v", got)
-	}
-	tr.Consider("test", "s", time.Millisecond, 2.5)
-	tr.Wait()
-	caps := tr.Captures()
-	if len(caps) != 1 || !strings.Contains(caps[0].Reason, "burn") {
-		t.Fatalf("burn 2.5 >= 2.0: %+v", caps)
-	}
-}
-
-func TestConsiderProfileGlobal(t *testing.T) {
-	tr := NewProfileTrigger(ProfileTriggerConfig{
-		Dir:              t.TempDir(),
-		CPUDuration:      time.Millisecond,
-		LatencyThreshold: time.Microsecond,
-	})
-	old := SetProfileTrigger(tr)
-	defer SetProfileTrigger(old)
-
-	ConsiderProfile("test", "s", time.Second, 0)
-	tr.Wait()
-	if len(tr.Captures()) != 1 {
-		t.Fatalf("global trigger did not capture: %+v", tr.Captures())
-	}
-
-	SetProfileTrigger(nil)
-	ConsiderProfile("test", "s", time.Second, 0) // must not panic with no trigger
 }

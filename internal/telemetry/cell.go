@@ -134,12 +134,8 @@ func (in *Instruments) Audit(rec *obs.QueryRecord) {
 	in.Metrics.Observe(rec)
 	c := in.cell(rec.Shape)
 	c.mu.Lock()
-	burn := c.audit.Observe(rec, c.slo)
+	c.audit.Observe(rec, c.slo)
 	c.mu.Unlock()
-	// Outside the lock: the triggered-profiling hook may kick off an
-	// async pprof capture when the shape's burn rate or this query's
-	// latency crosses a configured threshold (no-op when off).
-	obs.ConsiderProfile(in.Backend, rec.Shape, rec.Elapsed, burn)
 }
 
 // Decision is the store's verdict on one finished query: Kept admits

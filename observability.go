@@ -42,8 +42,8 @@ func (c *Cluster) Metrics() *obs.Registry { return c.backend().Instruments().Reg
 type DebugEndpoint = obs.Endpoint
 
 // DebugEndpoints are the paths DebugHandler mounts beside /metrics,
-// /debug/traces and /debug/pprof/: the process-wide /debug/mempool and
-// /debug/profiles, then this cluster's own views —
+// /debug/traces and /debug/pprof/: the process-wide /debug/mempool,
+// then this cluster's own views —
 // /debug/optimality, /debug/hotpath, /debug/flight, /debug/events,
 // /debug/plancache, /debug/resilience, /debug/rescale and /debug/cluster
 // (an empty map on every kind but a stats-pulling netdist cluster). A
@@ -52,8 +52,7 @@ type DebugEndpoint = obs.Endpoint
 // registry. Each reads the serving backend at request time, so after a
 // rescale's cutover they show the new epoch.
 func (c *Cluster) DebugEndpoints() []DebugEndpoint {
-	eps := append(obs.ProfileEndpoints(), mempool.Endpoint())
-	eps = append(eps, telemetry.Endpoints(func() *telemetry.Instruments { return c.backend().Instruments() })...)
+	eps := append([]DebugEndpoint{mempool.Endpoint()}, telemetry.Endpoints(func() *telemetry.Instruments { return c.backend().Instruments() })...)
 	return append(eps,
 		plancache.Endpoint(func() *plancache.Cache { return c.backend().PlanCache() }),
 		resilience.Endpoint(c.Resilience),

@@ -2,7 +2,6 @@ package fxdist
 
 import (
 	"io"
-	"time"
 
 	"fxdist/internal/obs"
 )
@@ -11,12 +10,11 @@ import (
 // every backend records a stage breakdown — plan (cache hit or
 // compile), fanout (the paper's max-over-devices term), merge, audit —
 // with wall time and heap-allocation deltas, aggregated per query shape
-// in each cluster's own store. The distributed coordinator additionally attributes the
-// wire path (dispatch → first byte → decode, with wire byte counts).
-// A cluster serves its own on /debug/hotpath; the slowest queries per
-// shape are retained with full evidence on /debug/flight; and an
-// optional trigger captures pprof profiles when an SLO burn rate or
-// latency threshold trips (/debug/profiles).
+// in each cluster's own store. The distributed coordinator additionally
+// attributes the wire path (dispatch → first byte → decode, with wire
+// byte counts). A cluster serves its own on /debug/hotpath, and the
+// slowest queries per shape are retained with full evidence on
+// /debug/flight.
 
 // StageSample is one stage measurement of one query (see
 // RetrieveResult.Stages): wall time plus heap-allocation deltas for
@@ -84,52 +82,4 @@ func WriteFlightReport(w io.Writer, report []BackendFlights) { obs.WriteFlightRe
 // /debug/flight).
 func (c *Cluster) FlightReport() BackendFlights {
 	return c.backend().Instruments().FlightReport()
-}
-
-// TriggeredProfilingConfig bounds automatic pprof capture: when a query
-// shape's SLO burn rate reaches BurnThreshold, or a single query's
-// latency reaches LatencyThreshold, a CPU+heap profile pair is spooled
-// to Dir. Captures are rate-limited (MinInterval apart, MaxCaptures
-// total, one at a time). Zero-valued fields take defaults (2s CPU
-// profile, 1m interval, 16 captures, a temp spool dir); both
-// thresholds <= 0 means nothing ever trips.
-type TriggeredProfilingConfig struct {
-	Dir              string
-	CPUDuration      time.Duration
-	MinInterval      time.Duration
-	MaxCaptures      int
-	BurnThreshold    float64
-	LatencyThreshold time.Duration
-}
-
-// ProfileCapture describes one completed (or failed) triggered capture.
-type ProfileCapture = obs.ProfileCapture
-
-// EnableTriggeredProfiling installs the process-wide profile trigger;
-// captures surface on /debug/profiles and in TriggeredProfiles. It
-// replaces any previously installed trigger.
-func EnableTriggeredProfiling(cfg TriggeredProfilingConfig) {
-	obs.SetProfileTrigger(obs.NewProfileTrigger(obs.ProfileTriggerConfig{
-		Dir:              cfg.Dir,
-		CPUDuration:      cfg.CPUDuration,
-		MinInterval:      cfg.MinInterval,
-		MaxCaptures:      cfg.MaxCaptures,
-		BurnThreshold:    cfg.BurnThreshold,
-		LatencyThreshold: cfg.LatencyThreshold,
-	}))
-}
-
-// DisableTriggeredProfiling removes the process-wide profile trigger,
-// waits for any in-flight capture to finish, and returns the trigger's
-// completed captures (nil when none was installed).
-func DisableTriggeredProfiling() []ProfileCapture {
-	t := obs.SetProfileTrigger(nil)
-	t.Wait()
-	return t.Captures()
-}
-
-// TriggeredProfiles lists completed triggered captures, most recent
-// first; nil when triggered profiling is off.
-func TriggeredProfiles() []ProfileCapture {
-	return obs.ActiveProfileTrigger().Captures()
 }

@@ -474,8 +474,8 @@ func containsString(ss []string, want string) bool {
 }
 
 // TestDebugEndpointsServeBothFormats walks the /debug/ index a memory
-// cluster's handler serves, and a gate's, and scrapes every endpoint
-// listed in both renderings: ?format=json must return 200 with a valid
+// cluster's handler serves, a gate's and a device server's, and scrapes
+// every endpoint listed in both renderings: ?format=json must return 200 with a valid
 // JSON document, ?format=text must return 200. Every kind mounts the
 // same paths from the start: /debug/rescale and /debug/cluster are
 // listed before any rescale or stats pull. This is the CI telemetry
@@ -492,8 +492,21 @@ func TestDebugEndpointsServeBothFormats(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer g.Close()
+	spec, err := fxdist.DescribeAllocator(alloc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parts, err := fxdist.PartitionFile(file, alloc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev, err := fxdist.NewDeviceServer(0, spec, parts[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dev.Close()
 	client := http.Client{Timeout: 10 * time.Second}
-	for name, h := range map[string]http.Handler{"cluster": c.DebugHandler(), "gate": g.DebugHandler()} {
+	for name, h := range map[string]http.Handler{"cluster": c.DebugHandler(), "gate": g.DebugHandler(), "device": dev.DebugHandler()} {
 		srv := httptest.NewServer(h)
 		var index []struct{ Path string }
 		resp, err := client.Get(srv.URL + "/debug/?format=json")
@@ -509,7 +522,11 @@ func TestDebugEndpointsServeBothFormats(t *testing.T) {
 		for _, ep := range index {
 			listed[ep.Path] = true
 		}
-		for _, want := range []string{"/debug/optimality", "/debug/plancache", "/debug/rescale", "/debug/cluster", "/debug/mempool"} {
+		wants := []string{"/metrics", "/debug/traces", "/debug/pprof/", "/debug/mempool"}
+		if name != "device" {
+			wants = append(wants, "/debug/optimality", "/debug/plancache", "/debug/rescale", "/debug/cluster")
+		}
+		for _, want := range wants {
 			if !listed[want] {
 				t.Errorf("%s: index does not list %s", name, want)
 			}
@@ -532,8 +549,6 @@ func TestDebugEndpointsServeBothFormats(t *testing.T) {
 				continue
 			case "/metrics":
 				continue // Prometheus text only; linted separately below
-			case "/debug/profiles/":
-				continue // parameterized download route: 404 without a capture name
 			}
 			for _, format := range []string{"json", "text"} {
 				url := srv.URL + ep.Path + "?format=" + format
