@@ -288,7 +288,7 @@ func runRescale(args []string) error {
 	concurrency := fs.Int("concurrency", 0, "in-flight bucket copies (0 uses the driver default)")
 	guardQueries := fs.Uint64("guard-queries", 0, "audited new-epoch queries the cutover guard requires (0 uses the default)")
 	noGuard := fs.Bool("no-guard", false, "cut over without waiting on the optimality auditor")
-	selfCheck := fs.Bool("self-check", true, "pump sampled queries through the dual-read window so an idle cluster still meets the cutover guard")
+	selfCheck := fs.Bool("self-check", true, "pump sampled queries through the verified window, where they read the new epoch, so an idle cluster still meets the cutover guard")
 	statusEvery := fs.Duration("status-every", time.Second, "progress print interval")
 	timeout := fs.Duration("timeout", 0, "overall rescale deadline (0 waits indefinitely)")
 	obsFlags := cliutil.ObsFlags(fs, "serve the cluster's handler, /debug/rescale included, on this address (the control address for status/pause/resume/abort)")
@@ -436,15 +436,14 @@ func startRescale(cfg rescaleStartConfig) error {
 			if err != nil {
 				return fmt.Errorf("rescale failed in phase %s: %w", st.Phase, err)
 			}
-			fmt.Printf("fxnode: rescale complete: cluster now answers over %d devices (%d buckets moved; %d dual reads, %d mismatches)\n",
-				cl.M(), st.Copied, st.DualReads.Started, st.DualReads.Mismatches)
+			fmt.Printf("fxnode: rescale complete: cluster now answers over %d devices (%d buckets moved; %d records digested on each epoch)\n",
+				cl.M(), st.Copied, st.NewDigest.Records)
 			return nil
 		case <-ticker.C:
 			st := resc.Status()
 			line := fmt.Sprintf("fxnode: phase %-9s %d/%d buckets copied", st.Phase, st.Copied, st.TotalMoves)
-			if st.DualReads.Started > 0 {
-				line += fmt.Sprintf("; dual reads %d (old wins %d, new wins %d, mismatches %d)",
-					st.DualReads.Started, st.DualReads.OldWins, st.DualReads.NewWins, st.DualReads.Mismatches)
+			if st.OldDigest.Records > 0 {
+				line += fmt.Sprintf("; digests: old epoch %d records, new epoch %d", st.OldDigest.Records, st.NewDigest.Records)
 			}
 			if st.Paused {
 				line += " [paused]"
@@ -454,8 +453,8 @@ func startRescale(cfg rescaleStartConfig) error {
 			}
 			fmt.Println(line)
 			if len(pms) > 0 && !resc.Done() {
-				// Self-check traffic: during dual-read each query races both
-				// epochs, is cross-checked, and counts toward the guard floor.
+				// Self-check traffic: once verified each query reads the new
+				// epoch and counts toward the guard floor.
 				vctx, vcancel := context.WithTimeout(ctx, cfg.statusEvery)
 				if err := resc.Verify(vctx, pms); err != nil && ctx.Err() == nil {
 					fmt.Printf("fxnode: self-check query failed: %v\n", err)

@@ -36,7 +36,7 @@ func TestRescaleDebugHelpers(t *testing.T) {
 		}
 		switch r.Method {
 		case http.MethodGet:
-			w.Write([]byte(`{"rescales":{"netdist":{"phase":"dual-read"}}}`))
+			w.Write([]byte(`{"rescales":{"netdist":{"phase":"verified"}}}`))
 		case http.MethodPost:
 			if err := r.ParseForm(); err != nil {
 				t.Error(err)
@@ -56,7 +56,7 @@ func TestRescaleDebugHelpers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(body, "dual-read") {
+	if !strings.Contains(body, "verified") {
 		t.Fatalf("status body %q missing phase", body)
 	}
 

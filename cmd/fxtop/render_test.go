@@ -101,7 +101,7 @@ func TestRenderRescaleRow(t *testing.T) {
 	}}
 	cur := testSnapshot(t0.Add(2*time.Second), 30)
 	cur.rescale = rescaleDoc{Rescales: map[string]rescaleRow{
-		"netdist": {Phase: "dual-read", OldM: 4, NewM: 8, TotalMoves: 64, Copied: 64,
+		"netdist": {Phase: "verified", OldM: 4, NewM: 8, TotalMoves: 64, Copied: 64,
 			MoveFraction: 1, Paused: true,
 			LastGuardErr: "rebalance: only 1 audited queries on the new epoch, need 4 before cutover"},
 	}}
@@ -112,7 +112,7 @@ func TestRenderRescaleRow(t *testing.T) {
 	for _, want := range []string{
 		"rescale netdist",
 		"4 -> 8 devices",
-		"phase dual-read",
+		"phase verified",
 		"64/64 buckets (100.0%)",
 		"copy 24.0/s", // (64-16)/2s
 		"[paused]",

@@ -97,7 +97,7 @@ func WithRequestTimeout(d time.Duration) DialOption {
 // WithDialInjector installs a fault injector on a dialed coordinator's
 // per-device requests — the DialOption form of WithFaultInjector, for
 // coordinators dialed outside Open (e.g. RescaleConfig.DialOptions, so
-// chaos schedules also hit the migration stream and dual reads).
+// chaos schedules also hit the migration stream and the window's reads).
 // Library API, exercised by TestRescaleGrowUnderFaults.
 func WithDialInjector(in *FaultInjector) DialOption {
 	return netdist.WithInjector(in)

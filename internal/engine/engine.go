@@ -18,6 +18,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -132,6 +133,21 @@ type Result struct {
 	// lease holds what the devices lent under Records (Answer.Release);
 	// nil when nothing was lent. Copies of the Result share it.
 	lease *lease
+}
+
+// CloneRecords deep-copies recs, including the field strings — arena
+// results and wire frames build those with unsafe.String over pooled
+// slabs, so a shallow copy would still dangle after the slab is reused.
+func CloneRecords(recs []mkhash.Record) []mkhash.Record {
+	out := make([]mkhash.Record, len(recs))
+	for i, r := range recs {
+		rec := make(mkhash.Record, len(r))
+		for j, f := range r {
+			rec[j] = strings.Clone(f)
+		}
+		out[i] = rec
+	}
+	return out
 }
 
 // lease is the releases of one result's lent memory, run at most once

@@ -252,9 +252,9 @@ func ContextWithCaller(ctx context.Context, caller string) context.Context {
 	return context.WithValue(ctx, callerKey{}, caller)
 }
 
-// CallerFromContext returns the caller attribution carried by ctx, or
+// callerFromContext returns the caller attribution carried by ctx, or
 // "".
-func CallerFromContext(ctx context.Context) string {
+func callerFromContext(ctx context.Context) string {
 	c, _ := ctx.Value(callerKey{}).(string)
 	return c
 }
@@ -271,9 +271,9 @@ func ContextWithCallers(ctx context.Context, callers []string) context.Context {
 	return context.WithValue(ctx, callersKey{}, callers)
 }
 
-// CallersFromContext returns the batch-aligned caller attributions
+// callersFromContext returns the batch-aligned caller attributions
 // carried by ctx, or nil.
-func CallersFromContext(ctx context.Context) []string {
+func callersFromContext(ctx context.Context) []string {
 	c, _ := ctx.Value(callersKey{}).([]string)
 	return c
 }
@@ -765,7 +765,7 @@ func (e *Executor) finish(ctx context.Context, c *call) (res Result, err error) 
 // merge under the cost model. Cancelling ctx returns promptly with its
 // error.
 func (e *Executor) Retrieve(ctx context.Context, pm mkhash.PartialMatch) (Result, error) {
-	c, err := e.begin(ctx, pm, CallerFromContext(ctx))
+	c, err := e.begin(ctx, pm, callerFromContext(ctx))
 	if err != nil {
 		return Result{}, err
 	}
@@ -798,8 +798,8 @@ func (e *Executor) RetrieveBatch(ctx context.Context, pms []mkhash.PartialMatch)
 	// finished query's call goes back before the next one completes.
 	errs := errsPool.Get(len(pms))
 	calls := callsPool.Get(len(pms))
-	callers := CallersFromContext(ctx)
-	defCaller := CallerFromContext(ctx)
+	callers := callersFromContext(ctx)
+	defCaller := callerFromContext(ctx)
 	for i, pm := range pms {
 		caller := defCaller
 		if i < len(callers) {

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"math/bits"
 	"unsafe"
 
@@ -38,6 +39,35 @@ func AppendEncoded(buf []byte, rec Record) []byte {
 		buf = append(buf, v...)
 	}
 	return buf
+}
+
+// Digest is a commutative digest of a record multiset: the number of
+// records and the sum, mod 2^64, of each record's FNV-64a hash over its
+// encoded body. The same records digest equally in any order and however
+// they are grouped, so two layouts of one file — a rescale's two epochs —
+// compare with one Digest each.
+type Digest struct {
+	Records int    `json:"records"`
+	Sum     uint64 `json:"sum"`
+}
+
+// DigestOf digests recs.
+func DigestOf(recs []Record) Digest {
+	d := Digest{Records: len(recs)}
+	h := fnv.New64a()
+	var body []byte
+	for _, r := range recs {
+		body = AppendEncoded(body[:0], r)
+		h.Reset()
+		h.Write(body) //nolint:errcheck // hash.Hash never errors
+		d.Sum += h.Sum64()
+	}
+	return d
+}
+
+// Plus digests the union of the two multisets.
+func (d Digest) Plus(o Digest) Digest {
+	return Digest{Records: d.Records + o.Records, Sum: d.Sum + o.Sum}
 }
 
 // MatchEncoded is the one validator of an encoded body: it checks the

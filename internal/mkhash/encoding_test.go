@@ -136,3 +136,29 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 		t.Errorf("wide record: %d fields, %v", len(rec), err)
 	}
 }
+
+func TestMultisetDigestProperties(t *testing.T) {
+	a := []Record{{"ab", "c"}, {"x"}}
+	b := []Record{{"x"}, {"ab", "c"}}
+	if DigestOf(a) != DigestOf(b) {
+		t.Error("digest is order-sensitive")
+	}
+	if DigestOf(a[:1]).Plus(DigestOf(a[1:])) != DigestOf(a) {
+		t.Error("digest depends on how the records are grouped")
+	}
+	// Field boundaries matter: ["ab","c"] vs ["a","bc"].
+	c := []Record{{"a", "bc"}, {"x"}}
+	if DigestOf(a) == DigestOf(c) {
+		t.Error("digest ignores field boundaries")
+	}
+	// So does the field count: ["x"] vs ["x",""].
+	if DigestOf([]Record{{"x"}}) == DigestOf([]Record{{"x", ""}}) {
+		t.Error("digest ignores an empty trailing field")
+	}
+	if d := DigestOf(a[:1]); d == DigestOf(a) || d.Records != 1 {
+		t.Errorf("a dropped record digests as %+v, the whole as %+v", d, DigestOf(a))
+	}
+	if DigestOf(nil) != (Digest{}) {
+		t.Error("empty digest not zero")
+	}
+}

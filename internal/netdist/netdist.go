@@ -121,6 +121,12 @@ const (
 	// "addrs[i] serves device i under one allocator" is the correctness of
 	// every answer and is checked, not assumed.
 	OpDescribe
+	// OpDigest digests the records the request's epoch owns on the
+	// server: their count in Scanned, their mkhash.Digest sum in decimal
+	// in the trailing blob. The rescale driver sums it across each
+	// epoch's devices to prove the copy before any read reaches the new
+	// epoch.
+	OpDigest
 )
 
 // NewRequest builds the wire request for a hashed query and its
@@ -149,8 +155,9 @@ type Response struct {
 	RetryAfterMillis int64
 	// StatsJSON answers a Stats request: the node's telemetry snapshot
 	// (telemetry.NodeStats) as an opaque JSON blob, so the frame layout
-	// stays stable as metrics evolve. Trailing-optional on the binary
-	// wire; empty on every other response.
+	// stays stable as metrics evolve. OpDescribe and OpDigest answer in
+	// it too. Trailing-optional on the binary wire; empty on every other
+	// response.
 	StatsJSON []byte
 }
 

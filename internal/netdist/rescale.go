@@ -5,10 +5,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"slices"
+	"strconv"
 
 	"fxdist/internal/decluster"
 	"fxdist/internal/engine"
 	"fxdist/internal/mkhash"
+	"fxdist/internal/query"
 	"fxdist/internal/storage"
 )
 
@@ -55,6 +57,8 @@ func (s *Server) control(req *Request) Response {
 		return s.abort(req)
 	case OpDescribe:
 		return s.describe(req)
+	case OpDigest:
+		return s.digest(req)
 	default:
 		return Response{ID: req.ID, Err: fmt.Sprintf("netdist: unknown control op %d", req.Control)}
 	}
@@ -212,6 +216,25 @@ func (s *Server) describe(req *Request) Response {
 	return Response{ID: req.ID, StatsJSON: b}
 }
 
+// digest answers OpDigest over exactly the buckets the epoch's view
+// would walk for a query with every field free. The partition is not the
+// answer: a prepared view shares it with the serving one, so until
+// cutover it also holds the buckets the new layout moves away.
+func (s *Server) digest(req *Request) Response {
+	s.dataMu.RLock()
+	defer s.dataMu.RUnlock()
+	v, err := s.viewFor(req)
+	if err != nil {
+		return Response{ID: req.ID, Err: fmt.Sprintf("netdist: digest: %v", err)}
+	}
+	var d mkhash.Digest
+	walk := v.im.Walk(query.Walk{}, query.All(v.fs.NumFields()), v.dev)
+	for coords := walk.Next(); coords != nil; coords = walk.Next() {
+		d = d.Plus(mkhash.DigestOf(v.part[v.fs.Linear(coords)]))
+	}
+	return Response{ID: req.ID, Scanned: d.Records, StatsJSON: strconv.AppendUint(nil, d.Sum, 10)}
+}
+
 // specEqual compares two allocator specs field by field.
 func specEqual(a, b decluster.Spec) bool {
 	return a.Method == b.Method && a.M == b.M && slices.Equal(a.Sizes, b.Sizes) &&
@@ -275,6 +298,19 @@ func (c *Coordinator) InstallBucket(ctx context.Context, dev, bucket int, recs [
 func (c *Coordinator) CutoverDevice(ctx context.Context, dev int) error {
 	_, err := c.controlOp(ctx, dev, Request{Control: OpCutover})
 	return err
+}
+
+// Digest digests the records device dev owns at epoch (OpDigest).
+func (c *Coordinator) Digest(ctx context.Context, dev, epoch int) (mkhash.Digest, error) {
+	resp, err := c.controlOp(ctx, dev, Request{Control: OpDigest, Epoch: epoch})
+	if err != nil {
+		return mkhash.Digest{}, err
+	}
+	sum, err := strconv.ParseUint(string(resp.StatsJSON), 10, 64)
+	if err != nil {
+		return mkhash.Digest{}, fmt.Errorf("netdist: device %d digest: %w", dev, err)
+	}
+	return mkhash.Digest{Records: resp.Scanned, Sum: sum}, nil
 }
 
 // AbortRescale drops device dev's prepared view and installed buckets.

@@ -153,8 +153,24 @@ func copyMoves(t *testing.T, ctx context.Context, coord *Coordinator,
 	return moved
 }
 
+// epochDigest sums OpDigest over devices 0..m-1 at epoch.
+func epochDigest(t *testing.T, ctx context.Context, coord *Coordinator, m, epoch int) mkhash.Digest {
+	t.Helper()
+	var d mkhash.Digest
+	for dev := 0; dev < m; dev++ {
+		dig, err := coord.Digest(ctx, dev, epoch)
+		if err != nil {
+			t.Fatalf("digest device %d at epoch %d: %v", dev, epoch, err)
+		}
+		d = d.Plus(dig)
+	}
+	return d
+}
+
 // TestRescaleProtocolGrow drives the raw control ops through a 2→4 grow
-// and checks both epochs answer correctly before and after cutover.
+// and checks both epochs answer correctly before and after cutover, and
+// digest equally once the copy is complete — and unequally once one
+// target loses a record.
 func TestRescaleProtocolGrow(t *testing.T) {
 	file := buildFile(t, 300)
 	ctx := context.Background()
@@ -189,6 +205,38 @@ func TestRescaleProtocolGrow(t *testing.T) {
 	}
 	if moved := copyMoves(t, ctx, newCoord, oldAlloc, newAlloc, -1); moved == 0 {
 		t.Fatal("fixture moved no buckets")
+	}
+
+	// The copy is proven: each epoch's devices digest the whole file.
+	var all mkhash.Digest
+	file.EachBucket(func(_ []int, recs []mkhash.Record) { all = all.Plus(mkhash.DigestOf(recs)) })
+	if od, nd := epochDigest(t, ctx, oldCoord, 2, 0), epochDigest(t, ctx, newCoord, 4, 1); od != all || nd != all {
+		t.Fatalf("digests after the copy: old epoch %+v, new epoch %+v, file %+v", od, nd, all)
+	}
+	// A target that lost one record breaks the proof; reinstalling the
+	// bucket restores it.
+	lossy := -1
+	newAlloc.FileSystem().EachBucket(func(b []int) {
+		if lossy < 0 && newAlloc.Device(b) >= 2 && len(file.Bucket(b)) > 1 {
+			lossy = newAlloc.FileSystem().Linear(b)
+		}
+	})
+	if lossy < 0 {
+		t.Fatal("no moved bucket with two records")
+	}
+	dev := newAlloc.Device(newAlloc.FileSystem().Coords(lossy, nil))
+	recs, err := oldCoord.FetchBucket(ctx, oldAlloc.Device(oldAlloc.FileSystem().Coords(lossy, nil)), lossy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := newCoord.InstallBucket(ctx, dev, lossy, recs[1:]); err != nil {
+		t.Fatal(err)
+	}
+	if nd := epochDigest(t, ctx, newCoord, 4, 1); nd == all || nd.Records != all.Records-1 {
+		t.Fatalf("new epoch digests %+v with a record deleted from device %d, file %+v", nd, dev, all)
+	}
+	if err := newCoord.InstallBucket(ctx, dev, lossy, recs); err != nil {
+		t.Fatal(err)
 	}
 
 	// Both epochs must now answer identically.

@@ -12,12 +12,14 @@ import (
 const rescaleVersion = 1
 
 // Rescale phases recorded in the journal. The driver moves strictly
-// forward through copying → dual-read → done, or sideways to aborted;
-// a resumed driver trusts the journal's phase and re-copies only the
-// buckets not marked done.
+// forward through copying → verified → done, or sideways to aborted. A
+// driver resumed at copying re-copies only the buckets not marked done
+// and proves the copy; one resumed at verified (a journal from before
+// that phase named it "dual-read") is past the proof and replays the
+// swap, the guard and the cutover broadcast.
 const (
 	RescaleCopying  = "copying"
-	RescaleDualRead = "dual-read"
+	RescaleVerified = "verified"
 	RescaleDone     = "done"
 	RescaleAborted  = "aborted"
 )

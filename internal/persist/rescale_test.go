@@ -38,7 +38,7 @@ func TestRescaleJournalRoundTrip(t *testing.T) {
 	}
 
 	// Overwrite in place (the driver's periodic flush) and reload.
-	st.Phase = RescaleDualRead
+	st.Phase = RescaleVerified
 	st.Done = append(st.Done, 21)
 	if err := SaveRescale(path, st); err != nil {
 		t.Fatal(err)
@@ -47,7 +47,7 @@ func TestRescaleJournalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Phase != RescaleDualRead || len(got.Done) != 4 {
+	if got.Phase != RescaleVerified || len(got.Done) != 4 {
 		t.Fatalf("flush not visible: %+v", got)
 	}
 }

@@ -25,6 +25,8 @@ type Transport interface {
 	InstallBucket(ctx context.Context, dev, bucket int, recs []mkhash.Record) error
 	CutoverDevice(ctx context.Context, dev int) error
 	AbortRescale(ctx context.Context, dev int) error
+	// Digest digests the records device dev owns at epoch.
+	Digest(ctx context.Context, dev, epoch int) (mkhash.Digest, error)
 }
 
 // DriverConfig configures one live rescale run.
@@ -32,6 +34,9 @@ type DriverConfig struct {
 	// OldSpec and NewSpec are the pre- and post-rescale allocator specs;
 	// NewSpec.M must be exactly double or half OldSpec.M.
 	OldSpec, NewSpec decluster.Spec
+	// Epoch is the epoch the fleet serves under OldSpec; NewSpec's is
+	// Epoch+1. The copy is proven by digesting both.
+	Epoch int
 	// Transport reaches every device in the union of the two epochs.
 	Transport Transport
 	// JournalPath, when set, persists migration progress after every
@@ -51,24 +56,21 @@ type DriverConfig struct {
 	// FlushEvery is the journal flush cadence in completed buckets
 	// (default 64).
 	FlushEvery int
-	// Guard gates cutover: polled during the dual-read phase until it
+	// Guard gates cutover: polled during the verified phase until it
 	// returns nil. AuditGuard wires the optimality auditor in here — the
 	// old epoch is never released while the new layout's per-shape
 	// deviation exceeds the Doerr bound. Nil means cut over immediately.
 	Guard func() error
 	// GuardPoll is the Guard polling interval (default 50ms).
 	GuardPoll time.Duration
-	// EnterDualRead is called once every bucket is copied, before the
-	// guard runs. The serving tier starts answering from both epochs
-	// here (engine.DualReader).
-	EnterDualRead func(ctx context.Context) error
-	// BeforeRelease is called after the guard passes and before cutover
-	// is broadcast — the last chance to drain in-flight old-epoch reads
-	// and veto on cross-check mismatches. Returning an error aborts.
-	BeforeRelease func(ctx context.Context) error
+	// Swap is called once the copy is proven, before the guard runs: the
+	// serving tier moves its reads to the new epoch here, which then
+	// feed the guard.
+	Swap func()
 	// BeforeRollback is called when a failed or aborted run is about to
-	// roll the servers back. The serving tier must stop routing queries
-	// at the new epoch here (its prepared views are about to drop).
+	// roll the servers back. The serving tier must move its reads back
+	// to the old epoch here (the new one's prepared views are about to
+	// drop).
 	BeforeRollback func()
 }
 
@@ -87,16 +89,23 @@ type DriverStatus struct {
 	Copied       int     `json:"copied"`
 	MoveFraction float64 `json:"move_fraction"`
 	Paused       bool    `json:"paused"`
-	Err          string  `json:"err,omitempty"`
-	LastGuardErr string  `json:"last_guard_err,omitempty"`
+	// OldDigest and NewDigest are the copy's proof: the records each
+	// epoch owns, across its devices. Zero until the copy is digested,
+	// and in a run resumed past the proof; the run goes on only when
+	// they are equal.
+	OldDigest    mkhash.Digest `json:"old_digest"`
+	NewDigest    mkhash.Digest `json:"new_digest"`
+	Err          string        `json:"err,omitempty"`
+	LastGuardErr string        `json:"last_guard_err,omitempty"`
 }
 
 // Driver executes one live rescale: prepare every surviving server with
 // the new epoch's spec, stream the moving buckets old-owner → new-owner
-// with bounded concurrency, switch the serving tier to dual reads, hold
-// until the optimality guard admits the new layout, then cut over. The
-// old partition stays authoritative (and untouched) until cutover, so
-// Abort at any earlier point is a complete rollback.
+// with bounded concurrency, prove the copy by digesting both epochs,
+// swap the serving tier to the new epoch, hold until the optimality
+// guard admits the new layout, then cut over. The old partition stays
+// authoritative (and untouched) until cutover, so Abort at any earlier
+// point is a complete rollback.
 type Driver struct {
 	cfg  DriverConfig
 	plan RescalePlan
@@ -109,6 +118,10 @@ type Driver struct {
 	runErr    error
 	guardErr  error
 	doneCount map[int]struct{} // bucket -> copied this or a prior run
+	digests   [2]mkhash.Digest // old epoch, new epoch
+	// proven is set when a prior run's journal is past the copy's
+	// proof: this run skips the copy and the proof (see adoptJournal).
+	proven bool
 
 	cancelMu sync.Mutex
 	cancel   context.CancelFunc
@@ -216,7 +229,13 @@ func NewDriver(cfg DriverConfig) (*Driver, error) {
 
 // adoptJournal resumes from a prior run's journal: same specs, not yet
 // finished. Buckets recorded done are skipped (install is idempotent,
-// so the at-least-once boundary around a crash is harmless).
+// so the at-least-once boundary around a crash is harmless). A journal
+// at verified — or at dual-read, the name builds before the digest gave
+// that phase — was written once every bucket was copied and, by this
+// build, proven: the resumed run goes straight to the swap, the guard
+// and the cutover broadcast. It must not prove the copy again, since
+// after a partial cutover the promoted devices no longer serve the old
+// epoch to digest.
 func (d *Driver) adoptJournal(st *persist.RescaleState) error {
 	if st.Phase == persist.RescaleDone || st.Phase == persist.RescaleAborted {
 		return fmt.Errorf("rebalance: journal %s records a finished rescale (%s); remove it to start a new one", d.cfg.JournalPath, st.Phase)
@@ -228,6 +247,10 @@ func (d *Driver) adoptJournal(st *persist.RescaleState) error {
 		d.doneCount[b] = struct{}{}
 	}
 	d.copied = len(d.doneCount)
+	d.proven = st.Phase == persist.RescaleVerified || st.Phase == "dual-read"
+	if d.proven {
+		d.phase = persist.RescaleVerified
+	}
 	d.log(Event{
 		Phase: st.Phase, Msg: "resumed from journal",
 		Copied: d.copied, Total: len(d.plan.Moves),
@@ -262,6 +285,8 @@ func (d *Driver) Status() DriverStatus {
 		Copied:       d.copied,
 		MoveFraction: d.plan.MoveFraction(),
 		Paused:       d.paused,
+		OldDigest:    d.digests[0],
+		NewDigest:    d.digests[1],
 	}
 	if d.runErr != nil {
 		st.Err = d.runErr.Error()
@@ -312,10 +337,15 @@ func (d *Driver) Abort() {
 // or context cancellation) and rolled back.
 var ErrAborted = errors.New("rebalance: rescale aborted")
 
+// ErrDigestMismatch is wrapped by Run when the new epoch's records do
+// not digest as the old epoch's once every bucket is copied. The run
+// rolls back before any read reaches the new epoch.
+var ErrDigestMismatch = errors.New("rebalance: the new epoch's records do not digest as the old epoch's")
+
 // ErrPartialCutover is wrapped by Run when some devices cut over and
 // others stayed unreachable through the retry budget. The migration is
 // NOT rolled back — cutover is one-way once any device promotes — and
-// the journal stays at dual-read; re-running the driver replays the
+// the journal stays at verified; re-running the driver replays the
 // idempotent cutover broadcast until the stragglers converge.
 var ErrPartialCutover = errors.New("rebalance: cutover incomplete on some devices")
 
@@ -382,7 +412,7 @@ func (d *Driver) Run(ctx context.Context) error {
 	}
 	if errors.Is(err, ErrPartialCutover) {
 		// Past the point of no return: some servers promoted. No
-		// rollback — the journal keeps the dual-read phase so a rebuilt
+		// rollback — the journal keeps the verified phase so a rebuilt
 		// driver replays the idempotent cutover broadcast.
 		d.mu.Lock()
 		d.phase = PhaseFailed
@@ -411,13 +441,57 @@ func (d *Driver) Run(ctx context.Context) error {
 }
 
 func (d *Driver) run(ctx context.Context) error {
-	survivors := d.plan.OldM
-	if d.plan.NewM < survivors {
-		survivors = d.plan.NewM
+	if !d.proven {
+		if err := d.copyAndProve(ctx); err != nil {
+			return err
+		}
 	}
+	// Verified: the new epoch owns exactly the old epoch's records, so
+	// the serving tier reads it alone while the guard watches the new
+	// layout's optimality. The phase says so only once the swap is done.
+	if d.cfg.Swap != nil {
+		d.cfg.Swap()
+	}
+	d.setPhase(persist.RescaleVerified, "copy proven; reads swapped to the new epoch")
+	d.journal(persist.RescaleVerified)
+	if err := d.holdForGuard(ctx); err != nil {
+		return err
+	}
+
+	// Cutover: broadcast to the union. Retiring servers and fresh
+	// targets answer success without state, so replay after a crash
+	// converges. The broadcast runs under a background context (an
+	// abort arriving now must not strand half the fleet) and visits
+	// every device even after a failure, maximizing convergence.
+	d.setPhase(persist.RescaleVerified, "guard passed; cutting over")
 	union := d.plan.OldM
 	if d.plan.NewM > union {
 		union = d.plan.NewM
+	}
+	cctx := context.Background()
+	var cutFailed []int
+	var lastErr error
+	for dev := 0; dev < union; dev++ {
+		dev := dev
+		if err := d.retry(cctx, func() error { return d.cfg.Transport.CutoverDevice(cctx, dev) }); err != nil {
+			cutFailed = append(cutFailed, dev)
+			lastErr = err
+		}
+	}
+	if len(cutFailed) > 0 {
+		return fmt.Errorf("%w: devices %v (last error: %v)", ErrPartialCutover, cutFailed, lastErr)
+	}
+	d.setPhase(persist.RescaleDone, "cutover complete")
+	d.journal(persist.RescaleDone)
+	return nil
+}
+
+// copyAndProve prepares the surviving servers, copies the moving
+// buckets and proves the copy.
+func (d *Driver) copyAndProve(ctx context.Context) error {
+	survivors := d.plan.OldM
+	if d.plan.NewM < survivors {
+		survivors = d.plan.NewM
 	}
 
 	// Prepare: every surviving server learns the next epoch's spec and
@@ -439,47 +513,7 @@ func (d *Driver) run(ctx context.Context) error {
 		return err
 	}
 	d.journal(persist.RescaleCopying)
-
-	// Dual-read: the serving tier answers from both epochs while the
-	// guard watches the new layout's optimality.
-	d.setPhase(persist.RescaleDualRead, "all buckets copied; dual reads on")
-	d.journal(persist.RescaleDualRead)
-	if d.cfg.EnterDualRead != nil {
-		if err := d.cfg.EnterDualRead(ctx); err != nil {
-			return fmt.Errorf("rebalance: enter dual-read: %w", err)
-		}
-	}
-	if err := d.holdForGuard(ctx); err != nil {
-		return err
-	}
-	if d.cfg.BeforeRelease != nil {
-		if err := d.cfg.BeforeRelease(ctx); err != nil {
-			return fmt.Errorf("rebalance: release vetoed: %w", err)
-		}
-	}
-
-	// Cutover: broadcast to the union. Retiring servers and fresh
-	// targets answer success without state, so replay after a crash
-	// converges. The broadcast runs under a background context (an
-	// abort arriving now must not strand half the fleet) and visits
-	// every device even after a failure, maximizing convergence.
-	d.setPhase(persist.RescaleDualRead, "guard passed; cutting over")
-	cctx := context.Background()
-	var cutFailed []int
-	var lastErr error
-	for dev := 0; dev < union; dev++ {
-		dev := dev
-		if err := d.retry(cctx, func() error { return d.cfg.Transport.CutoverDevice(cctx, dev) }); err != nil {
-			cutFailed = append(cutFailed, dev)
-			lastErr = err
-		}
-	}
-	if len(cutFailed) > 0 {
-		return fmt.Errorf("%w: devices %v (last error: %v)", ErrPartialCutover, cutFailed, lastErr)
-	}
-	d.setPhase(persist.RescaleDone, "cutover complete")
-	d.journal(persist.RescaleDone)
-	return nil
+	return d.proveCopy(ctx)
 }
 
 // copyBuckets drains the move set with bounded concurrency.
@@ -565,6 +599,35 @@ func (d *Driver) copyOne(ctx context.Context, mv Move) error {
 	err = d.retry(ctx, func() error { return d.cfg.Transport.InstallBucket(ctx, mv.To, mv.Bucket, recs) })
 	if err != nil {
 		return fmt.Errorf("rebalance: install bucket %d on device %d: %w", mv.Bucket, mv.To, err)
+	}
+	return nil
+}
+
+// proveCopy digests the old epoch across its devices and the new epoch
+// across its own, and fails the run unless the two are equal. One round
+// trip per device covers every bucket, moved by the plan or not.
+func (d *Driver) proveCopy(ctx context.Context) error {
+	var sums [2]mkhash.Digest
+	for i, side := range []struct{ m, epoch int }{{d.plan.OldM, d.cfg.Epoch}, {d.plan.NewM, d.cfg.Epoch + 1}} {
+		for dev := 0; dev < side.m; dev++ {
+			var dig mkhash.Digest
+			err := d.retry(ctx, func() error {
+				var derr error
+				dig, derr = d.cfg.Transport.Digest(ctx, dev, side.epoch)
+				return derr
+			})
+			if err != nil {
+				return fmt.Errorf("rebalance: digest device %d at epoch %d: %w", dev, side.epoch, err)
+			}
+			sums[i] = sums[i].Plus(dig)
+		}
+	}
+	d.mu.Lock()
+	d.digests = sums
+	d.mu.Unlock()
+	if sums[0] != sums[1] {
+		return fmt.Errorf("%w: old epoch %d records (sum %#x), new epoch %d records (sum %#x)",
+			ErrDigestMismatch, sums[0].Records, sums[0].Sum, sums[1].Records, sums[1].Sum)
 	}
 	return nil
 }

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"fxdist/internal/audit"
-	"fxdist/internal/engine"
 	"fxdist/internal/netdist"
 	"fxdist/internal/plancache"
 	"fxdist/internal/rebalance"
@@ -208,18 +207,22 @@ type Cluster struct {
 	kind string
 	file *File // schema source; nil only for reopened durable clusters
 
-	// coordMu guards be, the one reference to the kind's cluster value.
-	// Only the distributed kind ever rewrites it: Rescale swaps in the
-	// new epoch's coordinator at cutover while retrievals are in flight.
-	coordMu sync.RWMutex
-	be      backend
+	// swapMu guards be, the one reference to the kind's cluster value,
+	// and reads, which each retrieval on be holds (R) until it returns.
+	// Only the distributed kind ever rewrites them: a rescale swaps the
+	// epochs' coordinators (swap), and each be gets a fresh reads. The
+	// swap lock itself is held only briefly, so new retrievals never
+	// queue behind a slow one.
+	swapMu sync.RWMutex
+	be     backend
+	reads  *sync.RWMutex
 
-	// resc is the live rescale, nil outside a rescale window; its
-	// routing intercepts retrievals during dual-read. rescaleJournal is
-	// the default journal path (WithRescale); dialOpts are the options
-	// the coordinator was dialed with, reused for the new epoch's
-	// coordinator so timeouts, the failure handling (failover, retry
-	// budgets), result ownership and injectors survive a rescale.
+	// resc is the live rescale, nil outside a rescale window; it holds
+	// both epochs' handles. rescaleJournal is the default journal path
+	// (WithRescale); dialOpts are the options the coordinator was dialed
+	// with, reused for the new epoch's coordinator so timeouts, the
+	// failure handling (failover, retry budgets), result ownership and
+	// injectors survive a rescale.
 	resc           atomic.Pointer[Rescale]
 	rescaleJournal string
 	dialOpts       []DialOption
@@ -253,7 +256,7 @@ func Open(cfg Config, opts ...Option) (*Cluster, error) {
 		model = s.model
 	}
 
-	c := &Cluster{file: cfg.File}
+	c := &Cluster{file: cfg.File, reads: new(sync.RWMutex)}
 	switch {
 	case len(cfg.Addrs) > 0:
 		if cfg.Dir != "" || s.replicated {
@@ -388,15 +391,40 @@ func (c *Cluster) Durable() *DurableCluster { return as[*DurableCluster](c) }
 func (c *Cluster) Replicated() *ReplicatedCluster { return as[*ReplicatedCluster](c) }
 
 // Coordinator returns the underlying distributed coordinator, nil for
-// other kinds. During a rescale the handle is swapped at cutover; see
-// Cluster.Rescale.
+// other kinds. During a rescale it is the epoch that answers: the handle
+// is swapped once the copy is verified; see Cluster.Rescale.
 func (c *Cluster) Coordinator() *Coordinator { return as[*Coordinator](c) }
 
 // backend reads the serving backend under the swap lock.
 func (c *Cluster) backend() backend {
-	c.coordMu.RLock()
-	defer c.coordMu.RUnlock()
+	c.swapMu.RLock()
+	defer c.swapMu.RUnlock()
 	return c.be
+}
+
+// acquire returns the serving backend held for one retrieval: a swap
+// away from it waits until the caller releases reads (RUnlock).
+func (c *Cluster) acquire() (be backend, reads *sync.RWMutex) {
+	c.swapMu.RLock()
+	defer c.swapMu.RUnlock()
+	c.reads.RLock()
+	return c.be, c.reads
+}
+
+// swap makes be answer new retrievals at once, then returns when those
+// in flight on the handle it replaced have. Swapping to the handle that
+// already serves is a no-op.
+func (c *Cluster) swap(be backend) {
+	c.swapMu.Lock()
+	if c.be == be {
+		c.swapMu.Unlock()
+		return
+	}
+	replaced := c.reads
+	c.be, c.reads = be, new(sync.RWMutex)
+	c.swapMu.Unlock()
+	replaced.Lock() // barrier: the replaced handle's retrievals have returned
+	replaced.Unlock()
 }
 
 // as is the serving backend as its concrete kind T, nil for the others.
@@ -425,14 +453,9 @@ func (c *Cluster) Spec(pairs map[string]string) (PartialMatch, error) {
 // DeviceTime zero. A degraded retrieval (WithPartialResults) carries the
 // surviving devices' answer alongside its PartialResult error.
 func (c *Cluster) RetrieveContext(ctx context.Context, pm PartialMatch) (RetrieveResult, error) {
-	// A live rescale window intercepts retrievals: dual reads while
-	// both epochs serve, new-epoch reads once the old one drains.
-	if r := c.resc.Load(); r != nil {
-		if res, err, handled := r.retrieve(ctx, pm); handled {
-			return res, err
-		}
-	}
-	return c.backend().RetrieveContext(ctx, pm)
+	be, reads := c.acquire()
+	defer reads.RUnlock()
+	return be.RetrieveContext(ctx, pm)
 }
 
 // Retrieve is RetrieveContext with context.Background().
@@ -446,30 +469,9 @@ func (c *Cluster) Retrieve(pm PartialMatch) (RetrieveResult, error) {
 // one result per query; a failed query's is zero and its failure is a
 // *QueryError in the joined error.
 func (c *Cluster) RetrieveBatch(ctx context.Context, pms []PartialMatch) ([]RetrieveResult, error) {
-	// During a rescale window, run the batch query-by-query through
-	// the epoch-aware path (dual reads don't batch across epochs). One
-	// query's failure is its own: the rest of the batch still runs. Each
-	// query keeps its own caller (ContextWithCallers), so a gate round's
-	// wide events carry their tenants through the window too.
-	if r := c.resc.Load(); r != nil && r.intercepting() {
-		out := make([]RetrieveResult, len(pms))
-		var failed []error
-		callers := engine.CallersFromContext(ctx)
-		for i, pm := range pms {
-			qctx := ctx
-			if i < len(callers) {
-				qctx = ContextWithCaller(ctx, callers[i])
-			}
-			res, err := c.RetrieveContext(qctx, pm)
-			if err != nil {
-				failed = append(failed, &QueryError{Index: i, Err: err})
-				continue
-			}
-			out[i] = res
-		}
-		return out, errors.Join(failed...)
-	}
-	return c.backend().RetrieveBatch(ctx, pms)
+	be, reads := c.acquire()
+	defer reads.RUnlock()
+	return be.RetrieveBatch(ctx, pms)
 }
 
 // Close releases the backend's resources: its plan cache on every kind,
@@ -481,8 +483,10 @@ func (c *Cluster) Close() error {
 	openClusters.Unlock()
 	switch be := c.backend().(type) {
 	case *Coordinator:
+		// Inside a rescale window the cluster holds both epochs' handles.
 		if r := c.resc.Load(); r != nil {
-			r.closeNew()
+			r.old.Close()
+			r.newCoord.Close()
 		}
 		be.Close()
 	case interface{ Close() error }: // memory, replicated, durable
@@ -514,14 +518,17 @@ func (c *Cluster) SetShapeLatencySLO(shape string, target time.Duration, goal fl
 }
 
 // eachBundle runs set, under sloMu, on the bundles an objective set now
-// must reach: the serving backend's, and a live rescale's new epoch's.
+// must reach: the serving backend's, or both epochs' of a live rescale,
+// which may swap either in.
 func (c *Cluster) eachBundle(set func(*telemetry.Instruments)) {
 	c.sloMu.Lock()
 	defer c.sloMu.Unlock()
-	set(c.backend().Instruments())
 	if r := c.resc.Load(); r != nil {
+		set(r.old.Instruments())
 		set(r.newCoord.Instruments())
+		return
 	}
+	set(c.backend().Instruments())
 }
 
 // OptimalityReport snapshots this cluster's strict-optimality audit:

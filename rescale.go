@@ -4,10 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 
-	"fxdist/internal/engine"
 	"fxdist/internal/netdist"
 	"fxdist/internal/rebalance"
 )
@@ -20,16 +17,21 @@ import (
 //     allocator spec and the moving buckets stream old-owner →
 //     new-owner over the binary wire protocol. Queries keep answering
 //     from the old epoch, untouched.
-//  2. dual-read — with every bucket copied, retrievals race both epochs
-//     (engine.DualReader): the first complete answer wins, the loser is
-//     cross-checked in the background. The new epoch's coordinator
-//     audits into its own bundle, and cutover waits until its per-shape
-//     deviation is within the Doerr bound.
-//  3. cutover — old-epoch reads drain, every server promotes its
-//     prepared view, and the cluster handle swaps to the new
-//     coordinator, whose bundle (seeded with the cluster's SLOs) is the
-//     cluster's from then on. The old epoch is only released here; Abort
-//     at any earlier point rolls every server back byte-for-byte.
+//  2. verified — every old device digests the records it owns at the
+//     old epoch, every new device those it owns at the new one, and the
+//     totals must be equal (a mismatch rolls back). Only then does the
+//     cluster swap its handle to the new epoch's coordinator: each read
+//     goes to one epoch, and the new one's audits feed the cutover
+//     guard, which waits until its per-shape deviation is within the
+//     Doerr bound. The new coordinator's bundle (seeded with the
+//     cluster's SLOs) is the cluster's from the swap on.
+//  3. cutover — every server promotes its prepared view and the old
+//     handle closes. The old epoch is only released here; Abort at any
+//     earlier point swaps the handle back and rolls every server back
+//     byte-for-byte, dropping the window's records with the new bundle.
+//
+// A retrieval holds the handle it read until it returns, so each swap
+// waits out the reads in flight on the handle it replaces.
 //
 // Progress journals through WithRescale / RescaleConfig.Journal, so a
 // coordinator killed mid-migration resumes instead of restarting.
@@ -55,53 +57,32 @@ type RescaleConfig struct {
 	// Concurrency bounds in-flight bucket copies (default 4).
 	Concurrency int
 	// GuardMinQueries is how many audited new-epoch queries cutover
-	// requires before trusting the optimality report (default 4). Dual
-	// reads feed the auditor; an idle cluster can pump traffic with
-	// Rescale.Verify.
+	// requires before trusting the optimality report (default 4). Once
+	// the copy is verified every retrieval feeds the auditor; an idle
+	// cluster can pump traffic with Rescale.Verify.
 	GuardMinQueries uint64
-	// DisableGuard cuts over as soon as copying and the dual-read drain
-	// finish, without waiting on the optimality auditor.
+	// DisableGuard cuts over as soon as the copy is verified, without
+	// waiting on the optimality auditor.
 	DisableGuard bool
 	// DialOptions are extra options for dialing the new epoch's
 	// coordinator — e.g. a request timeout, or a fault injector so chaos
-	// schedules also exercise the migration stream and dual reads.
+	// schedules also exercise the migration stream and the window's
+	// reads.
 	DialOptions []DialOption
 }
 
-// Rescale phases beyond the driver's journalled ones are routing
-// states; see phase constants below.
-const (
-	rescRouteOld  int32 = iota // copying: old epoch answers alone
-	rescRouteDual              // dual-read window
-	rescRouteNew               // drained: new epoch answers alone
-)
-
-// RescaleStatus combines the migration driver's progress with the
-// dual-read cross-check counters.
-type RescaleStatus struct {
-	rebalance.DriverStatus
-	DualReads DualReadStats `json:"dual_reads"`
-}
-
-// DualReadStats re-exports engine.DualReadStats.
-type DualReadStats = engine.DualReadStats
+// RescaleStatus is the migration driver's progress, digests included.
+type RescaleStatus = rebalance.DriverStatus
 
 // Rescale is a live rescale in flight (or finished); obtain one from
 // Cluster.Rescale.
 type Rescale struct {
-	c        *Cluster
-	driver   *rebalance.Driver
-	dual     *engine.DualReader
-	newCoord *Coordinator
-
-	route   atomic.Int32
-	oldGate sync.RWMutex // held (R) by dual retrievals, (W) by the drain
+	c             *Cluster
+	driver        *rebalance.Driver
+	old, newCoord *Coordinator
 
 	done chan struct{}
 	err  error
-
-	finalizeOnce sync.Once
-	closeOnce    sync.Once
 }
 
 // Rescale starts a live rescale to cfg.NewM devices and returns a
@@ -109,6 +90,10 @@ type Rescale struct {
 // with Status/Wait (or the cluster's /debug/rescale), steer it with
 // Pause/Resume/Abort, and pump self-check traffic with Verify. Only the
 // distributed backend rescales, one rescale at a time.
+//
+// While the rescale runs the cluster's views — Coordinator, M, /metrics,
+// OptimalityReport and the rest — show the epoch that answers: the old
+// one until the copy is verified, the new one after.
 func (c *Cluster) Rescale(ctx context.Context, cfg RescaleConfig) (*Rescale, error) {
 	if c.kind != KindNetdist {
 		return nil, fmt.Errorf("fxdist: only the distributed backend rescales (this cluster is %q)", c.kind)
@@ -147,7 +132,7 @@ func (c *Cluster) Rescale(ctx context.Context, cfg RescaleConfig) (*Rescale, err
 	// Dial the new epoch's coordinator over the post-rescale address
 	// list. It audits into its own bundle, so the cutover guard reads the
 	// new layout's optimality in isolation; the bundle takes the
-	// cluster's objectives now and becomes the cluster's at cutover. The
+	// cluster's objectives now and becomes the cluster's at the swap. The
 	// dial comes before Prepare, when the old servers cannot describe the
 	// new epoch yet, so it is handed the spec they are about to get (last
 	// of the cluster's own options: Open may have handed the old one).
@@ -157,11 +142,7 @@ func (c *Cluster) Rescale(ctx context.Context, cfg RescaleConfig) (*Rescale, err
 	if err != nil {
 		return nil, fmt.Errorf("fxdist: dial new-epoch coordinator: %w", err)
 	}
-	r := &Rescale{c: c, newCoord: newCoord, done: make(chan struct{})}
-	r.dual = &engine.DualReader{
-		Old: old.RetrieveContext,
-		New: newCoord.RetrieveContext,
-	}
+	r := &Rescale{c: c, old: old, newCoord: newCoord, done: make(chan struct{})}
 	// Published before its bundle adopts the objectives, under the
 	// setters' lock, the rescale loses none set meanwhile (eachBundle).
 	if !c.resc.CompareAndSwap(nil, r) {
@@ -180,17 +161,14 @@ func (c *Cluster) Rescale(ctx context.Context, cfg RescaleConfig) (*Rescale, err
 		transport = old
 	}
 	dcfg := rebalance.DriverConfig{
-		OldSpec:     oldSpec,
-		NewSpec:     newSpec,
-		Transport:   transport,
-		JournalPath: journal,
-		Concurrency: cfg.Concurrency,
-		EnterDualRead: func(context.Context) error {
-			r.route.Store(rescRouteDual)
-			return nil
-		},
-		BeforeRelease:  r.drainOldEpoch,
-		BeforeRollback: r.leaveNewEpoch,
+		OldSpec:        oldSpec,
+		NewSpec:        newSpec,
+		Epoch:          old.Epoch(),
+		Transport:      transport,
+		JournalPath:    journal,
+		Concurrency:    cfg.Concurrency,
+		Swap:           func() { c.swap(newCoord) },
+		BeforeRollback: func() { c.swap(old) },
 	}
 	if !cfg.DisableGuard {
 		dcfg.Guard = rebalance.AuditGuard(next.AuditReport, cfg.NewM, cfg.GuardMinQueries)
@@ -198,120 +176,41 @@ func (c *Cluster) Rescale(ctx context.Context, cfg RescaleConfig) (*Rescale, err
 	driver, err := rebalance.NewDriver(dcfg)
 	if err != nil {
 		c.resc.CompareAndSwap(r, nil)
-		r.closeNew() // a Close racing the publish may have closed it too
+		newCoord.Close() // idempotent: a Close racing the publish may have closed it too
 		return nil, err
 	}
 	r.driver = driver
 	c.driver.Store(driver)
 
-	go func() {
-		err := driver.Run(ctx)
-		r.finish(err)
-	}()
+	go func() { r.finish(driver.Run(ctx)) }()
 	return r, nil
 }
 
-// intercepting reports whether the rescale currently routes retrievals
-// away from the plain old-epoch path.
-func (r *Rescale) intercepting() bool { return r.route.Load() != rescRouteOld }
-
-// retrieve answers one retrieval according to the window's routing
-// state. handled is false while the old epoch still answers alone.
-func (r *Rescale) retrieve(ctx context.Context, pm PartialMatch) (RetrieveResult, error, bool) {
-	switch r.route.Load() {
-	case rescRouteDual:
-		// Hold the gate while the dual read may touch the old epoch; the
-		// drain (and a rollback) takes the write side after flipping the
-		// route, so a recheck under the lock decides authoritatively.
-		r.oldGate.RLock()
-		defer r.oldGate.RUnlock()
-		switch r.route.Load() {
-		case rescRouteNew:
-			// The drain won the race: the old epoch is released.
-			res, err := r.newCoord.RetrieveContext(ctx, pm)
-			return res, err, true
-		case rescRouteOld:
-			// A rollback won the race: the new epoch's prepared views
-			// are about to drop, so fall back to the plain old-epoch
-			// path (handled=false).
-			return RetrieveResult{}, nil, false
-		}
-		res, err := r.dual.Retrieve(ctx, pm)
-		return res, err, true
-	case rescRouteNew:
-		res, err := r.newCoord.RetrieveContext(ctx, pm)
-		return res, err, true
-	default:
-		return RetrieveResult{}, nil, false
-	}
-}
-
-// drainOldEpoch is the driver's BeforeRelease hook: stop routing to the
-// old epoch, wait out in-flight dual reads and their background
-// cross-checks, and veto cutover if any answer diverged.
-func (r *Rescale) drainOldEpoch(context.Context) error {
-	r.route.Store(rescRouteNew)
-	r.oldGate.Lock() // barrier: every in-flight dual read has returned
-	r.oldGate.Unlock()
-	r.dual.Drain() // background cross-checks too
-	if st := r.dual.Stats(); st.Mismatches > 0 {
-		return fmt.Errorf("fxdist: %d dual-read mismatches between epochs; migration is inconsistent", st.Mismatches)
-	}
-	return nil
-}
-
-// leaveNewEpoch routes queries back to the old epoch alone and waits
-// out any retrieval still touching the new one — called before a
-// rollback drops the servers' prepared views.
-func (r *Rescale) leaveNewEpoch() {
-	r.route.Store(rescRouteOld)
-	r.oldGate.Lock() // barrier: in-flight dual reads have returned
-	r.oldGate.Unlock()
-	r.dual.Drain()
-}
-
-// finish records the driver's outcome and, on success, swaps the
-// cluster handle onto the new coordinator and releases the old one.
+// finish records the driver's outcome and closes the handle of the
+// epoch that no longer answers.
 func (r *Rescale) finish(err error) {
-	r.finalizeOnce.Do(func() {
-		if errors.Is(err, rebalance.ErrPartialCutover) {
-			// Past the point of no return with stragglers: keep answering
-			// from the new epoch (most servers promoted; the old epoch no
-			// longer exists on them) and surface the error. Recovery is
-			// re-running the rescale against the same journal, which
-			// replays the idempotent cutover broadcast.
-			r.err = err
-			close(r.done)
-			return
-		}
-		if err != nil {
-			// Rolled back: the old epoch keeps answering alone
-			// (BeforeRollback already rerouted and drained).
-			r.err = err
-			r.c.resc.CompareAndSwap(r, nil)
-			r.closeNew()
-			close(r.done)
-			return
-		}
-		r.c.coordMu.Lock()
-		old := r.c.be.(*Coordinator)
-		r.c.be = r.newCoord
-		r.c.coordMu.Unlock()
+	r.err = err
+	switch {
+	case errors.Is(err, rebalance.ErrPartialCutover):
+		// Past the point of no return with stragglers: keep answering
+		// from the new epoch (most servers promoted; the old epoch no
+		// longer exists on them) and surface the error. Recovery is
+		// re-running the rescale against the same journal, which
+		// replays the idempotent cutover broadcast.
+	case err != nil:
+		// Rolled back: BeforeRollback already swapped the old epoch's
+		// handle back in.
 		r.c.resc.CompareAndSwap(r, nil)
-		old.Close()
-		close(r.done)
-	})
+		r.newCoord.Close()
+	default:
+		r.c.resc.CompareAndSwap(r, nil)
+		r.old.Close()
+	}
+	close(r.done)
 }
 
-// closeNew releases the new-epoch coordinator if it never took over.
-func (r *Rescale) closeNew() {
-	r.closeOnce.Do(func() { r.newCoord.Close() })
-}
-
-// Status snapshots the migration and the dual-read counters.
-func (r *Rescale) Status() RescaleStatus {
-	return RescaleStatus{DriverStatus: r.driver.Status(), DualReads: r.dual.Stats()}
-}
+// Status snapshots the migration.
+func (r *Rescale) Status() RescaleStatus { return r.driver.Status() }
 
 // Pause stops issuing new bucket copies and holds the cutover guard;
 // Resume lifts it. Queries are unaffected either way.
@@ -339,10 +238,9 @@ func (r *Rescale) Done() bool {
 	}
 }
 
-// Verify pumps self-check queries through the window's current routing
-// — during dual-read each one races both epochs, is cross-checked, and
-// feeds the cutover guard's audit floor. It returns the first query
-// error.
+// Verify pumps self-check queries through the cluster: once the copy is
+// verified each one reads the new epoch and feeds the cutover guard's
+// audit floor. It returns the first query error.
 func (r *Rescale) Verify(ctx context.Context, pms []PartialMatch) error {
 	for _, pm := range pms {
 		if _, err := r.c.RetrieveContext(ctx, pm); err != nil {

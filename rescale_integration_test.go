@@ -171,9 +171,7 @@ func runRescale(t *testing.T, oldM, newM int) {
 	if st.Phase != "done" {
 		t.Fatalf("final phase %q, want done", st.Phase)
 	}
-	if st.DualReads.Mismatches != 0 {
-		t.Fatalf("%d dual-read mismatches", st.DualReads.Mismatches)
-	}
+	checkDigests(t, file, st)
 
 	// Byte-identical against a statically deployed newM cluster.
 	staticAlloc, err := fxdist.BuildAllocator(newSpec)
@@ -211,16 +209,25 @@ func runRescale(t *testing.T, oldM, newM int) {
 	}
 }
 
+// checkDigests asserts the copy proof a finished rescale recorded: both
+// epochs digested every record of the file, equally.
+func checkDigests(t *testing.T, file *fxdist.File, st fxdist.RescaleStatus) {
+	t.Helper()
+	if st.OldDigest != st.NewDigest || st.NewDigest.Records != file.Len() {
+		t.Fatalf("copy digests old %+v new %+v, want equal over the file's %d records", st.OldDigest, st.NewDigest, file.Len())
+	}
+}
+
 func TestRescaleGrowLive(t *testing.T) {
 	runRescale(t, 4, 8)
 }
 
 // TestRescaleGrowUnderFaults injects flapping and latency into the new
-// epoch's coordinator — the same connections the migration stream and
-// the dual-read new leg use — and requires the rescale to complete with
-// zero failed queries and byte-identical results anyway: the driver
-// retries transient faults and a dual read survives its new leg dying
-// because the old epoch still answers.
+// epoch's coordinator — the same connections the migration stream, the
+// digests and the verified window's reads use — and requires the rescale
+// to complete with zero failed queries and byte-identical results
+// anyway: the driver and the coordinator's retry budget absorb the
+// transient faults.
 func TestRescaleGrowUnderFaults(t *testing.T) {
 	file := buildTestFile(t)
 	fs, _ := file.FileSystem(4)
@@ -302,9 +309,7 @@ func TestRescaleGrowUnderFaults(t *testing.T) {
 	if n := failed.Load(); n != 0 {
 		t.Fatalf("%d queries failed during the faulted rescale", n)
 	}
-	if st := resc.Status(); st.DualReads.Mismatches != 0 {
-		t.Fatalf("%d dual-read mismatches", st.DualReads.Mismatches)
-	}
+	checkDigests(t, file, resc.Status())
 
 	// Byte-identical against a static 8-device deployment.
 	staticAlloc, err := fxdist.BuildAllocator(newSpec)
@@ -366,7 +371,7 @@ func TestRescaleAbortRollsBack(t *testing.T) {
 		Addrs:     append(append([]string(nil), addrs...), taddrs...),
 		NewM:      8,
 		Allocator: fx,
-		// An unmeetable floor keeps the driver parked in dual-read so the
+		// An unmeetable floor keeps the driver parked in verified so the
 		// abort lands before cutover.
 		GuardMinQueries: 1 << 62,
 	})
@@ -375,19 +380,19 @@ func TestRescaleAbortRollsBack(t *testing.T) {
 	}
 	// Wait for the copy phase to finish, then abort.
 	deadline := time.Now().Add(30 * time.Second)
-	for resc.Status().Phase != "dual-read" {
+	for resc.Status().Phase != "verified" {
 		if time.Now().After(deadline) {
-			t.Fatalf("rescale never reached dual-read: %+v", resc.Status())
+			t.Fatalf("rescale never reached verified: %+v", resc.Status())
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	// A batch inside the window runs query by query through the dual
-	// reads. One query's failure is that query's: the batch finishes,
-	// the error names the index, the neighbours keep their answers (a
-	// gate demultiplexes this batch to three different tenants).
-	// Each query also keeps its own tenant: under a 1ns objective every
-	// query is slow, hence always kept, so the old-epoch leg of each dual
-	// read leaves a wide event — and every one of them names its caller.
+	// A batch inside the window is one engine batch on the new epoch.
+	// One query's failure is that query's: the batch finishes, the error
+	// names the index, the neighbours keep their answers (a gate
+	// demultiplexes this batch to three different tenants). Each query
+	// also keeps its own tenant: under a 1ns objective every query is
+	// slow, hence always kept, so each leaves a wide event — and every
+	// one of them names its caller.
 	good := rescaleQueries(t, file)
 	cl.SetLatencySLO(time.Nanosecond, 0.99)
 	batchStart := time.Now()
@@ -397,8 +402,7 @@ func TestRescaleAbortRollsBack(t *testing.T) {
 	if !errors.As(err, &qe) || qe.Index != 1 {
 		t.Fatalf("batch with a malformed query 1 inside the window: error %v, want a QueryError for index 1", err)
 	}
-	// A dual read returns with its winner; the losing leg reports when it
-	// gets there, so wait for both old-epoch events before looking.
+	// Wait for both events before looking.
 	tenants := map[string]int{}
 	for deadline := time.Now().Add(10 * time.Second); tenants["acme"]+tenants["globex"] < 2 && time.Now().Before(deadline); time.Sleep(time.Millisecond) {
 		clear(tenants)
@@ -423,8 +427,8 @@ func TestRescaleAbortRollsBack(t *testing.T) {
 	}
 
 	// Hammer retrievals across the abort: the rollback must never fail
-	// a query — a dual read racing the route flip has to fall back to
-	// the old epoch, not chase the new epoch's dropped views.
+	// a query — the swap back waits out every read on the new epoch
+	// before its views drop.
 	pmsLive := rescaleQueries(t, file)
 	stop := make(chan struct{})
 	errCh := make(chan error, 1)
@@ -482,12 +486,12 @@ func TestRescaleAbortRollsBack(t *testing.T) {
 
 // TestRescaleKeepsItsObjectivesAndAuditsTheNewEpoch: the new epoch's
 // coordinator audits into its own bundle, which takes the cluster's
-// objectives when the rescale starts and is the cluster's after cutover.
-// The old epoch has served more queries than the guard asks for, yet the
-// guard holds — on /debug/rescale — until the new epoch itself has
-// audited them; after cutover the cluster's report is the new epoch's,
-// under the objectives set before the rescale, and no label but
-// "netdist" ever appears.
+// objectives when the rescale starts and is the cluster's from the swap
+// on. The old epoch has served more queries than the guard asks for, yet
+// the guard holds — on /debug/rescale — until the new epoch itself has
+// audited them; inside the window and after cutover the cluster's report
+// is the new epoch's, under the objectives set before the rescale, and
+// no label but "netdist" ever appears.
 func TestRescaleKeepsItsObjectivesAndAuditsTheNewEpoch(t *testing.T) {
 	file := buildTestFile(t)
 	grid, err := file.FileSystem(4)
@@ -542,10 +546,13 @@ func TestRescaleKeepsItsObjectivesAndAuditsTheNewEpoch(t *testing.T) {
 	if doc := rescaleDoc(); len(doc.Rescales) != 0 {
 		t.Fatalf("/debug/rescale before any rescale: %+v", doc.Rescales)
 	}
+	const guard = 8
+	if old := cl.OptimalityReport(); old.Shapes[0].Queries+old.Shapes[1].Queries < guard {
+		t.Fatalf("the old epoch audited %+v, fewer than the guard's %d", old.Shapes, guard)
+	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	const guard = 8
 	resc, err := cl.Rescale(ctx, fxdist.RescaleConfig{
 		Addrs: append(append([]string(nil), addrs...), taddrs...), NewM: 8, Allocator: fx, GuardMinQueries: guard,
 	})
@@ -555,10 +562,10 @@ func TestRescaleKeepsItsObjectivesAndAuditsTheNewEpoch(t *testing.T) {
 	held := "only 0 audited queries on the new epoch"
 	until(t, "the guard holds the idle window on /debug/rescale", func() bool {
 		st, ok := rescaleDoc().Rescales[fxdist.KindNetdist]
-		return ok && st.Phase == "dual-read" && strings.Contains(st.LastGuardErr, held)
+		return ok && st.Phase == "verified" && strings.Contains(st.LastGuardErr, held)
 	})
-	if old := cl.OptimalityReport(); old.Shapes[0].Queries+old.Shapes[1].Queries < guard {
-		t.Fatalf("the old epoch audited %+v, fewer than the guard's %d", old.Shapes, guard)
+	if in := cl.OptimalityReport(); len(in.Shapes) != 0 {
+		t.Fatalf("inside the window the cluster reports %+v, want the new epoch's empty report", in.Shapes)
 	}
 	for i := 0; i < guard; i++ {
 		if err := resc.Verify(ctx, pms[i%len(pms):i%len(pms)+1]); err != nil {
@@ -676,7 +683,7 @@ func TestObjectiveSetWhileARescaleStartsHolds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	until(t, "the rescale reaches dual-read", func() bool { return resc.Status().Phase == "dual-read" })
+	until(t, "the rescale reaches verified", func() bool { return resc.Status().Phase == "verified" })
 	pms := rescaleQueries(t, file)
 	for i := 0; i < guard; i++ {
 		if err := resc.Verify(ctx, pms[i%len(pms):i%len(pms)+1]); err != nil {
@@ -695,5 +702,103 @@ func TestObjectiveSetWhileARescaleStartsHolds(t *testing.T) {
 		if s.SLOTarget != want {
 			t.Errorf("shape %s after cutover: objective %v, want the last one set, %v", s.Shape, s.SLOTarget, want)
 		}
+	}
+}
+
+// deviceRequests sums coord's per-device request counts.
+func deviceRequests(coord *fxdist.Coordinator) uint64 {
+	var n uint64
+	for _, p := range coord.Instruments().Registry.Snapshot() {
+		if p.Name == "fxdist_netdist_coordinator_device_request_seconds" {
+			n += p.Histogram.Count
+		}
+	}
+	return n
+}
+
+// TestRescaleWindowReadsOneEpoch holds a grow in its verified window and
+// runs retrievals through the cluster: each reads the new epoch alone.
+// The old coordinator sends no device request, and the new one sends
+// exactly the fan-out of the plans it answered — one request per device
+// owning a qualified bucket, not one per device of either epoch.
+func TestRescaleWindowReadsOneEpoch(t *testing.T) {
+	file := buildTestFile(t)
+	grid, err := file.FileSystem(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fx, err := fxdist.NewFX(grid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addrs, stopOld, err := fxdist.DeployLocal(file, fx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stopOld()
+	spec, err := fxdist.DescribeAllocator(fx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	newSpec, err := spec.Rescaled(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	taddrs, stopTargets := deployRescaleTargets(t, newSpec, 4, 1)
+	defer stopTargets()
+	cl, err := fxdist.Open(fxdist.Config{File: file, Addrs: addrs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	old := cl.Coordinator()
+
+	resc, err := cl.Rescale(context.Background(), fxdist.RescaleConfig{
+		Addrs: append(append([]string(nil), addrs...), taddrs...), NewM: 8, Allocator: fx,
+		GuardMinQueries: 1 << 62, // holds the window open
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		resc.Abort()
+		resc.Wait() //nolint:errcheck // aborted on purpose
+	}()
+	until(t, "the rescale reaches verified", func() bool { return resc.Status().Phase == "verified" })
+	next := cl.Coordinator()
+	if next == old || next.M() != 8 {
+		t.Fatalf("inside the window the cluster's coordinator is %p over %d devices, want the new epoch's 8", next, next.M())
+	}
+
+	pms := rescaleQueries(t, file)
+	oldBefore, newBefore := deviceRequests(old), deviceRequests(next)
+	var fanout uint64
+	for i := 0; i < 4*len(pms); i++ {
+		pm := pms[i%len(pms)]
+		res, err := cl.Retrieve(pm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := file.Search(pm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g, w := canonical(res.Records), canonical(want); !slices.Equal(g, w) {
+			t.Fatalf("query %d inside the window: %d records, want %d", i, len(g), len(w))
+		}
+		if len(res.DeviceBuckets) != 8 {
+			t.Fatalf("query %d answered over %d devices, want the new epoch's 8", i, len(res.DeviceBuckets))
+		}
+		for _, b := range res.DeviceBuckets {
+			if b > 0 {
+				fanout++
+			}
+		}
+	}
+	if n := deviceRequests(old) - oldBefore; n != 0 {
+		t.Errorf("the old epoch's coordinator sent %d device requests inside the window, want 0", n)
+	}
+	if n := deviceRequests(next) - newBefore; n != fanout {
+		t.Errorf("the new epoch's coordinator sent %d device requests, want the plans' fan-out %d", n, fanout)
 	}
 }
