@@ -2,13 +2,17 @@ package client
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"slices"
 	"strconv"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -21,10 +25,12 @@ import (
 // single Client multiplexes any number of in-flight calls over the
 // transport's connection pool.
 type Client struct {
-	endpoint string
+	url    *url.URL // the endpoint, parsed once; urlErr fails every call
+	urlErr error
 	// authorization is the Authorization header's value, built once and
 	// shared by every request like jsonContentType.
 	authorization []string
+	headers       sync.Pool // request header maps between calls
 	httpc         *http.Client
 	nextID        atomic.Uint64
 	retryAttempts int
@@ -72,7 +78,11 @@ func WithRetryOn429(maxAttempts int, maxWait time.Duration) Option {
 // New builds a client for an fxgate RPC endpoint, e.g.
 // "http://127.0.0.1:8080/rpc".
 func New(endpoint string, opts ...Option) *Client {
-	c := &Client{endpoint: endpoint, httpc: &http.Client{}}
+	c := &Client{httpc: &http.Client{}}
+	c.headers.New = func() any { return http.Header{} }
+	if c.url, c.urlErr = url.Parse(endpoint); c.urlErr == nil {
+		c.url.Host = strings.TrimSuffix(c.url.Host, ":") // an empty port, as http.NewRequest drops it
+	}
 	// http.DefaultTransport keeps two idle connections per host, so past
 	// two calls in flight most dialled one of their own; a Client's clone
 	// keeps them all. A DefaultTransport a program wrapped is used as is.
@@ -129,18 +139,25 @@ func (c *Client) callOnce(ctx context.Context, method string, params any, out an
 	// cannot be a slab that goes back to a pool there.
 	var frame [512]byte
 	body := slices.Clone(appendRequest(frame[:0], c.nextID.Add(1), method, params))
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.endpoint, bytes.NewReader(body))
-	if err != nil {
-		return fmt.Errorf("client: build request: %w", err)
+	if c.urlErr != nil || ctx == nil {
+		return fmt.Errorf("client: build request: %w", cmp.Or(c.urlErr, errors.New("net/http: nil Context")))
 	}
-	hreq.Header["Content-Type"] = jsonContentType
+	// http.NewRequestWithContext's request, without a URL parse or a new
+	// header map; the body is the in-memory kind net/http knows, as there.
+	h := c.headers.Get().(http.Header)
+	h["Content-Type"] = jsonContentType
 	if c.authorization != nil {
-		hreq.Header["Authorization"] = c.authorization
+		h["Authorization"] = c.authorization
 	}
+	hreq := (&http.Request{Method: http.MethodPost, URL: c.url, Host: c.url.Host, Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1,
+		Header: h, Body: io.NopCloser(bytes.NewReader(body)), ContentLength: int64(len(body)),
+		GetBody: func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(body)), nil },
+	}).WithContext(ctx)
 	hres, err := c.httpc.Do(hreq)
 	if err != nil {
 		return classifyTransport(ctx, err)
 	}
+	defer func() { clear(h); c.headers.Put(h) }() // after the Close; a cookie jar may have added to h
 	defer hres.Body.Close()
 	data, err := readBody(hres, maxResponseBytes)
 	// Nothing below keeps the bytes — the decoder copies every value out

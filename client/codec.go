@@ -9,6 +9,7 @@ import (
 	"strings"
 	"unicode/utf16"
 	"unicode/utf8"
+	"unsafe"
 
 	"fxdist"
 )
@@ -257,7 +258,10 @@ func decodeResponse(data []byte, out any) (*ErrorObject, error) {
 				return d.value(out)
 			}
 		case "error":
-			return d.value(&errObj)
+			var e *ErrorObject // errObj's address would escape, on every success
+			err := d.value(&e)
+			errObj = e
+			return err
 		}
 		return d.skip()
 	})
@@ -271,7 +275,7 @@ func decodeResponse(data []byte, out any) (*ErrorObject, error) {
 // frame, or those of a batch envelope (an array). Verdict and values
 // are encoding/json's for a Request or a []Request, except that ID and
 // Params are windows of data, not copies. Every frame's syntax is
-// checked whole; DecodeParams then decodes its params by method.
+// checked whole; Params.Decode then decodes its params by method.
 func DecodeRequests(data []byte, into []Request) (reqs []Request, batch bool, err error) {
 	d := decoder{data: data}
 	d.space()
@@ -320,16 +324,22 @@ func (d *decoder) request(r *Request) error {
 type Params struct {
 	Query   [][2]string   // fx.retrieve and fx.explain
 	Queries [][][2]string // fx.retrieveBatch
+
+	mem pairs // what Decode decoded into, for the next Decode to reuse
 }
 
-// DecodeParams decodes the params of a frame of method with
+// Decode decodes the params of a frame of method into p with
 // encoding/json's verdict and value for a RetrieveParams or a
-// BatchParams (zero Params on error); other methods take none.
-func DecodeParams(method string, data []byte) (p Params, err error) {
+// BatchParams (no queries on error); other methods take none. It reuses
+// the memory p's last Decode decoded into, overwriting those queries'
+// strings: a Params kept per request decodes without allocating.
+func (p *Params) Decode(method string, data []byte) (err error) {
 	d := decoder{data: data}
-	var s pairs
+	s := &p.mem
+	s.flat, s.blob = s.flat[:0], s.blob[:0]
+	p.Query, p.Queries = nil, nil
 	keys := [1]string{"query"}
-	value := func() error { return d.query(&s, data, &p.Query) }
+	value := func() error { return d.query(s, data, &p.Query) }
 	switch method {
 	case MethodRetrieve, MethodExplain:
 	case MethodRetrieveBatch:
@@ -351,7 +361,7 @@ func DecodeParams(method string, data []byte) (p Params, err error) {
 					*qs = append(*qs, nil)
 				}
 				n++
-				return d.query(&s, data, &(*qs)[n-1])
+				return d.query(s, data, &(*qs)[n-1])
 			})
 			if *qs = (*qs)[:n]; n == 0 {
 				*qs = [][][2]string{}
@@ -359,7 +369,7 @@ func DecodeParams(method string, data []byte) (p Params, err error) {
 			return err
 		}
 	default:
-		return p, nil
+		return nil
 	}
 	if d.space(); !d.null() {
 		err = d.object(keys[:], false, func(k string) error {
@@ -373,27 +383,28 @@ func DecodeParams(method string, data []byte) (p Params, err error) {
 		err = d.end()
 	}
 	if err != nil {
-		return Params{}, err
+		p.Query, p.Queries = nil, nil
 	}
-	return p, nil
+	return err
 }
 
 // pairs holds the queries of one params walk: names and values copied
 // into blob, each query a window of flat.
 type pairs struct {
 	flat [][2]string
-	blob strings.Builder
+	blob []byte
 }
 
-// text copies a string's value into the blob and returns it; a blob
-// that grows leaves the strings it handed out where they are.
+// text copies a string's value into the blob and returns a view of it; a
+// blob that grows leaves the strings it handed out where they are.
 func (s *pairs) text(raw []byte, plain bool) string {
-	if !plain {
-		return unquote(&s.blob, raw)
+	off := len(s.blob)
+	if plain {
+		s.blob = append(s.blob, raw...)
+	} else {
+		s.blob = appendUnquoted(s.blob, raw)
 	}
-	off := s.blob.Len()
-	s.blob.Write(raw)
-	return s.blob.String()[off:]
+	return unsafe.String(unsafe.SliceData(s.blob[off:]), len(s.blob)-off)
 }
 
 // query decodes the query object (or null) at the cursor into *q as
@@ -406,9 +417,9 @@ func (d *decoder) query(s *pairs, params []byte, q *[][2]string) error {
 		*q = nil
 		return nil
 	}
-	if s.flat == nil {
+	if len(s.flat) == 0 && len(s.blob) == 0 && cap(s.blob) < len(params) {
 		s.flat = make([][2]string, 0, min(16, bytes.Count(params, []byte{':'})))
-		s.blob.Grow(len(params))
+		s.blob = make([]byte, 0, len(params))
 	}
 	start := len(s.flat)
 	err := d.members(func(key []byte, plain bool) error {
@@ -517,7 +528,7 @@ func match(keys []string, raw []byte, plain bool) int {
 	}
 	name := string(raw)
 	if !plain {
-		name = unquote(&strings.Builder{}, raw)
+		name = unquote(raw)
 	}
 	return slices.IndexFunc(keys, func(want string) bool { return strings.EqualFold(name, want) })
 }
@@ -623,13 +634,17 @@ func hex4(s []byte) rune {
 	return -1
 }
 
-// unquote appends the value of a string rawString has checked to b and
-// returns it: its escapes decoded, and — as encoding/json repairs them —
-// every byte of invalid UTF-8 and every surrogate escape that is not
-// half of a pair as U+FFFD.
-func unquote(b *strings.Builder, raw []byte) string {
-	off := b.Len()
-	b.Grow(len(raw))
+// unquote is appendUnquoted into a string of its own.
+func unquote(raw []byte) string {
+	b := appendUnquoted(make([]byte, 0, len(raw)), raw)
+	return unsafe.String(unsafe.SliceData(b), len(b))
+}
+
+// appendUnquoted appends the value of a string rawString has checked to
+// b: its escapes decoded, and — as encoding/json repairs them — every
+// byte of invalid UTF-8 and every surrogate escape that is not half of a
+// pair as U+FFFD.
+func appendUnquoted(b, raw []byte) []byte {
 	for i := 0; i < len(raw); {
 		switch c := raw[i]; {
 		case c == '\\' && raw[i+1] == 'u':
@@ -644,20 +659,20 @@ func unquote(b *strings.Builder, raw []byte) string {
 					i += 6
 				}
 			}
-			b.WriteRune(r)
+			b = utf8.AppendRune(b, r)
 		case c == '\\':
-			b.WriteByte(unescape[raw[i+1]])
+			b = append(b, unescape[raw[i+1]])
 			i += 2
 		case c < utf8.RuneSelf:
-			b.WriteByte(c)
+			b = append(b, c)
 			i++
 		default:
 			r, n := utf8.DecodeRune(raw[i:])
-			b.WriteRune(r)
+			b = utf8.AppendRune(b, r)
 			i += n
 		}
 	}
-	return b.String()[off:]
+	return b
 }
 
 // interned are values a decoded string takes without a copy of its own.
@@ -672,7 +687,7 @@ func (d *decoder) string(dst *string) error {
 	case err != nil:
 		return err
 	case !plain:
-		*dst = unquote(&strings.Builder{}, raw)
+		*dst = unquote(raw)
 	case i >= 0:
 		*dst = interned[i]
 	default:
@@ -883,7 +898,7 @@ func (d *decoder) walkRecords(s *recordSink) error {
 					s.blob.Write(raw)
 					v = s.blob.String()[off:]
 				default: // only the filling walk pays for the slow path
-					v = unquote(&strings.Builder{}, raw)
+					v = unquote(raw)
 				}
 			}
 			if s.fill {

@@ -49,12 +49,14 @@ func asMap(q [][2]string) map[string]string {
 	return m
 }
 
-// checkParams holds DecodeParams to encoding/json on one params text,
-// as fx.retrieve params and as fx.retrieveBatch params: the same
-// verdict, and the same value when both accept.
+// checkParams holds Params.Decode to encoding/json on one params text,
+// as fx.retrieve params and then, into the same Params, as
+// fx.retrieveBatch params: the same verdict, and the same value when
+// both accept.
 func checkParams(t *testing.T, params []byte) {
 	t.Helper()
-	p, err := DecodeParams(MethodRetrieve, params)
+	var p Params
+	err := p.Decode(MethodRetrieve, params)
 	var wantQ mirrorRetrieveParams
 	if wantErr := json.Unmarshal(params, &wantQ); (err == nil) != (wantErr == nil) {
 		t.Fatalf("query params %q: %v, encoding/json says %v", params, err, wantErr)
@@ -63,7 +65,7 @@ func checkParams(t *testing.T, params []byte) {
 		t.Fatalf("query params %q gave %q, encoding/json gives %q", params, p, wantQ.Query)
 	}
 
-	p, err = DecodeParams(MethodRetrieveBatch, params)
+	err = p.Decode(MethodRetrieveBatch, params)
 	var wantQs mirrorBatchParams
 	if wantErr := json.Unmarshal(params, &wantQs); (err == nil) != (wantErr == nil) {
 		t.Fatalf("batch params %q: %v, encoding/json says %v", params, err, wantErr)
@@ -262,8 +264,8 @@ func FuzzRequestCodec(f *testing.F) {
 			}
 		}
 		for cut := 0; cut < len(wantParams); cut += step {
-			_, err1 := DecodeParams(MethodRetrieve, wantParams[:cut])
-			_, err2 := DecodeParams(MethodRetrieveBatch, wantParams[:cut])
+			err1 := new(Params).Decode(MethodRetrieve, wantParams[:cut])
+			err2 := new(Params).Decode(MethodRetrieveBatch, wantParams[:cut])
 			if err1 == nil || err2 == nil {
 				t.Fatalf("params decoders accepted the truncation %q: %v, %v", wantParams[:cut], err1, err2)
 			}
@@ -314,8 +316,8 @@ func TestRequestSeeds(t *testing.T) {
 			continue
 		}
 		reqs, _, _ := DecodeRequests([]byte(s), nil)
-		_, err := DecodeParams(MethodRetrieve, reqs[0].Params)
-		_, errs := DecodeParams(MethodRetrieveBatch, reqs[0].Params)
+		err := new(Params).Decode(MethodRetrieve, reqs[0].Params)
+		errs := new(Params).Decode(MethodRetrieveBatch, reqs[0].Params)
 		if want[0] != (err != nil) || want[1] != (errs != nil) {
 			t.Errorf("params of %.80q: %v, %v", s, err, errs)
 		}
@@ -499,9 +501,10 @@ var sixFields = map[string]string{"part": "part-17", "supplier": "supplier-3", "
 
 // TestRequestCodecAllocations guards the request path's reason to
 // exist. The client encodes a frame into its buffer without an
-// allocation; what it sends is one copy of it. The gate decodes a
-// six-field fx.retrieve — frame, then params — in at most three: the
-// pairs and the one string holding their names and values.
+// allocation; what it sends is one copy of it. A six-field fx.retrieve
+// — frame, then params — decodes in two: the pairs and the one blob
+// holding their names and values; into a Params that decoded before, as
+// the gate's per-request memory does, in none.
 func TestRequestCodecAllocations(t *testing.T) {
 	buf := appendRequest(nil, 1<<40, MethodRetrieve, RetrieveParams{Query: sixFields})
 	if allocs := testing.AllocsPerRun(50, func() {
@@ -514,17 +517,33 @@ func TestRequestCodecAllocations(t *testing.T) {
 		var one [1]Request
 		reqs, batch, err := DecodeRequests(buf, one[:0])
 		if err != nil || batch || reqs[0].Method != MethodRetrieve {
-			t.Fatal(reqs, err)
+			t.Fatal("not one fx.retrieve frame:", err)
 		}
-		if p, err = DecodeParams(reqs[0].Method, reqs[0].Params); err != nil {
+		if p = (Params{}); p.Decode(reqs[0].Method, reqs[0].Params) != nil {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 3 {
-		t.Errorf("decoding a six-field fx.retrieve: %.0f allocations, want at most 3", allocs)
+	if allocs > 2 {
+		t.Errorf("decoding a six-field fx.retrieve: %.0f allocations, want at most 2", allocs)
 	}
 	if !reflect.DeepEqual(asMap(p.Query), sixFields) {
 		t.Errorf("decoded %q", p.Query)
+	}
+	var reused Params
+	if allocs := testing.AllocsPerRun(50, func() {
+		var one [1]Request
+		reqs, _, err := DecodeRequests(buf, one[:0])
+		if err == nil {
+			err = reused.Decode(reqs[0].Method, reqs[0].Params)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("decoding a six-field fx.retrieve into a Params that decoded before: %.0f allocations, want 0", allocs)
+	}
+	if !reflect.DeepEqual(asMap(reused.Query), sixFields) {
+		t.Errorf("decoded again %q", reused.Query)
 	}
 }
 
@@ -544,7 +563,7 @@ func TestParamsMemoryFollowsTheInput(t *testing.T) {
 		for _, method := range []string{MethodRetrieve, MethodRetrieveBatch} {
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			_, err := DecodeParams(method, data)
+			err := new(Params).Decode(method, data)
 			runtime.ReadMemStats(&after)
 			if err != nil {
 				t.Fatalf("%s params %.40q: %v", method, params, err)
@@ -567,7 +586,7 @@ func BenchmarkRequestDecode(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := DecodeParams(reqs[0].Method, reqs[0].Params); err != nil {
+		if err := new(Params).Decode(reqs[0].Method, reqs[0].Params); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -652,3 +652,93 @@ func TestGateGivesBackWhatTheClusterLent(t *testing.T) {
 		}
 	}
 }
+
+// TestGateGivesBackADegradedAnswer drives a gate over the distributed
+// backend with partial results on and device 0 partitioned. A query with
+// buckets on device 0 degrades: its error is the answer the caller sees,
+// and its result still holds what the surviving devices lent. The gate
+// must give that back too, on fx.retrieve and on fx.retrieveBatch: every
+// header slab a surviving device lent comes home, and its frame with it.
+func TestGateGivesBackADegradedAnswer(t *testing.T) {
+	file, fx := gateFile(t)
+	addrs, stop, err := fxdist.DeployLocal(file, fx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stop()
+	in := fxdist.NewFaultInjector("gate-degraded", 1, map[int]fxdist.FaultSchedule{0: {Partition: true}})
+	cluster, err := fxdist.Open(fxdist.Config{File: file, Addrs: addrs},
+		fxdist.WithRetryBudget(2, time.Millisecond, time.Millisecond), fxdist.WithPartialResults(), fxdist.WithFaultInjector(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Close()
+	g, err := gate.New(gate.Config{Cluster: cluster, File: file, Allocator: fx,
+		Tenants: []gate.TenantConfig{{Name: "t", APIKey: "k"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	srv := httptest.NewServer(g)
+	defer srv.Close()
+	cl := client.New(srv.URL, client.WithAPIKey("k"))
+	defer cl.Close()
+
+	// 4 queries, one field specified each, and how many devices other
+	// than device 0 hold a match: each lends one header slab and frame.
+	// Few, because every degraded query pins a trace tree in the process
+	// tracer's retained buffer, which TestKeptEventHasRetainedTrace needs.
+	queries := make([]map[string]string, 4)
+	var wantLent uint64
+	for i := range queries {
+		f := gateFields[i%3]
+		queries[i] = map[string]string{f.Name: fmt.Sprintf("%s-%d", f.Name, i%f.Cardinality)}
+		pm, err := file.Spec(queries[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs, err := file.Search(pm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		devs := map[int]bool{}
+		for _, r := range recs {
+			coords, err := file.BucketOf(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if dev := fx.Device(coords); dev != 0 {
+				devs[dev] = true
+			}
+		}
+		wantLent += uint64(len(devs))
+	}
+
+	frames, fields := poolPuts("frames"), poolPuts("netdist.fields")
+	degraded := 0
+	for _, q := range queries {
+		if _, err := cl.Retrieve(context.Background(), q); err != nil {
+			degraded++
+		}
+	}
+	batch, err := cl.RetrieveBatch(context.Background(), queries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, item := range batch.Items {
+		if item.Error != nil {
+			degraded++
+		}
+	}
+	if degraded == 0 {
+		t.Fatal("no query touched device 0: nothing degraded")
+	}
+	wantLent *= 2 // once through fx.retrieve, once through fx.retrieveBatch
+	until(t, "every lent header slab given back", func() bool { return poolPuts("netdist.fields")-fields >= wantLent })
+	if got := poolPuts("netdist.fields") - fields; got != wantLent {
+		t.Fatalf("%d header slabs given back, the surviving devices lent %d", got, wantLent)
+	}
+	if got := poolPuts("frames") - frames; got < wantLent {
+		t.Fatalf("%d frames put back over %d lent", got, wantLent)
+	}
+}

@@ -1,11 +1,13 @@
 package engine_test
 
 import (
+	"context"
 	"fmt"
 	"runtime/debug"
 	"slices"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 	"unsafe"
@@ -15,6 +17,7 @@ import (
 	"fxdist/internal/mempool"
 	"fxdist/internal/mkhash"
 	"fxdist/internal/obs"
+	"fxdist/internal/query"
 	"fxdist/internal/storage"
 )
 
@@ -206,5 +209,60 @@ func TestWarmRetrieveAllocatesNothing(t *testing.T) {
 	defer mempool.SetEnabled(mempool.SetEnabled(false))
 	if got := testing.AllocsPerRun(1000, retrieve); got != 15 {
 		t.Errorf("with pooling off a retrieval allocates %.0f objects, want 15", got)
+	}
+}
+
+// lendingDevice answers as a netdist device does: its hits come in a
+// HitsPool frame, and with them it lends memory that only the result's
+// Release gives back, through a release func bound once.
+type lendingDevice struct {
+	hits    []mkhash.Record
+	release func()
+}
+
+func (d lendingDevice) Scan(context.Context, query.Query, mkhash.PartialMatch) (engine.Answer, error) {
+	hits := engine.HitsPool().Get(len(d.hits))
+	copy(hits, d.hits)
+	return engine.Answer{Buckets: 1, Records: len(hits), Hits: hits, Release: d.release}, nil
+}
+
+// TestWarmBatchOfOneAllocatesNothing is TestWarmRetrieveAllocatesNothing
+// as the gate drives a retrieval: a batch of one, over devices that lend.
+// The batch's results slice and the result's lease and its releases are
+// carved from the call's chunks, so a warm batch reads 0 allocations (3
+// when the lease, its slice and the results were each made). Every
+// device's release runs once, however often the result is released.
+func TestWarmBatchOfOneAllocatesNothing(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("sync.Pool drops Puts under -race, so allocation counts are not exact")
+	}
+	f := testSchema(t)
+	var released atomic.Int64
+	devs := make([]engine.Device, 4)
+	for i := range devs {
+		devs[i] = lendingDevice{hits: []mkhash.Record{{fmt.Sprint("a", i), "b"}}, release: func() { released.Add(1) }}
+	}
+	e, err := engine.New(planned(t, f, engine.Config{Devices: devs}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pms := []mkhash.PartialMatch{anyQuery(t, f)}
+	batch := func() {
+		res, err := e.RetrieveBatch(context.Background(), pms)
+		if err != nil || len(res) != 1 || len(res[0].Records) != 4 {
+			t.Fatalf("batch of one: %v, %v", res, err)
+		}
+		res[0].Release()
+		res[0].Release() // idempotent
+	}
+	for i := 0; i < 16; i++ {
+		batch()
+	}
+	before := released.Load()
+	if got := testing.AllocsPerRun(1000, batch); got != 0 {
+		t.Errorf("a warm batch of one over lending devices allocates %.0f objects, want 0", got)
+	}
+	if got := released.Load() - before; got != 4*1001 {
+		t.Errorf("%d releases over 1001 batches of 4 lending devices, want %d", got, 4*1001)
 	}
 }

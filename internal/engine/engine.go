@@ -150,8 +150,8 @@ func CloneRecords(recs []mkhash.Record) []mkhash.Record {
 	return out
 }
 
-// lease is the releases of one result's lent memory, run at most once
-// however many copies of the Result are released.
+// lease is the releases of one result's lent memory, carved from its
+// call's chunks and run at most once however many copies are released.
 type lease struct {
 	once sync.Once
 	rels []func()

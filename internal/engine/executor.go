@@ -243,20 +243,39 @@ func (e *Executor) planFor(q query.Query) (*plancache.Plan, bool, error) {
 type callerKey struct{}
 type callersKey struct{}
 
-// ContextWithCaller returns ctx attributing retrievals to caller; the
-// wide-event query log records it as the event's tenant.
+// Caller is ContextWithCaller's context: retrievals under it are Name's.
+// Its owner may keep it in memory it reuses once nothing reads it.
+type Caller struct {
+	context.Context
+	Name string
+}
+
+// Value answers callerKey with c: a pointer boxes for free, a name not.
+func (c *Caller) Value(key any) any {
+	if key == (callerKey{}) {
+		return c
+	}
+	return c.Context.Value(key)
+}
+
+// AfterFunc registers a child on the parent: no watcher keeps c.
+func (c *Caller) AfterFunc(f func()) (stop func() bool) { return context.AfterFunc(c.Context, f) }
+
+// ContextWithCaller returns ctx attributing retrievals to caller.
 func ContextWithCaller(ctx context.Context, caller string) context.Context {
 	if caller == "" {
 		return ctx
 	}
-	return context.WithValue(ctx, callerKey{}, caller)
+	return &Caller{Context: ctx, Name: caller}
 }
 
 // callerFromContext returns the caller attribution carried by ctx, or
 // "".
 func callerFromContext(ctx context.Context) string {
-	c, _ := ctx.Value(callerKey{}).(string)
-	return c
+	if c, _ := ctx.Value(callerKey{}).(*Caller); c != nil {
+		return c.Name
+	}
+	return ""
 }
 
 // ContextWithCallers returns ctx attributing the queries of a batch
@@ -282,7 +301,7 @@ func callersFromContext(ctx context.Context) []string {
 // countdown whose last settle sends the done token (buffer 1). A waiter
 // that gives up early abandons its call to the remaining tasks. Pooled
 // (recycle), a call keeps its fields across queries (slots, spec array,
-// span and spill buffer, result chunks); only callState is zeroed.
+// span and spill buffer, chunks); only callState is zeroed.
 type call struct {
 	callState
 	e *Executor
@@ -297,6 +316,9 @@ type call struct {
 	times   chunk[time.Duration]
 	samples chunk[obs.StageSample]
 	records chunk[mkhash.Record]
+	leases  chunk[lease]
+	rels    chunk[func()]
+	results chunk[Result] // a batch's results, carved from its first call
 
 	ctxMu sync.RWMutex // the call is a context.Context over ctx (parent)
 	ctx   context.Context
@@ -487,8 +509,8 @@ func discardAnswers(answers ...Answer) {
 // caller owns — sized by summing the per-device hit counts first — and
 // the per-device hit frames are drained back to the pool; encoded hits
 // (Answer.Found) build through one builder reserved for them all. What
-// the devices lent (Answer.Release) folds into the result's lease; a
-// result nothing was lent to carries none.
+// the devices lent (Answer.Release) folds into the result's lease, carved
+// like the slices; a result nothing was lent to carries none.
 func (c *call) merge(failed map[int]error) Result {
 	m := len(c.answers)
 	counts := c.counts.carve(2 * m)
@@ -516,7 +538,8 @@ func (c *call) merge(failed map[int]error) Result {
 		res.Records = c.records.carve(total)[:0]
 	}
 	if lent > 0 {
-		res.lease = &lease{rels: make([]func(), 0, lent)}
+		res.lease = &c.leases.carve(1)[0]
+		res.lease.rels = c.rels.carve(lent)[:0]
 	}
 	var build mempool.RecordBuilder
 	build.Reserve(fields, bytes)
@@ -790,10 +813,9 @@ func (e *QueryError) Unwrap() error { return e.Err }
 // own trace span and query record. Queries sharing a shape are
 // deduped through the plan cache: the first occurrence compiles, the
 // rest reuse its plan. The returned slice always has one Result per
-// query; queries that failed have a zero Result and contribute a
-// *QueryError to the joined error.
+// query; a failed query's is zero unless it degraded (PartialError:
+// Release it), and it adds a *QueryError to the joined error.
 func (e *Executor) RetrieveBatch(ctx context.Context, pms []mkhash.PartialMatch) ([]Result, error) {
-	results := make([]Result, len(pms))
 	// The per-query error and call slices come from the pools, and each
 	// finished query's call goes back before the next one completes.
 	errs := errsPool.Get(len(pms))
@@ -806,6 +828,12 @@ func (e *Executor) RetrieveBatch(ctx context.Context, pms []mkhash.PartialMatch)
 			caller = callers[i]
 		}
 		calls[i], errs[i] = e.begin(ctx, pm, caller)
+	}
+	var results []Result
+	if len(calls) > 0 && calls[0] != nil { // not finished: still this batch's alone
+		results = calls[0].results.carve(len(pms))
+	} else {
+		results = make([]Result, len(pms))
 	}
 	for i, c := range calls {
 		if c != nil {

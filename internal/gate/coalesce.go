@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"fxdist"
+	"fxdist/internal/engine"
 )
 
 // Coalescing is group commit: batches form from backlog, not from
@@ -56,10 +57,10 @@ func errShuttingDown() error {
 }
 
 // do answers one query by the rule above, returning the size of the
-// dispatch it rode in. A follower's context cancels only its wait: the
-// query may still be served inside its round, and the outcome is then
-// dropped.
-func (g *Gate) do(ctx context.Context, t *tenant, shape string, pm fxdist.PartialMatch) (fxdist.RetrieveResult, int, error) {
+// dispatch it rode in, from rq's memory. A follower's context cancels
+// only its wait: the query may still be served inside its round, and the
+// outcome is then dropped.
+func (g *Gate) do(ctx context.Context, t *tenant, shape string, pm fxdist.PartialMatch, rq *request) (fxdist.RetrieveResult, int, error) {
 	co := &g.co
 	co.mu.Lock()
 	if co.closed {
@@ -70,7 +71,8 @@ func (g *Gate) do(ctx context.Context, t *tenant, shape string, pm fxdist.Partia
 	if !busy {
 		co.backlog[shape] = nil
 		co.mu.Unlock()
-		res, errs := g.dispatch(fxdist.ContextWithCaller(ctx, t.cfg.Name), []fxdist.PartialMatch{pm})
+		rq.caller, rq.pms[0] = engine.Caller{Context: ctx, Name: t.cfg.Name}, pm
+		res, errs := g.dispatch(&rq.caller, rq.pms[:])
 		g.next(shape)
 		return res[0], 1, errAt(errs, 0)
 	}
@@ -81,11 +83,11 @@ func (g *Gate) do(ctx context.Context, t *tenant, shape string, pm fxdist.Partia
 		e.RetryAfter = g.cfg.ShedRetryAfter
 		return fxdist.RetrieveResult{}, 0, e
 	}
-	p := &pending{tenant: t.cfg.Name, pm: pm, done: make(chan outcome, 1)}
-	co.backlog[shape] = append(waiting, p)
+	rq.wait.tenant, rq.wait.pm = t.cfg.Name, pm
+	co.backlog[shape] = append(waiting, &rq.wait)
 	co.mu.Unlock()
 	select {
-	case out := <-p.done:
+	case out := <-rq.wait.done:
 		return out.res, out.batch, out.err
 	case <-ctx.Done():
 		return fxdist.RetrieveResult{}, 0, fxdist.Classify(ctx.Err())

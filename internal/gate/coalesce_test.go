@@ -31,6 +31,16 @@ type heldGate struct {
 	inj  *fxdist.FaultInjector
 }
 
+// retrieve and retrieveBatch serve each call in memory of its own, as
+// ServeHTTP does a batch envelope's frames after the first.
+func (h *heldGate) retrieve(ctx context.Context, t *tenant, pm fxdist.PartialMatch) (fxdist.RetrieveResult, int, error) {
+	return h.Gate.retrieve(ctx, t, pm, newRequest())
+}
+
+func (h *heldGate) retrieveBatch(ctx context.Context, t *tenant, pms []fxdist.PartialMatch) ([]fxdist.RetrieveResult, []error) {
+	return h.Gate.retrieveBatch(ctx, t, pms, newRequest())
+}
+
 func newHeldGate(t *testing.T, maxBatch int) *heldGate {
 	t.Helper()
 	spec := fxdist.RecordSpec{Fields: []fxdist.FieldSpec{

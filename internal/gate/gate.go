@@ -24,6 +24,7 @@ import (
 	"time"
 
 	"fxdist"
+	"fxdist/internal/engine"
 )
 
 // Config assembles a Gate.
@@ -68,10 +69,11 @@ const (
 // Gate is the serving tier. Create with New, serve its HTTP handler
 // (ServeHTTP), stop with Close.
 type Gate struct {
-	cfg     Config
-	tenants *tenantSet
-	co      coalescer
-	start   time.Time
+	cfg      Config
+	tenants  *tenantSet
+	co       coalescer
+	requests sync.Pool // recycled *request (ServeHTTP)
+	start    time.Time
 
 	inFlight atomic.Int64
 
@@ -117,6 +119,7 @@ func New(cfg Config) (*Gate, error) {
 	}
 	g.metrics = newGateMetrics(func() float64 { return float64(g.inFlight.Load()) })
 	g.co.backlog = make(map[string][]*pending)
+	g.requests.New = func() any { return newRequest() }
 	return g, nil
 }
 
@@ -173,24 +176,24 @@ func (g *Gate) admitShape(shape string) *fxdist.Error {
 	return e
 }
 
-// spec compiles a decoded query into the cluster's PartialMatch.
-func (g *Gate) spec(query [][2]string) (fxdist.PartialMatch, *fxdist.Error) {
-	pm, err := g.cfg.File.SpecPairs(query)
+// spec compiles a decoded query into a PartialMatch pointing into it.
+func (g *Gate) spec(query [][2]string, into fxdist.PartialMatch) (fxdist.PartialMatch, *fxdist.Error) {
+	pm, err := g.cfg.File.SpecPairs(query, into)
 	if err != nil {
 		return nil, fxdist.NewError(fxdist.ErrCodeInvalidQuery, err.Error())
 	}
 	return pm, nil
 }
 
-// retrieve serves one tenant query, returning the engine result plus
-// the size of the dispatch it rode in (1 when it ran alone).
-func (g *Gate) retrieve(ctx context.Context, t *tenant, pm fxdist.PartialMatch) (fxdist.RetrieveResult, int, error) {
+// retrieve serves one tenant query in rq, returning the engine result
+// plus the size of the dispatch it rode in (1 when it ran alone).
+func (g *Gate) retrieve(ctx context.Context, t *tenant, pm fxdist.PartialMatch, rq *request) (fxdist.RetrieveResult, int, error) {
 	shape := shapeOf(pm)
 	if e := g.admitShape(shape); e != nil {
 		return fxdist.RetrieveResult{}, 0, e
 	}
 	start := time.Now()
-	res, batch, err := g.do(ctx, t, shape, pm)
+	res, batch, err := g.do(ctx, t, shape, pm, rq)
 	t.observe(shape, time.Since(start), batch > 1, err)
 	return res, batch, err
 }
@@ -198,7 +201,7 @@ func (g *Gate) retrieve(ctx context.Context, t *tenant, pm fxdist.PartialMatch) 
 // retrieveBatch serves an explicit tenant batch as one dispatch of its
 // own (the caller already batched; queueing behind its shapes' backlogs
 // would only add latency), with every query attributed to the tenant.
-func (g *Gate) retrieveBatch(ctx context.Context, t *tenant, pms []fxdist.PartialMatch) ([]fxdist.RetrieveResult, []error) {
+func (g *Gate) retrieveBatch(ctx context.Context, t *tenant, pms []fxdist.PartialMatch, rq *request) ([]fxdist.RetrieveResult, []error) {
 	shapes := make([]string, len(pms))
 	errs := make([]error, len(pms))
 	run := make([]fxdist.PartialMatch, 0, len(pms))
@@ -216,7 +219,8 @@ func (g *Gate) retrieveBatch(ctx context.Context, t *tenant, pms []fxdist.Partia
 	start := time.Now()
 	if len(run) > 0 {
 		g.directBatch.Add(1)
-		rs, per := g.dispatch(fxdist.ContextWithCaller(ctx, t.cfg.Name), run)
+		rq.caller = engine.Caller{Context: ctx, Name: t.cfg.Name}
+		rs, per := g.dispatch(&rq.caller, run)
 		for j, i := range runIdx {
 			results[i] = rs[j]
 			errs[i] = errAt(per, j)

@@ -12,6 +12,7 @@ import (
 
 	"fxdist"
 	"fxdist/client"
+	"fxdist/internal/engine"
 	"fxdist/internal/mempool"
 	"fxdist/internal/obs"
 )
@@ -36,9 +37,16 @@ func (g *Gate) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "fxgate speaks JSON-RPC 2.0 over POST", http.StatusMethodNotAllowed)
 		return
 	}
+	rq := g.requests.Get().(*request)
+	defer func() { // unless the context ended: then something may still read rq
+		if r.Context().Err() == nil {
+			*rq = request{params: rq.params, spec: rq.spec, wait: pending{done: rq.wait.done}}
+			g.requests.Put(rq)
+		}
+	}()
 	// A declared-length body is read into a pooled slab. The request
 	// codec copies every query out of it; only a frame's params (until
-	// serveOne decodes them) and its id (until the answer is written)
+	// serveFrame decodes them) and its id (until the answer is written)
 	// point into it. A chunked body is read to its end.
 	var body []byte
 	var err error
@@ -68,8 +76,7 @@ func (g *Gate) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	var one [1]client.Request
-	reqs, batch, err := client.DecodeRequests(body, one[:0])
+	reqs, batch, err := client.DecodeRequests(body, rq.one[:0])
 	if err != nil {
 		writeFrame(w, http.StatusOK, errorFrame(nil, client.ParseError(err.Error())))
 		return
@@ -80,22 +87,45 @@ func (g *Gate) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		frames := make([]frame, len(reqs))
-		for i := range reqs {
+		frames[0], _ = g.serveFrame(rq, r, t, &reqs[0])
+		for i := 1; i < len(reqs); i++ {
 			frames[i], _ = g.serveOne(r, t, &reqs[i])
 		}
 		writeBatch(w, frames)
 		return
 	}
-	res, status := g.serveOne(r, t, &reqs[0])
+	res, status := g.serveFrame(rq, r, t, &reqs[0])
 	if res.err != nil && res.err.Data != nil && res.err.Data.RetryAfterMillis > 0 {
 		w.Header().Set("Retry-After", strconv.FormatInt((res.err.Data.RetryAfterMillis+999)/1000, 10))
 	}
 	writeFrame(w, status, res)
 }
 
-// serveOne admits and runs one JSON-RPC frame, returning its response
-// and the HTTP status a single-frame envelope should carry.
+// request is the memory a ServeHTTP call serves its first frame from. It
+// is recycled when ServeHTTP returns, the answer written and released,
+// unless the request's context ended first: only then can something still
+// read it — the round of a follower that gave up, or the devices of a
+// retrieval the engine abandoned. Nothing in it reaches net/http.
+type request struct {
+	one    [1]client.Request
+	params client.Params
+	spec   fxdist.PartialMatch
+	pms    [1]fxdist.PartialMatch
+	caller engine.Caller
+	wait   pending
+	ans    answer
+}
+
+func newRequest() *request { return &request{wait: pending{done: make(chan outcome, 1)}} }
+
+// serveOne is serveFrame in memory of its own: a batch envelope's later frames.
 func (g *Gate) serveOne(r *http.Request, t *tenant, req *client.Request) (frame, int) {
+	return g.serveFrame(newRequest(), r, t, req)
+}
+
+// serveFrame admits and runs one JSON-RPC frame in rq, returning its
+// response and the HTTP status a single-frame envelope should carry.
+func (g *Gate) serveFrame(rq *request, r *http.Request, t *tenant, req *client.Request) (frame, int) {
 	if req.JSONRPC != "2.0" || req.Method == "" {
 		return errorFrame(req.ID, client.InvalidRequestError("not a JSON-RPC 2.0 request")), http.StatusOK
 	}
@@ -107,9 +137,9 @@ func (g *Gate) serveOne(r *http.Request, t *tenant, req *client.Request) (frame,
 	// The params are decoded here, once, by method. One token per query:
 	// the limiter is charged for the queries of an fx.retrieveBatch, and
 	// params that do not decode are charged one and refused once admitted.
-	p, err := client.DecodeParams(req.Method, req.Params)
+	p := &rq.params
 	var malformed *fxdist.Error
-	if err != nil {
+	if err := p.Decode(req.Method, req.Params); err != nil {
 		malformed = fxdist.NewError(fxdist.ErrCodeInvalidQuery, "malformed params: "+err.Error())
 	}
 	cost := max(1, float64(len(p.Queries)))
@@ -137,7 +167,7 @@ func (g *Gate) serveOne(r *http.Request, t *tenant, req *client.Request) (frame,
 	var result any
 	herr := malformed
 	if herr == nil {
-		result, herr = g.call(r.Context(), t, req.Method, &p)
+		result, herr = g.call(r.Context(), t, req.Method, rq)
 	}
 	g.metrics.latency.ObserveSince(start)
 	if herr != nil {
@@ -188,12 +218,13 @@ type frame struct {
 // results. The gate knows when it is done with them — once the encoded
 // bytes are written — and must not read their records afterwards.
 func (f *frame) release() {
-	items, _ := f.result.(batchAnswer)
-	if a, ok := f.result.(*answer); ok {
-		items = batchAnswer{{answer: *a}}
-	}
-	for i := range items {
-		items[i].res.Release()
+	switch r := f.result.(type) {
+	case *answer:
+		r.res.Release()
+	case batchAnswer:
+		for i := range r {
+			r[i].res.Release()
+		}
 	}
 }
 

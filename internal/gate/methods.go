@@ -13,20 +13,20 @@ import (
 // counters.
 var methods = [...]string{client.MethodRetrieve, client.MethodRetrieveBatch, client.MethodExplain, client.MethodHealth}
 
-// call runs one admitted frame of a known method on its decoded params.
-// The returned value becomes the JSON-RPC result — a wireResult encodes
-// itself, anything else goes through json.Marshal; a non-nil
+// call runs one admitted frame of a known method on the params decoded
+// into rq. The returned value becomes the JSON-RPC result — a wireResult
+// encodes itself, anything else goes through json.Marshal; a non-nil
 // *fxdist.Error becomes the JSON-RPC error object (and, for
 // rate/overload codes, the HTTP status).
-func (g *Gate) call(ctx context.Context, t *tenant, method string, p *client.Params) (any, *fxdist.Error) {
+func (g *Gate) call(ctx context.Context, t *tenant, method string, rq *request) (any, *fxdist.Error) {
 	switch method {
 	case client.MethodRetrieve:
-		return g.handleRetrieve(ctx, t, p.Query)
+		return g.handleRetrieve(ctx, t, rq)
 	case client.MethodRetrieveBatch:
-		return g.handleRetrieveBatch(ctx, t, p.Queries)
+		return g.handleRetrieveBatch(ctx, t, rq)
 	case client.MethodExplain:
-		return g.handleExplain(p.Query)
-	default: // client.MethodHealth: serveOne let no other name through
+		return g.handleExplain(rq.params.Query)
+	default: // client.MethodHealth: serveFrame let no other name through
 		return g.handleHealth(), nil
 	}
 }
@@ -92,27 +92,31 @@ func (b batchAnswer) sizeHint() int {
 	return n
 }
 
-func (g *Gate) handleRetrieve(ctx context.Context, t *tenant, query [][2]string) (any, *fxdist.Error) {
-	pm, e := g.spec(query)
+// handleRetrieve gives back a result that comes with an error (degraded).
+func (g *Gate) handleRetrieve(ctx context.Context, t *tenant, rq *request) (any, *fxdist.Error) {
+	pm, e := g.spec(rq.params.Query, rq.spec)
 	if e != nil {
 		return nil, e
 	}
-	res, batch, err := g.retrieve(ctx, t, pm)
+	rq.spec = pm
+	res, batch, err := g.retrieve(ctx, t, pm, rq)
 	if err != nil {
+		res.Release()
 		return nil, fxdist.Classify(err)
 	}
-	return &answer{res, batch}, nil
+	rq.ans = answer{res, batch}
+	return &rq.ans, nil
 }
 
-func (g *Gate) handleRetrieveBatch(ctx context.Context, t *tenant, queries [][][2]string) (any, *fxdist.Error) {
-	if len(queries) == 0 {
+func (g *Gate) handleRetrieveBatch(ctx context.Context, t *tenant, rq *request) (any, *fxdist.Error) {
+	if len(rq.params.Queries) == 0 {
 		return nil, fxdist.NewError(fxdist.ErrCodeInvalidQuery, "empty batch")
 	}
-	items := make(batchAnswer, len(queries))
-	pms := make([]fxdist.PartialMatch, 0, len(queries))
-	idx := make([]int, 0, len(queries))
-	for i, q := range queries {
-		pm, e := g.spec(q)
+	items := make(batchAnswer, len(rq.params.Queries))
+	pms := make([]fxdist.PartialMatch, 0, len(items))
+	idx := make([]int, 0, len(items))
+	for i, q := range rq.params.Queries {
+		pm, e := g.spec(q, nil)
 		if e != nil {
 			items[i].err = client.FromError(e)
 			continue
@@ -121,9 +125,10 @@ func (g *Gate) handleRetrieveBatch(ctx context.Context, t *tenant, queries [][][
 		idx = append(idx, i)
 	}
 	if len(pms) > 0 {
-		results, errs := g.retrieveBatch(ctx, t, pms)
+		results, errs := g.retrieveBatch(ctx, t, pms, rq)
 		for j, i := range idx {
 			if errs[j] != nil {
+				results[j].Release()
 				items[i].err = client.FromError(fxdist.Classify(errs[j]))
 				continue
 			}
@@ -134,7 +139,7 @@ func (g *Gate) handleRetrieveBatch(ctx context.Context, t *tenant, queries [][][
 }
 
 func (g *Gate) handleExplain(query [][2]string) (any, *fxdist.Error) {
-	pm, e := g.spec(query)
+	pm, e := g.spec(query, nil)
 	if e != nil {
 		return nil, e
 	}

@@ -360,31 +360,29 @@ type PartialMatch []*string
 // Spec builds a value-level query from field name → value. Fields not
 // mentioned are unspecified.
 func (f *File) Spec(pairs map[string]string) (PartialMatch, error) {
-	var stack [8][2]string
-	list := stack[:0]
+	list := make([][2]string, 0, len(pairs))
 	for name, value := range pairs {
 		list = append(list, [2]string{name, value})
 	}
-	return f.SpecPairs(list)
+	return f.SpecPairs(list, nil)
 }
 
 // SpecPairs is Spec over (field name, value) pairs, a later pair
-// overriding an earlier one of the same name. However many fields are
-// specified, it allocates the PartialMatch and one array of the values
-// it points into.
-func (f *File) SpecPairs(pairs [][2]string) (PartialMatch, error) {
-	pm := make(PartialMatch, len(f.depths))
-	if len(pairs) == 0 {
-		return pm, nil
+// overriding an earlier one of the same name, written into pm's array
+// (a new one if pm has no room for every field). The spec points at the
+// values inside pairs, which must stay as they are while it is used.
+func (f *File) SpecPairs(pairs [][2]string, pm PartialMatch) (PartialMatch, error) {
+	if cap(pm) < len(f.depths) {
+		pm = make(PartialMatch, len(f.depths))
 	}
-	values := make([]string, len(f.depths))
-	for _, p := range pairs {
-		i, err := f.FieldIndex(p[0])
+	pm = pm[:len(f.depths)]
+	clear(pm)
+	for j := range pairs {
+		i, err := f.FieldIndex(pairs[j][0])
 		if err != nil {
 			return nil, err
 		}
-		values[i] = p[1]
-		pm[i] = &values[i]
+		pm[i] = &pairs[j][1]
 	}
 	return pm, nil
 }

@@ -220,39 +220,48 @@ func TestSpecUnknownField(t *testing.T) {
 	if _, err := f.Spec(map[string]string{"colour": "red"}); err == nil {
 		t.Error("unknown field accepted")
 	}
-	_, err := f.SpecPairs([][2]string{{"make", "ford"}, {"colour", "red"}})
+	_, err := f.SpecPairs([][2]string{{"make", "ford"}, {"colour", "red"}}, nil)
 	if err == nil || err.Error() != `mkhash: no field named "colour"` {
 		t.Errorf("SpecPairs with an unknown field: %v", err)
 	}
 }
 
 // TestSpecPairs pins the pairs form: a later pair overrides an earlier
-// one, and the PartialMatch and its values cost two allocations however
-// many fields are given (the map form paid one per field on top). Spec
-// goes through it.
+// one, and however many fields are given the PartialMatch costs one
+// allocation, none in an array with room, and points into the pairs
+// (two allocations before: its own copy of the values). Spec goes
+// through it and adds the pairs list.
 func TestSpecPairs(t *testing.T) {
 	f := MustNew(testSchema())
-	pm, err := f.SpecPairs([][2]string{{"year", "1988"}, {"make", "ford"}, {"year", "1990"}})
+	pm, err := f.SpecPairs([][2]string{{"year", "1988"}, {"make", "ford"}, {"year", "1990"}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if pm[0] == nil || *pm[0] != "ford" || pm[1] != nil || pm[2] == nil || *pm[2] != "1990" {
 		t.Errorf("SpecPairs gave %v", pm)
 	}
-	if pm, err := f.SpecPairs(nil); err != nil || len(pm) != 3 || pm[0] != nil || pm[1] != nil || pm[2] != nil {
+	if pm, err := f.SpecPairs(nil, nil); err != nil || len(pm) != 3 || pm[0] != nil || pm[1] != nil || pm[2] != nil {
 		t.Errorf("SpecPairs(nil) = %v, %v", pm, err)
 	}
 	if testing.Short() {
 		return
 	}
 	for _, pairs := range [][][2]string{{{"make", "ford"}}, {{"make", "ford"}, {"model", "escort"}, {"year", "1988"}}} {
-		if allocs := testing.AllocsPerRun(50, func() { f.SpecPairs(pairs) }); allocs != 2 {
-			t.Errorf("SpecPairs of %d fields: %.0f allocations, want 2", len(pairs), allocs)
+		if allocs := testing.AllocsPerRun(50, func() { f.SpecPairs(pairs, nil) }); allocs != 1 {
+			t.Errorf("SpecPairs of %d fields: %.0f allocations, want 1", len(pairs), allocs)
 		}
 	}
 	all := map[string]string{"make": "ford", "model": "escort", "year": "1988"}
 	if allocs := testing.AllocsPerRun(50, func() { f.Spec(all) }); allocs != 2 {
 		t.Errorf("Spec of 3 fields: %.0f allocations, want 2", allocs)
+	}
+	pairs := [][2]string{{"year", "1988"}, {"make", "ford"}}
+	into := make(PartialMatch, 3)
+	if allocs := testing.AllocsPerRun(50, func() { pm, err = f.SpecPairs(pairs, into[:0]) }); allocs != 0 || err != nil {
+		t.Errorf("SpecPairs into an array with room: %.0f allocations, %v; want 0", allocs, err)
+	}
+	if pm[0] != &pairs[1][1] || pm[1] != nil || pm[2] != &pairs[0][1] || &pm[0] != &into[0] {
+		t.Errorf("SpecPairs gave %v, not views of the pairs in the given array", pm)
 	}
 }
 

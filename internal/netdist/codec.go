@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math/bits"
+	"sync"
 	"time"
 	"unsafe"
 
@@ -438,8 +439,8 @@ func decodeTrailingStats(f *frameReader, resp *Response) error {
 // recycles it. A response with records takes buf over: release, non-nil
 // exactly then, puts the frame and the header slab back, after which the
 // records are garbage; never calling it leaves both to the collector.
-// Everything else (Err, StatsJSON) is copied out, and without a release
-// buf is still the caller's to recycle.
+// Call it at most once. Everything else (Err, StatsJSON) is copied out,
+// and without a release buf is still the caller's to recycle.
 func decodeResponse(buf []byte, resp *Response) (release func(), err error) {
 	f := frameReader{buf: buf}
 	if resp.ID, err = f.uvarint(); err != nil {
@@ -480,16 +481,34 @@ func decodeResponse(buf []byte, resp *Response) (release func(), err error) {
 		return nil, err
 	}
 	recs := clientHits.Get(nr)
-	headers := respFields.Get(fields) // by value: the closure is the one object a decode costs
-	slab, enc := headers, buf[start:]
+	l := loans.Get().(*loan)
+	if l.release == nil {
+		l.release = l.giveBack
+	}
+	l.frame, l.fields = buf, respFields.Get(fields)
+	slab, enc := l.fields, buf[start:]
 	for i := range recs {
 		recs[i], enc = mkhash.BuildEncoded(enc, nil, &slab)
 	}
 	resp.Records = recs
-	return func() {
-		respFields.Put(headers)
-		mempool.Frames.Put(buf)
-	}, nil
+	return l.release, nil
+}
+
+// loan is what a decoded response lends, and release, bound once per
+// loan, gives it back: lending allocates nothing once loans is warm.
+type loan struct {
+	frame   []byte
+	fields  []string
+	release func()
+}
+
+var loans = sync.Pool{New: func() any { return new(loan) }}
+
+func (l *loan) giveBack() {
+	respFields.Put(l.fields)
+	mempool.Frames.Put(l.frame)
+	l.frame, l.fields = nil, nil
+	loans.Put(l)
 }
 
 // writeFrame sizes the payload with size, fills one pooled buffer via

@@ -466,8 +466,9 @@ func (c *Cluster) Retrieve(pm PartialMatch) (RetrieveResult, error) {
 // RetrieveBatch answers a batch of queries, pipelining their fan-outs
 // over the shared worker pool (see engine.Executor.RetrieveBatch).
 // Queries sharing a shape reuse one cached plan. The slice always has
-// one result per query; a failed query's is zero and its failure is a
-// *QueryError in the joined error.
+// one result per query; a failed query's is zero, unless it degraded
+// (WithPartialResults: Release it), and its failure is a *QueryError in
+// the joined error.
 func (c *Cluster) RetrieveBatch(ctx context.Context, pms []PartialMatch) ([]RetrieveResult, error) {
 	be, reads := c.acquire()
 	defer reads.RUnlock()
