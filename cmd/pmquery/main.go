@@ -146,7 +146,7 @@ func run() error {
 			i, renderQuery(spec, pms[i]), len(res.Records), res.LargestResponseSize,
 			res.Response, res.TotalWork)
 		if *explain {
-			explainResult(file, fs, pms[i], res)
+			explainResult(cluster, file, fs, pms[i], res)
 		}
 		total += res.Response.Seconds()
 		if res.Response.Seconds() > worst {
@@ -165,7 +165,7 @@ func run() error {
 // explainResult prints one query's per-device optimality verdict against
 // the paper's strict-optimality bound ceil(|R(q)|/M), plus the span tree
 // of the retrieval (joinable with /debug/traces?tree=1 by trace id).
-func explainResult(file *fxdist.File, fs fxdist.FileSystem, pm fxdist.PartialMatch, res fxdist.RetrieveResult) {
+func explainResult(cluster *fxdist.Cluster, file *fxdist.File, fs fxdist.FileSystem, pm fxdist.PartialMatch, res fxdist.RetrieveResult) {
 	q, err := file.BucketQuery(pm)
 	if err != nil {
 		fmt.Printf("    explain: %v\n", err)
@@ -182,7 +182,7 @@ func explainResult(file *fxdist.File, fs fxdist.FileSystem, pm fxdist.PartialMat
 		}
 		fmt.Printf("    device %-3d buckets=%-5d %s\n", d, b, verdict)
 	}
-	printStages(res, "    ")
+	printStages(cluster, res.TraceID, "    ")
 	if res.TraceID == 0 {
 		return
 	}
@@ -196,22 +196,30 @@ func explainResult(file *fxdist.File, fs fxdist.FileSystem, pm fxdist.PartialMat
 	fmt.Printf("    trace %d: evicted from trace ring\n", res.TraceID)
 }
 
-// printStages renders the query's cost breakdown: wall time, bytes and
-// heap objects per stage, with each top-level stage's share of the
-// whole-query latency.
-func printStages(res fxdist.RetrieveResult, indent string) {
-	if len(res.Stages) == 0 {
+// printStages renders one query's cost breakdown, as the kept event of its
+// trace holds it in the cluster's store: wall time, bytes and heap objects
+// per stage, with each top-level stage's share of the whole-query latency.
+// A query not kept has only its shape's means, on /debug/hotpath.
+func printStages(cluster *fxdist.Cluster, traceID uint64, indent string) {
+	var stages []fxdist.StageSample
+	for _, ev := range cluster.QueryEvents(1024) {
+		if traceID != 0 && ev.TraceID == traceID {
+			stages = ev.Stages
+		}
+	}
+	if stages == nil {
+		fmt.Printf("%sstages: query not kept; its shape's means are on /debug/hotpath\n", indent)
 		return
 	}
 	var total time.Duration
-	for _, s := range res.Stages {
+	for _, s := range stages {
 		switch s.Stage {
 		case fxdist.StagePlan, fxdist.StageFanout, fxdist.StageMerge, fxdist.StageAudit:
 			total += s.Wall
 		}
 	}
 	fmt.Printf("%sstages:\n", indent)
-	for _, s := range res.Stages {
+	for _, s := range stages {
 		frac := ""
 		if total > 0 {
 			switch s.Stage {

@@ -101,8 +101,8 @@ var (
 	MainMemory = storage.MainMemory
 )
 
-// RetrieveResult reports a parallel retrieval: matching records and the
-// simulated cost breakdown.
+// RetrieveResult reports a parallel retrieval: matching records,
+// per-device bucket and record counts, and the simulated cost (§5.2.1).
 type RetrieveResult = storage.Result
 
 // ProjectResult reports a parallel projection with duplicate elimination

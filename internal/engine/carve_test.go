@@ -2,22 +2,23 @@ package engine_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"runtime"
 	"runtime/debug"
 	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 	"unsafe"
 
 	"fxdist/internal/decluster"
 	"fxdist/internal/engine"
 	"fxdist/internal/mempool"
 	"fxdist/internal/mkhash"
-	"fxdist/internal/obs"
 	"fxdist/internal/query"
+	"fxdist/internal/retry"
 	"fxdist/internal/storage"
 )
 
@@ -65,8 +66,6 @@ func recordKeys(recs []mkhash.Record) []string {
 type reading struct {
 	records          []mkhash.Record
 	buckets, scanned []int
-	times            []time.Duration
-	stages           []obs.StageSample
 }
 
 func read(res engine.Result) reading {
@@ -74,21 +73,19 @@ func read(res engine.Result) reading {
 	for i, r := range res.Records {
 		recs[i] = slices.Clone(r)
 	}
-	return reading{records: recs, buckets: slices.Clone(res.DeviceBuckets), scanned: slices.Clone(res.DeviceRecords),
-		times: slices.Clone(res.DeviceTime), stages: slices.Clone(res.Stages)}
+	return reading{records: recs, buckets: slices.Clone(res.DeviceBuckets), scanned: slices.Clone(res.DeviceRecords)}
 }
 
 // capped reports whether every slice of res is capped at its length.
 func capped(res engine.Result) bool {
 	return cap(res.Records) == len(res.Records) && cap(res.DeviceBuckets) == len(res.DeviceBuckets) &&
-		cap(res.DeviceRecords) == len(res.DeviceRecords) && cap(res.DeviceTime) == len(res.DeviceTime) &&
-		cap(res.Stages) == len(res.Stages)
+		cap(res.DeviceRecords) == len(res.DeviceRecords)
 }
 
 // reads reports whether res still reads as r.
 func (r reading) reads(res engine.Result) bool {
 	return slices.EqualFunc(r.records, res.Records, slices.Equal) && slices.Equal(r.buckets, res.DeviceBuckets) &&
-		slices.Equal(r.scanned, res.DeviceRecords) && slices.Equal(r.times, res.DeviceTime) && slices.Equal(r.stages, res.Stages)
+		slices.Equal(r.scanned, res.DeviceRecords)
 }
 
 // TestCarvedResultsAreIndependent holds 300 results of one memory-backend
@@ -131,16 +128,15 @@ func TestCarvedResultsAreIndependent(t *testing.T) {
 		if !slices.Equal(recordKeys(res.Records), recordKeys(want)) {
 			t.Fatalf("query %v: %d records, File.Search finds %d", spec, len(res.Records), len(want))
 		}
-		if !capped(res) || len(res.DeviceBuckets) != 4 || len(res.Stages) != 5 {
-			t.Fatalf("query %v: len/cap Records %d/%d, DeviceBuckets %d/%d, DeviceRecords %d/%d, DeviceTime %d/%d, Stages %d/%d",
+		if !capped(res) || len(res.DeviceBuckets) != 4 {
+			t.Fatalf("query %v: len/cap Records %d/%d, DeviceBuckets %d/%d, DeviceRecords %d/%d",
 				spec, len(res.Records), cap(res.Records), len(res.DeviceBuckets), cap(res.DeviceBuckets),
-				len(res.DeviceRecords), cap(res.DeviceRecords), len(res.DeviceTime), cap(res.DeviceTime),
-				len(res.Stages), cap(res.Stages))
+				len(res.DeviceRecords), cap(res.DeviceRecords))
 		}
 		results[i], first[i] = res, read(res)
 	}
 	if !raceEnabled() && !sharesAChunk(results) {
-		t.Error("no two consecutive results' DeviceTime windows are adjacent: nothing was carved")
+		t.Error("no result's counts window starts where the one before it ends: nothing was carved")
 	}
 	for i := range results {
 		res := &results[i]
@@ -148,16 +144,11 @@ func TestCarvedResultsAreIndependent(t *testing.T) {
 			res.Records[j] = mkhash.Record{"overwritten"}
 		}
 		for j := range res.DeviceBuckets {
-			res.DeviceBuckets[j], res.DeviceRecords[j], res.DeviceTime[j] = -1, -1, -1
-		}
-		for j := range res.Stages {
-			res.Stages[j] = obs.StageSample{Stage: "overwritten"}
+			res.DeviceBuckets[j], res.DeviceRecords[j] = -1, -1
 		}
 		res.Records = append(res.Records, mkhash.Record{"appended"})
 		res.DeviceBuckets = append(res.DeviceBuckets, -2)
 		res.DeviceRecords = append(res.DeviceRecords, -2)
-		res.DeviceTime = append(res.DeviceTime, -2)
-		res.Stages = append(res.Stages, obs.StageSample{Stage: "appended"})
 		for k := i + 1; k < n; k++ {
 			if !first[k].reads(results[k]) {
 				t.Fatalf("writing result %d changed result %d:\n got %+v\nwant %+v", i, k, read(results[k]), first[k])
@@ -166,11 +157,11 @@ func TestCarvedResultsAreIndependent(t *testing.T) {
 	}
 }
 
-// sharesAChunk reports whether some result's DeviceTime window starts
-// where the one before it ends.
+// sharesAChunk reports whether some result's counts window (DeviceBuckets,
+// then DeviceRecords) starts where the one before it ends.
 func sharesAChunk(results []engine.Result) bool {
 	for i := 1; i < len(results); i++ {
-		prev, next := results[i-1].DeviceTime, results[i].DeviceTime
+		prev, next := results[i-1].DeviceRecords, results[i].DeviceBuckets
 		if unsafe.Add(unsafe.Pointer(unsafe.SliceData(prev)), len(prev)*int(unsafe.Sizeof(prev[0]))) == unsafe.Pointer(unsafe.SliceData(next)) {
 			return true
 		}
@@ -181,11 +172,10 @@ func sharesAChunk(results []engine.Result) bool {
 // TestWarmRetrieveAllocatesNothing counts a warm memory-backend retrieval
 // of 6 records past its shape's 8 head-kept queries. What is left is the
 // 1 in 16 still kept (its record, per-device detail and stages) and a new
-// chunk now and then: about 0.45 allocations a retrieval on average, which
-// AllocsPerRun reads as 0 (4.33 at the parent commit, whose merge made
-// every Result slice). With pooling off every call is new and a retrieval
-// allocates exactly what it did at the parent commit: 15.33 on average,
-// read as 15.
+// chunk now and then: about 0.37 allocations a retrieval on average, which
+// AllocsPerRun reads as 0 (4.33 when the merge made every Result slice).
+// With pooling off every call is new, with its chunks: 13 (15 while a
+// Result also carried DeviceTime and Stages, each its own chunk).
 func TestWarmRetrieveAllocatesNothing(t *testing.T) {
 	if raceEnabled() {
 		t.Skip("sync.Pool drops Puts under -race, so allocation counts are not exact")
@@ -207,8 +197,8 @@ func TestWarmRetrieveAllocatesNothing(t *testing.T) {
 		t.Errorf("a warm retrieval allocates %.0f objects, want 0", got)
 	}
 	defer mempool.SetEnabled(mempool.SetEnabled(false))
-	if got := testing.AllocsPerRun(1000, retrieve); got != 15 {
-		t.Errorf("with pooling off a retrieval allocates %.0f objects, want 15", got)
+	if got := testing.AllocsPerRun(1000, retrieve); got != 13 {
+		t.Errorf("with pooling off a retrieval allocates %.0f objects, want 13", got)
 	}
 }
 
@@ -264,5 +254,97 @@ func TestWarmBatchOfOneAllocatesNothing(t *testing.T) {
 	}
 	if got := released.Load() - before; got != 4*1001 {
 		t.Errorf("%d releases over 1001 batches of 4 lending devices, want %d", got, 4*1001)
+	}
+}
+
+// wideDevices are four lending devices of 60 hits each: an answer of 240
+// records, wider than the 170 a 4 KB chunk holds.
+func wideDevices(released *atomic.Int64) []engine.Device {
+	devs := make([]engine.Device, 4)
+	for i := range devs {
+		hits := make([]mkhash.Record, 60)
+		for j := range hits {
+			hits[j] = mkhash.Record{fmt.Sprint("a", i, "-", j), "b"}
+		}
+		devs[i] = lendingDevice{hits: hits, release: func() { released.Add(1) }}
+	}
+	return devs
+}
+
+// TestLeasedWideWindowComesBackOnce retrieves answers wider than a chunk
+// from devices that lend, so each Records window is a hits slab its lease
+// gives back. Released, the window is the next wide retrieval's: the same
+// backing array, hits pool gets up and misses not. A result kept
+// unreleased is never written by a later one. A degraded result and its
+// PartialError.Res copy, both released, give back one window and each
+// surviving device's loan once. Under -race, where sync.Pool drops Puts,
+// only the reuse itself goes unchecked.
+func TestLeasedWideWindowComesBackOnce(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // a Put and the next Get on one P
+	f := testSchema(t)
+	var released atomic.Int64
+	devs := wideDevices(&released)
+	e, err := engine.New(planned(t, f, engine.Config{Devices: devs}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []mkhash.Record
+	for _, d := range devs {
+		want = append(want, d.(lendingDevice).hits...)
+	}
+	pm := anyQuery(t, f)
+	retrieve := func() engine.Result {
+		t.Helper()
+		res, err := e.Retrieve(context.Background(), pm)
+		if err != nil || len(res.Records) != 240 || cap(res.Records) != 240 {
+			t.Fatalf("wide retrieval: len/cap %d/%d, %v", len(res.Records), cap(res.Records), err)
+		}
+		return res
+	}
+	first := retrieve()
+	window := unsafe.SliceData(first.Records)
+	first.Release()
+	before := engine.HitsPool().Stats()
+	kept := retrieve()
+	after := engine.HitsPool().Stats()
+	if !raceEnabled() && unsafe.SliceData(kept.Records) != window {
+		t.Error("the next wide retrieval did not reuse the released window")
+	}
+	if !raceEnabled() && (after.Gets <= before.Gets || after.Misses != before.Misses) {
+		t.Errorf("hits pool gets %d → %d, misses %d → %d: want gets up, misses not",
+			before.Gets, after.Gets, before.Misses, after.Misses)
+	}
+	for i := 0; i < 20; i++ {
+		res := retrieve()
+		if unsafe.SliceData(res.Records) == unsafe.SliceData(kept.Records) {
+			t.Fatalf("retrieval %d reuses the window of a result never released", i)
+		}
+		res.Release()
+	}
+	if !slices.Equal(recordKeys(kept.Records), recordKeys(want)) {
+		t.Error("the unreleased result no longer reads its devices' hits")
+	}
+
+	devs[3] = fixedDevice{err: errors.New("dead")}
+	d, err := engine.New(planned(t, f, engine.Config{
+		Devices: devs, Retry: controller(t, retry.Config{MaxAttempts: 1, Partial: true}),
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := d.Retrieve(context.Background(), pm)
+	var pe *engine.PartialError
+	if !errors.As(err, &pe) || len(res.Records) != 180 || len(pe.Res.Records) != 180 {
+		t.Fatalf("degraded retrieval: %d records, %v; want 180 and a PartialError", len(res.Records), err)
+	}
+	loans, puts := released.Load(), engine.HitsPool().Stats().Puts
+	res.Release()
+	pe.Res.Release()
+	res.Release()
+	if got := engine.HitsPool().Stats().Puts - puts; got != 1 {
+		t.Errorf("a degraded result and its copy gave back %d hits slabs, want the one window", got)
+	}
+	if got := released.Load() - loans; got != 3 {
+		t.Errorf("%d device releases, want one per surviving device: 3", got)
 	}
 }

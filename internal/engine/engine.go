@@ -23,7 +23,6 @@ import (
 	"time"
 
 	"fxdist/internal/mkhash"
-	"fxdist/internal/obs"
 	"fxdist/internal/query"
 )
 
@@ -100,10 +99,13 @@ type Device interface {
 	Scan(ctx context.Context, q query.Query, pm mkhash.PartialMatch) (Answer, error)
 }
 
-// Result reports one retrieval: the matching records plus the simulated
-// parallel cost breakdown. Its slices are windows capped at their length,
-// which may share a chunk (at most 4 KB per kind) with earlier results of
-// the same executor, never an element: keeping a result keeps its chunks.
+// Result reports one retrieval: the matching records and the §5.2.1
+// numbers, nothing else — the stage breakdown is the query record's
+// (/debug/hotpath, /debug/flight, a kept event). Its slices are windows
+// capped at their length, which may share a chunk (at most 4 KB per kind)
+// with earlier results of the same executor, never an element: keeping a
+// result keeps its chunks. A wider Records window under a lease is a
+// pooled slab that Release gives back.
 type Result struct {
 	// TraceID identifies the retrieval's trace (0 when the executor has
 	// no tracer); join it against obs.Tracer.Recent/Trees to see the
@@ -115,20 +117,15 @@ type Result struct {
 	DeviceBuckets []int
 	// DeviceRecords[i] is the number of records device i scanned.
 	DeviceRecords []int
-	// DeviceTime[i] is device i's simulated service time.
-	DeviceTime []time.Duration
-	// Response is the simulated parallel response time: the slowest device.
+	// Response is the simulated parallel response time: the slowest
+	// device's CostModel.DeviceTime(DeviceBuckets[i], DeviceRecords[i]),
+	// over the devices that took part (not Idle, not failed).
 	Response time.Duration
-	// TotalWork is the sum of all device times (what a single device would
-	// have spent, modulo per-query overhead).
+	// TotalWork is the sum of those device times (what a single device
+	// would have spent, modulo per-query overhead).
 	TotalWork time.Duration
 	// LargestResponseSize is max(DeviceBuckets), the paper's metric.
 	LargestResponseSize int
-	// Stages is the retrieval's cost-attribution breakdown (plan,
-	// fanout, merge, audit, plus an aggregated device.scan sample),
-	// populated when the executor has a reporting bundle
-	// (Config.Instr); nil otherwise.
-	Stages []obs.StageSample
 
 	// lease holds what the devices lent under Records (Answer.Release);
 	// nil when nothing was lent. Copies of the Result share it.
@@ -150,47 +147,32 @@ func CloneRecords(recs []mkhash.Record) []mkhash.Record {
 	return out
 }
 
-// lease is the releases of one result's lent memory, carved from its
-// call's chunks and run at most once however many copies are released.
+// lease is the releases of one result's lent memory, and the hits slab
+// of a Records window wider than a chunk, carved from its call's chunks
+// and given back at most once however many copies are released.
 type lease struct {
-	once sync.Once
-	rels []func()
+	once   sync.Once
+	rels   []func()
+	window []mkhash.Record
 }
 
 // Release gives back the memory devices lent under the result's records
-// (today: the distributed backend's response frames). It is optional — an
-// unreleased result is garbage-collected like any other — and a no-op
-// where nothing was lent. After Release the field strings of Records, and
-// anything derived from them, are invalid: copy what must outlive it.
-// Idempotent, including across copies of the Result.
+// (today: the distributed backend's response frames) and, for a wide
+// answer, the Records window itself. It is optional — an unreleased
+// result is garbage-collected like any other — and a no-op where nothing
+// was lent. After Release, Records — the slice, its records, their field
+// strings — and anything derived from them are invalid: copy what must
+// outlive it. Idempotent, including across copies of the Result.
 func (r *Result) Release() {
 	if l := r.lease; l != nil {
 		l.once.Do(func() {
 			for _, f := range l.rels {
 				f()
 			}
+			hitsPool.Put(l.window)
+			l.window = nil // the lease's chunk may outlive the slab's time in the pool
 		})
 	}
-}
-
-// AccumulateCost folds per-device service times and qualified-bucket
-// counts into the §5.2.1 summary: response time is the slowest device,
-// total work is the sum, and the largest response size is the biggest
-// per-device bucket count. Every cost report in the system — executor
-// merges and record-free simulations alike — goes through here.
-func AccumulateCost(times []time.Duration, buckets []int) (response, totalWork time.Duration, largest int) {
-	for _, t := range times {
-		totalWork += t
-		if t > response {
-			response = t
-		}
-	}
-	for _, b := range buckets {
-		if b > largest {
-			largest = b
-		}
-	}
-	return response, totalWork, largest
 }
 
 // Matches re-checks actual field values against the query (hash

@@ -313,8 +313,6 @@ type call struct {
 	spec    [16]int
 	traced  obs.Span
 	counts  chunk[int] // each Result's DeviceBuckets and DeviceRecords
-	times   chunk[time.Duration]
-	samples chunk[obs.StageSample]
 	records chunk[mkhash.Record]
 	leases  chunk[lease]
 	rels    chunk[func()]
@@ -341,13 +339,14 @@ type callState struct {
 
 	// Cost-attribution state, populated only when the executor has a
 	// reporting bundle (instr true): mark/lastStamp walk the alloc
-	// counter and clock from stage boundary to stage boundary, and
-	// stages collects the breakdown (Result.Stages) as each stage closes;
-	// rec is the query record while only the call reads it (see report).
+	// counter and clock from stage boundary to stage boundary, stages
+	// (a window of samples) collects the breakdown as each stage closes,
+	// and rec is the query record while only the call reads it (report).
 	instr     bool
 	mark      obs.AllocStat
 	lastStamp time.Time
 	stages    []obs.StageSample
+	samples   [5]obs.StageSample // plan, fanout, merge, audit, device.scan
 	rec       obs.QueryRecord
 }
 
@@ -358,7 +357,7 @@ type callState struct {
 type chunk[T any] []T
 
 func (k *chunk[T]) carve(n int) []T {
-	c, limit := *k, 4<<10/int(unsafe.Sizeof(*new(T)))
+	c, limit := *k, k.limit()
 	if n > limit {
 		return make([]T, n)
 	}
@@ -368,6 +367,9 @@ func (k *chunk[T]) carve(n int) []T {
 	*k = c[:len(c)+n]
 	return c[len(c) : len(c)+n : len(c)+n]
 }
+
+// limit is the longest window a chunk carves: 4 KB of T.
+func (chunk[T]) limit() int { return 4 << 10 / int(unsafe.Sizeof(*new(T))) }
 
 // settled reports whether every device task has finished — finish took
 // the done token, or the countdown reads zero: the happens-before edge
@@ -428,9 +430,7 @@ func (e *Executor) begin(ctx context.Context, pm mkhash.PartialMatch, caller str
 		}
 		return nil, err
 	}
-	if c.instr {
-		c.stages = c.samples.carve(5)[:0] // plan, fanout, merge, audit, device.scan
-	}
+	c.stages = c.samples[:0]
 	c.closeStage(obs.StagePlan)
 	if e.tracer != nil && e.span != "" {
 		c.span = &c.traced
@@ -510,14 +510,14 @@ func discardAnswers(answers ...Answer) {
 // the per-device hit frames are drained back to the pool; encoded hits
 // (Answer.Found) build through one builder reserved for them all. What
 // the devices lent (Answer.Release) folds into the result's lease, carved
-// like the slices; a result nothing was lent to carries none.
+// like the slices; a result nothing was lent to carries none. A leased
+// window too wide for a chunk is a hits slab the lease gives back.
 func (c *call) merge(failed map[int]error) Result {
 	m := len(c.answers)
 	counts := c.counts.carve(2 * m)
 	res := Result{
 		DeviceBuckets: counts[:m:m], // capped: an append cannot reach DeviceRecords
 		DeviceRecords: counts[m:],
-		DeviceTime:    c.times.carve(m),
 	}
 	total, fields, bytes, lent := 0, 0, 0, 0
 	for dev := range c.answers {
@@ -527,19 +527,25 @@ func (c *call) merge(failed map[int]error) Result {
 		}
 		res.DeviceBuckets[dev] = a.Buckets
 		res.DeviceRecords[dev] = a.Records
-		res.DeviceTime[dev] = c.e.model.DeviceTime(a.Buckets, a.Records)
+		t := c.e.model.DeviceTime(a.Buckets, a.Records)
+		res.Response, res.TotalWork = max(res.Response, t), res.TotalWork+t
+		res.LargestResponseSize = max(res.LargestResponseSize, a.Buckets)
 		n, f, b := a.Found.Size()
 		total, fields, bytes = total+len(a.Hits)+n, fields+f, bytes+b
 		if a.Release != nil {
 			lent++
 		}
 	}
-	if total > 0 {
-		res.Records = c.records.carve(total)[:0]
-	}
 	if lent > 0 {
 		res.lease = &c.leases.carve(1)[0]
 		res.lease.rels = c.rels.carve(lent)[:0]
+	}
+	switch {
+	case res.lease != nil && total > c.records.limit():
+		res.lease.window = hitsPool.Get(total)
+		res.Records = res.lease.window[:0:total]
+	case total > 0:
+		res.Records = c.records.carve(total)[:0]
 	}
 	var build mempool.RecordBuilder
 	build.Reserve(fields, bytes)
@@ -562,7 +568,6 @@ func (c *call) merge(failed map[int]error) Result {
 			res.lease.rels = append(res.lease.rels, a.Release)
 		}
 	}
-	res.Response, res.TotalWork, res.LargestResponseSize = AccumulateCost(res.DeviceTime, res.DeviceBuckets)
 	return res
 }
 
@@ -730,7 +735,6 @@ func (c *call) deviceDetail(rec *obs.QueryRecord, keep bool) (scan time.Duration
 func (c *call) seal(res Result, err error) (Result, error) {
 	tid := c.span.Trace()
 	res.TraceID = tid
-	res.Stages = c.stages
 	if err != nil {
 		if pe, ok := err.(*PartialError); ok {
 			pe.Res.TraceID = tid

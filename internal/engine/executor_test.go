@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -103,22 +104,20 @@ func TestRetrieveMergesUnderCostModel(t *testing.T) {
 	if len(res.Records) != 3 || res.Records[0][0] != "x" || res.Records[2][0] != "z" {
 		t.Fatalf("merged records wrong: %v", res.Records)
 	}
+	if want := []int{2, 7, 0, 0}; !slices.Equal(res.DeviceBuckets, want) {
+		t.Errorf("DeviceBuckets = %v, want %v", res.DeviceBuckets, want)
+	}
+	if want := []int{5, 9, 0, 0}; !slices.Equal(res.DeviceRecords, want) {
+		t.Errorf("DeviceRecords = %v, want %v", res.DeviceRecords, want)
+	}
+	// Idle devices are not charged PerQuery: only devices 0 and 1 count.
 	m := engine.MainMemory
-	for dev, want := range []time.Duration{
-		m.DeviceTime(2, 5),
-		m.DeviceTime(7, 9),
-		0, // idle devices are not charged PerQuery
-		0,
-	} {
-		if res.DeviceTime[dev] != want {
-			t.Errorf("device %d time %v, want %v", dev, res.DeviceTime[dev], want)
-		}
+	t0, t1 := m.DeviceTime(res.DeviceBuckets[0], res.DeviceRecords[0]), m.DeviceTime(res.DeviceBuckets[1], res.DeviceRecords[1])
+	if res.Response != t1 {
+		t.Errorf("Response = %v, want slowest device %v", res.Response, t1)
 	}
-	if res.Response != m.DeviceTime(7, 9) {
-		t.Errorf("Response = %v, want slowest device", res.Response)
-	}
-	if res.TotalWork != m.DeviceTime(2, 5)+m.DeviceTime(7, 9) {
-		t.Errorf("TotalWork = %v", res.TotalWork)
+	if res.TotalWork != t0+t1 {
+		t.Errorf("TotalWork = %v, want %v", res.TotalWork, t0+t1)
 	}
 	if res.LargestResponseSize != 7 {
 		t.Errorf("LargestResponseSize = %d, want 7", res.LargestResponseSize)
@@ -387,22 +386,6 @@ func TestConfigValidation(t *testing.T) {
 		if _, err := engine.New(cfg); err == nil {
 			t.Errorf("%s accepted", name)
 		}
-	}
-}
-
-func TestAccumulateCost(t *testing.T) {
-	resp, total, largest := engine.AccumulateCost(
-		[]time.Duration{3 * time.Millisecond, 9 * time.Millisecond, 1 * time.Millisecond},
-		[]int{4, 2, 7},
-	)
-	if resp != 9*time.Millisecond {
-		t.Errorf("response = %v", resp)
-	}
-	if total != 13*time.Millisecond {
-		t.Errorf("total = %v", total)
-	}
-	if largest != 7 {
-		t.Errorf("largest = %d", largest)
 	}
 }
 

@@ -29,9 +29,9 @@ func privateBundle(backend string, m int) *telemetry.Instruments {
 // TestOneRecordFeedsEverySink retrieves one bound-violating Modulo
 // query (the §4 adversarial shape of TestAuditorFlagsModuloSparesFX)
 // and checks that the shape's slowest-8 and the event ring hold the very
-// same record, and that the audit row, the cost profile, the caller's
-// Result and the retained trace all agree with it on shape, |R(q)|,
-// bound, trace ID, stages and per-device buckets.
+// same record, holding the five stages in order, and that the audit row,
+// the cost profile, the caller's Result and the retained trace all agree
+// with it on shape, |R(q)|, bound, trace ID and per-device buckets.
 func TestOneRecordFeedsEverySink(t *testing.T) {
 	f := mkhash.MustNew(mkhash.Schema{Fields: []string{"a", "b", "c"}, Depths: []int{1, 1, 1}})
 	fs, err := decluster.NewFileSystem([]int{2, 2, 2}, 4)
@@ -87,8 +87,8 @@ func TestOneRecordFeedsEverySink(t *testing.T) {
 	if res.TraceID == 0 || rec.TraceID != res.TraceID {
 		t.Errorf("trace id: record %d, result %d", rec.TraceID, res.TraceID)
 	}
-	if !reflect.DeepEqual(rec.Stages, res.Stages) || len(res.Stages) != 5 {
-		t.Errorf("stages: record %+v, result %+v", rec.Stages, res.Stages)
+	if got := stageNames(rec.Stages); !reflect.DeepEqual(got, fiveStages) {
+		t.Errorf("record stages %v, want %v", got, fiveStages)
 	}
 	var top time.Duration
 	for _, st := range rec.Stages[:4] {
@@ -140,6 +140,17 @@ func TestOneRecordFeedsEverySink(t *testing.T) {
 	}
 }
 
+// fiveStages is a query record's breakdown, in the order its stages close.
+var fiveStages = []string{obs.StagePlan, obs.StageFanout, obs.StageMerge, obs.StageAudit, obs.StageDeviceScan}
+
+func stageNames(stages []obs.StageSample) []string {
+	names := make([]string, len(stages))
+	for i, st := range stages {
+		names[i] = st.Stage
+	}
+	return names
+}
+
 // lateDevice ignores cancellation and answers after a fixed delay — a
 // straggler that is still going to write its answer slot long after the
 // waiter gave up. The delay is wall-clock on purpose: no happens-before
@@ -178,7 +189,7 @@ func TestAbandonedCallReportsNoDeviceDetail(t *testing.T) {
 	errors0 := in.Metrics.Errors.Value()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
-	res, err := e.Retrieve(ctx, anyQuery(t, f))
+	_, err = e.Retrieve(ctx, anyQuery(t, f))
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("retrieve error = %v, want deadline exceeded", err)
 	}
@@ -199,11 +210,8 @@ func TestAbandonedCallReportsNoDeviceDetail(t *testing.T) {
 		t.Errorf("abandoned call reported per-device detail: devices=%v mismatched=%v buckets=%v",
 			rec.Devices, rec.MismatchedDevices, rec.DeviceBuckets)
 	}
-	if len(rec.Stages) != 5 || rec.Stages[4].Stage != obs.StageDeviceScan || rec.Stages[4].Wall != 0 {
-		t.Errorf("abandoned call reported device scan time: %+v", rec.Stages)
-	}
-	if !reflect.DeepEqual(res.Stages, rec.Stages) {
-		t.Errorf("result stages %+v differ from the record's %+v", res.Stages, rec.Stages)
+	if got := stageNames(rec.Stages); !reflect.DeepEqual(got, fiveStages) || rec.Stages[4].Wall != 0 {
+		t.Errorf("abandoned call's stages %+v: want %v, with no device scan time", rec.Stages, fiveStages)
 	}
 	row := shapeReport(t, in, rec.Shape)
 	if row.Queries != 1 || row.Violations != 0 || row.MaxBuckets != 0 {

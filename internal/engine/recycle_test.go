@@ -19,30 +19,34 @@ import (
 	"fxdist/internal/retry"
 )
 
-// TestKeptStagesOutliveTheCall keeps one result's Stages and runs 100
+// TestKeptStagesOutliveTheCall reads the stages of a kept query record
+// (its shape's first query: head-kept) through the query log and runs 100
 // more retrievals through the same executor: the kept stages must read as
-// they did. Stages that alias the call's buffer read the next query's (or
-// zeros) once the call is recycled.
+// they did. A record that is not kept reads the call's own stage array;
+// a kept one that aliased it too would read the next query's (or zeros)
+// once the call is recycled.
 func TestKeptStagesOutliveTheCall(t *testing.T) {
 	f := testSchema(t)
 	devs := make([]engine.Device, 4)
 	for dev := range devs {
 		devs[dev] = fixedDevice{ans: engine.Answer{Buckets: 1, Records: 1}}
 	}
-	e, err := engine.New(planned(t, f, engine.Config{
-		Devices: devs, Model: engine.MainMemory, Instr: privateBundle("kept-stages", len(devs)),
-	}))
+	in := privateBundle("kept-stages", len(devs))
+	e, err := engine.New(planned(t, f, engine.Config{Devices: devs, Model: engine.MainMemory, Instr: in}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.Retrieve(context.Background(), anyQuery(t, f))
-	if err != nil {
+	if _, err := e.Retrieve(context.Background(), anyQuery(t, f)); err != nil {
 		t.Fatal(err)
 	}
-	kept := res.Stages
+	events := in.Events(8)
+	if len(events) != 1 {
+		t.Fatalf("%d events after the shape's first query, want it kept", len(events))
+	}
+	kept := events[0].Stages
 	want := slices.Clone(kept)
-	if len(kept) != 5 || kept[0].Stage != obs.StagePlan {
-		t.Fatalf("stages = %+v, want plan, fanout, merge, audit and device.scan", kept)
+	if got := stageNames(kept); !reflect.DeepEqual(got, fiveStages) {
+		t.Fatalf("kept stages %v, want %v", got, fiveStages)
 	}
 	for i := 0; i < 100; i++ {
 		if _, err := e.Retrieve(context.Background(), anyQuery(t, f)); err != nil {

@@ -24,7 +24,8 @@ import (
 // yet" is a poll of a counter the gate or the injector publishes.
 
 // heldGate is a gate (tenants "solo" and "duo") over a small loaded
-// memory cluster with an idle fault injector at its device seam.
+// cluster — in memory, or served by local device servers over the wire —
+// with an idle fault injector at its device seam.
 type heldGate struct {
 	*Gate
 	file *fxdist.File
@@ -41,7 +42,10 @@ func (h *heldGate) retrieveBatch(ctx context.Context, t *tenant, pms []fxdist.Pa
 	return h.Gate.retrieveBatch(ctx, t, pms, newRequest())
 }
 
-func newHeldGate(t *testing.T, maxBatch int) *heldGate {
+func newHeldGate(t *testing.T, maxBatch int) *heldGate { return heldGateOver(t, maxBatch, 400, false) }
+
+// heldGateOver is newHeldGate over n records, on the wire if wire is set.
+func heldGateOver(t *testing.T, maxBatch, n int, wire bool) *heldGate {
 	t.Helper()
 	spec := fxdist.RecordSpec{Fields: []fxdist.FieldSpec{
 		{Name: "part", Cardinality: 40}, {Name: "supplier", Cardinality: 8}, {Name: "note", Cardinality: 4}}}
@@ -49,7 +53,7 @@ func newHeldGate(t *testing.T, maxBatch int) *heldGate {
 	if err != nil {
 		t.Fatal(err)
 	}
-	records, err := fxdist.GenerateRecords(spec, 400, 5)
+	records, err := fxdist.GenerateRecords(spec, n, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,8 +70,17 @@ func newHeldGate(t *testing.T, maxBatch int) *heldGate {
 	if err != nil {
 		t.Fatal(err)
 	}
+	cfg := fxdist.Config{File: file, Allocator: fx}
+	if wire {
+		addrs, stop, err := fxdist.DeployLocal(file, fx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(stop)
+		cfg = fxdist.Config{File: file, Addrs: addrs}
+	}
 	inj := fxdist.NewFaultInjector("gate-hold", 1, nil)
-	cluster, err := fxdist.Open(fxdist.Config{File: file, Allocator: fx}, fxdist.WithFaultInjector(inj))
+	cluster, err := fxdist.Open(cfg, fxdist.WithFaultInjector(inj))
 	if err != nil {
 		t.Fatal(err)
 	}

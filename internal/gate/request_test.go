@@ -90,21 +90,27 @@ func TestServeHTTPAllocations(t *testing.T) {
 }
 
 // TestRecycledRequestHammer drives many callers of one shape through
-// ServeHTTP, each request served from pooled request memory. Device 0
-// answers after a millisecond, so rounds form behind every dispatch, and
-// a third of the requests are cancelled a random moment after they are
-// sent: some while they lead a dispatch, some while they wait in a
+// ServeHTTP, each request served from pooled request memory, over device
+// servers whose frames the answers borrow. An answer holds over 170
+// records, more than the engine's 4 KB chunk, so its Records window is a
+// pooled slab the gate's release gives back, and requests recycle
+// windows as well. Device 0 answers after a millisecond, so rounds form
+// behind every dispatch, and a third of the requests are cancelled a
+// random moment after they are sent: some while they lead a dispatch, some while they wait in a
 // backlog as followers, some after they were answered. Every answer must
 // be File.Search's. A request recycled while something can still read
 // it — its round, its abandoned retrieval's devices — shows here as a
 // wrong answer, or as a race under -race (CI runs it ten times over).
 func TestRecycledRequestHammer(t *testing.T) {
-	h := newHeldGate(t, 8) // a backlog of 32: room for every caller and the cancelled
+	h := heldGateOver(t, 8, 2000, true) // a backlog of 32: room for every caller and the cancelled
 	h.inj.Set(0, fxdist.FaultSchedule{Latency: time.Millisecond})
 	const callers, each, values = 16, 25, 8
 	want := make([][]string, values)
 	for v := range want {
 		want[v] = h.want(t, h.query(t, map[string]string{"supplier": fmt.Sprint("supplier-", v)}))
+		if len(want[v]) <= 170 {
+			t.Fatalf("supplier-%d: %d records, want a window wider than a chunk", v, len(want[v]))
+		}
 	}
 	var cancelled, answered atomic.Int64
 	var wg sync.WaitGroup

@@ -12,7 +12,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-	"unsafe"
 
 	"fxdist/internal/decluster"
 	"fxdist/internal/engine"
@@ -585,8 +584,8 @@ func bytesPerRun(c *DurableCluster, runs int, f func()) float64 {
 }
 
 // A durable answer is sized before it is built, once per query: a
-// DurableCluster.Retrieve allocates what its Result holds — records,
-// per-device counts and times, stages — and its hits' field headers (16
+// DurableCluster.Retrieve allocates what its Result holds — records and
+// per-device counts — and its hits' field headers (16
 // bytes a field) and value bytes, each rounded once to a Go size class
 // (at most a quarter, and a page past 32 KiB), however many devices the
 // hits are spread over: not a pair of chunks per device, nor a guessed
@@ -640,8 +639,7 @@ func TestDurableAnswerIsExactlySized(t *testing.T) {
 		got := bytesPerRun(c, 50, run)
 		const valueBytes = len("target") + len("model-0123456789") + len("19990101")
 		fields, values := 16*3*n, valueBytes*n
-		stages := len(res.Stages) * int(unsafe.Sizeof(res.Stages[0]))
-		held := class(24*n) + class(16*m) + class(8*m) + class(stages)
+		held := class(24*n) + class(16*m)
 		if bound := held + class(fields) + class(values); got > float64(bound) {
 			t.Errorf("%d hits: a retrieval allocates %.0f bytes; its result holds %d beside %d header and %d value bytes, bound %d", n, got, held, fields, values, bound)
 		}
@@ -683,7 +681,12 @@ func shortRecordCluster(t *testing.T, opts ...Option) (*DurableCluster, mkhash.P
 // framesTaken counts the Frames slabs handed out and given back since
 // before.
 func framesTaken(before mempool.Stats) (gets, puts uint64) {
-	after := mempool.Frames.Stats()
+	return taken(mempool.Frames.Stats(), before)
+}
+
+// taken counts the slabs a pool handed out and was given back between
+// two snapshots of its stats.
+func taken(after, before mempool.Stats) (gets, puts uint64) {
 	return after.Gets + after.Misses + after.Oversize - before.Gets - before.Misses - before.Oversize,
 		after.Puts + after.Drops - before.Puts - before.Drops
 }
@@ -708,7 +711,9 @@ func TestDurableScanErrorGivesTheSlabBack(t *testing.T) {
 // A retrieval one device of which fails gives back every Frames slab the
 // other devices collected their hits into: failing outright, the executor
 // discards their answers; degraded (retry.Config.Partial, what the root's
-// WithPartialResults sets), it merges them without the failed device's.
+// WithPartialResults sets), it merges them without the failed device's,
+// and the result and its PartialError copy, released, leave no hits slab
+// out: a Records window, had one been drawn, included.
 func TestFailedRetrievalGivesEverySlabBack(t *testing.T) {
 	for _, partial := range []bool{false, true} {
 		var opts []Option
@@ -716,7 +721,7 @@ func TestFailedRetrievalGivesEverySlabBack(t *testing.T) {
 			opts = append(opts, WithRetry(retry.Config{MaxAttempts: 1, Partial: true}))
 		}
 		c, pm, _, dev := shortRecordCluster(t, opts...)
-		before := mempool.Frames.Stats()
+		before, hits := mempool.Frames.Stats(), engine.HitsPool().Stats()
 		res, err := c.Retrieve(pm)
 		gets, puts := framesTaken(before)
 		var pe *engine.PartialError
@@ -729,6 +734,13 @@ func TestFailedRetrievalGivesEverySlabBack(t *testing.T) {
 		// Every device's run reads, and the slabs the others collected into.
 		if gets < 4 || puts != gets {
 			t.Errorf("partial=%t: the failed retrieval took %d Frames slabs and gave %d back", partial, gets, puts)
+		}
+		res.Release()
+		if partial {
+			pe.Res.Release()
+		}
+		if gets, puts := taken(engine.HitsPool().Stats(), hits); puts != gets {
+			t.Errorf("partial=%t: the released result took %d hits slabs and gave %d back", partial, gets, puts)
 		}
 	}
 }
@@ -764,20 +776,21 @@ func BenchmarkDurableWideRetrieve(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			stages := map[string]time.Duration{}
+			in := c.eng.Instruments()
 			b.ReportAllocs()
+			in.ResetCosts()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				res, err := c.Retrieve(pm)
 				if err != nil || len(res.Records) != hits {
 					b.Fatalf("%d records, %v", len(res.Records), err)
 				}
-				for _, s := range res.Stages {
-					stages[s.Stage] += s.Wall
-				}
 			}
-			for _, stage := range []string{obs.StageFanout, obs.StageDeviceScan, obs.StageMerge} {
-				b.ReportMetric(float64(stages[stage].Microseconds())/float64(b.N), stage+"_us/op")
+			for _, st := range in.CostReport().Shapes[0].Stages {
+				switch st.Stage {
+				case obs.StageFanout, obs.StageDeviceScan, obs.StageMerge:
+					b.ReportMetric(float64(st.MeanWall)/float64(time.Microsecond), st.Stage+"_us/op")
+				}
 			}
 		})
 	}

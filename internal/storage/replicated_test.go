@@ -3,6 +3,7 @@ package storage
 import (
 	"sort"
 	"testing"
+	"time"
 
 	"fxdist/internal/decluster"
 	"fxdist/internal/engine"
@@ -115,9 +116,19 @@ func TestReplicatedFailedDeviceIdle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.DeviceBuckets[4] != 0 || res.DeviceTime[4] != 0 {
-		t.Errorf("failed device did work: buckets=%d time=%v",
-			res.DeviceBuckets[4], res.DeviceTime[4])
+	if res.DeviceBuckets[4] != 0 || res.DeviceRecords[4] != 0 {
+		t.Errorf("failed device did work: buckets=%d records=%d",
+			res.DeviceBuckets[4], res.DeviceRecords[4])
+	}
+	// Nor is it charged: the other seven devices' times add up to TotalWork.
+	var work time.Duration
+	for dev := range res.DeviceBuckets {
+		if dev != 4 {
+			work += MainMemory.DeviceTime(res.DeviceBuckets[dev], res.DeviceRecords[dev])
+		}
+	}
+	if res.TotalWork != work {
+		t.Errorf("TotalWork %v, want the seven live devices' %v", res.TotalWork, work)
 	}
 }
 

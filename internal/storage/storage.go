@@ -197,13 +197,14 @@ type SimResult struct {
 
 // Simulate computes the simulated response time of a bucket-level query
 // directly from its per-device load vector (e.g. convolve.Loads) —
-// §5.2.1's model via the same cost accumulation the executor merge uses.
+// §5.2.1's model as the executor merge charges it: the slowest device,
+// the sum of the device times, the largest load.
 func Simulate(loads []int, model CostModel) SimResult {
-	times := make([]time.Duration, len(loads))
-	for i, l := range loads {
-		times[i] = model.DeviceTime(l, 0)
-	}
 	res := SimResult{Loads: loads}
-	res.Response, res.TotalWork, res.LargestResponseSize = engine.AccumulateCost(times, loads)
+	for _, l := range loads {
+		t := model.DeviceTime(l, 0)
+		res.Response, res.TotalWork = max(res.Response, t), res.TotalWork+t
+		res.LargestResponseSize = max(res.LargestResponseSize, l)
+	}
 	return res
 }

@@ -136,12 +136,12 @@ func TestRetrieveCostAccounting(t *testing.T) {
 	}
 	// Response = max device time; TotalWork = sum.
 	var sum, max time.Duration
-	for dev, dt := range res.DeviceTime {
-		wantTime := MainMemory.PerQuery +
-			time.Duration(res.DeviceBuckets[dev])*MainMemory.PerBucket +
+	for dev, b := range res.DeviceBuckets {
+		dt := MainMemory.PerQuery +
+			time.Duration(b)*MainMemory.PerBucket +
 			time.Duration(res.DeviceRecords[dev])*MainMemory.PerRecord
-		if dt != wantTime {
-			t.Errorf("device %d time %v, want %v", dev, dt, wantTime)
+		if got := MainMemory.DeviceTime(b, res.DeviceRecords[dev]); got != dt {
+			t.Errorf("device %d time %v, want %v", dev, got, dt)
 		}
 		sum += dt
 		if dt > max {
@@ -216,5 +216,8 @@ func TestSimulateEmptyDevices(t *testing.T) {
 	want := MainMemory.PerQuery + 3*MainMemory.PerBucket
 	if res.Response != want {
 		t.Errorf("Response = %v, want %v", res.Response, want)
+	}
+	if work := 4*MainMemory.PerQuery + 3*MainMemory.PerBucket; res.TotalWork != work {
+		t.Errorf("TotalWork = %v, want %v", res.TotalWork, work)
 	}
 }

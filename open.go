@@ -449,9 +449,9 @@ func (c *Cluster) Spec(pairs map[string]string) (PartialMatch, error) {
 // RetrieveContext answers one value-level partial match query. It is
 // the canonical retrieval entry point on every backend kind; Retrieve
 // is its context.Background() wrapper. The distributed backend carries
-// no cost model, so its results leave Response, TotalWork and
-// DeviceTime zero. A degraded retrieval (WithPartialResults) carries the
-// surviving devices' answer alongside its PartialResult error.
+// no cost model, so its results leave Response and TotalWork zero. A
+// degraded retrieval (WithPartialResults) carries the surviving devices'
+// answer alongside its PartialResult error.
 func (c *Cluster) RetrieveContext(ctx context.Context, pm PartialMatch) (RetrieveResult, error) {
 	be, reads := c.acquire()
 	defer reads.RUnlock()

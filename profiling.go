@@ -16,9 +16,9 @@ import (
 // slowest queries per shape are retained with full evidence on
 // /debug/flight.
 
-// StageSample is one stage measurement of one query (see
-// RetrieveResult.Stages): wall time plus heap-allocation deltas for
-// engine stages, wire bytes for the coordinator's net.* stages.
+// StageSample is one stage measurement of one query (a kept QueryEvent's
+// Stages): wall time plus heap-allocation deltas for engine stages, wire
+// bytes for the coordinator's net.* stages.
 type StageSample = obs.StageSample
 
 // Stage names of the cost breakdown. The four top-level stages
