@@ -25,6 +25,7 @@ import (
 	"fxdist/client"
 	"fxdist/internal/analysis"
 	"fxdist/internal/bitsx"
+	"fxdist/internal/butterfly"
 	"fxdist/internal/decluster"
 	"fxdist/internal/field"
 	"fxdist/internal/gate"
@@ -635,7 +636,7 @@ func BenchmarkButterflyRepartition(b *testing.B) {
 		b.Fatal(err)
 	}
 	md := fxdist.NewModulo(fs)
-	nw, err := fxdist.NewButterfly(16)
+	nw, err := butterfly.New(16)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -186,7 +186,7 @@ func explainResult(cluster *fxdist.Cluster, file *fxdist.File, fs fxdist.FileSys
 	if res.TraceID == 0 {
 		return
 	}
-	for _, tree := range fxdist.RecentTraceTrees(256) {
+	for _, tree := range cluster.RecentTraceTrees(256) {
 		if tree.TraceID == res.TraceID {
 			fmt.Printf("    trace %d:\n", res.TraceID)
 			printTree(tree, "      ")

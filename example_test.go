@@ -81,13 +81,3 @@ func ExampleFindWitness() {
 	// Output:
 	// true [0 1] 2 1
 }
-
-// ExampleNewButterfly routes one message through the simulated Butterfly
-// interconnect.
-func ExampleNewButterfly() {
-	nw, _ := fxdist.NewButterfly(8)
-	stats, _ := nw.Run([]fxdist.NetworkMessage{{Src: 5, Dst: 2}})
-	fmt.Printf("%d stages, delivered in %d cycles\n", nw.Stages(), stats.Cycles)
-	// Output:
-	// 3 stages, delivered in 4 cycles
-}

@@ -16,6 +16,7 @@ import (
 
 	"fxdist"
 	"fxdist/internal/analysis"
+	"fxdist/internal/butterfly"
 	"fxdist/internal/storage"
 	"fxdist/internal/workload"
 )
@@ -75,7 +76,7 @@ func main() {
 	// The interconnect is real on a Butterfly: simulate repartitioning
 	// this query's qualified buckets through the 512-node network (the
 	// parallel-projection traffic pattern of the machine's era).
-	nw, err := fxdist.NewButterfly(m)
+	nw, err := butterfly.New(m)
 	check(err)
 	msgs, err := nw.Repartition(fxdist.Loads(fx, q), 7)
 	check(err)

@@ -80,8 +80,9 @@ type DeviceFailure = engine.DeviceFailure
 
 // TracedError wraps a retrieval error with the trace id of the failed
 // retrieval — every retrieval error from a traced cluster carries one,
-// so log lines join against RecentTraces//debug/traces output. Match
-// with errors.As; Unwrap exposes the underlying cause.
+// so log lines join against the cluster's RecentTraces (its
+// /debug/traces) and each device server's /debug/traces. Match with
+// errors.As; Unwrap exposes the underlying cause.
 type TracedError = engine.TracedError
 
 // QueryError is one failed query of a RetrieveBatch: its index in the
@@ -107,8 +108,8 @@ type RetrieveResult = storage.Result
 
 // ProjectResult reports a parallel projection with duplicate elimination
 // (Cluster.Project) — the relational operator the paper's Butterfly
-// citation [RoJa87] studies. Pass a ButterflyNetwork to cost the gather
-// phase on the simulated interconnect.
+// citation [RoJa87] studies. Pass a butterfly network (internal/butterfly)
+// to cost the gather phase on the simulated interconnect.
 type ProjectResult = storage.ProjectResult
 
 // ReplicatedCluster is a simulated cluster with chained-declustering

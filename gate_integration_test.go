@@ -686,8 +686,6 @@ func TestGateGivesBackADegradedAnswer(t *testing.T) {
 
 	// 4 queries, one field specified each, and how many devices other
 	// than device 0 hold a match: each lends one header slab and frame.
-	// Few, because every degraded query pins a trace tree in the process
-	// tracer's retained buffer, which TestKeptEventHasRetainedTrace needs.
 	queries := make([]map[string]string, 4)
 	var wantLent uint64
 	for i := range queries {

@@ -108,8 +108,8 @@ type Device interface {
 // pooled slab that Release gives back.
 type Result struct {
 	// TraceID identifies the retrieval's trace (0 when the executor has
-	// no tracer); join it against obs.Tracer.Recent/Trees to see the
-	// span tree behind this result.
+	// no bundle); join it against the Recent/Trees of the bundle's tracer
+	// and of each device server's to see the span tree behind this result.
 	TraceID uint64
 	// Records are the matching records, grouped by device in device order.
 	Records []mkhash.Record
@@ -204,7 +204,7 @@ func (e *DeviceFailure) Unwrap() error { return e.Err }
 // retrieval, so an error printed in a log line can be joined against
 // /debug/traces output. It unwraps to the underlying error, so errors.Is
 // and errors.As see through it. The executor attaches it to every
-// retrieval error when a tracer is configured.
+// retrieval error when it has a bundle, and so a tracer.
 type TracedError struct {
 	TraceID uint64
 	Err     error

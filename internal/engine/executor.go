@@ -30,9 +30,8 @@ type Config struct {
 	Devices []Device
 	// Model prices each device's work; the zero model reports zero times.
 	Model CostModel
-	// Tracer, if set, opens a span per retrieval.
-	Tracer *obs.Tracer
-	// Span names the tracer spans (e.g. "storage.retrieve").
+	// Span names the spans Instr's tracer opens, one per retrieval (e.g.
+	// "storage.retrieve"); "" opens none.
 	Span string
 	// Workers bounds the worker pool; 0 means max(len(Devices), GOMAXPROCS).
 	Workers int
@@ -52,8 +51,8 @@ type Config struct {
 	// retrieval's query record goes to it — cluster metrics, bound/SLO
 	// audit, stage costs, slowest-8, wide-event ring — and its one keep
 	// decision also drives tail-based trace retention and histogram
-	// exemplars (see report). Nil turns all of it off; only the trace
-	// span remains.
+	// exemplars (see report); its tracer holds the retrieval spans. Nil
+	// turns all of it off, the spans included.
 	Instr *telemetry.Instruments
 	// Alloc is the group allocator behind Devices (required). Its grid is
 	// what bucket queries are validated and counted against, and every
@@ -75,7 +74,6 @@ type Executor struct {
 	devs   []Device
 	model  CostModel
 	in     *telemetry.Instruments
-	tracer *obs.Tracer
 	span   string
 	alloc  decluster.GroupAllocator
 	plans  *plancache.Cache
@@ -140,7 +138,6 @@ func New(cfg Config) (*Executor, error) {
 		devs:    cfg.Devices,
 		model:   cfg.Model,
 		in:      cfg.Instr,
-		tracer:  cfg.Tracer,
 		span:    cfg.Span,
 		alloc:   cfg.Alloc,
 		plans:   cfg.Plans,
@@ -432,9 +429,9 @@ func (e *Executor) begin(ctx context.Context, pm mkhash.PartialMatch, caller str
 	}
 	c.stages = c.samples[:0]
 	c.closeStage(obs.StagePlan)
-	if e.tracer != nil && e.span != "" {
+	if c.instr && e.span != "" {
 		c.span = &c.traced
-		e.tracer.Begin(c.span, e.span, 0, 0)
+		e.in.Tracer.Begin(c.span, e.span, 0, 0)
 	}
 	c.pending.Store(int64(m))
 	c.h = c.plan.Fold(c.q)
@@ -683,7 +680,7 @@ func (e *Executor) report(c *call, res Result, err error) {
 
 	// Always-keep reasons lead Keep, so the tree is filed under the
 	// strongest one.
-	if dec.Kept && e.tracer.Retain(rec.TraceID, rec.Keep[0]) {
+	if dec.Kept && in.Tracer.Retain(rec.TraceID, rec.Keep[0]) {
 		in.Metrics.Exemplar(rec)
 	}
 }

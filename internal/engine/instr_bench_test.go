@@ -6,17 +6,17 @@ import (
 
 	"fxdist/internal/engine"
 	"fxdist/internal/mkhash"
-	"fxdist/internal/obs"
 )
 
 // BenchmarkRetrieveInstrumentation isolates the reporting overhead: the
-// identical executor, tracer and workload, with the full production
-// bundle ("on": cluster metrics, auditor, cost profiler, flight
-// recorder, wide-event log, and the trace retention + exemplars the
-// log's keep decision drives) and with no bundle at all ("off": the
-// only way to turn reporting off). The devices answer instantly, so the
-// measured delta is the absolute per-query reporting cost — an upper
-// bound on its relative overhead for any real retrieval.
+// identical executor and workload, with the full production bundle
+// ("on": cluster metrics, auditor, cost profiler, flight recorder,
+// wide-event log, the tracer's spans, and the trace retention +
+// exemplars the log's keep decision drives) and with no bundle at all
+// ("off": the only way to turn reporting off, spans included). The
+// devices answer instantly, so the measured delta is the absolute
+// per-query reporting cost — an upper bound on its relative overhead for
+// any real retrieval.
 func BenchmarkRetrieveInstrumentation(b *testing.B) {
 	for _, mode := range []struct {
 		name  string
@@ -31,8 +31,7 @@ func BenchmarkRetrieveInstrumentation(b *testing.B) {
 				// the ordinary head-then-sampled traffic.
 				devs[d] = fixedDevice{ans: engine.Answer{Buckets: 1, Records: 4, Hits: []mkhash.Record{rec("x", "y")}}}
 			}
-			cfg := planned(b, f, engine.Config{Devices: devs, Model: engine.MainMemory,
-				Tracer: obs.DefaultTracer(), Span: "bench.retrieve"})
+			cfg := planned(b, f, engine.Config{Devices: devs, Model: engine.MainMemory, Span: "bench.retrieve"})
 			if mode.instr {
 				cfg.Instr = privateBundle("bench", len(devs))
 			}

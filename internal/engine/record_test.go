@@ -45,10 +45,8 @@ func TestOneRecordFeedsEverySink(t *testing.T) {
 		devices[dev] = allocDevice{im: im, dev: dev}
 	}
 	in := privateBundle("one-record", fs.M)
-	tracer := obs.NewTracer(64)
 	e, err := engine.New(planned(t, f, engine.Config{
-		Alloc: mod, Devices: devices, Instr: in,
-		Tracer: tracer, Span: "test.retrieve",
+		Alloc: mod, Devices: devices, Instr: in, Span: "test.retrieve",
 	}))
 	if err != nil {
 		t.Fatal(err)
@@ -127,7 +125,7 @@ func TestOneRecordFeedsEverySink(t *testing.T) {
 	if got := in.Metrics.Retrieves.Value() - retrieves0; got != 1 {
 		t.Errorf("retrieves counter moved by %d, want 1", got)
 	}
-	kept, ok := tracer.RetainedTrace(res.TraceID)
+	kept, ok := in.Tracer.RetainedTrace(res.TraceID)
 	if !ok || kept.Reason != obs.KeepBound {
 		t.Errorf("trace %d retained=%v reason=%q, want kept for %q", res.TraceID, ok, kept.Reason, obs.KeepBound)
 	}

@@ -14,7 +14,6 @@ import (
 
 	"fxdist/internal/engine"
 	"fxdist/internal/mkhash"
-	"fxdist/internal/obs"
 	"fxdist/internal/query"
 	"fxdist/internal/retry"
 )
@@ -177,7 +176,6 @@ func TestCallRecycleHammer(t *testing.T) {
 		Devices: []engine.Device{dev(200*time.Microsecond, 5), dev(0, 4), dev(0, 4), dev(0, 4)},
 		Model:   engine.MainMemory,
 		Instr:   privateBundle("recycle-hammer", 4),
-		Tracer:  obs.NewTracer(64),
 		Span:    "test.retrieve",
 		Retry:   rc,
 		Backup:  func(int) engine.Device { return backup },

@@ -130,5 +130,5 @@ func (g *Gate) DebugHandler() http.Handler {
 			},
 		)}
 	metrics := obs.MetricsEndpoint(g.cfg.Cluster.Metrics, g.Metrics)
-	return obs.HandlerFor(obs.DefaultTracer(), append(g.cfg.Cluster.DebugEndpoints(), tenants, metrics)...)
+	return obs.HandlerFor(append(g.cfg.Cluster.DebugEndpoints(), tenants, metrics)...)
 }

@@ -318,7 +318,6 @@ func (dc *deviceConn) roundTrip(ctx context.Context, req Request, timeout time.D
 type Coordinator struct {
 	file     *mkhash.File
 	dm       []coordDevMetrics
-	tracer   *obs.Tracer
 	timeout  time.Duration
 	failover bool
 	epoch    int
@@ -411,7 +410,7 @@ func WithFailover() DialOption {
 // says it is device i, all under one spec (WithSpec's, when given) whose
 // M is len(addrs) and whose grid is the file's.
 func Dial(file *mkhash.File, addrs []string, opts ...DialOption) (*Coordinator, error) {
-	c := &Coordinator{file: file, tracer: obs.DefaultTracer()}
+	c := &Coordinator{file: file}
 	for _, opt := range opts {
 		opt(c)
 	}
@@ -457,7 +456,6 @@ func Dial(file *mkhash.File, addrs []string, opts ...DialOption) (*Coordinator, 
 		Alloc:   alloc,
 		Devices: devices,
 		Instr:   c.in,
-		Tracer:  c.tracer,
 		Span:    span,
 		Plans:   plans,
 		Retry:   c.ctrl,

@@ -181,7 +181,7 @@ type Server struct {
 
 	sm     serverMetrics
 	reg    *obs.Registry
-	tracer *obs.Tracer
+	tracer *obs.Tracer // the server's own spans, joined to the coordinator's tree by trace ID
 	// shapeCounts caches the per-shape request counters so the serve loop
 	// never re-resolves registry entries, nor forms a string to look one
 	// up; the federated fleet view sums these across nodes.
@@ -230,6 +230,11 @@ func (v *view) admit(part storage.Partition) error {
 	return part.Admit(v.im.Allocator(), v.dev)
 }
 
+// serverSpans is the size of a server's span ring. A server opens one
+// short span per device request and retains no trees: eight in-process
+// servers hold what a cluster's 256-span ring holds.
+const serverSpans = 32
+
 // NewServer builds a device server from a serialized allocator spec and
 // the device's bucket partition (keyed by FileSystem.Linear index). The
 // server verifies that every bucket it is handed actually belongs to this
@@ -249,7 +254,7 @@ func NewServer(deviceID int, spec decluster.Spec, buckets storage.Partition) (*S
 		cur:         cur,
 		shapeCounts: make(map[string]*obs.Counter),
 		reg:         telemetry.NewRegistry(),
-		tracer:      obs.DefaultTracer(),
+		tracer:      obs.NewTracer(serverSpans),
 		listeners:   make(map[net.Listener]struct{}),
 		conns:       make(map[net.Conn]struct{}),
 	}
@@ -265,10 +270,11 @@ func (s *Server) DeviceID() int { return s.deviceID }
 // own, so N servers in one process are N nodes.
 func (s *Server) Metrics() *obs.Registry { return s.reg }
 
-// DebugHandler serves the server's observability: its /metrics, the
-// trace ring, /debug/pprof/ and the process's /debug/mempool.
+// DebugHandler serves the server's observability: its /metrics, its own
+// /debug/traces, /debug/pprof/ and the process's /debug/mempool.
 func (s *Server) DebugHandler() http.Handler {
-	return obs.HandlerFor(s.tracer, mempool.Endpoint(), obs.MetricsEndpoint(s.Metrics))
+	return obs.HandlerFor(mempool.Endpoint(), obs.MetricsEndpoint(s.Metrics),
+		obs.TracesEndpoint(func() *obs.Tracer { return s.tracer }))
 }
 
 // shapeCounter returns (caching) the request counter of the shape whose

@@ -40,48 +40,50 @@ func MetricsEndpoint(regs ...func() *Registry) Endpoint {
 		})}
 }
 
-// HandlerFor builds an observability handler over tracer t (nil omits
-// its surface) plus exactly the endpoints given — /metrics among them
-// when the owner passes its MetricsEndpoint:
+// TracesEndpoint serves /debug/traces: the recent spans of the tracer t
+// returns, read at request time, as JSON (?n=K, default 32; ?tree=1
+// stitches parent→child span trees; ?retained=1 lists tail-sampled kept
+// trees).
+func TracesEndpoint(t func() *Tracer) Endpoint {
+	return Endpoint{"/debug/traces", "recent query spans (?n=K; ?tree=1 stitches parent→child; ?retained=1 lists tail-sampled kept trees)",
+		http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+			n := 32
+			if v, err := strconv.Atoi(req.URL.Query().Get("n")); err == nil {
+				n = v
+			}
+			var doc any
+			switch tr := t(); {
+			case req.URL.Query().Get("retained") == "1":
+				doc = tr.Retained(n)
+			case req.URL.Query().Get("tree") == "1":
+				doc = tr.Trees(n)
+			default:
+				doc = tr.Recent(n)
+			}
+			var buf bytes.Buffer
+			enc := json.NewEncoder(&buf)
+			enc.SetIndent("", "  ")
+			if err := enc.Encode(doc); err != nil {
+				http.Error(w, err.Error(), http.StatusInternalServerError)
+				return
+			}
+			w.Header().Set("Content-Type", "application/json; charset=utf-8")
+			w.Write(buf.Bytes()) //nolint:errcheck // client gone
+		})}
+}
+
+// HandlerFor builds an observability handler over exactly the endpoints
+// given — /metrics and /debug/traces among them when the owner passes
+// its MetricsEndpoint and TracesEndpoint — plus:
 //
-//	/debug/traces       t's recent query spans as JSON (?n=K, default 32;
-//	                    ?tree=1 stitches parent→child span trees;
-//	                    ?retained=1 lists tail-sampled kept trees)
 //	/debug/pprof/       net/http/pprof runtime profiles
 //	/debug/             index of every path the handler mounts
-func HandlerFor(t *Tracer, endpoints ...Endpoint) http.Handler {
+func HandlerFor(endpoints ...Endpoint) http.Handler {
 	mux := http.NewServeMux()
 	var index []Endpoint
 	mount := func(ep Endpoint) {
 		mux.Handle(ep.Path, ep.Handler)
 		index = append(index, ep)
-	}
-	if t != nil {
-		mount(Endpoint{"/debug/traces", "recent query spans (?n=K; ?tree=1 stitches parent→child; ?retained=1 lists tail-sampled kept trees)",
-			http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-				n := 32
-				if v, err := strconv.Atoi(req.URL.Query().Get("n")); err == nil {
-					n = v
-				}
-				var doc any
-				switch {
-				case req.URL.Query().Get("retained") == "1":
-					doc = t.Retained(n)
-				case req.URL.Query().Get("tree") == "1":
-					doc = t.Trees(n)
-				default:
-					doc = t.Recent(n)
-				}
-				var buf bytes.Buffer
-				enc := json.NewEncoder(&buf)
-				enc.SetIndent("", "  ")
-				if err := enc.Encode(doc); err != nil {
-					http.Error(w, err.Error(), http.StatusInternalServerError)
-					return
-				}
-				w.Header().Set("Content-Type", "application/json; charset=utf-8")
-				w.Write(buf.Bytes()) //nolint:errcheck // client gone
-			})})
 	}
 	mount(Endpoint{"/debug/pprof/", "net/http/pprof runtime profiles (cpu, heap, goroutine, ...)", http.HandlerFunc(pprof.Index)})
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)

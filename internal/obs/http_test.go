@@ -19,7 +19,7 @@ func TestHandlerEndpoints(t *testing.T) {
 
 	extra := Endpoint{Path: "/debug/extra", Desc: "one extra view", Handler: DebugEndpoint(
 		func() (any, error) { return map[string]int{"n": 1}, nil }, nil)}
-	srv := httptest.NewServer(HandlerFor(tr, MetricsEndpoint(func() *Registry { return r }), extra))
+	srv := httptest.NewServer(HandlerFor(MetricsEndpoint(func() *Registry { return r }), TracesEndpoint(func() *Tracer { return tr }), extra))
 	defer srv.Close()
 
 	get := func(path string) (int, string) {
@@ -83,7 +83,7 @@ func TestHandlerEndpoints(t *testing.T) {
 }
 
 func TestListenAndServe(t *testing.T) {
-	addr, stop, err := ListenAndServe("127.0.0.1:0", HandlerFor(nil, MetricsEndpoint(NewRegistry)))
+	addr, stop, err := ListenAndServe("127.0.0.1:0", HandlerFor(MetricsEndpoint(NewRegistry)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,15 +8,17 @@ import (
 	"time"
 )
 
-// Tracer keeps a bounded ring of recent query spans. A span is created
+// Tracer keeps a bounded ring of one owner's recent query spans: a
+// cluster's bundle has one, each device server another. A span is created
 // when the coordinator (or a device server) starts work on a query and
 // carries timestamped events; spans on both sides share the pipelined
 // wire request ID, so a coordinator trace correlates with the matching
 // server traces. Spans additionally carry a trace ID and a parent span
 // ID: the coordinator's retrieval span is the root of a trace, and the
 // device-server spans it fans out to are its children — the netdist
-// protocol propagates both IDs on the wire, so one query stitches into
-// a single parent→child tree even across processes (see Trees).
+// protocol propagates both IDs on the wire, so the servers' spans of one
+// query join the coordinator's tree by trace ID, in one process or many
+// (see Trees).
 //
 // Spans live in their owners and the ring holds span values (DESIGN §8),
 // so watching allocates nothing. Lock order: retainMu, mu, a span's mu.
@@ -93,35 +95,21 @@ func (r *retained) tree() RetainedTrace {
 	return RetainedTrace{TraceID: r.traceID, Reason: r.reason, At: r.at, Root: root}
 }
 
-// NewTracer returns a tracer retaining the last capacity spans. Span
-// ids count up from 1 — deterministic, which tests rely on; the
-// process-wide DefaultTracer instead starts from a random epoch so ids
-// crossing the wire don't collide between processes.
+// NewTracer returns a tracer retaining the last capacity spans, for one
+// owner: a cluster's bundle or a device server. Its span IDs count up
+// from a random epoch: a device server receives coordinator span IDs
+// off the wire, and with every tracer counting from 1 a server's own
+// span ID would collide with the coordinator's parent ID and Trees
+// would stitch foreign spans into the wrong tree (or cycle a span onto
+// itself).
 func NewTracer(capacity int) *Tracer {
-	return &Tracer{ring: make([]slot, max(capacity, 1))}
+	return &Tracer{ring: make([]slot, max(capacity, 1)), seq: rand.Uint64() >> 1} // 2^63 IDs of headroom
 }
-
-// newProcessTracer seeds the span-id sequence with a per-process random
-// epoch. Device servers receive coordinator span ids off the wire;
-// with every process counting from 1, a server's own span id would
-// collide with the coordinator's parent id and Trees would stitch
-// foreign spans into the wrong tree (or cycle a span onto itself).
-func newProcessTracer(capacity int) *Tracer {
-	t := NewTracer(capacity)
-	t.seq = rand.Uint64() >> 1 // keep 2^63 ids of monotonic headroom
-	return t
-}
-
-var defaultTracer = newProcessTracer(256)
-
-// DefaultTracer returns the process-wide tracer the instrumented
-// packages record against.
-func DefaultTracer() *Tracer { return defaultTracer }
 
 // Begin starts s — new, or reused once it ended — as a span named name
 // and links it from the next ring slot (in-flight spans are visible in
 // Recent, marked not Done). traceID and parent place it inside an existing
-// trace — both may come off the wire from another process; traceID 0
+// trace — both may come off the wire from another owner; traceID 0
 // starts a new root, whose trace ID is its own span ID. A nil tracer
 // leaves s alone.
 func (t *Tracer) Begin(s *Span, name string, traceID, parent uint64) {
@@ -240,7 +228,7 @@ type SpanTree struct {
 
 // Trees groups up to n recent spans into parent→child trees, most
 // recent root first. A span whose parent is absent from the window
-// (evicted from the ring, or rooted in another process's tracer) is
+// (evicted from the ring, or rooted in another owner's tracer) is
 // promoted to a root so no span is dropped.
 func (t *Tracer) Trees(n int) []SpanTree {
 	return stitchTrees(t.Recent(n))
@@ -260,7 +248,7 @@ func stitchTrees(snaps []SpanSnapshot) []SpanTree {
 	var roots []SpanSnapshot
 	for _, s := range snaps {
 		// Attach only under a local parent in the same trace; a parent id
-		// minted by another process can collide with a local span id, and
+		// minted by another owner can collide with a local span id, and
 		// a span must never parent itself.
 		ptrace, ok := present[s.Parent]
 		if s.Parent != 0 && s.Parent != s.ID && ok && ptrace == s.TraceID {

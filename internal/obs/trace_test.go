@@ -136,6 +136,7 @@ func TestSpilledRepliesReuseTheirBuffers(t *testing.T) {
 
 func TestTracerRingWraps(t *testing.T) {
 	tr := NewTracer(4)
+	epoch := tr.seq
 	for i := 0; i < 10; i++ {
 		begin(tr, "s", 0, 0).End()
 	}
@@ -143,8 +144,8 @@ func TestTracerRingWraps(t *testing.T) {
 	if len(got) != 4 {
 		t.Fatalf("ring kept %d spans, want 4", len(got))
 	}
-	// IDs are 1..10; the ring keeps the last 4, most recent first.
-	for i, want := range []uint64{10, 9, 8, 7} {
+	// IDs are epoch+1..epoch+10; the ring keeps the last 4, most recent first.
+	for i, want := range []uint64{epoch + 10, epoch + 9, epoch + 8, epoch + 7} {
 		if got[i].ID != want {
 			t.Errorf("span %d id = %d, want %d", i, got[i].ID, want)
 		}
@@ -253,12 +254,13 @@ func TestTreesStitchParentChild(t *testing.T) {
 }
 
 // TestTreesForeignParentIDCollision reproduces the cross-process trap:
-// every process's span ids would count from 1, so a server's first
-// local span can share an id with the remote coordinator parent it (or
-// a sibling) references. Such spans must become roots — never parent
+// were every tracer's span ids to count from 1, a server's first local
+// span could share an id with the remote coordinator parent it (or a
+// sibling) references. Such spans must become roots — never parent
 // themselves, never adopt a same-id span from a different trace.
 func TestTreesForeignParentIDCollision(t *testing.T) {
 	tr := NewTracer(8)
+	tr.seq = 0 // count from 1, as every tracer once did
 	// Local span id 1 whose wire parent is also id 1 (the remote
 	// coordinator's root): self-id parent, must be promoted.
 	self := begin(tr, "serve-a", 1, 1)
@@ -278,13 +280,18 @@ func TestTreesForeignParentIDCollision(t *testing.T) {
 	}
 }
 
-// TestDefaultTracerRandomEpoch: the process tracer's span ids start at
-// a random epoch so two processes' ids (and trace ids) don't collide.
-func TestDefaultTracerRandomEpoch(t *testing.T) {
-	sp := begin(DefaultTracer(), "epoch-probe", 0, 0)
-	sp.End()
-	if sp.SpanID() < 1<<32 {
-		t.Errorf("default tracer span id %d looks sequential, want random epoch", sp.SpanID())
+// TestTracerRandomEpoch: every owner's tracer starts its span ids at a
+// random epoch, so two owners' ids (and trace ids) don't collide — in
+// one process or across the wire.
+func TestTracerRandomEpoch(t *testing.T) {
+	a, b := begin(NewTracer(4), "epoch-probe", 0, 0), begin(NewTracer(4), "epoch-probe", 0, 0)
+	a.End()
+	b.End()
+	if a.SpanID() < 1<<32 || b.SpanID() < 1<<32 {
+		t.Errorf("span ids %d and %d look sequential, want a random epoch", a.SpanID(), b.SpanID())
+	}
+	if a.SpanID() == b.SpanID() {
+		t.Errorf("two tracers both started at span id %d", a.SpanID())
 	}
 }
 

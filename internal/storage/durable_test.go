@@ -564,7 +564,7 @@ func warmPastKept(c *DurableCluster, run func()) {
 // one run of f, a retrieval from c, allocates after a warm-up run —
 // averaged over the runs c's query log did not keep. A kept run (1 in 16
 // once warmPastKept has run) also copies its record and per-device
-// detail, and the process's trace retention may grow to hold its tree:
+// detail, and the cluster's trace retention may grow to hold its tree:
 // the log's cost, not the answer's.
 func bytesPerRun(c *DurableCluster, runs int, f func()) float64 {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))

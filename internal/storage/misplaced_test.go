@@ -57,7 +57,7 @@ func TestMisplacedBucketIsCaught(t *testing.T) {
 	}
 	defer c.Close()
 	in := c.Instruments()
-	views := obs.HandlerFor(nil, telemetry.Endpoints(func() *telemetry.Instruments { return in })...)
+	views := obs.HandlerFor(telemetry.Endpoints(func() *telemetry.Instruments { return in })...)
 
 	pm := mkhash.PartialMatch{nil, nil, nil} // shape "***": every device holds 16 of 64
 	if _, err := c.Retrieve(pm); err != nil {

@@ -4,7 +4,6 @@ import (
 	"fxdist/internal/audit"
 	"fxdist/internal/engine"
 	"fxdist/internal/mkhash"
-	"fxdist/internal/obs"
 	"fxdist/internal/plancache"
 	"fxdist/internal/resilience"
 	"fxdist/internal/retry"
@@ -50,7 +49,8 @@ func WithFileOptions(opts ...mkhash.Option) Option {
 
 // engineConfig stamps onto an engine config everything a storage backend
 // builds for itself from its kind label — its own reporting bundle (with
-// the kind's cluster metrics), tracer, plan cache and retry controller. Hedge backups re-dispatch the same device — a second
+// the kind's cluster metrics and its tracer), plan cache and retry
+// controller. Hedge backups re-dispatch the same device — a second
 // independent scan races the first; local backends hold no impersonable
 // backup copy (the replicated cluster's successor routes buckets by the
 // placement's Server decision, so asking it directly would answer the
@@ -59,7 +59,6 @@ func (s *settings) engineConfig(kind string, cfg engine.Config) engine.Config {
 	cfg.Instr = telemetry.New(kind, audit.SLO{})
 	reg := cfg.Instr.Registry
 	cfg.Instr.Metrics = telemetry.NewClusterMetrics(reg, kind, len(cfg.Devices))
-	cfg.Tracer = obs.DefaultTracer()
 	cfg.Span = "storage.retrieve"
 	cfg.Plans = plancache.New(reg, kind)
 	if s.retry != nil {

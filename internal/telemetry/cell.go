@@ -13,10 +13,12 @@ import (
 // The keep policy every backend's store runs on. These were options once
 // (a per-log sampling config, a trace-retention setter, a slots
 // parameter); no caller outside tests ever set one, so they are
-// constants. The two capacities that size other packages' data live
-// with it: obs.FlightSlots (8 per shape) and obs.RetainedTraces (64).
+// constants. The capacities that size other packages' data live with
+// it: obs.FlightSlots (8 per shape), the bundle tracer's span ring and
+// its obs.RetainedTraces (64 kept trees).
 const (
 	ringCapacity = 1024 // kept records per backend
+	traceSpans   = 256  // spans in the bundle's tracer
 	headPerShape = 8    // the first K queries of a shape are always kept
 	sampleEvery  = 16   // then 1 in N of the shape
 )

@@ -30,13 +30,14 @@ func eventsDoc(in *Instruments, backend string, n int) map[string]backendEvents 
 }
 
 // Endpoints are a cluster's per-query views: /debug/optimality,
-// /debug/hotpath, /debug/flight and /debug/events, each read from the
-// bundle in returns at request time (a cluster's bundle changes at a
-// rescale's cutover). Each document is a list (or a map keyed by
-// backend) holding this one bundle, so that readers of its JSON shape
-// stay as they are.
+// /debug/hotpath, /debug/flight, /debug/events and /debug/traces, each
+// read from the bundle in returns at request time (a cluster's bundle
+// changes at a rescale's cutover). Each document is a list (or a map
+// keyed by backend) holding this one bundle, so that readers of its JSON
+// shape stay as they are.
 func Endpoints(in func() *Instruments) []obs.Endpoint {
 	return []obs.Endpoint{
+		obs.TracesEndpoint(func() *obs.Tracer { return in().Tracer }),
 		{Path: "/debug/optimality", Desc: "strict-bound audit per shape: violations, deviation, SLO burn", Handler: obs.DebugEndpoint(
 			func() (any, error) { return []audit.BackendReport{in().AuditReport()}, nil },
 			func(w io.Writer, doc any) { audit.WriteText(w, doc.([]audit.BackendReport)) },

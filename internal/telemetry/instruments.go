@@ -19,18 +19,23 @@ type Instruments struct {
 	// Metrics are the owning cluster's whole-query Prometheus
 	// instruments (nil reports none), set by the cluster's constructor.
 	Metrics *Metrics
+	// Tracer is the cluster's span ring and kept trace trees, its
+	// /debug/traces: the executor opens a span per retrieval on it and
+	// the keep decision retains the trace there.
+	Tracer *obs.Tracer
 	// The store promotes Backend, the bundle's label, Registry, the
 	// cluster's /metrics, and the methods of cell.go and events.go.
 	*store
 }
 
-// New returns an empty bundle, with its own registry, for one cluster of
-// the backend kind label with slo as its default latency objective. Each
-// cluster builds its own: nothing is shared between two clusters, of one
-// kind or not. Everything else the cluster measures (its plan cache,
-// retry controller, metric family) registers in the bundle's Registry.
+// New returns an empty bundle, with its own registry and tracer, for one
+// cluster of the backend kind label with slo as its default latency
+// objective. Each cluster builds its own: nothing is shared between two
+// clusters, of one kind or not. Everything else the cluster measures (its
+// plan cache, retry controller, metric family) registers in the bundle's
+// Registry.
 func New(backend string, slo audit.SLO) *Instruments {
-	return &Instruments{store: newStore(NewRegistry(), backend, slo)}
+	return &Instruments{Tracer: obs.NewTracer(traceSpans), store: newStore(NewRegistry(), backend, slo)}
 }
 
 // NewRegistry returns a node's metric registry — a cluster's or a device

@@ -53,6 +53,28 @@ func scrapeMetrics(t *testing.T, url string) map[string]float64 {
 	return out
 }
 
+// serverSpans joins by trace id: it returns, as childless trees, the
+// spans of traceID that the device servers hold on their own
+// /debug/traces — what a reader of a multi-process deployment does.
+func serverSpans(t *testing.T, servers []*fxdist.DeviceServer, traceID uint64) []fxdist.TraceTree {
+	t.Helper()
+	var out []fxdist.TraceTree
+	for _, s := range servers {
+		w := httptest.NewRecorder()
+		s.DebugHandler().ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/debug/traces?n=32", nil))
+		var spans []fxdist.TraceSpan
+		if err := json.Unmarshal(w.Body.Bytes(), &spans); err != nil {
+			t.Fatalf("device %d: /debug/traces: %v", s.DeviceID(), err)
+		}
+		for _, sp := range spans {
+			if sp.TraceID == traceID {
+				out = append(out, fxdist.TraceTree{SpanSnapshot: sp})
+			}
+		}
+	}
+	return out
+}
+
 // TestMetricsScrapeDuringDistributedRetrieve drives the full stack —
 // durable cluster retrieve, replicated distributed retrieve, one server
 // death — and asserts each cluster's own /metrics scrape reflects each
@@ -155,13 +177,13 @@ func TestMetricsScrapeDuringDistributedRetrieve(t *testing.T) {
 	}
 
 	// The coordinator's trace id rode the wire to every device server, so
-	// the query's spans stitch into one tree: coordinator root, one serve
-	// child per device.
+	// the query's spans join into one tree by trace id: the cluster's
+	// root, one serve child per device from each server's own ring.
 	if got.TraceID == 0 {
 		t.Fatal("retrieve result carries no trace id")
 	}
 	var tree *fxdist.TraceTree
-	trees := fxdist.RecentTraceTrees(256)
+	trees := coord.RecentTraceTrees(256)
 	for i := range trees {
 		if trees[i].ID == got.TraceID {
 			tree = &trees[i]
@@ -171,6 +193,10 @@ func TestMetricsScrapeDuringDistributedRetrieve(t *testing.T) {
 	if tree == nil {
 		t.Fatalf("no span tree for trace %d in recent traces", got.TraceID)
 	}
+	if len(tree.Children) != 0 {
+		t.Fatalf("the cluster's tracer holds %d server spans of trace %d, want its own alone", len(tree.Children), got.TraceID)
+	}
+	tree.Children = serverSpans(t, servers, got.TraceID)
 	if tree.Name != "netdist.retrieve-failover" {
 		t.Errorf("trace root = %q, want netdist.retrieve-failover", tree.Name)
 	}
@@ -267,7 +293,7 @@ func TestMetricsScrapeDuringDistributedRetrieve(t *testing.T) {
 
 	// The failover fan-out also leaves a trace span correlating the
 	// coordinator's view of the query.
-	spans := fxdist.RecentTraces(64)
+	spans := coord.RecentTraces(64)
 	var sawFailover bool
 	for _, sp := range spans {
 		if sp.Name == "netdist.retrieve-failover" {

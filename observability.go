@@ -17,12 +17,12 @@ import (
 // Observability: the runtime introspection surface. Every hot path in
 // the distributed stack (netdist coordinator and device servers, the
 // durable and replicated clusters, the pagestore logs) reports into the
-// metric registry of what it measures — a cluster's, a device server's,
-// a gate's — and a process-wide trace ring; everything a cluster knows
-// about its own queries (metrics, audit, costs, flights, events, plan
-// cache, resilience, rescale, fleet) it holds itself and serves on its
-// DebugHandler. The commands expose the handler of what they opened via
-// -metrics-addr.
+// metric registry and trace ring of what it measures — a cluster's or a
+// device server's (a gate has a registry); everything a cluster knows
+// about its own queries (metrics, traces, audit, costs, flights, events,
+// plan cache, resilience, rescale, fleet) it holds itself and serves on
+// its DebugHandler. The commands expose the handler of what they opened
+// via -metrics-addr.
 
 // MetricPoint is one metric sample: name, kind, labels and either a
 // scalar value (counters, gauges) or a histogram snapshot.
@@ -41,11 +41,10 @@ func (c *Cluster) Metrics() *obs.Registry { return c.backend().Instruments().Reg
 // the /debug/ index shows for it, and its handler.
 type DebugEndpoint = obs.Endpoint
 
-// DebugEndpoints are the paths DebugHandler mounts beside /metrics,
-// /debug/traces and /debug/pprof/: the process-wide /debug/mempool,
-// then this cluster's own views —
-// /debug/optimality, /debug/hotpath, /debug/flight, /debug/events,
-// /debug/plancache, /debug/resilience, /debug/rescale and /debug/cluster
+// DebugEndpoints are the paths DebugHandler mounts beside /metrics and
+// /debug/pprof/: the process-wide /debug/mempool, then this cluster's
+// own views — /debug/traces, /debug/optimality, /debug/hotpath,
+// /debug/flight, /debug/events, /debug/plancache, /debug/resilience, /debug/rescale and /debug/cluster
 // (an empty map on every kind but a stats-pulling netdist cluster). A
 // front door that adds its own views (the gate's /debug/tenants) mounts
 // these with them, and its /metrics renders Metrics before its own
@@ -67,29 +66,36 @@ func (c *Cluster) DebugEndpoints() []DebugEndpoint {
 }
 
 // DebugHandler serves this cluster's observability: its /metrics
-// (Metrics), the trace ring, /debug/pprof/ and DebugEndpoints. Every
-// document holds this cluster alone.
+// (Metrics), /debug/pprof/ and DebugEndpoints. Every document holds this
+// cluster alone.
 func (c *Cluster) DebugHandler() http.Handler {
-	return obs.HandlerFor(obs.DefaultTracer(), append(c.DebugEndpoints(), obs.MetricsEndpoint(c.Metrics))...)
+	return obs.HandlerFor(append(c.DebugEndpoints(), obs.MetricsEndpoint(c.Metrics))...)
 }
+
+// tracer is the serving backend's tracer, read at each call (a rescale's
+// cutover swaps it with the bundle).
+func (c *Cluster) tracer() *obs.Tracer { return c.backend().Instruments().Tracer }
 
 // TraceSpan is a completed or in-flight query trace: coordinator fan-out
 // and device-server spans correlate via RequestID, and parent→child
-// links (TraceID/Parent) stitch one query's spans into a tree even
-// across processes.
+// links (TraceID/Parent) join one query's spans — the cluster's and each
+// device server's, every owner keeping its own — into a tree by trace ID.
 type TraceSpan = obs.SpanSnapshot
 
-// RecentTraces returns up to n recent query spans, most recent first.
-func RecentTraces(n int) []TraceSpan { return obs.DefaultTracer().Recent(n) }
+// RecentTraces returns up to n of this cluster's recent query spans,
+// most recent first (the programmatic /debug/traces).
+func (c *Cluster) RecentTraces(n int) []TraceSpan { return c.tracer().Recent(n) }
 
-// TraceTree is one span and the spans that ran under it — for a netdist
-// query: the coordinator's retrieval span as root with one device-server
-// span per device as children.
+// TraceTree is one span and the spans that ran under it. A netdist
+// query's tree on its cluster is the coordinator's retrieval span; each
+// device server's /debug/traces holds its netdist.serve child, whose
+// trace ID and parent are the root's.
 type TraceTree = obs.SpanTree
 
-// RecentTraceTrees groups up to n recent spans into parent→child trees,
-// most recent root first (the programmatic /debug/traces?tree=1).
-func RecentTraceTrees(n int) []TraceTree { return obs.DefaultTracer().Trees(n) }
+// RecentTraceTrees groups up to n of this cluster's recent spans into
+// parent→child trees, most recent root first (the programmatic
+// /debug/traces?tree=1).
+func (c *Cluster) RecentTraceTrees(n int) []TraceTree { return c.tracer().Trees(n) }
 
 // Online optimality auditing: every retrieval on every backend is
 // compared against the paper's strict-optimality bound ceil(|R(q)|/M),
@@ -176,28 +182,27 @@ type FleetReport = telemetry.ClusterReport
 // pulled over the wire.
 type FleetNodeStats = telemetry.NodeStats
 
-// Tail-based trace retention: the trace ring is a short staging window;
-// a query whose wide event is kept (errors, SLO-slow, bound violations,
-// plus the per-shape head and 1-in-16 sample) has its complete span tree
-// copied into a buffer of the newest 64 before the ring evicts it — one
-// decision, so a kept event's trace_id resolves here while it is among
-// the newest 64 kept. Histogram exemplars link latency buckets to the
-// retained trace ids (see /metrics?exemplars=1).
+// Tail-based trace retention: a cluster's trace ring is a short staging
+// window; a query whose wide event is kept (errors, SLO-slow, bound
+// violations, plus the per-shape head and 1-in-16 sample) has the
+// cluster's spans of it copied into a buffer of the newest 64 before the
+// ring evicts them — one decision, so a kept event's trace_id resolves
+// here while it is among the newest 64 kept. Histogram exemplars link
+// latency buckets to the retained trace ids (see /metrics?exemplars=1).
 
 // RetainedTrace is one kept span tree plus why it was kept ("error",
 // "slow", "bound", "head" or "sample").
 type RetainedTrace = obs.RetainedTrace
 
-// RetainedTraces returns up to n retained traces, most recently kept
-// first (the programmatic /debug/traces?retained=1).
-func RetainedTraces(n int) []RetainedTrace {
-	return obs.DefaultTracer().Retained(n)
-}
+// RetainedTraces returns up to n of this cluster's retained traces, most
+// recently kept first (the programmatic /debug/traces?retained=1).
+func (c *Cluster) RetainedTraces(n int) []RetainedTrace { return c.tracer().Retained(n) }
 
-// RetainedTraceByID looks one retained trace up by trace id — the
-// recovery path from a histogram exemplar's trace_id to the full tree.
-func RetainedTraceByID(traceID uint64) (RetainedTrace, bool) {
-	return obs.DefaultTracer().RetainedTrace(traceID)
+// RetainedTraceByID looks one of this cluster's retained traces up by
+// trace id — the recovery path from a histogram exemplar's trace_id to
+// the full tree.
+func (c *Cluster) RetainedTraceByID(traceID uint64) (RetainedTrace, bool) {
+	return c.tracer().RetainedTrace(traceID)
 }
 
 // SetLogLevel tunes the runtime logger: "debug", "info", "warn",

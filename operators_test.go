@@ -5,6 +5,7 @@ import (
 
 	"fxdist"
 	"fxdist/internal/analysis"
+	"fxdist/internal/butterfly"
 )
 
 func TestPublicProjection(t *testing.T) {
@@ -15,7 +16,7 @@ func TestPublicProjection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nw, err := fxdist.NewButterfly(4)
+	nw, err := butterfly.New(4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,10 +44,6 @@ type ShapeCost = obs.ShapeCost
 // BackendCost is every profiled query shape of one cluster.
 type BackendCost = obs.BackendCost
 
-// WriteCostReport renders a cost report as an aligned text table (the
-// /debug/hotpath?format=text rendering).
-func WriteCostReport(w io.Writer, report []BackendCost) { obs.WriteCostReport(w, report) }
-
 // ResetCostProfilers zeroes the accumulated cost profile of every open
 // cluster. It reads the process's set of open clusters, which exists
 // for it and QueryLogStatsFor alone (bench/fxload calls both).

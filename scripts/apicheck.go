@@ -33,7 +33,7 @@ var dirs = []string{".", "client"}
 
 // offlineOnly lists the packages of the paper's evaluation that the root
 // package must not import (rule 4).
-var offlineOnly = []string{"fxdist/internal/analysis", "fxdist/internal/design", "fxdist/internal/queuesim"}
+var offlineOnly = []string{"fxdist/internal/analysis", "fxdist/internal/butterfly", "fxdist/internal/design", "fxdist/internal/queuesim"}
 
 func main() {
 	var problems []string

@@ -252,6 +252,24 @@ func TestClusterTelemetryPlane(t *testing.T) {
 	if err != nil {
 		t.Fatalf("bound-violating query: %v", err)
 	}
+	// One serving span per device that was asked, on the servers' own
+	// rings, joined to the query by trace id: the devices holding a
+	// qualified bucket, which a bound-violating query leaves fewer than m.
+	active := 0
+	for _, b := range res.DeviceBuckets {
+		if b > 0 {
+			active++
+		}
+	}
+	served := serverSpans(t, servers, res.TraceID)
+	if len(served) != active || active >= m {
+		t.Errorf("%d serving spans of trace %d, want one per active device (%d of %d)", len(served), res.TraceID, active, m)
+	}
+	for _, sp := range served {
+		if sp.Name != "netdist.serve" || sp.Parent != res.TraceID {
+			t.Errorf("serving span %s under parent %d, want netdist.serve under the root %d", sp.Name, sp.Parent, res.TraceID)
+		}
+	}
 
 	// Final pull, then the federation invariant: the merged per-shape
 	// counts must equal the sum of the per-node counters, scraped from
@@ -358,34 +376,26 @@ func TestClusterTelemetryPlane(t *testing.T) {
 	if findBound() == nil {
 		t.Errorf("bound-violating event displaced by %d later kept events", 2*obs.RetainedTraces)
 	}
-	rt, ok := fxdist.RetainedTraceByID(tid)
+	rt, ok := cl.RetainedTraceByID(tid)
 	if !ok {
 		t.Fatalf("trace %d not retained after %d later kept queries", tid, 2*obs.RetainedTraces)
 	}
 	if rt.Reason != obs.KeepBound {
 		t.Errorf("trace %d retained for %q, want %q", tid, rt.Reason, obs.KeepBound)
 	}
-	// One serving span per device that was asked: the devices holding a
-	// qualified bucket, which a bound-violating query leaves fewer than m.
-	active := 0
-	for _, b := range res.DeviceBuckets {
-		if b > 0 {
-			active++
-		}
-	}
-	if rt.Root.TraceID != tid || len(rt.Root.Children) != active || active >= m {
-		t.Errorf("retained tree: root trace id %d with %d children, want %d with one per active device (%d of %d)",
-			rt.Root.TraceID, len(rt.Root.Children), tid, active, m)
+	// The kept tree is the cluster's own span, one reply event per active
+	// device; the servers' spans joined above by trace id stay theirs.
+	if rt.Root.TraceID != tid || len(rt.Root.Events) != active || len(rt.Root.Children) != 0 {
+		t.Errorf("retained tree: root trace id %d with %d reply events and %d children, want %d with one per active device (%d) and none",
+			rt.Root.TraceID, len(rt.Root.Events), len(rt.Root.Children), tid, active)
 	}
 }
 
 // TestKeptEventHasRetainedTrace is the joining property of the one keep
 // decision: over mixed-shape traffic on the shipped policy, every one of
 // the newest kept events resolves to its retained trace tree by trace ID,
-// and every tree retained meanwhile belongs to a kept event. Always-keep
-// trees left in the process-wide buffer by earlier tests are displaced
-// only by newer always-keep trees, so they are counted out of the buffer
-// first; this test's own traffic trips no always-keep rule.
+// and every tree the cluster retains belongs to a kept event. The
+// cluster's tracer is its own, so all of its 64 slots are this test's.
 func TestKeptEventHasRetainedTrace(t *testing.T) {
 	file := buildTestFile(t)
 	fs, err := file.FileSystem(4)
@@ -402,24 +412,8 @@ func TestKeptEventHasRetainedTrace(t *testing.T) {
 	}
 	defer cluster.Close()
 
-	pinned := 0
-	before := make(map[uint64]bool)
-	for _, rt := range fxdist.RetainedTraces(obs.RetainedTraces) {
-		before[rt.TraceID] = true
-		if rt.Reason != obs.KeepHead && rt.Reason != obs.KeepSample {
-			pinned++
-		}
-	}
-	// How many trees earlier tests pin varies from run to run: 33-38 of
-	// 64 on a two-core box. The join is checked on whatever room is left,
-	// as long as there is a sample.
-	room := obs.RetainedTraces - pinned
-	if room < obs.RetainedTraces/8 {
-		t.Fatalf("%d always-keep trees from earlier tests leave %d of %d slots", pinned, room, obs.RetainedTraces)
-	}
-
-	// 4 shapes (every subset of the 2 fields), 1 280 retrievals: 20
-	// sampled per shape even when an earlier test used up the heads.
+	// 4 shapes (every subset of the 2 fields), 1 280 retrievals: 8 heads
+	// and then 19 or 20 samples per shape, none of them always-keep.
 	const retrievals = 1280
 	stats0 := fxdist.QueryLogStatsFor(cluster.Kind())
 	for i := 0; i < retrievals; i++ {
@@ -447,18 +441,22 @@ func TestKeptEventHasRetainedTrace(t *testing.T) {
 	mine := make(map[uint64]bool, len(events))
 	for i, ev := range events {
 		mine[ev.TraceID] = true
-		if i >= room {
+		if i >= obs.RetainedTraces {
 			continue
 		}
-		rt, ok := fxdist.RetainedTraceByID(ev.TraceID)
+		rt, ok := cluster.RetainedTraceByID(ev.TraceID)
 		if !ok {
-			t.Errorf("kept event %d of the newest %d (trace %d, keep %v) has no retained trace", i, room, ev.TraceID, ev.Keep)
+			t.Errorf("kept event %d of the newest %d (trace %d, keep %v) has no retained trace", i, obs.RetainedTraces, ev.TraceID, ev.Keep)
 		} else if rt.Reason != ev.Keep[0] {
 			t.Errorf("trace %d retained for %q, its event kept for %v", ev.TraceID, rt.Reason, ev.Keep)
 		}
 	}
-	for _, rt := range fxdist.RetainedTraces(obs.RetainedTraces) {
-		if !mine[rt.TraceID] && !before[rt.TraceID] {
+	retained := cluster.RetainedTraces(obs.RetainedTraces)
+	if len(retained) != obs.RetainedTraces {
+		t.Errorf("the cluster retains %d trees, want all %d slots filled", len(retained), obs.RetainedTraces)
+	}
+	for _, rt := range retained {
+		if !mine[rt.TraceID] {
 			t.Errorf("retained trace %d (%s) belongs to no kept event", rt.TraceID, rt.Reason)
 		}
 	}
@@ -704,7 +702,7 @@ func TestTwoClustersKeepTheirInstrumentsApart(t *testing.T) {
 		return w.Body.Bytes()
 	}
 	paths := []string{"/metrics", "/debug/optimality", "/debug/hotpath", "/debug/flight", "/debug/events",
-		"/debug/plancache", "/debug/resilience", "/debug/rescale", "/debug/cluster"}
+		"/debug/plancache", "/debug/resilience", "/debug/rescale", "/debug/cluster", "/debug/traces?n=256"}
 	var wg sync.WaitGroup
 	done := make(chan struct{})
 	for _, c := range []*fxdist.Cluster{a, b} {
@@ -793,6 +791,28 @@ func TestTwoClustersKeepTheirInstrumentsApart(t *testing.T) {
 		t.Errorf("SetLatencySLO on A set B's objective to %v", got)
 	}
 	a.SetLatencySLO(time.Nanosecond, 0.99)
+
+	// Each handler's /debug/traces holds its own cluster's spans: no trace
+	// ID of one appears in the other's document.
+	traces := map[*fxdist.Cluster]map[uint64]bool{}
+	for c, h := range handlers {
+		var spans []fxdist.TraceSpan
+		if err := json.Unmarshal(scrape(h, "/debug/traces?n=256"), &spans); err != nil {
+			t.Fatal(err)
+		}
+		traces[c] = map[uint64]bool{}
+		for _, sp := range spans {
+			traces[c][sp.TraceID] = true
+		}
+		if len(traces[c]) == 0 {
+			t.Errorf("%s's /debug/traces holds no span", name[c])
+		}
+	}
+	for id := range traces[a] {
+		if traces[b][id] {
+			t.Errorf("trace %d is on both A's and B's /debug/traces", id)
+		}
+	}
 
 	// Each handler's /debug/optimality lists its one cluster.
 	for c, h := range handlers {
