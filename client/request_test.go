@@ -425,7 +425,11 @@ func TestRequestHeaders(t *testing.T) {
 // one Client. The server holds the first 16 calls until all have
 // arrived, so they open 16 connections; every later call must find one
 // of them idle. On http.DefaultTransport, which keeps two idle
-// connections per host, the same traffic opened about 350.
+// connections per host, the same traffic opened 227 to 350. Up to four
+// more than 16 are net/http's, not the pool's: the transport drops a
+// kept-alive connection when its writer goroutine has not confirmed the
+// request's write within 50 ms of the answer (maxWriteWaitBeforeConnReuse),
+// which a writer descheduled on a loaded machine can miss.
 func TestOneClientReusesItsConnections(t *testing.T) {
 	const callers = 16
 	var opened, served atomic.Int64
@@ -461,8 +465,8 @@ func TestOneClientReusesItsConnections(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if n := opened.Load(); n != callers {
-		t.Errorf("%d callers opened %d connections, want %d", callers, n, callers)
+	if n := opened.Load(); n < callers || n > callers+callers/4 {
+		t.Errorf("%d callers opened %d connections, want %d to %d", callers, n, callers, callers+callers/4)
 	}
 }
 

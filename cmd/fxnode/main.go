@@ -307,21 +307,11 @@ func runRescale(args []string) error {
 			guardQueries: *guardQueries, noGuard: *noGuard, selfCheck: *selfCheck,
 			statusEvery: *statusEvery, timeout: *timeout, serve: obsFlags.Start,
 		})
-	case "status":
+	case "status", "pause", "resume", "abort":
 		if *debugAddr == "" {
 			return fmt.Errorf("-action %s needs -debug <coordinator's -metrics-addr>", *action)
 		}
-		body, err := rescaleDebugGet(debugBase(*debugAddr))
-		if err != nil {
-			return err
-		}
-		fmt.Print(body)
-		return nil
-	case "pause", "resume", "abort":
-		if *debugAddr == "" {
-			return fmt.Errorf("-action %s needs -debug <coordinator's -metrics-addr>", *action)
-		}
-		body, err := rescaleDebugPost(debugBase(*debugAddr), *action)
+		body, err := rescaleDebug(debugBase(*debugAddr), *action)
 		if err != nil {
 			return err
 		}
@@ -500,27 +490,16 @@ func debugBase(addr string) string {
 	return "http://" + addr
 }
 
-// rescaleDebugGet fetches a coordinator's /debug/rescale document.
-func rescaleDebugGet(base string) (string, error) {
-	res, err := http.Get(base + "/debug/rescale")
-	if err != nil {
-		return "", err
+// rescaleDebug runs one -action against a coordinator's /debug/rescale:
+// status reads the document, pause, resume and abort post the verb.
+func rescaleDebug(base, action string) (string, error) {
+	var res *http.Response
+	var err error
+	if action == "status" {
+		res, err = http.Get(base + "/debug/rescale")
+	} else {
+		res, err = http.PostForm(base+"/debug/rescale", url.Values{"action": {action}})
 	}
-	defer res.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(res.Body, 1<<20))
-	if err != nil {
-		return "", err
-	}
-	if res.StatusCode != http.StatusOK {
-		return "", fmt.Errorf("GET /debug/rescale: %s: %s", res.Status, strings.TrimSpace(string(body)))
-	}
-	return string(body), nil
-}
-
-// rescaleDebugPost steers the cluster's running rescale through
-// /debug/rescale.
-func rescaleDebugPost(base, action string) (string, error) {
-	res, err := http.PostForm(base+"/debug/rescale", url.Values{"action": {action}})
 	if err != nil {
 		return "", err
 	}

@@ -25,7 +25,7 @@ func TestDebugBase(t *testing.T) {
 	}
 }
 
-// TestRescaleDebugHelpers drives the status/steer HTTP helpers against a
+// TestRescaleDebugHelpers drives rescaleDebug, status and steer, against a
 // server speaking the /debug/rescale contract.
 func TestRescaleDebugHelpers(t *testing.T) {
 	var gotForm url.Values
@@ -52,7 +52,7 @@ func TestRescaleDebugHelpers(t *testing.T) {
 	defer srv.Close()
 
 	base := debugBase(strings.TrimPrefix(srv.URL, "http://"))
-	body, err := rescaleDebugGet(base)
+	body, err := rescaleDebug(base, "status")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestRescaleDebugHelpers(t *testing.T) {
 		t.Fatalf("status body %q missing phase", body)
 	}
 
-	body, err = rescaleDebugPost(base, "pause")
+	body, err = rescaleDebug(base, "pause")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestRescaleDebugHelpers(t *testing.T) {
 		t.Fatalf("server saw form %v", gotForm)
 	}
 
-	if _, err := rescaleDebugPost(base, "explode"); err == nil {
+	if _, err := rescaleDebug(base, "explode"); err == nil {
 		t.Fatal("bad action did not surface the HTTP error")
 	}
 }

@@ -19,6 +19,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -189,7 +190,7 @@ func explainResult(cluster *fxdist.Cluster, file *fxdist.File, fs fxdist.FileSys
 	for _, tree := range cluster.RecentTraceTrees(256) {
 		if tree.TraceID == res.TraceID {
 			fmt.Printf("    trace %d:\n", res.TraceID)
-			printTree(tree, "      ")
+			obs.WriteSpanTree(os.Stdout, tree, "      ")
 			return
 		}
 	}
@@ -213,29 +214,18 @@ func printStages(cluster *fxdist.Cluster, traceID uint64, indent string) {
 	}
 	var total time.Duration
 	for _, s := range stages {
-		switch s.Stage {
-		case fxdist.StagePlan, fxdist.StageFanout, fxdist.StageMerge, fxdist.StageAudit:
+		if slices.Contains(obs.TopStages, s.Stage) {
 			total += s.Wall
 		}
 	}
 	fmt.Printf("%sstages:\n", indent)
 	for _, s := range stages {
 		frac := ""
-		if total > 0 {
-			switch s.Stage {
-			case fxdist.StagePlan, fxdist.StageFanout, fxdist.StageMerge, fxdist.StageAudit:
-				frac = fmt.Sprintf(" (%4.1f%%)", 100*float64(s.Wall)/float64(total))
-			}
+		if total > 0 && slices.Contains(obs.TopStages, s.Stage) {
+			frac = fmt.Sprintf(" (%4.1f%%)", 100*float64(s.Wall)/float64(total))
 		}
 		fmt.Printf("%s  %-12s %10v%s  bytes=%-8d objects=%d\n",
 			indent, s.Stage, s.Wall, frac, s.Bytes, s.Objects)
-	}
-}
-
-func printTree(t fxdist.TraceTree, indent string) {
-	fmt.Printf("%s%s span=%d dur=%v events=%d\n", indent, t.Name, t.ID, t.Duration, len(t.Events))
-	for _, c := range t.Children {
-		printTree(c, indent+"  ")
 	}
 }
 

@@ -15,6 +15,7 @@ package mkhash
 import (
 	"fmt"
 	"slices"
+	"strings"
 
 	"fxdist/internal/decluster"
 	"fxdist/internal/query"
@@ -22,9 +23,6 @@ import (
 
 // Record is one tuple; the file stores records by value.
 type Record []string
-
-// clone copies a record.
-func (r Record) clone() Record { return append(Record(nil), r...) }
 
 // Schema names the fields and fixes the initial directory depths.
 type Schema struct {
@@ -78,6 +76,10 @@ func DefaultHash(fieldIdx int) FieldHash {
 	}
 }
 
+// valueSlots is the size of a field's table of canonical values, a power
+// of two: a value's slot is the low bits of its field hash.
+const valueSlots = 1 << 12
+
 // File is a multi-key hashed file held in memory as a bucket grid.
 type File struct {
 	schema Schema
@@ -86,6 +88,10 @@ type File struct {
 	// buckets maps the linear bucket index to its records.
 	buckets map[int][]Record
 	count   int
+	// values holds each field's canonical values, made at the first
+	// Insert: a stored value equal to its slot's shares the slot's string,
+	// so a value repeated across records is kept once (DESIGN §2).
+	values [][valueSlots]string
 }
 
 // Option configures New.
@@ -154,10 +160,8 @@ func (f *File) Len() int { return f.count }
 
 // FieldIndex returns the index of the named field, or an error.
 func (f *File) FieldIndex(name string) (int, error) {
-	for i, n := range f.schema.Fields {
-		if n == name {
-			return i, nil
-		}
+	if i := slices.Index(f.schema.Fields, name); i >= 0 {
+		return i, nil
 	}
 	return 0, fmt.Errorf("mkhash: no field named %q", name)
 }
@@ -170,23 +174,38 @@ func (f *File) hashValue(i int, value string) int {
 
 // BucketOf returns the bucket coordinates the record hashes to.
 func (f *File) BucketOf(r Record) ([]int, error) {
-	return f.BucketInto(r, nil)
-}
-
-// BucketInto is BucketOf reusing b's backing array when it has the
-// capacity — the allocation-free form for bulk routing loops.
-func (f *File) BucketInto(r Record, b []int) ([]int, error) {
-	if len(r) != len(f.depths) {
-		return nil, fmt.Errorf("mkhash: record has %d fields, schema has %d", len(r), len(f.depths))
+	if err := f.checkArity(r); err != nil {
+		return nil, err
 	}
-	if cap(b) < len(r) {
-		b = make([]int, len(r))
-	}
-	b = b[:len(r)]
+	b := make([]int, len(r))
 	for i, v := range r {
 		b[i] = f.hashValue(i, v)
 	}
 	return b, nil
+}
+
+func (f *File) checkArity(r Record) error {
+	if len(r) != len(f.depths) {
+		return fmt.Errorf("mkhash: record has %d fields, schema has %d", len(r), len(f.depths))
+	}
+	return nil
+}
+
+// Route returns the device alloc gives r's bucket and the bucket's linear
+// index, with no coordinate slice: it folds the allocator's per-field
+// contributions as its Device does. alloc must be built for the file's
+// current directory sizes.
+func (f *File) Route(r Record, alloc decluster.GroupAllocator) (dev, bucket int, err error) {
+	if err := f.checkArity(r); err != nil {
+		return 0, 0, err
+	}
+	op, m := alloc.Op(), alloc.FileSystem().M
+	for i, v := range r {
+		cell := f.hashValue(i, v)
+		dev = op.Combine(dev, alloc.Contribution(i, cell), m)
+		bucket = bucket<<f.depths[i] | cell
+	}
+	return dev, bucket, nil
 }
 
 // linear converts bucket coordinates to the linear index.
@@ -198,36 +217,56 @@ func (f *File) linear(b []int) int {
 	return idx
 }
 
-// Insert stores a record.
+// locate returns the linear index of r's bucket, hashing each field once.
+// With intern set it also swaps each value for its field's canonical copy
+// when the two are equal: a slot keeps a copy of the first value hashed
+// to it, so a colliding value, or any value under a custom hash that maps
+// everything alike, stays as it is.
+func (f *File) locate(r Record, intern bool) int {
+	if intern && f.values == nil {
+		f.values = make([][valueSlots]string, len(f.depths))
+	}
+	idx := 0
+	for i, v := range r {
+		h := f.hashes[i](v)
+		idx = idx<<f.depths[i] | int(h&uint64(1<<f.depths[i]-1))
+		if !intern {
+			continue
+		}
+		switch slot := &f.values[i][h&(valueSlots-1)]; {
+		case *slot == v:
+			r[i] = *slot
+		case *slot == "":
+			*slot = strings.Clone(v)
+			r[i] = *slot
+		}
+	}
+	return idx
+}
+
+// Insert stores a copy of the record, its values shared with equal ones
+// already stored where the field's table holds them.
 func (f *File) Insert(r Record) error {
-	b, err := f.BucketOf(r)
-	if err != nil {
+	if err := f.checkArity(r); err != nil {
 		return err
 	}
-	idx := f.linear(b)
-	f.buckets[idx] = append(f.buckets[idx], r.clone())
+	r = slices.Clone(r)
+	idx := f.locate(r, true)
+	f.buckets[idx] = append(f.buckets[idx], r)
 	f.count++
 	return nil
 }
 
 // Delete removes every stored record equal to r, returning the number
-// removed.
+// removed. The values they leave in their fields' tables stay there.
 func (f *File) Delete(r Record) (int, error) {
-	b, err := f.BucketOf(r)
-	if err != nil {
+	if err := f.checkArity(r); err != nil {
 		return 0, err
 	}
-	idx := f.linear(b)
+	idx := f.locate(r, false)
 	recs := f.buckets[idx]
-	kept := recs[:0]
-	removed := 0
-	for _, stored := range recs {
-		if stored.equal(r) {
-			removed++
-			continue
-		}
-		kept = append(kept, stored)
-	}
+	kept := slices.DeleteFunc(recs, func(stored Record) bool { return slices.Equal(stored, r) })
+	removed := len(recs) - len(kept)
 	if len(kept) == 0 {
 		delete(f.buckets, idx)
 	} else {
@@ -235,19 +274,6 @@ func (f *File) Delete(r Record) (int, error) {
 	}
 	f.count -= removed
 	return removed, nil
-}
-
-// equal compares records field-wise.
-func (r Record) equal(other Record) bool {
-	if len(r) != len(other) {
-		return false
-	}
-	for i := range r {
-		if r[i] != other[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Bucket returns the records stored in the bucket with the given
@@ -288,11 +314,7 @@ func (f *File) Grow(fieldIdx int) error {
 	f.count = 0
 	for _, recs := range old {
 		for _, r := range recs {
-			b, err := f.BucketOf(r)
-			if err != nil {
-				return err // unreachable: stored records always match arity
-			}
-			idx := f.linear(b)
+			idx := f.locate(r, false)
 			f.buckets[idx] = append(f.buckets[idx], r)
 			f.count++
 		}
@@ -339,12 +361,7 @@ func (f *File) GrowAdvice() (fieldIdx int, ok bool) {
 				}
 			}
 		})
-		stayed := f.count - moved
-		score := moved
-		if stayed < moved {
-			score = stayed
-		}
-		if score > bestScore {
+		if score := min(moved, f.count-moved); score > bestScore {
 			bestScore = score
 			fieldIdx = i
 			ok = true

@@ -3,6 +3,7 @@ package obs
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"time"
 )
@@ -51,15 +52,6 @@ const (
 // TopStages lists the stages that partition a retrieval, in execution
 // order. Their wall-time sum is the profiler's coverage numerator.
 var TopStages = []string{StagePlan, StageFanout, StageMerge, StageAudit}
-
-func isTopStage(name string) bool {
-	for _, s := range TopStages {
-		if s == name {
-			return true
-		}
-	}
-	return false
-}
 
 // StageSample is one stage measurement from one query. For engine
 // stages Bytes/Objects are heap-allocation deltas and
@@ -191,7 +183,7 @@ func (sc *ShapeCosts) Report(shape string) ShapeCost {
 			MeanRecycledSlabs: float64(acc.recSlabs) / float64(acc.count),
 		}
 		st.MeanWall = time.Duration(acc.wallNS / int64(acc.count))
-		if isTopStage(name) {
+		if slices.Contains(TopStages, name) {
 			topNS += acc.wallNS
 			if sc.totalNS > 0 {
 				st.WallFrac = float64(acc.wallNS) / float64(sc.totalNS)
@@ -234,7 +226,7 @@ func WriteCostReport(w io.Writer, report []BackendCost) {
 				"stage", "count", "mean", "max", "bytes/op", "objs/op", "recycled/op", "slabs/op", "wall%")
 			for _, st := range s.Stages {
 				frac := "-"
-				if isTopStage(st.Stage) {
+				if slices.Contains(TopStages, st.Stage) {
 					frac = fmt.Sprintf("%.1f%%", st.WallFrac*100)
 				}
 				fmt.Fprintf(w, "    %-14s %8d %12v %12v %14.1f %12.1f %14.1f %12.1f %8s\n",

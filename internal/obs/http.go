@@ -1,8 +1,6 @@
 package obs
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net"
@@ -41,35 +39,55 @@ func MetricsEndpoint(regs ...func() *Registry) Endpoint {
 }
 
 // TracesEndpoint serves /debug/traces: the recent spans of the tracer t
-// returns, read at request time, as JSON (?n=K, default 32; ?tree=1
-// stitches parent→child span trees; ?retained=1 lists tail-sampled kept
-// trees).
+// returns, read at request time (?n=K, default 32; ?tree=1 stitches
+// parent→child span trees; ?retained=1 lists tail-sampled kept trees);
+// ?format=text prints one line per span, a child indented under its parent.
 func TracesEndpoint(t func() *Tracer) Endpoint {
 	return Endpoint{"/debug/traces", "recent query spans (?n=K; ?tree=1 stitches parent→child; ?retained=1 lists tail-sampled kept trees)",
 		http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+			q := req.URL.Query()
 			n := 32
-			if v, err := strconv.Atoi(req.URL.Query().Get("n")); err == nil {
+			if v, err := strconv.Atoi(q.Get("n")); err == nil {
 				n = v
 			}
-			var doc any
-			switch tr := t(); {
-			case req.URL.Query().Get("retained") == "1":
-				doc = tr.Retained(n)
-			case req.URL.Query().Get("tree") == "1":
-				doc = tr.Trees(n)
-			default:
-				doc = tr.Recent(n)
-			}
-			var buf bytes.Buffer
-			enc := json.NewEncoder(&buf)
-			enc.SetIndent("", "  ")
-			if err := enc.Encode(doc); err != nil {
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-				return
-			}
-			w.Header().Set("Content-Type", "application/json; charset=utf-8")
-			w.Write(buf.Bytes()) //nolint:errcheck // client gone
+			DebugEndpoint(func() (any, error) {
+				switch tr := t(); {
+				case q.Get("retained") == "1":
+					return tr.Retained(n), nil
+				case q.Get("tree") == "1":
+					return tr.Trees(n), nil
+				default:
+					return tr.Recent(n), nil
+				}
+			}, writeSpans).ServeHTTP(w, req)
 		})}
+}
+
+// WriteSpanTree prints t one line per span, each child indented two
+// spaces under its parent (/debug/traces' text form).
+func WriteSpanTree(w io.Writer, t SpanTree, indent string) {
+	fmt.Fprintf(w, "%s%s trace=%d span=%d parent=%d request=%d duration=%v done=%v events=%d\n",
+		indent, t.Name, t.TraceID, t.ID, t.Parent, t.RequestID, t.Duration, t.Done, len(t.Events))
+	for _, c := range t.Children {
+		WriteSpanTree(w, c, indent+"  ")
+	}
+}
+
+func writeSpans(w io.Writer, doc any) {
+	switch doc := doc.(type) {
+	case []SpanSnapshot:
+		for _, s := range doc {
+			WriteSpanTree(w, SpanTree{SpanSnapshot: s}, "")
+		}
+	case []SpanTree:
+		for _, t := range doc {
+			WriteSpanTree(w, t, "")
+		}
+	case []RetainedTrace:
+		for _, r := range doc {
+			WriteSpanTree(w, r.Root, "")
+		}
+	}
 }
 
 // HandlerFor builds an observability handler over exactly the endpoints

@@ -51,6 +51,14 @@ func TestHandlerEndpoints(t *testing.T) {
 	if len(spans) != 1 || spans[0].RequestID != 42 {
 		t.Errorf("/debug/traces = %+v", spans)
 	}
+	child := begin(tr, "child", sp.Trace(), sp.SpanID())
+	child.End()
+	code, body = get("/debug/traces?n=5&tree=1&format=text")
+	lines := strings.Split(strings.TrimSuffix(body, "\n"), "\n")
+	if code != 200 || len(lines) != 2 || !strings.HasPrefix(lines[0], "q trace=") ||
+		!strings.Contains(lines[0], " request=42 ") || !strings.HasPrefix(lines[1], "  child trace=") {
+		t.Errorf("/debug/traces?tree=1&format=text = %d, want a line per span, the child indented:\n%s", code, body)
+	}
 
 	if code, _ = get("/debug/pprof/"); code != 200 {
 		t.Errorf("/debug/pprof/ = %d", code)

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 
 	"fxdist/internal/decluster"
 	"fxdist/internal/mkhash"
@@ -91,7 +92,7 @@ func Load(r io.Reader, opts ...mkhash.Option) (*mkhash.File, decluster.GroupAllo
 
 // SaveFile writes a snapshot to path (atomically: temp file + rename).
 func SaveFile(path string, file *mkhash.File, alloc decluster.Allocator) error {
-	tmp, err := os.CreateTemp(dirOf(path), ".fxdist-snap-*")
+	tmp, err := os.CreateTemp(filepath.Dir(path), ".fxdist-snap-*")
 	if err != nil {
 		return err
 	}
@@ -114,13 +115,4 @@ func LoadFile(path string, opts ...mkhash.Option) (*mkhash.File, decluster.Group
 	}
 	defer f.Close()
 	return Load(f, opts...)
-}
-
-func dirOf(path string) string {
-	for i := len(path) - 1; i >= 0; i-- {
-		if path[i] == '/' {
-			return path[:i]
-		}
-	}
-	return "."
 }

@@ -183,12 +183,3 @@ func TestSaveFileLoadFile(t *testing.T) {
 		t.Error("missing file accepted")
 	}
 }
-
-func TestDirOf(t *testing.T) {
-	if dirOf("/tmp/x/y.snap") != "/tmp/x" {
-		t.Error("dirOf with slash wrong")
-	}
-	if dirOf("y.snap") != "." {
-		t.Error("dirOf without slash wrong")
-	}
-}

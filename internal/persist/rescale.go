@@ -4,6 +4,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"os"
+	"path/filepath"
 
 	"fxdist/internal/decluster"
 )
@@ -43,7 +44,7 @@ type RescaleState struct {
 // crash mid-flush leaves the previous journal intact.
 func SaveRescale(path string, st *RescaleState) error {
 	st.Version = rescaleVersion
-	tmp, err := os.CreateTemp(dirOf(path), ".fxdist-rescale-*")
+	tmp, err := os.CreateTemp(filepath.Dir(path), ".fxdist-rescale-*")
 	if err != nil {
 		return err
 	}

@@ -1,9 +1,10 @@
 package rebalance
 
 import (
-	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
+	"time"
 
 	"fxdist/internal/obs"
 )
@@ -14,6 +15,18 @@ import (
 type debugState struct {
 	Rescales map[string]DriverStatus `json:"rescales"`
 	Events   []Event                 `json:"events"`
+}
+
+// writeDebugState is /debug/rescale's text form: the rescale, then one
+// line per event.
+func writeDebugState(w io.Writer, doc any) {
+	st := doc.(debugState)
+	for name, s := range st.Rescales {
+		fmt.Fprintf(w, "%s: %s, M %d → %d, %d of %d moves copied, paused=%v err=%q\n", name, s.Phase, s.OldM, s.NewM, s.Copied, s.TotalMoves, s.Paused, s.Err)
+	}
+	for _, ev := range st.Events {
+		fmt.Fprintf(w, "%s %s %s\n", ev.Time.Format(time.RFC3339Nano), ev.Phase, ev.Msg)
+	}
 }
 
 // Endpoint serves /debug/rescale for the driver d returns at request
@@ -27,15 +40,14 @@ func Endpoint(name string, d func() *Driver) obs.Endpoint {
 			drv := d()
 			switch r.Method {
 			case http.MethodGet:
-				st := debugState{Rescales: map[string]DriverStatus{}, Events: []Event{}}
-				if drv != nil {
-					st.Rescales[name] = drv.Status()
-					st.Events = drv.Events()
-				}
-				w.Header().Set("Content-Type", "application/json")
-				enc := json.NewEncoder(w)
-				enc.SetIndent("", "  ")
-				enc.Encode(st) //nolint:errcheck // best-effort debug output
+				obs.DebugEndpoint(func() (any, error) {
+					st := debugState{Rescales: map[string]DriverStatus{}, Events: []Event{}}
+					if drv != nil {
+						st.Rescales[name] = drv.Status()
+						st.Events = drv.Events()
+					}
+					return st, nil
+				}, writeDebugState).ServeHTTP(w, r)
 			case http.MethodPost:
 				if drv == nil {
 					http.Error(w, "no rescale on this cluster", http.StatusNotFound)

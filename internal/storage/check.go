@@ -58,18 +58,18 @@ func (c *DurableCluster) Check() (CheckReport, error) {
 			return store.ScanInto(bucket, mempool.NewRecordBuilder(false), func(rec mkhash.Record) error {
 				report.DeviceRecords[dev]++
 				report.Records++
-				actual, err := c.schema.BucketOf(rec)
+				want, actual, err := c.schema.Route(rec, c.alloc)
 				if err != nil {
 					report.problem("device %d bucket %v: record arity %d", dev, coords, len(rec))
 					report.MishashedRecords++
 					return nil
 				}
-				if c.fs.Linear(actual) != int(bucket) {
+				if actual != int(bucket) {
 					report.MishashedRecords++
-					report.problem("device %d: record hashes to bucket %v but is filed under %v", dev, actual, coords)
+					report.problem("device %d: record hashes to bucket %v but is filed under %v", dev, c.fs.Coords(actual, nil), coords)
 					return nil
 				}
-				if want := c.alloc.Device(actual); want != dev {
+				if want != dev {
 					report.MisplacedRecords++
 				}
 				return nil

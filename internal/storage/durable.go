@@ -238,15 +238,14 @@ func (c *DurableCluster) Len() int {
 // Insert routes one record to its device log. Call Sync to make a batch
 // durable.
 func (c *DurableCluster) Insert(r mkhash.Record) error {
-	coords, err := c.schema.BucketOf(r)
+	dev, bucket, err := c.schema.Route(r, c.alloc)
 	if err != nil {
 		return err
 	}
-	dev := c.alloc.Device(coords)
 	c.locks[dev].Lock()
 	defer c.locks[dev].Unlock()
 	t0 := time.Now()
-	err = c.stores[dev].Append(uint32(c.fs.Linear(coords)), r)
+	err = c.stores[dev].Append(uint32(bucket), r)
 	c.logs.append.ObserveSince(t0)
 	return err
 }
@@ -255,14 +254,13 @@ func (c *DurableCluster) Insert(r mkhash.Record) error {
 // (tombstoned, so the deletion survives restarts) and returns the number
 // removed.
 func (c *DurableCluster) Delete(r mkhash.Record) (int, error) {
-	coords, err := c.schema.BucketOf(r)
+	dev, bucket, err := c.schema.Route(r, c.alloc)
 	if err != nil {
 		return 0, err
 	}
-	dev := c.alloc.Device(coords)
 	c.locks[dev].Lock()
 	defer c.locks[dev].Unlock()
-	n, err := c.stores[dev].Delete(uint32(c.fs.Linear(coords)), r)
+	n, err := c.stores[dev].Delete(uint32(bucket), r)
 	if n > 0 {
 		c.logs.tombstones.Inc()
 	}
@@ -316,18 +314,15 @@ func (c *DurableCluster) Compact() error {
 // batch (appends are idempotent to re-run only if the caller dedupes).
 func (c *DurableCluster) BulkInsert(records []mkhash.Record) error {
 	parts := make([]map[uint32][]mkhash.Record, c.fs.M)
-	var coords []int // routing scratch, reused across the whole batch
 	for _, r := range records {
-		var err error
-		coords, err = c.schema.BucketInto(r, coords)
+		dev, bucket, err := c.schema.Route(r, c.alloc)
 		if err != nil {
 			return err
 		}
-		dev, bucket := c.alloc.Device(coords), uint32(c.fs.Linear(coords))
 		if parts[dev] == nil {
 			parts[dev] = make(map[uint32][]mkhash.Record)
 		}
-		parts[dev][bucket] = append(parts[dev][bucket], r)
+		parts[dev][uint32(bucket)] = append(parts[dev][uint32(bucket)], r)
 	}
 	errs := make([]error, c.fs.M)
 	var wg sync.WaitGroup

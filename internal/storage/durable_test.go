@@ -795,3 +795,23 @@ func BenchmarkDurableWideRetrieve(b *testing.B) {
 		})
 	}
 }
+
+// TestDurableRoutingAllocatesNothing pins Insert's and Delete's routing:
+// the record's device and bucket come from mkhash.File.Route, so neither
+// allocates the coordinate slice BucketOf returns. The one allocation
+// Delete keeps is the log's own: the query it matches frames with.
+func TestDurableRoutingAllocatesNothing(t *testing.T) {
+	file, fx := durableFixture(t, 200, 8)
+	c, err := CreateDurable(t.TempDir(), file, fx, MainMemory)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	r := mkhash.Record{"make3", "model7", "1987"}
+	if n := testing.AllocsPerRun(100, func() { c.Insert(r) }); n != 0 { //nolint:errcheck
+		t.Errorf("Insert allocates %v times, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { c.Delete(r) }); n != 1 { //nolint:errcheck
+		t.Errorf("Delete allocates %v times, want 1", n)
+	}
+}

@@ -548,16 +548,28 @@ func TestDebugEndpointsServeBothFormats(t *testing.T) {
 			case "/metrics":
 				continue // Prometheus text only; linted separately below
 			}
-			for _, format := range []string{"json", "text"} {
+			for format, contentType := range map[string]string{
+				"json": "application/json; charset=utf-8", "text": "text/plain; charset=utf-8", "bogus": "",
+			} {
 				url := srv.URL + ep.Path + "?format=" + format
 				resp, err := client.Get(url)
 				if err != nil {
 					t.Fatalf("GET %s: %v", url, err)
 				}
+				if format == "bogus" {
+					resp.Body.Close()
+					if resp.StatusCode != http.StatusBadRequest {
+						t.Errorf("%s: GET %s: %s, want 400", name, url, resp.Status)
+					}
+					continue
+				}
 				if resp.StatusCode != http.StatusOK {
 					resp.Body.Close()
 					t.Errorf("%s: GET %s: %s", name, url, resp.Status)
 					continue
+				}
+				if got := resp.Header.Get("Content-Type"); got != contentType {
+					t.Errorf("%s: GET %s: Content-Type %q, want %q", name, url, got, contentType)
 				}
 				if format == "json" {
 					var doc any
