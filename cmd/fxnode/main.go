@@ -402,7 +402,6 @@ func startRescale(cfg rescaleStartConfig) error {
 	resc, err := cl.Rescale(ctx, fxdist.RescaleConfig{
 		Addrs:           newAddrs,
 		NewM:            cfg.newM,
-		Allocator:       alloc,
 		Concurrency:     cfg.concurrency,
 		GuardMinQueries: cfg.guardQueries,
 		DisableGuard:    cfg.noGuard,

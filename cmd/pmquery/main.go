@@ -198,8 +198,9 @@ func explainResult(cluster *fxdist.Cluster, file *fxdist.File, fs fxdist.FileSys
 }
 
 // printStages renders one query's cost breakdown, as the kept event of its
-// trace holds it in the cluster's store: wall time, bytes and heap objects
-// per stage, with each top-level stage's share of the whole-query latency.
+// trace holds it in the cluster's store: wall time per stage (and wire
+// bytes on the net.* stages), with each top-level stage's share of the
+// whole-query latency.
 // A query not kept has only its shape's means, on /debug/hotpath.
 func printStages(cluster *fxdist.Cluster, traceID uint64, indent string) {
 	var stages []fxdist.StageSample
@@ -224,8 +225,11 @@ func printStages(cluster *fxdist.Cluster, traceID uint64, indent string) {
 		if total > 0 && slices.Contains(obs.TopStages, s.Stage) {
 			frac = fmt.Sprintf(" (%4.1f%%)", 100*float64(s.Wall)/float64(total))
 		}
-		fmt.Printf("%s  %-12s %10v%s  bytes=%-8d objects=%d\n",
-			indent, s.Stage, s.Wall, frac, s.Bytes, s.Objects)
+		wire := ""
+		if s.Bytes > 0 {
+			wire = fmt.Sprintf("  wire=%dB", s.Bytes)
+		}
+		fmt.Printf("%s  %-12s %10v%s%s\n", indent, s.Stage, s.Wall, frac, wire)
 	}
 }
 

@@ -17,7 +17,8 @@ import (
 // must be present, optional ones (omitempty fields) may be, and nothing
 // else may appear. required+optional is the key set as of PR 13; added
 // lists keys later PRs introduced — additions are allowed, removals and
-// renames are not, so nothing may ever move out of the first two lists.
+// renames are not, so nothing may ever move out of the first two lists
+// except with the field it names, said beside the set.
 type keySet struct {
 	required, optional, added []string
 }
@@ -47,9 +48,11 @@ func (ks keySet) check(t *testing.T, what string, obj map[string]any) {
 }
 
 var (
+	// A stage is its wall time: objects and recycled_* went with the
+	// per-stage allocation counters; bytes stays for the net.* stages.
 	stageSampleKeys = keySet{
 		required: []string{"stage", "wall_ns"},
-		optional: []string{"bytes", "objects", "recycled_bytes", "recycled_slabs"},
+		optional: []string{"bytes"},
 	}
 	flightRecordKeys = keySet{
 		required: []string{"backend", "shape", "start", "elapsed_ns", "plan_cache_hit", "rq", "bound", "stages", "devices"},
@@ -82,9 +85,9 @@ var (
 	hotpathShapeKeys = keySet{
 		required: []string{"shape", "queries", "mean_total_ns", "stage_coverage", "stages"},
 	}
+	// mean_objects and mean_recycled_* went with the stage counters.
 	hotpathStageKeys = keySet{
-		required: []string{"stage", "count", "mean_wall_ns", "max_wall_ns", "mean_bytes", "mean_objects", "wall_frac"},
-		optional: []string{"mean_recycled_bytes", "mean_recycled_slabs"},
+		required: []string{"stage", "count", "mean_wall_ns", "max_wall_ns", "mean_bytes", "wall_frac"},
 	}
 	optimalityShapeKeys = keySet{
 		required: []string{"shape", "queries", "violations", "max_deviation", "mean_deviation", "worst_device",

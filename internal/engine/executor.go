@@ -335,12 +335,11 @@ type callState struct {
 	pinned   atomic.Bool // a child of the call is watched past its scan (AfterFunc)
 
 	// Cost-attribution state, populated only when the executor has a
-	// reporting bundle (instr true): mark/lastStamp walk the alloc
-	// counter and clock from stage boundary to stage boundary, stages
-	// (a window of samples) collects the breakdown as each stage closes,
-	// and rec is the query record while only the call reads it (report).
+	// reporting bundle (instr true): lastStamp walks the clock from stage
+	// boundary to stage boundary, stages (a window of samples) collects
+	// the breakdown as each stage closes, and rec is the query record
+	// while only the call reads it (report).
 	instr     bool
-	mark      obs.AllocStat
 	lastStamp time.Time
 	stages    []obs.StageSample
 	samples   [5]obs.StageSample // plan, fanout, merge, audit, device.scan
@@ -374,23 +373,15 @@ func (chunk[T]) limit() int { return 4 << 10 / int(unsafe.Sizeof(*new(T))) }
 func (c *call) settled() bool { return c.finished || c.pending.Load() == 0 }
 
 // closeStage ends the stage that has run since the previous stage
-// boundary (the retrieval's entry, for the first) and appends it to the
-// call's breakdown: its wall time, and the heap and pool-recycled
-// allocation traffic since that boundary. No-op on uninstrumented calls.
+// boundary (the retrieval's entry, for the first) and appends its wall
+// time to the call's breakdown. No-op on uninstrumented calls.
 func (c *call) closeStage(stage string) {
 	if !c.instr {
 		return
 	}
 	now := time.Now()
-	a := obs.ReadAllocs()
-	a.RecycledBytes, a.RecycledSlabs = mempool.RecycledTotals()
-	d := a.Sub(c.mark)
-	c.stages = append(c.stages, obs.StageSample{
-		Stage: stage, Wall: now.Sub(c.lastStamp),
-		Bytes: d.Bytes, Objects: d.Objects,
-		RecycledBytes: d.RecycledBytes, RecycledSlabs: d.RecycledSlabs,
-	})
-	c.mark, c.lastStamp = a, now
+	c.stages = append(c.stages, obs.StageSample{Stage: stage, Wall: now.Sub(c.lastStamp)})
+	c.lastStamp = now
 }
 
 // begin plans one query and launches its fan-out without waiting: the
@@ -401,11 +392,8 @@ func (c *call) closeStage(stage string) {
 // that dies before fan-out has no plan, hence no record: it is reported to
 // the cluster metrics alone.
 func (e *Executor) begin(ctx context.Context, pm mkhash.PartialMatch, caller string) (*call, error) {
-	var mark obs.AllocStat
 	if e.in != nil {
 		e.in.Metrics.Started()
-		mark = obs.ReadAllocs() // the plan stage pays for the call itself
-		mark.RecycledBytes, mark.RecycledSlabs = mempool.RecycledTotals()
 	}
 	m := len(e.devs)
 	c, _ := e.calls.Get().(*call) // with pooling off (mempool.SetEnabled) every call is new
@@ -414,7 +402,7 @@ func (e *Executor) begin(ctx context.Context, pm mkhash.PartialMatch, caller str
 	}
 	c.setParent(ctx)
 	now := time.Now()
-	c.pm, c.started, c.lastStamp, c.caller, c.instr, c.mark = pm, now, now, caller, e.in != nil, mark
+	c.pm, c.started, c.lastStamp, c.caller, c.instr = pm, now, now, caller, e.in != nil
 	// Lowering hashes the values into bucket coordinates; range
 	// validation happens once per shape inside planFor, not per retrieval.
 	var err error

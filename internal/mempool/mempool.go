@@ -154,9 +154,7 @@ func (p *SlicePool[T]) Get(n int) []T {
 		s := *box
 		*box = nil
 		p.boxes.Put(box)
-		nb := uint64(cap(s)) * uint64(p.elemSize)
-		p.recycledB.Add(nb)
-		recycled(nb)
+		p.recycledB.Add(uint64(cap(s)) * uint64(p.elemSize))
 		return s[:n]
 	}
 	p.misses.Add(1)
@@ -241,22 +239,6 @@ func (p *SlicePool[T]) report() PoolReport {
 // Frames is the shared pool for wire frames and page-read buffers —
 // the raw byte slabs every subsystem slices records out of.
 var Frames = NewBytesPool("frames")
-
-// Process-wide recycle counters, read by the cost profiler (via the
-// hook mempool registers into obs) so /debug/hotpath can report how
-// much of a stage's demand was served from pools rather than the heap.
-var recycledBytes, recycledObjects atomic.Uint64
-
-func recycled(n uint64) {
-	recycledBytes.Add(n)
-	recycledObjects.Add(1)
-}
-
-// RecycledTotals returns the cumulative (bytes, slabs) served from all
-// pools since process start.
-func RecycledTotals() (uint64, uint64) {
-	return recycledBytes.Load(), recycledObjects.Load()
-}
 
 // PoolReport is one pool's row in the /debug/mempool document.
 type PoolReport struct {

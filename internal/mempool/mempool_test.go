@@ -5,6 +5,8 @@ import (
 	"runtime/debug"
 	"testing"
 	"unsafe"
+
+	"fxdist/internal/obs"
 )
 
 // raceEnabled reports whether the test binary was built with -race,
@@ -284,5 +286,40 @@ func TestSetPoisonScribblesReleasedByteSlabs(t *testing.T) {
 	}
 	if was := SetPoison(false); !was {
 		t.Fatal("SetPoison did not report the previous setting")
+	}
+}
+
+// TestGaugesSumPoolStats pins the gauges to the pools' own counters: each
+// scrape reads the sums of every registered pool's Stats, and gets counts
+// every Get — hits, misses and oversize alike.
+func TestGaugesSumPoolStats(t *testing.T) {
+	p := NewBytesPool("test.gauges")
+	p.Put(p.Get(100))
+	p.Get(100)
+	p.Get(1<<24 + 1)
+	r := obs.NewRegistry()
+	RegisterMetrics(r)
+	got := make(map[string]float64)
+	for _, pt := range r.Snapshot() {
+		got[pt.Name] = pt.Value
+	}
+	var want Stats
+	for _, pr := range Report() {
+		want.Gets += pr.Gets
+		want.Misses += pr.Misses
+		want.Oversize += pr.Oversize
+		want.RecycledBytes += pr.RecycledBytes
+	}
+	for name, v := range map[string]uint64{
+		"fxdist_mempool_gets":           want.Gets + want.Misses + want.Oversize,
+		"fxdist_mempool_recycled_slabs": want.Gets,
+		"fxdist_mempool_recycled_bytes": want.RecycledBytes,
+	} {
+		if got[name] != float64(v) {
+			t.Errorf("%s = %v, want the pools' sum %d", name, got[name], v)
+		}
+	}
+	if st := p.Stats(); st.Gets+st.Misses+st.Oversize != 3 {
+		t.Errorf("pool stats = %+v, want 3 Gets counted", st)
 	}
 }

@@ -321,7 +321,7 @@ type Coordinator struct {
 	timeout  time.Duration
 	failover bool
 	epoch    int
-	spec     *decluster.Spec // WithSpec; nil takes the servers' word
+	spec     *decluster.Spec // WithSpec's, else nil until the servers agree on one at Dial
 	eng      *engine.Executor
 	in       *telemetry.Instruments
 
@@ -505,6 +505,7 @@ func (c *Coordinator) allocator() (decluster.GroupAllocator, error) {
 	if sizes := c.file.Sizes(); !slices.Equal(sizes, spec.Sizes) {
 		return nil, fmt.Errorf("netdist: file directory sizes %v, allocator declusters %v", sizes, spec.Sizes)
 	}
+	c.spec = spec
 	alloc, err := spec.Build()
 	if err != nil {
 		return nil, fmt.Errorf("netdist: %w", err)
@@ -832,6 +833,10 @@ func (c *Coordinator) Instruments() *telemetry.Instruments { return c.in }
 func (c *Coordinator) Resilience() resilience.Snapshot {
 	return resilience.SnapshotOf(c.ctrl, c.injector)
 }
+
+// Spec returns the allocator spec the coordinator's servers decluster
+// under: the one they agreed on at Dial (WithSpec's, when handed over).
+func (c *Coordinator) Spec() decluster.Spec { return *c.spec }
 
 // Epoch returns the declustering epoch stamped on this coordinator's
 // queries (see WithEpoch).

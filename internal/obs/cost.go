@@ -12,9 +12,9 @@ import (
 // entirely about where a query's time goes — the slowest device sets
 // the latency, and FX keeps every device's share near ceil(|R(q)|/M) —
 // so the profiler splits every retrieval into named stages and
-// aggregates wall time, bytes and allocation deltas per (backend,
-// query shape). The aggregate is served on /debug/hotpath and is the
-// measurement baseline any allocation-reduction work is judged against.
+// aggregates their wall time per (backend, query shape), plus the wire
+// bytes of the coordinator's net.* stages. The aggregate is served on
+// /debug/hotpath; where memory goes is /debug/pprof/allocs's answer.
 
 // Top-level stage names: these four partition a whole retrieval, so
 // their wall times sum to (approximately) the measured query latency.
@@ -40,7 +40,7 @@ const (
 	// devices run concurrently).
 	StageDeviceScan = "device.scan"
 	// StageNetDispatch is request encode+write on the coordinator side;
-	// Bytes counts wire bytes out, not allocations.
+	// Bytes counts wire bytes out.
 	StageNetDispatch = "net.dispatch"
 	// StageNetWait is dispatch-done → first response byte.
 	StageNetWait = "net.wait"
@@ -53,18 +53,12 @@ const (
 // order. Their wall-time sum is the profiler's coverage numerator.
 var TopStages = []string{StagePlan, StageFanout, StageMerge, StageAudit}
 
-// StageSample is one stage measurement from one query. For engine
-// stages Bytes/Objects are heap-allocation deltas and
-// RecycledBytes/RecycledSlabs the demand the buffer pools absorbed
-// over the same interval; for the net.* wire stages Bytes counts wire
-// bytes and the rest are zero.
+// StageSample is one stage measurement from one query: its wall time,
+// and for the net.* wire stages the wire bytes (zero elsewhere).
 type StageSample struct {
-	Stage         string        `json:"stage"`
-	Wall          time.Duration `json:"wall_ns"`
-	Bytes         uint64        `json:"bytes,omitempty"`
-	Objects       uint64        `json:"objects,omitempty"`
-	RecycledBytes uint64        `json:"recycled_bytes,omitempty"`
-	RecycledSlabs uint64        `json:"recycled_slabs,omitempty"`
+	Stage string        `json:"stage"`
+	Wall  time.Duration `json:"wall_ns"`
+	Bytes uint64        `json:"bytes,omitempty"`
 }
 
 // stageAcc accumulates one stage across queries of one shape.
@@ -73,9 +67,6 @@ type stageAcc struct {
 	wallNS    int64
 	maxWallNS int64
 	bytes     uint64
-	objects   uint64
-	recBytes  uint64
-	recSlabs  uint64
 }
 
 // ShapeCosts accumulates every stage of one query shape: the cost
@@ -105,9 +96,6 @@ func (sc *ShapeCosts) Add(samples []StageSample) {
 			acc.maxWallNS = int64(s.Wall)
 		}
 		acc.bytes += s.Bytes
-		acc.objects += s.Objects
-		acc.recBytes += s.RecycledBytes
-		acc.recSlabs += s.RecycledSlabs
 	}
 }
 
@@ -132,15 +120,9 @@ type StageCost struct {
 	// MeanWall and MaxWall are per-sample wall times.
 	MeanWall time.Duration `json:"mean_wall_ns"`
 	MaxWall  time.Duration `json:"max_wall_ns"`
-	// MeanBytes/MeanObjects are per-sample heap-alloc deltas (wire
-	// bytes for net.* stages); MeanRecycledBytes/MeanRecycledSlabs are
-	// the per-sample demand served from buffer pools instead — the two
-	// together attribute a stage's true memory traffic once pooling is
-	// on.
-	MeanBytes         float64 `json:"mean_bytes"`
-	MeanObjects       float64 `json:"mean_objects"`
-	MeanRecycledBytes float64 `json:"mean_recycled_bytes,omitempty"`
-	MeanRecycledSlabs float64 `json:"mean_recycled_slabs,omitempty"`
+	// MeanBytes is the per-sample wire bytes of a net.* stage (zero
+	// elsewhere).
+	MeanBytes float64 `json:"mean_bytes"`
 	// WallFrac is this stage's share of the shape's total query time
 	// (top-level stages only; auxiliary stages overlap fanout).
 	WallFrac float64 `json:"wall_frac"`
@@ -174,13 +156,10 @@ func (sc *ShapeCosts) Report(shape string) ShapeCost {
 	var topNS int64
 	for name, acc := range sc.stages {
 		st := StageCost{
-			Stage:             name,
-			Count:             acc.count,
-			MaxWall:           time.Duration(acc.maxWallNS),
-			MeanBytes:         float64(acc.bytes) / float64(acc.count),
-			MeanObjects:       float64(acc.objects) / float64(acc.count),
-			MeanRecycledBytes: float64(acc.recBytes) / float64(acc.count),
-			MeanRecycledSlabs: float64(acc.recSlabs) / float64(acc.count),
+			Stage:     name,
+			Count:     acc.count,
+			MaxWall:   time.Duration(acc.maxWallNS),
+			MeanBytes: float64(acc.bytes) / float64(acc.count),
 		}
 		st.MeanWall = time.Duration(acc.wallNS / int64(acc.count))
 		if slices.Contains(TopStages, name) {
@@ -222,16 +201,15 @@ func WriteCostReport(w io.Writer, report []BackendCost) {
 		for _, s := range b.Shapes {
 			fmt.Fprintf(w, "  shape %-8s queries=%d mean=%v coverage=%.2f\n",
 				s.Shape, s.Queries, s.MeanT, s.StageCoverage)
-			fmt.Fprintf(w, "    %-14s %8s %12s %12s %14s %12s %14s %12s %8s\n",
-				"stage", "count", "mean", "max", "bytes/op", "objs/op", "recycled/op", "slabs/op", "wall%")
+			fmt.Fprintf(w, "    %-14s %8s %12s %12s %14s %8s\n",
+				"stage", "count", "mean", "max", "wire B/op", "wall%")
 			for _, st := range s.Stages {
 				frac := "-"
 				if slices.Contains(TopStages, st.Stage) {
 					frac = fmt.Sprintf("%.1f%%", st.WallFrac*100)
 				}
-				fmt.Fprintf(w, "    %-14s %8d %12v %12v %14.1f %12.1f %14.1f %12.1f %8s\n",
-					st.Stage, st.Count, st.MeanWall, st.MaxWall, st.MeanBytes, st.MeanObjects,
-					st.MeanRecycledBytes, st.MeanRecycledSlabs, frac)
+				fmt.Fprintf(w, "    %-14s %8d %12v %12v %14.1f %8s\n",
+					st.Stage, st.Count, st.MeanWall, st.MaxWall, st.MeanBytes, frac)
 			}
 		}
 	}

@@ -18,8 +18,8 @@ func TestCostProfilerAggregates(t *testing.T) {
 	}
 	for i := 0; i < 4; i++ {
 		p.Observe(&QueryRecord{Shape: "ss**", Elapsed: 100 * time.Microsecond, Stages: []StageSample{
-			{Stage: StagePlan, Wall: 10 * time.Microsecond, Bytes: 100, Objects: 2},
-			{Stage: StageFanout, Wall: 80 * time.Microsecond, Bytes: 4000, Objects: 40},
+			{Stage: StagePlan, Wall: 10 * time.Microsecond},
+			{Stage: StageFanout, Wall: 80 * time.Microsecond, Bytes: 4000},
 			{Stage: StageMerge, Wall: 5 * time.Microsecond},
 			{Stage: StageAudit, Wall: 5 * time.Microsecond},
 			{Stage: StageDeviceScan, Wall: 300 * time.Microsecond},
@@ -46,7 +46,7 @@ func TestCostProfilerAggregates(t *testing.T) {
 	}
 	fanout := s.Stages[1]
 	if fanout.Count != 4 || fanout.MeanWall != 80*time.Microsecond ||
-		fanout.MeanBytes != 4000 || fanout.MeanObjects != 40 {
+		fanout.MeanBytes != 4000 {
 		t.Errorf("fanout agg = %+v", fanout)
 	}
 	if fanout.WallFrac < 0.79 || fanout.WallFrac > 0.81 {

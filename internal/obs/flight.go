@@ -91,7 +91,11 @@ func WriteFlightReport(w io.Writer, report []BackendFlights) {
 				fmt.Fprintf(w, "%s/%s elapsed=%v trace=%d plan-cache=%s |R(q)|=%d bound=%d\n",
 					b.Backend, s.Shape, r.Elapsed, r.TraceID, hit, r.RQ, r.Bound)
 				for _, st := range r.Stages {
-					fmt.Fprintf(w, "  stage %-14s %12v bytes=%d objs=%d\n", st.Stage, st.Wall, st.Bytes, st.Objects)
+					fmt.Fprintf(w, "  stage %-14s %12v", st.Stage, st.Wall)
+					if st.Bytes > 0 {
+						fmt.Fprintf(w, " wire=%dB", st.Bytes)
+					}
+					fmt.Fprintln(w)
 				}
 				for _, d := range r.Devices {
 					over := ""

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"fxdist/internal/mempool"
 	"fxdist/internal/obs"
 )
 
@@ -214,4 +215,47 @@ func nilIfEmpty(m map[string]uint64) map[string]uint64 {
 		return nil
 	}
 	return m
+}
+
+// TestFleetMempoolRecycleRate drives one pool through 11 misses and one
+// hit, scrapes the pool gauges through a node registry, and reads the
+// fleet's recycle rate off Federator.Report: hits over every Get, 1/12,
+// not the hits over themselves. The gauges are process totals, so the
+// node's snapshot is the difference across the traffic.
+func TestFleetMempoolRecycleRate(t *testing.T) {
+	r := obs.NewRegistry()
+	mempool.RegisterMetrics(r)
+	gauges := func() map[string]float64 {
+		m := make(map[string]float64)
+		for _, s := range LocalNodeStats("node-0", r).Metrics {
+			m[s.Name] = s.Value
+		}
+		return m
+	}
+	before := gauges()
+	p := mempool.NewBytesPool("test.fleet-rate")
+	var b []byte
+	for i := 0; i < 11; i++ {
+		b = p.Get(64) // the class is empty: a miss
+	}
+	// sync.Pool may drop a Put under -race; each drop costs one more miss.
+	for p.Stats().Gets == 0 {
+		p.Put(b)
+		b = p.Get(64)
+	}
+	after := gauges()
+	var st NodeStats
+	for _, name := range []string{"fxdist_mempool_gets", "fxdist_mempool_recycled_slabs"} {
+		st.Metrics = append(st.Metrics, MetricSample{Name: name, Kind: "gauge", Value: after[name] - before[name]})
+	}
+	f := NewFederator("netdist")
+	f.ObserveNode("node-0", st, 0)
+	ps := p.Stats()
+	want := 1 / float64(1+ps.Misses)
+	if got := f.Report().Summary.MempoolRecycleRate; got != want {
+		t.Errorf("mempool recycle rate = %v, want %v (pool stats %+v)", got, want, ps)
+	}
+	if ps.Gets != 1 || ps.Misses < 11 {
+		t.Errorf("pool stats = %+v, want 1 hit and at least 11 misses", ps)
+	}
 }

@@ -9,16 +9,14 @@ import (
 // Profiling: the per-query cost-attribution surface. Every retrieval on
 // every backend records a stage breakdown — plan (cache hit or
 // compile), fanout (the paper's max-over-devices term), merge, audit —
-// with wall time and heap-allocation deltas, aggregated per query shape
-// in each cluster's own store. The distributed coordinator additionally
+// by wall time, aggregated per query shape in each cluster's own store. The distributed coordinator additionally
 // attributes the wire path (dispatch → first byte → decode, with wire
 // byte counts). A cluster serves its own on /debug/hotpath, and the
 // slowest queries per shape are retained with full evidence on
 // /debug/flight.
 
 // StageSample is one stage measurement of one query (a kept QueryEvent's
-// Stages): wall time plus heap-allocation deltas for engine stages, wire
-// bytes for the coordinator's net.* stages.
+// Stages): wall time, plus wire bytes on the coordinator's net.* stages.
 type StageSample = obs.StageSample
 
 // Stage names of the cost breakdown. The four top-level stages

@@ -47,11 +47,6 @@ type RescaleConfig struct {
 	// NewM is the post-rescale device count; must equal len(Addrs) and
 	// be exactly double or half the current M.
 	NewM int
-	// Allocator is the cluster's current allocator — the one its device
-	// servers were deployed with (coordinators dial by address and don't
-	// hold it). The new epoch reuses its method and per-field settings
-	// with M doubled or halved.
-	Allocator GroupAllocator
 	// Journal overrides the cluster's WithRescale journal path.
 	Journal string
 	// Concurrency bounds in-flight bucket copies (default 4).
@@ -114,16 +109,9 @@ func (c *Cluster) Rescale(ctx context.Context, cfg RescaleConfig) (*Rescale, err
 		journal = c.rescaleJournal
 	}
 
-	if cfg.Allocator == nil {
-		return nil, errors.New("fxdist: RescaleConfig.Allocator must be the cluster's current allocator")
-	}
-	oldSpec, err := DescribeAllocator(cfg.Allocator)
-	if err != nil {
-		return nil, err
-	}
-	if oldSpec.M != oldM {
-		return nil, fmt.Errorf("fxdist: allocator declusters over %d devices, cluster has %d", oldSpec.M, oldM)
-	}
+	// The new epoch reuses the method and per-field settings of the spec
+	// every server agreed on at Dial, with M doubled or halved.
+	oldSpec := old.Spec()
 	newSpec, err := oldSpec.Rescaled(cfg.NewM)
 	if err != nil {
 		return nil, err

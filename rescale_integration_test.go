@@ -150,7 +150,6 @@ func runRescale(t *testing.T, oldM, newM int) {
 	resc, err := cl.Rescale(ctx, fxdist.RescaleConfig{
 		Addrs:           newAddrs,
 		NewM:            newM,
-		Allocator:       fx,
 		GuardMinQueries: 2,
 	})
 	if err != nil {
@@ -295,7 +294,6 @@ func TestRescaleGrowUnderFaults(t *testing.T) {
 	resc, err := cl.Rescale(ctx, fxdist.RescaleConfig{
 		Addrs:           append(append([]string(nil), addrs...), taddrs...),
 		NewM:            8,
-		Allocator:       fx,
 		GuardMinQueries: 2,
 		DialOptions:     []fxdist.DialOption{fxdist.WithDialInjector(in)},
 	})
@@ -368,9 +366,8 @@ func TestRescaleAbortRollsBack(t *testing.T) {
 
 	ctx := context.Background()
 	resc, err := cl.Rescale(ctx, fxdist.RescaleConfig{
-		Addrs:     append(append([]string(nil), addrs...), taddrs...),
-		NewM:      8,
-		Allocator: fx,
+		Addrs: append(append([]string(nil), addrs...), taddrs...),
+		NewM:  8,
 		// An unmeetable floor keeps the driver parked in verified so the
 		// abort lands before cutover.
 		GuardMinQueries: 1 << 62,
@@ -554,7 +551,7 @@ func TestRescaleKeepsItsObjectivesAndAuditsTheNewEpoch(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 	resc, err := cl.Rescale(ctx, fxdist.RescaleConfig{
-		Addrs: append(append([]string(nil), addrs...), taddrs...), NewM: 8, Allocator: fx, GuardMinQueries: guard,
+		Addrs: append(append([]string(nil), addrs...), taddrs...), NewM: 8, GuardMinQueries: guard,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -676,7 +673,7 @@ func TestObjectiveSetWhileARescaleStartsHolds(t *testing.T) {
 	defer cancel()
 	const guard = 8
 	resc, err := cl.Rescale(ctx, fxdist.RescaleConfig{
-		Addrs: append(append([]string(nil), addrs...), taddrs...), NewM: 8, Allocator: fx, GuardMinQueries: guard,
+		Addrs: append(append([]string(nil), addrs...), taddrs...), NewM: 8, GuardMinQueries: guard,
 	})
 	close(stop)
 	<-stopped
@@ -754,7 +751,7 @@ func TestRescaleWindowReadsOneEpoch(t *testing.T) {
 	old := cl.Coordinator()
 
 	resc, err := cl.Rescale(context.Background(), fxdist.RescaleConfig{
-		Addrs: append(append([]string(nil), addrs...), taddrs...), NewM: 8, Allocator: fx,
+		Addrs: append(append([]string(nil), addrs...), taddrs...), NewM: 8,
 		GuardMinQueries: 1 << 62, // holds the window open
 	})
 	if err != nil {
