@@ -150,9 +150,7 @@ func run() error {
 			explainResult(cluster, file, fs, pms[i], res)
 		}
 		total += res.Response.Seconds()
-		if res.Response.Seconds() > worst {
-			worst = res.Response.Seconds()
-		}
+		worst = max(worst, res.Response.Seconds())
 	}
 	fmt.Printf("\navg response %.6fs, worst %.6fs\n", total/float64(len(pms)), worst)
 

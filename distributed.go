@@ -45,13 +45,15 @@ type DeviceError = netdist.DeviceError
 var ErrRequestTimeout = netdist.ErrTimeout
 
 // Partition is the records one device holds, keyed by linear bucket
-// index — what PartitionFile returns per device and a device server is
-// built from. A plain map[int][]Record is assignable to it.
+// index, each bucket one slab of its records' values end to end,
+// File.NumFields apart — what PartitionFile returns per device and a
+// device server is built from. A plain map[int][]string is assignable
+// to it.
 type Partition = storage.Partition
 
 // NewDeviceServer builds a device server from an allocator spec and the
 // device's bucket partition (see PartitionFile).
-func NewDeviceServer(deviceID int, spec AllocatorSpec, buckets map[int][]Record) (*DeviceServer, error) {
+func NewDeviceServer(deviceID int, spec AllocatorSpec, buckets Partition) (*DeviceServer, error) {
 	return netdist.NewServer(deviceID, spec, buckets)
 }
 
@@ -72,7 +74,7 @@ func DeployLocal(file *File, alloc GroupAllocator) (addrs []string, stop func(),
 // backup partition of its ring predecessor (chained declustering over
 // TCP), which is what lets a cluster opened WithFailover survive a
 // server's death.
-func NewReplicatedDeviceServer(deviceID int, spec AllocatorSpec, primary, backup map[int][]Record) (*DeviceServer, error) {
+func NewReplicatedDeviceServer(deviceID int, spec AllocatorSpec, primary, backup Partition) (*DeviceServer, error) {
 	return netdist.NewReplicatedServer(deviceID, spec, primary, backup)
 }
 

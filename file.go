@@ -106,12 +106,6 @@ var (
 // per-device bucket and record counts, and the simulated cost (§5.2.1).
 type RetrieveResult = storage.Result
 
-// ProjectResult reports a parallel projection with duplicate elimination
-// (Cluster.Project) — the relational operator the paper's Butterfly
-// citation [RoJa87] studies. Pass a butterfly network (internal/butterfly)
-// to cost the gather phase on the simulated interconnect.
-type ProjectResult = storage.ProjectResult
-
 // ReplicatedCluster is a simulated cluster with chained-declustering
 // replication: each bucket is stored on its primary device and the ring
 // successor, devices can Fail and Restore, and retrieval keeps answering

@@ -106,9 +106,7 @@ func (nw *Network) Run(msgs []Message) (Stats, error) {
 				if len(q) == 0 {
 					continue
 				}
-				if len(q) > stats.MaxQueue {
-					stats.MaxQueue = len(q)
-				}
+				stats.MaxQueue = max(stats.MaxQueue, len(q))
 				f := q[0]
 				queues[s][p] = q[1:]
 				if s == nw.stages-1 {
@@ -139,18 +137,10 @@ func (nw *Network) Run(msgs []Message) (Stats, error) {
 	}
 	maxSrc, maxDst := 0, 0
 	for i := 0; i < nw.m; i++ {
-		if srcMax[i] > maxSrc {
-			maxSrc = srcMax[i]
-		}
-		if dstMax[i] > maxDst {
-			maxDst = dstMax[i]
-		}
+		maxSrc = max(maxSrc, srcMax[i])
+		maxDst = max(maxDst, dstMax[i])
 	}
-	bound := maxSrc
-	if maxDst > bound {
-		bound = maxDst
-	}
-	stats.IdealCycles = bound + nw.stages
+	stats.IdealCycles = max(maxSrc, maxDst) + nw.stages
 	return stats, nil
 }
 

@@ -98,13 +98,9 @@ func (d *DHW) Name() string { return "DHW-LS" }
 // guard refuses to release the old owners while any audited shape's max
 // deviation exceeds this.
 func DoerrBound(m, freeFields int) int {
-	if freeFields < 1 {
-		freeFields = 1
-	}
+	freeFields = max(freeFields, 1)
 	lg := bits.Len(uint(m - 1)) // ceil(log2 m)
-	if lg < 1 {
-		lg = 1
-	}
+	lg = max(lg, 1)
 	b := 1
 	for i := 0; i < freeFields-1; i++ {
 		b *= lg

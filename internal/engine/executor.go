@@ -575,9 +575,7 @@ func (e *Executor) degrade(c *call) (Result, error) {
 	coverage := 1.0
 	if rq := c.plan.RQ; rq > 0 {
 		coverage = float64(covered) / float64(rq)
-		if coverage > 1 {
-			coverage = 1
-		}
+		coverage = min(coverage, 1)
 	}
 	c.span.Event(fmt.Sprintf("degraded: %d device(s) failed, coverage %.3f", len(failed), coverage))
 	e.retry.Degraded(coverage)

@@ -75,9 +75,7 @@ func newTenant(cfg TenantConfig) *tenant {
 	burst := cfg.Burst
 	if burst <= 0 {
 		burst = int(cfg.RatePerSec + 0.999)
-		if burst < 1 {
-			burst = 1
-		}
+		burst = max(burst, 1)
 	}
 	cfg.Burst = burst
 	return &tenant{cfg: cfg, tokens: float64(burst), shapes: make(map[string]*shapeStats)}
@@ -135,9 +133,7 @@ func (t *tenant) observe(shape string, elapsed time.Duration, coalesced bool, er
 	}
 	ss.Queries++
 	ss.SumLatency += elapsed
-	if elapsed > ss.MaxLatency {
-		ss.MaxLatency = elapsed
-	}
+	ss.MaxLatency = max(ss.MaxLatency, elapsed)
 	if err != nil {
 		ss.Errors++
 		t.errors++

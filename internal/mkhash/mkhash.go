@@ -24,6 +24,16 @@ import (
 // Record is one tuple; the file stores records by value.
 type Record []string
 
+// Views appends to dst a view of each record in slab, a bucket's values
+// laid end to end n apart, and returns it. A view's capacity ends with
+// the record, so appending to it cannot reach the next.
+func Views(slab []string, n int, dst []Record) []Record {
+	for i := 0; i+n <= len(slab); i += n {
+		dst = append(dst, slab[i:i+n:i+n])
+	}
+	return dst
+}
+
 // Schema names the fields and fixes the initial directory depths.
 type Schema struct {
 	// Fields holds the field names, in order.
@@ -80,18 +90,30 @@ func DefaultHash(fieldIdx int) FieldHash {
 // of two: a value's slot is the low bits of its field hash.
 const valueSlots = 1 << 12
 
+// valueTable is one field's canonical values: slots numbers the value
+// that took each slot in distinct, from 1, and 0 while the slot is
+// empty, so a slot costs 2 bytes where a string costs 16.
+type valueTable struct {
+	slots    [valueSlots]uint16
+	distinct []string
+}
+
 // File is a multi-key hashed file held in memory as a bucket grid.
 type File struct {
 	schema Schema
 	depths []int
 	hashes []FieldHash
-	// buckets maps the linear bucket index to its records.
-	buckets map[int][]Record
+	// buckets maps the linear bucket index to its slab: the records'
+	// values end to end, NumFields apart. A slab is only ever appended
+	// to past its length or replaced, never shifted (DESIGN §2).
+	buckets map[int][]string
 	count   int
+	// hs holds the field hashes of the record Insert is storing.
+	hs []uint64
 	// values holds each field's canonical values, made at the first
 	// Insert: a stored value equal to its slot's shares the slot's string,
 	// so a value repeated across records is kept once (DESIGN §2).
-	values [][valueSlots]string
+	values []valueTable
 }
 
 // Option configures New.
@@ -111,7 +133,7 @@ func New(schema Schema, opts ...Option) (*File, error) {
 		schema:  schema,
 		depths:  append([]int(nil), schema.Depths...),
 		hashes:  make([]FieldHash, len(schema.Fields)),
-		buckets: make(map[int][]Record),
+		buckets: make(map[int][]string),
 	}
 	for i := range f.hashes {
 		f.hashes[i] = DefaultHash(i)
@@ -217,56 +239,86 @@ func (f *File) linear(b []int) int {
 	return idx
 }
 
-// locate returns the linear index of r's bucket, hashing each field once.
-// With intern set it also swaps each value for its field's canonical copy
-// when the two are equal: a slot keeps a copy of the first value hashed
-// to it, so a colliding value, or any value under a custom hash that maps
-// everything alike, stays as it is.
-func (f *File) locate(r Record, intern bool) int {
-	if intern && f.values == nil {
-		f.values = make([][valueSlots]string, len(f.depths))
-	}
+// locate returns the linear index of r's bucket, hashing each field once,
+// and leaves each field's hash in hs when given one.
+func (f *File) locate(r Record, hs []uint64) int {
 	idx := 0
 	for i, v := range r {
 		h := f.hashes[i](v)
 		idx = idx<<f.depths[i] | int(h&uint64(1<<f.depths[i]-1))
-		if !intern {
-			continue
-		}
-		switch slot := &f.values[i][h&(valueSlots-1)]; {
-		case *slot == v:
-			r[i] = *slot
-		case *slot == "":
-			*slot = strings.Clone(v)
-			r[i] = *slot
+		if hs != nil {
+			hs[i] = h
 		}
 	}
 	return idx
 }
 
-// Insert stores a copy of the record, its values shared with equal ones
-// already stored where the field's table holds them.
+// canonical returns the copy of field i's value v, of hash h, to store:
+// its field's table slot when the two are equal. A slot keeps a copy of
+// the first value hashed to it, so a colliding value, or any value under
+// a custom hash that maps everything alike, stays as it is.
+func (f *File) canonical(i int, v string, h uint64) string {
+	t := &f.values[i]
+	slot := &t.slots[h&(valueSlots-1)]
+	if *slot == 0 {
+		t.distinct = append(t.distinct, strings.Clone(v))
+		*slot = uint16(len(t.distinct))
+	}
+	if c := t.distinct[*slot-1]; c == v {
+		return c
+	}
+	return v
+}
+
+// Insert stores a copy of the record at the end of its bucket's slab,
+// its values shared with equal ones already stored where the field's
+// table holds them. A full slab is copied into one max(1, records/8)
+// records larger (DESIGN §2).
 func (f *File) Insert(r Record) error {
 	if err := f.checkArity(r); err != nil {
 		return err
 	}
-	r = slices.Clone(r)
-	idx := f.locate(r, true)
-	f.buckets[idx] = append(f.buckets[idx], r)
+	n := len(r)
+	if f.values == nil {
+		f.values, f.hs = make([]valueTable, n), make([]uint64, n)
+	}
+	idx := f.locate(r, f.hs)
+	slab := f.buckets[idx]
+	if cap(slab)-len(slab) < n {
+		slab = append(make([]string, 0, len(slab)+n*max(1, len(slab)/n/8)), slab...)
+	}
+	for i, v := range r {
+		slab = append(slab, f.canonical(i, v, f.hs[i]))
+	}
+	f.buckets[idx] = slab
 	f.count++
 	return nil
 }
 
 // Delete removes every stored record equal to r, returning the number
-// removed. The values they leave in their fields' tables stay there.
+// removed. The bucket's survivors move to a new slab, so views of the
+// old one stay as they are. The values the removed records leave in
+// their fields' tables stay there.
 func (f *File) Delete(r Record) (int, error) {
 	if err := f.checkArity(r); err != nil {
 		return 0, err
 	}
-	idx := f.locate(r, false)
-	recs := f.buckets[idx]
-	kept := slices.DeleteFunc(recs, func(stored Record) bool { return slices.Equal(stored, r) })
-	removed := len(recs) - len(kept)
+	idx := f.locate(r, nil)
+	n, slab, removed := len(r), f.buckets[idx], 0
+	for i := 0; i < len(slab); i += n {
+		if slices.Equal(slab[i:i+n], r) {
+			removed++
+		}
+	}
+	if removed == 0 {
+		return 0, nil
+	}
+	kept := make([]string, 0, len(slab)-removed*n)
+	for i := 0; i < len(slab); i += n {
+		if !slices.Equal(slab[i:i+n], r) {
+			kept = append(kept, slab[i:i+n]...)
+		}
+	}
 	if len(kept) == 0 {
 		delete(f.buckets, idx)
 	} else {
@@ -276,26 +328,37 @@ func (f *File) Delete(r Record) (int, error) {
 	return removed, nil
 }
 
-// Bucket returns the records stored in the bucket with the given
-// coordinates (nil when empty). The result aliases internal storage; do
-// not mutate.
-func (f *File) Bucket(b []int) []Record { return f.buckets[f.linear(b)] }
+// Bucket returns views of the records stored in the bucket with the
+// given coordinates (nil when empty). The views alias internal storage;
+// do not mutate.
+func (f *File) Bucket(b []int) []Record { return Views(f.buckets[f.linear(b)], len(f.depths), nil) }
 
-// EachBucket calls fn for every non-empty bucket. The coordinate slice is
-// reused between calls.
-func (f *File) EachBucket(fn func(coords []int, records []Record)) {
+// EachSlab calls fn for every non-empty bucket with its slab: the
+// bucket's records' values end to end, NumFields apart, capped at its
+// length. The slab never changes under its holder (Insert appends past
+// it, Delete and Grow build new ones); do not mutate it. The coordinate
+// slice is reused between calls.
+func (f *File) EachSlab(fn func(coords []int, slab []string)) {
 	coords := make([]int, len(f.depths))
-	for idx, recs := range f.buckets {
-		if len(recs) == 0 {
-			continue
-		}
+	for idx, slab := range f.buckets {
 		rem := idx
 		for i := len(f.depths) - 1; i >= 0; i-- {
 			coords[i] = rem & (1<<f.depths[i] - 1)
 			rem >>= f.depths[i]
 		}
-		fn(coords, recs)
+		fn(coords, slab[:len(slab):len(slab)])
 	}
+}
+
+// EachBucket calls fn for every non-empty bucket with views of its
+// records. The coordinate and records slices are reused between calls;
+// the views are not.
+func (f *File) EachBucket(fn func(coords []int, records []Record)) {
+	var records []Record
+	f.EachSlab(func(coords []int, slab []string) {
+		records = Views(slab, len(coords), records[:0])
+		fn(coords, records)
+	})
 }
 
 // Grow doubles field i's directory (d_i += 1) and redistributes records.
@@ -308,16 +371,17 @@ func (f *File) Grow(fieldIdx int) error {
 	if f.depths[fieldIdx] >= 30 {
 		return fmt.Errorf("mkhash: field %d already at maximum depth", fieldIdx)
 	}
-	old := f.buckets
+	old, n := f.buckets, len(f.depths)
 	f.depths[fieldIdx]++
-	f.buckets = make(map[int][]Record, len(old)*2)
-	f.count = 0
-	for _, recs := range old {
-		for _, r := range recs {
-			idx := f.locate(r, false)
-			f.buckets[idx] = append(f.buckets[idx], r)
-			f.count++
+	f.buckets = make(map[int][]string, len(old)*2)
+	for _, slab := range old {
+		for i := 0; i < len(slab); i += n {
+			idx := f.locate(slab[i:i+n], nil)
+			f.buckets[idx] = append(f.buckets[idx], slab[i:i+n]...)
 		}
+	}
+	for idx, slab := range f.buckets {
+		f.buckets[idx] = slices.Clone(slab) // drop append's slack
 	}
 	return nil
 }
@@ -328,9 +392,9 @@ func (f *File) Occupancy() (mean float64, max int) {
 	if len(f.buckets) == 0 {
 		return 0, 0
 	}
-	for _, recs := range f.buckets {
-		if len(recs) > max {
-			max = len(recs)
+	for _, slab := range f.buckets {
+		if recs := len(slab) / len(f.depths); recs > max {
+			max = recs
 		}
 	}
 	return float64(f.count) / float64(len(f.buckets)), max
@@ -354,13 +418,13 @@ func (f *File) GrowAdvice() (fieldIdx int, ok bool) {
 		}
 		moved := 0
 		bit := uint64(1) << d
-		f.EachBucket(func(_ []int, recs []Record) {
-			for _, r := range recs {
-				if f.hashes[i](r[i])&bit != 0 {
+		for _, slab := range f.buckets {
+			for j := i; j < len(slab); j += len(f.depths) {
+				if f.hashes[i](slab[j])&bit != 0 {
 					moved++
 				}
 			}
-		})
+		}
 		if score := min(moved, f.count-moved); score > bestScore {
 			bestScore = score
 			fieldIdx = i
@@ -451,8 +515,9 @@ func (f *File) Search(pm PartialMatch) ([]Record, error) {
 	}
 	var out []Record
 	q.EachQualified(fs, func(b []int) {
-		for _, r := range f.buckets[f.linear(b)] {
-			if pm.matches(r) {
+		slab, n := f.buckets[f.linear(b)], len(pm)
+		for i := 0; i < len(slab); i += n {
+			if r := slab[i : i+n : i+n]; pm.matches(r) {
 				out = append(out, r)
 			}
 		}

@@ -1,6 +1,7 @@
 package mkhash_test
 
 import (
+	"runtime"
 	"slices"
 	"testing"
 	"unsafe"
@@ -90,19 +91,52 @@ func sorted(recs []mkhash.Record) []mkhash.Record {
 	return recs
 }
 
-// TestInsertAllocatesTheRecordOnly: into a bucket with room, with its
-// values already in their slots, Insert allocates the record's copy and
-// nothing else: no coordinates, no values.
+// TestInsertAllocatesTheRecordOnly: with its values already in their
+// slots, an Insert into a bucket whose slab has room allocates nothing,
+// and one into a full bucket allocates exactly the grown slab, an eighth
+// larger or one record larger while it holds fewer than eight.
 func TestInsertAllocatesTheRecordOnly(t *testing.T) {
 	f := mkhash.MustNew(mkhash.Schema{Fields: []string{"a", "b", "c"}, Depths: []int{0, 0, 0}})
 	r := mkhash.Record{"make-7", "model-47", "1987"}
-	f.Insert(mkhash.Record{"kept", "in", "bucket"}) //nolint:errcheck
-	for range 128 {
-		f.Insert(r) //nolint:errcheck
+	f.Insert(r)        //nolint:errcheck
+	room, held := 1, 1 // the slab's capacity and length, in records
+	insert := func() (allocs float64) {
+		if held == room {
+			allocs, room = 1, room+max(1, room/8)
+		}
+		held++
+		return allocs
 	}
-	f.Delete(r) //nolint:errcheck // the bucket keeps its capacity
-	if n := testing.AllocsPerRun(100, func() { f.Insert(r) }); n != 1 {
-		t.Errorf("Insert allocates %v times, want 1", n)
+	for held < 300 {
+		insert() // AllocsPerRun's warm-up call
+		want := insert()
+		if got := testing.AllocsPerRun(1, func() { f.Insert(r) }); got != want {
+			t.Fatalf("Insert into a bucket of %d records allocates %v times, want %v", held-1, got, want)
+		}
+	}
+}
+
+// TestFileHeapPerRecord bounds what the loaded relation keeps live: its
+// slabs, the bucket map and the value tables, per record.
+func TestFileHeapPerRecord(t *testing.T) {
+	schema, recs := relation(t)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	f := mkhash.MustNew(schema)
+	for _, r := range recs {
+		if err := f.Insert(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(f)
+	runtime.KeepAlive(recs)
+	if per := float64(after.HeapAlloc-before.HeapAlloc) / float64(len(recs)); per > 120 {
+		t.Errorf("the loaded file keeps %.0f B live per record, want at most 120", per)
+	} else {
+		t.Logf("%.1f B per record", per)
 	}
 }
 

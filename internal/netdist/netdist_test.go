@@ -202,7 +202,7 @@ func TestNewServerRejectsForeignBuckets(t *testing.T) {
 	if _, err := NewServer(9, spec, nil); err == nil {
 		t.Error("out-of-range device id accepted")
 	}
-	if _, err := NewServer(0, spec, map[int][]mkhash.Record{1 << 20: nil}); err == nil {
+	if _, err := NewServer(0, spec, storage.Partition{1 << 20: nil}); err == nil {
 		t.Error("out-of-grid bucket index accepted")
 	}
 }

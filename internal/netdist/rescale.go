@@ -118,19 +118,20 @@ func (s *Server) fetch(req *Request) Response {
 	if req.Bucket < 0 || req.Bucket >= s.cur.fs.NumBuckets() {
 		return Response{ID: req.ID, Err: fmt.Sprintf("netdist: fetch: bucket %d outside grid", req.Bucket)}
 	}
-	recs := s.cur.part[req.Bucket]
-	resp := Response{ID: req.ID, Buckets: 1, Scanned: len(recs)}
-	for _, r := range recs {
-		resp.Records = serverHits.AppendOne(resp.Records, r)
+	slab, n := s.cur.part[req.Bucket], s.cur.fs.NumFields()
+	resp := Response{ID: req.ID, Buckets: 1, Scanned: len(slab) / n}
+	for i := 0; i < len(slab); i += n {
+		resp.Records = serverHits.AppendOne(resp.Records, slab[i:i+n:i+n])
 	}
 	return resp
 }
 
 // install stores one bucket into the next-epoch partition. The bucket
 // must pass admission for this device under the prepared spec (or under
-// the current spec on a fresh server already at the new epoch). Records
-// are copied out of the request, so wire buffers never alias the
-// partition.
+// the current spec on a fresh server already at the new epoch). The
+// decoded records already own their values (decodeRecordsPlain), so the
+// bucket's slab takes them as they are: wire buffers never alias the
+// partition, and an install of any size costs the one slab.
 func (s *Server) install(req *Request) Response {
 	s.dataMu.Lock()
 	defer s.dataMu.Unlock()
@@ -138,15 +139,23 @@ func (s *Server) install(req *Request) Response {
 	if s.next != nil {
 		v = s.next
 	}
-	if err := v.admit(storage.Partition{req.Bucket: req.Payload}); err != nil {
+	n := v.fs.NumFields()
+	slab := make([]string, 0, len(req.Payload)*n)
+	for _, r := range req.Payload {
+		if len(r) != n {
+			return Response{ID: req.ID, Err: fmt.Sprintf("netdist: install: a record of %d fields, file has %d", len(r), n)}
+		}
+		slab = append(slab, r...)
+	}
+	if err := v.admit(storage.Partition{req.Bucket: slab}); err != nil {
 		return Response{ID: req.ID, Err: fmt.Sprintf("netdist: install: %v", err)}
 	}
-	if len(req.Payload) == 0 {
+	if len(slab) == 0 {
 		// An empty move: make the install idempotent by clearing any
 		// previous (also empty-in-practice) content.
 		delete(v.part, req.Bucket)
 	} else {
-		v.part[req.Bucket] = engine.CloneRecords(req.Payload)
+		v.part[req.Bucket] = slab
 	}
 	if s.next != nil {
 		s.installed[req.Bucket] = struct{}{}
@@ -228,9 +237,11 @@ func (s *Server) digest(req *Request) Response {
 		return Response{ID: req.ID, Err: fmt.Sprintf("netdist: digest: %v", err)}
 	}
 	var d mkhash.Digest
+	var recs []mkhash.Record
 	walk := v.im.Walk(query.Walk{}, query.All(v.fs.NumFields()), v.dev)
 	for coords := walk.Next(); coords != nil; coords = walk.Next() {
-		d = d.Plus(mkhash.DigestOf(v.part[v.fs.Linear(coords)]))
+		recs = mkhash.Views(v.part[v.fs.Linear(coords)], v.fs.NumFields(), recs[:0])
+		d = d.Plus(mkhash.DigestOf(recs))
 	}
 	return Response{ID: req.ID, Scanned: d.Records, StatsJSON: strconv.AppendUint(nil, d.Sum, 10)}
 }

@@ -3,6 +3,7 @@ package netdist
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net"
 	"reflect"
 	"strings"
@@ -92,7 +93,7 @@ func deployRescaleFixture(t *testing.T, file *mkhash.File, oldM, newM int) (
 	}
 	allAddrs := append([]string(nil), addrs...)
 	for dev := oldM; dev < newM; dev++ {
-		srv, err := NewServer(dev, newSpec, map[int][]mkhash.Record{})
+		srv, err := NewServer(dev, newSpec, storage.Partition{})
 		if err != nil {
 			cleanup()
 			t.Fatal(err)
@@ -501,5 +502,50 @@ func TestRescalePrepareRejectsReplicated(t *testing.T) {
 	resp := srv.control(&Request{Control: OpPrepare, SpecJSON: b})
 	if resp.Err == "" || !strings.Contains(resp.Err, "replicated") {
 		t.Fatalf("replicated server accepted prepare: %q", resp.Err)
+	}
+}
+
+// TestInstallAllocatesTheSameForAnySize: an Install's records are decoded
+// into GC-owned chunks and the bucket's slab takes their values as they
+// are, so moving a bucket of one record costs the allocations a bucket
+// of 256 does.
+func TestInstallAllocatesTheSameForAnySize(t *testing.T) {
+	fs := decluster.MustFileSystem([]int{8, 8, 4}, 4)
+	alloc := decluster.MustFX(fs)
+	spec, err := decluster.SpecOf(alloc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewServer(1, spec, storage.Partition{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bucket := -1
+	fs.EachBucket(func(b []int) {
+		if bucket < 0 && alloc.Device(b) == 1 {
+			bucket = fs.Linear(b)
+		}
+	})
+	allocs := func(k int) float64 {
+		req := Request{AsDevice: -1, Control: OpInstall, Bucket: bucket}
+		for i := range k {
+			req.Payload = append(req.Payload, mkhash.Record{fmt.Sprint("part", i), "sup", "wh"})
+		}
+		frame := appendRequest(nil, &req)
+		return testing.AllocsPerRun(20, func() {
+			var got Request
+			if err := decodeRequest(frame, &got); err != nil {
+				t.Fatal(err)
+			}
+			if resp := srv.install(&got); resp.Err != "" || resp.Scanned != k {
+				t.Fatalf("install of %d records: %+v", k, resp)
+			}
+		})
+	}
+	one := allocs(1)
+	for _, k := range []int{16, 256} {
+		if n := allocs(k); n != one {
+			t.Errorf("an install of %d records allocates %v times, one of 1 record %v", k, n, one)
+		}
 	}
 }

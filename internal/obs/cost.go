@@ -92,9 +92,7 @@ func (sc *ShapeCosts) Add(samples []StageSample) {
 		}
 		acc.count++
 		acc.wallNS += int64(s.Wall)
-		if int64(s.Wall) > acc.maxWallNS {
-			acc.maxWallNS = int64(s.Wall)
-		}
+		acc.maxWallNS = max(acc.maxWallNS, int64(s.Wall))
 		acc.bytes += s.Bytes
 	}
 }

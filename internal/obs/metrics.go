@@ -171,12 +171,7 @@ func (s HistogramSnapshot) Quantile(q float64) float64 {
 	if s.Count == 0 || len(s.Bounds) == 0 {
 		return 0
 	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
+	q = min(max(q, 0), 1)
 	target := q * float64(s.Count)
 	var cum uint64
 	for b, n := range s.Counts {

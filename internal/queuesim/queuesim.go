@@ -91,26 +91,18 @@ func Run(jobs []Job, model storage.CostModel) (Stats, error) {
 			}
 			service := model.PerQuery + time.Duration(load)*model.PerBucket
 			start := j.Arrival
-			if deviceFree[d] > start {
-				start = deviceFree[d]
-			}
+			start = max(start, deviceFree[d])
 			wait[d] += start - j.Arrival
 			end := start + service
 			deviceFree[d] = end
 			busy[d] += service
-			if end > completion {
-				completion = end
-			}
+			completion = max(completion, end)
 		}
 		qs := QueryStats{Arrival: j.Arrival, Completion: completion, Response: completion - j.Arrival}
 		stats.PerQuery[idx] = qs
 		totalResp += qs.Response
-		if qs.Response > stats.MaxResponse {
-			stats.MaxResponse = qs.Response
-		}
-		if completion > stats.Makespan {
-			stats.Makespan = completion
-		}
+		stats.MaxResponse = max(stats.MaxResponse, qs.Response)
+		stats.Makespan = max(stats.Makespan, completion)
 	}
 	stats.MeanResponse = totalResp / time.Duration(len(jobs))
 	stats.DeviceBusy = busy
@@ -177,26 +169,18 @@ func RunClosed(pool [][]int, clients, completions int, model storage.CostModel) 
 			}
 			service := model.PerQuery + time.Duration(load)*model.PerBucket
 			start := arrival
-			if deviceFree[d] > start {
-				start = deviceFree[d]
-			}
+			start = max(start, deviceFree[d])
 			wait[d] += start - arrival
 			end := start + service
 			deviceFree[d] = end
 			busy[d] += service
-			if end > completion {
-				completion = end
-			}
+			completion = max(completion, end)
 		}
 		qs := QueryStats{Arrival: arrival, Completion: completion, Response: completion - arrival}
 		stats.PerQuery = append(stats.PerQuery, qs)
 		totalResp += qs.Response
-		if qs.Response > stats.MaxResponse {
-			stats.MaxResponse = qs.Response
-		}
-		if completion > stats.Makespan {
-			stats.Makespan = completion
-		}
+		stats.MaxResponse = max(stats.MaxResponse, qs.Response)
+		stats.Makespan = max(stats.Makespan, completion)
 		clientFree[c] = completion
 	}
 	stats.MeanResponse = totalResp / time.Duration(completions)

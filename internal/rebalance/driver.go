@@ -464,10 +464,7 @@ func (d *Driver) run(ctx context.Context) error {
 	// abort arriving now must not strand half the fleet) and visits
 	// every device even after a failure, maximizing convergence.
 	d.setPhase(persist.RescaleVerified, "guard passed; cutting over")
-	union := d.plan.OldM
-	if d.plan.NewM > union {
-		union = d.plan.NewM
-	}
+	union := max(d.plan.OldM, d.plan.NewM)
 	cctx := context.Background()
 	var cutFailed []int
 	var lastErr error
@@ -489,10 +486,7 @@ func (d *Driver) run(ctx context.Context) error {
 // copyAndProve prepares the surviving servers, copies the moving
 // buckets and proves the copy.
 func (d *Driver) copyAndProve(ctx context.Context) error {
-	survivors := d.plan.OldM
-	if d.plan.NewM < survivors {
-		survivors = d.plan.NewM
-	}
+	survivors := min(d.plan.OldM, d.plan.NewM)
 
 	// Prepare: every surviving server learns the next epoch's spec and
 	// starts answering at both epochs. Idempotent, so a resumed run
@@ -660,10 +654,7 @@ func (d *Driver) holdForGuard(ctx context.Context) error {
 
 // rollback broadcasts Abort to every device, best-effort.
 func (d *Driver) rollback(ctx context.Context) {
-	union := d.plan.OldM
-	if d.plan.NewM > union {
-		union = d.plan.NewM
-	}
+	union := max(d.plan.OldM, d.plan.NewM)
 	for dev := 0; dev < union; dev++ {
 		dev := dev
 		_ = d.retry(ctx, func() error { return d.cfg.Transport.AbortRescale(ctx, dev) })

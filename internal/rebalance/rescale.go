@@ -67,10 +67,7 @@ func PlanRescale(oldAlloc, newAlloc decluster.GroupAllocator) (RescalePlan, erro
 	if !grow && ofs.M != 2*nfs.M {
 		return RescalePlan{}, fmt.Errorf("rebalance: rescale %d→%d devices: only doubling or halving is supported", ofs.M, nfs.M)
 	}
-	maxM := ofs.M
-	if nfs.M > maxM {
-		maxM = nfs.M
-	}
+	maxM := max(ofs.M, nfs.M)
 	plan := RescalePlan{
 		OldM: ofs.M, NewM: nfs.M, Grow: grow,
 		Total:        ofs.NumBuckets(),

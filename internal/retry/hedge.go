@@ -39,9 +39,7 @@ func (s *hedgeSamples) p99Of() time.Duration {
 	copy(buf, s.ring[:s.n])
 	sort.Slice(buf, func(i, j int) bool { return buf[i] < buf[j] })
 	idx := (len(buf)*99 + 99) / 100
-	if idx > len(buf) {
-		idx = len(buf)
-	}
+	idx = min(idx, len(buf))
 	return buf[idx-1]
 }
 
@@ -90,9 +88,7 @@ func (c *Controller) HedgeAfter(dev int) (time.Duration, bool) {
 			continue
 		}
 		seen = true
-		if ps.p99 > peers {
-			peers = ps.p99
-		}
+		peers = max(peers, ps.p99)
 	}
 	c.mu.Unlock()
 	if !seen || own <= 2*peers {

@@ -109,9 +109,7 @@ func (b *backoff) delay(attempt int) time.Duration {
 	for i := 1; i < attempt && cap < b.max; i++ {
 		cap *= 2
 	}
-	if cap > b.max {
-		cap = b.max
-	}
+	cap = min(cap, b.max)
 	b.mu.Lock()
 	d := time.Duration(b.rng.Int63n(int64(cap) + 1))
 	b.mu.Unlock()

@@ -9,11 +9,12 @@ import (
 )
 
 // Partition is the records one device holds: linear bucket index
-// (FileSystem.Linear) → that bucket's records. It is the device-local
+// (FileSystem.Linear) → that bucket's slab, its records' values end to
+// end, NumFields apart (mkhash.File.EachSlab). It is the device-local
 // half of a retrieval behind the memory, replicated and wire-served
 // devices; the log device scans encoded bytes under its own lock
 // (durDevice) and stays apart.
-type Partition map[int][]mkhash.Record
+type Partition map[int][]string
 
 // hits is the executor's hit-frame pool: every device adapter in this
 // package appends its matches through it, and the executor's merge
@@ -48,8 +49,8 @@ func Split(file *mkhash.File, alloc decluster.GroupAllocator) ([]Partition, erro
 	for i := range parts {
 		parts[i] = Partition{}
 	}
-	file.EachBucket(func(coords []int, records []mkhash.Record) {
-		parts[alloc.Device(coords)][fs.Linear(coords)] = records
+	file.EachSlab(func(coords []int, slab []string) {
+		parts[alloc.Device(coords)][fs.Linear(coords)] = slab
 	})
 	return parts, nil
 }
@@ -57,12 +58,12 @@ func Split(file *mkhash.File, alloc decluster.GroupAllocator) ([]Partition, erro
 // Admit is the check on buckets arriving from outside the process (a
 // constructor argument, an Install frame) before they are served as
 // dev's: every bucket lies in the allocator's grid, belongs to dev under
-// it, and holds only records of the file's arity — the record loop
-// indexes a record by field without looking at its length.
+// it, and holds whole records of the file's arity — the record loop
+// slices the slab without looking at its length.
 func (p Partition) Admit(alloc decluster.GroupAllocator, dev int) error {
 	fs := alloc.FileSystem()
 	var coords []int
-	for idx, records := range p {
+	for idx, slab := range p {
 		if idx < 0 || idx >= fs.NumBuckets() {
 			return fmt.Errorf("bucket index %d outside grid", idx)
 		}
@@ -70,10 +71,8 @@ func (p Partition) Admit(alloc decluster.GroupAllocator, dev int) error {
 		if owner := alloc.Device(coords); owner != dev {
 			return fmt.Errorf("bucket %v belongs to device %d, not %d", coords, owner, dev)
 		}
-		for _, r := range records {
-			if len(r) != fs.NumFields() {
-				return fmt.Errorf("bucket %v holds a record of %d fields, file has %d", coords, len(r), fs.NumFields())
-			}
+		if len(slab)%fs.NumFields() != 0 {
+			return fmt.Errorf("bucket %v holds %d values, not whole records of the file's %d fields", coords, len(slab), fs.NumFields())
 		}
 	}
 	return nil
@@ -86,9 +85,10 @@ func (p Partition) Admit(alloc decluster.GroupAllocator, dev int) error {
 // caller's scan state stays on its stack.
 func (p Partition) Scan(bucket int, pm mkhash.PartialMatch, ans *engine.Answer) {
 	ans.Buckets++
-	for _, r := range p[bucket] {
+	slab, n := p[bucket], len(pm)
+	for i := 0; i < len(slab); i += n {
 		ans.Records++
-		if engine.Matches(pm, r) {
+		if r := slab[i : i+n : i+n]; engine.Matches(pm, r) {
 			ans.Hits = hits.AppendOne(ans.Hits, r)
 		}
 	}

@@ -2,6 +2,8 @@ package storage
 
 import (
 	"context"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -46,8 +48,8 @@ func TestSplitValidation(t *testing.T) {
 	nonEmpty := 0
 	file.EachBucket(func(coords []int, records []mkhash.Record) {
 		nonEmpty++
-		if got := parts[fx.Device(coords)][fs.Linear(coords)]; len(got) != len(records) {
-			t.Errorf("bucket %v: owner holds %d records, file %d", coords, len(got), len(records))
+		if got := parts[fx.Device(coords)][fs.Linear(coords)]; len(got) != len(records)*file.NumFields() {
+			t.Errorf("bucket %v: owner holds %d values, file %d records", coords, len(got), len(records))
 		}
 	})
 	if held != nonEmpty {
@@ -56,7 +58,7 @@ func TestSplitValidation(t *testing.T) {
 }
 
 // Admit is the one check on a bucket arriving from outside: in grid,
-// owned by the device, every record of the file's arity.
+// owned by the device, whole records of the file's arity.
 func TestPartitionAdmit(t *testing.T) {
 	fs := decluster.MustFileSystem([]int{4, 8, 2}, 4)
 	fx := decluster.MustFX(fs)
@@ -73,13 +75,13 @@ func TestPartitionAdmit(t *testing.T) {
 		want string // substring of the error; "" admits
 	}{
 		{"empty", Partition{}, 1, ""},
-		{"owned", Partition{own: {{"a", "b", "c"}}}, 1, ""},
+		{"owned", Partition{own: {"a", "b", "c", "d", "e", "f"}}, 1, ""},
 		{"owned, no records", Partition{own: nil}, 1, ""},
 		{"negative index", Partition{-1: nil}, 1, "outside grid"},
 		{"past the grid", Partition{fs.NumBuckets(): nil}, 1, "outside grid"},
 		{"foreign", Partition{own: nil}, 2, "belongs to device 1, not 2"},
-		{"short record", Partition{own: {{"a", "b", "c"}, {"only-one-field"}}}, 1, "1 fields, file has 3"},
-		{"long record", Partition{own: {{"a", "b", "c", "d"}}}, 1, "4 fields, file has 3"},
+		{"short record", Partition{own: {"a", "b", "c", "only-one-field"}}, 1, "4 values, not whole records of the file's 3 fields"},
+		{"long record", Partition{own: {"a", "b", "c", "d", "e"}}, 1, "5 values, not whole records"},
 	} {
 		err := tc.part.Admit(fx, tc.dev)
 		switch {
@@ -229,6 +231,77 @@ func TestRetrieveAllocsDoNotGrowWithM(t *testing.T) {
 		}
 		if d := allocs[1] - allocs[0]; d > 1 || d < -1 {
 			t.Errorf("durable=%t: retrieve allocates %.0f at M=4 and %.0f at M=8, want equal within 1", durable, allocs[0], allocs[1])
+		}
+	}
+}
+
+// TestClusterKeepsItsSnapshot: a memory or replicated cluster serves the
+// slabs its file had when it was built. A Delete on the file builds its
+// bucket a new slab and an Insert into a slab with room appends past the
+// captured length, so while the file changes under it, and after, the
+// cluster answers with exactly the records it was built with.
+func TestClusterKeepsItsSnapshot(t *testing.T) {
+	for _, kind := range []string{"memory", "replicated"} {
+		for _, mutation := range []string{"delete", "insert"} {
+			t.Run(kind+"/"+mutation, func(t *testing.T) {
+				file := mkhash.MustNew(mkhash.Schema{Fields: []string{"a", "b"}, Depths: []int{0, 0}})
+				var want []string
+				for i := range 17 { // the one slab grows to 18 records: room for one
+					r := mkhash.Record{fmt.Sprint("r", i), "v"}
+					want = append(want, strings.Join(r, "\x00"))
+					if err := file.Insert(r); err != nil {
+						t.Fatal(err)
+					}
+				}
+				slices.Sort(want)
+				fs, err := file.FileSystem(2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var c interface {
+					Retrieve(mkhash.PartialMatch) (Result, error)
+				}
+				if kind == "memory" {
+					c, err = NewCluster(file, decluster.MustFX(fs), MainMemory)
+				} else {
+					c, err = NewReplicated(file, decluster.MustFX(fs), Chained, MainMemory)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				check := func() {
+					res, err := c.Retrieve(make(mkhash.PartialMatch, 2))
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					got := make([]string, len(res.Records))
+					for i, r := range res.Records {
+						got[i] = strings.Join(r, "\x00")
+					}
+					slices.Sort(got)
+					if !slices.Equal(got, want) {
+						t.Errorf("cluster answers %q, built with %q", got, want)
+					}
+					res.Release()
+				}
+				done := make(chan struct{})
+				go func() {
+					defer close(done)
+					for range 20 {
+						check()
+					}
+				}()
+				if mutation == "delete" {
+					if n, err := file.Delete(mkhash.Record{"r3", "v"}); n != 1 || err != nil {
+						t.Errorf("Delete = %d, %v", n, err)
+					}
+				} else if err := file.Insert(mkhash.Record{"r17", "v"}); err != nil {
+					t.Error(err)
+				}
+				<-done
+				check()
+			})
 		}
 	}
 }

@@ -191,14 +191,10 @@ func (p *Placement) Degradation(q query.Query) DegradationReport {
 	degraded := p.Loads(q)
 	r := DegradationReport{}
 	for _, v := range healthy {
-		if v > r.HealthyMax {
-			r.HealthyMax = v
-		}
+		r.HealthyMax = max(r.HealthyMax, v)
 	}
 	for _, v := range degraded {
-		if v > r.DegradedMax {
-			r.DegradedMax = v
-		}
+		r.DegradedMax = max(r.DegradedMax, v)
 	}
 	if r.HealthyMax > 0 {
 		r.Ratio = float64(r.DegradedMax) / float64(r.HealthyMax)

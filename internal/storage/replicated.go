@@ -38,8 +38,8 @@ func NewReplicated(file *mkhash.File, alloc decluster.GroupAllocator, mode Repli
 		placement: NewPlacement(alloc, mode),
 		parts:     parts,
 	}
-	file.EachBucket(func(coords []int, records []mkhash.Record) {
-		parts[c.placement.Backup(coords)][c.fs.Linear(coords)] = records
+	file.EachSlab(func(coords []int, slab []string) {
+		parts[c.placement.Backup(coords)][c.fs.Linear(coords)] = slab
 	})
 	devices := make([]engine.Device, c.fs.M)
 	for dev := range devices {
@@ -115,7 +115,7 @@ func (c *ReplicatedCluster) StorageOverhead() float64 {
 		copies += len(p)
 	}
 	nonEmpty := 0
-	c.file.EachBucket(func([]int, []mkhash.Record) { nonEmpty++ })
+	c.file.EachSlab(func([]int, []string) { nonEmpty++ })
 	if nonEmpty == 0 {
 		return 0
 	}

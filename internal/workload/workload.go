@@ -68,13 +68,18 @@ func Records(spec RecordSpec, n int, seed int64) ([]mkhash.Record, error) {
 	for i, f := range spec.Fields {
 		draw[i] = valueDrawer(r, f)
 	}
-	out := make([]mkhash.Record, n)
-	for i := range out {
-		rec := make(mkhash.Record, len(spec.Fields))
+	// Each value is rendered once and shared by the records that draw
+	// it, and the records are carved from one run of values.
+	rendered := make(map[[2]int]string)
+	out := mkhash.Views(make([]string, n*len(spec.Fields)), len(spec.Fields), make([]mkhash.Record, 0, n))
+	for _, rec := range out {
 		for j, f := range spec.Fields {
-			rec[j] = f.Value(draw[j]())
+			v := [2]int{j, draw[j]()}
+			if _, ok := rendered[v]; !ok {
+				rendered[v] = f.Value(v[1])
+			}
+			rec[j] = rendered[v]
 		}
-		out[i] = rec
 	}
 	return out, nil
 }
