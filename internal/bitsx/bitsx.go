@@ -1,6 +1,6 @@
 // Package bitsx provides the bit-level algebra underlying FX declustering:
-// the truncation operator T_M, exclusive-or over integers and sets of
-// integers, and the interval machinery of the paper's Lemmas 1.1 and 4.1.
+// powers of two and the truncation operator T_M. Its tests check the
+// paper's Lemmas 1.1 and 4.1 over exclusive-or on sets of integers.
 //
 // All "sizes" in this package (field sizes, device counts) are powers of
 // two, matching the paper's standing assumption for hash-directory files
@@ -27,14 +27,6 @@ func Log2(v int) int {
 	return bits.TrailingZeros(uint(v))
 }
 
-// CeilPow2 returns the smallest power of two >= v, for v >= 1.
-func CeilPow2(v int) int {
-	if v <= 1 {
-		return 1
-	}
-	return 1 << (bits.Len(uint(v - 1)))
-}
-
 // TM returns T_M(x): the rightmost log2(M) bits of x. M must be a power of
 // two. This is the device projection operator of the paper (§3).
 func TM(x, m int) int {
@@ -42,111 +34,6 @@ func TM(x, m int) int {
 		panic(fmt.Sprintf("bitsx: TM with non-power-of-two M=%d", m))
 	}
 	return x & (m - 1)
-}
-
-// XorSet returns { x ^ y : y in set }. It implements the paper's
-// integer-by-set exclusive-or X [+] Y.
-func XorSet(x int, set []int) []int {
-	out := make([]int, len(set))
-	for i, y := range set {
-		out[i] = x ^ y
-	}
-	return out
-}
-
-// XorSets returns { x ^ y : x in a, y in b }, the set-by-set exclusive-or
-// of the paper, with multiplicity (the result is a multiset: duplicates are
-// preserved because load analysis needs multiplicities).
-func XorSets(a, b []int) []int {
-	out := make([]int, 0, len(a)*len(b))
-	for _, x := range a {
-		for _, y := range b {
-			out = append(out, x^y)
-		}
-	}
-	return out
-}
-
-// ZM returns the set Z_M = {0, 1, ..., m-1}.
-func ZM(m int) []int {
-	out := make([]int, m)
-	for i := range out {
-		out[i] = i
-	}
-	return out
-}
-
-// IsZM reports whether set is a permutation of Z_M (Lemma 1.1 asserts
-// Z_M [+] k = Z_M for 0 <= k <= M-1; tests use IsZM to verify it).
-func IsZM(set []int, m int) bool {
-	if len(set) != m {
-		return false
-	}
-	seen := make([]bool, m)
-	for _, v := range set {
-		if v < 0 || v >= m || seen[v] {
-			return false
-		}
-		seen[v] = true
-	}
-	return true
-}
-
-// XorInterval implements Lemma 4.1: for W = {0..w-1} (w a power of two) and
-// L = a*w + b with 0 <= b < w, W [+] L = {a*w, a*w+1, ..., (a+1)*w - 1}.
-// It returns that interval as a slice. The function computes W [+] L
-// directly; the lemma guarantees the result is exactly the interval.
-func XorInterval(w, l int) []int {
-	if !IsPow2(w) {
-		panic(fmt.Sprintf("bitsx: XorInterval with non-power-of-two w=%d", w))
-	}
-	out := make([]int, w)
-	for i := 0; i < w; i++ {
-		out[i] = i ^ l
-	}
-	return out
-}
-
-// IntervalOf returns the index of the half-open interval [i*d, (i+1)*d)
-// that contains v, for interval size d. It panics if d <= 0.
-func IntervalOf(v, d int) int {
-	if d <= 0 {
-		panic(fmt.Sprintf("bitsx: IntervalOf with non-positive interval size %d", d))
-	}
-	return v / d
-}
-
-// Histogram counts occurrences of each value in vals over the range
-// [0, m). Values outside the range panic: device numbers produced by a
-// correct allocator are always in range, so an out-of-range value is a bug.
-func Histogram(vals []int, m int) []int {
-	h := make([]int, m)
-	for _, v := range vals {
-		h[v]++
-	}
-	return h
-}
-
-// MaxInt returns the maximum of a non-empty slice.
-func MaxInt(vals []int) int {
-	max := vals[0]
-	for _, v := range vals[1:] {
-		if v > max {
-			max = v
-		}
-	}
-	return max
-}
-
-// MinInt returns the minimum of a non-empty slice.
-func MinInt(vals []int) int {
-	min := vals[0]
-	for _, v := range vals[1:] {
-		if v < min {
-			min = v
-		}
-	}
-	return min
 }
 
 // CeilDiv returns ceil(a/b) for positive b.

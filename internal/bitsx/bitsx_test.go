@@ -1,6 +1,7 @@
 package bitsx
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -37,17 +38,6 @@ func TestLog2PanicsOnNonPow2(t *testing.T) {
 		}
 	}()
 	Log2(12)
-}
-
-func TestCeilPow2(t *testing.T) {
-	cases := []struct{ v, want int }{
-		{0, 1}, {1, 1}, {2, 2}, {3, 4}, {4, 4}, {5, 8}, {9, 16}, {16, 16}, {17, 32},
-	}
-	for _, c := range cases {
-		if got := CeilPow2(c.v); got != c.want {
-			t.Errorf("CeilPow2(%d) = %d, want %d", c.v, got, c.want)
-		}
-	}
 }
 
 func TestTM(t *testing.T) {
@@ -134,7 +124,7 @@ func TestLemma41Property(t *testing.T) {
 		w := 1 << (wexp % 10)
 		got := XorInterval(w, int(l))
 		sort.Ints(got)
-		a := int(l) / w
+		a := IntervalOf(int(l), w)
 		for i := 0; i < w; i++ {
 			if got[i] != a*w+i {
 				return false
@@ -175,12 +165,6 @@ func TestHistogram(t *testing.T) {
 }
 
 func TestMaxMinCeil(t *testing.T) {
-	if MaxInt([]int{3, 9, 2}) != 9 {
-		t.Error("MaxInt failed")
-	}
-	if MinInt([]int{3, 9, 2}) != 2 {
-		t.Error("MinInt failed")
-	}
 	if CeilDiv(7, 2) != 4 || CeilDiv(8, 2) != 4 || CeilDiv(1, 32) != 1 || CeilDiv(0, 4) != 0 {
 		t.Error("CeilDiv failed")
 	}
@@ -243,4 +227,90 @@ func BenchmarkTMOps(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = TM(xs[i%1024], 64)
 	}
+}
+
+// The paper's exclusive-or on sets and the counting around it, which only
+// the lemma checks use.
+
+// XorSet returns { x ^ y : y in set }. It implements the paper's
+// integer-by-set exclusive-or X [+] Y.
+func XorSet(x int, set []int) []int {
+	out := make([]int, len(set))
+	for i, y := range set {
+		out[i] = x ^ y
+	}
+	return out
+}
+
+// XorSets returns { x ^ y : x in a, y in b }, the set-by-set exclusive-or
+// of the paper, with multiplicity (the result is a multiset: duplicates are
+// preserved because load analysis needs multiplicities).
+func XorSets(a, b []int) []int {
+	out := make([]int, 0, len(a)*len(b))
+	for _, x := range a {
+		for _, y := range b {
+			out = append(out, x^y)
+		}
+	}
+	return out
+}
+
+// ZM returns the set Z_M = {0, 1, ..., m-1}.
+func ZM(m int) []int {
+	out := make([]int, m)
+	for i := range out {
+		out[i] = i
+	}
+	return out
+}
+
+// IsZM reports whether set is a permutation of Z_M (Lemma 1.1 asserts
+// Z_M [+] k = Z_M for 0 <= k <= M-1; tests use IsZM to verify it).
+func IsZM(set []int, m int) bool {
+	if len(set) != m {
+		return false
+	}
+	seen := make([]bool, m)
+	for _, v := range set {
+		if v < 0 || v >= m || seen[v] {
+			return false
+		}
+		seen[v] = true
+	}
+	return true
+}
+
+// XorInterval implements Lemma 4.1: for W = {0..w-1} (w a power of two) and
+// L = a*w + b with 0 <= b < w, W [+] L = {a*w, a*w+1, ..., (a+1)*w - 1}.
+// It returns that interval as a slice. The function computes W [+] L
+// directly; the lemma guarantees the result is exactly the interval.
+func XorInterval(w, l int) []int {
+	if !IsPow2(w) {
+		panic(fmt.Sprintf("bitsx: XorInterval with non-power-of-two w=%d", w))
+	}
+	out := make([]int, w)
+	for i := 0; i < w; i++ {
+		out[i] = i ^ l
+	}
+	return out
+}
+
+// IntervalOf returns the index of the half-open interval [i*d, (i+1)*d)
+// that contains v, for interval size d. It panics if d <= 0.
+func IntervalOf(v, d int) int {
+	if d <= 0 {
+		panic(fmt.Sprintf("bitsx: IntervalOf with non-positive interval size %d", d))
+	}
+	return v / d
+}
+
+// Histogram counts occurrences of each value in vals over the range
+// [0, m). Values outside the range panic: device numbers produced by a
+// correct allocator are always in range, so an out-of-range value is a bug.
+func Histogram(vals []int, m int) []int {
+	h := make([]int, m)
+	for _, v := range vals {
+		h[v]++
+	}
+	return h
 }

@@ -3,8 +3,6 @@ package field
 import (
 	"testing"
 	"testing/quick"
-
-	"fxdist/internal/bitsx"
 )
 
 func TestKindString(t *testing.T) {
@@ -155,7 +153,7 @@ func TestOneElementPerInterval(t *testing.T) {
 				d1 := m / f
 				counts := make([]int, f)
 				for _, v := range fn.Image() {
-					counts[bitsx.IntervalOf(v, d1)]++
+					counts[v/d1]++
 				}
 				for i, c := range counts {
 					if c != 1 {

@@ -20,6 +20,7 @@ func benchFile(b *testing.B, n int) *File {
 			b.Fatal(err)
 		}
 	}
+	f.place()
 	return f
 }
 

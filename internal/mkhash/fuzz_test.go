@@ -1,18 +1,20 @@
 package mkhash
 
 import (
+	"fmt"
 	"maps"
 	"slices"
-	"strings"
 	"testing"
 )
 
 // FuzzInsertSearch: any inserted record must be found by its own
 // exact-match query, and partial matches on each single field must
-// include it. Then ops interleaves Insert, Delete and Grow over records
-// drawn from the three values, against a multiset model: the file must
-// hold exactly the model's records after every step, and every record
-// view and slab it handed out earlier must read as it did then.
+// include it. Then ops interleaves Insert, Delete, Grow and reads over
+// records drawn from the three values, against a multiset model: at
+// every read, where the staged Inserts are placed, and at the end the
+// file must hold exactly the model's records, no more replaced values
+// than live ones, and every record view and slab it handed out earlier
+// must read as it did then.
 func FuzzInsertSearch(f *testing.F) {
 	f.Add("ford", "escort", "1988", []byte{0x00, 0x04, 0x03, 0x02, 0x01, 0x03, 0x06, 0x10})
 	f.Add("", "", "", []byte{0x00, 0x00, 0x03, 0x01, 0x03})
@@ -61,9 +63,31 @@ func FuzzInsertSearch(f *testing.F) {
 		model := map[string]int{}
 		type held struct{ view, was []string }
 		var views []held
+		// check reads the file: the first read after Inserts places them.
+		check := func(op byte) {
+			all, err := file.Search(make(PartialMatch, 3))
+			if err != nil {
+				t.Fatal(err)
+			}
+			have := map[string]int{}
+			for _, v := range all {
+				have[fmt.Sprintf("%q", v)]++
+			}
+			if len(all) != file.Len() || !maps.Equal(have, model) {
+				t.Fatalf("after op %#x the file holds %q (Len %d), the model %v", op, all, file.Len(), model)
+			}
+			if file.dead > 3*file.Len() {
+				t.Fatalf("after op %#x the file's runs hold %d replaced values for %d live ones", op, file.dead, 3*file.Len())
+			}
+			for _, h := range views {
+				if !slices.Equal(h.view, h.was) {
+					t.Fatalf("after op %#x a view taken earlier reads %q, was %q", op, h.view, h.was)
+				}
+			}
+		}
 		for _, op := range ops {
 			r := Record{pool[op>>2&3], pool[op>>4&3], pool[op>>6&3]}
-			key := strings.Join(r, "\x00")
+			key := fmt.Sprintf("%q", r) // quoted: a value may hold any byte
 			switch op & 3 {
 			case 0:
 				if err := file.Insert(slices.Clone(r)); err != nil {
@@ -83,6 +107,7 @@ func FuzzInsertSearch(f *testing.F) {
 					}
 				}
 			case 3:
+				check(op)
 				all, _ := file.Search(make(PartialMatch, 3))
 				for _, v := range all {
 					views = append(views, held{v, slices.Clone(v)})
@@ -91,22 +116,65 @@ func FuzzInsertSearch(f *testing.F) {
 					views = append(views, held{slab, slices.Clone(slab)})
 				})
 			}
-			all, err := file.Search(make(PartialMatch, 3))
-			if err != nil {
-				t.Fatal(err)
+		}
+		check(0xff)
+	})
+}
+
+// FuzzGridAddress: a schema whose grid holds at most 2^32 buckets is
+// accepted, a larger one refused; in an accepted one every record lies in
+// the slab EachSlab reports at its BucketOf coordinates, and the grid's
+// Linear and Coords round-trip them.
+func FuzzGridAddress(f *testing.F) {
+	f.Add([]byte{30, 2}, "a", "b")
+	f.Add([]byte{16, 16}, "x", "")
+	f.Add([]byte{30, 30, 30}, "p", "q")
+	f.Add([]byte{8, 8, 8, 7, 0, 1}, "", "z")
+	f.Fuzz(func(t *testing.T, depths []byte, a, b string) {
+		if len(depths) == 0 || len(depths) > 8 {
+			return
+		}
+		var schema Schema
+		sum := 0
+		for i, d := range depths {
+			schema.Fields = append(schema.Fields, fmt.Sprint("f", i))
+			schema.Depths = append(schema.Depths, int(d%31))
+			sum += int(d % 31)
+		}
+		file, err := New(schema)
+		if (err != nil) != (sum > MaxGridBits) {
+			t.Fatalf("New(depths %v, summing to %d) = %v", schema.Depths, sum, err)
+		}
+		if err != nil {
+			return
+		}
+		fs, err := file.FileSystem(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := len(depths)
+		for j := range 32 {
+			r := make(Record, n)
+			for i := range r {
+				r[i] = fmt.Sprint(a, j*n+i, b)
 			}
-			have := map[string]int{}
-			for _, v := range all {
-				have[strings.Join(v, "\x00")]++
-			}
-			if len(all) != file.Len() || !maps.Equal(have, model) {
-				t.Fatalf("after op %#x the file holds %q (Len %d), the model %v", op, all, file.Len(), model)
-			}
-			for _, h := range views {
-				if !slices.Equal(h.view, h.was) {
-					t.Fatalf("after op %#x a view taken earlier reads %q, was %q", op, h.view, h.was)
+			file.Insert(r) //nolint:errcheck
+		}
+		seen := 0
+		file.EachSlab(func(coords []int, slab []string) {
+			for i := 0; i < len(slab); i += n {
+				if b, _ := file.BucketOf(slab[i : i+n]); !slices.Equal(b, coords) {
+					t.Fatalf("depths %v: record %q hashes to %v, stored at %v", schema.Depths, slab[i:i+n], b, coords)
 				}
+				seen++
 			}
+			idx := fs.Linear(coords)
+			if idx < 0 || idx >= 1<<MaxGridBits || !slices.Equal(fs.Coords(idx, nil), coords) {
+				t.Fatalf("depths %v: coordinates %v are index %d, back to %v", schema.Depths, coords, idx, fs.Coords(idx, nil))
+			}
+		})
+		if seen != 32 {
+			t.Fatalf("depths %v: EachSlab holds %d records, 32 inserted", schema.Depths, seen)
 		}
 	})
 }

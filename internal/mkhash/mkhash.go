@@ -14,8 +14,11 @@ package mkhash
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"fxdist/internal/decluster"
 	"fxdist/internal/query"
@@ -34,6 +37,11 @@ func Views(slab []string, n int, dst []Record) []Record {
 	return dst
 }
 
+// MaxGridBits bounds a file's grid: its depths sum to at most 32, so it
+// holds at most 2^32 buckets, and the durable log and the file's
+// placement keys hold a linear bucket index in 32 bits (DESIGN §2).
+const MaxGridBits = 32
+
 // Schema names the fields and fixes the initial directory depths.
 type Schema struct {
 	// Fields holds the field names, in order.
@@ -50,10 +58,15 @@ func (s Schema) Validate() error {
 	if len(s.Depths) != len(s.Fields) {
 		return fmt.Errorf("mkhash: %d depths for %d fields", len(s.Depths), len(s.Fields))
 	}
+	sum := 0
 	for i, d := range s.Depths {
 		if d < 0 || d > 30 {
 			return fmt.Errorf("mkhash: depth of field %q is %d, want 0..30", s.Fields[i], d)
 		}
+		sum += d
+	}
+	if sum > MaxGridBits {
+		return fmt.Errorf("mkhash: depths sum to %d, want at most %d", sum, MaxGridBits)
 	}
 	return nil
 }
@@ -104,10 +117,23 @@ type File struct {
 	depths []int
 	hashes []FieldHash
 	// buckets maps the linear bucket index to its slab: the records'
-	// values end to end, NumFields apart. A slab is only ever appended
-	// to past its length or replaced, never shifted (DESIGN §2).
-	buckets map[int][]string
+	// values end to end, NumFields apart, a window of one of runs, which
+	// place appends and never changes (DESIGN §2). runs[0] is empty, so
+	// an absent bucket's zero window is an empty slab.
+	buckets map[uint32]window
+	runs    [][]string
 	count   int
+	// dead counts the values of the windows replaced since the last
+	// restage, which their runs may still hold.
+	dead int
+	// Insert stages a record: its values go to the end of chunk c, which
+	// holds the staged records 2^c-1 to 2^(c+1)-2, and keys gets its
+	// bucket index (high 32 bits) and staging number. staged is set
+	// while keys is not empty; place empties it under mu.
+	chunks [][]string
+	keys   []uint64
+	staged atomic.Bool
+	mu     sync.Mutex
 	// hs holds the field hashes of the record Insert is storing.
 	hs []uint64
 	// values holds each field's canonical values, made at the first
@@ -133,7 +159,8 @@ func New(schema Schema, opts ...Option) (*File, error) {
 		schema:  schema,
 		depths:  append([]int(nil), schema.Depths...),
 		hashes:  make([]FieldHash, len(schema.Fields)),
-		buckets: make(map[int][]string),
+		buckets: make(map[uint32]window),
+		runs:    [][]string{nil},
 	}
 	for i := range f.hashes {
 		f.hashes[i] = DefaultHash(i)
@@ -270,41 +297,120 @@ func (f *File) canonical(i int, v string, h uint64) string {
 	return v
 }
 
-// Insert stores a copy of the record at the end of its bucket's slab,
-// its values shared with equal ones already stored where the field's
-// table holds them. A full slab is copied into one max(1, records/8)
-// records larger (DESIGN §2).
+// window is a bucket's slab: records off to off+n of one of its file's
+// runs. A file holds fewer than 2^32 records, as its staging keys count
+// them.
+type window struct{ run, off, n uint32 }
+
+// slab returns the window's values, capped at its end.
+func (f *File) slab(w window) []string {
+	n := len(f.depths)
+	return f.runs[w.run][int(w.off)*n : int(w.off+w.n)*n : int(w.off+w.n)*n]
+}
+
+// Insert stages a copy of the record for its bucket, its values shared
+// with equal ones already stored where the field's table holds them. The
+// next read places every staged record at once (DESIGN §2).
 func (f *File) Insert(r Record) error {
 	if err := f.checkArity(r); err != nil {
 		return err
 	}
-	n := len(r)
 	if f.values == nil {
-		f.values, f.hs = make([]valueTable, n), make([]uint64, n)
+		f.values, f.hs = make([]valueTable, len(r)), make([]uint64, len(r))
 	}
-	idx := f.locate(r, f.hs)
-	slab := f.buckets[idx]
-	if cap(slab)-len(slab) < n {
-		slab = append(make([]string, 0, len(slab)+n*max(1, len(slab)/n/8)), slab...)
-	}
+	dst := f.stage(f.locate(r, f.hs), len(r))
 	for i, v := range r {
-		slab = append(slab, f.canonical(i, v, f.hs[i]))
+		dst[i] = f.canonical(i, v, f.hs[i])
 	}
-	f.buckets[idx] = slab
 	f.count++
 	return nil
 }
 
+// stage reserves the next staged record, of n values, for bucket idx.
+func (f *File) stage(idx, n int) []string {
+	k := len(f.keys)
+	c := bits.Len(uint(k+1)) - 1
+	if c == len(f.chunks) {
+		f.chunks = append(f.chunks, make([]string, 0, n<<c))
+	}
+	l := len(f.chunks[c])
+	f.chunks[c] = f.chunks[c][:l+n]
+	f.keys = append(f.keys, uint64(idx)<<32|uint64(k))
+	f.staged.Store(true)
+	return f.chunks[c][l : l+n]
+}
+
+// place files every staged record in its bucket. Readers call it first;
+// the flag and the lock make it safe for concurrent readers.
+func (f *File) place() {
+	if f.staged.Load() {
+		f.mu.Lock()
+		defer f.mu.Unlock()
+	}
+	if f.staged.Load() {
+		f.fill()
+		if f.dead > f.count*len(f.depths) {
+			f.restage()
+			f.fill()
+		}
+		f.staged.Store(false)
+	}
+}
+
+// fill is place's counted pass: it sorts the keys, sizes one run for all
+// the buckets they touch and lays each one out in it, its old records
+// and then its staged ones in the order they came, as a capped window.
+func (f *File) fill() {
+	keys, n := f.keys, len(f.depths)
+	slices.Sort(keys)
+	size := len(keys)
+	for i, key := range keys {
+		if i == 0 || key>>32 != keys[i-1]>>32 {
+			size += int(f.buckets[uint32(key>>32)].n)
+		}
+	}
+	run, start, r := make([]string, 0, size*n), 0, uint32(len(f.runs))
+	for i, key := range keys {
+		idx := uint32(key >> 32)
+		if i == 0 || key>>32 != keys[i-1]>>32 {
+			start, run = len(run), append(run, f.slab(f.buckets[idx])...)
+			f.dead += len(run) - start
+		}
+		k := int(uint32(key)) + 1 // staged record k-1 is in chunk c
+		c := bits.Len(uint(k)) - 1
+		run = append(run, f.chunks[c][(k-1<<c)*n:][:n]...)
+		if i+1 == len(keys) || keys[i+1]>>32 != key>>32 {
+			f.buckets[idx] = window{r, uint32(start / n), uint32((len(run) - start) / n)}
+		}
+	}
+	f.runs, f.chunks, f.keys = append(f.runs, run), nil, nil
+}
+
+// restage stages every placed record again at the current depths, for
+// place to lay the whole file out as one run.
+func (f *File) restage() {
+	old, n := f.buckets, len(f.depths)
+	f.buckets = make(map[uint32]window, len(old))
+	for _, w := range old {
+		slab := f.slab(w)
+		for i := 0; i < len(slab); i += n {
+			copy(f.stage(f.locate(slab[i:i+n], nil), n), slab[i:i+n])
+		}
+	}
+	f.runs, f.dead = f.runs[:1:1], 0
+}
+
 // Delete removes every stored record equal to r, returning the number
-// removed. The bucket's survivors move to a new slab, so views of the
-// old one stay as they are. The values the removed records leave in
-// their fields' tables stay there.
+// removed. The bucket's survivors are staged again, so the next read
+// places them in a new slab and views of the old one stay as they are.
+// The values the removed records leave in their fields' tables stay there.
 func (f *File) Delete(r Record) (int, error) {
 	if err := f.checkArity(r); err != nil {
 		return 0, err
 	}
+	f.place()
 	idx := f.locate(r, nil)
-	n, slab, removed := len(r), f.buckets[idx], 0
+	n, slab, removed := len(r), f.slab(f.buckets[uint32(idx)]), 0
 	for i := 0; i < len(slab); i += n {
 		if slices.Equal(slab[i:i+n], r) {
 			removed++
@@ -313,40 +419,38 @@ func (f *File) Delete(r Record) (int, error) {
 	if removed == 0 {
 		return 0, nil
 	}
-	kept := make([]string, 0, len(slab)-removed*n)
+	delete(f.buckets, uint32(idx))
 	for i := 0; i < len(slab); i += n {
 		if !slices.Equal(slab[i:i+n], r) {
-			kept = append(kept, slab[i:i+n]...)
+			copy(f.stage(idx, n), slab[i:i+n])
 		}
 	}
-	if len(kept) == 0 {
-		delete(f.buckets, idx)
-	} else {
-		f.buckets[idx] = kept
-	}
 	f.count -= removed
+	if f.dead += len(slab); f.dead > f.count*n {
+		f.restage()
+	}
 	return removed, nil
 }
 
 // Bucket returns views of the records stored in the bucket with the
 // given coordinates (nil when empty). The views alias internal storage;
 // do not mutate.
-func (f *File) Bucket(b []int) []Record { return Views(f.buckets[f.linear(b)], len(f.depths), nil) }
+func (f *File) Bucket(b []int) []Record {
+	f.place()
+	return Views(f.slab(f.buckets[uint32(f.linear(b))]), len(f.depths), nil)
+}
 
 // EachSlab calls fn for every non-empty bucket with its slab: the
 // bucket's records' values end to end, NumFields apart, capped at its
-// length. The slab never changes under its holder (Insert appends past
-// it, Delete and Grow build new ones); do not mutate it. The coordinate
-// slice is reused between calls.
+// length. The slab never changes under its holder (placement, Delete and
+// Grow build new ones); do not mutate it. The coordinate slice is reused
+// between calls.
 func (f *File) EachSlab(fn func(coords []int, slab []string)) {
-	coords := make([]int, len(f.depths))
-	for idx, slab := range f.buckets {
-		rem := idx
-		for i := len(f.depths) - 1; i >= 0; i-- {
-			coords[i] = rem & (1<<f.depths[i] - 1)
-			rem >>= f.depths[i]
-		}
-		fn(coords, slab[:len(slab):len(slab)])
+	f.place()
+	fs, coords := decluster.FileSystem{Sizes: f.Sizes(), M: 1}, []int(nil)
+	for idx, w := range f.buckets {
+		coords = fs.Coords(int(idx), coords[:0])
+		fn(coords, f.slab(w))
 	}
 }
 
@@ -363,38 +467,38 @@ func (f *File) EachBucket(fn func(coords []int, records []Record)) {
 
 // Grow doubles field i's directory (d_i += 1) and redistributes records.
 // Extendible-hashing style: each record moves to the cell revealed by one
-// more bit of its field hash.
+// more bit of its field hash, and the file is placed again as one run.
 func (f *File) Grow(fieldIdx int) error {
 	if fieldIdx < 0 || fieldIdx >= len(f.depths) {
 		return fmt.Errorf("mkhash: grow of field %d, file has %d fields", fieldIdx, len(f.depths))
 	}
-	if f.depths[fieldIdx] >= 30 {
-		return fmt.Errorf("mkhash: field %d already at maximum depth", fieldIdx)
+	if !f.canGrow(fieldIdx) {
+		return fmt.Errorf("mkhash: field %d cannot grow past depth 30 or a grid of 2^%d buckets", fieldIdx, MaxGridBits)
 	}
-	old, n := f.buckets, len(f.depths)
+	f.place()
 	f.depths[fieldIdx]++
-	f.buckets = make(map[int][]string, len(old)*2)
-	for _, slab := range old {
-		for i := 0; i < len(slab); i += n {
-			idx := f.locate(slab[i:i+n], nil)
-			f.buckets[idx] = append(f.buckets[idx], slab[i:i+n]...)
-		}
-	}
-	for idx, slab := range f.buckets {
-		f.buckets[idx] = slices.Clone(slab) // drop append's slack
-	}
+	f.restage()
+	f.place()
 	return nil
+}
+
+// canGrow reports whether doubling field i leaves a valid schema.
+func (f *File) canGrow(i int) bool {
+	depths := slices.Clone(f.depths)
+	depths[i]++
+	return Schema{f.schema.Fields, depths}.Validate() == nil
 }
 
 // Occupancy returns the mean number of records per non-empty bucket and
 // the largest bucket's size — the signals that trigger directory growth.
 func (f *File) Occupancy() (mean float64, max int) {
+	f.place()
 	if len(f.buckets) == 0 {
 		return 0, 0
 	}
-	for _, slab := range f.buckets {
-		if recs := len(slab) / len(f.depths); recs > max {
-			max = recs
+	for _, w := range f.buckets {
+		if int(w.n) > max {
+			max = int(w.n)
 		}
 	}
 	return float64(f.count) / float64(len(f.buckets)), max
@@ -411,15 +515,16 @@ func (f *File) GrowAdvice() (fieldIdx int, ok bool) {
 	if f.count == 0 {
 		return 0, false
 	}
+	f.place()
 	bestScore := -1
 	for i, d := range f.depths {
-		if d >= 30 {
+		if !f.canGrow(i) {
 			continue
 		}
 		moved := 0
 		bit := uint64(1) << d
-		for _, slab := range f.buckets {
-			for j := i; j < len(slab); j += len(f.depths) {
+		for _, w := range f.buckets {
+			for j, slab := i, f.slab(w); j < len(slab); j += len(f.depths) {
 				if f.hashes[i](slab[j])&bit != 0 {
 					moved++
 				}
@@ -513,9 +618,10 @@ func (f *File) Search(pm PartialMatch) ([]Record, error) {
 	if err != nil {
 		return nil, err
 	}
+	f.place()
 	var out []Record
 	q.EachQualified(fs, func(b []int) {
-		slab, n := f.buckets[f.linear(b)], len(pm)
+		slab, n := f.slab(f.buckets[uint32(f.linear(b))]), len(pm)
 		for i := 0; i < len(slab); i += n {
 			if r := slab[i : i+n : i+n]; pm.matches(r) {
 				out = append(out, r)

@@ -29,6 +29,14 @@ func TestSchemaValidate(t *testing.T) {
 	if err := (Schema{Fields: []string{"a"}, Depths: []int{31}}).Validate(); err == nil {
 		t.Error("oversized depth accepted")
 	}
+	for _, depths := range [][]int{{30, 30, 30}, {17, 16}} {
+		if err := (Schema{Fields: []string{"a", "b", "c"}[:len(depths)], Depths: depths}).Validate(); err == nil {
+			t.Errorf("depths %v, a grid past 2^32 buckets, accepted", depths)
+		}
+	}
+	if err := (Schema{Fields: []string{"a", "b"}, Depths: []int{16, 16}}).Validate(); err != nil {
+		t.Errorf("a grid of 2^32 buckets rejected: %v", err)
+	}
 	if err := testSchema().Validate(); err != nil {
 		t.Errorf("valid schema rejected: %v", err)
 	}
@@ -338,6 +346,14 @@ func TestGrowValidation(t *testing.T) {
 	if err := g.Grow(0); err == nil {
 		t.Error("grow past max depth accepted")
 	}
+	h := MustNew(Schema{Fields: []string{"a", "b"}, Depths: []int{16, 16}})
+	h.Insert(Record{"x", "y"}) //nolint:errcheck
+	if err := h.Grow(0); err == nil {
+		t.Error("grow past 2^32 buckets accepted")
+	}
+	if i, ok := h.GrowAdvice(); ok {
+		t.Errorf("GrowAdvice = field %d on a grid of 2^32 buckets", i)
+	}
 }
 
 func TestEachBucket(t *testing.T) {
@@ -442,6 +458,7 @@ func TestGrowSplitsBuckets(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		f.Insert(Record{fmt.Sprintf("key-%d", i)})
 	}
+	f.place()
 	before := len(f.buckets)
 	if err := f.Grow(0); err != nil {
 		t.Fatal(err)

@@ -1,8 +1,11 @@
 package mkhash_test
 
 import (
+	"math/bits"
 	"runtime"
+	"runtime/debug"
 	"slices"
+	"sync"
 	"testing"
 	"unsafe"
 
@@ -91,52 +94,169 @@ func sorted(recs []mkhash.Record) []mkhash.Record {
 	return recs
 }
 
-// TestInsertAllocatesTheRecordOnly: with its values already in their
-// slots, an Insert into a bucket whose slab has room allocates nothing,
-// and one into a full bucket allocates exactly the grown slab, an eighth
-// larger or one record larger while it holds fewer than eight.
-func TestInsertAllocatesTheRecordOnly(t *testing.T) {
-	f := mkhash.MustNew(mkhash.Schema{Fields: []string{"a", "b", "c"}, Depths: []int{0, 0, 0}})
-	r := mkhash.Record{"make-7", "model-47", "1987"}
-	f.Insert(r)        //nolint:errcheck
-	room, held := 1, 1 // the slab's capacity and length, in records
-	insert := func() (allocs float64) {
-		if held == room {
-			allocs, room = 1, room+max(1, room/8)
+// mallocs returns how many heap objects fn allocates, with the collector
+// off: a cycle that starts inside fn allocates objects of its own.
+func mallocs(fn func()) uint64 {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
+// load inserts recs into a new file of the schema and places them.
+func load(tb testing.TB, schema mkhash.Schema, recs []mkhash.Record) *mkhash.File {
+	tb.Helper()
+	f := mkhash.MustNew(schema)
+	for _, r := range recs {
+		if err := f.Insert(r); err != nil {
+			tb.Fatal(err)
 		}
-		held++
-		return allocs
 	}
-	for held < 300 {
-		insert() // AllocsPerRun's warm-up call
-		want := insert()
-		if got := testing.AllocsPerRun(1, func() { f.Insert(r) }); got != want {
-			t.Fatalf("Insert into a bucket of %d records allocates %v times, want %v", held-1, got, want)
+	f.EachSlab(func([]int, []string) {})
+	return f
+}
+
+// TestInsertAllocatesTheRecordOnly: with their values already in their
+// slots, k inserts allocate only the room their records take, staging
+// chunks and keys that grow geometrically, O(log k)
+// objects however many buckets they touch (one slab copy per insert into
+// a full bucket before), and placing them into buckets the file already
+// holds allocates the one run, and at times the file's list of runs,
+// whatever the number of buckets.
+func TestInsertAllocatesTheRecordOnly(t *testing.T) {
+	_, recs := relation(t)
+	for _, depths := range [][]int{{0, 0, 0, 0, 0, 0}, {1, 1, 1, 1, 1, 1}, {4, 3, 3, 2, 1, 1}} {
+		schema := mkhash.Schema{Fields: []string{"f0", "f1", "f2", "f3", "f4", "f5"}, Depths: depths}
+		for _, k := range []int{1, 1000, len(recs)} {
+			f := load(t, schema, recs[:k])
+			inserts := mallocs(func() {
+				for _, r := range recs[:k] {
+					f.Insert(r) //nolint:errcheck
+				}
+			})
+			if limit := 4 * uint64(bits.Len(uint(k))); inserts > limit {
+				t.Errorf("depths %v: %d inserts allocate %d times, want at most %d", depths, k, inserts, limit)
+			}
+			if placing := mallocs(func() { f.Occupancy() }); placing < 1 || placing > 2 {
+				t.Errorf("depths %v: placing %d records allocates %d times, want 1 or 2", depths, k, placing)
+			}
 		}
 	}
 }
 
-// TestFileHeapPerRecord bounds what the loaded relation keeps live: its
-// slabs, the bucket map and the value tables, per record.
+// TestFileHeapPerRecord bounds what the loaded and placed relation keeps
+// live: its slabs, the bucket map and the value tables, per record.
 func TestFileHeapPerRecord(t *testing.T) {
 	schema, recs := relation(t)
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	f := mkhash.MustNew(schema)
-	for _, r := range recs {
-		if err := f.Insert(r); err != nil {
-			t.Fatal(err)
-		}
-	}
+	f := load(t, schema, recs)
 	runtime.GC()
 	runtime.ReadMemStats(&after)
 	runtime.KeepAlive(f)
 	runtime.KeepAlive(recs)
-	if per := float64(after.HeapAlloc-before.HeapAlloc) / float64(len(recs)); per > 120 {
-		t.Errorf("the loaded file keeps %.0f B live per record, want at most 120", per)
+	if per := float64(after.HeapAlloc-before.HeapAlloc) / float64(len(recs)); per > 112 {
+		t.Errorf("the loaded file keeps %.0f B live per record, want at most 112", per)
 	} else {
 		t.Logf("%.1f B per record", per)
+	}
+}
+
+// TestPlacedSlabsAreTheInsertOrder: however reads interleave with the
+// inserts, every placed slab holds its bucket's records in the order
+// they were inserted, value for value, as the one-slab-per-insert file
+// laid them out.
+func TestPlacedSlabsAreTheInsertOrder(t *testing.T) {
+	schema, recs := relation(t)
+	fs, _ := mkhash.MustNew(schema).FileSystem(1)
+	for _, every := range []int{len(recs), 7919, 1} {
+		f := mkhash.MustNew(schema)
+		want := map[int][]string{}
+		for i, r := range recs[:min(len(recs), 1000*every)] {
+			f.Insert(r) //nolint:errcheck
+			coords, _ := f.BucketOf(r)
+			want[fs.Linear(coords)] = append(want[fs.Linear(coords)], r...)
+			if i%every == every-1 {
+				f.Occupancy()
+			}
+		}
+		got := 0
+		f.EachSlab(func(coords []int, slab []string) {
+			if got++; !slices.Equal(slab, want[fs.Linear(coords)]) {
+				t.Fatalf("read every %d: bucket %v holds %q, inserted %q", every, coords, slab, want[fs.Linear(coords)])
+			}
+		})
+		if got != len(want) {
+			t.Errorf("read every %d: %d slabs, %d buckets inserted into", every, got, len(want))
+		}
+	}
+}
+
+// TestConcurrentReadersOfAJustLoadedFile: the first reads of a loaded
+// file race to place it; every reader sees the whole file. CI runs it
+// under the race detector.
+func TestConcurrentReadersOfAJustLoadedFile(t *testing.T) {
+	schema, recs := relation(t)
+	recs = recs[:5000]
+	f := mkhash.MustNew(schema)
+	for _, r := range recs {
+		f.Insert(r) //nolint:errcheck
+	}
+	coords, _ := f.BucketOf(recs[0])
+	pm, _ := f.Spec(map[string]string{"f5": recs[0][5]})
+	want, _ := load(t, schema, recs).Search(pm)
+	var wg sync.WaitGroup
+	for g := range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			switch g % 4 {
+			case 0:
+				if got, err := f.Search(pm); err != nil || len(got) != len(want) {
+					t.Errorf("Search found %d records, %v; want %d", len(got), err, len(want))
+				}
+			case 1:
+				n := 0
+				f.EachSlab(func(_ []int, slab []string) { n += len(slab) })
+				if n != 6*len(recs) {
+					t.Errorf("EachSlab saw %d values, want %d", n, 6*len(recs))
+				}
+			case 2:
+				if got := f.Bucket(coords); len(got) == 0 || !slices.Equal(got[0], recs[0]) {
+					t.Errorf("Bucket(%v) = %q, want %q first", coords, got, recs[0])
+				}
+			case 3:
+				if mean, _ := f.Occupancy(); mean == 0 {
+					t.Error("Occupancy of an empty file")
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestAlternatingInsertAndReadStaysSmall: a file read after every insert
+// places one record at a time, and each step allocates the touched
+// bucket's new slab and a one-record staging chunk, a few records'
+// worth, not a staging chunk sized for a load.
+func TestAlternatingInsertAndReadStaysSmall(t *testing.T) {
+	schema, recs := relation(t)
+	f := load(t, schema, recs)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, r := range recs[:1000] {
+		f.Insert(r) //nolint:errcheck
+		f.Occupancy()
+	}
+	runtime.ReadMemStats(&after)
+	record := uint64(6 * unsafe.Sizeof(""))
+	if per := (after.TotalAlloc - before.TotalAlloc) / 1000; per > 32*record {
+		t.Errorf("each insert and read allocates %d B, want at most 32 records' worth (%d B)", per, 32*record)
+	} else {
+		t.Logf("%d B (%.1f records' worth) per insert and read", per, float64(per)/float64(record))
 	}
 }
 
@@ -170,17 +290,13 @@ func TestRouteIsTheAllocatorsPlacement(t *testing.T) {
 	}
 }
 
-// BenchmarkFileLoad loads the relation into a new file per iteration.
+// BenchmarkFileLoad loads the relation into a new file per iteration,
+// and places it with one read.
 func BenchmarkFileLoad(b *testing.B) {
 	schema, recs := relation(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for range b.N {
-		f := mkhash.MustNew(schema)
-		for _, r := range recs {
-			if err := f.Insert(r); err != nil {
-				b.Fatal(err)
-			}
-		}
+		load(b, schema, recs)
 	}
 }

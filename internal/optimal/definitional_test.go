@@ -1,6 +1,7 @@
 package optimal
 
 import (
+	"slices"
 	"testing"
 
 	"fxdist/internal/bitsx"
@@ -34,7 +35,7 @@ func bruteKOptimal(a decluster.GroupAllocator, k int) bool {
 			if i == n {
 				q := query.New(spec)
 				loads := query.Loads(a, q)
-				if bitsx.MaxInt(loads) > bitsx.CeilDiv(q.NumQualified(fs), fs.M) {
+				if slices.Max(loads) > bitsx.CeilDiv(q.NumQualified(fs), fs.M) {
 					ok = false
 				}
 				return

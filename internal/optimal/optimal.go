@@ -11,6 +11,8 @@
 package optimal
 
 import (
+	"slices"
+
 	"fxdist/internal/bitsx"
 	"fxdist/internal/convolve"
 	"fxdist/internal/decluster"
@@ -44,7 +46,7 @@ func StrictForSubset(a decluster.GroupAllocator, unspec []int) bool {
 		vec = convolve.Fold(a.Op(), fs.M, vec, h)
 		r *= fs.Sizes[unspec[j]]
 	}
-	return bitsx.MaxInt(vec) <= bitsx.CeilDiv(r, fs.M)
+	return slices.Max(vec) <= bitsx.CeilDiv(r, fs.M)
 }
 
 // StrictForQuery reports whether a is strict optimal for q. Exact.

@@ -57,14 +57,15 @@ func Split(file *mkhash.File, alloc decluster.GroupAllocator) ([]Partition, erro
 
 // Admit is the check on buckets arriving from outside the process (a
 // constructor argument, an Install frame) before they are served as
-// dev's: every bucket lies in the allocator's grid, belongs to dev under
-// it, and holds whole records of the file's arity — the record loop
-// slices the slab without looking at its length.
+// dev's: every bucket lies in the allocator's grid and below 2^32
+// (mkhash.MaxGridBits), belongs to dev under it, and holds whole records
+// of the file's arity — the record loop slices the slab without looking
+// at its length.
 func (p Partition) Admit(alloc decluster.GroupAllocator, dev int) error {
 	fs := alloc.FileSystem()
 	var coords []int
 	for idx, slab := range p {
-		if idx < 0 || idx >= fs.NumBuckets() {
+		if idx < 0 || idx >= min(fs.NumBuckets(), 1<<mkhash.MaxGridBits) {
 			return fmt.Errorf("bucket index %d outside grid", idx)
 		}
 		coords = fs.Coords(idx, coords[:0])

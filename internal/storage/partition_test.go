@@ -57,8 +57,8 @@ func TestSplitValidation(t *testing.T) {
 	}
 }
 
-// Admit is the one check on a bucket arriving from outside: in grid,
-// owned by the device, whole records of the file's arity.
+// Admit is the one check on a bucket arriving from outside: in grid and
+// below 2^32, owned by the device, whole records of the file's arity.
 func TestPartitionAdmit(t *testing.T) {
 	fs := decluster.MustFileSystem([]int{4, 8, 2}, 4)
 	fx := decluster.MustFX(fs)
@@ -68,22 +68,30 @@ func TestPartitionAdmit(t *testing.T) {
 			own = fs.Linear(b)
 		}
 	})
+	// A grid past 2^32 buckets (mkhash.MaxGridBits) addresses none of its
+	// buckets from 2^32 on, even ones its allocator gives the device.
+	wideFS := decluster.MustFileSystem([]int{1 << 20, 1 << 20}, 4)
+	wide := decluster.NewModulo(wideFS)
+	wideOwner := func(idx int) int { return wide.Device(wideFS.Coords(idx, nil)) }
 	for _, tc := range []struct {
-		name string
-		part Partition
-		dev  int
-		want string // substring of the error; "" admits
+		name  string
+		alloc decluster.GroupAllocator
+		part  Partition
+		dev   int
+		want  string // substring of the error; "" admits
 	}{
-		{"empty", Partition{}, 1, ""},
-		{"owned", Partition{own: {"a", "b", "c", "d", "e", "f"}}, 1, ""},
-		{"owned, no records", Partition{own: nil}, 1, ""},
-		{"negative index", Partition{-1: nil}, 1, "outside grid"},
-		{"past the grid", Partition{fs.NumBuckets(): nil}, 1, "outside grid"},
-		{"foreign", Partition{own: nil}, 2, "belongs to device 1, not 2"},
-		{"short record", Partition{own: {"a", "b", "c", "only-one-field"}}, 1, "4 values, not whole records of the file's 3 fields"},
-		{"long record", Partition{own: {"a", "b", "c", "d", "e"}}, 1, "5 values, not whole records"},
+		{"empty", fx, Partition{}, 1, ""},
+		{"owned", fx, Partition{own: {"a", "b", "c", "d", "e", "f"}}, 1, ""},
+		{"owned, no records", fx, Partition{own: nil}, 1, ""},
+		{"negative index", fx, Partition{-1: nil}, 1, "outside grid"},
+		{"past the grid", fx, Partition{fs.NumBuckets(): nil}, 1, "outside grid"},
+		{"foreign", fx, Partition{own: nil}, 2, "belongs to device 1, not 2"},
+		{"short record", fx, Partition{own: {"a", "b", "c", "only-one-field"}}, 1, "4 values, not whole records of the file's 3 fields"},
+		{"long record", fx, Partition{own: {"a", "b", "c", "d", "e"}}, 1, "5 values, not whole records"},
+		{"below 2^32", wide, Partition{1<<32 - 1: nil}, wideOwner(1<<32 - 1), ""},
+		{"2^32", wide, Partition{1 << 32: nil}, wideOwner(1 << 32), "outside grid"},
 	} {
-		err := tc.part.Admit(fx, tc.dev)
+		err := tc.part.Admit(tc.alloc, tc.dev)
 		switch {
 		case tc.want == "" && err != nil:
 			t.Errorf("%s: refused: %v", tc.name, err)
@@ -236,17 +244,17 @@ func TestRetrieveAllocsDoNotGrowWithM(t *testing.T) {
 }
 
 // TestClusterKeepsItsSnapshot: a memory or replicated cluster serves the
-// slabs its file had when it was built. A Delete on the file builds its
-// bucket a new slab and an Insert into a slab with room appends past the
-// captured length, so while the file changes under it, and after, the
-// cluster answers with exactly the records it was built with.
+// slabs its file had when it was built. A Delete on the file, or the
+// placement of an Insert, gives its bucket a new slab, so while the file
+// changes under it, and after, the cluster answers with exactly the
+// records it was built with.
 func TestClusterKeepsItsSnapshot(t *testing.T) {
 	for _, kind := range []string{"memory", "replicated"} {
 		for _, mutation := range []string{"delete", "insert"} {
 			t.Run(kind+"/"+mutation, func(t *testing.T) {
 				file := mkhash.MustNew(mkhash.Schema{Fields: []string{"a", "b"}, Depths: []int{0, 0}})
 				var want []string
-				for i := range 17 { // the one slab grows to 18 records: room for one
+				for i := range 17 {
 					r := mkhash.Record{fmt.Sprint("r", i), "v"}
 					want = append(want, strings.Join(r, "\x00"))
 					if err := file.Insert(r); err != nil {

@@ -69,16 +69,19 @@ func Records(spec RecordSpec, n int, seed int64) ([]mkhash.Record, error) {
 		draw[i] = valueDrawer(r, f)
 	}
 	// Each value is rendered once and shared by the records that draw
-	// it, and the records are carved from one run of values.
-	rendered := make(map[[2]int]string)
+	// it, found by one lookup of an int key, and the records are carved
+	// from one run of values.
+	rendered := make(map[int]string)
 	out := mkhash.Views(make([]string, n*len(spec.Fields)), len(spec.Fields), make([]mkhash.Record, 0, n))
 	for _, rec := range out {
 		for j, f := range spec.Fields {
-			v := [2]int{j, draw[j]()}
-			if _, ok := rendered[v]; !ok {
-				rendered[v] = f.Value(v[1])
+			v := draw[j]()
+			s, ok := rendered[v*len(spec.Fields)+j]
+			if !ok {
+				s = f.Value(v)
+				rendered[v*len(spec.Fields)+j] = s
 			}
-			rec[j] = rendered[v]
+			rec[j] = s
 		}
 	}
 	return out, nil
