@@ -5,7 +5,6 @@ import (
 
 	"fxdist"
 	"fxdist/internal/analysis"
-	"fxdist/internal/design"
 	"fxdist/internal/rebalance"
 )
 
@@ -15,7 +14,7 @@ func TestPublicAdaptiveLoop(t *testing.T) {
 	file := buildTestFile(t)
 	fs, _ := file.FileSystem(8)
 
-	tracker, err := design.NewTracker(2)
+	tracker, err := analysis.NewTracker(2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,7 @@ import (
 	"testing"
 
 	"fxdist"
-	"fxdist/internal/design"
+	"fxdist/internal/analysis"
 	"fxdist/internal/storage"
 )
 
@@ -43,14 +43,14 @@ func TestPublicReplicaPlacement(t *testing.T) {
 }
 
 func TestPublicDesign(t *testing.T) {
-	bits, err := design.BitsFor(10000, 10)
+	bits, err := analysis.BitsFor(10000, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if bits != 10 {
 		t.Errorf("bits = %d, want 10", bits)
 	}
-	res, err := design.Depths(bits, []design.Field{
+	res, err := analysis.Depths(bits, []analysis.Field{
 		{SpecProb: 0.9}, {SpecProb: 0.2},
 	})
 	if err != nil {
@@ -60,7 +60,7 @@ func TestPublicDesign(t *testing.T) {
 		t.Errorf("depths %v: hot field should be deeper", res.Depths)
 	}
 	probs := []float64{0.9, 0.2}
-	if got := design.ExpectedQualified(res.Depths, probs); got != res.ExpectedQualified {
+	if got := analysis.ExpectedQualified(res.Depths, probs); got != res.ExpectedQualified {
 		t.Errorf("objective mismatch: %v vs %v", got, res.ExpectedQualified)
 	}
 	// The designed sizes feed straight into a file system.

@@ -25,11 +25,9 @@ import (
 	"fxdist/client"
 	"fxdist/internal/analysis"
 	"fxdist/internal/bitsx"
-	"fxdist/internal/butterfly"
 	"fxdist/internal/decluster"
 	"fxdist/internal/field"
 	"fxdist/internal/gate"
-	"fxdist/internal/queuesim"
 	"fxdist/internal/rebalance"
 	"fxdist/internal/storage"
 	"fxdist/internal/workload"
@@ -434,14 +432,14 @@ func BenchmarkQueueingThroughput(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	arrivals := queuesim.PoissonArrivals(200, 40*time.Millisecond, 7)
+	arrivals := analysis.PoissonArrivals(200, 40*time.Millisecond, 7)
 	once(b, "Queueing", func() {
 		for _, alloc := range []fxdist.GroupAllocator{fx, md} {
-			jobs, err := queuesim.FromQueries(alloc, queries, arrivals)
+			jobs, err := analysis.FromQueries(alloc, queries, arrivals)
 			if err != nil {
 				b.Fatal(err)
 			}
-			stats, err := queuesim.Run(jobs, fxdist.ParallelDisk)
+			stats, err := analysis.Run(jobs, fxdist.ParallelDisk)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -451,11 +449,11 @@ func BenchmarkQueueingThroughput(b *testing.B) {
 	})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		jobs, err := queuesim.FromQueries(fx, queries, arrivals)
+		jobs, err := analysis.FromQueries(fx, queries, arrivals)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := queuesim.Run(jobs, fxdist.ParallelDisk); err != nil {
+		if _, err := analysis.Run(jobs, fxdist.ParallelDisk); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -636,7 +634,7 @@ func BenchmarkButterflyRepartition(b *testing.B) {
 		b.Fatal(err)
 	}
 	md := fxdist.NewModulo(fs)
-	nw, err := butterfly.New(16)
+	nw, err := analysis.NewNetwork(16)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -713,11 +711,11 @@ func BenchmarkClosedLoopThroughput(b *testing.B) {
 	once(b, "ClosedLoop", func() {
 		for _, mpl := range []int{1, 4, 16} {
 			for _, alloc := range []fxdist.GroupAllocator{fx, md} {
-				pool, err := queuesim.LoadPool(alloc, queries)
+				pool, err := analysis.LoadPool(alloc, queries)
 				if err != nil {
 					b.Fatal(err)
 				}
-				stats, err := queuesim.RunClosed(pool, mpl, 400, fxdist.ParallelDisk)
+				stats, err := analysis.RunClosed(pool, mpl, 400, fxdist.ParallelDisk)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -727,13 +725,13 @@ func BenchmarkClosedLoopThroughput(b *testing.B) {
 			}
 		}
 	})
-	pool, err := queuesim.LoadPool(fx, queries)
+	pool, err := analysis.LoadPool(fx, queries)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := queuesim.RunClosed(pool, 8, 400, fxdist.ParallelDisk); err != nil {
+		if _, err := analysis.RunClosed(pool, 8, 400, fxdist.ParallelDisk); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -13,7 +13,6 @@ import (
 	"fxdist/client"
 	"fxdist/internal/analysis"
 	"fxdist/internal/gate"
-	"fxdist/internal/queuesim"
 	"fxdist/internal/rebalance"
 )
 
@@ -224,18 +223,18 @@ func TestPublicQueueSimulation(t *testing.T) {
 	fs, _ := fxdist.NewFileSystem([]int{4, 4}, 16)
 	fx, _ := fxdist.NewFX(fs)
 	queries := []fxdist.Query{fxdist.AllQuery(2), fxdist.AllQuery(2)}
-	jobs, err := queuesim.FromQueries(fx, queries, queuesim.UniformArrivals(2, time.Millisecond))
+	jobs, err := analysis.FromQueries(fx, queries, analysis.UniformArrivals(2, time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats, err := queuesim.Run(jobs, fxdist.ParallelDisk)
+	stats, err := analysis.Run(jobs, fxdist.ParallelDisk)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stats.MeanResponse <= 0 || stats.Makespan <= 0 {
 		t.Errorf("stats = %+v", stats)
 	}
-	if len(queuesim.PoissonArrivals(5, time.Second, 1)) != 5 {
+	if len(analysis.PoissonArrivals(5, time.Second, 1)) != 5 {
 		t.Error("PoissonArrivals length wrong")
 	}
 }

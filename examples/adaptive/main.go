@@ -15,7 +15,6 @@ import (
 
 	"fxdist"
 	"fxdist/internal/analysis"
-	"fxdist/internal/design"
 	"fxdist/internal/rebalance"
 )
 
@@ -41,7 +40,7 @@ func main() {
 	fmt.Printf("running on %s, %d records, %d devices\n\n", current.Name(), file.Len(), m)
 
 	// 1. Observe: a scan-heavy stream (few fields specified).
-	tracker, err := design.NewTracker(file.NumFields())
+	tracker, err := analysis.NewTracker(file.NumFields())
 	check(err)
 	queries, err := fxdist.GeneratePartialMatches(spec, 500, 0.3, 9)
 	check(err)

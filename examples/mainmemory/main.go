@@ -16,8 +16,6 @@ import (
 
 	"fxdist"
 	"fxdist/internal/analysis"
-	"fxdist/internal/butterfly"
-	"fxdist/internal/storage"
 	"fxdist/internal/workload"
 )
 
@@ -53,7 +51,7 @@ func main() {
 
 	// Main-memory response simulation: the whole-file query on 512 nodes.
 	all := fxdist.AllQuery(len(sizes))
-	res := storage.Simulate(fxdist.Loads(fx, all), fxdist.MainMemory)
+	res := analysis.Simulate(fxdist.Loads(fx, all), fxdist.MainMemory)
 	fmt.Printf("\nwhole-file retrieval: %d buckets/node max, simulated response %v\n",
 		res.LargestResponseSize, res.Response)
 
@@ -76,7 +74,7 @@ func main() {
 	// The interconnect is real on a Butterfly: simulate repartitioning
 	// this query's qualified buckets through the 512-node network (the
 	// parallel-projection traffic pattern of the machine's era).
-	nw, err := butterfly.New(m)
+	nw, err := analysis.NewNetwork(m)
 	check(err)
 	msgs, err := nw.Repartition(fxdist.Loads(fx, q), 7)
 	check(err)

@@ -15,7 +15,7 @@ import (
 	"fmt"
 
 	"fxdist"
-	"fxdist/internal/design"
+	"fxdist/internal/analysis"
 	"fxdist/internal/rebalance"
 	"fxdist/internal/storage"
 )
@@ -25,9 +25,9 @@ func main() {
 
 	// 1. Design: ~40k records at ~10 records/bucket => 12 directory bits.
 	// "part" is specified by 80% of queries, "status" by 10%.
-	bits, err := design.BitsFor(40000, 10)
+	bits, err := analysis.BitsFor(40000, 10)
 	check(err)
-	res, err := design.Depths(bits, []design.Field{
+	res, err := analysis.Depths(bits, []analysis.Field{
 		{SpecProb: 0.8},              // part
 		{SpecProb: 0.5},              // supplier
 		{SpecProb: 0.3, MaxDepth: 4}, // warehouse (only ~16 distinct values)

@@ -5,7 +5,6 @@ import (
 
 	"fxdist"
 	"fxdist/internal/analysis"
-	"fxdist/internal/storage"
 )
 
 // The public facade must support the full quickstart flow.
@@ -166,14 +165,5 @@ func TestPublicAPIInverseMapper(t *testing.T) {
 	}
 	if total != 64 {
 		t.Errorf("inverse map total %d, want 64", total)
-	}
-}
-
-func TestPublicAPISimulate(t *testing.T) {
-	fs, _ := fxdist.NewFileSystem([]int{4, 4}, 16)
-	fx, _ := fxdist.NewFX(fs)
-	res := storage.Simulate(fxdist.Loads(fx, fxdist.AllQuery(2)), fxdist.ParallelDisk)
-	if res.LargestResponseSize != 1 {
-		t.Errorf("LargestResponseSize = %d", res.LargestResponseSize)
 	}
 }

@@ -1,15 +1,25 @@
-// Package analysis regenerates the paper's evaluation artifacts: the
-// average largest-response-size tables (Tables 7-9), the
-// probability-of-strict-optimality figures (Figures 1-4) and the §5.2.2
-// CPU address-computation cost comparison (cost.go).
+// Package analysis is the paper's evaluation, run offline; no serving
+// package imports it (scripts/apicheck.go, rule 4). It holds:
 //
-// Both rest on the translation-invariance theorem (see package convolve):
-// for group allocators the load multiset of a query depends only on its
-// set of unspecified fields, so "averaging over all possible partial match
-// queries with k unspecified fields" — the paper's procedure — reduces to
-// averaging one exact profile per k-element field subset. The paper's
-// printed numbers confirm this reading: e.g. Table 9's Modulo entry for
-// k=2 is (3*8 + 9*8 + 3*16)/15 = 9.6, the unweighted subset average.
+//   - the largest-response-size tables (Tables 7-9) and the
+//     probability-of-strict-optimality figures (Figures 1-4), with their
+//     extensions (paper.go, extend.go);
+//   - the §5.2.2 CPU address-computation cost comparison (cost.go);
+//   - the file design the paper defers to its citations: directory depths
+//     from observed specification frequencies (design.go, stats.go);
+//   - the §5.2.1 response model beyond the executor: one record-free
+//     query (Simulate), a queue of them (queue.go), and a parallel
+//     projection gathered over a simulated Butterfly interconnect
+//     (project.go, network.go).
+//
+// The tables and figures rest on the translation-invariance theorem (see
+// package convolve): for group allocators the load multiset of a query
+// depends only on its set of unspecified fields, so "averaging over all
+// possible partial match queries with k unspecified fields" — the
+// paper's procedure — reduces to averaging one exact profile per
+// k-element field subset. The paper's printed numbers confirm this
+// reading: e.g. Table 9's Modulo entry for k=2 is (3*8 + 9*8 + 3*16)/15
+// = 9.6, the unweighted subset average.
 package analysis
 
 import (

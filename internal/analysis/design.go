@@ -1,22 +1,16 @@
-// Package design solves the multi-key hash file *design* problem the
-// paper inherits from Rothnie & Lozano and Aho & Ullman: given a total
-// directory budget of D bits (the file will have 2^D buckets) and, for
-// each field, the probability that a partial match query specifies it,
-// choose per-field directory depths d_i (F_i = 2^{d_i}, sum d_i = D)
-// minimizing the expected number of qualified buckets
+// This file chooses per-field directory depths d_i (F_i = 2^{d_i},
+// sum d_i = D) for a budget of D bits and the probability p_i that a
+// query specifies each field, minimizing the expected number of
+// qualified buckets
 //
 //	E = prod_i ( p_i + (1-p_i) * 2^{d_i} )
 //
-// — a specified field contributes factor 1, an unspecified one contributes
-// its full directory size. The increments of log(p + (1-p)2^d) are
-// increasing in d, so assigning bits greedily to the field with the
-// smallest next multiplicative growth is exactly optimal; tests verify the
-// greedy against exhaustive search.
-//
-// This is the "data construction" half the paper defers to its citations;
-// combined with FX declustering it completes the pipeline: design the
-// grid, then decluster it.
-package design
+// — the design problem of Rothnie & Lozano and Aho & Ullman. The
+// increments of log(p + (1-p)2^d) are increasing in d, so assigning bits
+// greedily to the field with the smallest next multiplicative growth is
+// exactly optimal; tests verify the greedy against exhaustive search.
+
+package analysis
 
 import (
 	"fmt"
@@ -33,8 +27,8 @@ type Field struct {
 	MaxDepth int
 }
 
-// Result is a depth assignment and its objective value.
-type Result struct {
+// DepthResult is a depth assignment and its objective value.
+type DepthResult struct {
 	// Depths holds d_i per field; F_i = 2^{d_i}.
 	Depths []int
 	// ExpectedQualified is E[number of qualified buckets] for a random
@@ -43,7 +37,7 @@ type Result struct {
 }
 
 // Sizes returns the field sizes 2^{d_i}.
-func (r Result) Sizes() []int {
+func (r DepthResult) Sizes() []int {
 	out := make([]int, len(r.Depths))
 	for i, d := range r.Depths {
 		out[i] = 1 << d
@@ -53,18 +47,18 @@ func (r Result) Sizes() []int {
 
 func validate(totalBits int, fields []Field) error {
 	if len(fields) == 0 {
-		return fmt.Errorf("design: need at least one field")
+		return fmt.Errorf("analysis: need at least one field")
 	}
 	if totalBits < 0 {
-		return fmt.Errorf("design: negative bit budget %d", totalBits)
+		return fmt.Errorf("analysis: negative bit budget %d", totalBits)
 	}
 	capSum := 0
 	for i, f := range fields {
 		if f.SpecProb < 0 || f.SpecProb > 1 {
-			return fmt.Errorf("design: field %d specification probability %v outside [0,1]", i, f.SpecProb)
+			return fmt.Errorf("analysis: field %d specification probability %v outside [0,1]", i, f.SpecProb)
 		}
 		if f.MaxDepth < 0 {
-			return fmt.Errorf("design: field %d negative max depth", i)
+			return fmt.Errorf("analysis: field %d negative max depth", i)
 		}
 		if f.MaxDepth == 0 {
 			capSum += totalBits
@@ -73,7 +67,7 @@ func validate(totalBits int, fields []Field) error {
 		}
 	}
 	if capSum < totalBits {
-		return fmt.Errorf("design: depth caps admit only %d bits, budget is %d", capSum, totalBits)
+		return fmt.Errorf("analysis: depth caps admit only %d bits, budget is %d", capSum, totalBits)
 	}
 	return nil
 }
@@ -93,10 +87,10 @@ func ExpectedQualified(depths []int, probs []float64) float64 {
 }
 
 // Depths assigns totalBits directory bits across the fields greedily —
-// provably optimal for this objective (see package comment).
-func Depths(totalBits int, fields []Field) (Result, error) {
+// provably optimal for this objective (see the file comment).
+func Depths(totalBits int, fields []Field) (DepthResult, error) {
 	if err := validate(totalBits, fields); err != nil {
-		return Result{}, err
+		return DepthResult{}, err
 	}
 	depths := make([]int, len(fields))
 	for bit := 0; bit < totalBits; bit++ {
@@ -111,7 +105,7 @@ func Depths(totalBits int, fields []Field) (Result, error) {
 			}
 		}
 		if best < 0 {
-			return Result{}, fmt.Errorf("design: depth caps exhausted before placing %d bits", totalBits)
+			return DepthResult{}, fmt.Errorf("analysis: depth caps exhausted before placing %d bits", totalBits)
 		}
 		depths[best]++
 	}
@@ -119,20 +113,20 @@ func Depths(totalBits int, fields []Field) (Result, error) {
 	for i, f := range fields {
 		probs[i] = f.SpecProb
 	}
-	return Result{Depths: depths, ExpectedQualified: ExpectedQualified(depths, probs)}, nil
+	return DepthResult{Depths: depths, ExpectedQualified: ExpectedQualified(depths, probs)}, nil
 }
 
 // ExhaustiveDepths solves the same problem by full enumeration — O(D^n);
 // the ground truth greedy is tested against.
-func ExhaustiveDepths(totalBits int, fields []Field) (Result, error) {
+func ExhaustiveDepths(totalBits int, fields []Field) (DepthResult, error) {
 	if err := validate(totalBits, fields); err != nil {
-		return Result{}, err
+		return DepthResult{}, err
 	}
 	probs := make([]float64, len(fields))
 	for i, f := range fields {
 		probs[i] = f.SpecProb
 	}
-	best := Result{ExpectedQualified: math.Inf(1)}
+	best := DepthResult{ExpectedQualified: math.Inf(1)}
 	depths := make([]int, len(fields))
 	var rec func(i, remaining int)
 	rec = func(i, remaining int) {
@@ -158,7 +152,7 @@ func ExhaustiveDepths(totalBits int, fields []Field) (Result, error) {
 	}
 	rec(0, totalBits)
 	if best.Depths == nil {
-		return Result{}, fmt.Errorf("design: no feasible assignment of %d bits", totalBits)
+		return DepthResult{}, fmt.Errorf("analysis: no feasible assignment of %d bits", totalBits)
 	}
 	return best, nil
 }
@@ -167,7 +161,7 @@ func ExhaustiveDepths(totalBits int, fields []Field) (Result, error) {
 // target mean bucket occupancy: the smallest D with 2^D >= records/occupancy.
 func BitsFor(records, occupancy int) (int, error) {
 	if records <= 0 || occupancy <= 0 {
-		return 0, fmt.Errorf("design: records and occupancy must be positive")
+		return 0, fmt.Errorf("analysis: records and occupancy must be positive")
 	}
 	buckets := (records + occupancy - 1) / occupancy
 	d := 0

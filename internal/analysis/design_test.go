@@ -1,4 +1,4 @@
-package design
+package analysis
 
 import (
 	"math"
@@ -147,7 +147,7 @@ func TestMaxDepthRespected(t *testing.T) {
 }
 
 func TestResultSizes(t *testing.T) {
-	r := Result{Depths: []int{0, 3, 1}}
+	r := DepthResult{Depths: []int{0, 3, 1}}
 	s := r.Sizes()
 	if s[0] != 1 || s[1] != 8 || s[2] != 2 {
 		t.Errorf("Sizes = %v", s)

@@ -2,10 +2,13 @@ package analysis_test
 
 import (
 	"fmt"
+	"time"
 
 	"fxdist/internal/analysis"
 	"fxdist/internal/decluster"
 	"fxdist/internal/field"
+	"fxdist/internal/query"
+	"fxdist/internal/storage"
 )
 
 // ExampleResponseTable regenerates two rows of the paper's Table 7.
@@ -43,4 +46,42 @@ func ExampleRecommend() {
 	fmt.Println(rec.Name)
 	// Output:
 	// FX[IU2 U I]
+}
+
+// ExampleDepths solves the directory design problem the paper inherits
+// from Aho-Ullman: give bits to often-specified fields.
+func ExampleDepths() {
+	res, _ := analysis.Depths(8, []analysis.Field{
+		{SpecProb: 0.9}, // hot: queries almost always specify it
+		{SpecProb: 0.5},
+		{SpecProb: 0.1}, // cold: rarely specified
+	})
+	fmt.Println("depths:", res.Depths)
+	fmt.Println("sizes: ", res.Sizes())
+	// Output:
+	// depths: [6 2 0]
+	// sizes:  [64 4 1]
+}
+
+// ExampleRun simulates two back-to-back whole-file queries on parallel
+// disks: the second queues behind the first.
+func ExampleRun() {
+	fs, _ := decluster.NewFileSystem([]int{4, 4}, 16)
+	fx, _ := decluster.NewFX(fs)
+	queries := []query.Query{query.All(2), query.All(2)}
+	jobs, _ := analysis.FromQueries(fx, queries, analysis.UniformArrivals(2, time.Millisecond))
+	stats, _ := analysis.Run(jobs, storage.ParallelDisk)
+	fmt.Println(stats.PerQuery[0].Response, stats.PerQuery[1].Response)
+	// Output:
+	// 29ms 57ms
+}
+
+// ExampleNewNetwork routes one message through the simulated Butterfly
+// interconnect.
+func ExampleNewNetwork() {
+	nw, _ := analysis.NewNetwork(8)
+	stats, _ := nw.Run([]analysis.Message{{Src: 5, Dst: 2}})
+	fmt.Printf("%d stages, delivered in %d cycles\n", nw.Stages(), stats.Cycles)
+	// Output:
+	// 3 stages, delivered in 4 cycles
 }

@@ -240,22 +240,18 @@ func ExpectedLargest(a decluster.GroupAllocator, probs []float64) (float64, erro
 	}
 	total := 0.0
 	optimal.EachSubset(n, func(s []int) {
-		w := 1.0
-		inS := make(map[int]bool, len(s))
-		for _, i := range s {
-			inS[i] = true
-		}
-		for i := 0; i < n; i++ {
-			if inS[i] {
-				w *= 1 - probs[i]
+		// The class weight, field by field; s is ascending.
+		w, unspec := 1.0, s
+		for i, p := range probs {
+			if len(unspec) > 0 && unspec[0] == i {
+				w, unspec = w*(1-p), unspec[1:]
 			} else {
-				w *= probs[i]
+				w *= p
 			}
 		}
-		if w == 0 {
-			return
+		if w != 0 {
+			total += w * float64(convolve.LargestLoad(a, s))
 		}
-		total += w * float64(convolve.LargestLoad(a, s))
 	})
 	return total, nil
 }

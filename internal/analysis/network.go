@@ -1,5 +1,5 @@
-// Package butterfly simulates the multistage interconnection network of
-// the machines the paper targets (BBN Butterfly-style multiprocessors,
+// This file simulates the multistage interconnection network of the
+// machines the paper targets (BBN Butterfly-style multiprocessors,
 // §5.2.1): M = 2^n nodes connected through n stages of 2x2 switches with
 // destination-tag routing, one message per link per cycle, FIFO queueing
 // at every link, store-and-forward.
@@ -10,7 +10,8 @@
 // faster than skewed loads (what Modulo produces), because a hot node is
 // limited to injecting one message per cycle and its switch links
 // saturate.
-package butterfly
+
+package analysis
 
 import (
 	"fmt"
@@ -25,10 +26,10 @@ type Network struct {
 	stages int
 }
 
-// New builds the network for m nodes (a power of two, at least 2).
-func New(m int) (*Network, error) {
+// NewNetwork builds the network for m nodes (a power of two, at least 2).
+func NewNetwork(m int) (*Network, error) {
 	if !bitsx.IsPow2(m) || m < 2 {
-		return nil, fmt.Errorf("butterfly: node count %d is not a power of two >= 2", m)
+		return nil, fmt.Errorf("analysis: node count %d is not a power of two >= 2", m)
 	}
 	return &Network{m: m, stages: bitsx.Log2(m)}, nil
 }
@@ -51,8 +52,8 @@ type Message struct {
 	Src, Dst int
 }
 
-// Stats reports one simulation run.
-type Stats struct {
+// NetworkStats reports one network simulation run.
+type NetworkStats struct {
 	// Cycles is the number of cycles until the last delivery.
 	Cycles int
 	// Delivered is the number of messages delivered (always all of them).
@@ -68,10 +69,10 @@ type Stats struct {
 // Run simulates delivering the messages. Each node injects at most one
 // message per cycle (in input order); each link forwards at most one
 // message per cycle; messages advance at most one stage per cycle.
-func (nw *Network) Run(msgs []Message) (Stats, error) {
+func (nw *Network) Run(msgs []Message) (NetworkStats, error) {
 	for i, msg := range msgs {
 		if msg.Src < 0 || msg.Src >= nw.m || msg.Dst < 0 || msg.Dst >= nw.m {
-			return Stats{}, fmt.Errorf("butterfly: message %d endpoints (%d -> %d) outside [0,%d)", i, msg.Src, msg.Dst, nw.m)
+			return NetworkStats{}, fmt.Errorf("analysis: message %d endpoints (%d -> %d) outside [0,%d)", i, msg.Src, msg.Dst, nw.m)
 		}
 	}
 	type flight struct {
@@ -95,7 +96,7 @@ func (nw *Network) Run(msgs []Message) (Stats, error) {
 		queues[s] = make([][]flight, nw.m)
 	}
 
-	stats := Stats{}
+	stats := NetworkStats{}
 	remaining := len(msgs)
 	for cycle := 1; remaining > 0; cycle++ {
 		// Advance stages from last to first so a flight crosses at most
@@ -132,7 +133,7 @@ func (nw *Network) Run(msgs []Message) (Stats, error) {
 			queues[0][f.pos] = append(queues[0][f.pos], f)
 		}
 		if cycle > nw.stages+2*len(msgs)+4 {
-			return Stats{}, fmt.Errorf("butterfly: simulation did not drain (bug)")
+			return NetworkStats{}, fmt.Errorf("analysis: simulation did not drain (bug)")
 		}
 	}
 	maxSrc, maxDst := 0, 0
@@ -147,19 +148,10 @@ func (nw *Network) Run(msgs []Message) (Stats, error) {
 // Gather builds the message list for collecting loads[i] result messages
 // from every node i at a single front-end node.
 func (nw *Network) Gather(loads []int, frontEnd int) ([]Message, error) {
-	if len(loads) != nw.m {
-		return nil, fmt.Errorf("butterfly: %d loads for %d nodes", len(loads), nw.m)
-	}
 	if frontEnd < 0 || frontEnd >= nw.m {
-		return nil, fmt.Errorf("butterfly: front end %d outside [0,%d)", frontEnd, nw.m)
+		return nil, fmt.Errorf("analysis: front end %d outside [0,%d)", frontEnd, nw.m)
 	}
-	var msgs []Message
-	for src, n := range loads {
-		for i := 0; i < n; i++ {
-			msgs = append(msgs, Message{Src: src, Dst: frontEnd})
-		}
-	}
-	return msgs, nil
+	return nw.messages(loads, func() int { return frontEnd })
 }
 
 // Repartition builds the all-to-all message list of a parallel operator
@@ -167,14 +159,20 @@ func (nw *Network) Gather(loads []int, frontEnd int) ([]Message, error) {
 // loads[i] tuples, each rehashed to a pseudo-random destination.
 // Deterministic for a seed.
 func (nw *Network) Repartition(loads []int, seed int64) ([]Message, error) {
-	if len(loads) != nw.m {
-		return nil, fmt.Errorf("butterfly: %d loads for %d nodes", len(loads), nw.m)
-	}
 	r := rand.New(rand.NewSource(seed))
+	return nw.messages(loads, func() int { return r.Intn(nw.m) })
+}
+
+// messages sends loads[i] messages from every node i, in node order, each
+// to the next dst().
+func (nw *Network) messages(loads []int, dst func() int) ([]Message, error) {
+	if len(loads) != nw.m {
+		return nil, fmt.Errorf("analysis: %d loads for %d nodes", len(loads), nw.m)
+	}
 	var msgs []Message
 	for src, n := range loads {
 		for i := 0; i < n; i++ {
-			msgs = append(msgs, Message{Src: src, Dst: r.Intn(nw.m)})
+			msgs = append(msgs, Message{Src: src, Dst: dst()})
 		}
 	}
 	return msgs, nil

@@ -1,4 +1,4 @@
-package butterfly
+package analysis
 
 import (
 	"testing"
@@ -11,11 +11,11 @@ import (
 
 func TestNewValidation(t *testing.T) {
 	for _, m := range []int{0, 1, 3, 12} {
-		if _, err := New(m); err == nil {
+		if _, err := NewNetwork(m); err == nil {
 			t.Errorf("node count %d accepted", m)
 		}
 	}
-	nw, err := New(8)
+	nw, err := NewNetwork(8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +27,7 @@ func TestNewValidation(t *testing.T) {
 // Destination-tag routing: after all stages the position equals the
 // destination, for every src/dst pair.
 func TestRoutingReachesDestination(t *testing.T) {
-	nw, _ := New(16)
+	nw, _ := NewNetwork(16)
 	for src := 0; src < 16; src++ {
 		for dst := 0; dst < 16; dst++ {
 			pos := src
@@ -43,7 +43,7 @@ func TestRoutingReachesDestination(t *testing.T) {
 
 // One message: latency = injection cycle + one cycle per stage.
 func TestSingleMessageLatency(t *testing.T) {
-	nw, _ := New(8)
+	nw, _ := NewNetwork(8)
 	stats, err := nw.Run([]Message{{Src: 5, Dst: 2}})
 	if err != nil {
 		t.Fatal(err)
@@ -56,8 +56,8 @@ func TestSingleMessageLatency(t *testing.T) {
 	}
 }
 
-func TestRunValidation(t *testing.T) {
-	nw, _ := New(4)
+func TestNetworkRunValidation(t *testing.T) {
+	nw, _ := NewNetwork(4)
 	if _, err := nw.Run([]Message{{Src: -1, Dst: 0}}); err == nil {
 		t.Error("negative src accepted")
 	}
@@ -73,7 +73,7 @@ func TestRunValidation(t *testing.T) {
 // Gather to one node serialises on the final link: cycles ~ total
 // messages (+ pipeline latency), regardless of distribution.
 func TestGatherSerialisesAtSink(t *testing.T) {
-	nw, _ := New(8)
+	nw, _ := NewNetwork(8)
 	loads := []int{5, 5, 5, 5, 5, 5, 5, 5}
 	msgs, err := nw.Gather(loads, 0)
 	if err != nil {
@@ -96,7 +96,7 @@ func TestGatherSerialisesAtSink(t *testing.T) {
 }
 
 func TestGatherValidation(t *testing.T) {
-	nw, _ := New(4)
+	nw, _ := NewNetwork(4)
 	if _, err := nw.Gather([]int{1, 2}, 0); err == nil {
 		t.Error("wrong load count accepted")
 	}
@@ -108,7 +108,7 @@ func TestGatherValidation(t *testing.T) {
 // All-to-all repartition: balanced source loads finish no later than a
 // skewed distribution of the same total (the declustering connection).
 func TestBalancedRepartitionBeatsSkewed(t *testing.T) {
-	nw, _ := New(16)
+	nw, _ := NewNetwork(16)
 	balanced := make([]int, 16)
 	skewed := make([]int, 16)
 	for i := range balanced {
@@ -148,7 +148,7 @@ func TestBalancedRepartitionBeatsSkewed(t *testing.T) {
 }
 
 func TestRepartitionValidation(t *testing.T) {
-	nw, _ := New(4)
+	nw, _ := NewNetwork(4)
 	if _, err := nw.Repartition([]int{1}, 1); err == nil {
 		t.Error("wrong load count accepted")
 	}
@@ -170,9 +170,9 @@ func TestFXLoadsRepartitionFasterThanModulo(t *testing.T) {
 	fx := decluster.MustFX(fs, field.WithKinds([]field.Kind{field.I, field.IU1}))
 	md := decluster.NewModulo(fs)
 	q := query.All(2)
-	nw, _ := New(16)
+	nw, _ := NewNetwork(16)
 
-	run := func(a decluster.GroupAllocator) Stats {
+	run := func(a decluster.GroupAllocator) NetworkStats {
 		loads := convolve.Loads(a, q)
 		msgs, err := nw.Repartition(loads, 3)
 		if err != nil {

@@ -1,4 +1,4 @@
-package storage
+package analysis
 
 import (
 	"fmt"
@@ -7,9 +7,52 @@ import (
 	"strings"
 	"testing"
 
-	"fxdist/internal/butterfly"
+	"fxdist/internal/convolve"
+	"fxdist/internal/decluster"
+	"fxdist/internal/field"
 	"fxdist/internal/mkhash"
+	"fxdist/internal/query"
+	"fxdist/internal/storage"
 )
+
+func carFile(t *testing.T, n int) *mkhash.File {
+	t.Helper()
+	f := mkhash.MustNew(mkhash.Schema{
+		Fields: []string{"make", "model", "year"},
+		Depths: []int{2, 3, 1},
+	})
+	for i := 0; i < n; i++ {
+		r := mkhash.Record{
+			fmt.Sprintf("make%d", i%7),
+			fmt.Sprintf("model%d", i%23),
+			fmt.Sprintf("%d", 1980+i%10),
+		}
+		if err := f.Insert(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return f
+}
+
+// cluster is a file declustered by an allocator, priced on main memory:
+// what the projection tests project.
+type cluster struct {
+	file  *mkhash.File
+	alloc decluster.GroupAllocator
+}
+
+func (c cluster) Project(fields []int, nw *Network) (ProjectResult, error) {
+	return Project(c.file, c.alloc, storage.MainMemory, fields, nw)
+}
+
+func newCluster(t *testing.T, file *mkhash.File, m int) cluster {
+	t.Helper()
+	fs, err := file.FileSystem(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cluster{file, decluster.MustFX(fs)}
+}
 
 func TestProjectValidation(t *testing.T) {
 	file := carFile(t, 50)
@@ -23,7 +66,7 @@ func TestProjectValidation(t *testing.T) {
 	if _, err := c.Project([]int{0, 0}, nil); err == nil {
 		t.Error("repeated field accepted")
 	}
-	nw, _ := butterfly.New(8) // cluster has 4 devices
+	nw, _ := NewNetwork(8) // cluster has 4 devices
 	if _, err := c.Project([]int{0}, nw); err == nil {
 		t.Error("mismatched network accepted")
 	}
@@ -87,7 +130,7 @@ func TestProjectDeterministic(t *testing.T) {
 func TestProjectWithNetwork(t *testing.T) {
 	file := carFile(t, 400)
 	c := newCluster(t, file, 8)
-	nw, err := butterfly.New(8)
+	nw, err := NewNetwork(8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,10 +172,11 @@ func TestProjectSingleDevicePerRowCounts(t *testing.T) {
 		file.Insert(mkhash.Record{fmt.Sprintf("a%d", i%2), fmt.Sprintf("b%d", i%4)}) //nolint:errcheck
 	}
 	fs, _ := file.FileSystem(2)
-	fx, err := NewCluster(file, mustBasicFX(t, fs), MainMemory)
+	basic, err := decluster.NewBasicFX(fs)
 	if err != nil {
 		t.Fatal(err)
 	}
+	fx := cluster{file, basic}
 	res, err := fx.Project([]int{0}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -146,5 +190,47 @@ func TestProjectSingleDevicePerRowCounts(t *testing.T) {
 	}
 	if len(res.Rows) != 2 { // a0, a1
 		t.Errorf("distinct projections = %d, want 2", len(res.Rows))
+	}
+}
+
+// A better declustering method must give a faster simulated response on
+// the same workload: FX(I,U) vs Modulo on the Table 2 file system.
+func TestDeclusteringAffectsResponseTime(t *testing.T) {
+	fs := decluster.MustFileSystem([]int{4, 4}, 16)
+	fx := decluster.MustFX(fs, field.WithKinds([]field.Kind{field.I, field.U}))
+	md := decluster.NewModulo(fs)
+	q := query.All(2)
+	fxRes := Simulate(convolve.Loads(fx, q), storage.ParallelDisk)
+	mdRes := Simulate(convolve.Loads(md, q), storage.ParallelDisk)
+	if fxRes.LargestResponseSize != 1 || mdRes.LargestResponseSize != 4 {
+		t.Fatalf("largest response sizes: FX=%d MD=%d", fxRes.LargestResponseSize, mdRes.LargestResponseSize)
+	}
+	if fxRes.Response >= mdRes.Response {
+		t.Errorf("FX response %v not faster than Modulo %v", fxRes.Response, mdRes.Response)
+	}
+	// Total work is identical: declustering moves work, it doesn't remove it.
+	fxBuckets, mdBuckets := 0, 0
+	for _, l := range fxRes.Loads {
+		fxBuckets += l
+	}
+	for _, l := range mdRes.Loads {
+		mdBuckets += l
+	}
+	if fxBuckets != mdBuckets {
+		t.Errorf("total buckets differ: %d vs %d", fxBuckets, mdBuckets)
+	}
+}
+
+func TestSimulateEmptyDevices(t *testing.T) {
+	res := Simulate([]int{0, 0, 3, 0}, storage.MainMemory)
+	if res.LargestResponseSize != 3 {
+		t.Errorf("LargestResponseSize = %d", res.LargestResponseSize)
+	}
+	want := storage.MainMemory.PerQuery + 3*storage.MainMemory.PerBucket
+	if res.Response != want {
+		t.Errorf("Response = %v, want %v", res.Response, want)
+	}
+	if work := 4*storage.MainMemory.PerQuery + 3*storage.MainMemory.PerBucket; res.TotalWork != work {
+		t.Errorf("TotalWork = %v, want %v", res.TotalWork, work)
 	}
 }

@@ -1,13 +1,13 @@
-// Package queuesim extends the paper's single-query response-time model
-// (§5.2.1) to a sustained workload: a stream of partial match queries
-// arrives over time, each query's per-device bucket work joins that
+// This file extends the §5.2.1 response model from one query to a
+// sustained workload: each query's per-device bucket work joins that
 // device's FIFO queue, and a query completes when its slowest device
 // finishes its share. Declustering skew compounds under load — a device
-// that gets twice the buckets of its peers not only slows its own query
-// but delays every queued successor — so the gap between FX and Modulo
-// widens with utilization. The simulation is a deterministic discrete-
-// event run over device timelines.
-package queuesim
+// that gets twice the buckets of its peers also delays every queued
+// successor — so the gap between FX and Modulo widens with utilization.
+// The simulation is a deterministic discrete-event run over device
+// timelines.
+
+package analysis
 
 import (
 	"fmt"
@@ -55,19 +55,78 @@ type Stats struct {
 	DeviceWait []time.Duration
 }
 
+// queue is one simulation run: the Stats it accumulates, and when each
+// device finishes its queued work.
+type queue struct {
+	Stats
+	model storage.CostModel
+	free  []time.Duration
+	total time.Duration // the responses' sum
+}
+
+// newQueue checks that every load vector is as wide as the first (what
+// names one in the error) and starts that many idle devices.
+func newQueue(model storage.CostModel, what string, loads [][]int) (*queue, error) {
+	m := len(loads[0])
+	for i, l := range loads {
+		if len(l) != m {
+			return nil, fmt.Errorf("analysis: %s %d has %d device loads, %s 0 has %d", what, i, len(l), what, m)
+		}
+	}
+	return &queue{model: model, free: make([]time.Duration, m), Stats: Stats{
+		DeviceBusy: make([]time.Duration, m), DeviceWait: make([]time.Duration, m)}}, nil
+}
+
+// serve queues one query arriving at arrival behind each device's
+// earlier work and returns its outcome. A device with no qualified
+// bucket is skipped: the query neither waits for it nor occupies it.
+func (q *queue) serve(arrival time.Duration, loads []int) QueryStats {
+	completion := arrival
+	for d, load := range loads {
+		if load == 0 {
+			continue
+		}
+		service := q.model.DeviceTime(load, 0)
+		start := max(arrival, q.free[d])
+		q.DeviceWait[d] += start - arrival
+		q.DeviceBusy[d] += service
+		q.free[d] = start + service
+		completion = max(completion, q.free[d])
+	}
+	qs := QueryStats{Arrival: arrival, Completion: completion, Response: completion - arrival}
+	q.total += qs.Response
+	q.MaxResponse = max(q.MaxResponse, qs.Response)
+	q.Makespan = max(q.Makespan, completion)
+	return qs
+}
+
+// finish closes the run over its PerQuery outcomes.
+func (q *queue) finish() Stats {
+	q.MeanResponse = q.total / time.Duration(len(q.PerQuery))
+	q.Utilization = make([]float64, len(q.free))
+	if q.Makespan > 0 {
+		for d, bz := range q.DeviceBusy {
+			q.Utilization[d] = float64(bz) / float64(q.Makespan)
+		}
+	}
+	return q.Stats
+}
+
 // Run simulates the job stream under the device cost model. Jobs are
 // processed in arrival order (ties broken by input order); each device
 // serves its queue FIFO. Every job must carry the same number of device
 // loads.
 func Run(jobs []Job, model storage.CostModel) (Stats, error) {
 	if len(jobs) == 0 {
-		return Stats{}, fmt.Errorf("queuesim: no jobs")
+		return Stats{}, fmt.Errorf("analysis: no jobs")
 	}
-	m := len(jobs[0].Loads)
+	loads := make([][]int, len(jobs))
 	for i, j := range jobs {
-		if len(j.Loads) != m {
-			return Stats{}, fmt.Errorf("queuesim: job %d has %d device loads, job 0 has %d", i, len(j.Loads), m)
-		}
+		loads[i] = j.Loads
+	}
+	q, err := newQueue(model, "job", loads)
+	if err != nil {
+		return Stats{}, err
 	}
 	order := make([]int, len(jobs))
 	for i := range order {
@@ -76,44 +135,11 @@ func Run(jobs []Job, model storage.CostModel) (Stats, error) {
 	sort.SliceStable(order, func(a, b int) bool {
 		return jobs[order[a]].Arrival < jobs[order[b]].Arrival
 	})
-
-	deviceFree := make([]time.Duration, m)
-	busy := make([]time.Duration, m)
-	wait := make([]time.Duration, m)
-	stats := Stats{PerQuery: make([]QueryStats, len(jobs))}
-	var totalResp time.Duration
+	q.PerQuery = make([]QueryStats, len(jobs))
 	for _, idx := range order {
-		j := jobs[idx]
-		completion := j.Arrival
-		for d, load := range j.Loads {
-			if load == 0 {
-				continue
-			}
-			service := model.PerQuery + time.Duration(load)*model.PerBucket
-			start := j.Arrival
-			start = max(start, deviceFree[d])
-			wait[d] += start - j.Arrival
-			end := start + service
-			deviceFree[d] = end
-			busy[d] += service
-			completion = max(completion, end)
-		}
-		qs := QueryStats{Arrival: j.Arrival, Completion: completion, Response: completion - j.Arrival}
-		stats.PerQuery[idx] = qs
-		totalResp += qs.Response
-		stats.MaxResponse = max(stats.MaxResponse, qs.Response)
-		stats.Makespan = max(stats.Makespan, completion)
+		q.PerQuery[idx] = q.serve(jobs[idx].Arrival, jobs[idx].Loads)
 	}
-	stats.MeanResponse = totalResp / time.Duration(len(jobs))
-	stats.DeviceBusy = busy
-	stats.DeviceWait = wait
-	stats.Utilization = make([]float64, m)
-	if stats.Makespan > 0 {
-		for d, bz := range busy {
-			stats.Utilization[d] = float64(bz) / float64(stats.Makespan)
-		}
-	}
-	return stats, nil
+	return q.finish(), nil
 }
 
 // RunClosed simulates a closed system with a fixed multiprogramming
@@ -126,29 +152,21 @@ func Run(jobs []Job, model storage.CostModel) (Stats, error) {
 // ceiling.
 func RunClosed(pool [][]int, clients, completions int, model storage.CostModel) (Stats, error) {
 	if len(pool) == 0 {
-		return Stats{}, fmt.Errorf("queuesim: empty query pool")
+		return Stats{}, fmt.Errorf("analysis: empty query pool")
 	}
 	if clients <= 0 || completions <= 0 {
-		return Stats{}, fmt.Errorf("queuesim: clients and completions must be positive")
+		return Stats{}, fmt.Errorf("analysis: clients and completions must be positive")
 	}
-	m := len(pool[0])
-	for i, loads := range pool {
-		if len(loads) != m {
-			return Stats{}, fmt.Errorf("queuesim: pool entry %d has %d device loads, entry 0 has %d", i, len(loads), m)
-		}
+	q, err := newQueue(model, "pool entry", pool)
+	if err != nil {
+		return Stats{}, err
 	}
-
-	deviceFree := make([]time.Duration, m)
-	busy := make([]time.Duration, m)
-	wait := make([]time.Duration, m)
 	clientFree := make([]time.Duration, clients)
 	clientNext := make([]int, clients)
 	for c := range clientNext {
 		clientNext[c] = c % len(pool)
 	}
-
-	stats := Stats{PerQuery: make([]QueryStats, 0, completions)}
-	var totalResp time.Duration
+	q.PerQuery = make([]QueryStats, 0, completions)
 	for done := 0; done < completions; done++ {
 		// The next query comes from the client that frees up first
 		// (ties: lowest client index).
@@ -158,41 +176,12 @@ func RunClosed(pool [][]int, clients, completions int, model storage.CostModel) 
 				c = i
 			}
 		}
-		arrival := clientFree[c]
-		loads := pool[clientNext[c]]
+		qs := q.serve(clientFree[c], pool[clientNext[c]])
 		clientNext[c] = (clientNext[c] + clients) % len(pool)
-
-		completion := arrival
-		for d, load := range loads {
-			if load == 0 {
-				continue
-			}
-			service := model.PerQuery + time.Duration(load)*model.PerBucket
-			start := arrival
-			start = max(start, deviceFree[d])
-			wait[d] += start - arrival
-			end := start + service
-			deviceFree[d] = end
-			busy[d] += service
-			completion = max(completion, end)
-		}
-		qs := QueryStats{Arrival: arrival, Completion: completion, Response: completion - arrival}
-		stats.PerQuery = append(stats.PerQuery, qs)
-		totalResp += qs.Response
-		stats.MaxResponse = max(stats.MaxResponse, qs.Response)
-		stats.Makespan = max(stats.Makespan, completion)
-		clientFree[c] = completion
+		q.PerQuery = append(q.PerQuery, qs)
+		clientFree[c] = qs.Completion
 	}
-	stats.MeanResponse = totalResp / time.Duration(completions)
-	stats.DeviceBusy = busy
-	stats.DeviceWait = wait
-	stats.Utilization = make([]float64, m)
-	if stats.Makespan > 0 {
-		for d, bz := range busy {
-			stats.Utilization[d] = float64(bz) / float64(stats.Makespan)
-		}
-	}
-	return stats, nil
+	return q.finish(), nil
 }
 
 // LoadPool precomputes per-query device-load vectors for RunClosed.
@@ -200,7 +189,7 @@ func LoadPool(a decluster.GroupAllocator, queries []query.Query) ([][]int, error
 	pool := make([][]int, len(queries))
 	for i, q := range queries {
 		if err := q.Validate(a.FileSystem()); err != nil {
-			return nil, fmt.Errorf("queuesim: query %d: %w", i, err)
+			return nil, fmt.Errorf("analysis: query %d: %w", i, err)
 		}
 		pool[i] = convolve.Loads(a, q)
 	}
@@ -211,14 +200,15 @@ func LoadPool(a decluster.GroupAllocator, queries []query.Query) ([][]int, error
 // with the given arrival times (arrivals[i] pairs with queries[i]).
 func FromQueries(a decluster.GroupAllocator, queries []query.Query, arrivals []time.Duration) ([]Job, error) {
 	if len(queries) != len(arrivals) {
-		return nil, fmt.Errorf("queuesim: %d queries, %d arrivals", len(queries), len(arrivals))
+		return nil, fmt.Errorf("analysis: %d queries, %d arrivals", len(queries), len(arrivals))
 	}
-	jobs := make([]Job, len(queries))
-	for i, q := range queries {
-		if err := q.Validate(a.FileSystem()); err != nil {
-			return nil, fmt.Errorf("queuesim: query %d: %w", i, err)
-		}
-		jobs[i] = Job{Arrival: arrivals[i], Loads: convolve.Loads(a, q)}
+	pool, err := LoadPool(a, queries)
+	if err != nil {
+		return nil, err
+	}
+	jobs := make([]Job, len(pool))
+	for i, loads := range pool {
+		jobs[i] = Job{Arrival: arrivals[i], Loads: loads}
 	}
 	return jobs, nil
 }

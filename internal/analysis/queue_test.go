@@ -1,4 +1,4 @@
-package queuesim
+package analysis
 
 import (
 	"testing"

@@ -2,14 +2,13 @@
 // method selection: per-field query specification frequencies (the p_i
 // of the paper's §5 model, observed rather than assumed).
 
-package design
+package analysis
 
 import (
 	"fmt"
 	"sync"
 
 	"fxdist/internal/mkhash"
-	"fxdist/internal/query"
 )
 
 // Tracker accumulates per-field specification frequencies from an
@@ -23,25 +22,9 @@ type Tracker struct {
 // NewTracker builds a tracker for an n-field file.
 func NewTracker(nFields int) (*Tracker, error) {
 	if nFields <= 0 {
-		return nil, fmt.Errorf("design: need at least one field")
+		return nil, fmt.Errorf("analysis: need at least one field")
 	}
 	return &Tracker{specified: make([]int, nFields)}, nil
-}
-
-// Observe records a bucket-level query.
-func (t *Tracker) Observe(q query.Query) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if len(q.Spec) != len(t.specified) {
-		return fmt.Errorf("design: query has %d fields, tracker %d", len(q.Spec), len(t.specified))
-	}
-	for i, v := range q.Spec {
-		if v != query.Unspecified {
-			t.specified[i]++
-		}
-	}
-	t.queries++
-	return nil
 }
 
 // ObservePartialMatch records a value-level query.
@@ -49,7 +32,7 @@ func (t *Tracker) ObservePartialMatch(pm mkhash.PartialMatch) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if len(pm) != len(t.specified) {
-		return fmt.Errorf("design: query has %d fields, tracker %d", len(pm), len(t.specified))
+		return fmt.Errorf("analysis: query has %d fields, tracker %d", len(pm), len(t.specified))
 	}
 	for i, v := range pm {
 		if v != nil {

@@ -1,4 +1,4 @@
-package design
+package analysis
 
 import (
 	"math"
@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"fxdist/internal/mkhash"
-	"fxdist/internal/query"
 )
 
 func TestNewTrackerValidation(t *testing.T) {
@@ -26,13 +25,13 @@ func TestTrackerObserve(t *testing.T) {
 			t.Errorf("prior %v, want 0.5", p)
 		}
 	}
-	if err := tr.Observe(query.New([]int{1, query.Unspecified, 2})); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Observe(query.New([]int{3, query.Unspecified, query.Unspecified})); err != nil {
-		t.Fatal(err)
-	}
 	v := "x"
+	if err := tr.ObservePartialMatch(mkhash.PartialMatch{&v, nil, &v}); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.ObservePartialMatch(mkhash.PartialMatch{&v, nil, nil}); err != nil {
+		t.Fatal(err)
+	}
 	if err := tr.ObservePartialMatch(mkhash.PartialMatch{nil, &v, &v}); err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +45,7 @@ func TestTrackerObserve(t *testing.T) {
 			t.Errorf("probs = %v, want %v", got, want)
 		}
 	}
-	if err := tr.Observe(query.New([]int{1})); err == nil {
+	if err := tr.ObservePartialMatch(mkhash.PartialMatch{&v}); err == nil {
 		t.Error("arity mismatch accepted")
 	}
 	if err := tr.ObservePartialMatch(make(mkhash.PartialMatch, 1)); err == nil {
@@ -56,12 +55,13 @@ func TestTrackerObserve(t *testing.T) {
 
 func TestTrackerConcurrent(t *testing.T) {
 	tr, _ := NewTracker(2)
+	v := "x"
 	var wg sync.WaitGroup
 	for i := 0; i < 50; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			tr.Observe(query.New([]int{1, query.Unspecified})) //nolint:errcheck
+			tr.ObservePartialMatch(mkhash.PartialMatch{&v, nil}) //nolint:errcheck
 		}()
 	}
 	wg.Wait()

@@ -46,7 +46,7 @@ func TestMisplacedBucketIsCaught(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := &Cluster{core: newCore(fx), model: MainMemory, parts: parts}
+	c := &Cluster{core: newCore(fx), parts: parts}
 	devices := make([]engine.Device, fs.M)
 	for dev := range devices {
 		devices[dev] = memDevice{c: c, dev: dev}

@@ -17,7 +17,6 @@ package storage
 
 import (
 	"context"
-	"time"
 
 	"fxdist/internal/decluster"
 	"fxdist/internal/engine"
@@ -123,7 +122,6 @@ func (c *core) RetrieveBatch(ctx context.Context, pms []mkhash.PartialMatch) ([]
 // according to a declustering allocator.
 type Cluster struct {
 	core
-	model CostModel // used by Project; retrieval prices via eng
 	parts []Partition
 }
 
@@ -134,7 +132,7 @@ func NewCluster(file *mkhash.File, alloc decluster.GroupAllocator, model CostMod
 	if err != nil {
 		return nil, err
 	}
-	c := &Cluster{core: newCore(alloc), model: model, parts: parts}
+	c := &Cluster{core: newCore(alloc), parts: parts}
 	devices := make([]engine.Device, c.fs.M)
 	for dev := range devices {
 		devices[dev] = memDevice{c: c, dev: dev}
@@ -183,28 +181,4 @@ func (c *Cluster) DeviceBucketCounts() []int {
 		out[i] = len(p)
 	}
 	return out
-}
-
-// SimResult is a record-free simulated retrieval at bucket granularity,
-// for experiments at paper scale where materialising records would be
-// wasteful.
-type SimResult struct {
-	Loads               []int
-	LargestResponseSize int
-	Response            time.Duration
-	TotalWork           time.Duration
-}
-
-// Simulate computes the simulated response time of a bucket-level query
-// directly from its per-device load vector (e.g. convolve.Loads) —
-// §5.2.1's model as the executor merge charges it: the slowest device,
-// the sum of the device times, the largest load.
-func Simulate(loads []int, model CostModel) SimResult {
-	res := SimResult{Loads: loads}
-	for _, l := range loads {
-		t := model.DeviceTime(l, 0)
-		res.Response, res.TotalWork = max(res.Response, t), res.TotalWork+t
-		res.LargestResponseSize = max(res.LargestResponseSize, l)
-	}
-	return res
 }

@@ -5,33 +5,7 @@ import (
 
 	"fxdist"
 	"fxdist/internal/analysis"
-	"fxdist/internal/butterfly"
 )
-
-func TestPublicProjection(t *testing.T) {
-	file := buildTestFile(t)
-	fs, _ := file.FileSystem(4)
-	fx, _ := fxdist.NewFX(fs)
-	cluster, err := fxdist.Open(fxdist.Config{File: file, Allocator: fx})
-	if err != nil {
-		t.Fatal(err)
-	}
-	nw, err := butterfly.New(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := cluster.Memory().Project([]int{1}, nw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Field "b" has cardinality 15: at most 15 distinct projections.
-	if len(res.Rows) == 0 || len(res.Rows) > 15 {
-		t.Errorf("projection rows = %d", len(res.Rows))
-	}
-	if res.GatherCycles == 0 {
-		t.Error("network gather not costed")
-	}
-}
 
 func TestPublicMSP(t *testing.T) {
 	fs, _ := fxdist.NewFileSystem([]int{4, 4}, 8)

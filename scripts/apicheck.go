@@ -1,8 +1,9 @@
 //go:build ignore
 
 // Command apicheck is a vet-style audit of the public API's naming
-// conventions, run in CI (`go run scripts/apicheck.go`). It parses the
-// public packages (the root fxdist package and client/) and enforces:
+// conventions, run in CI (`go run scripts/apicheck.go`). Rules 1-3 hold
+// for the public packages (the root fxdist package and client/), rule 4
+// for every serving package:
 //
 //  1. Functional-option constructors are named With*/Without*: every
 //     exported function returning a single *Option-typed result must
@@ -13,9 +14,11 @@
 //     or say in their doc comment what default they disable.
 //  3. Context-first signatures: when an exported function or method
 //     takes a context.Context, it is the first parameter.
-//  4. The root package is the serving API: its non-test files import
-//     none of the paper-evaluation packages (offlineOnly), so no forward
-//     to them can return; callers import those packages directly.
+//  4. The paper's evaluation stays offline: no serving package (the
+//     root, client, every internal package but the offline one, and the
+//     serving binaries) imports the offline package in a non-test file.
+//     Every importable package of the module but that one is checked, so
+//     no import path from a serving binary reaches it either.
 package main
 
 import (
@@ -24,16 +27,15 @@ import (
 	"go/parser"
 	"go/token"
 	"os"
-	"slices"
+	"path/filepath"
 	"strconv"
 	"strings"
 )
 
 var dirs = []string{".", "client"}
 
-// offlineOnly lists the packages of the paper's evaluation that the root
-// package must not import (rule 4).
-var offlineOnly = []string{"fxdist/internal/analysis", "fxdist/internal/butterfly", "fxdist/internal/design", "fxdist/internal/queuesim"}
+// offline is the package of the paper's evaluation (rule 4).
+const offline = "fxdist/internal/analysis"
 
 func main() {
 	var problems []string
@@ -45,6 +47,12 @@ func main() {
 		}
 		problems = append(problems, probs...)
 	}
+	probs, err := checkOffline()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "apicheck:", err)
+		os.Exit(1)
+	}
+	problems = append(problems, probs...)
 	if len(problems) > 0 {
 		for _, p := range problems {
 			fmt.Fprintln(os.Stderr, "apicheck:", p)
@@ -71,13 +79,7 @@ func checkDir(dir string) ([]string, error) {
 	var withouts []withoutFn
 
 	for _, pkg := range pkgs {
-		for name, file := range pkg.Files {
-			for _, imp := range file.Imports {
-				if path, _ := strconv.Unquote(imp.Path.Value); dir == "." && slices.Contains(offlineOnly, path) {
-					problems = append(problems,
-						fmt.Sprintf("%s imports %s; the root package is the serving API, evaluation callers import it directly", name, path))
-				}
-			}
+		for _, file := range pkg.Files {
 			for _, decl := range file.Decls {
 				fn, ok := decl.(*ast.FuncDecl)
 				if !ok || !fn.Name.IsExported() {
@@ -127,6 +129,40 @@ func checkDir(dir string) ([]string, error) {
 		}
 		problems = append(problems,
 			fmt.Sprintf("%s: %s has no With%s pair and its doc does not say what default it disables", wo.pos, wo.name, suffix))
+	}
+	return problems, nil
+}
+
+// checkOffline applies rule 4 to every serving package.
+func checkOffline() ([]string, error) {
+	internal, err := filepath.Glob("internal/*")
+	if err != nil {
+		return nil, err
+	}
+	serving := []string{".", "client", "cmd/fxnode", "cmd/fxgate", "cmd/fxtop"}
+	for _, dir := range internal {
+		if "fxdist/"+dir != offline {
+			serving = append(serving, dir)
+		}
+	}
+	var problems []string
+	for _, dir := range serving {
+		pkgs, err := parser.ParseDir(token.NewFileSet(), dir, func(fi os.FileInfo) bool {
+			return !strings.HasSuffix(fi.Name(), "_test.go")
+		}, parser.ImportsOnly)
+		if err != nil {
+			return nil, err
+		}
+		for _, pkg := range pkgs {
+			for name, file := range pkg.Files {
+				for _, imp := range file.Imports {
+					if path, _ := strconv.Unquote(imp.Path.Value); path == offline {
+						problems = append(problems,
+							fmt.Sprintf("%s imports %s; serving code must not link the paper's evaluation", name, path))
+					}
+				}
+			}
+		}
 	}
 	return problems, nil
 }
