@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"runtime/debug"
 	"slices"
@@ -11,8 +12,10 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 	"unsafe"
 
+	"fxdist/internal/audit"
 	"fxdist/internal/decluster"
 	"fxdist/internal/engine"
 	"fxdist/internal/mempool"
@@ -171,9 +174,11 @@ func sharesAChunk(results []engine.Result) bool {
 
 // TestWarmRetrieveAllocatesNothing counts a warm memory-backend retrieval
 // of 6 records past its shape's 8 head-kept queries. What is left is the
-// 1 in 16 still kept (its record, per-device detail and stages) and a new
-// chunk now and then: about 0.37 allocations a retrieval on average, which
-// AllocsPerRun reads as 0 (4.33 when the merge made every Result slice).
+// 1 in 16 still kept (its record, which holds its stages, and per-device
+// detail), a flight now and then and a new chunk: about 0.3 allocations a
+// retrieval on average (about 0.5 while a kept record's stages, keep
+// reason and exemplar were each their own), which AllocsPerRun reads as 0
+// (4.33 when the merge made every Result slice).
 // With pooling off every call is new, with its chunks: 13 (15 while a
 // Result also carried DeviceTime and Stages, each its own chunk).
 func TestWarmRetrieveAllocatesNothing(t *testing.T) {
@@ -199,6 +204,54 @@ func TestWarmRetrieveAllocatesNothing(t *testing.T) {
 	defer mempool.SetEnabled(mempool.SetEnabled(false))
 	if got := testing.AllocsPerRun(1000, retrieve); got != 13 {
 		t.Errorf("with pooling off a retrieval allocates %.0f objects, want 13", got)
+	}
+}
+
+// TestKeptRetrievalAllocatesItsRecordAndDetail keeps every retrieval: an
+// SLO target of 1ns makes each one slow, an always-keep reason. A warm kept
+// retrieval then allocates its record, which holds its five stages, and
+// its per-device detail; what else shows is a new chunk now and then,
+// about 2.05 allocations a retrieval (5.05 while the stages, the keep
+// reason and the exemplar were each their own). The quietest of three
+// windows is checked: a GC cycle that empties the pools, or a slow outlier
+// that becomes a flight and copies its span's events, only ever adds.
+func TestKeptRetrievalAllocatesItsRecordAndDetail(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("sync.Pool drops Puts under -race, so allocation counts are not exact")
+	}
+	f, c := memoryCluster(t)
+	c.Instruments().SetSLO(audit.SLO{Target: time.Nanosecond})
+	pm, err := f.Spec(map[string]string{"make": "make3", "year": "1983"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	retrieve := func() {
+		if res, err := c.Retrieve(pm); err != nil || len(res.Records) != 6 {
+			t.Fatalf("retrieve: %d records, %v", len(res.Records), err)
+		}
+	}
+	// Warm enough that few later retrievals rank among the shape's
+	// slowest obs.FlightSlots.
+	for i := 0; i < 1000; i++ {
+		retrieve()
+	}
+	const n = 500
+	per := math.Inf(1)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < n; i++ {
+			retrieve()
+		}
+		runtime.ReadMemStats(&after)
+		per = min(per, float64(after.Mallocs-before.Mallocs)/n)
+	}
+	if ev := c.Instruments().Events(1); len(ev) != 1 || !ev[0].Slow || len(ev[0].Devices) != 4 || len(ev[0].Stages) != 5 {
+		t.Fatalf("the last retrieval was not kept whole: %+v", ev)
+	}
+	t.Logf("a kept retrieval allocates %.3f objects on average", per)
+	if per > 2.1 {
+		t.Errorf("a kept retrieval allocates %.3f objects on average, want at most 2.1: its record and its device detail", per)
 	}
 }
 

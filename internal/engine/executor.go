@@ -114,10 +114,7 @@ func New(cfg Config) (*Executor, error) {
 	}
 	workers := cfg.Workers
 	if workers <= 0 {
-		workers = len(cfg.Devices)
-		if n := runtime.GOMAXPROCS(0); n > workers {
-			workers = n
-		}
+		workers = max(len(cfg.Devices), runtime.GOMAXPROCS(0))
 	}
 	owned := make([]bool, len(cfg.Devices))
 	for dev, d := range cfg.Devices {
@@ -592,8 +589,8 @@ func (e *Executor) degrade(c *call) (Result, error) {
 //     scalars and the merged bucket counts, inside the audit stage;
 //  2. the audit stage closes, and Decide rules once, on scalars, whether
 //     the record is kept. Only a kept query (or a flight) copies the
-//     call's record to the heap and pays for per-device detail, error
-//     text (and, a flight, the span's annotation log);
+//     call's record and stages to the heap, one object, and pays for
+//     per-device detail, error text (and, a flight, the span's events);
 //  3. Commit — the sealed, immutable record goes to the store, which
 //     keeps only a kept copy: the call's own record goes back with it.
 //
@@ -640,20 +637,21 @@ func (e *Executor) report(c *call, res Result, err error) {
 	rec.Elapsed = c.lastStamp.Sub(c.started)
 	dec := in.Decide(rec)
 	keep := dec.Kept || dec.Flight
-	if keep {
-		kept := *rec
-		kept.DeviceBuckets = nil // the caller's: rec.Devices is the kept detail
-		rec = &kept
-	}
-	c.stages = append(c.stages, obs.StageSample{Stage: obs.StageDeviceScan, Wall: c.deviceDetail(rec, keep)})
 	rec.Stages = c.stages
+	if keep {
+		kept := &keptRecord{QueryRecord: *rec}
+		kept.DeviceBuckets = nil // the caller's: rec.Devices is the kept detail
+		kept.Stages = kept.stages[:copy(kept.stages[:], c.stages)]
+		rec = &kept.QueryRecord
+	}
+	// Both windows have room for device.scan: c.samples or kept.stages.
+	rec.Stages = append(rec.Stages, obs.StageSample{Stage: obs.StageDeviceScan, Wall: c.deviceDetail(rec, keep)})
 	if dec.Flight {
 		// The span's annotation log is slow-query evidence: a shape holds a
 		// handful of flights, the event ring up to a thousand records.
 		rec.Events = c.span.Snapshot().Events
 	}
 	if keep {
-		rec.Stages = append([]obs.StageSample(nil), c.stages...)
 		if err != nil {
 			rec.Err = err.Error()
 		}
@@ -669,6 +667,12 @@ func (e *Executor) report(c *call, res Result, err error) {
 	if dec.Kept && in.Tracer.Retain(rec.TraceID, rec.Keep[0]) {
 		in.Metrics.Exemplar(rec)
 	}
+}
+
+// keptRecord is a kept query's record and its Stages' array: one object.
+type keptRecord struct {
+	obs.QueryRecord
+	stages [5]obs.StageSample
 }
 
 // mismatched returns the devices that declare their owner (a replicated

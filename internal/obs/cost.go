@@ -156,10 +156,10 @@ func (sc *ShapeCosts) Report(shape string) ShapeCost {
 		st := StageCost{
 			Stage:     name,
 			Count:     acc.count,
+			MeanWall:  time.Duration(acc.wallNS / int64(acc.count)),
 			MaxWall:   time.Duration(acc.maxWallNS),
 			MeanBytes: float64(acc.bytes) / float64(acc.count),
 		}
-		st.MeanWall = time.Duration(acc.wallNS / int64(acc.count))
 		if slices.Contains(TopStages, name) {
 			topNS += acc.wallNS
 			if sc.totalNS > 0 {
@@ -180,10 +180,8 @@ func (sc *ShapeCosts) Report(shape string) ShapeCost {
 // stageOrder keys render order: top-level stages in execution order,
 // then auxiliary stages alphabetically.
 func stageOrder(name string) string {
-	for i, s := range TopStages {
-		if s == name {
-			return fmt.Sprintf("0%d", i)
-		}
+	if i := slices.Index(TopStages, name); i >= 0 {
+		return fmt.Sprintf("0%d", i)
 	}
 	return "1" + name
 }

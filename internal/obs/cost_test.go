@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -84,6 +86,48 @@ func TestFlightRecorderKeepsSlowest(t *testing.T) {
 		want := time.Duration(12-i) * time.Millisecond
 		if r.Elapsed != want || r.Backend != "test" || !r.Start.Equal(time.Unix(int64(12-i), 0)) {
 			t.Errorf("record %d = elapsed %v backend %q start %v, want the %v query", i, r.Elapsed, r.Backend, r.Start, want)
+		}
+	}
+}
+
+// TestFullFlightRecorderEvictsInPlace: once a shape's slots are full,
+// an admitted offer shifts the slice in place. It allocates nothing, the
+// slice keeps its FlightSlots of room, and the evicted record is no longer
+// held by it. The quietest of three windows of 1 000 admissions is
+// checked: the runtime's own mallocs (a GC cycle, a background goroutine)
+// land in a window now and then and only ever add.
+func TestFullFlightRecorderEvictsInPlace(t *testing.T) {
+	var f Slowest
+	first := &QueryRecord{Elapsed: 1}
+	f.Offer(first)
+	for i := 2; i <= FlightSlots; i++ {
+		f.Offer(&QueryRecord{Elapsed: time.Duration(i)})
+	}
+	const window = 1000
+	offers := make([]QueryRecord, 3*window)
+	for i := range offers {
+		offers[i].Elapsed = time.Duration(FlightSlots + 1 + i)
+	}
+	least := uint64(math.MaxUint64)
+	for w := 0; w < 3; w++ {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		for i := w * window; i < (w+1)*window; i++ {
+			f.Offer(&offers[i])
+		}
+		runtime.ReadMemStats(&after)
+		least = min(least, after.Mallocs-before.Mallocs)
+	}
+	if least != 0 {
+		t.Errorf("1000 admissions to a full shape made %d allocations at the least, want 0", least)
+	}
+	if len(f) != FlightSlots || cap(f) != FlightSlots {
+		t.Errorf("len %d cap %d, want both %d", len(f), cap(f), FlightSlots)
+	}
+	for i, r := range f { // with len == cap, no slot outside f holds a record
+		if want := time.Duration(len(offers) + 1 + i); r.QueryRecord == first || r.Elapsed != want {
+			t.Errorf("slot %d holds elapsed %v, want %v", i, r.Elapsed, want)
 		}
 	}
 }

@@ -36,14 +36,17 @@ func (s Slowest) Admits(elapsed time.Duration) bool {
 	return len(s) < FlightSlots || elapsed > s[0].Elapsed
 }
 
-// Offer keeps q iff it ranks among the shape's slowest.
+// Offer keeps q iff it ranks among the shape's slowest, in a slice made
+// once with room for FlightSlots: an eviction allocates and keeps nothing.
 func (s *Slowest) Offer(q *QueryRecord) {
 	ring := *s
 	if !ring.Admits(q.Elapsed) {
 		return
 	}
-	if len(ring) >= FlightSlots {
-		ring = ring[1:]
+	if ring == nil {
+		ring = make(Slowest, 0, FlightSlots)
+	} else if len(ring) == FlightSlots {
+		ring = ring[:copy(ring, ring[1:])] // the floor leaves, overwritten
 	}
 	// Insert keeping ascending Elapsed order.
 	i := sort.Search(len(ring), func(i int) bool { return ring[i].Elapsed > q.Elapsed })

@@ -103,3 +103,55 @@ func TestTraceRetentionHammer(t *testing.T) {
 		}
 	}
 }
+
+// TestExemplarHammer sets exemplars from many goroutines while others
+// snapshot the histogram; run with -race in CI. SetExemplar writes in
+// place, so it allocates nothing, and every snapshot copies each exemplar
+// out whole: its value lies in its bucket and matches its trace ID.
+func TestExemplarHammer(t *testing.T) {
+	const workers, perWorker = 4, 2000
+	h := newHistogram([]float64{1, 10, 100})
+	if got := testing.AllocsPerRun(100, func() { h.SetExemplar(5, 5) }); got != 0 {
+		t.Errorf("SetExemplar allocates %.0f objects, want 0", got)
+	}
+	valueOf := func(tid uint64) float64 { return float64(tid % 200) }
+	check := func(s HistogramSnapshot) {
+		for b, ex := range s.Exemplars {
+			if ex == nil {
+				continue
+			}
+			if h.bucketIndex(ex.Value) != b || ex.Value != valueOf(ex.TraceID) {
+				t.Errorf("bucket %d holds a torn exemplar %+v", b, *ex)
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(2)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				tid := uint64(w*perWorker + i + 7)
+				h.SetExemplar(valueOf(tid), tid)
+			}
+		}(w)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perWorker/10; i++ {
+				check(h.Snapshot())
+			}
+		}()
+	}
+	wg.Wait()
+	s := h.Snapshot()
+	check(s)
+	for b, ex := range s.Exemplars {
+		if ex == nil {
+			t.Fatalf("bucket %d has no exemplar after %d", b, workers*perWorker)
+		}
+		ex.TraceID = 0 // a snapshot's copy: the histogram keeps its own
+	}
+	if again := h.Snapshot(); len(again.Exemplars) != len(s.Exemplars) || again.Exemplars[0] == nil || again.Exemplars[0].TraceID == 0 {
+		t.Errorf("editing a snapshot's exemplar reached the histogram: %+v", again.Exemplars)
+	}
+}

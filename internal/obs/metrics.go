@@ -2,6 +2,7 @@ package obs
 
 import (
 	"math"
+	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -52,16 +53,17 @@ func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 // Histogram is a fixed-bucket histogram of non-negative observations
 // (typically latencies in seconds). Bucket b counts observations v with
 // bounds[b-1] < v <= bounds[b]; an implicit +Inf bucket catches the
-// rest. Observe is lock-free and allocation-free.
+// rest. Observe is lock-free; it and SetExemplar allocate nothing.
 type Histogram struct {
 	bounds  []float64 // strictly increasing upper bounds
 	counts  []atomic.Uint64
 	count   atomic.Uint64
 	sumBits atomic.Uint64
-	// exemplars holds, per bucket, the most recent trace-linked
-	// observation (tail-sampled queries only) — the hook that lets an
-	// operator jump from a latency bucket to a retained trace tree.
-	exemplars []atomic.Pointer[Exemplar]
+	// exemplars holds, per bucket and under exMu, the latest trace-linked
+	// observation (kept queries only; TraceID 0 is none): the hook from a
+	// latency bucket to a retained trace tree.
+	exMu      sync.Mutex
+	exemplars []Exemplar
 }
 
 // Exemplar links one observed value to the trace that produced it.
@@ -75,7 +77,7 @@ func newHistogram(bounds []float64) *Histogram {
 	return &Histogram{
 		bounds:    bounds,
 		counts:    make([]atomic.Uint64, len(bounds)+1),
-		exemplars: make([]atomic.Pointer[Exemplar], len(bounds)+1),
+		exemplars: make([]Exemplar, len(bounds)+1),
 	}
 }
 
@@ -114,7 +116,9 @@ func (h *Histogram) SetExemplar(v float64, traceID uint64) {
 	if traceID == 0 {
 		return
 	}
-	h.exemplars[h.bucketIndex(v)].Store(&Exemplar{Value: v, TraceID: traceID, Time: time.Now()})
+	h.exMu.Lock()
+	defer h.exMu.Unlock()
+	h.exemplars[h.bucketIndex(v)] = Exemplar{Value: v, TraceID: traceID, Time: time.Now()}
 }
 
 // ObserveSince records the elapsed time since t0, in seconds.
@@ -128,7 +132,7 @@ func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()
 
 // Snapshot returns a consistent-enough copy for rendering (individual
 // bucket loads are atomic; cross-bucket skew is bounded by in-flight
-// observations).
+// observations); each exemplar is copied out.
 func (h *Histogram) Snapshot() HistogramSnapshot {
 	s := HistogramSnapshot{
 		Bounds: h.bounds,
@@ -136,13 +140,15 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 		Count:  h.count.Load(),
 		Sum:    h.Sum(),
 	}
-	for i := range h.counts {
+	h.exMu.Lock()
+	defer h.exMu.Unlock()
+	for i, ex := range h.exemplars {
 		s.Counts[i] = h.counts[i].Load()
-		if ex := h.exemplars[i].Load(); ex != nil {
+		if ex.TraceID != 0 {
 			if s.Exemplars == nil {
 				s.Exemplars = make([]*Exemplar, len(h.counts))
 			}
-			s.Exemplars[i] = ex
+			s.Exemplars[i] = &ex
 		}
 	}
 	return s

@@ -149,6 +149,10 @@ type Decision struct {
 	Flight bool
 }
 
+// keepReasons are the keep reasons in Decide's order; a record kept for
+// one reason shares its one-element window, read-only.
+var keepReasons = [...]string{obs.KeepError, obs.KeepSlow, obs.KeepBound, obs.KeepPlace, obs.KeepHead, obs.KeepSample}
+
 // Decide is the one keep decision, made once the audit stage has closed
 // and on the record's verdicts alone (shape, latency, failure, bound
 // violation, placement mismatch), before any per-device detail exists,
@@ -169,29 +173,25 @@ func (s *store) Decide(rec *obs.QueryRecord) Decision {
 	c.seen++
 	dec := Decision{Flight: c.slow.Admits(rec.Elapsed)}
 
-	var reasons []string
-	if rec.Failed {
-		reasons = append(reasons, obs.KeepError)
-	}
 	if target := c.slo.Target; target > 0 && rec.Elapsed > target {
 		rec.Slow, rec.SLOTarget = true, target
-		reasons = append(reasons, obs.KeepSlow)
 	}
-	if rec.BoundViolation {
-		reasons = append(reasons, obs.KeepBound)
-	}
-	if len(rec.MismatchedDevices) > 0 {
-		reasons = append(reasons, obs.KeepPlace)
-	}
-	if len(reasons) == 0 {
-		switch {
-		case c.seen <= headPerShape:
-			reasons = []string{obs.KeepHead}
-		case c.seen%sampleEvery == 0:
-			reasons = []string{obs.KeepSample}
-		default:
-			return dec
+	var reasons []string
+	for i, on := range [...]bool{rec.Failed, rec.Slow, rec.BoundViolation, len(rec.MismatchedDevices) > 0} {
+		if on && reasons == nil {
+			reasons = keepReasons[i : i+1 : i+1]
+		} else if on {
+			reasons = append(reasons, keepReasons[i]) // the window is full: a copy
 		}
+	}
+	switch {
+	case reasons != nil:
+	case c.seen <= headPerShape:
+		reasons = keepReasons[4:5:5]
+	case c.seen%sampleEvery == 0:
+		reasons = keepReasons[5:6:6]
+	default:
+		return dec
 	}
 	rec.Keep = reasons
 	c.kept++

@@ -43,28 +43,25 @@ func Endpoints(in func() *Instruments) []obs.Endpoint {
 			func(w io.Writer, doc any) { audit.WriteText(w, doc.([]audit.BackendReport)) },
 		)},
 		{Path: "/debug/hotpath", Desc: "per-shape stage cost aggregates: plan/fanout/merge/audit wall, bytes, objects", Handler: obs.DebugEndpoint(
-			func() (any, error) {
-				var doc []obs.BackendCost
-				if r := in().CostReport(); len(r.Shapes) > 0 {
-					doc = append(doc, r)
-				}
-				return doc, nil
-			},
+			func() (any, error) { r := in().CostReport(); return listOf(r, len(r.Shapes)), nil },
 			func(w io.Writer, doc any) { obs.WriteCostReport(w, doc.([]obs.BackendCost)) },
 		)},
 		{Path: "/debug/flight", Desc: "slow-query flight recorder: K worst queries per shape with full evidence", Handler: obs.DebugEndpoint(
-			func() (any, error) {
-				var doc []obs.BackendFlights
-				if r := in().FlightReport(); len(r.Shapes) > 0 {
-					doc = append(doc, r)
-				}
-				return doc, nil
-			},
+			func() (any, error) { r := in().FlightReport(); return listOf(r, len(r.Shapes)), nil },
 			func(w io.Writer, doc any) { obs.WriteFlightReport(w, doc.([]obs.BackendFlights)) },
 		)},
 		{Path: "/debug/events", Desc: "wide-event query log: one sampled event per retrieval (?backend=, ?n=, ?format=ndjson, &follow=1)",
 			Handler: eventsHandler(in)},
 	}
+}
+
+// listOf is the document of one backend's report r of n shapes: [r], or
+// none (null) when r has no shape.
+func listOf[T any](r T, n int) []T {
+	if n == 0 {
+		return nil
+	}
+	return []T{r}
 }
 
 // FleetEndpoint serves /debug/cluster: the federated fleet view of the
@@ -78,18 +75,13 @@ func FleetEndpoint(fed func() *Federator) obs.Endpoint {
 		)}
 }
 
+// writeEventsText renders eventsDoc's document: its one backend, or none.
 func writeEventsText(w io.Writer, doc map[string]backendEvents) {
-	backends := make([]string, 0, len(doc))
-	for b := range doc {
-		backends = append(backends, b)
-	}
-	sort.Strings(backends)
-	if len(backends) == 0 {
+	if len(doc) == 0 {
 		fmt.Fprintln(w, "no events recorded")
 		return
 	}
-	for _, b := range backends {
-		be := doc[b]
+	for b, be := range doc {
 		fmt.Fprintf(w, "%s: seen=%d kept=%d (head=%d per shape, then 1 in %d; errors/slow/bound/placement always)\n",
 			b, be.Stats.Seen, be.Stats.Kept, be.Stats.HeadPerShape, be.Stats.SampleEvery)
 		for _, ev := range be.Events {

@@ -94,18 +94,15 @@ func NewClusterMetrics(r *obs.Registry, cluster string, m int) *Metrics {
 // Imbalance is the max/mean ratio of the cumulative per-device
 // qualified-bucket counts; 0 before any bucket was counted.
 func (cm *Metrics) Imbalance() float64 {
-	var sum, max uint64
+	var sum, most uint64
 	for _, c := range cm.DeviceBuckets {
 		v := c.Value()
-		sum += v
-		if v > max {
-			max = v
-		}
+		sum, most = sum+v, max(most, v)
 	}
 	if sum == 0 {
 		return 0
 	}
-	return float64(max) / (float64(sum) / float64(len(cm.DeviceBuckets)))
+	return float64(most) / (float64(sum) / float64(len(cm.DeviceBuckets)))
 }
 
 // Started counts one retrieval at entry, before planning.
