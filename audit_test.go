@@ -66,8 +66,7 @@ func TestOptimalityReportAcrossBackends(t *testing.T) {
 			return retrieveAndAudit(fxdist.Open(fxdist.Config{File: file, Allocator: alloc}))(pm)
 		},
 		"durable": func(alloc fxdist.GroupAllocator, pm fxdist.PartialMatch) (fxdist.BackendAudit, error) {
-			return retrieveAndAudit(fxdist.Open(fxdist.Config{Dir: t.TempDir(), File: file, Allocator: alloc},
-				fxdist.WithCostModel(fxdist.ParallelDisk)))(pm)
+			return retrieveAndAudit(fxdist.Open(fxdist.Config{Dir: t.TempDir(), File: file, Allocator: alloc}))(pm)
 		},
 		"replicated": func(alloc fxdist.GroupAllocator, pm fxdist.PartialMatch) (fxdist.BackendAudit, error) {
 			return retrieveAndAudit(fxdist.Open(fxdist.Config{File: file, Allocator: alloc},

@@ -439,7 +439,7 @@ func BenchmarkQueueingThroughput(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			stats, err := analysis.Run(jobs, fxdist.ParallelDisk)
+			stats, err := analysis.Run(jobs, analysis.ParallelDisk)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -453,7 +453,7 @@ func BenchmarkQueueingThroughput(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := analysis.Run(jobs, fxdist.ParallelDisk); err != nil {
+		if _, err := analysis.Run(jobs, analysis.ParallelDisk); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -715,7 +715,7 @@ func BenchmarkClosedLoopThroughput(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				stats, err := analysis.RunClosed(pool, mpl, 400, fxdist.ParallelDisk)
+				stats, err := analysis.RunClosed(pool, mpl, 400, analysis.ParallelDisk)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -731,7 +731,7 @@ func BenchmarkClosedLoopThroughput(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := analysis.RunClosed(pool, 8, 400, fxdist.ParallelDisk); err != nil {
+		if _, err := analysis.RunClosed(pool, 8, 400, analysis.ParallelDisk); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -9,6 +9,7 @@ import (
 	"strings"
 
 	"fxdist"
+	"fxdist/internal/analysis"
 	"fxdist/internal/cliutil"
 )
 
@@ -54,7 +55,7 @@ func runStore(fs *flag.FlagSet, args []string, out io.Writer) error {
 // withStore opens the durable cluster cfg names, runs fn on it and closes
 // it; a log that fails to close fails the command, whatever fn printed.
 func withStore(cfg fxdist.Config, fn func(c *fxdist.Cluster) error) error {
-	c, err := fxdist.Open(cfg, fxdist.WithCostModel(fxdist.ParallelDisk))
+	c, err := fxdist.Open(cfg)
 	if err != nil {
 		return err
 	}
@@ -122,7 +123,8 @@ func storeQuery(c *fxdist.Cluster, args []string, out io.Writer) error {
 		return err
 	}
 	fmt.Fprintf(out, "%d matching records; buckets/device %v; largest %d; simulated response %v\n",
-		len(res.Records), res.DeviceBuckets, res.LargestResponseSize, res.Response)
+		len(res.Records), res.DeviceBuckets, res.LargestResponseSize,
+		analysis.Simulate(analysis.ParallelDisk, res.DeviceBuckets, res.DeviceRecords).Response)
 	for i, r := range res.Records {
 		if i == 10 {
 			fmt.Fprintf(out, "... and %d more\n", len(res.Records)-10)

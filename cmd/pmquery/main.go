@@ -24,6 +24,7 @@ import (
 	"time"
 
 	"fxdist"
+	"fxdist/internal/analysis"
 	"fxdist/internal/audit"
 	"fxdist/internal/obs"
 )
@@ -100,12 +101,12 @@ func run() error {
 		return err
 	}
 
-	cm := fxdist.MainMemory
+	cm := analysis.MainMemory
 	if strings.ToLower(*model) == "disk" {
-		cm = fxdist.ParallelDisk
+		cm = analysis.ParallelDisk
 	}
 
-	cluster, err := fxdist.Open(fxdist.Config{File: file, Allocator: alloc}, fxdist.WithCostModel(cm))
+	cluster, err := fxdist.Open(fxdist.Config{File: file, Allocator: alloc})
 	if err != nil {
 		return err
 	}
@@ -143,14 +144,15 @@ func run() error {
 	}
 	var worst, total float64
 	for i, res := range results {
+		sim := analysis.Simulate(cm, res.DeviceBuckets, res.DeviceRecords)
 		fmt.Printf("q%-2d %-60s hits=%-6d buckets(max/dev)=%-4d response=%-12v work=%v\n",
 			i, renderQuery(spec, pms[i]), len(res.Records), res.LargestResponseSize,
-			res.Response, res.TotalWork)
+			sim.Response, sim.TotalWork)
 		if *explain {
 			explainResult(cluster, file, fs, pms[i], res)
 		}
-		total += res.Response.Seconds()
-		worst = max(worst, res.Response.Seconds())
+		total += sim.Response.Seconds()
+		worst = max(worst, sim.Response.Seconds())
 	}
 	fmt.Printf("\navg response %.6fs, worst %.6fs\n", total/float64(len(pms)), worst)
 

@@ -227,7 +227,7 @@ func TestPublicQueueSimulation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats, err := analysis.Run(jobs, fxdist.ParallelDisk)
+	stats, err := analysis.Run(jobs, analysis.ParallelDisk)
 	if err != nil {
 		t.Fatal(err)
 	}

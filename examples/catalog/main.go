@@ -1,9 +1,10 @@
-// Catalog: a parts catalog declustered over 16 simulated parallel disks —
+// Catalog: a parts catalog declustered over 32 simulated parallel disks —
 // the workload the paper's introduction motivates. Records are multi-key
 // hashed on (part, supplier, warehouse, status); partial match queries
 // like "every record for supplier S" are answered by all disks in
 // parallel. The example compares FX and Modulo declustering on the same
-// query mix and reports simulated response times.
+// query mix and prices each retrieval's per-disk bucket and record counts
+// under the paper's parallel-disk model (analysis.Simulate).
 //
 // Run with: go run ./examples/catalog
 package main
@@ -13,6 +14,7 @@ import (
 	"time"
 
 	"fxdist"
+	"fxdist/internal/analysis"
 )
 
 func main() {
@@ -48,8 +50,7 @@ func main() {
 	check(err)
 
 	for _, alloc := range []fxdist.GroupAllocator{fx, md} {
-		cluster, err := fxdist.Open(fxdist.Config{File: file, Allocator: alloc},
-			fxdist.WithCostModel(fxdist.ParallelDisk))
+		cluster, err := fxdist.Open(fxdist.Config{File: file, Allocator: alloc})
 		check(err)
 		var worstResp, totalResp time.Duration
 		var worstLRS, hits int
@@ -57,10 +58,9 @@ func main() {
 			res, err := cluster.Retrieve(pm)
 			check(err)
 			hits += len(res.Records)
-			totalResp += res.Response
-			if res.Response > worstResp {
-				worstResp = res.Response
-			}
+			resp := response(res)
+			totalResp += resp
+			worstResp = max(worstResp, resp)
 			if res.LargestResponseSize > worstLRS {
 				worstLRS = res.LargestResponseSize
 			}
@@ -74,14 +74,19 @@ func main() {
 	check(err)
 	fmt.Println("\nquery: supplier=supplier-0 (all parts, warehouses, statuses)")
 	for _, alloc := range []fxdist.GroupAllocator{fx, md} {
-		cluster, err := fxdist.Open(fxdist.Config{File: file, Allocator: alloc},
-			fxdist.WithCostModel(fxdist.ParallelDisk))
+		cluster, err := fxdist.Open(fxdist.Config{File: file, Allocator: alloc})
 		check(err)
 		res, err := cluster.Retrieve(pm)
 		check(err)
 		fmt.Printf("%-22s hits=%-6d buckets/disk=%v response=%v\n",
-			alloc.Name(), len(res.Records), res.DeviceBuckets, res.Response)
+			alloc.Name(), len(res.Records), res.DeviceBuckets, response(res))
 	}
+}
+
+// response is the simulated parallel response time of one retrieval on
+// the paper's late-1980s disks: the slowest disk's time.
+func response(res fxdist.RetrieveResult) time.Duration {
+	return analysis.Simulate(analysis.ParallelDisk, res.DeviceBuckets, res.DeviceRecords).Response
 }
 
 func check(err error) {

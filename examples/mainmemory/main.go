@@ -51,7 +51,7 @@ func main() {
 
 	// Main-memory response simulation: the whole-file query on 512 nodes.
 	all := fxdist.AllQuery(len(sizes))
-	res := analysis.Simulate(fxdist.Loads(fx, all), fxdist.MainMemory)
+	res := analysis.Simulate(analysis.MainMemory, fxdist.Loads(fx, all), nil)
 	fmt.Printf("\nwhole-file retrieval: %d buckets/node max, simulated response %v\n",
 		res.LargestResponseSize, res.Response)
 

@@ -91,19 +91,8 @@ type TracedError = engine.TracedError
 // a shared batch its own failure.
 type QueryError = engine.QueryError
 
-// CostModel is the simulated per-device service time model.
-type CostModel = storage.CostModel
-
-// Device service models for the paper's two environments (§5.2).
-var (
-	// ParallelDisk models late-1980s disks on a shared bus.
-	ParallelDisk = storage.ParallelDisk
-	// MainMemory models a Butterfly-style multiprocessor memory node.
-	MainMemory = storage.MainMemory
-)
-
-// RetrieveResult reports a parallel retrieval: matching records,
-// per-device bucket and record counts, and the simulated cost (§5.2.1).
+// RetrieveResult reports a parallel retrieval: matching records and the
+// per-device bucket and record counts that §5.2.1's cost model prices.
 type RetrieveResult = storage.Result
 
 // ReplicatedCluster is a simulated cluster with chained-declustering

@@ -121,9 +121,6 @@ func TestPublicAPIFileAndCluster(t *testing.T) {
 		if len(res.Records) != len(want) {
 			t.Fatalf("cluster returned %d records, file search %d", len(res.Records), len(want))
 		}
-		if res.Response > res.TotalWork {
-			t.Error("response exceeds total work")
-		}
 	}
 }
 

@@ -79,8 +79,7 @@ func TestHotpathStageSums(t *testing.T) {
 			return hotpathWorkload(t, file, c, queries)
 		},
 		"durable": func(t *testing.T) hotpathRun {
-			c, err := fxdist.Open(fxdist.Config{Dir: t.TempDir(), File: file, Allocator: fx},
-				fxdist.WithCostModel(fxdist.ParallelDisk))
+			c, err := fxdist.Open(fxdist.Config{Dir: t.TempDir(), File: file, Allocator: fx})
 			if err != nil {
 				t.Fatal(err)
 			}

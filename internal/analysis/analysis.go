@@ -7,10 +7,10 @@
 //   - the §5.2.2 CPU address-computation cost comparison (cost.go);
 //   - the file design the paper defers to its citations: directory depths
 //     from observed specification frequencies (design.go, stats.go);
-//   - the §5.2.1 response model beyond the executor: one record-free
-//     query (Simulate), a queue of them (queue.go), and a parallel
-//     projection gathered over a simulated Butterfly interconnect
-//     (project.go, network.go).
+//   - the §5.2.1 response model, priced nowhere else: one query from the
+//     per-device counts a retrieval measured or a load vector (Simulate,
+//     model.go), a queue of them (queue.go), and the simulated Butterfly
+//     interconnect (network.go).
 //
 // The tables and figures rest on the translation-invariance theorem (see
 // package convolve): for group allocators the load multiset of a query

@@ -8,7 +8,6 @@ import (
 	"fxdist/internal/decluster"
 	"fxdist/internal/field"
 	"fxdist/internal/query"
-	"fxdist/internal/storage"
 )
 
 // ExampleResponseTable regenerates two rows of the paper's Table 7.
@@ -70,7 +69,7 @@ func ExampleRun() {
 	fx, _ := decluster.NewFX(fs)
 	queries := []query.Query{query.All(2), query.All(2)}
 	jobs, _ := analysis.FromQueries(fx, queries, analysis.UniformArrivals(2, time.Millisecond))
-	stats, _ := analysis.Run(jobs, storage.ParallelDisk)
+	stats, _ := analysis.Run(jobs, analysis.ParallelDisk)
 	fmt.Println(stats.PerQuery[0].Response, stats.PerQuery[1].Response)
 	// Output:
 	// 29ms 57ms

@@ -19,7 +19,6 @@ import (
 	"fxdist/internal/convolve"
 	"fxdist/internal/decluster"
 	"fxdist/internal/query"
-	"fxdist/internal/storage"
 )
 
 // Job is one query's arrival time and per-device bucket work.
@@ -59,14 +58,14 @@ type Stats struct {
 // device finishes its queued work.
 type queue struct {
 	Stats
-	model storage.CostModel
+	model CostModel
 	free  []time.Duration
 	total time.Duration // the responses' sum
 }
 
 // newQueue checks that every load vector is as wide as the first (what
 // names one in the error) and starts that many idle devices.
-func newQueue(model storage.CostModel, what string, loads [][]int) (*queue, error) {
+func newQueue(model CostModel, what string, loads [][]int) (*queue, error) {
 	m := len(loads[0])
 	for i, l := range loads {
 		if len(l) != m {
@@ -116,7 +115,7 @@ func (q *queue) finish() Stats {
 // processed in arrival order (ties broken by input order); each device
 // serves its queue FIFO. Every job must carry the same number of device
 // loads.
-func Run(jobs []Job, model storage.CostModel) (Stats, error) {
+func Run(jobs []Job, model CostModel) (Stats, error) {
 	if len(jobs) == 0 {
 		return Stats{}, fmt.Errorf("analysis: no jobs")
 	}
@@ -150,7 +149,7 @@ func Run(jobs []Job, model storage.CostModel) (Stats, error) {
 // experiment: throughput (completions/makespan) rises with clients until
 // the most-loaded device saturates — and declustering skew lowers that
 // ceiling.
-func RunClosed(pool [][]int, clients, completions int, model storage.CostModel) (Stats, error) {
+func RunClosed(pool [][]int, clients, completions int, model CostModel) (Stats, error) {
 	if len(pool) == 0 {
 		return Stats{}, fmt.Errorf("analysis: empty query pool")
 	}

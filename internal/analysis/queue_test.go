@@ -7,12 +7,11 @@ import (
 	"fxdist/internal/decluster"
 	"fxdist/internal/field"
 	"fxdist/internal/query"
-	"fxdist/internal/storage"
 	"fxdist/internal/workload"
 )
 
 // model with trivial arithmetic for hand-checkable expectations.
-var unitModel = storage.CostModel{PerQuery: 0, PerBucket: time.Second}
+var unitModel = CostModel{PerQuery: 0, PerBucket: time.Second}
 
 func TestRunSingleJob(t *testing.T) {
 	stats, err := Run([]Job{{Arrival: 0, Loads: []int{2, 1, 0}}}, unitModel)
@@ -97,7 +96,7 @@ func TestBalancedBeatsSkewedUnderLoad(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		stats, err := Run(jobs, storage.ParallelDisk)
+		stats, err := Run(jobs, ParallelDisk)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -218,7 +217,7 @@ func TestRunClosedFXBeatsModulo(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		stats, err := RunClosed(pool, 4, 200, storage.ParallelDisk)
+		stats, err := RunClosed(pool, 4, 200, ParallelDisk)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -49,7 +49,7 @@ func memoryCluster(tb testing.TB) (*mkhash.File, *storage.Cluster) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	c, err := storage.NewCluster(f, decluster.MustFX(fs), engine.MainMemory)
+	c, err := storage.NewCluster(f, decluster.MustFX(fs))
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -1,13 +1,15 @@
 // Package engine is the unified retrieval engine behind every cluster
 // backend: one executor that plans a partial match query, fans it out to
 // a set of Devices on a bounded worker pool, and merges the per-device
-// answers under the paper's §5.2.1 cost model.
+// answers with the bucket and record counts each device measured — the
+// inputs of the paper's §5.2.1 cost model, which is priced offline
+// (analysis.Simulate).
 //
 // The paper's §4.2 inverse mapping — each device enumerates only its own
 // qualified buckets — is a property of the Device implementations; the
 // engine owns everything around it: query lowering and validation (once,
 // not per backend), context cancellation and deadlines, failover
-// rerouting, cost aggregation, metrics, and trace spans. The in-memory
+// rerouting, per-device counts, metrics, and trace spans. The in-memory
 // simulator, the disk-backed durable cluster, the replicated cluster and
 // the TCP coordinator are all thin Device adapters over this executor,
 // so capabilities like multi-query batching exist once and work
@@ -20,43 +22,10 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"time"
 
 	"fxdist/internal/mkhash"
 	"fxdist/internal/query"
 )
-
-// CostModel is the per-device service time model of §5.2.1. Service time
-// for a query on one device is PerQuery + buckets*PerBucket +
-// records*PerRecord. The zero CostModel costs nothing — backends with no
-// simulated hardware (the TCP coordinator) use it and report zero times.
-type CostModel struct {
-	Name string
-	// PerQuery is the fixed per-device overhead of dispatching one query.
-	PerQuery time.Duration
-	// PerBucket is the cost of accessing one qualified bucket (for disks:
-	// seek + rotational latency + transfer of one bucket).
-	PerBucket time.Duration
-	// PerRecord is the cost of scanning or shipping one record.
-	PerRecord time.Duration
-}
-
-// DeviceTime returns the model's service time for one device's work on
-// one query — the §5.2.1 formula in its only implementation.
-func (m CostModel) DeviceTime(buckets, records int) time.Duration {
-	return m.PerQuery +
-		time.Duration(buckets)*m.PerBucket +
-		time.Duration(records)*m.PerRecord
-}
-
-// ParallelDisk models late-1980s disks on a shared bus: ~28 ms per bucket
-// access (16 ms average seek + 8.3 ms rotational latency + transfer), plus
-// per-record transfer cost.
-var ParallelDisk = CostModel{Name: "parallel-disk", PerQuery: 1 * time.Millisecond, PerBucket: 28 * time.Millisecond, PerRecord: 50 * time.Microsecond}
-
-// MainMemory models a multiprocessor main-memory database node: bucket
-// access is a few microseconds of address computation and pointer chasing.
-var MainMemory = CostModel{Name: "main-memory", PerQuery: 2 * time.Microsecond, PerBucket: 2 * time.Microsecond, PerRecord: 200 * time.Nanosecond}
 
 // Answer is one device's contribution to a retrieval.
 type Answer struct {
@@ -73,10 +42,6 @@ type Answer struct {
 	// the merge builds every device's through one reservation, after its
 	// Hits, and releases the slab. A device that fails releases its own.
 	Found mkhash.Encoded
-	// Idle marks a device that did not participate at all (e.g. a failed
-	// replica whose buckets are served elsewhere); idle devices are not
-	// charged the per-query dispatch cost.
-	Idle bool
 	// Release, when non-nil, gives back memory the device lent under the
 	// records in Hits (netdist: the response frame they alias). Ownership
 	// passes to the executor with the Answer: the merge folds it into the
@@ -117,13 +82,6 @@ type Result struct {
 	DeviceBuckets []int
 	// DeviceRecords[i] is the number of records device i scanned.
 	DeviceRecords []int
-	// Response is the simulated parallel response time: the slowest
-	// device's CostModel.DeviceTime(DeviceBuckets[i], DeviceRecords[i]),
-	// over the devices that took part (not Idle, not failed).
-	Response time.Duration
-	// TotalWork is the sum of those device times (what a single device
-	// would have spent, modulo per-query overhead).
-	TotalWork time.Duration
 	// LargestResponseSize is max(DeviceBuckets), the paper's metric.
 	LargestResponseSize int
 

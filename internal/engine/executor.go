@@ -28,8 +28,6 @@ type Config struct {
 	// Devices are the cluster's parallel devices, in device order: one
 	// per device of Alloc's grid.
 	Devices []Device
-	// Model prices each device's work; the zero model reports zero times.
-	Model CostModel
 	// Span names the spans Instr's tracer opens, one per retrieval (e.g.
 	// "storage.retrieve"); "" opens none.
 	Span string
@@ -66,13 +64,12 @@ type Config struct {
 }
 
 // Executor is the single retrieval code path shared by every backend:
-// plan (validate once) → bounded fan-out over Devices → merge under the
-// cost model. Executors are cheap and safe for concurrent use.
+// plan (validate once) → bounded fan-out over Devices → merge of their
+// answers. Executors are cheap and safe for concurrent use.
 type Executor struct {
 	schema *mkhash.File
 	fs     decluster.FileSystem
 	devs   []Device
-	model  CostModel
 	in     *telemetry.Instruments
 	span   string
 	alloc  decluster.GroupAllocator
@@ -93,7 +90,7 @@ type Executor struct {
 // device of the allocator: the executor does not ask it for a query whose
 // plan counts no qualified bucket there. A device that also answers for
 // another owner (the replicated cluster's: its ring predecessor's backups,
-// Idle when failed) does not implement it and is always asked.
+// a zero answer when failed) does not implement it and is always asked.
 type Owner interface {
 	Owner() int
 }
@@ -133,7 +130,6 @@ func New(cfg Config) (*Executor, error) {
 		schema:  cfg.Schema,
 		fs:      fs,
 		devs:    cfg.Devices,
-		model:   cfg.Model,
 		in:      cfg.Instr,
 		span:    cfg.Span,
 		alloc:   cfg.Alloc,
@@ -484,8 +480,8 @@ func discardAnswers(answers ...Answer) {
 	}
 }
 
-// merge folds the call's answers into a Result under the cost model;
-// failed[dev], when non-nil, marks devices whose answers are skipped.
+// merge folds the call's answers into a Result; failed[dev], when
+// non-nil, marks devices whose answers are skipped.
 //
 // Records consolidate in one pass into a single exactly-sized window the
 // caller owns — sized by summing the per-device hit counts first — and
@@ -504,13 +500,11 @@ func (c *call) merge(failed map[int]error) Result {
 	total, fields, bytes, lent := 0, 0, 0, 0
 	for dev := range c.answers {
 		a := &c.answers[dev]
-		if a.Idle || failed[dev] != nil {
+		if failed[dev] != nil {
 			continue
 		}
 		res.DeviceBuckets[dev] = a.Buckets
 		res.DeviceRecords[dev] = a.Records
-		t := c.e.model.DeviceTime(a.Buckets, a.Records)
-		res.Response, res.TotalWork = max(res.Response, t), res.TotalWork+t
 		res.LargestResponseSize = max(res.LargestResponseSize, a.Buckets)
 		n, f, b := a.Found.Size()
 		total, fields, bytes = total+len(a.Hits)+n, fields+f, bytes+b
@@ -533,7 +527,7 @@ func (c *call) merge(failed map[int]error) Result {
 	build.Reserve(fields, bytes)
 	for dev := range c.answers {
 		a := &c.answers[dev]
-		if a.Idle || failed[dev] != nil {
+		if failed[dev] != nil {
 			// A failed device's answer is zero by convention; discard
 			// defensively in case an adapter returned one anyway.
 			discardAnswers(*a)
@@ -776,7 +770,7 @@ func (e *Executor) finish(ctx context.Context, c *call) (res Result, err error) 
 
 // Retrieve answers one value-level partial match query: validate once,
 // fan out the active devices' inverse-mapped scans on the bounded pool,
-// merge under the cost model. Cancelling ctx returns promptly with its
+// merge their answers. Cancelling ctx returns promptly with its
 // error.
 func (e *Executor) Retrieve(ctx context.Context, pm mkhash.PartialMatch) (Result, error) {
 	c, err := e.begin(ctx, pm, callerFromContext(ctx))

@@ -94,8 +94,8 @@ func TestRetrieveMergesUnderCostModel(t *testing.T) {
 	e := newExec(t, f,
 		fixedDevice{ans: engine.Answer{Buckets: 2, Records: 5, Hits: []mkhash.Record{rec("x", "1")}}},
 		fixedDevice{ans: engine.Answer{Buckets: 7, Records: 9, Hits: []mkhash.Record{rec("y", "2"), rec("z", "3")}}},
-		fixedDevice{ans: engine.Answer{Idle: true}},
-		fixedDevice{ans: engine.Answer{Idle: true}},
+		fixedDevice{},
+		fixedDevice{},
 	)
 	res, err := e.Retrieve(context.Background(), anyQuery(t, f))
 	if err != nil {
@@ -109,15 +109,6 @@ func TestRetrieveMergesUnderCostModel(t *testing.T) {
 	}
 	if want := []int{5, 9, 0, 0}; !slices.Equal(res.DeviceRecords, want) {
 		t.Errorf("DeviceRecords = %v, want %v", res.DeviceRecords, want)
-	}
-	// Idle devices are not charged PerQuery: only devices 0 and 1 count.
-	m := engine.MainMemory
-	t0, t1 := m.DeviceTime(res.DeviceBuckets[0], res.DeviceRecords[0]), m.DeviceTime(res.DeviceBuckets[1], res.DeviceRecords[1])
-	if res.Response != t1 {
-		t.Errorf("Response = %v, want slowest device %v", res.Response, t1)
-	}
-	if res.TotalWork != t0+t1 {
-		t.Errorf("TotalWork = %v, want %v", res.TotalWork, t0+t1)
 	}
 	if res.LargestResponseSize != 7 {
 		t.Errorf("LargestResponseSize = %d, want 7", res.LargestResponseSize)
@@ -395,7 +386,6 @@ func ExampleExecutor_RetrieveBatch() {
 	defer plans.Close()
 	e, _ := engine.New(engine.Config{
 		Schema:  f,
-		Model:   engine.MainMemory,
 		Devices: []engine.Device{fixedDevice{ans: engine.Answer{Buckets: 1}}},
 		Alloc:   decluster.NewModulo(decluster.MustFileSystem(f.Sizes(), 1)),
 		Plans:   plans,

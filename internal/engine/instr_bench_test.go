@@ -31,7 +31,7 @@ func BenchmarkRetrieveInstrumentation(b *testing.B) {
 				// the ordinary head-then-sampled traffic.
 				devs[d] = fixedDevice{ans: engine.Answer{Buckets: 1, Records: 4, Hits: []mkhash.Record{rec("x", "y")}}}
 			}
-			cfg := planned(b, f, engine.Config{Devices: devs, Model: engine.MainMemory, Span: "bench.retrieve"})
+			cfg := planned(b, f, engine.Config{Devices: devs, Span: "bench.retrieve"})
 			if mode.instr {
 				cfg.Instr = privateBundle("bench", len(devs))
 			}

@@ -31,7 +31,7 @@ func TestKeptStagesOutliveTheCall(t *testing.T) {
 		devs[dev] = fixedDevice{ans: engine.Answer{Buckets: 1, Records: 1}}
 	}
 	in := privateBundle("kept-stages", len(devs))
-	e, err := engine.New(planned(t, f, engine.Config{Devices: devs, Model: engine.MainMemory, Instr: in}))
+	e, err := engine.New(planned(t, f, engine.Config{Devices: devs, Instr: in}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,6 @@ func TestCallRecycleHammer(t *testing.T) {
 	backup := dev(0, 4)
 	e, err := engine.New(planned(t, f, engine.Config{
 		Devices: []engine.Device{dev(200*time.Microsecond, 5), dev(0, 4), dev(0, 4), dev(0, 4)},
-		Model:   engine.MainMemory,
 		Instr:   privateBundle("recycle-hammer", 4),
 		Span:    "test.retrieve",
 		Retry:   rc,

@@ -36,7 +36,7 @@ func (d *flakyDevice) Scan(ctx context.Context, q query.Query, pm mkhash.Partial
 // Retry, Reroute and Backup of cfg.
 func resilient(t *testing.T, f *mkhash.File, cfg engine.Config, devs ...engine.Device) *engine.Executor {
 	t.Helper()
-	cfg.Devices, cfg.Model = devs, engine.MainMemory
+	cfg.Devices = devs
 	e, err := engine.New(planned(t, f, cfg))
 	if err != nil {
 		t.Fatal(err)

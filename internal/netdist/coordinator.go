@@ -950,11 +950,9 @@ func (c *Coordinator) Retrieve(pm mkhash.PartialMatch) (engine.Result, error) {
 
 // RetrieveContext lowers the value-level query, sends it in parallel to
 // every device that owns one of its qualified buckets, and merges the
-// responses. The coordinator attaches
-// no cost model, so the result's time fields stay zero. Any device error
-// fails the whole retrieval (partial answers would silently drop
-// matches) and the error reports every failing device — unless the
-// executor reroutes it (WithFailover) or, under
+// responses. Any device error fails the whole retrieval (partial answers
+// would silently drop matches) and the error reports every failing
+// device — unless the executor reroutes it (WithFailover) or, under
 // WithResilience(Partial: true), degrades it: then the surviving
 // devices' merged records come back alongside the *engine.PartialError
 // manifest (match with errors.As).

@@ -43,7 +43,7 @@ func TestReplicatedDeployHealthy(t *testing.T) {
 	// record loop: same buckets, same records scanned, same hits in the
 	// same order (the executor merges in device order, so the cluster's
 	// records are the devices' hit frames end to end).
-	mem, err := storage.NewCluster(file, fx, storage.MainMemory)
+	mem, err := storage.NewCluster(file, fx)
 	if err != nil {
 		t.Fatal(err)
 	}

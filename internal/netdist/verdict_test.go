@@ -34,11 +34,11 @@ func TestPlanVerdictMatchesMergedLoads(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, alloc := range []decluster.GroupAllocator{decluster.MustFX(fs), decluster.NewModulo(fs), gdm, decluster.NewDHW(fs)} {
-			mem, err := storage.NewCluster(file, alloc, storage.MainMemory)
+			mem, err := storage.NewCluster(file, alloc)
 			if err != nil {
 				t.Fatal(err)
 			}
-			dur, err := storage.CreateDurable(t.TempDir(), file, alloc, storage.MainMemory)
+			dur, err := storage.CreateDurable(t.TempDir(), file, alloc)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -25,7 +25,7 @@ const (
 	// device answer (or error) arrives — the paper's max-over-devices
 	// term, including queue wait, scan, and for netdist the wire.
 	StageFanout = "fanout"
-	// StageMerge is answer consolidation under the §5.2.1 cost model.
+	// StageMerge is answer consolidation: records and per-device counts.
 	StageMerge = "merge"
 	// StageAudit is the optimality audit + observer notification tail.
 	StageAudit = "audit"

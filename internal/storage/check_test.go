@@ -9,7 +9,7 @@ import (
 
 func TestCheckHealthyCluster(t *testing.T) {
 	file, fx := durableFixture(t, 300, 4)
-	c, err := CreateDurable(t.TempDir(), file, fx, MainMemory)
+	c, err := CreateDurable(t.TempDir(), file, fx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,13 +53,13 @@ func TestCheckDetectsHashMismatch(t *testing.T) {
 	}
 	fs, _ := file.FileSystem(4)
 	dir := t.TempDir()
-	c, err := CreateDurable(dir, file, mustBasicFX(t, fs), MainMemory)
+	c, err := CreateDurable(dir, file, mustBasicFX(t, fs))
 	if err != nil {
 		t.Fatal(err)
 	}
 	c.Close()
 	// Reopen WITHOUT the custom hash: placement no longer matches.
-	re, err := OpenDurable(dir, MainMemory)
+	re, err := OpenDurable(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestCheckDetectsHashMismatch(t *testing.T) {
 		t.Error("report claims OK despite mishashed records")
 	}
 	// With the right hash option, the check passes.
-	good, err := OpenDurable(dir, MainMemory, WithFileOptions(mkhash.WithHash(0, custom)))
+	good, err := OpenDurable(dir, WithFileOptions(mkhash.WithHash(0, custom)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -118,7 +118,7 @@ func devicePath(dir string, dev int) string {
 // CreateDurable materialises file's buckets as per-device logs under dir
 // (which must exist and be empty of cluster files) and writes the
 // metadata snapshot. The allocator must match the file's directory sizes.
-func CreateDurable(dir string, file *mkhash.File, alloc decluster.GroupAllocator, model CostModel, opts ...Option) (*DurableCluster, error) {
+func CreateDurable(dir string, file *mkhash.File, alloc decluster.GroupAllocator, opts ...Option) (*DurableCluster, error) {
 	fs := alloc.FileSystem()
 	if err := checkAllocator(file, fs); err != nil {
 		return nil, err
@@ -137,7 +137,7 @@ func CreateDurable(dir string, file *mkhash.File, alloc decluster.GroupAllocator
 		return nil, err
 	}
 
-	c, err := newDurable(dir, schemaOnly, alloc, model, st)
+	c, err := newDurable(dir, schemaOnly, alloc, st)
 	if err != nil {
 		return nil, err
 	}
@@ -162,7 +162,7 @@ func CreateDurable(dir string, file *mkhash.File, alloc decluster.GroupAllocator
 // OpenDurable reopens a durable cluster created by CreateDurable. Files
 // built with custom field hashes must pass the same WithHash options
 // via WithFileOptions.
-func OpenDurable(dir string, model CostModel, opts ...Option) (*DurableCluster, error) {
+func OpenDurable(dir string, opts ...Option) (*DurableCluster, error) {
 	st := newSettings(opts)
 	schemaOnly, alloc, err := persist.LoadFile(filepath.Join(dir, metaName), st.fileOpts...)
 	if err != nil {
@@ -171,12 +171,12 @@ func OpenDurable(dir string, model CostModel, opts ...Option) (*DurableCluster, 
 	if alloc == nil {
 		return nil, fmt.Errorf("storage: %s metadata carries no allocator spec", dir)
 	}
-	return newDurable(dir, schemaOnly, alloc, model, st)
+	return newDurable(dir, schemaOnly, alloc, st)
 }
 
 // newDurable wires a cluster over dir's device logs, opening (and so
 // recovering) every one.
-func newDurable(dir string, schema *mkhash.File, alloc decluster.GroupAllocator, model CostModel, st *settings) (*DurableCluster, error) {
+func newDurable(dir string, schema *mkhash.File, alloc decluster.GroupAllocator, st *settings) (*DurableCluster, error) {
 	m := alloc.FileSystem().M
 	c := &DurableCluster{
 		core:   newCore(alloc),
@@ -189,7 +189,7 @@ func newDurable(dir string, schema *mkhash.File, alloc decluster.GroupAllocator,
 	for dev := range devices {
 		devices[dev] = durDevice{c: c, dev: dev}
 	}
-	if err := c.wire("durable", schema, devices, model, st); err != nil {
+	if err := c.wire("durable", schema, devices, st); err != nil {
 		return nil, err
 	}
 	c.logs = newLogMetrics(c.Instruments().Registry)

@@ -55,7 +55,7 @@ func sortedKeys(recs []mkhash.Record) []string {
 func TestDurableCreateRetrieveMatchesSearch(t *testing.T) {
 	file, fx := durableFixture(t, 400, 8)
 	dir := t.TempDir()
-	c, err := CreateDurable(dir, file, fx, MainMemory)
+	c, err := CreateDurable(dir, file, fx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestDurableCreateRetrieveMatchesSearch(t *testing.T) {
 func TestDurableReopen(t *testing.T) {
 	file, fx := durableFixture(t, 250, 4)
 	dir := t.TempDir()
-	c, err := CreateDurable(dir, file, fx, MainMemory)
+	c, err := CreateDurable(dir, file, fx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestDurableReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	re, err := OpenDurable(dir, MainMemory)
+	re, err := OpenDurable(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestDurableReopensParentHashDirectory(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	c, err := OpenDurable(dir, MainMemory)
+	c, err := OpenDurable(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestDurableReopensParentHashDirectory(t *testing.T) {
 func TestDurableSurvivesTornDeviceLog(t *testing.T) {
 	file, fx := durableFixture(t, 300, 4)
 	dir := t.TempDir()
-	c, err := CreateDurable(dir, file, fx, MainMemory)
+	c, err := CreateDurable(dir, file, fx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func TestDurableSurvivesTornDeviceLog(t *testing.T) {
 	if err := os.Truncate(path, info.Size()-5); err != nil {
 		t.Fatal(err)
 	}
-	re, err := OpenDurable(dir, MainMemory)
+	re, err := OpenDurable(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,25 +218,25 @@ func TestDurableSurvivesTornDeviceLog(t *testing.T) {
 func TestCreateDurableValidation(t *testing.T) {
 	file, fx := durableFixture(t, 10, 4)
 	dir := t.TempDir()
-	if _, err := CreateDurable(dir, file, fx, MainMemory); err != nil {
+	if _, err := CreateDurable(dir, file, fx); err != nil {
 		t.Fatal(err)
 	}
 	// Second create in the same dir must refuse.
-	if _, err := CreateDurable(dir, file, fx, MainMemory); err == nil {
+	if _, err := CreateDurable(dir, file, fx); err == nil {
 		t.Error("create over existing cluster accepted")
 	}
 	wrong := decluster.MustFX(decluster.MustFileSystem([]int{4, 8}, 4))
-	if _, err := CreateDurable(t.TempDir(), file, wrong, MainMemory); err == nil {
+	if _, err := CreateDurable(t.TempDir(), file, wrong); err == nil {
 		t.Error("allocator arity mismatch accepted")
 	}
 	wrongSizes := decluster.MustFX(decluster.MustFileSystem([]int{4, 4, 2}, 4))
-	if _, err := CreateDurable(t.TempDir(), file, wrongSizes, MainMemory); err == nil {
+	if _, err := CreateDurable(t.TempDir(), file, wrongSizes); err == nil {
 		t.Error("allocator size mismatch accepted")
 	}
 }
 
 func TestOpenDurableErrors(t *testing.T) {
-	if _, err := OpenDurable(t.TempDir(), MainMemory); err == nil {
+	if _, err := OpenDurable(t.TempDir()); err == nil {
 		t.Error("open of empty dir succeeded")
 	}
 	// Metadata without an allocator spec is rejected.
@@ -245,14 +245,14 @@ func TestOpenDurableErrors(t *testing.T) {
 	if err := persistSaveNoAlloc(dir, schemaOnly); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenDurable(dir, MainMemory); err == nil {
+	if _, err := OpenDurable(dir); err == nil {
 		t.Error("metadata without allocator accepted")
 	}
 }
 
 func TestDurableInsertValidation(t *testing.T) {
 	file, fx := durableFixture(t, 10, 4)
-	c, err := CreateDurable(t.TempDir(), file, fx, MainMemory)
+	c, err := CreateDurable(t.TempDir(), file, fx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +269,7 @@ func TestDurableInsertValidation(t *testing.T) {
 func TestDurableBulkConsistency(t *testing.T) {
 	file, fx := durableFixture(t, 0, 4)
 	dir := t.TempDir()
-	c, err := CreateDurable(dir, file, fx, MainMemory)
+	c, err := CreateDurable(dir, file, fx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +306,7 @@ func TestDurableBulkConsistency(t *testing.T) {
 
 func TestDurableBulkInsert(t *testing.T) {
 	file, fx := durableFixture(t, 0, 8)
-	c, err := CreateDurable(t.TempDir(), file, fx, MainMemory)
+	c, err := CreateDurable(t.TempDir(), file, fx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +348,7 @@ func TestDurableBulkInsert(t *testing.T) {
 func TestDurableDeleteAndCompact(t *testing.T) {
 	file, fx := durableFixture(t, 0, 4)
 	dir := t.TempDir()
-	c, err := CreateDurable(dir, file, fx, MainMemory)
+	c, err := CreateDurable(dir, file, fx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,7 +380,7 @@ func TestDurableDeleteAndCompact(t *testing.T) {
 	}
 	c.Close()
 	// Deletion and compaction survive reopen.
-	re, err := OpenDurable(dir, MainMemory)
+	re, err := OpenDurable(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,7 +410,7 @@ func persistSaveNoAlloc(dir string, schemaOnly *mkhash.File) error {
 // nothing that was never inserted.
 func TestDurableInsertRacesRetrieve(t *testing.T) {
 	file, fx := durableFixture(t, 200, 4)
-	c, err := CreateDurable(t.TempDir(), file, fx, ParallelDisk)
+	c, err := CreateDurable(t.TempDir(), file, fx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -500,7 +500,7 @@ func TestDurableScanAllocsDoNotGrowWithScanned(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := CreateDurable(t.TempDir(), file, decluster.MustFX(fs), MainMemory)
+		c, err := CreateDurable(t.TempDir(), file, decluster.MustFX(fs))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -620,7 +620,7 @@ func TestDurableAnswerIsExactlySized(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		c, err := CreateDurable(t.TempDir(), file, fx, MainMemory)
+		c, err := CreateDurable(t.TempDir(), file, fx)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -653,7 +653,7 @@ func TestDurableAnswerIsExactlySized(t *testing.T) {
 func shortRecordCluster(t *testing.T, opts ...Option) (*DurableCluster, mkhash.PartialMatch, query.Query, int) {
 	t.Helper()
 	file, fx := durableFixture(t, 400, 4)
-	c, err := CreateDurable(t.TempDir(), file, fx, MainMemory, opts...)
+	c, err := CreateDurable(t.TempDir(), file, fx, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -767,7 +767,7 @@ func BenchmarkDurableWideRetrieve(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			c, err := CreateDurable(b.TempDir(), file, decluster.MustFX(fs), MainMemory)
+			c, err := CreateDurable(b.TempDir(), file, decluster.MustFX(fs))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -802,7 +802,7 @@ func BenchmarkDurableWideRetrieve(b *testing.B) {
 // Delete keeps is the log's own: the query it matches frames with.
 func TestDurableRoutingAllocatesNothing(t *testing.T) {
 	file, fx := durableFixture(t, 200, 8)
-	c, err := CreateDurable(t.TempDir(), file, fx, MainMemory)
+	c, err := CreateDurable(t.TempDir(), file, fx)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -52,7 +52,7 @@ func TestMisplacedBucketIsCaught(t *testing.T) {
 		devices[dev] = memDevice{c: c, dev: dev}
 	}
 	devices[planted] = plantedDevice{memDevice{c: c, dev: planted}}
-	if err := c.wire(backend, file, devices, MainMemory, newSettings(nil)); err != nil {
+	if err := c.wire(backend, file, devices, newSettings(nil)); err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()

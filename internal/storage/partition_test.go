@@ -127,7 +127,7 @@ func TestScanStateStaysOnStack(t *testing.T) {
 	mem := newCluster(t, file, 4)
 	_, repl := newReplicated(t, 400, 4, Chained)
 	durFile, durFX := durableFixture(t, 400, 4)
-	dur, err := CreateDurable(t.TempDir(), durFile, durFX, MainMemory)
+	dur, err := CreateDurable(t.TempDir(), durFile, durFX)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestRetrieveAllocsDoNotGrowWithM(t *testing.T) {
 				Retrieve(mkhash.PartialMatch) (Result, error)
 			} = newCluster(t, file, m)
 			if durable {
-				dur, err := CreateDurable(t.TempDir(), file, fx, MainMemory)
+				dur, err := CreateDurable(t.TempDir(), file, fx)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -270,9 +270,9 @@ func TestClusterKeepsItsSnapshot(t *testing.T) {
 					Retrieve(mkhash.PartialMatch) (Result, error)
 				}
 				if kind == "memory" {
-					c, err = NewCluster(file, decluster.MustFX(fs), MainMemory)
+					c, err = NewCluster(file, decluster.MustFX(fs))
 				} else {
-					c, err = NewReplicated(file, decluster.MustFX(fs), Chained, MainMemory)
+					c, err = NewReplicated(file, decluster.MustFX(fs), Chained)
 				}
 				if err != nil {
 					t.Fatal(err)

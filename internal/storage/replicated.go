@@ -27,7 +27,7 @@ type ReplicatedCluster struct {
 
 // NewReplicated distributes file's buckets over the allocator's devices
 // with primary and backup copies.
-func NewReplicated(file *mkhash.File, alloc decluster.GroupAllocator, mode ReplicaMode, model CostModel, opts ...Option) (*ReplicatedCluster, error) {
+func NewReplicated(file *mkhash.File, alloc decluster.GroupAllocator, mode ReplicaMode, opts ...Option) (*ReplicatedCluster, error) {
 	parts, err := Split(file, alloc) // every bucket on its primary
 	if err != nil {
 		return nil, err
@@ -45,7 +45,7 @@ func NewReplicated(file *mkhash.File, alloc decluster.GroupAllocator, mode Repli
 	for dev := range devices {
 		devices[dev] = replDevice{c: c, dev: dev}
 	}
-	if err := c.wire("replicated", file, devices, model, newSettings(opts)); err != nil {
+	if err := c.wire("replicated", file, devices, newSettings(opts)); err != nil {
 		return nil, err
 	}
 	return c, nil
@@ -54,9 +54,8 @@ func NewReplicated(file *mkhash.File, alloc decluster.GroupAllocator, mode Repli
 // replDevice adapts one replicated device to the engine's Device
 // contract: its candidate buckets are its own primaries plus the backups
 // it holds (primaries of the ring predecessor), filtered by the failover
-// policy's routing decision. A failed device reports itself idle, so the
-// cost model charges it nothing while its ring successor absorbs its
-// share.
+// policy's routing decision. A failed device returns a zero answer — no
+// buckets, no records — while its ring successor absorbs its share.
 type replDevice struct {
 	c   *ReplicatedCluster
 	dev int
@@ -65,7 +64,7 @@ type replDevice struct {
 func (d replDevice) Scan(ctx context.Context, q query.Query, pm mkhash.PartialMatch) (engine.Answer, error) {
 	c := d.c
 	if c.placement.Failed(d.dev) {
-		return engine.Answer{Idle: true}, nil
+		return engine.Answer{}, nil
 	}
 	var ans engine.Answer
 	part := c.parts[d.dev]

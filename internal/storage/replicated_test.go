@@ -3,7 +3,6 @@ package storage
 import (
 	"sort"
 	"testing"
-	"time"
 
 	"fxdist/internal/decluster"
 	"fxdist/internal/engine"
@@ -18,7 +17,7 @@ func newReplicated(t *testing.T, n, m int, mode ReplicaMode) (*mkhash.File, *Rep
 		t.Fatal(err)
 	}
 	fx := decluster.MustFX(fs)
-	c, err := NewReplicated(file, fx, mode, MainMemory)
+	c, err := NewReplicated(file, fx, mode)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,11 +36,11 @@ func keysOf(recs []mkhash.Record) []string {
 func TestReplicatedValidation(t *testing.T) {
 	file := carFile(t, 10)
 	wrong := decluster.MustFX(decluster.MustFileSystem([]int{4, 8}, 4))
-	if _, err := NewReplicated(file, wrong, Chained, MainMemory); err == nil {
+	if _, err := NewReplicated(file, wrong, Chained); err == nil {
 		t.Error("arity mismatch accepted")
 	}
 	wrongSize := decluster.MustFX(decluster.MustFileSystem([]int{4, 4, 2}, 4))
-	if _, err := NewReplicated(file, wrongSize, Chained, MainMemory); err == nil {
+	if _, err := NewReplicated(file, wrongSize, Chained); err == nil {
 		t.Error("size mismatch accepted")
 	}
 }
@@ -105,13 +104,17 @@ func TestReplicatedRetrieveUnderFailures(t *testing.T) {
 	}
 }
 
-// A failed device must never appear in the service accounting.
+// A failed device must never appear in the per-device counts.
 func TestReplicatedFailedDeviceIdle(t *testing.T) {
 	file, c := newReplicated(t, 300, 8, Chained)
+	pm, _ := file.Spec(map[string]string{})
+	healthy, err := c.Retrieve(pm)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := c.Fail(4); err != nil {
 		t.Fatal(err)
 	}
-	pm, _ := file.Spec(map[string]string{})
 	res, err := c.Retrieve(pm)
 	if err != nil {
 		t.Fatal(err)
@@ -120,19 +123,22 @@ func TestReplicatedFailedDeviceIdle(t *testing.T) {
 		t.Errorf("failed device did work: buckets=%d records=%d",
 			res.DeviceBuckets[4], res.DeviceRecords[4])
 	}
-	// Nor is it charged: the other seven devices' times add up to TotalWork.
-	var work time.Duration
+	// Its share is served by the devices downstream of it on the ring
+	// (chained declustering spreads it): every bucket is still accessed
+	// once and every record comes back.
+	got, want := 0, 0
 	for dev := range res.DeviceBuckets {
-		if dev != 4 {
-			work += MainMemory.DeviceTime(res.DeviceBuckets[dev], res.DeviceRecords[dev])
-		}
+		got, want = got+res.DeviceBuckets[dev], want+healthy.DeviceBuckets[dev]
 	}
-	if res.TotalWork != work {
-		t.Errorf("TotalWork %v, want the seven live devices' %v", res.TotalWork, work)
+	if got != want {
+		t.Errorf("%d buckets accessed, want %d as with no failure", got, want)
+	}
+	if len(res.Records) != file.Len() {
+		t.Errorf("%d records, want %d", len(res.Records), file.Len())
 	}
 }
 
-// A replicated device answers for two owners and goes Idle when failed,
+// A replicated device answers for two owners and answers zero when failed,
 // so it does not declare one (engine.Owner) and the executor asks all of
 // them: a fully specified query whose bucket the failed device owns is
 // counted on that device alone by the plan, and is answered by its ring

@@ -2,15 +2,15 @@
 // paper's §5.2: M identical devices behind a symmetric interconnect
 // (parallel disks on a shared bus, or Butterfly-style multiprocessor
 // memories), each holding the buckets a declustering allocator assigns to
-// it. The response time of a partial match query is the service time of
-// the slowest device — the paper's "largest response size" argument made
-// executable.
+// it. A retrieval reports each device's qualified buckets and scanned
+// records; the largest bucket count is the paper's "largest response
+// size", and analysis.Simulate prices the counts as response time.
 //
 // Devices answer queries with the per-device inverse mapping of package
 // query: each device enumerates only its own qualified buckets, never the
 // whole grid, exactly as the paper's §4.2 prescribes for main-memory
-// databases. Retrieval itself — validation, fan-out, cancellation, cost
-// aggregation, metrics — is package engine's single executor; this
+// databases. Retrieval itself — validation, fan-out, cancellation,
+// per-device counts, metrics — is package engine's single executor; this
 // package contributes only the Device adapters that know where the
 // records live.
 package storage
@@ -26,15 +26,6 @@ import (
 	"fxdist/internal/resilience"
 	"fxdist/internal/telemetry"
 )
-
-// CostModel is the per-device service time model; see engine.CostModel.
-type CostModel = engine.CostModel
-
-// ParallelDisk models late-1980s disks on a shared bus.
-var ParallelDisk = engine.ParallelDisk
-
-// MainMemory models a multiprocessor main-memory database node.
-var MainMemory = engine.MainMemory
 
 // Result reports one retrieval; see engine.Result.
 type Result = engine.Result
@@ -57,11 +48,11 @@ func newCore(alloc decluster.GroupAllocator) core {
 
 // wire builds the executor over the cluster's device adapters — the one
 // place a storage backend meets package engine.
-func (c *core) wire(kind string, schema *mkhash.File, devices []engine.Device, model CostModel, st *settings) (err error) {
+func (c *core) wire(kind string, schema *mkhash.File, devices []engine.Device, st *settings) (err error) {
 	if c.injector = st.injector; c.injector != nil {
 		devices = c.injector.Wrap(devices)
 	}
-	cfg := st.engineConfig(kind, engine.Config{Schema: schema, Devices: devices, Model: model, Alloc: c.alloc})
+	cfg := st.engineConfig(kind, engine.Config{Schema: schema, Devices: devices, Alloc: c.alloc})
 	if c.eng, err = engine.New(cfg); err != nil {
 		cfg.Plans.Close()
 	}
@@ -127,7 +118,7 @@ type Cluster struct {
 
 // NewCluster distributes file's buckets over the allocator's devices. The
 // allocator must be built for the file's current directory sizes.
-func NewCluster(file *mkhash.File, alloc decluster.GroupAllocator, model CostModel, opts ...Option) (*Cluster, error) {
+func NewCluster(file *mkhash.File, alloc decluster.GroupAllocator, opts ...Option) (*Cluster, error) {
 	parts, err := Split(file, alloc)
 	if err != nil {
 		return nil, err
@@ -137,7 +128,7 @@ func NewCluster(file *mkhash.File, alloc decluster.GroupAllocator, model CostMod
 	for dev := range devices {
 		devices[dev] = memDevice{c: c, dev: dev}
 	}
-	if err := c.wire("memory", file, devices, model, newSettings(opts)); err != nil {
+	if err := c.wire("memory", file, devices, newSettings(opts)); err != nil {
 		return nil, err
 	}
 	return c, nil

@@ -101,8 +101,7 @@ func TestMetricsScrapeDuringDistributedRetrieve(t *testing.T) {
 
 	// Durable cluster retrieve feeds the storage latency histogram and
 	// the load-imbalance gauge.
-	dc, err := fxdist.Open(fxdist.Config{Dir: t.TempDir(), File: file, Allocator: fx},
-		fxdist.WithCostModel(fxdist.ParallelDisk))
+	dc, err := fxdist.Open(fxdist.Config{Dir: t.TempDir(), File: file, Allocator: fx})
 	if err != nil {
 		t.Fatal(err)
 	}

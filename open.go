@@ -47,8 +47,6 @@ type Config struct {
 
 // openSettings accumulates the functional options of Open.
 type openSettings struct {
-	model       CostModel
-	modelSet    bool
 	replicated  bool
 	replicaMode ReplicaMode
 	dialTimeout time.Duration
@@ -82,13 +80,6 @@ func (s *openSettings) storageOpts() []storage.Option {
 
 // Option configures Open.
 type Option func(*openSettings)
-
-// WithCostModel prices each device's simulated work (default
-// MainMemory). The coordinator backend attaches no cost model; the
-// option is ignored there. Set by pmquery and fxpaper store|check.
-func WithCostModel(m CostModel) Option {
-	return func(s *openSettings) { s.model, s.modelSet = m, true }
-}
 
 // ReplicaMode selects the failover policy of a replicated cluster.
 type ReplicaMode = storage.ReplicaMode
@@ -251,11 +242,6 @@ func Open(cfg Config, opts ...Option) (*Cluster, error) {
 	for _, opt := range opts {
 		opt(&s)
 	}
-	model := MainMemory
-	if s.modelSet {
-		model = s.model
-	}
-
 	c := &Cluster{file: cfg.File, reads: new(sync.RWMutex)}
 	switch {
 	case len(cfg.Addrs) > 0:
@@ -310,14 +296,14 @@ func Open(cfg Config, opts ...Option) (*Cluster, error) {
 			if cfg.Allocator == nil {
 				return nil, errors.New("fxdist: creating a durable cluster needs Config.Allocator")
 			}
-			dur, err := storage.CreateDurable(cfg.Dir, cfg.File, cfg.Allocator, model, s.storageOpts()...)
+			dur, err := storage.CreateDurable(cfg.Dir, cfg.File, cfg.Allocator, s.storageOpts()...)
 			if err != nil {
 				return nil, err
 			}
 			c.kind, c.be = KindDurable, dur
 		} else {
 			sopts := append(s.storageOpts(), storage.WithFileOptions(s.fileOpts...))
-			dur, err := storage.OpenDurable(cfg.Dir, model, sopts...)
+			dur, err := storage.OpenDurable(cfg.Dir, sopts...)
 			if err != nil {
 				return nil, err
 			}
@@ -328,7 +314,7 @@ func Open(cfg Config, opts ...Option) (*Cluster, error) {
 		if cfg.File == nil || cfg.Allocator == nil {
 			return nil, errors.New("fxdist: the replicated backend needs Config.File and Config.Allocator")
 		}
-		repl, err := storage.NewReplicated(cfg.File, cfg.Allocator, s.replicaMode, model, s.storageOpts()...)
+		repl, err := storage.NewReplicated(cfg.File, cfg.Allocator, s.replicaMode, s.storageOpts()...)
 		if err != nil {
 			return nil, err
 		}
@@ -338,7 +324,7 @@ func Open(cfg Config, opts ...Option) (*Cluster, error) {
 		if cfg.File == nil || cfg.Allocator == nil {
 			return nil, errors.New("fxdist: the in-memory backend needs Config.File and Config.Allocator")
 		}
-		mem, err := storage.NewCluster(cfg.File, cfg.Allocator, model, s.storageOpts()...)
+		mem, err := storage.NewCluster(cfg.File, cfg.Allocator, s.storageOpts()...)
 		if err != nil {
 			return nil, err
 		}
@@ -448,10 +434,9 @@ func (c *Cluster) Spec(pairs map[string]string) (PartialMatch, error) {
 
 // RetrieveContext answers one value-level partial match query. It is
 // the canonical retrieval entry point on every backend kind; Retrieve
-// is its context.Background() wrapper. The distributed backend carries
-// no cost model, so its results leave Response and TotalWork zero. A
-// degraded retrieval (WithPartialResults) carries the surviving devices'
-// answer alongside its PartialResult error.
+// is its context.Background() wrapper. A degraded retrieval
+// (WithPartialResults) carries the surviving devices' answer alongside
+// its PartialResult error.
 func (c *Cluster) RetrieveContext(ctx context.Context, pm PartialMatch) (RetrieveResult, error) {
 	be, reads := c.acquire()
 	defer reads.RUnlock()

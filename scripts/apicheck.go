@@ -18,7 +18,10 @@
 //     root, client, every internal package but the offline one, and the
 //     serving binaries) imports the offline package in a non-test file.
 //     Every importable package of the module but that one is checked, so
-//     no import path from a serving binary reaches it either.
+//     no import path from a serving binary reaches it either. Nor does the
+//     offline package import the serving stack (the root, engine,
+//     storage, netdist, gate) in a non-test file: it prices the counts a
+//     retrieval reports, so the cost model cannot drift back in.
 package main
 
 import (
@@ -28,6 +31,7 @@ import (
 	"go/token"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -36,6 +40,9 @@ var dirs = []string{".", "client"}
 
 // offline is the package of the paper's evaluation (rule 4).
 const offline = "fxdist/internal/analysis"
+
+// stack is the serving stack the offline package must not import (rule 4).
+var stack = []string{"fxdist", "fxdist/internal/engine", "fxdist/internal/storage", "fxdist/internal/netdist", "fxdist/internal/gate"}
 
 func main() {
 	var problems []string
@@ -133,7 +140,8 @@ func checkDir(dir string) ([]string, error) {
 	return problems, nil
 }
 
-// checkOffline applies rule 4 to every serving package.
+// checkOffline applies rule 4 to every serving package and to the
+// offline one.
 func checkOffline() ([]string, error) {
 	internal, err := filepath.Glob("internal/*")
 	if err != nil {
@@ -146,25 +154,34 @@ func checkOffline() ([]string, error) {
 		}
 	}
 	var problems []string
-	for _, dir := range serving {
+	// check reports every non-test import of dir that forbidden names.
+	check := func(dir string, forbidden func(path string) bool, why string) error {
 		pkgs, err := parser.ParseDir(token.NewFileSet(), dir, func(fi os.FileInfo) bool {
 			return !strings.HasSuffix(fi.Name(), "_test.go")
 		}, parser.ImportsOnly)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		for _, pkg := range pkgs {
 			for name, file := range pkg.Files {
 				for _, imp := range file.Imports {
-					if path, _ := strconv.Unquote(imp.Path.Value); path == offline {
-						problems = append(problems,
-							fmt.Sprintf("%s imports %s; serving code must not link the paper's evaluation", name, path))
+					if path, _ := strconv.Unquote(imp.Path.Value); forbidden(path) {
+						problems = append(problems, fmt.Sprintf("%s imports %s; %s", name, path, why))
 					}
 				}
 			}
 		}
+		return nil
 	}
-	return problems, nil
+	for _, dir := range serving {
+		if err := check(dir, func(path string) bool { return path == offline },
+			"serving code must not link the paper's evaluation"); err != nil {
+			return nil, err
+		}
+	}
+	err = check(strings.TrimPrefix(offline, "fxdist/"), func(path string) bool { return slices.Contains(stack, path) },
+		"the paper's evaluation must not link the serving stack")
+	return problems, err
 }
 
 // returnsSingleOption reports whether fn returns exactly one result
