@@ -902,12 +902,13 @@ func BenchmarkRetrieveWithInjectedLatency(b *testing.B) {
 	}
 }
 
-// benchGate builds the serving tier's two upper rungs over the memory
-// backend with the gate's shipped defaults, and the two queries the
-// rungs are measured on: a point query naming every field of a stored
-// record, and a scan naming only the 20-valued field — about a
-// thousand records back.
-func benchGate(b *testing.B) (g *gate.Gate, point, scan map[string]string) {
+// benchGate builds the serving tier's two upper rungs with the gate's
+// shipped defaults — over the memory backend, or over local device
+// servers on loopback when wire is set — and the two queries the rungs
+// are measured on: a point query naming every field of a stored record,
+// and a scan naming only the 20-valued field — about a thousand records
+// back.
+func benchGate(b *testing.B, wire bool) (g *gate.Gate, point, scan map[string]string) {
 	b.Helper()
 	file, _ := benchRelationFile(b, 20000)
 	fs, err := file.FileSystem(8)
@@ -918,7 +919,16 @@ func benchGate(b *testing.B) (g *gate.Gate, point, scan map[string]string) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cluster, err := fxdist.Open(fxdist.Config{File: file, Allocator: fx})
+	cfg := fxdist.Config{File: file, Allocator: fx}
+	if wire {
+		addrs, stop, err := fxdist.DeployLocal(file, fx)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Cleanup(stop)
+		cfg = fxdist.Config{File: file, Addrs: addrs}
+	}
+	cluster, err := fxdist.Open(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -966,10 +976,9 @@ func serveFrame(g *gate.Gate, body []byte) error {
 
 // BenchmarkGateRetrieve is the gate rung of the ledger: one fx.retrieve
 // frame through Gate.ServeHTTP — JSON-RPC decode, auth, admission, a
-// dispatch of one (a lone caller never waits for company), the engine,
-// the response frame — with no socket.
+// dispatch of one, the engine, the response frame — with no socket.
 func BenchmarkGateRetrieve(b *testing.B) {
-	g, point, scan := benchGate(b)
+	g, point, scan := benchGate(b, false)
 	for _, bc := range []struct {
 		name  string
 		query map[string]string
@@ -987,21 +996,24 @@ func BenchmarkGateRetrieve(b *testing.B) {
 }
 
 // BenchmarkGateRetrieveParallel is what fxload's two clients cannot
-// show: 16 callers of one shape at once, the load under which the gate
-// is meant to batch. Besides the usual columns it reports, from
-// Gate.Report deltas, batches/op (cluster dispatches per query; 1 means
-// no batching) and coalesced/op (the fraction of queries that shared a
-// dispatch).
-func BenchmarkGateRetrieveParallel(b *testing.B) {
+// show: 16 callers of one shape at once through Gate.ServeHTTP, each
+// query a dispatch of its own, over the memory backend.
+func BenchmarkGateRetrieveParallel(b *testing.B) { benchGateParallel(b, false) }
+
+// BenchmarkGateRetrieveParallelNetdist is BenchmarkGateRetrieveParallel
+// over eight local device servers on loopback: every query pays its own
+// round trips to the devices it reaches.
+func BenchmarkGateRetrieveParallelNetdist(b *testing.B) { benchGateParallel(b, true) }
+
+func benchGateParallel(b *testing.B, wire bool) {
 	const callers = 16
-	g, point, scan := benchGate(b)
+	g, point, scan := benchGate(b, wire)
 	for _, bc := range []struct {
 		name  string
 		query map[string]string
 	}{{"point", point}, {"scan", scan}} {
 		b.Run(bc.name, func(b *testing.B) {
 			body := gateFrame(b, bc.query)
-			before := g.Report()
 			var issued atomic.Int64
 			var wg sync.WaitGroup
 			b.ReportAllocs()
@@ -1019,9 +1031,6 @@ func BenchmarkGateRetrieveParallel(b *testing.B) {
 				}()
 			}
 			wg.Wait()
-			after := g.Report()
-			b.ReportMetric(float64(after.Batches-before.Batches)/float64(b.N), "batches/op")
-			b.ReportMetric(float64(after.CoalescedQueries-before.CoalescedQueries)/float64(b.N), "coalesced/op")
 		})
 	}
 }
@@ -1031,7 +1040,7 @@ func BenchmarkGateRetrieveParallel(b *testing.B) {
 // to BenchmarkGateRetrieve is the HTTP round trip and the client's
 // decode of the answer.
 func BenchmarkClientRetrieve(b *testing.B) {
-	g, point, scan := benchGate(b)
+	g, point, scan := benchGate(b, false)
 	srv := httptest.NewServer(g)
 	defer srv.Close()
 	c := client.New(srv.URL, client.WithAPIKey("bench-key"))

@@ -25,8 +25,7 @@ import (
 // AppendJSON appends r's JSON encoding to dst and returns the extended
 // slice.
 func (r *RetrieveResult) AppendJSON(dst []byte) []byte {
-	return appendResult(dst, r.APIVersion, r.Records, r.DeviceBuckets,
-		r.LargestResponseSize, r.TraceID, r.Coalesced, r.BatchSize)
+	return appendResult(dst, r.APIVersion, r.Records, r.DeviceBuckets, r.LargestResponseSize, r.TraceID)
 }
 
 // MarshalJSON implements json.Marshaler on top of AppendJSON.
@@ -35,27 +34,20 @@ func (r RetrieveResult) MarshalJSON() ([]byte, error) {
 }
 
 // AppendRetrieveResult appends the fx/v1 envelope of an engine result
-// to dst without first copying it into a RetrieveResult; batchSize is
-// the size of the coalesced dispatch the query rode in (1 when it ran
-// alone). An answer with no matches encodes as "records":[].
-func AppendRetrieveResult(dst []byte, res fxdist.RetrieveResult, batchSize int) []byte {
+// to dst without first copying it into a RetrieveResult. An answer with
+// no matches encodes as "records":[].
+func AppendRetrieveResult(dst []byte, res fxdist.RetrieveResult) []byte {
 	records := res.Records
 	if records == nil {
 		records = []fxdist.Record{}
 	}
-	coalesced := batchSize > 1
-	if !coalesced {
-		batchSize = 0
-	}
-	return appendResult(dst, APIVersion, records, res.DeviceBuckets,
-		res.LargestResponseSize, res.TraceID, coalesced, batchSize)
+	return appendResult(dst, APIVersion, records, res.DeviceBuckets, res.LargestResponseSize, res.TraceID)
 }
 
 // appendResult is the encoder: the struct's fields in declaration
-// order, nil slices as null, the three trailing fields omitted when
-// zero.
+// order, nil slices as null, the trace id omitted when zero.
 func appendResult[R ~[]string](dst []byte, apiVersion string, records []R, deviceBuckets []int,
-	largest int, traceID uint64, coalesced bool, batchSize int) []byte {
+	largest int, traceID uint64) []byte {
 	dst = appendString(append(dst, `{"api_version":`...), apiVersion)
 	dst = appendArray(append(dst, `,"records":`...), records, func(dst []byte, rec R) []byte {
 		return appendArray(dst, []string(rec), appendString)
@@ -64,12 +56,6 @@ func appendResult[R ~[]string](dst []byte, apiVersion string, records []R, devic
 	dst = appendInt(append(dst, `,"largest_response_size":`...), largest)
 	if traceID != 0 {
 		dst = strconv.AppendUint(append(dst, `,"trace_id":`...), traceID, 10)
-	}
-	if coalesced {
-		dst = append(dst, `,"coalesced":true`...)
-	}
-	if batchSize != 0 {
-		dst = appendInt(append(dst, `,"batch_size":`...), batchSize)
 	}
 	return append(dst, '}')
 }
@@ -186,7 +172,7 @@ func appendQuery(dst []byte, q map[string]string) []byte {
 // The keys of a result object, of a response frame (the ones
 // decodeResponse reads) and of a request frame.
 var (
-	resultKeys   = [...]string{"api_version", "records", "device_buckets", "largest_response_size", "trace_id", "coalesced", "batch_size"}
+	resultKeys   = [...]string{"api_version", "records", "device_buckets", "largest_response_size", "trace_id"}
 	responseKeys = [...]string{"result", "error"}
 	requestKeys  = [...]string{"jsonrpc", "id", "method", "params"}
 )
@@ -225,10 +211,6 @@ func (d *decoder) result(r *RetrieveResult) error {
 			if !d.null() {
 				r.TraceID, err = d.integer(false, 64)
 			}
-		case "coalesced":
-			err = d.bool(&r.Coalesced)
-		case "batch_size":
-			err = d.int(&r.BatchSize)
 		default:
 			err = d.skip()
 		}
@@ -729,19 +711,6 @@ func (d *decoder) int(dst *int) error {
 	return err
 }
 
-func (d *decoder) bool(dst *bool) error {
-	switch {
-	case d.null():
-	case d.literal("true"):
-		*dst = true
-	case d.literal("false"):
-		*dst = false
-	default:
-		return d.errorf("want true or false")
-	}
-	return nil
-}
-
 // ints decodes an array of integers into one exactly sized slice.
 func (d *decoder) ints() ([]int, error) {
 	if d.null() {
@@ -907,7 +876,7 @@ func (d *decoder) walkRecords(s *recordSink) error {
 			return nil
 		})
 		if s.fill {
-			// Capacity stops at the record's end so that appending to one
+			// Capacity stops at the record's end so that an append to one
 			// record cannot overwrite the next.
 			s.out = append(s.out, s.flat[first:len(s.flat):len(s.flat)])
 		}

@@ -20,8 +20,6 @@ type mirrorResult struct {
 	DeviceBuckets       []int      `json:"device_buckets"`
 	LargestResponseSize int        `json:"largest_response_size"`
 	TraceID             uint64     `json:"trace_id,omitempty"`
-	Coalesced           bool       `json:"coalesced,omitempty"`
-	BatchSize           int        `json:"batch_size,omitempty"`
 }
 
 // checkEncode holds the encoder to the oracle, directly and through
@@ -76,8 +74,8 @@ func checkDecode(t *testing.T, data []byte) bool {
 // buildResult turns fuzz arguments into a result: values split on the
 // unit separator, width fields to a record, shape bits choosing the
 // nil and empty corners.
-func buildResult(values string, width uint8, traceID uint64, batch int, shape uint8) *RetrieveResult {
-	r := &RetrieveResult{APIVersion: APIVersion, LargestResponseSize: batch, TraceID: traceID}
+func buildResult(values string, width uint8, traceID uint64, n int, shape uint8) *RetrieveResult {
+	r := &RetrieveResult{APIVersion: APIVersion, LargestResponseSize: n, TraceID: traceID}
 	if shape&1 != 0 {
 		r.APIVersion = values
 	}
@@ -98,10 +96,7 @@ func buildResult(values string, width uint8, traceID uint64, batch int, shape ui
 	case 1:
 		r.DeviceBuckets = []int{}
 	case 2:
-		r.DeviceBuckets = []int{batch, -batch, int(traceID >> 1)}
-	}
-	if shape&32 != 0 {
-		r.Coalesced, r.BatchSize = true, batch
+		r.DeviceBuckets = []int{n, -n, int(traceID >> 1)}
 	}
 	return r
 }
@@ -142,10 +137,10 @@ func FuzzRetrieveResultCodec(f *testing.F) {
 		f.Add([]byte(`{}`), "part-1\x1fq\"\\<&>\x1f\b\f\n\r\t\x00\x7f\x1f\xe2\x80\xa8\xc3\xa9\x1f\xff\xc0\x1f\x1f",
 			uint8(shape), uint64(shape)<<58, shape-3, uint8(shape))
 	}
-	f.Fuzz(func(t *testing.T, raw []byte, values string, width uint8, traceID uint64, batch int, shape uint8) {
+	f.Fuzz(func(t *testing.T, raw []byte, values string, width uint8, traceID uint64, n int, shape uint8) {
 		checkDecode(t, raw)
 
-		r := buildResult(values, width, traceID, batch, shape)
+		r := buildResult(values, width, traceID, n, shape)
 		enc := checkEncode(t, r)
 		if !checkDecode(t, enc) {
 			t.Fatalf("decoder rejected the encoder's output %q", enc)
@@ -172,14 +167,11 @@ func FuzzRetrieveResultCodec(f *testing.F) {
 		if viaCopy.Records == nil {
 			viaCopy.Records = [][]string{}
 		}
-		if batch > 1 {
-			viaCopy.Coalesced, viaCopy.BatchSize = true, batch
-		}
 		want, err := json.Marshal(mirrorResult(viaCopy))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := AppendRetrieveResult(nil, engine, batch); !bytes.Equal(got, want) {
+		if got := AppendRetrieveResult(nil, engine); !bytes.Equal(got, want) {
 			t.Fatalf("AppendRetrieveResult\n got %s\nwant %s", got, want)
 		}
 

@@ -204,11 +204,6 @@ type RetrieveResult struct {
 	LargestResponseSize int `json:"largest_response_size"`
 	// TraceID joins the retrieval against the serving node's traces.
 	TraceID uint64 `json:"trace_id,omitempty"`
-	// Coalesced reports that the gateway served this request as part of
-	// a cross-tenant batch of BatchSize shape-grouped queries (one plan
-	// compilation, one engine fan-out wave).
-	Coalesced bool `json:"coalesced,omitempty"`
-	BatchSize int  `json:"batch_size,omitempty"`
 }
 
 // BatchItem is one query's outcome inside a fx.retrieveBatch result:
@@ -230,7 +225,7 @@ type BatchResult struct {
 type ExplainResult struct {
 	APIVersion string `json:"api_version"`
 	// Shape is the query-shape key ('s' per specified field, '*' per
-	// unspecified) — the unit of plan caching, coalescing and auditing.
+	// unspecified) — the unit of plan caching, admission and auditing.
 	Shape string `json:"shape"`
 	// RQ is |R(q)|, Bound the paper's ceil(|R(q)|/M), M the device
 	// count.

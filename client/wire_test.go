@@ -141,9 +141,9 @@ func TestRetrieveResultGoldenShapes(t *testing.T) {
 		{"empty and nil records", RetrieveResult{APIVersion: APIVersion, Records: [][]string{{}, nil, {""}}, DeviceBuckets: []int{0}},
 			`{"api_version":"fx/v1","records":[[],null,[""]],"device_buckets":[0],"largest_response_size":0}`},
 		{"every key, in order", RetrieveResult{APIVersion: APIVersion, Records: [][]string{{"a", "b"}, {"c", "d"}},
-			DeviceBuckets: []int{2, 0, -1}, LargestResponseSize: 2, TraceID: 1<<64 - 1, Coalesced: true, BatchSize: 3},
+			DeviceBuckets: []int{2, 0, -1}, LargestResponseSize: 2, TraceID: 1<<64 - 1},
 			`{"api_version":"fx/v1","records":[["a","b"],["c","d"]],"device_buckets":[2,0,-1],"largest_response_size":2,` +
-				`"trace_id":18446744073709551615,"coalesced":true,"batch_size":3}`},
+				`"trace_id":18446744073709551615}`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -181,15 +181,15 @@ func TestRetrieveResultGoldenShapes(t *testing.T) {
 	}
 
 	// The gate's entry point: an engine result with no matches is
-	// "records":[] — never null — and a dispatch of one is not coalesced.
+	// "records":[] — never null.
 	engine := fxdist.RetrieveResult{DeviceBuckets: []int{0, 0}, TraceID: 7}
-	if got, want := string(AppendRetrieveResult(nil, engine, 1)),
+	if got, want := string(AppendRetrieveResult(nil, engine)),
 		`{"api_version":"fx/v1","records":[],"device_buckets":[0,0],"largest_response_size":0,"trace_id":7}`; got != want {
 		t.Errorf("AppendRetrieveResult\n got %s\nwant %s", got, want)
 	}
 	engine.Records = []fxdist.Record{{"a"}, nil}
-	if got, want := string(AppendRetrieveResult(nil, engine, 4)),
-		`{"api_version":"fx/v1","records":[["a"],null],"device_buckets":[0,0],"largest_response_size":0,"trace_id":7,"coalesced":true,"batch_size":4}`; got != want {
+	if got, want := string(AppendRetrieveResult(nil, engine)),
+		`{"api_version":"fx/v1","records":[["a"],null],"device_buckets":[0,0],"largest_response_size":0,"trace_id":7}`; got != want {
 		t.Errorf("AppendRetrieveResult\n got %s\nwant %s", got, want)
 	}
 
@@ -205,5 +205,18 @@ func TestRetrieveResultGoldenShapes(t *testing.T) {
 	want := RetrieveResult{Records: [][]string{{"a", ""}, nil}, DeviceBuckets: []int{1, 0}, LargestResponseSize: 5, TraceID: 9}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("decoded %#v, want %#v", got, want)
+	}
+
+	// A gate that still batched across callers marked its answers
+	// "coalesced" and "batch_size": a mixed-version fleet decodes them
+	// with both keys skipped.
+	old := `{"api_version":"fx/v1","records":[["a"]],"device_buckets":[1],"largest_response_size":1,"trace_id":3,"coalesced":true,"batch_size":5}`
+	got = RetrieveResult{}
+	if err := json.Unmarshal([]byte(old), &got); err != nil {
+		t.Fatal(err)
+	}
+	want = RetrieveResult{APIVersion: APIVersion, Records: [][]string{{"a"}}, DeviceBuckets: []int{1}, LargestResponseSize: 1, TraceID: 3}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("decoded an older gate's answer to %#v, want %#v", got, want)
 	}
 }

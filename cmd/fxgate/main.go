@@ -56,7 +56,6 @@ func run(args []string) error {
 	snapshot := fs.String("snapshot", "", "snapshot file: schema, records and allocator spec")
 	addrsArg := fs.String("addrs", "", "comma-separated fxnode device addresses; empty serves the snapshot in process")
 	tenantsPath := fs.String("tenants", "", "tenants config: JSON array of {name, api_key, rate_per_sec, burst, max_in_flight}")
-	maxBatch := fs.Int("max-batch", 64, "largest coalesced dispatch")
 	shedInflight := fs.Int("shed-inflight", 0, "shed requests beyond this many in flight gate-wide with 429/Retry-After (0 disables)")
 	shedRetryAfter := fs.Duration("shed-retry-after", 500*time.Millisecond, "Retry-After hint for front-door sheds")
 	burnShed := fs.Float64("burn-shed", 0, "SLO burn rate at which a query shape is refused admission (0 disables; needs -slo)")
@@ -105,7 +104,6 @@ func run(args []string) error {
 		File:              file,
 		Allocator:         alloc,
 		Tenants:           tenants,
-		MaxBatch:          *maxBatch,
 		MaxInFlight:       *shedInflight,
 		ShedRetryAfter:    *shedRetryAfter,
 		BurnShedThreshold: *burnShed,
@@ -141,8 +139,7 @@ func run(args []string) error {
 		return err
 	}
 	srv := &http.Server{Handler: mux}
-	fmt.Printf("fxgate: serving %d tenants on http://%s/rpc (backend %s, max batch %d)\n",
-		len(tenants), l.Addr(), cluster.Kind(), *maxBatch)
+	fmt.Printf("fxgate: serving %d tenants on http://%s/rpc (backend %s)\n", len(tenants), l.Addr(), cluster.Kind())
 
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)

@@ -91,7 +91,7 @@ func TestPublicDistributedRetrieval(t *testing.T) {
 
 // TestPublicReplicatedFailover: WithFailover is decided once, at Open,
 // and then holds on every road into the executor — single retrievals,
-// RetrieveBatch, and the gate's coalesced fx.retrieve — with one of the
+// RetrieveBatch, and the gate's fx.retrieve — with one of the
 // four replicated servers dead. A cluster opened without it fails on
 // the same roads, naming the device.
 func TestPublicReplicatedFailover(t *testing.T) {
@@ -160,8 +160,8 @@ func TestPublicReplicatedFailover(t *testing.T) {
 		t.Errorf("batch without WithFailover: err = %v, want a DeviceError naming device 2", err)
 	}
 
-	// The serving tier sends every query through RetrieveBatch (default
-	// coalescing), so it rides the same policy chain.
+	// The serving tier sends every query through a RetrieveBatch of
+	// one, so it rides the same policy chain.
 	g, err := gate.New(gate.Config{Cluster: coord, File: file, Allocator: fx,
 		Tenants: []gate.TenantConfig{{Name: "t", APIKey: "k"}}})
 	if err != nil {
@@ -182,7 +182,7 @@ func TestPublicReplicatedFailover(t *testing.T) {
 		}
 	}
 	if rep := g.Report(); rep.Batches == 0 {
-		t.Errorf("gate report %+v: fx.retrieve did not go through the coalescer's RetrieveBatch", rep)
+		t.Errorf("gate report %+v: fx.retrieve did not go through RetrieveBatch", rep)
 	}
 }
 

@@ -62,7 +62,7 @@ func gateFile(t *testing.T) (*fxdist.File, fxdist.GroupAllocator) {
 // with the observability surface mounted like cmd/fxgate mounts it.
 // Released slabs are poisoned for the test: request and response bodies
 // on both sides of the HTTP hop are pooled.
-func gateFixture(t *testing.T, tenants []gate.TenantConfig, maxBatch int, opts ...fxdist.Option) (*fxdist.Cluster, *gate.Gate, *httptest.Server) {
+func gateFixture(t *testing.T, tenants []gate.TenantConfig, opts ...fxdist.Option) (*fxdist.Cluster, *gate.Gate, *httptest.Server) {
 	t.Helper()
 	was := mempool.SetPoison(true)
 	t.Cleanup(func() { mempool.SetPoison(was) })
@@ -77,7 +77,6 @@ func gateFixture(t *testing.T, tenants []gate.TenantConfig, maxBatch int, opts .
 		File:      file,
 		Allocator: fx,
 		Tenants:   tenants,
-		MaxBatch:  maxBatch,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -101,28 +100,26 @@ func until(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// TestGateMultiTenantCoalescing is the coalescing acceptance test. One
-// query of tenant alpha is held inside the cluster (a fault injector
-// hangs its scan of device 0 until its context is cancelled), a burst
-// of 31 same-shape queries from two tenants queues behind it, and when
-// the held one is cancelled the gate must (a) have compiled the shape's
-// plan exactly once, (b) drive the 31 through at most ceil(31/maxBatch)
-// engine fan-outs, (c) return byte-identical records to every caller of
-// the same query — none touched by the leader's cancellation — and (d)
-// expose per-tenant audit rows at /debug/tenants. Runs under -race in
-// CI.
-func TestGateMultiTenantCoalescing(t *testing.T) {
+// TestGateMultiTenantBurst is the gate's multi-tenant acceptance test.
+// One query of tenant alpha is held inside the cluster (a fault injector
+// hangs its scan of device 0 until its context is cancelled), and a
+// burst of 31 same-shape queries from two tenants runs beside it. The
+// gate must (a) compile the shape's plan exactly once, (b) answer the
+// whole burst while the held query still hangs, one dispatch per query,
+// (c) return byte-identical records to every caller, the held one failing
+// alone when it is cancelled, and (d) expose per-tenant audit rows at
+// /debug/tenants. Runs under -race in CI.
+func TestGateMultiTenantBurst(t *testing.T) {
 	const (
 		perTenant = 16
-		n         = 2*perTenant - 1 // the burst; alpha's 16th query is the held leader
-		maxBatch  = 8
+		n         = 2*perTenant - 1 // the burst; alpha's 16th query is the held one
 	)
 	tenants := []gate.TenantConfig{
 		{Name: "alpha", APIKey: "key-alpha"},
 		{Name: "beta", APIKey: "key-beta"},
 	}
-	inj := fxdist.NewFaultInjector("gate-coalescing", 1, nil)
-	cluster, g, srv := gateFixture(t, tenants, maxBatch, fxdist.WithFaultInjector(inj))
+	inj := fxdist.NewFaultInjector("gate-burst", 1, nil)
+	cluster, g, srv := gateFixture(t, tenants, fxdist.WithFaultInjector(inj))
 
 	alpha := client.New(srv.URL+"/rpc", client.WithAPIKey("key-alpha"))
 	beta := client.New(srv.URL+"/rpc", client.WithAPIKey("key-beta"))
@@ -131,15 +128,15 @@ func TestGateMultiTenantCoalescing(t *testing.T) {
 
 	query := map[string]string{"supplier": "supplier-3"}
 
-	// The leader: in flight, alone, hanging in device 0.
+	// The held query: in flight, hanging in device 0.
 	inj.Set(0, fxdist.FaultSchedule{Hang: true})
-	leaderCtx, cancelLeader := context.WithCancel(context.Background())
-	leaderErr := make(chan error, 1)
+	heldCtx, cancelHeld := context.WithCancel(context.Background())
+	heldErr := make(chan error, 1)
 	go func() {
-		_, err := alpha.Retrieve(leaderCtx, query)
-		leaderErr <- err
+		_, err := alpha.Retrieve(heldCtx, query)
+		heldErr <- err
 	}()
-	until(t, "leader hanging in device 0", func() bool {
+	until(t, "held query hanging in device 0", func() bool {
 		for _, d := range inj.Report().Devices {
 			if d.Device == 0 && d.Delayed == 1 {
 				return true
@@ -147,7 +144,7 @@ func TestGateMultiTenantCoalescing(t *testing.T) {
 		}
 		return false
 	})
-	inj.Clear(0) // the leader already took the schedule; the burst will run free
+	inj.Clear(0) // the held query already took the schedule; the burst runs free
 
 	results := make([]*client.RetrieveResult, n)
 	errs := make([]error, n)
@@ -163,22 +160,20 @@ func TestGateMultiTenantCoalescing(t *testing.T) {
 			results[i], errs[i] = c.Retrieve(context.Background(), query)
 		}(i)
 	}
-	until(t, "the whole burst waiting behind the leader", func() bool { return g.Report().Waiting == n })
-	if rep := g.Report(); rep.Batches != 1 || rep.CoalescedQueries != 0 {
-		t.Fatalf("while the leader is held: batches %d coalesced %d, want 1 and 0", rep.Batches, rep.CoalescedQueries)
-	}
-	cancelLeader()
-	if err := <-leaderErr; !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled leader: %v", err)
-	}
-	done.Wait()
-
+	done.Wait() // (b) nobody waits for the held query
 	for i, err := range errs {
 		if err != nil {
 			t.Fatalf("request %d: %v", i, err)
 		}
 	}
-	// Every handler has returned (the leader's notices its cancellation
+	if rep := g.Report(); rep.Batches != n+1 {
+		t.Fatalf("batches = %d with the held query in flight, want one per query (%d)", rep.Batches, n+1)
+	}
+	cancelHeld()
+	if err := <-heldErr; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled held query: %v", err)
+	}
+	// Every handler has returned (the held one's notices its cancellation
 	// on its own time), so every audit row is final.
 	until(t, "no request in flight", func() bool {
 		for _, row := range g.Report().Tenants {
@@ -190,22 +185,11 @@ func TestGateMultiTenantCoalescing(t *testing.T) {
 	})
 
 	// (a) one plan-cache compilation across both tenants.
-	pc := cluster.PlanCache()
-	if pc.Misses != 1 {
+	if pc := cluster.PlanCache(); pc.Misses != 1 {
 		t.Fatalf("plan cache misses = %d, want exactly 1 (shape compiled once across tenants)", pc.Misses)
 	}
 
-	// (b) the leader's fan-out plus at most ceil(N/maxBatch) for the burst.
-	rep := g.Report()
-	wantMax := uint64(1 + (n+maxBatch-1)/maxBatch)
-	if rep.Batches < 2 || rep.Batches > wantMax {
-		t.Fatalf("batches = %d, want 2..%d", rep.Batches, wantMax)
-	}
-	if rep.CoalescedQueries != n {
-		t.Fatalf("coalesced queries = %d, want %d", rep.CoalescedQueries, n)
-	}
-
-	// (c) byte-identical per-tenant results.
+	// (c) byte-identical per-tenant results ...
 	for i := 1; i < n; i++ {
 		if !reflect.DeepEqual(results[i].Records, results[0].Records) {
 			t.Fatalf("request %d records diverge from request 0", i)
@@ -213,11 +197,8 @@ func TestGateMultiTenantCoalescing(t *testing.T) {
 		if !reflect.DeepEqual(results[i].DeviceBuckets, results[0].DeviceBuckets) {
 			t.Fatalf("request %d device buckets diverge", i)
 		}
-		if !results[i].Coalesced || results[i].BatchSize < 2 {
-			t.Fatalf("request %d not marked coalesced (batch %d)", i, results[i].BatchSize)
-		}
 	}
-	// ... and identical to an uncoalesced retrieval of the same query.
+	// ... and identical to a retrieval straight from the cluster.
 	pm, err := cluster.Spec(query)
 	if err != nil {
 		t.Fatal(err)
@@ -227,7 +208,7 @@ func TestGateMultiTenantCoalescing(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(direct.Records) != len(results[0].Records) {
-		t.Fatalf("coalesced result has %d records, direct retrieval %d",
+		t.Fatalf("gate result has %d records, direct retrieval %d",
 			len(results[0].Records), len(direct.Records))
 	}
 
@@ -248,16 +229,13 @@ func TestGateMultiTenantCoalescing(t *testing.T) {
 		t.Fatalf("tenant rows = %d, want 2", len(doc.Tenants))
 	}
 	for _, row := range doc.Tenants {
-		// alpha's 16th is the leader: it ran alone and failed, as cancelled.
-		coalesced, failed := uint64(perTenant), uint64(0)
+		// alpha's 16th is the held query: it failed, as cancelled.
+		failed := uint64(0)
 		if row.Name == "alpha" {
-			coalesced, failed = perTenant-1, 1
+			failed = 1
 		}
-		if row.Requests != perTenant {
-			t.Fatalf("tenant %s requests = %d, want %d", row.Name, row.Requests, perTenant)
-		}
-		if row.Coalesced != coalesced || row.Errors != failed {
-			t.Fatalf("tenant %s coalesced = %d errors = %d, want %d and %d", row.Name, row.Coalesced, row.Errors, coalesced, failed)
+		if row.Requests != perTenant || row.Errors != failed {
+			t.Fatalf("tenant %s requests = %d errors = %d, want %d and %d", row.Name, row.Requests, row.Errors, perTenant, failed)
 		}
 		if len(row.Shapes) != 1 || row.Shapes[0].Shape != "*s*" {
 			t.Fatalf("tenant %s shape rows = %+v, want one *s* row", row.Name, row.Shapes)
@@ -269,7 +247,7 @@ func TestGateMultiTenantCoalescing(t *testing.T) {
 
 	// The engine's wide events carry the tenant dimension for both. Which
 	// of the burst's were kept depends on the shape's process-wide sample
-	// counter, so the check does not: alpha's cancelled leader is kept as
+	// counter, so the check does not: alpha's cancelled query is kept as
 	// an error, and of any 16 consecutive queries of a shape (the sampler's
 	// 1-in-16) one is kept — beta sends 16, one after the other.
 	for i := 0; i < 16; i++ {
@@ -296,7 +274,7 @@ func TestGateQuotaIsolation(t *testing.T) {
 		{Name: "small", APIKey: "key-small", RatePerSec: 0.01, Burst: 1},
 		{Name: "big", APIKey: "key-big"},
 	}
-	_, _, srv := gateFixture(t, tenants, 8)
+	_, _, srv := gateFixture(t, tenants)
 
 	small := client.New(srv.URL+"/rpc", client.WithAPIKey("key-small"))
 	big := client.New(srv.URL+"/rpc", client.WithAPIKey("key-big"))
@@ -357,7 +335,7 @@ func TestGateQuotaIsolation(t *testing.T) {
 // and fx.health, plus unknown-method classification.
 func TestGateMethodSurface(t *testing.T) {
 	tenants := []gate.TenantConfig{{Name: "solo", APIKey: "key-solo"}}
-	cluster, _, srv := gateFixture(t, tenants, 8)
+	cluster, _, srv := gateFixture(t, tenants)
 
 	c := client.New(srv.URL+"/rpc", client.WithAPIKey("key-solo"))
 	defer c.Close()

@@ -95,15 +95,15 @@ var (
 		optional: []string{"slo_target_ns", "slo_goal", "slo_good", "slo_bad", "slo_burn_rate"},
 		added:    []string{"mismatches"},
 	}
-	// /debug/tenants, pinned as of PR 17, which took coalesce_window_ms
-	// out with the window itself: the key must not come back.
+	// /debug/tenants. Cross-tenant coalescing took coalesce_window_ms,
+	// max_batch, waiting and both coalesced_queries out: none may come back.
 	tenantsReportKeys = keySet{
-		required: []string{"max_batch", "waiting", "batches", "coalesced_queries", "direct_batches",
+		required: []string{"batches", "direct_batches",
 			"rate_limited", "quota_rejected", "burn_sheds", "front_sheds", "tenants"},
 	}
 	tenantRowKeys = keySet{
 		required: []string{"name", "in_flight", "requests", "rate_limited", "quota_rejected", "shed",
-			"errors", "coalesced_queries"},
+			"errors"},
 		optional: []string{"rate_per_sec", "max_in_flight", "shapes"},
 	}
 	tenantShapeKeys = keySet{

@@ -34,9 +34,6 @@ func NewNetwork(m int) (*Network, error) {
 	return &Network{m: m, stages: bitsx.Log2(m)}, nil
 }
 
-// Nodes returns M.
-func (nw *Network) Nodes() int { return nw.m }
-
 // Stages returns log2(M).
 func (nw *Network) Stages() int { return nw.stages }
 
@@ -145,34 +142,19 @@ func (nw *Network) Run(msgs []Message) (NetworkStats, error) {
 	return stats, nil
 }
 
-// Gather builds the message list for collecting loads[i] result messages
-// from every node i at a single front-end node.
-func (nw *Network) Gather(loads []int, frontEnd int) ([]Message, error) {
-	if frontEnd < 0 || frontEnd >= nw.m {
-		return nil, fmt.Errorf("analysis: front end %d outside [0,%d)", frontEnd, nw.m)
-	}
-	return nw.messages(loads, func() int { return frontEnd })
-}
-
 // Repartition builds the all-to-all message list of a parallel operator
 // (e.g. the Butterfly projection work the paper cites): node i holds
-// loads[i] tuples, each rehashed to a pseudo-random destination.
-// Deterministic for a seed.
+// loads[i] tuples, each rehashed to a pseudo-random destination, in node
+// order. Deterministic for a seed.
 func (nw *Network) Repartition(loads []int, seed int64) ([]Message, error) {
-	r := rand.New(rand.NewSource(seed))
-	return nw.messages(loads, func() int { return r.Intn(nw.m) })
-}
-
-// messages sends loads[i] messages from every node i, in node order, each
-// to the next dst().
-func (nw *Network) messages(loads []int, dst func() int) ([]Message, error) {
 	if len(loads) != nw.m {
 		return nil, fmt.Errorf("analysis: %d loads for %d nodes", len(loads), nw.m)
 	}
+	r := rand.New(rand.NewSource(seed))
 	var msgs []Message
 	for src, n := range loads {
 		for i := 0; i < n; i++ {
-			msgs = append(msgs, Message{Src: src, Dst: dst()})
+			msgs = append(msgs, Message{Src: src, Dst: r.Intn(nw.m)})
 		}
 	}
 	return msgs, nil

@@ -19,8 +19,8 @@ func TestNewValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if nw.Nodes() != 8 || nw.Stages() != 3 {
-		t.Errorf("Nodes=%d Stages=%d", nw.Nodes(), nw.Stages())
+	if nw.Stages() != 3 {
+		t.Errorf("Stages=%d", nw.Stages())
 	}
 }
 
@@ -68,40 +68,8 @@ func TestNetworkRunValidation(t *testing.T) {
 	if err != nil || stats.Cycles != 0 || stats.Delivered != 0 {
 		t.Errorf("empty run = %+v, %v", stats, err)
 	}
-}
-
-// Gather to one node serialises on the final link: cycles ~ total
-// messages (+ pipeline latency), regardless of distribution.
-func TestGatherSerialisesAtSink(t *testing.T) {
-	nw, _ := NewNetwork(8)
-	loads := []int{5, 5, 5, 5, 5, 5, 5, 5}
-	msgs, err := nw.Gather(loads, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stats, err := nw.Run(msgs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := 40
-	if stats.Delivered != total {
-		t.Fatalf("delivered %d", stats.Delivered)
-	}
-	if stats.Cycles < total {
-		t.Errorf("cycles %d below sink serialisation bound %d", stats.Cycles, total)
-	}
-	if stats.Cycles > total+nw.Stages()+2 {
-		t.Errorf("cycles %d far above bound %d", stats.Cycles, total+nw.Stages())
-	}
-}
-
-func TestGatherValidation(t *testing.T) {
-	nw, _ := NewNetwork(4)
-	if _, err := nw.Gather([]int{1, 2}, 0); err == nil {
+	if _, err := nw.Repartition([]int{1, 2}, 1); err == nil {
 		t.Error("wrong load count accepted")
-	}
-	if _, err := nw.Gather([]int{1, 1, 1, 1}, 7); err == nil {
-		t.Error("out-of-range front end accepted")
 	}
 }
 

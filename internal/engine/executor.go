@@ -229,7 +229,8 @@ func (e *Executor) planFor(q query.Query) (*plancache.Plan, bool, error) {
 
 // callerKey carries the retrieval's caller attribution (a gateway
 // tenant name, a batch job id, ...) through the context; callersKey
-// carries a batch-aligned slice for coalesced multi-tenant batches.
+// carries a batch-aligned slice for a batch run on behalf of several
+// callers.
 type callerKey struct{}
 type callersKey struct{}
 
@@ -271,8 +272,8 @@ func callerFromContext(ctx context.Context) string {
 // ContextWithCallers returns ctx attributing the queries of a batch
 // retrieval to callers, index-aligned with the batch: query i of a
 // RetrieveBatch under this context is attributed to callers[i]. This is
-// how a coalescing gateway drives one engine batch on behalf of many
-// tenants and still gets per-tenant wide events.
+// how a gateway drives one engine batch on behalf of many tenants and
+// still gets per-tenant wide events.
 func ContextWithCallers(ctx context.Context, callers []string) context.Context {
 	if len(callers) == 0 {
 		return ctx

@@ -29,7 +29,6 @@ type TenantRow struct {
 	QuotaRejected uint64           `json:"quota_rejected"`
 	Shed          uint64           `json:"shed"`
 	Errors        uint64           `json:"errors"`
-	Coalesced     uint64           `json:"coalesced_queries"`
 	RatePerSec    float64          `json:"rate_per_sec,omitempty"`
 	MaxInFlight   int              `json:"max_in_flight,omitempty"`
 	Shapes        []TenantShapeRow `json:"shapes,omitempty"`
@@ -38,13 +37,13 @@ type TenantRow struct {
 // Report is the /debug/tenants document: the gate's dispatch counters
 // plus one row per tenant. Batches counts every Cluster.RetrieveBatch
 // the gate made, DirectBatches those that were one tenant's explicit
-// fx.retrieveBatch, CoalescedQueries the queries that left a backlog in
-// a dispatch of two or more, Waiting the queries in a backlog now.
+// fx.retrieveBatch.
 type Report struct {
-	MaxBatch         int         `json:"max_batch"`
-	Waiting          int         `json:"waiting"`
-	Batches          uint64      `json:"batches"`
-	CoalescedQueries uint64      `json:"coalesced_queries"`
+	Batches uint64 `json:"batches"`
+	// CoalescedQueries is always 0: the gate no longer batches queries
+	// across callers. The field stays, off the wire, because the load
+	// harness under bench/ reads it.
+	CoalescedQueries uint64      `json:"-"`
 	DirectBatches    uint64      `json:"direct_batches"`
 	RateLimited      uint64      `json:"rate_limited"`
 	QuotaRejected    uint64      `json:"quota_rejected"`
@@ -57,12 +56,9 @@ type Report struct {
 // /debug/tenants).
 func (g *Gate) Report() Report {
 	rep := Report{
-		MaxBatch:         g.cfg.MaxBatch,
-		Waiting:          g.co.waiting(),
-		Batches:          g.metrics.batches.Value(),
-		CoalescedQueries: g.metrics.coalesced.value(),
-		DirectBatches:    g.directBatch.Load(),
-		BurnSheds:        g.burnSheds.Load(),
+		Batches:       g.metrics.batches.Value(),
+		DirectBatches: g.directBatch.Load(),
+		BurnSheds:     g.burnSheds.Load(),
 	}
 	for _, t := range g.tenants.all() {
 		t.mu.Lock()
@@ -73,7 +69,6 @@ func (g *Gate) Report() Report {
 			QuotaRejected: t.series.rejected[quota].value(),
 			Shed:          t.series.rejected[shed].value(),
 			Errors:        t.errors,
-			Coalesced:     t.coalesced,
 			RatePerSec:    t.cfg.RatePerSec,
 			MaxInFlight:   t.cfg.MaxInFlight,
 		}
@@ -115,13 +110,11 @@ func (g *Gate) DebugHandler() http.Handler {
 			func() (any, error) { return g.Report(), nil },
 			func(w io.Writer, doc any) {
 				rep := doc.(Report)
-				fmt.Fprintf(w, "fxgate: max-batch %d  waiting %d\n", rep.MaxBatch, rep.Waiting)
-				fmt.Fprintf(w, "batches %d  coalesced %d  direct %d  rate-limited %d  quota %d  burn-sheds %d  front-sheds %d\n\n",
-					rep.Batches, rep.CoalescedQueries, rep.DirectBatches,
-					rep.RateLimited, rep.QuotaRejected, rep.BurnSheds, rep.FrontSheds)
+				fmt.Fprintf(w, "fxgate: batches %d  direct %d  rate-limited %d  quota %d  burn-sheds %d  front-sheds %d\n\n",
+					rep.Batches, rep.DirectBatches, rep.RateLimited, rep.QuotaRejected, rep.BurnSheds, rep.FrontSheds)
 				for _, t := range rep.Tenants {
-					fmt.Fprintf(w, "tenant %s: req %d err %d coalesced %d rate-limited %d quota %d shed %d inflight %d\n",
-						t.Name, t.Requests, t.Errors, t.Coalesced, t.RateLimited, t.QuotaRejected, t.Shed, t.InFlight)
+					fmt.Fprintf(w, "tenant %s: req %d err %d rate-limited %d quota %d shed %d inflight %d\n",
+						t.Name, t.Requests, t.Errors, t.RateLimited, t.QuotaRejected, t.Shed, t.InFlight)
 					for _, s := range t.Shapes {
 						fmt.Fprintf(w, "  %-12s q %-7d err %-5d mean %7.3fms max %7.3fms\n",
 							s.Shape, s.Queries, s.Errors, s.MeanMillis, s.MaxMillis)

@@ -4,14 +4,13 @@
 //
 // The gate authenticates tenants by API key, enforces per-tenant token
 // buckets and in-flight quotas, sheds load when the cluster's SLO burn
-// rate says a query shape is over budget, and — its reason to exist —
-// coalesces concurrent requests across tenants: retrievals of a shape
-// that arrive while a dispatch of that shape is in flight leave
-// together through one Cluster.RetrieveBatch when it returns, so the
-// plan cache compiles each shape once and the engine fans out once per
-// batch (coalesce.go has the rule). Results are demultiplexed back to
-// each tenant, and per-tenant wide events are preserved via
-// fxdist.ContextWithCallers. See DESIGN §11.
+// rate says a query shape is over budget, and attributes every query to
+// its tenant: on /debug/tenants, in the fxgate_* series and, through the
+// caller's context, in the engine's wide events. Every fx.retrieve is
+// one dispatch of its own, on its caller's goroutine and under its
+// caller's context; an fx.retrieveBatch is one dispatch of the tenant's
+// queries. The plan cache already compiles each shape once, and a
+// query's cost is its own fan-out (DESIGN §11).
 package gate
 
 import (
@@ -41,8 +40,6 @@ type Config struct {
 	Allocator fxdist.GroupAllocator
 	// Tenants declares the tenant set (at least one).
 	Tenants []TenantConfig
-	// MaxBatch bounds one coalesced dispatch (default 64).
-	MaxBatch int
 	// MaxInFlight bounds requests in flight across all tenants; beyond
 	// it the front door sheds with 429/Retry-After before touching the
 	// cluster. 0 disables.
@@ -61,7 +58,6 @@ type Config struct {
 }
 
 const (
-	defaultMaxBatch       = 64
 	defaultShedRetryAfter = 500 * time.Millisecond
 	defaultBurnRetryAfter = time.Second
 )
@@ -71,11 +67,11 @@ const (
 type Gate struct {
 	cfg      Config
 	tenants  *tenantSet
-	co       coalescer
 	requests sync.Pool // recycled *request (ServeHTTP)
 	start    time.Time
 
 	inFlight atomic.Int64
+	closed   atomic.Bool
 
 	// directBatch counts the dispatches that were one tenant's explicit
 	// fx.retrieveBatch, burnSheds the queries shed on their shape's SLO
@@ -103,9 +99,6 @@ func New(cfg Config) (*Gate, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.MaxBatch <= 0 {
-		cfg.MaxBatch = defaultMaxBatch
-	}
 	if cfg.ShedRetryAfter <= 0 {
 		cfg.ShedRetryAfter = defaultShedRetryAfter
 	}
@@ -118,14 +111,14 @@ func New(cfg Config) (*Gate, error) {
 		start:   time.Now(),
 	}
 	g.metrics = newGateMetrics(func() float64 { return float64(g.inFlight.Load()) })
-	g.co.backlog = make(map[string][]*pending)
-	g.requests.New = func() any { return newRequest() }
+	g.requests.New = func() any { return new(request) }
 	return g, nil
 }
 
-// Close refuses further retrievals. In-flight dispatches finish;
-// queries still waiting in a backlog are failed with overloaded.
-func (g *Gate) Close() { g.co.close() }
+// Close refuses further retrievals as overloaded ("gate shutting
+// down"). Dispatches already in flight finish on their callers'
+// goroutines: there is nothing for Close to wait for.
+func (g *Gate) Close() { g.closed.Store(true) }
 
 // SetShedding re-arms the front door's global in-flight shed at
 // runtime, symmetric with netdist.Server.SetShedding.
@@ -185,22 +178,23 @@ func (g *Gate) spec(query [][2]string, into fxdist.PartialMatch) (fxdist.Partial
 	return pm, nil
 }
 
-// retrieve serves one tenant query in rq, returning the engine result
-// plus the size of the dispatch it rode in (1 when it ran alone).
-func (g *Gate) retrieve(ctx context.Context, t *tenant, pm fxdist.PartialMatch, rq *request) (fxdist.RetrieveResult, int, error) {
+// retrieve serves one tenant query in rq as a dispatch of its own.
+func (g *Gate) retrieve(ctx context.Context, t *tenant, pm fxdist.PartialMatch, rq *request) (fxdist.RetrieveResult, error) {
 	shape := shapeOf(pm)
 	if e := g.admitShape(shape); e != nil {
-		return fxdist.RetrieveResult{}, 0, e
+		t.reject(g.metrics.reg, burn)
+		return fxdist.RetrieveResult{}, e
 	}
 	start := time.Now()
-	res, batch, err := g.do(ctx, t, shape, pm, rq)
-	t.observe(shape, time.Since(start), batch > 1, err)
-	return res, batch, err
+	rq.caller, rq.pms[0] = engine.Caller{Context: ctx, Name: t.cfg.Name}, pm
+	res, errs := g.dispatch(&rq.caller, rq.pms[:])
+	err := errAt(errs, 0)
+	t.observe(shape, time.Since(start), err)
+	return res[0], err
 }
 
-// retrieveBatch serves an explicit tenant batch as one dispatch of its
-// own (the caller already batched; queueing behind its shapes' backlogs
-// would only add latency), with every query attributed to the tenant.
+// retrieveBatch serves an explicit tenant batch as one dispatch, with
+// every query attributed to the tenant.
 func (g *Gate) retrieveBatch(ctx context.Context, t *tenant, pms []fxdist.PartialMatch, rq *request) ([]fxdist.RetrieveResult, []error) {
 	shapes := make([]string, len(pms))
 	errs := make([]error, len(pms))
@@ -228,7 +222,69 @@ func (g *Gate) retrieveBatch(ctx context.Context, t *tenant, pms []fxdist.Partia
 	}
 	elapsed := time.Since(start)
 	for i := range pms {
-		t.observe(shapes[i], elapsed, false, errs[i])
+		t.observe(shapes[i], elapsed, errs[i])
 	}
 	return results, errs
+}
+
+// dispatch is the gate's only road to the cluster: one
+// Cluster.RetrieveBatch, its joined error split back into one per
+// query, so a failure stays with the query — and the tenant — it
+// belongs to. Attribution rides ctx. A closed gate refuses every query.
+func (g *Gate) dispatch(ctx context.Context, pms []fxdist.PartialMatch) ([]fxdist.RetrieveResult, []error) {
+	if g.closed.Load() {
+		errs := make([]error, len(pms))
+		for i := range errs {
+			errs[i] = fxdist.NewError(fxdist.ErrCodeOverloaded, "gate shutting down")
+		}
+		return make([]fxdist.RetrieveResult, len(pms)), errs
+	}
+	g.metrics.batches.Inc()
+	res, err := g.cfg.Cluster.RetrieveBatch(ctx, pms)
+	return res, splitBatchError(err, len(pms))
+}
+
+// splitBatchError demultiplexes Cluster.RetrieveBatch's joined error
+// (one *fxdist.QueryError per failed query) into per-query errors, nil
+// when no query failed. A cause that names no query lands on every slot
+// that has none.
+func splitBatchError(err error, n int) []error {
+	if err == nil {
+		return nil
+	}
+	per := make([]error, n)
+	var rest []error
+	var walk func(error)
+	walk = func(e error) {
+		if joined, ok := e.(interface{ Unwrap() []error }); ok {
+			for _, sub := range joined.Unwrap() {
+				walk(sub)
+			}
+			return
+		}
+		var qe *fxdist.QueryError
+		if errors.As(e, &qe) && qe.Index >= 0 && qe.Index < n {
+			per[qe.Index] = qe.Err
+			return
+		}
+		rest = append(rest, e)
+	}
+	walk(err)
+	if len(rest) > 0 {
+		fallback := errors.Join(rest...)
+		for i := range per {
+			if per[i] == nil {
+				per[i] = fallback
+			}
+		}
+	}
+	return per
+}
+
+// errAt is query i's error in a splitBatchError result.
+func errAt(errs []error, i int) error {
+	if errs == nil {
+		return nil
+	}
+	return errs[i]
 }

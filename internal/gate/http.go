@@ -40,7 +40,7 @@ func (g *Gate) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	rq := g.requests.Get().(*request)
 	defer func() { // unless the context ended: then something may still read rq
 		if r.Context().Err() == nil {
-			*rq = request{params: rq.params, spec: rq.spec, wait: pending{done: rq.wait.done}}
+			*rq = request{params: rq.params, spec: rq.spec}
 			g.requests.Put(rq)
 		}
 	}()
@@ -104,23 +104,20 @@ func (g *Gate) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // request is the memory a ServeHTTP call serves its first frame from. It
 // is recycled when ServeHTTP returns, the answer written and released,
 // unless the request's context ended first: only then can something still
-// read it — the round of a follower that gave up, or the devices of a
-// retrieval the engine abandoned. Nothing in it reaches net/http.
+// read it: the devices of a retrieval the engine abandoned. Nothing in
+// it reaches net/http.
 type request struct {
 	one    [1]client.Request
 	params client.Params
 	spec   fxdist.PartialMatch
 	pms    [1]fxdist.PartialMatch
 	caller engine.Caller
-	wait   pending
 	ans    answer
 }
 
-func newRequest() *request { return &request{wait: pending{done: make(chan outcome, 1)}} }
-
 // serveOne is serveFrame in memory of its own: a batch envelope's later frames.
 func (g *Gate) serveOne(r *http.Request, t *tenant, req *client.Request) (frame, int) {
-	return g.serveFrame(newRequest(), r, t, req)
+	return g.serveFrame(new(request), r, t, req)
 }
 
 // serveFrame admits and runs one JSON-RPC frame in rq, returning its
@@ -171,9 +168,6 @@ func (g *Gate) serveFrame(rq *request, r *http.Request, t *tenant, req *client.R
 	}
 	g.metrics.latency.ObserveSince(start)
 	if herr != nil {
-		if herr.Code == fxdist.ErrCodeOverloaded {
-			t.reject(g.metrics.reg, burn)
-		}
 		status := http.StatusOK
 		switch herr.Code {
 		case fxdist.ErrCodeRateLimited, fxdist.ErrCodeOverloaded:

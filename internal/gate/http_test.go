@@ -57,23 +57,18 @@ func wireFixture(t testing.TB) *Gate {
 // oldWireResult is the copy the gate made of every engine result
 // before it encoded answers itself; the tests below keep it as the
 // reference for what goes on the wire.
-func oldWireResult(res fxdist.RetrieveResult, batch int) *client.RetrieveResult {
+func oldWireResult(res fxdist.RetrieveResult) *client.RetrieveResult {
 	records := make([][]string, len(res.Records))
 	for i, rec := range res.Records {
 		records[i] = rec
 	}
-	out := &client.RetrieveResult{
+	return &client.RetrieveResult{
 		APIVersion:          client.APIVersion,
 		Records:             records,
 		DeviceBuckets:       res.DeviceBuckets,
 		LargestResponseSize: res.LargestResponseSize,
 		TraceID:             res.TraceID,
 	}
-	if batch > 1 {
-		out.Coalesced = true
-		out.BatchSize = batch
-	}
-	return out
 }
 
 // oldResponse builds what the gate handed to json.Marshal for a frame
@@ -87,14 +82,14 @@ func oldResponse(t *testing.T, f frame) client.Response {
 	result := f.result
 	switch r := f.result.(type) {
 	case *answer:
-		result = oldWireResult(r.res, r.batch)
+		result = oldWireResult(r.res)
 	case batchAnswer:
 		items := make([]client.BatchItem, len(r))
 		for i := range r {
 			if r[i].err != nil {
 				items[i].Error = r[i].err
 			} else {
-				items[i].Result = oldWireResult(r[i].res, r[i].batch)
+				items[i].Result = oldWireResult(r[i].res)
 			}
 		}
 		result = &client.BatchResult{APIVersion: client.APIVersion, Items: items}
@@ -279,7 +274,7 @@ func TestOversizeRequestIs413(t *testing.T) {
 
 // scanAnswer is a scan-sized engine result: n records of six fields.
 func scanAnswer(n int) *answer {
-	a := &answer{batch: 1, res: fxdist.RetrieveResult{DeviceBuckets: make([]int, 8), LargestResponseSize: 32, TraceID: 1 << 40}}
+	a := &answer{res: fxdist.RetrieveResult{DeviceBuckets: make([]int, 8), LargestResponseSize: 32, TraceID: 1 << 40}}
 	for i := 0; i < n; i++ {
 		s := "-" + strconv.Itoa(i)
 		a.res.Records = append(a.res.Records, fxdist.Record{"part" + s, "supplier" + s, "warehouse" + s, "bin" + s, "lot" + s, "grade" + s})

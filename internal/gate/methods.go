@@ -31,15 +31,12 @@ func (g *Gate) call(ctx context.Context, t *tenant, method string, rq *request) 
 	}
 }
 
-// answer is an fx.retrieve result: the engine's result and the size
-// of the dispatch it rode in, encoded by the client package's codec.
-type answer struct {
-	res   fxdist.RetrieveResult
-	batch int
-}
+// answer is an fx.retrieve result: the engine's result, encoded by the
+// client package's codec.
+type answer struct{ res fxdist.RetrieveResult }
 
 func (a *answer) appendJSON(dst []byte) []byte {
-	return client.AppendRetrieveResult(dst, a.res, a.batch)
+	return client.AppendRetrieveResult(dst, a.res)
 }
 
 // sizeHint is a close upper bound for an answer whose values need no
@@ -99,12 +96,12 @@ func (g *Gate) handleRetrieve(ctx context.Context, t *tenant, rq *request) (any,
 		return nil, e
 	}
 	rq.spec = pm
-	res, batch, err := g.retrieve(ctx, t, pm, rq)
+	res, err := g.retrieve(ctx, t, pm, rq)
 	if err != nil {
 		res.Release()
 		return nil, fxdist.Classify(err)
 	}
-	rq.ans = answer{res, batch}
+	rq.ans = answer{res}
 	return &rq.ans, nil
 }
 
@@ -132,7 +129,7 @@ func (g *Gate) handleRetrieveBatch(ctx context.Context, t *tenant, rq *request) 
 				items[i].err = client.FromError(fxdist.Classify(errs[j]))
 				continue
 			}
-			items[i].answer = answer{results[j], 1}
+			items[i].answer = answer{results[j]}
 		}
 	}
 	return items, nil

@@ -13,9 +13,8 @@ type gateMetrics struct {
 	reg     *obs.Registry
 	batches *obs.Counter
 	latency *obs.Histogram
-	// coalesced counts queries that shared a dispatch with shape-mates,
-	// unauthorized the requests no tenant's key admitted.
-	coalesced, unauthorized counter
+	// unauthorized counts the requests no tenant's key admitted.
+	unauthorized counter
 }
 
 // newGateMetrics builds the gate's registry; inFlight is read when
@@ -26,7 +25,7 @@ func newGateMetrics(inFlight func() float64) *gateMetrics {
 	return &gateMetrics{
 		reg: r,
 		batches: r.Counter("fxgate_batches_total",
-			"Coalesced batch dispatches driven through RetrieveBatch."),
+			"Cluster dispatches driven through RetrieveBatch."),
 		latency: r.Histogram("fxgate_request_seconds",
 			"End-to-end gate request latency.", nil),
 	}

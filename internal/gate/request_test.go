@@ -94,15 +94,15 @@ func TestServeHTTPAllocations(t *testing.T) {
 // servers whose frames the answers borrow. An answer holds over 170
 // records, more than the engine's 4 KB chunk, so its Records window is a
 // pooled slab the gate's release gives back, and requests recycle
-// windows as well. Device 0 answers after a millisecond, so rounds form
-// behind every dispatch, and a third of the requests are cancelled a
-// random moment after they are sent: some while they lead a dispatch, some while they wait in a
-// backlog as followers, some after they were answered. Every answer must
-// be File.Search's. A request recycled while something can still read
-// it — its round, its abandoned retrieval's devices — shows here as a
-// wrong answer, or as a race under -race (CI runs it ten times over).
+// windows as well. Device 0 answers after a millisecond, so dispatches
+// overlap, and a third of the requests are cancelled a random moment
+// after they are sent: some while their dispatch is in flight, some
+// after they were answered. Every answer must be File.Search's. A
+// request recycled while something can still read it — its abandoned
+// retrieval's devices — shows here as a wrong answer, or as a race under
+// -race (CI runs it ten times over).
 func TestRecycledRequestHammer(t *testing.T) {
-	h := heldGateOver(t, 8, 2000, true) // a backlog of 32: room for every caller and the cancelled
+	h := heldGateOver(t, 2000, true)
 	h.inj.Set(0, fxdist.FaultSchedule{Latency: time.Millisecond})
 	const callers, each, values = 16, 25, 8
 	want := make([][]string, values)
@@ -159,12 +159,8 @@ func TestRecycledRequestHammer(t *testing.T) {
 		}(int64(c))
 	}
 	wg.Wait()
-	solo := h.tenant("solo")
-	solo.mu.Lock()
-	coalesced := solo.coalesced
-	solo.mu.Unlock()
-	t.Logf("%d answered, %d of them coalesced; %d cancelled", answered.Load(), coalesced, cancelled.Load())
-	if coalesced == 0 || cancelled.Load() == 0 {
-		t.Errorf("%d queries coalesced and %d cancelled: the hammer formed no rounds or cancelled nothing", coalesced, cancelled.Load())
+	t.Logf("%d answered; %d cancelled", answered.Load(), cancelled.Load())
+	if cancelled.Load() == 0 {
+		t.Error("the hammer cancelled nothing")
 	}
 }

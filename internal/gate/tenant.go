@@ -64,9 +64,8 @@ type tenant struct {
 
 	inFlight int
 
-	errors    uint64
-	coalesced uint64 // queries served through a coalesced batch
-	shapes    map[string]*shapeStats
+	errors uint64
+	shapes map[string]*shapeStats
 
 	series tenantSeries
 }
@@ -123,7 +122,7 @@ func (t *tenant) release() {
 }
 
 // observe records one finished query for the tenant's audit slice.
-func (t *tenant) observe(shape string, elapsed time.Duration, coalesced bool, err error) {
+func (t *tenant) observe(shape string, elapsed time.Duration, err error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	ss := t.shapes[shape]
@@ -137,9 +136,6 @@ func (t *tenant) observe(shape string, elapsed time.Duration, coalesced bool, er
 	if err != nil {
 		ss.Errors++
 		t.errors++
-	}
-	if coalesced {
-		t.coalesced++
 	}
 }
 

@@ -312,7 +312,7 @@ func (dc *deviceConn) roundTrip(ctx context.Context, req Request, timeout time.D
 // Coordinator fans partial match queries out to the device servers and
 // merges their answers. It holds the file *schema* (for hashing query
 // values) but no data. Concurrent Retrieve calls pipeline over the same
-// device connections. Retrieval — single, batched, gate-coalesced or
+// device connections. Retrieval — single, batched, through the gate or
 // inside a rescale window — runs on one engine executor whose failure
 // handling is fixed at Dial (WithFailover, WithResilience).
 type Coordinator struct {

@@ -139,9 +139,8 @@ func ContextWithCaller(ctx context.Context, caller string) context.Context {
 
 // ContextWithCallers attributes the queries of one RetrieveBatch under
 // ctx to callers, index-aligned with the batch (query i is attributed
-// to callers[i]) — the seam a coalescing gateway uses to drive one
-// engine batch on behalf of many tenants and still get per-tenant wide
-// events.
+// to callers[i]) — the seam a gateway uses to drive one engine batch
+// on behalf of many tenants and still get per-tenant wide events.
 func ContextWithCallers(ctx context.Context, callers []string) context.Context {
 	return engine.ContextWithCallers(ctx, callers)
 }
