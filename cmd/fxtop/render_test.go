@@ -7,20 +7,19 @@ import (
 
 	"fxdist"
 	"fxdist/internal/obs"
-	"fxdist/internal/telemetry"
 )
 
 func testSnapshot(at time.Time, queries uint64) *snapshot {
 	rep := fxdist.FleetReport{
 		Cluster:   "netdist",
 		Generated: at,
-		Nodes: []telemetry.NodeRow{
+		Nodes: []obs.NodeRow{
 			{Node: "device-0", Alive: true, Pulls: 3, UptimeSeconds: 42},
 			{Node: "device-1", Alive: true, Pulls: 3, CoordErrors: 7, Flagged: true,
 				FlagReason: "coordinator observed 7 new transport errors since last pull"},
 			{Node: "device-2", Alive: false, Pulls: 1, Failures: 2, Err: "dial tcp: connection refused"},
 		},
-		Summary: telemetry.Summary{
+		Summary: obs.Summary{
 			Queries:               queries,
 			QueriesByShape:        map[string]uint64{"s**": queries - 4, "*s*": 4},
 			PlanCacheHitRate:      0.75,
@@ -28,7 +27,7 @@ func testSnapshot(at time.Time, queries uint64) *snapshot {
 			WorstDiscrepancyNode:  "device-1",
 			WorstDiscrepancyShape: "**s",
 		},
-		Merged: []telemetry.MetricSample{{
+		Merged: []obs.MetricSample{{
 			Name: "fxdist_netdist_server_request_seconds",
 			Kind: "histogram",
 			Histogram: &obs.HistogramSnapshot{

@@ -25,7 +25,6 @@ import (
 
 	"fxdist"
 	"fxdist/internal/analysis"
-	"fxdist/internal/audit"
 	"fxdist/internal/obs"
 )
 
@@ -174,7 +173,7 @@ func explainResult(cluster *fxdist.Cluster, file *fxdist.File, fs fxdist.FileSys
 	}
 	rq := q.NumQualified(fs)
 	m := len(res.DeviceBuckets)
-	bound := audit.Bound(rq, m)
+	bound := obs.Bound(rq, m)
 	fmt.Printf("    |R(q)|=%d devices=%d strict-optimal bound=ceil(%d/%d)=%d\n", rq, m, rq, m, bound)
 	for d, b := range res.DeviceBuckets {
 		verdict := "ok"

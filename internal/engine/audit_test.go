@@ -6,12 +6,11 @@ import (
 	"testing"
 	"time"
 
-	"fxdist/internal/audit"
 	"fxdist/internal/decluster"
 	"fxdist/internal/engine"
 	"fxdist/internal/mkhash"
+	"fxdist/internal/obs"
 	"fxdist/internal/query"
-	"fxdist/internal/telemetry"
 )
 
 // allocDevice answers with the exact qualified-bucket count the inverse
@@ -28,7 +27,7 @@ func (d allocDevice) Scan(_ context.Context, q query.Query, _ mkhash.PartialMatc
 
 // auditExec builds an executor whose devices realise alloc's bucket
 // placement, reporting into a private bundle in.
-func auditExec(t *testing.T, f *mkhash.File, fs decluster.FileSystem, alloc decluster.GroupAllocator, in *telemetry.Instruments) *engine.Executor {
+func auditExec(t *testing.T, f *mkhash.File, fs decluster.FileSystem, alloc decluster.GroupAllocator, in *obs.Instruments) *engine.Executor {
 	t.Helper()
 	im := query.NewInverseMapper(alloc)
 	devices := make([]engine.Device, fs.M)
@@ -65,8 +64,8 @@ func TestAuditorFlagsModuloSparesFX(t *testing.T) {
 	fxPM := mkhash.PartialMatch{nil, nil, &cval}  // shape "**s": unspecified {a,b}
 	modPM := mkhash.PartialMatch{nil, &cval, nil} // shape "*s*": unspecified {a,c}
 
-	fxAudit, modAudit := telemetry.New("engine-test-fx", audit.SLO{}), telemetry.New("engine-test-modulo", audit.SLO{})
-	run := func(a *telemetry.Instruments, alloc decluster.GroupAllocator, pm mkhash.PartialMatch) query.Query {
+	fxAudit, modAudit := obs.NewInstruments(obs.NewRegistry(), "engine-test-fx", obs.SLO{}), obs.NewInstruments(obs.NewRegistry(), "engine-test-modulo", obs.SLO{})
+	run := func(a *obs.Instruments, alloc decluster.GroupAllocator, pm mkhash.PartialMatch) query.Query {
 		e := auditExec(t, f, fs, alloc, a)
 		if _, err := e.Retrieve(context.Background(), pm); err != nil {
 			t.Fatal(err)
@@ -81,7 +80,7 @@ func TestAuditorFlagsModuloSparesFX(t *testing.T) {
 	modQ := run(modAudit, mod, modPM)
 
 	// Ground truth: the brute-force load vectors the auditor must agree with.
-	bound := audit.Bound(4, fs.M)
+	bound := obs.Bound(4, fs.M)
 	if got := query.LargestLoad(fx, fxQ); got != bound {
 		t.Fatalf("premise: FX largest load %d, want bound %d", got, bound)
 	}
@@ -116,7 +115,7 @@ func TestAuditorFlagsModuloSparesFX(t *testing.T) {
 // auditor with nil buckets — counted per shape, never a violation.
 func TestAuditorCountsFailedRetrievals(t *testing.T) {
 	f := testSchema(t)
-	a := telemetry.New("engine-test-fail", audit.SLO{})
+	a := obs.NewInstruments(obs.NewRegistry(), "engine-test-fail", obs.SLO{})
 	e, err := engine.New(planned(t, f, engine.Config{
 		Devices: []engine.Device{fixedDevice{err: errors.New("boom")}},
 		Instr:   a,
@@ -138,7 +137,7 @@ func TestAuditorCountsFailedRetrievals(t *testing.T) {
 	}
 }
 
-func shapeReport(t *testing.T, in *telemetry.Instruments, shape string) audit.ShapeReport {
+func shapeReport(t *testing.T, in *obs.Instruments, shape string) obs.ShapeAudit {
 	t.Helper()
 	for _, s := range in.AuditReport().Shapes {
 		if s.Shape == shape {
@@ -146,13 +145,13 @@ func shapeReport(t *testing.T, in *telemetry.Instruments, shape string) audit.Sh
 		}
 	}
 	t.Fatalf("audit has no shape %q", shape)
-	return audit.ShapeReport{}
+	return obs.ShapeAudit{}
 }
 
 // TestSLOThroughExecutor wires a latency objective through the executor:
 // a slow device makes every query of its shape bad.
 func TestSLOThroughExecutor(t *testing.T) {
-	a := telemetry.New("engine-test-slo", audit.SLO{Target: time.Nanosecond, Goal: 0.99})
+	a := obs.NewInstruments(obs.NewRegistry(), "engine-test-slo", obs.SLO{Target: time.Nanosecond, Goal: 0.99})
 	f := testSchema(t)
 	e, err := engine.New(planned(t, f, engine.Config{
 		Devices: []engine.Device{fixedDevice{ans: engine.Answer{Buckets: 1}}},

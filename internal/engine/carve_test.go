@@ -15,11 +15,11 @@ import (
 	"time"
 	"unsafe"
 
-	"fxdist/internal/audit"
 	"fxdist/internal/decluster"
 	"fxdist/internal/engine"
 	"fxdist/internal/mempool"
 	"fxdist/internal/mkhash"
+	"fxdist/internal/obs"
 	"fxdist/internal/query"
 	"fxdist/internal/retry"
 	"fxdist/internal/storage"
@@ -220,7 +220,7 @@ func TestKeptRetrievalAllocatesItsRecordAndDetail(t *testing.T) {
 		t.Skip("sync.Pool drops Puts under -race, so allocation counts are not exact")
 	}
 	f, c := memoryCluster(t)
-	c.Instruments().SetSLO(audit.SLO{Target: time.Nanosecond})
+	c.Instruments().SetSLO(obs.SLO{Target: time.Nanosecond})
 	pm, err := f.Spec(map[string]string{"make": "make3", "year": "1983"})
 	if err != nil {
 		t.Fatal(err)

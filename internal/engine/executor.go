@@ -18,7 +18,6 @@ import (
 	"fxdist/internal/plancache"
 	"fxdist/internal/query"
 	"fxdist/internal/retry"
-	"fxdist/internal/telemetry"
 )
 
 // Config assembles an Executor.
@@ -51,7 +50,7 @@ type Config struct {
 	// decision also drives tail-based trace retention and histogram
 	// exemplars (see report); its tracer holds the retrieval spans. Nil
 	// turns all of it off, the spans included.
-	Instr *telemetry.Instruments
+	Instr *obs.Instruments
 	// Alloc is the group allocator behind Devices (required). Its grid is
 	// what bucket queries are validated and counted against, and every
 	// plan is compiled under it: per-device qualified-bucket counts, which
@@ -70,7 +69,7 @@ type Executor struct {
 	schema *mkhash.File
 	fs     decluster.FileSystem
 	devs   []Device
-	in     *telemetry.Instruments
+	in     *obs.Instruments
 	span   string
 	alloc  decluster.GroupAllocator
 	plans  *plancache.Cache
@@ -146,7 +145,7 @@ func New(cfg Config) (*Executor, error) {
 func (e *Executor) Plans() *plancache.Cache { return e.plans }
 
 // Instruments returns the executor's reporting bundle (nil without one).
-func (e *Executor) Instruments() *telemetry.Instruments { return e.in }
+func (e *Executor) Instruments() *obs.Instruments { return e.in }
 
 // Retry returns the executor's retry controller (nil without one).
 func (e *Executor) Retry() *retry.Controller { return e.retry }
@@ -228,11 +227,8 @@ func (e *Executor) planFor(q query.Query) (*plancache.Plan, bool, error) {
 }
 
 // callerKey carries the retrieval's caller attribution (a gateway
-// tenant name, a batch job id, ...) through the context; callersKey
-// carries a batch-aligned slice for a batch run on behalf of several
-// callers.
+// tenant name, a batch job id, ...) through the context.
 type callerKey struct{}
-type callersKey struct{}
 
 // Caller is ContextWithCaller's context: retrievals under it are Name's.
 // Its owner may keep it in memory it reuses once nothing reads it.
@@ -267,25 +263,6 @@ func callerFromContext(ctx context.Context) string {
 		return c.Name
 	}
 	return ""
-}
-
-// ContextWithCallers returns ctx attributing the queries of a batch
-// retrieval to callers, index-aligned with the batch: query i of a
-// RetrieveBatch under this context is attributed to callers[i]. This is
-// how a gateway drives one engine batch on behalf of many tenants and
-// still gets per-tenant wide events.
-func ContextWithCallers(ctx context.Context, callers []string) context.Context {
-	if len(callers) == 0 {
-		return ctx
-	}
-	return context.WithValue(ctx, callersKey{}, callers)
-}
-
-// callersFromContext returns the batch-aligned caller attributions
-// carried by ctx, or nil.
-func callersFromContext(ctx context.Context) []string {
-	c, _ := ctx.Value(callersKey{}).([]string)
-	return c
 }
 
 // call is one in-flight fan-out: per-device answer slots plus an atomic
@@ -581,12 +558,14 @@ func (e *Executor) degrade(c *call) (Result, error) {
 // with it — and takes it through the bundle's three steps:
 //
 //  1. Audit — cluster metrics and the bound/placement/SLO audit, on
-//     scalars and the merged bucket counts, inside the audit stage;
-//  2. the audit stage closes, and Decide rules once, on scalars, whether
-//     the record is kept. Only a kept query (or a flight) copies the
-//     call's record and stages to the heap, one object, and pays for
-//     per-device detail, error text (and, a flight, the span's events);
-//  3. Commit — the sealed, immutable record goes to the store, which
+//     scalars and the merged bucket counts, inside the audit stage; it
+//     counts the query among its shape's;
+//  2. the audit stage closes, and Decide rules once, on scalars and that
+//     count, whether the record is kept. Only a kept query (or a flight)
+//     copies the call's record and stages to the heap, one object, and
+//     pays for per-device detail, error text (and, a flight, the span's
+//     events);
+//  3. Commit — the sealed, immutable record goes to the bundle, which
 //     keeps only a kept copy: the call's own record goes back with it.
 //
 // The same decision retains the trace and, for a retained one, gives the
@@ -626,11 +605,11 @@ func (e *Executor) report(c *call, res Result, err error) {
 			rec.Partial, rec.Coverage, failed = true, pe.Coverage, pe.Failed
 		}
 	}
-	in.Audit(rec)
+	n := in.Audit(rec)
 
 	c.closeStage(obs.StageAudit)
 	rec.Elapsed = c.lastStamp.Sub(c.started)
-	dec := in.Decide(rec)
+	dec := in.Decide(rec, n)
 	keep := dec.Kept || dec.Flight
 	rec.Stages = c.stages
 	if keep {
@@ -806,13 +785,8 @@ func (e *Executor) RetrieveBatch(ctx context.Context, pms []mkhash.PartialMatch)
 	// finished query's call goes back before the next one completes.
 	errs := errsPool.Get(len(pms))
 	calls := callsPool.Get(len(pms))
-	callers := callersFromContext(ctx)
-	defCaller := callerFromContext(ctx)
+	caller := callerFromContext(ctx)
 	for i, pm := range pms {
-		caller := defCaller
-		if i < len(callers) {
-			caller = callers[i]
-		}
 		calls[i], errs[i] = e.begin(ctx, pm, caller)
 	}
 	var results []Result

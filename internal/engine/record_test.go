@@ -8,21 +8,19 @@ import (
 	"testing"
 	"time"
 
-	"fxdist/internal/audit"
 	"fxdist/internal/decluster"
 	"fxdist/internal/engine"
 	"fxdist/internal/mkhash"
 	"fxdist/internal/obs"
 	"fxdist/internal/query"
-	"fxdist/internal/telemetry"
 )
 
 // privateBundle is the reporting seam's test double: a fresh bundle the
 // test can inspect afterwards, with the whole-query metrics of an
 // m-device cluster, as a storage cluster builds its own.
-func privateBundle(backend string, m int) *telemetry.Instruments {
-	in := telemetry.New(backend, audit.SLO{})
-	in.Metrics = telemetry.NewClusterMetrics(in.Registry, backend, m)
+func privateBundle(backend string, m int) *obs.Instruments {
+	in := obs.NewInstruments(obs.NewRegistry(), backend, obs.SLO{})
+	in.Metrics = obs.NewClusterMetrics(in.Registry, backend, m)
 	return in
 }
 
@@ -73,7 +71,7 @@ func TestOneRecordFeedsEverySink(t *testing.T) {
 		t.Errorf("view timestamps disagree with the record: start %v time %v record %v", flight.Start, event.Time, rec.Start)
 	}
 
-	bound := audit.Bound(4, fs.M)
+	bound := obs.Bound(4, fs.M)
 	if rec.Backend != "one-record" || rec.Shape != "*s*" || rec.Tenant != "acme" || rec.RQ != 4 || rec.Bound != bound {
 		t.Errorf("record identity wrong: %+v", rec)
 	}

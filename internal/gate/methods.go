@@ -6,7 +6,7 @@ import (
 
 	"fxdist"
 	"fxdist/client"
-	"fxdist/internal/audit"
+	"fxdist/internal/obs"
 )
 
 // methods is the method registry, in the order of a tenant's request
@@ -150,7 +150,7 @@ func (g *Gate) handleExplain(query [][2]string) (any, *fxdist.Error) {
 		APIVersion: client.APIVersion,
 		Shape:      q.Shape(),
 		RQ:         rq,
-		Bound:      audit.Bound(rq, m),
+		Bound:      obs.Bound(rq, m),
 		M:          m,
 	}
 	if g.cfg.Allocator != nil {

@@ -11,7 +11,6 @@ import (
 	"sync"
 	"time"
 
-	"fxdist/internal/audit"
 	"fxdist/internal/decluster"
 	"fxdist/internal/engine"
 	"fxdist/internal/mkhash"
@@ -20,7 +19,6 @@ import (
 	"fxdist/internal/query"
 	"fxdist/internal/resilience"
 	"fxdist/internal/retry"
-	"fxdist/internal/telemetry"
 )
 
 // ErrTimeout marks a per-device request that exceeded the coordinator's
@@ -323,7 +321,7 @@ type Coordinator struct {
 	epoch    int
 	spec     *decluster.Spec // WithSpec's, else nil until the servers agree on one at Dial
 	eng      *engine.Executor
-	in       *telemetry.Instruments
+	in       *obs.Instruments
 
 	// connMu guards conns so the health prober can replace a dead
 	// connection while retrievals are in flight.
@@ -344,7 +342,7 @@ type Coordinator struct {
 
 	// Metrics federation (PullStats / StartStatsPull): fed accumulates
 	// per-server NodeStats snapshots into the /debug/cluster fleet view.
-	fed *telemetry.Federator
+	fed *obs.Federator
 }
 
 // backend is the label of every coordinator's reporting: its audit,
@@ -416,9 +414,9 @@ func Dial(file *mkhash.File, addrs []string, opts ...DialOption) (*Coordinator, 
 	}
 	// Every instrument is the coordinator's own: a rescale's new-epoch
 	// coordinator audits its layout apart from the serving one's.
-	c.in = telemetry.New(backend, audit.SLO{})
+	c.in = obs.NewInstruments(newNodeRegistry(), backend, obs.SLO{})
 	c.in.Metrics = newCoordMetrics(c.in.Registry)
-	c.fed = telemetry.NewFederator(backend)
+	c.fed = obs.NewFederator(backend)
 	for i, addr := range addrs {
 		dc, err := c.dialDevice(context.Background(), addr)
 		if err != nil {
@@ -660,7 +658,7 @@ func (c *Coordinator) probeAll() {
 
 // Federator exposes the coordinator's fleet accumulator, the source of
 // its cluster's /debug/cluster.
-func (c *Coordinator) Federator() *telemetry.Federator { return c.fed }
+func (c *Coordinator) Federator() *obs.Federator { return c.fed }
 
 // nodeName is the federator's key for device dev — fixed by the
 // coordinator's own indexing so a failed pull and a successful one land
@@ -682,7 +680,7 @@ const coordinatorNode = "coordinator"
 // puts the fleet on the cluster's /debug/cluster. Returns the first pull
 // error, if any.
 func (c *Coordinator) PullStats(ctx context.Context) error {
-	c.fed.ObserveNode(coordinatorNode, telemetry.LocalNodeStats(coordinatorNode, c.in.Registry), 0)
+	c.fed.ObserveNode(coordinatorNode, obs.LocalNodeStats(coordinatorNode, c.in.Registry), 0)
 	c.connMu.RLock()
 	m := len(c.conns)
 	c.connMu.RUnlock()
@@ -699,9 +697,9 @@ func (c *Coordinator) PullStats(ctx context.Context) error {
 		if err == nil && len(resp.StatsJSON) == 0 {
 			err = errors.New("netdist: server answered stats pull without a snapshot (pre-stats peer?)")
 		}
-		var st telemetry.NodeStats
+		var st obs.NodeStats
 		if err == nil {
-			st, err = telemetry.DecodeNodeStats(resp.StatsJSON)
+			st, err = obs.DecodeNodeStats(resp.StatsJSON)
 		}
 		if err != nil {
 			c.fed.ObserveFailure(nodeName(dev), err, coordErrs)
@@ -826,7 +824,7 @@ func (c *Coordinator) M() int { return len(c.conns) }
 
 // Instruments returns the coordinator's reporting bundle, the store
 // behind its cluster's per-query /debug views.
-func (c *Coordinator) Instruments() *telemetry.Instruments { return c.in }
+func (c *Coordinator) Instruments() *obs.Instruments { return c.in }
 
 // Resilience snapshots the coordinator's retry controller and fault
 // injector (/debug/resilience).

@@ -3,14 +3,24 @@ package netdist
 import (
 	"strconv"
 
+	"fxdist/internal/mempool"
 	"fxdist/internal/obs"
-	"fxdist/internal/telemetry"
 )
+
+// newNodeRegistry returns a node's metric registry — a coordinator's or
+// a device server's — holding from the start the families that describe
+// its process: build identity, uptime and the slab pools' gauges.
+func newNodeRegistry() *obs.Registry {
+	r := obs.NewRegistry()
+	obs.RegisterBuildInfo(r)
+	mempool.RegisterMetrics(r)
+	return r
+}
 
 // newCoordMetrics registers the coordinator's whole-query instruments in
 // r, its bundle's registry.
-func newCoordMetrics(r *obs.Registry) *telemetry.Metrics {
-	return &telemetry.Metrics{
+func newCoordMetrics(r *obs.Registry) *obs.Metrics {
+	return &obs.Metrics{
 		Retrieves: r.Counter("fxdist_netdist_coordinator_retrieves_total",
 			"Distributed retrievals started by coordinators in this process."),
 		Errors: r.Counter("fxdist_netdist_coordinator_retrieve_errors_total",

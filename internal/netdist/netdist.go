@@ -33,7 +33,6 @@ import (
 	"fxdist/internal/obs"
 	"fxdist/internal/query"
 	"fxdist/internal/storage"
-	"fxdist/internal/telemetry"
 )
 
 // Request is one coordinator-to-device message.
@@ -154,7 +153,7 @@ type Response struct {
 	// retry budget honors it as the minimum backoff.
 	RetryAfterMillis int64
 	// StatsJSON answers a Stats request: the node's telemetry snapshot
-	// (telemetry.NodeStats) as an opaque JSON blob, so the frame layout
+	// (obs.NodeStats) as an opaque JSON blob, so the frame layout
 	// stays stable as metrics evolve. OpDescribe and OpDigest answer in
 	// it too. Trailing-optional on the binary wire; empty on every other
 	// response.
@@ -253,7 +252,7 @@ func NewServer(deviceID int, spec decluster.Spec, buckets storage.Partition) (*S
 		deviceID:    deviceID,
 		cur:         cur,
 		shapeCounts: make(map[string]*obs.Counter),
-		reg:         telemetry.NewRegistry(),
+		reg:         newNodeRegistry(),
 		tracer:      obs.NewTracer(serverSpans),
 		listeners:   make(map[net.Listener]struct{}),
 		conns:       make(map[net.Conn]struct{}),
@@ -297,8 +296,8 @@ func (s *Server) shapeCounter(shape []byte) *obs.Counter {
 
 // stats snapshots the server's registry for a Stats request.
 func (s *Server) stats(id uint64) Response {
-	st := telemetry.LocalNodeStats(nodeName(s.deviceID), s.reg)
-	b, err := telemetry.EncodeNodeStats(st)
+	st := obs.LocalNodeStats(nodeName(s.deviceID), s.reg)
+	b, err := obs.EncodeNodeStats(st)
 	if err != nil {
 		return Response{ID: id, Err: fmt.Sprintf("netdist: encode stats: %v", err)}
 	}

@@ -15,9 +15,9 @@ import (
 	"fxdist/internal/field"
 	"fxdist/internal/mempool"
 	"fxdist/internal/mkhash"
+	"fxdist/internal/obs"
 	"fxdist/internal/query"
 	"fxdist/internal/storage"
-	"fxdist/internal/telemetry"
 )
 
 func buildFile(t *testing.T, n int) *mkhash.File {
@@ -261,7 +261,7 @@ func TestServerRejectsMalformedRequests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := telemetry.DecodeNodeStats(resp.StatsJSON)
+	st, err := obs.DecodeNodeStats(resp.StatsJSON)
 	if err != nil {
 		t.Fatal(err)
 	}

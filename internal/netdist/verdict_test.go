@@ -4,13 +4,12 @@ import (
 	"fmt"
 	"testing"
 
-	"fxdist/internal/audit"
 	"fxdist/internal/decluster"
 	"fxdist/internal/engine"
 	"fxdist/internal/mkhash"
+	"fxdist/internal/obs"
 	"fxdist/internal/plancache"
 	"fxdist/internal/storage"
-	"fxdist/internal/telemetry"
 )
 
 // TestPlanVerdictMatchesMergedLoads is the premise of taking the bound
@@ -53,7 +52,7 @@ func TestPlanVerdictMatchesMergedLoads(t *testing.T) {
 			// Each cluster audits into its own bundle, empty at open.
 			for backend, be := range map[string]struct {
 				retrieve func(mkhash.PartialMatch) (engine.Result, error)
-				in       *telemetry.Instruments
+				in       *obs.Instruments
 			}{
 				"memory": {mem.Retrieve, mem.Instruments()}, "durable": {dur.Retrieve, dur.Instruments()}, "netdist": {coord.Retrieve, coord.Instruments()},
 			} {
@@ -76,7 +75,7 @@ func TestPlanVerdictMatchesMergedLoads(t *testing.T) {
 // shape's audit row, against the shape's compiled plan. It returns how
 // many shapes violate the bound.
 func planVerdictOnEveryShape(t *testing.T, what string, retrieve func(mkhash.PartialMatch) (engine.Result, error),
-	report func() audit.BackendReport, file *mkhash.File, alloc decluster.GroupAllocator) (violating int) {
+	report func() obs.BackendAudit, file *mkhash.File, alloc decluster.GroupAllocator) (violating int) {
 	t.Helper()
 	n := len(file.Schema().Fields)
 	plans := make(map[string]*plancache.Plan)

@@ -1,20 +1,25 @@
-package audit
+package obs
 
 import (
-	"sync"
 	"testing"
 	"time"
 
-	"fxdist/internal/obs"
 	"fxdist/internal/query"
 )
 
 func q(spec ...int) query.Query { return query.New(spec) }
 
-// newShape is a shape on its own registry, outside any cell.
-func newShape(backend, shape string) *Shape {
-	return NewShape(obs.NewRegistry(), backend, shape, &sync.Mutex{}, &SLO{})
+// shapeUnderTest is one shape's audit section, outside any cell.
+type shapeUnderTest struct {
+	shape string
+	shapeAudit
 }
+
+func newShape(shape string) *shapeUnderTest {
+	return &shapeUnderTest{shape, newShapeAudit()}
+}
+
+func (st *shapeUnderTest) Report(slo SLO) ShapeAudit { return st.report(st.shape, slo) }
 
 func TestBound(t *testing.T) {
 	cases := []struct{ rq, m, want int }{
@@ -32,8 +37,8 @@ func TestBound(t *testing.T) {
 // counts (nil for a failed retrieval) and — standing in for the plan —
 // the busiest device and the verdict those counts give, under the
 // objective in force.
-func done(st *Shape, slo SLO, rq int, buckets []int, elapsed time.Duration) float64 {
-	rec := &obs.QueryRecord{
+func done(st *shapeUnderTest, slo SLO, rq int, buckets []int, elapsed time.Duration) float64 {
+	rec := &QueryRecord{
 		Shape: st.shape, RQ: rq, Bound: Bound(rq, len(buckets)),
 		DeviceBuckets: buckets, Failed: buckets == nil, Elapsed: elapsed,
 	}
@@ -43,14 +48,14 @@ func done(st *Shape, slo SLO, rq int, buckets []int, elapsed time.Duration) floa
 		}
 	}
 	rec.BoundViolation = rec.MaxDeviceBuckets > rec.Bound
-	st.Observe(rec, slo)
-	return st.BurnRate(slo)
+	st.observe(rec, slo)
+	return st.burnRate(slo)
 }
 
 func TestAuditorAggregatesPerShape(t *testing.T) {
 	u := query.Unspecified
-	starSt := newShape("test-agg", q(u, 0, u).Shape())
-	specSt := newShape("test-agg", q(0, 0, u).Shape())
+	starSt := newShape(q(u, 0, u).Shape())
+	specSt := newShape(q(0, 0, u).Shape())
 
 	// Two retrievals of a violating shape, bound ceil(4/4)=1: its busiest
 	// device holds 3, which device depends on the specified values.
@@ -61,7 +66,7 @@ func TestAuditorAggregatesPerShape(t *testing.T) {
 	// A different, strict optimal shape stays separate.
 	done(specSt, SLO{}, 2, []int{1, 1, 0, 0}, time.Millisecond)
 	// One of its retrievals had device 3 answer off its plan count.
-	specSt.Observe(&obs.QueryRecord{Shape: specSt.shape, RQ: 2, Bound: 1, MaxDeviceBuckets: 1,
+	specSt.observe(&QueryRecord{Shape: specSt.shape, RQ: 2, Bound: 1, MaxDeviceBuckets: 1,
 		DeviceBuckets: []int{1, 1, 0, 1}, MismatchedDevices: []int{3}}, SLO{})
 
 	star, spec := starSt.Report(SLO{}), specSt.Report(SLO{})
@@ -93,7 +98,7 @@ func TestAuditorAggregatesPerShape(t *testing.T) {
 
 func TestSLOCountsAndBurnRate(t *testing.T) {
 	slo := SLO{Target: 10 * time.Millisecond, Goal: 0.9}
-	st := newShape("test-slo", "*s")
+	st := newShape("*s")
 	for i := 0; i < 8; i++ {
 		done(st, slo, 2, []int{1, 1}, time.Millisecond) // good
 	}
@@ -108,14 +113,14 @@ func TestSLOCountsAndBurnRate(t *testing.T) {
 	if s.BurnRate < 1.99 || s.BurnRate > 2.01 {
 		t.Errorf("burn rate = %g, want 2", s.BurnRate)
 	}
-	if burn != s.BurnRate || st.BurnRate(slo) != burn {
-		t.Errorf("Observe returned burn %g, BurnRate %g, report %g: want one number", burn, st.BurnRate(slo), s.BurnRate)
+	if burn != s.BurnRate || st.burnRate(slo) != burn {
+		t.Errorf("observe gave burn %g, BurnRate %g, report %g: want one number", burn, st.burnRate(slo), s.BurnRate)
 	}
 	if s.SLOTarget != 10*time.Millisecond || s.SLOGoal != 0.9 {
 		t.Errorf("slo echoed wrong: %+v", s)
 	}
 	// A goal of 1.0 leaves no budget: any miss burns without bound.
-	if got := st.BurnRate(SLO{Target: time.Millisecond, Goal: 1}); got < 1e6 {
+	if got := st.burnRate(SLO{Target: time.Millisecond, Goal: 1}); got < 1e6 {
 		t.Errorf("burn rate under a 100%% goal = %g, want huge", got)
 	}
 }
@@ -126,7 +131,7 @@ func TestSLOCountsAndBurnRate(t *testing.T) {
 func TestShapeSLOOverride(t *testing.T) {
 	def := SLO{Target: time.Hour, Goal: 0.99}
 	override := SLO{Target: time.Nanosecond, Goal: 0.5}
-	overSt, defSt := newShape("test-override", "*s"), newShape("test-override", "s*")
+	overSt, defSt := newShape("*s"), newShape("s*")
 	done(overSt, override, 2, []int{1, 1}, time.Millisecond) // misses the 1ns override
 	done(defSt, def, 2, []int{1, 1}, time.Millisecond)       // meets the 1h default
 

@@ -1,20 +1,16 @@
-package telemetry
+package obs
 
 import (
 	"fmt"
 	"sync"
 	"testing"
 	"time"
-
-	"fxdist/internal/audit"
-	"fxdist/internal/obs"
 )
 
 // finish takes one record through the bundle the way Executor.report
 // does — Audit, Decide, Commit — and returns the verdict.
-func finish(in *Instruments, rec *obs.QueryRecord) Decision {
-	in.Audit(rec)
-	dec := in.Decide(rec)
+func finish(in *Instruments, rec *QueryRecord) Decision {
+	dec := in.Decide(rec, in.Audit(rec))
 	in.Commit(rec, dec)
 	return dec
 }
@@ -24,14 +20,14 @@ func finish(in *Instruments, rec *obs.QueryRecord) Decision {
 // a shape whose slowest-8 is full does not starve another shape, and
 // BurnRate is the audit row's number without the report.
 func TestStoreViewsAndResets(t *testing.T) {
-	in := New("views-test", audit.SLO{Target: time.Millisecond, Goal: 0.9})
-	stages := []obs.StageSample{{Stage: obs.StagePlan, Wall: time.Microsecond}, {Stage: obs.StageFanout, Wall: 9 * time.Microsecond}}
-	for i := 1; i <= obs.FlightSlots+2; i++ { // 10 queries; the last two are SLO misses
-		finish(in, &obs.QueryRecord{Shape: "s*", Elapsed: time.Duration(i) * 125 * time.Microsecond,
+	in := NewInstruments(NewRegistry(), "views-test", SLO{Target: time.Millisecond, Goal: 0.9})
+	stages := []StageSample{{Stage: StagePlan, Wall: time.Microsecond}, {Stage: StageFanout, Wall: 9 * time.Microsecond}}
+	for i := 1; i <= FlightSlots+2; i++ { // 10 queries; the last two are SLO misses
+		finish(in, &QueryRecord{Shape: "s*", Elapsed: time.Duration(i) * 125 * time.Microsecond,
 			RQ: 4, Bound: 1, DeviceBuckets: []int{1, 1, 1, 1}, Stages: stages})
 	}
-	in.ObserveSamples("s*", []obs.StageSample{{Stage: obs.StageNetWait, Wall: time.Microsecond}})
-	if dec := finish(in, &obs.QueryRecord{Shape: "**", Elapsed: time.Nanosecond, RQ: 16, Bound: 4, DeviceBuckets: []int{4, 4, 4, 4}}); !dec.Flight || !dec.Kept {
+	in.ObserveSamples("s*", []StageSample{{Stage: StageNetWait, Wall: time.Microsecond}})
+	if dec := finish(in, &QueryRecord{Shape: "**", Elapsed: time.Nanosecond, RQ: 16, Bound: 4, DeviceBuckets: []int{4, 4, 4, 4}}); !dec.Flight || !dec.Kept {
 		t.Errorf("first query of a new shape decided %+v beside a full shape, want flight and head-kept", dec)
 	}
 
@@ -52,8 +48,8 @@ func TestStoreViewsAndResets(t *testing.T) {
 	if len(cost.Shapes) != 2 || cost.Shapes[1].Queries != 10 || len(cost.Shapes[1].Stages) != 3 {
 		t.Errorf("cost rows = %+v, want s* with 10 queries over plan, fanout and the sampled net.wait", cost.Shapes)
 	}
-	if len(flight.Shapes) != 2 || len(flight.Shapes[1].Records) != obs.FlightSlots ||
-		flight.Shapes[1].Records[0].Elapsed != 1250*time.Microsecond || flight.Shapes[1].Records[obs.FlightSlots-1].Elapsed != 375*time.Microsecond {
+	if len(flight.Shapes) != 2 || len(flight.Shapes[1].Records) != FlightSlots ||
+		flight.Shapes[1].Records[0].Elapsed != 1250*time.Microsecond || flight.Shapes[1].Records[FlightSlots-1].Elapsed != 375*time.Microsecond {
 		t.Errorf("flight rows = %+v, want s*'s 8 slowest, 1.25ms down to 375µs", flight.Shapes)
 	}
 	// 8 head + 2 slow on s*, 1 head on **: all 11 kept.
@@ -72,7 +68,7 @@ func TestStoreViewsAndResets(t *testing.T) {
 		t.Errorf("the reset reached the event ring or its counters: %+v", st)
 	}
 	// The section fills again from the next query, the head does not replay.
-	if dec := finish(in, &obs.QueryRecord{Shape: "s*", Elapsed: time.Microsecond, Stages: stages}); dec.Flight || dec.Kept {
+	if dec := finish(in, &QueryRecord{Shape: "s*", Elapsed: time.Microsecond, Stages: stages}); dec.Flight || dec.Kept {
 		t.Errorf("11th s* query after the reset decided %+v, want no flight (slower ones hold the slots) and not kept (past the head, off the beat)", dec)
 	}
 	if got := in.CostReport().Shapes; len(got) != 1 || got[0].Shape != "s*" || got[0].Queries != 1 {
@@ -80,7 +76,7 @@ func TestStoreViewsAndResets(t *testing.T) {
 	}
 }
 
-// TestCellHammer drives every entry point of the store from many
+// TestCellHammer drives every entry point of the bundle from many
 // goroutines on a handful of shapes — the three reporting steps, the
 // wire-stage samples, the cost reset, the SLO setters, BurnRate and all
 // four views — and checks the bounds that must hold under any
@@ -92,11 +88,11 @@ func TestCellHammer(t *testing.T) {
 		perWorker = 600
 		shapes    = 5
 	)
-	in := New("cell-hammer", audit.SLO{Target: 400 * time.Microsecond, Goal: 0.9})
+	in := NewInstruments(NewRegistry(), "cell-hammer", SLO{Target: 400 * time.Microsecond, Goal: 0.9})
 	checkViews := func() {
 		for _, sf := range in.FlightReport().Shapes {
-			if len(sf.Records) > obs.FlightSlots {
-				t.Errorf("%s: %d flights, more than %d slots", sf.Shape, len(sf.Records), obs.FlightSlots)
+			if len(sf.Records) > FlightSlots {
+				t.Errorf("%s: %d flights, more than %d slots", sf.Shape, len(sf.Records), FlightSlots)
 			}
 			for i := 1; i < len(sf.Records); i++ {
 				if sf.Records[i].Elapsed > sf.Records[i-1].Elapsed {
@@ -124,20 +120,20 @@ func TestCellHammer(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
 				shape := fmt.Sprintf("shape-%d", (w+i)%shapes)
-				rec := &obs.QueryRecord{
+				rec := &QueryRecord{
 					Shape: shape, Elapsed: time.Duration(w*perWorker+i+1) * time.Microsecond / 8,
 					RQ: 4, Bound: 1, DeviceBuckets: []int{1, 1, 1, 1 + i%2}, BoundViolation: i%97 == 0, Failed: i%89 == 0,
-					Stages: []obs.StageSample{{Stage: obs.StagePlan, Wall: time.Microsecond}},
+					Stages: []StageSample{{Stage: StagePlan, Wall: time.Microsecond}},
 				}
 				finish(in, rec)
-				in.ObserveSamples(shape, []obs.StageSample{{Stage: obs.StageNetWait, Wall: time.Microsecond}})
+				in.ObserveSamples(shape, []StageSample{{Stage: StageNetWait, Wall: time.Microsecond}})
 				in.BurnRate(shape)
 				switch i % 100 {
 				case 30:
 					in.ResetCosts()
 				case 70:
-					in.SetSLO(audit.SLO{Target: time.Duration(300+i) * time.Microsecond, Goal: 0.9})
-					in.SetShapeSLO(shape, audit.SLO{Target: time.Millisecond, Goal: 0.99})
+					in.SetSLO(SLO{Target: time.Duration(300+i) * time.Microsecond, Goal: 0.9})
+					in.SetShapeSLO(shape, SLO{Target: time.Millisecond, Goal: 0.99})
 				case 90:
 					checkViews()
 				}
@@ -153,7 +149,7 @@ func TestCellHammer(t *testing.T) {
 	}
 	counters := map[string]uint64{}
 	for _, p := range in.Registry.Snapshot() {
-		if p.Kind == obs.KindCounter {
+		if p.Kind == KindCounter {
 			counters[p.Name] += uint64(p.Value)
 		}
 	}
@@ -171,14 +167,14 @@ func TestCellHammer(t *testing.T) {
 	// on a fresh bundle, concurrent offers of globally unique latencies
 	// must leave exactly the top 8 of each shape, however the commits
 	// interleaved.
-	in = New("cell-hammer", audit.SLO{})
+	in = NewInstruments(NewRegistry(), "cell-hammer", SLO{})
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			shape := fmt.Sprintf("shape-%d", w%3)
 			for i := 1; i <= perWorker; i++ {
-				finish(in, &obs.QueryRecord{Shape: shape, Elapsed: time.Duration(w*perWorker+i) * time.Hour})
+				finish(in, &QueryRecord{Shape: shape, Elapsed: time.Duration(w*perWorker+i) * time.Hour})
 			}
 		}(w)
 	}
@@ -191,8 +187,8 @@ func TestCellHammer(t *testing.T) {
 				top = w
 			}
 		}
-		if len(sf.Records) != obs.FlightSlots {
-			t.Fatalf("%s: retained %d flights, want %d", sf.Shape, len(sf.Records), obs.FlightSlots)
+		if len(sf.Records) != FlightSlots {
+			t.Fatalf("%s: retained %d flights, want %d", sf.Shape, len(sf.Records), FlightSlots)
 		}
 		for i, r := range sf.Records { // slowest first
 			if want := time.Duration((top+1)*perWorker-i) * time.Hour; r.Elapsed != want {

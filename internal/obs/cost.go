@@ -69,18 +69,18 @@ type stageAcc struct {
 	bytes     uint64
 }
 
-// ShapeCosts accumulates every stage of one query shape: the cost
-// section of a telemetry cell, whose mutex guards it. The zero value is
-// empty and ready; assigning it resets.
-type ShapeCosts struct {
+// shapeCosts accumulates every stage of one query shape: the cost
+// section of a cell, whose mutex guards it. The zero value is empty and
+// ready; assigning it resets.
+type shapeCosts struct {
 	queries uint64
 	totalNS int64
 	stages  map[string]*stageAcc
 }
 
-// Add records stage samples without counting a query (e.g. the
+// add records stage samples without counting a query (e.g. the
 // per-request wire stages).
-func (sc *ShapeCosts) Add(samples []StageSample) {
+func (sc *shapeCosts) add(samples []StageSample) {
 	if sc.stages == nil {
 		sc.stages = make(map[string]*stageAcc)
 	}
@@ -97,17 +97,17 @@ func (sc *ShapeCosts) Add(samples []StageSample) {
 	}
 }
 
-// Observe records one whole retrieval: its total latency and its stage
+// observe records one whole retrieval: its total latency and its stage
 // breakdown (rec.Elapsed covers the interval the top-level stages
 // partition).
-func (sc *ShapeCosts) Observe(rec *QueryRecord) {
+func (sc *shapeCosts) observe(rec *QueryRecord) {
 	sc.queries++
 	sc.totalNS += int64(rec.Elapsed)
-	sc.Add(rec.Stages)
+	sc.add(rec.Stages)
 }
 
-// Empty reports whether nothing has been recorded since the last reset.
-func (sc *ShapeCosts) Empty() bool { return sc.queries == 0 && len(sc.stages) == 0 }
+// empty reports whether nothing has been recorded since the last reset.
+func (sc *shapeCosts) empty() bool { return sc.queries == 0 && len(sc.stages) == 0 }
 
 // StageCost is one aggregated stage of one query shape.
 type StageCost struct {
@@ -144,9 +144,9 @@ type BackendCost struct {
 	Shapes  []ShapeCost `json:"shapes"`
 }
 
-// Report snapshots the shape's row: top-level stages first in execution
+// report snapshots the shape's row: top-level stages first in execution
 // order, then auxiliary stages by name.
-func (sc *ShapeCosts) Report(shape string) ShapeCost {
+func (sc *shapeCosts) report(shape string) ShapeCost {
 	row := ShapeCost{Shape: shape, Queries: sc.queries}
 	if sc.queries > 0 {
 		row.MeanT = time.Duration(sc.totalNS / int64(sc.queries))
@@ -186,8 +186,8 @@ func stageOrder(name string) string {
 	return "1" + name
 }
 
-// WriteCostReport renders a cost report as an aligned text table.
-func WriteCostReport(w io.Writer, report []BackendCost) {
+// writeCostReport renders a cost report as an aligned text table.
+func writeCostReport(w io.Writer, report []BackendCost) {
 	if len(report) == 0 {
 		fmt.Fprintln(w, "no queries profiled")
 		return

@@ -14,12 +14,12 @@ import (
 )
 
 func TestCostProfilerAggregates(t *testing.T) {
-	var p ShapeCosts
-	if !p.Empty() {
-		t.Fatal("zero ShapeCosts is not empty")
+	var p shapeCosts
+	if !p.empty() {
+		t.Fatal("zero shapeCosts is not empty")
 	}
 	for i := 0; i < 4; i++ {
-		p.Observe(&QueryRecord{Shape: "ss**", Elapsed: 100 * time.Microsecond, Stages: []StageSample{
+		p.observe(&QueryRecord{Shape: "ss**", Elapsed: 100 * time.Microsecond, Stages: []StageSample{
 			{Stage: StagePlan, Wall: 10 * time.Microsecond},
 			{Stage: StageFanout, Wall: 80 * time.Microsecond, Bytes: 4000},
 			{Stage: StageMerge, Wall: 5 * time.Microsecond},
@@ -27,9 +27,9 @@ func TestCostProfilerAggregates(t *testing.T) {
 			{Stage: StageDeviceScan, Wall: 300 * time.Microsecond},
 		}})
 	}
-	p.Add([]StageSample{{Stage: StageNetWait, Wall: 50 * time.Microsecond, Bytes: 900}})
+	p.add([]StageSample{{Stage: StageNetWait, Wall: 50 * time.Microsecond, Bytes: 900}})
 
-	s := p.Report("ss**")
+	s := p.report("ss**")
 	if s.Shape != "ss**" || s.Queries != 4 || s.MeanT != 100*time.Microsecond {
 		t.Fatalf("shape row = %+v", s)
 	}
@@ -64,21 +64,21 @@ func TestCostProfilerAggregates(t *testing.T) {
 	}
 	// Samples alone (a round trip whose query has not finished) are not
 	// empty, and report without dividing by zero queries.
-	var aux ShapeCosts
-	aux.Add([]StageSample{{Stage: StageNetWait, Wall: time.Microsecond}})
-	if row := aux.Report("s"); aux.Empty() || row.Queries != 0 || row.MeanT != 0 || len(row.Stages) != 1 {
-		t.Errorf("samples-only costs: empty=%v row=%+v", aux.Empty(), row)
+	var aux shapeCosts
+	aux.add([]StageSample{{Stage: StageNetWait, Wall: time.Microsecond}})
+	if row := aux.report("s"); aux.empty() || row.Queries != 0 || row.MeanT != 0 || len(row.Stages) != 1 {
+		t.Errorf("samples-only costs: empty=%v row=%+v", aux.empty(), row)
 	}
 }
 
 // TestFlightRecorderKeepsSlowest: of more offers than slots, exactly
 // the FlightSlots slowest survive, reported slowest first.
 func TestFlightRecorderKeepsSlowest(t *testing.T) {
-	var f Slowest
+	var f slowest
 	for _, ms := range []int{5, 1, 9, 3, 12, 7, 2, 8, 11, 4, 10, 6} {
-		f.Offer(&QueryRecord{Backend: "test", Shape: "s*", Elapsed: time.Duration(ms) * time.Millisecond, Start: time.Unix(int64(ms), 0)})
+		f.offer(&QueryRecord{Backend: "test", Shape: "s*", Elapsed: time.Duration(ms) * time.Millisecond, Start: time.Unix(int64(ms), 0)})
 	}
-	rep := f.Report("s*")
+	rep := f.report("s*")
 	if rep.Shape != "s*" || len(rep.Records) != FlightSlots {
 		t.Fatalf("report = %+v", rep)
 	}
@@ -97,11 +97,11 @@ func TestFlightRecorderKeepsSlowest(t *testing.T) {
 // checked: the runtime's own mallocs (a GC cycle, a background goroutine)
 // land in a window now and then and only ever add.
 func TestFullFlightRecorderEvictsInPlace(t *testing.T) {
-	var f Slowest
+	var f slowest
 	first := &QueryRecord{Elapsed: 1}
-	f.Offer(first)
+	f.offer(first)
 	for i := 2; i <= FlightSlots; i++ {
-		f.Offer(&QueryRecord{Elapsed: time.Duration(i)})
+		f.offer(&QueryRecord{Elapsed: time.Duration(i)})
 	}
 	const window = 1000
 	offers := make([]QueryRecord, 3*window)
@@ -114,7 +114,7 @@ func TestFullFlightRecorderEvictsInPlace(t *testing.T) {
 		runtime.GC()
 		runtime.ReadMemStats(&before)
 		for i := w * window; i < (w+1)*window; i++ {
-			f.Offer(&offers[i])
+			f.offer(&offers[i])
 		}
 		runtime.ReadMemStats(&after)
 		least = min(least, after.Mallocs-before.Mallocs)
@@ -135,31 +135,31 @@ func TestFullFlightRecorderEvictsInPlace(t *testing.T) {
 // TestFlightRecorderAdmits: a shape admits everything until its slots
 // are full, then only what beats the fastest retained record.
 func TestFlightRecorderAdmits(t *testing.T) {
-	var f Slowest
-	if !f.Admits(time.Nanosecond) {
+	var f slowest
+	if !f.admits(time.Nanosecond) {
 		t.Fatal("unseen shape must admit everything")
 	}
 	for i := 1; i <= FlightSlots; i++ {
-		if !f.Admits(time.Nanosecond) {
+		if !f.admits(time.Nanosecond) {
 			t.Fatalf("%d of %d slots used: must still admit", i-1, FlightSlots)
 		}
-		f.Offer(&QueryRecord{Shape: "s", Elapsed: time.Duration(10*i) * time.Millisecond})
+		f.offer(&QueryRecord{Shape: "s", Elapsed: time.Duration(10*i) * time.Millisecond})
 	}
 	// Full: the floor is the fastest retained record (10ms).
-	if f.Admits(10 * time.Millisecond) {
+	if f.admits(10 * time.Millisecond) {
 		t.Error("admitted a query at the floor")
 	}
-	if !f.Admits(15 * time.Millisecond) {
+	if !f.admits(15 * time.Millisecond) {
 		t.Error("rejected a query above the floor")
 	}
 	// An offer below the floor is a no-op even if forced past Admits.
-	f.Offer(&QueryRecord{Shape: "s", Elapsed: time.Millisecond})
-	if got := f.Report("s").Records; len(got) != FlightSlots || got[FlightSlots-1].Elapsed != 10*time.Millisecond {
+	f.offer(&QueryRecord{Shape: "s", Elapsed: time.Millisecond})
+	if got := f.report("s").Records; len(got) != FlightSlots || got[FlightSlots-1].Elapsed != 10*time.Millisecond {
 		t.Errorf("below-floor Offer changed the slice: %+v", got)
 	}
 	// One above it displaces the floor and raises it.
-	f.Offer(&QueryRecord{Shape: "s", Elapsed: 15 * time.Millisecond})
-	if got := f.Report("s").Records; len(got) != FlightSlots || got[FlightSlots-1].Elapsed != 15*time.Millisecond || f.Admits(15*time.Millisecond) {
+	f.offer(&QueryRecord{Shape: "s", Elapsed: 15 * time.Millisecond})
+	if got := f.report("s").Records; len(got) != FlightSlots || got[FlightSlots-1].Elapsed != 15*time.Millisecond || f.admits(15*time.Millisecond) {
 		t.Errorf("above-floor Offer: fastest retained %v, want 15ms as the new floor", got[len(got)-1].Elapsed)
 	}
 }

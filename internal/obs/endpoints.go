@@ -1,4 +1,4 @@
-package telemetry
+package obs
 
 import (
 	"encoding/json"
@@ -8,9 +8,6 @@ import (
 	"sort"
 	"strconv"
 	"time"
-
-	"fxdist/internal/audit"
-	"fxdist/internal/obs"
 )
 
 // backendEvents is one backend's slice of the /debug/events document.
@@ -29,26 +26,26 @@ func eventsDoc(in *Instruments, backend string, n int) map[string]backendEvents 
 	return doc
 }
 
-// Endpoints are a cluster's per-query views: /debug/optimality,
+// QueryEndpoints are a cluster's per-query views: /debug/optimality,
 // /debug/hotpath, /debug/flight, /debug/events and /debug/traces, each
 // read from the bundle in returns at request time (a cluster's bundle
 // changes at a rescale's cutover). Each document is a list (or a map
 // keyed by backend) holding this one bundle, so that readers of its JSON
 // shape stay as they are.
-func Endpoints(in func() *Instruments) []obs.Endpoint {
-	return []obs.Endpoint{
-		obs.TracesEndpoint(func() *obs.Tracer { return in().Tracer }),
-		{Path: "/debug/optimality", Desc: "strict-bound audit per shape: violations, deviation, SLO burn", Handler: obs.DebugEndpoint(
-			func() (any, error) { return []audit.BackendReport{in().AuditReport()}, nil },
-			func(w io.Writer, doc any) { audit.WriteText(w, doc.([]audit.BackendReport)) },
+func QueryEndpoints(in func() *Instruments) []Endpoint {
+	return []Endpoint{
+		TracesEndpoint(func() *Tracer { return in().Tracer }),
+		{Path: "/debug/optimality", Desc: "strict-bound audit per shape: violations, deviation, SLO burn", Handler: DebugEndpoint(
+			func() (any, error) { return []BackendAudit{in().AuditReport()}, nil },
+			func(w io.Writer, doc any) { writeAuditReport(w, doc.([]BackendAudit)) },
 		)},
-		{Path: "/debug/hotpath", Desc: "per-shape stage cost aggregates: plan/fanout/merge/audit wall, bytes, objects", Handler: obs.DebugEndpoint(
+		{Path: "/debug/hotpath", Desc: "per-shape stage cost aggregates: plan/fanout/merge/audit wall, bytes", Handler: DebugEndpoint(
 			func() (any, error) { r := in().CostReport(); return listOf(r, len(r.Shapes)), nil },
-			func(w io.Writer, doc any) { obs.WriteCostReport(w, doc.([]obs.BackendCost)) },
+			func(w io.Writer, doc any) { writeCostReport(w, doc.([]BackendCost)) },
 		)},
-		{Path: "/debug/flight", Desc: "slow-query flight recorder: K worst queries per shape with full evidence", Handler: obs.DebugEndpoint(
+		{Path: "/debug/flight", Desc: "slow-query flight recorder: K worst queries per shape with full evidence", Handler: DebugEndpoint(
 			func() (any, error) { r := in().FlightReport(); return listOf(r, len(r.Shapes)), nil },
-			func(w io.Writer, doc any) { obs.WriteFlightReport(w, doc.([]obs.BackendFlights)) },
+			func(w io.Writer, doc any) { WriteFlightReport(w, doc.([]BackendFlights)) },
 		)},
 		{Path: "/debug/events", Desc: "wide-event query log: one sampled event per retrieval (?backend=, ?n=, ?format=ndjson, &follow=1)",
 			Handler: eventsHandler(in)},
@@ -66,10 +63,10 @@ func listOf[T any](r T, n int) []T {
 
 // FleetEndpoint serves /debug/cluster: the federated fleet view of the
 // federator fed returns (nil for a cluster that pulls no stats).
-func FleetEndpoint(fed func() *Federator) obs.Endpoint {
-	return obs.Endpoint{Path: "/debug/cluster",
+func FleetEndpoint(fed func() *Federator) Endpoint {
+	return Endpoint{Path: "/debug/cluster",
 		Desc: "federated fleet view: per-node liveness/lag, merged counters+histograms, worst discrepancy and SLO burn",
-		Handler: obs.DebugEndpoint(
+		Handler: DebugEndpoint(
 			func() (any, error) { return fed().Fleets(), nil },
 			func(w io.Writer, doc any) { writeClusterText(w, doc.(map[string]ClusterReport)) },
 		)}
@@ -116,7 +113,7 @@ func eventsHandler(bundle func() *Instruments) http.Handler {
 		}
 		if q.Get("format") != "ndjson" {
 			// The standard endpoint shape, with this request's filters applied.
-			obs.DebugEndpoint(
+			DebugEndpoint(
 				func() (any, error) { return eventsDoc(in, backend, n), nil },
 				func(w io.Writer, doc any) { writeEventsText(w, doc.(map[string]backendEvents)) },
 			).ServeHTTP(w, r)
@@ -138,7 +135,7 @@ func eventsHandler(bundle func() *Instruments) http.Handler {
 		if flusher != nil {
 			flusher.Flush()
 		}
-		// One store, one feed, read here: nothing outlives the request.
+		// One bundle, one feed, read here: nothing outlives the request.
 		var feed <-chan Event
 		if backend == "" || backend == in.Backend {
 			ch, cancel := in.Subscribe()

@@ -1,16 +1,13 @@
-package telemetry
+package obs
 
 import (
 	"fmt"
 	"reflect"
 	"testing"
 	"time"
-
-	"fxdist/internal/audit"
-	"fxdist/internal/obs"
 )
 
-// TestKeepDecision is the table of the store's keep rules and their
+// TestKeepDecision is the table of the bundle's keep rules and their
 // precedence, driven on the shipped policy (the first 8 of a shape, then
 // every 16th): error/partial, SLO-slow and bound-violation are
 // always-keep (they stack, in that order, and lead rec.Keep — which is
@@ -20,8 +17,8 @@ import (
 func TestKeepDecision(t *testing.T) {
 	const slo = 10 * time.Millisecond
 	newBundle := func() *Instruments {
-		in := New("keep-test", audit.SLO{Target: slo, Goal: 0.99})
-		in.SetShapeSLO("no-slo", audit.SLO{})
+		in := NewInstruments(NewRegistry(), "keep-test", SLO{Target: slo, Goal: 0.99})
+		in.SetShapeSLO("no-slo", SLO{})
 		return in
 	}
 	// Each case offers warmup unremarkable queries of the shape first
@@ -31,44 +28,44 @@ func TestKeepDecision(t *testing.T) {
 	cases := []struct {
 		name   string
 		warmup int
-		rec    obs.QueryRecord
+		rec    QueryRecord
 		kept   bool
 		keep   []string
 		slow   bool
 	}{
-		{name: "first of a shape is head-kept", rec: obs.QueryRecord{Shape: "s*"},
-			kept: true, keep: []string{obs.KeepHead}},
-		{name: "last of the head is head-kept", warmup: pastHead - 1, rec: obs.QueryRecord{Shape: "s*"},
-			kept: true, keep: []string{obs.KeepHead}},
-		{name: "past the head, off the sample beat: dropped", warmup: pastHead, rec: obs.QueryRecord{Shape: "s*"}},
-		{name: "every 16th of a shape is sampled", warmup: onBeat, rec: obs.QueryRecord{Shape: "s*"},
-			kept: true, keep: []string{obs.KeepSample}},
-		{name: "failed query is always kept", warmup: pastHead, rec: obs.QueryRecord{Shape: "s*", Failed: true},
-			kept: true, keep: []string{obs.KeepError}},
-		{name: "partial result counts as failed", warmup: pastHead, rec: obs.QueryRecord{Shape: "s*", Failed: true, Partial: true, Coverage: 0.5},
-			kept: true, keep: []string{obs.KeepError}},
-		{name: "over the SLO target is always kept and marked slow", warmup: pastHead, rec: obs.QueryRecord{Shape: "s*", Elapsed: slo + 1},
-			kept: true, keep: []string{obs.KeepSlow}, slow: true},
-		{name: "exactly on the target is not slow", warmup: pastHead, rec: obs.QueryRecord{Shape: "s*", Elapsed: slo}},
-		{name: "a shape without an SLO is never slow", warmup: pastHead, rec: obs.QueryRecord{Shape: "no-slo", Elapsed: time.Hour}},
-		{name: "bound violation is always kept", warmup: pastHead, rec: obs.QueryRecord{Shape: "s*", BoundViolation: true},
-			kept: true, keep: []string{obs.KeepBound}},
+		{name: "first of a shape is head-kept", rec: QueryRecord{Shape: "s*"},
+			kept: true, keep: []string{KeepHead}},
+		{name: "last of the head is head-kept", warmup: pastHead - 1, rec: QueryRecord{Shape: "s*"},
+			kept: true, keep: []string{KeepHead}},
+		{name: "past the head, off the sample beat: dropped", warmup: pastHead, rec: QueryRecord{Shape: "s*"}},
+		{name: "every 16th of a shape is sampled", warmup: onBeat, rec: QueryRecord{Shape: "s*"},
+			kept: true, keep: []string{KeepSample}},
+		{name: "failed query is always kept", warmup: pastHead, rec: QueryRecord{Shape: "s*", Failed: true},
+			kept: true, keep: []string{KeepError}},
+		{name: "partial result counts as failed", warmup: pastHead, rec: QueryRecord{Shape: "s*", Failed: true, Partial: true, Coverage: 0.5},
+			kept: true, keep: []string{KeepError}},
+		{name: "over the SLO target is always kept and marked slow", warmup: pastHead, rec: QueryRecord{Shape: "s*", Elapsed: slo + 1},
+			kept: true, keep: []string{KeepSlow}, slow: true},
+		{name: "exactly on the target is not slow", warmup: pastHead, rec: QueryRecord{Shape: "s*", Elapsed: slo}},
+		{name: "a shape without an SLO is never slow", warmup: pastHead, rec: QueryRecord{Shape: "no-slo", Elapsed: time.Hour}},
+		{name: "bound violation is always kept", warmup: pastHead, rec: QueryRecord{Shape: "s*", BoundViolation: true},
+			kept: true, keep: []string{KeepBound}},
 		{name: "always-keep reasons stack in error, slow, bound order", warmup: pastHead,
-			rec:  obs.QueryRecord{Shape: "s*", Failed: true, Elapsed: time.Second, BoundViolation: true},
-			kept: true, keep: []string{obs.KeepError, obs.KeepSlow, obs.KeepBound}, slow: true},
-		{name: "an always-keep rule outranks the head", rec: obs.QueryRecord{Shape: "s*", BoundViolation: true},
-			kept: true, keep: []string{obs.KeepBound}},
-		{name: "an always-keep rule outranks the sample beat", warmup: onBeat, rec: obs.QueryRecord{Shape: "s*", Failed: true},
-			kept: true, keep: []string{obs.KeepError}},
+			rec:  QueryRecord{Shape: "s*", Failed: true, Elapsed: time.Second, BoundViolation: true},
+			kept: true, keep: []string{KeepError, KeepSlow, KeepBound}, slow: true},
+		{name: "an always-keep rule outranks the head", rec: QueryRecord{Shape: "s*", BoundViolation: true},
+			kept: true, keep: []string{KeepBound}},
+		{name: "an always-keep rule outranks the sample beat", warmup: onBeat, rec: QueryRecord{Shape: "s*", Failed: true},
+			kept: true, keep: []string{KeepError}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			in := newBundle()
 			for i := 0; i < tc.warmup; i++ {
-				in.Decide(&obs.QueryRecord{Shape: tc.rec.Shape})
+				finish(in, &QueryRecord{Shape: tc.rec.Shape})
 			}
 			rec := tc.rec
-			if got := in.Decide(&rec); got.Kept != tc.kept {
+			if got := finish(in, &rec); got.Kept != tc.kept {
 				t.Errorf("Decide = %+v, want kept %v", got, tc.kept)
 			}
 			if !reflect.DeepEqual(rec.Keep, tc.keep) {
@@ -99,17 +96,15 @@ func TestKeepDecision(t *testing.T) {
 // returns newest first through ring wrap-around and never more than the
 // ring holds, and a subscriber sees kept records live.
 func TestEventLogRingAndFeed(t *testing.T) {
-	in := New("ring-test", audit.SLO{})
+	in := NewInstruments(NewRegistry(), "ring-test", SLO{})
 	feed, cancel := in.Subscribe()
 	const total = ringCapacity + 5
 	for i := 0; i < total; i++ {
 		// Bound-violating, so every record is kept whatever the beat.
-		rec := &obs.QueryRecord{Shape: "s", Tenant: fmt.Sprint(i), Start: time.Unix(int64(i), 0), BoundViolation: true}
-		dec := in.Decide(rec)
-		if !dec.Kept {
+		rec := &QueryRecord{Shape: "s", Tenant: fmt.Sprint(i), Start: time.Unix(int64(i), 0), BoundViolation: true}
+		if !finish(in, rec).Kept {
 			t.Fatalf("record %d not kept", i)
 		}
-		in.Commit(rec, dec)
 	}
 	tenants := func(evs []Event) (out []string) {
 		for _, ev := range evs {
@@ -128,7 +123,7 @@ func TestEventLogRingAndFeed(t *testing.T) {
 	if oldest := all[len(all)-1]; oldest.Tenant != "5" {
 		t.Errorf("oldest surviving event is %q, want 5 (0-4 overwritten)", oldest.Tenant)
 	}
-	if ev := all[0]; !ev.Time.Equal(time.Unix(total-1, 0)) || ev.Keep[0] != obs.KeepBound {
+	if ev := all[0]; !ev.Time.Equal(time.Unix(total-1, 0)) || ev.Keep[0] != KeepBound {
 		t.Errorf("newest event = time %v keep %v", ev.Time, ev.Keep)
 	}
 	if len(in.Events(0)) != 0 {
@@ -142,8 +137,8 @@ func TestEventLogRingAndFeed(t *testing.T) {
 	for len(feed) > 0 {
 		<-feed
 	}
-	rec := &obs.QueryRecord{Shape: "s", Failed: true}
-	in.Commit(rec, in.Decide(rec))
+	rec := &QueryRecord{Shape: "s", Failed: true}
+	finish(in, rec)
 	if _, open := <-feed; open {
 		t.Error("cancelled subscriber still fed, or its feed left open")
 	}
@@ -155,18 +150,15 @@ func TestEventLogRingAndFeed(t *testing.T) {
 // override outlives a change of default whether or not the shape has
 // been served yet, and AdoptSLOs hands a fresh bundle both.
 func TestInstrumentSLOs(t *testing.T) {
-	a, b := New("slo-test", audit.SLO{}), New("slo-test", audit.SLO{})
-	if a.store == b.store {
-		t.Fatal("two bundles of one label share a store")
-	}
+	a, b := NewInstruments(NewRegistry(), "slo-test", SLO{}), NewInstruments(NewRegistry(), "slo-test", SLO{})
 	// target is the objective in force for a shape, as the keep decision
 	// sees it.
 	target := func(in *Instruments, shape string) time.Duration {
-		rec := &obs.QueryRecord{Shape: shape, Elapsed: 24 * time.Hour}
-		in.Decide(rec)
+		rec := &QueryRecord{Shape: shape, Elapsed: 24 * time.Hour}
+		finish(in, rec)
 		return rec.SLOTarget
 	}
-	a.SetSLO(audit.SLO{Target: time.Millisecond, Goal: 0.9})
+	a.SetSLO(SLO{Target: time.Millisecond, Goal: 0.9})
 	if got := target(a, "s"); got != time.Millisecond {
 		t.Errorf("keep decision ignores its bundle's SLO: target=%v", got)
 	}
@@ -174,9 +166,9 @@ func TestInstrumentSLOs(t *testing.T) {
 		t.Errorf("SetSLO on one bundle leaked to another of the same label: %v", got)
 	}
 
-	def := audit.SLO{Target: time.Minute, Goal: 0.5}
-	a.SetShapeSLO("s", audit.SLO{Target: time.Second, Goal: 0.9})  // served already
-	a.SetShapeSLO("ss", audit.SLO{Target: time.Second, Goal: 0.9}) // not yet
+	def := SLO{Target: time.Minute, Goal: 0.5}
+	a.SetShapeSLO("s", SLO{Target: time.Second, Goal: 0.9})  // served already
+	a.SetShapeSLO("ss", SLO{Target: time.Second, Goal: 0.9}) // not yet
 	a.SetSLO(def)
 	if s, ss, other := target(a, "s"), target(a, "ss"), target(a, "sss"); s != time.Second || ss != time.Second || other != def.Target {
 		t.Errorf("after a new default: overridden shapes %v / %v (want 1s each), the rest %v (want %v)", s, ss, other, def.Target)
@@ -185,7 +177,7 @@ func TestInstrumentSLOs(t *testing.T) {
 		t.Errorf("audit rows = %+v, want s/ss/sss with s under its 1s override", got)
 	}
 
-	next := New("slo-test", audit.SLO{})
+	next := NewInstruments(NewRegistry(), "slo-test", SLO{})
 	next.AdoptSLOs(a)
 	if s, ss, other := target(next, "s"), target(next, "ss"), target(next, "x"); s != time.Second || ss != time.Second || other != def.Target {
 		t.Errorf("adopted objectives: overrides %v / %v (want 1s each), default %v (want %v)", s, ss, other, def.Target)
@@ -199,17 +191,17 @@ func TestInstrumentSLOs(t *testing.T) {
 // always, the error counter on failure, and on success the per-device
 // bucket counters behind the live imbalance gauge.
 func TestMetricsSink(t *testing.T) {
-	m := NewClusterMetrics(obs.NewRegistry(), "metrics-sink-test", 2)
+	m := NewClusterMetrics(NewRegistry(), "metrics-sink-test", 2)
 	if got := m.Imbalance(); got != 0 {
 		t.Errorf("imbalance before any bucket = %g, want 0", got)
 	}
 	m.Started()
-	m.Observe(&obs.QueryRecord{Elapsed: time.Millisecond, DeviceBuckets: []int{3, 1}})
+	m.Observe(&QueryRecord{Elapsed: time.Millisecond, DeviceBuckets: []int{3, 1}})
 	if got := m.Imbalance(); got != 1.5 {
 		t.Errorf("imbalance after {3,1} = %g, want 1.5 (max 3 / mean 2)", got)
 	}
 	m.Started()
-	m.Observe(&obs.QueryRecord{Elapsed: time.Millisecond, Failed: true, DeviceBuckets: []int{9, 9}})
+	m.Observe(&QueryRecord{Elapsed: time.Millisecond, Failed: true, DeviceBuckets: []int{9, 9}})
 	m.Started()
 	m.PlanFailed(time.Millisecond)
 	if r, e := m.Retrieves.Value(), m.Errors.Value(); r != 3 || e != 2 {
@@ -223,9 +215,9 @@ func TestMetricsSink(t *testing.T) {
 	}
 	// The coordinator's form: no per-device view.
 	flat := &Metrics{Retrieves: m.Retrieves, Errors: m.Errors, Latency: m.Latency}
-	flat.Observe(&obs.QueryRecord{DeviceBuckets: []int{1, 1, 1, 1}})
+	flat.Observe(&QueryRecord{DeviceBuckets: []int{1, 1, 1, 1}})
 	var none *Metrics
 	none.Started()
-	none.Observe(&obs.QueryRecord{})
-	none.Exemplar(&obs.QueryRecord{})
+	none.Observe(&QueryRecord{})
+	none.Exemplar(&QueryRecord{})
 }

@@ -1,4 +1,4 @@
-package telemetry
+package obs
 
 import (
 	"encoding/json"
@@ -8,8 +8,6 @@ import (
 	"strings"
 	"sync"
 	"time"
-
-	"fxdist/internal/obs"
 )
 
 // Metrics federation: every node can serialise its registry into a
@@ -20,13 +18,13 @@ import (
 // fleet view on /debug/cluster.
 
 // MetricSample is one metric point in a node snapshot — the
-// wire/merge-friendly form of obs.Point.
+// wire/merge-friendly form of Point.
 type MetricSample struct {
-	Name      string                 `json:"name"`
-	Kind      string                 `json:"kind"` // counter | gauge | histogram
-	Labels    map[string]string      `json:"labels,omitempty"`
-	Value     float64                `json:"value,omitempty"`
-	Histogram *obs.HistogramSnapshot `json:"histogram,omitempty"`
+	Name      string             `json:"name"`
+	Kind      string             `json:"kind"` // counter | gauge | histogram
+	Labels    map[string]string  `json:"labels,omitempty"`
+	Value     float64            `json:"value,omitempty"`
+	Histogram *HistogramSnapshot `json:"histogram,omitempty"`
 }
 
 // NodeStats is one node's self-description plus its full metric
@@ -41,12 +39,12 @@ type NodeStats struct {
 }
 
 // LocalNodeStats snapshots registry r as node's NodeStats.
-func LocalNodeStats(node string, r *obs.Registry) NodeStats {
+func LocalNodeStats(node string, r *Registry) NodeStats {
 	st := NodeStats{
 		Node:          node,
-		Version:       obs.BuildVersion(),
+		Version:       BuildVersion(),
 		GoVersion:     runtime.Version(),
-		UptimeSeconds: obs.Uptime().Seconds(),
+		UptimeSeconds: Uptime().Seconds(),
 		Time:          time.Now(),
 	}
 	for _, p := range r.Snapshot() {
@@ -238,7 +236,7 @@ func mergedLabels(labels map[string]string) map[string]string {
 // mergeHistogram folds src into dst (same bounds required; snapshots
 // with different bucketing are kept separate by key, so this only sees
 // compatible pairs in practice — incompatible ones are skipped).
-func mergeHistogram(dst, src *obs.HistogramSnapshot) {
+func mergeHistogram(dst, src *HistogramSnapshot) {
 	if len(dst.Bounds) != len(src.Bounds) || len(dst.Counts) != len(src.Counts) {
 		return
 	}
@@ -291,7 +289,7 @@ func (f *Federator) Report() ClusterReport {
 			if dst == nil {
 				cp := MetricSample{Name: ms.Name, Kind: ms.Kind, Labels: mergedLabels(ms.Labels), Value: ms.Value}
 				if ms.Histogram != nil {
-					h := obs.HistogramSnapshot{
+					h := HistogramSnapshot{
 						Bounds: append([]float64(nil), ms.Histogram.Bounds...),
 						Counts: append([]uint64(nil), ms.Histogram.Counts...),
 						Count:  ms.Histogram.Count,

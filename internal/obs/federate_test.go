@@ -1,4 +1,4 @@
-package telemetry
+package obs_test
 
 import (
 	"errors"
@@ -29,11 +29,11 @@ func seriesKey(name string, labels map[string]string) string {
 // series overlap across nodes once device is dropped, the four series the
 // summary reads, and one histogram family on fixed bounds. Values are
 // whole numbers, so sums are exact in any order.
-func randomStats(rng *rand.Rand, dev int) NodeStats {
+func randomStats(rng *rand.Rand, dev int) obs.NodeStats {
 	shapes := []string{"**", "s*", "*s", "ss"}
-	var st NodeStats
+	var st obs.NodeStats
 	add := func(name, kind string, v float64, labels map[string]string) {
-		st.Metrics = append(st.Metrics, MetricSample{Name: name, Kind: kind, Value: v, Labels: labels})
+		st.Metrics = append(st.Metrics, obs.MetricSample{Name: name, Kind: kind, Value: v, Labels: labels})
 	}
 	for _, shape := range shapes {
 		if rng.Intn(3) == 0 {
@@ -57,7 +57,7 @@ func randomStats(rng *rand.Rand, dev int) NodeStats {
 			h.Count += h.Counts[i]
 		}
 		h.Sum = float64(rng.Intn(10000))
-		st.Metrics = append(st.Metrics, MetricSample{Name: "fxdist_server_seconds", Kind: "histogram",
+		st.Metrics = append(st.Metrics, obs.MetricSample{Name: "fxdist_server_seconds", Kind: "histogram",
 			Labels: map[string]string{"device": fmt.Sprint(dev), "backend": backend}, Histogram: h})
 	}
 	return st
@@ -65,9 +65,9 @@ func randomStats(rng *rand.Rand, dev int) NodeStats {
 
 // nodeModel is what the test expects of one node after its observations.
 type nodeModel struct {
-	stats           NodeStats // the last successful pull's
-	ok              bool      // last observation succeeded
-	grew            bool      // coordinator errors grew at the last observation
+	stats           obs.NodeStats // the last successful pull's
+	ok              bool          // last observation succeeded
+	grew            bool          // coordinator errors grew at the last observation
 	pulls, failures uint64
 }
 
@@ -80,7 +80,7 @@ type nodeModel struct {
 func TestFederatorMergeProperties(t *testing.T) {
 	rng := rand.New(rand.NewSource(1988))
 	for trial := 0; trial < 200; trial++ {
-		f := NewFederator("prop")
+		f := obs.NewFederator("prop")
 		nodes := 1 + rng.Intn(6)
 		model := make([]nodeModel, nodes)
 		coordErrs := make([]uint64, nodes)
@@ -151,7 +151,7 @@ func TestFederatorMergeProperties(t *testing.T) {
 			}
 		}
 
-		got := map[string]MetricSample{}
+		got := map[string]obs.MetricSample{}
 		for _, ms := range rep.Merged {
 			if _, ok := ms.Labels["device"]; ok {
 				t.Fatalf("trial %d: merged series %s kept its device label", trial, ms.Name)
@@ -219,7 +219,7 @@ func nilIfEmpty(m map[string]uint64) map[string]uint64 {
 
 // TestFleetMempoolRecycleRate drives one pool through 11 misses and one
 // hit, scrapes the pool gauges through a node registry, and reads the
-// fleet's recycle rate off Federator.Report: hits over every Get, 1/12,
+// fleet's recycle rate off obs.Federator.Report: hits over every Get, 1/12,
 // not the hits over themselves. The gauges are process totals, so the
 // node's snapshot is the difference across the traffic.
 func TestFleetMempoolRecycleRate(t *testing.T) {
@@ -227,7 +227,7 @@ func TestFleetMempoolRecycleRate(t *testing.T) {
 	mempool.RegisterMetrics(r)
 	gauges := func() map[string]float64 {
 		m := make(map[string]float64)
-		for _, s := range LocalNodeStats("node-0", r).Metrics {
+		for _, s := range obs.LocalNodeStats("node-0", r).Metrics {
 			m[s.Name] = s.Value
 		}
 		return m
@@ -244,11 +244,11 @@ func TestFleetMempoolRecycleRate(t *testing.T) {
 		b = p.Get(64)
 	}
 	after := gauges()
-	var st NodeStats
+	var st obs.NodeStats
 	for _, name := range []string{"fxdist_mempool_gets", "fxdist_mempool_recycled_slabs"} {
-		st.Metrics = append(st.Metrics, MetricSample{Name: name, Kind: "gauge", Value: after[name] - before[name]})
+		st.Metrics = append(st.Metrics, obs.MetricSample{Name: name, Kind: "gauge", Value: after[name] - before[name]})
 	}
-	f := NewFederator("netdist")
+	f := obs.NewFederator("netdist")
 	f.ObserveNode("node-0", st, 0)
 	ps := p.Stats()
 	want := 1 / float64(1+ps.Misses)

@@ -24,27 +24,27 @@ type FlightRecord struct {
 	*QueryRecord
 }
 
-// Slowest is one shape's FlightSlots slowest queries, ascending by
+// slowest is one shape's FlightSlots slowest queries, ascending by
 // Elapsed so the eviction candidate — the floor a query must beat once
 // the slice is full — is always index 0. It is the flight section of a
-// telemetry cell, whose mutex guards it; nil is empty.
-type Slowest []FlightRecord
+// cell, whose mutex guards it; nil is empty.
+type slowest []FlightRecord
 
-// Admits reports whether a query of the given latency would be kept —
+// admits reports whether a query of the given latency would be kept —
 // the check made on scalars before any per-device detail is built.
-func (s Slowest) Admits(elapsed time.Duration) bool {
+func (s slowest) admits(elapsed time.Duration) bool {
 	return len(s) < FlightSlots || elapsed > s[0].Elapsed
 }
 
-// Offer keeps q iff it ranks among the shape's slowest, in a slice made
+// offer keeps q iff it ranks among the shape's slowest, in a slice made
 // once with room for FlightSlots: an eviction allocates and keeps nothing.
-func (s *Slowest) Offer(q *QueryRecord) {
+func (s *slowest) offer(q *QueryRecord) {
 	ring := *s
-	if !ring.Admits(q.Elapsed) {
+	if !ring.admits(q.Elapsed) {
 		return
 	}
 	if ring == nil {
-		ring = make(Slowest, 0, FlightSlots)
+		ring = make(slowest, 0, FlightSlots)
 	} else if len(ring) == FlightSlots {
 		ring = ring[:copy(ring, ring[1:])] // the floor leaves, overwritten
 	}
@@ -68,8 +68,8 @@ type BackendFlights struct {
 	Shapes  []ShapeFlights `json:"shapes"`
 }
 
-// Report snapshots the shape's row, slowest first.
-func (s Slowest) Report(shape string) ShapeFlights {
+// report snapshots the shape's row, slowest first.
+func (s slowest) report(shape string) ShapeFlights {
 	row := ShapeFlights{Shape: shape, Records: make([]FlightRecord, 0, len(s))}
 	for i := len(s) - 1; i >= 0; i-- {
 		row.Records = append(row.Records, s[i])

@@ -12,7 +12,7 @@ import (
 
 // Endpoint is one debug path a handler mounts: the pattern, the
 // one-line description its /debug/ index shows, and what serves it.
-// Each owner of a view exports its own (the telemetry bundle, the plan
+// Each owner of a view exports its own (a cluster's Instruments, the plan
 // cache, the gate, ...) and the handler of whoever owns them mounts
 // exactly those.
 type Endpoint struct {

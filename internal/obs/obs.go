@@ -1,19 +1,35 @@
-// Package obs is the stdlib-only observability layer for the fxdist
-// runtime: atomic counters and gauges, bounded-bucket latency histograms
-// with quantile estimation, a metric Registry that renders the
-// Prometheus text exposition, per-query trace spans keyed by the
-// coordinator's pipelined request IDs, and a small leveled logger.
+// Package obs is the stdlib-only observability layer of the fxdist
+// runtime: what a cluster, a device server and a gate measure, and every
+// view of it.
 //
 // The paper's argument (§5.2.1) is that response time equals the
 // slowest device, so the load balance of a declustering method is only
-// as good as what you can measure at runtime. This package is the
-// measurement substrate. A registry belongs to what it measures: each
-// cluster's instruments, each device server and each gate build their
-// own, register every count there once, and serve it on their own
-// /metrics (MetricsEndpoint) beside /debug/traces and /debug/pprof/.
+// as good as what you can measure at runtime. The package holds:
 //
-// All primitives are safe for concurrent use and allocation-free on the
-// hot observation paths (Counter.Inc, Gauge.Set/Add, Histogram.Observe).
-// Registry lookups take a mutex and should be done once at construction
-// time, caching the returned instrument.
+//   - the primitives: atomic counters and gauges, bounded-bucket latency
+//     histograms with quantile estimation, and a metric Registry that
+//     renders the Prometheus text exposition. A registry belongs to what
+//     it measures: each cluster, device server and gate builds its own
+//     and serves it on its own /metrics (MetricsEndpoint). Primitives are
+//     safe for concurrent use and allocation-free on the hot paths;
+//     registry lookups take a mutex and are done once, at construction;
+//
+//   - a cluster's reporting bundle, Instruments: one cell per query shape
+//     (the paper's query class) under one mutex, holding the shape's
+//     optimality audit (no device may serve more than ceil(|R(q)|/M)
+//     qualified buckets; the shape's one query count), its latency SLO,
+//     stage costs (/debug/hotpath) and slowest queries (/debug/flight).
+//     One keep decision per query admits its record to the ring of kept
+//     wide events (/debug/events) and its trace tree to retention;
+//
+//   - the Tracer: a ring of spans per owner, joined across owners into
+//     one tree by trace ID, with the kept trees retained
+//     (/debug/traces);
+//
+//   - federation: a netdist coordinator pulls every device server's
+//     registry snapshot (NodeStats) and merges them into one fleet view
+//     (Federator, /debug/cluster);
+//
+//   - the /debug handler (HandlerFor, DebugEndpoint) and a leveled
+//     logger.
 package obs

@@ -15,9 +15,9 @@ type QueryDevice struct {
 // QueryRecord is everything the system knows about one finished
 // retrieval. The engine executor builds exactly one per call — shape,
 // |R(q)| and the strict bound straight from the compiled plan — and
-// takes it through the backend's one store (telemetry.Instruments:
-// Audit, Decide, Commit), whose per-shape cells and ring every /debug
-// view reads. FlightRecord and telemetry.Event are views of it.
+// takes it through the cluster's one bundle (Instruments: Audit,
+// Decide, Commit), whose per-shape cells and ring every /debug view
+// reads. FlightRecord and Event are views of it.
 //
 // A record is immutable once committed. The detail fields — Devices,
 // Err, FailedDevices, Events — are materialised only when the keep

@@ -34,7 +34,7 @@ type Tracer struct {
 	// Tail-based retention: the ring above is only a staging window —
 	// whether a trace outlives it is decided at query end, by the one
 	// keep decision that also admits the query's record to the event ring
-	// (telemetry.Instruments.Decide). A kept trace is a copy of its spans,
+	// (Instruments.Decide). A kept trace is a copy of its spans,
 	// so it stays recoverable by its trace ID after they left the ring.
 	retainMu sync.Mutex
 	retained []retained // insertion order (oldest first)

@@ -25,9 +25,9 @@
 package plancache
 
 import (
-	"fxdist/internal/audit"
 	"fxdist/internal/convolve"
 	"fxdist/internal/decluster"
+	"fxdist/internal/obs"
 	"fxdist/internal/query"
 )
 
@@ -67,7 +67,7 @@ func Compile(alloc decluster.GroupAllocator, q query.Query, _ int) *Plan {
 		Shape:  q.Shape(),
 		RQ:     rq,
 		M:      fs.M,
-		Bound:  audit.Bound(rq, fs.M),
+		Bound:  obs.Bound(rq, fs.M),
 		alloc:  alloc,
 		counts: convolve.Profile(alloc, q.UnspecifiedFields()),
 	}

@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"strings"
 
-	"fxdist/internal/audit"
 	"fxdist/internal/decluster"
+	"fxdist/internal/obs"
 )
 
 // Move is one bucket changing owner in a rescale: the bucket's linear
@@ -141,8 +141,8 @@ func VerifyDerivation(oldAlloc, newAlloc decluster.GroupAllocator) error {
 // mismatch (a bucket copied to the wrong owner, a stale view), and at
 // least minQueries retrievals must have been audited at all (a guard
 // that has seen no traffic proves nothing). report is typically the
-// AuditReport of the new epoch's own telemetry bundle.
-func AuditGuard(report func() audit.BackendReport, newM int, minQueries uint64) func() error {
+// AuditReport of the new epoch's own reporting bundle.
+func AuditGuard(report func() obs.BackendAudit, newM int, minQueries uint64) func() error {
 	return func() error {
 		rep := report()
 		var total uint64

@@ -4,8 +4,8 @@ import (
 	"strings"
 	"testing"
 
-	"fxdist/internal/audit"
 	"fxdist/internal/decluster"
+	"fxdist/internal/obs"
 )
 
 func mustFS(t *testing.T, sizes []int, m int) decluster.FileSystem {
@@ -219,32 +219,32 @@ func TestRescaledSpecValidation(t *testing.T) {
 }
 
 func TestAuditGuard(t *testing.T) {
-	rep := audit.BackendReport{Shapes: []audit.ShapeReport{
+	rep := obs.BackendAudit{Shapes: []obs.ShapeAudit{
 		{Shape: "s**", Queries: 3, MaxDeviation: 1},
 		{Shape: "ss*", Queries: 2, MaxDeviation: 0},
 	}}
-	guard := AuditGuard(func() audit.BackendReport { return rep }, 8, 4)
+	guard := AuditGuard(func() obs.BackendAudit { return rep }, 8, 4)
 	if err := guard(); err != nil {
 		t.Errorf("guard rejected a within-bound report: %v", err)
 	}
 	// Below the query floor.
-	floor := AuditGuard(func() audit.BackendReport { return rep }, 8, 100)
+	floor := AuditGuard(func() obs.BackendAudit { return rep }, 8, 100)
 	if err := floor(); err == nil || !strings.Contains(err.Error(), "audited queries") {
 		t.Errorf("guard passed below the query floor: %v", err)
 	}
 	// Deviation beyond the Doerr bound for its free-field count.
-	bad := audit.BackendReport{Shapes: []audit.ShapeReport{
+	bad := obs.BackendAudit{Shapes: []obs.ShapeAudit{
 		{Shape: "ss*", Queries: 10, MaxDeviation: 2}, // bound for 1 free field is 1
 	}}
-	over := AuditGuard(func() audit.BackendReport { return bad }, 8, 1)
+	over := AuditGuard(func() obs.BackendAudit { return bad }, 8, 1)
 	if err := over(); err == nil || !strings.Contains(err.Error(), "Doerr") {
 		t.Errorf("guard passed an out-of-bound deviation: %v", err)
 	}
 	// A within-bound shape some new-epoch device answered off-plan for.
-	misplaced := audit.BackendReport{Shapes: []audit.ShapeReport{
+	misplaced := obs.BackendAudit{Shapes: []obs.ShapeAudit{
 		{Shape: "s**", Queries: 10, Mismatches: 1, MismatchDevice: 5},
 	}}
-	moved := AuditGuard(func() audit.BackendReport { return misplaced }, 8, 1)
+	moved := AuditGuard(func() obs.BackendAudit { return misplaced }, 8, 1)
 	if err := moved(); err == nil || !strings.Contains(err.Error(), "mismatch") || !strings.Contains(err.Error(), "device 5") {
 		t.Errorf("guard passed a placement mismatch: %v", err)
 	}

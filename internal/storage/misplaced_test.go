@@ -9,13 +9,11 @@ import (
 	"strings"
 	"testing"
 
-	"fxdist/internal/audit"
 	"fxdist/internal/decluster"
 	"fxdist/internal/engine"
 	"fxdist/internal/mkhash"
 	"fxdist/internal/obs"
 	"fxdist/internal/query"
-	"fxdist/internal/telemetry"
 )
 
 // plantedDevice is a memory device holding one bucket the allocator
@@ -57,19 +55,19 @@ func TestMisplacedBucketIsCaught(t *testing.T) {
 	}
 	defer c.Close()
 	in := c.Instruments()
-	views := obs.HandlerFor(telemetry.Endpoints(func() *telemetry.Instruments { return in })...)
+	views := obs.HandlerFor(obs.QueryEndpoints(func() *obs.Instruments { return in })...)
 
 	pm := mkhash.PartialMatch{nil, nil, nil} // shape "***": every device holds 16 of 64
 	if _, err := c.Retrieve(pm); err != nil {
 		t.Fatal(err)
 	}
 
-	var rows []audit.BackendReport
+	var rows []obs.BackendAudit
 	body := debugGet(t, views, "/debug/optimality")
 	if err := json.Unmarshal([]byte(body), &rows); err != nil {
 		t.Fatalf("/debug/optimality: %v\n%s", err, body)
 	}
-	var row *audit.ShapeReport
+	var row *obs.ShapeAudit
 	for _, rep := range rows {
 		for i := range rep.Shapes {
 			if rep.Backend == backend && rep.Shapes[i].Shape == "***" {

@@ -1,13 +1,13 @@
 package storage
 
 import (
-	"fxdist/internal/audit"
 	"fxdist/internal/engine"
+	"fxdist/internal/mempool"
 	"fxdist/internal/mkhash"
+	"fxdist/internal/obs"
 	"fxdist/internal/plancache"
 	"fxdist/internal/resilience"
 	"fxdist/internal/retry"
-	"fxdist/internal/telemetry"
 )
 
 // Option configures a cluster constructor (NewCluster, NewReplicated,
@@ -56,9 +56,11 @@ func WithFileOptions(opts ...mkhash.Option) Option {
 // placement's Server decision, so asking it directly would answer the
 // wrong subset).
 func (s *settings) engineConfig(kind string, cfg engine.Config) engine.Config {
-	cfg.Instr = telemetry.New(kind, audit.SLO{})
-	reg := cfg.Instr.Registry
-	cfg.Instr.Metrics = telemetry.NewClusterMetrics(reg, kind, len(cfg.Devices))
+	reg := obs.NewRegistry()
+	obs.RegisterBuildInfo(reg)
+	mempool.RegisterMetrics(reg)
+	cfg.Instr = obs.NewInstruments(reg, kind, obs.SLO{})
+	cfg.Instr.Metrics = obs.NewClusterMetrics(reg, kind, len(cfg.Devices))
 	cfg.Span = "storage.retrieve"
 	cfg.Plans = plancache.New(reg, kind)
 	if s.retry != nil {

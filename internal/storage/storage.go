@@ -21,10 +21,10 @@ import (
 	"fxdist/internal/decluster"
 	"fxdist/internal/engine"
 	"fxdist/internal/mkhash"
+	"fxdist/internal/obs"
 	"fxdist/internal/plancache"
 	"fxdist/internal/query"
 	"fxdist/internal/resilience"
-	"fxdist/internal/telemetry"
 )
 
 // Result reports one retrieval; see engine.Result.
@@ -95,7 +95,7 @@ func (c *core) PlanCache() *plancache.Cache { return c.eng.Plans() }
 
 // Instruments returns the cluster's reporting bundle, the store behind
 // its per-query /debug views.
-func (c *core) Instruments() *telemetry.Instruments { return c.eng.Instruments() }
+func (c *core) Instruments() *obs.Instruments { return c.eng.Instruments() }
 
 // Resilience snapshots the cluster's retry controller and fault
 // injector (/debug/resilience).

@@ -4,14 +4,12 @@ import (
 	"context"
 	"net/http"
 
-	"fxdist/internal/audit"
 	"fxdist/internal/engine"
 	"fxdist/internal/mempool"
 	"fxdist/internal/obs"
 	"fxdist/internal/plancache"
 	"fxdist/internal/rebalance"
 	"fxdist/internal/resilience"
-	"fxdist/internal/telemetry"
 )
 
 // Observability: the runtime introspection surface. Every hot path in
@@ -51,12 +49,12 @@ type DebugEndpoint = obs.Endpoint
 // registry. Each reads the serving backend at request time, so after a
 // rescale's cutover they show the new epoch.
 func (c *Cluster) DebugEndpoints() []DebugEndpoint {
-	eps := append([]DebugEndpoint{mempool.Endpoint()}, telemetry.Endpoints(func() *telemetry.Instruments { return c.backend().Instruments() })...)
+	eps := append([]DebugEndpoint{mempool.Endpoint()}, obs.QueryEndpoints(func() *obs.Instruments { return c.backend().Instruments() })...)
 	return append(eps,
 		plancache.Endpoint(func() *plancache.Cache { return c.backend().PlanCache() }),
 		resilience.Endpoint(c.Resilience),
 		rebalance.Endpoint(c.kind, c.driver.Load),
-		telemetry.FleetEndpoint(func() *telemetry.Federator {
+		obs.FleetEndpoint(func() *obs.Federator {
 			if co := c.Coordinator(); co != nil {
 				return co.Federator()
 			}
@@ -105,14 +103,14 @@ func (c *Cluster) RecentTraceTrees(n int) []TraceTree { return c.tracer().Trees(
 // ShapeAudit is one (backend, query shape) row of the audit: violation
 // counts, max/mean deviation from the bound, worst offender device, and
 // the shape's latency-SLO counters.
-type ShapeAudit = audit.ShapeReport
+type ShapeAudit = obs.ShapeAudit
 
 // BackendAudit is every query shape one cluster has served.
-type BackendAudit = audit.BackendReport
+type BackendAudit = obs.BackendAudit
 
 // LatencySLO is a per-shape latency objective: at least Goal (e.g. 0.99)
 // of a shape's queries must complete within Target.
-type LatencySLO = audit.SLO
+type LatencySLO = obs.SLO
 
 // Wide-event query log: one structured event per retrieval, head+tail
 // sampled per shape with always-keep rules for errors, SLO-slow and
@@ -122,12 +120,12 @@ type LatencySLO = audit.SLO
 // retrieval: shape, backend, plan-cache hit, per-stage costs, per-device
 // bucket counts against the strict bound, trace id, and error/partial
 // manifest.
-type QueryEvent = telemetry.Event
+type QueryEvent = obs.Event
 
 // QueryLogStats summarises one backend's event log: seen/kept counts
 // and the (fixed) sampling policy — ring of 1024, the first 8 of a
 // shape, then 1 in 16.
-type QueryLogStats = telemetry.LogStats
+type QueryLogStats = obs.LogStats
 
 // ContextWithCaller attributes every retrieval under ctx to caller (a
 // tenant name, a job id, ...): the wide-event query log records it as
@@ -135,14 +133,6 @@ type QueryLogStats = telemetry.LogStats
 // fall out of the same event stream.
 func ContextWithCaller(ctx context.Context, caller string) context.Context {
 	return engine.ContextWithCaller(ctx, caller)
-}
-
-// ContextWithCallers attributes the queries of one RetrieveBatch under
-// ctx to callers, index-aligned with the batch (query i is attributed
-// to callers[i]) — the seam a gateway uses to drive one engine batch
-// on behalf of many tenants and still get per-tenant wide events.
-func ContextWithCallers(ctx context.Context, callers []string) context.Context {
-	return engine.ContextWithCallers(ctx, callers)
 }
 
 // QueryEvents returns up to n recent kept events of this cluster, most
@@ -175,11 +165,11 @@ func QueryLogStatsFor(kind string) QueryLogStats {
 // FleetReport is one fleet's merged view: per-node liveness/lag rows,
 // summed counters and merged histograms, and the worst-of digests
 // (bound discrepancy, SLO burn) fxtop leads with.
-type FleetReport = telemetry.ClusterReport
+type FleetReport = obs.ClusterReport
 
 // FleetNodeStats is one node's self-description and metric snapshot as
 // pulled over the wire.
-type FleetNodeStats = telemetry.NodeStats
+type FleetNodeStats = obs.NodeStats
 
 // Tail-based trace retention: a cluster's trace ring is a short staging
 // window; a query whose wide event is kept (errors, SLO-slow, bound

@@ -7,14 +7,13 @@ import (
 	"sync/atomic"
 	"time"
 
-	"fxdist/internal/audit"
 	"fxdist/internal/netdist"
+	"fxdist/internal/obs"
 	"fxdist/internal/plancache"
 	"fxdist/internal/rebalance"
 	"fxdist/internal/resilience"
 	"fxdist/internal/retry"
 	"fxdist/internal/storage"
-	"fxdist/internal/telemetry"
 )
 
 // Config selects what Open builds. Exactly one backend kind is implied
@@ -175,7 +174,7 @@ type backend interface {
 	RetrieveBatch(ctx context.Context, pms []PartialMatch) ([]RetrieveResult, error)
 	M() int
 	PlanCache() *plancache.Cache
-	Instruments() *telemetry.Instruments
+	Instruments() *obs.Instruments
 	Resilience() resilience.Snapshot
 }
 
@@ -494,19 +493,19 @@ func (c *Cluster) PlanCache() PlanCacheStats { return c.backend().PlanCache().St
 // it reaches the new epoch too, whose bundle becomes the cluster's at
 // cutover.
 func (c *Cluster) SetLatencySLO(target time.Duration, goal float64) {
-	c.eachBundle(func(in *telemetry.Instruments) { in.SetSLO(audit.SLO{Target: target, Goal: goal}) })
+	c.eachBundle(func(in *obs.Instruments) { in.SetSLO(obs.SLO{Target: target, Goal: goal}) })
 }
 
 // SetShapeLatencySLO overrides the latency objective for one query
 // shape of this cluster.
 func (c *Cluster) SetShapeLatencySLO(shape string, target time.Duration, goal float64) {
-	c.eachBundle(func(in *telemetry.Instruments) { in.SetShapeSLO(shape, audit.SLO{Target: target, Goal: goal}) })
+	c.eachBundle(func(in *obs.Instruments) { in.SetShapeSLO(shape, obs.SLO{Target: target, Goal: goal}) })
 }
 
 // eachBundle runs set, under sloMu, on the bundles an objective set now
 // must reach: the serving backend's, or both epochs' of a live rescale,
 // which may swap either in.
-func (c *Cluster) eachBundle(set func(*telemetry.Instruments)) {
+func (c *Cluster) eachBundle(set func(*obs.Instruments)) {
 	c.sloMu.Lock()
 	defer c.sloMu.Unlock()
 	if r := c.resc.Load(); r != nil {

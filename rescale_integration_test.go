@@ -385,23 +385,25 @@ func TestRescaleAbortRollsBack(t *testing.T) {
 	}
 	// A batch inside the window is one engine batch on the new epoch.
 	// One query's failure is that query's: the batch finishes, the error
-	// names the index, the neighbours keep their answers (a gate
-	// demultiplexes this batch to three different tenants). Each query
-	// also keeps its own tenant: under a 1ns objective every query is
-	// slow, hence always kept, so each leaves a wide event — and every
-	// one of them names its caller.
+	// names the index, the neighbours keep their answers. Each batch also
+	// keeps its caller: under a 1ns objective every query is slow, hence
+	// always kept, so each answered query leaves a wide event — and every
+	// one of them names its batch's caller.
 	good := rescaleQueries(t, file)
 	cl.SetLatencySLO(time.Nanosecond, 0.99)
 	batchStart := time.Now()
-	results, err := cl.RetrieveBatch(fxdist.ContextWithCallers(ctx, []string{"acme", "nobody", "globex"}),
+	results, err := cl.RetrieveBatch(fxdist.ContextWithCaller(ctx, "acme"),
 		[]fxdist.PartialMatch{good[0], {nil}, good[1]})
 	var qe *fxdist.QueryError
 	if !errors.As(err, &qe) || qe.Index != 1 {
 		t.Fatalf("batch with a malformed query 1 inside the window: error %v, want a QueryError for index 1", err)
 	}
-	// Wait for both events before looking.
+	if _, err := cl.RetrieveBatch(fxdist.ContextWithCaller(ctx, "globex"), []fxdist.PartialMatch{good[1]}); err != nil {
+		t.Fatalf("second batch inside the window: %v", err)
+	}
+	// Wait for the three events before looking.
 	tenants := map[string]int{}
-	for deadline := time.Now().Add(10 * time.Second); tenants["acme"]+tenants["globex"] < 2 && time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+	for deadline := time.Now().Add(10 * time.Second); tenants["acme"]+tenants["globex"] < 3 && time.Now().Before(deadline); time.Sleep(time.Millisecond) {
 		clear(tenants)
 		for _, ev := range cl.QueryEvents(64) {
 			if !ev.Time.Before(batchStart) {
@@ -410,8 +412,8 @@ func TestRescaleAbortRollsBack(t *testing.T) {
 		}
 	}
 	cl.SetLatencySLO(0, 0)
-	if len(tenants) != 2 || tenants["acme"] != 1 || tenants["globex"] != 1 {
-		t.Fatalf("wide events of a two-tenant batch inside the window carry tenants %v, want one of acme and one of globex", tenants)
+	if len(tenants) != 2 || tenants["acme"] != 2 || tenants["globex"] != 1 {
+		t.Fatalf("wide events of two batches inside the window carry tenants %v, want two of acme and one of globex", tenants)
 	}
 	for i, pm := range map[int]fxdist.PartialMatch{0: good[0], 2: good[1]} {
 		want, err := file.Search(pm)

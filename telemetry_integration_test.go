@@ -21,7 +21,6 @@ import (
 	"fxdist"
 	"fxdist/internal/gate"
 	"fxdist/internal/obs"
-	"fxdist/internal/telemetry"
 )
 
 // buildTelemetryFile returns a file whose Modulo allocation provably
@@ -311,7 +310,7 @@ func TestClusterTelemetryPlane(t *testing.T) {
 
 	// The bound-violating query must be in the event log, kept for the
 	// bound reason — whatever beat its shape's sampler was on...
-	findBound := func() *telemetry.Event {
+	findBound := func() *obs.Event {
 		recent := ev.Events(1024)
 		for i := range recent {
 			if recent[i].TraceID == res.TraceID {
@@ -388,6 +387,51 @@ func TestClusterTelemetryPlane(t *testing.T) {
 	if rt.Root.TraceID != tid || len(rt.Root.Events) != active || len(rt.Root.Children) != 0 {
 		t.Errorf("retained tree: root trace id %d with %d reply events and %d children, want %d with one per active device (%d) and none",
 			rt.Root.TraceID, len(rt.Root.Events), len(rt.Root.Children), tid, active)
+	}
+
+	// A query is counted once per shape: over this mixed traffic, failed
+	// queries included, /debug/events' seen is /debug/optimality's
+	// queries for every shape, and the seen counter on /metrics is their
+	// total.
+	getJSON := func(path string, doc any) {
+		resp, err := http.Get(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if err := json.NewDecoder(resp.Body).Decode(doc); err != nil {
+			t.Fatalf("decode %s: %v", path, err)
+		}
+	}
+	var events map[string]struct {
+		Stats fxdist.QueryLogStats `json:"stats"`
+	}
+	var audits []fxdist.BackendAudit
+	getJSON("/debug/events?format=json&n=1", &events)
+	getJSON("/debug/optimality?format=json", &audits)
+	seen := map[string]uint64{}
+	for _, sh := range events[fxdist.KindNetdist].Stats.Shapes {
+		seen[sh.Shape] = sh.Seen
+	}
+	var total uint64
+	if len(audits) != 1 || len(audits[0].Shapes) != 3 || len(seen) != 3 {
+		t.Fatalf("audit %+v and event stats %v, want the three shapes served in each", audits, seen)
+	}
+	for _, row := range audits[0].Shapes {
+		if seen[row.Shape] != row.Queries || row.Queries == 0 {
+			t.Errorf("shape %s: /debug/events seen %d, /debug/optimality queries %d", row.Shape, seen[row.Shape], row.Queries)
+		}
+		total += row.Queries
+	}
+	scraped := scrapeMetrics(t, srv.URL+"/metrics")
+	series := scraped[`fxdist_events_seen_total{backend="netdist"}`]
+	if uint64(series) != total || events[fxdist.KindNetdist].Stats.Seen != total {
+		t.Errorf("fxdist_events_seen_total %g and stats seen %d, want the audited total %d", series, events[fxdist.KindNetdist].Stats.Seen, total)
+	}
+	for _, row := range audits[0].Shapes {
+		if got := scraped[`fxdist_audit_queries_total{backend="netdist",shape="`+row.Shape+`"}`]; uint64(got) != row.Queries {
+			t.Errorf("shape %s: fxdist_audit_queries_total %g, /debug/optimality queries %d", row.Shape, got, row.Queries)
+		}
 	}
 }
 
