@@ -185,7 +185,7 @@ func runQuery(args []string) error {
 	addrsArg := fs.String("addrs", "", "comma-separated device addresses, in device order")
 	epoch := fs.Int("epoch", 0, "serving epoch of the fleet: advances by one per completed rescale (0 matches a never-rescaled fleet)")
 	timeout := fs.Duration("timeout", 0, "overall retrieval deadline (0 waits indefinitely)")
-	statsPull := fs.Duration("stats-pull", 0, "pull every device server's metrics snapshot at this interval into the /debug/cluster fleet view (0 pulls once)")
+	statsPull := fs.Duration("stats-pull", 0, "tend every device server at this interval: redial a dead connection, pull its metrics snapshot into the /debug/cluster fleet view (0 pulls once)")
 	slo := fs.Duration("slo", 0, "latency objective per query shape (0 disables SLO tracking)")
 	sloGoal := fs.Float64("slo-goal", 0.99, "fraction of queries that must meet -slo")
 	obsFlags := cliutil.ObsFlags(fs, "serve the coordinator's cluster handler (/metrics, /debug/optimality, /debug/hotpath, /debug/flight, /debug/cluster, ...; see /debug/) on this address")

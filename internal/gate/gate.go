@@ -42,7 +42,7 @@ type Config struct {
 	Tenants []TenantConfig
 	// MaxInFlight bounds requests in flight across all tenants; beyond
 	// it the front door sheds with 429/Retry-After before touching the
-	// cluster. 0 disables.
+	// cluster. 0 disables. Fixed at New, as is ShedRetryAfter.
 	MaxInFlight int
 	// ShedRetryAfter is the Retry-After hint for front-door sheds
 	// (default 500ms).
@@ -78,8 +78,6 @@ type Gate struct {
 	// burn; the other dispatch and rejection counts are the metrics'.
 	directBatch atomic.Uint64
 	burnSheds   atomic.Uint64
-
-	shedMu sync.Mutex // guards cfg.MaxInFlight and cfg.ShedRetryAfter
 
 	metrics *gateMetrics
 }
@@ -119,24 +117,6 @@ func New(cfg Config) (*Gate, error) {
 // down"). Dispatches already in flight finish on their callers'
 // goroutines: there is nothing for Close to wait for.
 func (g *Gate) Close() { g.closed.Store(true) }
-
-// SetShedding re-arms the front door's global in-flight shed at
-// runtime, symmetric with netdist.Server.SetShedding.
-func (g *Gate) SetShedding(maxInFlight int, retryAfter time.Duration) {
-	g.shedMu.Lock()
-	g.cfg.MaxInFlight = maxInFlight
-	if retryAfter > 0 {
-		g.cfg.ShedRetryAfter = retryAfter
-	}
-	g.shedMu.Unlock()
-}
-
-// shedConfig reads the (mutable) front-door shed settings.
-func (g *Gate) shedConfig() (int, time.Duration) {
-	g.shedMu.Lock()
-	defer g.shedMu.Unlock()
-	return g.cfg.MaxInFlight, g.cfg.ShedRetryAfter
-}
 
 // shapeOf derives the query-shape key straight from a spec: 's' per
 // specified field, '*' per unspecified.

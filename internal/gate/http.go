@@ -150,10 +150,9 @@ func (g *Gate) serveFrame(rq *request, r *http.Request, t *tenant, req *client.R
 		return g.refuse(t, quota, req.ID, fxdist.ErrCodeRateLimited, "tenant in-flight quota exceeded", g.cfg.ShedRetryAfter)
 	}
 	defer t.release()
-	maxInFlight, shedRetry := g.shedConfig()
-	if n := g.inFlight.Add(1); maxInFlight > 0 && n > int64(maxInFlight) {
+	if n := g.inFlight.Add(1); g.cfg.MaxInFlight > 0 && n > int64(g.cfg.MaxInFlight) {
 		g.inFlight.Add(-1)
-		return g.refuse(t, shed, req.ID, fxdist.ErrCodeOverloaded, "gate at max in-flight requests", shedRetry)
+		return g.refuse(t, shed, req.ID, fxdist.ErrCodeOverloaded, "gate at max in-flight requests", g.cfg.ShedRetryAfter)
 	}
 	defer g.inFlight.Add(-1)
 

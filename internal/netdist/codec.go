@@ -31,7 +31,7 @@ import (
 // Payloads use uvarints for counts/ids and zigzag varints for signed
 // ints; strings are uvarint length + raw bytes. Request payload:
 //
-//	flags(1: bit0=Ping bit1=Stats bit2=rescale extension) id traceID
+//	flags(1: bit1=Stats bit2=rescale extension; bit0 unused) id traceID
 //	parentSpan zigzag(asDevice)
 //	uvarint(len(Spec)) zigzag(Spec...)
 //	uvarint(numFields) then per field: 1 byte specified, if set
@@ -41,10 +41,8 @@ import (
 //	uvarint(numRecords) then records as in the response payload
 //
 // The rescale extension (Epoch, Control, Bucket, SpecJSON, Payload) is
-// gated by flags bit2 and appended after the value filters, so frames
-// from pre-rescale peers — which never set the bit — decode unchanged,
-// and pre-rescale decoders never see the extension (a rescale requires
-// every server at this version; Prepare fails cleanly on older ones).
+// gated by flags bit2 and appended after the value filters, so a query
+// frame, which never sets the bit, pays nothing for it.
 //
 // Response payload:
 //
@@ -54,11 +52,10 @@ import (
 //	uvarint(numFields), then per field uvarint(len)+bytes)
 //	[optional trailing] uvarint(len)+bytes of StatsJSON
 //
-// The StatsJSON field is trailing-optional for wire compatibility:
-// encoders append it only when non-empty, and decoders read it only
-// when payload bytes remain after the records, so frames from peers on
-// either side of the addition round-trip cleanly (old decoders never
-// reach the trailing bytes of a frame they've fully parsed).
+// The StatsJSON field is trailing-optional: encoders append it only when
+// non-empty, and decoders read it only when payload bytes remain after
+// the records, so a query answer pays nothing for it. (Optional sections
+// buy no cross-version decoding: checkMagic admits FXB version 1 alone.)
 //
 // Encoders size the payload exactly, fill one pooled frame, and write
 // it with a single Write. Both sides decode in place: the coordinator
@@ -232,9 +229,6 @@ func requestSize(req *Request) int {
 
 func appendRequest(b []byte, req *Request) []byte {
 	var flags byte
-	if req.Ping {
-		flags |= 1
-	}
 	if req.Stats {
 		flags |= 2
 	}
@@ -298,7 +292,6 @@ func (b *binServerCodec) decode(buf []byte, req *Request) error {
 	if err != nil {
 		return err
 	}
-	req.Ping = flags&1 != 0
 	req.Stats = flags&2 != 0
 	req.Epoch, req.Control, req.Bucket = 0, 0, 0
 	req.SpecJSON, req.Payload = nil, nil

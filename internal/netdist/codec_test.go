@@ -25,7 +25,7 @@ func str(s string) *string { return &s }
 func sampleRequests() []Request {
 	return []Request{
 		{AsDevice: -1},
-		{Ping: true, ID: 7, AsDevice: -1},
+		{Stats: true, ID: 7, AsDevice: -1},
 		NewRequest([]int{3, query.Unspecified, 0}, mkhash.PartialMatch{str("alpha"), nil, str("")}),
 		{
 			ID: 1<<63 + 5, TraceID: 42, ParentSpan: 99, AsDevice: 3,

@@ -201,8 +201,8 @@ func (dc *deviceConn) readLoop(tr *timingReader) {
 }
 
 // dead returns the sticky transport error once the reader has exited,
-// nil while the connection is healthy (the health prober's redial
-// trigger).
+// nil while the connection is healthy (the redial trigger of a
+// retrieval and of a stats pull).
 func (dc *deviceConn) dead() error {
 	dc.mu.Lock()
 	defer dc.mu.Unlock()
@@ -323,8 +323,8 @@ type Coordinator struct {
 	eng      *engine.Executor
 	in       *obs.Instruments
 
-	// connMu guards conns so the health prober can replace a dead
-	// connection while retrievals are in flight.
+	// connMu guards conns so tending can replace a dead connection
+	// while retrievals are in flight.
 	connMu sync.RWMutex
 	conns  []*deviceConn
 
@@ -333,15 +333,13 @@ type Coordinator struct {
 	ctrl     *retry.Controller
 	injector *resilience.Injector
 
-	// The background loops (StartHealthProbes, StartStatsPull): every
-	// starts each at most once, Close stops them together.
-	loopMu           sync.Mutex
-	probing, pulling bool
-	loopStop         chan struct{}
-	loopWG           sync.WaitGroup
+	// Tending (WithTending): Dial starts the one loop, Close stops it.
+	tendEvery time.Duration
+	stopTend  context.CancelFunc
+	tendDone  sync.WaitGroup
 
-	// Metrics federation (PullStats / StartStatsPull): fed accumulates
-	// per-server NodeStats snapshots into the /debug/cluster fleet view.
+	// Metrics federation (PullStats): fed accumulates per-server
+	// NodeStats snapshots into the /debug/cluster fleet view.
 	fed *obs.Federator
 }
 
@@ -387,6 +385,17 @@ func WithEpoch(epoch int) DialOption {
 // trust — the rescale's new-epoch dial comes before Prepare.
 func WithSpec(spec decluster.Spec) DialOption {
 	return func(c *Coordinator) { c.spec = &spec }
+}
+
+// WithTending makes Dial start the coordinator's one background loop:
+// a PullStats every interval, after a first one before Dial returns.
+// Each pull is also the health probe: it redials a dead connection and
+// its outcome drives the device's circuit breaker, so a restarted
+// server rejoins without risking live traffic. Close stops the loop. A
+// rescale's new-epoch coordinator, dialed with its cluster's options,
+// tends its own devices the same way.
+func WithTending(interval time.Duration) DialOption {
+	return func(c *Coordinator) { c.tendEvery = interval }
 }
 
 // WithFailover puts the ring-successor reroute on every retrieval, for
@@ -466,7 +475,33 @@ func Dial(file *mkhash.File, addrs []string, opts ...DialOption) (*Coordinator, 
 		return nil, fmt.Errorf("netdist: %w", err)
 	}
 	c.eng = eng
+	if c.tendEvery > 0 {
+		c.startTending()
+	}
 	return c, nil
+}
+
+// startTending pulls once, then every tendEvery on its own goroutine
+// until Close cancels the loop's context (which also ends a redial or
+// pull in flight).
+func (c *Coordinator) startTending() {
+	ctx, cancel := context.WithCancel(context.Background())
+	c.stopTend = cancel
+	c.PullStats(ctx) //nolint:errcheck // failures land in the federator
+	c.tendDone.Add(1)
+	go func() {
+		defer c.tendDone.Done()
+		t := time.NewTicker(c.tendEvery)
+		defer t.Stop()
+		for {
+			select {
+			case <-ctx.Done():
+				return
+			case <-t.C:
+				c.PullStats(ctx) //nolint:errcheck // failures land in the federator
+			}
+		}
+	}()
 }
 
 // allocator builds the spec the dialed servers decluster under, checked
@@ -593,69 +628,6 @@ func (c *Coordinator) conn(dev int) *deviceConn {
 	return c.conns[dev]
 }
 
-// StartHealthProbes pings every device server each interval: a dead
-// connection is redialed, and the ping outcome drives the device's
-// circuit breaker (a successful probe closes a half-open breaker, so a
-// restarted server rejoins without waiting for live traffic to risk
-// it). Idempotent; Close stops the prober.
-func (c *Coordinator) StartHealthProbes(interval time.Duration) {
-	c.every(&c.probing, interval, c.probeAll)
-}
-
-// every runs fn each interval on its own goroutine until Close, and
-// reports whether it started one: a loop whose flag is already set is
-// left as it is.
-func (c *Coordinator) every(started *bool, interval time.Duration, fn func()) bool {
-	c.loopMu.Lock()
-	defer c.loopMu.Unlock()
-	if *started {
-		return false
-	}
-	*started = true
-	if c.loopStop == nil {
-		c.loopStop = make(chan struct{})
-	}
-	stop := c.loopStop
-	c.loopWG.Add(1)
-	go func() {
-		defer c.loopWG.Done()
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-t.C:
-				fn()
-			}
-		}
-	}()
-	return true
-}
-
-func (c *Coordinator) probeAll() {
-	c.connMu.RLock()
-	m := len(c.conns)
-	c.connMu.RUnlock()
-	for dev := 0; dev < m; dev++ {
-		dc := c.conn(dev)
-		if dc.dead() != nil {
-			var err error
-			if dc, err = c.redial(context.Background(), dev, dc); err != nil {
-				// Still down; charge the breaker so it keeps cooling.
-				c.ctrl.Probe(dev, func() error { return err })
-				continue
-			}
-		}
-		c.ctrl.Probe(dev, func() error {
-			ctx, cancel := context.WithTimeout(context.Background(), c.probeTimeout())
-			defer cancel()
-			_, _, _, _, err := dc.roundTrip(ctx, Request{Ping: true, AsDevice: -1}, c.timeout)
-			return err
-		})
-	}
-}
-
 // Federator exposes the coordinator's fleet accumulator, the source of
 // its cluster's /debug/cluster.
 func (c *Coordinator) Federator() *obs.Federator { return c.fed }
@@ -668,43 +640,32 @@ func nodeName(dev int) string { return fmt.Sprintf("device-%d", dev) }
 // coordinatorNode is the federator's key for the coordinator itself.
 const coordinatorNode = "coordinator"
 
-// PullStats fetches every device server's telemetry snapshot over the
-// wire protocol and folds the results into the coordinator's federator.
-// Alongside each node's own snapshot it hands the federator the
-// coordinator's cumulative transport-error count for that device, so a
-// node whose requests are failing at the coordinator seam (injected
-// faults, flaky network) gets flagged even when its stats pull — a
-// fresh, uninjected round trip — succeeds. The coordinator's own
-// registry (its retrievals, audit, plan cache and resilience, which no
-// server carries) is folded in once, as one more node. The first pull
-// puts the fleet on the cluster's /debug/cluster. Returns the first pull
-// error, if any.
+// PullStats tends every device once and folds the results into the
+// coordinator's federator: a dead connection is redialed, one Stats
+// request goes straight on the connection (past the fault injector and
+// the server's shedding), and its answer or failure lands on the
+// device's fleet row and feeds the device's circuit breaker as a health
+// probe (retry.Controller.Probe: nothing while the breaker cools down, a
+// success after it closes the breaker). Alongside each node's own
+// snapshot the federator gets the coordinator's cumulative
+// transport-error count for that device, so a node whose requests are
+// failing at the coordinator seam (injected faults, flaky network) gets
+// flagged even when its pull succeeds. The coordinator's own registry
+// (its retrievals, audit, plan cache and resilience, which no server
+// carries) is folded in once, as one more node. The first pull puts the
+// fleet on the cluster's /debug/cluster. Returns the first pull error,
+// if any.
 func (c *Coordinator) PullStats(ctx context.Context) error {
 	c.fed.ObserveNode(coordinatorNode, obs.LocalNodeStats(coordinatorNode, c.in.Registry), 0)
-	c.connMu.RLock()
-	m := len(c.conns)
-	c.connMu.RUnlock()
 	var firstErr error
-	for dev := 0; dev < m; dev++ {
-		dc := c.conn(dev)
+	for dev := 0; dev < c.M(); dev++ {
 		coordErrs := c.dm[dev].errors.Value()
-		pctx, cancel := context.WithTimeout(ctx, c.probeTimeout())
-		resp, _, _, _, err := dc.roundTrip(pctx, Request{Stats: true, AsDevice: -1}, c.timeout)
-		cancel()
-		if err == nil && resp.Err != "" {
-			err = errors.New(resp.Err)
-		}
-		if err == nil && len(resp.StatsJSON) == 0 {
-			err = errors.New("netdist: server answered stats pull without a snapshot (pre-stats peer?)")
-		}
-		var st obs.NodeStats
-		if err == nil {
-			st, err = obs.DecodeNodeStats(resp.StatsJSON)
-		}
+		st, err := c.pull(ctx, dev)
+		c.ctrl.Probe(dev, func() error { return err })
 		if err != nil {
 			c.fed.ObserveFailure(nodeName(dev), err, coordErrs)
 			if firstErr == nil {
-				firstErr = fmt.Errorf("netdist: stats pull device %d (%s): %w", dev, dc.addr, err)
+				firstErr = fmt.Errorf("netdist: stats pull device %d (%s): %w", dev, c.conn(dev).addr, err)
 			}
 			continue
 		}
@@ -713,19 +674,32 @@ func (c *Coordinator) PullStats(ctx context.Context) error {
 	return firstErr
 }
 
-// StartStatsPull pulls every device's stats each interval, keeping the
-// /debug/cluster fleet view fresh. Idempotent; Close stops the loop. An
-// immediate first pull runs synchronously so the fleet view is populated
-// as soon as this returns.
-func (c *Coordinator) StartStatsPull(interval time.Duration) {
-	pull := func() { c.PullStats(context.Background()) } //nolint:errcheck // failures land in the federator
-	if c.every(&c.pulling, interval, pull) {
-		pull()
+// pull fetches device dev's telemetry snapshot, redialing its
+// connection first if it is dead.
+func (c *Coordinator) pull(ctx context.Context, dev int) (obs.NodeStats, error) {
+	dc := c.conn(dev)
+	if dc.dead() != nil {
+		var err error
+		if dc, err = c.redial(ctx, dev, dc); err != nil {
+			return obs.NodeStats{}, err
+		}
 	}
+	ctx, cancel := context.WithTimeout(ctx, c.probeTimeout())
+	defer cancel()
+	resp, _, _, _, err := dc.roundTrip(ctx, Request{Stats: true, AsDevice: -1}, c.timeout)
+	switch {
+	case err != nil:
+		return obs.NodeStats{}, err
+	case resp.Err != "":
+		return obs.NodeStats{}, errors.New(resp.Err)
+	case len(resp.StatsJSON) == 0:
+		return obs.NodeStats{}, errors.New("netdist: server answered stats pull without a snapshot")
+	}
+	return obs.DecodeNodeStats(resp.StatsJSON)
 }
 
-// probeTimeout bounds one health ping even when no request timeout is
-// configured.
+// probeTimeout bounds one dial, description or stats pull even when no
+// request timeout is configured.
 func (c *Coordinator) probeTimeout() time.Duration {
 	if c.timeout > 0 {
 		return c.timeout
@@ -794,16 +768,13 @@ func (c *Coordinator) reroute(ctx context.Context, dev int, err error) engine.De
 	return c.successorAs(dev)
 }
 
-// Close stops the health prober and the stats puller, drops all device
-// connections, and releases the plan cache.
+// Close stops tending, drops all device connections, and releases the
+// plan cache. Idempotent.
 func (c *Coordinator) Close() {
-	c.loopMu.Lock()
-	if c.loopStop != nil {
-		close(c.loopStop)
-		c.loopStop, c.probing, c.pulling = nil, false, false
+	if c.stopTend != nil {
+		c.stopTend()
+		c.tendDone.Wait()
 	}
-	c.loopMu.Unlock()
-	c.loopWG.Wait()
 	if c.eng != nil {
 		c.eng.Plans().Close()
 	}

@@ -57,17 +57,12 @@ type Request struct {
 	// across processes. Zero means untraced.
 	TraceID    uint64
 	ParentSpan uint64
-	// Ping marks a health probe: the server echoes an empty success
-	// immediately, bypassing load shedding, without running a query. The
-	// coordinator's health prober uses it to close circuit breakers once
-	// a server comes back.
-	Ping bool
 	// Stats asks the server for its telemetry snapshot instead of a
 	// query: the response carries the node's metrics registry serialised
-	// as StatsJSON. Like Ping it bypasses load shedding — a drowning
-	// node's stats are exactly the ones the fleet view needs. Old servers
-	// that predate the field answer it as a malformed query (harmless:
-	// the coordinator's stats pull just records the failure).
+	// as StatsJSON. It bypasses load shedding — a drowning node's stats
+	// are exactly the ones the fleet view needs, and the coordinator's
+	// stats pull doubles as its health probe, so a drowning node must
+	// still look alive.
 	Stats bool
 
 	// Epoch selects which declustering epoch a query runs against during
@@ -75,9 +70,8 @@ type Request struct {
 	// and Cutover — the prepared next view at epoch current+1. Outside a
 	// rescale every peer is at epoch 0 and the field rides as zero. On
 	// the binary wire the rescale extension (Epoch through Payload) is a
-	// trailing-optional section gated by a flags bit, so pre-rescale
-	// peers interoperate; a rescale itself requires every server at this
-	// version (Prepare fails cleanly on older ones).
+	// trailing-optional section gated by a flags bit, which a query frame
+	// leaves unset and so carries none of.
 	Epoch int
 	// Control, when non-zero, marks a rescale control operation (the
 	// Op* constants) instead of a query. Control ops bypass load
@@ -307,7 +301,8 @@ func (s *Server) stats(id uint64) Response {
 // SetShedding enables load shedding: beyond maxInflight concurrent
 // requests the server rejects new ones with a Retry-After hint of
 // retryAfter instead of queueing them behind slow scans. maxInflight
-// <= 0 disables shedding. Pings are never shed.
+// <= 0 disables shedding. Stats pulls and control operations are never
+// shed.
 func (s *Server) SetShedding(maxInflight int, retryAfter time.Duration) {
 	s.shedLimit.Store(int64(maxInflight))
 	s.shedAfterMs.Store(retryAfter.Milliseconds())
@@ -415,17 +410,10 @@ func (s *Server) handle(conn net.Conn) {
 		if err := codec.readRequest(&req); err != nil {
 			return // connection closed or corrupt stream
 		}
-		if req.Ping {
-			// Health probes answer before shedding and without a scan: a
-			// drowning server is still alive, and the prober must see that.
-			if err := codec.writeResponse(&Response{ID: req.ID}); err != nil {
-				return
-			}
-			continue
-		}
 		if req.Stats {
-			// Stats pulls also bypass shedding: an overloaded node's
-			// telemetry is exactly what the fleet view needs to show.
+			// Stats pulls answer before shedding: an overloaded node's
+			// telemetry is exactly what the fleet view needs to show, and
+			// the pull is the coordinator's health probe.
 			resp := s.stats(req.ID)
 			if err := codec.writeResponse(&resp); err != nil {
 				return

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"fxdist/internal/decluster"
 	"fxdist/internal/engine"
@@ -485,5 +486,91 @@ func TestUnreleasedResultIsLeftToTheCollector(t *testing.T) {
 	runtime.GC()
 	if got := strings.Join(recordKeys(kept.Records), "\n"); got != want {
 		t.Fatalf("an unreleased result changed under later traffic:\n%s\nwant\n%s", got, want)
+	}
+}
+
+// TestServerShedsQueriesButAnswersStats holds one query in flight on a
+// server shedding beyond one: a second query is refused with the
+// configured Retry-After and counted, while a stats pull — the
+// coordinator's health probe — is still answered, so a drowning server
+// looks alive.
+func TestServerShedsQueriesButAnswersStats(t *testing.T) {
+	file := buildFile(t, 200)
+	fs, _ := file.FileSystem(4)
+	fx := decluster.MustFX(fs)
+	spec, err := decluster.SpecOf(fx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parts, err := storage.Split(file, fx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewServer(0, spec, parts[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(l) //nolint:errcheck // ends when srv.Close closes l
+	defer srv.Close()
+	srv.SetShedding(1, 250*time.Millisecond)
+
+	c := &Coordinator{}
+	conns := make([]*deviceConn, 3)
+	for i := range conns {
+		if conns[i], err = c.dialDevice(context.Background(), l.Addr().String()); err != nil {
+			t.Fatal(err)
+		}
+		defer conns[i].conn.Close()
+	}
+	req := NewRequest([]int{0, query.Unspecified, query.Unspecified}, make(mkhash.PartialMatch, 3))
+
+	// The held query takes the one in-flight slot and blocks on the view
+	// lock until it is released.
+	srv.dataMu.Lock()
+	held := make(chan error, 1)
+	go func() {
+		resp, _, _, _, err := conns[0].roundTrip(context.Background(), req, 0)
+		if err == nil && resp.Err != "" {
+			err = fmt.Errorf("held query refused: %s", resp.Err)
+		}
+		held <- err
+	}()
+	for srv.inflightN.Load() != 1 {
+		runtime.Gosched()
+	}
+
+	resp, _, _, _, err := conns[1].roundTrip(context.Background(), req, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Err == "" || resp.RetryAfterMillis != 250 {
+		t.Errorf("second query: err %q, retry after %d ms; want a refusal with 250 ms", resp.Err, resp.RetryAfterMillis)
+	}
+
+	resp, _, _, _, err = conns[2].roundTrip(context.Background(), Request{Stats: true, AsDevice: -1}, 0)
+	if err != nil || resp.Err != "" {
+		t.Fatalf("stats pull on a shedding server: %v %q", err, resp.Err)
+	}
+	st, err := obs.DecodeNodeStats(resp.StatsJSON)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shed := -1.0
+	for _, m := range st.Metrics {
+		if m.Name == "fxdist_netdist_server_shed_requests_total" {
+			shed = m.Value
+		}
+	}
+	if shed != 1 {
+		t.Errorf("fxdist_netdist_server_shed_requests_total = %g, want 1", shed)
+	}
+
+	srv.dataMu.Unlock()
+	if err := <-held; err != nil {
+		t.Error(err)
 	}
 }

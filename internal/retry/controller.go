@@ -114,7 +114,7 @@ func (c *Controller) breaker(dev int) *Breaker {
 // Probe runs fn as a health probe for dev's breaker: vetoed while the
 // breaker is cooling down, otherwise the outcome feeds the breaker like
 // a primary attempt (a successful probe closes a half-open breaker —
-// the coordinator's health prober drives recovery through here). With
+// the coordinator's stats pull drives recovery through here). With
 // no breaker (or no controller) fn just runs.
 func (c *Controller) Probe(dev int, fn func() error) {
 	b := c.breaker(dev)

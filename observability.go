@@ -158,9 +158,10 @@ func QueryLogStatsFor(kind string) QueryLogStats {
 }
 
 // Metrics federation: a netdist coordinator pulls every device server's
-// metrics snapshot over the wire (Coordinator.StartStatsPull or
-// WithStatsPull) and merges them into a fleet view on its cluster's
-// /debug/cluster.
+// metrics snapshot over the wire (Coordinator.PullStats once, or every
+// interval under WithStatsPull, whose one loop also redials dead
+// connections and readmits devices through their breakers) and merges
+// them into a fleet view on its cluster's /debug/cluster.
 
 // FleetReport is one fleet's merged view: per-node liveness/lag rows,
 // summed counters and merged histograms, and the worst-of digests

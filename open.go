@@ -60,7 +60,6 @@ type openSettings struct {
 	resilSet   bool
 	retryCfg   retry.Config
 	injector   *FaultInjector
-	probeEvery time.Duration
 	statsEvery time.Duration
 }
 
@@ -108,9 +107,12 @@ func WithDialTimeout(d time.Duration) Option {
 	return func(s *openSettings) { s.dialTimeout = d }
 }
 
-// WithStatsPull makes the distributed backend's coordinator pull every
-// device server's metrics snapshot each interval, keeping the federated
-// fleet view on /debug/cluster fresh. Ignored on other backend kinds.
+// WithStatsPull makes the distributed backend's coordinator tend every
+// device server each interval: it redials a dead connection, pulls the
+// server's metrics snapshot into the federated fleet view on
+// /debug/cluster, and feeds the outcome to the device's circuit breaker,
+// so a restarted server is readmitted without risking live traffic. A
+// rescale's new epoch keeps tending. Ignored on other backend kinds.
 // Set by fxnode query -stats-pull.
 func WithStatsPull(interval time.Duration) Option {
 	return func(s *openSettings) { s.statsEvery = interval }
@@ -263,6 +265,9 @@ func Open(cfg Config, opts ...Option) (*Cluster, error) {
 		if s.failover {
 			dialOpts = append(dialOpts, netdist.WithFailover())
 		}
+		if s.statsEvery > 0 {
+			dialOpts = append(dialOpts, netdist.WithTending(s.statsEvery))
+		}
 		if s.dialEpoch > 0 {
 			dialOpts = append(dialOpts, netdist.WithEpoch(s.dialEpoch))
 		}
@@ -276,12 +281,6 @@ func Open(cfg Config, opts ...Option) (*Cluster, error) {
 		coord, err := netdist.Dial(cfg.File, cfg.Addrs, dialOpts...)
 		if err != nil {
 			return nil, err
-		}
-		if s.probeEvery > 0 {
-			coord.StartHealthProbes(s.probeEvery)
-		}
-		if s.statsEvery > 0 {
-			coord.StartStatsPull(s.statsEvery)
 		}
 		c.kind, c.be = KindNetdist, coord
 		c.rescaleJournal = s.rescaleJrnl

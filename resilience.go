@@ -131,12 +131,3 @@ func WithPartialResults() Option {
 func WithFaultInjector(in *FaultInjector) Option {
 	return func(s *openSettings) { s.injector = in }
 }
-
-// WithHealthProbing starts the distributed backend's health prober:
-// every interval the coordinator pings each device server, redials dead
-// connections, and feeds the outcomes into the circuit breakers so a
-// restarted server rejoins without risking live traffic. Ignored on
-// local backends. Library API, exercised by TestChaosHealthProbeRecovery.
-func WithHealthProbing(interval time.Duration) Option {
-	return func(s *openSettings) { s.probeEvery = interval }
-}

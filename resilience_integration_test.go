@@ -192,7 +192,7 @@ func TestChaosHealthProbeRecovery(t *testing.T) {
 		fxdist.WithDialTimeout(2*time.Second),
 		fxdist.WithRetryBudget(2, time.Millisecond, 5*time.Millisecond),
 		fxdist.WithCircuitBreaker(1, 50*time.Millisecond),
-		fxdist.WithHealthProbing(20*time.Millisecond),
+		fxdist.WithStatsPull(20*time.Millisecond),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -272,7 +272,7 @@ func restartServer(t *testing.T, servers []*fxdist.DeviceServer, addrs []string,
 }
 
 // TestRedialAfterServerRestart: a cluster opened with Addrs alone — no
-// health prober, no failover, as fxgate and fxnode dial — loses device
+// stats pull, no failover, as fxgate and fxnode dial — loses device
 // 2's connection when its server restarts. The next request redials it,
 // so the first retrievals after the restart answer in full; they race,
 // so all but one redial lose the swap and close their own connection.

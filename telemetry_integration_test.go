@@ -113,6 +113,135 @@ func TestFleetViewCountsEachNodeOnce(t *testing.T) {
 	}
 }
 
+// waitFleet polls the node rows of the fleet on url's /debug/cluster
+// until ok accepts them, or fails the test after 2 s with the rows it
+// last saw.
+func waitFleet(t *testing.T, url, what string, ok func([]obs.NodeRow) bool) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		resp, err := http.Get(url + "/debug/cluster?format=json")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var fleets map[string]fxdist.FleetReport
+		err = json.NewDecoder(resp.Body).Decode(&fleets)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("decode /debug/cluster: %v", err)
+		}
+		rows := fleets[fxdist.KindNetdist].Nodes
+		if ok(rows) {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: /debug/cluster rows after 2s: %+v", what, rows)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestStatsPullTendsTheRescaledEpoch grows a stats-pulling cluster
+// 4 -> 8: the new epoch's coordinator is dialed with the cluster's
+// options, so it tends its own eight devices and /debug/cluster, which
+// reads the serving coordinator, keeps a fresh fleet view after the
+// cutover.
+func TestStatsPullTendsTheRescaledEpoch(t *testing.T) {
+	file := buildTestFile(t)
+	fs, err := file.FileSystem(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fx, err := fxdist.NewFX(fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addrs, stopOld, err := fxdist.DeployLocal(file, fx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stopOld()
+	spec, err := fxdist.DescribeAllocator(fx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	newSpec, err := spec.Rescaled(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	taddrs, stopTargets := deployRescaleTargets(t, newSpec, 4, 1)
+	defer stopTargets()
+
+	cl, err := fxdist.Open(fxdist.Config{File: file, Addrs: addrs}, fxdist.WithStatsPull(10*time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	srv := httptest.NewServer(cl.DebugHandler())
+	defer srv.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	resc, err := cl.Rescale(ctx, fxdist.RescaleConfig{
+		Addrs:        append(append([]string(nil), addrs...), taddrs...),
+		NewM:         8,
+		DisableGuard: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := resc.Wait(); err != nil {
+		t.Fatalf("rescale: %v", err)
+	}
+	cutover := time.Now()
+	waitFleet(t, srv.URL, "after the 4 -> 8 cutover", func(rows []obs.NodeRow) bool {
+		if len(rows) != 9 {
+			return false
+		}
+		for _, r := range rows {
+			if !r.Alive || !r.LastPull.After(cutover) {
+				return false
+			}
+		}
+		return true
+	})
+}
+
+// TestStatsPullRedialsARestartedServer restarts device 2's server on its
+// own address with no retrieval in between: the stats pull is the
+// health probe, so it redials the dead connection and the fleet row
+// reads alive again.
+func TestStatsPullRedialsARestartedServer(t *testing.T) {
+	file := buildTestFile(t)
+	fs, _ := file.FileSystem(4)
+	fx, _ := fxdist.NewFX(fs)
+	servers, addrs, parts, spec, stop := chaosServers(t, file, fx)
+	defer stop()
+
+	cl, err := fxdist.Open(fxdist.Config{File: file, Addrs: addrs}, fxdist.WithStatsPull(10*time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	srv := httptest.NewServer(cl.DebugHandler())
+	defer srv.Close()
+	device2 := func(alive bool) func([]obs.NodeRow) bool {
+		return func(rows []obs.NodeRow) bool {
+			for _, r := range rows {
+				if r.Node == "device-2" {
+					return r.Alive == alive
+				}
+			}
+			return false
+		}
+	}
+
+	servers[2].Close()
+	waitFleet(t, srv.URL, "device-2 dead", device2(false))
+	restartServer(t, servers, addrs, parts, spec, 2)
+	waitFleet(t, srv.URL, "device-2 alive after its restart", device2(true))
+}
+
 // TestClusterTelemetryPlane runs the telemetry plane end to end on a
 // real multi-node cluster with an injected fault: per-node registries
 // federated over the wire into one /debug/cluster view whose per-shape
