@@ -364,6 +364,9 @@ func startRescale(cfg rescaleStartConfig) error {
 	default:
 		return fmt.Errorf("growing to %d devices needs -new-addrs listing the joining rescale-target servers", cfg.newM)
 	}
+	if len(newAddrs) != cfg.newM {
+		return fmt.Errorf("-new-m %d, but -new-addrs lists %d servers", cfg.newM, len(newAddrs))
+	}
 	if plan, err := fxdist.RescalePlanOf(alloc, cfg.newM); err == nil {
 		fmt.Printf("fxnode: rescale %d -> %d devices: %d of %d buckets move, %d stay (owners derivable: %v)\n",
 			plan.OldM, plan.NewM, len(plan.Moves), plan.Total, plan.Stay, plan.Derivable)
@@ -380,11 +383,7 @@ func startRescale(cfg rescaleStartConfig) error {
 		ctx, cancel = context.WithTimeout(ctx, cfg.timeout)
 		defer cancel()
 	}
-	var opts []fxdist.Option
-	if cfg.journal != "" {
-		opts = append(opts, fxdist.WithRescale(cfg.journal))
-	}
-	cl, err := fxdist.Open(fxdist.Config{File: file, Addrs: addrs}, opts...)
+	cl, err := fxdist.Open(fxdist.Config{File: file, Addrs: addrs})
 	if err != nil {
 		return err
 	}
@@ -401,7 +400,7 @@ func startRescale(cfg rescaleStartConfig) error {
 	}
 	resc, err := cl.Rescale(ctx, fxdist.RescaleConfig{
 		Addrs:           newAddrs,
-		NewM:            cfg.newM,
+		Journal:         cfg.journal,
 		Concurrency:     cfg.concurrency,
 		GuardMinQueries: cfg.guardQueries,
 		DisableGuard:    cfg.noGuard,

@@ -164,6 +164,14 @@ func TestStartRescaleEndToEnd(t *testing.T) {
 		go srv.Serve(l) //nolint:errcheck // ends when srv.Close closes l
 	}
 
+	// The library sizes a rescale by its address list, so -new-m must
+	// be the length of -new-addrs.
+	err = startRescale(rescaleStartConfig{snapshot: snap, addrs: strings.Join(addrs, ","),
+		newAddrs: strings.Join(newAddrs[:3], ","), newM: 4})
+	if err == nil || !strings.Contains(err.Error(), "-new-addrs lists 3 servers") {
+		t.Fatalf("-new-m 4 over three -new-addrs: %v", err)
+	}
+
 	err = startRescale(rescaleStartConfig{
 		snapshot:     snap,
 		addrs:        strings.Join(addrs, ","),

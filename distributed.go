@@ -2,7 +2,6 @@ package fxdist
 
 import (
 	"io"
-	"time"
 
 	"fxdist/internal/decluster"
 	"fxdist/internal/netdist"
@@ -72,7 +71,7 @@ func DeployLocal(file *File, alloc GroupAllocator) (addrs []string, stop func(),
 
 // NewReplicatedDeviceServer builds a device server that also holds the
 // backup partition of its ring predecessor (chained declustering over
-// TCP), which is what lets a cluster opened WithFailover survive a
+// TCP). A cluster opened over a fleet of them fails over: it survives a
 // server's death.
 func NewReplicatedDeviceServer(deviceID int, spec AllocatorSpec, primary, backup Partition) (*DeviceServer, error) {
 	return netdist.NewReplicatedServer(deviceID, spec, primary, backup)
@@ -80,29 +79,9 @@ func NewReplicatedDeviceServer(deviceID int, spec AllocatorSpec, primary, backup
 
 // DeployReplicatedLocal is DeployLocal with chained replication: each
 // server holds its primary partition plus its predecessor's backup, and
-// a cluster opened WithFailover survives any single server death.
+// a cluster opened over the fleet survives any single server death.
 func DeployReplicatedLocal(file *File, alloc GroupAllocator) (addrs []string, stop func(), err error) {
 	return netdist.DeployReplicated(file, alloc)
-}
-
-// DialOption configures dialing a distributed cluster (see
-// WithDialTimeout on Open, or the deprecated DialCluster).
-type DialOption = netdist.DialOption
-
-// WithRequestTimeout bounds each per-device request; zero (the default)
-// waits indefinitely. Library API for RescaleConfig.DialOptions; Open
-// lowers WithDialTimeout onto it (TestPublicReplicatedFailover).
-func WithRequestTimeout(d time.Duration) DialOption {
-	return netdist.WithTimeout(d)
-}
-
-// WithDialInjector installs a fault injector on a dialed coordinator's
-// per-device requests — the DialOption form of WithFaultInjector, for
-// coordinators dialed outside Open (e.g. RescaleConfig.DialOptions, so
-// chaos schedules also hit the migration stream and the window's reads).
-// Library API, exercised by TestRescaleGrowUnderFaults.
-func WithDialInjector(in *FaultInjector) DialOption {
-	return netdist.WithInjector(in)
 }
 
 // SaveSnapshot writes the file — and, when alloc is non-nil, its

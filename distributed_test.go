@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"net"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -89,24 +90,38 @@ func TestPublicDistributedRetrieval(t *testing.T) {
 	}
 }
 
-// TestPublicReplicatedFailover: WithFailover is decided once, at Open,
-// and then holds on every road into the executor — single retrievals,
-// RetrieveBatch, and the gate's fx.retrieve — with one of the
-// four replicated servers dead. A cluster opened without it fails on
-// the same roads, naming the device.
+// TestPublicReplicatedFailover: a cluster opened over a replicated
+// fleet fails over, decided once at Open from what the servers hold, on
+// every road into the executor — single retrievals, RetrieveBatch, and
+// the gate's fx.retrieve — with one of the four servers dead. A cluster
+// over a plain fleet with one server dead fails on the same roads,
+// naming the device.
 func TestPublicReplicatedFailover(t *testing.T) {
 	file := buildTestFile(t)
 	fs, _ := file.FileSystem(4)
 	fx, _ := fxdist.NewFX(fs)
-	servers, addrs, _, _, stop := chaosServers(t, file, fx)
+	servers, addrs, parts, spec, stop := chaosServers(t, file, fx)
 	defer stop()
-	coord, err := fxdist.Open(fxdist.Config{File: file, Addrs: addrs},
-		fxdist.WithDialTimeout(5e9), fxdist.WithFailover())
+	coord, err := fxdist.Open(fxdist.Config{File: file, Addrs: addrs}, fxdist.WithDialTimeout(5e9))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer coord.Close()
-	plain, err := fxdist.Open(fxdist.Config{File: file, Addrs: addrs}, fxdist.WithDialTimeout(5e9))
+	plainServers := make([]*fxdist.DeviceServer, len(parts))
+	plainAddrs := make([]string, len(parts))
+	for dev, part := range parts {
+		if plainServers[dev], err = fxdist.NewDeviceServer(dev, spec, part); err != nil {
+			t.Fatal(err)
+		}
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		plainAddrs[dev] = l.Addr().String()
+		go plainServers[dev].Serve(l) //nolint:errcheck // ends when Close closes l
+		defer plainServers[dev].Close()
+	}
+	plain, err := fxdist.Open(fxdist.Config{File: file, Addrs: plainAddrs}, fxdist.WithDialTimeout(5e9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,22 +157,22 @@ func TestPublicReplicatedFailover(t *testing.T) {
 	}
 	check("healthy")
 
-	// Kill device 2's server; the plain cluster notices first.
+	// Kill device 2's server in both fleets.
 	servers[2].Close()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if _, err := plain.Retrieve(pms[0]); err != nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("plain retrieve kept succeeding after server death")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	plainServers[2].Close()
 	check("one server dead")
+	if spans := coord.RecentTraces(1); len(spans) != 1 || spans[0].Name != "netdist.retrieve-failover" {
+		t.Errorf("retrieval spans %+v, want one netdist.retrieve-failover", spans)
+	}
 	var derr *fxdist.DeviceError
+	if _, err := plain.Retrieve(pms[0]); !errors.As(err, &derr) || derr.Device != 2 {
+		t.Errorf("plain fleet: err = %v, want a DeviceError naming device 2", err)
+	}
+	if spans := plain.RecentTraces(1); len(spans) != 1 || spans[0].Name != "netdist.retrieve" {
+		t.Errorf("plain fleet spans %+v, want one netdist.retrieve", spans)
+	}
 	if _, err := plain.RetrieveBatch(context.Background(), pms); !errors.As(err, &derr) || derr.Device != 2 {
-		t.Errorf("batch without WithFailover: err = %v, want a DeviceError naming device 2", err)
+		t.Errorf("plain fleet batch: err = %v, want a DeviceError naming device 2", err)
 	}
 
 	// The serving tier sends every query through a RetrieveBatch of

@@ -73,12 +73,12 @@ func main() {
 	}
 
 	// Availability: redeploy with chained replication (each server also
-	// holds its ring predecessor's backup partition) and keep answering
-	// through a failover path.
+	// holds its ring predecessor's backup partition); the servers say so
+	// when Open dials, and the cluster fails over.
 	raddrs, rstop, err := fxdist.DeployReplicatedLocal(restored, alloc)
 	check(err)
 	defer rstop()
-	rcoord, err := fxdist.Open(fxdist.Config{File: restored, Addrs: raddrs}, fxdist.WithFailover())
+	rcoord, err := fxdist.Open(fxdist.Config{File: restored, Addrs: raddrs})
 	check(err)
 	defer rcoord.Close()
 	pm, err := restored.Spec(map[string]string{"metric": "metric-3"})

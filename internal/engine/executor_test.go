@@ -140,7 +140,7 @@ func TestRetrieveReportsAllFailingDevices(t *testing.T) {
 }
 
 // rerouted builds an executor over devs with a Reroute and no retry
-// controller — the form netdist's WithFailover dials without
+// controller — the form netdist dials over a replicated fleet without
 // WithResilience.
 func rerouted(t *testing.T, f *mkhash.File, reroute func(context.Context, int, error) engine.Device, devs ...engine.Device) *engine.Executor {
 	t.Helper()

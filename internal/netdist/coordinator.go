@@ -312,16 +312,15 @@ func (dc *deviceConn) roundTrip(ctx context.Context, req Request, timeout time.D
 // values) but no data. Concurrent Retrieve calls pipeline over the same
 // device connections. Retrieval — single, batched, through the gate or
 // inside a rescale window — runs on one engine executor whose failure
-// handling is fixed at Dial (WithFailover, WithResilience).
+// handling is fixed at Dial: the fleet's backups and WithResilience.
 type Coordinator struct {
-	file     *mkhash.File
-	dm       []coordDevMetrics
-	timeout  time.Duration
-	failover bool
-	epoch    int
-	spec     *decluster.Spec // WithSpec's, else nil until the servers agree on one at Dial
-	eng      *engine.Executor
-	in       *obs.Instruments
+	file    *mkhash.File
+	dm      []coordDevMetrics
+	timeout time.Duration
+	epoch   int
+	spec    *decluster.Spec // WithSpec's, else nil until the servers agree on one at Dial
+	eng     *engine.Executor
+	in      *obs.Instruments
 
 	// connMu guards conns so tending can replace a dead connection
 	// while retrievals are in flight.
@@ -398,24 +397,20 @@ func WithTending(interval time.Duration) DialOption {
 	return func(c *Coordinator) { c.tendEvery = interval }
 }
 
-// WithFailover puts the ring-successor reroute on every retrieval, for
-// deployments whose servers hold their predecessor's backup partition
-// (NewReplicatedServer): a transport failure on a device re-asks its
-// successor to answer as that device, and under WithResilience hedges
-// race the same backup. It tolerates any set of
-// failures in which no two adjacent servers are both dead. Retrieval
-// spans are then named "netdist.retrieve-failover". Without it a dead
-// server fails the retrieval, naming the device.
-func WithFailover() DialOption {
-	return func(c *Coordinator) { c.failover = true }
-}
-
 // Dial connects to one server per device; addrs[i] must serve device i.
 // The file provides the schema and hash functions used to lower value
 // queries to bucket coordinates — it can be empty of records. The
 // allocator is the one the servers describe: Dial fails unless server i
 // says it is device i, all under one spec (WithSpec's, when given) whose
 // M is len(addrs) and whose grid is the file's.
+//
+// When every server i also holds device (i-1) mod M's backup partition
+// (NewReplicatedServer), the coordinator fails over: a transport failure
+// on a device re-asks its ring successor to answer as that device, and
+// under WithResilience hedges race the same backup. That tolerates any
+// set of failures in which no two adjacent servers are both dead, and
+// retrieval spans are named "netdist.retrieve-failover". Otherwise a dead
+// server fails the retrieval, naming the device.
 func Dial(file *mkhash.File, addrs []string, opts ...DialOption) (*Coordinator, error) {
 	c := &Coordinator{file: file}
 	for _, opt := range opts {
@@ -435,7 +430,7 @@ func Dial(file *mkhash.File, addrs []string, opts ...DialOption) (*Coordinator, 
 		c.conns = append(c.conns, dc)
 		c.dm = append(c.dm, newCoordDevMetrics(c.in.Registry, i))
 	}
-	alloc, err := c.allocator()
+	alloc, failover, err := c.allocator()
 	if err != nil {
 		c.Close()
 		return nil, err
@@ -445,13 +440,12 @@ func Dial(file *mkhash.File, addrs []string, opts ...DialOption) (*Coordinator, 
 		devices[i] = &remoteDevice{c: c, server: i, as: -1}
 	}
 	// Reroutes and hedge backups both impersonate a device against its
-	// ring successor's backup partition, so only a failover deployment
-	// gets them (a plain deployment's successor has no copy to answer
-	// from).
+	// ring successor's backup partition, so only a fleet whose every
+	// successor holds that copy gets them.
 	span := "netdist.retrieve"
 	var reroute func(ctx context.Context, dev int, err error) engine.Device
 	var backup func(dev int) engine.Device
-	if c.failover {
+	if failover {
 		span, reroute, backup = "netdist.retrieve-failover", c.reroute, c.successorAs
 	}
 	if c.rcfg != nil {
@@ -509,41 +503,44 @@ func (c *Coordinator) startTending() {
 // server i must say it is device i, and those that serve the
 // coordinator's epoch must agree on one spec — the one handed over
 // (WithSpec), when there is one. A server not serving the epoch yet is
-// taken on trust only under a handed spec.
-func (c *Coordinator) allocator() (decluster.GroupAllocator, error) {
+// taken on trust only under a handed spec. failover reports whether
+// every server i holds device (i-1) mod M's backup at the epoch.
+func (c *Coordinator) allocator() (alloc decluster.GroupAllocator, failover bool, err error) {
 	spec, from := c.spec, "WithSpec"
+	failover = true
+	m := len(c.conns)
 	for dev, dc := range c.conns {
 		d, err := c.describe(dc)
 		if err != nil {
-			return nil, fmt.Errorf("netdist: describe device %d (%s): %w", dev, dc.addr, err)
+			return nil, false, fmt.Errorf("netdist: describe device %d (%s): %w", dev, dc.addr, err)
 		}
 		switch {
 		case d.Device != dev:
-			return nil, fmt.Errorf("netdist: address %d (%s) is served by device %d, not device %d", dev, dc.addr, d.Device, dev)
+			return nil, false, fmt.Errorf("netdist: address %d (%s) is served by device %d, not device %d", dev, dc.addr, d.Device, dev)
 		case d.Spec == nil && c.spec == nil:
-			return nil, fmt.Errorf("netdist: device %d (%s) does not serve epoch %d", dev, dc.addr, c.epoch)
+			return nil, false, fmt.Errorf("netdist: device %d (%s) does not serve epoch %d", dev, dc.addr, c.epoch)
 		case d.Spec == nil:
 		case spec == nil:
 			spec, from = d.Spec, fmt.Sprintf("device %d (%s)", dev, dc.addr)
 		case !specEqual(*spec, *d.Spec):
-			return nil, fmt.Errorf("netdist: device %d (%s) declusters under %+v, %s under %+v", dev, dc.addr, *d.Spec, from, *spec)
+			return nil, false, fmt.Errorf("netdist: device %d (%s) declusters under %+v, %s under %+v", dev, dc.addr, *d.Spec, from, *spec)
 		}
+		failover = failover && d.Backup != nil && *d.Backup == (dev-1+m)%m
 	}
 	if spec == nil {
-		return nil, errors.New("netdist: no device addresses")
+		return nil, false, errors.New("netdist: no device addresses")
 	}
-	if spec.M != len(c.conns) {
-		return nil, fmt.Errorf("netdist: %d addresses for an allocator over %d devices", len(c.conns), spec.M)
+	if spec.M != m {
+		return nil, false, fmt.Errorf("netdist: %d addresses for an allocator over %d devices", m, spec.M)
 	}
 	if sizes := c.file.Sizes(); !slices.Equal(sizes, spec.Sizes) {
-		return nil, fmt.Errorf("netdist: file directory sizes %v, allocator declusters %v", sizes, spec.Sizes)
+		return nil, false, fmt.Errorf("netdist: file directory sizes %v, allocator declusters %v", sizes, spec.Sizes)
 	}
 	c.spec = spec
-	alloc, err := spec.Build()
-	if err != nil {
-		return nil, fmt.Errorf("netdist: %w", err)
+	if alloc, err = spec.Build(); err != nil {
+		return nil, false, fmt.Errorf("netdist: %w", err)
 	}
-	return alloc, nil
+	return alloc, failover, nil
 }
 
 // describe asks one server which device it is and under which spec it
@@ -753,7 +750,7 @@ func (c *Coordinator) successorAs(dev int) engine.Device {
 	return &remoteDevice{c: c, server: (dev + 1) % len(c.conns), as: dev}
 }
 
-// reroute is the executor's Reroute under WithFailover: a transport
+// reroute is the executor's Reroute over a replicated fleet: a transport
 // failure on a device re-asks its ring successor to answer from the
 // backup copy. Remote rejections (the server answered and said no)
 // are not retried — the backup would reject the same request.
@@ -921,7 +918,7 @@ func (c *Coordinator) Retrieve(pm mkhash.PartialMatch) (engine.Result, error) {
 // every device that owns one of its qualified buckets, and merges the
 // responses. Any device error fails the whole retrieval (partial answers
 // would silently drop matches) and the error reports every failing
-// device — unless the executor reroutes it (WithFailover) or, under
+// device — unless the executor reroutes it (a replicated fleet) or, under
 // WithResilience(Partial: true), degrades it: then the surviving
 // devices' merged records come back alongside the *engine.PartialError
 // manifest (match with errors.As).

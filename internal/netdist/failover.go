@@ -9,7 +9,7 @@ import (
 
 // Replicated deployment: each device server also holds the backup copy of
 // its ring predecessor's partition (chained declustering over TCP). When
-// a device server dies, a coordinator dialed WithFailover re-asks its
+// a device server dies, a coordinator dialed over such a fleet re-asks its
 // ring successor to answer *as* the dead device, so retrievals survive
 // any single server failure with no data loss.
 

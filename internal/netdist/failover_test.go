@@ -23,7 +23,7 @@ func TestReplicatedDeployHealthy(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer stop()
-	coord, err := Dial(file, addrs, WithFailover())
+	coord, err := Dial(file, addrs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,10 +87,11 @@ func TestReplicatedDeployHealthy(t *testing.T) {
 	}
 }
 
-// Killing one server: a coordinator dialed WithFailover still returns
-// the complete answer via the successor's backup partition — one query
-// at a time and batched, the two share one policy chain — while a plain
-// coordinator over the same servers fails naming the device.
+// Killing one server: a coordinator dialed over a replicated fleet still
+// returns the complete answer via the successor's backup partition — one
+// query at a time and batched, the two share one policy chain.
+// TestMixedFleetDoesNotFailOver is the other half: a fleet with one
+// plain server fails, naming the device.
 func TestFailoverSurvivesOneServerDeath(t *testing.T) {
 	file := buildFile(t, 400)
 	fs, _ := file.FileSystem(4)
@@ -127,16 +128,11 @@ func TestFailoverSurvivesOneServerDeath(t *testing.T) {
 		}
 	}()
 
-	coord, err := Dial(file, addrs, WithTimeout(5*time.Second), WithFailover())
+	coord, err := Dial(file, addrs, WithTimeout(5*time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer coord.Close()
-	plain, err := Dial(file, addrs, WithTimeout(5*time.Second))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer plain.Close()
 
 	var pms []mkhash.PartialMatch
 	var wants [][]string
@@ -158,17 +154,6 @@ func TestFailoverSurvivesOneServerDeath(t *testing.T) {
 
 	// Kill device 2's server.
 	servers[2].Close()
-	// Wait until the coordinators notice the dead connection.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if _, err := plain.Retrieve(pm); err != nil {
-			break // plain retrieve now fails
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("plain retrieve kept succeeding after server death")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
 	got, err = coord.Retrieve(pm)
 	if err != nil {
 		t.Fatalf("failover retrieve failed: %v", err)
@@ -183,23 +168,9 @@ func TestFailoverSurvivesOneServerDeath(t *testing.T) {
 
 	// A fully specified query whose one bucket the dead device owns goes
 	// to that device alone: failover must reroute it (to server 3, as
-	// device 2), and without failover it fails naming device 2. One that
-	// device 1 owns never touches the dead server, failover or not.
-	exactOn := func(dev int) mkhash.PartialMatch {
-		var pm mkhash.PartialMatch
-		file.EachBucket(func(coords []int, records []mkhash.Record) {
-			if pm == nil && fx.Device(coords) == dev {
-				r := records[0]
-				pm = mkhash.PartialMatch{&r[0], &r[1], &r[2]}
-			}
-		})
-		if pm == nil {
-			t.Fatalf("no record on device %d", dev)
-		}
-		return pm
-	}
+	// device 2).
 	rerouted := coord.dm[2].failovers.Value()
-	onDead := exactOn(2)
+	onDead := exactOn(t, file, fx, 2)
 	got, err = coord.Retrieve(onDead)
 	if err != nil {
 		t.Fatalf("query owned by the dead device: %v", err)
@@ -213,14 +184,6 @@ func TestFailoverSurvivesOneServerDeath(t *testing.T) {
 	if n := coord.dm[2].failovers.Value() - rerouted; n != 1 {
 		t.Errorf("%d failovers for device 2, want 1", n)
 	}
-	var derr *DeviceError
-	if _, err := plain.Retrieve(onDead); !errors.As(err, &derr) || derr.Device != 2 {
-		t.Errorf("plain query owned by the dead device: err = %v, want a DeviceError for device 2", err)
-	}
-	onLive := exactOn(1)
-	if res, err := plain.Retrieve(onLive); err != nil || len(res.Records) == 0 {
-		t.Errorf("plain query owned by device 1 alone: %d records, %v", len(res.Records), err)
-	}
 
 	// The batch path fails over too: it is the same executor.
 	batch, err := coord.RetrieveBatch(context.Background(), pms)
@@ -232,10 +195,90 @@ func TestFailoverSurvivesOneServerDeath(t *testing.T) {
 			t.Errorf("failover batch query %d differs from reference", i)
 		}
 	}
-	// And a coordinator dialed without failover never does, on either
-	// path: the error names the dead device.
-	if _, err := plain.RetrieveBatch(context.Background(), pms); !errors.As(err, &derr) || derr.Device != 2 {
-		t.Errorf("plain batch after server death: err = %v, want a DeviceError for device 2", err)
+}
+
+// exactOn is a fully specified query whose one bucket device dev owns.
+func exactOn(t *testing.T, file *mkhash.File, alloc decluster.Allocator, dev int) mkhash.PartialMatch {
+	t.Helper()
+	var pm mkhash.PartialMatch
+	file.EachBucket(func(coords []int, records []mkhash.Record) {
+		if pm == nil && alloc.Device(coords) == dev {
+			r := records[0]
+			pm = mkhash.PartialMatch{&r[0], &r[1], &r[2]}
+		}
+	})
+	if pm == nil {
+		t.Fatalf("no record on device %d", dev)
+	}
+	return pm
+}
+
+// A fleet fails over only when every server holds its ring predecessor's
+// backup. Here server 2 holds device 1's, but server 3 is plain: with
+// server 1 dead a retrieval fails naming device 1, one and batched,
+// under the plain span name, with no reroute counted; a query device 0
+// owns alone never touches the dead server.
+func TestMixedFleetDoesNotFailOver(t *testing.T) {
+	file := buildFile(t, 400)
+	fs, _ := file.FileSystem(4)
+	fx := decluster.MustFX(fs)
+	spec, err := decluster.SpecOf(fx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parts, err := storage.Split(file, fx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	servers := make([]*Server, 4)
+	addrs := make([]string, 4)
+	for dev := 0; dev < 4; dev++ {
+		var srv *Server
+		if dev == 3 {
+			srv, err = NewServer(dev, spec, parts[dev])
+		} else {
+			srv, err = NewReplicatedServer(dev, spec, parts[dev], parts[(dev+3)%4])
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		l, err := newLoopbackListener(t)
+		if err != nil {
+			t.Fatal(err)
+		}
+		servers[dev] = srv
+		addrs[dev] = l.Addr().String()
+		go srv.Serve(l) //nolint:errcheck
+	}
+	defer func() {
+		for _, s := range servers {
+			s.Close()
+		}
+	}()
+	coord, err := Dial(file, addrs, WithTimeout(5*time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+
+	servers[1].Close()
+	var derr *DeviceError
+	onDead := exactOn(t, file, fx, 1)
+	res, err := coord.Retrieve(onDead)
+	if !errors.As(err, &derr) || derr.Device != 1 {
+		t.Errorf("query owned by the dead device: err = %v, want a DeviceError for device 1", err)
+	}
+	if spans := coord.in.Tracer.Recent(1); len(spans) != 1 || spans[0].Name != "netdist.retrieve" {
+		t.Errorf("retrieval spans %+v, want one netdist.retrieve", spans)
+	}
+	if _, err := coord.RetrieveBatch(context.Background(), []mkhash.PartialMatch{onDead}); !errors.As(err, &derr) || derr.Device != 1 {
+		t.Errorf("batch after server death: err = %v, want a DeviceError for device 1", err)
+	}
+	if n := coord.dm[1].failovers.Value(); n != 0 {
+		t.Errorf("%d failovers for device 1, want 0", n)
+	}
+	if res, err = coord.Retrieve(exactOn(t, file, fx, 0)); err != nil || len(res.Records) == 0 {
+		t.Errorf("query owned by device 0 alone: %d records, %v", len(res.Records), err)
 	}
 }
 

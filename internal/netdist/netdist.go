@@ -107,12 +107,12 @@ const (
 	// OpAbort drops the prepared view and deletes every bucket installed
 	// during the rescale, returning the server to its pre-rescale state.
 	OpAbort
-	// OpDescribe answers which device the server is and under which
-	// allocator spec it serves the request's epoch (a JSON description in
-	// the response's trailing blob). Dial asks every server: a query goes
-	// only to the devices its plan says own a qualified bucket, so
-	// "addrs[i] serves device i under one allocator" is the correctness of
-	// every answer and is checked, not assumed.
+	// OpDescribe answers which device the server is, under which
+	// allocator spec it serves the request's epoch and whose backup it
+	// holds (JSON in the response's trailing blob). Dial asks every
+	// server: a query goes only to the devices its plan says own a
+	// qualified bucket, so "addrs[i] serves device i under one allocator"
+	// is the correctness of every answer and is checked, not assumed.
 	OpDescribe
 	// OpDigest digests the records the request's epoch owns on the
 	// server: their count in Scanned, their mkhash.Digest sum in decimal

@@ -203,11 +203,14 @@ func (s *Server) abort(req *Request) Response {
 }
 
 // description is what a server says of itself to a dialing coordinator
-// (OpDescribe): its device id, and the allocator spec of the view that
-// serves the asked epoch — nil when it serves no such epoch (yet).
+// (OpDescribe): its device id, the allocator spec of the view that
+// serves the asked epoch — nil when it serves no such epoch (yet) — and
+// the device whose backup partition it would serve at that epoch, nil on
+// a plain server.
 type description struct {
 	Device int             `json:"device"`
 	Spec   *decluster.Spec `json:"spec,omitempty"`
+	Backup *int            `json:"backup,omitempty"`
 }
 
 // describe answers OpDescribe.
@@ -217,6 +220,9 @@ func (s *Server) describe(req *Request) Response {
 	d := description{Device: s.deviceID}
 	if v, err := s.viewFor(req); err == nil {
 		d.Spec = &v.spec
+	}
+	if s.backup != nil && req.Epoch == s.epoch {
+		d.Backup = &s.backup.dev
 	}
 	b, err := json.Marshal(d)
 	if err != nil {

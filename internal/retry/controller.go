@@ -112,10 +112,12 @@ func (c *Controller) breaker(dev int) *Breaker {
 // under the breaker's, only counts.
 
 // Probe runs fn as a health probe for dev's breaker: vetoed while the
-// breaker is cooling down, otherwise the outcome feeds the breaker like
-// a primary attempt (a successful probe closes a half-open breaker —
-// the coordinator's stats pull drives recovery through here). With
-// no breaker (or no controller) fn just runs.
+// breaker is cooling down, otherwise a failure feeds the breaker like a
+// primary attempt's. A success only closes a half-open breaker — the
+// coordinator's stats pull drives recovery through here; on a closed
+// one it leaves the failures live traffic counted alone, since a server
+// that answers its stats pull may still fail every query. With no
+// breaker (or no controller) fn just runs.
 func (c *Controller) Probe(dev int, fn func() error) {
 	b := c.breaker(dev)
 	if b == nil {
@@ -125,9 +127,10 @@ func (c *Controller) Probe(dev int, fn func() error) {
 	if b.Allow() != nil {
 		return
 	}
+	halfOpen := b.State() == HalfOpen
 	if err := fn(); err != nil {
 		b.Failure()
-	} else {
+	} else if halfOpen {
 		b.Success()
 	}
 }

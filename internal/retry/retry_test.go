@@ -207,6 +207,23 @@ func TestProbeDrivesRecovery(t *testing.T) {
 	}
 }
 
+// A successful probe on a closed breaker must not wipe the failures
+// live traffic counted: a server can answer its stats pull and still
+// fail every query.
+func TestProbeKeepsLiveFailures(t *testing.T) {
+	c := NewController(obs.NewRegistry(), "test-probe-closed", Config{BreakerFailures: 3, BreakerCooldown: time.Hour})
+	for i := 0; i < 3; i++ {
+		if st := c.breaker(0).State(); st != Closed {
+			t.Fatalf("breaker %v after %d failures, want closed", st, i)
+		}
+		c.breaker(0).Failure()
+		c.Probe(0, func() error { return nil })
+	}
+	if st := c.breaker(0).State(); st != Open {
+		t.Fatalf("breaker %v after 3 failures between successful probes, want open", st)
+	}
+}
+
 func TestHedgerOutlierGate(t *testing.T) {
 	c := NewController(obs.NewRegistry(), "test-hedge", Config{Hedge: true, HedgeMin: 2 * time.Millisecond})
 

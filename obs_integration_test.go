@@ -155,18 +155,11 @@ func TestMetricsScrapeDuringDistributedRetrieve(t *testing.T) {
 	}()
 
 	coord, err := fxdist.Open(fxdist.Config{File: file, Addrs: addrs},
-		fxdist.WithDialTimeout(5*time.Second), fxdist.WithFailover())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Close()
-	// A second handle without failover tells when the death is noticed.
-	plain, err := fxdist.Open(fxdist.Config{File: file, Addrs: addrs},
 		fxdist.WithDialTimeout(5*time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer plain.Close()
+	defer coord.Close()
 	got, err := coord.Retrieve(pm)
 	if err != nil {
 		t.Fatal(err)
@@ -262,32 +255,34 @@ func TestMetricsScrapeDuringDistributedRetrieve(t *testing.T) {
 		t.Errorf("%s = %g before any server died", failKey, n)
 	}
 
-	// Kill device 2's server and wait for the coordinator to notice.
+	// Kill device 2's server and retrieve until the coordinator has seen
+	// the death: its device-error counter moves.
 	servers[2].Close()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if _, err := plain.Retrieve(pm); err != nil {
+	errKey := `fxdist_netdist_coordinator_device_errors_total{device="2"}`
+	var after map[string]float64
+	retrieves := 1
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		got, err = coord.Retrieve(pm)
+		retrieves++
+		if err != nil {
+			t.Fatalf("failover retrieve: %v", err)
+		}
+		if len(got.Records) != len(want) {
+			t.Fatalf("failover retrieve %d records, want %d", len(got.Records), len(want))
+		}
+		if after = scrapeMetrics(t, coordSrv.URL+"/metrics"); after[errKey] > 0 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("plain retrieve kept succeeding after server death")
+			t.Fatalf("%s stayed 0 after server death", errKey)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	got, err = coord.Retrieve(pm)
-	if err != nil {
-		t.Fatalf("failover retrieve: %v", err)
-	}
-	if len(got.Records) != len(want) {
-		t.Fatalf("failover retrieve %d records, want %d", len(got.Records), len(want))
-	}
-
-	after := scrapeMetrics(t, coordSrv.URL+"/metrics")
 	if after[failKey] < 1 {
 		t.Errorf("failover counter %s = %g after device 2 died, want >= 1", failKey, after[failKey])
 	}
-	if n := after[`fxdist_netdist_coordinator_retrieves_total`]; n != 2 {
-		t.Errorf("coordinator retrieve counter = %g, want this cluster's 2 retrievals", n)
+	if n := after[`fxdist_netdist_coordinator_retrieves_total`]; n != float64(retrieves) {
+		t.Errorf("coordinator retrieve counter = %g, want this cluster's %d retrievals", n, retrieves)
 	}
 
 	// The failover fan-out also leaves a trace span correlating the

@@ -49,11 +49,9 @@ type openSettings struct {
 	replicated  bool
 	replicaMode ReplicaMode
 	dialTimeout time.Duration
-	failover    bool
 	sloSet      bool
 	slo         LatencySLO
 	fileOpts    []FileOption
-	rescaleJrnl string
 	dialEpoch   int
 
 	// Resilience (see resilience.go for the options).
@@ -101,8 +99,8 @@ func WithReplication(mode ReplicaMode) Option {
 }
 
 // WithDialTimeout bounds each per-device request of the distributed
-// backend; zero (the default) waits indefinitely. Library API,
-// exercised by TestPublicReplicatedFailover.
+// backend, a rescale's new epoch included; zero (the default) waits
+// indefinitely. Library API, exercised by TestPublicReplicatedFailover.
 func WithDialTimeout(d time.Duration) Option {
 	return func(s *openSettings) { s.dialTimeout = d }
 }
@@ -116,17 +114,6 @@ func WithDialTimeout(d time.Duration) Option {
 // Set by fxnode query -stats-pull.
 func WithStatsPull(interval time.Duration) Option {
 	return func(s *openSettings) { s.statsEvery = interval }
-}
-
-// WithFailover puts the ring-successor reroute on every retrieval of
-// the distributed backend: when a device's server is unreachable, its
-// successor answers from the backup copy (requires servers deployed
-// with replication, e.g. DeployReplicatedLocal). The
-// choice is made once, when Open dials, and holds for every retrieval
-// the cluster serves — single, batched, behind a gate, or inside a
-// rescale window. Set by examples/distributed.
-func WithFailover() Option {
-	return func(s *openSettings) { s.failover = true }
 }
 
 // WithLatencySLO sets the default latency objective for every query
@@ -143,15 +130,6 @@ func WithLatencySLO(target time.Duration, goal float64) Option {
 // storage.WithFileOptions, is exercised by TestCheckDetectsHashMismatch.
 func WithFileOptions(opts ...FileOption) Option {
 	return func(s *openSettings) { s.fileOpts = append(s.fileOpts, opts...) }
-}
-
-// WithRescale sets the default journal path for live rescales started
-// with Cluster.Rescale: migration progress persists there, so a
-// coordinator killed mid-rescale resumes from the journal instead of
-// re-streaming every bucket. Only meaningful on the distributed
-// backend. Set by fxnode rescale -journal.
-func WithRescale(journalPath string) Option {
-	return func(s *openSettings) { s.rescaleJrnl = journalPath }
 }
 
 // WithDialEpoch pins the distributed coordinator's requests to the
@@ -210,14 +188,11 @@ type Cluster struct {
 	reads  *sync.RWMutex
 
 	// resc is the live rescale, nil outside a rescale window; it holds
-	// both epochs' handles. rescaleJournal is the default journal path
-	// (WithRescale); dialOpts are the options the coordinator was dialed
-	// with, reused for the new epoch's coordinator so timeouts, the
-	// failure handling (failover, retry budgets), result ownership and
-	// injectors survive a rescale.
-	resc           atomic.Pointer[Rescale]
-	rescaleJournal string
-	dialOpts       []DialOption
+	// both epochs' handles. dialOpts are the options the coordinator was
+	// dialed with, reused for the new epoch's coordinator so timeouts,
+	// retry budgets, injectors and tending survive a rescale.
+	resc     atomic.Pointer[Rescale]
+	dialOpts []netdist.DialOption
 	// driver is the cluster's latest rescale's migration driver, which
 	// /debug/rescale reports and steers; nil before the first.
 	driver atomic.Pointer[rebalance.Driver]
@@ -252,18 +227,15 @@ func Open(cfg Config, opts ...Option) (*Cluster, error) {
 		if cfg.File == nil {
 			return nil, errors.New("fxdist: the distributed backend needs Config.File as the query schema")
 		}
-		var dialOpts []DialOption
+		var dialOpts []netdist.DialOption
 		if s.dialTimeout > 0 {
-			dialOpts = append(dialOpts, WithRequestTimeout(s.dialTimeout))
+			dialOpts = append(dialOpts, netdist.WithTimeout(s.dialTimeout))
 		}
 		if s.resilSet {
 			dialOpts = append(dialOpts, netdist.WithResilience(s.retryCfg))
 		}
 		if s.injector != nil {
 			dialOpts = append(dialOpts, netdist.WithInjector(s.injector))
-		}
-		if s.failover {
-			dialOpts = append(dialOpts, netdist.WithFailover())
 		}
 		if s.statsEvery > 0 {
 			dialOpts = append(dialOpts, netdist.WithTending(s.statsEvery))
@@ -283,7 +255,6 @@ func Open(cfg Config, opts ...Option) (*Cluster, error) {
 			return nil, err
 		}
 		c.kind, c.be = KindNetdist, coord
-		c.rescaleJournal = s.rescaleJrnl
 		c.dialOpts = dialOpts
 
 	case cfg.Dir != "":

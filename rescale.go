@@ -33,8 +33,8 @@ import (
 // A retrieval holds the handle it read until it returns, so each swap
 // waits out the reads in flight on the handle it replaces.
 //
-// Progress journals through WithRescale / RescaleConfig.Journal, so a
-// coordinator killed mid-migration resumes instead of restarting.
+// Progress journals through RescaleConfig.Journal, so a coordinator
+// killed mid-migration resumes instead of restarting.
 
 // RescaleConfig configures Cluster.Rescale.
 type RescaleConfig struct {
@@ -42,12 +42,12 @@ type RescaleConfig struct {
 	// i under the new M. Growing, the first M entries are the current
 	// servers and the rest must already run empty rescale-target servers
 	// (NewRescaleTargetServer, or `fxnode serve -rescale-target`);
-	// shrinking, Addrs is a prefix of the current list.
+	// shrinking, Addrs is a prefix of the current list. Its length is
+	// the new M: exactly double or half the current one.
 	Addrs []string
-	// NewM is the post-rescale device count; must equal len(Addrs) and
-	// be exactly double or half the current M.
-	NewM int
-	// Journal overrides the cluster's WithRescale journal path.
+	// Journal, when set, persists migration progress: a coordinator
+	// killed mid-rescale resumes from it instead of re-streaming every
+	// bucket. Set by fxnode rescale -journal.
 	Journal string
 	// Concurrency bounds in-flight bucket copies (default 4).
 	Concurrency int
@@ -59,11 +59,6 @@ type RescaleConfig struct {
 	// DisableGuard cuts over as soon as the copy is verified, without
 	// waiting on the optimality auditor.
 	DisableGuard bool
-	// DialOptions are extra options for dialing the new epoch's
-	// coordinator — e.g. a request timeout, or a fault injector so chaos
-	// schedules also exercise the migration stream and the window's
-	// reads.
-	DialOptions []DialOption
 }
 
 // RescaleStatus is the migration driver's progress, digests included.
@@ -80,7 +75,7 @@ type Rescale struct {
 	err  error
 }
 
-// Rescale starts a live rescale to cfg.NewM devices and returns a
+// Rescale starts a live rescale to len(cfg.Addrs) devices and returns a
 // handle immediately; the migration runs in the background. Watch it
 // with Status/Wait (or the cluster's /debug/rescale), steer it with
 // Pause/Resume/Abort, and pump self-check traffic with Verify. Only the
@@ -94,38 +89,31 @@ func (c *Cluster) Rescale(ctx context.Context, cfg RescaleConfig) (*Rescale, err
 		return nil, fmt.Errorf("fxdist: only the distributed backend rescales (this cluster is %q)", c.kind)
 	}
 	old := c.Coordinator()
-	oldM := old.M()
-	if cfg.NewM != 2*oldM && oldM != 2*cfg.NewM {
-		return nil, fmt.Errorf("fxdist: rescale %d -> %d devices: only doubling or halving is supported", oldM, cfg.NewM)
-	}
-	if len(cfg.Addrs) != cfg.NewM {
-		return nil, fmt.Errorf("fxdist: rescale needs %d addresses, got %d", cfg.NewM, len(cfg.Addrs))
+	oldM, newM := old.M(), len(cfg.Addrs)
+	if newM != 2*oldM && oldM != 2*newM {
+		return nil, fmt.Errorf("fxdist: rescale %d -> %d devices: only doubling or halving is supported", oldM, newM)
 	}
 	if cfg.GuardMinQueries == 0 {
 		cfg.GuardMinQueries = 4
-	}
-	journal := cfg.Journal
-	if journal == "" {
-		journal = c.rescaleJournal
 	}
 
 	// The new epoch reuses the method and per-field settings of the spec
 	// every server agreed on at Dial, with M doubled or halved.
 	oldSpec := old.Spec()
-	newSpec, err := oldSpec.Rescaled(cfg.NewM)
+	newSpec, err := oldSpec.Rescaled(newM)
 	if err != nil {
 		return nil, err
 	}
 
 	// Dial the new epoch's coordinator over the post-rescale address
-	// list. It audits into its own bundle, so the cutover guard reads the
-	// new layout's optimality in isolation; the bundle takes the
-	// cluster's objectives now and becomes the cluster's at the swap. The
-	// dial comes before Prepare, when the old servers cannot describe the
-	// new epoch yet, so it is handed the spec they are about to get (last
-	// of the cluster's own options: Open may have handed the old one).
-	dialOpts := append(append([]DialOption{netdist.WithEpoch(old.Epoch() + 1)}, c.dialOpts...), netdist.WithSpec(newSpec))
-	dialOpts = append(dialOpts, cfg.DialOptions...)
+	// list, with the cluster's own options. It audits into its own
+	// bundle, so the cutover guard reads the new layout's optimality in
+	// isolation; the bundle takes the cluster's objectives now and
+	// becomes the cluster's at the swap. The dial comes before Prepare,
+	// when the old servers cannot describe the new epoch yet, so it is
+	// handed the spec they are about to get (last: Open may have handed
+	// the old one).
+	dialOpts := append(append([]netdist.DialOption{netdist.WithEpoch(old.Epoch() + 1)}, c.dialOpts...), netdist.WithSpec(newSpec))
 	newCoord, err := netdist.Dial(c.file, cfg.Addrs, dialOpts...)
 	if err != nil {
 		return nil, fmt.Errorf("fxdist: dial new-epoch coordinator: %w", err)
@@ -145,7 +133,7 @@ func (c *Cluster) Rescale(ctx context.Context, cfg RescaleConfig) (*Rescale, err
 	// The transport must span the union of the two device sets: the
 	// larger coordinator's conn table does.
 	var transport rebalance.Transport = newCoord
-	if oldM > cfg.NewM {
+	if oldM > newM {
 		transport = old
 	}
 	dcfg := rebalance.DriverConfig{
@@ -153,13 +141,13 @@ func (c *Cluster) Rescale(ctx context.Context, cfg RescaleConfig) (*Rescale, err
 		NewSpec:        newSpec,
 		Epoch:          old.Epoch(),
 		Transport:      transport,
-		JournalPath:    journal,
+		JournalPath:    cfg.Journal,
 		Concurrency:    cfg.Concurrency,
 		Swap:           func() { c.swap(newCoord) },
 		BeforeRollback: func() { c.swap(old) },
 	}
 	if !cfg.DisableGuard {
-		dcfg.Guard = rebalance.AuditGuard(next.AuditReport, cfg.NewM, cfg.GuardMinQueries)
+		dcfg.Guard = rebalance.AuditGuard(next.AuditReport, newM, cfg.GuardMinQueries)
 	}
 	driver, err := rebalance.NewDriver(dcfg)
 	if err != nil {

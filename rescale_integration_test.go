@@ -113,8 +113,7 @@ func runRescale(t *testing.T, oldM, newM int) {
 		newAddrs = newAddrs[:newM]
 	}
 
-	cl, err := fxdist.Open(fxdist.Config{File: file, Addrs: addrs},
-		fxdist.WithRescale(filepath.Join(t.TempDir(), "rescale.journal")))
+	cl, err := fxdist.Open(fxdist.Config{File: file, Addrs: addrs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +148,7 @@ func runRescale(t *testing.T, oldM, newM int) {
 	defer cancel()
 	resc, err := cl.Rescale(ctx, fxdist.RescaleConfig{
 		Addrs:           newAddrs,
-		NewM:            newM,
+		Journal:         filepath.Join(t.TempDir(), "rescale.journal"),
 		GuardMinQueries: 2,
 	})
 	if err != nil {
@@ -221,9 +220,11 @@ func TestRescaleGrowLive(t *testing.T) {
 	runRescale(t, 4, 8)
 }
 
-// TestRescaleGrowUnderFaults injects flapping and latency into the new
-// epoch's coordinator — the same connections the migration stream, the
-// digests and the verified window's reads use — and requires the rescale
+// TestRescaleGrowUnderFaults injects flapping and latency through the
+// cluster's options, which the new epoch's coordinator dials with — the
+// same connections the migration stream, the digests and the verified
+// window's reads use. The flapping device 5 exists only in the new
+// epoch. The test requires the rescale
 // to complete with zero failed queries and byte-identical results
 // anyway: the driver and the coordinator's retry budget absorb the
 // transient faults.
@@ -247,11 +248,16 @@ func TestRescaleGrowUnderFaults(t *testing.T) {
 	taddrs, stopTargets := deployRescaleTargets(t, newSpec, 4, 1)
 	defer stopTargets()
 
-	// The retry budget is part of the cluster's dial options, so the
-	// new-epoch coordinator inherits it — injected faults on the new
-	// read leg are retried, not surfaced.
+	// The retry budget and the injector are part of the cluster's dial
+	// options, so the new-epoch coordinator inherits them — injected
+	// faults on the new read leg are retried, not surfaced.
+	in := fxdist.NewFaultInjector("chaos-rescale", 7, map[int]fxdist.FaultSchedule{
+		5: {FlapEvery: 3},
+		2: {Latency: 2 * time.Millisecond},
+	})
 	cl, err := fxdist.Open(fxdist.Config{File: file, Addrs: addrs},
-		fxdist.WithRetryBudget(5, time.Millisecond, 10*time.Millisecond))
+		fxdist.WithRetryBudget(5, time.Millisecond, 10*time.Millisecond),
+		fxdist.WithFaultInjector(in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,17 +291,11 @@ func TestRescaleGrowUnderFaults(t *testing.T) {
 	})
 	defer stopPumping()
 
-	in := fxdist.NewFaultInjector("chaos-rescale", 7, map[int]fxdist.FaultSchedule{
-		5: {FlapEvery: 3},
-		2: {Latency: 2 * time.Millisecond},
-	})
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
 	resc, err := cl.Rescale(ctx, fxdist.RescaleConfig{
 		Addrs:           append(append([]string(nil), addrs...), taddrs...),
-		NewM:            8,
 		GuardMinQueries: 2,
-		DialOptions:     []fxdist.DialOption{fxdist.WithDialInjector(in)},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -367,7 +367,6 @@ func TestRescaleAbortRollsBack(t *testing.T) {
 	ctx := context.Background()
 	resc, err := cl.Rescale(ctx, fxdist.RescaleConfig{
 		Addrs: append(append([]string(nil), addrs...), taddrs...),
-		NewM:  8,
 		// An unmeetable floor keeps the driver parked in verified so the
 		// abort lands before cutover.
 		GuardMinQueries: 1 << 62,
@@ -553,7 +552,7 @@ func TestRescaleKeepsItsObjectivesAndAuditsTheNewEpoch(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 	resc, err := cl.Rescale(ctx, fxdist.RescaleConfig{
-		Addrs: append(append([]string(nil), addrs...), taddrs...), NewM: 8, GuardMinQueries: guard,
+		Addrs: append(append([]string(nil), addrs...), taddrs...), GuardMinQueries: guard,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -675,7 +674,7 @@ func TestObjectiveSetWhileARescaleStartsHolds(t *testing.T) {
 	defer cancel()
 	const guard = 8
 	resc, err := cl.Rescale(ctx, fxdist.RescaleConfig{
-		Addrs: append(append([]string(nil), addrs...), taddrs...), NewM: 8, GuardMinQueries: guard,
+		Addrs: append(append([]string(nil), addrs...), taddrs...), GuardMinQueries: guard,
 	})
 	close(stop)
 	<-stopped
@@ -753,7 +752,7 @@ func TestRescaleWindowReadsOneEpoch(t *testing.T) {
 	old := cl.Coordinator()
 
 	resc, err := cl.Rescale(context.Background(), fxdist.RescaleConfig{
-		Addrs: append(append([]string(nil), addrs...), taddrs...), NewM: 8,
+		Addrs:           append(append([]string(nil), addrs...), taddrs...),
 		GuardMinQueries: 1 << 62, // holds the window open
 	})
 	if err != nil {

@@ -101,8 +101,8 @@ func WithCircuitBreaker(failures int, cooldown time.Duration) Option {
 // latency breaches twice its peers', retrievals race a backup request
 // (the ring successor's backup partition on the distributed backend, a
 // second same-device scan locally) after a delay of the peers' p99,
-// floored at min. The distributed backend hedges only when opened
-// WithFailover: a plain deployment's successor holds no backup to race.
+// floored at min. The distributed backend hedges only over a replicated
+// fleet: a plain deployment's successor holds no backup to race.
 // Library API, exercised by TestChaosDistributedRetrieval.
 func WithHedging(min time.Duration) Option {
 	return func(s *openSettings) {

@@ -104,7 +104,6 @@ func TestChaosDistributedRetrieval(t *testing.T) {
 	})
 
 	coord, err := fxdist.Open(fxdist.Config{File: file, Addrs: addrs},
-		fxdist.WithFailover(),
 		fxdist.WithDialTimeout(5*time.Second),
 		fxdist.WithRetryBudget(4, time.Millisecond, 10*time.Millisecond),
 		fxdist.WithCircuitBreaker(3, time.Hour),
@@ -188,7 +187,6 @@ func TestChaosHealthProbeRecovery(t *testing.T) {
 	defer stop()
 
 	coord, err := fxdist.Open(fxdist.Config{File: file, Addrs: addrs},
-		fxdist.WithFailover(),
 		fxdist.WithDialTimeout(2*time.Second),
 		fxdist.WithRetryBudget(2, time.Millisecond, 5*time.Millisecond),
 		fxdist.WithCircuitBreaker(1, 50*time.Millisecond),

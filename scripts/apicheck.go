@@ -1,9 +1,9 @@
 //go:build ignore
 
 // Command apicheck is a vet-style audit of the public API's naming
-// conventions, run in CI (`go run scripts/apicheck.go`). Rules 1-3 hold
-// for the public packages (the root fxdist package and client/), rule 4
-// for every serving package:
+// conventions, run in CI (`go run scripts/apicheck.go`). Rules 1-3 and 5
+// hold for the public packages (the root fxdist package and client/),
+// rule 4 for every serving package:
 //
 //  1. Functional-option constructors are named With*/Without*: every
 //     exported function returning a single *Option-typed result must
@@ -22,6 +22,10 @@
 //     offline package import the serving stack (the root, engine,
 //     storage, netdist, gate) in a non-test file: it prices the counts a
 //     retrieval reports, so the cost model cannot drift back in.
+//  5. An option type configures something: every exported *Option type
+//     is the variadic parameter type of some exported function, so a
+//     second option type that only a struct field carries cannot come
+//     back.
 package main
 
 import (
@@ -84,13 +88,29 @@ func checkDir(dir string) ([]string, error) {
 		params         int
 	}
 	var withouts []withoutFn
+	optionTypes := map[string]string{} // exported *Option type -> position
+	variadic := map[string]bool{}      // variadic parameter types of exported functions
 
 	for _, pkg := range pkgs {
 		for _, file := range pkg.Files {
 			for _, decl := range file.Decls {
+				if gen, ok := decl.(*ast.GenDecl); ok && gen.Tok == token.TYPE {
+					for _, spec := range gen.Specs {
+						ts := spec.(*ast.TypeSpec)
+						if ts.Name.IsExported() && strings.HasSuffix(ts.Name.Name, "Option") {
+							optionTypes[ts.Name.Name] = fset.Position(ts.Pos()).String()
+						}
+					}
+					continue
+				}
 				fn, ok := decl.(*ast.FuncDecl)
 				if !ok || !fn.Name.IsExported() {
 					continue
+				}
+				if params := fn.Type.Params.List; len(params) > 0 {
+					if ell, ok := params[len(params)-1].Type.(*ast.Ellipsis); ok {
+						variadic[typeName(ell.Elt)] = true
+					}
 				}
 				pos := fset.Position(fn.Pos()).String()
 				name := fn.Name.Name
@@ -136,6 +156,12 @@ func checkDir(dir string) ([]string, error) {
 		}
 		problems = append(problems,
 			fmt.Sprintf("%s: %s has no With%s pair and its doc does not say what default it disables", wo.pos, wo.name, suffix))
+	}
+	for name, pos := range optionTypes {
+		if !variadic[name] {
+			problems = append(problems,
+				fmt.Sprintf("%s: option type %s is the variadic parameter of no exported function", pos, name))
+		}
 	}
 	return problems, nil
 }

@@ -184,7 +184,6 @@ func TestStatsPullTendsTheRescaledEpoch(t *testing.T) {
 	defer cancel()
 	resc, err := cl.Rescale(ctx, fxdist.RescaleConfig{
 		Addrs:        append(append([]string(nil), addrs...), taddrs...),
-		NewM:         8,
 		DisableGuard: true,
 	})
 	if err != nil {
