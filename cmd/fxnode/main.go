@@ -50,6 +50,7 @@ import (
 	"net/url"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -148,7 +149,7 @@ func runServe(args []string) error {
 		if err != nil {
 			return err
 		}
-		banner = fmt.Sprintf("serving device %d (%d buckets) of %s", *device, len(parts[*device]), alloc.Name())
+		banner = fmt.Sprintf("serving device %d (%d buckets) of %s", *device, parts[*device].Buckets(), alloc.Name())
 	}
 	if *shedInflight > 0 {
 		srv.SetShedding(*shedInflight, *shedRetryAfter)
@@ -460,7 +461,7 @@ func sampleQueries(file *fxdist.File, n int) []fxdist.PartialMatch {
 	var recs []fxdist.Record
 	file.EachBucket(func(_ []int, records []fxdist.Record) {
 		if len(recs) < n && len(records) > 0 {
-			recs = append(recs, records[0])
+			recs = append(recs, slices.Clone(records[0]))
 		}
 	})
 	var pms []fxdist.PartialMatch

@@ -43,15 +43,15 @@ type DeviceError = netdist.DeviceError
 // coordinator's timeout; match with errors.Is.
 var ErrRequestTimeout = netdist.ErrTimeout
 
-// Partition is the records one device holds, keyed by linear bucket
-// index, each bucket one slab of its records' values end to end,
-// File.NumFields apart — what PartitionFile returns per device and a
-// device server is built from. A plain map[int][]string is assignable
-// to it.
+// Partition is the records one device holds, as value ids: its buckets'
+// windows into the file's ids, keyed by linear bucket index, under the
+// dictionary every partition of one PartitionFile shares — what
+// PartitionFile returns per device and a device server is built from.
+// A nil Partition is an empty one.
 type Partition = storage.Partition
 
 // NewDeviceServer builds a device server from an allocator spec and the
-// device's bucket partition (see PartitionFile).
+// device's bucket partition (see PartitionFile; nil serves no bucket).
 func NewDeviceServer(deviceID int, spec AllocatorSpec, buckets Partition) (*DeviceServer, error) {
 	return netdist.NewServer(deviceID, spec, buckets)
 }

@@ -2,6 +2,9 @@ package fxdist_test
 
 import (
 	"context"
+	"fmt"
+	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -220,5 +223,102 @@ func TestSnapshotToDurablePipeline(t *testing.T) {
 	}
 	if len(got.Records) != len(want) {
 		t.Errorf("pipeline returned %d records, want %d", len(got.Records), len(want))
+	}
+}
+
+// TestAbsentValueMatchesNothing: a spec value no record holds, hashed to
+// the cell of one a record does hold, matches no record on any of the
+// four backends, yet qualifies the same buckets and scans the same
+// records as the present value — the plan, DeviceRecords and the
+// /debug/optimality row move exactly as they do for the present value.
+func TestAbsentValueMatchesNothing(t *testing.T) {
+	file, _ := poolDiffSetup(t)
+	fs, err := file.FileSystem(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fx, err := fxdist.NewFX(fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	all, err := file.Search(make(fxdist.PartialMatch, 3))
+	if err != nil || len(all) == 0 {
+		t.Fatalf("file holds %d records, %v", len(all), err)
+	}
+	present, err := file.Spec(map[string]string{"b": all[0][1]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pq, _ := file.BucketQuery(present)
+	var absent fxdist.PartialMatch
+	for i := 0; absent == nil; i++ {
+		pm, _ := file.Spec(map[string]string{"b": fmt.Sprint("absent-", i)})
+		if q, _ := file.BucketQuery(pm); slices.Equal(q.Spec, pq.Spec) {
+			absent = pm
+		}
+	}
+	if recs, _ := file.Search(absent); len(recs) != 0 {
+		t.Fatalf("the absent value is held by %d records", len(recs))
+	}
+	addrs, stop, err := fxdist.DeployLocal(file, fx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stop()
+	var first fxdist.RetrieveResult // the first backend's answer to the absent value
+	for name, cfg := range map[string]struct {
+		cfg  fxdist.Config
+		opts []fxdist.Option
+	}{
+		"memory":     {cfg: fxdist.Config{File: file, Allocator: fx}},
+		"replicated": {cfg: fxdist.Config{File: file, Allocator: fx}, opts: []fxdist.Option{fxdist.WithReplication(fxdist.ChainedFailover)}},
+		"durable":    {cfg: fxdist.Config{Dir: t.TempDir(), File: file, Allocator: fx}},
+		"netdist":    {cfg: fxdist.Config{File: file, Addrs: addrs}},
+	} {
+		t.Run(name, func(t *testing.T) {
+			c, err := fxdist.Open(cfg.cfg, cfg.opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			row := func() fxdist.ShapeAudit {
+				for _, s := range c.OptimalityReport().Shapes {
+					if s.Shape == pq.Shape() {
+						return s
+					}
+				}
+				t.Fatalf("no audit row for shape %s", pq.Shape())
+				return fxdist.ShapeAudit{}
+			}
+			want, err := c.Retrieve(present)
+			if err != nil || len(want.Records) == 0 {
+				t.Fatalf("present value: %d records, %v", len(want.Records), err)
+			}
+			before := row()
+			got, err := c.Retrieve(absent)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got.Records) != 0 {
+				t.Errorf("the absent value matches %q", got.Records)
+			}
+			if !slices.Equal(got.DeviceBuckets, want.DeviceBuckets) || !slices.Equal(got.DeviceRecords, want.DeviceRecords) ||
+				got.LargestResponseSize != want.LargestResponseSize {
+				t.Errorf("absent value: buckets %v records %v; present value: buckets %v records %v",
+					got.DeviceBuckets, got.DeviceRecords, want.DeviceBuckets, want.DeviceRecords)
+			}
+			if first.DeviceRecords == nil {
+				first = got
+			} else if !slices.Equal(got.DeviceBuckets, first.DeviceBuckets) || !slices.Equal(got.DeviceRecords, first.DeviceRecords) {
+				t.Errorf("absent value: buckets %v records %v, another backend %v and %v",
+					got.DeviceBuckets, got.DeviceRecords, first.DeviceBuckets, first.DeviceRecords)
+			}
+			after := row()
+			after.Queries--
+			after.Good, after.Bad, after.BurnRate = before.Good, before.Bad, before.BurnRate
+			if !reflect.DeepEqual(after, before) {
+				t.Errorf("audit row after the absent value %+v, after the present one %+v", after, before)
+			}
+		})
 	}
 }

@@ -166,6 +166,9 @@ func (e *Encoded) Add(body []byte, fields, bytes int) {
 	e.bytes += bytes
 }
 
+// Bytes returns the collected bodies, back to back.
+func (e *Encoded) Bytes() []byte { return e.enc }
+
 // Size returns the collected bodies' record, field and byte counts.
 func (e *Encoded) Size() (records, fields, bytes int) { return e.records, e.fields, e.bytes }
 

@@ -12,13 +12,17 @@ import (
 // include it. Then ops interleaves Insert, Delete, Grow and reads over
 // records drawn from the three values, against a multiset model: at
 // every read, where the staged Inserts are placed, and at the end the
-// file must hold exactly the model's records, no more replaced values
-// than live ones, and every record view and slab it handed out earlier
-// must read as it did then.
+// file must hold exactly the model's records, no more replaced records
+// than live ones, a value no record holds must match nothing, and every
+// record it handed out earlier must read as it did then.
 func FuzzInsertSearch(f *testing.F) {
 	f.Add("ford", "escort", "1988", []byte{0x00, 0x04, 0x03, 0x02, 0x01, 0x03, 0x06, 0x10})
 	f.Add("", "", "", []byte{0x00, 0x00, 0x03, 0x01, 0x03})
 	f.Add("a\x00b", "unicode ✓", "\xff\xfe", []byte{0x24, 0x48, 0x03, 0x0a, 0x25, 0x03, 0x0e, 0x49})
+	// A delete of a record never stored, with no record and with one.
+	f.Add("k", "v", "w", []byte{0x01, 0x03, 0x00, 0x55, 0x03})
+	// Reads between inserts, each also asking for a value no record holds.
+	f.Add("p", "p", "p", []byte{0x00, 0x03, 0x14, 0x03, 0x02, 0x03})
 	f.Fuzz(func(t *testing.T, a, b, c string, ops []byte) {
 		file := MustNew(Schema{Fields: []string{"x", "y", "z"}, Depths: []int{2, 3, 1}})
 		rec := Record{a, b, c}
@@ -76,8 +80,16 @@ func FuzzInsertSearch(f *testing.F) {
 			if len(all) != file.Len() || !maps.Equal(have, model) {
 				t.Fatalf("after op %#x the file holds %q (Len %d), the model %v", op, all, file.Len(), model)
 			}
-			if file.dead > 3*file.Len() {
-				t.Fatalf("after op %#x the file's runs hold %d replaced values for %d live ones", op, file.dead, 3*file.Len())
+			if file.t.dead > file.Len() {
+				t.Fatalf("after op %#x the file's ids hold %d replaced records for %d live ones", op, file.t.dead, file.Len())
+			}
+			absent := a + b + c + "!" // longer than every value of the pool
+			for i := range 3 {
+				pm := make(PartialMatch, 3)
+				pm[i] = &absent
+				if got, err := file.Search(pm); len(got) != 0 || err != nil {
+					t.Fatalf("after op %#x field %d value %q no record holds matches %q, %v", op, i, absent, got, err)
+				}
 			}
 			for _, h := range views {
 				if !slices.Equal(h.view, h.was) {
@@ -112,9 +124,6 @@ func FuzzInsertSearch(f *testing.F) {
 				for _, v := range all {
 					views = append(views, held{v, slices.Clone(v)})
 				}
-				file.EachSlab(func(_ []int, slab []string) {
-					views = append(views, held{slab, slices.Clone(slab)})
-				})
 			}
 		}
 		check(0xff)
@@ -123,8 +132,8 @@ func FuzzInsertSearch(f *testing.F) {
 
 // FuzzGridAddress: a schema whose grid holds at most 2^32 buckets is
 // accepted, a larger one refused; in an accepted one every record lies in
-// the slab EachSlab reports at its BucketOf coordinates, and the grid's
-// Linear and Coords round-trip them.
+// the bucket EachBucket reports at its BucketOf coordinates, and the
+// grid's Linear and Coords round-trip them.
 func FuzzGridAddress(f *testing.F) {
 	f.Add([]byte{30, 2}, "a", "b")
 	f.Add([]byte{16, 16}, "x", "")
@@ -161,10 +170,10 @@ func FuzzGridAddress(f *testing.F) {
 			file.Insert(r) //nolint:errcheck
 		}
 		seen := 0
-		file.EachSlab(func(coords []int, slab []string) {
-			for i := 0; i < len(slab); i += n {
-				if b, _ := file.BucketOf(slab[i : i+n]); !slices.Equal(b, coords) {
-					t.Fatalf("depths %v: record %q hashes to %v, stored at %v", schema.Depths, slab[i:i+n], b, coords)
+		file.EachBucket(func(coords []int, records []Record) {
+			for _, r := range records {
+				if b, _ := file.BucketOf(r); !slices.Equal(b, coords) {
+					t.Fatalf("depths %v: record %q hashes to %v, stored at %v", schema.Depths, r, b, coords)
 				}
 				seen++
 			}
@@ -174,7 +183,7 @@ func FuzzGridAddress(f *testing.F) {
 			}
 		})
 		if seen != 32 {
-			t.Fatalf("depths %v: EachSlab holds %d records, 32 inserted", schema.Depths, seen)
+			t.Fatalf("depths %v: EachBucket holds %d records, 32 inserted", schema.Depths, seen)
 		}
 	})
 }

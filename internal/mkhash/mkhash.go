@@ -14,9 +14,7 @@ package mkhash
 
 import (
 	"fmt"
-	"math/bits"
 	"slices"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -99,47 +97,24 @@ func DefaultHash(fieldIdx int) FieldHash {
 	}
 }
 
-// valueSlots is the size of a field's table of canonical values, a power
-// of two: a value's slot is the low bits of its field hash.
-const valueSlots = 1 << 12
-
-// valueTable is one field's canonical values: slots numbers the value
-// that took each slot in distinct, from 1, and 0 while the slot is
-// empty, so a slot costs 2 bytes where a string costs 16.
-type valueTable struct {
-	slots    [valueSlots]uint16
-	distinct []string
-}
-
 // File is a multi-key hashed file held in memory as a bucket grid.
 type File struct {
 	schema Schema
 	depths []int
 	hashes []FieldHash
-	// buckets maps the linear bucket index to its slab: the records'
-	// values end to end, NumFields apart, a window of one of runs, which
-	// place appends and never changes (DESIGN §2). runs[0] is empty, so
-	// an absent bucket's zero window is an empty slab.
-	buckets map[uint32]window
-	runs    [][]string
-	count   int
-	// dead counts the values of the windows replaced since the last
-	// restage, which their runs may still hold.
-	dead int
-	// Insert stages a record: its values go to the end of chunk c, which
-	// holds the staged records 2^c-1 to 2^(c+1)-2, and keys gets its
-	// bucket index (high 32 bits) and staging number. staged is set
-	// while keys is not empty; place empties it under mu.
-	chunks [][]string
-	keys   []uint64
-	staged atomic.Bool
-	mu     sync.Mutex
-	// hs holds the field hashes of the record Insert is storing.
-	hs []uint64
-	// values holds each field's canonical values, made at the first
-	// Insert: a stored value equal to its slot's shares the slot's string,
-	// so a value repeated across records is kept once (DESIGN §2).
-	values []valueTable
+	// t holds the placed records: each placement appends the buckets it
+	// touches to t's ids and points their spans there, and never changes
+	// an id already placed, so a frozen copy (Freeze) reads on as it was
+	// (DESIGN §2). t.dead counts the records of replaced spans.
+	t     Table
+	count int
+	// Insert stages a record: its ids go to the end of pending and keys
+	// gets its bucket index (high 32 bits) and staging number. staged is
+	// set while keys is not empty; place empties it under mu.
+	pending []uint32
+	keys    []uint64
+	staged  atomic.Bool
+	mu      sync.Mutex
 }
 
 // Option configures New.
@@ -156,11 +131,10 @@ func New(schema Schema, opts ...Option) (*File, error) {
 		return nil, err
 	}
 	f := &File{
-		schema:  schema,
-		depths:  append([]int(nil), schema.Depths...),
-		hashes:  make([]FieldHash, len(schema.Fields)),
-		buckets: make(map[uint32]window),
-		runs:    [][]string{nil},
+		schema: schema,
+		depths: append([]int(nil), schema.Depths...),
+		hashes: make([]FieldHash, len(schema.Fields)),
+		t:      *NewTable(len(schema.Fields)),
 	}
 	for i := range f.hashes {
 		f.hashes[i] = DefaultHash(i)
@@ -266,78 +240,47 @@ func (f *File) linear(b []int) int {
 	return idx
 }
 
-// locate returns the linear index of r's bucket, hashing each field once,
-// and leaves each field's hash in hs when given one.
-func (f *File) locate(r Record, hs []uint64) int {
+// index returns the linear index of the bucket of the record of the given
+// ids, from the hashes their dictionaries keep.
+func (f *File) index(ids []uint32) int {
 	idx := 0
-	for i, v := range r {
-		h := f.hashes[i](v)
-		idx = idx<<f.depths[i] | int(h&uint64(1<<f.depths[i]-1))
-		if hs != nil {
-			hs[i] = h
-		}
+	for i, id := range ids {
+		idx = idx<<f.depths[i] | int(f.t.fields[i].hashes[id]&uint64(1<<f.depths[i]-1))
 	}
 	return idx
 }
 
-// canonical returns the copy of field i's value v, of hash h, to store:
-// its field's table slot when the two are equal. A slot keeps a copy of
-// the first value hashed to it, so a colliding value, or any value under
-// a custom hash that maps everything alike, stays as it is.
-func (f *File) canonical(i int, v string, h uint64) string {
-	t := &f.values[i]
-	slot := &t.slots[h&(valueSlots-1)]
-	if *slot == 0 {
-		t.distinct = append(t.distinct, strings.Clone(v))
-		*slot = uint16(len(t.distinct))
-	}
-	if c := t.distinct[*slot-1]; c == v {
-		return c
-	}
-	return v
-}
-
-// window is a bucket's slab: records off to off+n of one of its file's
-// runs. A file holds fewer than 2^32 records, as its staging keys count
-// them.
-type window struct{ run, off, n uint32 }
-
-// slab returns the window's values, capped at its end.
-func (f *File) slab(w window) []string {
-	n := len(f.depths)
-	return f.runs[w.run][int(w.off)*n : int(w.off+w.n)*n : int(w.off+w.n)*n]
-}
-
-// Insert stages a copy of the record for its bucket, its values shared
-// with equal ones already stored where the field's table holds them. The
-// next read places every staged record at once (DESIGN §2).
+// Insert stages the record's ids, adding its new values to their fields'
+// dictionaries. The next read places every staged record at once
+// (DESIGN §2).
 func (f *File) Insert(r Record) error {
 	if err := f.checkArity(r); err != nil {
 		return err
 	}
-	if f.values == nil {
-		f.values, f.hs = make([]valueTable, len(r)), make([]uint64, len(r))
-	}
-	dst := f.stage(f.locate(r, f.hs), len(r))
+	ids := f.stage(len(r))
 	for i, v := range r {
-		dst[i] = f.canonical(i, v, f.hs[i])
+		ids[i] = f.t.intern(i, v, f.hashes[i])
 	}
+	f.key(f.index(ids))
 	f.count++
 	return nil
 }
 
-// stage reserves the next staged record, of n values, for bucket idx.
-func (f *File) stage(idx, n int) []string {
-	k := len(f.keys)
-	c := bits.Len(uint(k+1)) - 1
-	if c == len(f.chunks) {
-		f.chunks = append(f.chunks, make([]string, 0, n<<c))
+// stage reserves the next staged record, of n ids; key files it. The
+// pending ids double when full, so k inserts grow them O(log k) times.
+func (f *File) stage(n int) []uint32 {
+	l := len(f.pending)
+	if l+n > cap(f.pending) {
+		f.pending = slices.Grow(f.pending, max(l, 16*n))
 	}
-	l := len(f.chunks[c])
-	f.chunks[c] = f.chunks[c][:l+n]
-	f.keys = append(f.keys, uint64(idx)<<32|uint64(k))
+	f.pending = f.pending[:l+n]
+	return f.pending[l:]
+}
+
+// key files the record stage reserved last in bucket idx.
+func (f *File) key(idx int) {
+	f.keys = append(f.keys, uint64(idx)<<32|uint64(len(f.keys)))
 	f.staged.Store(true)
-	return f.chunks[c][l : l+n]
 }
 
 // place files every staged record in its bucket. Readers call it first;
@@ -349,125 +292,165 @@ func (f *File) place() {
 	}
 	if f.staged.Load() {
 		f.fill()
-		if f.dead > f.count*len(f.depths) {
-			f.restage()
-			f.fill()
+		if f.t.dead > f.count {
+			f.t.compact()
 		}
 		f.staged.Store(false)
 	}
 }
 
-// fill is place's counted pass: it sorts the keys, sizes one run for all
-// the buckets they touch and lays each one out in it, its old records
-// and then its staged ones in the order they came, as a capped window.
+// fill is place's counted pass: it sorts the keys, grows the ids once for
+// all the buckets they touch and appends each one, its old records and
+// then its staged ones in the order they came, as a new span.
 func (f *File) fill() {
-	keys, n := f.keys, len(f.depths)
+	t, keys, n := &f.t, f.keys, len(f.depths)
 	slices.Sort(keys)
+	t.ownSpans()
 	size := len(keys)
 	for i, key := range keys {
 		if i == 0 || key>>32 != keys[i-1]>>32 {
-			size += int(f.buckets[uint32(key>>32)].n)
+			size += int(t.spans[uint32(key>>32)].n)
 		}
 	}
-	run, start, r := make([]string, 0, size*n), 0, uint32(len(f.runs))
+	w := t.w * n
+	t.ids = slices.Grow(t.ids, size*w)
+	var start uint32
 	for i, key := range keys {
 		idx := uint32(key >> 32)
 		if i == 0 || key>>32 != keys[i-1]>>32 {
-			start, run = len(run), append(run, f.slab(f.buckets[idx])...)
-			f.dead += len(run) - start
+			old := t.spans[idx]
+			start, t.ids = t.records(), append(t.ids, t.ids[int(old.off)*w:int(old.off+old.n)*w]...)
+			t.dead += int(old.n)
 		}
-		k := int(uint32(key)) + 1 // staged record k-1 is in chunk c
-		c := bits.Len(uint(k)) - 1
-		run = append(run, f.chunks[c][(k-1<<c)*n:][:n]...)
+		for _, id := range f.pending[int(uint32(key))*n:][:n] {
+			t.appendID(id)
+		}
 		if i+1 == len(keys) || keys[i+1]>>32 != key>>32 {
-			f.buckets[idx] = window{r, uint32(start / n), uint32((len(run) - start) / n)}
+			t.spans[idx] = span{start, t.records() - start}
 		}
 	}
-	f.runs, f.chunks, f.keys = append(f.runs, run), nil, nil
+	f.pending, f.keys = nil, nil
 }
 
 // restage stages every placed record again at the current depths, for
-// place to lay the whole file out as one run.
+// place to lay the whole file out afresh.
 func (f *File) restage() {
-	old, n := f.buckets, len(f.depths)
-	f.buckets = make(map[uint32]window, len(old))
-	for _, w := range old {
-		slab := f.slab(w)
-		for i := 0; i < len(slab); i += n {
-			copy(f.stage(f.locate(slab[i:i+n], nil), n), slab[i:i+n])
+	t := &f.t
+	for _, s := range t.spans {
+		for k := s.off; k < s.off+s.n; k++ {
+			f.key(f.index(f.stageAgain(k)))
 		}
 	}
-	f.runs, f.dead = f.runs[:1:1], 0
+	t.ids, t.spans, t.sharedSpans, t.dead = nil, make(map[uint32]span, len(t.spans)), false, 0
+}
+
+// stageAgain stages placed record k again and returns its ids.
+func (f *File) stageAgain(k uint32) []uint32 {
+	n := len(f.depths)
+	ids := f.stage(n)
+	for i := range ids {
+		ids[i] = f.t.id(int(k)*n + i)
+	}
+	return ids
+}
+
+// Freeze places the staged records and returns the file's records as a
+// table no later change to the file reaches: the two share the ids, the
+// span map and the dictionaries, and the file copies what it changes.
+// A file holding replaced records hands out a compacted copy of its live
+// ones instead of its ids.
+func (f *File) Freeze() *Table {
+	f.place()
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.t.sharedFields, f.t.sharedSpans = true, true
+	t := f.t
+	if t.ids = slices.Clip(t.ids); t.dead > 0 {
+		t.compact()
+	}
+	return &t
 }
 
 // Delete removes every stored record equal to r, returning the number
 // removed. The bucket's survivors are staged again, so the next read
-// places them in a new slab and views of the old one stay as they are.
-// The values the removed records leave in their fields' tables stay there.
+// places them in a new span. The values the removed records leave in
+// their fields' dictionaries stay there.
 func (f *File) Delete(r Record) (int, error) {
 	if err := f.checkArity(r); err != nil {
 		return 0, err
 	}
 	f.place()
-	idx := f.locate(r, nil)
-	n, slab, removed := len(r), f.slab(f.buckets[uint32(idx)]), 0
-	for i := 0; i < len(slab); i += n {
-		if slices.Equal(slab[i:i+n], r) {
-			removed++
-		}
+	pm := make(PartialMatch, len(r))
+	for i := range r {
+		pm[i] = &r[i]
 	}
+	want := f.t.Want(pm, nil)
+	if slices.Contains(want, none) {
+		return 0, nil
+	}
+	idx, removed := uint32(f.index(want)), 0
+	f.t.Scan(idx, want, func(uint32) { removed++ })
 	if removed == 0 {
 		return 0, nil
 	}
-	delete(f.buckets, uint32(idx))
-	for i := 0; i < len(slab); i += n {
-		if !slices.Equal(slab[i:i+n], r) {
-			copy(f.stage(idx, n), slab[i:i+n])
+	s := f.t.spans[idx]
+	for k := s.off; k < s.off+s.n; k++ {
+		if !f.t.matches(k, want) {
+			f.stageAgain(k)
+			f.key(int(idx))
 		}
 	}
+	f.t.Drop(idx)
 	f.count -= removed
-	if f.dead += len(slab); f.dead > f.count*n {
-		f.restage()
-	}
 	return removed, nil
 }
 
-// Bucket returns views of the records stored in the bucket with the
-// given coordinates (nil when empty). The views alias internal storage;
-// do not mutate.
-func (f *File) Bucket(b []int) []Record {
-	f.place()
-	return Views(f.slab(f.buckets[uint32(f.linear(b))]), len(f.depths), nil)
+// build returns the records at offsets ks of the file's ids, built: one
+// slab holds their values, one their headers.
+func (f *File) build(ks []uint32) []Record {
+	if len(ks) == 0 {
+		return nil
+	}
+	vals := make([]string, 0, len(ks)*len(f.depths))
+	for _, k := range ks {
+		vals = f.t.appendValues(vals, k)
+	}
+	return Views(vals, len(f.depths), make([]Record, 0, len(ks)))
 }
 
-// EachSlab calls fn for every non-empty bucket with its slab: the
-// bucket's records' values end to end, NumFields apart, capped at its
-// length. The slab never changes under its holder (placement, Delete and
-// Grow build new ones); do not mutate it. The coordinate slice is reused
-// between calls.
-func (f *File) EachSlab(fn func(coords []int, slab []string)) {
+// Bucket returns the records stored in the bucket with the given
+// coordinates (nil when empty), built for the caller.
+func (f *File) Bucket(b []int) []Record {
 	f.place()
-	fs, coords := decluster.FileSystem{Sizes: f.Sizes(), M: 1}, []int(nil)
-	for idx, w := range f.buckets {
-		coords = fs.Coords(int(idx), coords[:0])
-		fn(coords, f.slab(w))
-	}
+	var ks []uint32
+	f.t.Scan(uint32(f.linear(b)), nil, func(k uint32) { ks = append(ks, k) })
+	return f.build(ks)
 }
 
 // EachBucket calls fn for every non-empty bucket with views of its
-// records. The coordinate and records slices are reused between calls;
-// the views are not.
+// records. The coordinates, the views and their slab are reused between
+// calls: a view is valid only inside the call it was handed to (its
+// values, which are the file's own strings, stay valid).
 func (f *File) EachBucket(fn func(coords []int, records []Record)) {
+	f.place()
+	fs, coords := decluster.FileSystem{Sizes: f.Sizes(), M: 1}, []int(nil)
+	var vals []string
 	var records []Record
-	f.EachSlab(func(coords []int, slab []string) {
-		records = Views(slab, len(coords), records[:0])
+	for idx, s := range f.t.spans {
+		vals = vals[:0]
+		for k := s.off; k < s.off+s.n; k++ {
+			vals = f.t.appendValues(vals, k)
+		}
+		coords = fs.Coords(int(idx), coords[:0])
+		records = Views(vals, len(f.depths), records[:0])
 		fn(coords, records)
-	})
+	}
 }
 
 // Grow doubles field i's directory (d_i += 1) and redistributes records.
 // Extendible-hashing style: each record moves to the cell revealed by one
-// more bit of its field hash, and the file is placed again as one run.
+// more bit of its field hash, kept in its field's dictionary, and the
+// file is placed again afresh.
 func (f *File) Grow(fieldIdx int) error {
 	if fieldIdx < 0 || fieldIdx >= len(f.depths) {
 		return fmt.Errorf("mkhash: grow of field %d, file has %d fields", fieldIdx, len(f.depths))
@@ -493,15 +476,15 @@ func (f *File) canGrow(i int) bool {
 // the largest bucket's size — the signals that trigger directory growth.
 func (f *File) Occupancy() (mean float64, max int) {
 	f.place()
-	if len(f.buckets) == 0 {
+	if len(f.t.spans) == 0 {
 		return 0, 0
 	}
-	for _, w := range f.buckets {
-		if int(w.n) > max {
-			max = int(w.n)
+	for _, s := range f.t.spans {
+		if int(s.n) > max {
+			max = int(s.n)
 		}
 	}
-	return float64(f.count) / float64(len(f.buckets)), max
+	return float64(f.count) / float64(len(f.t.spans)), max
 }
 
 // GrowAdvice returns the field whose directory doubling would split the
@@ -521,11 +504,10 @@ func (f *File) GrowAdvice() (fieldIdx int, ok bool) {
 		if !f.canGrow(i) {
 			continue
 		}
-		moved := 0
-		bit := uint64(1) << d
-		for _, w := range f.buckets {
-			for j, slab := i, f.slab(w); j < len(slab); j += len(f.depths) {
-				if f.hashes[i](slab[j])&bit != 0 {
+		moved, bit, hashes := 0, uint64(1)<<d, f.t.fields[i].hashes
+		for _, s := range f.t.spans {
+			for k := s.off; k < s.off+s.n; k++ {
+				if hashes[f.t.id(int(k)*len(f.depths)+i)]&bit != 0 {
 					moved++
 				}
 			}
@@ -594,21 +576,9 @@ func (f *File) BucketQueryInto(pm PartialMatch, spec []int) (query.Query, error)
 	return query.Query{Spec: spec}, nil
 }
 
-// matches reports whether the record's actual values satisfy the
-// value-level query (needed because hashing collides: a qualified bucket
-// can hold false positives).
-func (pm PartialMatch) matches(r Record) bool {
-	for i, v := range pm {
-		if v != nil && r[i] != *v {
-			return false
-		}
-	}
-	return true
-}
-
 // Search answers a value-level partial match query against the file
-// directly (single-device semantics): it visits only qualified buckets and
-// filters false hash positives.
+// directly (single-device semantics): it visits only qualified buckets,
+// filters false hash positives by id, and builds the records it returns.
 func (f *File) Search(pm PartialMatch) ([]Record, error) {
 	q, err := f.BucketQuery(pm)
 	if err != nil {
@@ -619,14 +589,10 @@ func (f *File) Search(pm PartialMatch) ([]Record, error) {
 		return nil, err
 	}
 	f.place()
-	var out []Record
+	want := f.t.Want(pm, nil)
+	var ks []uint32
 	q.EachQualified(fs, func(b []int) {
-		slab, n := f.slab(f.buckets[uint32(f.linear(b))]), len(pm)
-		for i := 0; i < len(slab); i += n {
-			if r := slab[i : i+n : i+n]; pm.matches(r) {
-				out = append(out, r)
-			}
-		}
+		f.t.Scan(uint32(f.linear(b)), want, func(k uint32) { ks = append(ks, k) })
 	})
-	return out, nil
+	return f.build(ks), nil
 }

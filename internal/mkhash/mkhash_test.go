@@ -459,12 +459,40 @@ func TestGrowSplitsBuckets(t *testing.T) {
 		f.Insert(Record{fmt.Sprintf("key-%d", i)})
 	}
 	f.place()
-	before := len(f.buckets)
+	before := f.t.Buckets()
 	if err := f.Grow(0); err != nil {
 		t.Fatal(err)
 	}
-	after := len(f.buckets)
+	after := f.t.Buckets()
 	if after <= before {
 		t.Errorf("bucket count did not increase on grow: %d -> %d", before, after)
+	}
+}
+
+// TestFreezeHoldsLiveRecordsOnly: a file whose ids still hold records
+// it replaced freezes into a copy of its live records alone, which
+// reads as the file does and stays so when the file changes.
+func TestFreezeHoldsLiveRecordsOnly(t *testing.T) {
+	f := MustNew(Schema{Fields: []string{"k", "v"}, Depths: []int{2, 1}})
+	for i := range 40 {
+		f.Insert(Record{fmt.Sprint("k", i%8), fmt.Sprint("v", i)})
+	}
+	f.Occupancy()
+	f.Insert(Record{"k0", "late"}) // replaces k0's bucket at the next read
+	if n, err := f.Delete(Record{"k1", "v1"}); n != 1 || err != nil {
+		t.Fatalf("Delete = %d, %v", n, err)
+	}
+	if f.Occupancy(); f.t.dead == 0 {
+		t.Fatal("fixture: the file holds no replaced records")
+	}
+	frozen := f.Freeze()
+	if frozen.dead != 0 || int(frozen.records()) != f.Len() {
+		t.Fatalf("frozen copy holds %d records, %d dead; the file %d", frozen.records(), frozen.dead, f.Len())
+	}
+	f.Insert(Record{"k2", "after"})
+	d := 0
+	frozen.EachBucket(func(b uint32) { d += frozen.Digest(b).Records })
+	if d != 40 {
+		t.Errorf("frozen copy reads %d records after an Insert, want 40", d)
 	}
 }

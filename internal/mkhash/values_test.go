@@ -114,17 +114,16 @@ func load(tb testing.TB, schema mkhash.Schema, recs []mkhash.Record) *mkhash.Fil
 			tb.Fatal(err)
 		}
 	}
-	f.EachSlab(func([]int, []string) {})
+	f.Occupancy()
 	return f
 }
 
 // TestInsertAllocatesTheRecordOnly: with their values already in their
-// slots, k inserts allocate only the room their records take, staging
-// chunks and keys that grow geometrically, O(log k)
-// objects however many buckets they touch (one slab copy per insert into
-// a full bucket before), and placing them into buckets the file already
-// holds allocates the one run, and at times the file's list of runs,
-// whatever the number of buckets.
+// dictionaries, k inserts allocate only the room their ids take, staging
+// chunks and keys that grow geometrically, O(log k) objects however many
+// buckets they touch (one slab copy per insert into a full bucket
+// before), and placing them into buckets the file already holds grows the
+// file's ids once, whatever the number of buckets.
 func TestInsertAllocatesTheRecordOnly(t *testing.T) {
 	_, recs := relation(t)
 	for _, depths := range [][]int{{0, 0, 0, 0, 0, 0}, {1, 1, 1, 1, 1, 1}, {4, 3, 3, 2, 1, 1}} {
@@ -147,7 +146,8 @@ func TestInsertAllocatesTheRecordOnly(t *testing.T) {
 }
 
 // TestFileHeapPerRecord bounds what the loaded and placed relation keeps
-// live: its slabs, the bucket map and the value tables, per record.
+// live per record: its ids (12 B a record), the span map and the
+// dictionaries.
 func TestFileHeapPerRecord(t *testing.T) {
 	schema, recs := relation(t)
 	var before, after runtime.MemStats
@@ -158,17 +158,17 @@ func TestFileHeapPerRecord(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	runtime.KeepAlive(f)
 	runtime.KeepAlive(recs)
-	if per := float64(after.HeapAlloc-before.HeapAlloc) / float64(len(recs)); per > 112 {
-		t.Errorf("the loaded file keeps %.0f B live per record, want at most 112", per)
+	if per := float64(after.HeapAlloc-before.HeapAlloc) / float64(len(recs)); per > 40 {
+		t.Errorf("the loaded file keeps %.0f B live per record, want at most 40", per)
 	} else {
 		t.Logf("%.1f B per record", per)
 	}
 }
 
 // TestPlacedSlabsAreTheInsertOrder: however reads interleave with the
-// inserts, every placed slab holds its bucket's records in the order
-// they were inserted, value for value, as the one-slab-per-insert file
-// laid them out.
+// inserts, every placed bucket holds its records in the order they were
+// inserted, value for value, as the one-slab-per-insert file laid them
+// out.
 func TestPlacedSlabsAreTheInsertOrder(t *testing.T) {
 	schema, recs := relation(t)
 	fs, _ := mkhash.MustNew(schema).FileSystem(1)
@@ -184,7 +184,11 @@ func TestPlacedSlabsAreTheInsertOrder(t *testing.T) {
 			}
 		}
 		got := 0
-		f.EachSlab(func(coords []int, slab []string) {
+		f.EachBucket(func(coords []int, records []mkhash.Record) {
+			var slab []string
+			for _, r := range records {
+				slab = append(slab, r...)
+			}
 			if got++; !slices.Equal(slab, want[fs.Linear(coords)]) {
 				t.Fatalf("read every %d: bucket %v holds %q, inserted %q", every, coords, slab, want[fs.Linear(coords)])
 			}
@@ -220,9 +224,9 @@ func TestConcurrentReadersOfAJustLoadedFile(t *testing.T) {
 				}
 			case 1:
 				n := 0
-				f.EachSlab(func(_ []int, slab []string) { n += len(slab) })
-				if n != 6*len(recs) {
-					t.Errorf("EachSlab saw %d values, want %d", n, 6*len(recs))
+				f.EachBucket(func(_ []int, records []mkhash.Record) { n += len(records) })
+				if n != len(recs) {
+					t.Errorf("EachBucket saw %d records, want %d", n, len(recs))
 				}
 			case 2:
 				if got := f.Bucket(coords); len(got) == 0 || !slices.Equal(got[0], recs[0]) {

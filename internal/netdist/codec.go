@@ -387,7 +387,12 @@ func (b *binServerCodec) decode(buf []byte, req *Request) error {
 func responseSize(resp *Response) int {
 	n := uvarintLen(resp.ID) + stringSize(resp.Err) +
 		uvarintLen(zigzag(int64(resp.Buckets))) + uvarintLen(zigzag(int64(resp.Scanned))) +
-		uvarintLen(zigzag(resp.RetryAfterMillis)) + recordsSize(resp.Records)
+		uvarintLen(zigzag(resp.RetryAfterMillis))
+	if records, _, _ := resp.found.Size(); records > 0 {
+		n += uvarintLen(uint64(records)) + len(resp.found.Bytes())
+	} else {
+		n += recordsSize(resp.Records)
+	}
 	if len(resp.StatsJSON) > 0 {
 		n += uvarintLen(uint64(len(resp.StatsJSON))) + len(resp.StatsJSON)
 	}
@@ -400,7 +405,12 @@ func appendResponse(b []byte, resp *Response) []byte {
 	b = binary.AppendUvarint(b, zigzag(int64(resp.Buckets)))
 	b = binary.AppendUvarint(b, zigzag(int64(resp.Scanned)))
 	b = binary.AppendUvarint(b, zigzag(resp.RetryAfterMillis))
-	b = appendRecords(b, resp.Records)
+	if records, _, _ := resp.found.Size(); records > 0 {
+		b = binary.AppendUvarint(b, uint64(records))
+		b = append(b, resp.found.Bytes()...)
+	} else {
+		b = appendRecords(b, resp.Records)
+	}
 	if len(resp.StatsJSON) > 0 {
 		b = binary.AppendUvarint(b, uint64(len(resp.StatsJSON)))
 		b = append(b, resp.StatsJSON...)

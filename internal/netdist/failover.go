@@ -23,7 +23,7 @@ func NewReplicatedServer(deviceID int, spec decluster.Spec, primary, backup stor
 	}
 	m := srv.cur.fs.M
 	if srv.backup, err = newView((deviceID-1+m)%m, spec, backup); err == nil {
-		err = srv.backup.admit(backup)
+		err = storage.Admit(srv.backup.part, srv.backup.im.Allocator(), srv.backup.dev)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("netdist: backup %w", err)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -203,7 +204,7 @@ func exactOn(t *testing.T, file *mkhash.File, alloc decluster.Allocator, dev int
 	var pm mkhash.PartialMatch
 	file.EachBucket(func(coords []int, records []mkhash.Record) {
 		if pm == nil && alloc.Device(coords) == dev {
-			r := records[0]
+			r := slices.Clone(records[0])
 			pm = mkhash.PartialMatch{&r[0], &r[1], &r[2]}
 		}
 	})
@@ -291,7 +292,7 @@ func TestNewReplicatedServerValidation(t *testing.T) {
 	spec, _ := decluster.SpecOf(fx)
 	parts, _ := storage.Split(file, fx)
 	// Device 1's backup must be device 0's partition, not device 2's.
-	if len(parts[2]) == 0 {
+	if parts[2].Buckets() == 0 {
 		t.Skip("device 2 holds no buckets")
 	}
 	if _, err := NewReplicatedServer(1, spec, parts[1], parts[2]); err == nil {

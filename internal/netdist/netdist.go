@@ -27,7 +27,6 @@ import (
 	"time"
 
 	"fxdist/internal/decluster"
-	"fxdist/internal/engine"
 	"fxdist/internal/mempool"
 	"fxdist/internal/mkhash"
 	"fxdist/internal/obs"
@@ -134,8 +133,13 @@ type Response struct {
 	ID uint64
 	// Err is non-empty when the device rejected the request.
 	Err string
-	// Records are the matching records from this device's partition.
+	// Records are the matching records from this device's partition, as
+	// a coordinator decodes them.
 	Records []mkhash.Record
+	// found is what a server sends in their place: the matching records
+	// encoded straight from its ids, in a pooled slab released once the
+	// response is on the wire.
+	found mkhash.Encoded
 	// Buckets is the number of qualified buckets the device accessed.
 	Buckets int
 	// Scanned is the number of records the device examined.
@@ -204,7 +208,8 @@ type view struct {
 	part storage.Partition
 }
 
-// newView builds the view of device dev's partition under spec.
+// newView builds the view of device dev's partition under spec; a nil
+// partition is an empty one.
 func newView(dev int, spec decluster.Spec, part storage.Partition) (*view, error) {
 	alloc, err := spec.Build()
 	if err != nil {
@@ -214,13 +219,10 @@ func newView(dev int, spec decluster.Spec, part storage.Partition) (*view, error
 	if dev < 0 || dev >= fs.M {
 		return nil, fmt.Errorf("device id %d outside [0,%d)", dev, fs.M)
 	}
+	if part == nil {
+		part = mkhash.NewTable(fs.NumFields())
+	}
 	return &view{dev: dev, spec: spec, fs: fs, im: query.NewInverseMapper(alloc), part: part}, nil
-}
-
-// admit checks buckets handed in from outside (storage.Partition.Admit)
-// against the view's allocator and device.
-func (v *view) admit(part storage.Partition) error {
-	return part.Admit(v.im.Allocator(), v.dev)
 }
 
 // serverSpans is the size of a server's span ring. A server opens one
@@ -237,7 +239,7 @@ const serverSpans = 32
 func NewServer(deviceID int, spec decluster.Spec, buckets storage.Partition) (*Server, error) {
 	cur, err := newView(deviceID, spec, buckets)
 	if err == nil {
-		err = cur.admit(buckets)
+		err = storage.Admit(cur.part, cur.im.Allocator(), deviceID)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("netdist: %w", err)
@@ -379,10 +381,6 @@ func negotiateServer(conn net.Conn) (*binServerCodec, error) {
 	return &binServerCodec{w: conn, r: br}, nil
 }
 
-// serverHits is the pool storage.Partition.Scan draws hit frames from;
-// each response's frame goes back once the response is on the wire.
-var serverHits = engine.HitsPool()
-
 func (s *Server) handle(conn net.Conn) {
 	defer func() {
 		conn.Close()
@@ -426,7 +424,7 @@ func (s *Server) handle(conn net.Conn) {
 			// load); they serialise with queries on the view lock.
 			resp := s.control(&req)
 			err := codec.writeResponse(&resp)
-			serverHits.Put(resp.Records)
+			resp.found.Release()
 			if err != nil {
 				return
 			}
@@ -461,7 +459,7 @@ func (s *Server) handle(conn net.Conn) {
 		span.End()
 		s.inflightN.Add(-1)
 		err := codec.writeResponse(&resp)
-		serverHits.Put(resp.Records)
+		resp.found.Release()
 		if err != nil {
 			return
 		}
@@ -517,12 +515,15 @@ func (s *Server) answer(req *Request, q query.Query, walk *query.Walk) Response 
 	if v == s.backup {
 		s.sm.backup.Inc()
 	}
-	var ans engine.Answer
+	var ids [8]uint32
+	want := v.part.Want(req.Match, ids[:0])
+	resp := Response{ID: req.ID}
 	*walk = v.im.Walk(*walk, q, v.dev)
 	for coords := walk.Next(); coords != nil; coords = walk.Next() {
-		v.part.Scan(v.fs.Linear(coords), req.Match, &ans)
+		resp.Buckets++
+		resp.Scanned += v.part.Scan(uint32(v.fs.Linear(coords)), want, func(k uint32) { resp.found.Encode(v.part, k) })
 	}
-	return Response{ID: req.ID, Records: ans.Hits, Buckets: ans.Buckets, Scanned: ans.Records}
+	return resp
 }
 
 // Deploy partitions the file, starts one Server per device on loopback

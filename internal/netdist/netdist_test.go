@@ -194,7 +194,7 @@ func TestNewServerRejectsForeignBuckets(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Hand device 0's partition to device 1: must be rejected.
-	if len(parts[0]) == 0 {
+	if parts[0].Buckets() == 0 {
 		t.Skip("device 0 happens to hold no buckets")
 	}
 	if _, err := NewServer(1, spec, parts[0]); err == nil {
@@ -203,7 +203,11 @@ func TestNewServerRejectsForeignBuckets(t *testing.T) {
 	if _, err := NewServer(9, spec, nil); err == nil {
 		t.Error("out-of-range device id accepted")
 	}
-	if _, err := NewServer(0, spec, storage.Partition{1 << 20: nil}); err == nil {
+	outside := mkhash.NewTable(file.NumFields())
+	if err := outside.Put(1<<20, []mkhash.Record{make(mkhash.Record, file.NumFields())}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewServer(0, spec, outside); err == nil {
 		t.Error("out-of-grid bucket index accepted")
 	}
 }
@@ -365,7 +369,7 @@ func TestDialChecksTheAddressList(t *testing.T) {
 	if specEqual(spec, otherSpec) {
 		t.Fatal("fixture: the two transform plans agree")
 	}
-	odd, err := NewServer(7, otherSpec, storage.Partition{})
+	odd, err := NewServer(7, otherSpec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -118,20 +118,16 @@ func (s *Server) fetch(req *Request) Response {
 	if req.Bucket < 0 || req.Bucket >= s.cur.fs.NumBuckets() {
 		return Response{ID: req.ID, Err: fmt.Sprintf("netdist: fetch: bucket %d outside grid", req.Bucket)}
 	}
-	slab, n := s.cur.part[req.Bucket], s.cur.fs.NumFields()
-	resp := Response{ID: req.ID, Buckets: 1, Scanned: len(slab) / n}
-	for i := 0; i < len(slab); i += n {
-		resp.Records = serverHits.AppendOne(resp.Records, slab[i:i+n:i+n])
-	}
+	resp := Response{ID: req.ID, Buckets: 1}
+	resp.Scanned = s.cur.part.Scan(uint32(req.Bucket), nil, func(k uint32) { resp.found.Encode(s.cur.part, k) })
 	return resp
 }
 
 // install stores one bucket into the next-epoch partition. The bucket
 // must pass admission for this device under the prepared spec (or under
-// the current spec on a fresh server already at the new epoch). The
-// decoded records already own their values (decodeRecordsPlain), so the
-// bucket's slab takes them as they are: wire buffers never alias the
-// partition, and an install of any size costs the one slab.
+// the current spec on a fresh server already at the new epoch). Its
+// values go into the partition's own dictionary, so wire buffers never
+// alias the partition and the bucket costs its ids.
 func (s *Server) install(req *Request) Response {
 	s.dataMu.Lock()
 	defer s.dataMu.Unlock()
@@ -139,23 +135,12 @@ func (s *Server) install(req *Request) Response {
 	if s.next != nil {
 		v = s.next
 	}
-	n := v.fs.NumFields()
-	slab := make([]string, 0, len(req.Payload)*n)
-	for _, r := range req.Payload {
-		if len(r) != n {
-			return Response{ID: req.ID, Err: fmt.Sprintf("netdist: install: a record of %d fields, file has %d", len(r), n)}
-		}
-		slab = append(slab, r...)
+	err := storage.AdmitBucket(v.im.Allocator(), v.dev, req.Bucket)
+	if err == nil {
+		err = v.part.Put(uint32(req.Bucket), req.Payload)
 	}
-	if err := v.admit(storage.Partition{req.Bucket: slab}); err != nil {
+	if err != nil {
 		return Response{ID: req.ID, Err: fmt.Sprintf("netdist: install: %v", err)}
-	}
-	if len(slab) == 0 {
-		// An empty move: make the install idempotent by clearing any
-		// previous (also empty-in-practice) content.
-		delete(v.part, req.Bucket)
-	} else {
-		v.part[req.Bucket] = slab
 	}
 	if s.next != nil {
 		s.installed[req.Bucket] = struct{}{}
@@ -175,12 +160,12 @@ func (s *Server) cutover(req *Request) Response {
 	}
 	alloc := s.next.im.Allocator()
 	var coords []int
-	for idx := range s.next.part {
-		coords = s.next.fs.Coords(idx, coords[:0])
+	s.next.part.EachBucket(func(b uint32) {
+		coords = s.next.fs.Coords(int(b), coords[:0])
 		if alloc.Device(coords) != s.deviceID {
-			delete(s.next.part, idx)
+			s.next.part.Drop(b)
 		}
-	}
+	})
 	s.cur, s.next, s.installed = s.next, nil, nil
 	s.epoch++
 	return Response{ID: req.ID}
@@ -196,7 +181,7 @@ func (s *Server) abort(req *Request) Response {
 		return Response{ID: req.ID}
 	}
 	for idx := range s.installed {
-		delete(s.cur.part, idx)
+		s.cur.part.Drop(uint32(idx))
 	}
 	s.next, s.installed = nil, nil
 	return Response{ID: req.ID}
@@ -243,11 +228,9 @@ func (s *Server) digest(req *Request) Response {
 		return Response{ID: req.ID, Err: fmt.Sprintf("netdist: digest: %v", err)}
 	}
 	var d mkhash.Digest
-	var recs []mkhash.Record
 	walk := v.im.Walk(query.Walk{}, query.All(v.fs.NumFields()), v.dev)
 	for coords := walk.Next(); coords != nil; coords = walk.Next() {
-		recs = mkhash.Views(v.part[v.fs.Linear(coords)], v.fs.NumFields(), recs[:0])
-		d = d.Plus(mkhash.DigestOf(recs))
+		d = d.Plus(v.part.Digest(uint32(v.fs.Linear(coords))))
 	}
 	return Response{ID: req.ID, Scanned: d.Records, StatsJSON: strconv.AppendUint(nil, d.Sum, 10)}
 }

@@ -93,7 +93,7 @@ func deployRescaleFixture(t *testing.T, file *mkhash.File, oldM, newM int) (
 	}
 	allAddrs := append([]string(nil), addrs...)
 	for dev := oldM; dev < newM; dev++ {
-		srv, err := NewServer(dev, newSpec, storage.Partition{})
+		srv, err := NewServer(dev, newSpec, nil)
 		if err != nil {
 			cleanup()
 			t.Fatal(err)
@@ -516,7 +516,7 @@ func TestInstallAllocatesTheSameForAnySize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewServer(1, spec, storage.Partition{})
+	srv, err := NewServer(1, spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,6 +15,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"fxdist/internal/decluster"
 	"fxdist/internal/mkhash"
@@ -45,7 +46,7 @@ func Save(w io.Writer, file *mkhash.File, alloc decluster.Allocator) error {
 	}
 	file.EachBucket(func(_ []int, records []mkhash.Record) {
 		for _, r := range records {
-			snap.Records = append(snap.Records, r)
+			snap.Records = append(snap.Records, slices.Clone(r))
 		}
 	})
 	if alloc != nil {

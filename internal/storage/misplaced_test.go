@@ -40,11 +40,7 @@ func TestMisplacedBucketIsCaught(t *testing.T) {
 		t.Fatal(err)
 	}
 	fx := decluster.MustFX(fs)
-	parts, err := Split(file, fx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := &Cluster{core: newCore(fx), parts: parts}
+	c := &Cluster{core: newCore(fx), held: hold(file)}
 	devices := make([]engine.Device, fs.M)
 	for dev := range devices {
 		devices[dev] = memDevice{c: c, dev: dev}

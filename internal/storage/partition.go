@@ -8,13 +8,13 @@ import (
 	"fxdist/internal/mkhash"
 )
 
-// Partition is the records one device holds: linear bucket index
-// (FileSystem.Linear) → that bucket's slab, its records' values end to
-// end, NumFields apart (mkhash.File.EachSlab). It is the device-local
-// half of a retrieval behind the memory, replicated and wire-served
-// devices; the log device scans encoded bytes under its own lock
-// (durDevice) and stays apart.
-type Partition map[int][]string
+// Partition is the records one device holds, as ids (mkhash.Table): its
+// buckets' windows into the file's ids, under the dictionary the whole
+// split shares. It is what a wire-served device answers from; the memory
+// and replicated clusters serve one frozen table of the whole file
+// (held), and the log device scans encoded bytes under its own lock
+// (durDevice).
+type Partition = *mkhash.Table
 
 // hits is the executor's hit-frame pool: every device adapter in this
 // package appends its matches through it, and the executor's merge
@@ -23,7 +23,7 @@ var hits = engine.HitsPool()
 
 // checkAllocator verifies the allocator was built for the file's current
 // directory sizes — every cluster constructor passes through it, by way
-// of Split or, for the log-backed cluster, directly.
+// of Split or directly.
 func checkAllocator(file *mkhash.File, fs decluster.FileSystem) error {
 	sizes := file.Sizes()
 	if len(sizes) != fs.NumFields() {
@@ -38,59 +38,76 @@ func checkAllocator(file *mkhash.File, fs decluster.FileSystem) error {
 }
 
 // Split distributes file's non-empty buckets over the allocator's
-// devices; parts[d] is device d's partition. The allocator must be built
-// for the file's current directory sizes.
+// devices; parts[d] is device d's partition. The partitions share one
+// frozen copy of the file's ids and dictionaries, which no later change
+// to the file reaches. The allocator must be built for the file's
+// current directory sizes.
 func Split(file *mkhash.File, alloc decluster.GroupAllocator) ([]Partition, error) {
 	fs := alloc.FileSystem()
 	if err := checkAllocator(file, fs); err != nil {
 		return nil, err
 	}
-	parts := make([]Partition, fs.M)
-	for i := range parts {
-		parts[i] = Partition{}
-	}
-	file.EachSlab(func(coords []int, slab []string) {
-		parts[alloc.Device(coords)][fs.Linear(coords)] = slab
-	})
-	return parts, nil
+	var coords []int
+	return file.Freeze().Split(fs.M, func(bucket uint32) int {
+		coords = fs.Coords(int(bucket), coords[:0])
+		return alloc.Device(coords)
+	}), nil
 }
 
-// Admit is the check on buckets arriving from outside the process (a
-// constructor argument, an Install frame) before they are served as
-// dev's: every bucket lies in the allocator's grid and below 2^32
-// (mkhash.MaxGridBits), belongs to dev under it, and holds whole records
-// of the file's arity — the record loop slices the slab without looking
-// at its length.
-func (p Partition) Admit(alloc decluster.GroupAllocator, dev int) error {
+// AdmitBucket is the check on a bucket arriving from outside the process
+// (an Install frame) before it is served as dev's: it lies in the
+// allocator's grid and below 2^32 (mkhash.MaxGridBits) and belongs to
+// dev under it.
+func AdmitBucket(alloc decluster.GroupAllocator, dev, idx int) error {
 	fs := alloc.FileSystem()
-	var coords []int
-	for idx, slab := range p {
-		if idx < 0 || idx >= min(fs.NumBuckets(), 1<<mkhash.MaxGridBits) {
-			return fmt.Errorf("bucket index %d outside grid", idx)
-		}
-		coords = fs.Coords(idx, coords[:0])
-		if owner := alloc.Device(coords); owner != dev {
-			return fmt.Errorf("bucket %v belongs to device %d, not %d", coords, owner, dev)
-		}
-		if len(slab)%fs.NumFields() != 0 {
-			return fmt.Errorf("bucket %v holds %d values, not whole records of the file's %d fields", coords, len(slab), fs.NumFields())
-		}
+	if idx < 0 || idx >= min(fs.NumBuckets(), 1<<mkhash.MaxGridBits) {
+		return fmt.Errorf("bucket index %d outside grid", idx)
+	}
+	if owner := alloc.Device(fs.Coords(idx, nil)); owner != dev {
+		return fmt.Errorf("bucket %v belongs to device %d, not %d", fs.Coords(idx, nil), owner, dev)
 	}
 	return nil
 }
 
-// Scan is the record loop of a device-local retrieval over one qualified
-// bucket: count the bucket, count each record, re-check the value filters
-// (hashing collides) and append the matches to the answer's pooled hit
-// frame. It takes the answer by pointer and captures nothing, so the
-// caller's scan state stays on its stack.
-func (p Partition) Scan(bucket int, pm mkhash.PartialMatch, ans *engine.Answer) {
-	ans.Buckets++
-	slab, n := p[bucket], len(pm)
-	for i := 0; i < len(slab); i += n {
-		ans.Records++
-		if r := slab[i : i+n : i+n]; engine.Matches(pm, r) {
-			ans.Hits = hits.AppendOne(ans.Hits, r)
-		}
+// Admit checks a partition handed to a device server: records of the
+// file's arity, every bucket admitted for dev (AdmitBucket).
+func Admit(p Partition, alloc decluster.GroupAllocator, dev int) error {
+	if p.NumFields() != alloc.FileSystem().NumFields() {
+		return fmt.Errorf("partition holds records of %d fields, not the file's %d", p.NumFields(), alloc.FileSystem().NumFields())
 	}
+	var err error
+	p.EachBucket(func(b uint32) {
+		if err == nil {
+			err = AdmitBucket(alloc, dev, int(b))
+		}
+	})
+	return err
+}
+
+// held is what the memory and replicated clusters serve: the file's
+// records frozen as ids when the cluster is built, and one run of string
+// headers for every value they hold, built from the ids then — record
+// k's from k*NumFields. A retrieval hands out views of the run, so a hit
+// costs its slot in the answer; one map of 8-byte spans finds every
+// device's buckets.
+type held struct {
+	t       *mkhash.Table
+	headers []string
+}
+
+func hold(file *mkhash.File) held {
+	t := file.Freeze()
+	return held{t, t.Strings()}
+}
+
+// scan is a device-local retrieval over one qualified bucket: count the
+// bucket and its records, and append a view of each record holding want's
+// ids to the answer's pooled hit frame. It takes the answer by pointer,
+// so the caller's scan state stays on its stack.
+func (h *held) scan(bucket int, want []uint32, ans *engine.Answer) {
+	ans.Buckets++
+	n := uint32(h.t.NumFields())
+	ans.Records += h.t.Scan(uint32(bucket), want, func(k uint32) {
+		ans.Hits = hits.AppendOne(ans.Hits, h.headers[k*n:(k+1)*n:(k+1)*n])
+	})
 }

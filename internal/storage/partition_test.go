@@ -40,16 +40,17 @@ func TestSplitValidation(t *testing.T) {
 	}
 	held := 0
 	for dev, part := range parts {
-		if err := part.Admit(fx, dev); err != nil {
+		if err := Admit(part, fx, dev); err != nil {
 			t.Errorf("device %d's own partition refused: %v", dev, err)
 		}
-		held += len(part)
+		held += part.Buckets()
 	}
 	nonEmpty := 0
 	file.EachBucket(func(coords []int, records []mkhash.Record) {
 		nonEmpty++
-		if got := parts[fx.Device(coords)][fs.Linear(coords)]; len(got) != len(records)*file.NumFields() {
-			t.Errorf("bucket %v: owner holds %d values, file %d records", coords, len(got), len(records))
+		want := mkhash.DigestOf(records)
+		if got := parts[fx.Device(coords)].Digest(uint32(fs.Linear(coords))); got != want {
+			t.Errorf("bucket %v: owner holds %+v, file %+v", coords, got, want)
 		}
 	})
 	if held != nonEmpty {
@@ -57,8 +58,9 @@ func TestSplitValidation(t *testing.T) {
 	}
 }
 
-// Admit is the one check on a bucket arriving from outside: in grid and
-// below 2^32, owned by the device, whole records of the file's arity.
+// AdmitBucket is the one check on a bucket arriving from outside: in
+// grid and below 2^32, owned by the device; Admit applies it to every
+// bucket of a partition of the file's arity.
 func TestPartitionAdmit(t *testing.T) {
 	fs := decluster.MustFileSystem([]int{4, 8, 2}, 4)
 	fx := decluster.MustFX(fs)
@@ -76,22 +78,18 @@ func TestPartitionAdmit(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		alloc decluster.GroupAllocator
-		part  Partition
+		idx   int
 		dev   int
 		want  string // substring of the error; "" admits
 	}{
-		{"empty", fx, Partition{}, 1, ""},
-		{"owned", fx, Partition{own: {"a", "b", "c", "d", "e", "f"}}, 1, ""},
-		{"owned, no records", fx, Partition{own: nil}, 1, ""},
-		{"negative index", fx, Partition{-1: nil}, 1, "outside grid"},
-		{"past the grid", fx, Partition{fs.NumBuckets(): nil}, 1, "outside grid"},
-		{"foreign", fx, Partition{own: nil}, 2, "belongs to device 1, not 2"},
-		{"short record", fx, Partition{own: {"a", "b", "c", "only-one-field"}}, 1, "4 values, not whole records of the file's 3 fields"},
-		{"long record", fx, Partition{own: {"a", "b", "c", "d", "e"}}, 1, "5 values, not whole records"},
-		{"below 2^32", wide, Partition{1<<32 - 1: nil}, wideOwner(1<<32 - 1), ""},
-		{"2^32", wide, Partition{1 << 32: nil}, wideOwner(1 << 32), "outside grid"},
+		{"owned", fx, own, 1, ""},
+		{"negative index", fx, -1, 1, "outside grid"},
+		{"past the grid", fx, fs.NumBuckets(), 1, "outside grid"},
+		{"foreign", fx, own, 2, "belongs to device 1, not 2"},
+		{"below 2^32", wide, 1<<32 - 1, wideOwner(1<<32 - 1), ""},
+		{"2^32", wide, 1 << 32, wideOwner(1 << 32), "outside grid"},
 	} {
-		err := tc.part.Admit(tc.alloc, tc.dev)
+		err := AdmitBucket(tc.alloc, tc.dev, tc.idx)
 		switch {
 		case tc.want == "" && err != nil:
 			t.Errorf("%s: refused: %v", tc.name, err)
@@ -99,10 +97,33 @@ func TestPartitionAdmit(t *testing.T) {
 			t.Errorf("%s: err = %v, want one containing %q", tc.name, err, tc.want)
 		}
 	}
+
+	part := mkhash.NewTable(3)
+	if err := Admit(part, fx, 1); err != nil {
+		t.Errorf("empty partition refused: %v", err)
+	}
+	if err := part.Put(uint32(own), []mkhash.Record{{"a", "b", "c"}, {"d", "e", "f"}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := Admit(part, fx, 1); err != nil {
+		t.Errorf("owned bucket refused: %v", err)
+	}
+	if err := Admit(part, fx, 2); err == nil || !strings.Contains(err.Error(), "belongs to device 1, not 2") {
+		t.Errorf("foreign partition: err = %v", err)
+	}
+	for _, r := range []mkhash.Record{{"a", "b", "c", "only-one-field"}, {"a", "b"}} {
+		if err := part.Put(uint32(own), []mkhash.Record{r}); err == nil || !strings.Contains(err.Error(), "table has 3") {
+			t.Errorf("record of %d fields: err = %v", len(r), err)
+		}
+	}
+	if err := Admit(mkhash.NewTable(2), fx, 1); err == nil || !strings.Contains(err.Error(), "not the file's 3") {
+		t.Errorf("partition of 2 fields for a file of 3: err = %v", err)
+	}
 }
 
 // The shape of the shared device-local code was decided by allocation:
-// Partition.Scan takes the answer by pointer, the adapters pull their
+// held.scan takes the answer by pointer, the query's ids resolve into
+// stack scratch, the adapters pull their
 // buckets from the inverse-mapper walk, and the walk, its scratch array
 // and the answer all stay on the scan's stack — bare or inside a
 // retrieval, a memDevice scan allocates nothing, and nor does a durDevice

@@ -18,29 +18,22 @@ import (
 // any single failure (and any non-adjacent multiple failure).
 type ReplicatedCluster struct {
 	core
-	file      *mkhash.File
+	held
 	placement *Placement
-	// parts[d] holds both d's primary buckets and its backup copies
-	// (primaries of d-1).
-	parts []Partition
 }
 
 // NewReplicated distributes file's buckets over the allocator's devices
-// with primary and backup copies.
+// with primary and backup copies: each device scans the file's frozen
+// records for its own primaries and the backups it holds, as routed.
 func NewReplicated(file *mkhash.File, alloc decluster.GroupAllocator, mode ReplicaMode, opts ...Option) (*ReplicatedCluster, error) {
-	parts, err := Split(file, alloc) // every bucket on its primary
-	if err != nil {
+	if err := checkAllocator(file, alloc.FileSystem()); err != nil {
 		return nil, err
 	}
 	c := &ReplicatedCluster{
 		core:      newCore(alloc),
-		file:      file,
+		held:      hold(file),
 		placement: NewPlacement(alloc, mode),
-		parts:     parts,
 	}
-	file.EachSlab(func(coords []int, slab []string) {
-		parts[c.placement.Backup(coords)][c.fs.Linear(coords)] = slab
-	})
 	devices := make([]engine.Device, c.fs.M)
 	for dev := range devices {
 		devices[dev] = replDevice{c: c, dev: dev}
@@ -67,7 +60,8 @@ func (d replDevice) Scan(ctx context.Context, q query.Query, pm mkhash.PartialMa
 		return engine.Answer{}, nil
 	}
 	var ans engine.Answer
-	part := c.parts[d.dev]
+	var ids [8]uint32 // a query of up to 8 fields resolves on the stack
+	want := c.t.Want(pm, ids[:0])
 	var buf [walkScratch]int
 	for _, owner := range [2]int{d.dev, (d.dev - 1 + c.fs.M) % c.fs.M} {
 		w := c.im.Walk(query.WalkOver(buf[:]), q, owner)
@@ -77,7 +71,7 @@ func (d replDevice) Scan(ctx context.Context, q query.Query, pm mkhash.PartialMa
 				return engine.Answer{}, err
 			}
 			if c.placement.Server(coords) == d.dev {
-				part.Scan(c.fs.Linear(coords), pm, &ans)
+				c.scan(c.fs.Linear(coords), want, &ans)
 			}
 		}
 	}
@@ -105,18 +99,3 @@ func (c *ReplicatedCluster) Restore(dev int) error {
 
 // Failed reports whether dev is failed.
 func (c *ReplicatedCluster) Failed(dev int) bool { return c.placement.Failed(dev) }
-
-// StorageOverhead returns the total stored bucket copies divided by the
-// number of non-empty buckets (2.0 for full chained replication).
-func (c *ReplicatedCluster) StorageOverhead() float64 {
-	copies := 0
-	for _, p := range c.parts {
-		copies += len(p)
-	}
-	nonEmpty := 0
-	c.file.EachSlab(func([]int, []string) { nonEmpty++ })
-	if nonEmpty == 0 {
-		return 0
-	}
-	return float64(copies) / float64(nonEmpty)
-}

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"slices"
 	"sort"
 	"testing"
 
@@ -42,13 +43,6 @@ func TestReplicatedValidation(t *testing.T) {
 	wrongSize := decluster.MustFX(decluster.MustFileSystem([]int{4, 4, 2}, 4))
 	if _, err := NewReplicated(file, wrongSize, Chained); err == nil {
 		t.Error("size mismatch accepted")
-	}
-}
-
-func TestReplicatedStorageOverheadIsTwo(t *testing.T) {
-	_, c := newReplicated(t, 300, 8, Chained)
-	if got := c.StorageOverhead(); got != 2.0 {
-		t.Errorf("storage overhead %.2f, want 2.0", got)
 	}
 }
 
@@ -153,7 +147,7 @@ func TestReplicatedExactQueryOnFailedDevice(t *testing.T) {
 	var pm mkhash.PartialMatch
 	file.EachBucket(func(coords []int, records []mkhash.Record) {
 		if pm == nil && c.Allocator().Device(coords) == failed {
-			r := records[0]
+			r := slices.Clone(records[0])
 			pm = mkhash.PartialMatch{&r[0], &r[1], &r[2]}
 		}
 	})

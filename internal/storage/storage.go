@@ -113,17 +113,17 @@ func (c *core) RetrieveBatch(ctx context.Context, pms []mkhash.PartialMatch) ([]
 // according to a declustering allocator.
 type Cluster struct {
 	core
-	parts []Partition
+	held
 }
 
-// NewCluster distributes file's buckets over the allocator's devices. The
-// allocator must be built for the file's current directory sizes.
+// NewCluster distributes file's buckets over the allocator's devices,
+// serving the records the file holds now. The allocator must be built
+// for the file's current directory sizes.
 func NewCluster(file *mkhash.File, alloc decluster.GroupAllocator, opts ...Option) (*Cluster, error) {
-	parts, err := Split(file, alloc)
-	if err != nil {
+	if err := checkAllocator(file, alloc.FileSystem()); err != nil {
 		return nil, err
 	}
-	c := &Cluster{core: newCore(alloc), parts: parts}
+	c := &Cluster{core: newCore(alloc), held: hold(file)}
 	devices := make([]engine.Device, c.fs.M)
 	for dev := range devices {
 		devices[dev] = memDevice{c: c, dev: dev}
@@ -134,8 +134,8 @@ func NewCluster(file *mkhash.File, alloc decluster.GroupAllocator, opts ...Optio
 	return c, nil
 }
 
-// memDevice adapts one in-memory device's partition to the engine's
-// Device contract.
+// memDevice adapts one in-memory device's share of the cluster's records
+// to the engine's Device contract.
 type memDevice struct {
 	c   *Cluster
 	dev int
@@ -146,7 +146,8 @@ func (d memDevice) Owner() int { return d.dev }
 
 func (d memDevice) Scan(ctx context.Context, q query.Query, pm mkhash.PartialMatch) (engine.Answer, error) {
 	var ans engine.Answer
-	part := d.c.parts[d.dev]
+	var ids [8]uint32 // a query of up to 8 fields resolves on the stack
+	want := d.c.t.Want(pm, ids[:0])
 	var buf [walkScratch]int
 	w := d.c.im.Walk(query.WalkOver(buf[:]), q, d.dev)
 	for coords := w.Next(); coords != nil; coords = w.Next() {
@@ -154,7 +155,7 @@ func (d memDevice) Scan(ctx context.Context, q query.Query, pm mkhash.PartialMat
 			hits.Put(ans.Hits)
 			return engine.Answer{}, err
 		}
-		part.Scan(d.c.fs.Linear(coords), pm, &ans)
+		d.c.scan(d.c.fs.Linear(coords), want, &ans)
 	}
 	return ans, nil
 }
@@ -167,9 +168,11 @@ const walkScratch = 3*8 + 1
 // DeviceBucketCounts returns how many non-empty buckets each device holds
 // (static storage balance).
 func (c *Cluster) DeviceBucketCounts() []int {
-	out := make([]int, len(c.parts))
-	for i, p := range c.parts {
-		out[i] = len(p)
-	}
+	out := make([]int, c.fs.M)
+	var coords []int
+	c.t.EachBucket(func(b uint32) {
+		coords = c.fs.Coords(int(b), coords[:0])
+		out[c.alloc.Device(coords)]++
+	})
 	return out
 }

@@ -255,7 +255,7 @@ func RescalePlanOf(alloc GroupAllocator, newM int) (rebalance.RescalePlan, error
 // rescaling into (current epoch + 1, normally 1) — so the migration can
 // install buckets and the new coordinator can query it immediately.
 func NewRescaleTargetServer(deviceID int, spec AllocatorSpec, epoch int) (*DeviceServer, error) {
-	srv, err := netdist.NewServer(deviceID, spec, Partition{})
+	srv, err := netdist.NewServer(deviceID, spec, nil)
 	if err != nil {
 		return nil, err
 	}
