@@ -84,14 +84,14 @@ func run(args []string) error {
 	if *slo > 0 {
 		opts = append(opts, fxdist.WithLatencySLO(*slo, *sloGoal))
 	}
-	var cfg fxdist.Config
+	// The snapshot's allocator is the in-process backend's. A fleet
+	// describes its own, which a rescale may have moved past the
+	// snapshot's.
+	cfg := fxdist.Config{File: file, Allocator: alloc}
 	if *addrsArg != "" {
 		cfg = fxdist.Config{File: file, Addrs: strings.Split(*addrsArg, ",")}
-	} else {
-		if alloc == nil {
-			return errors.New("snapshot carries no allocator spec (needed for the in-process backend)")
-		}
-		cfg = fxdist.Config{File: file, Allocator: alloc}
+	} else if alloc == nil {
+		return errors.New("snapshot carries no allocator spec (needed for the in-process backend)")
 	}
 	cluster, err := fxdist.Open(cfg, opts...)
 	if err != nil {
@@ -102,7 +102,7 @@ func run(args []string) error {
 	g, err := gate.New(gate.Config{
 		Cluster:           cluster,
 		File:              file,
-		Allocator:         alloc,
+		Allocator:         cfg.Allocator,
 		Tenants:           tenants,
 		MaxInFlight:       *shedInflight,
 		ShedRetryAfter:    *shedRetryAfter,

@@ -13,18 +13,21 @@
 //	fxnode query -snapshot cars.snap -addrs 127.0.0.1:9000,127.0.0.1:9001 make=ford
 //
 // The rescale subcommand grows or shrinks a live deployment with zero
-// downtime. Growing M -> 2M, first start the joining devices as empty
-// rescale targets, then drive the migration:
+// downtime; -new-addrs, the post-rescale device list, sizes it. Growing
+// M -> 2M, first start the joining devices as empty rescale targets
+// (each learns its epoch when the rescale prepares it), then drive the
+// migration:
 //
 //	fxnode serve -snapshot cars.snap -device 2 -rescale-target 4 -listen 127.0.0.1:9002
 //	fxnode serve -snapshot cars.snap -device 3 -rescale-target 4 -listen 127.0.0.1:9003
 //	fxnode rescale -snapshot cars.snap -addrs 127.0.0.1:9000,127.0.0.1:9001 \
-//	    -new-m 4 -new-addrs 127.0.0.1:9000,...,127.0.0.1:9003 \
+//	    -new-addrs 127.0.0.1:9000,...,127.0.0.1:9003 \
 //	    -journal cars.rescale -metrics-addr 127.0.0.1:9100
 //
-// Shrinking halves the list instead (-new-m 1; -new-addrs defaults to a
-// prefix of -addrs). While a rescale runs, a second fxnode steers it
-// through the coordinator's debug address:
+// Shrinking lists the first half of -addrs instead. Every fresh query
+// or rescale reads the epoch the fleet serves from its servers. While a
+// rescale runs, a second fxnode steers it through the coordinator's
+// debug address:
 //
 //	fxnode rescale -action status -debug 127.0.0.1:9100
 //	fxnode rescale -action pause  -debug 127.0.0.1:9100
@@ -98,7 +101,6 @@ func runServe(args []string) error {
 	shedInflight := fs.Int("shed-inflight", 0, "shed requests beyond this many in flight with a retryable busy response (0 disables)")
 	shedRetryAfter := fs.Duration("shed-retry-after", 250*time.Millisecond, "retry-after hint attached to shed responses")
 	rescaleTarget := fs.Int("rescale-target", 0, "serve an empty rescale-target device for a cluster growing to this many devices (0 serves the snapshot's own layout)")
-	epoch := fs.Int("epoch", 1, "epoch a rescale target starts at: the growing cluster's current epoch + 1")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -123,8 +125,8 @@ func runServe(args []string) error {
 	var banner string
 	if *rescaleTarget > 0 {
 		// A rescale target holds no buckets yet: it joins a growing
-		// cluster at the next epoch and receives its partition from the
-		// migration stream.
+		// cluster at the epoch the rescale's Prepare names and receives
+		// its partition from the migration stream.
 		newSpec, err := spec.Rescaled(*rescaleTarget)
 		if err != nil {
 			return err
@@ -132,11 +134,11 @@ func runServe(args []string) error {
 		if *device < 0 || *device >= newSpec.M {
 			return fmt.Errorf("device %d out of range [0,%d)", *device, newSpec.M)
 		}
-		srv, err = fxdist.NewRescaleTargetServer(*device, newSpec, *epoch)
+		srv, err = fxdist.NewRescaleTargetServer(*device, newSpec)
 		if err != nil {
 			return err
 		}
-		banner = fmt.Sprintf("serving rescale-target device %d of %d (epoch %d, empty)", *device, newSpec.M, *epoch)
+		banner = fmt.Sprintf("serving rescale-target device %d of %d (empty, no epoch until prepared)", *device, newSpec.M)
 	} else {
 		parts, err := fxdist.PartitionFile(file, alloc)
 		if err != nil {
@@ -184,7 +186,6 @@ func runQuery(args []string) error {
 	fs := flag.NewFlagSet("query", flag.ContinueOnError)
 	snapshot := fs.String("snapshot", "", "snapshot file (schema source)")
 	addrsArg := fs.String("addrs", "", "comma-separated device addresses, in device order")
-	epoch := fs.Int("epoch", 0, "serving epoch of the fleet: advances by one per completed rescale (0 matches a never-rescaled fleet)")
 	timeout := fs.Duration("timeout", 0, "overall retrieval deadline (0 waits indefinitely)")
 	statsPull := fs.Duration("stats-pull", 0, "tend every device server at this interval: redial a dead connection, pull its metrics snapshot into the /debug/cluster fleet view (0 pulls once)")
 	slo := fs.Duration("slo", 0, "latency objective per query shape (0 disables SLO tracking)")
@@ -212,9 +213,6 @@ func runQuery(args []string) error {
 		return err
 	}
 	var opts []fxdist.Option
-	if *epoch > 0 {
-		opts = append(opts, fxdist.WithDialEpoch(*epoch))
-	}
 	if *slo > 0 {
 		opts = append(opts, fxdist.WithLatencySLO(*slo, *sloGoal))
 	}
@@ -281,10 +279,9 @@ func runQuery(args []string) error {
 func runRescale(args []string) error {
 	fs := flag.NewFlagSet("rescale", flag.ContinueOnError)
 	action := fs.String("action", "start", "start | status | pause | resume | abort")
-	snapshot := fs.String("snapshot", "", "snapshot file (with allocator spec); start only")
+	snapshot := fs.String("snapshot", "", "snapshot file (schema source); start only")
 	addrsArg := fs.String("addrs", "", "current device addresses, in device order; start only")
-	newAddrsArg := fs.String("new-addrs", "", "post-rescale addresses, in device order (growing: current list plus the rescale-target servers; shrinking: defaults to a prefix of -addrs)")
-	newM := fs.Int("new-m", 0, "post-rescale device count: double or half the current M")
+	newAddrsArg := fs.String("new-addrs", "", "post-rescale addresses, in device order, twice or half as many as -addrs (growing: the current list plus the rescale-target servers; shrinking: its first half); start only")
 	journal := fs.String("journal", "", "crash-safe migration journal; rerunning with the same path resumes instead of restarting")
 	concurrency := fs.Int("concurrency", 0, "in-flight bucket copies (0 uses the driver default)")
 	guardQueries := fs.Uint64("guard-queries", 0, "audited new-epoch queries the cutover guard requires (0 uses the default)")
@@ -304,7 +301,7 @@ func runRescale(args []string) error {
 		}
 		return startRescale(rescaleStartConfig{
 			snapshot: *snapshot, addrs: *addrsArg, newAddrs: *newAddrsArg,
-			newM: *newM, journal: *journal, concurrency: *concurrency,
+			journal: *journal, concurrency: *concurrency,
 			guardQueries: *guardQueries, noGuard: *noGuard, selfCheck: *selfCheck,
 			statusEvery: *statusEvery, timeout: *timeout, serve: obsFlags.Start,
 		})
@@ -325,7 +322,7 @@ func runRescale(args []string) error {
 
 type rescaleStartConfig struct {
 	snapshot, addrs, newAddrs string
-	newM, concurrency         int
+	concurrency               int
 	journal                   string
 	guardQueries              uint64
 	noGuard, selfCheck        bool
@@ -341,36 +338,12 @@ type rescaleStartConfig struct {
 // -metrics-addr serves the cluster's handler, whose /debug/rescale takes
 // the status/pause/resume/abort verbs of other fxnode processes.
 func startRescale(cfg rescaleStartConfig) error {
-	if cfg.snapshot == "" || cfg.addrs == "" {
-		return fmt.Errorf("missing -snapshot or -addrs")
+	if cfg.snapshot == "" || cfg.addrs == "" || cfg.newAddrs == "" {
+		return fmt.Errorf("missing -snapshot, -addrs or -new-addrs")
 	}
-	if cfg.newM <= 0 {
-		return fmt.Errorf("missing -new-m")
-	}
-	file, alloc, err := fxdist.LoadSnapshotFile(cfg.snapshot)
+	file, _, err := fxdist.LoadSnapshotFile(cfg.snapshot)
 	if err != nil {
 		return err
-	}
-	if alloc == nil {
-		return fmt.Errorf("snapshot carries no allocator spec")
-	}
-	addrs := strings.Split(cfg.addrs, ",")
-	var newAddrs []string
-	switch {
-	case cfg.newAddrs != "":
-		newAddrs = strings.Split(cfg.newAddrs, ",")
-	case cfg.newM < len(addrs):
-		// Shrinking keeps a prefix of the current device set.
-		newAddrs = addrs[:cfg.newM]
-	default:
-		return fmt.Errorf("growing to %d devices needs -new-addrs listing the joining rescale-target servers", cfg.newM)
-	}
-	if len(newAddrs) != cfg.newM {
-		return fmt.Errorf("-new-m %d, but -new-addrs lists %d servers", cfg.newM, len(newAddrs))
-	}
-	if plan, err := fxdist.RescalePlanOf(alloc, cfg.newM); err == nil {
-		fmt.Printf("fxnode: rescale %d -> %d devices: %d of %d buckets move, %d stay (owners derivable: %v)\n",
-			plan.OldM, plan.NewM, len(plan.Moves), plan.Total, plan.Stay, plan.Derivable)
 	}
 
 	// A signal aborts the rescale (the driver rolls every server back)
@@ -384,7 +357,7 @@ func startRescale(cfg rescaleStartConfig) error {
 		ctx, cancel = context.WithTimeout(ctx, cfg.timeout)
 		defer cancel()
 	}
-	cl, err := fxdist.Open(fxdist.Config{File: file, Addrs: addrs})
+	cl, err := fxdist.Open(fxdist.Config{File: file, Addrs: strings.Split(cfg.addrs, ",")})
 	if err != nil {
 		return err
 	}
@@ -400,7 +373,7 @@ func startRescale(cfg rescaleStartConfig) error {
 		}
 	}
 	resc, err := cl.Rescale(ctx, fxdist.RescaleConfig{
-		Addrs:           newAddrs,
+		Addrs:           strings.Split(cfg.newAddrs, ","),
 		Journal:         cfg.journal,
 		Concurrency:     cfg.concurrency,
 		GuardMinQueries: cfg.guardQueries,
@@ -409,6 +382,9 @@ func startRescale(cfg rescaleStartConfig) error {
 	if err != nil {
 		return err
 	}
+	st := resc.Status()
+	fmt.Printf("fxnode: rescale %d -> %d devices: %d buckets move (%.1f%%)\n",
+		st.OldM, st.NewM, st.TotalMoves, 100*st.MoveFraction)
 
 	var pms []fxdist.PartialMatch
 	if cfg.selfCheck {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -119,7 +120,8 @@ func TestSampleQueries(t *testing.T) {
 
 // TestStartRescaleEndToEnd runs the CLI driver path against a real
 // loopback deployment: snapshot on disk, live old servers, empty
-// rescale targets, then startRescale exactly as `fxnode rescale` would.
+// rescale targets, then startRescale exactly as `fxnode rescale` would,
+// growing 2 -> 4 and shrinking back.
 func TestStartRescaleEndToEnd(t *testing.T) {
 	file, _ := buildRescaleCLIFile(t)
 	fs, err := file.FileSystem(2)
@@ -151,7 +153,7 @@ func TestStartRescaleEndToEnd(t *testing.T) {
 	}
 	newAddrs := append([]string(nil), addrs...)
 	for dev := 2; dev < 4; dev++ {
-		srv, err := fxdist.NewRescaleTargetServer(dev, newSpec, 1)
+		srv, err := fxdist.NewRescaleTargetServer(dev, newSpec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -164,26 +166,22 @@ func TestStartRescaleEndToEnd(t *testing.T) {
 		go srv.Serve(l) //nolint:errcheck // ends when srv.Close closes l
 	}
 
-	// The library sizes a rescale by its address list, so -new-m must
-	// be the length of -new-addrs.
-	err = startRescale(rescaleStartConfig{snapshot: snap, addrs: strings.Join(addrs, ","),
-		newAddrs: strings.Join(newAddrs[:3], ","), newM: 4})
-	if err == nil || !strings.Contains(err.Error(), "-new-addrs lists 3 servers") {
-		t.Fatalf("-new-m 4 over three -new-addrs: %v", err)
-	}
-
-	err = startRescale(rescaleStartConfig{
-		snapshot:     snap,
-		addrs:        strings.Join(addrs, ","),
-		newAddrs:     strings.Join(newAddrs, ","),
-		newM:         4,
-		journal:      filepath.Join(dir, "rescale.journal"),
-		guardQueries: 2,
-		selfCheck:    true,
-		statusEvery:  25 * time.Millisecond,
-		timeout:      60 * time.Second,
-	})
-	if err != nil {
-		t.Fatalf("startRescale: %v", err)
+	// The fleet serves epoch 1 now: the shrink back opens it fresh with
+	// no epoch, and -new-addrs alone sizes it.
+	for _, to := range [][]string{newAddrs, addrs} {
+		err = startRescale(rescaleStartConfig{
+			snapshot:     snap,
+			addrs:        strings.Join(addrs, ","),
+			newAddrs:     strings.Join(to, ","),
+			journal:      filepath.Join(dir, fmt.Sprint("rescale-", len(to), ".journal")),
+			guardQueries: 2,
+			selfCheck:    true,
+			statusEvery:  25 * time.Millisecond,
+			timeout:      60 * time.Second,
+		})
+		if err != nil {
+			t.Fatalf("startRescale to %d devices: %v", len(to), err)
+		}
+		addrs = to
 	}
 }

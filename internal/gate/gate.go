@@ -36,7 +36,8 @@ type Config struct {
 	// (required).
 	File *fxdist.File
 	// Allocator, when set, lets fx.explain report exact per-device loads
-	// by group convolution.
+	// by group convolution while its M is the cluster's (a rescale moves
+	// the cluster past it).
 	Allocator fxdist.GroupAllocator
 	// Tenants declares the tenant set (at least one).
 	Tenants []TenantConfig

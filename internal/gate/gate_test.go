@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"fxdist"
+	"fxdist/client"
 )
 
 func TestShapeOf(t *testing.T) {
@@ -185,5 +186,41 @@ func TestClosedGateIsDetachedAndCollectable(t *testing.T) {
 			t.Fatal("closed gate was never collected: something still references it")
 		case <-time.After(10 * time.Millisecond):
 		}
+	}
+}
+
+// TestExplainReportsLoadsOfTheClustersM: fx.explain reports its
+// allocator's loads only while that allocator spans the cluster's M. An
+// allocator of another M (a fleet rescaled past it) reports none rather
+// than loads beside the wrong M.
+func TestExplainReportsLoadsOfTheClustersM(t *testing.T) {
+	g := wireFixture(t)
+	explain := func(g *Gate) *client.ExplainResult {
+		t.Helper()
+		out, e := g.handleExplain([][2]string{{"part", "part-1"}})
+		if e != nil {
+			t.Fatal(e)
+		}
+		return out.(*client.ExplainResult)
+	}
+	if ex := explain(g); ex.M != 4 || len(ex.DeviceLoads) != 4 {
+		t.Fatalf("explain over its own allocator: M %d, loads %v", ex.M, ex.DeviceLoads)
+	}
+	fs, err := g.cfg.File.FileSystem(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grown, err := fxdist.NewFX(fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale, err := New(Config{Cluster: g.cfg.Cluster, File: g.cfg.File, Allocator: grown,
+		Tenants: []TenantConfig{{Name: "solo", APIKey: "k"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stale.Close()
+	if ex := explain(stale); ex.M != 4 || ex.DeviceLoads != nil {
+		t.Fatalf("explain over an 8-device allocator of a 4-device cluster: M %d, loads %v", ex.M, ex.DeviceLoads)
 	}
 }

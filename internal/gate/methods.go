@@ -153,8 +153,8 @@ func (g *Gate) handleExplain(query [][2]string) (any, *fxdist.Error) {
 		Bound:      obs.Bound(rq, m),
 		M:          m,
 	}
-	if g.cfg.Allocator != nil {
-		out.DeviceLoads = fxdist.Loads(g.cfg.Allocator, q)
+	if a := g.cfg.Allocator; a != nil && a.FileSystem().M == m {
+		out.DeviceLoads = fxdist.Loads(a, q)
 	}
 	for _, plan := range g.cfg.Cluster.PlanCache().Plans {
 		if plan.Shape == out.Shape {

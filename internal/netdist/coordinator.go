@@ -317,7 +317,7 @@ type Coordinator struct {
 	file    *mkhash.File
 	dm      []coordDevMetrics
 	timeout time.Duration
-	epoch   int
+	epoch   int             // WithEpoch's, else noEpoch until the servers agree on one at Dial
 	spec    *decluster.Spec // WithSpec's, else nil until the servers agree on one at Dial
 	eng     *engine.Executor
 	in      *obs.Instruments
@@ -370,9 +370,9 @@ func WithInjector(in *resilience.Injector) DialOption {
 }
 
 // WithEpoch stamps every query this coordinator sends with the given
-// declustering epoch (see Request.Epoch). Default 0 — the epoch every
-// server starts at. The rescale's new-epoch coordinator dials with the
-// next epoch so servers answer from the prepared view.
+// declustering epoch (see Request.Epoch). Without it the coordinator
+// serves the epoch every server reports at Dial. Only the rescale's
+// new-epoch coordinator sets it: it dials before the epoch exists.
 func WithEpoch(epoch int) DialOption {
 	return func(c *Coordinator) { c.epoch = epoch }
 }
@@ -400,9 +400,10 @@ func WithTending(interval time.Duration) DialOption {
 // Dial connects to one server per device; addrs[i] must serve device i.
 // The file provides the schema and hash functions used to lower value
 // queries to bucket coordinates — it can be empty of records. The
-// allocator is the one the servers describe: Dial fails unless server i
-// says it is device i, all under one spec (WithSpec's, when given) whose
-// M is len(addrs) and whose grid is the file's.
+// allocator and the epoch are the ones the servers describe: Dial fails
+// unless server i says it is device i, all serving one epoch (WithEpoch's,
+// when given) under one spec (WithSpec's, when given) whose M is
+// len(addrs) and whose grid is the file's.
 //
 // When every server i also holds device (i-1) mod M's backup partition
 // (NewReplicatedServer), the coordinator fails over: a transport failure
@@ -412,7 +413,7 @@ func WithTending(interval time.Duration) DialOption {
 // retrieval spans are named "netdist.retrieve-failover". Otherwise a dead
 // server fails the retrieval, naming the device.
 func Dial(file *mkhash.File, addrs []string, opts ...DialOption) (*Coordinator, error) {
-	c := &Coordinator{file: file}
+	c := &Coordinator{file: file, epoch: noEpoch}
 	for _, opt := range opts {
 		opt(c)
 	}
@@ -500,13 +501,15 @@ func (c *Coordinator) startTending() {
 
 // allocator builds the spec the dialed servers decluster under, checked
 // against the address list and the file's grid. Every server is asked:
-// server i must say it is device i, and those that serve the
-// coordinator's epoch must agree on one spec — the one handed over
-// (WithSpec), when there is one. A server not serving the epoch yet is
-// taken on trust only under a handed spec. failover reports whether
-// every server i holds device (i-1) mod M's backup at the epoch.
+// server i must say it is device i, and all must serve the coordinator's
+// epoch — the one handed over (WithEpoch), else the one server 0 reports
+// — under one spec: the one handed over (WithSpec), when there is one. A
+// server not serving the epoch yet is taken on trust only under a handed
+// spec. failover reports whether every server i holds device (i-1) mod
+// M's backup at the epoch.
 func (c *Coordinator) allocator() (alloc decluster.GroupAllocator, failover bool, err error) {
 	spec, from := c.spec, "WithSpec"
+	pinned := c.epoch != noEpoch
 	failover = true
 	m := len(c.conns)
 	for dev, dc := range c.conns {
@@ -514,12 +517,19 @@ func (c *Coordinator) allocator() (alloc decluster.GroupAllocator, failover bool
 		if err != nil {
 			return nil, false, fmt.Errorf("netdist: describe device %d (%s): %w", dev, dc.addr, err)
 		}
+		if !pinned && dev == 0 {
+			c.epoch = d.Epoch
+		}
 		switch {
 		case d.Device != dev:
 			return nil, false, fmt.Errorf("netdist: address %d (%s) is served by device %d, not device %d", dev, dc.addr, d.Device, dev)
-		case d.Spec == nil && c.spec == nil:
+		case !pinned && d.Epoch == noEpoch:
+			return nil, false, fmt.Errorf("netdist: device %d (%s) serves no epoch: a rescale target joins one at its Prepare", dev, dc.addr)
+		case !pinned && d.Epoch != c.epoch:
+			return nil, false, fmt.Errorf("netdist: the servers disagree on the epoch: device 0 (%s) serves %d, device %d (%s) %d", c.conns[0].addr, c.epoch, dev, dc.addr, d.Epoch)
+		case d.Epoch != c.epoch && c.spec == nil:
 			return nil, false, fmt.Errorf("netdist: device %d (%s) does not serve epoch %d", dev, dc.addr, c.epoch)
-		case d.Spec == nil:
+		case d.Epoch != c.epoch: // not yet: taken on trust under the handed spec
 		case spec == nil:
 			spec, from = d.Spec, fmt.Sprintf("device %d (%s)", dev, dc.addr)
 		case !specEqual(*spec, *d.Spec):
@@ -544,13 +554,15 @@ func (c *Coordinator) allocator() (alloc decluster.GroupAllocator, failover bool
 }
 
 // describe asks one server which device it is and under which spec it
-// serves the coordinator's epoch: a plain round trip, before any
-// retrieval, past the injector and the per-device counters.
+// serves the coordinator's epoch — before Dial knows it, epoch 0, which
+// a server that does not serve it answers with its current one: a
+// plain round trip, before any retrieval, past the injector and the
+// per-device counters.
 func (c *Coordinator) describe(dc *deviceConn) (description, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), c.probeTimeout())
 	defer cancel()
 	var d description
-	resp, _, _, _, err := dc.roundTrip(ctx, Request{Control: OpDescribe, Epoch: c.epoch, AsDevice: -1}, c.timeout)
+	resp, _, _, _, err := dc.roundTrip(ctx, Request{Control: OpDescribe, Epoch: max(c.epoch, 0), AsDevice: -1}, c.timeout)
 	if err == nil && resp.Err != "" {
 		err = errors.New(resp.Err)
 	}
@@ -805,7 +817,7 @@ func (c *Coordinator) Resilience() resilience.Snapshot {
 func (c *Coordinator) Spec() decluster.Spec { return *c.spec }
 
 // Epoch returns the declustering epoch stamped on this coordinator's
-// queries (see WithEpoch).
+// queries: WithEpoch's, else the one its servers reported at Dial.
 func (c *Coordinator) Epoch() int { return c.epoch }
 
 // Addrs returns the device server addresses in device order — what the

@@ -66,11 +66,11 @@ type Request struct {
 
 	// Epoch selects which declustering epoch a query runs against during
 	// an elastic rescale: the server's current view, or — between Prepare
-	// and Cutover — the prepared next view at epoch current+1. Outside a
-	// rescale every peer is at epoch 0 and the field rides as zero. On
+	// and Cutover — the prepared next view at epoch current+1. A fleet
+	// that never rescaled serves epoch 0 and the field rides as zero. On
 	// the binary wire the rescale extension (Epoch through Payload) is a
 	// trailing-optional section gated by a flags bit, which a query frame
-	// leaves unset and so carries none of.
+	// at epoch 0 leaves unset and so carries none of.
 	Epoch int
 	// Control, when non-zero, marks a rescale control operation (the
 	// Op* constants) instead of a query. Control ops bypass load
@@ -88,9 +88,10 @@ type Request struct {
 
 // Rescale control operations (Request.Control).
 const (
-	// OpPrepare hands the server the next epoch's allocator spec: it
-	// builds the view (file system + inverse mapper) and starts serving
-	// queries at epoch current+1 alongside the current epoch.
+	// OpPrepare hands the server the allocator spec of the epoch the
+	// request names: it builds the view (file system + inverse mapper)
+	// and starts serving queries at epoch current+1 alongside the
+	// current epoch. A rescale target learns its epoch from it.
 	OpPrepare = 1 + iota
 	// OpFetch returns one bucket's records from the current partition.
 	OpFetch
@@ -99,16 +100,17 @@ const (
 	// a bucket overwrites it with identical content.
 	OpInstall
 	// OpCutover promotes the prepared view to current, bumps the epoch,
-	// and prunes buckets the server no longer owns. A no-op on servers
-	// with nothing prepared (fresh rescale targets already at the new
-	// epoch), so the driver can broadcast it idempotently.
+	// and prunes buckets the server no longer owns. A no-op on a server
+	// with nothing prepared (one already promoted), so the driver can
+	// replay it idempotently.
 	OpCutover
 	// OpAbort drops the prepared view and deletes every bucket installed
 	// during the rescale, returning the server to its pre-rescale state.
 	OpAbort
-	// OpDescribe answers which device the server is, under which
-	// allocator spec it serves the request's epoch and whose backup it
-	// holds (JSON in the response's trailing blob). Dial asks every
+	// OpDescribe answers which device the server is, which epoch it
+	// serves — the request's, else its current one — under which
+	// allocator spec and whose backup it holds (JSON in the response's
+	// trailing blob). Dial asks every
 	// server: a query goes only to the devices its plan says own a
 	// qualified bucket, so "addrs[i] serves device i under one allocator"
 	// is the correctness of every answer and is checked, not assumed.

@@ -15,31 +15,32 @@ import (
 )
 
 // Server-side half of the elastic rescale protocol. A rescale runs as
-// an epoch transition: the migration driver Prepares every surviving
-// server with the next epoch's allocator spec (the server then answers
-// queries at both epochs), streams each moving bucket with Fetch from
-// its old owner and Install on its new one, and finally Cutovers — the
+// an epoch transition: the migration driver Prepares every server of
+// the next epoch with its allocator spec and number (a surviving server
+// then answers queries at both epochs, a joining one starts serving
+// it), streams each moving bucket with Fetch from its old owner and
+// Install on its new one, and finally Cutovers the survivors — the
 // prepared view becomes current, the epoch bumps, and buckets the
 // server no longer owns are pruned. Abort at any point before cutover
 // deletes the installed buckets and drops the prepared view, returning
 // the server byte-for-byte to its pre-rescale state (the migration only
 // ever copies; the old partition stays authoritative until cutover).
 
-// SetEpoch declares the server's base epoch. Fresh servers joining a
-// cluster mid-rescale (the grow targets M..2M-1) start at the new epoch
-// with an empty partition: they were never part of the old epoch, so
-// there is nothing to prepare or cut over on them. Call before Serve.
-func (s *Server) SetEpoch(epoch int) {
-	s.dataMu.Lock()
-	defer s.dataMu.Unlock()
-	s.epoch = epoch
-}
+// noEpoch is the epoch of a server that serves none: a rescale target
+// before the Prepare that names the epoch it joins.
+const noEpoch = -1
 
-// Epoch returns the server's current declustering epoch.
-func (s *Server) Epoch() int {
-	s.dataMu.RLock()
-	defer s.dataMu.RUnlock()
-	return s.epoch
+// NewTargetServer builds an empty server for device deviceID joining a
+// growing fleet under spec. It serves no epoch until the rescale's
+// Prepare names the one it joins; the migration then installs its
+// buckets, and there is nothing to cut over on it.
+func NewTargetServer(deviceID int, spec decluster.Spec) (*Server, error) {
+	s, err := NewServer(deviceID, spec, nil)
+	if err != nil {
+		return nil, err
+	}
+	s.epoch = noEpoch
+	return s, nil
 }
 
 // control dispatches one rescale control operation.
@@ -64,14 +65,15 @@ func (s *Server) control(req *Request) Response {
 	}
 }
 
-// prepare builds the next-epoch view from the spec in the request.
-// Idempotent: re-preparing with the same spec succeeds (the resume path
-// after a coordinator crash), with a different one fails. A server that
-// already serves the requested spec answers success WITHOUT creating a
-// next view: after a partial cutover the driver's replay re-broadcasts
-// Prepare, and an already-promoted server must not prepare a spurious
-// current→current transition — the replayed cutover would bump it a
-// second epoch ahead of the stragglers and split the fleet.
+// prepare builds the view of the epoch the request names from the spec
+// in it. Idempotent: re-preparing with the same spec succeeds (the resume
+// path after a coordinator crash), with a different one fails. A server
+// that already serves the spec at that epoch answers success WITHOUT
+// creating a next view: after a partial cutover the driver's replay
+// re-broadcasts Prepare, and an already-promoted server must not
+// prepare a spurious current→current transition — the replayed cutover
+// would bump it a second epoch ahead of the stragglers and split the
+// fleet. A rescale target built under the spec learns its epoch here.
 func (s *Server) prepare(req *Request) Response {
 	var spec decluster.Spec
 	if err := json.Unmarshal(req.SpecJSON, &spec); err != nil {
@@ -79,16 +81,19 @@ func (s *Server) prepare(req *Request) Response {
 	}
 	s.dataMu.Lock()
 	defer s.dataMu.Unlock()
-	if s.backup != nil {
+	switch {
+	case s.backup != nil:
 		return Response{ID: req.ID, Err: "netdist: prepare: replicated deployments do not support live rescale"}
-	}
-	if specEqual(s.cur.spec, spec) {
+	case specEqual(s.cur.spec, spec) && (s.epoch == req.Epoch || s.epoch == noEpoch):
+		s.epoch = req.Epoch
 		return Response{ID: req.ID}
-	}
-	if s.next != nil {
-		if specEqual(s.next.spec, spec) {
-			return Response{ID: req.ID}
-		}
+	case s.epoch == noEpoch:
+		return Response{ID: req.ID, Err: fmt.Sprintf("netdist: prepare: a rescale target under %+v, not %+v", s.cur.spec, spec)}
+	case req.Epoch != s.epoch+1:
+		return Response{ID: req.ID, Err: fmt.Sprintf("netdist: prepare: epoch %d named, serving epoch %d", req.Epoch, s.epoch)}
+	case s.next != nil && specEqual(s.next.spec, spec):
+		return Response{ID: req.ID}
+	case s.next != nil:
 		return Response{ID: req.ID, Err: "netdist: prepare: a different rescale is already prepared (abort it first)"}
 	}
 	// The next view serves the same partition: Install adds the buckets
@@ -125,9 +130,9 @@ func (s *Server) fetch(req *Request) Response {
 
 // install stores one bucket into the next-epoch partition. The bucket
 // must pass admission for this device under the prepared spec (or under
-// the current spec on a fresh server already at the new epoch). Its
-// values go into the partition's own dictionary, so wire buffers never
-// alias the partition and the bucket costs its ids.
+// the current spec on a rescale target). Its values go into the
+// partition's own dictionary, so wire buffers never alias the partition
+// and the bucket costs its ids.
 func (s *Server) install(req *Request) Response {
 	s.dataMu.Lock()
 	defer s.dataMu.Unlock()
@@ -149,9 +154,9 @@ func (s *Server) install(req *Request) Response {
 }
 
 // cutover promotes the prepared view to current and prunes buckets this
-// device no longer owns. A server with nothing prepared answers success
-// (fresh rescale targets are already at the new epoch), so the driver's
-// broadcast — and its replay after a crash — is idempotent.
+// device no longer owns. A server with nothing prepared — one already
+// promoted — answers success, so the driver's replay of its broadcast
+// after a crash is idempotent.
 func (s *Server) cutover(req *Request) Response {
 	s.dataMu.Lock()
 	defer s.dataMu.Unlock()
@@ -188,12 +193,14 @@ func (s *Server) abort(req *Request) Response {
 }
 
 // description is what a server says of itself to a dialing coordinator
-// (OpDescribe): its device id, the allocator spec of the view that
-// serves the asked epoch — nil when it serves no such epoch (yet) — and
-// the device whose backup partition it would serve at that epoch, nil on
-// a plain server.
+// (OpDescribe): its device id, the epoch described — the asked one when
+// the server serves it, else its current one (noEpoch on a rescale
+// target before its Prepare) — the allocator spec of the view serving
+// that epoch, nil when there is none, and the device whose backup
+// partition it serves at that epoch, nil on a plain server.
 type description struct {
 	Device int             `json:"device"`
+	Epoch  int             `json:"epoch"`
 	Spec   *decluster.Spec `json:"spec,omitempty"`
 	Backup *int            `json:"backup,omitempty"`
 }
@@ -202,11 +209,15 @@ type description struct {
 func (s *Server) describe(req *Request) Response {
 	s.dataMu.RLock()
 	defer s.dataMu.RUnlock()
-	d := description{Device: s.deviceID}
-	if v, err := s.viewFor(req); err == nil {
+	d := description{Device: s.deviceID, Epoch: req.Epoch}
+	v, err := s.viewFor(req)
+	if err != nil {
+		d.Epoch, v = s.epoch, s.cur
+	}
+	if d.Epoch != noEpoch {
 		d.Spec = &v.spec
 	}
-	if s.backup != nil && req.Epoch == s.epoch {
+	if s.backup != nil && d.Epoch == s.epoch {
 		d.Backup = &s.backup.dev
 	}
 	b, err := json.Marshal(d)
@@ -267,13 +278,13 @@ func (c *Coordinator) controlOp(ctx context.Context, dev int, req Request) (Resp
 	return resp, nil
 }
 
-// Prepare hands device dev the next epoch's allocator spec.
-func (c *Coordinator) Prepare(ctx context.Context, dev int, spec decluster.Spec) error {
+// Prepare hands device dev the allocator spec it serves epoch under.
+func (c *Coordinator) Prepare(ctx context.Context, dev, epoch int, spec decluster.Spec) error {
 	b, err := json.Marshal(spec)
 	if err != nil {
 		return fmt.Errorf("netdist: encode rescale spec: %w", err)
 	}
-	_, err = c.controlOp(ctx, dev, Request{Control: OpPrepare, SpecJSON: b})
+	_, err = c.controlOp(ctx, dev, Request{Control: OpPrepare, Epoch: epoch, SpecJSON: b})
 	return err
 }
 

@@ -61,8 +61,8 @@ func TestPlainRequestResetsExtFields(t *testing.T) {
 }
 
 // deployRescaleFixture starts an oldM-device cluster plus empty rescale
-// targets for devices oldM..newM-1, and dials coordinators at both
-// epochs. The returned allocator is the one the old fleet was deployed
+// targets for devices oldM..newM-1, which serve no epoch until prepared,
+// and dials coordinators at both epochs. The returned allocator is the one the old fleet was deployed
 // under.
 func deployRescaleFixture(t *testing.T, file *mkhash.File, oldM, newM int) (
 	oldAlloc decluster.GroupAllocator, newSpec decluster.Spec,
@@ -93,12 +93,11 @@ func deployRescaleFixture(t *testing.T, file *mkhash.File, oldM, newM int) (
 	}
 	allAddrs := append([]string(nil), addrs...)
 	for dev := oldM; dev < newM; dev++ {
-		srv, err := NewServer(dev, newSpec, nil)
+		srv, err := NewTargetServer(dev, newSpec)
 		if err != nil {
 			cleanup()
 			t.Fatal(err)
 		}
-		srv.SetEpoch(1)
 		l, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			cleanup()
@@ -114,8 +113,8 @@ func deployRescaleFixture(t *testing.T, file *mkhash.File, oldM, newM int) (
 		t.Fatal(err)
 	}
 	closers = append(closers, oldCoord.Close)
-	// Dialed before Prepare, as the rescale does: no old server serves
-	// epoch 1 yet, so the spec is handed over, not described.
+	// Dialed before Prepare, as the rescale does: no server serves epoch
+	// 1 yet, so the epoch and the spec are handed over, not described.
 	newCoord, err = Dial(file, allAddrs, WithEpoch(1), WithSpec(newSpec))
 	if err != nil {
 		cleanup()
@@ -191,12 +190,16 @@ func TestRescaleProtocolGrow(t *testing.T) {
 		t.Fatalf("baseline %d records, want %d", len(baseline.Records), len(want))
 	}
 
-	for dev := 0; dev < 2; dev++ {
-		if err := newCoord.Prepare(ctx, dev, newSpec); err != nil {
+	// A joining server serves no epoch until its Prepare names one.
+	if _, err := newCoord.Digest(ctx, 2, 1); err == nil || !strings.Contains(err.Error(), "epoch 1 not served") {
+		t.Fatalf("an unprepared target digested epoch 1: %v", err)
+	}
+	for dev := 0; dev < 4; dev++ {
+		if err := newCoord.Prepare(ctx, dev, 1, newSpec); err != nil {
 			t.Fatalf("prepare %d: %v", dev, err)
 		}
 		// Idempotent re-prepare (the crash-resume path).
-		if err := newCoord.Prepare(ctx, dev, newSpec); err != nil {
+		if err := newCoord.Prepare(ctx, dev, 1, newSpec); err != nil {
 			t.Fatalf("re-prepare %d: %v", dev, err)
 		}
 	}
@@ -288,8 +291,8 @@ func TestRescaleProtocolAbort(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for dev := 0; dev < 2; dev++ {
-		if err := newCoord.Prepare(ctx, dev, newSpec); err != nil {
+	for dev := 0; dev < 4; dev++ {
+		if err := newCoord.Prepare(ctx, dev, 1, newSpec); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -321,8 +324,8 @@ func TestRescaleProtocolAbort(t *testing.T) {
 
 // TestRescalePartialCutoverReplayConverges replays the driver's
 // recovery sequence after a partial cutover: some devices promoted,
-// others didn't, and a rebuilt driver re-broadcasts Prepare to the
-// survivors followed by Cutover to the union. Prepare on an
+// others didn't, and a rebuilt driver re-broadcasts Prepare to the new
+// epoch's devices followed by Cutover to the union. Prepare on an
 // already-promoted server must not manufacture a spurious next view —
 // otherwise the replayed cutover bumps it a second epoch ahead of the
 // stragglers and the fleet diverges instead of converging.
@@ -337,8 +340,8 @@ func TestRescalePartialCutoverReplayConverges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for dev := 0; dev < 2; dev++ {
-		if err := newCoord.Prepare(ctx, dev, newSpec); err != nil {
+	for dev := 0; dev < 4; dev++ {
+		if err := newCoord.Prepare(ctx, dev, 1, newSpec); err != nil {
 			t.Fatalf("prepare %d: %v", dev, err)
 		}
 	}
@@ -359,8 +362,8 @@ func TestRescalePartialCutoverReplayConverges(t *testing.T) {
 	// Recovery replay, twice — convergence must also be stable under
 	// repeated replays.
 	for round := 0; round < 2; round++ {
-		for dev := 0; dev < 2; dev++ {
-			if err := newCoord.Prepare(ctx, dev, newSpec); err != nil {
+		for dev := 0; dev < 4; dev++ {
+			if err := newCoord.Prepare(ctx, dev, 1, newSpec); err != nil {
 				t.Fatalf("round %d: replay prepare %d: %v", round, dev, err)
 			}
 		}
@@ -381,6 +384,79 @@ func TestRescalePartialCutoverReplayConverges(t *testing.T) {
 	}
 }
 
+// TestDialReadsTheFleetsEpoch: a Dial without WithEpoch serves the epoch
+// every server reports, and refuses a fleet whose servers disagree,
+// naming two of them: over the new address list inside the window (the
+// joining servers already serve epoch 1, the old ones epoch 0) and
+// after a partial cutover. Once every server has cut over it dials the
+// new epoch.
+func TestDialReadsTheFleetsEpoch(t *testing.T) {
+	file := buildFile(t, 200)
+	ctx := context.Background()
+	oldAlloc, newSpec, oldCoord, newCoord, cleanup := deployRescaleFixture(t, file, 2, 4)
+	defer cleanup()
+	addrs := newCoord.Addrs()
+	refused := func(what string, a, b int) {
+		t.Helper()
+		c, err := Dial(file, addrs)
+		if err == nil {
+			c.Close()
+			t.Fatalf("%s: dialed a split fleet", what)
+		}
+		for _, want := range []string{"disagree on the epoch", addrs[a], addrs[b]} {
+			if !strings.Contains(err.Error(), want) {
+				t.Fatalf("%s: %v, want it to name %q", what, err, want)
+			}
+		}
+	}
+	if c, err := Dial(file, addrs); err == nil || !strings.Contains(err.Error(), "device 2 ("+addrs[2]+") serves no epoch") {
+		if c != nil {
+			c.Close()
+		}
+		t.Fatalf("dial over unprepared rescale targets: %v", err)
+	}
+	for dev := 0; dev < 4; dev++ {
+		if err := newCoord.Prepare(ctx, dev, 1, newSpec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	refused("inside the window", 0, 2)
+	newAlloc, err := newSpec.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	copyMoves(t, ctx, newCoord, oldAlloc, newAlloc, -1)
+	if err := newCoord.CutoverDevice(ctx, 1); err != nil {
+		t.Fatal(err)
+	}
+	refused("after a partial cutover", 0, 1)
+	for dev := 0; dev < 4; dev++ {
+		if err := newCoord.CutoverDevice(ctx, dev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fresh, err := Dial(file, addrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Close()
+	pm := mkhash.PartialMatch{nil, str("sup3"), nil}
+	want, err := file.Search(pm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := fresh.Retrieve(pm)
+	if err != nil || fresh.Epoch() != 1 || fresh.M() != 4 {
+		t.Fatalf("fresh dial after cutover: epoch %d, M %d, err %v", fresh.Epoch(), fresh.M(), err)
+	}
+	if !reflect.DeepEqual(recordKeys(got.Records), recordKeys(want)) {
+		t.Fatal("fresh dial after cutover answers other records than the file")
+	}
+	if _, err := oldCoord.Retrieve(pm); err == nil {
+		t.Fatal("the old epoch answered after cutover")
+	}
+}
+
 // TestRescaleControlValidation exercises the server-side rejection
 // paths over the wire.
 func TestRescaleControlValidation(t *testing.T) {
@@ -389,7 +465,7 @@ func TestRescaleControlValidation(t *testing.T) {
 	_, newSpec, _, newCoord, cleanup := deployRescaleFixture(t, file, 2, 4)
 	defer cleanup()
 
-	if err := newCoord.Prepare(ctx, 0, newSpec); err != nil {
+	if err := newCoord.Prepare(ctx, 0, 1, newSpec); err != nil {
 		t.Fatal(err)
 	}
 	newAlloc, err := newSpec.Build()
@@ -449,8 +525,16 @@ func TestRescaleControlValidation(t *testing.T) {
 	other := newSpec
 	other.Method = decluster.MethodModulo
 	other.Kinds = nil
-	if err := newCoord.Prepare(ctx, 0, other); err == nil {
+	if err := newCoord.Prepare(ctx, 0, 1, other); err == nil {
 		t.Fatal("conflicting prepare accepted")
+	}
+	// So must a Prepare naming an epoch other than the next, and one of
+	// another spec than a rescale target's own.
+	if err := newCoord.Prepare(ctx, 1, 2, newSpec); err == nil || !strings.Contains(err.Error(), "epoch 2 named, serving epoch 0") {
+		t.Fatalf("prepare two epochs ahead: %v", err)
+	}
+	if err := newCoord.Prepare(ctx, 2, 1, other); err == nil || !strings.Contains(err.Error(), "a rescale target under") {
+		t.Fatalf("prepare of a target under another spec: %v", err)
 	}
 
 	// An unserved epoch is rejected: at Dial when the servers are asked

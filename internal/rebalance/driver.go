@@ -20,7 +20,8 @@ import (
 // must span the union of old and new device sets (for a grow that is
 // the new, larger coordinator; for a shrink the old one).
 type Transport interface {
-	Prepare(ctx context.Context, dev int, spec decluster.Spec) error
+	// Prepare hands device dev the spec it serves epoch under.
+	Prepare(ctx context.Context, dev, epoch int, spec decluster.Spec) error
 	FetchBucket(ctx context.Context, dev, bucket int) ([]mkhash.Record, error)
 	InstallBucket(ctx context.Context, dev, bucket int, recs []mkhash.Record) error
 	CutoverDevice(ctx context.Context, dev int) error
@@ -99,8 +100,8 @@ type DriverStatus struct {
 	LastGuardErr string        `json:"last_guard_err,omitempty"`
 }
 
-// Driver executes one live rescale: prepare every surviving server with
-// the new epoch's spec, stream the moving buckets old-owner → new-owner
+// Driver executes one live rescale: prepare every server of the new
+// epoch with its spec, stream the moving buckets old-owner → new-owner
 // with bounded concurrency, prove the copy by digesting both epochs,
 // swap the serving tier to the new epoch, hold until the optimality
 // guard admits the new layout, then cut over. The old partition stays
@@ -458,17 +459,18 @@ func (d *Driver) run(ctx context.Context) error {
 		return err
 	}
 
-	// Cutover: broadcast to the union. Retiring servers and fresh
-	// targets answer success without state, so replay after a crash
-	// converges. The broadcast runs under a background context (an
-	// abort arriving now must not strand half the fleet) and visits
-	// every device even after a failure, maximizing convergence.
+	// Cutover: broadcast to the surviving devices, the only ones holding
+	// a prepared view (a joining one has served the new epoch since its
+	// Prepare, a retiring one never serves it). A promoted server answers
+	// success, so replay after a crash converges. The broadcast runs
+	// under a background context (an abort arriving now must not strand
+	// half the fleet) and visits every survivor even after a failure,
+	// maximizing convergence.
 	d.setPhase(persist.RescaleVerified, "guard passed; cutting over")
-	union := max(d.plan.OldM, d.plan.NewM)
 	cctx := context.Background()
 	var cutFailed []int
 	var lastErr error
-	for dev := 0; dev < union; dev++ {
+	for dev := 0; dev < min(d.plan.OldM, d.plan.NewM); dev++ {
 		dev := dev
 		if err := d.retry(cctx, func() error { return d.cfg.Transport.CutoverDevice(cctx, dev) }); err != nil {
 			cutFailed = append(cutFailed, dev)
@@ -483,18 +485,16 @@ func (d *Driver) run(ctx context.Context) error {
 	return nil
 }
 
-// copyAndProve prepares the surviving servers, copies the moving
+// copyAndProve prepares the new epoch's servers, copies the moving
 // buckets and proves the copy.
 func (d *Driver) copyAndProve(ctx context.Context) error {
-	survivors := min(d.plan.OldM, d.plan.NewM)
-
-	// Prepare: every surviving server learns the next epoch's spec and
-	// starts answering at both epochs. Idempotent, so a resumed run
-	// re-prepares harmlessly.
+	// Prepare: every server of the new epoch learns its number and spec;
+	// a surviving one starts answering at both epochs, a joining one at
+	// the new. Idempotent, so a resumed run re-prepares harmlessly.
 	d.setPhase(persist.RescaleCopying, "preparing servers")
-	for dev := 0; dev < survivors; dev++ {
+	for dev := 0; dev < d.plan.NewM; dev++ {
 		dev := dev
-		if err := d.retry(ctx, func() error { return d.cfg.Transport.Prepare(ctx, dev, d.cfg.NewSpec) }); err != nil {
+		if err := d.retry(ctx, func() error { return d.cfg.Transport.Prepare(ctx, dev, d.cfg.Epoch+1, d.cfg.NewSpec) }); err != nil {
 			return fmt.Errorf("rebalance: prepare device %d: %w", dev, err)
 		}
 	}

@@ -60,7 +60,7 @@ func (ft *fakeTransport) fail(op string, dev int) error {
 	return ft.fault(op, dev)
 }
 
-func (ft *fakeTransport) Prepare(_ context.Context, dev int, _ decluster.Spec) error {
+func (ft *fakeTransport) Prepare(_ context.Context, dev, _ int, _ decluster.Spec) error {
 	ft.mu.Lock()
 	defer ft.mu.Unlock()
 	if err := ft.fail("prepare", dev); err != nil {
@@ -209,7 +209,8 @@ func TestDriverGrowHappyPath(t *testing.T) {
 		t.Errorf("status %+v, want done with %d copied and %d records digested on each epoch", got, len(plan.Moves), plan.Total)
 	}
 	// Every move landed on its planned destination with the old owner's
-	// records, and every device in the union saw the cutover broadcast.
+	// records, and the surviving devices, the ones with a prepared view,
+	// saw the cutover broadcast; the joining ones had nothing to cut over.
 	for _, mv := range plan.Moves {
 		recs := ft.installed[mv.To][mv.Bucket]
 		if len(recs) != 1 || recs[0][0] != fmt.Sprintf("r-%d", mv.Bucket) {
@@ -217,8 +218,8 @@ func TestDriverGrowHappyPath(t *testing.T) {
 		}
 	}
 	for dev := 0; dev < 4; dev++ {
-		if !ft.cut[dev] {
-			t.Errorf("device %d never cut over", dev)
+		if ft.cut[dev] != (dev < 2) {
+			t.Errorf("device %d cut over: %v", dev, ft.cut[dev])
 		}
 	}
 	st, err := persist.LoadRescale(journal)
@@ -458,8 +459,8 @@ func TestDriverReplaysAPartialCutover(t *testing.T) {
 		t.Errorf("swapped %v, rolled back %v; want a swap and no rollback", swapped, rolledBack)
 	}
 	for dev := 0; dev < 4; dev++ {
-		if !ft.cut[dev] {
-			t.Errorf("device %d never cut over", dev)
+		if ft.cut[dev] != (dev < 2) {
+			t.Errorf("device %d cut over: %v", dev, ft.cut[dev])
 		}
 	}
 	if len(ft.aborted) != 0 {

@@ -25,7 +25,8 @@ import (
 //	Dir                                 durable cluster, reopened from Dir
 //	Addrs + File                        distributed coordinator (File is
 //	                                    the schema; it may hold no records;
-//	                                    the servers describe the allocator)
+//	                                    the servers describe the allocator
+//	                                    and the epoch they serve)
 type Config struct {
 	// File is the multi-key hashed file: schema plus records for the
 	// in-memory kinds, schema only for the coordinator.
@@ -52,7 +53,6 @@ type openSettings struct {
 	sloSet      bool
 	slo         LatencySLO
 	fileOpts    []FileOption
-	dialEpoch   int
 
 	// Resilience (see resilience.go for the options).
 	resilSet   bool
@@ -130,19 +130,6 @@ func WithLatencySLO(target time.Duration, goal float64) Option {
 // storage.WithFileOptions, is exercised by TestCheckDetectsHashMismatch.
 func WithFileOptions(opts ...FileOption) Option {
 	return func(s *openSettings) { s.fileOpts = append(s.fileOpts, opts...) }
-}
-
-// WithDialEpoch pins the distributed coordinator's requests to the
-// fleet's serving epoch. Every completed live rescale advances the
-// servers' epoch by one, and servers reject requests naming any other
-// epoch (a stale coordinator fanning out over the pre-rescale device
-// set would otherwise silently return partial answers). A coordinator
-// that lived through the rescale is re-pinned automatically; use this
-// to dial a fleet from a fresh process after n rescales. Zero, the
-// default, matches a fleet that has never rescaled. Set by fxnode
-// query -epoch and scripts/rescale_chaos.go.
-func WithDialEpoch(epoch int) Option {
-	return func(s *openSettings) { s.dialEpoch = epoch }
 }
 
 // backend is what the facade needs of a cluster kind to serve queries
@@ -239,9 +226,6 @@ func Open(cfg Config, opts ...Option) (*Cluster, error) {
 		}
 		if s.statsEvery > 0 {
 			dialOpts = append(dialOpts, netdist.WithTending(s.statsEvery))
-		}
-		if s.dialEpoch > 0 {
-			dialOpts = append(dialOpts, netdist.WithEpoch(s.dialEpoch))
 		}
 		if cfg.Allocator != nil {
 			spec, err := DescribeAllocator(cfg.Allocator)

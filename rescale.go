@@ -13,10 +13,10 @@ import (
 // devices (or shrink 2M to M) with zero downtime. The rescale runs as
 // an epoch transition driven by rebalance.Driver:
 //
-//  1. copying — every surviving server is prepared with the new epoch's
-//     allocator spec and the moving buckets stream old-owner →
-//     new-owner over the binary wire protocol. Queries keep answering
-//     from the old epoch, untouched.
+//  1. copying — every server of the new epoch is prepared with its
+//     number and allocator spec, and the moving buckets stream
+//     old-owner → new-owner over the binary wire protocol. Queries keep
+//     answering from the old epoch, untouched.
 //  2. verified — every old device digests the records it owns at the
 //     old epoch, every new device those it owns at the new one, and the
 //     totals must be equal (a mismatch rolls back). Only then does the
@@ -25,8 +25,8 @@ import (
 //     guard, which waits until its per-shape deviation is within the
 //     Doerr bound. The new coordinator's bundle (seeded with the
 //     cluster's SLOs) is the cluster's from the swap on.
-//  3. cutover — every server promotes its prepared view and the old
-//     handle closes. The old epoch is only released here; Abort at any
+//  3. cutover — every surviving server promotes its prepared view and
+//     the old handle closes. The old epoch is only released here; Abort at any
 //     earlier point swaps the handle back and rolls every server back
 //     byte-for-byte, dropping the window's records with the new bundle.
 //
@@ -110,9 +110,9 @@ func (c *Cluster) Rescale(ctx context.Context, cfg RescaleConfig) (*Rescale, err
 	// bundle, so the cutover guard reads the new layout's optimality in
 	// isolation; the bundle takes the cluster's objectives now and
 	// becomes the cluster's at the swap. The dial comes before Prepare,
-	// when the old servers cannot describe the new epoch yet, so it is
-	// handed the spec they are about to get (last: Open may have handed
-	// the old one).
+	// when no server can describe the new epoch yet, so it is handed the
+	// epoch and the spec they are about to get (last: Open may have
+	// handed the old spec).
 	dialOpts := append(append([]netdist.DialOption{netdist.WithEpoch(old.Epoch() + 1)}, c.dialOpts...), netdist.WithSpec(newSpec))
 	newCoord, err := netdist.Dial(c.file, cfg.Addrs, dialOpts...)
 	if err != nil {
@@ -229,36 +229,10 @@ func (r *Rescale) Verify(ctx context.Context, pms []PartialMatch) error {
 // ErrRescaleAborted is returned by Rescale.Wait after an abort.
 var ErrRescaleAborted = rebalance.ErrAborted
 
-// RescalePlanOf previews the data movement of rescaling alloc's layout
-// to newM devices without touching any server: the moving buckets,
-// per-device in/out traffic, and whether the new owner is derivable
-// from the old via the T_M low-bit identity.
-func RescalePlanOf(alloc GroupAllocator, newM int) (rebalance.RescalePlan, error) {
-	spec, err := DescribeAllocator(alloc)
-	if err != nil {
-		return rebalance.RescalePlan{}, err
-	}
-	nspec, err := spec.Rescaled(newM)
-	if err != nil {
-		return rebalance.RescalePlan{}, err
-	}
-	nalloc, err := nspec.Build()
-	if err != nil {
-		return rebalance.RescalePlan{}, err
-	}
-	return rebalance.PlanRescale(alloc, nalloc)
-}
-
 // NewRescaleTargetServer builds an empty device server for a device
 // joining the cluster in a grow (device IDs M..2M-1 under the new
-// spec). It starts at the given epoch — the one the growing cluster is
-// rescaling into (current epoch + 1, normally 1) — so the migration can
-// install buckets and the new coordinator can query it immediately.
-func NewRescaleTargetServer(deviceID int, spec AllocatorSpec, epoch int) (*DeviceServer, error) {
-	srv, err := netdist.NewServer(deviceID, spec, nil)
-	if err != nil {
-		return nil, err
-	}
-	srv.SetEpoch(epoch)
-	return srv, nil
+// spec). It serves no epoch until the rescale's Prepare names the one
+// the cluster grows into; the migration then installs its buckets.
+func NewRescaleTargetServer(deviceID int, spec AllocatorSpec) (*DeviceServer, error) {
+	return netdist.NewTargetServer(deviceID, spec)
 }

@@ -22,9 +22,9 @@ import (
 )
 
 // deployRescaleTargets starts empty device servers for devices
-// firstDev..spec.M-1 at the given epoch — the fresh half of a growing
-// cluster.
-func deployRescaleTargets(t *testing.T, spec fxdist.AllocatorSpec, firstDev, epoch int) (addrs []string, stop func()) {
+// firstDev..spec.M-1 — the joining half of a growing cluster, which
+// serves no epoch until the rescale prepares it.
+func deployRescaleTargets(t *testing.T, spec fxdist.AllocatorSpec, firstDev int) (addrs []string, stop func()) {
 	t.Helper()
 	var servers []*fxdist.DeviceServer
 	stop = func() {
@@ -33,7 +33,7 @@ func deployRescaleTargets(t *testing.T, spec fxdist.AllocatorSpec, firstDev, epo
 		}
 	}
 	for dev := firstDev; dev < spec.M; dev++ {
-		srv, err := fxdist.NewRescaleTargetServer(dev, spec, epoch)
+		srv, err := fxdist.NewRescaleTargetServer(dev, spec)
 		if err != nil {
 			stop()
 			t.Fatal(err)
@@ -106,7 +106,7 @@ func runRescale(t *testing.T, oldM, newM int) {
 	}
 	newAddrs := append([]string(nil), addrs...)
 	if newM > oldM {
-		taddrs, stopTargets := deployRescaleTargets(t, newSpec, oldM, 1)
+		taddrs, stopTargets := deployRescaleTargets(t, newSpec, oldM)
 		defer stopTargets()
 		newAddrs = append(newAddrs, taddrs...)
 	} else {
@@ -245,7 +245,7 @@ func TestRescaleGrowUnderFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	taddrs, stopTargets := deployRescaleTargets(t, newSpec, 4, 1)
+	taddrs, stopTargets := deployRescaleTargets(t, newSpec, 4)
 	defer stopTargets()
 
 	// The retry budget and the injector are part of the cluster's dial
@@ -338,6 +338,91 @@ func TestRescaleShrinkLive(t *testing.T) {
 	runRescale(t, 4, 2)
 }
 
+// TestFreshOpenFollowsTheFleetsEpoch: after a grow 4 -> 8 a fresh Open
+// with no options dials the epoch the servers report and answers
+// byte-identically to a static 8-device deployment; a shrink back to 4
+// started from that freshly dialed cluster completes, and a second fresh
+// Open answers as a static 4-device one.
+func TestFreshOpenFollowsTheFleetsEpoch(t *testing.T) {
+	file := buildTestFile(t)
+	fs, _ := file.FileSystem(4)
+	fx, err := fxdist.NewFX(fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addrs, stopOld, err := fxdist.DeployLocal(file, fx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stopOld()
+	spec, _ := fxdist.DescribeAllocator(fx)
+	newSpec, err := spec.Rescaled(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	taddrs, stopTargets := deployRescaleTargets(t, newSpec, 4)
+	defer stopTargets()
+	grown := append(append([]string(nil), addrs...), taddrs...)
+	pms := rescaleQueries(t, file)
+
+	// rescale runs one rescale of cl to addrs, then checks a fresh Open
+	// over them against a static deployment of the same allocator.
+	rescale := func(cl *fxdist.Cluster, addrs []string, static fxdist.GroupAllocator, epoch int) *fxdist.Cluster {
+		t.Helper()
+		resc, err := cl.Rescale(context.Background(), fxdist.RescaleConfig{Addrs: addrs, DisableGuard: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := resc.Wait(); err != nil {
+			t.Fatalf("rescale to %d devices: %v", len(addrs), err)
+		}
+		fresh, err := fxdist.Open(fxdist.Config{File: file, Addrs: addrs})
+		if err != nil {
+			t.Fatalf("fresh Open after the rescale to %d devices: %v", len(addrs), err)
+		}
+		if got := fresh.Coordinator().Epoch(); got != epoch {
+			t.Fatalf("fresh Open serves epoch %d, want %d", got, epoch)
+		}
+		saddrs, stopStatic, err := fxdist.DeployLocal(file, static)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer stopStatic()
+		scl, err := fxdist.Open(fxdist.Config{File: file, Addrs: saddrs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer scl.Close()
+		for i, pm := range pms {
+			got, err := fresh.Retrieve(pm)
+			if err != nil {
+				t.Fatalf("fresh Open over %d devices, query %d: %v", len(addrs), i, err)
+			}
+			want, err := scl.Retrieve(pm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if g, w := canonical(got.Records), canonical(want.Records); !slices.Equal(g, w) {
+				t.Fatalf("fresh Open over %d devices, query %d: %d records, a static cluster %d", len(addrs), i, len(g), len(w))
+			}
+		}
+		return fresh
+	}
+
+	cl, err := fxdist.Open(fxdist.Config{File: file, Addrs: addrs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	static8, err := fxdist.BuildAllocator(newSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := rescale(cl, grown, static8, 1)
+	defer fresh.Close()
+	rescale(fresh, addrs, fx, 2).Close()
+}
+
 func TestRescaleAbortRollsBack(t *testing.T) {
 	file := buildTestFile(t)
 	fs, _ := file.FileSystem(4)
@@ -355,7 +440,7 @@ func TestRescaleAbortRollsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	taddrs, stopTargets := deployRescaleTargets(t, newSpec, 4, 1)
+	taddrs, stopTargets := deployRescaleTargets(t, newSpec, 4)
 	defer stopTargets()
 
 	cl, err := fxdist.Open(fxdist.Config{File: file, Addrs: addrs})
@@ -513,7 +598,7 @@ func TestRescaleKeepsItsObjectivesAndAuditsTheNewEpoch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	taddrs, stopTargets := deployRescaleTargets(t, newSpec, 4, 1)
+	taddrs, stopTargets := deployRescaleTargets(t, newSpec, 4)
 	defer stopTargets()
 
 	cl, err := fxdist.Open(fxdist.Config{File: file, Addrs: addrs})
@@ -645,7 +730,7 @@ func TestObjectiveSetWhileARescaleStartsHolds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	taddrs, stopTargets := deployRescaleTargets(t, newSpec, 4, 1)
+	taddrs, stopTargets := deployRescaleTargets(t, newSpec, 4)
 	defer stopTargets()
 	cl, err := fxdist.Open(fxdist.Config{File: file, Addrs: addrs})
 	if err != nil {
@@ -742,7 +827,7 @@ func TestRescaleWindowReadsOneEpoch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	taddrs, stopTargets := deployRescaleTargets(t, newSpec, 4, 1)
+	taddrs, stopTargets := deployRescaleTargets(t, newSpec, 4)
 	defer stopTargets()
 	cl, err := fxdist.Open(fxdist.Config{File: file, Addrs: addrs})
 	if err != nil {

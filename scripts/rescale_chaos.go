@@ -10,8 +10,9 @@
 //     epoch through the crash (zero downtime),
 //  2. re-running the same command against the same journal resumes the
 //     migration instead of restarting it, and
-//  3. after cutover a fresh coordinator pinned to the new epoch answers
-//     every query byte-identically to the single-device reference.
+//  3. after cutover a fresh coordinator, which reads the epoch from the
+//     servers, answers every query byte-identically to the single-device
+//     reference.
 //
 // Run it with:
 //
@@ -103,7 +104,7 @@ func run() error {
 	}
 	newAddrs := append([]string(nil), addrs...)
 	for dev := oldM; dev < newM; dev++ {
-		srv, err := fxdist.NewRescaleTargetServer(dev, newSpec, 1)
+		srv, err := fxdist.NewRescaleTargetServer(dev, newSpec)
 		if err != nil {
 			return err
 		}
@@ -149,7 +150,6 @@ func run() error {
 		"-snapshot", snap,
 		"-addrs", strings.Join(addrs, ","),
 		"-new-addrs", strings.Join(newAddrs, ","),
-		"-new-m", fmt.Sprint(newM),
 		"-journal", journal,
 		"-concurrency", "1",
 		"-guard-queries", "2",
@@ -232,9 +232,9 @@ func run() error {
 		return fmt.Errorf("journal records phase %q after resume, want done", st.Phase)
 	}
 
-	// Post-cutover: a fresh coordinator pinned to the new epoch answers
-	// byte-identically over all 8 devices.
-	ncl, err := fxdist.Open(fxdist.Config{File: file, Addrs: newAddrs}, fxdist.WithDialEpoch(1))
+	// Post-cutover: a fresh coordinator dials the epoch the servers
+	// report and answers byte-identically over all 8 devices.
+	ncl, err := fxdist.Open(fxdist.Config{File: file, Addrs: newAddrs})
 	if err != nil {
 		return fmt.Errorf("dial new epoch: %w", err)
 	}

@@ -169,7 +169,7 @@ func TestStatsPullTendsTheRescaledEpoch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	taddrs, stopTargets := deployRescaleTargets(t, newSpec, 4, 1)
+	taddrs, stopTargets := deployRescaleTargets(t, newSpec, 4)
 	defer stopTargets()
 
 	cl, err := fxdist.Open(fxdist.Config{File: file, Addrs: addrs}, fxdist.WithStatsPull(10*time.Millisecond))
