@@ -24,7 +24,9 @@
 //	    -new-addrs 127.0.0.1:9000,...,127.0.0.1:9003 \
 //	    -journal cars.rescale -metrics-addr 127.0.0.1:9100
 //
-// Shrinking lists the first half of -addrs instead. Every fresh query
+// Shrinking lists the first half of -addrs instead. Rerun with the same
+// -journal, a killed rescale resumes, one killed mid-cutover included.
+// Every fresh query
 // or rescale reads the epoch the fleet serves from its servers. While a
 // rescale runs, a second fxnode steers it through the coordinator's
 // debug address:
@@ -60,6 +62,9 @@ import (
 
 	"fxdist"
 	"fxdist/internal/cliutil"
+	"fxdist/internal/netdist"
+	"fxdist/internal/persist"
+	"fxdist/internal/rebalance"
 )
 
 func main() {
@@ -336,7 +341,8 @@ type rescaleStartConfig struct {
 // prints progress until cutover (or failure after rollback), and exits
 // with the cluster answering from the new layout. While it runs, its
 // -metrics-addr serves the cluster's handler, whose /debug/rescale takes
-// the status/pause/resume/abort verbs of other fxnode processes.
+// the status/pause/resume/abort verbs of other fxnode processes. A
+// journal whose copy was proven is replayed instead (resumeCutover).
 func startRescale(cfg rescaleStartConfig) error {
 	if cfg.snapshot == "" || cfg.addrs == "" || cfg.newAddrs == "" {
 		return fmt.Errorf("missing -snapshot, -addrs or -new-addrs")
@@ -356,6 +362,9 @@ func startRescale(cfg rescaleStartConfig) error {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, cfg.timeout)
 		defer cancel()
+	}
+	if st, err := persist.LoadRescale(cfg.journal); err == nil && st.Phase == persist.RescaleVerified {
+		return resumeCutover(ctx, file, st, cfg.newAddrs, cfg.journal)
 	}
 	cl, err := fxdist.Open(fxdist.Config{File: file, Addrs: strings.Split(cfg.addrs, ",")})
 	if err != nil {
@@ -428,6 +437,37 @@ func startRescale(cfg rescaleStartConfig) error {
 			}
 		}
 	}
+}
+
+// resumeCutover replays a journal whose copy was proven (phase
+// verified). Survivors may have cut over since, and Open refuses a fleet
+// split between two epochs, so it dials newAddrs for control only, pinned
+// to the journal's new spec and to the epoch the first survivor serves it
+// at, and runs a driver on the journal: the cutover broadcast, with no
+// optimality guard, as there is no cluster to audit.
+func resumeCutover(ctx context.Context, file *fxdist.File, st *persist.RescaleState, newAddrs, journal string) error {
+	addrs := strings.Split(newAddrs, ",")
+	epoch, err := netdist.EpochOf(addrs[0], st.NewSpec)
+	var coord *netdist.Coordinator
+	if err == nil {
+		coord, err = netdist.Dial(file, addrs, netdist.WithEpoch(epoch), netdist.WithSpec(st.NewSpec))
+	}
+	if err != nil {
+		return err
+	}
+	defer coord.Close()
+	d, err := rebalance.NewDriver(rebalance.DriverConfig{
+		OldSpec: st.OldSpec, NewSpec: st.NewSpec, Epoch: epoch - 1, Transport: coord, JournalPath: journal,
+	})
+	if err != nil {
+		return err
+	}
+	fmt.Printf("fxnode: resuming the cutover of %d -> %d devices to epoch %d from %s\n", st.OldSpec.M, st.NewSpec.M, epoch, journal)
+	if err := d.Run(ctx); err != nil {
+		return fmt.Errorf("rescale failed in phase %s: %w", d.Status().Phase, err)
+	}
+	fmt.Printf("fxnode: rescale complete: cluster now answers over %d devices (cutover replayed from the journal)\n", st.NewSpec.M)
+	return nil
 }
 
 // sampleQueries builds up to n partial matches of mixed shapes from

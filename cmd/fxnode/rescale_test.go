@@ -1,6 +1,8 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -12,6 +14,8 @@ import (
 	"time"
 
 	"fxdist"
+	"fxdist/internal/netdist"
+	"fxdist/internal/rebalance"
 )
 
 func TestDebugBase(t *testing.T) {
@@ -118,12 +122,11 @@ func TestSampleQueries(t *testing.T) {
 	}
 }
 
-// TestStartRescaleEndToEnd runs the CLI driver path against a real
-// loopback deployment: snapshot on disk, live old servers, empty
-// rescale targets, then startRescale exactly as `fxnode rescale` would,
-// growing 2 -> 4 and shrinking back.
-func TestStartRescaleEndToEnd(t *testing.T) {
-	file, _ := buildRescaleCLIFile(t)
+// deployCLIRescale snapshots the CLI file at 2 devices, serves it, and
+// starts two empty rescale targets: the old and the grown address lists,
+// and the two specs.
+func deployCLIRescale(t *testing.T, file *fxdist.File, dir string) (snap string, addrs, newAddrs []string, spec, newSpec fxdist.AllocatorSpec) {
+	t.Helper()
 	fs, err := file.FileSystem(2)
 	if err != nil {
 		t.Fatal(err)
@@ -132,8 +135,7 @@ func TestStartRescaleEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	snap := filepath.Join(dir, "file.snap")
+	snap = filepath.Join(dir, "file.snap")
 	if err := fxdist.SaveSnapshotFile(snap, file, fx); err != nil {
 		t.Fatal(err)
 	}
@@ -141,17 +143,14 @@ func TestStartRescaleEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer stopOld()
-
-	aspec, err := fxdist.DescribeAllocator(fx)
-	if err != nil {
+	t.Cleanup(stopOld)
+	if spec, err = fxdist.DescribeAllocator(fx); err != nil {
 		t.Fatal(err)
 	}
-	newSpec, err := aspec.Rescaled(4)
-	if err != nil {
+	if newSpec, err = spec.Rescaled(4); err != nil {
 		t.Fatal(err)
 	}
-	newAddrs := append([]string(nil), addrs...)
+	newAddrs = append([]string(nil), addrs...)
 	for dev := 2; dev < 4; dev++ {
 		srv, err := fxdist.NewRescaleTargetServer(dev, newSpec)
 		if err != nil {
@@ -161,15 +160,26 @@ func TestStartRescaleEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer srv.Close()
+		t.Cleanup(srv.Close)
 		newAddrs = append(newAddrs, l.Addr().String())
 		go srv.Serve(l) //nolint:errcheck // ends when srv.Close closes l
 	}
+	return snap, addrs, newAddrs, spec, newSpec
+}
+
+// TestStartRescaleEndToEnd runs the CLI driver path against a real
+// loopback deployment: snapshot on disk, live old servers, empty
+// rescale targets, then startRescale exactly as `fxnode rescale` would,
+// growing 2 -> 4 and shrinking back.
+func TestStartRescaleEndToEnd(t *testing.T) {
+	file, _ := buildRescaleCLIFile(t)
+	dir := t.TempDir()
+	snap, addrs, newAddrs, _, _ := deployCLIRescale(t, file, dir)
 
 	// The fleet serves epoch 1 now: the shrink back opens it fresh with
 	// no epoch, and -new-addrs alone sizes it.
 	for _, to := range [][]string{newAddrs, addrs} {
-		err = startRescale(rescaleStartConfig{
+		err := startRescale(rescaleStartConfig{
 			snapshot:     snap,
 			addrs:        strings.Join(addrs, ","),
 			newAddrs:     strings.Join(to, ","),
@@ -183,5 +193,94 @@ func TestStartRescaleEndToEnd(t *testing.T) {
 			t.Fatalf("startRescale to %d devices: %v", len(to), err)
 		}
 		addrs = to
+	}
+}
+
+// stuckCutover is a transport on which one device never cuts over.
+type stuckCutover struct {
+	rebalance.Transport
+	dev int
+}
+
+func (s stuckCutover) CutoverDevice(ctx context.Context, dev int) error {
+	if dev == s.dev {
+		return errors.New("unreachable")
+	}
+	return s.Transport.CutoverDevice(ctx, dev)
+}
+
+// TestStartRescaleResumesAPartialCutover: a 2 -> 4 grow, then a 4 -> 2
+// shrink, whose cutover reached device 1 but not device 0 leaves a fleet
+// Open refuses over either list. Rerun on its journal, `fxnode rescale`
+// replays the cutover, and a fresh Open then serves the new epoch,
+// answering as the file does.
+func TestStartRescaleResumesAPartialCutover(t *testing.T) {
+	file, _ := buildRescaleCLIFile(t)
+	dir := t.TempDir()
+	snap, addrs, newAddrs, spec, newSpec := deployCLIRescale(t, file, dir)
+	// The drivers' transport spans both device sets, as a cluster's does:
+	// the 4 addresses, at the epoch each rescale names.
+	coord, err := netdist.Dial(file, newAddrs, netdist.WithEpoch(1), netdist.WithSpec(newSpec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	for epoch, leg := range []struct {
+		from, to         []string
+		oldSpec, newSpec fxdist.AllocatorSpec
+		newM             int
+	}{
+		{addrs, newAddrs, spec, newSpec, 4},
+		{newAddrs, addrs, newSpec, spec, 2},
+	} {
+		journal := filepath.Join(dir, fmt.Sprint("rescale-", leg.newM, ".journal"))
+		d, err := rebalance.NewDriver(rebalance.DriverConfig{
+			OldSpec: leg.oldSpec, NewSpec: leg.newSpec, Epoch: epoch,
+			Transport: stuckCutover{coord, 0}, JournalPath: journal,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Run(context.Background()); !errors.Is(err, rebalance.ErrPartialCutover) {
+			t.Fatalf("to %d devices: first run %v, want a partial cutover", leg.newM, err)
+		}
+		for _, list := range [][]string{leg.from, leg.to} {
+			if cl, err := fxdist.Open(fxdist.Config{File: file, Addrs: list}); err == nil {
+				cl.Close()
+				t.Fatalf("to %d devices: opened %d devices split between two epochs", leg.newM, len(list))
+			}
+		}
+		err = startRescale(rescaleStartConfig{
+			snapshot:    snap,
+			addrs:       strings.Join(leg.from, ","),
+			newAddrs:    strings.Join(leg.to, ","),
+			journal:     journal,
+			statusEvery: 25 * time.Millisecond,
+			timeout:     60 * time.Second,
+		})
+		if err != nil {
+			t.Fatalf("to %d devices: resumed rescale: %v", leg.newM, err)
+		}
+		cl, err := fxdist.Open(fxdist.Config{File: file, Addrs: leg.to})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cl.Close()
+		if cl.M() != leg.newM {
+			t.Fatalf("reopened over %d devices, want %d", cl.M(), leg.newM)
+		}
+		for i, pm := range sampleQueries(file, 4) {
+			got, err := cl.Retrieve(pm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := file.Search(pm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got.Records) != len(want) {
+				t.Fatalf("to %d devices: query %d: %d records after the resumed cutover, the file holds %d", leg.newM, i, len(got.Records), len(want))
+			}
+		}
 	}
 }

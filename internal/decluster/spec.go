@@ -2,6 +2,7 @@ package decluster
 
 import (
 	"fmt"
+	"slices"
 
 	"fxdist/internal/field"
 )
@@ -32,6 +33,13 @@ type Spec struct {
 	Kinds []int
 	// Multipliers holds the per-field multipliers for MethodGDM.
 	Multipliers []int
+}
+
+// Equal reports whether s and o describe the same allocator: one method,
+// M and grid, and the same per-field parameters.
+func (s Spec) Equal(o Spec) bool {
+	return s.Method == o.Method && s.M == o.M && slices.Equal(s.Sizes, o.Sizes) &&
+		slices.Equal(s.Kinds, o.Kinds) && slices.Equal(s.Multipliers, o.Multipliers)
 }
 
 // SpecOf extracts a Spec from a supported allocator. It returns an error

@@ -496,3 +496,34 @@ func TestFreezeHoldsLiveRecordsOnly(t *testing.T) {
 		t.Errorf("frozen copy reads %d records after an Insert, want 40", d)
 	}
 }
+
+// TestSplitLeavesItsPartsDictionaryAlone: tables split from one another
+// never write what they share in place, the source included — a server's
+// partition is still written under a rescale's prepared copy. A value the
+// source takes after the Split goes into a dictionary of its own, and
+// each table reads what it stored.
+func TestSplitLeavesItsPartsDictionaryAlone(t *testing.T) {
+	src := NewTable(1)
+	for b, v := range []string{"a", "b"} {
+		if err := src.Put(uint32(b), []Record{{v}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	part := src.Split(2, func(b uint32) int { return int(b) })[0]
+	if err := src.Put(2, []Record{{"c"}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := part.fields[0].ids["c"]; ok || len(part.fields[0].values) != 2 {
+		t.Fatalf("the source's new value reached the part's dictionary: %q", part.fields[0].values)
+	}
+	if err := part.Put(3, []Record{{"c"}}); err != nil {
+		t.Fatal(err)
+	}
+	for b, tb := range map[uint32]*Table{2: src, 3: part} {
+		var got []string
+		tb.Scan(b, nil, func(k uint32) { got = tb.appendValues(got, k) })
+		if len(got) != 1 || got[0] != "c" {
+			t.Errorf("bucket %d reads %q, want [c]", b, got)
+		}
+	}
+}

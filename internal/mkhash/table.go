@@ -174,8 +174,10 @@ func (t *Table) Put(bucket uint32, recs []Record) error {
 }
 
 // Split gives each of m tables the buckets owner names it: windows into
-// t's ids under t's dictionary, which all of them share.
+// t's ids under t's dictionary, which all of them share — t too, so its
+// next new value copies the dictionary rather than growing theirs.
 func (t *Table) Split(m int, owner func(bucket uint32) int) []*Table {
+	t.sharedFields = true
 	parts := make([]*Table, m)
 	for d := range parts {
 		parts[d] = &Table{fields: t.fields, sharedFields: true, w: t.w, ids: slices.Clip(t.ids),

@@ -314,13 +314,14 @@ func (dc *deviceConn) roundTrip(ctx context.Context, req Request, timeout time.D
 // inside a rescale window — runs on one engine executor whose failure
 // handling is fixed at Dial: the fleet's backups and WithResilience.
 type Coordinator struct {
-	file    *mkhash.File
-	dm      []coordDevMetrics
-	timeout time.Duration
-	epoch   int             // WithEpoch's, else noEpoch until the servers agree on one at Dial
-	spec    *decluster.Spec // WithSpec's, else nil until the servers agree on one at Dial
-	eng     *engine.Executor
-	in      *obs.Instruments
+	controlFunc // the rescale control ops (rebalance.Transport), through controlOp
+	file        *mkhash.File
+	dm          []coordDevMetrics
+	timeout     time.Duration
+	epoch       int             // WithEpoch's, else noEpoch until the servers agree on one at Dial
+	spec        *decluster.Spec // WithSpec's, else nil until the servers agree on one at Dial
+	eng         *engine.Executor
+	in          *obs.Instruments
 
 	// connMu guards conns so tending can replace a dead connection
 	// while retrievals are in flight.
@@ -414,6 +415,7 @@ func WithTending(interval time.Duration) DialOption {
 // server fails the retrieval, naming the device.
 func Dial(file *mkhash.File, addrs []string, opts ...DialOption) (*Coordinator, error) {
 	c := &Coordinator{file: file, epoch: noEpoch}
+	c.controlFunc = c.controlOp
 	for _, opt := range opts {
 		opt(c)
 	}
@@ -503,13 +505,13 @@ func (c *Coordinator) startTending() {
 // against the address list and the file's grid. Every server is asked:
 // server i must say it is device i, and all must serve the coordinator's
 // epoch — the one handed over (WithEpoch), else the one server 0 reports
-// — under one spec: the one handed over (WithSpec), when there is one. A
+// when all are asked the same — under one spec: WithSpec's, if any. A
 // server not serving the epoch yet is taken on trust only under a handed
 // spec. failover reports whether every server i holds device (i-1) mod
 // M's backup at the epoch.
 func (c *Coordinator) allocator() (alloc decluster.GroupAllocator, failover bool, err error) {
 	spec, from := c.spec, "WithSpec"
-	pinned := c.epoch != noEpoch
+	pinned, epoch := c.epoch != noEpoch, c.epoch
 	failover = true
 	m := len(c.conns)
 	for dev, dc := range c.conns {
@@ -518,21 +520,21 @@ func (c *Coordinator) allocator() (alloc decluster.GroupAllocator, failover bool
 			return nil, false, fmt.Errorf("netdist: describe device %d (%s): %w", dev, dc.addr, err)
 		}
 		if !pinned && dev == 0 {
-			c.epoch = d.Epoch
+			epoch = d.Epoch
 		}
 		switch {
 		case d.Device != dev:
 			return nil, false, fmt.Errorf("netdist: address %d (%s) is served by device %d, not device %d", dev, dc.addr, d.Device, dev)
 		case !pinned && d.Epoch == noEpoch:
 			return nil, false, fmt.Errorf("netdist: device %d (%s) serves no epoch: a rescale target joins one at its Prepare", dev, dc.addr)
-		case !pinned && d.Epoch != c.epoch:
-			return nil, false, fmt.Errorf("netdist: the servers disagree on the epoch: device 0 (%s) serves %d, device %d (%s) %d", c.conns[0].addr, c.epoch, dev, dc.addr, d.Epoch)
-		case d.Epoch != c.epoch && c.spec == nil:
-			return nil, false, fmt.Errorf("netdist: device %d (%s) does not serve epoch %d", dev, dc.addr, c.epoch)
-		case d.Epoch != c.epoch: // not yet: taken on trust under the handed spec
+		case !pinned && d.Epoch != epoch:
+			return nil, false, fmt.Errorf("netdist: the servers disagree on the epoch: device 0 (%s) serves %d, device %d (%s) %d", c.conns[0].addr, epoch, dev, dc.addr, d.Epoch)
+		case d.Epoch != epoch && c.spec == nil:
+			return nil, false, fmt.Errorf("netdist: device %d (%s) does not serve epoch %d", dev, dc.addr, epoch)
+		case d.Epoch != epoch: // not yet: taken on trust under the handed spec
 		case spec == nil:
 			spec, from = d.Spec, fmt.Sprintf("device %d (%s)", dev, dc.addr)
-		case !specEqual(*spec, *d.Spec):
+		case !spec.Equal(*d.Spec):
 			return nil, false, fmt.Errorf("netdist: device %d (%s) declusters under %+v, %s under %+v", dev, dc.addr, *d.Spec, from, *spec)
 		}
 		failover = failover && d.Backup != nil && *d.Backup == (dev-1+m)%m
@@ -546,7 +548,7 @@ func (c *Coordinator) allocator() (alloc decluster.GroupAllocator, failover bool
 	if sizes := c.file.Sizes(); !slices.Equal(sizes, spec.Sizes) {
 		return nil, false, fmt.Errorf("netdist: file directory sizes %v, allocator declusters %v", sizes, spec.Sizes)
 	}
-	c.spec = spec
+	c.spec, c.epoch = spec, epoch
 	if alloc, err = spec.Build(); err != nil {
 		return nil, false, fmt.Errorf("netdist: %w", err)
 	}

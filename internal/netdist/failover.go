@@ -22,7 +22,7 @@ func NewReplicatedServer(deviceID int, spec decluster.Spec, primary, backup stor
 		return nil, err
 	}
 	m := srv.cur.fs.M
-	if srv.backup, err = newView((deviceID-1+m)%m, spec, backup); err == nil {
+	if srv.backup, err = newView((deviceID-1+m)%m, 0, spec, backup); err == nil {
 		err = storage.Admit(srv.backup.part, srv.backup.im.Allocator(), srv.backup.dev)
 	}
 	if err != nil {

@@ -64,11 +64,9 @@ type Request struct {
 	// still look alive.
 	Stats bool
 
-	// Epoch selects which declustering epoch a query runs against during
-	// an elastic rescale: the server's current view, or — between Prepare
-	// and Cutover — the prepared next view at epoch current+1. A fleet
-	// that never rescaled serves epoch 0 and the field rides as zero. On
-	// the binary wire the rescale extension (Epoch through Payload) is a
+	// Epoch names the declustering epoch a query or control op acts on
+	// (viewFor). A fleet that never rescaled serves epoch 0. On the binary
+	// wire the rescale extension (Epoch through Payload) is a
 	// trailing-optional section gated by a flags bit, which a query frame
 	// at epoch 0 leaves unset and so carries none of.
 	Epoch int
@@ -88,24 +86,21 @@ type Request struct {
 
 // Rescale control operations (Request.Control).
 const (
-	// OpPrepare hands the server the allocator spec of the epoch the
-	// request names: it builds the view (file system + inverse mapper)
-	// and starts serving queries at epoch current+1 alongside the
-	// current epoch. A rescale target learns its epoch from it.
+	// OpPrepare hands the server the spec of the epoch the request
+	// names, the one after its own; it serves that epoch's view beside
+	// its own until Cutover or Abort. A rescale target learns its epoch
+	// from it.
 	OpPrepare = 1 + iota
-	// OpFetch returns one bucket's records from the current partition.
+	// OpFetch returns one bucket's records at the request's epoch.
 	OpFetch
-	// OpInstall stores one bucket's records into the (prepared or
-	// already-current) next-epoch partition. Idempotent: re-installing
-	// a bucket overwrites it with identical content.
+	// OpInstall stores one bucket's records at the request's epoch,
+	// replacing what it held there (idempotent).
 	OpInstall
-	// OpCutover promotes the prepared view to current, bumps the epoch,
-	// and prunes buckets the server no longer owns. A no-op on a server
-	// with nothing prepared (one already promoted), so the driver can
-	// replay it idempotently.
+	// OpCutover promotes the prepared view; a no-op on a server with none
+	// (one already promoted), so the driver can replay it.
 	OpCutover
-	// OpAbort drops the prepared view and deletes every bucket installed
-	// during the rescale, returning the server to its pre-rescale state.
+	// OpAbort abandons the request's epoch: a server that prepared it is
+	// back in its state before Prepare; any other is left as it is.
 	OpAbort
 	// OpDescribe answers which device the server is, which epoch it
 	// serves — the request's, else its current one — under which
@@ -167,16 +162,12 @@ type Server struct {
 	// take the read side, rescale control ops the write side. Outside a
 	// rescale the lock is uncontended.
 	dataMu sync.RWMutex
-	// cur is the serving view at epoch; next, when non-nil, is the
-	// prepared next-epoch view of an in-flight rescale over the same
-	// partition (see Request.Epoch and the Op* control operations);
-	// backup, when non-nil, is the ring predecessor's partition under the
-	// serving allocator (NewReplicatedServer). viewFor picks among them.
+	// cur serves the server's epoch (an empty view at noEpoch on a
+	// rescale target); next, from a rescale's Prepare to its Cutover or
+	// Abort, the epoch it prepares, over its own copy of cur's buckets;
+	// backup, when non-nil, the ring predecessor's partition at cur's
+	// epoch (NewReplicatedServer). viewFor picks among them.
 	cur, next, backup *view
-	epoch             int
-	// installed tracks buckets written during the prepared rescale so
-	// Abort can delete exactly them.
-	installed map[int]struct{}
 
 	sm     serverMetrics
 	reg    *obs.Registry
@@ -200,19 +191,20 @@ type Server struct {
 }
 
 // view is one device-local half the server can answer: the partition of
-// device dev under the allocator spec describes. A server holds up to
-// three — serving, prepared next epoch, ring predecessor's backup.
+// device dev under the allocator spec describes, at epoch. A server holds
+// up to three — serving, prepared next epoch, ring predecessor's backup.
 type view struct {
-	dev  int
-	spec decluster.Spec
-	fs   decluster.FileSystem
-	im   *query.InverseMapper
-	part storage.Partition
+	dev   int
+	epoch int
+	spec  decluster.Spec
+	fs    decluster.FileSystem
+	im    *query.InverseMapper
+	part  storage.Partition
 }
 
-// newView builds the view of device dev's partition under spec; a nil
-// partition is an empty one.
-func newView(dev int, spec decluster.Spec, part storage.Partition) (*view, error) {
+// newView builds the view of device dev's partition under spec at epoch;
+// a nil partition is an empty one.
+func newView(dev, epoch int, spec decluster.Spec, part storage.Partition) (*view, error) {
 	alloc, err := spec.Build()
 	if err != nil {
 		return nil, err
@@ -224,7 +216,7 @@ func newView(dev int, spec decluster.Spec, part storage.Partition) (*view, error
 	if part == nil {
 		part = mkhash.NewTable(fs.NumFields())
 	}
-	return &view{dev: dev, spec: spec, fs: fs, im: query.NewInverseMapper(alloc), part: part}, nil
+	return &view{dev: dev, epoch: epoch, spec: spec, fs: fs, im: query.NewInverseMapper(alloc), part: part}, nil
 }
 
 // serverSpans is the size of a server's span ring. A server opens one
@@ -239,7 +231,7 @@ const serverSpans = 32
 // partitioning bug fails fast here rather than as silently wrong query
 // results.
 func NewServer(deviceID int, spec decluster.Spec, buckets storage.Partition) (*Server, error) {
-	cur, err := newView(deviceID, spec, buckets)
+	cur, err := newView(deviceID, 0, spec, buckets)
 	if err == nil {
 		err = storage.Admit(cur.part, cur.im.Allocator(), deviceID)
 	}
@@ -471,10 +463,10 @@ func (s *Server) handle(conn net.Conn) {
 // viewFor picks the view a query is answered from — the one place
 // (AsDevice, Epoch) are interpreted:
 //
-//	AsDevice             Epoch                   view
-//	-1 or the server's   current                 cur
-//	-1 or the server's   current+1, if prepared  next
-//	ring predecessor     current                 backup
+//	AsDevice             Epoch            view
+//	-1 or the server's   cur's            cur
+//	-1 or the server's   next's, if any   next
+//	ring predecessor     cur's            backup
 //
 // Backup partitions are not re-declustered live; replicated deployments
 // sit out rescales (Prepare refuses them).
@@ -483,18 +475,35 @@ func (s *Server) viewFor(req *Request) (*view, error) {
 		if s.backup == nil || req.AsDevice != s.backup.dev {
 			return nil, fmt.Errorf("netdist: device %d holds no backup for device %d", s.deviceID, req.AsDevice)
 		}
-		if req.Epoch != s.epoch {
-			return nil, fmt.Errorf("netdist: backup partition serves epoch %d only, not %d", s.epoch, req.Epoch)
+		if req.Epoch != s.cur.epoch {
+			return nil, fmt.Errorf("netdist: backup partition serves epoch %d only, not %d", s.cur.epoch, req.Epoch)
 		}
 		return s.backup, nil
 	}
-	if req.Epoch == s.epoch {
-		return s.cur, nil
+	if v := s.view(req.Epoch); v != nil {
+		return v, nil
 	}
-	if s.next == nil || req.Epoch != s.epoch+1 {
-		return nil, fmt.Errorf("netdist: epoch %d not served (current %d)", req.Epoch, s.epoch)
+	return nil, fmt.Errorf("netdist: epoch %d not served (current %d)", req.Epoch, s.serving().epoch)
+}
+
+// view returns the view serving epoch, nil when none does.
+func (s *Server) view(epoch int) *view {
+	switch {
+	case epoch == s.cur.epoch && epoch != noEpoch:
+		return s.cur
+	case s.next != nil && epoch == s.next.epoch:
+		return s.next
 	}
-	return s.next, nil
+	return nil
+}
+
+// serving returns the view of the epoch the server serves: cur, or on a
+// rescale target, which serves none of its own, its prepared view.
+func (s *Server) serving() *view {
+	if s.cur.epoch == noEpoch && s.next != nil {
+		return s.next
+	}
+	return s.cur
 }
 
 // answer runs one query — q is the request's Spec — against the view the

@@ -366,7 +366,7 @@ func TestDialChecksTheAddressList(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if specEqual(spec, otherSpec) {
+	if spec.Equal(otherSpec) {
 		t.Fatal("fixture: the two transform plans agree")
 	}
 	odd, err := NewServer(7, otherSpec, nil)

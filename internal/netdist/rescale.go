@@ -10,21 +10,18 @@ import (
 	"fxdist/internal/decluster"
 	"fxdist/internal/engine"
 	"fxdist/internal/mkhash"
-	"fxdist/internal/query"
 	"fxdist/internal/storage"
 )
 
-// Server-side half of the elastic rescale protocol. A rescale runs as
-// an epoch transition: the migration driver Prepares every server of
-// the next epoch with its allocator spec and number (a surviving server
-// then answers queries at both epochs, a joining one starts serving
-// it), streams each moving bucket with Fetch from its old owner and
-// Install on its new one, and finally Cutovers the survivors — the
-// prepared view becomes current, the epoch bumps, and buckets the
-// server no longer owns are pruned. Abort at any point before cutover
-// deletes the installed buckets and drops the prepared view, returning
-// the server byte-for-byte to its pre-rescale state (the migration only
-// ever copies; the old partition stays authoritative until cutover).
+// Server-side half of the elastic rescale protocol (DESIGN §12). Every
+// control op but Cutover names the epoch it acts on, and one rule holds
+// on every server: a view holds exactly the buckets its device owns
+// under its spec. Prepare builds the next epoch's view over a
+// copy-on-write copy of the serving partition cut to those buckets
+// (storage.Share); Install writes only that view; Cutover promotes it
+// and Abort drops it, so a rescale never writes the serving view. A
+// target serves no epoch of its own, so it serves its prepared view at
+// once and is never cut over: the next Prepare builds on it.
 
 // noEpoch is the epoch of a server that serves none: a rescale target
 // before the Prepare that names the epoch it joins.
@@ -39,7 +36,7 @@ func NewTargetServer(deviceID int, spec decluster.Spec) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.epoch = noEpoch
+	s.cur.epoch = noEpoch
 	return s, nil
 }
 
@@ -65,15 +62,12 @@ func (s *Server) control(req *Request) Response {
 	}
 }
 
-// prepare builds the view of the epoch the request names from the spec
-// in it. Idempotent: re-preparing with the same spec succeeds (the resume
-// path after a coordinator crash), with a different one fails. A server
-// that already serves the spec at that epoch answers success WITHOUT
-// creating a next view: after a partial cutover the driver's replay
-// re-broadcasts Prepare, and an already-promoted server must not
-// prepare a spurious current→current transition — the replayed cutover
-// would bump it a second epoch ahead of the stragglers and split the
-// fleet. A rescale target built under the spec learns its epoch here.
+// prepare builds the view of the epoch the request names, the one after
+// the serving epoch (any, on a target, under the spec it was built for),
+// over the serving view's buckets this device owns under the spec, and
+// makes it next. A server already serving the epoch under the spec — on
+// a resumed run's re-Prepare, or promoted when a partial cutover is
+// replayed — answers success and changes nothing.
 func (s *Server) prepare(req *Request) Response {
 	var spec decluster.Spec
 	if err := json.Unmarshal(req.SpecJSON, &spec); err != nil {
@@ -81,120 +75,95 @@ func (s *Server) prepare(req *Request) Response {
 	}
 	s.dataMu.Lock()
 	defer s.dataMu.Unlock()
-	switch {
+	base := s.serving()
+	switch v := s.view(req.Epoch); {
 	case s.backup != nil:
 		return Response{ID: req.ID, Err: "netdist: prepare: replicated deployments do not support live rescale"}
-	case specEqual(s.cur.spec, spec) && (s.epoch == req.Epoch || s.epoch == noEpoch):
-		s.epoch = req.Epoch
+	case v != nil && v.spec.Equal(spec):
 		return Response{ID: req.ID}
-	case s.epoch == noEpoch:
-		return Response{ID: req.ID, Err: fmt.Sprintf("netdist: prepare: a rescale target under %+v, not %+v", s.cur.spec, spec)}
-	case req.Epoch != s.epoch+1:
-		return Response{ID: req.ID, Err: fmt.Sprintf("netdist: prepare: epoch %d named, serving epoch %d", req.Epoch, s.epoch)}
-	case s.next != nil && specEqual(s.next.spec, spec):
-		return Response{ID: req.ID}
-	case s.next != nil:
-		return Response{ID: req.ID, Err: "netdist: prepare: a different rescale is already prepared (abort it first)"}
+	case v != nil:
+		return Response{ID: req.ID, Err: fmt.Sprintf("netdist: prepare: epoch %d is prepared under %+v (abort it first)", req.Epoch, v.spec)}
+	case base.epoch == noEpoch && !base.spec.Equal(spec):
+		return Response{ID: req.ID, Err: fmt.Sprintf("netdist: prepare: a rescale target under %+v, not %+v", base.spec, spec)}
+	case base.epoch != noEpoch && req.Epoch != base.epoch+1:
+		return Response{ID: req.ID, Err: fmt.Sprintf("netdist: prepare: epoch %d named, serving epoch %d", req.Epoch, base.epoch)}
 	}
-	// The next view serves the same partition: Install adds the buckets
-	// moving here, Cutover prunes the ones moving away. A device id
-	// outside the new M is a device that retires and serves no next epoch.
-	next, err := newView(s.deviceID, spec, s.cur.part)
+	// A device id outside the new M retires and serves no next epoch.
+	next, err := newView(s.deviceID, req.Epoch, spec, base.part)
+	if err == nil && !slices.Equal(next.fs.Sizes, base.fs.Sizes) {
+		err = fmt.Errorf("grid %v, serving %v", next.fs.Sizes, base.fs.Sizes)
+	}
 	if err != nil {
 		return Response{ID: req.ID, Err: fmt.Sprintf("netdist: prepare: %v", err)}
 	}
-	if next.fs.NumFields() != s.cur.fs.NumFields() {
-		return Response{ID: req.ID, Err: fmt.Sprintf("netdist: prepare: %d fields, serving %d", next.fs.NumFields(), s.cur.fs.NumFields())}
-	}
-	for i, size := range s.cur.fs.Sizes {
-		if next.fs.Sizes[i] != size {
-			return Response{ID: req.ID, Err: fmt.Sprintf("netdist: prepare: field %d sized %d, serving %d", i, next.fs.Sizes[i], size)}
-		}
-	}
-	s.next, s.installed = next, make(map[int]struct{})
+	next.part = storage.Share(base.part, next.im.Allocator())[s.deviceID]
+	s.cur, s.next = base, next
 	return Response{ID: req.ID}
 }
 
-// fetch returns one bucket's records from the current partition. An
-// absent bucket (nothing hashed there) is an empty, successful answer.
+// fetch returns one bucket's records from the view of the request's
+// epoch; an absent bucket is an empty, successful answer.
 func (s *Server) fetch(req *Request) Response {
 	s.dataMu.RLock()
 	defer s.dataMu.RUnlock()
-	if req.Bucket < 0 || req.Bucket >= s.cur.fs.NumBuckets() {
-		return Response{ID: req.ID, Err: fmt.Sprintf("netdist: fetch: bucket %d outside grid", req.Bucket)}
+	v, err := s.viewFor(req)
+	if err == nil && (req.Bucket < 0 || req.Bucket >= v.fs.NumBuckets()) {
+		err = fmt.Errorf("bucket %d outside grid", req.Bucket)
+	}
+	if err != nil {
+		return Response{ID: req.ID, Err: fmt.Sprintf("netdist: fetch: %v", err)}
 	}
 	resp := Response{ID: req.ID, Buckets: 1}
-	resp.Scanned = s.cur.part.Scan(uint32(req.Bucket), nil, func(k uint32) { resp.found.Encode(s.cur.part, k) })
+	resp.Scanned = v.part.Scan(uint32(req.Bucket), nil, func(k uint32) { resp.found.Encode(v.part, k) })
 	return resp
 }
 
-// install stores one bucket into the next-epoch partition. The bucket
-// must pass admission for this device under the prepared spec (or under
-// the current spec on a rescale target). Its values go into the
-// partition's own dictionary, so wire buffers never alias the partition
-// and the bucket costs its ids.
+// install stores one bucket into the view of the request's epoch,
+// replacing what it held there, once admitted for this device under that
+// view's spec. Its values go into the partition's own dictionary, so
+// wire buffers never alias the partition and the bucket costs its ids.
 func (s *Server) install(req *Request) Response {
 	s.dataMu.Lock()
 	defer s.dataMu.Unlock()
-	v := s.cur
-	if s.next != nil {
-		v = s.next
+	v, err := s.viewFor(req)
+	if err == nil {
+		err = storage.AdmitBucket(v.im.Allocator(), v.dev, req.Bucket)
 	}
-	err := storage.AdmitBucket(v.im.Allocator(), v.dev, req.Bucket)
 	if err == nil {
 		err = v.part.Put(uint32(req.Bucket), req.Payload)
 	}
 	if err != nil {
 		return Response{ID: req.ID, Err: fmt.Sprintf("netdist: install: %v", err)}
 	}
-	if s.next != nil {
-		s.installed[req.Bucket] = struct{}{}
-	}
 	return Response{ID: req.ID, Buckets: 1, Scanned: len(req.Payload)}
 }
 
-// cutover promotes the prepared view to current and prunes buckets this
-// device no longer owns. A server with nothing prepared — one already
-// promoted — answers success, so the driver's replay of its broadcast
-// after a crash is idempotent.
+// cutover promotes the prepared view. A server with none (one already
+// promoted) answers success, so a replayed broadcast is idempotent.
 func (s *Server) cutover(req *Request) Response {
 	s.dataMu.Lock()
 	defer s.dataMu.Unlock()
-	if s.next == nil {
-		return Response{ID: req.ID}
+	if s.next != nil {
+		s.cur, s.next = s.next, nil
 	}
-	alloc := s.next.im.Allocator()
-	var coords []int
-	s.next.part.EachBucket(func(b uint32) {
-		coords = s.next.fs.Coords(int(b), coords[:0])
-		if alloc.Device(coords) != s.deviceID {
-			s.next.part.Drop(b)
-		}
-	})
-	s.cur, s.next, s.installed = s.next, nil, nil
-	s.epoch++
 	return Response{ID: req.ID}
 }
 
-// abort drops the prepared view and deletes every bucket installed
-// during the rescale — the rollback to the pre-rescale epoch. A server
-// with nothing prepared answers success (idempotent broadcast).
+// abort abandons the epoch the request names: a server that prepared it
+// drops the prepared view. Any other — one that never prepared it, or
+// was promoted into it — answers success unchanged.
 func (s *Server) abort(req *Request) Response {
 	s.dataMu.Lock()
 	defer s.dataMu.Unlock()
-	if s.next == nil {
-		return Response{ID: req.ID}
+	if s.next != nil && s.next.epoch == req.Epoch {
+		s.next = nil
 	}
-	for idx := range s.installed {
-		s.cur.part.Drop(uint32(idx))
-	}
-	s.next, s.installed = nil, nil
 	return Response{ID: req.ID}
 }
 
 // description is what a server says of itself to a dialing coordinator
 // (OpDescribe): its device id, the epoch described — the asked one when
-// the server serves it, else its current one (noEpoch on a rescale
+// the server serves it, else its serving one (noEpoch on a rescale
 // target before its Prepare) — the allocator spec of the view serving
 // that epoch, nil when there is none, and the device whose backup
 // partition it serves at that epoch, nil on a plain server.
@@ -209,15 +178,15 @@ type description struct {
 func (s *Server) describe(req *Request) Response {
 	s.dataMu.RLock()
 	defer s.dataMu.RUnlock()
-	d := description{Device: s.deviceID, Epoch: req.Epoch}
-	v, err := s.viewFor(req)
-	if err != nil {
-		d.Epoch, v = s.epoch, s.cur
+	v := s.view(req.Epoch)
+	if v == nil {
+		v = s.serving()
 	}
+	d := description{Device: s.deviceID, Epoch: v.epoch}
 	if d.Epoch != noEpoch {
 		d.Spec = &v.spec
 	}
-	if s.backup != nil && d.Epoch == s.epoch {
+	if s.backup != nil && v == s.cur {
 		d.Backup = &s.backup.dev
 	}
 	b, err := json.Marshal(d)
@@ -227,10 +196,8 @@ func (s *Server) describe(req *Request) Response {
 	return Response{ID: req.ID, StatsJSON: b}
 }
 
-// digest answers OpDigest over exactly the buckets the epoch's view
-// would walk for a query with every field free. The partition is not the
-// answer: a prepared view shares it with the serving one, so until
-// cutover it also holds the buckets the new layout moves away.
+// digest answers OpDigest over every bucket of the view serving the
+// request's epoch, which holds exactly the buckets its device owns.
 func (s *Server) digest(req *Request) Response {
 	s.dataMu.RLock()
 	defer s.dataMu.RUnlock()
@@ -239,24 +206,16 @@ func (s *Server) digest(req *Request) Response {
 		return Response{ID: req.ID, Err: fmt.Sprintf("netdist: digest: %v", err)}
 	}
 	var d mkhash.Digest
-	walk := v.im.Walk(query.Walk{}, query.All(v.fs.NumFields()), v.dev)
-	for coords := walk.Next(); coords != nil; coords = walk.Next() {
-		d = d.Plus(v.part.Digest(uint32(v.fs.Linear(coords))))
-	}
+	v.part.EachBucket(func(b uint32) { d = d.Plus(v.part.Digest(b)) })
 	return Response{ID: req.ID, Scanned: d.Records, StatsJSON: strconv.AppendUint(nil, d.Sum, 10)}
 }
 
-// specEqual compares two allocator specs field by field.
-func specEqual(a, b decluster.Spec) bool {
-	return a.Method == b.Method && a.M == b.M && slices.Equal(a.Sizes, b.Sizes) &&
-		slices.Equal(a.Kinds, b.Kinds) && slices.Equal(a.Multipliers, b.Multipliers)
-}
-
-// Coordinator-side control methods. Each is one round trip against one
-// device's server through ask — the same fault injector, counters,
-// latency histogram, in-flight gauge and Retry-After handling as a
-// retrieval's, so chaos schedules and dashboards cover the migration
-// stream too.
+// Coordinator-side control methods: rebalance.Transport over any one
+// round trip per call. A Coordinator's runs through ask — the same fault
+// injector, counters, latency histogram, in-flight gauge and Retry-After
+// handling as a retrieval's, so chaos schedules and dashboards cover the
+// migration stream too.
+type controlFunc func(ctx context.Context, dev int, req Request) (Response, error)
 
 // controlOp runs one rescale control round trip against device dev.
 func (c *Coordinator) controlOp(ctx context.Context, dev int, req Request) (Response, error) {
@@ -279,41 +238,41 @@ func (c *Coordinator) controlOp(ctx context.Context, dev int, req Request) (Resp
 }
 
 // Prepare hands device dev the allocator spec it serves epoch under.
-func (c *Coordinator) Prepare(ctx context.Context, dev, epoch int, spec decluster.Spec) error {
+func (op controlFunc) Prepare(ctx context.Context, dev, epoch int, spec decluster.Spec) error {
 	b, err := json.Marshal(spec)
 	if err != nil {
 		return fmt.Errorf("netdist: encode rescale spec: %w", err)
 	}
-	_, err = c.controlOp(ctx, dev, Request{Control: OpPrepare, Epoch: epoch, SpecJSON: b})
+	_, err = op(ctx, dev, Request{Control: OpPrepare, Epoch: epoch, SpecJSON: b})
 	return err
 }
 
-// FetchBucket returns bucket's records from device dev's current
-// partition (empty when nothing hashed there).
-func (c *Coordinator) FetchBucket(ctx context.Context, dev, bucket int) ([]mkhash.Record, error) {
-	resp, err := c.controlOp(ctx, dev, Request{Control: OpFetch, Bucket: bucket})
+// FetchBucket returns bucket's records from device dev's view of epoch
+// (empty when nothing hashed there).
+func (op controlFunc) FetchBucket(ctx context.Context, dev, epoch, bucket int) ([]mkhash.Record, error) {
+	resp, err := op(ctx, dev, Request{Control: OpFetch, Epoch: epoch, Bucket: bucket})
 	if err != nil {
 		return nil, err
 	}
 	return resp.Records, nil
 }
 
-// InstallBucket stores bucket's records into device dev's next-epoch
-// partition. Idempotent.
-func (c *Coordinator) InstallBucket(ctx context.Context, dev, bucket int, recs []mkhash.Record) error {
-	_, err := c.controlOp(ctx, dev, Request{Control: OpInstall, Bucket: bucket, Payload: recs})
+// InstallBucket stores bucket's records into device dev's view of epoch.
+// Idempotent.
+func (op controlFunc) InstallBucket(ctx context.Context, dev, epoch, bucket int, recs []mkhash.Record) error {
+	_, err := op(ctx, dev, Request{Control: OpInstall, Epoch: epoch, Bucket: bucket, Payload: recs})
 	return err
 }
 
-// CutoverDevice promotes device dev's prepared view to current.
-func (c *Coordinator) CutoverDevice(ctx context.Context, dev int) error {
-	_, err := c.controlOp(ctx, dev, Request{Control: OpCutover})
+// CutoverDevice promotes device dev's prepared view.
+func (op controlFunc) CutoverDevice(ctx context.Context, dev int) error {
+	_, err := op(ctx, dev, Request{Control: OpCutover})
 	return err
 }
 
 // Digest digests the records device dev owns at epoch (OpDigest).
-func (c *Coordinator) Digest(ctx context.Context, dev, epoch int) (mkhash.Digest, error) {
-	resp, err := c.controlOp(ctx, dev, Request{Control: OpDigest, Epoch: epoch})
+func (op controlFunc) Digest(ctx context.Context, dev, epoch int) (mkhash.Digest, error) {
+	resp, err := op(ctx, dev, Request{Control: OpDigest, Epoch: epoch})
 	if err != nil {
 		return mkhash.Digest{}, err
 	}
@@ -324,8 +283,29 @@ func (c *Coordinator) Digest(ctx context.Context, dev, epoch int) (mkhash.Digest
 	return mkhash.Digest{Records: resp.Scanned, Sum: sum}, nil
 }
 
-// AbortRescale drops device dev's prepared view and installed buckets.
-func (c *Coordinator) AbortRescale(ctx context.Context, dev int) error {
-	_, err := c.controlOp(ctx, dev, Request{Control: OpAbort})
+// AbortRescale abandons epoch on device dev: dropped if it prepared it.
+func (op controlFunc) AbortRescale(ctx context.Context, dev, epoch int) error {
+	_, err := op(ctx, dev, Request{Control: OpAbort, Epoch: epoch})
 	return err
+}
+
+// EpochOf returns the epoch the server at addr serves spec at: its own
+// epoch when it serves spec, else the next one, which a survivor not yet
+// cut over has prepared. A rescale journal holds the specs but not the
+// epoch; its replay asks a survivor.
+func EpochOf(addr string, spec decluster.Spec) (int, error) {
+	c := &Coordinator{}
+	dc, err := c.dialDevice(context.Background(), addr)
+	if err != nil {
+		return 0, fmt.Errorf("netdist: dial %s: %w", addr, err)
+	}
+	defer dc.conn.Close()
+	d, err := c.describe(dc)
+	switch {
+	case err != nil:
+		return 0, fmt.Errorf("netdist: describe %s: %w", addr, err)
+	case d.Spec != nil && d.Spec.Equal(spec):
+		return d.Epoch, nil
+	}
+	return d.Epoch + 1, nil
 }

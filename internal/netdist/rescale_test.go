@@ -141,11 +141,11 @@ func copyMoves(t *testing.T, ctx context.Context, coord *Coordinator,
 			return
 		}
 		idx := fs.Linear(b)
-		recs, err := coord.FetchBucket(ctx, from, idx)
+		recs, err := coord.FetchBucket(ctx, from, 0, idx)
 		if err != nil {
 			t.Fatalf("fetch bucket %d from device %d: %v", idx, from, err)
 		}
-		if err := coord.InstallBucket(ctx, to, idx, recs); err != nil {
+		if err := coord.InstallBucket(ctx, to, 1, idx, recs); err != nil {
 			t.Fatalf("install bucket %d on device %d: %v", idx, to, err)
 		}
 		moved++
@@ -229,17 +229,17 @@ func TestRescaleProtocolGrow(t *testing.T) {
 		t.Fatal("no moved bucket with two records")
 	}
 	dev := newAlloc.Device(newAlloc.FileSystem().Coords(lossy, nil))
-	recs, err := oldCoord.FetchBucket(ctx, oldAlloc.Device(oldAlloc.FileSystem().Coords(lossy, nil)), lossy)
+	recs, err := oldCoord.FetchBucket(ctx, oldAlloc.Device(oldAlloc.FileSystem().Coords(lossy, nil)), 0, lossy)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := newCoord.InstallBucket(ctx, dev, lossy, recs[1:]); err != nil {
+	if err := newCoord.InstallBucket(ctx, dev, 1, lossy, recs[1:]); err != nil {
 		t.Fatal(err)
 	}
 	if nd := epochDigest(t, ctx, newCoord, 4, 1); nd == all || nd.Records != all.Records-1 {
 		t.Fatalf("new epoch digests %+v with a record deleted from device %d, file %+v", nd, dev, all)
 	}
-	if err := newCoord.InstallBucket(ctx, dev, lossy, recs); err != nil {
+	if err := newCoord.InstallBucket(ctx, dev, 1, lossy, recs); err != nil {
 		t.Fatal(err)
 	}
 
@@ -304,7 +304,7 @@ func TestRescaleProtocolAbort(t *testing.T) {
 		t.Fatal("fixture moved no buckets")
 	}
 	for dev := 0; dev < 4; dev++ {
-		if err := newCoord.AbortRescale(ctx, dev); err != nil {
+		if err := newCoord.AbortRescale(ctx, dev, 1); err != nil {
 			t.Fatalf("abort %d: %v", dev, err)
 		}
 	}
@@ -485,15 +485,15 @@ func TestRescaleControlValidation(t *testing.T) {
 	if foreign < 0 {
 		t.Fatal("no bucket owned by another device")
 	}
-	if err := newCoord.InstallBucket(ctx, 0, foreign, nil); err == nil {
+	if err := newCoord.InstallBucket(ctx, 0, 1, foreign, nil); err == nil {
 		t.Fatal("install accepted on a non-owner")
 	}
 
 	// Buckets outside the grid.
-	if err := newCoord.InstallBucket(ctx, 0, fs.NumBuckets()+10, nil); err == nil {
+	if err := newCoord.InstallBucket(ctx, 0, 1, fs.NumBuckets()+10, nil); err == nil {
 		t.Fatal("install accepted an out-of-grid bucket")
 	}
-	if _, err := newCoord.FetchBucket(ctx, 0, -1); err == nil {
+	if _, err := newCoord.FetchBucket(ctx, 0, 0, -1); err == nil {
 		t.Fatal("fetch accepted a negative bucket")
 	}
 
@@ -511,7 +511,7 @@ func TestRescaleControlValidation(t *testing.T) {
 	if own < 0 {
 		t.Fatal("no bucket owned by device 0")
 	}
-	if err := newCoord.InstallBucket(ctx, 0, own, []mkhash.Record{{"only-one-field"}}); err == nil {
+	if err := newCoord.InstallBucket(ctx, 0, 1, own, []mkhash.Record{{"only-one-field"}}); err == nil {
 		t.Fatal("install accepted a 1-field record into a 3-field file")
 	}
 	probe := NewRequest(fs.Coords(own, nil), mkhash.PartialMatch{nil, nil, str("wh1")})
@@ -630,6 +630,132 @@ func TestInstallAllocatesTheSameForAnySize(t *testing.T) {
 	for _, k := range []int{16, 256} {
 		if n := allocs(k); n != one {
 			t.Errorf("an install of %d records allocates %v times, one of 1 record %v", k, n, one)
+		}
+	}
+}
+
+// TestAbortedGrowLeavesTargetsEmpty: an abort returns a rescale target
+// to its state before Prepare — serving no epoch, holding no records —
+// though the grow had installed its share of the buckets on it.
+func TestAbortedGrowLeavesTargetsEmpty(t *testing.T) {
+	file := buildFile(t, 200)
+	fs, err := file.FileSystem(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oldAlloc := decluster.MustFX(fs)
+	oldSpec, err := decluster.SpecOf(oldAlloc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	newSpec, err := oldSpec.Rescaled(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	newAlloc, err := newSpec.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	parts, err := storage.Split(file, oldAlloc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fleet []*Server
+	for dev := range 4 {
+		var srv *Server
+		if dev < 2 {
+			srv, err = NewServer(dev, oldSpec, parts[dev])
+		} else {
+			srv, err = NewTargetServer(dev, newSpec)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		fleet = append(fleet, srv)
+	}
+	ctl := func(dev int, req Request) Response {
+		t.Helper()
+		req.AsDevice = -1
+		resp := fleet[dev].control(&req)
+		if resp.Err != "" {
+			t.Fatalf("device %d op %d: %s", dev, req.Control, resp.Err)
+		}
+		return resp
+	}
+	spec, err := json.Marshal(newSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for dev := range fleet {
+		ctl(dev, Request{Control: OpPrepare, Epoch: 1, SpecJSON: spec})
+	}
+	installed := 0
+	fs.EachBucket(func(b []int) {
+		from, to := oldAlloc.Device(b), newAlloc.Device(b)
+		if from == to {
+			return
+		}
+		resp := ctl(from, Request{Control: OpFetch, Bucket: fs.Linear(b)})
+		n, _, _ := resp.found.Size()
+		recs, _, err := mkhash.DecodeEncoded(resp.found.Bytes(), n)
+		resp.found.Release()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctl(to, Request{Control: OpInstall, Epoch: 1, Bucket: fs.Linear(b), Payload: recs})
+		installed += n
+	})
+	if installed == 0 {
+		t.Fatal("fixture moved no records")
+	}
+	for dev := range fleet {
+		ctl(dev, Request{Control: OpAbort, Epoch: 1})
+	}
+	for dev := 2; dev < 4; dev++ {
+		var d description
+		if err := json.Unmarshal(ctl(dev, Request{Control: OpDescribe}).StatsJSON, &d); err != nil {
+			t.Fatal(err)
+		}
+		held := fleet[dev].cur.part.Buckets()
+		if fleet[dev].next != nil {
+			held += fleet[dev].next.part.Buckets()
+		}
+		if d.Epoch != noEpoch || held != 0 {
+			t.Errorf("after an aborted grow target %d describes epoch %d and holds %d buckets", dev, d.Epoch, held)
+		}
+	}
+}
+
+// TestDialRefusesAPartialCutoverWhicheverDeviceWentFirst: every server
+// is asked for the same epoch, so a fleet whose cutover reached device 0
+// but not device 1 is refused like the converse — over the old list and
+// the new — though device 1 serves the new epoch as its prepared view.
+func TestDialRefusesAPartialCutoverWhicheverDeviceWentFirst(t *testing.T) {
+	file := buildFile(t, 200)
+	ctx := context.Background()
+	oldAlloc, newSpec, oldCoord, newCoord, cleanup := deployRescaleFixture(t, file, 2, 4)
+	defer cleanup()
+	for dev := 0; dev < 4; dev++ {
+		if err := newCoord.Prepare(ctx, dev, 1, newSpec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	newAlloc, err := newSpec.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	copyMoves(t, ctx, newCoord, oldAlloc, newAlloc, -1)
+	if err := newCoord.CutoverDevice(ctx, 0); err != nil {
+		t.Fatal(err)
+	}
+	for _, addrs := range [][]string{oldCoord.Addrs(), newCoord.Addrs()} {
+		c, err := Dial(file, addrs)
+		if err == nil {
+			c.Close()
+			t.Fatalf("dialed %d servers split between two epochs", len(addrs))
+		}
+		if !strings.Contains(err.Error(), "disagree on the epoch") {
+			t.Fatalf("dial of %d servers after a partial cutover: %v", len(addrs), err)
 		}
 	}
 }

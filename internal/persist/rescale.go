@@ -12,12 +12,9 @@ import (
 // rescaleVersion guards the journal format.
 const rescaleVersion = 1
 
-// Rescale phases recorded in the journal. The driver moves strictly
-// forward through copying → verified → done, or sideways to aborted. A
-// driver resumed at copying re-copies only the buckets not marked done
-// and proves the copy; one resumed at verified (a journal from before
-// that phase named it "dual-read") is past the proof and replays the
-// swap, the guard and the cutover broadcast.
+// Rescale phases recorded in the journal: forward through copying →
+// verified → done, or sideways to aborted (DESIGN §12). A journal of an
+// older build says "dual-read" for verified.
 const (
 	RescaleCopying  = "copying"
 	RescaleVerified = "verified"

@@ -15,20 +15,32 @@ import (
 )
 
 // Transport is the migration-stream surface the rescale driver speaks —
-// one control round trip per call against one device server.
+// one control round trip per call against one device server, each naming
+// the epoch it acts on but Cutover, which promotes whatever is prepared.
 // netdist.Coordinator satisfies it; the transport handed to a driver
 // must span the union of old and new device sets (for a grow that is
 // the new, larger coordinator; for a shrink the old one).
 type Transport interface {
 	// Prepare hands device dev the spec it serves epoch under.
 	Prepare(ctx context.Context, dev, epoch int, spec decluster.Spec) error
-	FetchBucket(ctx context.Context, dev, bucket int) ([]mkhash.Record, error)
-	InstallBucket(ctx context.Context, dev, bucket int, recs []mkhash.Record) error
+	FetchBucket(ctx context.Context, dev, epoch, bucket int) ([]mkhash.Record, error)
+	InstallBucket(ctx context.Context, dev, epoch, bucket int, recs []mkhash.Record) error
 	CutoverDevice(ctx context.Context, dev int) error
-	AbortRescale(ctx context.Context, dev int) error
+	// AbortRescale abandons epoch on device dev (dropped if prepared).
+	AbortRescale(ctx context.Context, dev, epoch int) error
 	// Digest digests the records device dev owns at epoch.
 	Digest(ctx context.Context, dev, epoch int) (mkhash.Digest, error)
 }
+
+// The driver's pacing: attempts per control op (transient device faults
+// are expected) and the first, doubling backoff between them; the journal
+// flush cadence in copied buckets; the cutover guard's polling interval.
+const (
+	retries      = 5
+	retryBackoff = 10 * time.Millisecond
+	flushEvery   = 64
+	guardPoll    = 50 * time.Millisecond
+)
 
 // DriverConfig configures one live rescale run.
 type DriverConfig struct {
@@ -41,29 +53,18 @@ type DriverConfig struct {
 	// Transport reaches every device in the union of the two epochs.
 	Transport Transport
 	// JournalPath, when set, persists migration progress after every
-	// FlushEvery buckets, so a killed coordinator resumes where it
+	// flushEvery buckets, so a killed coordinator resumes where it
 	// stopped instead of re-streaming the whole move set.
 	JournalPath string
 	// Concurrency bounds in-flight bucket copies (default 4). Each copy
 	// is one fetch plus one install, so the bound also backpressures the
 	// per-device streams.
 	Concurrency int
-	// Retries is the attempt count per control op (default 5); attempts
-	// back off exponentially from RetryBackoff (default 10ms). Rescales
-	// run under the same fault injector as queries, so transient device
-	// failures during migration are expected, not fatal.
-	Retries      int
-	RetryBackoff time.Duration
-	// FlushEvery is the journal flush cadence in completed buckets
-	// (default 64).
-	FlushEvery int
 	// Guard gates cutover: polled during the verified phase until it
 	// returns nil. AuditGuard wires the optimality auditor in here — the
 	// old epoch is never released while the new layout's per-shape
 	// deviation exceeds the Doerr bound. Nil means cut over immediately.
 	Guard func() error
-	// GuardPoll is the Guard polling interval (default 50ms).
-	GuardPoll time.Duration
 	// Swap is called once the copy is proven, before the guard runs: the
 	// serving tier moves its reads to the new epoch here, which then
 	// feed the guard.
@@ -186,18 +187,6 @@ func NewDriver(cfg DriverConfig) (*Driver, error) {
 	if cfg.Concurrency <= 0 {
 		cfg.Concurrency = 4
 	}
-	if cfg.Retries <= 0 {
-		cfg.Retries = 5
-	}
-	if cfg.RetryBackoff <= 0 {
-		cfg.RetryBackoff = 10 * time.Millisecond
-	}
-	if cfg.FlushEvery <= 0 {
-		cfg.FlushEvery = 64
-	}
-	if cfg.GuardPoll <= 0 {
-		cfg.GuardPoll = 50 * time.Millisecond
-	}
 	oldAlloc, err := cfg.OldSpec.Build()
 	if err != nil {
 		return nil, fmt.Errorf("rebalance: old spec: %w", err)
@@ -241,7 +230,7 @@ func (d *Driver) adoptJournal(st *persist.RescaleState) error {
 	if st.Phase == persist.RescaleDone || st.Phase == persist.RescaleAborted {
 		return fmt.Errorf("rebalance: journal %s records a finished rescale (%s); remove it to start a new one", d.cfg.JournalPath, st.Phase)
 	}
-	if !specsMatch(st.OldSpec, d.cfg.OldSpec) || !specsMatch(st.NewSpec, d.cfg.NewSpec) {
+	if !st.OldSpec.Equal(d.cfg.OldSpec) || !st.NewSpec.Equal(d.cfg.NewSpec) {
 		return fmt.Errorf("rebalance: journal %s belongs to a different rescale", d.cfg.JournalPath)
 	}
 	for _, b := range st.Done {
@@ -258,21 +247,6 @@ func (d *Driver) adoptJournal(st *persist.RescaleState) error {
 	})
 	return nil
 }
-
-func specsMatch(a, b decluster.Spec) bool {
-	if a.Method != b.Method || a.M != b.M || len(a.Sizes) != len(b.Sizes) {
-		return false
-	}
-	for i := range a.Sizes {
-		if a.Sizes[i] != b.Sizes[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// Plan returns the rescale's move plan.
-func (d *Driver) Plan() RescalePlan { return d.plan }
 
 // Status snapshots the run.
 func (d *Driver) Status() DriverStatus {
@@ -322,9 +296,9 @@ func (d *Driver) Resume() {
 	}
 }
 
-// Abort cancels the run. Run then rolls the servers back (every
-// installed bucket deleted, prepared views dropped) and returns
-// ErrAborted.
+// Abort cancels the run. Before the cutover broadcast Run then rolls
+// the servers back (each drops the new epoch it prepared) and returns
+// ErrAborted; a run resumed past the proof stops with ErrPartialCutover.
 func (d *Driver) Abort() {
 	d.cancelMu.Lock()
 	cancel := d.cancel
@@ -344,10 +318,10 @@ var ErrAborted = errors.New("rebalance: rescale aborted")
 var ErrDigestMismatch = errors.New("rebalance: the new epoch's records do not digest as the old epoch's")
 
 // ErrPartialCutover is wrapped by Run when some devices cut over and
-// others stayed unreachable through the retry budget. The migration is
-// NOT rolled back — cutover is one-way once any device promotes — and
-// the journal stays at verified; re-running the driver replays the
-// idempotent cutover broadcast until the stragglers converge.
+// others stayed unreachable through the retry budget, or a run resumed
+// past the proof stopped. Nothing is rolled back — cutover is one-way
+// once any device promotes — and the journal stays at verified: a
+// rerun replays the idempotent broadcast until the stragglers converge.
 var ErrPartialCutover = errors.New("rebalance: cutover incomplete on some devices")
 
 // waitIfPaused blocks while the driver is paused.
@@ -375,16 +349,16 @@ func (d *Driver) setPhase(phase, msg string) {
 	d.log(Event{Phase: phase, Msg: msg, Copied: copied, Total: len(d.plan.Moves)})
 }
 
-// retry runs op with the configured attempt budget and backoff.
+// retry runs op up to retries times, backing off between failures.
 func (d *Driver) retry(ctx context.Context, op func() error) error {
-	backoff := d.cfg.RetryBackoff
-	var err error
-	for attempt := 0; attempt < d.cfg.Retries; attempt++ {
-		if err = ctx.Err(); err != nil {
+	backoff := retryBackoff
+	for attempt := 1; ; attempt++ {
+		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if err = op(); err == nil {
-			return nil
+		err := op()
+		if err == nil || attempt == retries {
+			return err
 		}
 		select {
 		case <-time.After(backoff):
@@ -393,7 +367,6 @@ func (d *Driver) retry(ctx context.Context, op func() error) error {
 		}
 		backoff *= 2
 	}
-	return err
 }
 
 // Run executes the rescale to completion. It is not restartable on the
@@ -411,10 +384,14 @@ func (d *Driver) Run(ctx context.Context) error {
 	if err == nil {
 		return nil
 	}
+	if d.proven && !errors.Is(err, ErrPartialCutover) {
+		err = fmt.Errorf("%w: a run resumed past the proof stopped: %v", ErrPartialCutover, err)
+	}
 	if errors.Is(err, ErrPartialCutover) {
-		// Past the point of no return: some servers promoted. No
-		// rollback — the journal keeps the verified phase so a rebuilt
-		// driver replays the idempotent cutover broadcast.
+		// Past the point of no return: some servers promoted, or may
+		// have before the crash a proven run resumes from. No rollback —
+		// the journal keeps the verified phase so a rebuilt driver
+		// replays the idempotent cutover broadcast.
 		d.mu.Lock()
 		d.phase = PhaseFailed
 		d.runErr = err
@@ -459,19 +436,15 @@ func (d *Driver) run(ctx context.Context) error {
 		return err
 	}
 
-	// Cutover: broadcast to the surviving devices, the only ones holding
-	// a prepared view (a joining one has served the new epoch since its
-	// Prepare, a retiring one never serves it). A promoted server answers
-	// success, so replay after a crash converges. The broadcast runs
-	// under a background context (an abort arriving now must not strand
-	// half the fleet) and visits every survivor even after a failure,
-	// maximizing convergence.
+	// Cutover: broadcast to the survivors, the only servers with a view
+	// to promote (DESIGN §12), under a background context, so an abort
+	// now cannot strand half the fleet, and to each even after a failure.
+	// A promoted server answers success, so a replay converges.
 	d.setPhase(persist.RescaleVerified, "guard passed; cutting over")
 	cctx := context.Background()
 	var cutFailed []int
 	var lastErr error
 	for dev := 0; dev < min(d.plan.OldM, d.plan.NewM); dev++ {
-		dev := dev
 		if err := d.retry(cctx, func() error { return d.cfg.Transport.CutoverDevice(cctx, dev) }); err != nil {
 			cutFailed = append(cutFailed, dev)
 			lastErr = err
@@ -488,12 +461,10 @@ func (d *Driver) run(ctx context.Context) error {
 // copyAndProve prepares the new epoch's servers, copies the moving
 // buckets and proves the copy.
 func (d *Driver) copyAndProve(ctx context.Context) error {
-	// Prepare: every server of the new epoch learns its number and spec;
-	// a surviving one starts answering at both epochs, a joining one at
-	// the new. Idempotent, so a resumed run re-prepares harmlessly.
+	// Prepare every server of the new epoch. Idempotent, so a resumed
+	// run re-prepares harmlessly.
 	d.setPhase(persist.RescaleCopying, "preparing servers")
 	for dev := 0; dev < d.plan.NewM; dev++ {
-		dev := dev
 		if err := d.retry(ctx, func() error { return d.cfg.Transport.Prepare(ctx, dev, d.cfg.Epoch+1, d.cfg.NewSpec) }); err != nil {
 			return fmt.Errorf("rebalance: prepare device %d: %w", dev, err)
 		}
@@ -563,7 +534,7 @@ func (d *Driver) copyBuckets(ctx context.Context) error {
 			})
 		}(mv)
 		sinceFlush++
-		if sinceFlush >= d.cfg.FlushEvery {
+		if sinceFlush >= flushEvery {
 			sinceFlush = 0
 			wg.Wait() // journal a consistent prefix
 			d.journal(persist.RescaleCopying)
@@ -584,13 +555,13 @@ func (d *Driver) copyOne(ctx context.Context, mv Move) error {
 	var recs []mkhash.Record
 	err := d.retry(ctx, func() error {
 		var ferr error
-		recs, ferr = d.cfg.Transport.FetchBucket(ctx, mv.From, mv.Bucket)
+		recs, ferr = d.cfg.Transport.FetchBucket(ctx, mv.From, d.cfg.Epoch, mv.Bucket)
 		return ferr
 	})
 	if err != nil {
 		return fmt.Errorf("rebalance: fetch bucket %d from device %d: %w", mv.Bucket, mv.From, err)
 	}
-	err = d.retry(ctx, func() error { return d.cfg.Transport.InstallBucket(ctx, mv.To, mv.Bucket, recs) })
+	err = d.retry(ctx, func() error { return d.cfg.Transport.InstallBucket(ctx, mv.To, d.cfg.Epoch+1, mv.Bucket, recs) })
 	if err != nil {
 		return fmt.Errorf("rebalance: install bucket %d on device %d: %w", mv.Bucket, mv.To, err)
 	}
@@ -627,11 +598,12 @@ func (d *Driver) proveCopy(ctx context.Context) error {
 }
 
 // holdForGuard polls the cutover guard until it admits the new layout.
+// An abort that lands before it returns rolls the run back, guard or not.
 func (d *Driver) holdForGuard(ctx context.Context) error {
 	if d.cfg.Guard == nil {
-		return nil
+		return ctx.Err()
 	}
-	tick := time.NewTicker(d.cfg.GuardPoll)
+	tick := time.NewTicker(guardPoll)
 	defer tick.Stop()
 	for {
 		if err := d.waitIfPaused(ctx); err != nil {
@@ -652,12 +624,11 @@ func (d *Driver) holdForGuard(ctx context.Context) error {
 	}
 }
 
-// rollback broadcasts Abort to every device, best-effort.
+// rollback abandons the new epoch on every device Prepare may have
+// reached, best-effort.
 func (d *Driver) rollback(ctx context.Context) {
-	union := max(d.plan.OldM, d.plan.NewM)
-	for dev := 0; dev < union; dev++ {
-		dev := dev
-		_ = d.retry(ctx, func() error { return d.cfg.Transport.AbortRescale(ctx, dev) })
+	for dev := 0; dev < d.plan.NewM; dev++ {
+		_ = d.retry(ctx, func() error { return d.cfg.Transport.AbortRescale(ctx, dev, d.cfg.Epoch+1) })
 	}
 }
 

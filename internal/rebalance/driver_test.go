@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -70,7 +71,7 @@ func (ft *fakeTransport) Prepare(_ context.Context, dev, _ int, _ decluster.Spec
 	return nil
 }
 
-func (ft *fakeTransport) FetchBucket(_ context.Context, dev, bucket int) ([]mkhash.Record, error) {
+func (ft *fakeTransport) FetchBucket(_ context.Context, dev, _, bucket int) ([]mkhash.Record, error) {
 	ft.mu.Lock()
 	defer ft.mu.Unlock()
 	if err := ft.fail("fetch", dev); err != nil {
@@ -80,7 +81,7 @@ func (ft *fakeTransport) FetchBucket(_ context.Context, dev, bucket int) ([]mkha
 	return ft.buckets[dev][bucket], nil
 }
 
-func (ft *fakeTransport) InstallBucket(_ context.Context, dev, bucket int, recs []mkhash.Record) error {
+func (ft *fakeTransport) InstallBucket(_ context.Context, dev, _, bucket int, recs []mkhash.Record) error {
 	ft.mu.Lock()
 	defer ft.mu.Unlock()
 	if err := ft.fail("install", dev); err != nil {
@@ -100,8 +101,8 @@ func (ft *fakeTransport) InstallBucket(_ context.Context, dev, bucket int, recs 
 // a resume digests what the fleet holds, not what the journal says.
 func (ft *fakeTransport) installAll(moves []Move) {
 	for _, mv := range moves {
-		recs, _ := ft.FetchBucket(context.Background(), mv.From, mv.Bucket)
-		ft.InstallBucket(context.Background(), mv.To, mv.Bucket, recs) //nolint:errcheck // no fault hook yet
+		recs, _ := ft.FetchBucket(context.Background(), mv.From, 0, mv.Bucket)
+		ft.InstallBucket(context.Background(), mv.To, 1, mv.Bucket, recs) //nolint:errcheck // no fault hook yet
 	}
 	clear(ft.fetches)
 }
@@ -143,7 +144,7 @@ func (ft *fakeTransport) CutoverDevice(_ context.Context, dev int) error {
 	return nil
 }
 
-func (ft *fakeTransport) AbortRescale(_ context.Context, dev int) error {
+func (ft *fakeTransport) AbortRescale(_ context.Context, dev, _ int) error {
 	ft.mu.Lock()
 	defer ft.mu.Unlock()
 	ft.aborted[dev] = true
@@ -284,7 +285,6 @@ func TestDriverRetriesTransientFaults(t *testing.T) {
 	}
 	d, err := NewDriver(DriverConfig{
 		OldSpec: oldSpec, NewSpec: newSpec, Transport: ft,
-		Retries: 4, RetryBackoff: time.Microsecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -300,7 +300,6 @@ func TestDriverAbortRollsBack(t *testing.T) {
 	var rolledBack bool
 	d, err := NewDriver(DriverConfig{
 		OldSpec: oldSpec, NewSpec: newSpec, Transport: ft,
-		GuardPoll:      time.Millisecond,
 		Guard:          func() error { return errors.New("not yet") },
 		BeforeRollback: func() { rolledBack = true },
 	})
@@ -428,7 +427,6 @@ func TestDriverReplaysAPartialCutover(t *testing.T) {
 	}
 	cfg := DriverConfig{
 		OldSpec: oldSpec, NewSpec: newSpec, Transport: ft, JournalPath: journal,
-		Retries: 2, RetryBackoff: time.Microsecond,
 	}
 	d, err := NewDriver(cfg)
 	if err != nil {
@@ -510,5 +508,68 @@ func TestDriverRejectsFinishedJournal(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("driver adopted a finished journal")
+	}
+}
+
+// TestDriverRefusesAJournalOfAnotherRescale: a journal whose new spec
+// differs from the run's only in its per-field multipliers belongs to
+// another rescale, and adopting its Done set would skip buckets this one
+// never copied.
+func TestDriverRefusesAJournalOfAnotherRescale(t *testing.T) {
+	oldSpec, newSpec, _, _ := growFixture(t)
+	journal := filepath.Join(t.TempDir(), "rescale.journal")
+	other := newSpec
+	other.Multipliers = []int{1, 3}
+	if err := persist.SaveRescale(journal, &persist.RescaleState{
+		OldSpec: oldSpec, NewSpec: other, Phase: persist.RescaleCopying, Done: []int{1},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	_, err := NewDriver(DriverConfig{
+		OldSpec: oldSpec, NewSpec: newSpec,
+		Transport: newFakeTransport(t, nil, newSpec), JournalPath: journal,
+	})
+	if err == nil || !strings.Contains(err.Error(), "belongs to a different rescale") {
+		t.Fatalf("NewDriver over another rescale's journal: %v", err)
+	}
+}
+
+// TestDriverNeverRollsBackAResumedProof: a run resumed from a journal at
+// verified cannot tell whether a survivor cut over before the crash, so
+// an abort stops it without a rollback broadcast or a swap back, as a
+// partial cutover, and the journal stays at verified for the replay.
+func TestDriverNeverRollsBackAResumedProof(t *testing.T) {
+	oldSpec, newSpec, parts, plan := growFixture(t)
+	journal := filepath.Join(t.TempDir(), "rescale.journal")
+	var done []int
+	for _, mv := range plan.Moves {
+		done = append(done, mv.Bucket)
+	}
+	if err := persist.SaveRescale(journal, &persist.RescaleState{
+		OldSpec: oldSpec, NewSpec: newSpec, Phase: persist.RescaleVerified, Done: done,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	ft := newFakeTransport(t, parts, newSpec)
+	ft.installAll(plan.Moves)
+	var rolledBack bool
+	d, err := NewDriver(DriverConfig{
+		OldSpec: oldSpec, NewSpec: newSpec, Transport: ft, JournalPath: journal,
+		Guard:          func() error { return errors.New("not yet") },
+		BeforeRollback: func() { rolledBack = true },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := d.Run(ctx); !errors.Is(err, ErrPartialCutover) {
+		t.Fatalf("aborted resumed run returned %v, want a partial cutover", err)
+	}
+	if rolledBack || len(ft.aborted) != 0 {
+		t.Errorf("rolled back %v, abort broadcast to %v; want neither", rolledBack, ft.aborted)
+	}
+	if st, err := persist.LoadRescale(journal); err != nil || st.Phase != persist.RescaleVerified {
+		t.Errorf("journal %+v (%v), want verified", st, err)
 	}
 }

@@ -38,20 +38,27 @@ func checkAllocator(file *mkhash.File, fs decluster.FileSystem) error {
 }
 
 // Split distributes file's non-empty buckets over the allocator's
-// devices; parts[d] is device d's partition. The partitions share one
-// frozen copy of the file's ids and dictionaries, which no later change
-// to the file reaches. The allocator must be built for the file's
-// current directory sizes.
+// devices (Share) from one frozen copy of the file's ids and
+// dictionaries, which no later change to the file reaches. The allocator
+// must be built for the file's current directory sizes.
 func Split(file *mkhash.File, alloc decluster.GroupAllocator) ([]Partition, error) {
-	fs := alloc.FileSystem()
-	if err := checkAllocator(file, fs); err != nil {
+	if err := checkAllocator(file, alloc.FileSystem()); err != nil {
 		return nil, err
 	}
+	return Share(file.Freeze(), alloc), nil
+}
+
+// Share distributes p's buckets over the allocator's devices, which must
+// share p's grid; parts[d] is device d's partition. The partitions are
+// windows into p's ids under its dictionary, copied on the first write
+// to any of them or to p (mkhash.Table.Split).
+func Share(p Partition, alloc decluster.GroupAllocator) []Partition {
+	fs := alloc.FileSystem()
 	var coords []int
-	return file.Freeze().Split(fs.M, func(bucket uint32) int {
+	return p.Split(fs.M, func(bucket uint32) int {
 		coords = fs.Coords(int(bucket), coords[:0])
 		return alloc.Device(coords)
-	}), nil
+	})
 }
 
 // AdmitBucket is the check on a bucket arriving from outside the process

@@ -10,31 +10,15 @@ import (
 )
 
 // Live elastic rescaling: grow a distributed cluster from M to 2M
-// devices (or shrink 2M to M) with zero downtime. The rescale runs as
-// an epoch transition driven by rebalance.Driver:
-//
-//  1. copying — every server of the new epoch is prepared with its
-//     number and allocator spec, and the moving buckets stream
-//     old-owner → new-owner over the binary wire protocol. Queries keep
-//     answering from the old epoch, untouched.
-//  2. verified — every old device digests the records it owns at the
-//     old epoch, every new device those it owns at the new one, and the
-//     totals must be equal (a mismatch rolls back). Only then does the
-//     cluster swap its handle to the new epoch's coordinator: each read
-//     goes to one epoch, and the new one's audits feed the cutover
-//     guard, which waits until its per-shape deviation is within the
-//     Doerr bound. The new coordinator's bundle (seeded with the
-//     cluster's SLOs) is the cluster's from the swap on.
-//  3. cutover — every surviving server promotes its prepared view and
-//     the old handle closes. The old epoch is only released here; Abort at any
-//     earlier point swaps the handle back and rolls every server back
-//     byte-for-byte, dropping the window's records with the new bundle.
-//
-// A retrieval holds the handle it read until it returns, so each swap
-// waits out the reads in flight on the handle it replaces.
-//
-// Progress journals through RescaleConfig.Journal, so a coordinator
-// killed mid-migration resumes instead of restarting.
+// devices (or shrink 2M to M) with zero downtime, as an epoch transition
+// that rebalance.Driver runs: copying, verified, cutover (DESIGN §12
+// states the protocol and its invariants once). The cluster's handle
+// reads the old epoch until the copy is proven, the new one after; a
+// retrieval holds the handle it read until it returns, so each swap
+// waits out the reads in flight on the handle it replaces. Abort before
+// cutover swaps the handle back and rolls every server back. Progress
+// journals through RescaleConfig.Journal, so a coordinator killed
+// mid-migration resumes instead of restarting.
 
 // RescaleConfig configures Cluster.Rescale.
 type RescaleConfig struct {

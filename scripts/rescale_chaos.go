@@ -1,16 +1,19 @@
 //go:build ignore
 
 // Command rescale_chaos is the CI crash-recovery test for live
-// rescaling: it deploys a real fxnode fleet from a snapshot, starts a
-// live 4 -> 8 grow through `fxnode rescale`, SIGKILLs the coordinating
-// process mid-migration (as soon as the journal records progress), and
-// verifies that
+// rescaling: it deploys a real fxnode fleet from a snapshot and runs a
+// live 4 -> 8 grow through `fxnode rescale` twice. The first run gets a
+// SIGINT mid-migration (as soon as the journal records progress), which
+// fxnode turns into an abort; the second is SIGKILLed at the same point.
+// It verifies that
 //
 //  1. the cluster keeps answering queries byte-identically from the old
-//     epoch through the crash (zero downtime),
-//  2. re-running the same command against the same journal resumes the
+//     epoch through the abort and through the crash (zero downtime),
+//  2. the abort rolls the targets back: a fresh Open over the new list
+//     is refused, as they serve no epoch,
+//  3. re-running the killed command against its journal resumes the
 //     migration instead of restarting it, and
-//  3. after cutover a fresh coordinator, which reads the epoch from the
+//  4. after cutover a fresh coordinator, which reads the epoch from the
 //     servers, answers every query byte-identically to the single-device
 //     reference.
 //
@@ -21,6 +24,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"os/exec"
@@ -145,43 +149,57 @@ func run() error {
 	if err := build.Run(); err != nil {
 		return fmt.Errorf("build fxnode: %w", err)
 	}
-	journal := filepath.Join(work, "rescale.journal")
-	rescaleArgs := []string{"rescale", "-action", "start",
-		"-snapshot", snap,
-		"-addrs", strings.Join(addrs, ","),
-		"-new-addrs", strings.Join(newAddrs, ","),
-		"-journal", journal,
-		"-concurrency", "1",
-		"-guard-queries", "2",
-		"-status-every", "25ms",
-		"-log-level", "off",
+	rescaleArgs := func(journal string) []string {
+		return []string{"rescale", "-action", "start",
+			"-snapshot", snap,
+			"-addrs", strings.Join(addrs, ","),
+			"-new-addrs", strings.Join(newAddrs, ","),
+			"-journal", journal,
+			"-concurrency", "1",
+			"-guard-queries", "2",
+			"-status-every", "25ms",
+			"-log-level", "off",
+		}
 	}
+
+	// Run 0: interrupt the coordinator mid-migration; fxnode aborts the
+	// rescale, which rolls every server back.
+	abortJournal := filepath.Join(work, "abort.journal")
+	abortOut := &strings.Builder{}
+	aborted, err := startMidCopy(bin, rescaleArgs(abortJournal), abortJournal, abortOut)
+	if err != nil {
+		return err
+	}
+	if err := aborted.Process.Signal(os.Interrupt); err != nil {
+		return fmt.Errorf("SIGINT coordinator: %w", err)
+	}
+	if err := aborted.Wait(); err == nil || !strings.Contains(abortOut.String(), "rescale aborted") {
+		return fmt.Errorf("interrupted rescale did not abort (%v):\n%s", err, abortOut.String())
+	}
+	fmt.Println("rescale_chaos: coordinator interrupted mid-migration; rescale aborted")
+	cl, err := fxdist.Open(fxdist.Config{File: file, Addrs: addrs})
+	if err != nil {
+		return fmt.Errorf("dial old epoch after abort: %w", err)
+	}
+	err = checkAnswers(cl, pms, want, "old epoch after abort")
+	cl.Close()
+	if err != nil {
+		return err
+	}
+	if cl, err := fxdist.Open(fxdist.Config{File: file, Addrs: newAddrs}); err == nil {
+		cl.Close()
+		return fmt.Errorf("opened the new address list after an abort")
+	} else if !strings.Contains(err.Error(), "serves no epoch") {
+		return fmt.Errorf("open of the new address list after an abort: %v, want a target that serves no epoch", err)
+	}
+	fmt.Println("rescale_chaos: the aborted targets serve no epoch")
 
 	// Run 1: kill the coordinator as soon as the journal records
 	// progress — mid-migration by construction.
-	first := exec.Command(bin, rescaleArgs...)
-	first.Stdout = os.Stdout
-	first.Stderr = os.Stderr
-	if err := first.Start(); err != nil {
+	journal := filepath.Join(work, "rescale.journal")
+	first, err := startMidCopy(bin, rescaleArgs(journal), journal, os.Stdout)
+	if err != nil {
 		return err
-	}
-	// Ideally the kill lands with a partial copy set journalled (the
-	// driver flushes every 64 buckets); settle for any journal at all if
-	// the window is too tight on this machine.
-	deadline := time.Now().Add(30 * time.Second)
-	partialBy := time.Now().Add(10 * time.Second)
-	for {
-		if st, err := persist.LoadRescale(journal); err == nil {
-			if len(st.Done) > 0 || time.Now().After(partialBy) {
-				break
-			}
-		}
-		if time.Now().After(deadline) {
-			first.Process.Kill()
-			first.Wait()
-			return fmt.Errorf("journal %s never appeared; rescale did not start", journal)
-		}
-		time.Sleep(2 * time.Millisecond)
 	}
 	if err := first.Process.Signal(syscall.SIGKILL); err != nil {
 		return fmt.Errorf("SIGKILL coordinator: %w", err)
@@ -204,7 +222,7 @@ func run() error {
 
 	// Zero downtime: the old epoch answers byte-identically right now,
 	// with the fleet mid-migration and the coordinator dead.
-	cl, err := fxdist.Open(fxdist.Config{File: file, Addrs: addrs})
+	cl, err = fxdist.Open(fxdist.Config{File: file, Addrs: addrs})
 	if err != nil {
 		return fmt.Errorf("dial old epoch after crash: %w", err)
 	}
@@ -215,7 +233,7 @@ func run() error {
 	cl.Close()
 
 	// Run 2: same command, same journal — must resume and complete.
-	second := exec.Command(bin, rescaleArgs...)
+	second := exec.Command(bin, rescaleArgs(journal)...)
 	out := &strings.Builder{}
 	second.Stdout = out
 	second.Stderr = os.Stderr
@@ -240,6 +258,33 @@ func run() error {
 	}
 	defer ncl.Close()
 	return checkAnswers(ncl, pms, want, "new epoch after resume")
+}
+
+// startMidCopy starts fxnode with args, its output to out, and returns
+// once journal records copy progress: ideally a partial copy set (the
+// driver flushes every 64 buckets), any journal at all if the window is
+// too tight on this machine.
+func startMidCopy(bin string, args []string, journal string, out io.Writer) (*exec.Cmd, error) {
+	cmd := exec.Command(bin, args...)
+	cmd.Stdout, cmd.Stderr = out, out
+	if err := cmd.Start(); err != nil {
+		return nil, err
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	partialBy := time.Now().Add(10 * time.Second)
+	for {
+		if st, err := persist.LoadRescale(journal); err == nil {
+			if len(st.Done) > 0 || time.Now().After(partialBy) {
+				return cmd, nil
+			}
+		}
+		if time.Now().After(deadline) {
+			cmd.Process.Kill()
+			cmd.Wait()
+			return nil, fmt.Errorf("journal %s never appeared; rescale did not start", journal)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
 }
 
 func checkAnswers(cl *fxdist.Cluster, pms []fxdist.PartialMatch, want [][]string, what string) error {
